@@ -1,7 +1,7 @@
 //! Criterion benches for the simnet message-passing engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use simnet::comm::{broadcast, gather, scatter, ScatterMode};
+use simnet::coll::{broadcast, gather, scatter, CollectiveConfig, ScatterMode};
 use simnet::engine::{Ctx, Engine, WireVec};
 use simnet::Platform;
 
@@ -19,6 +19,8 @@ fn bench_engine_spawn(c: &mut Criterion) {
 
 fn bench_collectives(c: &mut Criterion) {
     let engine = Engine::new(Platform::uniform("bench", 16, 0.01, 1024, 1.0));
+    let cfg = CollectiveConfig::linear();
+    let bits = 1024 * 32;
     let mut g = c.benchmark_group("collectives-16-ranks");
     g.sample_size(20);
     g.bench_function("broadcast_1k_f32", |b| {
@@ -29,14 +31,17 @@ fn bench_collectives(c: &mut Criterion) {
                 } else {
                     None
                 };
-                broadcast(ctx, 0, msg).expect("valid broadcast").0.len()
+                broadcast(ctx, &cfg, 0, msg, bits)
+                    .expect("valid broadcast")
+                    .0
+                    .len()
             })
         })
     });
     g.bench_function("gather_1k_f32", |b| {
         b.iter(|| {
             engine.run(|ctx: &mut Ctx<WireVec<f32>>| {
-                gather(ctx, 0, WireVec(vec![1.0f32; 1024])).map(|v| v.len())
+                gather(ctx, &cfg, 0, WireVec(vec![1.0f32; 1024]), bits).map(|v| v.len())
             })
         })
     });

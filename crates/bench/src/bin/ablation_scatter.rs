@@ -11,7 +11,7 @@
 
 use hetero_hsi::config::{AlgoParams, RunOptions};
 use repro_bench::{build_scene, print_table, run_algorithm, write_csv};
-use simnet::comm::ScatterMode;
+use simnet::coll::ScatterMode;
 use simnet::engine::Engine;
 
 fn main() {

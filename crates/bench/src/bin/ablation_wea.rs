@@ -13,7 +13,7 @@
 use hetero_hsi::config::{AlgoParams, PartitionStrategy, RunOptions};
 use hetero_hsi::wea::{WeaConfig, WeaLinkModel};
 use repro_bench::{build_scene, print_table, run_algorithm, write_csv};
-use simnet::comm::ScatterMode;
+use simnet::coll::ScatterMode;
 use simnet::engine::Engine;
 
 fn main() {

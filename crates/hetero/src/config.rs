@@ -1,8 +1,7 @@
 //! Algorithm parameters and run options.
 
 use crate::wea::WeaConfig;
-use simnet::coll::CollectiveConfig;
-use simnet::comm::ScatterMode;
+use simnet::coll::{CollectiveConfig, ScatterMode};
 
 /// Parameters of the analysis algorithms, defaulting to the paper's
 /// experimental settings.

@@ -10,8 +10,7 @@ use crate::msg::{Candidate, Msg};
 use crate::par::{best_candidate, better_candidate};
 use crate::wea::{self, RowAssignment, RowCost};
 use hsi_cube::{HyperCube, LabelImage};
-use simnet::coll::{self, CollAlgorithm, CollectiveConfig, GatherEntry};
-use simnet::comm::ScatterMode;
+use simnet::coll::{self, CollAlgorithm, CollectiveConfig, GatherEntry, ScatterMode};
 use simnet::engine::Engine;
 use simnet::report::RunReport;
 use simnet::Ctx;
@@ -186,40 +185,11 @@ pub fn run_rooted<T: Send>(
     engine: &Engine,
     program: impl Fn(&mut Ctx<Msg>) -> Option<T> + Sync,
 ) -> ParallelRun<T> {
-    let report = engine.run(program);
-    let RunReport {
-        platform_name,
-        ledgers,
-        mut results,
-        failures,
-        total_time,
-        collectives,
-        epochs,
-        copies,
-        offloads,
-        ranks,
-        profile,
-    } = report;
-    let result = results
-        .get_mut(0)
-        .and_then(Option::take)
-        .flatten()
-        .unwrap_or_else(|| panic!("root produced no result (failures: {failures:?})"));
+    let (result, report) = engine.run(program).into_root();
     ParallelRun {
-        result,
-        report: RunReport {
-            platform_name,
-            ledgers,
-            results: Vec::new(),
-            failures,
-            total_time,
-            collectives,
-            epochs,
-            copies,
-            offloads,
-            ranks,
-            profile,
-        },
+        result: result
+            .unwrap_or_else(|| panic!("root produced no result (failures: {:?})", report.failures)),
+        report,
     }
 }
 

@@ -64,7 +64,7 @@ use crate::wea::apportion_rows;
 use simnet::coll::{self, CollAlgorithm, CollOp, CollectiveConfig, Membership, Stamped};
 use simnet::engine::{Engine, Wire};
 use simnet::report::RunReport;
-use simnet::{Ctx, RecvError};
+use simnet::{Ctx, RankFailure, RecvError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -369,81 +369,59 @@ where
     if let Some(at) = engine.faults().crash_time(0) {
         return Err(FtError::MasterCrashScheduled { at });
     }
-    let report = engine.run(|ctx: &mut Ctx<FtMsg<A::State, A::Partial>>| {
-        if ctx.is_root() {
-            let out = match mode {
-                Mode::Replan => master_replan(ctx, algo, opts),
-                Mode::SelfSched => master_self_sched(ctx, algo, opts),
-            };
-            Some(out)
-        } else if tree_mode(opts) {
-            worker_loop_tree(ctx, algo, opts.offload);
-            None
-        } else {
-            worker_loop(ctx, algo, opts.offload);
-            None
-        }
+    let (root, report) = engine
+        .run(|ctx: &mut Ctx<FtMsg<A::State, A::Partial>>| {
+            if ctx.is_root() {
+                Some(master(ctx, algo, opts, mode))
+            } else {
+                worker_loop(ctx, algo, opts.offload);
+                None
+            }
+        })
+        .into_root();
+    let (output, recoveries) = root.unwrap_or_else(|| {
+        panic!(
+            "ft: master produced no result (failures: {:?})",
+            report.failures
+        )
     });
-    let RunReport {
-        platform_name,
-        ledgers,
-        mut results,
-        failures,
-        total_time,
-        collectives,
-        epochs,
-        copies,
-        offloads,
-        ranks,
-        profile,
-    } = report;
-    let (output, recoveries) = results
-        .get_mut(0)
-        .and_then(Option::take)
-        .flatten()
-        .unwrap_or_else(|| panic!("ft: master produced no result (failures: {failures:?})"));
     Ok(FtRun {
         output,
         recoveries,
-        report: RunReport {
-            platform_name,
-            ledgers,
-            results: Vec::new(),
-            failures,
-            total_time,
-            collectives,
-            epochs,
-            copies,
-            offloads,
-            ranks,
-            profile,
-        },
+        report,
     })
 }
 
-/// `true` when the options select the epoch-stamped survivor-tree state
-/// distribution (any non-linear broadcast algorithm).
-fn tree_mode(opts: &FtOptions) -> bool {
-    opts.collectives.broadcast != CollAlgorithm::Linear
-}
-
-/// Worker side of both modes: obey `Round`/`Assign` orders from the
-/// master until `Finish`. Chunk time is charged through the offload
-/// `policy` — host or device per [`offload::decide`] — while the chunk
-/// itself always runs the host kernel (bit-identical outputs).
+/// Worker side of both recovery modes and both state-distribution
+/// protocols: obey whichever round opener the master sends — `Round`
+/// carries the state itself (linear fan-out), `RoundStart` announces it
+/// down the survivor tree ([`receive_tree_state`]) — then `Assign`
+/// orders until the next opener or `Finish`. Chunk time is charged
+/// through the offload `policy` — host or device per
+/// [`offload::decide`] — while the chunk itself always runs the host
+/// kernel (bit-identical outputs).
 fn worker_loop<A: ChunkedAlgo>(
     ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
     algo: &A,
     policy: OffloadPolicy,
 ) {
     let mut state: Option<Arc<A::State>> = None;
-    // Round-constant scratch, rebuilt lazily on the first Assign of a
-    // round and reused for every later chunk of that round.
-    let mut scratch: Option<(usize, A::Scratch)> = None;
+    // Round-constant scratch: dropped by every round opener, rebuilt
+    // lazily on the round's first Assign and reused for its later chunks.
+    let mut scratch: Option<A::Scratch> = None;
     loop {
         match ctx.recv(0) {
             FtMsg::Round { state: s, .. } => {
                 state = Some(s);
+                scratch = None;
+            }
+            FtMsg::RoundStart {
+                round,
+                epoch,
+                survivors,
+                algo: algorithm,
+            } => {
+                state = Some(receive_tree_state(ctx, round, epoch, &survivors, algorithm));
                 scratch = None;
             }
             FtMsg::Assign {
@@ -452,13 +430,10 @@ fn worker_loop<A: ChunkedAlgo>(
                 first,
                 n,
             } => {
-                let st = state.as_deref().expect("ft: Assign before any Round");
+                let st = state.as_deref().expect("ft: Assign before any round");
                 let cost = ChunkCost::new(algo.chunk_mflops(round, n), algo.chunk_bytes(round, n));
                 offload::charge_chunk(ctx, policy, &cost);
-                if scratch.as_ref().map(|&(r, _)| r) != Some(round) {
-                    scratch = Some((round, algo.prepare(round, st)));
-                }
-                let (_, sc) = scratch.as_mut().expect("ft: scratch just prepared");
+                let sc = scratch.get_or_insert_with(|| algo.prepare(round, st));
                 let data = algo.run_chunk(round, st, sc, first, n);
                 let bits = algo.partial_bits(&data);
                 ctx.send(
@@ -472,166 +447,170 @@ fn worker_loop<A: ChunkedAlgo>(
                 );
             }
             FtMsg::Finish => break,
-            _ => unreachable!("ft: linear-mode masters send Round, Assign and Finish only"),
+            _ => unreachable!("ft: masters send Round, RoundStart, Assign and Finish only"),
         }
     }
 }
 
-/// Worker side of the tree mode: headers and work orders arrive on the
-/// master channel; the round state arrives over the survivor tree (from
-/// the tree parent), is relayed onward to the tree children, and is
-/// recovered directly from the master when the parent dies before
-/// forwarding. Every round closes its state distribution with a
-/// `StateAck`, which the master collects from every survivor before
-/// dispatching work (the barrier in the module docs) — so each receive
-/// below blocks on a channel whose peer is bound to produce: the relay
-/// parent sends the state or its failure marker, and the master (which
-/// cannot crash — such plans are rejected at startup) answers rescues
-/// during its ack sweep before sending anything else.
-fn worker_loop_tree<A: ChunkedAlgo>(
-    ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
-    algo: &A,
-    policy: OffloadPolicy,
-) {
+/// A worker's half of a tree-mode round opening, entered on the
+/// `RoundStart` header: the round state arrives over the survivor tree
+/// (from the tree parent), is relayed onward to the tree children, and
+/// is recovered directly from the master when the parent dies before
+/// forwarding. The exchange closes with a `StateAck`, which the master
+/// collects from every survivor before dispatching work (the barrier in
+/// the module docs) — so each receive below blocks on a channel whose
+/// peer is bound to produce: the relay parent sends the state or its
+/// failure marker, and the master (which cannot crash — such plans are
+/// rejected at startup) answers rescues during its ack sweep before
+/// sending anything else.
+fn receive_tree_state<S, P>(
+    ctx: &mut Ctx<FtMsg<S, P>>,
+    round: usize,
+    epoch: u64,
+    survivors: &[usize],
+    algorithm: CollAlgorithm,
+) -> Arc<S>
+where
+    S: Send + Sync + 'static,
+    P: Send + 'static,
+{
     let me = ctx.rank();
-    let p = ctx.num_ranks();
-    let mut scratch: Option<(usize, A::Scratch)> = None;
-    // A header consumed early: the master opened the next round while
-    // this worker (owing nothing) was still parked in its work loop.
-    let mut pending: Option<(usize, u64, Vec<usize>, CollAlgorithm)> = None;
-    'rounds: loop {
-        let (round, epoch, survivors, algorithm) = match pending.take() {
-            Some(h) => h,
-            None => match ctx.recv(0) {
-                FtMsg::RoundStart {
-                    round,
-                    epoch,
-                    survivors,
-                    algo: a,
-                } => (round, epoch, survivors, a),
-                FtMsg::Finish => return,
-                _ => unreachable!("ft: a round opens with RoundStart or Finish"),
+    let view = Membership::from_survivors(epoch, ctx.num_ranks(), survivors);
+    let tree = coll::tree_over(ctx, algorithm, 0, &view);
+    let parent = tree
+        .parent(me)
+        .expect("ft: a surviving worker has a tree parent");
+    // The round's state, and nothing else, is acceptable below.
+    let expect_state = |msg: FtMsg<S, P>, why: &str| match msg {
+        FtMsg::RoundState {
+            epoch: e,
+            round: r,
+            state,
+            bits,
+        } if e == epoch && r == round => (state, bits),
+        _ => unreachable!("ft: {why}"),
+    };
+    let (state, bits) = if parent == 0 {
+        // FIFO on the master channel: our RoundState was queued right
+        // behind the header, before anything else.
+        expect_state(
+            ctx.recv(0),
+            "master-children receive their state right after the header",
+        )
+    } else {
+        // The relay parent is bound to produce: the round's state, or
+        // its failure marker. (An infinite deadline is safe — a worker
+        // cannot clean-exit mid-round.)
+        match ctx.recv_deadline(parent, f64::INFINITY) {
+            Ok(msg) => expect_state(msg, "only the round's state relay flows down tree edges"),
+            Err(RecvError::Failed(_)) => {
+                // Orphaned: the relay died before forwarding. The
+                // master's ack sweep owes us the rescue before anything
+                // else on this channel.
+                ctx.send(0, FtMsg::StateRequest { round });
+                expect_state(
+                    ctx.recv(0),
+                    "a StateRequest is answered with the round state",
+                )
+            }
+            Err(RecvError::Timeout { .. }) => {
+                unreachable!("ft: a relay parent cannot clean-exit mid-round")
+            }
+        }
+    };
+    // Relay down the survivor tree, then ack.
+    for &c in tree.children_bcast(me) {
+        ctx.send(
+            c,
+            FtMsg::RoundState {
+                epoch,
+                round,
+                state: Arc::clone(&state),
+                bits,
             },
-        };
-        let view = Membership::from_survivors(epoch, p, &survivors);
-        let tree = coll::tree_over(ctx, algorithm, 0, &view);
-        let parent = tree
-            .parent(me)
-            .expect("ft: a surviving worker has a tree parent");
-        // ---- obtain the round state ---------------------------------
-        let (state, bits) = if parent == 0 {
-            // FIFO on the master channel: our RoundState was queued
-            // right behind the header, before anything else.
-            match ctx.recv(0) {
-                FtMsg::RoundState {
-                    epoch: e,
-                    round: r,
-                    state,
-                    bits,
-                } if e == epoch && r == round => (state, bits),
-                _ => unreachable!("ft: master-children receive their state right after the header"),
-            }
-        } else {
-            // The relay parent is bound to produce: the round's state,
-            // or its failure marker. (An infinite deadline is safe — a
-            // worker cannot clean-exit mid-round.)
-            match ctx.recv_deadline(parent, f64::INFINITY) {
-                Ok(FtMsg::RoundState {
-                    epoch: e,
-                    round: r,
-                    state,
-                    bits,
-                }) if e == epoch && r == round => (state, bits),
-                Ok(_) => unreachable!("ft: only the round's state relay flows down tree edges"),
-                Err(RecvError::Failed(_)) => {
-                    // Orphaned: the relay died before forwarding. The
-                    // master's ack sweep owes us the rescue before
-                    // anything else on this channel.
-                    ctx.send(0, FtMsg::StateRequest { round });
-                    match ctx.recv(0) {
-                        FtMsg::RoundState {
-                            epoch: e,
-                            round: r,
-                            state,
-                            bits,
-                        } if e == epoch && r == round => (state, bits),
-                        _ => unreachable!("ft: a StateRequest is answered with the round state"),
-                    }
-                }
-                Err(RecvError::Timeout { .. }) => {
-                    unreachable!("ft: a relay parent cannot clean-exit mid-round")
-                }
-            }
-        };
-        // ---- relay down the survivor tree, then ack -----------------
-        for &c in tree.children_bcast(me) {
-            ctx.send(
-                c,
-                FtMsg::RoundState {
-                    epoch,
-                    round,
-                    state: Arc::clone(&state),
-                    bits,
-                },
-            );
+        );
+    }
+    ctx.send(0, FtMsg::StateAck { round });
+    state
+}
+
+/// Master-side bookkeeping shared by both recovery modes and both
+/// state-distribution protocols.
+struct Roster {
+    /// The authoritative alive set; the epoch bumps on every observed
+    /// loss. Rank 0 — the master itself — never leaves it.
+    view: Membership,
+    /// Every detected loss, in detection order.
+    recoveries: Vec<Recovery>,
+    /// Next work-order id (unique across the whole run).
+    next_id: u64,
+}
+
+impl Roster {
+    /// The surviving workers, ascending.
+    fn workers(&self) -> Vec<usize> {
+        let mut workers = self.view.survivors();
+        workers.retain(|&w| w != 0);
+        workers
+    }
+
+    /// Records the loss of worker `f.rank`, observed now in `round` with
+    /// `lines` image lines orphaned: the view drops the rank under a
+    /// bumped epoch and the recovery span covers crash → detection — the
+    /// window the master spent waiting on a dead rank, which is the
+    /// recovery cost the profiler attributes.
+    fn lose<M: Wire>(&mut self, ctx: &mut Ctx<M>, f: &RankFailure, round: usize, lines: usize) {
+        let detected_at = ctx.elapsed();
+        if self.view.observe_failure(f) {
+            ctx.mark_epoch(self.view.epoch(), f.rank, self.view.num_survivors());
         }
-        ctx.send(0, FtMsg::StateAck { round });
-        // ---- the work loop ------------------------------------------
-        loop {
-            match ctx.recv(0) {
-                FtMsg::Assign {
-                    id,
-                    round: r,
-                    first,
-                    n,
-                } => {
-                    debug_assert_eq!(r, round);
-                    let cost =
-                        ChunkCost::new(algo.chunk_mflops(round, n), algo.chunk_bytes(round, n));
-                    offload::charge_chunk(ctx, policy, &cost);
-                    if scratch.as_ref().map(|&(r, _)| r) != Some(round) {
-                        scratch = Some((round, algo.prepare(round, &state)));
-                    }
-                    let (_, sc) = scratch.as_mut().expect("ft: scratch just prepared");
-                    let data = algo.run_chunk(round, &state, sc, first, n);
-                    let pbits = algo.partial_bits(&data);
-                    ctx.send(
-                        0,
-                        FtMsg::Partial {
-                            id,
-                            first,
-                            data,
-                            bits: pbits,
-                        },
-                    );
-                }
-                FtMsg::RoundStart {
-                    round: r,
-                    epoch: e,
-                    survivors: s,
-                    algo: a,
-                } => {
-                    pending = Some((r, e, s, a));
-                    continue 'rounds;
-                }
-                FtMsg::Finish => return,
-                _ => {
-                    unreachable!("ft: masters send Assign, RoundStart or Finish after the barrier")
-                }
-            }
-        }
+        self.recoveries.push(Recovery {
+            rank: f.rank,
+            at: f.at,
+            detected_at,
+            lines,
+            round,
+        });
+        ctx.mark_recovery(f.at, f.rank);
+    }
+
+    /// Sends worker `w` the order for lines `[first, first + n)` and
+    /// returns the order's id.
+    fn assign<S, P>(
+        &mut self,
+        ctx: &mut Ctx<FtMsg<S, P>>,
+        w: usize,
+        round: usize,
+        first: usize,
+        n: usize,
+    ) -> u64
+    where
+        S: Send + Sync + 'static,
+        P: Send + 'static,
+    {
+        let id = self.next_id;
+        self.next_id += 1;
+        ctx.send(
+            w,
+            FtMsg::Assign {
+                id,
+                round,
+                first,
+                n,
+            },
+        );
+        id
     }
 }
 
-/// Splits lines `[first, first + n)` over the surviving workers in
+/// Splits lines `[first, first + n)` over the surviving `workers` in
 /// proportion to speed; returns `(first, n, worker)` slices.
 fn split_lines(
     first: usize,
     n: usize,
-    alive: &[bool],
+    workers: &[usize],
     speeds: &[f64],
 ) -> Vec<(usize, usize, usize)> {
-    let workers: Vec<usize> = (1..alive.len()).filter(|&w| alive[w]).collect();
     assert!(!workers.is_empty(), "ft: all workers lost");
     let total: f64 = workers.iter().map(|&w| speeds[w]).sum();
     let fractions: Vec<f64> = workers.iter().map(|&w| speeds[w] / total).collect();
@@ -653,16 +632,15 @@ fn split_lines(
 /// price is P−1 full-payload sends from the master every round. Tree
 /// mode ([`start_round_tree`]) shares that cost across the survivor
 /// tree via the membership/epoch protocol.
-fn broadcast_state<S, P>(ctx: &mut Ctx<FtMsg<S, P>>, alive: &[bool], state: &S, bits: u64)
+fn broadcast_state<S, P>(ctx: &mut Ctx<FtMsg<S, P>>, workers: &[usize], state: &S, bits: u64)
 where
     S: Clone + Send + Sync + 'static,
     P: Send + 'static,
 {
-    let targets: Vec<usize> = (1..alive.len()).filter(|&w| alive[w]).collect();
     // One deep copy total (the `Arc` construction); every per-worker
     // send then shares it with a refcount bump.
     let shared = Arc::new(state.clone());
-    simnet::coll::fanout_with(ctx, &targets, || FtMsg::Round {
+    coll::fanout_with(ctx, workers, || FtMsg::Round {
         state: Arc::clone(&shared),
         bits,
     });
@@ -697,12 +675,9 @@ fn normalize_tree_algo(algorithm: CollAlgorithm) -> CollAlgorithm {
 /// on `w`, everything `w`'s relay chain needs is either already settled
 /// (an ancestor's ack or failure) or arrives on the very channel being
 /// watched (`w`'s own rescue request).
-#[allow(clippy::too_many_arguments)] // two call sites; a struct would just rename the fields
 fn start_round_tree<S, P>(
     ctx: &mut Ctx<FtMsg<S, P>>,
-    view: &mut Membership,
-    alive: &mut [bool],
-    recoveries: &mut Vec<Recovery>,
+    roster: &mut Roster,
     cfg: &CollectiveConfig,
     round: usize,
     state: &S,
@@ -717,14 +692,15 @@ fn start_round_tree<S, P>(
         CollOp::Broadcast,
         requested,
         0,
-        view,
+        &roster.view,
         bits,
         cfg.pipeline_chunks,
     );
     let algorithm = normalize_tree_algo(resolved);
-    let epoch = view.epoch();
-    let survivors = view.survivors();
-    for &w in survivors.iter().filter(|&&w| w != 0) {
+    let epoch = roster.view.epoch();
+    let survivors = roster.view.survivors();
+    let workers = roster.workers();
+    for &w in &workers {
         ctx.send(
             w,
             FtMsg::RoundStart {
@@ -735,21 +711,17 @@ fn start_round_tree<S, P>(
             },
         );
     }
-    let tree = coll::tree_over(ctx, algorithm, 0, view);
+    let tree = coll::tree_over(ctx, algorithm, 0, &roster.view);
     let shared = Arc::new(state.clone());
-    for &c in tree.children_bcast(0) {
-        ctx.send(
-            c,
-            FtMsg::RoundState {
-                epoch,
-                round,
-                state: Arc::clone(&shared),
-                bits,
-            },
-        );
-    }
+    let round_state = || FtMsg::RoundState {
+        epoch,
+        round,
+        state: Arc::clone(&shared),
+        bits,
+    };
+    coll::fanout_with(ctx, tree.children_bcast(0), round_state);
     // ---- the ack sweep (state-distribution barrier) -----------------
-    for &w in survivors.iter().filter(|&&w| w != 0) {
+    for &w in &workers {
         loop {
             match ctx.recv_deadline(w, f64::INFINITY) {
                 Ok(FtMsg::StateAck { round: r }) => {
@@ -758,33 +730,12 @@ fn start_round_tree<S, P>(
                 }
                 Ok(FtMsg::StateRequest { round: r }) => {
                     debug_assert_eq!(r, round);
-                    ctx.send(
-                        w,
-                        FtMsg::RoundState {
-                            epoch,
-                            round,
-                            state: Arc::clone(&shared),
-                            bits,
-                        },
-                    );
+                    ctx.send(w, round_state());
                 }
                 Ok(_) => unreachable!("ft: pre-barrier workers send StateAck or StateRequest only"),
                 Err(RecvError::Failed(f)) => {
-                    let detected_at = ctx.elapsed();
-                    alive[w] = false;
-                    if view.observe_failure(&f) {
-                        ctx.mark_epoch(view.epoch(), w, view.num_survivors());
-                    }
-                    recoveries.push(Recovery {
-                        rank: w,
-                        at: f.at,
-                        detected_at,
-                        lines: 0,
-                        round,
-                    });
-                    // The recovery span covers crash → detection: the
-                    // window the master spent waiting on a dead rank.
-                    ctx.mark_recovery(f.at, w);
+                    // No work is out yet: a zero-line recovery.
+                    roster.lose(ctx, &f, round, 0);
                     break;
                 }
                 Err(RecvError::Timeout { .. }) => {
@@ -793,6 +744,60 @@ fn start_round_tree<S, P>(
             }
         }
     }
+}
+
+/// The coordinator of both recovery modes: per round, distribute the
+/// state (linear fan-out or survivor tree, per
+/// [`FtOptions::collectives`]), run the mode's dispatch/collect policy
+/// to a full set of partials, fold them in line order; finally release
+/// the workers.
+fn master<A: ChunkedAlgo>(
+    ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
+    algo: &A,
+    opts: &FtOptions,
+    mode: Mode,
+) -> (A::Output, Vec<Recovery>) {
+    let p = ctx.num_ranks();
+    let mut roster = Roster {
+        view: Membership::new(p),
+        recoveries: Vec::new(),
+        next_id: 0,
+    };
+    let mut state = algo.initial_state();
+
+    for round in 0..algo.rounds() {
+        let state_bits = algo.state_bits(&state);
+        // Tree mode (any non-linear broadcast algorithm) distributes the
+        // state down the survivor tree and runs to the ack barrier,
+        // possibly shrinking the roster; after either branch, every live
+        // worker holds the state.
+        if opts.collectives.broadcast == CollAlgorithm::Linear {
+            broadcast_state(ctx, &roster.workers(), &state, state_bits);
+        } else {
+            start_round_tree(
+                ctx,
+                &mut roster,
+                &opts.collectives,
+                round,
+                &state,
+                state_bits,
+            );
+        }
+        let mut partials = match mode {
+            Mode::Replan => collect_replan(ctx, algo, opts, &mut roster, round),
+            Mode::SelfSched => collect_self_sched(ctx, algo, opts, &mut roster, round),
+        };
+        partials.sort_by_key(|&(first, _)| first);
+        let (next, mflops) = algo.reduce(round, state, partials);
+        ctx.compute_seq(mflops);
+        state = next;
+    }
+
+    for w in 1..p {
+        // Dead workers drop the message silently.
+        ctx.send(w, FtMsg::Finish);
+    }
+    (algo.finish(state), roster.recoveries)
 }
 
 /// A dispatched batch of the re-planning master.
@@ -811,325 +816,207 @@ struct Batch {
     done: bool,
 }
 
-fn master_replan<A: ChunkedAlgo>(
+/// One round of the re-planning policy: one speed-proportional batch per
+/// surviving worker, awaited under analytic deadlines; a lost worker's
+/// unfinished batches are re-apportioned over the survivors.
+fn collect_replan<A: ChunkedAlgo>(
     ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
     algo: &A,
     opts: &FtOptions,
-) -> (A::Output, Vec<Recovery>) {
+    roster: &mut Roster,
+    round: usize,
+) -> Vec<(usize, A::Partial)> {
     let p = ctx.num_ranks();
-    let tree = tree_mode(opts);
-    let mut alive = vec![true; p];
-    let mut view = Membership::new(p);
-    let mut recoveries: Vec<Recovery> = Vec::new();
-    let mut next_id: u64 = 0;
-    let mut state = algo.initial_state();
+    // Per-round *effective* speeds: with offloading enabled a
+    // device-bearing node is proportionally faster for this round's
+    // kernel (launch + transfers amortized over an even-split batch), so
+    // the WEA apportionment hands it more lines. With `Never` these are
+    // exactly `proc.speed()` — historic batches.
+    let rep_lines = algo.lines().div_ceil((p - 1).max(1)).max(1);
+    let rep = ChunkCost::new(
+        algo.chunk_mflops(round, rep_lines),
+        algo.chunk_bytes(round, rep_lines),
+    );
+    let speeds = offload::effective_speeds(ctx.platform(), opts.offload, &rep);
 
-    for round in 0..algo.rounds() {
-        let state_bits = algo.state_bits(&state);
-        // Tree mode distributes the state down the survivor tree and
-        // runs to the ack barrier (possibly shrinking `alive`/`view`);
-        // after either branch, every live worker holds the state.
-        if tree {
-            start_round_tree(
-                ctx,
-                &mut view,
-                &mut alive,
-                &mut recoveries,
-                &opts.collectives,
-                round,
-                &state,
-                state_bits,
-            );
-        } else {
-            broadcast_state(ctx, &alive, &state, state_bits);
+    // One speed-proportional batch per surviving worker (the WEA
+    // apportionment), each with an analytic completion deadline.
+    let mut ready_at = vec![0.0f64; p];
+    let mut batches: Vec<Batch> = Vec::new();
+    let dispatch = |ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
+                    roster: &mut Roster,
+                    batches: &mut Vec<Batch>,
+                    ready_at: &mut Vec<f64>,
+                    first: usize,
+                    n: usize,
+                    w: usize| {
+        let id = roster.assign(ctx, w, round, first, n);
+        // The batch's analytic completion time — the exact seconds the
+        // worker's `charge_chunk` will charge (host or device per the
+        // shared `decide`), so κ-padded deadlines stay meaningful under
+        // every offload policy.
+        let cost = ChunkCost::new(algo.chunk_mflops(round, n), algo.chunk_bytes(round, n));
+        let est = offload::chunk_secs(ctx.platform().proc(w), opts.offload, &cost);
+        let start = ready_at[w].max(ctx.elapsed());
+        ready_at[w] = start + est * opts.failure_threshold;
+        let cap = ctx
+            .fault_plan()
+            .dilate(w, start, est * opts.failure_threshold)
+            + opts.margin_s;
+        batches.push(Batch {
+            id,
+            worker: w,
+            first,
+            n,
+            deadline: ready_at[w] + opts.margin_s,
+            cap,
+            done: false,
+        });
+    };
+    for (first, n, w) in split_lines(0, algo.lines(), &roster.workers(), &speeds) {
+        dispatch(ctx, roster, &mut batches, &mut ready_at, first, n, w);
+    }
+
+    let mut partials: Vec<(usize, A::Partial)> = Vec::new();
+    let mut i = 0;
+    while i < batches.len() {
+        if batches[i].done {
+            i += 1;
+            continue;
         }
-
-        // Per-round *effective* speeds: with offloading enabled a
-        // device-bearing node is proportionally faster for this round's
-        // kernel (launch + transfers amortized over an even-split
-        // batch), so the WEA apportionment hands it more lines. With
-        // `Never` these are exactly `proc.speed()` — historic batches.
-        let rep_lines = algo.lines().div_ceil((p - 1).max(1)).max(1);
-        let rep = ChunkCost::new(
-            algo.chunk_mflops(round, rep_lines),
-            algo.chunk_bytes(round, rep_lines),
-        );
-        let speeds = offload::effective_speeds(ctx.platform(), opts.offload, &rep);
-
-        // One speed-proportional batch per surviving worker (the WEA
-        // apportionment), each with an analytic completion deadline.
-        let mut ready_at = vec![0.0f64; p];
-        let mut batches: Vec<Batch> = Vec::new();
-        let mut dispatch = |ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
-                            batches: &mut Vec<Batch>,
-                            ready_at: &mut Vec<f64>,
-                            first: usize,
-                            n: usize,
-                            w: usize| {
-            let id = next_id;
-            next_id += 1;
-            ctx.send(
-                w,
-                FtMsg::Assign {
-                    id,
-                    round,
-                    first,
-                    n,
-                },
-            );
-            // The batch's analytic completion time — the exact seconds
-            // the worker's `charge_chunk` will charge (host or device
-            // per the shared `decide`), so κ-padded deadlines stay
-            // meaningful under every offload policy.
-            let cost = ChunkCost::new(algo.chunk_mflops(round, n), algo.chunk_bytes(round, n));
-            let est = offload::chunk_secs(ctx.platform().proc(w), opts.offload, &cost);
-            let start = ready_at[w].max(ctx.elapsed());
-            ready_at[w] = start + est * opts.failure_threshold;
-            let cap = ctx
-                .fault_plan()
-                .dilate(w, start, est * opts.failure_threshold)
-                + opts.margin_s;
-            batches.push(Batch {
-                id,
-                worker: w,
-                first,
-                n,
-                deadline: ready_at[w] + opts.margin_s,
-                cap,
-                done: false,
-            });
-        };
-        for (first, n, w) in split_lines(0, algo.lines(), &alive, &speeds) {
-            dispatch(ctx, &mut batches, &mut ready_at, first, n, w);
-        }
-
-        let mut partials: Vec<(usize, A::Partial)> = Vec::new();
-        let mut i = 0;
-        while i < batches.len() {
-            if batches[i].done {
-                i += 1;
-                continue;
+        let w = batches[i].worker;
+        let now = ctx.elapsed();
+        let deadline = batches[i].deadline.max(now);
+        match ctx.recv_deadline(w, deadline) {
+            Ok(FtMsg::Partial {
+                id, first, data, ..
+            }) => {
+                // Per-pair FIFO: this is w's earliest outstanding batch —
+                // usually batch i itself, but match by id.
+                if let Some(b) = batches.iter_mut().find(|b| b.id == id && !b.done) {
+                    b.done = true;
+                    partials.push((first, data));
+                }
             }
-            let w = batches[i].worker;
-            let now = ctx.elapsed();
-            let deadline = batches[i].deadline.max(now);
-            match ctx.recv_deadline(w, deadline) {
-                Ok(FtMsg::Partial {
-                    id, first, data, ..
-                }) => {
-                    // Per-pair FIFO: this is w's earliest outstanding
-                    // batch — usually batch i itself, but match by id.
-                    if let Some(b) = batches.iter_mut().find(|b| b.id == id && !b.done) {
+            Ok(_) => unreachable!("ft: workers send Partial only after the barrier"),
+            Err(RecvError::Timeout { .. }) => {
+                // Late ≠ dead: only a failure marker is authoritative.
+                // Extend — but no further than the analytic worst case:
+                // past `cap` even a worker slowed by every active window
+                // would have delivered, so stop stepping the clock margin
+                // by margin and block for the authoritative outcome (the
+                // Partial or the failure marker).
+                let extended = ctx.elapsed() + opts.margin_s;
+                batches[i].deadline = if extended < batches[i].cap {
+                    extended
+                } else {
+                    f64::INFINITY
+                };
+            }
+            Err(RecvError::Failed(f)) => {
+                let orphans: Vec<(usize, usize)> = batches
+                    .iter_mut()
+                    .filter(|b| b.worker == w && !b.done)
+                    .map(|b| {
                         b.done = true;
-                        partials.push((first, data));
-                    }
-                }
-                Ok(_) => unreachable!("ft: workers send Partial only after the barrier"),
-                Err(RecvError::Timeout { .. }) => {
-                    // Late ≠ dead: only a failure marker is
-                    // authoritative. Extend — but no further than the
-                    // analytic worst case: past `cap` even a worker
-                    // slowed by every active window would have
-                    // delivered, so stop stepping the clock margin by
-                    // margin and block for the authoritative outcome
-                    // (the Partial or the failure marker).
-                    let extended = ctx.elapsed() + opts.margin_s;
-                    batches[i].deadline = if extended < batches[i].cap {
-                        extended
-                    } else {
-                        f64::INFINITY
-                    };
-                }
-                Err(RecvError::Failed(f)) => {
-                    let detected_at = ctx.elapsed();
-                    alive[w] = false;
-                    if view.observe_failure(&f) {
-                        ctx.mark_epoch(view.epoch(), w, view.num_survivors());
-                    }
-                    let orphans: Vec<(usize, usize)> = batches
-                        .iter_mut()
-                        .filter(|b| b.worker == w && !b.done)
-                        .map(|b| {
-                            b.done = true;
-                            (b.first, b.n)
-                        })
-                        .collect();
-                    let lost_lines: usize = orphans.iter().map(|&(_, n)| n).sum();
-                    recoveries.push(Recovery {
-                        rank: w,
-                        at: f.at,
-                        detected_at,
-                        lines: lost_lines,
-                        round,
-                    });
-                    // Span from the crash instant: the wait on the dead
-                    // rank is the recovery cost the profiler attributes.
-                    ctx.mark_recovery(f.at, w);
-                    for (of, on) in orphans {
-                        for (nf, nn, nw) in split_lines(of, on, &alive, &speeds) {
-                            dispatch(ctx, &mut batches, &mut ready_at, nf, nn, nw);
-                        }
+                        (b.first, b.n)
+                    })
+                    .collect();
+                roster.lose(ctx, &f, round, orphans.iter().map(|&(_, n)| n).sum());
+                let survivors = roster.workers();
+                for (of, on) in orphans {
+                    for (nf, nn, nw) in split_lines(of, on, &survivors, &speeds) {
+                        dispatch(ctx, roster, &mut batches, &mut ready_at, nf, nn, nw);
                     }
                 }
             }
         }
-
-        partials.sort_by_key(|&(first, _)| first);
-        let (next, mflops) = algo.reduce(round, state, partials);
-        ctx.compute_seq(mflops);
-        state = next;
     }
-
-    for w in 1..p {
-        // Dead workers drop the message silently.
-        ctx.send(w, FtMsg::Finish);
-    }
-    (algo.finish(state), recoveries)
+    partials
 }
 
-fn master_self_sched<A: ChunkedAlgo>(
+/// One round of the self-scheduling policy: the fixed chunk grid is
+/// handed out chunk by chunk to whichever surviving worker is free; a
+/// lost worker's in-flight chunk goes back on the queue.
+fn collect_self_sched<A: ChunkedAlgo>(
     ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
     algo: &A,
     opts: &FtOptions,
-) -> (A::Output, Vec<Recovery>) {
+    roster: &mut Roster,
+    round: usize,
+) -> Vec<(usize, A::Partial)> {
     let p = ctx.num_ranks();
-    let tree = tree_mode(opts);
-    let mut alive = vec![true; p];
-    let mut view = Membership::new(p);
-    let mut recoveries: Vec<Recovery> = Vec::new();
-    let mut next_id: u64 = 0;
-    let mut state = algo.initial_state();
     let chunk = opts.chunk_lines.max(1);
+    // The FIXED chunk grid: output does not depend on which worker
+    // computes which chunk, so crashes cannot change the result.
+    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
+    let mut first = 0;
+    while first < algo.lines() {
+        let n = chunk.min(algo.lines() - first);
+        queue.push_back((first, n));
+        first += n;
+    }
+    let total_chunks = queue.len();
+    let mut done = 0usize;
+    let mut outstanding: Vec<Option<(u64, usize, usize)>> = vec![None; p];
+    let mut partials: Vec<(usize, A::Partial)> = Vec::new();
 
-    for round in 0..algo.rounds() {
-        let state_bits = algo.state_bits(&state);
-        // Tree mode distributes the state down the survivor tree and
-        // runs to the ack barrier (possibly shrinking `alive`/`view`);
-        // after either branch, every live worker holds the state.
-        if tree {
-            start_round_tree(
-                ctx,
-                &mut view,
-                &mut alive,
-                &mut recoveries,
-                &opts.collectives,
-                round,
-                &state,
-                state_bits,
-            );
-        } else {
-            broadcast_state(ctx, &alive, &state, state_bits);
-        }
-
-        // The FIXED chunk grid: output does not depend on which worker
-        // computes which chunk, so crashes cannot change the result.
-        let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-        let mut first = 0;
-        while first < algo.lines() {
-            let n = chunk.min(algo.lines() - first);
-            queue.push_back((first, n));
-            first += n;
-        }
-        let total_chunks = queue.len();
-        let mut done = 0usize;
-        let mut outstanding: Vec<Option<(u64, usize, usize)>> = vec![None; p];
-        let mut partials: Vec<(usize, A::Partial)> = Vec::new();
-
-        while done < total_chunks {
-            assert!(
-                (1..p).any(|w| alive[w]),
-                "ft: all workers lost in round {round}"
-            );
-            // Hand every free surviving worker the next queued chunk.
-            for w in 1..p {
-                if alive[w] && outstanding[w].is_none() {
-                    if let Some((cf, cn)) = queue.pop_front() {
-                        let id = next_id;
-                        next_id += 1;
-                        ctx.send(
-                            w,
-                            FtMsg::Assign {
-                                id,
-                                round,
-                                first: cf,
-                                n: cn,
-                            },
-                        );
-                        outstanding[w] = Some((id, cf, cn));
-                    }
+    while done < total_chunks {
+        assert!(
+            roster.view.num_survivors() > 1,
+            "ft: all workers lost in round {round}"
+        );
+        // Hand every free surviving worker the next queued chunk.
+        for (w, slot) in outstanding.iter_mut().enumerate().skip(1) {
+            if roster.view.is_alive(w) && slot.is_none() {
+                if let Some((cf, cn)) = queue.pop_front() {
+                    *slot = Some((roster.assign(ctx, w, round, cf, cn), cf, cn));
                 }
             }
-            // Poll workers with an outstanding chunk in rank order at
-            // the current virtual instant (a past deadline never
-            // advances time). A worker that owes nothing is never
-            // polled — its channel may stay silent until the next
-            // round, and a receive would block on it for good.
-            let now = ctx.elapsed();
-            let mut productive = false;
-            for w in 1..p {
-                if !alive[w] || outstanding[w].is_none() {
-                    continue;
-                }
-                match ctx.recv_deadline(w, now) {
-                    Ok(FtMsg::Partial {
-                        id: pid,
-                        first: pf,
-                        data,
-                        ..
-                    }) => {
-                        if outstanding[w].map(|(id, _, _)| id) == Some(pid) {
-                            outstanding[w] = None;
-                            partials.push((pf, data));
-                            done += 1;
-                            productive = true;
-                        }
-                    }
-                    Ok(_) => unreachable!("ft: workers send Partial only after the barrier"),
-                    Err(RecvError::Timeout { .. }) => {}
-                    Err(RecvError::Failed(f)) => {
-                        let detected_at = ctx.elapsed();
-                        alive[w] = false;
-                        if view.observe_failure(&f) {
-                            ctx.mark_epoch(view.epoch(), w, view.num_survivors());
-                        }
-                        // The in-flight chunk (if any) goes back on the
-                        // queue front — the next free worker picks the
-                        // orphaned chunk up first.
-                        let lost = match outstanding[w].take() {
-                            Some((_, cf, cn)) => {
-                                queue.push_front((cf, cn));
-                                cn
-                            }
-                            None => 0,
-                        };
-                        recoveries.push(Recovery {
-                            rank: w,
-                            at: f.at,
-                            detected_at,
-                            lines: lost,
-                            round,
-                        });
-                        // Span from the crash instant (see above).
-                        ctx.mark_recovery(f.at, w);
+        }
+        // Poll workers with an outstanding chunk in rank order at the
+        // current virtual instant (a past deadline never advances time).
+        // A worker that owes nothing (a lost one included: its slot was
+        // cleared) is never polled — its channel may stay silent until
+        // the next round, and a receive would block on it for good.
+        let now = ctx.elapsed();
+        let mut productive = false;
+        for (w, slot) in outstanding.iter_mut().enumerate().skip(1) {
+            let Some((id, cf, cn)) = *slot else {
+                continue;
+            };
+            match ctx.recv_deadline(w, now) {
+                Ok(FtMsg::Partial {
+                    id: pid,
+                    first: pf,
+                    data,
+                    ..
+                }) => {
+                    if pid == id {
+                        *slot = None;
+                        partials.push((pf, data));
+                        done += 1;
                         productive = true;
                     }
                 }
-            }
-            if !productive && done < total_chunks {
-                ctx.wait_until(ctx.elapsed() + opts.poll_interval_s);
+                Ok(_) => unreachable!("ft: workers send Partial only after the barrier"),
+                Err(RecvError::Timeout { .. }) => {}
+                Err(RecvError::Failed(f)) => {
+                    // The in-flight chunk goes back on the queue front —
+                    // the next free worker picks the orphaned chunk up
+                    // first.
+                    *slot = None;
+                    queue.push_front((cf, cn));
+                    roster.lose(ctx, &f, round, cn);
+                    productive = true;
+                }
             }
         }
-
-        partials.sort_by_key(|&(first, _)| first);
-        let (next, mflops) = algo.reduce(round, state, partials);
-        ctx.compute_seq(mflops);
-        state = next;
+        if !productive && done < total_chunks {
+            ctx.wait_until(ctx.elapsed() + opts.poll_interval_s);
+        }
     }
-
-    for w in 1..p {
-        ctx.send(w, FtMsg::Finish);
-    }
-    (algo.finish(state), recoveries)
+    partials
 }
 
 #[cfg(test)]

@@ -35,7 +35,9 @@ pub fn row_cost(cube: &HyperCube, params: &AlgoParams) -> RowCost {
     }
 }
 
-fn endmember_matrix(targets: &[DetectedTarget]) -> Matrix {
+/// The endmember matrix `U`: one `f64` row per detected target's
+/// spectrum (shared with [`crate::sched::UfclsChunks`]).
+pub(crate) fn endmember_matrix(targets: &[DetectedTarget]) -> Matrix {
     let rows: Vec<Vec<f64>> = targets
         .iter()
         .map(|t| t.spectrum.iter().map(|&v| v as f64).collect())

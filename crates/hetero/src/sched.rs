@@ -301,15 +301,6 @@ impl<'a> UfclsChunks<'a> {
     pub fn new(cube: &'a HyperCube, params: &'a AlgoParams) -> Self {
         UfclsChunks { cube, params }
     }
-
-    fn endmember_matrix(targets: &[DetectedTarget]) -> Matrix {
-        let rows: Vec<Vec<f64>> = targets
-            .iter()
-            .map(|t| t.spectrum.iter().map(|&v| v as f64).collect())
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        Matrix::from_rows(&refs)
-    }
 }
 
 impl ChunkedAlgo for UfclsChunks<'_> {
@@ -368,7 +359,7 @@ impl ChunkedAlgo for UfclsChunks<'_> {
         if round == 0 {
             None
         } else {
-            let u = Self::endmember_matrix(state);
+            let u = crate::par::ufcls::endmember_matrix(state);
             Some(FclsProblem::new(u).expect("ufcls: singular endmembers"))
         }
     }

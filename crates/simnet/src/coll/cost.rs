@@ -99,7 +99,7 @@ pub fn predict(
 /// the survivors of a [`crate::coll::Membership`] view) and only those
 /// ranks are replayed. With every rank a member this is exactly
 /// [`predict`]; on a degraded topology it is exact in the same sense —
-/// the `*_over` collectives execute precisely this schedule.
+/// the collectives execute precisely this schedule over the same view.
 #[allow(clippy::too_many_arguments)] // mirrors `predict` plus the member set
 pub fn predict_over(
     platform: &Platform,
@@ -115,18 +115,10 @@ pub fn predict_over(
         algorithm != CollAlgorithm::Auto,
         "predict: resolve Auto first"
     );
-    let p = platform.num_procs();
-    if p <= 1 || members.len() <= 1 {
+    if platform.num_procs() <= 1 || members.len() <= 1 {
         return 0.0;
     }
-    let tree = match algorithm {
-        CollAlgorithm::Linear => schedule::linear_over(root, members, p),
-        CollAlgorithm::BinomialTree => schedule::binomial_over(root, members, p),
-        CollAlgorithm::SegmentHierarchical | CollAlgorithm::PipelinedChunked => {
-            schedule::segment_hierarchical_over(root, platform, members)
-        }
-        CollAlgorithm::Auto => unreachable!("checked above"),
-    };
+    let tree = schedule::build(algorithm, root, platform, members);
     let chunks = if algorithm == CollAlgorithm::PipelinedChunked && op == CollOp::Broadcast {
         split_chunks(bits, pipeline_chunks as usize)
     } else {

@@ -1,23 +1,18 @@
-//! The deterministic membership/epoch protocol for survivor-set
-//! collectives.
+//! The deterministic membership/epoch protocol behind the collectives'
+//! member-set parameter.
 //!
-//! A fault-tolerant master cannot keep tree collectives alive with the
-//! classic schedules: once an interior relay crashes, every later round
+//! A fault-tolerant master cannot keep tree collectives alive on a fixed
+//! all-ranks schedule: once an interior relay crashes, every later round
 //! routed through it loses the whole subtree (`docs/COMMS.md`, failure
 //! semantics). This module provides the agreement layer that fixes it:
 //!
-//! * [`Membership`] — an epoch-stamped alive-set view. The master owns
-//!   the authoritative copy and bumps the epoch on every observed
-//!   [`RankFailure`]; workers rebuild their copy from the `(epoch,
-//!   survivors)` header the master piggybacks on the first send of each
-//!   round ([`Membership::from_survivors`]).
-//! * `*_over` collectives — [`broadcast_over`], [`gather_over`],
-//!   [`reduce_over`], [`allreduce_over`]: the same wire protocols as
-//!   their classic counterparts, but every schedule (linear, binomial,
-//!   segment-hierarchical, pipelined) is rebuilt over the view's
-//!   survivor set, so known-dead relays are routed *around*. With every
-//!   rank alive the schedules — and therefore the bits and virtual
-//!   times — are identical to the classic collectives.
+//! * [`Membership`] — an epoch-stamped alive-set view. Every collective
+//!   in [`crate::coll`] builds its schedule over a view's survivor set;
+//!   [`Membership::new`] (every rank alive) is what the all-ranks call
+//!   shapes pass. The master owns the authoritative copy and bumps the
+//!   epoch on every observed [`RankFailure`]; workers rebuild their copy
+//!   from the `(epoch, survivors)` header the master piggybacks on the
+//!   first send of each round ([`Membership::from_survivors`]).
 //! * [`Stamped`] + [`recv_epoch`] — epoch validation for composed
 //!   protocols: messages carrying a stamp from a superseded view are
 //!   rejected with a structured [`CollError::EpochMismatch`] instead of
@@ -28,29 +23,26 @@
 //! functions of `(view, algorithm, platform)`, and
 //! [`crate::coll::predict_over`] replays the survivor schedule exactly.
 
-use super::schedule::{self, Tree};
-use super::{
-    broadcast_pipelined, cost, run_broadcast_tree, run_gather, run_reduce_tree, CollAlgorithm,
-    CollError, CollOp, CollectiveChoice, CollectiveConfig, GatherEntry,
-};
+use super::CollError;
 use crate::engine::{Ctx, Wire};
 use crate::faults::{FailureCause, RankFailure};
-use crate::platform::Platform;
 
 /// An epoch-stamped view of which ranks are alive.
 ///
 /// The epoch is a monotone counter that bumps on every *newly* observed
 /// failure, so two views with the same epoch (derived from the same
 /// observation sequence) agree on the survivor set — the property the
-/// `*_over` collectives rely on when every participant passes the same
-/// view.
+/// view-taking collectives rely on when every participant passes the
+/// same view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Membership {
     epoch: u64,
     alive: Vec<bool>,
-    /// Recorded failure per dead rank; `None` for views rebuilt from a
-    /// wire header, which carries the survivor set but not the causes.
-    failures: Vec<Option<RankFailure>>,
+    /// The failures this view observed directly, ascending by rank;
+    /// empty for views rebuilt from a wire header, which carries the
+    /// survivor set but not the causes. Sparse so that the all-alive
+    /// view every all-ranks collective call builds costs one `Vec<bool>`.
+    failures: Vec<RankFailure>,
 }
 
 impl Membership {
@@ -59,7 +51,7 @@ impl Membership {
         Membership {
             epoch: 0,
             alive: vec![true; num_ranks],
-            failures: vec![None; num_ranks],
+            failures: Vec::new(),
         }
     }
 
@@ -74,7 +66,7 @@ impl Membership {
         Membership {
             epoch,
             alive,
-            failures: vec![None; num_ranks],
+            failures: Vec::new(),
         }
     }
 
@@ -88,9 +80,10 @@ impl Membership {
         self.alive.len()
     }
 
-    /// `true` while `rank` has no observed failure in this view.
+    /// `true` while `rank` has no observed failure in this view; `false`
+    /// for a rank the view does not cover at all.
     pub fn is_alive(&self, rank: usize) -> bool {
-        self.alive[rank]
+        self.alive.get(rank).copied().unwrap_or(false)
     }
 
     /// The surviving ranks, ascending.
@@ -113,7 +106,8 @@ impl Membership {
             return false;
         }
         self.alive[r] = false;
-        self.failures[r] = Some(failure.clone());
+        let at = self.failures.partition_point(|f| f.rank < r);
+        self.failures.insert(at, failure.clone());
         self.epoch += 1;
         true
     }
@@ -121,7 +115,7 @@ impl Membership {
     /// The recorded failure of a dead rank, when the view observed it
     /// directly (views rebuilt from a wire header have none).
     pub fn failure_of(&self, rank: usize) -> Option<&RankFailure> {
-        self.failures[rank].as_ref()
+        self.failures.iter().find(|f| f.rank == rank)
     }
 
     /// The failure record a gather reports for a rank outside the
@@ -130,7 +124,7 @@ impl Membership {
     /// *that* a rank is gone, not when or why).
     pub fn lost_entry(&self, rank: usize) -> RankFailure {
         debug_assert!(!self.alive[rank], "lost_entry: rank {rank} is alive");
-        self.failures[rank].clone().unwrap_or(RankFailure {
+        self.failure_of(rank).cloned().unwrap_or(RankFailure {
             rank,
             at: 0.0,
             cause: FailureCause::PeerLost { peer: rank },
@@ -177,295 +171,12 @@ pub fn recv_epoch<M: Wire + Stamped>(
     }
 }
 
-fn check_member(view: &Membership, rank: usize) -> Result<(), CollError> {
-    if view.is_alive(rank) {
-        Ok(())
-    } else {
-        Err(CollError::NotAMember { rank })
-    }
-}
-
-/// [`super::select`] over a survivor set: resolves a requested algorithm
-/// to the concrete one that will run and its predicted cost on the
-/// degraded topology ([`cost::predict_over`]). Deterministic in its
-/// arguments, so every surviving rank resolves identically.
-#[allow(clippy::too_many_arguments)] // mirrors `select` plus the member set
-pub fn select_over(
-    platform: &Platform,
-    latency_s: f64,
-    op: CollOp,
-    requested: CollAlgorithm,
-    root: usize,
-    bits: u64,
-    pipeline_chunks: u32,
-    members: &[usize],
-) -> (CollAlgorithm, f64) {
-    let normalize = |alg: CollAlgorithm| match (op, alg) {
-        (CollOp::Broadcast, a) => a,
-        (_, CollAlgorithm::PipelinedChunked) => CollAlgorithm::SegmentHierarchical,
-        (_, a) => a,
-    };
-    let predict = |alg| {
-        cost::predict_over(
-            platform,
-            latency_s,
-            op,
-            alg,
-            root,
-            bits,
-            pipeline_chunks,
-            members,
-        )
-    };
-    if requested != CollAlgorithm::Auto {
-        let alg = normalize(requested);
-        return (alg, predict(alg));
-    }
-    if bits == 0 {
-        // Same rule as `select`: a zero hint carries no size
-        // information, fall back to the baseline.
-        return (CollAlgorithm::Linear, predict(CollAlgorithm::Linear));
-    }
-    let candidates: &[CollAlgorithm] = match op {
-        CollOp::Broadcast => &[
-            CollAlgorithm::Linear,
-            CollAlgorithm::BinomialTree,
-            CollAlgorithm::SegmentHierarchical,
-            CollAlgorithm::PipelinedChunked,
-        ],
-        _ => &[
-            CollAlgorithm::Linear,
-            CollAlgorithm::BinomialTree,
-            CollAlgorithm::SegmentHierarchical,
-        ],
-    };
-    let mut best = CollAlgorithm::Linear;
-    let mut best_cost = f64::INFINITY;
-    for &alg in candidates {
-        let cost = predict(alg);
-        // Strict `<` keeps the earliest candidate on ties, like `select`.
-        if cost < best_cost {
-            best = alg;
-            best_cost = cost;
-        }
-    }
-    (best, best_cost)
-}
-
-/// Resolves over the survivor set on every member identically and
-/// records the choice when rank 0 participates (rank 0's log is the
-/// canonical one the engine collects).
-fn resolve_and_log_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    op: CollOp,
-    requested: CollAlgorithm,
-    root: usize,
-    bits_hint: u64,
-    pipeline_chunks: u32,
-    view: &Membership,
-) -> CollAlgorithm {
-    let (algorithm, predicted_secs) = select_over(
-        ctx.platform(),
-        ctx.msg_latency_s(),
-        op,
-        requested,
-        root,
-        bits_hint,
-        pipeline_chunks,
-        &view.survivors(),
-    );
-    if ctx.rank() == 0 {
-        ctx.log_collective(CollectiveChoice {
-            op,
-            requested,
-            algorithm,
-            bits: bits_hint,
-            predicted_secs,
-        });
-    }
-    algorithm
-}
-
-/// Resolves (and, on rank 0, logs) one collective decision over a
-/// survivor set — the driver-facing form of the resolution the `*_over`
-/// collectives do internally, for protocols (like `hetero::ft`) that
-/// run their own wire protocol over the survivor [`Tree`] but want the
-/// same cost-model-driven choice and [`CollectiveChoice`] observability.
-/// Deterministic in its arguments, so every participant that calls it
-/// with the same view resolves identically.
-pub fn resolve_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    op: CollOp,
-    requested: CollAlgorithm,
-    root: usize,
-    view: &Membership,
-    bits_hint: u64,
-    pipeline_chunks: u32,
-) -> CollAlgorithm {
-    resolve_and_log_over(ctx, op, requested, root, bits_hint, pipeline_chunks, view)
-}
-
-/// Builds the concrete schedule [`Tree`] for `algorithm` over the view's
-/// survivor set. [`CollAlgorithm::PipelinedChunked`] shares the
-/// segment-hierarchical tree; [`CollAlgorithm::Auto`] must be resolved
-/// to a concrete algorithm first (e.g. via [`resolve_over`]).
-pub fn tree_over<M: Wire>(
-    ctx: &Ctx<M>,
-    algorithm: CollAlgorithm,
-    root: usize,
-    view: &Membership,
-) -> Tree {
-    build_tree_over(ctx, algorithm, root, view)
-}
-
-fn build_tree_over<M: Wire>(
-    ctx: &Ctx<M>,
-    algorithm: CollAlgorithm,
-    root: usize,
-    view: &Membership,
-) -> Tree {
-    let p = ctx.num_ranks();
-    let members = view.survivors();
-    match algorithm {
-        CollAlgorithm::Linear => schedule::linear_over(root, &members, p),
-        CollAlgorithm::BinomialTree => schedule::binomial_over(root, &members, p),
-        CollAlgorithm::SegmentHierarchical | CollAlgorithm::PipelinedChunked => {
-            schedule::segment_hierarchical_over(root, ctx.platform(), &members)
-        }
-        CollAlgorithm::Auto => unreachable!("selection resolved before building"),
-    }
-}
-
-/// [`super::broadcast`] over a [`Membership`] view: only the view's
-/// survivors participate (every survivor must call; known-dead ranks are
-/// routed around). The root passes `Some(msg)`, every other survivor
-/// `None`; all participants return the payload. Every participant must
-/// pass the *same* view and `bits_hint` or schedules would disagree.
-pub fn broadcast_over<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: Option<M>,
-    bits_hint: u64,
-) -> Result<M, CollError> {
-    check_member(view, root)?;
-    check_member(view, ctx.rank())?;
-    let algorithm = resolve_and_log_over(
-        ctx,
-        CollOp::Broadcast,
-        cfg.broadcast,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-        view,
-    );
-    let tree = build_tree_over(ctx, algorithm, root, view);
-    if algorithm == CollAlgorithm::PipelinedChunked {
-        return broadcast_pipelined(ctx, &tree, msg, cfg.pipeline_chunks);
-    }
-    run_broadcast_tree(ctx, &tree, msg)
-}
-
-/// [`super::gather`] over a [`Membership`] view: survivors contribute
-/// over the survivor tree; the root's rank-indexed result reports every
-/// known-dead rank as [`GatherEntry::Lost`] with the view's recorded
-/// failure ([`Membership::lost_entry`]) — zero subtree loss for known
-/// failures, because no schedule edge touches a dead rank.
-pub fn gather_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: M,
-    bits_hint: u64,
-) -> Result<Option<Vec<GatherEntry<M>>>, CollError> {
-    check_member(view, root)?;
-    check_member(view, ctx.rank())?;
-    let algorithm = resolve_and_log_over(
-        ctx,
-        CollOp::Gather,
-        cfg.gather,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-        view,
-    );
-    let tree = build_tree_over(ctx, algorithm, root, view);
-    Ok(run_gather(ctx, &tree, root, msg, Some(view)))
-}
-
-/// [`super::reduce`] over a [`Membership`] view: survivors fold over the
-/// survivor tree (known-dead ranks contribute nothing and relay
-/// nothing). Fold-order caveats are those of [`super::reduce`], applied
-/// to the survivor list.
-pub fn reduce_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: M,
-    fold: impl Fn(M, M) -> M,
-    bits_hint: u64,
-) -> Result<Option<M>, CollError> {
-    check_member(view, root)?;
-    check_member(view, ctx.rank())?;
-    let algorithm = resolve_and_log_over(
-        ctx,
-        CollOp::Reduce,
-        cfg.reduce,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-        view,
-    );
-    if algorithm == CollAlgorithm::Linear {
-        // The legacy shape over survivors: linear gather + free
-        // rank-order fold, skipping the known-dead (Lost) entries.
-        let tree = schedule::linear_over(root, &view.survivors(), ctx.num_ranks());
-        return Ok(
-            run_gather(ctx, &tree, root, msg, Some(view)).map(|entries| {
-                let mut it = entries.into_iter().filter_map(GatherEntry::into_msg);
-                let first = it.next().expect("reduce_over: a surviving contribution");
-                it.fold(first, fold)
-            }),
-        );
-    }
-    let tree = build_tree_over(ctx, algorithm, root, view);
-    Ok(run_reduce_tree(ctx, &tree, msg, fold))
-}
-
-/// [`super::allreduce`] over a [`Membership`] view: survivors fold up
-/// and fan back down the survivor tree; every survivor returns the
-/// folded value. The fold contract (associative, size-preserving; see
-/// [`super::allreduce`]) applies to the survivor list.
-pub fn allreduce_over<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: M,
-    fold: impl Fn(M, M) -> M,
-    bits_hint: u64,
-) -> Result<M, CollError> {
-    check_member(view, root)?;
-    check_member(view, ctx.rank())?;
-    let algorithm = resolve_and_log_over(
-        ctx,
-        CollOp::Allreduce,
-        cfg.allreduce,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-        view,
-    );
-    let tree = build_tree_over(ctx, algorithm, root, view);
-    Ok(super::run_allreduce_tree(ctx, &tree, msg, fold))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coll::{
+        allreduce_over, broadcast_over, gather_over, reduce_over, CollAlgorithm, CollectiveConfig,
+    };
 
     fn failure(rank: usize, at: f64) -> RankFailure {
         RankFailure {
@@ -535,11 +246,11 @@ mod tests {
 
     #[test]
     fn single_survivor_collectives_are_identity_operations() {
-        // A view reduced to its root: every *_over collective must
+        // A view reduced to its root: every view-taking collective must
         // complete locally — no traffic, payload returned verbatim.
         use crate::engine::{Engine, WireVec};
         let platform = crate::presets::fully_heterogeneous();
-        let cfg = crate::coll::CollectiveConfig::uniform(CollAlgorithm::SegmentHierarchical);
+        let cfg = CollectiveConfig::uniform(CollAlgorithm::SegmentHierarchical);
         let report = Engine::new(platform).run(move |ctx| {
             if ctx.rank() != 0 {
                 return None;
@@ -567,6 +278,36 @@ mod tests {
         assert_eq!(a, vec![7u32; 4], "nothing to fold but the own payload");
         // The gather is rank-indexed: 16 entries, 15 of them Lost.
         assert_eq!(g_len, 16);
+    }
+
+    #[test]
+    fn out_of_range_root_is_not_a_member() {
+        // A root the view does not cover is a structured NotAMember from
+        // every view-taking collective — before any traffic, never an
+        // index panic.
+        use crate::engine::Engine;
+        let cfg = CollectiveConfig::uniform(CollAlgorithm::BinomialTree);
+        let report = Engine::new(crate::presets::fully_heterogeneous()).run(move |ctx| {
+            let view = Membership::new(ctx.num_ranks());
+            let root = ctx.num_ranks() + 3;
+            [
+                broadcast_over(ctx, &cfg, root, &view, None::<u64>, 64).err(),
+                gather_over(ctx, &cfg, root, &view, 1u64, 64).err(),
+                reduce_over(ctx, &cfg, root, &view, 1u64, |a, b| a + b, 64).err(),
+                allreduce_over(ctx, &cfg, root, &view, 1u64, |a, b| a + b, 64).err(),
+            ]
+        });
+        assert!(report.ok());
+        assert!(report.collectives.is_empty(), "rejected before selection");
+        for r in 0..16 {
+            for (i, e) in report.result(r).iter().enumerate() {
+                assert_eq!(
+                    *e,
+                    Some(CollError::NotAMember { rank: 19 }),
+                    "rank {r}, collective {i}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -606,18 +347,5 @@ mod tests {
         // rebuilds the identical view.
         let shuffled = Membership::from_survivors(owner.epoch(), 9, &[8, 0, 5, 3, 6, 2, 1]);
         assert_eq!(shuffled, once);
-    }
-
-    #[test]
-    fn select_over_full_set_matches_select() {
-        let platform = crate::presets::fully_heterogeneous();
-        let members: Vec<usize> = (0..platform.num_procs()).collect();
-        for op in [CollOp::Broadcast, CollOp::Gather, CollOp::Allreduce] {
-            for requested in [CollAlgorithm::Auto, CollAlgorithm::SegmentHierarchical] {
-                let classic = super::super::select(&platform, 0.001, op, requested, 0, 129_024, 4);
-                let over = select_over(&platform, 0.001, op, requested, 0, 129_024, 4, &members);
-                assert_eq!(classic, over, "{op}/{requested}");
-            }
-        }
     }
 }

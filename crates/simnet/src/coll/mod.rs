@@ -9,8 +9,8 @@
 //! through the ordinary [`Ctx`] send/recv primitives — virtual-time
 //! costs, FIFO contention and fault plans apply unchanged:
 //!
-//! * [`CollAlgorithm::Linear`] — the baseline star schedule (bit- and
-//!   timing-identical to the legacy [`crate::comm`] loops),
+//! * [`CollAlgorithm::Linear`] — the baseline star schedule (the paper's
+//!   root-mediated loops: the root sends/receives every rank directly),
 //! * [`CollAlgorithm::BinomialTree`] — `⌈log₂ P⌉`-depth recursive
 //!   halving; wins in the latency-dominated small-message regime,
 //! * [`CollAlgorithm::SegmentHierarchical`] — one *leader* per remote
@@ -53,30 +53,30 @@
 //! lost. Link outages kill no ranks: every algorithm completes under
 //! link-fault plans, just later.
 //!
-//! **Membership/epoch protocol.** Subtree loss is the price of routing
-//! through a rank that is *already* dead. The epoch layer removes it
-//! for known failures: a [`Membership`] view tracks the alive set
-//! (epoch bumps on every observed [`RankFailure`]), and the `*_over`
-//! collectives ([`broadcast_over`], [`gather_over`], [`reduce_over`],
-//! [`allreduce_over`]) rebuild every schedule over the view's survivor
-//! set, so known-dead interior relays are routed around instead of
-//! cascading `PeerLost` down their subtrees. Messages stamped via the
-//! [`Stamped`] trait are validated with [`recv_epoch`]: traffic from a
-//! superseded view is rejected with a structured
-//! [`CollError::EpochMismatch`] instead of corrupting the round. A rank
-//! that dies *mid*-collective — after the view was agreed — still
-//! degrades with the classic subtree-loss semantics until a new view
-//! observes it. See `docs/COMMS.md`.
+//! **Membership is a parameter.** Subtree loss is the price of routing
+//! through a rank that is *already* dead. Every collective therefore has
+//! exactly one body, and that body takes the member set as an argument:
+//! a [`Membership`] view tracks the alive set (epoch bumps on every
+//! observed [`RankFailure`]), and [`broadcast_over`], [`gather_over`],
+//! [`reduce_over`] and [`allreduce_over`] build every schedule over the
+//! view's survivor set, so known-dead interior relays are routed around
+//! instead of cascading `PeerLost` down their subtrees. The all-ranks
+//! call shapes ([`broadcast`], [`gather`], [`reduce`], [`allreduce`],
+//! [`predict`]) are one-line delegations that pass the initial
+//! view, [`Membership::new`] — "every rank alive" is just the
+//! parameter's first value. Messages stamped via the [`Stamped`] trait
+//! are validated with [`recv_epoch`]: traffic from a superseded view is
+//! rejected with a structured [`CollError::EpochMismatch`] instead of
+//! corrupting the round. A rank that dies *mid*-collective — after the
+//! view was agreed — still degrades with the subtree-loss semantics
+//! above until a new view observes it. See `docs/COMMS.md`.
 
 mod cost;
 mod epoch;
 mod schedule;
 
 pub use cost::{predict, predict_over};
-pub use epoch::{
-    allreduce_over, broadcast_over, gather_over, recv_epoch, reduce_over, resolve_over,
-    select_over, tree_over, Membership, Stamped,
-};
+pub use epoch::{recv_epoch, Membership, Stamped};
 pub use schedule::Tree;
 
 use crate::engine::{Ctx, Wire};
@@ -88,7 +88,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollAlgorithm {
     /// The baseline star: the root sends/receives every rank directly,
-    /// in ascending rank order. Identical to the legacy `comm` loops.
+    /// in ascending rank order.
     #[default]
     Linear,
     /// Recursive-halving binomial tree over contiguous virtual-rank
@@ -193,8 +193,8 @@ impl Default for CollectiveConfig {
 }
 
 impl CollectiveConfig {
-    /// The baseline configuration: every collective linear — bit- and
-    /// timing-identical to the legacy `comm` behaviour.
+    /// The baseline configuration: every collective linear — the
+    /// paper's root-mediated star schedules.
     pub fn linear() -> Self {
         CollectiveConfig {
             broadcast: CollAlgorithm::Linear,
@@ -235,8 +235,9 @@ pub enum ScatterMode {
     Charged,
 }
 
-/// Structured misuse errors for the collectives (the de-panicked
-/// replacement for the old `expect`/`assert!` calls in `comm`).
+/// Structured misuse errors for the collectives: a root without a
+/// payload or a scatter with the wrong item count is a value, never a
+/// panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CollError {
     /// The root rank passed `None` where a payload was required.
@@ -344,39 +345,34 @@ impl<M> GatherEntry<M> {
     }
 }
 
-/// Resolves a requested algorithm to the concrete one that will run for
-/// `op`, plus its predicted cost: normalizes broadcast-only algorithms,
-/// and evaluates the [`predict`] cost model for [`CollAlgorithm::Auto`].
-/// Deterministic in its arguments, so every rank resolves identically.
-pub fn select(
-    platform: &Platform,
-    latency_s: f64,
+/// The selection rule, shared by [`select_over`] and [`resolve_over`]:
+/// normalizes broadcast-only algorithms, falls back to the linear
+/// baseline on a zero hint, and scans the candidates through `predict`
+/// for [`CollAlgorithm::Auto`]. The cost is returned only when the rule
+/// had to evaluate it (the `Auto` scan), so a caller that needs just the
+/// algorithm never pays for a prediction nobody reads.
+fn choose(
     op: CollOp,
     requested: CollAlgorithm,
-    root: usize,
     bits: u64,
-    pipeline_chunks: u32,
-) -> (CollAlgorithm, f64) {
-    let normalize = |alg: CollAlgorithm| match (op, alg) {
-        // Chunked streaming only exists for broadcast; elsewhere it
-        // means "the same tree, unchunked".
-        (CollOp::Broadcast, a) => a,
-        (_, CollAlgorithm::PipelinedChunked) => CollAlgorithm::SegmentHierarchical,
-        (_, a) => a,
-    };
+    predict: impl Fn(CollAlgorithm) -> f64,
+) -> (CollAlgorithm, Option<f64>) {
     if requested != CollAlgorithm::Auto {
-        let alg = normalize(requested);
-        let cost = predict(platform, latency_s, op, alg, root, bits, pipeline_chunks);
-        return (alg, cost);
+        let algorithm = match (op, requested) {
+            // Chunked streaming only exists for broadcast; elsewhere it
+            // means "the same tree, unchunked".
+            (CollOp::Broadcast, a) => a,
+            (_, CollAlgorithm::PipelinedChunked) => CollAlgorithm::SegmentHierarchical,
+            (_, a) => a,
+        };
+        return (algorithm, None);
     }
     if bits == 0 {
-        // A zero hint carries no size information (the linear `comm`
-        // wrappers forward 0 for empty payloads): ranking schedules on a
-        // zero-byte message would pick a tree on pure latency grounds
-        // from a meaningless hint, so fall back to the baseline.
-        let alg = CollAlgorithm::Linear;
-        let cost = predict(platform, latency_s, op, alg, root, bits, pipeline_chunks);
-        return (alg, cost);
+        // A zero hint carries no size information (callers forward 0 for
+        // empty payloads): ranking schedules on a zero-byte message would
+        // pick a tree on pure latency grounds from a meaningless hint, so
+        // fall back to the baseline.
+        return (CollAlgorithm::Linear, None);
     }
     let candidates: &[CollAlgorithm] = match op {
         CollOp::Broadcast => &[
@@ -394,7 +390,7 @@ pub fn select(
     let mut best = CollAlgorithm::Linear;
     let mut best_cost = f64::INFINITY;
     for &alg in candidates {
-        let cost = predict(platform, latency_s, op, alg, root, bits, pipeline_chunks);
+        let cost = predict(alg);
         // Strict `<` keeps the earliest candidate on ties: Linear wins
         // exact ties (e.g. hierarchical on a single-segment platform).
         if cost < best_cost {
@@ -402,7 +398,41 @@ pub fn select(
             best_cost = cost;
         }
     }
-    (best, best_cost)
+    (best, Some(best_cost))
+}
+
+/// Resolves a requested algorithm to the concrete one that will run for
+/// `op` over `members` (ascending, containing `root` — a
+/// [`Membership`] view's survivors, or every rank), plus its predicted
+/// cost on that — possibly degraded — topology: normalizes
+/// broadcast-only algorithms, and evaluates the [`predict_over`] cost
+/// model for [`CollAlgorithm::Auto`]. Deterministic in its arguments, so
+/// every member resolves identically.
+#[allow(clippy::too_many_arguments)] // the `predict_over` argument list, verbatim
+pub fn select_over(
+    platform: &Platform,
+    latency_s: f64,
+    op: CollOp,
+    requested: CollAlgorithm,
+    root: usize,
+    bits: u64,
+    pipeline_chunks: u32,
+    members: &[usize],
+) -> (CollAlgorithm, f64) {
+    let predict = |alg| {
+        predict_over(
+            platform,
+            latency_s,
+            op,
+            alg,
+            root,
+            bits,
+            pipeline_chunks,
+            members,
+        )
+    };
+    let (algorithm, scanned) = choose(op, requested, bits, predict);
+    (algorithm, scanned.unwrap_or_else(|| predict(algorithm)))
 }
 
 /// Splits `bits` into `chunks` near-equal parts (earlier chunks take the
@@ -416,40 +446,43 @@ pub(crate) fn split_chunks(bits: u64, chunks: usize) -> Vec<u64> {
     (0..k).map(|i| base + u64::from(i < rem)).collect()
 }
 
-fn build_tree<M: Wire>(ctx: &Ctx<M>, algorithm: CollAlgorithm, root: usize) -> Tree {
-    let p = ctx.num_ranks();
-    match algorithm {
-        CollAlgorithm::Linear => schedule::linear(root, p),
-        CollAlgorithm::BinomialTree => schedule::binomial(root, p),
-        CollAlgorithm::SegmentHierarchical | CollAlgorithm::PipelinedChunked => {
-            schedule::segment_hierarchical(root, ctx.platform())
-        }
-        CollAlgorithm::Auto => unreachable!("selection resolved before building"),
-    }
-}
-
-/// Resolves the algorithm on every rank identically and records the
-/// choice on the root.
-fn resolve_and_log<M: Wire>(
+/// Resolves (and, on rank 0, logs) one collective decision over the
+/// view's survivor set — the resolution every collective here does
+/// internally, public for protocols (like `hetero::ft`) that run their
+/// own wire protocol over the survivor [`Tree`] but want the same
+/// cost-model-driven choice and [`CollectiveChoice`] observability.
+/// Deterministic in its arguments, so every participant that calls it
+/// with the same view resolves identically.
+///
+/// The cost model runs only where its value is read: on every rank for
+/// the [`CollAlgorithm::Auto`] scan, otherwise on the logging rank alone.
+pub fn resolve_over<M: Wire>(
     ctx: &mut Ctx<M>,
     op: CollOp,
     requested: CollAlgorithm,
     root: usize,
+    view: &Membership,
     bits_hint: u64,
     pipeline_chunks: u32,
 ) -> CollAlgorithm {
-    let (algorithm, predicted_secs) = select(
-        ctx.platform(),
-        ctx.msg_latency_s(),
-        op,
-        requested,
-        root,
-        bits_hint,
-        pipeline_chunks,
-    );
+    let members = view.survivors();
+    let predict = |alg| {
+        predict_over(
+            ctx.platform(),
+            ctx.msg_latency_s(),
+            op,
+            alg,
+            root,
+            bits_hint,
+            pipeline_chunks,
+            &members,
+        )
+    };
+    let (algorithm, scanned) = choose(op, requested, bits_hint, predict);
     // Rank 0's log is the one the engine collects into the report, so
     // log there regardless of which rank roots the collective.
     if ctx.rank() == 0 {
+        let predicted_secs = scanned.unwrap_or_else(|| predict(algorithm));
         ctx.log_collective(CollectiveChoice {
             op,
             requested,
@@ -459,6 +492,54 @@ fn resolve_and_log<M: Wire>(
         });
     }
     algorithm
+}
+
+/// Builds the concrete schedule [`Tree`] for `algorithm` over the view's
+/// survivor set. [`CollAlgorithm::PipelinedChunked`] shares the
+/// segment-hierarchical tree; [`CollAlgorithm::Auto`] must be resolved
+/// to a concrete algorithm first (e.g. via [`resolve_over`]).
+pub fn tree_over<M: Wire>(
+    ctx: &Ctx<M>,
+    algorithm: CollAlgorithm,
+    root: usize,
+    view: &Membership,
+) -> Tree {
+    schedule::build(algorithm, root, ctx.platform(), &view.survivors())
+}
+
+/// The prologue every view-taking collective shares: reject non-members
+/// before any traffic, resolve (and log) `cfg`'s algorithm for `op`,
+/// build its tree.
+fn plan<M: Wire>(
+    ctx: &mut Ctx<M>,
+    cfg: &CollectiveConfig,
+    op: CollOp,
+    root: usize,
+    view: &Membership,
+    bits_hint: u64,
+) -> Result<(CollAlgorithm, Tree), CollError> {
+    for rank in [root, ctx.rank()] {
+        if !view.is_alive(rank) {
+            return Err(CollError::NotAMember { rank });
+        }
+    }
+    let requested = match op {
+        CollOp::Broadcast => cfg.broadcast,
+        CollOp::Gather => cfg.gather,
+        CollOp::Reduce => cfg.reduce,
+        CollOp::Allreduce => cfg.allreduce,
+        CollOp::Scatter => CollAlgorithm::Linear,
+    };
+    let algorithm = resolve_over(
+        ctx,
+        op,
+        requested,
+        root,
+        view,
+        bits_hint,
+        cfg.pipeline_chunks,
+    );
+    Ok((algorithm, tree_over(ctx, algorithm, root, view)))
 }
 
 /// Fan-out of one payload to `children` when the local rank must also
@@ -499,7 +580,7 @@ fn fanout_retain<M: Wire + Clone>(
 }
 
 /// Fan-out of one payload the local rank does **not** need afterwards
-/// (pipelined non-final chunks, master fan-outs): non-final destinations
+/// (a relay's pipelined non-final chunks): non-final destinations
 /// receive telemetry-counted clones, the final destination takes the
 /// payload by move — one fewer deep copy than [`fanout_retain`].
 fn fanout_consume<M: Wire + Clone>(
@@ -526,6 +607,7 @@ fn fanout_consume<M: Wire + Clone>(
 
 /// Broadcast from `root` under `cfg`: the root passes `Some(msg)`, every
 /// other rank passes `None`; all ranks return the payload.
+/// [`broadcast_over`] with every rank alive.
 ///
 /// `bits_hint` feeds `Auto` selection only (transfers charge the actual
 /// payload size) and **must be identical on every rank** — see the
@@ -537,22 +619,31 @@ pub fn broadcast<M: Wire + Clone>(
     msg: Option<M>,
     bits_hint: u64,
 ) -> Result<M, CollError> {
-    let algorithm = resolve_and_log(
-        ctx,
-        CollOp::Broadcast,
-        cfg.broadcast,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-    );
-    let tree = build_tree(ctx, algorithm, root);
+    let view = Membership::new(ctx.num_ranks());
+    broadcast_over(ctx, cfg, root, &view, msg, bits_hint)
+}
+
+/// Broadcast over a [`Membership`] view: only the view's survivors
+/// participate (every survivor must call; known-dead ranks are routed
+/// around). The root passes `Some(msg)`, every other survivor `None`;
+/// all participants return the payload. Every participant must pass the
+/// *same* view and `bits_hint` or schedules would disagree.
+pub fn broadcast_over<M: Wire + Clone>(
+    ctx: &mut Ctx<M>,
+    cfg: &CollectiveConfig,
+    root: usize,
+    view: &Membership,
+    msg: Option<M>,
+    bits_hint: u64,
+) -> Result<M, CollError> {
+    let (algorithm, tree) = plan(ctx, cfg, CollOp::Broadcast, root, view, bits_hint)?;
     if algorithm == CollAlgorithm::PipelinedChunked {
         return broadcast_pipelined(ctx, &tree, msg, cfg.pipeline_chunks);
     }
     run_broadcast_tree(ctx, &tree, msg)
 }
 
-/// The unchunked tree broadcast body shared by [`broadcast`] and
+/// The unchunked tree broadcast body shared by [`broadcast_over`] and
 /// [`broadcast_overlap`]: receive from the parent, forward to the
 /// broadcast children in schedule order — clones for all but the last
 /// child, which takes the payload by move (see [`fanout_retain`]).
@@ -602,8 +693,8 @@ pub fn broadcast_overlap<M: Wire + Clone>(
     mut on_chunk: impl FnMut(&mut Ctx<M>, usize, usize),
 ) -> Result<M, CollError> {
     let op = CollOp::Broadcast;
-    let algorithm = resolve_and_log(ctx, op, cfg.broadcast, root, bits_hint, cfg.pipeline_chunks);
-    let tree = build_tree(ctx, algorithm, root);
+    let view = Membership::new(ctx.num_ranks());
+    let (algorithm, tree) = plan(ctx, cfg, op, root, &view, bits_hint)?;
     if algorithm != CollAlgorithm::PipelinedChunked {
         let payload = run_broadcast_tree(ctx, &tree, msg)?;
         on_chunk(ctx, 0, 1);
@@ -703,10 +794,14 @@ fn broadcast_pipelined<M: Wire + Clone>(
 /// Gather to `root` under `cfg`: every rank contributes `msg`; the root
 /// returns `Some(entries)` indexed by rank — contributions of failed
 /// ranks appear as explicit [`GatherEntry::Lost`] records, never an
-/// abort — and every other rank returns `None`.
+/// abort — and every other rank returns `None`. [`gather_over`] with
+/// every rank alive.
 ///
 /// `bits_hint` feeds `Auto` selection only and **must be identical on
 /// every rank** (see the module docs); transfers charge actual sizes.
+///
+/// # Panics
+/// Panics if `root` is not a rank of this run.
 pub fn gather<M: Wire>(
     ctx: &mut Ctx<M>,
     cfg: &CollectiveConfig,
@@ -714,31 +809,39 @@ pub fn gather<M: Wire>(
     msg: M,
     bits_hint: u64,
 ) -> Option<Vec<GatherEntry<M>>> {
-    let algorithm = resolve_and_log(
-        ctx,
-        CollOp::Gather,
-        cfg.gather,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-    );
-    let tree = build_tree(ctx, algorithm, root);
-    run_gather(ctx, &tree, root, msg, None)
+    let view = Membership::new(ctx.num_ranks());
+    gather_over(ctx, cfg, root, &view, msg, bits_hint).expect("gather: root out of range")
 }
 
-/// The gather body shared by [`gather`] and [`gather_over`]. With a
-/// membership `view`, ranks outside the tree (the view's known-dead
+/// Gather over a [`Membership`] view: survivors contribute over the
+/// survivor tree; the root's rank-indexed result reports every
+/// known-dead rank as [`GatherEntry::Lost`] with the view's recorded
+/// failure ([`Membership::lost_entry`]) — zero subtree loss for known
+/// failures, because no schedule edge touches a dead rank.
+pub fn gather_over<M: Wire>(
+    ctx: &mut Ctx<M>,
+    cfg: &CollectiveConfig,
+    root: usize,
+    view: &Membership,
+    msg: M,
+    bits_hint: u64,
+) -> Result<Option<Vec<GatherEntry<M>>>, CollError> {
+    let (_, tree) = plan(ctx, cfg, CollOp::Gather, root, view, bits_hint)?;
+    Ok(run_gather(ctx, &tree, view, msg))
+}
+
+/// The gather body shared by [`gather_over`] and the linear
+/// [`reduce_over`]. Ranks outside the tree (the view's known-dead
 /// ranks) become [`GatherEntry::Lost`] entries carrying the view's
-/// recorded failure; without one, the tree spans every rank and a hole
-/// is a protocol bug.
+/// recorded failure.
 fn run_gather<M: Wire>(
     ctx: &mut Ctx<M>,
     tree: &Tree,
-    root: usize,
+    view: &Membership,
     msg: M,
-    view: Option<&Membership>,
 ) -> Option<Vec<GatherEntry<M>>> {
     let rank = ctx.rank();
+    let root = tree.root();
     if rank == root {
         let p = ctx.num_ranks();
         let mut out: Vec<Option<GatherEntry<M>>> = (0..p).map(|_| None).collect();
@@ -775,15 +878,9 @@ fn run_gather<M: Wire>(
         Some(
             out.into_iter()
                 .enumerate()
-                .map(|(r, e)| match (e, view) {
-                    (Some(entry), _) => entry,
-                    // Not in the survivor tree: the view already knows
-                    // this rank is dead — report its recorded failure.
-                    (None, Some(v)) => GatherEntry::Lost(v.lost_entry(r)),
-                    (None, None) => {
-                        unreachable!("gather: rank {r} is in exactly one subtree")
-                    }
-                })
+                // Not in the survivor tree: the view already knows this
+                // rank is dead — report its recorded failure.
+                .map(|(r, e)| e.unwrap_or_else(|| GatherEntry::Lost(view.lost_entry(r))))
                 .collect(),
         )
     } else {
@@ -825,7 +922,8 @@ pub fn scatter<M: Wire>(
         (Some(v), _) => v.first().map_or(0, |m| m.size_bits()),
         (None, _) => 0,
     };
-    let algorithm = resolve_and_log(ctx, op, CollAlgorithm::Linear, root, bits_hint, 1);
+    let view = Membership::new(ctx.num_ranks());
+    let algorithm = resolve_over(ctx, op, CollAlgorithm::Linear, root, &view, bits_hint, 1);
     debug_assert_eq!(algorithm, CollAlgorithm::Linear);
     if ctx.rank() == root {
         let items = items.ok_or(CollError::RootMissingPayload { op })?;
@@ -857,16 +955,19 @@ pub fn scatter<M: Wire>(
 
 /// Reduce to `root` with a binary fold under `cfg`: the root returns
 /// `Some(folded)` over the surviving contributions, everyone else
-/// `None`.
+/// `None`. [`reduce_over`] with every rank alive.
 ///
-/// [`CollAlgorithm::Linear`] folds strictly in rank order (the legacy
-/// behaviour). Tree algorithms fold partial results inside relays:
-/// binomial subtrees are contiguous rank blocks, so for a root at rank
-/// 0 the tree *regroups* — never reorders — the linear fold, and any
-/// **associative** fold is bit-identical to linear;
+/// [`CollAlgorithm::Linear`] folds strictly in rank order (the paper's
+/// root-mediated behaviour). Tree algorithms fold partial results inside
+/// relays: binomial subtrees are contiguous rank blocks, so for a root
+/// at rank 0 the tree *regroups* — never reorders — the linear fold, and
+/// any **associative** fold is bit-identical to linear;
 /// [`CollAlgorithm::SegmentHierarchical`] additionally requires
 /// commutativity when segments interleave in rank space. See
 /// `docs/COMMS.md`.
+///
+/// # Panics
+/// Panics if `root` is not a rank of this run.
 pub fn reduce<M: Wire>(
     ctx: &mut Ctx<M>,
     cfg: &CollectiveConfig,
@@ -875,40 +976,36 @@ pub fn reduce<M: Wire>(
     fold: impl Fn(M, M) -> M,
     bits_hint: u64,
 ) -> Option<M> {
-    let algorithm = resolve_and_log(
-        ctx,
-        CollOp::Reduce,
-        cfg.reduce,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-    );
+    let view = Membership::new(ctx.num_ranks());
+    reduce_over(ctx, cfg, root, &view, msg, fold, bits_hint).expect("reduce: root out of range")
+}
+
+/// Reduce over a [`Membership`] view: survivors fold over the survivor
+/// tree (known-dead ranks contribute nothing and relay nothing).
+/// Fold-order caveats are those of [`reduce`], applied to the survivor
+/// list.
+pub fn reduce_over<M: Wire>(
+    ctx: &mut Ctx<M>,
+    cfg: &CollectiveConfig,
+    root: usize,
+    view: &Membership,
+    msg: M,
+    fold: impl Fn(M, M) -> M,
+    bits_hint: u64,
+) -> Result<Option<M>, CollError> {
+    let (algorithm, tree) = plan(ctx, cfg, CollOp::Reduce, root, view, bits_hint)?;
     if algorithm == CollAlgorithm::Linear {
-        // Exactly the legacy schedule: a linear gather plus a free
-        // rank-order fold at the root, skipping lost contributions.
-        let tree = schedule::linear(root, ctx.num_ranks());
-        return run_gather(ctx, &tree, root, msg, None).map(|entries| {
+        // A linear gather plus a free rank-order fold at the root,
+        // skipping the lost (and known-dead) contributions.
+        return Ok(run_gather(ctx, &tree, view, msg).map(|entries| {
             let mut it = entries.into_iter().filter_map(GatherEntry::into_msg);
             let first = it.next().expect("reduce: the root's own contribution");
             it.fold(first, fold)
-        });
+        }));
     }
-    let tree = build_tree(ctx, algorithm, root);
-    run_reduce_tree(ctx, &tree, msg, fold)
-}
-
-/// The tree-reduce body shared by [`reduce`] and [`reduce_over`]:
-/// partials fold upward through the gather edges; the root returns the
-/// folded value, relays send theirs onward.
-fn run_reduce_tree<M: Wire>(
-    ctx: &mut Ctx<M>,
-    tree: &Tree,
-    msg: M,
-    fold: impl Fn(M, M) -> M,
-) -> Option<M> {
     let rank = ctx.rank();
     let mut acc = msg;
-    if rank == tree.root() {
+    if rank == root {
         for &child in tree.children_gather(rank) {
             // A lost relay loses its subtree's partial; fold the
             // survivors (mirrors linear's hole-skipping).
@@ -916,7 +1013,7 @@ fn run_reduce_tree<M: Wire>(
                 acc = fold(acc, partial);
             }
         }
-        Some(acc)
+        Ok(Some(acc))
     } else {
         for &child in tree.children_gather(rank) {
             let partial = ctx.recv(child);
@@ -924,7 +1021,7 @@ fn run_reduce_tree<M: Wire>(
         }
         let parent = tree.parent(rank).expect("reduce: non-root has a parent");
         ctx.send(parent, acc);
-        None
+        Ok(None)
     }
 }
 
@@ -932,7 +1029,8 @@ fn run_reduce_tree<M: Wire>(
 /// fold upward through the tree's gather edges, and the root's result
 /// fans back down the broadcast edges of the **same** schedule. Every
 /// rank returns the folded value — one tree instead of a full gather
-/// followed by a full broadcast.
+/// followed by a full broadcast. [`allreduce_over`] with every rank
+/// alive.
 ///
 /// The fold must be **associative** and **size-preserving** (every
 /// contribution and every partial must share one wire size, which is
@@ -951,6 +1049,9 @@ fn run_reduce_tree<M: Wire>(
 ///
 /// `bits_hint` feeds `Auto` selection only and **must be identical on
 /// every rank** (see the module docs); transfers charge actual sizes.
+///
+/// # Panics
+/// Panics if `root` is not a rank of this run.
 pub fn allreduce<M: Wire + Clone>(
     ctx: &mut Ctx<M>,
     cfg: &CollectiveConfig,
@@ -959,30 +1060,28 @@ pub fn allreduce<M: Wire + Clone>(
     fold: impl Fn(M, M) -> M,
     bits_hint: u64,
 ) -> M {
-    let algorithm = resolve_and_log(
-        ctx,
-        CollOp::Allreduce,
-        cfg.allreduce,
-        root,
-        bits_hint,
-        cfg.pipeline_chunks,
-    );
-    let tree = build_tree(ctx, algorithm, root);
-    run_allreduce_tree(ctx, &tree, msg, fold)
+    let view = Membership::new(ctx.num_ranks());
+    allreduce_over(ctx, cfg, root, &view, msg, fold, bits_hint)
+        .expect("allreduce: root out of range")
 }
 
-/// The fused allreduce body shared by [`allreduce`] and
-/// [`allreduce_over`]: partials fold up the gather edges, the result
-/// fans back down the broadcast edges of the same tree.
-fn run_allreduce_tree<M: Wire + Clone>(
+/// Fused allreduce over a [`Membership`] view: survivors fold up and fan
+/// back down the survivor tree; every survivor returns the folded value.
+/// The fold contract (associative, size-preserving; see [`allreduce`])
+/// applies to the survivor list.
+pub fn allreduce_over<M: Wire + Clone>(
     ctx: &mut Ctx<M>,
-    tree: &Tree,
+    cfg: &CollectiveConfig,
+    root: usize,
+    view: &Membership,
     msg: M,
     fold: impl Fn(M, M) -> M,
-) -> M {
+    bits_hint: u64,
+) -> Result<M, CollError> {
+    let (_, tree) = plan(ctx, cfg, CollOp::Allreduce, root, view, bits_hint)?;
     let rank = ctx.rank();
     let mut acc = msg;
-    if rank == tree.root() {
+    if rank == root {
         for &child in tree.children_gather(rank) {
             // A lost relay loses its subtree's partial; fold the
             // survivors (mirrors `reduce`'s hole-skipping).
@@ -990,7 +1089,6 @@ fn run_allreduce_tree<M: Wire + Clone>(
                 acc = fold(acc, partial);
             }
         }
-        fanout_retain(ctx, tree.children_bcast(rank), acc, None)
     } else {
         for &child in tree.children_gather(rank) {
             let partial = ctx.recv(child);
@@ -998,30 +1096,9 @@ fn run_allreduce_tree<M: Wire + Clone>(
         }
         let parent = tree.parent(rank).expect("allreduce: non-root has a parent");
         ctx.send(parent, acc);
-        let result = ctx.recv(parent);
-        fanout_retain(ctx, tree.children_bcast(rank), result, None)
+        acc = ctx.recv(parent);
     }
-}
-
-/// Barrier: all ranks synchronise their virtual clocks to the latest
-/// participant (a gather plus a broadcast of a token built by
-/// `make_token`; both use `cfg`'s algorithms). Tokens must have the
-/// same wire size on every rank.
-pub fn barrier<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    make_token: impl Fn() -> M,
-) {
-    let token = make_token();
-    let bits = token.size_bits();
-    let _ = gather(ctx, cfg, root, token, bits);
-    let msg = if ctx.rank() == root {
-        Some(make_token())
-    } else {
-        None
-    };
-    let _ = broadcast(ctx, cfg, root, msg, bits);
+    Ok(fanout_retain(ctx, tree.children_bcast(rank), acc, None))
 }
 
 /// Root-side fan-out of per-destination messages built by `make` —
@@ -1029,25 +1106,15 @@ pub fn barrier<M: Wire + Clone>(
 /// `recv(0)`: a tree schedule cannot relay through workers that never
 /// forward, so the fan-out stays linear by construction. The
 /// fault-tolerant drivers in `hetero::ft` use this as their default
-/// state-distribution path; with [`crate::Membership`] and the
-/// survivor-view collectives (`*_over`) they can instead ship state
-/// down an epoch-stamped survivor tree (`FtOptions::collectives`).
+/// state-distribution path; with [`crate::Membership`], [`resolve_over`]
+/// and [`tree_over`] they can instead ship state down an epoch-stamped
+/// survivor tree (`FtOptions::collectives`).
 /// Destinations are sent in slice order.
 pub fn fanout_with<M: Wire>(ctx: &mut Ctx<M>, dsts: &[usize], mut make: impl FnMut() -> M) {
     for &dst in dsts {
         let m = make();
         ctx.send(dst, m);
     }
-}
-
-/// [`fanout_with`] for the common case where every destination receives
-/// the **same** payload: non-final destinations get telemetry-counted
-/// clones and the final destination takes `msg` by move, so a master
-/// fanning one `Arc`-backed state to `n` workers performs `n - 1`
-/// refcount bumps and zero deep copies. Destinations are sent in slice
-/// order, exactly like [`fanout_with`].
-pub fn fanout_shared<M: Wire + Clone>(ctx: &mut Ctx<M>, dsts: &[usize], msg: M) {
-    fanout_consume(ctx, dsts, msg, None);
 }
 
 #[cfg(test)]
@@ -1059,6 +1126,11 @@ mod tests {
 
     fn engine(p: usize) -> Engine {
         Engine::new(Platform::uniform("t", p, 0.01, 1024, 10.0))
+    }
+
+    /// The full member list — what an all-alive view resolves over.
+    fn all_ranks(platform: &Platform) -> Vec<usize> {
+        (0..platform.num_procs()).collect()
     }
 
     const ALGOS: [CollAlgorithm; 5] = [
@@ -1215,7 +1287,7 @@ mod tests {
             CollOp::Reduce,
             CollOp::Allreduce,
         ] {
-            let (alg, _) = select(
+            let (alg, _) = select_over(
                 &platform,
                 platform.msg_latency_s(),
                 op,
@@ -1223,6 +1295,7 @@ mod tests {
                 0,
                 0,
                 4,
+                &all_ranks(&platform),
             );
             assert_eq!(alg, CollAlgorithm::Linear, "{op}: zero-bit hint");
         }
@@ -1378,7 +1451,7 @@ mod tests {
     fn auto_picks_hierarchical_for_large_broadcast_on_heterogeneous() {
         let platform = presets::fully_heterogeneous();
         let bits = 18 * 224 * 32; // endmember matrix U
-        let (alg, _) = select(
+        let (alg, _) = select_over(
             &platform,
             platform.msg_latency_s(),
             CollOp::Broadcast,
@@ -1386,6 +1459,7 @@ mod tests {
             0,
             bits,
             4,
+            &all_ranks(&platform),
         );
         assert!(
             alg == CollAlgorithm::SegmentHierarchical || alg == CollAlgorithm::PipelinedChunked,
@@ -1398,7 +1472,7 @@ mod tests {
         // Single segment: hierarchical == linear exactly; Linear must
         // win the tie so single-segment platforms keep the baseline.
         let platform = Platform::uniform("u4", 4, 0.01, 64, 10.0);
-        let (alg, _) = select(
+        let (alg, _) = select_over(
             &platform,
             platform.msg_latency_s(),
             CollOp::Gather,
@@ -1406,6 +1480,7 @@ mod tests {
             0,
             1_000_000,
             4,
+            &all_ranks(&platform),
         );
         assert_eq!(alg, CollAlgorithm::Linear);
     }
@@ -1503,19 +1578,200 @@ mod tests {
     }
 
     #[test]
-    fn barrier_aligns_clocks_under_tree_algorithms() {
-        for alg in ALGOS {
-            let cfg = CollectiveConfig::uniform(alg);
-            let report = engine(5).run(move |ctx| {
-                if ctx.rank() == 3 {
-                    ctx.compute_par(300.0); // 3 s behind
+    fn selection_is_pinned_on_the_fully_heterogeneous_network() {
+        // Literal (algorithm, predicted_secs) pairs captured at the last
+        // commit that still had separate all-ranks and survivor-set
+        // selectors: the merged rule must reproduce them bit for bit.
+        use CollAlgorithm::{Auto, BinomialTree, SegmentHierarchical};
+        let platform = presets::fully_heterogeneous();
+        let pins = [
+            (CollOp::Broadcast, Auto, BinomialTree, 0.02759332864_f64),
+            (
+                CollOp::Broadcast,
+                SegmentHierarchical,
+                SegmentHierarchical,
+                0.02978054144,
+            ),
+            (CollOp::Gather, Auto, BinomialTree, 0.11885742080000003),
+            (
+                CollOp::Gather,
+                SegmentHierarchical,
+                SegmentHierarchical,
+                0.12361931263999998,
+            ),
+            (CollOp::Allreduce, Auto, SegmentHierarchical, 0.05356108288),
+            (
+                CollOp::Allreduce,
+                SegmentHierarchical,
+                SegmentHierarchical,
+                0.05356108288,
+            ),
+        ];
+        for (op, requested, algorithm, secs) in pins {
+            let got = select_over(
+                &platform,
+                0.001,
+                op,
+                requested,
+                0,
+                129_024,
+                4,
+                &all_ranks(&platform),
+            );
+            assert_eq!(got.0, algorithm, "{op}/{requested}");
+            assert_eq!(
+                got.1.to_bits(),
+                secs.to_bits(),
+                "{op}/{requested}: {}",
+                got.1
+            );
+        }
+    }
+
+    #[test]
+    fn only_the_logging_rank_predicts_for_a_pinned_algorithm() {
+        // The logged choice is the contract; who computes it is not. A
+        // pinned (non-Auto) request logs the same predicted cost the
+        // Ctx-free selector reports.
+        let platform = presets::fully_heterogeneous();
+        let latency = platform.msg_latency_s();
+        let bits: u64 = 129_024;
+        let want = select_over(
+            &platform,
+            latency,
+            CollOp::Gather,
+            CollAlgorithm::SegmentHierarchical,
+            0,
+            bits,
+            4,
+            &all_ranks(&platform),
+        );
+        let cfg = CollectiveConfig::uniform(CollAlgorithm::PipelinedChunked);
+        let report = Engine::new(platform).run(move |ctx| {
+            let _ = gather(ctx, &cfg, 0, WireVec(vec![0u8; (bits / 8) as usize]), bits);
+        });
+        assert_eq!(report.collectives.len(), 1);
+        let logged = &report.collectives[0];
+        assert_eq!(logged.requested, CollAlgorithm::PipelinedChunked);
+        assert_eq!(logged.algorithm, want.0);
+        assert_eq!(logged.predicted_secs.to_bits(), want.1.to_bits());
+    }
+
+    #[test]
+    fn scatter_distributes_one_item_each() {
+        let report = engine(3).run(|ctx| {
+            let items = if ctx.is_root() {
+                Some(vec![10u64, 20, 30])
+            } else {
+                None
+            };
+            scatter(ctx, 0, items, ScatterMode::Charged).expect("valid scatter")
+        });
+        assert_eq!(report.results, vec![Some(10), Some(20), Some(30)]);
+    }
+
+    #[test]
+    fn scatter_free_cheaper_than_charged() {
+        let payloads = || vec![WireVec(vec![0u8; 2_000_000]); 3];
+        let t = |mode: ScatterMode| {
+            engine(3)
+                .run(move |ctx| {
+                    let items = if ctx.is_root() {
+                        Some(payloads())
+                    } else {
+                        None
+                    };
+                    let _ = scatter(ctx, 0, items, mode).expect("valid scatter");
+                    ctx.elapsed()
+                })
+                .total_time
+        };
+        assert!(t(ScatterMode::Free) < t(ScatterMode::Charged));
+    }
+
+    #[test]
+    fn linear_broadcast_timing_charges_links() {
+        // 4 ranks, 10 ms/Mbit links, 1 Mbit message => each non-root rank
+        // pays at least one 10 ms transfer.
+        let cfg = CollectiveConfig::linear();
+        let report = engine(4).run(move |ctx| {
+            let msg = if ctx.is_root() {
+                Some(WireVec(vec![0u8; 125_000]))
+            } else {
+                None
+            };
+            let _ = broadcast(ctx, &cfg, 0, msg, 1_000_000).expect("valid broadcast");
+            ctx.elapsed()
+        });
+        for r in 1..4 {
+            assert!(*report.result(r) >= 0.01, "rank {r}: {}", report.result(r));
+        }
+    }
+
+    /// Four ranks; rank 2 returns before the collective — a clean exit,
+    /// not a crash — while the others run `body`.
+    fn with_rank_2_exiting_early<T: Send>(
+        body: impl Fn(&mut Ctx<u64>) -> T + Sync,
+    ) -> crate::RunReport<Option<T>> {
+        let report = engine(4).run(move |ctx| (ctx.rank() != 2).then(|| body(ctx)));
+        assert!(
+            report.ok(),
+            "a clean exit kills nobody: {:?}",
+            report.failures
+        );
+        assert!(report.total_time.is_finite(), "{}", report.total_time);
+        report
+    }
+
+    #[test]
+    fn clean_exit_under_an_infinite_deadline_is_a_lost_peer_not_a_crash() {
+        // `recv_deadline(src, ∞)` on a peer that exited cleanly used to
+        // evaluate `∞ >= crash_at (∞)` and unwind the *caller* as a
+        // phantom `Crash` at t = inf. It must surface as the gather's
+        // explicit PeerLost hole instead.
+        let cfg = CollectiveConfig::linear();
+        let report =
+            with_rank_2_exiting_early(move |ctx| gather(ctx, &cfg, 0, ctx.rank() as u64, 64));
+        let entries = report.result(0).clone().flatten().expect("root completes");
+        for (r, e) in entries.iter().enumerate() {
+            match e {
+                GatherEntry::Ok(v) => assert_eq!((r as u64, r != 2), (*v, true)),
+                GatherEntry::Lost(f) => {
+                    assert_eq!(r, 2);
+                    assert_eq!(f.cause, FailureCause::PeerLost { peer: 2 });
+                    assert!(f.at.is_finite());
                 }
-                barrier(ctx, &cfg, 0, || 0u8);
-                ctx.elapsed()
-            });
-            for r in 0..5 {
-                assert!(*report.result(r) >= 3.0, "{alg}: rank {r} not aligned");
             }
+        }
+        assert!(entries[2].is_lost());
+    }
+
+    #[test]
+    fn reduce_and_allreduce_skip_a_cleanly_exited_contributor() {
+        let bit = |rank: usize| 1u64 << (rank * 8);
+        for alg in [CollAlgorithm::Linear, CollAlgorithm::BinomialTree] {
+            let cfg = CollectiveConfig::uniform(alg);
+            let report = with_rank_2_exiting_early(move |ctx| {
+                reduce(ctx, &cfg, 0, bit(ctx.rank()), |a, b| a | b, 64)
+            });
+            // The binomial tree parents rank 3 under rank 2, so its
+            // partial is lost with the relay — the crashed-relay rule.
+            let expect = match alg {
+                CollAlgorithm::Linear => bit(0) | bit(1) | bit(3),
+                _ => bit(0) | bit(1),
+            };
+            assert_eq!(*report.result(0), Some(Some(expect)), "{alg}: reduce");
+        }
+        let cfg = CollectiveConfig::linear();
+        let report = with_rank_2_exiting_early(move |ctx| {
+            allreduce(ctx, &cfg, 0, bit(ctx.rank()), |a, b| a | b, 64)
+        });
+        for r in [0usize, 1, 3] {
+            assert_eq!(
+                *report.result(r),
+                Some(bit(0) | bit(1) | bit(3)),
+                "allreduce: rank {r}"
+            );
         }
     }
 }

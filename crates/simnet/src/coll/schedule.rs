@@ -4,8 +4,8 @@
 //! schedule over a rooted spanning tree of the ranks. This module builds
 //! the three tree shapes:
 //!
-//! * **linear** — a star: every rank is a direct child of the root
-//!   (the baseline behaviour of [`crate::comm`]),
+//! * **linear** — a star: every member is a direct child of the root
+//!   (the paper's root-mediated baseline),
 //! * **binomial** — recursive halving over contiguous virtual-rank
 //!   ranges: the root hands off the far half of its range, then the far
 //!   half of what remains, and so on (`⌈log₂ P⌉` depth),
@@ -20,18 +20,18 @@
 //! and makes tree reduces regroup — not reorder — the linear fold; see
 //! `docs/COMMS.md`).
 //!
-//! Every builder comes in two flavours: the classic full-rank one and a
-//! `*_over` variant that spans only an explicit **member set** (the
-//! survivors of a [`crate::coll::Membership`] view). Survivor trees are
-//! what lets the epoch protocol route *around* known-dead interior
-//! relays instead of cascading `PeerLost` down their subtrees; with the
-//! full member set the `*_over` builders reduce exactly to the classic
-//! shapes.
+//! Every builder spans an explicit **member set** (the survivors of a
+//! [`crate::coll::Membership`] view; every rank for an all-alive view).
+//! Survivor trees are what lets the epoch protocol route *around*
+//! known-dead interior relays instead of cascading `PeerLost` down their
+//! subtrees. [`build`] is the one entry point the executors and the cost
+//! model share.
 
+use super::CollAlgorithm;
 use crate::platform::Platform;
 
 /// A rooted spanning tree over a subset of ranks `0..p` (all of them for
-/// the classic builders), with children kept in both broadcast (send)
+/// an all-alive view), with children kept in both broadcast (send)
 /// order and gather (receive/fold) order. Vectors are always indexed by
 /// *real* rank; non-member ranks simply have no parent, no children and
 /// a subtree of themselves only.
@@ -165,16 +165,33 @@ impl Tree {
     }
 }
 
-/// The star schedule: every rank is a direct child of `root`, in
-/// ascending rank order (exactly the legacy [`crate::comm`] loops).
-pub(crate) fn linear(root: usize, p: usize) -> Tree {
-    let members: Vec<usize> = (0..p).collect();
-    linear_over(root, &members, p)
+/// The concrete schedule [`Tree`] of `algorithm` over `members`
+/// (ascending, containing `root`). [`CollAlgorithm::PipelinedChunked`]
+/// shares the segment-hierarchical tree.
+///
+/// # Panics
+/// On [`CollAlgorithm::Auto`], which names no tree: selection
+/// (`coll::select_over`) resolves it to a concrete algorithm first.
+pub(crate) fn build(
+    algorithm: CollAlgorithm,
+    root: usize,
+    platform: &Platform,
+    members: &[usize],
+) -> Tree {
+    let p = platform.num_procs();
+    match algorithm {
+        CollAlgorithm::Linear => linear_over(root, members, p),
+        CollAlgorithm::BinomialTree => binomial_over(root, members, p),
+        CollAlgorithm::SegmentHierarchical | CollAlgorithm::PipelinedChunked => {
+            segment_hierarchical_over(root, platform, members)
+        }
+        CollAlgorithm::Auto => unreachable!("selection resolved before building"),
+    }
 }
 
-/// [`linear`] restricted to `members` (ascending, containing `root`):
+/// The star schedule over `members` (ascending, containing `root`):
 /// every member is a direct child of `root`, in ascending rank order.
-pub(crate) fn linear_over(root: usize, members: &[usize], p: usize) -> Tree {
+fn linear_over(root: usize, members: &[usize], p: usize) -> Tree {
     debug_assert!(members.contains(&root), "linear_over: root is a member");
     let mut parent = vec![None; p];
     let mut bcast = vec![Vec::new(); p];
@@ -187,25 +204,18 @@ pub(crate) fn linear_over(root: usize, members: &[usize], p: usize) -> Tree {
     Tree::from_parts(p, root, parent, bcast)
 }
 
-/// The binomial schedule by recursive halving over virtual ranks
-/// (`vrank = (rank − root) mod p`): the owner of a contiguous vrank
-/// range `[lo, hi)` hands the range starting at `lo + h` — `h` the
-/// largest power of two below the range size — to a child, keeps
-/// `[lo, lo + h)`, and repeats. Subtrees are contiguous vrank blocks,
-/// which is what lets a binomial reduce *regroup* (not reorder) the
-/// linear left-fold when the root is rank 0.
-pub(crate) fn binomial(root: usize, p: usize) -> Tree {
-    let members: Vec<usize> = (0..p).collect();
-    binomial_over(root, &members, p)
-}
-
-/// [`binomial`] restricted to `members` (ascending, containing `root`):
-/// recursive halving over *virtual indices* into the member list,
-/// rotated so index 0 is the root. With the full member set the virtual
-/// index of rank `r` is `(r − root) mod p`, reproducing [`binomial`]
-/// exactly; with survivors removed the halving runs over the compacted
-/// survivor list, so the tree never routes through a dead rank.
-pub(crate) fn binomial_over(root: usize, members: &[usize], p: usize) -> Tree {
+/// The binomial schedule over `members` (ascending, containing `root`)
+/// by recursive halving over *virtual indices* into the member list,
+/// rotated so index 0 is the root: the owner of a contiguous index range
+/// `[lo, hi)` hands the range starting at `lo + h` — `h` the largest
+/// power of two below the range size — to a child, keeps `[lo, lo + h)`,
+/// and repeats. With the full member set the virtual index of rank `r`
+/// is `(r − root) mod p`; with survivors removed the halving runs over
+/// the compacted survivor list, so the tree never routes through a dead
+/// rank. Subtrees are contiguous index blocks, which is what lets a
+/// binomial reduce *regroup* (not reorder) the linear left-fold when the
+/// root is rank 0.
+fn binomial_over(root: usize, members: &[usize], p: usize) -> Tree {
     let m = members.len();
     let k = members
         .iter()
@@ -230,27 +240,17 @@ pub(crate) fn binomial_over(root: usize, members: &[usize], p: usize) -> Tree {
     Tree::from_parts(p, root, parent, bcast)
 }
 
-/// The two-level schedule matched to the platform's segment map: the
-/// root reaches one *leader* (lowest rank) per remote segment — one
-/// serial-link crossing per segment — plus its own segment mates; each
-/// leader fans out to the rest of its segment over the switched intra-
-/// segment network. Broadcast order puts leaders first so the slow
-/// serial-link transfers start as early as possible. On a single-segment
-/// platform this degenerates to [`linear`].
-pub(crate) fn segment_hierarchical(root: usize, platform: &Platform) -> Tree {
-    let members: Vec<usize> = (0..platform.num_procs()).collect();
-    segment_hierarchical_over(root, platform, &members)
-}
-
-/// [`segment_hierarchical`] restricted to `members` (ascending,
-/// containing `root`): the leader of each remote segment is its **lowest
-/// surviving member**, so a segment whose original leader died simply
-/// promotes the next rank instead of stranding the whole segment.
-pub(crate) fn segment_hierarchical_over(
-    root: usize,
-    platform: &Platform,
-    members: &[usize],
-) -> Tree {
+/// The two-level schedule matched to the platform's segment map, over
+/// `members` (ascending, containing `root`): the root reaches one
+/// *leader* per remote segment — one serial-link crossing per segment —
+/// plus its own segment mates; each leader fans out to the rest of its
+/// segment over the switched intra-segment network. The leader of a
+/// segment is its **lowest surviving member**, so a segment whose
+/// original leader died simply promotes the next rank instead of
+/// stranding the whole segment. Broadcast order puts leaders first so the
+/// slow serial-link transfers start as early as possible. On a
+/// single-segment platform this degenerates to [`linear_over`].
+fn segment_hierarchical_over(root: usize, platform: &Platform, members: &[usize]) -> Tree {
     debug_assert!(
         members.contains(&root),
         "segment_hierarchical_over: root is a member"
@@ -317,6 +317,11 @@ mod tests {
         Platform::new("segs", segs.iter().map(|&s| spec(s)).collect(), links)
     }
 
+    /// The full member list — what an all-alive view hands the builders.
+    fn all(p: usize) -> Vec<usize> {
+        (0..p).collect()
+    }
+
     fn assert_spanning(tree: &Tree, root: usize, p: usize) {
         assert_eq!(tree.parent(root), None);
         let order = tree.subtree_order(root);
@@ -339,7 +344,7 @@ mod tests {
 
     #[test]
     fn linear_is_a_star_in_rank_order() {
-        let t = linear(0, 5);
+        let t = linear_over(0, &all(5), 5);
         assert_eq!(t.children_bcast(0), &[1, 2, 3, 4]);
         assert_eq!(t.children_gather(0), &[1, 2, 3, 4]);
         for r in 1..5 {
@@ -352,7 +357,7 @@ mod tests {
     #[test]
     fn binomial_recursive_halving_shape() {
         // p = 8, root 0: children of 0 are 4, 2, 1 (broadcast order).
-        let t = binomial(0, 8);
+        let t = binomial_over(0, &all(8), 8);
         assert_eq!(t.children_bcast(0), &[4, 2, 1]);
         assert_eq!(t.children_gather(0), &[1, 2, 4]);
         assert_eq!(t.children_bcast(4), &[6, 5]);
@@ -365,7 +370,7 @@ mod tests {
     #[test]
     fn binomial_subtrees_are_contiguous_rank_blocks() {
         for p in [2usize, 3, 5, 8, 13, 16, 17] {
-            let t = binomial(0, p);
+            let t = binomial_over(0, &all(p), p);
             for r in 0..p {
                 let mut sub = t.subtree_order(r);
                 sub.sort_unstable();
@@ -378,7 +383,7 @@ mod tests {
     #[test]
     fn binomial_depth_is_logarithmic() {
         for p in [2usize, 5, 16, 17, 64] {
-            let t = binomial(0, p);
+            let t = binomial_over(0, &all(p), p);
             let mut max_depth = 0;
             for mut r in 0..p {
                 let mut d = 0;
@@ -398,7 +403,7 @@ mod tests {
 
     #[test]
     fn binomial_nonzero_root_spans_via_vranks() {
-        let t = binomial(3, 8);
+        let t = binomial_over(3, &all(8), 8);
         assert_spanning(&t, 3, 8);
         // Child offsets in vrank space map back mod p: 3+4=7, 3+2=5, 3+1=4.
         assert_eq!(t.children_bcast(3), &[7, 5, 4]);
@@ -408,7 +413,7 @@ mod tests {
     fn hierarchical_one_leader_per_remote_segment() {
         // Segments: 0 0 1 1 1 2 2 — root 0 in segment 0.
         let p = platform_with_segments(&[0, 0, 1, 1, 1, 2, 2]);
-        let t = segment_hierarchical(0, &p);
+        let t = segment_hierarchical_over(0, &p, &all(p.num_procs()));
         // Leaders 2 and 5 first (broadcast order), then segment mate 1.
         assert_eq!(t.children_bcast(0), &[2, 5, 1]);
         assert_eq!(t.children_gather(0), &[1, 2, 5]);
@@ -421,8 +426,8 @@ mod tests {
     #[test]
     fn hierarchical_single_segment_degenerates_to_linear() {
         let p = platform_with_segments(&[0, 0, 0, 0]);
-        let t = segment_hierarchical(0, &p);
-        let l = linear(0, 4);
+        let t = segment_hierarchical_over(0, &p, &all(p.num_procs()));
+        let l = linear_over(0, &all(4), 4);
         for r in 0..4 {
             assert_eq!(t.children_bcast(r), l.children_bcast(r));
             assert_eq!(t.parent(r), l.parent(r));
@@ -431,7 +436,7 @@ mod tests {
 
     #[test]
     fn subtree_order_matches_relay_protocol() {
-        let t = binomial(0, 8);
+        let t = binomial_over(0, &all(8), 8);
         // Rank 4's subtree: itself, then gather-order children's subtrees.
         assert_eq!(t.subtree_order(4), vec![4, 5, 6, 7]);
         assert_eq!(t.subtree_order(2), vec![2, 3]);
@@ -454,27 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn over_builders_with_full_set_match_classic_shapes() {
-        let members: Vec<usize> = (0..8).collect();
-        let (a, b) = (binomial(3, 8), binomial_over(3, &members, 8));
-        for r in 0..8 {
-            assert_eq!(a.parent(r), b.parent(r));
-            assert_eq!(a.children_bcast(r), b.children_bcast(r));
-            assert_eq!(a.subtree_size(r), b.subtree_size(r));
-        }
-        let plat = platform_with_segments(&[0, 0, 1, 1, 1, 2, 2]);
-        let members: Vec<usize> = (0..7).collect();
-        let (a, b) = (
-            segment_hierarchical(0, &plat),
-            segment_hierarchical_over(0, &plat, &members),
-        );
-        for r in 0..7 {
-            assert_eq!(a.parent(r), b.parent(r));
-            assert_eq!(a.children_bcast(r), b.children_bcast(r));
-        }
-    }
-
-    #[test]
     fn linear_over_spans_only_members() {
         let t = linear_over(0, &[0, 1, 3, 4], 5);
         assert_eq!(t.children_bcast(0), &[1, 3, 4]);
@@ -485,7 +469,7 @@ mod tests {
 
     #[test]
     fn binomial_over_routes_around_dead_relay() {
-        // In binomial(0, 8), rank 4 relays to subtree {4,5,6,7}. Remove
+        // In binomial_over(0, &all(8), 8), rank 4 relays to subtree {4,5,6,7}. Remove
         // it: the survivor tree must span the other 7 without touching 4.
         let members = vec![0, 1, 2, 3, 5, 6, 7];
         let t = binomial_over(0, &members, 8);
@@ -521,7 +505,7 @@ mod tests {
     #[test]
     fn orders_cover_all_ranks() {
         for p in [1usize, 2, 7, 16] {
-            let t = binomial(0, p);
+            let t = binomial_over(0, &all(p), p);
             let pre = t.preorder_bcast();
             let post = t.postorder_gather();
             assert_eq!(pre.len(), p);

@@ -325,9 +325,10 @@ impl<M: Wire> Ctx<M> {
                             let start = self.links.reserve(seg_src, seg_dst, earliest, dur);
                             (start + dur, dur, start - earliest)
                         } else {
-                            // Worker↔worker: raw transfer, no queueing
-                            // (documented approximation; only the halo
-                            // ablation uses this).
+                            // Worker↔worker: raw transfer, no queueing.
+                            // Tree schedules relay worker↔worker across
+                            // segments, so this under-charges the serial
+                            // links there — ROADMAP open item 1.
                             (earliest + dur, dur, 0.0)
                         }
                     }
@@ -341,6 +342,14 @@ impl<M: Wire> Ctx<M> {
                 }
             }
         }
+    }
+
+    /// `true` when idling until virtual time `t` runs into this rank's
+    /// scheduled crash. Only a *finite* crash time can be reached by
+    /// waiting: with no crash scheduled `crash_at` is `∞`, and an
+    /// infinite deadline must not compare as "at or past" it.
+    fn crashes_by(&self, t: f64) -> bool {
+        self.crash_at.is_finite() && t >= self.crash_at
     }
 
     /// Next packet from `src`: the stashed one if present, else a
@@ -547,7 +556,9 @@ impl<M: Wire> Ctx<M> {
     ///
     /// * `Err(Timeout)` — no message arrived by the deadline (a message
     ///   arriving later stays queued for the next receive). A deadline
-    ///   already in the past polls without advancing time.
+    ///   already in the past polls without advancing time; an infinite
+    ///   one times out when `src` exits cleanly, advancing the clock only
+    ///   to that exit.
     /// * `Err(Failed)` — `src` failed at or before the deadline; the
     ///   clock advances only to the failure instant. The condition is
     ///   permanent: every later receive from `src` reports it again.
@@ -598,7 +609,7 @@ impl<M: Wire> Ctx<M> {
                     queued,
                     payload,
                 });
-                if deadline >= self.crash_at {
+                if self.crashes_by(deadline) {
                     self.die();
                 }
                 let trace_start = self.ledger.now;
@@ -627,12 +638,14 @@ impl<M: Wire> Ctx<M> {
                     }
                     _ => {
                         // Clean exit, or a failure we can't know about
-                        // yet: wait out the deadline.
-                        if deadline >= self.crash_at {
+                        // yet: wait out the deadline. An infinite one
+                        // ends when the peer's exit becomes known.
+                        let wake = if deadline.is_finite() { deadline } else { at };
+                        if self.crashes_by(wake) {
                             self.die();
                         }
                         let trace_start = self.ledger.now;
-                        self.ledger.receive(deadline, 0.0);
+                        self.ledger.receive(wake, 0.0);
                         self.record(trace_start, undelivered(src));
                         Err(RecvError::Timeout { deadline })
                     }

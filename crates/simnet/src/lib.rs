@@ -27,11 +27,11 @@
 //! * [`clock`] — per-rank virtual clocks and time ledgers.
 //! * [`contention`] — serial inter-segment link reservation.
 //! * [`engine`] — the message-passing runtime (threads + channels).
-//! * [`comm`] — the linear-baseline collective wrappers (broadcast,
-//!   scatter, gather, barrier, reduce).
-//! * [`coll`] — topology-aware collective algorithms (linear, binomial
-//!   tree, segment-hierarchical, pipelined-chunked) with cost-model
-//!   driven `Auto` selection.
+//! * [`coll`] — the collectives (broadcast, scatter, gather, reduce,
+//!   allreduce), each one body over a membership view: linear (the
+//!   paper's root-mediated baseline), binomial tree, segment-hierarchical
+//!   and pipelined-chunked schedules with cost-model driven `Auto`
+//!   selection.
 //! * [`faults`] — deterministic virtual-time fault plans: rank crashes,
 //!   slowdown windows, link outage/degradation; structured failures.
 //! * [`accel`] — the accelerator device model (GPU/FPGA specs, offload
@@ -74,7 +74,6 @@
 pub mod accel;
 pub mod clock;
 pub mod coll;
-pub mod comm;
 pub mod contention;
 pub mod engine;
 pub mod equivalent;

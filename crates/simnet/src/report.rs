@@ -242,6 +242,31 @@ impl<R> RunReport<R> {
     }
 }
 
+impl<T> RunReport<Option<T>> {
+    /// Splits a rooted run — one whose ranks return `Some` only on the
+    /// root — into rank 0's value and the report that carries everything
+    /// else verbatim (with `results` emptied). The value is `None` when
+    /// rank 0 failed or itself returned `None`; callers decide whether
+    /// that is an error.
+    pub fn into_root(mut self) -> (Option<T>, RunReport<()>) {
+        let root = self.results.get_mut(0).and_then(Option::take).flatten();
+        let report = RunReport {
+            platform_name: self.platform_name,
+            ledgers: self.ledgers,
+            results: Vec::new(),
+            failures: self.failures,
+            total_time: self.total_time,
+            collectives: self.collectives,
+            epochs: self.epochs,
+            copies: self.copies,
+            offloads: self.offloads,
+            ranks: self.ranks,
+            profile: self.profile,
+        };
+        (root, report)
+    }
+}
+
 /// COM/SEQ/PAR split of a run (Table 6 semantics).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decomposition {
@@ -426,6 +451,48 @@ mod tests {
         }
         assert_eq!(report.choices_of(CollOp::Allreduce).count(), 2);
         assert_eq!(report.choices_of(CollOp::Gather).count(), 0);
+    }
+
+    #[test]
+    fn into_root_takes_the_value_and_carries_every_other_field() {
+        // A real profiled run with a crash, a collective and an epoch
+        // bump, so every report field is non-trivial.
+        let cfg = crate::CollectiveConfig::linear();
+        let mut full = crate::Engine::new(crate::Platform::uniform("t", 3, 0.01, 64, 10.0))
+            .with_faults(crate::FaultPlan::new().crash(2, 0.0))
+            .with_profiling(true)
+            .run(move |ctx| {
+                let _ = crate::coll::gather(ctx, &cfg, 0, ctx.rank() as u64, 64);
+                if ctx.is_root() {
+                    ctx.mark_epoch(1, 2, 2);
+                }
+                ctx.is_root().then_some(7u32)
+            });
+        full.copies.bytes_deep_copied = 9;
+        assert_eq!(full.failures.len(), 1);
+        assert_eq!(full.collectives.len(), 1);
+        assert_eq!(full.epochs.len(), 1);
+        assert!(full.profile.is_some());
+
+        let (root, rest) = full.clone().into_root();
+        assert_eq!(root, Some(7));
+        assert!(rest.results.is_empty());
+        assert_eq!(rest.platform_name, full.platform_name);
+        assert_eq!(rest.ledgers, full.ledgers);
+        assert_eq!(rest.failures, full.failures);
+        assert_eq!(rest.total_time.to_bits(), full.total_time.to_bits());
+        assert_eq!(rest.collectives, full.collectives);
+        assert_eq!(rest.epochs, full.epochs);
+        assert_eq!(rest.copies, full.copies);
+        assert_eq!(rest.offloads, full.offloads);
+        assert_eq!(rest.ranks, full.ranks);
+        assert_eq!(rest.profile, full.profile);
+
+        // A root that failed, or itself returned `None`, yields `None`.
+        for results in [vec![None, None, None], vec![Some(None), None, None]] {
+            full.results = results;
+            assert_eq!(full.clone().into_root().0, None);
+        }
     }
 
     #[test]
