@@ -3,7 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hsi_cube::metrics::{brightness, euclidean, sad, sid};
 use hsi_cube::synth::{wtc_scene, WtcConfig};
-use hsi_linalg::lstsq::FclsProblem;
+use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace};
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
 use hsi_morpho::StructuringElement;
@@ -69,8 +69,11 @@ fn bench_fcls(c: &mut Criterion) {
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         let problem = FclsProblem::new(Matrix::from_rows(&refs)).unwrap();
         let px = scene.cube.pixel(1, 1).to_vec();
+        // One workspace across iterations, as `max_fcls_error` keeps one
+        // per chunk.
+        let mut ws = FclsWorkspace::new();
         g.bench_function(format!("solve_t{t}"), |b| {
-            b.iter(|| problem.solve_f32(black_box(&px)))
+            b.iter(|| problem.solve_f32_in(black_box(&px), &mut ws))
         });
     }
     g.finish();

@@ -49,6 +49,11 @@ pub fn basis_push(n: usize, k: usize) -> f64 {
 /// active-set iterations amortised). The residual uses the Pythagorean
 /// identity on precomputed terms. Calibrated so UFCLS's total lands
 /// just below ATDCA's, as in the paper's Table 3 (916 s vs 1263 s).
+///
+/// This is the *modelled* solver's cost, not a count of what the host
+/// executes: `hsi_linalg::lstsq` runs a full active-set NNLS per pixel
+/// (about ten passive-set solves, each re-factoring only the changed
+/// rows) and forms the residual vector explicitly.
 #[inline]
 pub fn fcls(n: usize, t: usize) -> f64 {
     let t_f = t as f64;
@@ -64,6 +69,11 @@ pub fn covariance_accumulate(n: usize) -> f64 {
 
 /// Flops for the master's Jacobi eigendecomposition of an `n × n`
 /// symmetric matrix (≈ 10 sweeps × n²/2 rotations × 12n updates).
+///
+/// This is the cost of the solver the *modelled 2006 master* runs, and
+/// it is what the virtual clock charges. The host no longer runs that
+/// solver: `hsi_linalg::eigen` is Householder + QL (≈ 9n³ flops), which
+/// changes how long the simulation takes, not what it reports.
 #[inline]
 pub fn jacobi_eigen(n: usize) -> f64 {
     60.0 * (n as f64).powi(3)

@@ -24,7 +24,7 @@ use crate::msg::Candidate;
 use hsi_cube::metrics::{brightness, sad};
 use hsi_cube::HyperCube;
 use hsi_linalg::covariance::CovarianceAccumulator;
-use hsi_linalg::lstsq::FclsProblem;
+use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace};
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
 use rayon::prelude::*;
@@ -167,6 +167,12 @@ pub fn max_projection(
 
 /// UFCLS steps 2–3: the pixel with the largest fully-constrained
 /// least-squares reconstruction error against the endmember set.
+///
+/// Each chunk's scorer owns one [`FclsWorkspace`], so the pixel loop
+/// allocates nothing; a workspace carries nothing from pixel to pixel, so
+/// a score is a pure function of `(problem, pixel)`. A pixel whose solve
+/// fails can only come from a singular endmember set; it ranks below
+/// every solved one.
 pub fn max_fcls_error(
     cube: &HyperCube,
     problem: &FclsProblem,
@@ -176,11 +182,11 @@ pub fn max_fcls_error(
     let t = problem.num_endmembers();
     let pixels = (range.1 - range.0) * cube.samples();
     let result = argmax_pixels(cube, range, || {
-        |px: &[f32]| {
-            problem
-                .solve_f32(px)
-                .map(|u| u.residual_sq)
-                .unwrap_or(f64::NEG_INFINITY)
+        let mut ws = FclsWorkspace::new();
+        move |px: &[f32]| {
+            let solved = problem.solve_f32_in(px, &mut ws);
+            debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
+            solved.unwrap_or(f64::NEG_INFINITY)
         }
     });
     (result, flops::mflop(flops::fcls(n, t) * pixels as f64))
@@ -525,6 +531,9 @@ mod tests {
         let (best, _) = max_fcls_error(&s.cube, &prob, (0, s.cube.lines()));
         let best = best.unwrap();
         assert!(best.score > 0.0);
+        // The kernel's workspace scores exactly as a from-scratch solve.
+        let alone = prob.solve_f32(s.cube.pixel(best.line, best.sample));
+        assert_eq!(best.score.to_bits(), alone.unwrap().residual_sq.to_bits());
         // The argmax must be one of the thermal targets (way off the
         // two-endmember simplex).
         let coords: Vec<(usize, usize)> = s.targets.iter().map(|t| t.coord).collect();

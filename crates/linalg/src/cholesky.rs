@@ -32,22 +32,8 @@ impl CholeskyDecomposition {
         a.require_non_empty()?;
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LinAlgError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
+        factor_rows(l.as_mut_slice(), n, 0..n, |i, j| a[(i, j)])
+            .map_err(|_| LinAlgError::NotPositiveDefinite)?;
         Ok(CholeskyDecomposition { l })
     }
 
@@ -62,7 +48,6 @@ impl CholeskyDecomposition {
     }
 
     /// Solves `A·x = b` via `L·y = b` then `Lᵀ·x = y`.
-    #[allow(clippy::needless_range_loop)] // indexed form mirrors the textbook algorithm
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();
         if b.len() != n {
@@ -72,20 +57,7 @@ impl CholeskyDecomposition {
             ));
         }
         let mut y = b.to_vec();
-        for i in 0..n {
-            let mut sum = y[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * y[k];
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
+        solve_in_place(self.l.as_slice(), n, &mut y);
         Ok(y)
     }
 
@@ -97,6 +69,60 @@ impl CholeskyDecomposition {
             d *= v * v;
         }
         d
+    }
+}
+
+/// Computes rows `rows` of the lower Cholesky factor of the matrix whose
+/// lower-triangle entries are `a(i, j)`, into `l` (row-major with row
+/// stride `stride`). Rows before `rows.start` must already hold the factor
+/// of the leading block — a factor row depends only on the rows above it,
+/// which is what lets [`crate::lstsq`] keep the untouched leading rows when
+/// its passive set changes. On a non-positive pivot returns the failing row;
+/// the rows before it are valid.
+pub(crate) fn factor_rows(
+    l: &mut [f64],
+    stride: usize,
+    rows: std::ops::Range<usize>,
+    a: impl Fn(usize, usize) -> f64,
+) -> std::result::Result<(), usize> {
+    for i in rows {
+        for j in 0..=i {
+            let mut sum = a(i, j);
+            for k in 0..j {
+                sum -= l[i * stride + k] * l[j * stride + k];
+            }
+            if i == j {
+                if sum <= 0.0 {
+                    return Err(i);
+                }
+                l[i * stride + j] = sum.sqrt();
+            } else {
+                l[i * stride + j] = sum / l[j * stride + j];
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Overwrites `y` (the right-hand side, length = dimension) with the
+/// solution of `L·Lᵀ·x = y` for the factor stored in `l` as by
+/// [`factor_rows`].
+#[allow(clippy::needless_range_loop)] // indexed form mirrors the textbook algorithm
+pub(crate) fn solve_in_place(l: &[f64], stride: usize, y: &mut [f64]) {
+    let n = y.len();
+    for i in 0..n {
+        let mut sum = y[i];
+        for k in 0..i {
+            sum -= l[i * stride + k] * y[k];
+        }
+        y[i] = sum / l[i * stride + i];
+    }
+    for i in (0..n).rev() {
+        let mut sum = y[i];
+        for k in (i + 1)..n {
+            sum -= l[k * stride + i] * y[k];
+        }
+        y[i] = sum / l[i * stride + i];
     }
 }
 

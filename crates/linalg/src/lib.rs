@@ -11,8 +11,9 @@
 //!   orthogonal-subspace projector in ATDCA.
 //! * Cholesky decomposition for symmetric positive-definite systems
 //!   ([`cholesky`]) — used by the least-squares solvers.
-//! * Cyclic Jacobi eigendecomposition of symmetric matrices ([`eigen`]) —
-//!   used for the principal component transform (PCT).
+//! * Eigendecomposition of symmetric matrices by Householder
+//!   tridiagonalisation and implicit-shift QL ([`eigen`]) — used for the
+//!   principal component transform (PCT).
 //! * Modified Gram–Schmidt orthonormalisation and orthogonal-subspace
 //!   projection ([`ortho`]) — the `P_U^⊥ = I − U(UᵀU)⁻¹Uᵀ` operator of
 //!   ATDCA, applied either explicitly or through an orthonormal basis.
@@ -21,7 +22,7 @@
 //! * Least-squares unmixing solvers ([`lstsq`]): unconstrained (LS),
 //!   sum-to-one constrained (SCLS), non-negativity constrained (NNLS,
 //!   Lawson–Hanson) and fully constrained (FCLS) — the machinery behind
-//!   UFCLS.
+//!   UFCLS; the per-pixel form solves inside a reusable workspace.
 //! * Streaming mean/covariance accumulation with mergeable partial sums
 //!   ([`covariance`]) — the parallel covariance step of Hetero-PCT.
 //!

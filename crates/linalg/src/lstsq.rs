@@ -15,8 +15,13 @@
 //! All solvers work on the *Gram side*: `UUᵀ` (`t × t`) and `U x`
 //! (`t`-vector) are formed once, so per-pixel cost after the `O(tN)`
 //! products is independent of `N` — crucial when unmixing a million pixels.
+//!
+//! The two inequality-constrained estimators share **one** active-set
+//! body, which works entirely inside a caller-owned [`FclsWorkspace`]:
+//! a per-pixel loop that keeps one workspace ([`FclsProblem::solve_in`])
+//! allocates nothing. The one-shot functions build a workspace per call.
 
-use crate::cholesky::CholeskyDecomposition;
+use crate::cholesky::{self, CholeskyDecomposition};
 use crate::error::shape_mismatch;
 use crate::lu::LuDecomposition;
 use crate::matrix::dot;
@@ -28,9 +33,16 @@ use crate::{LinAlgError, Matrix, Result};
 /// customary compromise.
 pub const FCLS_DELTA: f64 = 1.0e3;
 
-/// Iteration budget for the NNLS active-set loop (far above what `t ≤ 32`
-/// endmembers can need; prevents pathological cycling).
+/// Budget of passive-set solves for one NNLS call (far above what `t ≤ 32`
+/// endmembers can need — a dozen is typical; a backstop, not a control).
 const NNLS_MAX_ITER: usize = 512;
+
+/// A gradient component counts as a violated constraint only when it
+/// exceeds this multiple of the magnitude of the terms it was summed from
+/// (the rounding bound of a 16-term sum) …
+const KKT_ROUNDING: f64 = 8.0 * f64::EPSILON;
+/// … and this absolute floor.
+const KKT_FLOOR: f64 = 1e-12;
 
 /// Result of an unmixing call: abundances plus the squared residual
 /// `‖x − Uᵀa‖²`, which is the per-pixel "error image" score UFCLS ranks by.
@@ -54,14 +66,20 @@ fn check_dims(u: &Matrix, x: &[f64]) -> Result<()> {
 }
 
 fn residual_sq(u: &Matrix, x: &[f64], a: &[f64]) -> f64 {
+    residual_sq_in(u, x, a, &mut Vec::new())
+}
+
+/// `‖x − Uᵀa‖²`, with `r` as the buffer for the residual vector.
+fn residual_sq_in(u: &Matrix, x: &[f64], a: &[f64], r: &mut Vec<f64>) -> f64 {
     // r = x − Uᵀ a, accumulated without building Uᵀ.
-    let mut r = x.to_vec();
+    r.clear();
+    r.extend_from_slice(x);
     for (i, &ai) in a.iter().enumerate() {
         if ai != 0.0 {
-            crate::matrix::axpy(-ai, u.row(i), &mut r);
+            crate::matrix::axpy(-ai, u.row(i), r);
         }
     }
-    dot(&r, &r)
+    dot(r, r)
 }
 
 /// Unconstrained least squares: `a = (UUᵀ)⁻¹ U x`.
@@ -111,107 +129,192 @@ pub fn scls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
     })
 }
 
-/// Non-negative least squares by the Lawson–Hanson active-set method,
-/// operating on the precomputed Gram matrix `G = UUᵀ` and correlation
-/// vector `c = Ux`.
+/// Caller-owned scratch for the FCLS/NNLS solve: the widened pixel, the
+/// correlation vector, the abundances, the passive set, its in-place
+/// Cholesky factor and the solve and residual buffers.
 ///
-/// Returns the abundance vector only; callers needing the residual use
-/// [`nnls`] which also reports it.
-fn nnls_gram(g: &Matrix, c: &[f64]) -> Result<Vec<f64>> {
-    let t = c.len();
-    let mut passive = vec![false; t];
-    let mut a = vec![0.0; t];
+/// A workspace carries **no state between solves** — every solve starts
+/// from the empty passive set, so a result is a pure function of the
+/// problem and the pixel whichever workspace computed it. Buffers are
+/// sized on use: one workspace serves problems of any `t` and `N`.
+#[derive(Debug, Clone, Default)]
+pub struct FclsWorkspace {
+    wide: Vec<f64>,
+    corr: Vec<f64>,
+    abundances: Vec<f64>,
+    /// Passive (unconstrained) endmember indices, ascending.
+    passive: Vec<usize>,
+    /// Entering candidates turned down since the abundances last moved.
+    rejected: Vec<bool>,
+    /// Lower Cholesky factor of the passive sub-Gram, row stride `t`.
+    chol: Vec<f64>,
+    z: Vec<f64>,
+    resid: Vec<f64>,
+}
 
-    for _iter in 0..NNLS_MAX_ITER {
-        // Gradient of ½‖x − Uᵀa‖² is w = c − G a (restricted to active set).
-        let ga = g.matvec(&a)?;
-        let w: Vec<f64> = c.iter().zip(&ga).map(|(ci, gi)| ci - gi).collect();
+impl FclsWorkspace {
+    /// An empty workspace; its buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
 
-        // Pick the most violated active constraint.
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..t {
-            if !passive[j] && w[j] > 1e-12 {
-                match best {
-                    Some((_, val)) if w[j] <= val => {}
-                    _ => best = Some((j, w[j])),
-                }
-            }
-        }
-        let Some((j_star, _)) = best else {
-            // KKT satisfied: done.
-            return Ok(a);
-        };
-        passive[j_star] = true;
+    /// Abundances found by the most recent successful solve.
+    pub fn abundances(&self) -> &[f64] {
+        &self.abundances
+    }
 
-        // Inner loop: solve the unconstrained problem on the passive set;
-        // if any passive coefficient goes non-positive, step back to the
-        // boundary and shrink the passive set.
+    /// Non-negative least squares by the Lawson–Hanson active-set method,
+    /// on the Gram matrix `g = UUᵀ` and the correlation vector `U x`
+    /// already in `self.corr`; leaves the solution in `self.abundances`.
+    fn nnls(&mut self, g: &Matrix) -> Result<()> {
+        let Self {
+            corr: c,
+            abundances: a,
+            passive,
+            rejected,
+            chol,
+            z,
+            ..
+        } = self;
+        let t = c.len();
+        a.clear();
+        a.resize(t, 0.0);
+        rejected.clear();
+        rejected.resize(t, false);
+        passive.clear();
+        z.resize(t, 0.0);
+        chol.resize(t * t, 0.0);
+        // Leading rows of `chol` that match the current passive set. The
+        // set stays sorted, so a change at position `p` invalidates only
+        // the rows from `p` on.
+        let mut factored = 0;
+        let mut solves = 0;
+
         loop {
-            let idx: Vec<usize> = (0..t).filter(|&j| passive[j]).collect();
-            let k = idx.len();
-            let mut sub = Matrix::zeros(k, k);
-            let mut sub_c = vec![0.0; k];
-            for (r, &jr) in idx.iter().enumerate() {
-                sub_c[r] = c[jr];
-                for (s, &js) in idx.iter().enumerate() {
-                    sub[(r, s)] = g[(jr, js)];
+            // Gradient of ½‖x − Uᵀa‖² on the active set, w = c − G a; `a`
+            // is zero off the passive set, so only those columns are summed.
+            // Pick the most violated active constraint — violated beyond
+            // what rounding alone can produce: with the sum-to-one row the
+            // terms are ~δ² = 10⁶ and cancel to an ulp of that (~10⁻¹⁰) on
+            // a pixel that is a vertex of the endmember simplex.
+            let mut best: Option<(usize, f64)> = None;
+            for j in 0..t {
+                if rejected[j] || passive.contains(&j) {
+                    continue;
+                }
+                let row = g.row(j);
+                let (mut ga, mut magnitude) = (0.0, c[j].abs());
+                for &p in passive.iter() {
+                    let term = row[p] * a[p];
+                    ga += term;
+                    magnitude += term.abs();
+                }
+                let w = c[j] - ga;
+                if w > (KKT_ROUNDING * magnitude).max(KKT_FLOOR)
+                    && best.is_none_or(|(_, val)| w > val)
+                {
+                    best = Some((j, w));
                 }
             }
-            let z = match CholeskyDecomposition::new(&sub) {
-                Ok(ch) => ch.solve(&sub_c)?,
-                Err(_) => LuDecomposition::new(&sub)?.solve(&sub_c)?,
+            let Some((entering, _)) = best else {
+                // KKT satisfied: done.
+                return Ok(());
             };
-            if z.iter().all(|&v| v > 0.0) {
-                for (r, &jr) in idx.iter().enumerate() {
-                    a[jr] = z[r];
+            let pos = passive.partition_point(|&p| p < entering);
+            passive.insert(pos, entering);
+            factored = factored.min(pos);
+            let mut entered_at = Some(pos);
+
+            // Inner loop: solve the unconstrained problem on the passive set;
+            // if any passive coefficient goes non-positive, step back to the
+            // boundary and shrink the passive set.
+            loop {
+                if solves == NNLS_MAX_ITER {
+                    return Err(LinAlgError::NoConvergence {
+                        iterations: NNLS_MAX_ITER,
+                    });
                 }
-                for j in 0..t {
-                    if !passive[j] {
-                        a[j] = 0.0;
+                solves += 1;
+                let k = passive.len();
+                let z = &mut z[..k];
+                for (zr, &p) in z.iter_mut().zip(passive.iter()) {
+                    *zr = c[p];
+                }
+                match cholesky::factor_rows(chol, t, factored..k, |r, s| {
+                    g[(passive[r], passive[s])]
+                }) {
+                    Ok(()) => {
+                        factored = k;
+                        cholesky::solve_in_place(chol, t, z);
+                    }
+                    // Rank-deficient sub-Gram (duplicated endmembers): fall
+                    // back to LU, the one path that allocates; if that is
+                    // singular too, propagate the error.
+                    Err(row) => {
+                        factored = row;
+                        let mut sub = Matrix::zeros(k, k);
+                        for (r, &pr) in passive.iter().enumerate() {
+                            for (s, &ps) in passive.iter().enumerate() {
+                                sub[(r, s)] = g[(pr, ps)];
+                            }
+                        }
+                        z.copy_from_slice(&LuDecomposition::new(&sub)?.solve(z)?);
                     }
                 }
-                break;
-            }
-            // Line search toward z, stopping at the first zero crossing.
-            let mut alpha = f64::INFINITY;
-            for (r, &jr) in idx.iter().enumerate() {
-                if z[r] <= 0.0 {
-                    let denom = a[jr] - z[r];
-                    if denom > 0.0 {
-                        alpha = alpha.min(a[jr] / denom);
+                // Lawson–Hanson's guard: `w[entering] > 0` promises a positive
+                // coefficient, but on a nearly dependent passive set the
+                // solve may not deliver one; admitting it would step by
+                // α = 0, drop it again and pick it again, forever. Turn it
+                // down until the abundances next move.
+                if let Some(pos) = entered_at.take() {
+                    if z[pos] <= 0.0 {
+                        passive.remove(pos);
+                        factored = factored.min(pos);
+                        rejected[entering] = true;
+                        break;
                     }
                 }
-            }
-            if !alpha.is_finite() {
-                alpha = 0.0;
-            }
-            for (r, &jr) in idx.iter().enumerate() {
-                a[jr] += alpha * (z[r] - a[jr]);
-            }
-            for &jr in &idx {
-                if a[jr] <= 1e-14 {
-                    a[jr] = 0.0;
-                    passive[jr] = false;
+                if z.iter().all(|&v| v > 0.0) {
+                    for (&p, &zr) in passive.iter().zip(z.iter()) {
+                        a[p] = zr;
+                    }
+                    rejected.fill(false);
+                    break;
                 }
+                // Line search toward z, stopping at the first zero crossing.
+                let mut alpha = f64::INFINITY;
+                for (&p, &zr) in passive.iter().zip(z.iter()) {
+                    if zr <= 0.0 {
+                        let denom = a[p] - zr;
+                        if denom > 0.0 {
+                            alpha = alpha.min(a[p] / denom);
+                        }
+                    }
+                }
+                if !alpha.is_finite() {
+                    alpha = 0.0;
+                }
+                for (&p, &zr) in passive.iter().zip(z.iter()) {
+                    a[p] += alpha * (zr - a[p]);
+                }
+                if let Some(first) = passive.iter().position(|&p| a[p] <= 1e-14) {
+                    factored = factored.min(first);
+                }
+                passive.retain(|&p| {
+                    let keep = a[p] > 1e-14;
+                    if !keep {
+                        a[p] = 0.0;
+                    }
+                    keep
+                });
             }
         }
     }
-    Err(LinAlgError::NoConvergence {
-        iterations: NNLS_MAX_ITER,
-    })
 }
 
 /// Non-negativity constrained least squares (`aᵢ ≥ 0`).
 pub fn nnls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
-    check_dims(u, x)?;
-    let gram = u.matmul(&u.transpose())?;
-    let c = u.matvec(x)?;
-    let a = nnls_gram(&gram, &c)?;
-    let r = residual_sq(u, x, &a);
-    Ok(Unmixing {
-        abundances: a,
-        residual_sq: r,
-    })
+    FclsProblem::with_delta(u.clone(), 0.0)?.solve(x)
 }
 
 /// Fully constrained least squares (`aᵢ ≥ 0`, `Σ aᵢ = 1`) via the
@@ -276,14 +379,11 @@ impl FclsProblem {
     /// Unmixes one pixel, returning abundances and the unaugmented
     /// squared residual.
     pub fn solve(&self, x: &[f64]) -> Result<Unmixing> {
-        check_dims(&self.u, x)?;
-        let ux = self.u.matvec(x)?;
-        let c: Vec<f64> = ux.iter().map(|v| v + self.delta * self.delta).collect();
-        let a = nnls_gram(&self.gram_aug, &c)?;
-        let r = residual_sq(&self.u, x, &a);
+        let mut ws = FclsWorkspace::new();
+        let residual_sq = self.solve_in(x, &mut ws)?;
         Ok(Unmixing {
-            abundances: a,
-            residual_sq: r,
+            abundances: ws.abundances,
+            residual_sq,
         })
     }
 
@@ -292,31 +392,34 @@ impl FclsProblem {
         let wide: Vec<f64> = x.iter().map(|&v| v as f64).collect();
         self.solve(&wide)
     }
+
+    /// [`FclsProblem::solve`] inside a caller-owned workspace — the form
+    /// for per-pixel loops. Returns the unaugmented squared residual; the
+    /// abundances are [`FclsWorkspace::abundances`]. Same bits as `solve`.
+    pub fn solve_in(&self, x: &[f64], ws: &mut FclsWorkspace) -> Result<f64> {
+        check_dims(&self.u, x)?;
+        let offset = self.delta * self.delta;
+        ws.corr.clear();
+        ws.corr
+            .extend((0..self.u.rows()).map(|i| dot(self.u.row(i), x) + offset));
+        ws.nnls(&self.gram_aug)?;
+        Ok(residual_sq_in(&self.u, x, &ws.abundances, &mut ws.resid))
+    }
+
+    /// [`FclsProblem::solve_f32`] inside a caller-owned workspace.
+    pub fn solve_f32_in(&self, x: &[f32], ws: &mut FclsWorkspace) -> Result<f64> {
+        let mut wide = std::mem::take(&mut ws.wide);
+        wide.clear();
+        wide.extend(x.iter().map(|&v| v as f64));
+        let result = self.solve_in(&wide, ws);
+        ws.wide = wide;
+        result
+    }
 }
 
 /// [`fcls`] with an explicit constraint weight `δ` (exposed for ablation).
 pub fn fcls_with_delta(u: &Matrix, x: &[f64], delta: f64) -> Result<Unmixing> {
-    check_dims(u, x)?;
-    let t = u.rows();
-    let n = u.cols();
-    // Augmented design: each endmember row gains a trailing δ; the pixel
-    // gains a trailing δ. Gram/correlation computed directly to avoid
-    // materialising the augmented matrix.
-    let mut gram = u.matmul(&u.transpose())?;
-    for i in 0..t {
-        for j in 0..t {
-            gram[(i, j)] += delta * delta;
-        }
-    }
-    let ux = u.matvec(x)?;
-    let c: Vec<f64> = ux.iter().map(|v| v + delta * delta).collect();
-    debug_assert_eq!(x.len(), n);
-    let a = nnls_gram(&gram, &c)?;
-    let r = residual_sq(u, x, &a);
-    Ok(Unmixing {
-        abundances: a,
-        residual_sq: r,
-    })
+    FclsProblem::with_delta(u.clone(), delta)?.solve(x)
 }
 
 #[cfg(test)]
@@ -457,6 +560,82 @@ mod tests {
         let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
         let r = prob.solve_f32(&x32).unwrap();
         assert!((r.abundances[0] - 0.3).abs() < 1e-3);
+    }
+
+    #[test]
+    fn workspace_reuse_across_problem_sizes_keeps_bits() {
+        let big = Matrix::from_rows(&[
+            &[1.0, 0.0, 0.0, 0.2],
+            &[0.0, 1.0, 0.0, 0.2],
+            &[0.0, 0.0, 1.0, 0.2],
+        ]);
+        let x = [0.2, 0.5, 0.3, 0.2];
+        let mut ws = FclsWorkspace::new();
+        let p3 = FclsProblem::new(big).unwrap();
+        let r3 = p3.solve_in(&x, &mut ws).unwrap();
+        assert_eq!(r3.to_bits(), p3.solve(&x).unwrap().residual_sq.to_bits());
+        // A smaller problem over more bands, in the same workspace.
+        let u = endmembers();
+        let p2 = FclsProblem::new(u.clone()).unwrap();
+        let y = mix(&u, &[0.3, 0.7]);
+        let r2 = p2.solve_in(&y, &mut ws).unwrap();
+        let scratch = p2.solve(&y).unwrap();
+        assert_eq!(r2.to_bits(), scratch.residual_sq.to_bits());
+        assert_eq!(ws.abundances(), &scratch.abundances[..]);
+    }
+
+    /// Endmember sets with near-copies of each other make the passive
+    /// sub-Gram nearly singular: a variable whose gradient is honestly
+    /// positive can still come out of the solve non-positive. Without
+    /// Lawson–Hanson's guard each of these sets has mixtures that cycle
+    /// to the budget.
+    #[test]
+    fn fcls_converges_on_nearly_dependent_endmembers() {
+        fn lcg(state: &mut u64) -> f64 {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((*state >> 33) as f64) / (u32::MAX as f64 / 2.0)
+        }
+        for case in [12u64, 40, 45, 48, 60, 76, 97, 101] {
+            let mut state = case * 7919 + 13;
+            let n = 6 + (case % 5) as usize * 2;
+            let t = 3 + (case % 7) as usize;
+            let eps = [1e-3, 1e-4, 1e-5, 1e-6][(case % 4) as usize];
+            let base: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..n).map(|_| 0.1 + lcg(&mut state)).collect())
+                .collect();
+            // Row i is base[i % 3] nudged by ~eps · (i / 3).
+            let rows: Vec<Vec<f64>> = (0..t)
+                .map(|i| {
+                    base[i % 3]
+                        .iter()
+                        .map(|v| v + eps * (i / 3) as f64 * lcg(&mut state))
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+            let problem = FclsProblem::new(Matrix::from_rows(&refs)).unwrap();
+            let mut ws = FclsWorkspace::new();
+            for q in 0..t {
+                for r in 0..t {
+                    let x: Vec<f64> = rows[q]
+                        .iter()
+                        .zip(&rows[r])
+                        .map(|(a, b)| 0.5 * (a + b))
+                        .collect();
+                    let residual = problem
+                        .solve_in(&x, &mut ws)
+                        .unwrap_or_else(|e| panic!("case {case}, rows {q}+{r}: {e}"));
+                    // In the simplex, so zero in exact arithmetic; the
+                    // gradient resolves only to ~ε·δ² along the near-null
+                    // directions of such a set.
+                    assert!(residual < 1e-8, "case {case}, rows {q}+{r}: {residual:e}");
+                    assert!(ws.abundances().iter().all(|&a| a >= 0.0));
+                    assert!((ws.abundances().iter().sum::<f64>() - 1.0).abs() < 1e-6);
+                }
+            }
+        }
     }
 
     #[test]

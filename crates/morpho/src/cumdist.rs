@@ -58,11 +58,23 @@ pub fn clamped(
 
 /// `D_B` at one pixel.
 pub fn cumdist_at(cube: &HyperCube, se: &StructuringElement, line: usize, sample: usize) -> f64 {
-    let center = cube.pixel(line, sample);
+    cumdist_at_of(cube, &|l, s| cube.pixel(l, s), se, line, sample)
+}
+
+/// `D_B` at one pixel of the image that has `shape`'s dimensions and the
+/// spectra `pixel` hands out.
+fn cumdist_at_of<'a>(
+    shape: &HyperCube,
+    pixel: &impl Fn(usize, usize) -> &'a [f32],
+    se: &StructuringElement,
+    line: usize,
+    sample: usize,
+) -> f64 {
+    let center = pixel(line, sample);
     let mut sum = 0.0;
     for &(dl, ds) in se.offsets() {
-        let (l, s) = clamped(cube, line, sample, dl, ds);
-        sum += sad(center, cube.pixel(l, s));
+        let (l, s) = clamped(shape, line, sample, dl, ds);
+        sum += sad(center, pixel(l, s));
     }
     sum
 }
@@ -75,9 +87,20 @@ pub fn cumdist_at(cube: &HyperCube, se: &StructuringElement, line: usize, sample
 /// concatenated in line order, so the map is bit-identical to a
 /// sequential scan for any thread count.
 pub fn cumdist_map(cube: &HyperCube, se: &StructuringElement) -> Vec<f64> {
-    par_lines_flat_map(cube.lines(), |line, part| {
-        for sample in 0..cube.samples() {
-            part.push(cumdist_at(cube, se, line, sample));
+    cumdist_map_of(cube, |l, s| cube.pixel(l, s), se)
+}
+
+/// [`cumdist_map`] of an image given by `shape`'s dimensions and a pixel
+/// lookup, so a caller whose image is a rearrangement of a cube's pixels
+/// (MEI's propagated cube) need not materialise it.
+pub(crate) fn cumdist_map_of<'a>(
+    shape: &HyperCube,
+    pixel: impl Fn(usize, usize) -> &'a [f32] + Sync,
+    se: &StructuringElement,
+) -> Vec<f64> {
+    par_lines_flat_map(shape.lines(), |line, part| {
+        for sample in 0..shape.samples() {
+            part.push(cumdist_at_of(shape, &pixel, se, line, sample));
         }
     })
 }

@@ -7,7 +7,8 @@
 //! 2. at every pixel, let `e = (F ⊖ B)(x,y)` and `d = (F ⊕ B)(x,y)` (the
 //!    most pure and most mixed neighbourhood representatives) and update
 //!    `MEI(x,y) ← max(MEI(x,y), SAD(F(e), F(d)))`,
-//! 3. propagate: `F ← F ⊕ B`.
+//! 3. propagate: `F ← F ⊕ B` (held as a coordinate map into the input,
+//!    since a dilation only moves pixels around).
 //!
 //! Following Plaza et al.'s AMEE formulation (the algorithm this paper's
 //! MORPH classifier builds on), the score is credited to the
@@ -19,8 +20,8 @@
 //! neighbourhood by the SE radius). Pixels in uniform neighbourhoods
 //! keep `MEI ≈ 0`.
 
-use crate::cumdist::cumdist_map;
-use crate::ops::{apply_selection, select_with_map, Extremum};
+use crate::cumdist::cumdist_map_of;
+use crate::ops::{select_with_map, Extremum};
 use crate::se::StructuringElement;
 use hsi_cube::metrics::sad;
 use hsi_cube::HyperCube;
@@ -82,17 +83,26 @@ pub fn mei(cube: &HyperCube, se: &StructuringElement, iterations: usize) -> MeiR
     assert!(iterations > 0, "mei: need at least one iteration");
     let (lines, samples) = (cube.lines(), cube.samples());
     let mut scores = vec![0.0f64; cube.num_pixels()];
-    let mut current = cube.clone();
+    // Dilation only ever copies pixels, so the propagated cube `F` is the
+    // input seen through a coordinate map, `F(x,y) = cube(origin[x,y])`:
+    // no iteration allocates anything cube-sized.
+    let mut origin: Vec<(usize, usize)> = (0..lines)
+        .flat_map(|line| (0..samples).map(move |sample| (line, sample)))
+        .collect();
 
     for it in 0..iterations {
-        let dist = cumdist_map(&current, se);
-        let ero = select_with_map(&current, se, &dist, Extremum::Min);
-        let dil = select_with_map(&current, se, &dist, Extremum::Max);
+        let current = |line: usize, sample: usize| {
+            let (l, s) = origin[line * samples + sample];
+            cube.pixel(l, s)
+        };
+        let dist = cumdist_map_of(cube, current, se);
+        let ero = select_with_map(cube, se, &dist, Extremum::Min);
+        let dil = select_with_map(cube, se, &dist, Extremum::Max);
         for line in 0..lines {
             for sample in 0..samples {
                 let (el, es) = ero.at(line, sample);
                 let (dl, ds) = dil.at(line, sample);
-                let v = sad(current.pixel(el, es), current.pixel(dl, ds));
+                let v = sad(current(el, es), current(dl, ds));
                 // Credit the score to the pure (dilation-selected) pixel.
                 let slot = &mut scores[dl * samples + ds];
                 if v > *slot {
@@ -102,7 +112,11 @@ pub fn mei(cube: &HyperCube, se: &StructuringElement, iterations: usize) -> MeiR
         }
         // Propagate for the next scale (skip the final, unused dilation).
         if it + 1 < iterations {
-            current = apply_selection(&current, &dil);
+            origin = dil
+                .coords
+                .iter()
+                .map(|&(l, s)| origin[l * samples + s])
+                .collect();
         }
     }
     MeiResult {
@@ -188,6 +202,50 @@ mod tests {
         let c = HyperCube::from_vec(2, 2, 2, vec![0.1; 8]);
         let r = mei(&c, &StructuringElement::square(1), 1);
         assert_eq!(r.top_k(10).len(), 4);
+    }
+
+    #[test]
+    fn coordinate_map_equals_materialised_propagation() {
+        use crate::cumdist::cumdist_map;
+        use crate::ops::apply_selection;
+        // Textured cube (an LCG), so selections differ pixel to pixel.
+        let (lines, samples, bands) = (9, 6, 5);
+        let mut state = 12345u32;
+        let data = (0..lines * samples * bands)
+            .map(|_| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                0.05 + (state >> 8) as f32 / (1 << 24) as f32
+            })
+            .collect();
+        let cube = HyperCube::from_vec(lines, samples, bands, data);
+        let se = StructuringElement::square(1);
+        let iterations = 4;
+
+        // The definition, with `F ← F ⊕ B` built as a cube each round.
+        let mut scores = vec![0.0f64; cube.num_pixels()];
+        let mut current = cube.clone();
+        for _ in 0..iterations {
+            let dist = cumdist_map(&current, &se);
+            let ero = select_with_map(&current, &se, &dist, Extremum::Min);
+            let dil = select_with_map(&current, &se, &dist, Extremum::Max);
+            for line in 0..lines {
+                for sample in 0..samples {
+                    let (el, es) = ero.at(line, sample);
+                    let (dl, ds) = dil.at(line, sample);
+                    let v = sad(current.pixel(el, es), current.pixel(dl, ds));
+                    let slot = &mut scores[dl * samples + ds];
+                    if v > *slot {
+                        *slot = v;
+                    }
+                }
+            }
+            current = apply_selection(&current, &dil);
+        }
+
+        let got = mei(&cube, &se, iterations);
+        assert!(got.scores.iter().any(|&v| v > 0.0));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.scores), bits(&scores));
     }
 
     #[test]

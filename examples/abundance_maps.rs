@@ -11,7 +11,7 @@
 //! ```
 
 use heterospec::cube::synth::{wtc_scene, WtcConfig};
-use heterospec::linalg::lstsq::FclsProblem;
+use heterospec::linalg::lstsq::{FclsProblem, FclsWorkspace};
 use heterospec::linalg::Matrix;
 
 fn main() {
@@ -32,15 +32,18 @@ fn main() {
     let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
     let problem = FclsProblem::new(Matrix::from_rows(&refs)).expect("endmembers");
 
-    // Unmix everything once.
+    // Unmix everything once, in one reused workspace (no allocation per
+    // pixel — the way the UFCLS kernel runs it).
     let mut abundances = vec![vec![0.0f64; cube.num_pixels()]; scene.class_names.len()];
     let mut residual = vec![0.0f64; cube.num_pixels()];
+    let mut ws = FclsWorkspace::new();
     for i in 0..cube.num_pixels() {
-        let r = problem.solve_f32(cube.pixel_flat(i)).expect("fcls");
-        for (class, &a) in r.abundances.iter().enumerate() {
+        residual[i] = problem
+            .solve_f32_in(cube.pixel_flat(i), &mut ws)
+            .expect("fcls");
+        for (class, &a) in ws.abundances().iter().enumerate() {
             abundances[class][i] = a;
         }
-        residual[i] = r.residual_sq;
     }
 
     let ramp: &[u8] = b" .:-=+*#%@";

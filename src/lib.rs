@@ -8,7 +8,7 @@
 //! This umbrella crate re-exports the five member crates:
 //!
 //! * [`linalg`] (`hsi-linalg`) — dense linear algebra: LU, Cholesky,
-//!   Jacobi eigen, Gram–Schmidt/OSP projection, LS/SCLS/NNLS/FCLS
+//!   Householder–QL eigen, Gram–Schmidt/OSP projection, LS/SCLS/NNLS/FCLS
 //!   unmixing, mergeable covariance accumulators.
 //! * [`cube`] (`hsi-cube`) — the hyperspectral image substrate: BIP
 //!   cubes, spectral metrics (SAD/SID), the synthetic AVIRIS-like WTC
