@@ -107,8 +107,9 @@ impl Default for FtOptions {
     }
 }
 
-/// Structured rejection of a fault-tolerant run that can never
-/// complete, detected before the engine spins up any rank.
+/// Why a fault-tolerant run produced no output: rejected before the
+/// engine spun up any rank (the first two variants), or abandoned
+/// mid-run once nothing was left to compute on (the last two).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FtError {
     /// The fault plan crashes rank 0 — the coordinator. The ft
@@ -125,6 +126,22 @@ pub enum FtError {
         /// Processors in the platform.
         num_procs: usize,
     },
+    /// The master observed the failure marker of its last surviving
+    /// worker with work still outstanding: no rank is left to compute
+    /// the remaining lines.
+    AllWorkersLost {
+        /// Round in which the last worker was lost.
+        round: usize,
+        /// Every rank failure of the run, as the engine reported them.
+        failures: Vec<RankFailure>,
+    },
+    /// Rank 0 left the run without an output although no coordinator
+    /// crash was scheduled (it was unwound by a panic or a lost peer —
+    /// see the rank-0 entry of `failures`).
+    MasterFailed {
+        /// Every rank failure of the run, as the engine reported them.
+        failures: Vec<RankFailure>,
+    },
 }
 
 impl std::fmt::Display for FtError {
@@ -139,6 +156,13 @@ impl std::fmt::Display for FtError {
                 f,
                 "ft: need a master and at least one worker (platform has {num_procs} processor(s))"
             ),
+            FtError::AllWorkersLost { round, failures } => write!(
+                f,
+                "ft: all workers lost in round {round} (failures: {failures:?})"
+            ),
+            FtError::MasterFailed { failures } => {
+                write!(f, "ft: master produced no result (failures: {failures:?})")
+            }
         }
     }
 }
@@ -278,11 +302,10 @@ enum Mode {
 /// orphaned lines over the survivors when a worker is lost.
 ///
 /// # Panics
-/// Panics with the [`FtError`] message if the run is structurally
-/// doomed (fewer than two processors, or the fault plan crashes the
-/// rank-0 coordinator — detected at startup, before any rank spins up);
-/// use [`try_run_replan`] for the structured error. Also panics if
-/// every worker is lost mid-run.
+/// Panics with the [`FtError`] message if the run cannot produce an
+/// output: fewer than two processors or a scheduled rank-0 crash
+/// (detected at startup, before any rank spins up), or every worker
+/// lost mid-run. Use [`try_run_replan`] for the structured error.
 pub fn run_replan<A>(engine: &Engine, algo: &A, opts: &FtOptions) -> FtRun<A::Output>
 where
     A: ChunkedAlgo + Sync,
@@ -294,9 +317,10 @@ where
     }
 }
 
-/// Fallible form of [`run_replan`]: rejects structurally doomed runs
-/// (coordinator crash scheduled, too few ranks) with a structured
-/// [`FtError`] before the engine starts.
+/// Fallible form of [`run_replan`]: structurally doomed runs
+/// (coordinator crash scheduled, too few ranks) are rejected before the
+/// engine starts, and a run that loses every worker ends with
+/// [`FtError::AllWorkersLost`] — never a panic.
 pub fn try_run_replan<A>(
     engine: &Engine,
     algo: &A,
@@ -317,11 +341,10 @@ where
 /// not (asserted by the `fault_injection` suite).
 ///
 /// # Panics
-/// Panics with the [`FtError`] message if the run is structurally
-/// doomed (fewer than two processors, or the fault plan crashes the
-/// rank-0 coordinator — detected at startup, before any rank spins up);
-/// use [`try_run_self_sched`] for the structured error. Also panics if
-/// every worker is lost mid-run.
+/// Panics with the [`FtError`] message if the run cannot produce an
+/// output: fewer than two processors or a scheduled rank-0 crash
+/// (detected at startup, before any rank spins up), or every worker
+/// lost mid-run. Use [`try_run_self_sched`] for the structured error.
 pub fn run_self_sched<A>(engine: &Engine, algo: &A, opts: &FtOptions) -> FtRun<A::Output>
 where
     A: ChunkedAlgo + Sync,
@@ -333,9 +356,10 @@ where
     }
 }
 
-/// Fallible form of [`run_self_sched`]: rejects structurally doomed
-/// runs (coordinator crash scheduled, too few ranks) with a structured
-/// [`FtError`] before the engine starts.
+/// Fallible form of [`run_self_sched`]: structurally doomed runs
+/// (coordinator crash scheduled, too few ranks) are rejected before the
+/// engine starts, and a run that loses every worker ends with
+/// [`FtError::AllWorkersLost`] — never a panic.
 pub fn try_run_self_sched<A>(
     engine: &Engine,
     algo: &A,
@@ -379,17 +403,20 @@ where
             }
         })
         .into_root();
-    let (output, recoveries) = root.unwrap_or_else(|| {
-        panic!(
-            "ft: master produced no result (failures: {:?})",
-            report.failures
-        )
-    });
-    Ok(FtRun {
-        output,
-        recoveries,
-        report,
-    })
+    match root {
+        Some(Ok((output, recoveries))) => Ok(FtRun {
+            output,
+            recoveries,
+            report,
+        }),
+        Some(Err(AllWorkersLost { round })) => Err(FtError::AllWorkersLost {
+            round,
+            failures: report.failures,
+        }),
+        None => Err(FtError::MasterFailed {
+            failures: report.failures,
+        }),
+    }
 }
 
 /// Worker side of both recovery modes and both state-distribution
@@ -574,6 +601,16 @@ impl Roster {
         ctx.mark_recovery(f.at, f.rank);
     }
 
+    /// `Err` once the view holds the master alone, i.e. nobody is left
+    /// to take the lines `round` still owes.
+    fn ensure_workers(&self, round: usize) -> Result<(), AllWorkersLost> {
+        if self.view.num_survivors() > 1 {
+            Ok(())
+        } else {
+            Err(AllWorkersLost { round })
+        }
+    }
+
     /// Sends worker `w` the order for lines `[first, first + n)` and
     /// returns the order's id.
     fn assign<S, P>(
@@ -603,7 +640,15 @@ impl Roster {
     }
 }
 
-/// Splits lines `[first, first + n)` over the surviving `workers` in
+/// The master's verdict that no worker survives to take the lines still
+/// outstanding in `round`; [`run_mode`] pairs it with the engine's
+/// failure list as [`FtError::AllWorkersLost`].
+struct AllWorkersLost {
+    round: usize,
+}
+
+/// Splits lines `[first, first + n)` over the surviving `workers`
+/// (non-empty — callers go through [`Roster::ensure_workers`]) in
 /// proportion to speed; returns `(first, n, worker)` slices.
 fn split_lines(
     first: usize,
@@ -611,7 +656,6 @@ fn split_lines(
     workers: &[usize],
     speeds: &[f64],
 ) -> Vec<(usize, usize, usize)> {
-    assert!(!workers.is_empty(), "ft: all workers lost");
     let total: f64 = workers.iter().map(|&w| speeds[w]).sum();
     let fractions: Vec<f64> = workers.iter().map(|&w| speeds[w] / total).collect();
     let rows = apportion_rows(&fractions, n);
@@ -750,13 +794,15 @@ fn start_round_tree<S, P>(
 /// state (linear fan-out or survivor tree, per
 /// [`FtOptions::collectives`]), run the mode's dispatch/collect policy
 /// to a full set of partials, fold them in line order; finally release
-/// the workers.
+/// the workers. Gives up — with every worker already dead, so nobody is
+/// left waiting on rank 0 — as soon as a round has lines outstanding and
+/// no survivor to take them.
 fn master<A: ChunkedAlgo>(
     ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
     algo: &A,
     opts: &FtOptions,
     mode: Mode,
-) -> (A::Output, Vec<Recovery>) {
+) -> Result<(A::Output, Vec<Recovery>), AllWorkersLost> {
     let p = ctx.num_ranks();
     let mut roster = Roster {
         view: Membership::new(p),
@@ -786,7 +832,7 @@ fn master<A: ChunkedAlgo>(
         let mut partials = match mode {
             Mode::Replan => collect_replan(ctx, algo, opts, &mut roster, round),
             Mode::SelfSched => collect_self_sched(ctx, algo, opts, &mut roster, round),
-        };
+        }?;
         partials.sort_by_key(|&(first, _)| first);
         let (next, mflops) = algo.reduce(round, state, partials);
         ctx.compute_seq(mflops);
@@ -797,7 +843,7 @@ fn master<A: ChunkedAlgo>(
         // Dead workers drop the message silently.
         ctx.send(w, FtMsg::Finish);
     }
-    (algo.finish(state), roster.recoveries)
+    Ok((algo.finish(state), roster.recoveries))
 }
 
 /// A dispatched batch of the re-planning master.
@@ -825,7 +871,7 @@ fn collect_replan<A: ChunkedAlgo>(
     opts: &FtOptions,
     roster: &mut Roster,
     round: usize,
-) -> Vec<(usize, A::Partial)> {
+) -> Result<Vec<(usize, A::Partial)>, AllWorkersLost> {
     let p = ctx.num_ranks();
     // Per-round *effective* speeds: with offloading enabled a
     // device-bearing node is proportionally faster for this round's
@@ -873,6 +919,7 @@ fn collect_replan<A: ChunkedAlgo>(
             done: false,
         });
     };
+    roster.ensure_workers(round)?;
     for (first, n, w) in split_lines(0, algo.lines(), &roster.workers(), &speeds) {
         dispatch(ctx, roster, &mut batches, &mut ready_at, first, n, w);
     }
@@ -923,6 +970,7 @@ fn collect_replan<A: ChunkedAlgo>(
                     })
                     .collect();
                 roster.lose(ctx, &f, round, orphans.iter().map(|&(_, n)| n).sum());
+                roster.ensure_workers(round)?;
                 let survivors = roster.workers();
                 for (of, on) in orphans {
                     for (nf, nn, nw) in split_lines(of, on, &survivors, &speeds) {
@@ -932,7 +980,7 @@ fn collect_replan<A: ChunkedAlgo>(
             }
         }
     }
-    partials
+    Ok(partials)
 }
 
 /// One round of the self-scheduling policy: the fixed chunk grid is
@@ -944,7 +992,7 @@ fn collect_self_sched<A: ChunkedAlgo>(
     opts: &FtOptions,
     roster: &mut Roster,
     round: usize,
-) -> Vec<(usize, A::Partial)> {
+) -> Result<Vec<(usize, A::Partial)>, AllWorkersLost> {
     let p = ctx.num_ranks();
     let chunk = opts.chunk_lines.max(1);
     // The FIXED chunk grid: output does not depend on which worker
@@ -962,10 +1010,7 @@ fn collect_self_sched<A: ChunkedAlgo>(
     let mut partials: Vec<(usize, A::Partial)> = Vec::new();
 
     while done < total_chunks {
-        assert!(
-            roster.view.num_survivors() > 1,
-            "ft: all workers lost in round {round}"
-        );
+        roster.ensure_workers(round)?;
         // Hand every free surviving worker the next queued chunk.
         for (w, slot) in outstanding.iter_mut().enumerate().skip(1) {
             if roster.view.is_alive(w) && slot.is_none() {
@@ -1016,7 +1061,7 @@ fn collect_self_sched<A: ChunkedAlgo>(
             ctx.wait_until(ctx.elapsed() + opts.poll_interval_s);
         }
     }
-    partials
+    Ok(partials)
 }
 
 #[cfg(test)]

@@ -29,12 +29,16 @@
 //! Virtual-time costs are charged from the analytic per-kernel megaflop
 //! formulas in [`flops`]; see DESIGN.md for the fidelity argument.
 //!
-//! Fault tolerance (the paper's §5 "future perspectives") lives in two
-//! modules: [`sched`] generalises chunked self-scheduling behind the
-//! [`sched::ChunkedAlgo`] trait for all four algorithms, and [`ft`]
-//! provides fault-tolerant master/worker drivers — static WEA partitions
-//! with re-planning on worker loss, and chunked self-scheduling with
-//! chunk re-queueing — over `simnet`'s deterministic fault plans.
+//! The paper's §5 "future perspectives" — fault tolerance and dynamic
+//! scheduling for nodes that do not deliver their nominal speed — live
+//! in two modules: [`sched`] cuts all four algorithms into rounds of
+//! line chunks behind the [`sched::ChunkedAlgo`] trait, and [`ft`]
+//! drives them master/worker — static WEA batches with re-planning on
+//! worker loss, or demand-driven chunk self-scheduling with chunk
+//! re-queueing — over `simnet`'s deterministic fault plans. Hidden load
+//! is one such plan (`FaultPlan::slowdown`): the static algorithms of
+//! [`par`] plan from nominal speeds and pay the true ones, the
+//! self-scheduler reroutes from completion feedback (ablation A4).
 //!
 //! Accelerator offload (the paper's "specialized hardware" outlook)
 //! lives in [`offload`]: per-chunk host-vs-device decisions
@@ -50,7 +54,6 @@
 
 pub mod config;
 pub mod digest;
-pub mod dynamic;
 pub mod eval;
 pub mod flops;
 pub mod framework;
@@ -70,4 +73,19 @@ pub use digest::OutputDigest;
 pub use framework::ParallelRun;
 pub use ft::{FtError, FtOptions, FtRun, Recovery};
 pub use offload::{ChunkCost, ChunkTarget, OffloadPolicy};
-pub use sched::{ChunkPolicy, ChunkedAlgo};
+pub use sched::ChunkedAlgo;
+
+#[cfg(test)]
+mod tests {
+    /// The workspace manifest builds this crate and the kernel crates
+    /// under it at `opt-level = 3` in the dev profile so tier-1 is fast.
+    /// That must never grow into a release profile: the suites rely on
+    /// debug assertions and overflow checks. (`cargo test --release`
+    /// trips this by design: `-- --skip dev_profile`.)
+    #[test]
+    fn dev_profile_keeps_debug_assertions_and_overflow_checks() {
+        use std::hint::black_box;
+        assert!(std::panic::catch_unwind(|| debug_assert!(black_box(false))).is_err());
+        assert!(std::panic::catch_unwind(|| black_box(u8::MAX) + black_box(1)).is_err());
+    }
+}

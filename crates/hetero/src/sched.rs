@@ -1,9 +1,5 @@
-//! Chunked work decomposition shared by every scheduler.
-//!
-//! PR 1 of the dynamic-scheduling work ([`crate::dynamic`]) hard-wired
-//! chunked self-scheduling to the MORPH classifier. The fault-tolerant
-//! drivers in [`crate::ft`] need the same decomposition for *all four*
-//! algorithms, so this module factors it behind one trait:
+//! Chunked work decomposition of the four algorithms, driven by the
+//! master/worker schedulers of [`crate::ft`]:
 //!
 //! * a [`ChunkedAlgo`] describes an algorithm as a sequence of
 //!   **rounds**; in every round the image lines are cut into chunks,
@@ -13,9 +9,7 @@
 //! * the four implementations — [`AtdcaChunks`], [`UfclsChunks`],
 //!   [`PctChunks`], [`MorphChunks`] — reuse the exact worker kernels of
 //!   [`crate::kernels`], so any chunk grid reproduces the partitioned
-//!   algorithms' analysis results;
-//! * [`ChunkPolicy`] (moved here from `dynamic`, which re-exports it)
-//!   sizes the chunks a demand-driven scheduler hands out.
+//!   algorithms' analysis results.
 //!
 //! **Determinism.** The argmax algorithms (ATDCA, UFCLS) produce the
 //! *same* output for every chunk grid: chunk winners are folded with the
@@ -43,34 +37,6 @@ use hsi_linalg::lstsq::FclsProblem;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
 use hsi_morpho::StructuringElement;
-
-/// How a demand-driven scheduler sizes its chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkPolicy {
-    /// Fixed chunk size in image lines.
-    Fixed(usize),
-    /// Guided self-scheduling (Polychronopoulos & Kuck): each grab takes
-    /// `ceil(remaining / P)` lines, floored at `min` — large chunks while
-    /// plenty remains (low overhead), small chunks near the end (good
-    /// balance).
-    Guided {
-        /// Smallest chunk the scheduler will hand out.
-        min: usize,
-    },
-}
-
-impl ChunkPolicy {
-    /// Lines of the next chunk given the remaining lines and the worker
-    /// count.
-    pub fn next_chunk(&self, remaining: usize, workers: usize) -> usize {
-        match *self {
-            ChunkPolicy::Fixed(n) => n.min(remaining),
-            ChunkPolicy::Guided { min } => {
-                remaining.div_ceil(workers.max(1)).max(min).min(remaining)
-            }
-        }
-    }
-}
 
 /// An algorithm decomposed into rounds of independent line chunks.
 ///
@@ -751,8 +717,7 @@ pub enum MorphPartial {
 /// MORPH (paper Algorithm 5) as a chunked algorithm, two rounds: MEI
 /// candidate nomination (each chunk is extracted with its halo, the
 /// paper's overlap border) and SAD labelling against the merged class
-/// representatives. [`crate::dynamic`]'s MORPH-only scheduler delegates
-/// its kernel work here.
+/// representatives.
 pub struct MorphChunks<'a> {
     cube: &'a HyperCube,
     params: &'a AlgoParams,
@@ -771,14 +736,9 @@ impl<'a> MorphChunks<'a> {
         }
     }
 
-    /// Halo lines each chunk is padded with on either side.
-    pub fn halo(&self) -> usize {
-        self.halo
-    }
-
     /// Runs MEI on chunk `[first, first + n)` (halo included in the
     /// computation) and returns scored candidate spectra.
-    pub fn candidates(&self, first: usize, n: usize) -> Vec<(Vec<f32>, f64)> {
+    fn candidates(&self, first: usize, n: usize) -> Vec<(Vec<f32>, f64)> {
         let (block, pre) = self.cube.extract_lines_with_overlap(first, n, self.halo);
         let (top, _) = kernels::mei_top(
             &block,
@@ -793,14 +753,7 @@ impl<'a> MorphChunks<'a> {
             .collect()
     }
 
-    /// SAD-labels chunk `[first, first + n)` against `reps`, writing
-    /// into `out` at global coordinates.
-    pub fn label_into(&self, first: usize, n: usize, reps: &[Vec<f32>], out: &mut LabelImage) {
-        for (i, &l) in self.label_chunk(first, n, reps).iter().enumerate() {
-            out.set(first + i / self.cube.samples(), i % self.cube.samples(), l);
-        }
-    }
-
+    /// SAD-labels chunk `[first, first + n)` against `reps`.
     fn label_chunk(&self, first: usize, n: usize, reps: &[Vec<f32>]) -> Vec<u16> {
         let block = self.cube.extract_lines(first, n);
         let (labels, _) = kernels::sad_label(&block, (0, n), reps);
@@ -1103,14 +1056,5 @@ mod tests {
         assert!(morph.chunk_bytes(0, 8).0 > morph.chunk_bytes(1, 8).0);
         // Pure in (round, n): two queries agree exactly.
         assert_eq!(morph.chunk_bytes(1, 13), morph.chunk_bytes(1, 13));
-    }
-
-    #[test]
-    fn chunk_policy_arithmetic() {
-        assert_eq!(ChunkPolicy::Fixed(8).next_chunk(100, 4), 8);
-        assert_eq!(ChunkPolicy::Fixed(8).next_chunk(5, 4), 5);
-        assert_eq!(ChunkPolicy::Guided { min: 2 }.next_chunk(100, 4), 25);
-        assert_eq!(ChunkPolicy::Guided { min: 2 }.next_chunk(5, 4), 2);
-        assert_eq!(ChunkPolicy::Guided { min: 2 }.next_chunk(1, 4), 1);
     }
 }

@@ -1,20 +1,29 @@
-//! Dynamic load balancing under surprise load — the paper's
-//! future-work direction, demonstrated.
+//! Dynamic load balancing under hidden load — the paper's future-work
+//! direction, demonstrated on the engine.
 //!
 //! A shared workstation rarely delivers its nominal speed. Here the
 //! nominally fastest node of the paper's heterogeneous network (p3) is
-//! secretly slowed by background load; static WEA keeps feeding it the
-//! largest partition, while chunked self-scheduling reroutes work from
-//! completion feedback alone.
+//! secretly slowed for the whole run — a `FaultPlan::slowdown`, the
+//! same mechanism every fault-injection test uses. Static WEA
+//! (`par::morph`, the paper's Algorithm 5) plans from nominal speeds and
+//! keeps feeding p3 the largest partition; chunked self-scheduling
+//! (`ft::run_self_sched`) reroutes work from completion feedback alone,
+//! at the price of real per-chunk messages.
 //!
 //! ```text
 //! cargo run --release --example dynamic_balancing
 //! ```
 
 use heterospec::cube::synth::{wtc_scene, WtcConfig};
-use heterospec::hetero::config::AlgoParams;
-use heterospec::hetero::dynamic::{self_schedule_morph_policy, static_wea_morph, ChunkPolicy};
-use heterospec::simnet::presets;
+use heterospec::hetero::config::{AlgoParams, RunOptions};
+use heterospec::hetero::ft::{run_self_sched, FtOptions};
+use heterospec::hetero::par;
+use heterospec::hetero::sched::MorphChunks;
+use heterospec::simnet::engine::Engine;
+use heterospec::simnet::{presets, FaultPlan};
+
+/// The loaded node: rank 2 is p3, the smallest cycle-time of Table 1.
+const LOADED: usize = 2;
 
 fn main() {
     let scene = wtc_scene(WtcConfig {
@@ -28,65 +37,54 @@ fn main() {
         ..Default::default()
     };
     let platform = presets::fully_heterogeneous();
-    let nominal: Vec<f64> = platform.procs().iter().map(|p| p.cycle_time).collect();
+    let chunks = MorphChunks::new(&scene.cube, &params);
+    let opts = FtOptions::default();
+    let loaded = |factor: f64| {
+        Engine::new(platform.clone())
+            .with_faults(FaultPlan::new().slowdown(LOADED, 0.0, 1e6, factor))
+            .with_profiling(true)
+    };
 
     println!("MORPH debris mapping on the 16-node heterogeneous network");
     println!("p3 (nominally the fastest node) is secretly slowed:\n");
     println!(
-        "{:>9} {:>12} {:>14} {:>14}",
-        "slowdown", "static WEA", "dyn fixed(8)", "dyn guided"
+        "{:>9} {:>12} {:>22}",
+        "slowdown",
+        "static WEA",
+        format!("self-sched (chunk {})", opts.chunk_lines)
     );
     for slowdown in [1.0, 2.0, 4.0, 8.0] {
-        let mut true_cycle = nominal.clone();
-        true_cycle[2] *= slowdown;
-        let stat = static_wea_morph(&platform, &true_cycle, &scene.cube, &params);
-        let fixed = self_schedule_morph_policy(
-            &platform,
-            &true_cycle,
-            &scene.cube,
-            &params,
-            ChunkPolicy::Fixed(8),
-            2.0e-3,
-        );
-        let guided = self_schedule_morph_policy(
-            &platform,
-            &true_cycle,
-            &scene.cube,
-            &params,
-            ChunkPolicy::Guided { min: 2 },
-            2.0e-3,
-        );
+        let engine = loaded(slowdown);
+        let stat = par::morph::run(&engine, &scene.cube, &params, &RunOptions::hetero());
+        let dynm = run_self_sched(&engine, &chunks, &opts);
         println!(
-            "{:>8}x {:>10.2} s {:>12.2} s {:>12.2} s",
-            slowdown, stat.total_time, fixed.total_time, guided.total_time
+            "{:>8}x {:>10.2} s {:>20.2} s",
+            slowdown, stat.report.total_time, dynm.report.total_time
         );
     }
 
     // Show where the work actually went at 8x.
-    let mut true_cycle = nominal.clone();
-    true_cycle[2] *= 8.0;
-    let out = self_schedule_morph_policy(
-        &platform,
-        &true_cycle,
-        &scene.cube,
-        &params,
-        ChunkPolicy::Fixed(8),
-        2.0e-3,
+    let run = run_self_sched(&loaded(8.0), &chunks, &opts);
+    let profile = run.report.profile.as_ref().expect("profiling is on");
+    println!(
+        "\ncompute seconds per worker at 8x slowdown (self-scheduling, chunk = {} lines):",
+        opts.chunk_lines
     );
-    println!("\nchunks per node at 8x slowdown (self-scheduling, chunk = 8 lines):");
-    for (i, (&chunks, &busy)) in out.chunks.iter().zip(&out.busy).enumerate() {
-        let bar = "#".repeat(chunks);
+    for r in &profile.ranks[1..] {
+        let busy = r.phases.compute_par;
+        let bar = "#".repeat((busy / profile.makespan * 40.0).round() as usize);
         println!(
-            "  {:>4} (w={:.4}{}) {:>2} chunks, busy {:>5.2} s  {bar}",
-            platform.proc(i).name,
-            platform.proc(i).cycle_time,
-            if i == 2 { ", LOADED 8x" } else { "" },
-            chunks,
-            busy
+            "  {:>4} (w={:.4}{}) busy {:>5.2} s, queued on a serial link {:>5.2} s  {bar}",
+            platform.proc(r.rank).name,
+            platform.proc(r.rank).cycle_time,
+            if r.rank == LOADED { ", LOADED 8x" } else { "" },
+            busy,
+            r.phases.contention,
         );
     }
     println!(
-        "\ncompletion: {:.2} s, worker imbalance {:.2}",
-        out.total_time, out.imbalance
+        "\ncompletion: {:.2} s; the master (p1, coordinator only) is idle {:.1}% of it",
+        profile.makespan,
+        100.0 * profile.ranks[0].phases.idle / profile.makespan
     );
 }
