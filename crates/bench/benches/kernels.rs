@@ -1,6 +1,7 @@
 //! Criterion microbenches for the hot per-pixel kernels.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use hetero_hsi::kernels::{self, FclsCarry, ProjectionCarry};
 use hsi_cube::metrics::{brightness, euclidean, sad, sid};
 use hsi_cube::synth::{wtc_scene, WtcConfig};
 use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace};
@@ -79,6 +80,62 @@ fn bench_fcls(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two round kernels of a `t = 18` run on its last round, from
+/// scratch and with a carry that saw the 16 rounds before (cloned per
+/// iteration: 8 bytes a pixel for ATDCA, 8·16 for UFCLS).
+fn bench_carried_rounds(c: &mut Criterion) {
+    let scene = wtc_scene(WtcConfig {
+        lines: 32,
+        samples: 16,
+        bands: 224,
+        ..Default::default()
+    });
+    let cube = &scene.cube;
+    let whole = (0, cube.lines());
+    let wide = |i: usize| -> Vec<f64> {
+        cube.pixel_flat(i * 29 % cube.num_pixels())
+            .iter()
+            .map(|&v| v as f64)
+            .collect()
+    };
+
+    let mut basis = OrthoBasis::new(cube.bands());
+    let mut problem = FclsProblem::new(Matrix::row_vector(&wide(0))).unwrap();
+    basis.push(&wide(0));
+    for i in 1..16 {
+        basis.push(&wide(i));
+        problem.push(&wide(i)).unwrap();
+    }
+    let mut projected = ProjectionCarry::default();
+    let mut unmixed = FclsCarry::default();
+    kernels::max_projection_carried(cube, &basis, whole, &mut projected);
+    kernels::max_fcls_error_carried(cube, &problem, whole, &mut unmixed);
+    basis.push(&wide(16));
+    problem.push(&wide(16)).unwrap();
+    assert_eq!((basis.len(), problem.num_endmembers()), (17, 17));
+
+    let mut g = c.benchmark_group("max_projection");
+    g.bench_function("scratch_k17", |b| {
+        b.iter(|| kernels::max_projection(cube, black_box(&basis), whole))
+    });
+    g.bench_function("carried_k17", |b| {
+        b.iter(|| {
+            kernels::max_projection_carried(cube, black_box(&basis), whole, &mut projected.clone())
+        })
+    });
+    g.finish();
+    let mut g = c.benchmark_group("max_fcls_error");
+    g.bench_function("scratch_t17", |b| {
+        b.iter(|| kernels::max_fcls_error(cube, black_box(&problem), whole))
+    });
+    g.bench_function("carried_t17", |b| {
+        b.iter(|| {
+            kernels::max_fcls_error_carried(cube, black_box(&problem), whole, &mut unmixed.clone())
+        })
+    });
+    g.finish();
+}
+
 fn bench_mei(c: &mut Criterion) {
     let scene = wtc_scene(WtcConfig {
         lines: 32,
@@ -115,6 +172,7 @@ criterion_group!(
     bench_metrics,
     bench_projection,
     bench_fcls,
+    bench_carried_rounds,
     bench_mei,
     bench_covariance
 );

@@ -21,9 +21,12 @@
 //! * `HETEROSPEC_BENCH_OUT` — output path (default
 //!   `BENCH_kernels.json` in the current directory).
 
+use hetero_hsi::kernels::{self, FclsCarry, ProjectionCarry};
 use hsi_cube::synth::{wtc_scene, WtcConfig};
 use hsi_linalg::covariance::CovarianceAccumulator;
+use hsi_linalg::lstsq::FclsProblem;
 use hsi_linalg::ortho::OrthoBasis;
+use hsi_linalg::Matrix;
 use repro_bench::microjson::{object, Json};
 use repro_bench::write_report;
 use std::time::Instant;
@@ -190,6 +193,37 @@ fn main() {
         let a = seq_pool.install(|| hetero_hsi::kernels::max_projection(cube, &basis, full).0);
         let b = par_pool.install(|| hetero_hsi::kernels::max_projection(cube, &basis, full).0);
         assert_eq!(a, b, "max_projection kernel drifted across thread counts");
+        // Carried rounds: a system grown one vector a round scores, at
+        // either width, exactly as the from-scratch scan of that round.
+        let mut grown = OrthoBasis::new(cube.bands());
+        let mut projected = [ProjectionCarry::default(), ProjectionCarry::default()];
+        let mut unmixed = [FclsCarry::default(), FclsCarry::default()];
+        let signatures: Vec<Vec<f64>> = scene
+            .class_signatures
+            .iter()
+            .take(3)
+            .map(|sig| sig.iter().map(|&x| x as f64).collect())
+            .collect();
+        for round in 1..=signatures.len() {
+            grown.push(&signatures[round - 1]);
+            let rows: Vec<&[f64]> = signatures[..round].iter().map(Vec::as_slice).collect();
+            let problem = FclsProblem::new(Matrix::from_rows(&rows)).expect("endmembers");
+            let projection = seq_pool.install(|| kernels::max_projection(cube, &grown, full).0);
+            let error = seq_pool.install(|| kernels::max_fcls_error(cube, &problem, full).0);
+            for (i, pool) in [&seq_pool, &par_pool].into_iter().enumerate() {
+                let (p, u) = (&mut projected[i], &mut unmixed[i]);
+                assert_eq!(
+                    pool.install(|| kernels::max_projection_carried(cube, &grown, full, p).0),
+                    projection,
+                    "carried max_projection drifted from the from-scratch scan"
+                );
+                assert_eq!(
+                    pool.install(|| kernels::max_fcls_error_carried(cube, &problem, full, u).0),
+                    error,
+                    "carried max_fcls_error drifted from the from-scratch scan"
+                );
+            }
+        }
         records.push(KernelRecord {
             name: "argmax_projection",
             pixels,

@@ -433,14 +433,17 @@ fn worker_loop<A: ChunkedAlgo>(
     policy: OffloadPolicy,
 ) {
     let mut state: Option<Arc<A::State>> = None;
-    // Round-constant scratch: dropped by every round opener, rebuilt
-    // lazily on the round's first Assign and reused for its later chunks.
+    // Round scratch: marked stale by every round opener, brought up to
+    // date from its previous self on the round's first Assign and reused
+    // for its later chunks. It lives as long as the worker does, so what
+    // an algorithm carries in it from round to round dies with a crash.
     let mut scratch: Option<A::Scratch> = None;
+    let mut prepared = false;
     loop {
         match ctx.recv(0) {
             FtMsg::Round { state: s, .. } => {
                 state = Some(s);
-                scratch = None;
+                prepared = false;
             }
             FtMsg::RoundStart {
                 round,
@@ -449,7 +452,7 @@ fn worker_loop<A: ChunkedAlgo>(
                 algo: algorithm,
             } => {
                 state = Some(receive_tree_state(ctx, round, epoch, &survivors, algorithm));
-                scratch = None;
+                prepared = false;
             }
             FtMsg::Assign {
                 id,
@@ -460,7 +463,11 @@ fn worker_loop<A: ChunkedAlgo>(
                 let st = state.as_deref().expect("ft: Assign before any round");
                 let cost = ChunkCost::new(algo.chunk_mflops(round, n), algo.chunk_bytes(round, n));
                 offload::charge_chunk(ctx, policy, &cost);
-                let sc = scratch.get_or_insert_with(|| algo.prepare(round, st));
+                if !prepared {
+                    scratch = Some(algo.prepare(round, st, scratch.take()));
+                    prepared = true;
+                }
+                let sc = scratch.as_mut().expect("ft: prepared above");
                 let data = algo.run_chunk(round, st, sc, first, n);
                 let bits = algo.partial_bits(&data);
                 ctx.send(

@@ -18,6 +18,13 @@
 //! caller installed (one per simulated rank under `simnet::engine`).
 //! Wall-clock speed changes, **virtual time does not**: the returned
 //! megaflop counts are analytic in the scan size either way.
+//!
+//! ATDCA and UFCLS call their argmax kernel once per round against a
+//! system that grew by one vector, so the two kernels can **carry** each
+//! pixel's running sums from round to round ([`ProjectionCarry`],
+//! [`FclsCarry`]) and apply only the vectors a line has not seen. That
+//! too is host wall-clock only: the megaflops returned are the paper's
+//! full per-round re-projection whatever the carry saved.
 
 use crate::flops;
 use crate::msg::Candidate;
@@ -25,6 +32,7 @@ use hsi_cube::metrics::{brightness, sad};
 use hsi_cube::HyperCube;
 use hsi_linalg::covariance::CovarianceAccumulator;
 use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace};
+use hsi_linalg::matrix::dot;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
 use rayon::prelude::*;
@@ -51,6 +59,12 @@ fn chunk_count(range: (usize, usize)) -> usize {
     range.1.saturating_sub(range.0).div_ceil(PAR_CHUNK_LINES)
 }
 
+/// Number of pixels in lines `[lo, hi)` (0 for empty and inverted ranges).
+#[inline]
+fn range_pixels(cube: &HyperCube, range: (usize, usize)) -> usize {
+    range.1.saturating_sub(range.0) * cube.samples()
+}
+
 /// A scored pixel in **local** block coordinates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoredPixel {
@@ -75,33 +89,99 @@ impl ScoredPixel {
     }
 }
 
+/// One image line of a carry: `depth` vectors of the system are already
+/// folded into `sums` (empty until the line is first scanned).
+#[derive(Debug, Clone, Default)]
+struct LineCarry {
+    depth: usize,
+    sums: Vec<f64>,
+}
+
+/// What an argmax kernel keeps between the rounds of one run over one
+/// cube: per image line, the running sums of its pixels and how many
+/// vectors of the growing system they cover; and the vectors themselves,
+/// to tell whether the system it is handed next still starts with them.
+///
+/// Lines are indexed as the cube indexes them and allocate their sums on
+/// first touch, so a carry costs memory only for the lines its owner has
+/// scanned.
+#[derive(Debug, Clone, Default)]
+struct Carry {
+    seen: Vec<Vec<f64>>,
+    lines: Vec<LineCarry>,
+}
+
+impl Carry {
+    /// Reconciles the carry with the system `vector(0..k)` it is about to
+    /// be scanned against and returns the line states of `range`.
+    ///
+    /// The sums of a line at depth `d` are only meaningful for a system
+    /// whose first `d` vectors are, bit for bit, the ones they were
+    /// formed from. Every line that went deeper than the leading run this
+    /// system shares with the recorded one restarts from depth 0 —
+    /// correct against any system, merely slower.
+    fn lines_for<'v>(
+        &mut self,
+        k: usize,
+        vector: impl Fn(usize) -> &'v [f64],
+        range: (usize, usize),
+    ) -> &mut [LineCarry] {
+        let same_bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let shared = (0..k.min(self.seen.len()))
+            .take_while(|&i| same_bits(&self.seen[i], vector(i)))
+            .count();
+        if shared < self.seen.len() {
+            self.seen.truncate(shared);
+            for line in self.lines.iter_mut().filter(|l| l.depth > shared) {
+                *line = LineCarry::default();
+            }
+        }
+        self.seen.extend((shared..k).map(|i| vector(i).to_vec()));
+        let (lo, hi) = (range.0, range.1.max(range.0));
+        if self.lines.len() < hi {
+            self.lines.resize_with(hi, LineCarry::default);
+        }
+        &mut self.lines[lo..hi]
+    }
+}
+
 /// Chunk-parallel argmax over the pixels of a line range.
 ///
-/// `make_scorer` builds one (possibly stateful) scoring closure per
-/// chunk, so scorers may own scratch buffers without synchronisation.
+/// `lines` holds one caller-defined state per line of `range` (`()` for
+/// a stateless score); `make_scorer` builds one (possibly stateful)
+/// line-scoring closure per chunk, so scorers may own scratch buffers
+/// without synchronisation. A scorer is handed a line, that line's state
+/// and a buffer to fill with the line's scores, one per sample.
 /// Each chunk is scanned sequentially in row-major order keeping its
 /// first strict maximum; chunk winners are then folded **in chunk
 /// order**, replacing only on a strictly greater score. Both levels use
 /// the same strict `>`, so the overall winner is exactly the first
 /// row-major maximum — identical to a sequential scan for any worker
 /// count, including on duplicate scores.
-fn argmax_pixels<S>(
+fn argmax_pixels<L, S>(
     cube: &HyperCube,
     range: (usize, usize),
+    lines: &mut [L],
     make_scorer: impl Fn() -> S + Sync,
 ) -> Option<ScoredPixel>
 where
-    S: FnMut(&[f32]) -> f64,
+    L: Send,
+    S: FnMut(usize, &mut L, &mut [f64]),
 {
-    let bests: Vec<Option<ScoredPixel>> = (0..chunk_count(range))
-        .into_par_iter()
-        .map(|c| {
-            let (clo, chi) = chunk_bounds(range, c);
-            let mut score_fn = make_scorer();
+    debug_assert_eq!(lines.len(), range.1.saturating_sub(range.0));
+    let bests: Vec<Option<ScoredPixel>> = lines
+        .par_chunks_mut(PAR_CHUNK_LINES)
+        .enumerate()
+        .map(|(c, states)| {
+            let (clo, _) = chunk_bounds(range, c);
+            let mut score_line = make_scorer();
+            let mut scores = vec![0.0f64; cube.samples()];
             let mut best: Option<ScoredPixel> = None;
-            for line in clo..chi {
-                for sample in 0..cube.samples() {
-                    let s = score_fn(cube.pixel(line, sample));
+            for (line, state) in (clo..).zip(states) {
+                score_line(line, state, &mut scores);
+                for (sample, &s) in scores.iter().enumerate() {
                     let better = match &best {
                         None => true,
                         Some(b) => s > b.score,
@@ -135,10 +215,23 @@ where
 /// `[range.0, range.1)` of the block. Returns `None` on empty ranges.
 pub fn brightest(cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel>, f64) {
     let n = cube.bands();
-    let pixels = (range.1 - range.0) * cube.samples();
-    let result = argmax_pixels(cube, range, || brightness);
+    let pixels = range_pixels(cube, range);
+    let mut stateless = vec![(); range.1.saturating_sub(range.0)];
+    let result = argmax_pixels(cube, range, &mut stateless, || {
+        |line: usize, _: &mut (), scores: &mut [f64]| {
+            for (sample, score) in scores.iter_mut().enumerate() {
+                *score = brightness(cube.pixel(line, sample));
+            }
+        }
+    });
     (result, flops::mflop(flops::brightness(n) * pixels as f64))
 }
+
+/// Each pixel's running ATDCA residual `‖x‖² − Σᵢ (qᵢᵀx)²` (8 bytes a
+/// pixel), kept by [`max_projection_carried`] between the rounds of one
+/// run over one cube. `Default` is the empty carry.
+#[derive(Debug, Clone, Default)]
+pub struct ProjectionCarry(Carry);
 
 /// ATDCA step 4: the pixel maximising the orthogonal-projection score
 /// `(P_U^⊥ x)ᵀ(P_U^⊥ x)` against the current basis.
@@ -147,16 +240,52 @@ pub fn max_projection(
     basis: &OrthoBasis,
     range: (usize, usize),
 ) -> (Option<ScoredPixel>, f64) {
+    max_projection_carried(cube, basis, range, &mut ProjectionCarry::default())
+}
+
+/// [`max_projection`] for a caller that scans the same cube round after
+/// round against a basis that only grows: each line continues its
+/// pixels' residuals from the depth `carry` recorded, so a round that
+/// pushed one vector costs one dot per pixel instead of `basis.len()`.
+/// Scores are [`OrthoBasis::complement_score`]'s to the bit — the
+/// subtraction is the same left-to-right sum, resumed; the clamp is
+/// applied to the score, never to the carried sum. A carry that last saw
+/// a different basis restarts the lines it must.
+/// The megaflops returned are those of the full re-projection.
+pub fn max_projection_carried(
+    cube: &HyperCube,
+    basis: &OrthoBasis,
+    range: (usize, usize),
+    carry: &mut ProjectionCarry,
+) -> (Option<ScoredPixel>, f64) {
     let n = cube.bands();
     let k = basis.len();
-    let pixels = (range.1 - range.0) * cube.samples();
-    let result = argmax_pixels(cube, range, || {
-        let mut buf = vec![0.0f64; n];
-        move |px: &[f32]| {
-            for (b, &v) in buf.iter_mut().zip(px) {
-                *b = v as f64;
+    let pixels = range_pixels(cube, range);
+    let lines = carry.0.lines_for(k, |i| basis.vector(i), range);
+    let result = argmax_pixels(cube, range, lines, || {
+        let mut wide = vec![0.0f64; n];
+        move |line: usize, state: &mut LineCarry, scores: &mut [f64]| {
+            let fresh = state.sums.len() != scores.len();
+            if fresh {
+                state.sums.clear();
+                state.sums.resize(scores.len(), 0.0);
+                state.depth = 0;
             }
-            basis.complement_score(&buf)
+            if fresh || state.depth < k {
+                for (sample, sum) in state.sums.iter_mut().enumerate() {
+                    for (w, &v) in wide.iter_mut().zip(cube.pixel(line, sample)) {
+                        *w = v as f64;
+                    }
+                    if fresh {
+                        *sum = dot(&wide, &wide);
+                    }
+                    *sum = basis.residual_from(&wide, state.depth, *sum);
+                }
+                state.depth = k;
+            }
+            for (score, &sum) in scores.iter_mut().zip(&state.sums) {
+                *score = sum.max(0.0);
+            }
         }
     });
     (
@@ -164,6 +293,12 @@ pub fn max_projection(
         flops::mflop(flops::projection_score(n, k) * pixels as f64),
     )
 }
+
+/// Each pixel's dots with the endmembers, `uᵢᵀx` (8 bytes a pixel and
+/// endmember), kept by [`max_fcls_error_carried`] between the rounds of
+/// one run over one cube. `Default` is the empty carry.
+#[derive(Debug, Clone, Default)]
+pub struct FclsCarry(Carry);
 
 /// UFCLS steps 2–3: the pixel with the largest fully-constrained
 /// least-squares reconstruction error against the endmember set.
@@ -178,15 +313,50 @@ pub fn max_fcls_error(
     problem: &FclsProblem,
     range: (usize, usize),
 ) -> (Option<ScoredPixel>, f64) {
+    max_fcls_error_carried(cube, problem, range, &mut FclsCarry::default())
+}
+
+/// [`max_fcls_error`] for a caller that scans the same cube round after
+/// round against an endmember set that only grows: each line keeps its
+/// pixels' endmember dots (laid out endmember-major, so a round appends),
+/// and a round that pushed one endmember forms one new dot per pixel
+/// before the solve instead of all of them. Scores are
+/// [`FclsProblem::solve_f32_in`]'s to the bit. A carry that last saw a
+/// different set restarts the lines it must.
+/// The megaflops returned are those of the full unmixing.
+pub fn max_fcls_error_carried(
+    cube: &HyperCube,
+    problem: &FclsProblem,
+    range: (usize, usize),
+    carry: &mut FclsCarry,
+) -> (Option<ScoredPixel>, f64) {
     let n = cube.bands();
     let t = problem.num_endmembers();
-    let pixels = (range.1 - range.0) * cube.samples();
-    let result = argmax_pixels(cube, range, || {
+    let pixels = range_pixels(cube, range);
+    let lines = carry.0.lines_for(t, |i| problem.endmember(i), range);
+    let result = argmax_pixels(cube, range, lines, || {
         let mut ws = FclsWorkspace::new();
-        move |px: &[f32]| {
-            let solved = problem.solve_f32_in(px, &mut ws);
-            debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
-            solved.unwrap_or(f64::NEG_INFINITY)
+        let mut dots: Vec<f64> = Vec::with_capacity(t);
+        move |line: usize, state: &mut LineCarry, scores: &mut [f64]| {
+            let samples = scores.len();
+            if state.sums.len() != state.depth * samples {
+                state.depth = 0;
+            }
+            state.sums.resize(t * samples, 0.0);
+            for (sample, score) in scores.iter_mut().enumerate() {
+                dots.clear();
+                dots.extend((0..state.depth).map(|i| state.sums[i * samples + sample]));
+                let solved =
+                    problem.solve_f32_carried(cube.pixel(line, sample), &mut dots, &mut ws);
+                debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
+                *score = solved.unwrap_or(f64::NEG_INFINITY);
+                // Kept even when the solve fails: the active-set iteration
+                // runs after the dots are formed.
+                for (i, &d) in dots.iter().enumerate().skip(state.depth) {
+                    state.sums[i * samples + sample] = d;
+                }
+            }
+            state.depth = t;
         }
     });
     (result, flops::mflop(flops::fcls(n, t) * pixels as f64))
@@ -253,7 +423,6 @@ pub fn unique_set(
 /// experiment timings are unaffected — see `docs/PERF.md`.)
 pub fn covariance_partial(cube: &HyperCube, range: (usize, usize)) -> (CovarianceAccumulator, f64) {
     let n = cube.bands();
-    let (lo, hi) = range;
     let stride = cube.samples() * n;
     let partials: Vec<CovarianceAccumulator> = (0..chunk_count(range))
         .into_par_iter()
@@ -268,7 +437,7 @@ pub fn covariance_partial(cube: &HyperCube, range: (usize, usize)) -> (Covarianc
     for p in &partials {
         acc.merge(p).expect("covariance_partial: same dim");
     }
-    let pixels = hi.saturating_sub(lo) * cube.samples();
+    let pixels = range_pixels(cube, range);
     (
         acc,
         flops::mflop(flops::covariance_accumulate(n) * pixels as f64),
@@ -287,7 +456,6 @@ pub fn pct_label(
 ) -> (Vec<u16>, f64) {
     let n = cube.bands();
     let c = transform.rows();
-    let (lo, hi) = range;
     let mut reps32: Vec<Vec<f32>> = class_reps
         .iter()
         .map(|r| r.iter().map(|&v| v as f32).collect())
@@ -303,7 +471,7 @@ pub fn pct_label(
     // remainder), so no per-chunk Vec or final concat is needed. Each
     // chunk reuses its three scratch buffers across every pixel.
     let samples = cube.samples();
-    let pixels = (hi - lo) * samples;
+    let pixels = range_pixels(cube, range);
     let mut labels = vec![0u16; pixels];
     labels
         .par_chunks_mut((PAR_CHUNK_LINES * samples).max(1))
@@ -342,11 +510,10 @@ pub fn pct_label(
 /// spectrum (full spectral space).
 pub fn sad_label(cube: &HyperCube, range: (usize, usize), classes: &[Vec<f32>]) -> (Vec<u16>, f64) {
     let n = cube.bands();
-    let (lo, hi) = range;
     // Same in-place chunk-grid write as `pct_label`: one output buffer,
     // no per-chunk Vecs, no concat.
     let samples = cube.samples();
-    let pixels = (hi - lo) * samples;
+    let pixels = range_pixels(cube, range);
     let mut labels = vec![0u16; pixels];
     labels
         .par_chunks_mut((PAR_CHUNK_LINES * samples).max(1))
@@ -490,6 +657,34 @@ mod tests {
         assert!((10..20).contains(&best.line));
         let (none, _) = brightest(&s.cube, (5, 5));
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn empty_and_inverted_ranges_score_nothing_and_cost_nothing() {
+        let s = scene();
+        let cube = &s.cube;
+        let mut basis = OrthoBasis::new(cube.bands());
+        basis.push(
+            &cube
+                .pixel(0, 0)
+                .iter()
+                .map(|&v| v as f64)
+                .collect::<Vec<_>>(),
+        );
+        let problem = FclsProblem::new(Matrix::row_vector(basis.vector(0))).unwrap();
+        let transform = Matrix::zeros(2, cube.bands());
+        let mean = vec![0.0; cube.bands()];
+        for range in [(5, 5), (5, 3)] {
+            assert_eq!(brightest(cube, range), (None, 0.0));
+            assert_eq!(max_projection(cube, &basis, range), (None, 0.0));
+            assert_eq!(max_fcls_error(cube, &problem, range), (None, 0.0));
+            assert_eq!(covariance_partial(cube, range).1, 0.0);
+            assert_eq!(
+                pct_label(cube, range, &transform, &mean, &[]),
+                (vec![], 0.0)
+            );
+            assert_eq!(sad_label(cube, range, &s.class_signatures), (vec![], 0.0));
+        }
     }
 
     #[test]

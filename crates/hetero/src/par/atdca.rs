@@ -19,9 +19,9 @@ use crate::flops;
 use crate::framework::{
     distribute, plan_assignments, row_mbits, run_rooted, select_winner, ParallelRun,
 };
-use crate::kernels;
+use crate::kernels::{self, ProjectionCarry};
 use crate::par::empty_candidate;
-use crate::seq::DetectedTarget;
+use crate::seq::{spectrum_f64, DetectedTarget};
 use crate::wea::RowCost;
 use hsi_cube::HyperCube;
 use hsi_linalg::ortho::OrthoBasis;
@@ -57,6 +57,9 @@ pub fn run(
         let block = distribute(ctx, cube, &assignments, 0, options.scatter_mode);
         let n = block.cube.bands();
         let mut basis = OrthoBasis::new(n);
+        // Host-side only: this rank's pixels keep their running residuals
+        // between rounds; the charge below stays the full re-projection.
+        let mut carry = ProjectionCarry::default();
         let mut targets: Vec<DetectedTarget> = Vec::new();
         // Bytes a device stages to score this rank's partition: the
         // owned pixel block in, one candidate out.
@@ -72,7 +75,7 @@ pub fn run(
             let (cand, mflops) = if k == 0 {
                 kernels::brightest(&block.cube, block.own_range())
             } else {
-                kernels::max_projection(&block.cube, &basis, block.own_range())
+                kernels::max_projection_carried(&block.cube, &basis, block.own_range(), &mut carry)
             };
             let cost = crate::offload::ChunkCost::new(
                 mflops,
@@ -107,8 +110,7 @@ pub fn run(
 
             // All ranks grow their local orthonormal basis (host-side;
             // its flops were charged inside `select_winner`).
-            let wide: Vec<f64> = winner.spectrum.iter().map(|&v| v as f64).collect();
-            basis.push(&wide);
+            basis.push(&spectrum_f64(&winner.spectrum));
         }
         if ctx.is_root() {
             Some(targets)

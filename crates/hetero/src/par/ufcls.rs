@@ -12,13 +12,11 @@ use crate::flops;
 use crate::framework::{
     distribute, plan_assignments, row_mbits, run_rooted, select_winner, ParallelRun,
 };
-use crate::kernels;
+use crate::kernels::{self, FclsCarry};
 use crate::par::empty_candidate;
-use crate::seq::DetectedTarget;
+use crate::seq::{grow_endmembers, DetectedTarget};
 use crate::wea::RowCost;
 use hsi_cube::HyperCube;
-use hsi_linalg::lstsq::FclsProblem;
-use hsi_linalg::Matrix;
 use simnet::engine::Engine;
 
 /// Estimated per-row resource demand (drives the WEA fractions).
@@ -35,17 +33,6 @@ pub fn row_cost(cube: &HyperCube, params: &AlgoParams) -> RowCost {
     }
 }
 
-/// The endmember matrix `U`: one `f64` row per detected target's
-/// spectrum (shared with [`crate::sched::UfclsChunks`]).
-pub(crate) fn endmember_matrix(targets: &[DetectedTarget]) -> Matrix {
-    let rows: Vec<Vec<f64>> = targets
-        .iter()
-        .map(|t| t.spectrum.iter().map(|&v| v as f64).collect())
-        .collect();
-    let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-    Matrix::from_rows(&refs)
-}
-
 /// Runs parallel UFCLS on the engine's platform.
 pub fn run(
     engine: &Engine,
@@ -60,9 +47,13 @@ pub fn run(
         }
         let block = distribute(ctx, cube, &assignments, 0, options.scatter_mode);
         let n = block.cube.bands();
-        // Every rank mirrors the target list so it can rebuild the FCLS
-        // problem each round (the broadcast of U in the paper).
+        // Every rank mirrors the target list and grows its FCLS problem
+        // from it each round (the broadcast of U in the paper).
         let mut targets: Vec<DetectedTarget> = Vec::new();
+        let mut system = None;
+        // Host-side only: this rank's pixels keep their endmember dots
+        // between rounds; the charge below stays the full unmixing.
+        let mut carry = FclsCarry::default();
         // Rank-uniform size hints for `Auto` selection.
         let cand_bits = 128 + 32 * n as u64;
         let u_row_bits = 32 * n as u64;
@@ -76,11 +67,11 @@ pub fn run(
             } else {
                 // The Gram rebuild for this round was charged as the
                 // previous round's follow-up compute (so the endmember
-                // broadcast can overlap it); only the host-side factor
-                // construction happens here.
-                let u = endmember_matrix(&targets);
-                let problem = FclsProblem::new(u).expect("ufcls: singular endmembers");
-                kernels::max_fcls_error(&block.cube, &problem, block.own_range())
+                // broadcast can overlap it); the host only adds the new
+                // target's row here.
+                grow_endmembers(&mut system, &targets);
+                let problem = system.as_ref().expect("ufcls: one target at least");
+                kernels::max_fcls_error_carried(&block.cube, problem, block.own_range(), &mut carry)
             };
             let cost = crate::offload::ChunkCost::new(
                 mflops,

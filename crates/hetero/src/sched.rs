@@ -26,10 +26,12 @@
 
 use crate::config::AlgoParams;
 use crate::flops;
-use crate::kernels;
+use crate::kernels::{self, FclsCarry, ProjectionCarry};
 use crate::msg::Candidate;
 use crate::par::{best_candidate, empty_candidate};
-use crate::seq::{reduce_candidates, transform_reps, DetectedTarget, PctModel};
+use crate::seq::{
+    grow_endmembers, reduce_candidates, spectrum_f64, transform_reps, DetectedTarget, PctModel,
+};
 use hsi_cube::{HyperCube, LabelImage};
 use hsi_linalg::covariance::CovarianceAccumulator;
 use hsi_linalg::eigen::SymmetricEigen;
@@ -58,12 +60,14 @@ pub trait ChunkedAlgo {
     type Partial: Send + 'static;
     /// The final analysis result.
     type Output;
-    /// Round-constant scratch built once per `(round, state)` by
-    /// [`ChunkedAlgo::prepare`] and reused across every chunk of the
-    /// round, so per-chunk work stops reallocating round-invariant
-    /// structures (ATDCA's orthogonal basis, UFCLS's Gram system, PCT's
-    /// transform matrix). Purely a host-allocation concern: the charged
-    /// cost model ([`ChunkedAlgo::chunk_mflops`]) is unchanged.
+    /// Worker-resident scratch brought up to date once per
+    /// `(round, state)` by [`ChunkedAlgo::prepare`] and reused across
+    /// every chunk of the round, so per-chunk work stops rebuilding
+    /// round-invariant structures (ATDCA's orthogonal basis, UFCLS's Gram
+    /// system, PCT's transform matrix) — and, handed on from round to
+    /// round, lets the argmax algorithms continue each pixel's running
+    /// sums instead of re-deriving them. Purely a host concern: the
+    /// charged cost model ([`ChunkedAlgo::chunk_mflops`]) is unchanged.
     type Scratch;
 
     /// Short algorithm name (reports and benches).
@@ -92,7 +96,16 @@ pub trait ChunkedAlgo {
     /// Wire size (bits) of a partial result.
     fn partial_bits(&self, partial: &Self::Partial) -> u64;
     /// Builds the scratch shared by every `run_chunk` call of `round`.
-    fn prepare(&self, round: usize, state: &Self::State) -> Self::Scratch;
+    /// `previous` is the scratch this worker prepared for an earlier
+    /// round of the same run, if it has one: an implementation may grow
+    /// it to `state` instead of starting over, and must return what a
+    /// fresh build would compute with.
+    fn prepare(
+        &self,
+        round: usize,
+        state: &Self::State,
+        previous: Option<Self::Scratch>,
+    ) -> Self::Scratch;
     /// Computes the partial for global lines `[first, first + n)`.
     fn run_chunk(
         &self,
@@ -141,22 +154,23 @@ impl<'a> AtdcaChunks<'a> {
     pub fn new(cube: &'a HyperCube, params: &'a AlgoParams) -> Self {
         AtdcaChunks { cube, params }
     }
+}
 
-    fn basis_of(&self, targets: &[DetectedTarget]) -> OrthoBasis {
-        let mut basis = OrthoBasis::new(self.cube.bands());
-        for t in targets {
-            let wide: Vec<f64> = t.spectrum.iter().map(|&v| v as f64).collect();
-            basis.push(&wide);
-        }
-        basis
-    }
+/// A worker's ATDCA state between rounds: the orthonormal basis of the
+/// first `targets` targets and the running residuals of the pixels it
+/// has scored against it.
+#[derive(Debug)]
+pub struct AtdcaScratch {
+    basis: OrthoBasis,
+    targets: usize,
+    carry: ProjectionCarry,
 }
 
 impl ChunkedAlgo for AtdcaChunks<'_> {
     type State = Vec<DetectedTarget>;
     type Partial = Candidate;
     type Output = Vec<DetectedTarget>;
-    type Scratch = OrthoBasis;
+    type Scratch = AtdcaScratch;
 
     fn name(&self) -> &'static str {
         "ATDCA"
@@ -204,15 +218,29 @@ impl ChunkedAlgo for AtdcaChunks<'_> {
         candidate_bits(partial)
     }
 
-    fn prepare(&self, _round: usize, state: &Self::State) -> OrthoBasis {
-        self.basis_of(state)
+    fn prepare(
+        &self,
+        _round: usize,
+        state: &Self::State,
+        previous: Option<AtdcaScratch>,
+    ) -> AtdcaScratch {
+        let mut scratch = previous.unwrap_or_else(|| AtdcaScratch {
+            basis: OrthoBasis::new(self.cube.bands()),
+            targets: 0,
+            carry: ProjectionCarry::default(),
+        });
+        for target in &state[scratch.targets..] {
+            scratch.basis.push(&spectrum_f64(&target.spectrum));
+        }
+        scratch.targets = state.len();
+        scratch
     }
 
     fn run_chunk(
         &self,
         round: usize,
         _state: &Self::State,
-        scratch: &mut OrthoBasis,
+        scratch: &mut AtdcaScratch,
         first: usize,
         n: usize,
     ) -> Candidate {
@@ -220,7 +248,7 @@ impl ChunkedAlgo for AtdcaChunks<'_> {
         let (cand, _) = if round == 0 {
             kernels::brightest(self.cube, range)
         } else {
-            kernels::max_projection(self.cube, scratch, range)
+            kernels::max_projection_carried(self.cube, &scratch.basis, range, &mut scratch.carry)
         };
         match cand {
             Some(p) => p.to_candidate(self.cube, 0, 0),
@@ -269,13 +297,20 @@ impl<'a> UfclsChunks<'a> {
     }
 }
 
+/// A worker's UFCLS state between rounds: the least-squares problem over
+/// the targets so far (`None` before the first) and the endmember dots of
+/// the pixels it has unmixed against it.
+#[derive(Debug, Default)]
+pub struct UfclsScratch {
+    system: Option<FclsProblem>,
+    carry: FclsCarry,
+}
+
 impl ChunkedAlgo for UfclsChunks<'_> {
     type State = Vec<DetectedTarget>;
     type Partial = Candidate;
     type Output = Vec<DetectedTarget>;
-    /// `None` in round 0 (brightness needs no system); the factored
-    /// least-squares problem afterwards.
-    type Scratch = Option<FclsProblem>;
+    type Scratch = UfclsScratch;
 
     fn name(&self) -> &'static str {
         "UFCLS"
@@ -321,20 +356,22 @@ impl ChunkedAlgo for UfclsChunks<'_> {
         candidate_bits(partial)
     }
 
-    fn prepare(&self, round: usize, state: &Self::State) -> Option<FclsProblem> {
-        if round == 0 {
-            None
-        } else {
-            let u = crate::par::ufcls::endmember_matrix(state);
-            Some(FclsProblem::new(u).expect("ufcls: singular endmembers"))
-        }
+    fn prepare(
+        &self,
+        _round: usize,
+        state: &Self::State,
+        previous: Option<UfclsScratch>,
+    ) -> UfclsScratch {
+        let mut scratch = previous.unwrap_or_default();
+        grow_endmembers(&mut scratch.system, state);
+        scratch
     }
 
     fn run_chunk(
         &self,
         round: usize,
         _state: &Self::State,
-        scratch: &mut Option<FclsProblem>,
+        scratch: &mut UfclsScratch,
         first: usize,
         n: usize,
     ) -> Candidate {
@@ -342,8 +379,11 @@ impl ChunkedAlgo for UfclsChunks<'_> {
         let (cand, _) = if round == 0 {
             kernels::brightest(self.cube, range)
         } else {
-            let problem = scratch.as_ref().expect("ufcls: round > 0 has a system");
-            kernels::max_fcls_error(self.cube, problem, range)
+            let problem = scratch
+                .system
+                .as_ref()
+                .expect("ufcls: round > 0 has a system");
+            kernels::max_fcls_error_carried(self.cube, problem, range, &mut scratch.carry)
         };
         match cand {
             Some(p) => p.to_candidate(self.cube, 0, 0),
@@ -525,7 +565,12 @@ impl ChunkedAlgo for PctChunks<'_> {
         }
     }
 
-    fn prepare(&self, round: usize, state: &Self::State) -> Option<Matrix> {
+    fn prepare(
+        &self,
+        round: usize,
+        state: &Self::State,
+        _previous: Option<Option<Matrix>>,
+    ) -> Option<Matrix> {
         if round < 2 {
             return None;
         }
@@ -832,7 +877,7 @@ impl ChunkedAlgo for MorphChunks<'_> {
         }
     }
 
-    fn prepare(&self, _round: usize, _state: &Self::State) {}
+    fn prepare(&self, _round: usize, _state: &Self::State, _previous: Option<()>) {}
 
     fn run_chunk(
         &self,
@@ -910,8 +955,9 @@ mod tests {
     /// must agree with.
     fn run_local<A: ChunkedAlgo>(algo: &A, chunk: usize) -> A::Output {
         let mut state = algo.initial_state();
+        let mut previous = None;
         for round in 0..algo.rounds() {
-            let mut scratch = algo.prepare(round, &state);
+            let mut scratch = algo.prepare(round, &state, previous.take());
             let mut partials = Vec::new();
             let mut first = 0;
             while first < algo.lines() {
@@ -921,6 +967,7 @@ mod tests {
             }
             let (next, _) = algo.reduce(round, state, partials);
             state = next;
+            previous = Some(scratch);
         }
         algo.finish(state)
     }

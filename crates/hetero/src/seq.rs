@@ -8,7 +8,7 @@
 //! `w = 0.0131` in the paper's tables).
 
 use crate::config::AlgoParams;
-use crate::kernels;
+use crate::kernels::{self, FclsCarry, ProjectionCarry};
 use hsi_cube::{HyperCube, LabelImage};
 use hsi_linalg::eigen::SymmetricEigen;
 use hsi_linalg::lstsq::FclsProblem;
@@ -44,8 +44,23 @@ impl<T> SeqOutput<T> {
     }
 }
 
-fn spectrum_f64(px: &[f32]) -> Vec<f64> {
+pub(crate) fn spectrum_f64(px: &[f32]) -> Vec<f64> {
     px.iter().map(|&v| v as f64).collect()
+}
+
+/// Grows a UFCLS endmember system to cover `targets`: the targets it
+/// does not hold yet are pushed, one Gram row each (all of them into a
+/// system that does not exist yet). Every driver's system is grown here.
+pub(crate) fn grow_endmembers(system: &mut Option<FclsProblem>, targets: &[DetectedTarget]) {
+    let held = system.as_ref().map_or(0, FclsProblem::num_endmembers);
+    for target in &targets[held..] {
+        let signature = spectrum_f64(&target.spectrum);
+        let grown = match system.take() {
+            Some(mut problem) => problem.push(&signature).map(|()| problem),
+            None => FclsProblem::new(Matrix::row_vector(&signature)),
+        };
+        *system = Some(grown.expect("ufcls: endmembers share the cube's band count"));
+    }
 }
 
 /// Sequential ATDCA: iterative orthogonal-subspace target extraction.
@@ -61,11 +76,12 @@ pub fn atdca(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTar
         spectrum: cube.pixel(first.line, first.sample).to_vec(),
     }];
     let mut basis = OrthoBasis::new(cube.bands());
+    let mut carry = ProjectionCarry::default();
     basis.push(&spectrum_f64(&targets[0].spectrum));
     mflops += crate::flops::mflop(crate::flops::basis_push(cube.bands(), 0));
 
     while targets.len() < params.num_targets {
-        let (best, mf) = kernels::max_projection(cube, &basis, full);
+        let (best, mf) = kernels::max_projection_carried(cube, &basis, full, &mut carry);
         mflops += mf;
         let best = best.expect("atdca: empty image");
         let spectrum = cube.pixel(best.line, best.sample).to_vec();
@@ -97,21 +113,14 @@ pub fn ufcls(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTar
         sample: first.sample,
         spectrum: cube.pixel(first.line, first.sample).to_vec(),
     }];
+    let mut system = None;
+    let mut carry = FclsCarry::default();
 
     while targets.len() < params.num_targets {
-        let u = Matrix::from_rows(
-            &targets
-                .iter()
-                .map(|t| spectrum_f64(&t.spectrum))
-                .collect::<Vec<_>>()
-                .iter()
-                .map(|v| v.as_slice())
-                .collect::<Vec<_>>(),
-        );
-        let t = u.rows();
-        let problem = FclsProblem::new(u).expect("ufcls: singular endmember set");
-        mflops += crate::flops::mflop(crate::flops::gram(n, t));
-        let (best, mf) = kernels::max_fcls_error(cube, &problem, full);
+        grow_endmembers(&mut system, &targets);
+        let problem = system.as_ref().expect("ufcls: one target at least");
+        mflops += crate::flops::mflop(crate::flops::gram(n, targets.len()));
+        let (best, mf) = kernels::max_fcls_error_carried(cube, problem, full, &mut carry);
         mflops += mf;
         let best = best.expect("ufcls: empty image");
         targets.push(DetectedTarget {

@@ -130,8 +130,9 @@ pub fn scls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 }
 
 /// Caller-owned scratch for the FCLS/NNLS solve: the widened pixel, the
-/// correlation vector, the abundances, the passive set, its in-place
-/// Cholesky factor and the solve and residual buffers.
+/// endmember dots and the correlation vector formed from them, the
+/// abundances, the passive set, its in-place Cholesky factor and the solve
+/// and residual buffers.
 ///
 /// A workspace carries **no state between solves** — every solve starts
 /// from the empty passive set, so a result is a pure function of the
@@ -140,6 +141,7 @@ pub fn scls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 #[derive(Debug, Clone, Default)]
 pub struct FclsWorkspace {
     wide: Vec<f64>,
+    dots: Vec<f64>,
     corr: Vec<f64>,
     abundances: Vec<f64>,
     /// Passive (unconstrained) endmember indices, ascending.
@@ -339,6 +341,11 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 /// endmember set: the augmented Gram matrix is computed once, so the
 /// per-pixel cost drops to the correlation vector plus the NNLS solve.
 /// This is how UFCLS processes a million-pixel image.
+///
+/// UFCLS grows the set one endmember per round: [`FclsProblem::push`]
+/// adds the one new Gram row and column, and
+/// [`FclsProblem::solve_carried`] the one new correlation entry of a
+/// pixel whose earlier entries the caller kept.
 #[derive(Debug, Clone)]
 pub struct FclsProblem {
     u: Matrix,
@@ -357,13 +364,47 @@ impl FclsProblem {
     pub fn with_delta(u: Matrix, delta: f64) -> Result<Self> {
         u.require_non_empty()?;
         let t = u.rows();
-        let mut gram_aug = u.matmul(&u.transpose())?;
+        let mut problem = FclsProblem {
+            u,
+            gram_aug: Matrix::zeros(t, t),
+            delta,
+        };
         for i in 0..t {
-            for j in 0..t {
-                gram_aug[(i, j)] += delta * delta;
-            }
+            problem.fill_gram_row(i);
         }
-        Ok(FclsProblem { u, gram_aug, delta })
+        Ok(problem)
+    }
+
+    /// Appends one endmember: the Gram matrix gains the one new row and
+    /// column, every entry formed exactly as [`FclsProblem::with_delta`]
+    /// forms it, so a pushed problem is the built one to the bit.
+    pub fn push(&mut self, signature: &[f64]) -> Result<()> {
+        if signature.len() != self.u.cols() {
+            return Err(shape_mismatch(
+                format!("signature of length {}", self.u.cols()),
+                format!("length {}", signature.len()),
+            ));
+        }
+        let t = self.u.rows();
+        self.u.push_row(signature);
+        let mut grown = Matrix::zeros(t + 1, t + 1);
+        for i in 0..t {
+            grown.row_mut(i)[..t].copy_from_slice(self.gram_aug.row(i));
+        }
+        self.gram_aug = grown;
+        self.fill_gram_row(t);
+        Ok(())
+    }
+
+    /// Row `i` of the augmented Gram matrix up to the diagonal, mirrored
+    /// into column `i`: `uᵢᵀuⱼ` summed in band order, plus `δ²`.
+    fn fill_gram_row(&mut self, i: usize) {
+        let offset = self.delta * self.delta;
+        for j in 0..=i {
+            let g = dot(self.u.row(i), self.u.row(j)) + offset;
+            self.gram_aug[(i, j)] = g;
+            self.gram_aug[(j, i)] = g;
+        }
     }
 
     /// Number of endmembers.
@@ -374,6 +415,11 @@ impl FclsProblem {
     /// Number of spectral bands.
     pub fn bands(&self) -> usize {
         self.u.cols()
+    }
+
+    /// Borrow of endmember `i`'s signature.
+    pub fn endmember(&self, i: usize) -> &[f64] {
+        self.u.row(i)
     }
 
     /// Unmixes one pixel, returning abundances and the unaugmented
@@ -397,24 +443,65 @@ impl FclsProblem {
     /// for per-pixel loops. Returns the unaugmented squared residual; the
     /// abundances are [`FclsWorkspace::abundances`]. Same bits as `solve`.
     pub fn solve_in(&self, x: &[f64], ws: &mut FclsWorkspace) -> Result<f64> {
+        let mut dots = std::mem::take(&mut ws.dots);
+        dots.clear();
+        let result = self.solve_carried(x, &mut dots, ws);
+        ws.dots = dots;
+        result
+    }
+
+    /// [`FclsProblem::solve_in`] for a pixel the caller has unmixed
+    /// before against a shorter problem over the same leading endmembers:
+    /// on entry `dots` holds `uᵢᵀx` for the first `dots.len()` endmembers,
+    /// on return for all of them — only the missing dots are computed.
+    /// Each dot is the one `solve_in` would form, so the result has
+    /// `solve_in`'s bits; `solve_in` is this with `dots` empty.
+    pub fn solve_carried(
+        &self,
+        x: &[f64],
+        dots: &mut Vec<f64>,
+        ws: &mut FclsWorkspace,
+    ) -> Result<f64> {
         check_dims(&self.u, x)?;
+        let t = self.u.rows();
+        dots.truncate(t);
+        let known = dots.len();
+        dots.extend((known..t).map(|i| dot(self.u.row(i), x)));
         let offset = self.delta * self.delta;
         ws.corr.clear();
-        ws.corr
-            .extend((0..self.u.rows()).map(|i| dot(self.u.row(i), x) + offset));
+        ws.corr.extend(dots.iter().map(|d| d + offset));
         ws.nnls(&self.gram_aug)?;
         Ok(residual_sq_in(&self.u, x, &ws.abundances, &mut ws.resid))
     }
 
     /// [`FclsProblem::solve_f32`] inside a caller-owned workspace.
     pub fn solve_f32_in(&self, x: &[f32], ws: &mut FclsWorkspace) -> Result<f64> {
-        let mut wide = std::mem::take(&mut ws.wide);
-        wide.clear();
-        wide.extend(x.iter().map(|&v| v as f64));
-        let result = self.solve_in(&wide, ws);
-        ws.wide = wide;
-        result
+        widened(x, ws, |wide, ws| self.solve_in(wide, ws))
     }
+
+    /// [`FclsProblem::solve_carried`] for an `f32` pixel.
+    pub fn solve_f32_carried(
+        &self,
+        x: &[f32],
+        dots: &mut Vec<f64>,
+        ws: &mut FclsWorkspace,
+    ) -> Result<f64> {
+        widened(x, ws, |wide, ws| self.solve_carried(wide, dots, ws))
+    }
+}
+
+/// Runs `solve` on `x` widened to `f64` in the workspace's own buffer.
+fn widened<R>(
+    x: &[f32],
+    ws: &mut FclsWorkspace,
+    solve: impl FnOnce(&[f64], &mut FclsWorkspace) -> R,
+) -> R {
+    let mut wide = std::mem::take(&mut ws.wide);
+    wide.clear();
+    wide.extend(x.iter().map(|&v| v as f64));
+    let result = solve(&wide, ws);
+    ws.wide = wide;
+    result
 }
 
 /// [`fcls`] with an explicit constraint weight `δ` (exposed for ablation).
@@ -560,6 +647,65 @@ mod tests {
         let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
         let r = prob.solve_f32(&x32).unwrap();
         assert!((r.abundances[0] - 0.3).abs() < 1e-3);
+    }
+
+    /// Six mildly correlated signatures over nine bands, with zeros and a
+    /// repeated value so the Gram sums see the awkward cases.
+    fn grown_endmembers() -> Vec<Vec<f64>> {
+        (0..6)
+            .map(|i| {
+                (0..9)
+                    .map(|k| match (i + 2 * k) % 7 {
+                        0 => 0.0,
+                        r => 0.05 + 0.13 * r as f64 + 0.01 * (i * k) as f64,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pushed_problem_equals_built_problem_to_the_bit() {
+        let rows = grown_endmembers();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let pixels: Vec<Vec<f64>> = (0..5)
+            .map(|p| {
+                (0..9)
+                    .map(|k| 0.1 + 0.07 * ((p + 3 * k) % 11) as f64)
+                    .collect()
+            })
+            .collect();
+        let mut grown = FclsProblem::new(Matrix::from_rows(&refs[..1])).unwrap();
+        // Each pixel's dots, kept from one size to the next.
+        let mut kept: Vec<Vec<f64>> = vec![Vec::new(); pixels.len()];
+        let mut ws = FclsWorkspace::new();
+        for t in 1..=rows.len() {
+            if t > 1 {
+                grown.push(&rows[t - 1]).unwrap();
+            }
+            let u = Matrix::from_rows(&refs[..t]);
+            let built = FclsProblem::new(u.clone()).unwrap();
+            assert_eq!(grown.num_endmembers(), t);
+            assert_eq!(grown.u, built.u);
+            // ... and both are the textbook product, entry for entry.
+            let product = u.matmul(&u.transpose()).unwrap();
+            for i in 0..t {
+                for j in 0..t {
+                    let want = product[(i, j)] + FCLS_DELTA * FCLS_DELTA;
+                    assert_eq!(built.gram_aug[(i, j)].to_bits(), want.to_bits());
+                    assert_eq!(grown.gram_aug[(i, j)].to_bits(), want.to_bits());
+                }
+            }
+            for (x, dots) in pixels.iter().zip(kept.iter_mut()) {
+                let scratch = built.solve(x).unwrap();
+                assert_eq!(dots.len(), t - 1);
+                let carried = grown.solve_carried(x, dots, &mut ws).unwrap();
+                assert_eq!(carried.to_bits(), scratch.residual_sq.to_bits(), "t = {t}");
+                assert_eq!(ws.abundances(), &scratch.abundances[..]);
+                assert_eq!(dots.len(), t);
+            }
+        }
+        assert!(grown.push(&[1.0, 2.0]).is_err());
     }
 
     #[test]

@@ -121,13 +121,25 @@ impl OrthoBasis {
     /// projected vector: `‖x‖² − Σ (qᵢᵀx)²` by the Pythagorean theorem.
     #[inline]
     pub fn complement_score(&self, x: &[f64]) -> f64 {
-        let mut s = dot(x, x);
-        for q in &self.q {
+        // Guard the tiny negative residuals of floating-point cancellation.
+        self.residual_from(x, 0, dot(x, x)).max(0.0)
+    }
+
+    /// The running sum behind [`Self::complement_score`], continued: given
+    /// `residual = ‖x‖² − Σ_{i<seen} (qᵢᵀx)²` it subtracts the terms of
+    /// vectors `seen..len()`, left to right, and returns the **unclamped**
+    /// sum. A basis only ever appends, so a caller that keeps each pixel's
+    /// residual between pushes pays one dot per new vector and gets the
+    /// bits `complement_score` computes from scratch — same operands, same
+    /// order; clamp the value you rank by, keep the one you carry.
+    #[inline]
+    pub fn residual_from(&self, x: &[f64], seen: usize, residual: f64) -> f64 {
+        let mut s = residual;
+        for q in &self.q[seen..] {
             let c = dot(x, q);
             s -= c * c;
         }
-        // Guard the tiny negative residuals of floating-point cancellation.
-        s.max(0.0)
+        s
     }
 }
 
@@ -239,6 +251,30 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         assert_close(&basis.project_complement(&x), &x, 0.0);
         assert!((basis.complement_score(&x) - dot(&x, &x)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn residual_continued_across_pushes_equals_from_scratch_bits() {
+        let rows: [&[f64]; 4] = [
+            &[0.9, 0.1, 0.4, 0.7, 0.2],
+            &[0.2, 0.8, 0.3, 0.1, 0.6],
+            &[1.8, 0.2, 0.8, 1.4, 0.4], // dependent on row 0: dropped
+            &[0.5, 0.5, 0.9, 0.3, 0.1],
+        ];
+        let x = [0.31, 0.77, 0.12, 0.58, 0.93];
+        let mut basis = OrthoBasis::new(5);
+        let (mut seen, mut carried) = (0, dot(&x, &x));
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(basis.push(row), i != 2);
+            carried = basis.residual_from(&x, seen, carried);
+            seen = basis.len();
+            assert_eq!(
+                carried.max(0.0).to_bits(),
+                basis.complement_score(&x).to_bits(),
+                "after push {i}"
+            );
+        }
+        assert_eq!(seen, 3);
     }
 
     #[test]
