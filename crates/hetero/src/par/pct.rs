@@ -101,7 +101,7 @@ pub fn run(
         // fixed f64 count for a given n; the model is bounded by the
         // (c.min(n) × n) transform + mean + c representatives.
         let cands_bits = (cap as u64) * (128 + 32 * n as u64);
-        let stats_bits = (acc.to_flat().len() * 64) as u64;
+        let stats_bits = (CovarianceAccumulator::flat_len(n) * 64) as u64;
         let model_bits = ((c.min(n) * n + n + c * c.min(n)) * 64) as u64;
 
         // Steps 3 & 6 gathers: unique sets, then covariance partials.
@@ -139,8 +139,7 @@ pub fn run(
                 .filter_map(GatherEntry::into_msg)
             {
                 let flat = msg.into_stats().expect("pct: protocol violation");
-                let other = CovarianceAccumulator::from_flat(n, &flat).expect("flat shape");
-                total.merge(&other).expect("dim");
+                total.merge_flat(&flat).expect("flat shape");
             }
             ctx.compute_seq(flops::mflop((ctx.num_ranks() * n * (n + 3) / 2) as f64));
             let mean = total.mean().expect("pct: empty image");

@@ -648,9 +648,7 @@ impl ChunkedAlgo for PctChunks<'_> {
                     let PctPartial::Stats(flat) = p else {
                         panic!("pct: wrong partial in round 1")
                     };
-                    let other =
-                        CovarianceAccumulator::from_flat(n, &flat).expect("pct: flat shape");
-                    total.merge(&other).expect("pct: dim");
+                    total.merge_flat(&flat).expect("pct: flat shape");
                 }
                 let mean = total.mean().expect("pct: empty image");
                 let cov = total.covariance().expect("pct: empty image");

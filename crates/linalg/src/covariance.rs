@@ -140,13 +140,49 @@ impl CovarianceAccumulator {
                 format!("dim {}", other.dim),
             ));
         }
-        self.count += other.count;
-        for (a, b) in self.sum.iter_mut().zip(&other.sum) {
+        self.absorb(other.count, &other.sum, &other.cross);
+        Ok(())
+    }
+
+    /// The one set of additions behind [`Self::merge`] and
+    /// [`Self::merge_flat`].
+    fn absorb(&mut self, count: u64, sum: &[f64], cross: &[f64]) {
+        self.count += count;
+        for (a, b) in self.sum.iter_mut().zip(sum) {
             *a += b;
         }
-        for (a, b) in self.cross.iter_mut().zip(&other.cross) {
+        for (a, b) in self.cross.iter_mut().zip(cross) {
             *a += b;
         }
+    }
+
+    /// Splits a [`Self::to_flat`] buffer of a `dim`-dimensional
+    /// accumulator into `(count, sums, packed cross sums)`.
+    fn split_flat(dim: usize, flat: &[f64]) -> Result<(u64, &[f64], &[f64])> {
+        let expect = Self::flat_len(dim);
+        if flat.len() != expect {
+            return Err(shape_mismatch(
+                format!("flat buffer of length {expect}"),
+                format!("length {}", flat.len()),
+            ));
+        }
+        let (sum, cross) = flat[1..].split_at(dim);
+        Ok((flat[0] as u64, sum, cross))
+    }
+
+    /// Length of the [`Self::to_flat`] buffer of a `dim`-dimensional
+    /// accumulator: the count, `dim` sums and the packed upper triangle.
+    pub const fn flat_len(dim: usize) -> usize {
+        1 + dim + dim * (dim + 1) / 2
+    }
+
+    /// Merges an accumulator serialised by [`Self::to_flat`] straight
+    /// from the wire buffer — the same additions in the same order as
+    /// [`Self::from_flat`] followed by [`Self::merge`], so the result is
+    /// bit-identical, without materialising the intermediate.
+    pub fn merge_flat(&mut self, flat: &[f64]) -> Result<()> {
+        let (count, sum, cross) = Self::split_flat(self.dim, flat)?;
+        self.absorb(count, sum, cross);
         Ok(())
     }
 
@@ -185,7 +221,7 @@ impl CovarianceAccumulator {
     /// (`[count, sum…, cross…]`) for shipment through the message-passing
     /// engine; [`Self::from_flat`] is the inverse.
     pub fn to_flat(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(1 + self.sum.len() + self.cross.len());
+        let mut out = Vec::with_capacity(Self::flat_len(self.dim));
         out.push(self.count as f64);
         out.extend_from_slice(&self.sum);
         out.extend_from_slice(&self.cross);
@@ -194,18 +230,12 @@ impl CovarianceAccumulator {
 
     /// Reconstructs an accumulator serialised by [`Self::to_flat`].
     pub fn from_flat(dim: usize, flat: &[f64]) -> Result<Self> {
-        let expect = 1 + dim + dim * (dim + 1) / 2;
-        if flat.len() != expect {
-            return Err(shape_mismatch(
-                format!("flat buffer of length {expect}"),
-                format!("length {}", flat.len()),
-            ));
-        }
+        let (count, sum, cross) = Self::split_flat(dim, flat)?;
         Ok(CovarianceAccumulator {
             dim,
-            count: flat[0] as u64,
-            sum: flat[1..1 + dim].to_vec(),
-            cross: flat[1 + dim..].to_vec(),
+            count,
+            sum: sum.to_vec(),
+            cross: cross.to_vec(),
         })
     }
 }
@@ -304,6 +334,33 @@ mod tests {
         let back = CovarianceAccumulator::from_flat(3, &flat).unwrap();
         assert_eq!(back, acc);
         assert!(CovarianceAccumulator::from_flat(2, &flat).is_err());
+    }
+
+    #[test]
+    fn merge_flat_is_bit_identical_to_from_flat_then_merge() {
+        let dim = 5;
+        let mut state: u64 = 11;
+        let mut draw = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 40) as f32) / (1 << 24) as f32
+        };
+        let mut via_struct = CovarianceAccumulator::new(dim);
+        let mut via_slice = CovarianceAccumulator::new(dim);
+        for shard in 0..4 {
+            let mut part = CovarianceAccumulator::new(dim);
+            let data: Vec<f32> = (0..(shard + 3) * dim).map(|_| draw()).collect();
+            part.push_pixels_f32(&data);
+            let flat = part.to_flat();
+            assert_eq!(flat.len(), CovarianceAccumulator::flat_len(dim));
+            let back = CovarianceAccumulator::from_flat(dim, &flat).unwrap();
+            via_struct.merge(&back).unwrap();
+            via_slice.merge_flat(&flat).unwrap();
+        }
+        assert_eq!(via_slice, via_struct);
+        for (a, b) in via_slice.to_flat().iter().zip(&via_struct.to_flat()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert!(via_slice.merge_flat(&[0.0; 3]).is_err());
     }
 
     #[test]

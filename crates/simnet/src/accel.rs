@@ -26,7 +26,7 @@
 //! [`cost::predict_offload`] evaluates the *same* closed form, which is
 //! why prediction matches measured virtual time exactly on fault-free
 //! runs — the same replay-equals-measured contract as
-//! [`crate::coll::cost`].
+//! [`crate::coll::predict`].
 
 /// The kind of accelerator attached to a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -209,7 +209,7 @@ impl DeviceSim {
     }
 }
 
-/// Exact analytic offload costs, mirroring the [`crate::coll::cost`]
+/// Exact analytic offload costs, mirroring the [`crate::coll::predict`]
 /// replay-equals-measured contract.
 pub mod cost {
     use super::DeviceSpec;

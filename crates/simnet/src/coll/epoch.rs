@@ -86,6 +86,12 @@ impl Membership {
         self.alive.get(rank).copied().unwrap_or(false)
     }
 
+    /// The alive flag of every rank the view covers — what keys the
+    /// run's schedule memo, without materialising the survivor list.
+    pub(crate) fn alive(&self) -> &[bool] {
+        &self.alive
+    }
+
     /// The surviving ranks, ascending.
     pub fn survivors(&self) -> Vec<usize> {
         (0..self.alive.len()).filter(|&r| self.alive[r]).collect()

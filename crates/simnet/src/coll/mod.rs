@@ -77,12 +77,15 @@ mod schedule;
 
 pub use cost::{predict, predict_over};
 pub use epoch::{recv_epoch, Membership, Stamped};
+pub(crate) use schedule::ScheduleMemo;
 pub use schedule::Tree;
 
 use crate::engine::{Ctx, Wire};
 use crate::faults::{FailureCause, RankFailure, RecvError};
 use crate::platform::Platform;
+use std::cell::OnceCell;
 use std::fmt;
+use std::sync::Arc;
 
 /// A collective communication algorithm (schedule family).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -455,7 +458,8 @@ pub(crate) fn split_chunks(bits: u64, chunks: usize) -> Vec<u64> {
 /// with the same view resolves identically.
 ///
 /// The cost model runs only where its value is read: on every rank for
-/// the [`CollAlgorithm::Auto`] scan, otherwise on the logging rank alone.
+/// the [`CollAlgorithm::Auto`] scan, otherwise on the logging rank alone
+/// — and the survivor list it replays over is materialised only there.
 pub fn resolve_over<M: Wire>(
     ctx: &mut Ctx<M>,
     op: CollOp,
@@ -465,7 +469,7 @@ pub fn resolve_over<M: Wire>(
     bits_hint: u64,
     pipeline_chunks: u32,
 ) -> CollAlgorithm {
-    let members = view.survivors();
+    let members = OnceCell::new();
     let predict = |alg| {
         predict_over(
             ctx.platform(),
@@ -475,7 +479,7 @@ pub fn resolve_over<M: Wire>(
             root,
             bits_hint,
             pipeline_chunks,
-            &members,
+            members.get_or_init(|| view.survivors()),
         )
     };
     let (algorithm, scanned) = choose(op, requested, bits_hint, predict);
@@ -494,22 +498,24 @@ pub fn resolve_over<M: Wire>(
     algorithm
 }
 
-/// Builds the concrete schedule [`Tree`] for `algorithm` over the view's
-/// survivor set. [`CollAlgorithm::PipelinedChunked`] shares the
-/// segment-hierarchical tree; [`CollAlgorithm::Auto`] must be resolved
-/// to a concrete algorithm first (e.g. via [`resolve_over`]).
+/// The concrete schedule [`Tree`] for `algorithm` over the view's
+/// survivor set, from the run's schedule memo: the tree is built by the
+/// first rank to ask for `(algorithm, root, alive set)` and shared by
+/// every later caller, on any rank. [`CollAlgorithm::PipelinedChunked`]
+/// has the segment-hierarchical shape; [`CollAlgorithm::Auto`] must be
+/// resolved to a concrete algorithm first (e.g. via [`resolve_over`]).
 pub fn tree_over<M: Wire>(
     ctx: &Ctx<M>,
     algorithm: CollAlgorithm,
     root: usize,
     view: &Membership,
-) -> Tree {
-    schedule::build(algorithm, root, ctx.platform(), &view.survivors())
+) -> Arc<Tree> {
+    ctx.schedules().get(algorithm, root, ctx.platform(), view)
 }
 
 /// The prologue every view-taking collective shares: reject non-members
 /// before any traffic, resolve (and log) `cfg`'s algorithm for `op`,
-/// build its tree.
+/// look its tree up in the run's schedule memo.
 fn plan<M: Wire>(
     ctx: &mut Ctx<M>,
     cfg: &CollectiveConfig,
@@ -517,7 +523,7 @@ fn plan<M: Wire>(
     root: usize,
     view: &Membership,
     bits_hint: u64,
-) -> Result<(CollAlgorithm, Tree), CollError> {
+) -> Result<(CollAlgorithm, Arc<Tree>), CollError> {
     for rank in [root, ctx.rank()] {
         if !view.is_alive(rank) {
             return Err(CollError::NotAMember { rank });
@@ -1655,6 +1661,64 @@ mod tests {
         assert_eq!(logged.requested, CollAlgorithm::PipelinedChunked);
         assert_eq!(logged.algorithm, want.0);
         assert_eq!(logged.predicted_secs.to_bits(), want.1.to_bits());
+    }
+
+    #[test]
+    fn a_run_builds_one_schedule_per_key_whatever_the_rank_and_call_count() {
+        // The gate against a return to per-rank, per-call planning — a
+        // count, so it holds on any host. 256 ranks, 18 linear gather +
+        // broadcast rounds: one schedule. A binomial allreduce: one
+        // more. A new alive set: one more per survivor tree asked for.
+        const P: usize = 256;
+        let linear = CollectiveConfig::linear();
+        let binomial = CollectiveConfig::uniform(CollAlgorithm::BinomialTree);
+        // A linear gather + broadcast nobody can leave before everybody
+        // entered: keeps a fast rank from adding the next phase's key
+        // while a slow one still counts this phase's.
+        let barrier = move |ctx: &mut Ctx<u64>| {
+            let token = gather(ctx, &linear, 0, 0, 64).map(|_| 0);
+            broadcast(ctx, &linear, 0, token, 64).expect("barrier");
+        };
+        let report = engine(P).run(move |ctx: &mut Ctx<u64>| {
+            for round in 0..18u64 {
+                let winner = gather(ctx, &linear, 0, ctx.rank() as u64, 64).map(|_| round);
+                broadcast(ctx, &linear, 0, winner, 64).expect("broadcast");
+            }
+            let after_rounds = ctx.schedules().len();
+            let all = Membership::new(P);
+            let star = tree_over(ctx, CollAlgorithm::Linear, 0, &all);
+            barrier(ctx);
+
+            let sum = allreduce(ctx, &binomial, 0, 1u64, |a, b| a + b, 64);
+            assert_eq!(sum, P as u64);
+            let after_allreduce = ctx.schedules().len();
+            barrier(ctx);
+
+            let mut view = Membership::new(P);
+            assert!(view.observe_failure(&RankFailure {
+                rank: P - 1,
+                at: 0.0,
+                cause: FailureCause::Crash,
+            }));
+            let survivor_star = tree_over(ctx, CollAlgorithm::Linear, 0, &view);
+            let survivor_tree = tree_over(ctx, CollAlgorithm::BinomialTree, 0, &view);
+            assert_eq!(survivor_star.parent(P - 1), None, "routed around");
+            assert_eq!(survivor_tree.parent(P - 1), None, "routed around");
+            let after_epoch = ctx.schedules().len();
+            (
+                [after_rounds, after_allreduce, after_epoch],
+                [star, survivor_star, survivor_tree],
+            )
+        });
+        assert!(report.ok());
+        let (_, first_handles) = report.result(0);
+        for rank in 0..P {
+            let (counts, handles) = report.result(rank);
+            assert_eq!(*counts, [1, 2, 4], "rank {rank}");
+            for (mine, firsts) in handles.iter().zip(first_handles) {
+                assert!(Arc::ptr_eq(mine, firsts), "rank {rank} got its own tree");
+            }
+        }
     }
 
     #[test]

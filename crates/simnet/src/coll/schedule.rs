@@ -24,11 +24,16 @@
 //! [`crate::coll::Membership`] view; every rank for an all-alive view).
 //! Survivor trees are what lets the epoch protocol route *around*
 //! known-dead interior relays instead of cascading `PeerLost` down their
-//! subtrees. [`build`] is the one entry point the executors and the cost
-//! model share.
+//! subtrees. [`build`] is the one builder; it has two callers. The
+//! executors reach it through the run's [`ScheduleMemo`], which builds a
+//! tree once per `(algorithm, root, alive set)` per run and hands every
+//! rank the same `Arc<Tree>`; the cost model calls it directly, because
+//! a prediction has no run to share with.
 
-use super::CollAlgorithm;
+use super::{CollAlgorithm, Membership};
 use crate::platform::Platform;
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// A rooted spanning tree over a subset of ranks `0..p` (all of them for
 /// an all-alive view), with children kept in both broadcast (send)
@@ -172,7 +177,7 @@ impl Tree {
 /// # Panics
 /// On [`CollAlgorithm::Auto`], which names no tree: selection
 /// (`coll::select_over`) resolves it to a concrete algorithm first.
-pub(crate) fn build(
+pub(super) fn build(
     algorithm: CollAlgorithm,
     root: usize,
     platform: &Platform,
@@ -186,6 +191,61 @@ pub(crate) fn build(
             segment_hierarchical_over(root, platform, members)
         }
         CollAlgorithm::Auto => unreachable!("selection resolved before building"),
+    }
+}
+
+/// One run's schedules, keyed by `(algorithm, root, alive set)`. A
+/// schedule is a pure function of its key and the run's platform, so a
+/// tree built by whichever rank asks first is the tree every other rank
+/// would have built: P ranks planning the same collective share one.
+#[derive(Debug, Default)]
+pub(crate) struct ScheduleMemo {
+    /// Few keys per run (one per algorithm in use per membership epoch),
+    /// so a scan beats hashing the alive set on every call.
+    built: Mutex<Vec<Memoized>>,
+}
+
+#[derive(Debug)]
+struct Memoized {
+    algorithm: CollAlgorithm,
+    root: usize,
+    alive: Vec<bool>,
+    tree: Arc<Tree>,
+}
+
+impl ScheduleMemo {
+    /// The schedule of `algorithm` rooted at `root` over `view`'s
+    /// survivors, built on the first request for that key. Building
+    /// happens under the lock, so concurrent first requests still build
+    /// exactly one tree.
+    pub(crate) fn get(
+        &self,
+        algorithm: CollAlgorithm,
+        root: usize,
+        platform: &Platform,
+        view: &Membership,
+    ) -> Arc<Tree> {
+        let mut built = self.built.lock();
+        if let Some(hit) = built
+            .iter()
+            .find(|m| m.algorithm == algorithm && m.root == root && m.alive == view.alive())
+        {
+            return Arc::clone(&hit.tree);
+        }
+        let tree = Arc::new(build(algorithm, root, platform, &view.survivors()));
+        built.push(Memoized {
+            algorithm,
+            root,
+            alive: view.alive().to_vec(),
+            tree: Arc::clone(&tree),
+        });
+        tree
+    }
+
+    /// Number of schedules built so far.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.built.lock().len()
     }
 }
 

@@ -7,13 +7,25 @@
 //! segment `b` must wait until the `(a,b)` link is free, then occupies it
 //! for the transfer duration.
 //!
-//! **Determinism.** Reservations are made from whichever endpoint of the
-//! message is rank 0 (the root): the root issues its sends and receives
-//! in program order, so reservation order — and therefore every virtual
-//! timestamp — is deterministic for the master/worker communication
-//! patterns all algorithms in this repository use. Worker↔worker
-//! transfers (only used by the halo-exchange ablation) skip the queue and
-//! pay the raw transfer duration; see DESIGN.md.
+//! **Determinism.** A run has one ledger, held by its fabric
+//! (`simnet::fabric`), and exactly one rank writes to it: reservations
+//! are made from whichever endpoint of the message is rank 0 (the root)
+//! — when the root sends, inside that send; when the root receives, the
+//! first time it takes the message off its mailbox. Both happen in the
+//! root's own program order, so reservation order — and therefore every
+//! virtual timestamp — is a function of the program alone, not of which
+//! host thread ran first. The fabric only queues envelopes and never
+//! looks at a clock.
+//!
+//! **What that leaves out.** Worker↔worker transfers skip the queue and
+//! pay the raw transfer duration. They are not rare: binomial trees, the
+//! up and down phases of a fused allreduce and the ft drivers' survivor
+//! trees all relay worker↔worker, across segments on the multi-segment
+//! networks, so those schedules under-charge the serial links — and the
+//! root's own reservations are made in program order, not in virtual-time
+//! order. Both are ROADMAP open item 1; the fabric, which sees every
+//! send, receive and exit of a run, is where a virtual-time-ordered
+//! ledger would go.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;

@@ -1,24 +1,31 @@
 //! The message-passing runtime.
 //!
 //! [`Engine::run`] spawns one OS thread per platform processor and hands
-//! each a [`Ctx`]: its rank, a virtual-time ledger, and mailboxes to every
-//! other rank (per-pair FIFO channels, so messages between a pair arrive
-//! in send order — MPI's ordering guarantee). The API mirrors the MPI
-//! subset the paper's algorithms use: [`Ctx::send`] / [`Ctx::recv`] plus
-//! the collectives in [`crate::comm`].
+//! each a [`Ctx`]: its rank, a virtual-time ledger, and a handle on the
+//! run's shared fabric — one mailbox per rank holding a FIFO per source
+//! (so messages between a pair arrive in send order — MPI's ordering
+//! guarantee), an exit board, the link ledger and the collective
+//! schedule memo, all built once per run in O(P). The API mirrors the
+//! MPI subset the paper's algorithms use: [`Ctx::send`] / [`Ctx::recv`]
+//! plus the collectives in [`crate::coll`].
 //!
 //! **Virtual time.** Computation is charged explicitly via
 //! [`Ctx::compute_par`] / [`Ctx::compute_seq`] in megaflops; the engine
 //! converts using the processor's cycle-time. Message timing follows the
-//! platform's link matrix with serial inter-segment contention; see
+//! platform's link matrix with serial inter-segment contention. The
+//! fabric only moves envelopes: every arrival time is resolved by a rank
+//! — the root when it sends, the receiver at its first look at a message
+//! otherwise — in that rank's own program order, which is why host
+//! thread scheduling never reaches a virtual number; see
 //! [`crate::contention`] for the determinism argument.
 //!
 //! **Failure.** Failures are structured, not process-aborting. A rank
 //! that panics — or crashes on schedule under a [`FaultPlan`] — is
 //! unwound by the engine, which records a [`RankFailure`] in the
-//! [`RunReport`] and sends a trailing *gone* marker to every peer over
-//! the ordinary FIFO channels (so all messages sent before the failure
-//! still arrive first). A peer blocked in [`Ctx::recv`] on a failed rank
+//! [`RunReport`] and publishes the rank's final clock and failure cause
+//! on the fabric's exit board. A receiver reads the board only once the
+//! leaver's queue is empty, so all messages sent before the failure
+//! still arrive first. A peer blocked in [`Ctx::recv`] on a failed rank
 //! unwinds in turn (cause `PeerLost`); a peer using
 //! [`Ctx::recv_deadline`] instead *observes* the failure as a
 //! [`RecvError::Failed`] value and can re-plan — the hook fault-tolerant
@@ -27,13 +34,13 @@
 //! exactly as deterministic as healthy ones.
 
 use crate::clock::{Phase, TimeLedger};
-use crate::contention::InterSegmentLinks;
+use crate::fabric::{Exit, Fabric};
 use crate::faults::{FailureCause, FaultPlan, RankFailure, RecvError};
 use crate::platform::Platform;
 use crate::report::RunReport;
 use crate::trace::{Trace, TraceEvent, TraceKind};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 type TraceSink = Option<Arc<Mutex<Vec<TraceEvent>>>>;
@@ -155,35 +162,24 @@ struct Envelope<M> {
     payload: M,
 }
 
-/// What actually travels on a channel: a message, or a trailing marker
-/// the engine sends when the source rank leaves the run (cleanly or
-/// not). FIFO ordering guarantees the marker trails every real message.
-enum Packet<M> {
-    Msg(Envelope<M>),
-    Gone {
-        /// Source rank's virtual clock when it left.
-        at: f64,
-        /// `None`: clean exit. `Some`: why the rank failed.
-        failure: Option<FailureCause>,
-    },
+/// A message whose arrival time has been resolved (link reservation
+/// done exactly once, when the receiver first takes it off the fabric,
+/// in the receiver's program order).
+struct Resolved<M> {
+    arrival: f64,
+    transfer_secs: f64,
+    /// Sender's virtual clock at injection (profiling provenance).
+    sent_at: f64,
+    /// Link-queueing delay the transfer paid (profiling provenance).
+    queued: f64,
+    payload: M,
 }
 
-/// A packet whose arrival time has been resolved (link reservation done
-/// exactly once, at first peek, in the receiver's program order).
-enum Stashed<M> {
-    Msg {
-        arrival: f64,
-        transfer_secs: f64,
-        /// Sender's virtual clock at injection (profiling provenance).
-        sent_at: f64,
-        /// Link-queueing delay the transfer paid (profiling provenance).
-        queued: f64,
-        payload: M,
-    },
-    Gone {
-        at: f64,
-        failure: Option<FailureCause>,
-    },
+/// What a receive finds next from a source: a message, or — once every
+/// message the source sent has been delivered — the source's exit.
+enum Incoming<M> {
+    Msg(Resolved<M>),
+    Gone(Exit),
 }
 
 /// Engine-internal unwind payload: this rank hit its scheduled crash.
@@ -217,16 +213,17 @@ pub struct Ctx<M: Wire> {
     rank: usize,
     platform: Arc<Platform>,
     config: CommConfig,
-    links: Arc<InterSegmentLinks>,
+    /// The run's shared transport, exit board, link ledger and schedule
+    /// memo.
+    fabric: Arc<Fabric<Envelope<M>>>,
     faults: Arc<FaultPlan>,
     /// This rank's scheduled crash time (`∞` when none).
     crash_at: f64,
     ledger: TimeLedger,
-    txs: Vec<Sender<Packet<M>>>,
-    rxs: Vec<Option<Receiver<Packet<M>>>>,
-    /// Per-source stash for peeked-but-undelivered packets
-    /// (deadline misses and permanent failure markers).
-    pending: Vec<Option<Stashed<M>>>,
+    /// Resolved-but-undelivered messages by source: a
+    /// [`Ctx::recv_deadline`] miss parks the message here for the next
+    /// receive from that source.
+    pending: BTreeMap<usize, Resolved<M>>,
     /// Collective algorithm choices made on this rank (see
     /// [`crate::coll`]); the root's log lands in
     /// [`RunReport::collectives`].
@@ -301,46 +298,38 @@ impl<M: Wire> Ctx<M> {
         end - start
     }
 
-    /// Resolves a raw packet's arrival time. The root resolves link
+    /// Resolves an envelope's arrival time. The root resolves link
     /// reservations here, in its own program order — which is what keeps
     /// contention timestamps deterministic (see [`crate::contention`]).
-    fn resolve(&mut self, src: usize, pkt: Packet<M>) -> Stashed<M> {
-        match pkt {
-            Packet::Gone { at, failure } => Stashed::Gone { at, failure },
-            Packet::Msg(env) => {
-                let (arrival, transfer_secs, queued) = match env.arrives_at {
-                    Some(a) => (a, env.transfer_secs, env.queued),
-                    None => {
-                        let (seg_src, seg_dst) = (
-                            self.platform.segment_of(src),
-                            self.platform.segment_of(self.rank),
-                        );
-                        let (earliest, dur) = self.faults.adjust_transfer(
-                            seg_src,
-                            seg_dst,
-                            env.sent_at,
-                            env.transfer_secs,
-                        );
-                        if self.rank == 0 {
-                            let start = self.links.reserve(seg_src, seg_dst, earliest, dur);
-                            (start + dur, dur, start - earliest)
-                        } else {
-                            // Worker↔worker: raw transfer, no queueing.
-                            // Tree schedules relay worker↔worker across
-                            // segments, so this under-charges the serial
-                            // links there — ROADMAP open item 1.
-                            (earliest + dur, dur, 0.0)
-                        }
-                    }
-                };
-                Stashed::Msg {
-                    arrival,
-                    transfer_secs,
-                    sent_at: env.sent_at,
-                    queued,
-                    payload: env.payload,
+    fn resolve(&mut self, src: usize, env: Envelope<M>) -> Resolved<M> {
+        let (arrival, transfer_secs, queued) = match env.arrives_at {
+            Some(a) => (a, env.transfer_secs, env.queued),
+            None => {
+                let (seg_src, seg_dst) = (
+                    self.platform.segment_of(src),
+                    self.platform.segment_of(self.rank),
+                );
+                let (earliest, dur) =
+                    self.faults
+                        .adjust_transfer(seg_src, seg_dst, env.sent_at, env.transfer_secs);
+                if self.rank == 0 {
+                    let start = self.fabric.links.reserve(seg_src, seg_dst, earliest, dur);
+                    (start + dur, dur, start - earliest)
+                } else {
+                    // Worker↔worker: raw transfer, no queueing.
+                    // Tree schedules relay worker↔worker across
+                    // segments, so this under-charges the serial
+                    // links there — ROADMAP open item 1.
+                    (earliest + dur, dur, 0.0)
                 }
             }
+        };
+        Resolved {
+            arrival,
+            transfer_secs,
+            sent_at: env.sent_at,
+            queued,
+            payload: env.payload,
         }
     }
 
@@ -352,23 +341,16 @@ impl<M: Wire> Ctx<M> {
         self.crash_at.is_finite() && t >= self.crash_at
     }
 
-    /// Next packet from `src`: the stashed one if present, else a
-    /// blocking (wall-clock) channel read.
-    fn next_packet(&mut self, src: usize) -> Stashed<M> {
-        if let Some(p) = self.pending[src].take() {
-            return p;
+    /// What `src` has next for this rank: the parked message if a
+    /// deadline miss left one, else a blocking (wall-clock) take from
+    /// the fabric.
+    fn next_from(&mut self, src: usize) -> Incoming<M> {
+        if let Some(parked) = self.pending.remove(&src) {
+            return Incoming::Msg(parked);
         }
-        let rx = self.rxs[src]
-            .as_ref()
-            .expect("recv: receiver already moved");
-        match rx.recv() {
-            Ok(pkt) => self.resolve(src, pkt),
-            // Channel disconnect without a Gone marker can only happen if
-            // the peer thread was torn down outside the engine's control.
-            Err(_) => Stashed::Gone {
-                at: self.ledger.now,
-                failure: Some(FailureCause::PeerLost { peer: src }),
-            },
+        match self.fabric.take(self.rank, src) {
+            Ok(env) => Incoming::Msg(self.resolve(src, env)),
+            Err(exit) => Incoming::Gone(exit),
         }
     }
 }
@@ -469,7 +451,7 @@ impl<M: Wire> Ctx<M> {
                 sent_at,
                 transfer_secs,
             );
-            let start = self.links.reserve(
+            let start = self.fabric.links.reserve(
                 self.platform.segment_of(self.rank),
                 self.platform.segment_of(dst),
                 earliest,
@@ -486,9 +468,9 @@ impl<M: Wire> Ctx<M> {
             queued,
             payload,
         };
-        // A disconnected receiver means the peer already left the run;
-        // the message is dropped, exactly like frames to a dead host.
-        let _ = self.txs[dst].send(Packet::Msg(env));
+        // The fabric drops mail for a peer that already left the run,
+        // exactly like frames to a dead host.
+        self.fabric.post(self.rank, dst, env);
     }
 
     /// Receives the next message from `src` (blocking), advancing this
@@ -504,50 +486,39 @@ impl<M: Wire> Ctx<M> {
         assert!(src < self.num_ranks(), "recv: rank {src} out of range");
         assert_ne!(src, self.rank, "recv: self-receive not supported");
         self.check_crashed();
-        match self.next_packet(src) {
-            Stashed::Msg {
-                arrival,
-                transfer_secs,
-                sent_at,
-                queued,
-                payload,
-            } => {
-                if arrival >= self.crash_at {
-                    // Died waiting for this message.
-                    self.pending[src] = Some(Stashed::Msg {
-                        arrival,
-                        transfer_secs,
-                        sent_at,
-                        queued,
-                        payload,
-                    });
-                    self.die();
+        match self.next_from(src) {
+            Incoming::Msg(msg) => {
+                if msg.arrival >= self.crash_at {
+                    self.die(); // died waiting for this message
                 }
-                let trace_start = self.ledger.now;
-                self.ledger.receive(arrival, transfer_secs);
-                self.record(
-                    trace_start,
-                    TraceKind::Recv {
-                        src,
-                        delivered: true,
-                        sent_at,
-                        transfer: transfer_secs,
-                        queued,
-                    },
-                );
-                payload
+                self.deliver(src, msg)
             }
-            Stashed::Gone { at, failure } => {
-                // The marker is permanent: stash it back so later
-                // receives observe the same state.
-                self.pending[src] = Some(Stashed::Gone { at, failure });
-                if at >= self.crash_at {
+            Incoming::Gone(exit) => {
+                if exit.at >= self.crash_at {
                     self.die();
                 }
-                self.ledger.receive(at, 0.0); // idle until the news lands
+                self.ledger.receive(exit.at, 0.0); // idle until the news lands
                 std::panic::panic_any(PeerFailedSignal { peer: src });
             }
         }
+    }
+
+    /// Advances this rank's clock to `msg`'s arrival and hands over the
+    /// payload.
+    fn deliver(&mut self, src: usize, msg: Resolved<M>) -> M {
+        let trace_start = self.ledger.now;
+        self.ledger.receive(msg.arrival, msg.transfer_secs);
+        self.record(
+            trace_start,
+            TraceKind::Recv {
+                src,
+                delivered: true,
+                sent_at: msg.sent_at,
+                transfer: msg.transfer_secs,
+                queued: msg.queued,
+            },
+        );
+        msg.payload
     }
 
     /// Receives the next message from `src` **if it arrives by virtual
@@ -579,36 +550,12 @@ impl<M: Wire> Ctx<M> {
             transfer: 0.0,
             queued: 0.0,
         };
-        match self.next_packet(src) {
-            Stashed::Msg {
-                arrival,
-                transfer_secs,
-                sent_at,
-                queued,
-                payload,
-            } => {
-                if arrival <= deadline && arrival < self.crash_at {
-                    let trace_start = self.ledger.now;
-                    self.ledger.receive(arrival, transfer_secs);
-                    self.record(
-                        trace_start,
-                        TraceKind::Recv {
-                            src,
-                            delivered: true,
-                            sent_at,
-                            transfer: transfer_secs,
-                            queued,
-                        },
-                    );
-                    return Ok(payload);
+        match self.next_from(src) {
+            Incoming::Msg(msg) => {
+                if msg.arrival <= deadline && msg.arrival < self.crash_at {
+                    return Ok(self.deliver(src, msg));
                 }
-                self.pending[src] = Some(Stashed::Msg {
-                    arrival,
-                    transfer_secs,
-                    sent_at,
-                    queued,
-                    payload,
-                });
+                self.pending.insert(src, msg);
                 if self.crashes_by(deadline) {
                     self.die();
                 }
@@ -617,39 +564,36 @@ impl<M: Wire> Ctx<M> {
                 self.record(trace_start, undelivered(src));
                 Err(RecvError::Timeout { deadline })
             }
-            Stashed::Gone { at, failure } => {
-                self.pending[src] = Some(Stashed::Gone {
-                    at,
-                    failure: failure.clone(),
-                });
-                match failure {
-                    Some(cause) if at <= deadline => {
-                        if at >= self.crash_at {
-                            self.die();
-                        }
-                        let trace_start = self.ledger.now;
-                        self.ledger.receive(at, 0.0);
-                        self.record(trace_start, undelivered(src));
-                        Err(RecvError::Failed(RankFailure {
-                            rank: src,
-                            at,
-                            cause,
-                        }))
-                    }
-                    _ => {
-                        // Clean exit, or a failure we can't know about
-                        // yet: wait out the deadline. An infinite one
-                        // ends when the peer's exit becomes known.
-                        let wake = if deadline.is_finite() { deadline } else { at };
-                        if self.crashes_by(wake) {
-                            self.die();
-                        }
-                        let trace_start = self.ledger.now;
-                        self.ledger.receive(wake, 0.0);
-                        self.record(trace_start, undelivered(src));
-                        Err(RecvError::Timeout { deadline })
-                    }
+            // The exit board is permanent: every later receive from
+            // `src` lands in one of these two arms again.
+            Incoming::Gone(Exit {
+                at,
+                failure: Some(cause),
+            }) if at <= deadline => {
+                if at >= self.crash_at {
+                    self.die();
                 }
+                let trace_start = self.ledger.now;
+                self.ledger.receive(at, 0.0);
+                self.record(trace_start, undelivered(src));
+                Err(RecvError::Failed(RankFailure {
+                    rank: src,
+                    at,
+                    cause,
+                }))
+            }
+            Incoming::Gone(Exit { at, .. }) => {
+                // Clean exit, or a failure we can't know about yet: wait
+                // out the deadline. An infinite one ends when the peer's
+                // exit becomes known.
+                let wake = if deadline.is_finite() { deadline } else { at };
+                if self.crashes_by(wake) {
+                    self.die();
+                }
+                let trace_start = self.ledger.now;
+                self.ledger.receive(wake, 0.0);
+                self.record(trace_start, undelivered(src));
+                Err(RecvError::Timeout { deadline })
             }
         }
     }
@@ -690,6 +634,11 @@ impl<M: Wire> Ctx<M> {
     /// collectives' cost model ([`crate::coll::predict`]) replays it.
     pub(crate) fn msg_latency_s(&self) -> f64 {
         self.config.latency_s
+    }
+
+    /// The run's collective schedule memo (see [`crate::coll::tree_over`]).
+    pub(crate) fn schedules(&self) -> &crate::coll::ScheduleMemo {
+        &self.fabric.schedules
     }
 
     /// Appends a collective algorithm decision to this rank's log.
@@ -934,20 +883,7 @@ impl Engine {
     {
         install_quiet_panic_hook();
         let p = self.platform.num_procs();
-        // P×P channel matrix; [src][dst].
-        let mut senders: Vec<Vec<Sender<Packet<M>>>> = Vec::with_capacity(p);
-        let mut receivers: Vec<Vec<Option<Receiver<Packet<M>>>>> =
-            (0..p).map(|_| Vec::with_capacity(p)).collect();
-        for _src in 0..p {
-            let mut row = Vec::with_capacity(p);
-            for dst_mailboxes in receivers.iter_mut() {
-                let (tx, rx) = unbounded();
-                row.push(tx);
-                dst_mailboxes.push(Some(rx));
-            }
-            senders.push(row);
-        }
-        let links = Arc::new(InterSegmentLinks::new());
+        let fabric = Arc::new(Fabric::new(p));
         let width = self.threads_per_rank();
 
         type Outcome<R> = (
@@ -962,9 +898,9 @@ impl Engine {
         let mut outcomes: Vec<Option<Outcome<R>>> = (0..p).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
-            for (rank, (txs, rxs)) in senders.into_iter().zip(receivers).enumerate() {
+            for rank in 0..p {
                 let platform = Arc::clone(&self.platform);
-                let links = Arc::clone(&links);
+                let fabric = Arc::clone(&fabric);
                 let faults = Arc::clone(&self.faults);
                 let config = self.config;
                 let program = &program;
@@ -985,13 +921,11 @@ impl Engine {
                         rank,
                         platform,
                         config,
-                        links,
+                        fabric,
                         faults,
                         crash_at,
                         ledger: TimeLedger::new(),
-                        txs,
-                        rxs,
-                        pending: (0..p).map(|_| None).collect(),
+                        pending: BTreeMap::new(),
                         coll_log: Vec::new(),
                         epoch_log: Vec::new(),
                         copies: crate::report::CopyStats::default(),
@@ -1024,19 +958,15 @@ impl Engine {
                             (None, Some(failure))
                         }
                     };
-                    // Trailing marker to every peer: FIFO guarantees it
-                    // arrives after all real messages, so peers observe
-                    // this rank's exit only once its mailbox is drained.
-                    let gone_cause = failure.as_ref().map(|f| f.cause.clone());
-                    let at = ctx.ledger.now;
-                    for (dst, tx) in ctx.txs.iter().enumerate() {
-                        if dst != rank {
-                            let _ = tx.send(Packet::Gone {
-                                at,
-                                failure: gone_cause.clone(),
-                            });
-                        }
-                    }
+                    // Published after this rank's last send: peers see
+                    // the exit only once they have drained its messages.
+                    ctx.fabric.leave(
+                        rank,
+                        Exit {
+                            at: ctx.ledger.now,
+                            failure: failure.as_ref().map(|f| f.cause.clone()),
+                        },
+                    );
                     (
                         ctx.ledger,
                         std::mem::take(&mut ctx.coll_log),
@@ -1271,6 +1201,202 @@ mod tests {
             assert_eq!(x, y, "virtual timestamps must be deterministic");
         }
         assert_eq!(a.total_time, b.total_time);
+    }
+
+    #[test]
+    fn per_pair_fifo_with_interleaved_senders_drained_in_reverse() {
+        // 63 workers interleave their sends to the root, which drains
+        // its sources in reverse rank order: every pair's sequence
+        // arrives intact and in order.
+        let engine = Engine::new(Platform::uniform("t64", 64, 0.01, 64, 1.0));
+        let report = engine.run(|ctx: &mut Ctx<u64>| {
+            if ctx.rank() == 0 {
+                let mut got = Vec::new();
+                for src in (1..ctx.num_ranks()).rev() {
+                    for _ in 0..20 {
+                        got.push(ctx.recv(src));
+                    }
+                }
+                got
+            } else {
+                for i in 0..20 {
+                    ctx.send(0, ctx.rank() as u64 * 1000 + i);
+                }
+                Vec::new()
+            }
+        });
+        assert!(report.ok());
+        let want: Vec<u64> = (1..64u64)
+            .rev()
+            .flat_map(|src| (0..20).map(move |i| src * 1000 + i))
+            .collect();
+        assert_eq!(*report.result(0), want);
+    }
+
+    /// How rank 1 leaves right after its last send.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Leave {
+        Clean,
+        Crash,
+        Panic,
+    }
+
+    /// Rank 1 computes for 1 s, sends `7` and leaves `how`; the root
+    /// runs `root` against it.
+    fn leaver_run<R: Send>(
+        how: Leave,
+        root: impl Fn(&mut Ctx<u64>) -> R + Sync,
+    ) -> RunReport<Option<R>> {
+        let mut engine = Engine::new(two_rank_platform());
+        if how == Leave::Crash {
+            // After the send (issued at 1.0 s), inside the next compute.
+            engine = engine.with_faults(FaultPlan::new().crash(1, 1.005));
+        }
+        engine.run(move |ctx: &mut Ctx<u64>| {
+            if ctx.rank() == 0 {
+                return Some(root(ctx));
+            }
+            ctx.compute_par(100.0);
+            ctx.send(0, 7);
+            match how {
+                Leave::Clean => {}
+                Leave::Crash => ctx.compute_par(1.0),
+                Leave::Panic => panic!("worker died"),
+            }
+            None
+        })
+    }
+
+    #[test]
+    fn a_message_sent_right_before_any_exit_is_delivered_first() {
+        for how in [Leave::Clean, Leave::Crash, Leave::Panic] {
+            let by_recv = leaver_run(how, |ctx| ctx.recv(1));
+            assert_eq!(*by_recv.result(0), Some(7), "{how:?}: recv");
+            let by_finite = leaver_run(how, |ctx| ctx.recv_deadline(1, 50.0));
+            assert_eq!(*by_finite.result(0), Some(Ok(7)), "{how:?}: finite");
+            let by_infinite = leaver_run(how, |ctx| ctx.recv_deadline(1, f64::INFINITY));
+            assert_eq!(*by_infinite.result(0), Some(Ok(7)), "{how:?}: infinite");
+            for report in [&by_finite, &by_infinite] {
+                assert_eq!(report.failure_of(1).is_some(), how != Leave::Clean);
+                assert!(report.failure_of(0).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn an_exit_is_observed_only_after_the_mailbox_is_drained() {
+        // After the one message: `recv_deadline` reports a failure as
+        // `Failed`, permanently and at the failure instant, and a clean
+        // exit as `Timeout` — under an infinite deadline too, where the
+        // clock advances only to the exit.
+        for how in [Leave::Clean, Leave::Crash, Leave::Panic] {
+            let report = leaver_run(how, |ctx| {
+                let first = ctx.recv_deadline(1, f64::INFINITY);
+                let after_first = ctx.elapsed();
+                let second = ctx.recv_deadline(1, f64::INFINITY);
+                let after_second = ctx.elapsed();
+                let third = ctx.recv_deadline(1, 60.0);
+                (
+                    first,
+                    after_first,
+                    second,
+                    after_second,
+                    third,
+                    ctx.elapsed(),
+                )
+            });
+            let (first, after_first, second, after_second, third, end) =
+                report.result(0).clone().expect("root completes");
+            assert_eq!(first, Ok(7), "{how:?}");
+            // The clock advances to the exit, never back: the transfer
+            // can outlive the send call, and so land after the exit.
+            let left_at = report.ledgers[1].now;
+            assert_eq!(after_second, after_first.max(left_at), "{how:?}");
+            match how {
+                Leave::Clean => {
+                    assert!(matches!(second, Err(RecvError::Timeout { .. })));
+                    assert_eq!(third, Err(RecvError::Timeout { deadline: 60.0 }));
+                    assert!((end - 60.0).abs() < 1e-12, "a finite miss waits it out");
+                }
+                Leave::Crash | Leave::Panic => {
+                    let failure = report.failure_of(1).expect("recorded").clone();
+                    assert_eq!(failure.at, left_at, "{how:?}");
+                    assert_eq!(second, Err(RecvError::Failed(failure.clone())), "{how:?}");
+                    assert_eq!(third, Err(RecvError::Failed(failure)), "{how:?}");
+                    assert_eq!(end, after_second, "no further wait");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recv_on_an_exited_peer_unwinds_as_peer_lost_however_it_left() {
+        for how in [Leave::Clean, Leave::Crash, Leave::Panic] {
+            let report = leaver_run(how, |ctx| {
+                let first = ctx.recv(1);
+                let _ = ctx.recv(1); // nothing more is coming
+                first
+            });
+            assert_eq!(report.results[0], None, "{how:?}");
+            let root = report.failure_of(0).expect("root unwound");
+            assert_eq!(root.cause, FailureCause::PeerLost { peer: 1 }, "{how:?}");
+            assert!(root.at >= report.ledgers[1].now, "{how:?}");
+        }
+    }
+
+    #[test]
+    fn a_send_to_an_exited_rank_is_dropped_and_still_charges_the_sender() {
+        // Rank 1 returns at once; the root first observes the exit (so
+        // the send below is certainly late), then sends 1 Mbit into the
+        // void: full latency on the sender's clock, nobody fails.
+        let report = Engine::new(two_rank_platform()).run(|ctx: &mut Ctx<WireVec<u8>>| {
+            if ctx.rank() == 1 {
+                return (0.0, 0.0);
+            }
+            let gone = ctx.recv_deadline(1, f64::INFINITY);
+            assert!(matches!(gone, Err(RecvError::Timeout { .. })));
+            let before = ctx.elapsed();
+            ctx.send(1, WireVec(vec![0u8; 125_000]));
+            (before, ctx.elapsed())
+        });
+        assert!(report.ok());
+        let (before, after) = *report.result(0);
+        assert_eq!(after, before + crate::platform::DEFAULT_MSG_LATENCY_S);
+    }
+
+    #[test]
+    fn peer_lost_cascades_down_a_binomial_tree_and_terminates() {
+        // The root of a 64-rank binomial broadcast panics before
+        // sending: every rank below unwinds as `PeerLost` on its tree
+        // parent, level by level, and the run ends with all 64 ranks
+        // accounted for.
+        let p = 64;
+        let cfg = crate::coll::CollectiveConfig::uniform(crate::coll::CollAlgorithm::BinomialTree);
+        let report = Engine::new(Platform::uniform("t64", p, 0.01, 64, 1.0)).run(
+            move |ctx: &mut Ctx<u64>| {
+                if ctx.is_root() {
+                    panic!("root died");
+                }
+                crate::coll::broadcast(ctx, &cfg, 0, None, 64).expect("broadcast")
+            },
+        );
+        assert_eq!(report.failures.len(), p);
+        assert!(report.results.iter().all(Option::is_none));
+        let view = crate::coll::Membership::new(p);
+        let tree = crate::coll::ScheduleMemo::default().get(
+            crate::coll::CollAlgorithm::BinomialTree,
+            0,
+            &Platform::uniform("t64", p, 0.01, 64, 1.0),
+            &view,
+        );
+        for rank in 1..p {
+            let parent = tree.parent(rank).expect("non-root");
+            assert_eq!(
+                report.failure_of(rank).expect("accounted for").cause,
+                FailureCause::PeerLost { peer: parent },
+                "rank {rank}"
+            );
+        }
     }
 
     /// Regression test for the old abort path: a worker panic used to

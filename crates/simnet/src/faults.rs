@@ -8,9 +8,10 @@
 //!
 //! * [`FaultPlan::crash`] — a rank dies the moment its own virtual clock
 //!   reaches `t`. The engine unwinds the rank, records a structured
-//!   [`RankFailure`], and notifies every peer through the ordinary
-//!   message channels (FIFO, so all messages sent before the crash are
-//!   still delivered first).
+//!   [`RankFailure`], and publishes the failure on the run's exit board,
+//!   which a peer reads only once it has drained the crashed rank's
+//!   messages (so everything sent before the crash is still delivered
+//!   first).
 //! * [`FaultPlan::slowdown`] — during `[from, until)` a rank's compute
 //!   takes `factor`× its nominal time (a hidden external load). Applied
 //!   by piecewise integration in [`FaultPlan::dilate`], so work spanning

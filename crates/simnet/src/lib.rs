@@ -26,7 +26,9 @@
 //!   network" construction and checker (the paper's evaluation framework).
 //! * [`clock`] — per-rank virtual clocks and time ledgers.
 //! * [`contention`] — serial inter-segment link reservation.
-//! * [`engine`] — the message-passing runtime (threads + channels).
+//! * [`engine`] — the message-passing runtime: one thread per rank over
+//!   a run-shared fabric (a mailbox per rank, an exit board, the link
+//!   ledger and the collective schedule memo, built in O(P) per run).
 //! * [`coll`] — the collectives (broadcast, scatter, gather, reduce,
 //!   allreduce), each one body over a membership view: linear (the
 //!   paper's root-mediated baseline), binomial tree, segment-hierarchical
@@ -77,6 +79,7 @@ pub mod coll;
 pub mod contention;
 pub mod engine;
 pub mod equivalent;
+mod fabric;
 pub mod faults;
 pub mod platform;
 pub mod presets;
