@@ -2,7 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetero_hsi::kernels::{self, FclsCarry, ProjectionCarry};
-use hsi_cube::metrics::{brightness, euclidean, sad, sid};
+use hsi_cube::metrics::{brightness, euclidean, nearest_by_sad, sad, sid};
 use hsi_cube::synth::{wtc_scene, WtcConfig};
 use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace};
 use hsi_linalg::ortho::OrthoBasis;
@@ -28,6 +28,14 @@ fn bench_metrics(c: &mut Criterion) {
         b.iter(|| euclidean(black_box(&x), black_box(&y)))
     });
     g.bench_function("sid", |b| b.iter(|| sid(black_box(&x), black_box(&y))));
+    // Candidate norms are formed per call here; the labelling kernels
+    // hoist them (see `sad_label-c7` below).
+    let candidates: Vec<Vec<f32>> = (0..7)
+        .map(|i| y.iter().map(|&v| v + 0.01 * i as f32).collect())
+        .collect();
+    g.bench_function("nearest_by_sad_c7", |b| {
+        b.iter(|| nearest_by_sad(black_box(&x), black_box(&candidates)))
+    });
     g.finish();
 }
 
@@ -147,6 +155,22 @@ fn bench_mei(c: &mut Criterion) {
     c.bench_function("mei-32x32x64-2iter", |b| {
         b.iter(|| hsi_morpho::mei::mei(black_box(&scene.cube), &se, 2))
     });
+    c.bench_function("cumdist_map-32x32x64-3x3", |b| {
+        b.iter(|| hsi_morpho::cumdist::cumdist_map(black_box(&scene.cube), &se))
+    });
+}
+
+fn bench_sad_label(c: &mut Criterion) {
+    let scene = wtc_scene(WtcConfig {
+        lines: 32,
+        samples: 16,
+        bands: 224,
+        ..Default::default()
+    });
+    let classes = &scene.class_signatures[..7];
+    c.bench_function("sad_label-512px-224bands-c7", |b| {
+        b.iter(|| kernels::sad_label(black_box(&scene.cube), (0, 32), classes))
+    });
 }
 
 fn bench_covariance(c: &mut Criterion) {
@@ -174,6 +198,7 @@ criterion_group!(
     bench_fcls,
     bench_carried_rounds,
     bench_mei,
+    bench_sad_label,
     bench_covariance
 );
 criterion_main!(benches);

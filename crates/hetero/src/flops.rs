@@ -100,6 +100,12 @@ pub fn pct_classify(c: usize, p: usize) -> f64 {
 /// (`2·se_len` compares) and the per-pixel erosion/dilation SAD.
 /// Calibrated so MORPH is the most expensive algorithm, ≈ 1.9–2.3× the
 /// ATDCA total, matching the paper's Tables 3–4 (2334 s vs 1263 s).
+///
+/// This is the *virtual* clock's charge — the modelled 2006 node
+/// evaluates every SAD of the definition. The *host* does less
+/// (`hsi_morpho::cumdist` forms one `D_B` map per iteration, from one
+/// norm per pixel and one dot per unordered pixel pair); that moves
+/// wall-clock only.
 #[inline]
 pub fn mei_iteration(pixels: usize, n: usize, se_len: usize) -> f64 {
     let per_pixel = 2.0 * (se_len as f64) * sad(n) + 2.0 * se_len as f64 + sad(n);

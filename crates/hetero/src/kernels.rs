@@ -25,14 +25,20 @@
 //! [`FclsCarry`]) and apply only the vectors a line has not seen. That
 //! too is host wall-clock only: the megaflops returned are the paper's
 //! full per-round re-projection whatever the carry saved.
+//!
+//! Within a line the per-pixel 224-band sums — norms, projection and
+//! endmember dots, FCLS residuals, SAD dots — run four pixels (or
+//! candidates) at a time, one accumulator each: every sum keeps its own
+//! operands and order, hence its bits, and stops waiting out the add
+//! latency alone. Host wall-clock only, again.
 
 use crate::flops;
 use crate::msg::Candidate;
-use hsi_cube::metrics::{brightness, sad};
+use hsi_cube::metrics::{brightness, sad, SadCandidates};
 use hsi_cube::HyperCube;
 use hsi_linalg::covariance::CovarianceAccumulator;
 use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace};
-use hsi_linalg::matrix::dot;
+use hsi_linalg::matrix::dots_abreast;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
 use rayon::prelude::*;
@@ -44,6 +50,10 @@ use rayon::prelude::*;
 /// every kernel returns bit-identical results for **any** thread count
 /// (including 1). See `docs/PERF.md` for the determinism argument.
 pub const PAR_CHUNK_LINES: usize = 8;
+
+/// How many pixels of a line the scans run abreast (a scalar tail takes
+/// the rest of the line).
+const ABREAST: usize = 4;
 
 /// Splits `[lo, hi)` into the fixed chunk grid: chunk `c` covers
 /// `[lo + c·PAR_CHUNK_LINES, min(lo + (c+1)·PAR_CHUNK_LINES, hi))`.
@@ -263,8 +273,7 @@ pub fn max_projection_carried(
     let pixels = range_pixels(cube, range);
     let lines = carry.0.lines_for(k, |i| basis.vector(i), range);
     let result = argmax_pixels(cube, range, lines, || {
-        let mut wide = vec![0.0f64; n];
-        move |line: usize, state: &mut LineCarry, scores: &mut [f64]| {
+        |line: usize, state: &mut LineCarry, scores: &mut [f64]| {
             let fresh = state.sums.len() != scores.len();
             if fresh {
                 state.sums.clear();
@@ -272,14 +281,15 @@ pub fn max_projection_carried(
                 state.depth = 0;
             }
             if fresh || state.depth < k {
-                for (sample, sum) in state.sums.iter_mut().enumerate() {
-                    for (w, &v) in wide.iter_mut().zip(cube.pixel(line, sample)) {
-                        *w = v as f64;
-                    }
-                    if fresh {
-                        *sum = dot(&wide, &wide);
-                    }
-                    *sum = basis.residual_from(&wide, state.depth, *sum);
+                let depth = state.depth;
+                let mut groups = state.sums.chunks_exact_mut(ABREAST);
+                let mut first = 0;
+                for group in &mut groups {
+                    continue_residuals::<ABREAST>(cube, basis, line, first, fresh, depth, group);
+                    first += ABREAST;
+                }
+                for (i, sum) in groups.into_remainder().chunks_exact_mut(1).enumerate() {
+                    continue_residuals::<1>(cube, basis, line, first + i, fresh, depth, sum);
                 }
                 state.depth = k;
             }
@@ -292,6 +302,27 @@ pub fn max_projection_carried(
         result,
         flops::mflop(flops::projection_score(n, k) * pixels as f64),
     )
+}
+
+/// Brings the carried residuals of `L` neighbouring pixels of `line`, from
+/// `first` on, up to the whole basis: started from `‖x‖²` when `fresh`,
+/// else continued from `sums` at `depth`.
+fn continue_residuals<const L: usize>(
+    cube: &HyperCube,
+    basis: &OrthoBasis,
+    line: usize,
+    first: usize,
+    fresh: bool,
+    depth: usize,
+    sums: &mut [f64],
+) {
+    let xs: [&[f32]; L] = std::array::from_fn(|i| cube.pixel(line, first + i));
+    let from = if fresh {
+        dots_abreast(xs, xs)
+    } else {
+        std::array::from_fn(|i| sums[i])
+    };
+    sums.copy_from_slice(&basis.residual_from(xs, depth, from));
 }
 
 /// Each pixel's dots with the endmembers, `uᵢᵀx` (8 bytes a pixel and
@@ -320,7 +351,8 @@ pub fn max_fcls_error(
 /// round against an endmember set that only grows: each line keeps its
 /// pixels' endmember dots (laid out endmember-major, so a round appends),
 /// and a round that pushed one endmember forms one new dot per pixel
-/// before the solve instead of all of them. Scores are
+/// before the solve instead of all of them
+/// ([`FclsProblem::solve_f32_line`]). Scores are
 /// [`FclsProblem::solve_f32_in`]'s to the bit. A carry that last saw a
 /// different set restarts the lines it must.
 /// The megaflops returned are those of the full unmixing.
@@ -334,29 +366,34 @@ pub fn max_fcls_error_carried(
     let t = problem.num_endmembers();
     let pixels = range_pixels(cube, range);
     let lines = carry.0.lines_for(t, |i| problem.endmember(i), range);
+    let stride = cube.samples() * n;
     let result = argmax_pixels(cube, range, lines, || {
         let mut ws = FclsWorkspace::new();
-        let mut dots: Vec<f64> = Vec::with_capacity(t);
         move |line: usize, state: &mut LineCarry, scores: &mut [f64]| {
             let samples = scores.len();
             if state.sums.len() != state.depth * samples {
                 state.depth = 0;
             }
             state.sums.resize(t * samples, 0.0);
-            for (sample, score) in scores.iter_mut().enumerate() {
-                dots.clear();
-                dots.extend((0..state.depth).map(|i| state.sums[i * samples + sample]));
-                let solved =
-                    problem.solve_f32_carried(cube.pixel(line, sample), &mut dots, &mut ws);
-                debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
-                *score = solved.unwrap_or(f64::NEG_INFINITY);
-                // Kept even when the solve fails: the active-set iteration
-                // runs after the dots are formed.
-                for (i, &d) in dots.iter().enumerate().skip(state.depth) {
-                    state.sums[i * samples + sample] = d;
-                }
+            scores.fill(f64::NEG_INFINITY);
+            // A pixel's new dots are formed before its solve, so they are
+            // kept even when that fails.
+            let shaped = problem.solve_f32_line(
+                &cube.as_slice()[line * stride..(line + 1) * stride],
+                state.depth,
+                &mut state.sums,
+                &mut ws,
+                |sample, solved| {
+                    debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
+                    if let Ok(residual_sq) = solved {
+                        scores[sample] = residual_sq;
+                    }
+                },
+            );
+            debug_assert!(shaped.is_ok(), "max_fcls_error: {shaped:?}");
+            if shaped.is_ok() {
+                state.depth = t;
             }
-            state.depth = t;
         }
     });
     (result, flops::mflop(flops::fcls(n, t) * pixels as f64))
@@ -464,6 +501,7 @@ pub fn pct_label(
     if reps32.is_empty() {
         reps32.push(vec![0.0; c]);
     }
+    let reps32 = SadCandidates::new(&reps32);
     let reps32 = &reps32;
     // One preassembled label buffer, written in place by the chunk
     // workers; `par_chunks_mut` at `PAR_CHUNK_LINES × samples` pixels
@@ -494,7 +532,7 @@ pub fn pct_label(
                     for (o, &v) in proj32.iter_mut().zip(projected.iter()) {
                         *o = v as f32;
                     }
-                    let best = hsi_cube::metrics::nearest_by_sad(&proj32, reps32).unwrap_or(0);
+                    let best = reps32.nearest(&proj32).unwrap_or(0);
                     part[(line - clo) * samples + sample] = best as u16;
                 }
             }
@@ -515,6 +553,7 @@ pub fn sad_label(cube: &HyperCube, range: (usize, usize), classes: &[Vec<f32>]) 
     let samples = cube.samples();
     let pixels = range_pixels(cube, range);
     let mut labels = vec![0u16; pixels];
+    let candidates = &SadCandidates::new(classes);
     labels
         .par_chunks_mut((PAR_CHUNK_LINES * samples).max(1))
         .enumerate()
@@ -523,8 +562,7 @@ pub fn sad_label(cube: &HyperCube, range: (usize, usize), classes: &[Vec<f32>]) 
             debug_assert_eq!(part.len(), (chi - clo) * samples);
             for line in clo..chi {
                 for sample in 0..samples {
-                    let best = hsi_cube::metrics::nearest_by_sad(cube.pixel(line, sample), classes)
-                        .unwrap_or(0);
+                    let best = candidates.nearest(cube.pixel(line, sample)).unwrap_or(0);
                     part[(line - clo) * samples + sample] = best as u16;
                 }
             }

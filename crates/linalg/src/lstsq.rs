@@ -20,11 +20,18 @@
 //! body, which works entirely inside a caller-owned [`FclsWorkspace`]:
 //! a per-pixel loop that keeps one workspace ([`FclsProblem::solve_in`])
 //! allocates nothing. The one-shot functions build a workspace per call.
+//!
+//! The two 224-band reductions around the iteration — the endmember dots
+//! before it and `‖x − Uᵀa‖²` after it — are single accumulator chains,
+//! so a caller with a whole image line ([`FclsProblem::solve_f32_line`])
+//! gets them formed several pixels abreast
+//! ([`crate::matrix::dots_abreast`]): same sums, same bits, not waited
+//! for one at a time.
 
 use crate::cholesky::{self, CholeskyDecomposition};
 use crate::error::shape_mismatch;
 use crate::lu::LuDecomposition;
-use crate::matrix::dot;
+use crate::matrix::{axpy, dot, dots_abreast};
 use crate::{LinAlgError, Matrix, Result};
 
 /// Weight of the sum-to-one row in the Heinz–Chang FCLS augmentation.
@@ -65,21 +72,68 @@ fn check_dims(u: &Matrix, x: &[f64]) -> Result<()> {
     Ok(())
 }
 
+/// How many pixels of a line the reductions around NNLS run abreast.
+const ABREAST: usize = 4;
+
 fn residual_sq(u: &Matrix, x: &[f64], a: &[f64]) -> f64 {
-    residual_sq_in(u, x, a, &mut Vec::new())
+    let [r] = residuals_sq(u, [x], [a], &mut Vec::new());
+    r
 }
 
-/// `‖x − Uᵀa‖²`, with `r` as the buffer for the residual vector.
-fn residual_sq_in(u: &Matrix, x: &[f64], a: &[f64], r: &mut Vec<f64>) -> f64 {
-    // r = x − Uᵀ a, accumulated without building Uᵀ.
-    r.clear();
-    r.extend_from_slice(x);
-    for (i, &ai) in a.iter().enumerate() {
-        if ai != 0.0 {
-            crate::matrix::axpy(-ai, u.row(i), r);
+/// `‖xₖ − Uᵀaₖ‖²` for `L` pixels (`f32` or `f64`), with `resid` as the
+/// buffer for the residual vectors: each is accumulated endmember by
+/// endmember without building `Uᵀ` ([`subtract_mixture`]), then the `L`
+/// squared norms are summed abreast.
+fn residuals_sq<T: Copy + Into<f64>, const L: usize>(
+    u: &Matrix,
+    xs: [&[T]; L],
+    a: [&[f64]; L],
+    resid: &mut Vec<f64>,
+) -> [f64; L] {
+    let n = u.cols();
+    resid.clear();
+    resid.resize(L * n, 0.0);
+    for ((r, x), a) in resid.chunks_exact_mut(n).zip(xs).zip(a) {
+        for (ri, &xi) in r.iter_mut().zip(x) {
+            *ri = xi.into();
+        }
+        subtract_mixture(u, a, r);
+    }
+    let r: [&[f64]; L] = std::array::from_fn(|k| &resid[k * n..(k + 1) * n]);
+    dots_abreast(r, r)
+}
+
+/// `r −= Uᵀa`: to every element of `r` the terms `−aᵢ·uᵢ` of the non-zero
+/// abundances are added in endmember order — one [`axpy`] per endmember,
+/// element for element — but four endmembers to a pass over `r`.
+fn subtract_mixture(u: &Matrix, a: &[f64], r: &mut [f64]) {
+    let mut terms = a
+        .iter()
+        .enumerate()
+        .filter(|&(_, &ai)| ai != 0.0)
+        .map(|(i, &ai)| (-ai, u.row(i)))
+        .fuse();
+    loop {
+        match [terms.next(), terms.next(), terms.next(), terms.next()] {
+            [Some((c0, u0)), Some((c1, u1)), Some((c2, u2)), Some((c3, u3))] => {
+                for ((((ri, p0), p1), p2), p3) in r.iter_mut().zip(u0).zip(u1).zip(u2).zip(u3) {
+                    *ri = (((*ri + c0 * p0) + c1 * p1) + c2 * p2) + c3 * p3;
+                }
+            }
+            [Some((c0, u0)), Some((c1, u1)), Some((c2, u2)), None] => {
+                for (((ri, p0), p1), p2) in r.iter_mut().zip(u0).zip(u1).zip(u2) {
+                    *ri = ((*ri + c0 * p0) + c1 * p1) + c2 * p2;
+                }
+            }
+            [Some((c0, u0)), Some((c1, u1)), None, _] => {
+                for ((ri, p0), p1) in r.iter_mut().zip(u0).zip(u1) {
+                    *ri = (*ri + c0 * p0) + c1 * p1;
+                }
+            }
+            [Some((c0, u0)), None, ..] => axpy(c0, u0, r),
+            [None, ..] => return,
         }
     }
-    dot(r, r)
 }
 
 /// Unconstrained least squares: `a = (UUᵀ)⁻¹ U x`.
@@ -131,7 +185,8 @@ pub fn scls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 
 /// Caller-owned scratch for the FCLS/NNLS solve: the widened pixel, the
 /// endmember dots and the correlation vector formed from them, the
-/// abundances, the passive set, its in-place Cholesky factor and the solve
+/// abundances (the latest solve's, and one row per pixel of the group in
+/// flight), the passive set, its in-place Cholesky factor and the solve
 /// and residual buffers.
 ///
 /// A workspace carries **no state between solves** — every solve starts
@@ -144,6 +199,8 @@ pub struct FclsWorkspace {
     dots: Vec<f64>,
     corr: Vec<f64>,
     abundances: Vec<f64>,
+    /// Abundances of the pixels being unmixed abreast, one row each.
+    lanes: Vec<f64>,
     /// Passive (unconstrained) endmember indices, ascending.
     passive: Vec<usize>,
     /// Entering candidates turned down since the abundances last moved.
@@ -344,8 +401,9 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 ///
 /// UFCLS grows the set one endmember per round: [`FclsProblem::push`]
 /// adds the one new Gram row and column, and
-/// [`FclsProblem::solve_carried`] the one new correlation entry of a
-/// pixel whose earlier entries the caller kept.
+/// [`FclsProblem::solve_carried`] / [`FclsProblem::solve_f32_line`] the
+/// one new correlation entry of a pixel whose earlier entries the caller
+/// kept.
 #[derive(Debug, Clone)]
 pub struct FclsProblem {
     u: Matrix,
@@ -467,26 +525,106 @@ impl FclsProblem {
         dots.truncate(t);
         let known = dots.len();
         dots.extend((known..t).map(|i| dot(self.u.row(i), x)));
+        let [residual_sq] = self.unmix([x], |_, i| dots[i], ws);
+        residual_sq
+    }
+
+    /// [`FclsProblem::solve_carried`] for a whole image line of `f32`
+    /// pixels (`line` holds them back to back), the dots and residuals
+    /// formed several pixels abreast. `dots` is endmember-major — entry
+    /// `i · pixels + p` is `uᵢᵀx_p` — with the first `known` endmembers'
+    /// rows given and the rest filled here, each pixel's before its solve
+    /// and whether or not that succeeds. `emit(p, r)`
+    /// receives pixel `p`'s squared residual, in order, with
+    /// [`FclsProblem::solve_f32`]'s bits; a pixel whose active-set
+    /// iteration fails gets its own error and leaves the others alone.
+    /// `Err` — before anything is emitted — when the buffers do not fit
+    /// the problem.
+    pub fn solve_f32_line(
+        &self,
+        line: &[f32],
+        known: usize,
+        dots: &mut [f64],
+        ws: &mut FclsWorkspace,
+        mut emit: impl FnMut(usize, Result<f64>),
+    ) -> Result<()> {
+        let (t, n) = (self.u.rows(), self.u.cols());
+        let pixels = line.len() / n;
+        if line.len() != pixels * n || dots.len() != t * pixels || known > t {
+            return Err(shape_mismatch(
+                format!("whole pixels of length {n}, {t} dots each, at most {t} known"),
+                format!("{} values, {} dots, {known} known", line.len(), dots.len()),
+            ));
+        }
+        let full = pixels - pixels % ABREAST;
+        for first in (0..full).step_by(ABREAST) {
+            self.solve_group::<ABREAST>(line, first, known, dots, ws, &mut emit);
+        }
+        for p in full..pixels {
+            self.solve_group::<1>(line, p, known, dots, ws, &mut emit);
+        }
+        Ok(())
+    }
+
+    /// The `L` pixels of `line` from `first` on, for
+    /// [`FclsProblem::solve_f32_line`]: their missing dots, abreast and
+    /// sharing each endmember's loads, then their solves.
+    fn solve_group<const L: usize>(
+        &self,
+        line: &[f32],
+        first: usize,
+        known: usize,
+        dots: &mut [f64],
+        ws: &mut FclsWorkspace,
+        emit: &mut impl FnMut(usize, Result<f64>),
+    ) {
+        let (t, n) = (self.u.rows(), self.u.cols());
+        let pixels = line.len() / n;
+        let xs: [&[f32]; L] = std::array::from_fn(|k| &line[(first + k) * n..][..n]);
+        for i in known..t {
+            let formed = dots_abreast([self.u.row(i); L], xs);
+            dots[i * pixels + first..][..L].copy_from_slice(&formed);
+        }
+        let solved = self.unmix(xs, |k, i| dots[i * pixels + first + k], ws);
+        for (k, residual_sq) in solved.into_iter().enumerate() {
+            emit(first + k, residual_sq);
+        }
+    }
+
+    /// Unmixes `L` pixels whose endmember dots `dot_of(k, i) = uᵢᵀxₖ` are
+    /// formed: the active-set iteration for each in turn, then the `L`
+    /// residuals together. The one body behind every `solve*`.
+    fn unmix<T: Copy + Into<f64>, const L: usize>(
+        &self,
+        xs: [&[T]; L],
+        dot_of: impl Fn(usize, usize) -> f64,
+        ws: &mut FclsWorkspace,
+    ) -> [Result<f64>; L] {
+        let t = self.u.rows();
         let offset = self.delta * self.delta;
-        ws.corr.clear();
-        ws.corr.extend(dots.iter().map(|d| d + offset));
-        ws.nnls(&self.gram_aug)?;
-        Ok(residual_sq_in(&self.u, x, &ws.abundances, &mut ws.resid))
+        let mut lanes = std::mem::take(&mut ws.lanes);
+        lanes.clear();
+        lanes.resize(L * t, 0.0);
+        let mut solved: [Result<()>; L] = std::array::from_fn(|_| Ok(()));
+        for (k, (solved, lane)) in solved.iter_mut().zip(lanes.chunks_exact_mut(t)).enumerate() {
+            ws.corr.clear();
+            ws.corr.extend((0..t).map(|i| dot_of(k, i) + offset));
+            *solved = ws.nnls(&self.gram_aug);
+            // A failed pixel keeps zero abundances: its residual is formed
+            // with the others' and discarded.
+            if solved.is_ok() {
+                lane.copy_from_slice(&ws.abundances);
+            }
+        }
+        let a: [&[f64]; L] = std::array::from_fn(|k| &lanes[k * t..(k + 1) * t]);
+        let residuals = residuals_sq(&self.u, xs, a, &mut ws.resid);
+        ws.lanes = lanes;
+        std::array::from_fn(|k| solved[k].clone().map(|()| residuals[k]))
     }
 
     /// [`FclsProblem::solve_f32`] inside a caller-owned workspace.
     pub fn solve_f32_in(&self, x: &[f32], ws: &mut FclsWorkspace) -> Result<f64> {
         widened(x, ws, |wide, ws| self.solve_in(wide, ws))
-    }
-
-    /// [`FclsProblem::solve_carried`] for an `f32` pixel.
-    pub fn solve_f32_carried(
-        &self,
-        x: &[f32],
-        dots: &mut Vec<f64>,
-        ws: &mut FclsWorkspace,
-    ) -> Result<f64> {
-        widened(x, ws, |wide, ws| self.solve_carried(wide, dots, ws))
     }
 }
 

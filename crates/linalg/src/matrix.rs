@@ -461,6 +461,51 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// The `L` dot products `xs[k]·ys[k]` summed **abreast**: one accumulator
+/// each, every one adding its own terms in index order from [`dot`]'s
+/// starting value, so each has the bits `dot` gives that pair alone —
+/// `L` independent chains overlap the add latency a single sum waits out.
+/// Elements widen to `f64` first (`f32` pixels against `f64` vectors).
+/// Pass one slice `L` times to share its loads.
+///
+/// # Panics
+/// Panics when a slice is shorter than `xs[0]`.
+#[inline]
+pub fn dots_abreast<A, B, const L: usize>(xs: [&[A]; L], ys: [&[B]; L]) -> [f64; L]
+where
+    A: Copy + Into<f64>,
+    B: Copy + Into<f64>,
+{
+    const BLOCK: usize = 4;
+    let n = xs.first().map_or(0, |x| x.len());
+    let (xs, ys) = (xs.map(|x| &x[..n]), ys.map(|y| &y[..n]));
+    // `Sum for f64` starts from −0.0.
+    let mut sums = [-0.0f64; L];
+    // The products of a few indices first (independent of one another),
+    // then the adds, which are the only ordered part.
+    let blocked = n - n % BLOCK;
+    for at in (0..blocked).step_by(BLOCK) {
+        let mut products = [[0.0f64; BLOCK]; L];
+        for ((lane, x), y) in products.iter_mut().zip(&xs).zip(&ys) {
+            let block = x[at..at + BLOCK].iter().zip(&y[at..at + BLOCK]);
+            for (product, (&a, &b)) in lane.iter_mut().zip(block) {
+                *product = a.into() * b.into();
+            }
+        }
+        for i in 0..BLOCK {
+            for (sum, lane) in sums.iter_mut().zip(&products) {
+                *sum += lane[i];
+            }
+        }
+    }
+    for i in blocked..n {
+        for ((sum, x), y) in sums.iter_mut().zip(&xs).zip(&ys) {
+            *sum += x[i].into() * y[i].into();
+        }
+    }
+    sums
+}
+
 /// Euclidean norm of a slice.
 #[inline]
 pub fn norm2(a: &[f64]) -> f64 {

@@ -8,7 +8,7 @@
 //! `t = |U| ≪ N`. Both forms are provided; tests assert they agree.
 
 use crate::lu::LuDecomposition;
-use crate::matrix::{axpy, dot, norm2};
+use crate::matrix::{axpy, dot, dots_abreast, norm2};
 use crate::{Matrix, Result};
 
 /// Relative tolerance under which a vector is considered linearly dependent
@@ -121,23 +121,33 @@ impl OrthoBasis {
     /// projected vector: `‖x‖² − Σ (qᵢᵀx)²` by the Pythagorean theorem.
     #[inline]
     pub fn complement_score(&self, x: &[f64]) -> f64 {
+        let [residual] = self.residual_from([x], 0, [dot(x, x)]);
         // Guard the tiny negative residuals of floating-point cancellation.
-        self.residual_from(x, 0, dot(x, x)).max(0.0)
+        residual.max(0.0)
     }
 
-    /// The running sum behind [`Self::complement_score`], continued: given
-    /// `residual = ‖x‖² − Σ_{i<seen} (qᵢᵀx)²` it subtracts the terms of
-    /// vectors `seen..len()`, left to right, and returns the **unclamped**
-    /// sum. A basis only ever appends, so a caller that keeps each pixel's
-    /// residual between pushes pays one dot per new vector and gets the
-    /// bits `complement_score` computes from scratch — same operands, same
-    /// order; clamp the value you rank by, keep the one you carry.
+    /// The running sums behind [`Self::complement_score`], continued, for
+    /// `L` pixels abreast (`f32` or `f64`): given
+    /// `residuals[k] = ‖xₖ‖² − Σ_{i<seen} (qᵢᵀxₖ)²` it subtracts the terms
+    /// of vectors `seen..len()`, left to right, and returns the
+    /// **unclamped** sums. A basis only ever appends, so a caller that
+    /// keeps each pixel's residual between pushes pays one dot per new
+    /// vector and gets the bits `complement_score` computes from scratch —
+    /// same operands, same order, whatever `L`; clamp the value you rank
+    /// by, keep the one you carry.
     #[inline]
-    pub fn residual_from(&self, x: &[f64], seen: usize, residual: f64) -> f64 {
-        let mut s = residual;
+    pub fn residual_from<T: Copy + Into<f64>, const L: usize>(
+        &self,
+        xs: [&[T]; L],
+        seen: usize,
+        residuals: [f64; L],
+    ) -> [f64; L] {
+        let mut s = residuals;
         for q in &self.q[seen..] {
-            let c = dot(x, q);
-            s -= c * c;
+            let c = dots_abreast(xs, [q.as_slice(); L]);
+            for (s, c) in s.iter_mut().zip(c) {
+                *s -= c * c;
+            }
         }
         s
     }
@@ -266,7 +276,7 @@ mod tests {
         let (mut seen, mut carried) = (0, dot(&x, &x));
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(basis.push(row), i != 2);
-            carried = basis.residual_from(&x, seen, carried);
+            [carried] = basis.residual_from([&x[..]], seen, [carried]);
             seen = basis.len();
             assert_eq!(
                 carried.max(0.0).to_bits(),

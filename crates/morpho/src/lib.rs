@@ -8,11 +8,11 @@
 //! * [`cumdist`] — the cumulative SAD distance
 //!   `D_B(F(x,y)) = Σ_{(i,j)∈B} SAD(F(x,y), F(i,j))` (paper eq. 2),
 //!   which orders pixel *vectors* inside a spatial neighbourhood by how
-//!   spectrally mixed they are.
+//!   much they stand out from it.
 //! * [`ops`] — multichannel erosion and dilation (paper eqs. 3–4):
 //!   erosion selects the neighbourhood pixel minimising `D_B` (the most
-//!   spectrally *pure* representative), dilation the one maximising it
-//!   (the most highly *mixed*).
+//!   highly *mixed*), dilation the one maximising it (the spectrally
+//!   *purest* representative).
 //! * [`mei`] — the morphological eccentricity index (paper eq. 5):
 //!   `MEI(x,y) = SAD((F ⊖ B)(x,y), (F ⊕ B)(x,y))`, iterated `I_max`
 //!   times with `F ← F ⊕ B` between iterations.

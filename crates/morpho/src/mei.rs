@@ -5,7 +5,8 @@
 //!
 //! 1. compute the `D_B` map of the current cube `F`,
 //! 2. at every pixel, let `e = (F ⊖ B)(x,y)` and `d = (F ⊕ B)(x,y)` (the
-//!    most pure and most mixed neighbourhood representatives) and update
+//!    most mixed and the purest neighbourhood representatives: minimum
+//!    and maximum `D_B`) and update
 //!    `MEI(x,y) ← max(MEI(x,y), SAD(F(e), F(d)))`,
 //! 3. propagate: `F ← F ⊕ B` (held as a coordinate map into the input,
 //!    since a dilation only moves pixels around).
@@ -20,10 +21,10 @@
 //! neighbourhood by the SE radius). Pixels in uniform neighbourhoods
 //! keep `MEI ≈ 0`.
 
-use crate::cumdist::cumdist_map_of;
-use crate::ops::{select_with_map, Extremum};
+use crate::cumdist::{cumdist_map_of, par_lines_flat_map, squared_norms};
+use crate::ops::extremes_at;
 use crate::se::StructuringElement;
-use hsi_cube::metrics::sad;
+use hsi_cube::metrics::{dots_into, sad_from_sums};
 use hsi_cube::HyperCube;
 
 /// Result of an MEI computation.
@@ -85,38 +86,56 @@ pub fn mei(cube: &HyperCube, se: &StructuringElement, iterations: usize) -> MeiR
     let mut scores = vec![0.0f64; cube.num_pixels()];
     // Dilation only ever copies pixels, so the propagated cube `F` is the
     // input seen through a coordinate map, `F(x,y) = cube(origin[x,y])`:
-    // no iteration allocates anything cube-sized.
+    // no iteration allocates anything cube-sized, and the squared norms
+    // of `F`'s pixels are the input's, summed once.
     let mut origin: Vec<(usize, usize)> = (0..lines)
         .flat_map(|line| (0..samples).map(move |sample| (line, sample)))
         .collect();
+    let flat = |(l, s): (usize, usize)| l * samples + s;
+    let input_norms = squared_norms(cube, |l, s| cube.pixel(l, s));
 
     for it in 0..iterations {
-        let current = |line: usize, sample: usize| {
-            let (l, s) = origin[line * samples + sample];
+        let current = |(l, s): (usize, usize)| {
+            let (l, s) = origin[flat((l, s))];
             cube.pixel(l, s)
         };
-        let dist = cumdist_map_of(cube, current, se);
-        let ero = select_with_map(cube, se, &dist, Extremum::Min);
-        let dil = select_with_map(cube, se, &dist, Extremum::Max);
-        for line in 0..lines {
+        let norms: Vec<f64> = origin.iter().map(|&o| input_norms[flat(o)]).collect();
+        let (dist, pairs) = cumdist_map_of(cube, |l, s| current((l, s)), &norms, se);
+        // Per pixel, `d = (F ⊕ B)(x,y)` and SAD(F(e), F(d)): the map's own
+        // angle when the element joins `e` and `d`; else from a dot formed
+        // here — a line's worth several abreast — and the norms above.
+        let picks = par_lines_flat_map(lines, |line, part: &mut Vec<((usize, usize), f64)>| {
+            let at = part.len();
+            let mut unjoined = Vec::new();
             for sample in 0..samples {
-                let (el, es) = ero.at(line, sample);
-                let (dl, ds) = dil.at(line, sample);
-                let v = sad(current(el, es), current(dl, ds));
-                // Credit the score to the pure (dilation-selected) pixel.
-                let slot = &mut scores[dl * samples + ds];
-                if v > *slot {
-                    *slot = v;
+                let (e, d) = extremes_at(cube, se, &dist, line, sample);
+                let joined = pairs.between(e, d);
+                if joined.is_none() {
+                    unjoined.push((sample, e));
                 }
+                part.push((d, joined.unwrap_or(0.0)));
+            }
+            let mut xy = vec![0.0f64; unjoined.len()];
+            let spectra = |i: usize| {
+                let (sample, e) = unjoined[i];
+                (current(e), current(part[at + sample].0))
+            };
+            dots_into(spectra, &mut xy);
+            for (&(sample, e), xy) in unjoined.iter().zip(xy) {
+                let (d, angle) = &mut part[at + sample];
+                *angle = sad_from_sums(xy, norms[flat(e)], norms[flat(*d)]);
+            }
+        });
+        for &(d, v) in &picks {
+            // Credit the score to the pure (dilation-selected) pixel.
+            let slot = &mut scores[flat(d)];
+            if v > *slot {
+                *slot = v;
             }
         }
         // Propagate for the next scale (skip the final, unused dilation).
         if it + 1 < iterations {
-            origin = dil
-                .coords
-                .iter()
-                .map(|&(l, s)| origin[l * samples + s])
-                .collect();
+            origin = picks.iter().map(|&(d, _)| origin[flat(d)]).collect();
         }
     }
     MeiResult {
@@ -207,45 +226,39 @@ mod tests {
     #[test]
     fn coordinate_map_equals_materialised_propagation() {
         use crate::cumdist::cumdist_map;
-        use crate::ops::apply_selection;
+        use crate::ops::{apply_selection, select_with_map, Extremum};
+        use hsi_cube::metrics::sad;
         // Textured cube (an LCG), so selections differ pixel to pixel.
-        let (lines, samples, bands) = (9, 6, 5);
-        let mut state = 12345u32;
-        let data = (0..lines * samples * bands)
-            .map(|_| {
-                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                0.05 + (state >> 8) as f32 / (1 << 24) as f32
-            })
-            .collect();
-        let cube = HyperCube::from_vec(lines, samples, bands, data);
-        let se = StructuringElement::square(1);
+        let (lines, samples) = (9, 6);
+        let cube = crate::cumdist::tests::textured_cube(lines, samples, 5, 12345);
         let iterations = 4;
-
-        // The definition, with `F ← F ⊕ B` built as a cube each round.
-        let mut scores = vec![0.0f64; cube.num_pixels()];
-        let mut current = cube.clone();
-        for _ in 0..iterations {
-            let dist = cumdist_map(&current, &se);
-            let ero = select_with_map(&current, &se, &dist, Extremum::Min);
-            let dil = select_with_map(&current, &se, &dist, Extremum::Max);
-            for line in 0..lines {
-                for sample in 0..samples {
-                    let (el, es) = ero.at(line, sample);
-                    let (dl, ds) = dil.at(line, sample);
-                    let v = sad(current.pixel(el, es), current.pixel(dl, ds));
-                    let slot = &mut scores[dl * samples + ds];
-                    if v > *slot {
-                        *slot = v;
+        for se in crate::cumdist::tests::elements() {
+            // The definition, with `F ← F ⊕ B` built as a cube each round.
+            let mut scores = vec![0.0f64; cube.num_pixels()];
+            let mut current = cube.clone();
+            for _ in 0..iterations {
+                let dist = cumdist_map(&current, &se);
+                let ero = select_with_map(&current, &se, &dist, Extremum::Min);
+                let dil = select_with_map(&current, &se, &dist, Extremum::Max);
+                for line in 0..lines {
+                    for sample in 0..samples {
+                        let (el, es) = ero.at(line, sample);
+                        let (dl, ds) = dil.at(line, sample);
+                        let v = sad(current.pixel(el, es), current.pixel(dl, ds));
+                        let slot = &mut scores[dl * samples + ds];
+                        if v > *slot {
+                            *slot = v;
+                        }
                     }
                 }
+                current = apply_selection(&current, &dil);
             }
-            current = apply_selection(&current, &dil);
-        }
 
-        let got = mei(&cube, &se, iterations);
-        assert!(got.scores.iter().any(|&v| v > 0.0));
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.scores), bits(&scores));
+            let got = mei(&cube, &se, iterations);
+            assert!(got.scores.iter().any(|&v| v > 0.0));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.scores), bits(&scores), "{:?}", se.offsets());
+        }
     }
 
     #[test]

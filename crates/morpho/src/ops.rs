@@ -4,17 +4,23 @@
 //! extension ranks pixel *vectors* by the cumulative SAD distance `D_B`:
 //!
 //! * erosion `(F ⊖ B)(x,y)` selects the neighbourhood pixel with the
-//!   **minimum** `D_B` — the most spectrally pure representative,
-//! * dilation `(F ⊕ B)(x,y)` selects the **maximum** — the most mixed.
+//!   **minimum** `D_B` — the one most like its surroundings, in AMEE's
+//!   reading the most highly *mixed*,
+//! * dilation `(F ⊕ B)(x,y)` selects the **maximum** — the one that
+//!   stands out most, the spectrally *purest* representative (the pixel
+//!   [`crate::mei`] credits its score to).
 //!
 //! Both return, per output pixel, the *coordinates* of the selected input
 //! pixel; [`apply_selection`] materialises the corresponding cube. Ties
 //! break on the structuring element's sorted offset order, so results
 //! are deterministic.
 //!
-//! The implementation precomputes the `D_B` map once (`O(n·|B|)` SADs)
-//! and then ranks neighbourhoods by table lookup — the standard
-//! factorisation; the cost model in `hetero-hsi` mirrors it.
+//! The implementation builds the `D_B` map once and then ranks
+//! neighbourhoods by table lookup — the standard factorisation. On the
+//! *virtual* clock that map is `O(n·|B|)` SADs
+//! (`hetero_hsi::flops::mei_iteration` charges the modelled node for
+//! every one); the *host* builds it from one norm per pixel and one dot
+//! per unordered pixel pair ([`crate::cumdist`]).
 
 use crate::cumdist::{clamped, cumdist_map, par_lines_flat_map};
 use crate::se::StructuringElement;
@@ -23,9 +29,9 @@ use hsi_cube::HyperCube;
 /// Which extremum of `D_B` an operation selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Extremum {
-    /// Erosion: minimise `D_B` (most pure neighbour).
+    /// Erosion: minimise `D_B` (most mixed neighbour).
     Min,
-    /// Dilation: maximise `D_B` (most mixed neighbour).
+    /// Dilation: maximise `D_B` (purest neighbour).
     Max,
 }
 
@@ -51,8 +57,7 @@ impl Selection {
     }
 }
 
-/// Runs erosion or dilation given a precomputed `D_B` map (so callers
-/// doing both per iteration — like MEI — pay for the map once).
+/// Runs erosion or dilation given a precomputed `D_B` map.
 ///
 /// Output pixels are independent, so line chunks run in parallel and
 /// concatenate in line order: the selection (including the documented
@@ -67,28 +72,49 @@ pub fn select_with_map(
     assert_eq!(dist.len(), cube.num_pixels(), "select: wrong map size");
     let samples = cube.samples();
     let coords = par_lines_flat_map(cube.lines(), |line, part| {
-        for sample in 0..samples {
-            let mut best: Option<((usize, usize), f64)> = None;
-            for &(dl, ds) in se.offsets() {
-                let (l, s) = clamped(cube, line, sample, dl, ds);
-                let d = dist[l * samples + s];
-                let better = match (which, &best) {
-                    (_, None) => true,
-                    (Extremum::Min, Some((_, bd))) => d < *bd,
-                    (Extremum::Max, Some((_, bd))) => d > *bd,
-                };
-                if better {
-                    best = Some(((l, s), d));
-                }
+        part.extend((0..samples).map(|sample| {
+            let (min, max) = extremes_at(cube, se, dist, line, sample);
+            match which {
+                Extremum::Min => min,
+                Extremum::Max => max,
             }
-            part.push(best.expect("SE is never empty").0);
-        }
+        }));
     });
     Selection {
         coords,
         lines: cube.lines(),
         samples,
     }
+}
+
+/// The pixels of `(line, sample)`'s neighbourhood with the minimum and the
+/// maximum `D_B` — what erosion and dilation select there — each the
+/// first in offset order among equals.
+pub(crate) fn extremes_at(
+    cube: &HyperCube,
+    se: &StructuringElement,
+    dist: &[f64],
+    line: usize,
+    sample: usize,
+) -> ((usize, usize), (usize, usize)) {
+    let mut extremes: Option<[((usize, usize), f64); 2]> = None;
+    for &(dl, ds) in se.offsets() {
+        let (l, s) = clamped(cube, line, sample, dl, ds);
+        let d = dist[l * cube.samples() + s];
+        match &mut extremes {
+            None => extremes = Some([((l, s), d); 2]),
+            Some([min, max]) => {
+                if d < min.1 {
+                    *min = ((l, s), d);
+                }
+                if d > max.1 {
+                    *max = ((l, s), d);
+                }
+            }
+        }
+    }
+    let [min, max] = extremes.expect("SE is never empty");
+    (min.0, max.0)
 }
 
 /// Multichannel erosion `(F ⊖ B)`: selected coordinates per pixel.

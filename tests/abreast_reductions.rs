@@ -1,0 +1,234 @@
+//! Abreast reductions: the scan kernels run the per-pixel band sums of a
+//! line four pixels (or four candidates) at a time, one accumulator each,
+//! with a scalar tail. The contract is **bit identity** with the
+//! one-pixel-at-a-time definitions — `OrthoBasis::complement_score`,
+//! `FclsProblem::solve_f32`, `metrics::sad` — for every line width around
+//! the lane count, through every state a carry can be in, and for a pixel
+//! whose solve fails next to three that do not.
+//!
+//! Run in release too (CI's solver smoke step): optimised codegen is
+//! where an interleave could be mis-vectorised.
+
+use heterospec::cube::metrics::sad;
+use heterospec::cube::HyperCube;
+use heterospec::hetero::kernels::{self, FclsCarry, ProjectionCarry, ScoredPixel};
+use heterospec::linalg::lstsq::{FclsProblem, FclsWorkspace};
+use heterospec::linalg::ortho::OrthoBasis;
+use heterospec::linalg::Matrix;
+
+/// Line widths below, at, just above and well above the lane count.
+const SAMPLES: [usize; 7] = [1, 2, 3, 4, 5, 16, 17];
+const LINES: usize = 3;
+/// Not a multiple of four: the band loop has a tail too.
+const BANDS: usize = 9;
+
+/// `count` values in `[0.05, 1.05)` from an LCG.
+fn texture(count: usize, seed: u32) -> Vec<f32> {
+    let mut state = seed;
+    (0..count)
+        .map(|_| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            0.05 + (state >> 8) as f32 / (1 << 24) as f32
+        })
+        .collect()
+}
+
+fn cube(samples: usize, seed: u32) -> HyperCube {
+    let data = texture(LINES * samples * BANDS, seed);
+    HyperCube::from_vec(LINES, samples, BANDS, data)
+}
+
+fn wide(px: &[f32]) -> Vec<f64> {
+    px.iter().map(|&v| f64::from(v)).collect()
+}
+
+/// The vectors a system grows from (independent of any cube, so the
+/// narrowest one still gets a full-rank system).
+fn spectra(count: usize) -> Vec<Vec<f64>> {
+    texture(count * BANDS, 4242)
+        .chunks(BANDS)
+        .map(wide)
+        .collect()
+}
+
+/// Coordinates and score **bits** of a kernel result.
+fn bits(best: &Option<ScoredPixel>) -> Option<(usize, usize, u64)> {
+    best.as_ref().map(|b| (b.line, b.sample, b.score.to_bits()))
+}
+
+/// The first row-major strict maximum of a per-pixel score.
+fn reference(cube: &HyperCube, score: impl Fn(&[f32]) -> f64) -> Option<(usize, usize, u64)> {
+    let mut best: Option<(usize, usize, f64)> = None;
+    for i in 0..cube.num_pixels() {
+        let s = score(cube.pixel_flat(i));
+        if best.is_none_or(|(_, _, b)| s > b) {
+            let (line, sample) = cube.coord_of(i);
+            best = Some((line, sample, s));
+        }
+    }
+    best.map(|(line, sample, s)| (line, sample, s.to_bits()))
+}
+
+fn projection_reference(cube: &HyperCube, basis: &OrthoBasis) -> Option<(usize, usize, u64)> {
+    reference(cube, |px| basis.complement_score(&wide(px)))
+}
+
+fn fcls_reference(cube: &HyperCube, problem: &FclsProblem) -> Option<(usize, usize, u64)> {
+    reference(cube, |px| {
+        problem
+            .solve_f32(px)
+            .map_or(f64::NEG_INFINITY, |u| u.residual_sq)
+    })
+}
+
+#[test]
+fn projection_lanes_equal_the_per_pixel_score() {
+    for samples in SAMPLES {
+        let cube = cube(samples, 11);
+        let whole = (0, LINES);
+        let pushes = spectra(7);
+        let mut basis = OrthoBasis::new(BANDS);
+        let mut carry = ProjectionCarry::default();
+        // Fresh, deepened by one, deepened by several.
+        for grow in [2, 1, 3] {
+            for v in &pushes[basis.len()..basis.len() + grow] {
+                assert!(basis.push(v));
+            }
+            let want = projection_reference(&cube, &basis);
+            let carried = kernels::max_projection_carried(&cube, &basis, whole, &mut carry);
+            assert_eq!(
+                bits(&carried.0),
+                want,
+                "samples {samples}, k {}",
+                basis.len()
+            );
+            let stateless = kernels::max_projection(&cube, &basis, whole);
+            assert_eq!(bits(&stateless.0), want, "samples {samples}");
+        }
+        // A basis that shares only the first vector forces a restart…
+        let mut forked = OrthoBasis::new(BANDS);
+        forked.push(&pushes[0]);
+        forked.push(&pushes[6]);
+        // …and the original one after it another.
+        for handed in [&forked, &basis] {
+            let carried = kernels::max_projection_carried(&cube, handed, whole, &mut carry);
+            assert_eq!(bits(&carried.0), projection_reference(&cube, handed));
+        }
+    }
+}
+
+#[test]
+fn fcls_lanes_equal_the_per_pixel_solve() {
+    for samples in SAMPLES {
+        let cube = cube(samples, 23);
+        let whole = (0, LINES);
+        let pushes = spectra(7);
+        let grown = |t: usize| {
+            let rows: Vec<&[f64]> = pushes[..t].iter().map(Vec::as_slice).collect();
+            FclsProblem::new(Matrix::from_rows(&rows)).expect("problem")
+        };
+        let mut carry = FclsCarry::default();
+        // Fresh, deepened by one, deepened by several.
+        for t in [2, 3, 6] {
+            let problem = grown(t);
+            let want = fcls_reference(&cube, &problem);
+            let carried = kernels::max_fcls_error_carried(&cube, &problem, whole, &mut carry);
+            assert_eq!(bits(&carried.0), want, "samples {samples}, t {t}");
+            let stateless = kernels::max_fcls_error(&cube, &problem, whole);
+            assert_eq!(bits(&stateless.0), want, "samples {samples}");
+        }
+        // A set that shares only the first endmember forces a restart…
+        let forked = FclsProblem::new(Matrix::from_rows(&[&pushes[0], &pushes[6]])).unwrap();
+        // …and the original one after it another.
+        for handed in [&forked, &grown(6)] {
+            let carried = kernels::max_fcls_error_carried(&cube, handed, whole, &mut carry);
+            assert_eq!(bits(&carried.0), fcls_reference(&cube, handed));
+        }
+    }
+}
+
+#[test]
+fn sad_label_equals_the_naive_loop() {
+    for samples in SAMPLES {
+        let cube = cube(samples, 37);
+        // Candidate counts below, at and above the lane count, the last
+        // with a repeated class: the tie goes to the lower index.
+        for count in [1, 3, 4, 7] {
+            let mut classes: Vec<Vec<f32>> = (0..count)
+                .map(|i| cube.pixel_flat((i * 5 + 1) % cube.num_pixels()).to_vec())
+                .collect();
+            if count == 7 {
+                classes[6] = classes[2].clone();
+            }
+            let want: Vec<u16> = (0..cube.num_pixels())
+                .map(|i| {
+                    let mut best = (0, f64::INFINITY);
+                    for (c, class) in classes.iter().enumerate() {
+                        let d = sad(cube.pixel_flat(i), class);
+                        if d < best.1 {
+                            best = (c, d);
+                        }
+                    }
+                    best.0 as u16
+                })
+                .collect();
+            let (labels, _) = kernels::sad_label(&cube, (0, LINES), &classes);
+            assert_eq!(labels, want, "samples {samples}, {count} classes");
+        }
+    }
+}
+
+/// Two endmembers `1e-8` apart make the passive sub-Gram numerically
+/// singular for some pixels and not for others: a failed solve sits next
+/// to solved ones in the same group of four.
+#[test]
+fn a_failed_solve_leaves_its_lane_mates_alone() {
+    let cube = cube(17, 5);
+    let mut rows = spectra(3);
+    let twin: Vec<f64> = rows[0]
+        .iter()
+        .enumerate()
+        .map(|(i, v)| v + 1e-8 * (i * 7 % 5) as f64)
+        .collect();
+    rows.push(twin);
+    let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+    let problem = FclsProblem::new(Matrix::from_rows(&refs)).unwrap();
+    let (t, samples, stride) = (4, cube.samples(), cube.samples() * BANDS);
+
+    let alone: Vec<Option<u64>> = (0..cube.num_pixels())
+        .map(|i| problem.solve_f32(cube.pixel_flat(i)).ok())
+        .map(|solved| solved.map(|u| u.residual_sq.to_bits()))
+        .collect();
+    let mixed_group = alone[..samples - samples % 4]
+        .chunks(4)
+        .any(|g| g.iter().any(Option::is_none) && g.iter().any(Option::is_some));
+    assert!(mixed_group, "fixture: {alone:?}");
+
+    let mut ws = FclsWorkspace::new();
+    for line in 0..LINES {
+        let mut dots = vec![0.0f64; t * samples];
+        let mut together = Vec::new();
+        problem
+            .solve_f32_line(
+                &cube.as_slice()[line * stride..(line + 1) * stride],
+                0,
+                &mut dots,
+                &mut ws,
+                |sample, solved| {
+                    assert_eq!(sample, together.len());
+                    together.push(solved.ok().map(f64::to_bits));
+                },
+            )
+            .expect("buffers fit");
+        assert_eq!(together, alone[line * samples..(line + 1) * samples]);
+    }
+
+    // The kernel ranks the failed pixels at −∞. (Its dev build asserts
+    // that no solve fails — a failure there is a bug in the caller's
+    // endmember set — so only an optimised build gets this far.)
+    if !cfg!(debug_assertions) {
+        let best = kernels::max_fcls_error(&cube, &problem, (0, LINES)).0;
+        assert_eq!(bits(&best), fcls_reference(&cube, &problem));
+        assert!(best.expect("a solved pixel").score.is_finite());
+    }
+}
