@@ -90,7 +90,8 @@ fn bench_fcls(c: &mut Criterion) {
 
 /// The two round kernels of a `t = 18` run on its last round, from
 /// scratch and with a carry that saw the 16 rounds before (cloned per
-/// iteration: 8 bytes a pixel for ATDCA, 8·16 for UFCLS).
+/// iteration: 8 bytes a pixel for ATDCA; 8·16 of dots plus the NNLS
+/// trails for UFCLS).
 fn bench_carried_rounds(c: &mut Criterion) {
     let scene = wtc_scene(WtcConfig {
         lines: 32,
@@ -140,6 +141,47 @@ fn bench_carried_rounds(c: &mut Criterion) {
         b.iter(|| {
             kernels::max_fcls_error_carried(cube, black_box(&problem), whole, &mut unmixed.clone())
         })
+    });
+    g.finish();
+}
+
+/// UFCLS's kernel on the benchmark's 256 × 16 × 224 scene against its own
+/// targets: every round of a run to `t = 18` through one carry (what the
+/// NNLS trails move), next to one stateless scan at `t = 18` (which must
+/// not pay for them).
+fn bench_ufcls_rounds(c: &mut Criterion) {
+    let scene = wtc_scene(WtcConfig {
+        lines: 256,
+        samples: 16,
+        bands: 224,
+        ..Default::default()
+    });
+    let cube = &scene.cube;
+    let whole = (0, cube.lines());
+    let targets = hetero_hsi::seq::ufcls(cube, &Default::default()).result;
+    assert_eq!(targets.len(), 18);
+    let wide = |s: &[f32]| s.iter().map(|&v| v as f64).collect::<Vec<f64>>();
+    let mut problems =
+        vec![FclsProblem::new(Matrix::row_vector(&wide(&targets[0].spectrum))).unwrap()];
+    for target in &targets[1..] {
+        let mut grown = problems.last().unwrap().clone();
+        grown.push(&wide(&target.spectrum)).unwrap();
+        problems.push(grown);
+    }
+
+    let mut g = c.benchmark_group("max_fcls_error-256x16");
+    g.bench_function("carried_rounds_to_t18", |b| {
+        b.iter(|| {
+            let mut carry = FclsCarry::default();
+            for problem in black_box(&problems) {
+                black_box(kernels::max_fcls_error_carried(
+                    cube, problem, whole, &mut carry,
+                ));
+            }
+        })
+    });
+    g.bench_function("scratch_t18", |b| {
+        b.iter(|| kernels::max_fcls_error(cube, black_box(&problems[17]), whole))
     });
     g.finish();
 }
@@ -197,6 +239,7 @@ criterion_group!(
     bench_projection,
     bench_fcls,
     bench_carried_rounds,
+    bench_ufcls_rounds,
     bench_mei,
     bench_sad_label,
     bench_covariance

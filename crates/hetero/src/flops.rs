@@ -51,9 +51,11 @@ pub fn basis_push(n: usize, k: usize) -> f64 {
 /// just below ATDCA's, as in the paper's Table 3 (916 s vs 1263 s).
 ///
 /// This is the *modelled* solver's cost, not a count of what the host
-/// executes: `hsi_linalg::lstsq` runs a full active-set NNLS per pixel
-/// (about ten passive-set solves, each re-factoring only the changed
-/// rows) and forms the residual vector explicitly.
+/// executes: `hsi_linalg::lstsq` runs an active-set NNLS per pixel (about
+/// seven passive-set solves from the empty set, each re-factoring only
+/// the changed rows; across UFCLS rounds it resumes the pixel's recorded
+/// iteration at the step the new endmember first changes, or skips it)
+/// and forms the residual vector explicitly.
 #[inline]
 pub fn fcls(n: usize, t: usize) -> f64 {
     let t_f = t as f64;

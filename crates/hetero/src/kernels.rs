@@ -22,9 +22,11 @@
 //! ATDCA and UFCLS call their argmax kernel once per round against a
 //! system that grew by one vector, so the two kernels can **carry** each
 //! pixel's running sums from round to round ([`ProjectionCarry`],
-//! [`FclsCarry`]) and apply only the vectors a line has not seen. That
-//! too is host wall-clock only: the megaflops returned are the paper's
-//! full per-round re-projection whatever the carry saved.
+//! [`FclsCarry`]) and apply only the vectors a line has not seen; UFCLS
+//! carries each pixel's NNLS active-set trail as well, and solves only
+//! from the step the new endmembers first change. That too is host
+//! wall-clock only: the megaflops returned are the paper's full
+//! per-round re-projection and unmixing whatever the carry saved.
 //!
 //! Within a line the per-pixel 224-band sums — norms, projection and
 //! endmember dots, FCLS residuals, SAD dots — run four pixels (or
@@ -37,7 +39,7 @@ use crate::msg::Candidate;
 use hsi_cube::metrics::{brightness, sad, SadCandidates};
 use hsi_cube::HyperCube;
 use hsi_linalg::covariance::CovarianceAccumulator;
-use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace};
+use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace, NnlsTrails};
 use hsi_linalg::matrix::dots_abreast;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
@@ -100,11 +102,13 @@ impl ScoredPixel {
 }
 
 /// One image line of a carry: `depth` vectors of the system are already
-/// folded into `sums` (empty until the line is first scanned).
+/// folded into `sums` (empty until the line is first scanned) and into
+/// whatever else the kernel keeps of the line, `more`.
 #[derive(Debug, Clone, Default)]
-struct LineCarry {
+struct LineCarry<M> {
     depth: usize,
     sums: Vec<f64>,
+    more: M,
 }
 
 /// What an argmax kernel keeps between the rounds of one run over one
@@ -116,12 +120,12 @@ struct LineCarry {
 /// first touch, so a carry costs memory only for the lines its owner has
 /// scanned.
 #[derive(Debug, Clone, Default)]
-struct Carry {
+struct Carry<M = ()> {
     seen: Vec<Vec<f64>>,
-    lines: Vec<LineCarry>,
+    lines: Vec<LineCarry<M>>,
 }
 
-impl Carry {
+impl<M: Default> Carry<M> {
     /// Reconciles the carry with the system `vector(0..k)` it is about to
     /// be scanned against and returns the line states of `range`.
     ///
@@ -135,7 +139,7 @@ impl Carry {
         k: usize,
         vector: impl Fn(usize) -> &'v [f64],
         range: (usize, usize),
-    ) -> &mut [LineCarry] {
+    ) -> &mut [LineCarry<M>] {
         let same_bits = |a: &[f64], b: &[f64]| {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
         };
@@ -273,7 +277,7 @@ pub fn max_projection_carried(
     let pixels = range_pixels(cube, range);
     let lines = carry.0.lines_for(k, |i| basis.vector(i), range);
     let result = argmax_pixels(cube, range, lines, || {
-        |line: usize, state: &mut LineCarry, scores: &mut [f64]| {
+        |line: usize, state: &mut LineCarry<()>, scores: &mut [f64]| {
             let fresh = state.sums.len() != scores.len();
             if fresh {
                 state.sums.clear();
@@ -326,35 +330,50 @@ fn continue_residuals<const L: usize>(
 }
 
 /// Each pixel's dots with the endmembers, `uᵢᵀx` (8 bytes a pixel and
-/// endmember), kept by [`max_fcls_error_carried`] between the rounds of
-/// one run over one cube. `Default` is the empty carry.
+/// endmember), and the trail and score of its latest NNLS iteration
+/// ([`NnlsTrails`]: ≈ 0.3 KiB a pixel at `t = 18`), kept by
+/// [`max_fcls_error_carried`] between the rounds of one run over one
+/// cube. `Default` is the empty carry.
 #[derive(Debug, Clone, Default)]
-pub struct FclsCarry(Carry);
+pub struct FclsCarry(Carry<NnlsTrails>);
 
 /// UFCLS steps 2–3: the pixel with the largest fully-constrained
 /// least-squares reconstruction error against the endmember set.
 ///
 /// Each chunk's scorer owns one [`FclsWorkspace`], so the pixel loop
-/// allocates nothing; a workspace carries nothing from pixel to pixel, so
-/// a score is a pure function of `(problem, pixel)`. A pixel whose solve
-/// fails can only come from a singular endmember set; it ranks below
-/// every solved one.
+/// allocates nothing; a workspace carries nothing from pixel to pixel,
+/// and what a carry keeps of a pixel only ever reproduces the from-empty
+/// solve's bits, so a score is a pure function of `(problem, pixel)`. A
+/// pixel whose solve fails can only come from a singular endmember set;
+/// it ranks below every solved one.
 pub fn max_fcls_error(
     cube: &HyperCube,
     problem: &FclsProblem,
     range: (usize, usize),
 ) -> (Option<ScoredPixel>, f64) {
-    max_fcls_error_carried(cube, problem, range, &mut FclsCarry::default())
+    // Nothing outlives the call, so nothing is kept per line: each chunk
+    // restarts one line state, which is an empty carry's at every line.
+    let mut stateless = vec![(); range.1.saturating_sub(range.0)];
+    let result = argmax_pixels(cube, range, &mut stateless, || {
+        let (mut ws, mut state) = (FclsWorkspace::new(), LineCarry::default());
+        move |line: usize, _: &mut (), scores: &mut [f64]| {
+            state.depth = 0;
+            fcls_line_scores(cube, problem, line, &mut state, &mut ws, scores)
+        }
+    });
+    (result, fcls_mflops(cube, problem, range))
 }
 
 /// [`max_fcls_error`] for a caller that scans the same cube round after
 /// round against an endmember set that only grows: each line keeps its
-/// pixels' endmember dots (laid out endmember-major, so a round appends),
-/// and a round that pushed one endmember forms one new dot per pixel
-/// before the solve instead of all of them
+/// pixels' endmember dots (laid out endmember-major, so a round appends)
+/// and active-set trails, so a round that pushed one endmember forms one
+/// new dot per pixel instead of all of them, skips the solve and the
+/// residual of every pixel whose active-set path the newcomer does not
+/// change, and resumes the others' where it first does
 /// ([`FclsProblem::solve_f32_line`]). Scores are
 /// [`FclsProblem::solve_f32_in`]'s to the bit. A carry that last saw a
-/// different set restarts the lines it must.
+/// different set restarts the lines it must, dots and trails.
 /// The megaflops returned are those of the full unmixing.
 pub fn max_fcls_error_carried(
     cube: &HyperCube,
@@ -362,41 +381,61 @@ pub fn max_fcls_error_carried(
     range: (usize, usize),
     carry: &mut FclsCarry,
 ) -> (Option<ScoredPixel>, f64) {
-    let n = cube.bands();
     let t = problem.num_endmembers();
-    let pixels = range_pixels(cube, range);
     let lines = carry.0.lines_for(t, |i| problem.endmember(i), range);
-    let stride = cube.samples() * n;
     let result = argmax_pixels(cube, range, lines, || {
         let mut ws = FclsWorkspace::new();
-        move |line: usize, state: &mut LineCarry, scores: &mut [f64]| {
-            let samples = scores.len();
-            if state.sums.len() != state.depth * samples {
-                state.depth = 0;
-            }
-            state.sums.resize(t * samples, 0.0);
-            scores.fill(f64::NEG_INFINITY);
-            // A pixel's new dots are formed before its solve, so they are
-            // kept even when that fails.
-            let shaped = problem.solve_f32_line(
-                &cube.as_slice()[line * stride..(line + 1) * stride],
-                state.depth,
-                &mut state.sums,
-                &mut ws,
-                |sample, solved| {
-                    debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
-                    if let Ok(residual_sq) = solved {
-                        scores[sample] = residual_sq;
-                    }
-                },
-            );
-            debug_assert!(shaped.is_ok(), "max_fcls_error: {shaped:?}");
-            if shaped.is_ok() {
-                state.depth = t;
-            }
+        move |line: usize, state: &mut LineCarry<NnlsTrails>, scores: &mut [f64]| {
+            fcls_line_scores(cube, problem, line, state, &mut ws, scores)
         }
     });
-    (result, flops::mflop(flops::fcls(n, t) * pixels as f64))
+    (result, fcls_mflops(cube, problem, range))
+}
+
+/// The paper's full unmixing of the pixels of `range`, in megaflops.
+fn fcls_mflops(cube: &HyperCube, problem: &FclsProblem, range: (usize, usize)) -> f64 {
+    let per_pixel = flops::fcls(cube.bands(), problem.num_endmembers());
+    flops::mflop(per_pixel * range_pixels(cube, range) as f64)
+}
+
+/// One line of the FCLS scan: brings `state` — the line's dots and trails
+/// against the first `state.depth` endmembers — up to the whole problem
+/// and fills `scores`, `−∞` for a pixel whose solve fails.
+fn fcls_line_scores(
+    cube: &HyperCube,
+    problem: &FclsProblem,
+    line: usize,
+    state: &mut LineCarry<NnlsTrails>,
+    ws: &mut FclsWorkspace,
+    scores: &mut [f64],
+) {
+    let t = problem.num_endmembers();
+    let samples = scores.len();
+    let stride = samples * cube.bands();
+    if state.sums.len() != state.depth * samples {
+        state.depth = 0;
+    }
+    state.sums.resize(t * samples, 0.0);
+    scores.fill(f64::NEG_INFINITY);
+    // A pixel's new dots are formed before its solve, so they are
+    // kept even when that fails.
+    let shaped = problem.solve_f32_line(
+        &cube.as_slice()[line * stride..(line + 1) * stride],
+        state.depth,
+        &mut state.sums,
+        &mut state.more,
+        ws,
+        |sample, solved| {
+            debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
+            if let Ok(residual_sq) = solved {
+                scores[sample] = residual_sq;
+            }
+        },
+    );
+    debug_assert!(shaped.is_ok(), "max_fcls_error: {shaped:?}");
+    if shaped.is_ok() {
+        state.depth = t;
+    }
 }
 
 /// PCT step 2: greedily builds a set of spectrally distinct pixels — a

@@ -174,6 +174,66 @@ mod tests {
         ));
     }
 
+    /// What lets `lstsq` keep the leading factor rows when its passive set
+    /// changes, and re-factor from row 0 when it resumes a recorded
+    /// iteration: a factor row is a function of the matrix and the rows
+    /// above it alone — not of the call that produced it, nor of the
+    /// buffer's stride.
+    #[test]
+    fn factor_rows_are_the_same_bits_however_they_are_reached() {
+        // The Gram matrix of six spectra plus a ridge, and sub-matrices of
+        // it picked as `lstsq` picks a passive set.
+        let spectra: Vec<Vec<f64>> = (0..6)
+            .map(|i| {
+                (0..9)
+                    .map(|b| 0.1 + ((i * 7 + b * 3) % 11) as f64 * 0.083)
+                    .collect()
+            })
+            .collect();
+        let g = |i: usize, j: usize| {
+            let dot: f64 = spectra[i].iter().zip(&spectra[j]).map(|(a, b)| a * b).sum();
+            dot + if i == j { 0.5 } else { 0.0 }
+        };
+        let lower = |l: &[f64], stride: usize, k: usize| -> Vec<u64> {
+            (0..k)
+                .flat_map(|i| (0..=i).map(move |j| (i, j)))
+                .map(|(i, j)| l[i * stride + j].to_bits())
+                .collect()
+        };
+        let t = spectra.len();
+        let one_call = |set: &[usize], stride: usize| {
+            let mut l = vec![f64::NAN; t * stride];
+            factor_rows(&mut l, stride, 0..set.len(), |r, s| g(set[r], set[s])).unwrap();
+            lower(&l, stride, set.len())
+        };
+
+        let set = [0, 1, 2, 4, 5];
+        let k = set.len();
+        let want = one_call(&set, t);
+        for stride in [t, t + 1] {
+            assert_eq!(one_call(&set, stride), want, "stride {stride}");
+            let mut l = vec![f64::NAN; t * stride];
+            for row in 0..k {
+                factor_rows(&mut l, stride, row..row + 1, |r, s| g(set[r], set[s])).unwrap();
+            }
+            assert_eq!(lower(&l, stride, k), want, "row by row, stride {stride}");
+            // The set changes at a middle position — an index enters at
+            // position 3, then the one at position 1 leaves: only the rows
+            // from there on are redone, below the rows kept.
+            for (changed, from) in [(&[0, 1, 2, 3, 4, 5][..], 3), (&[0, 2, 3, 4, 5][..], 1)] {
+                factor_rows(&mut l, stride, from..changed.len(), |r, s| {
+                    g(changed[r], changed[s])
+                })
+                .unwrap();
+                assert_eq!(
+                    lower(&l, stride, changed.len()),
+                    one_call(changed, t),
+                    "rows {from}.. redone, stride {stride}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn gram_matrix_of_full_rank_basis_is_spd() {
         let u = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[0.0, 2.0]]);

@@ -22,7 +22,9 @@
 //! * Least-squares unmixing solvers ([`lstsq`]): unconstrained (LS),
 //!   sum-to-one constrained (SCLS), non-negativity constrained (NNLS,
 //!   Lawson–Hanson) and fully constrained (FCLS) — the machinery behind
-//!   UFCLS; the per-pixel form solves inside a reusable workspace.
+//!   UFCLS; the per-pixel form solves inside a reusable workspace, and
+//!   the per-line form resumes each pixel's recorded active-set
+//!   iteration when the endmember set has only grown.
 //! * Streaming mean/covariance accumulation with mergeable partial sums
 //!   ([`covariance`]) — the parallel covariance step of Hetero-PCT.
 //!

@@ -21,6 +21,18 @@
 //! a per-pixel loop that keeps one workspace ([`FclsProblem::solve_in`])
 //! allocates nothing. The one-shot functions build a workspace per call.
 //!
+//! That body is **resumable from its own history**. It records a *trail*
+//! — the state at the top of every entering scan and the candidate that
+//! won it — and, handed the trail the same pixel left against a shorter
+//! problem over the same leading endmembers ([`NnlsTrails`], kept by the
+//! caller per image line), asks only whether an endmember added since
+//! would have won a scan: if none would, the path and the score are the
+//! recorded ones; else it picks the iteration up at the first scan one
+//! wins. A solve with no trail is the replay of an empty one. The
+//! iteration is a deterministic function of the Gram matrix and the
+//! correlation vector, whose leading entries do not change as the set
+//! grows, so either way the result is the from-empty solve's to the bit.
+//!
 //! The two 224-band reductions around the iteration — the endmember dots
 //! before it and `‖x − Uᵀa‖²` after it — are single accumulator chains,
 //! so a caller with a whole image line ([`FclsProblem::solve_f32_line`])
@@ -183,32 +195,126 @@ pub fn scls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
     })
 }
 
+/// `w = c_j − Σₚ g_jp·a_p` over `held`, the passive set ascending with its
+/// abundances: the gradient of ½‖x − Uᵀa‖² along candidate `j` (`row` is
+/// its Gram row), if the constraint is violated — violated beyond what
+/// rounding alone can produce: with the sum-to-one row the terms are
+/// ~δ² = 10⁶ and cancel to an ulp of that (~10⁻¹⁰) on a pixel that is a
+/// vertex of the endmember simplex. The one expression every entering
+/// decision is made with, scanned or replayed.
+#[inline]
+fn violation(row: &[f64], c_j: f64, held: impl Iterator<Item = (usize, f64)>) -> Option<f64> {
+    let (mut ga, mut magnitude) = (0.0, c_j.abs());
+    for (p, a_p) in held {
+        let term = row[p] * a_p;
+        ga += term;
+        magnitude += term.abs();
+    }
+    let w = c_j - ga;
+    (w > (KKT_ROUNDING * magnitude).max(KKT_FLOOR)).then_some(w)
+}
+
+/// The set bits of `mask`, ascending.
+fn set_bits(mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(mask), |m| Some(m & m.wrapping_sub(1)))
+        .take_while(|&m| m != 0)
+        .map(|m| m.trailing_zeros() as usize)
+}
+
+/// Widest problem whose passive and turned-down sets fit, as masks, in one
+/// word beside the count of solves and the winner's index.
+const SET_BITS: usize = 24;
+/// Bits of that word the count of solves takes; the winner has the rest.
+const SOLVES_BITS: usize = 10;
+const WINNER_SHIFT: usize = 2 * SET_BITS + SOLVES_BITS;
+const _: () = assert!(NNLS_MAX_ITER < 1 << SOLVES_BITS && SET_BITS < 1 << (64 - WINNER_SHIFT));
+
+/// One step of a trail: the iteration's state at the top of an entering
+/// scan, and the candidate that won it. Stored as one word — `passive |
+/// rejected << 24 | solves << 48 | (winner + 1) << 58`, the sets as masks —
+/// then `held`, the abundances on the passive set, ascending. The winner's
+/// gradient is not kept: the state gives it back, to the bit, when asked.
+#[derive(Clone, Copy)]
+struct Step<'a> {
+    passive: u32,
+    rejected: u32,
+    /// Passive-set solves spent before this scan.
+    solves: usize,
+    /// `None` when no candidate was violated: the KKT exit, a trail's last
+    /// step.
+    winner: Option<usize>,
+    held: &'a [u64],
+}
+
+impl<'a> Step<'a> {
+    /// The step's word before its scan is decided (no winner yet).
+    fn state(passive: &[usize], rejected: &[usize], solves: usize) -> u64 {
+        let mask = |set: &[usize]| set.iter().fold(0, |mask, &j| mask | 1u64 << j);
+        mask(passive) | mask(rejected) << SET_BITS | (solves as u64) << (2 * SET_BITS)
+    }
+
+    /// What to `|=` into that word once `entering` has won the scan.
+    fn won_by(entering: usize) -> u64 {
+        (entering as u64 + 1) << WINNER_SHIFT
+    }
+
+    fn read(words: &'a [u64]) -> Self {
+        let field = |at: usize, bits: usize| (words[0] >> at) as usize & ((1 << bits) - 1);
+        let passive = field(0, SET_BITS) as u32;
+        Step {
+            passive,
+            rejected: field(SET_BITS, SET_BITS) as u32,
+            solves: field(2 * SET_BITS, SOLVES_BITS),
+            winner: (words[0] >> WINNER_SHIFT)
+                .checked_sub(1)
+                .map(|j| j as usize),
+            held: &words[1..][..passive.count_ones() as usize],
+        }
+    }
+
+    fn words(&self) -> usize {
+        1 + self.held.len()
+    }
+
+    fn held(&self) -> impl Iterator<Item = (usize, f64)> + 'a {
+        set_bits(self.passive).zip(self.held.iter().map(|&a| f64::from_bits(a)))
+    }
+}
+
 /// Caller-owned scratch for the FCLS/NNLS solve: the widened pixel, the
 /// endmember dots and the correlation vector formed from them, the
-/// abundances (the latest solve's, and one row per pixel of the group in
-/// flight), the passive set, its in-place Cholesky factor and the solve
-/// and residual buffers.
+/// abundances (the latest solve's, and one row per pixel whose residual
+/// is pending), the passive set, its in-place Cholesky factor, the solve
+/// and residual buffers, and the trail being recorded.
 ///
-/// A workspace carries **no state between solves** — every solve starts
-/// from the empty passive set, so a result is a pure function of the
-/// problem and the pixel whichever workspace computed it. Buffers are
-/// sized on use: one workspace serves problems of any `t` and `N`.
+/// A workspace carries **no state between solves**: what a solve resumes
+/// from is its caller's ([`NnlsTrails`], one pixel's own history), never
+/// the workspace's, and a resumed solve returns the from-empty solve's
+/// bits — so a result is a pure function of the problem and the pixel
+/// whichever workspace computed it. Buffers are sized on use: one
+/// workspace serves problems of any `t` and `N`.
 #[derive(Debug, Clone, Default)]
 pub struct FclsWorkspace {
     wide: Vec<f64>,
     dots: Vec<f64>,
     corr: Vec<f64>,
     abundances: Vec<f64>,
-    /// Abundances of the pixels being unmixed abreast, one row each.
+    /// Abundances of the pixels whose residuals wait to run abreast, one
+    /// row each.
     lanes: Vec<f64>,
     /// Passive (unconstrained) endmember indices, ascending.
     passive: Vec<usize>,
     /// Entering candidates turned down since the abundances last moved.
-    rejected: Vec<bool>,
+    rejected: Vec<usize>,
     /// Lower Cholesky factor of the passive sub-Gram, row stride `t`.
     chol: Vec<f64>,
     z: Vec<f64>,
     resid: Vec<f64>,
+    /// The steps of the solve in flight.
+    trail: Vec<u64>,
+    /// The records of the line in flight ([`NnlsTrails`]).
+    line_trails: Vec<u64>,
+    passive_solves: u64,
 }
 
 impl FclsWorkspace {
@@ -222,10 +328,30 @@ impl FclsWorkspace {
         &self.abundances
     }
 
+    /// Passive-set systems solved in this workspace since it was made:
+    /// the unit of work of the active-set iteration, which a replayed
+    /// trail spends none of.
+    pub fn passive_solves(&self) -> u64 {
+        self.passive_solves
+    }
+
     /// Non-negative least squares by the Lawson–Hanson active-set method,
     /// on the Gram matrix `g = UUᵀ` and the correlation vector `U x`
-    /// already in `self.corr`; leaves the solution in `self.abundances`.
-    fn nnls(&mut self, g: &Matrix) -> Result<()> {
+    /// already in `self.corr`; leaves the solution in `self.abundances`
+    /// and the steps taken in `self.trail`.
+    ///
+    /// `prior` is the trail a solve of this pixel left against the first
+    /// `depth` endmembers of `g` (empty: none). It is replayed first: at
+    /// each recorded scan only the candidates `depth..` are evaluated —
+    /// they carry the highest indices, so the ascending scan reaches them
+    /// last and its strict `>` gives a tie to the recorded winner. `true`
+    /// when none of them wins any scan, the exit included: the whole path
+    /// is the recorded one, nothing is solved, and the trail to keep is
+    /// `prior` itself. Else the state at the first scan one wins is
+    /// restored and the iteration goes on from there; every quantity up to
+    /// that point depends on the leading endmembers alone, and a factor
+    /// row on the rows above it, so this is the from-empty solve resumed.
+    fn nnls(&mut self, g: &Matrix, prior: &[u64], depth: usize) -> Result<bool> {
         let Self {
             corr: c,
             abundances: a,
@@ -233,52 +359,87 @@ impl FclsWorkspace {
             rejected,
             chol,
             z,
+            trail,
+            passive_solves,
             ..
         } = self;
         let t = c.len();
+        // A problem too wide for the set masks keeps no trail, and every
+        // solve starts from the empty passive set.
+        let compact = t <= SET_BITS;
+        let prior = if compact { prior } else { &[] };
+
+        // The step the replay stops at: the first a newcomer wins, else
+        // the last.
+        let mut stop = None;
+        let mut at = 0;
+        while at < prior.len() {
+            let step = Step::read(&prior[at..]);
+            stop = Some(step);
+            // The recorded winner's gradient is formed only for a newcomer
+            // that is itself violated — few are.
+            let gradient = |j: usize| violation(g.row(j), c[j], step.held());
+            let wins = |j| {
+                gradient(j)
+                    .is_some_and(|w| step.winner.and_then(gradient).is_none_or(|best| w > best))
+            };
+            if (depth..t).any(wins) {
+                break;
+            }
+            at += step.words();
+        }
         a.clear();
         a.resize(t, 0.0);
-        rejected.clear();
-        rejected.resize(t, false);
         passive.clear();
+        rejected.clear();
+        let mut solves = 0;
+        if let Some(step) = stop {
+            passive.extend(set_bits(step.passive));
+            rejected.extend(set_bits(step.rejected));
+            for (p, a_p) in step.held() {
+                a[p] = a_p;
+            }
+            solves = step.solves;
+            if at == prior.len() {
+                return Ok(true);
+            }
+        }
+        trail.clear();
+        trail.extend_from_slice(&prior[..at]);
         z.resize(t, 0.0);
         chol.resize(t * t, 0.0);
         // Leading rows of `chol` that match the current passive set. The
         // set stays sorted, so a change at position `p` invalidates only
         // the rows from `p` on.
         let mut factored = 0;
-        let mut solves = 0;
 
         loop {
-            // Gradient of ½‖x − Uᵀa‖² on the active set, w = c − G a; `a`
-            // is zero off the passive set, so only those columns are summed.
-            // Pick the most violated active constraint — violated beyond
-            // what rounding alone can produce: with the sum-to-one row the
-            // terms are ~δ² = 10⁶ and cancel to an ulp of that (~10⁻¹⁰) on
-            // a pixel that is a vertex of the endmember simplex.
+            let step_at = trail.len();
+            if compact {
+                trail.push(Step::state(passive, rejected, solves));
+                trail.extend(passive.iter().map(|&p| a[p].to_bits()));
+            }
+            // Pick the most violated active constraint; `a` is zero off
+            // the passive set, so only those columns are summed.
             let mut best: Option<(usize, f64)> = None;
-            for j in 0..t {
-                if rejected[j] || passive.contains(&j) {
+            for (j, &c_j) in c.iter().enumerate() {
+                if rejected.contains(&j) || passive.contains(&j) {
                     continue;
                 }
-                let row = g.row(j);
-                let (mut ga, mut magnitude) = (0.0, c[j].abs());
-                for &p in passive.iter() {
-                    let term = row[p] * a[p];
-                    ga += term;
-                    magnitude += term.abs();
-                }
-                let w = c[j] - ga;
-                if w > (KKT_ROUNDING * magnitude).max(KKT_FLOOR)
-                    && best.is_none_or(|(_, val)| w > val)
-                {
-                    best = Some((j, w));
+                let held = passive.iter().map(|&p| (p, a[p]));
+                if let Some(w) = violation(g.row(j), c_j, held) {
+                    if best.is_none_or(|(_, val)| w > val) {
+                        best = Some((j, w));
+                    }
                 }
             }
             let Some((entering, _)) = best else {
                 // KKT satisfied: done.
-                return Ok(());
+                return Ok(false);
             };
+            if compact {
+                trail[step_at] |= Step::won_by(entering);
+            }
             let pos = passive.partition_point(|&p| p < entering);
             passive.insert(pos, entering);
             factored = factored.min(pos);
@@ -294,6 +455,7 @@ impl FclsWorkspace {
                     });
                 }
                 solves += 1;
+                *passive_solves += 1;
                 let k = passive.len();
                 let z = &mut z[..k];
                 for (zr, &p) in z.iter_mut().zip(passive.iter()) {
@@ -329,7 +491,7 @@ impl FclsWorkspace {
                     if z[pos] <= 0.0 {
                         passive.remove(pos);
                         factored = factored.min(pos);
-                        rejected[entering] = true;
+                        rejected.push(entering);
                         break;
                     }
                 }
@@ -337,7 +499,7 @@ impl FclsWorkspace {
                     for (&p, &zr) in passive.iter().zip(z.iter()) {
                         a[p] = zr;
                     }
-                    rejected.fill(false);
+                    rejected.clear();
                     break;
                 }
                 // Line search toward z, stopping at the first zero crossing.
@@ -394,6 +556,22 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
     fcls_with_delta(u, x, FCLS_DELTA)
 }
 
+/// What [`FclsProblem::solve_f32_line`] keeps of one image line between
+/// the rounds of a run: each pixel's trail — the steps of its latest
+/// active-set iteration ([`FclsWorkspace`]) — and the score that
+/// iteration ended in. One growable arena per line, a pixel's record
+/// after its neighbour's; a pixel whose solve failed, or whose problem is
+/// wider than the 24 endmembers the set masks hold, keeps an empty trail
+/// and solves from the empty passive set next time. `Default` is "nothing
+/// kept".
+#[derive(Debug, Clone, Default)]
+pub struct NnlsTrails {
+    /// Leading endmembers the trails were recorded against.
+    depth: usize,
+    /// Per pixel `[n, score, n words of steps]`.
+    records: Vec<u64>,
+}
+
 /// A prepared FCLS problem for unmixing **many** pixels against the same
 /// endmember set: the augmented Gram matrix is computed once, so the
 /// per-pixel cost drops to the correlation vector plus the NNLS solve.
@@ -403,7 +581,8 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 /// adds the one new Gram row and column, and
 /// [`FclsProblem::solve_carried`] / [`FclsProblem::solve_f32_line`] the
 /// one new correlation entry of a pixel whose earlier entries the caller
-/// kept.
+/// kept; the line form also continues each pixel's active-set iteration
+/// from the trail it kept ([`NnlsTrails`]).
 #[derive(Debug, Clone)]
 pub struct FclsProblem {
     u: Matrix,
@@ -525,8 +704,19 @@ impl FclsProblem {
         dots.truncate(t);
         let known = dots.len();
         dots.extend((known..t).map(|i| dot(self.u.row(i), x)));
-        let [residual_sq] = self.unmix([x], |_, i| dots[i], ws);
-        residual_sq
+        self.correlate(|i| dots[i], ws);
+        ws.nnls(&self.gram_aug, &[], 0)?;
+        let [residual_sq] = residuals_sq(&self.u, [x], [ws.abundances.as_slice()], &mut ws.resid);
+        Ok(residual_sq)
+    }
+
+    /// The correlation vector of the augmented system from a pixel's
+    /// endmember dots, into `ws.corr`.
+    fn correlate(&self, dot_of: impl Fn(usize) -> f64, ws: &mut FclsWorkspace) {
+        let offset = self.delta * self.delta;
+        ws.corr.clear();
+        ws.corr
+            .extend((0..self.u.rows()).map(|i| dot_of(i) + offset));
     }
 
     /// [`FclsProblem::solve_carried`] for a whole image line of `f32`
@@ -534,10 +724,16 @@ impl FclsProblem {
     /// formed several pixels abreast. `dots` is endmember-major — entry
     /// `i · pixels + p` is `uᵢᵀx_p` — with the first `known` endmembers'
     /// rows given and the rest filled here, each pixel's before its solve
-    /// and whether or not that succeeds. `emit(p, r)`
-    /// receives pixel `p`'s squared residual, in order, with
-    /// [`FclsProblem::solve_f32`]'s bits; a pixel whose active-set
-    /// iteration fails gets its own error and leaves the others alone.
+    /// and whether or not that succeeds. `trails` is what the previous
+    /// call on this line left, against those `known` endmembers (or
+    /// `Default`): a pixel whose active-set path the endmembers added
+    /// since do not change gets the score recorded there, with no solve
+    /// and no residual; any other resumes its iteration where they first
+    /// change it; on return `trails` holds the line's trails against this
+    /// problem. `emit(p, r)` receives pixel `p`'s squared residual, once
+    /// per pixel in no particular order, with [`FclsProblem::solve_f32`]'s
+    /// bits either way; a pixel whose active-set iteration fails gets its
+    /// own error, leaves the others alone and keeps no trail.
     /// `Err` — before anything is emitted — when the buffers do not fit
     /// the problem.
     pub fn solve_f32_line(
@@ -545,6 +741,7 @@ impl FclsProblem {
         line: &[f32],
         known: usize,
         dots: &mut [f64],
+        trails: &mut NnlsTrails,
         ws: &mut FclsWorkspace,
         mut emit: impl FnMut(usize, Result<f64>),
     ) -> Result<()> {
@@ -556,70 +753,110 @@ impl FclsProblem {
                 format!("{} values, {} dots, {known} known", line.len(), dots.len()),
             ));
         }
-        let full = pixels - pixels % ABREAST;
-        for first in (0..full).step_by(ABREAST) {
-            self.solve_group::<ABREAST>(line, first, known, dots, ws, &mut emit);
+        if trails.depth != known {
+            trails.records.clear();
         }
-        for p in full..pixels {
-            self.solve_group::<1>(line, p, known, dots, ws, &mut emit);
+        let mut priors = trails.records.as_slice();
+        let mut records = std::mem::take(&mut ws.line_trails);
+        records.clear();
+        ws.lanes.resize(ABREAST * t, 0.0);
+        // Solved pixels whose residuals wait for a full group: the pixel
+        // and where its record keeps the score.
+        let mut pending = [(0, 0); ABREAST];
+        let mut waiting = 0;
+
+        for first in (0..pixels).step_by(ABREAST) {
+            if first + ABREAST <= pixels {
+                self.form_dots::<ABREAST>(line, first, known, dots);
+            } else {
+                (first..pixels).for_each(|p| self.form_dots::<1>(line, p, known, dots));
+            }
+            for p in first..pixels.min(first + ABREAST) {
+                let (score, prior) = match priors.split_first() {
+                    Some((&steps, rest)) => {
+                        let (record, rest) = rest.split_at(1 + steps as usize);
+                        priors = rest;
+                        (record[0], &record[1..])
+                    }
+                    None => (0, priors),
+                };
+                self.correlate(|i| dots[i * pixels + p], ws);
+                match ws.nnls(&self.gram_aug, prior, known) {
+                    Ok(true) => {
+                        records.extend([prior.len() as u64, score]);
+                        records.extend_from_slice(prior);
+                        emit(p, Ok(f64::from_bits(score)));
+                    }
+                    Ok(false) => {
+                        pending[waiting] = (p, records.len() + 1);
+                        records.extend([ws.trail.len() as u64, 0]);
+                        records.extend_from_slice(&ws.trail);
+                        ws.lanes[waiting * t..][..t].copy_from_slice(&ws.abundances);
+                        waiting += 1;
+                        if waiting == ABREAST {
+                            self.score::<ABREAST>(line, &pending, 0, ws, &mut records, &mut emit);
+                            waiting = 0;
+                        }
+                    }
+                    Err(failed) => {
+                        records.extend([0, 0]);
+                        emit(p, Err(failed));
+                    }
+                }
+            }
         }
+        for k in 0..waiting {
+            self.score::<1>(line, &pending, k, ws, &mut records, &mut emit);
+        }
+        // The line keeps exactly what its records need; the workspace
+        // keeps the buffer they were built in for the next line.
+        trails.records.clear();
+        trails.records.reserve_exact(records.len());
+        trails.records.extend_from_slice(&records);
+        trails.depth = t;
+        ws.line_trails = records;
         Ok(())
     }
 
-    /// The `L` pixels of `line` from `first` on, for
-    /// [`FclsProblem::solve_f32_line`]: their missing dots, abreast and
-    /// sharing each endmember's loads, then their solves.
-    fn solve_group<const L: usize>(
+    /// The dots of the `L` pixels of `line` from `first` on with the
+    /// endmembers `known..`, abreast and sharing each endmember's loads.
+    fn form_dots<const L: usize>(
         &self,
         line: &[f32],
         first: usize,
         known: usize,
         dots: &mut [f64],
-        ws: &mut FclsWorkspace,
-        emit: &mut impl FnMut(usize, Result<f64>),
     ) {
-        let (t, n) = (self.u.rows(), self.u.cols());
+        let n = self.u.cols();
         let pixels = line.len() / n;
         let xs: [&[f32]; L] = std::array::from_fn(|k| &line[(first + k) * n..][..n]);
-        for i in known..t {
+        for i in known..self.u.rows() {
             let formed = dots_abreast([self.u.row(i); L], xs);
             dots[i * pixels + first..][..L].copy_from_slice(&formed);
         }
-        let solved = self.unmix(xs, |k, i| dots[i * pixels + first + k], ws);
-        for (k, residual_sq) in solved.into_iter().enumerate() {
-            emit(first + k, residual_sq);
-        }
     }
 
-    /// Unmixes `L` pixels whose endmember dots `dot_of(k, i) = uᵢᵀxₖ` are
-    /// formed: the active-set iteration for each in turn, then the `L`
-    /// residuals together. The one body behind every `solve*`.
-    fn unmix<T: Copy + Into<f64>, const L: usize>(
+    /// The residuals of the `L` `pending` pixels of `line` from `from` on,
+    /// whose abundances are the rows of `ws.lanes` from there on, abreast:
+    /// each is emitted and written into its record.
+    fn score<const L: usize>(
         &self,
-        xs: [&[T]; L],
-        dot_of: impl Fn(usize, usize) -> f64,
+        line: &[f32],
+        pending: &[(usize, usize)],
+        from: usize,
         ws: &mut FclsWorkspace,
-    ) -> [Result<f64>; L] {
-        let t = self.u.rows();
-        let offset = self.delta * self.delta;
-        let mut lanes = std::mem::take(&mut ws.lanes);
-        lanes.clear();
-        lanes.resize(L * t, 0.0);
-        let mut solved: [Result<()>; L] = std::array::from_fn(|_| Ok(()));
-        for (k, (solved, lane)) in solved.iter_mut().zip(lanes.chunks_exact_mut(t)).enumerate() {
-            ws.corr.clear();
-            ws.corr.extend((0..t).map(|i| dot_of(k, i) + offset));
-            *solved = ws.nnls(&self.gram_aug);
-            // A failed pixel keeps zero abundances: its residual is formed
-            // with the others' and discarded.
-            if solved.is_ok() {
-                lane.copy_from_slice(&ws.abundances);
-            }
-        }
-        let a: [&[f64]; L] = std::array::from_fn(|k| &lanes[k * t..(k + 1) * t]);
+        records: &mut [u64],
+        emit: &mut impl FnMut(usize, Result<f64>),
+    ) {
+        let (t, n) = (self.u.rows(), self.u.cols());
+        let pending = &pending[from..][..L];
+        let xs: [&[f32]; L] = std::array::from_fn(|k| &line[pending[k].0 * n..][..n]);
+        let a: [&[f64]; L] = std::array::from_fn(|k| &ws.lanes[(from + k) * t..][..t]);
         let residuals = residuals_sq(&self.u, xs, a, &mut ws.resid);
-        ws.lanes = lanes;
-        std::array::from_fn(|k| solved[k].clone().map(|()| residuals[k]))
+        for (&(p, score_at), residual_sq) in pending.iter().zip(residuals) {
+            records[score_at] = residual_sq.to_bits();
+            emit(p, Ok(residual_sq));
+        }
     }
 
     /// [`FclsProblem::solve_f32`] inside a caller-owned workspace.

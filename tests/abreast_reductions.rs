@@ -12,7 +12,7 @@
 use heterospec::cube::metrics::sad;
 use heterospec::cube::HyperCube;
 use heterospec::hetero::kernels::{self, FclsCarry, ProjectionCarry, ScoredPixel};
-use heterospec::linalg::lstsq::{FclsProblem, FclsWorkspace};
+use heterospec::linalg::lstsq::{FclsProblem, FclsWorkspace, NnlsTrails};
 use heterospec::linalg::ortho::OrthoBasis;
 use heterospec::linalg::Matrix;
 
@@ -207,19 +207,22 @@ fn a_failed_solve_leaves_its_lane_mates_alone() {
     let mut ws = FclsWorkspace::new();
     for line in 0..LINES {
         let mut dots = vec![0.0f64; t * samples];
-        let mut together = Vec::new();
+        let mut together = vec![Some(0); samples];
+        let mut emitted = 0;
         problem
             .solve_f32_line(
                 &cube.as_slice()[line * stride..(line + 1) * stride],
                 0,
                 &mut dots,
+                &mut NnlsTrails::default(),
                 &mut ws,
                 |sample, solved| {
-                    assert_eq!(sample, together.len());
-                    together.push(solved.ok().map(f64::to_bits));
+                    together[sample] = solved.ok().map(f64::to_bits);
+                    emitted += 1;
                 },
             )
             .expect("buffers fit");
+        assert_eq!(emitted, samples);
         assert_eq!(together, alone[line * samples..(line + 1) * samples]);
     }
 
