@@ -1,0 +1,261 @@
+//! Absolute virtual numbers, pinned to the bit.
+//!
+//! Every other suite compares runs with each other (seq vs par, rerun vs
+//! rerun, carried vs stateless); the `BENCH_*.json` goldens hold
+//! absolute numbers but only CI regenerates them. This suite holds a
+//! small table of literals on `WtcConfig::tiny()` so that a refactor of
+//! the drivers (`seq`, `par`, `sched` under `ft`) that moves any charge
+//! — a cost formula, the order two charges are added in, a wire size, a
+//! staging-byte count — fails `cargo test` on the spot.
+//!
+//! A change that is *meant* to move virtual time (ROADMAP item 1)
+//! re-baselines here: the failure message prints the observed table in
+//! the form the constant is written in.
+
+use heterospec::hetero::config::{AlgoParams, RunOptions};
+use heterospec::hetero::ft::{run_replan, run_self_sched, FtOptions, FtRun};
+use heterospec::hetero::sched::{AtdcaChunks, ChunkedAlgo, PctChunks, UfclsChunks};
+use heterospec::hetero::{par, seq, ParallelRun};
+use heterospec::simnet::engine::Engine;
+use heterospec::simnet::{presets, CollAlgorithm, CollectiveConfig, FaultPlan};
+
+/// `(cell, bits)`: one `f64::to_bits` per row.
+type Table = Vec<(String, u64)>;
+
+/// The four numbers of a partitioned run: makespan and its COM/SEQ/PAR
+/// split.
+fn par_rows<T>(table: &mut Table, cell: &str, run: &ParallelRun<T>) {
+    let d = run.report.decomposition();
+    for (part, v) in [
+        ("total", run.report.total_time),
+        ("com", d.com),
+        ("seq", d.seq),
+        ("par", d.par),
+    ] {
+        table.push((format!("{cell} {part}"), v.to_bits()));
+    }
+}
+
+/// The option sets of the partitioned cells: the paper's two
+/// strategies, the fused tree allreduce, and the chunk-overlapped
+/// broadcast (the one path that slices the follow-up charge).
+fn option_sets() -> [(&'static str, RunOptions); 4] {
+    [
+        ("hetero", RunOptions::hetero()),
+        ("homo", RunOptions::homo()),
+        (
+            "seghier",
+            RunOptions::hetero().with_collectives(CollectiveConfig::uniform(
+                CollAlgorithm::SegmentHierarchical,
+            )),
+        ),
+        (
+            "overlap",
+            RunOptions::hetero()
+                .with_collectives(CollectiveConfig {
+                    broadcast: CollAlgorithm::PipelinedChunked,
+                    ..CollectiveConfig::linear()
+                })
+                .with_bcast_overlap(true),
+        ),
+    ]
+}
+
+/// The two-crash plan of `tests/carried_rounds.rs`.
+fn two_crashes() -> FaultPlan {
+    FaultPlan::new()
+        .crash(2, 0.02)
+        .crash(4, 0.04)
+        .slowdown(5, 0.0, 0.5, 2.5)
+        .link_outage(0, 7, 0.01, 0.05)
+}
+
+fn ft_rows<A>(table: &mut Table, algo: &A)
+where
+    A: ChunkedAlgo + Sync,
+    A::Output: Send,
+{
+    let opts = FtOptions::default();
+    for (mode, driver) in [
+        (
+            "replan",
+            run_replan::<A> as fn(&Engine, &A, &FtOptions) -> FtRun<A::Output>,
+        ),
+        ("selfsched", run_self_sched::<A>),
+    ] {
+        for (plan_name, plan) in [("clean", FaultPlan::new()), ("crashes", two_crashes())] {
+            let run = driver(&testutil::engine_with(plan), algo, &opts);
+            table.push((
+                format!("ft {} {mode} {plan_name}", algo.name()),
+                run.report.total_time.to_bits(),
+            ));
+        }
+    }
+}
+
+fn observed() -> Table {
+    let s = testutil::tiny_scene();
+    let cube = &s.cube;
+    let p = AlgoParams {
+        num_targets: 6,
+        ..Default::default()
+    };
+    let mut table: Table = [
+        ("seq ATDCA", seq::atdca(cube, &p).mflops),
+        ("seq UFCLS", seq::ufcls(cube, &p).mflops),
+        ("seq PCT", seq::pct(cube, &p).mflops),
+    ]
+    .map(|(cell, mflops)| (cell.to_string(), mflops.to_bits()))
+    .into();
+    for (net, platform) in [
+        ("het16", presets::fully_heterogeneous()),
+        ("th5", presets::thunderhead(5)),
+    ] {
+        let engine = Engine::new(platform);
+        for (name, options) in option_sets() {
+            let cell = |algo: &str| format!("par {algo} {net} {name}");
+            let run = par::atdca::run(&engine, cube, &p, &options);
+            par_rows(&mut table, &cell("ATDCA"), &run);
+            let run = par::ufcls::run(&engine, cube, &p, &options);
+            par_rows(&mut table, &cell("UFCLS"), &run);
+            let run = par::pct::run(&engine, cube, &p, &options);
+            par_rows(&mut table, &cell("PCT"), &run);
+        }
+    }
+    ft_rows(&mut table, &AtdcaChunks::new(cube, &p));
+    ft_rows(&mut table, &UfclsChunks::new(cube, &p));
+    ft_rows(&mut table, &PctChunks::new(cube, &p));
+    table
+}
+
+#[test]
+fn virtual_numbers_keep_their_bits() {
+    let observed = observed();
+    let same = observed.len() == PINS.len()
+        && observed
+            .iter()
+            .zip(PINS)
+            .all(|((cell, bits), (pinned_cell, pinned))| cell == pinned_cell && bits == pinned);
+    if !same {
+        let listing: String = observed
+            .iter()
+            .map(|(cell, bits)| format!("    (\"{cell}\", {bits:#018x}),\n"))
+            .collect();
+        panic!("virtual numbers moved; observed table:\n{listing}");
+    }
+}
+
+/// Captured at `a3eb537` (PR 18), before the detection loops were folded.
+const PINS: &[(&str, u64)] = &[
+    ("seq ATDCA", 0x4014e8d972cd7cf6),
+    ("seq UFCLS", 0x40109a027525460b),
+    ("seq PCT", 0x40473785f8d2e514),
+    ("par ATDCA het16 hetero total", 0x3fa3e0ae94452165),
+    ("par ATDCA het16 hetero com", 0x3fa1018ad1a31de9),
+    ("par ATDCA het16 hetero seq", 0x3f30a6dcc7427e65),
+    ("par ATDCA het16 hetero par", 0x3f75eeb0489bf3f8),
+    ("par UFCLS het16 hetero total", 0x3fa3d52b5f641c92),
+    ("par UFCLS het16 hetero com", 0x3fa0f81870e04afd),
+    ("par UFCLS het16 hetero seq", 0x3f2a843220b0f16a),
+    ("par UFCLS het16 hetero par", 0x3f761475e3190520),
+    ("par PCT het16 hetero total", 0x3fd3b62180527da7),
+    ("par PCT het16 hetero com", 0x3fc432ec55161a96),
+    ("par PCT het16 hetero seq", 0x3fbb152c50daa7c6),
+    ("par PCT het16 hetero par", 0x3fa6bb020c863354),
+    ("par ATDCA het16 homo total", 0x3fa4527bde54d7ed),
+    ("par ATDCA het16 homo com", 0x3f9cb6efa43de674),
+    ("par ATDCA het16 homo seq", 0x3f30a6dcc7427e65),
+    ("par ATDCA het16 homo par", 0x3f8756d94a9d7ed8),
+    ("par UFCLS het16 homo total", 0x3fa404f1797afb50),
+    ("par UFCLS het16 homo com", 0x3f9e507d9cea002f),
+    ("par UFCLS het16 homo seq", 0x3f2a843220b0f16a),
+    ("par UFCLS het16 homo par", 0x3f8308b9e395291e),
+    ("par PCT het16 homo total", 0x3fd4f15c21d6a1da),
+    ("par PCT het16 homo com", 0x3fc28561ba136682),
+    ("par PCT het16 homo seq", 0x3fbb5a10641dae38),
+    ("par PCT het16 homo par", 0x3fb3609caf160c2c),
+    ("par ATDCA het16 seghier total", 0x3f96e934c73af22b),
+    ("par ATDCA het16 seghier com", 0x3f8bfbe8f4eea57b),
+    ("par ATDCA het16 seghier seq", 0x3ebf237594c664ee),
+    ("par ATDCA het16 seghier par", 0x3f81d5877dda98a7),
+    ("par UFCLS het16 seghier total", 0x3f96493488bd0d42),
+    ("par UFCLS het16 seghier com", 0x3f8bc93e7fc6fa78),
+    ("par UFCLS het16 seghier seq", 0x3ebf237594c664ee),
+    ("par UFCLS het16 seghier par", 0x3f80c831760679d8),
+    ("par PCT het16 seghier total", 0x3fd204dda0e0afdf),
+    ("par PCT het16 seghier com", 0x3fc404a4e13c98a8),
+    ("par PCT het16 seghier seq", 0x3fbb152c50daa7c6),
+    ("par PCT het16 seghier par", 0x3f93d401c0bb9998),
+    ("par ATDCA het16 overlap total", 0x3faa0d4fb5d41980),
+    ("par ATDCA het16 overlap com", 0x3fa6beb0bd9526d7),
+    ("par ATDCA het16 overlap seq", 0x3f30a6dcc7427ea5),
+    ("par ATDCA het16 overlap par", 0x3f796a89f5836d60),
+    ("par UFCLS het16 overlap total", 0x3fa9b7776fb503ed),
+    ("par UFCLS het16 overlap com", 0x3fa6b1208f65bac1),
+    ("par UFCLS het16 overlap seq", 0x3f2a843220b0f1aa),
+    ("par UFCLS het16 overlap par", 0x3f775e957174c1d0),
+    ("par PCT het16 overlap total", 0x3fd1f905a13be6c1),
+    ("par PCT het16 overlap com", 0x3fc4673d90ab1abc),
+    ("par PCT het16 overlap seq", 0x3fbb152c50daa7c6),
+    ("par PCT het16 overlap par", 0x3f9001bc4afaf718),
+    ("par ATDCA th5 hetero total", 0x3f8eebe68e2c0ca8),
+    ("par ATDCA th5 hetero com", 0x3f42599ed7c6fbd4),
+    ("par ATDCA th5 hetero seq", 0x3f27819e47a09ff7),
+    ("par ATDCA th5 hetero par", 0x3f8d684627911a6b),
+    ("par UFCLS th5 hetero total", 0x3f88c9f5be18e60f),
+    ("par UFCLS th5 hetero com", 0x3f42599ed7c6fbd4),
+    ("par UFCLS th5 hetero seq", 0x3f22b73cc2a9077f),
+    ("par UFCLS th5 hetero par", 0x3f87597edd91d234),
+    ("par PCT th5 hetero total", 0x3fd37132ae643d29),
+    ("par PCT th5 hetero com", 0x3f325e2f12f0a258),
+    ("par PCT th5 hetero seq", 0x3fcc480d062121fc),
+    ("par PCT th5 hetero par", 0x3fb522527e3bc00a),
+    ("par ATDCA th5 homo total", 0x3f8eebe68e2c0ca8),
+    ("par ATDCA th5 homo com", 0x3f42599ed7c6fbd4),
+    ("par ATDCA th5 homo seq", 0x3f27819e47a09ff7),
+    ("par ATDCA th5 homo par", 0x3f8d684627911a6b),
+    ("par UFCLS th5 homo total", 0x3f88c9f5be18e60f),
+    ("par UFCLS th5 homo com", 0x3f42599ed7c6fbd4),
+    ("par UFCLS th5 homo seq", 0x3f22b73cc2a9077f),
+    ("par UFCLS th5 homo par", 0x3f87597edd91d234),
+    ("par PCT th5 homo total", 0x3fd37132ae643d29),
+    ("par PCT th5 homo com", 0x3f325e2f12f0a258),
+    ("par PCT th5 homo seq", 0x3fcc480d062121fc),
+    ("par PCT th5 homo par", 0x3fb522527e3bc00a),
+    ("par ATDCA th5 seghier total", 0x3f8e8e987f555a27),
+    ("par ATDCA th5 seghier com", 0x3f42599ed7c6fbd4),
+    ("par ATDCA th5 seghier seq", 0x3eb5fa683b7daf84),
+    ("par ATDCA th5 seghier par", 0x3f8d684ebe970e7d),
+    ("par UFCLS th5 seghier total", 0x3f887fd1355611f1),
+    ("par UFCLS th5 seghier com", 0x3f42599ed7c6fbd4),
+    ("par UFCLS th5 seghier seq", 0x3eb5fa683b7daf84),
+    ("par UFCLS th5 seghier par", 0x3f8759877497c647),
+    ("par PCT th5 seghier total", 0x3fd37132ae643d29),
+    ("par PCT th5 seghier com", 0x3f325e2f12f0a258),
+    ("par PCT th5 seghier seq", 0x3fcc480d062121fc),
+    ("par PCT th5 seghier par", 0x3fb522527e3bc00a),
+    ("par ATDCA th5 overlap total", 0x3f90ef2b52866311),
+    ("par ATDCA th5 overlap com", 0x3f60624dd2f1aa05),
+    ("par ATDCA th5 overlap seq", 0x3f27819e47a09ff7),
+    ("par ATDCA th5 overlap par", 0x3f8d67bcb731d921),
+    ("par UFCLS th5 overlap total", 0x3f8bbc8831116fde),
+    ("par UFCLS th5 overlap com", 0x3f60624dd2f1aa05),
+    ("par UFCLS th5 overlap seq", 0x3f22b73cc2a9077f),
+    ("par UFCLS th5 overlap par", 0x3f875917c94a613f),
+    ("par PCT th5 overlap total", 0x3fd3751c6a4c829f),
+    ("par PCT th5 overlap com", 0x3f41028f5a033487),
+    ("par PCT th5 overlap seq", 0x3fcc480d062121fc),
+    ("par PCT th5 overlap par", 0x3fb522527e3bc01b),
+    ("ft ATDCA replan clean", 0x3fb0f475d9012ad3),
+    ("ft ATDCA replan crashes", 0x3fb15dbf202b6190),
+    ("ft ATDCA selfsched clean", 0x3fc2fb5b8a2331d1),
+    ("ft ATDCA selfsched crashes", 0x3fc2da96ee7d4e7c),
+    ("ft UFCLS replan clean", 0x3fb0cea7d2c93967),
+    ("ft UFCLS replan crashes", 0x3fb130dca00b4420),
+    ("ft UFCLS selfsched clean", 0x3fc2fab8a570e5f0),
+    ("ft UFCLS selfsched crashes", 0x3fc2d9f409cb029b),
+    ("ft PCT replan clean", 0x3fd4c3fc62b55685),
+    ("ft PCT replan crashes", 0x3fdaacad44f7a1d0),
+    ("ft PCT selfsched clean", 0x3fcf1dc34bcffb45),
+    ("ft PCT selfsched crashes", 0x3fd21e3dceddc038),
+];
