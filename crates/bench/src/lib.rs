@@ -300,15 +300,18 @@ pub fn gate_status(meaningful: bool, passed: bool) -> &'static str {
 }
 
 /// Writes the canonical `BENCH_*.json` report envelope shared by every
-/// emitter (`bench_*`, `ablation_*`, `chaos_soak`), so the schema —
-/// `commit` / `epoch_secs` stamps, named gate booleans, the tristate
-/// `status` of [`gate_status`] and the aggregate `passed` — cannot
-/// drift between binaries:
+/// emitter (`bench_profile`, `ablation_*`, `chaos_soak`), so the schema
+/// — named gate booleans, the tristate `status` of [`gate_status`] and
+/// the aggregate `passed` — cannot drift between binaries:
 ///
 /// ```json
-/// { "commit": …, "epoch_secs": …, <payload…>,
+/// { <payload…>,
 ///   "gates": { <gates…>, "status": "skipped|passed|failed", "passed": bool } }
 /// ```
+///
+/// No provenance stamp: a record is a function of the code that wrote
+/// it, so regenerating one reproduces the committed file byte for byte
+/// and `git log` says which commit that was.
 ///
 /// `payload` is the emitter's measurement body; `gates` are its named
 /// gate fields (booleans plus any context values). The caller computes
@@ -332,37 +335,13 @@ pub fn write_report(
     let mut gate_fields = gates;
     gate_fields.push(("status", Json::String(status.into())));
     gate_fields.push(("passed", Json::Bool(all_passed)));
-    let mut fields = vec![
-        ("commit", Json::String(git_commit())),
-        ("epoch_secs", Json::Number(epoch_secs() as f64)),
-    ];
-    fields.extend(payload);
+    let mut fields = payload;
     fields.push(("gates", object(gate_fields)));
     let doc = object(fields);
     let out = std::env::var("HETEROSPEC_BENCH_OUT").unwrap_or_else(|_| default_out.to_string());
     std::fs::write(&out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
     eprintln!("# wrote {out}");
     status
-}
-
-/// The current git commit hash, `"unknown"` outside a checkout.
-pub fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// Seconds since the UNIX epoch, for the `epoch_secs` stamp in the
-/// `BENCH_*.json` emitters.
-pub fn epoch_secs() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 /// Directory where experiment outputs (CSV/JSON) are written.

@@ -1,6 +1,8 @@
 //! Algorithm parameters and run options.
 
 use crate::wea::WeaConfig;
+use hsi_morpho::border::required_overlap;
+use hsi_morpho::StructuringElement;
 use simnet::coll::{CollectiveConfig, ScatterMode};
 
 /// Parameters of the analysis algorithms, defaulting to the paper's
@@ -74,7 +76,9 @@ impl OverlapPolicy {
     /// iteration count.
     pub fn halo_lines(self, se_radius: usize, iterations: usize) -> usize {
         match self {
-            OverlapPolicy::Exact => 2 * se_radius * iterations,
+            OverlapPolicy::Exact => {
+                required_overlap(&StructuringElement::square(se_radius), iterations)
+            }
             OverlapPolicy::SingleKernel => se_radius,
         }
     }

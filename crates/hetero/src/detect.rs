@@ -1,0 +1,194 @@
+//! What a target detector is, stated once.
+//!
+//! The paper's Hetero-ATDCA and Hetero-UFCLS (Algorithms 2–3) are one
+//! master/worker loop — brightest pixel first, then `t − 1` rounds of
+//! "every partition nominates its best pixel against the targets so far,
+//! the master picks one, everybody takes it in" — and differ only in the
+//! per-pixel score: orthogonal-projection residual ([`Osp`]) or
+//! fully-constrained least-squares error ([`Fcls`]). A [`Detector`] is
+//! that difference: the state a rank keeps between rounds, the two host
+//! operations on it, and the table of charges the virtual clock reads.
+//!
+//! The loop itself is written once per driver — `seq::detect`,
+//! `par::run_detector`, and the `ChunkedAlgo` impl of
+//! `sched::DetectChunks` — each generic over this trait. What still
+//! differs between the three is the driver and *which* rows of the cost
+//! table it charges; a new detector is one impl here, not three loops.
+
+use crate::flops;
+use crate::kernels::{self, FclsCarry, ProjectionCarry, ScoredPixel};
+use hsi_cube::HyperCube;
+use hsi_linalg::lstsq::FclsProblem;
+use hsi_linalg::ortho::OrthoBasis;
+use hsi_linalg::Matrix;
+
+/// A rank's detector state between rounds, and the detector's costs
+/// (`n` bands, round `k`, `t` targets in all; round 0 is
+/// [`kernels::brightest`] for every detector and is the drivers').
+pub(crate) trait Detector {
+    /// Algorithm name (reports and benches).
+    const NAME: &'static str;
+
+    /// The state of a rank that has taken in no target yet.
+    fn new(bands: usize) -> Self;
+    /// How many targets have been admitted.
+    fn admitted(&self) -> usize;
+    /// Takes a round's winner in. Host-side only: what the modelled rank
+    /// pays for it is [`Detector::follow_up`] or [`Detector::rebuild`].
+    fn admit(&mut self, spectrum: &[f32]);
+    /// The best pixel of lines `range` against the admitted targets (one
+    /// at least), and the megaflops of scoring every pixel of the range.
+    fn nominate(&mut self, cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel>, f64);
+
+    /// Flops the master spends re-scoring one gathered candidate of
+    /// round `k` (`par`'s linear winner selection, `sched`'s reduce).
+    fn rescore(n: usize, k: usize) -> f64;
+    /// Megaflops every rank spends once round `k`'s winner is known
+    /// (`seq`, and `par` as the broadcast's overlappable follow-up).
+    fn follow_up(n: usize, k: usize, t: usize) -> f64;
+    /// Flops a chunk of round `r` spends bringing a fresh state up to
+    /// the `r` targets broadcast so far (`sched`).
+    fn rebuild(n: usize, r: usize) -> f64;
+    /// Flops to score one pixel in round `k ≥ 1` (`sched`; the figure
+    /// [`Detector::nominate`] returns per pixel to `seq` and `par`).
+    fn score(n: usize, k: usize) -> f64;
+    /// Flops one pixel costs over a whole run (the WEA row estimate).
+    fn run_per_pixel(n: usize, t: usize) -> f64;
+}
+
+/// Bytes a device stages `(in, out)` to score `pixels` pixels in round
+/// `round`: the f32 pixel block plus the `round` target spectra the
+/// state is built from in, one candidate out.
+pub(crate) fn round_bytes(pixels: usize, bands: usize, round: usize) -> (u64, u64) {
+    let bands = bands as u64;
+    (
+        pixels as u64 * bands * 4 + round as u64 * bands * 4,
+        bands * 4 + 16,
+    )
+}
+
+fn spectrum_f64(px: &[f32]) -> Vec<f64> {
+    px.iter().map(|&v| v as f64).collect()
+}
+
+/// ATDCA's state: the orthonormal basis of the targets so far (`O(tN)`
+/// apply instead of the `O(N²)` explicit projector — see
+/// `hsi_linalg::ortho`) and the running residuals of the pixels scored
+/// against it.
+#[derive(Debug)]
+pub struct Osp {
+    basis: OrthoBasis,
+    // Not `basis.len()`: a dependent target is admitted but not kept.
+    admitted: usize,
+    carry: ProjectionCarry,
+}
+
+impl Detector for Osp {
+    const NAME: &'static str = "ATDCA";
+
+    fn new(bands: usize) -> Self {
+        Osp {
+            basis: OrthoBasis::new(bands),
+            admitted: 0,
+            carry: ProjectionCarry::default(),
+        }
+    }
+
+    fn admitted(&self) -> usize {
+        self.admitted
+    }
+
+    fn admit(&mut self, spectrum: &[f32]) {
+        self.basis.push(&spectrum_f64(spectrum));
+        self.admitted += 1;
+    }
+
+    fn nominate(&mut self, cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel>, f64) {
+        kernels::max_projection_carried(cube, &self.basis, range, &mut self.carry)
+    }
+
+    fn rescore(n: usize, k: usize) -> f64 {
+        flops::projection_score(n, k)
+    }
+
+    /// Every rank orthonormalises the winner against its basis, the last
+    /// round's included.
+    fn follow_up(n: usize, k: usize, _t: usize) -> f64 {
+        flops::mflop(flops::basis_push(n, k))
+    }
+
+    fn rebuild(n: usize, r: usize) -> f64 {
+        (0..r).map(|k| flops::basis_push(n, k)).sum()
+    }
+
+    fn score(n: usize, k: usize) -> f64 {
+        flops::projection_score(n, k)
+    }
+
+    fn run_per_pixel(n: usize, t: usize) -> f64 {
+        (0..t).map(|k| flops::projection_score(n, k)).sum()
+    }
+}
+
+/// UFCLS's state: the least-squares problem over the targets so far
+/// (`None` before the first) and, of the pixels unmixed against it,
+/// their endmember dots and active-set trails.
+#[derive(Debug, Default)]
+pub struct Fcls {
+    system: Option<FclsProblem>,
+    carry: FclsCarry,
+}
+
+impl Detector for Fcls {
+    const NAME: &'static str = "UFCLS";
+
+    fn new(_bands: usize) -> Self {
+        Fcls::default()
+    }
+
+    fn admitted(&self) -> usize {
+        self.system.as_ref().map_or(0, FclsProblem::num_endmembers)
+    }
+
+    /// One Gram row per target (the whole system for the first).
+    fn admit(&mut self, spectrum: &[f32]) {
+        let signature = spectrum_f64(spectrum);
+        let grown = match self.system.take() {
+            Some(mut problem) => problem.push(&signature).map(|()| problem),
+            None => FclsProblem::new(Matrix::row_vector(&signature)),
+        };
+        self.system = Some(grown.expect("ufcls: endmembers share the cube's band count"));
+    }
+
+    fn nominate(&mut self, cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel>, f64) {
+        let problem = self.system.as_ref().expect("ufcls: one target at least");
+        kernels::max_fcls_error_carried(cube, problem, range, &mut self.carry)
+    }
+
+    fn rescore(n: usize, k: usize) -> f64 {
+        flops::fcls(n, k.max(1))
+    }
+
+    /// The *next* round's Gram rebuild, so the endmember broadcast can
+    /// overlap it; nothing follows the last round.
+    fn follow_up(n: usize, k: usize, t: usize) -> f64 {
+        if k + 1 < t {
+            flops::mflop(flops::gram(n, k + 1))
+        } else {
+            0.0
+        }
+    }
+
+    /// One Gram build per chunk (zero flops at `r = 0`).
+    fn rebuild(n: usize, r: usize) -> f64 {
+        flops::gram(n, r)
+    }
+
+    fn score(n: usize, k: usize) -> f64 {
+        flops::fcls(n, k)
+    }
+
+    fn run_per_pixel(n: usize, t: usize) -> f64 {
+        flops::brightness(n) + (1..t).map(|k| flops::fcls(n, k)).sum::<f64>()
+    }
+}

@@ -29,6 +29,13 @@
 //! Virtual-time costs are charged from the analytic per-kernel megaflop
 //! formulas in [`flops`]; see DESIGN.md for the fidelity argument.
 //!
+//! ATDCA and UFCLS differ by a per-pixel score, not by a program: the
+//! crate-private `detect` module describes each detector once (its
+//! state between rounds, `admit` and `nominate`, and the table of
+//! charges), and [`seq`], [`par`] and [`sched`] each write the
+//! detection loop once over that description. A new detector is one
+//! impl there, not three drivers.
+//!
 //! The paper's §5 "future perspectives" — fault tolerance and dynamic
 //! scheduling for nodes that do not deliver their nominal speed — live
 //! in two modules: [`sched`] cuts all four algorithms into rounds of
@@ -53,6 +60,7 @@
 #![cfg_attr(not(test), deny(clippy::redundant_clone))]
 
 pub mod config;
+mod detect;
 pub mod digest;
 pub mod eval;
 pub mod flops;

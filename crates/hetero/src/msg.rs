@@ -21,6 +21,7 @@
 //! the shared variants, which is what the collective copy telemetry
 //! ([`simnet::CopyStats`]) observes.
 
+use crate::seq::PctModel;
 use hsi_cube::HyperCube;
 use simnet::Wire;
 use std::sync::Arc;
@@ -41,21 +42,10 @@ pub struct Candidate {
     pub spectrum: Vec<f32>,
 }
 
-impl Candidate {
-    fn size_bits(&self) -> u64 {
-        32 + 32 + 64 + (self.spectrum.len() * 32) as u64
-    }
-}
-
-/// The body of a [`Msg::PctModel`] broadcast.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PctModelBody {
-    /// Rows of the `c × N` principal transform.
-    pub transform: Vec<Vec<f64>>,
-    /// The image mean spectrum.
-    pub mean: Vec<f64>,
-    /// Class representatives, already transformed (`c`-dimensional).
-    pub classes: Vec<Vec<f64>>,
+/// Wire size of a [`Candidate`] over `bands` bands: two `u32`
+/// coordinates, the `f64` score, the `f32` spectrum.
+pub(crate) fn candidate_bits(bands: usize) -> u64 {
+    32 + 32 + 64 + (bands * 32) as u64
 }
 
 /// Message payloads of the master/worker protocols.
@@ -88,9 +78,9 @@ pub enum Msg {
     Spectra(Arc<Vec<Vec<f32>>>),
     /// Flat `f64` statistics (covariance accumulator shards).
     Stats(Vec<f64>),
-    /// The PCT model broadcast: transform rows (`c × N`), image mean
-    /// (`N`), and the class representatives in transformed space.
-    PctModel(Arc<PctModelBody>),
+    /// The PCT model broadcast: the `c × N` transform, image mean (`N`),
+    /// and the class representatives in transformed space.
+    PctModel(Arc<PctModel>),
     /// A block of classification labels for the sender's owned lines.
     Labels {
         /// First global line the labels cover.
@@ -106,15 +96,11 @@ impl Wire for Msg {
     fn size_bits(&self) -> u64 {
         match self {
             Msg::Partition { data, .. } => 5 * 32 + (data.len() * 32) as u64,
-            Msg::Candidate(c) => c.size_bits(),
-            Msg::Candidates(cs) => cs.iter().map(Candidate::size_bits).sum(),
+            Msg::Candidate(c) => candidate_bits(c.spectrum.len()),
+            Msg::Candidates(cs) => cs.iter().map(|c| candidate_bits(c.spectrum.len())).sum(),
             Msg::Spectra(rows) => rows.iter().map(|r| (r.len() * 32) as u64).sum(),
             Msg::Stats(v) => (v.len() * 64) as u64,
-            Msg::PctModel(m) => {
-                let t: u64 = m.transform.iter().map(|r| (r.len() * 64) as u64).sum();
-                let c: u64 = m.classes.iter().map(|r| (r.len() * 64) as u64).sum();
-                t + (m.mean.len() * 64) as u64 + c
-            }
+            Msg::PctModel(m) => m.wire_bits(),
             Msg::Labels { labels, .. } => 32 + (labels.len() * 16) as u64,
             Msg::Token => 0,
         }
@@ -193,13 +179,9 @@ impl Msg {
         Msg::Spectra(Arc::new(rows))
     }
 
-    /// Wraps the PCT model parts as a shared-body message.
-    pub fn pct_model(transform: Vec<Vec<f64>>, mean: Vec<f64>, classes: Vec<Vec<f64>>) -> Msg {
-        Msg::PctModel(Arc::new(PctModelBody {
-            transform,
-            mean,
-            classes,
-        }))
+    /// Wraps the PCT model as a shared-body message.
+    pub fn pct_model(model: PctModel) -> Msg {
+        Msg::PctModel(Arc::new(model))
     }
 
     /// This message's variant name (for [`WireMismatch`] diagnostics).
@@ -297,23 +279,16 @@ impl Msg {
         }
     }
 
-    /// Decodes the PCT model broadcast as `(transform, mean, classes)`.
-    pub fn into_pct_model(self) -> Result<PctModelParts, WireMismatch> {
+    /// Decodes the PCT model broadcast.
+    pub fn into_pct_model(self) -> Result<PctModel, WireMismatch> {
         match self {
-            Msg::PctModel(m) => {
-                let PctModelBody {
-                    transform,
-                    mean,
-                    classes,
-                } = unwrap_or_clone(m);
-                Ok((transform, mean, classes))
-            }
+            Msg::PctModel(m) => Ok(unwrap_or_clone(m)),
             other => Err(other.mismatch("PctModel")),
         }
     }
 
-    /// Borrows the PCT model body without consuming the message.
-    pub fn as_pct_model(&self) -> Result<&PctModelBody, WireMismatch> {
+    /// Borrows the PCT model without consuming the message.
+    pub fn as_pct_model(&self) -> Result<&PctModel, WireMismatch> {
         match self {
             Msg::PctModel(m) => Ok(m),
             other => Err(other.mismatch("PctModel")),
@@ -329,13 +304,18 @@ impl Msg {
     }
 }
 
-/// The decoded pieces of a [`Msg::PctModel`] broadcast:
-/// `(transform rows, image mean, transformed class representatives)`.
-pub type PctModelParts = (Vec<Vec<f64>>, Vec<f64>, Vec<Vec<f64>>);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A zero model: `rows × bands` transform, `classes` representatives.
+    fn model(rows: usize, bands: usize, classes: usize) -> PctModel {
+        PctModel {
+            transform: hsi_linalg::Matrix::zeros(rows, bands),
+            mean: vec![0.0; bands],
+            class_reps: vec![vec![0.0; rows]; classes],
+        }
+    }
 
     #[test]
     fn partition_roundtrip() {
@@ -395,10 +375,7 @@ mod tests {
         assert_eq!(Msg::candidate(c.clone()).deep_copy_bits(), 0);
         assert_eq!(Msg::candidates(vec![c]).deep_copy_bits(), 0);
         assert_eq!(Msg::spectra(vec![vec![0.0; 8]]).deep_copy_bits(), 0);
-        assert_eq!(
-            Msg::pct_model(vec![vec![0.0; 4]], vec![0.0; 4], vec![vec![0.0; 1]]).deep_copy_bits(),
-            0
-        );
+        assert_eq!(Msg::pct_model(model(1, 4, 1)).deep_copy_bits(), 0);
         let cube = HyperCube::zeros(2, 2, 2);
         assert_eq!(Msg::partition(0, 2, 0, &cube).deep_copy_bits(), 0);
         assert_eq!(Msg::Token.deep_copy_bits(), 0);
@@ -447,13 +424,8 @@ mod tests {
 
     #[test]
     fn pct_model_size() {
-        let msg = Msg::pct_model(
-            vec![vec![0.0f64; 4]; 2],
-            vec![0.0f64; 4],
-            vec![vec![0.0f64; 2]; 3],
-        );
         // (2*4 + 4 + 3*2) f64 values at 64 bits each.
-        assert_eq!(msg.size_bits(), (8 + 4 + 6) * 64);
+        assert_eq!(Msg::pct_model(model(2, 4, 3)).size_bits(), (8 + 4 + 6) * 64);
     }
 
     #[test]

@@ -14,30 +14,18 @@
 //! basis (`O(tN)` apply instead of the `O(N²)` explicit matrix — see
 //! `hsi_linalg::ortho`).
 
+use super::{detector_row_cost, run_detector};
 use crate::config::{AlgoParams, RunOptions};
-use crate::flops;
-use crate::framework::{
-    distribute, plan_assignments, row_mbits, run_rooted, select_winner, ParallelRun,
-};
-use crate::kernels::{self, ProjectionCarry};
-use crate::par::empty_candidate;
-use crate::seq::{spectrum_f64, DetectedTarget};
+use crate::detect::Osp;
+use crate::framework::ParallelRun;
+use crate::seq::DetectedTarget;
 use crate::wea::RowCost;
 use hsi_cube::HyperCube;
-use hsi_linalg::ortho::OrthoBasis;
 use simnet::engine::Engine;
 
 /// Estimated per-row resource demand (drives the WEA fractions).
 pub fn row_cost(cube: &HyperCube, params: &AlgoParams) -> RowCost {
-    let n = cube.bands();
-    let per_pixel: f64 = (0..params.num_targets)
-        .map(|k| flops::projection_score(n, k))
-        .sum();
-    RowCost {
-        mflops_per_row: flops::mflop(per_pixel * cube.samples() as f64),
-        mbits_per_row: row_mbits(cube),
-        fixed_mflops: 0.0,
-    }
+    detector_row_cost::<Osp>(cube, params)
 }
 
 /// Runs parallel ATDCA on the engine's platform.
@@ -47,77 +35,7 @@ pub fn run(
     params: &AlgoParams,
     options: &RunOptions,
 ) -> ParallelRun<Vec<DetectedTarget>> {
-    let assignments = plan_assignments(engine.platform(), cube, options, row_cost(cube, params));
-    run_rooted(engine, |ctx| {
-        // Root's WEA planning (Algorithm 1): trivial arithmetic over P
-        // processors, charged as sequential work.
-        if ctx.is_root() {
-            ctx.compute_seq(flops::mflop(20.0 * ctx.num_ranks() as f64));
-        }
-        let block = distribute(ctx, cube, &assignments, 0, options.scatter_mode);
-        let n = block.cube.bands();
-        let mut basis = OrthoBasis::new(n);
-        // Host-side only: this rank's pixels keep their running residuals
-        // between rounds; the charge below stays the full re-projection.
-        let mut carry = ProjectionCarry::default();
-        let mut targets: Vec<DetectedTarget> = Vec::new();
-        // Bytes a device stages to score this rank's partition: the
-        // owned pixel block in, one candidate out.
-        let block_bytes = (block.n_lines * block.cube.samples() * n * 4) as u64;
-        // Rank-uniform size hints for `Auto` selection (see docs/COMMS.md):
-        // a Candidate is 128 header bits + an n-band f32 spectrum; a
-        // broadcast row of `U` is one n-band f32 spectrum.
-        let cand_bits = 128 + 32 * n as u64;
-        let u_row_bits = 32 * n as u64;
-
-        for k in 0..params.num_targets {
-            // Local candidate (step 2 for k = 0, step 4 otherwise).
-            let (cand, mflops) = if k == 0 {
-                kernels::brightest(&block.cube, block.own_range())
-            } else {
-                kernels::max_projection_carried(&block.cube, &basis, block.own_range(), &mut carry)
-            };
-            let cost = crate::offload::ChunkCost::new(
-                mflops,
-                (block_bytes + (k * n * 4) as u64, (n * 4 + 16) as u64),
-            );
-            crate::offload::charge_chunk(ctx, options.offload, &cost);
-            let candidate = match cand {
-                Some(p) => p.to_candidate(&block.cube, block.first_line, block.pre),
-                None => empty_candidate(n),
-            };
-
-            // Winner selection (steps 3/5): gather → master re-score →
-            // broadcast of the new target row of U, or one fused
-            // allreduce — see `select_winner`. The basis-growth charge
-            // is the round's overlappable follow-up compute.
-            let winner = select_winner(
-                ctx,
-                options,
-                candidate,
-                cand_bits,
-                u_row_bits,
-                flops::projection_score(n, k),
-                flops::mflop(flops::basis_push(n, k)),
-            );
-            if ctx.is_root() {
-                targets.push(DetectedTarget {
-                    line: winner.line as usize,
-                    sample: winner.sample as usize,
-                    spectrum: winner.spectrum.clone(),
-                });
-            }
-
-            // All ranks grow their local orthonormal basis (host-side;
-            // its flops were charged inside `select_winner`).
-            basis.push(&spectrum_f64(&winner.spectrum));
-        }
-        if ctx.is_root() {
-            Some(targets)
-        } else {
-            None
-        }
-    })
+    run_detector::<Osp>(engine, cube, params, options)
 }
 
 #[cfg(test)]

@@ -5,13 +5,108 @@
 //! and the timing report. The Hetero-X / Homo-X pairs of the paper's
 //! tables are selected through
 //! [`crate::config::RunOptions::strategy`].
+//!
+//! [`atdca`] and [`ufcls`] are one master/worker program,
+//! `run_detector`, over the two detectors described in `crate::detect`
+//! (state, host operations, cost table): a new detector is an impl
+//! there, not a module here.
 
 pub mod atdca;
 pub mod morph;
 pub mod pct;
 pub mod ufcls;
 
-use crate::msg::Candidate;
+use crate::config::{AlgoParams, RunOptions};
+use crate::detect::{round_bytes, Detector};
+use crate::framework::{
+    distribute, plan_assignments, row_mbits, run_rooted, select_winner, ParallelRun,
+};
+use crate::msg::{candidate_bits, Candidate};
+use crate::offload::{charge_chunk, ChunkCost};
+use crate::seq::DetectedTarget;
+use crate::wea::RowCost;
+use crate::{flops, kernels};
+use hsi_cube::HyperCube;
+use simnet::engine::Engine;
+
+/// A detector's estimated per-row resource demand (drives the WEA
+/// fractions).
+fn detector_row_cost<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> RowCost {
+    let per_pixel = D::run_per_pixel(cube.bands(), params.num_targets);
+    RowCost {
+        mflops_per_row: flops::mflop(per_pixel * cube.samples() as f64),
+        mbits_per_row: row_mbits(cube),
+        fixed_mflops: 0.0,
+    }
+}
+
+/// Algorithms 2–3 on the engine's platform: the master/worker loop the
+/// [`atdca`] and [`ufcls`] module docs walk through, with `D`'s score
+/// and `D`'s charges.
+fn run_detector<D: Detector>(
+    engine: &Engine,
+    cube: &HyperCube,
+    params: &AlgoParams,
+    options: &RunOptions,
+) -> ParallelRun<Vec<DetectedTarget>> {
+    let row_cost = detector_row_cost::<D>(cube, params);
+    let assignments = plan_assignments(engine.platform(), cube, options, row_cost);
+    let t = params.num_targets;
+    run_rooted(engine, |ctx| {
+        // Root's WEA planning (Algorithm 1): trivial arithmetic over P
+        // processors, charged as sequential work.
+        if ctx.is_root() {
+            ctx.compute_seq(flops::mflop(20.0 * ctx.num_ranks() as f64));
+        }
+        let block = distribute(ctx, cube, &assignments, 0, options.scatter_mode);
+        let n = block.cube.bands();
+        let own_pixels = block.n_lines * block.cube.samples();
+        // Host-side only: what the state carries of this rank's pixels
+        // from round to round never shortens a charge below.
+        let mut detector = D::new(n);
+        let mut targets: Vec<DetectedTarget> = Vec::new();
+
+        for k in 0..t {
+            // Local candidate (step 2 for k = 0, step 4 otherwise).
+            let (cand, mflops) = if k == 0 {
+                kernels::brightest(&block.cube, block.own_range())
+            } else {
+                detector.nominate(&block.cube, block.own_range())
+            };
+            let cost = ChunkCost::new(mflops, round_bytes(own_pixels, n, k));
+            charge_chunk(ctx, options.offload, &cost);
+            let candidate = match cand {
+                Some(p) => p.to_candidate(&block.cube, block.first_line, block.pre),
+                None => empty_candidate(n),
+            };
+
+            // Winner selection: gather → master re-score → broadcast of
+            // the new target row of U, or one fused allreduce — see
+            // `select_winner`. The size hints are rank-uniform (see
+            // docs/COMMS.md): a candidate, and one n-band f32 row of U.
+            let winner = select_winner(
+                ctx,
+                options,
+                candidate,
+                candidate_bits(n),
+                32 * n as u64,
+                D::rescore(n, k),
+                D::follow_up(n, k, t),
+            );
+            // Every rank mirrors the master's target set (host-side; its
+            // flops were the follow-up charged inside `select_winner`).
+            detector.admit(&winner.spectrum);
+            if ctx.is_root() {
+                targets.push(DetectedTarget {
+                    line: winner.line as usize,
+                    sample: winner.sample as usize,
+                    spectrum: winner.spectrum,
+                });
+            }
+        }
+        ctx.is_root().then_some(targets)
+    })
+}
 
 /// The winner order: highest score, ties to the lowest `(line, sample)`
 /// — a total order on candidates with distinct coordinates, which is

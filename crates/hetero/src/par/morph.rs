@@ -103,7 +103,7 @@ pub fn run(
         // Rank-uniform size hints for `Auto` selection: each rank
         // nominates at most `c` candidates; at most `c` reps come back.
         let n = block.cube.bands();
-        let cands_bits = (params.num_classes as u64) * (128 + 32 * n as u64);
+        let cands_bits = params.num_classes as u64 * crate::msg::candidate_bits(n);
         let reps_bits = (params.num_classes * n * 32) as u64;
         let entries = coll::gather(
             ctx,

@@ -23,13 +23,11 @@ use crate::framework::{
     distribute, gather_labels, plan_assignments, row_mbits, run_rooted, ParallelRun,
 };
 use crate::kernels;
-use crate::msg::Msg;
-use crate::seq::{transform_reps, PctModel};
+use crate::msg::{candidate_bits, Msg};
+use crate::seq::{pct_model_len, PctModel};
 use crate::wea::RowCost;
 use hsi_cube::{HyperCube, LabelImage};
 use hsi_linalg::covariance::CovarianceAccumulator;
-use hsi_linalg::eigen::SymmetricEigen;
-use hsi_linalg::Matrix;
 use simnet::coll::{self, GatherEntry};
 use simnet::engine::Engine;
 
@@ -97,12 +95,11 @@ pub fn run(
         );
 
         // Rank-uniform size hints for `Auto` selection: at most `cap`
-        // candidates of (128 + 32n) bits each; a flat accumulator is a
-        // fixed f64 count for a given n; the model is bounded by the
-        // (c.min(n) × n) transform + mean + c representatives.
-        let cands_bits = (cap as u64) * (128 + 32 * n as u64);
+        // candidates; a flat accumulator is a fixed f64 count for a
+        // given n; the model is bounded by `pct_model_len`.
+        let cands_bits = cap as u64 * candidate_bits(n);
         let stats_bits = (CovarianceAccumulator::flat_len(n) * 64) as u64;
-        let model_bits = ((c.min(n) * n + n + c * c.min(n)) * 64) as u64;
+        let model_len = pct_model_len(n, c) as u64;
 
         // Steps 3 & 6 gathers: unique sets, then covariance partials.
         let cand_entries = coll::gather(
@@ -142,38 +139,21 @@ pub fn run(
                 total.merge_flat(&flat).expect("flat shape");
             }
             ctx.compute_seq(flops::mflop((ctx.num_ranks() * n * (n + 3) / 2) as f64));
-            let mean = total.mean().expect("pct: empty image");
-            let cov = total.covariance().expect("pct: empty image");
 
             // Step 7: sequential eigendecomposition at the master.
-            let eig = SymmetricEigen::new(&cov).expect("pct: eigen failed");
+            let model = PctModel::fit(&total, &reps, c);
             ctx.compute_seq(flops::mflop(flops::jacobi_eigen(n)));
-            let transform = eig.principal_transform(c.min(n)).expect("pct: transform");
-            let class_reps = transform_reps(&transform, &mean, &reps);
             ctx.compute_seq(flops::mflop(
-                reps.len() as f64 * flops::pct_transform(n, transform.rows()),
+                reps.len() as f64 * flops::pct_transform(n, model.transform.rows()),
             ));
-            Msg::pct_model(
-                (0..transform.rows())
-                    .map(|r| transform.row(r).to_vec())
-                    .collect(),
-                mean,
-                class_reps,
-            )
+            Msg::pct_model(model)
         });
 
         // Broadcast the model; every rank (root included) decodes it.
-        let (transform, mean, classes) =
-            coll::broadcast(ctx, &options.collectives, 0, selected, model_bits)
-                .expect("pct: broadcast misuse")
-                .into_pct_model()
-                .expect("pct: protocol violation");
-        let rows: Vec<&[f64]> = transform.iter().map(|r| r.as_slice()).collect();
-        let model = PctModel {
-            transform: Matrix::from_rows(&rows),
-            mean,
-            class_reps: classes,
-        };
+        let model = coll::broadcast(ctx, &options.collectives, 0, selected, model_len * 64)
+            .expect("pct: broadcast misuse")
+            .into_pct_model()
+            .expect("pct: protocol violation");
 
         // Steps 8-9: transform + classify own lines, gather labels.
         let (labels, mflops) = kernels::pct_label(
@@ -186,13 +166,7 @@ pub fn run(
         crate::offload::charge_chunk(
             ctx,
             options.offload,
-            &crate::offload::ChunkCost::new(
-                mflops,
-                (
-                    block_bytes + ((c.min(n) * n + n + c * c.min(n)) * 8) as u64,
-                    own_pixels * 2,
-                ),
-            ),
+            &crate::offload::ChunkCost::new(mflops, (block_bytes + model_len * 8, own_pixels * 2)),
         );
         let image = gather_labels(ctx, &options.collectives, &block, labels, lines, samples);
         image.map(|img| (img, model))

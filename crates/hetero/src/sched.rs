@@ -6,10 +6,13 @@
 //!   each chunk yields a [`ChunkedAlgo::Partial`], and the master
 //!   reduces the round's partials into the next
 //!   [`ChunkedAlgo::State`];
-//! * the four implementations — [`AtdcaChunks`], [`UfclsChunks`],
+//! * the four algorithms — [`AtdcaChunks`], [`UfclsChunks`],
 //!   [`PctChunks`], [`MorphChunks`] — reuse the exact worker kernels of
 //!   [`crate::kernels`], so any chunk grid reproduces the partitioned
-//!   algorithms' analysis results.
+//!   algorithms' analysis results. The two detectors are one
+//!   implementation, [`DetectChunks`], over the detector descriptions of
+//!   `crate::detect` (state, host operations, cost table): a new
+//!   detector is an impl there and an alias here.
 //!
 //! **Determinism.** The argmax algorithms (ATDCA, UFCLS) produce the
 //! *same* output for every chunk grid: chunk winners are folded with the
@@ -25,20 +28,16 @@
 //! matter which worker computes which chunk — or which workers crash.
 
 use crate::config::AlgoParams;
+use crate::detect::{round_bytes, Detector, Fcls, Osp};
 use crate::flops;
-use crate::kernels::{self, FclsCarry, ProjectionCarry};
-use crate::msg::Candidate;
+use crate::kernels;
+use crate::msg::{candidate_bits, Candidate};
 use crate::par::{best_candidate, empty_candidate};
-use crate::seq::{
-    grow_endmembers, reduce_candidates, spectrum_f64, transform_reps, DetectedTarget, PctModel,
-};
+use crate::seq::{pct_model_len, reduce_candidates, scored_spectra, DetectedTarget, PctModel};
 use hsi_cube::{HyperCube, LabelImage};
 use hsi_linalg::covariance::CovarianceAccumulator;
-use hsi_linalg::eigen::SymmetricEigen;
-use hsi_linalg::lstsq::FclsProblem;
-use hsi_linalg::ortho::OrthoBasis;
-use hsi_linalg::Matrix;
 use hsi_morpho::StructuringElement;
+use std::marker::PhantomData;
 
 /// An algorithm decomposed into rounds of independent line chunks.
 ///
@@ -64,10 +63,10 @@ pub trait ChunkedAlgo {
     /// `(round, state)` by [`ChunkedAlgo::prepare`] and reused across
     /// every chunk of the round, so per-chunk work stops rebuilding
     /// round-invariant structures (ATDCA's orthogonal basis, UFCLS's Gram
-    /// system, PCT's transform matrix) — and, handed on from round to
-    /// round, lets the argmax algorithms continue each pixel's running
-    /// sums instead of re-deriving them. Purely a host concern: the
-    /// charged cost model ([`ChunkedAlgo::chunk_mflops`]) is unchanged.
+    /// system) — and, handed on from round to round, lets the argmax
+    /// algorithms continue each pixel's running sums instead of
+    /// re-deriving them. Purely a host concern: the charged cost model
+    /// ([`ChunkedAlgo::chunk_mflops`]) is unchanged.
     type Scratch;
 
     /// Short algorithm name (reports and benches).
@@ -131,49 +130,52 @@ fn spectra_bits(spectra: &[Vec<f32>]) -> u64 {
     spectra.iter().map(|s| (s.len() * 32) as u64).sum()
 }
 
-fn candidate_bits(c: &Candidate) -> u64 {
-    32 + 32 + 64 + (c.spectrum.len() * 32) as u64
-}
+// ---------------------------------------------------------------------
+// ATDCA, UFCLS
+// ---------------------------------------------------------------------
 
-// ---------------------------------------------------------------------
-// ATDCA
-// ---------------------------------------------------------------------
+/// Either target detector as a chunked algorithm — name it through
+/// [`AtdcaChunks`] or [`UfclsChunks`]. `D` is the detector's description
+/// (`crate::detect`): its score, its cost table, and the state a worker
+/// keeps as round scratch and grows from round to round.
+pub struct DetectChunks<'a, D> {
+    cube: &'a HyperCube,
+    params: &'a AlgoParams,
+    detector: PhantomData<fn() -> D>,
+}
 
 /// ATDCA (paper Algorithm 2) as a chunked algorithm: one round per
 /// target; each chunk nominates its brightest (round 0) or
 /// maximum-projection pixel, the reduce selects the global winner with
 /// the sequential tie-break. Output is identical for **any** chunk
 /// grid.
-pub struct AtdcaChunks<'a> {
-    cube: &'a HyperCube,
-    params: &'a AlgoParams,
-}
+pub type AtdcaChunks<'a> = DetectChunks<'a, Osp>;
 
-impl<'a> AtdcaChunks<'a> {
+/// UFCLS (paper Algorithm 3) as a chunked algorithm: rounds grow the
+/// endmember set by the pixel with the largest fully-constrained
+/// least-squares error. Output is identical for any chunk grid.
+pub type UfclsChunks<'a> = DetectChunks<'a, Fcls>;
+
+impl<'a, D> DetectChunks<'a, D> {
     /// Wraps a cube and parameters.
     pub fn new(cube: &'a HyperCube, params: &'a AlgoParams) -> Self {
-        AtdcaChunks { cube, params }
+        DetectChunks {
+            cube,
+            params,
+            detector: PhantomData,
+        }
     }
 }
 
-/// A worker's ATDCA state between rounds: the orthonormal basis of the
-/// first `targets` targets and the running residuals of the pixels it
-/// has scored against it.
-#[derive(Debug)]
-pub struct AtdcaScratch {
-    basis: OrthoBasis,
-    targets: usize,
-    carry: ProjectionCarry,
-}
-
-impl ChunkedAlgo for AtdcaChunks<'_> {
+impl<D: Detector> ChunkedAlgo for DetectChunks<'_, D> {
     type State = Vec<DetectedTarget>;
     type Partial = Candidate;
     type Output = Vec<DetectedTarget>;
-    type Scratch = AtdcaScratch;
+    /// The detector over the first `admitted()` targets of the state.
+    type Scratch = D;
 
     fn name(&self) -> &'static str {
-        "ATDCA"
+        D::NAME
     }
 
     fn lines(&self) -> usize {
@@ -194,20 +196,15 @@ impl ChunkedAlgo for AtdcaChunks<'_> {
         let per_pixel = if round == 0 {
             flops::brightness(bands)
         } else {
-            flops::projection_score(bands, round)
+            D::score(bands, round)
         };
-        // Rebuilding the basis from the broadcast targets is the chunked
-        // equivalent of the per-round basis_push of `par::atdca`.
-        let rebuild: f64 = (0..round).map(|k| flops::basis_push(bands, k)).sum();
-        flops::mflop(per_pixel * pixels + rebuild)
+        // Every chunk pays for rebuilding the detector from the broadcast
+        // targets: the chunked equivalent of `par`'s per-round follow-up.
+        flops::mflop(per_pixel * pixels + D::rebuild(bands, round))
     }
 
     fn chunk_bytes(&self, round: usize, n: usize) -> (u64, u64) {
-        let bands = self.cube.bands() as u64;
-        // In: the chunk's f32 pixel block plus the `round` target spectra
-        // the projection basis is rebuilt from. Out: one candidate.
-        let h2d = (n * self.cube.samples()) as u64 * bands * 4 + round as u64 * bands * 4;
-        (h2d, bands * 4 + 16)
+        round_bytes(n * self.cube.samples(), self.cube.bands(), round)
     }
 
     fn state_bits(&self, state: &Self::State) -> u64 {
@@ -215,32 +212,22 @@ impl ChunkedAlgo for AtdcaChunks<'_> {
     }
 
     fn partial_bits(&self, partial: &Self::Partial) -> u64 {
-        candidate_bits(partial)
+        candidate_bits(partial.spectrum.len())
     }
 
-    fn prepare(
-        &self,
-        _round: usize,
-        state: &Self::State,
-        previous: Option<AtdcaScratch>,
-    ) -> AtdcaScratch {
-        let mut scratch = previous.unwrap_or_else(|| AtdcaScratch {
-            basis: OrthoBasis::new(self.cube.bands()),
-            targets: 0,
-            carry: ProjectionCarry::default(),
-        });
-        for target in &state[scratch.targets..] {
-            scratch.basis.push(&spectrum_f64(&target.spectrum));
+    fn prepare(&self, _round: usize, state: &Self::State, previous: Option<D>) -> D {
+        let mut detector = previous.unwrap_or_else(|| D::new(self.cube.bands()));
+        for target in &state[detector.admitted()..] {
+            detector.admit(&target.spectrum);
         }
-        scratch.targets = state.len();
-        scratch
+        detector
     }
 
     fn run_chunk(
         &self,
         round: usize,
         _state: &Self::State,
-        scratch: &mut AtdcaScratch,
+        detector: &mut D,
         first: usize,
         n: usize,
     ) -> Candidate {
@@ -248,7 +235,7 @@ impl ChunkedAlgo for AtdcaChunks<'_> {
         let (cand, _) = if round == 0 {
             kernels::brightest(self.cube, range)
         } else {
-            kernels::max_projection_carried(self.cube, &scratch.basis, range, &mut scratch.carry)
+            detector.nominate(self.cube, range)
         };
         match cand {
             Some(p) => p.to_candidate(self.cube, 0, 0),
@@ -269,142 +256,7 @@ impl ChunkedAlgo for AtdcaChunks<'_> {
             sample: best.sample as usize,
             spectrum: best.spectrum,
         });
-        let mflops = flops::mflop(flops::projection_score(self.cube.bands(), round) * count as f64);
-        (state, mflops)
-    }
-
-    fn finish(&self, state: Self::State) -> Self::Output {
-        state
-    }
-}
-
-// ---------------------------------------------------------------------
-// UFCLS
-// ---------------------------------------------------------------------
-
-/// UFCLS (paper Algorithm 3) as a chunked algorithm: rounds grow the
-/// endmember set by the pixel with the largest fully-constrained
-/// least-squares error. Output is identical for any chunk grid.
-pub struct UfclsChunks<'a> {
-    cube: &'a HyperCube,
-    params: &'a AlgoParams,
-}
-
-impl<'a> UfclsChunks<'a> {
-    /// Wraps a cube and parameters.
-    pub fn new(cube: &'a HyperCube, params: &'a AlgoParams) -> Self {
-        UfclsChunks { cube, params }
-    }
-}
-
-/// A worker's UFCLS state between rounds: the least-squares problem over
-/// the targets so far (`None` before the first) and the endmember dots of
-/// the pixels it has unmixed against it.
-#[derive(Debug, Default)]
-pub struct UfclsScratch {
-    system: Option<FclsProblem>,
-    carry: FclsCarry,
-}
-
-impl ChunkedAlgo for UfclsChunks<'_> {
-    type State = Vec<DetectedTarget>;
-    type Partial = Candidate;
-    type Output = Vec<DetectedTarget>;
-    type Scratch = UfclsScratch;
-
-    fn name(&self) -> &'static str {
-        "UFCLS"
-    }
-
-    fn lines(&self) -> usize {
-        self.cube.lines()
-    }
-
-    fn rounds(&self) -> usize {
-        self.params.num_targets
-    }
-
-    fn initial_state(&self) -> Self::State {
-        Vec::new()
-    }
-
-    fn chunk_mflops(&self, round: usize, n: usize) -> f64 {
-        let bands = self.cube.bands();
-        let pixels = (n * self.cube.samples()) as f64;
-        if round == 0 {
-            flops::mflop(flops::brightness(bands) * pixels)
-        } else {
-            // Each chunk rebuilds the Gram system once, then unmixes its
-            // pixels.
-            flops::mflop(flops::fcls(bands, round) * pixels + flops::gram(bands, round))
-        }
-    }
-
-    fn chunk_bytes(&self, round: usize, n: usize) -> (u64, u64) {
-        let bands = self.cube.bands() as u64;
-        // In: the chunk's f32 pixel block plus the `round` endmember
-        // spectra of the unmixing system. Out: one candidate.
-        let h2d = (n * self.cube.samples()) as u64 * bands * 4 + round as u64 * bands * 4;
-        (h2d, bands * 4 + 16)
-    }
-
-    fn state_bits(&self, state: &Self::State) -> u64 {
-        state.iter().map(|t| (t.spectrum.len() * 32) as u64).sum()
-    }
-
-    fn partial_bits(&self, partial: &Self::Partial) -> u64 {
-        candidate_bits(partial)
-    }
-
-    fn prepare(
-        &self,
-        _round: usize,
-        state: &Self::State,
-        previous: Option<UfclsScratch>,
-    ) -> UfclsScratch {
-        let mut scratch = previous.unwrap_or_default();
-        grow_endmembers(&mut scratch.system, state);
-        scratch
-    }
-
-    fn run_chunk(
-        &self,
-        round: usize,
-        _state: &Self::State,
-        scratch: &mut UfclsScratch,
-        first: usize,
-        n: usize,
-    ) -> Candidate {
-        let range = (first, first + n);
-        let (cand, _) = if round == 0 {
-            kernels::brightest(self.cube, range)
-        } else {
-            let problem = scratch
-                .system
-                .as_ref()
-                .expect("ufcls: round > 0 has a system");
-            kernels::max_fcls_error_carried(self.cube, problem, range, &mut scratch.carry)
-        };
-        match cand {
-            Some(p) => p.to_candidate(self.cube, 0, 0),
-            None => empty_candidate(self.cube.bands()),
-        }
-    }
-
-    fn reduce(
-        &self,
-        round: usize,
-        mut state: Self::State,
-        partials: Vec<(usize, Candidate)>,
-    ) -> (Self::State, f64) {
-        let count = partials.len();
-        let best = best_candidate(partials.into_iter().map(|(_, c)| c).collect());
-        state.push(DetectedTarget {
-            line: best.line as usize,
-            sample: best.sample as usize,
-            spectrum: best.spectrum,
-        });
-        let mflops = flops::mflop(flops::fcls(self.cube.bands(), round.max(1)) * count as f64);
+        let mflops = flops::mflop(D::rescore(self.cube.bands(), round) * count as f64);
         (state, mflops)
     }
 
@@ -428,26 +280,13 @@ pub enum PctState {
     Reps(Vec<Vec<f32>>),
     /// After round 1: the PCT model (what the real algorithm
     /// broadcasts before the labelling step).
-    Model {
-        /// Full-spectrum class representatives (master bookkeeping).
-        reps: Vec<Vec<f32>>,
-        /// Rows of the `c × N` principal transform.
-        transform: Vec<Vec<f64>>,
-        /// The image mean spectrum.
-        mean: Vec<f64>,
-        /// Class representatives in transformed space.
-        classes: Vec<Vec<f64>>,
-    },
+    Model(PctModel),
     /// After round 2: the assembled labels plus the model.
     Done {
         /// Row-major labels of the full image.
         labels: Vec<u16>,
-        /// Rows of the principal transform.
-        transform: Vec<Vec<f64>>,
-        /// The image mean spectrum.
-        mean: Vec<f64>,
-        /// Class representatives in transformed space.
-        classes: Vec<Vec<f64>>,
+        /// The model they were labelled with.
+        model: PctModel,
     },
 }
 
@@ -484,9 +323,8 @@ impl ChunkedAlgo for PctChunks<'_> {
     type State = PctState;
     type Partial = PctPartial;
     type Output = (LabelImage, PctModel);
-    /// The assembled transform matrix for the labelling round; `None`
-    /// in earlier rounds.
-    type Scratch = Option<Matrix>;
+    /// The labelling round reads the model off the state as it is.
+    type Scratch = ();
 
     fn name(&self) -> &'static str {
         "PCT"
@@ -529,7 +367,10 @@ impl ChunkedAlgo for PctChunks<'_> {
             1 => (chunk, (bands * (bands + 3) / 2 + 1) * 8),
             // Labelling: chunk + f64 model (transform, mean, transformed
             // class reps) in, u16 labels out.
-            _ => (chunk + (c * bands + bands + c * c) * 8, pixels * 2),
+            _ => (
+                chunk + pct_model_len(self.cube.bands(), self.params.num_classes) as u64 * 8,
+                pixels * 2,
+            ),
         }
     }
 
@@ -538,22 +379,7 @@ impl ChunkedAlgo for PctChunks<'_> {
             // Reps stay at the master; workers need nothing until the
             // model broadcast.
             PctState::Fresh | PctState::Reps(_) => 0,
-            PctState::Model {
-                transform,
-                mean,
-                classes,
-                ..
-            }
-            | PctState::Done {
-                transform,
-                mean,
-                classes,
-                ..
-            } => {
-                let t: u64 = transform.iter().map(|r| (r.len() * 64) as u64).sum();
-                let cl: u64 = classes.iter().map(|r| (r.len() * 64) as u64).sum();
-                t + (mean.len() * 64) as u64 + cl
-            }
+            PctState::Model(model) | PctState::Done { model, .. } => model.wire_bits(),
         }
     }
 
@@ -565,27 +391,13 @@ impl ChunkedAlgo for PctChunks<'_> {
         }
     }
 
-    fn prepare(
-        &self,
-        round: usize,
-        state: &Self::State,
-        _previous: Option<Option<Matrix>>,
-    ) -> Option<Matrix> {
-        if round < 2 {
-            return None;
-        }
-        let PctState::Model { transform, .. } = state else {
-            panic!("pct: labelling round without a model")
-        };
-        let rows: Vec<&[f64]> = transform.iter().map(|r| r.as_slice()).collect();
-        Some(Matrix::from_rows(&rows))
-    }
+    fn prepare(&self, _round: usize, _state: &Self::State, _previous: Option<()>) {}
 
     fn run_chunk(
         &self,
         round: usize,
         state: &Self::State,
-        scratch: &mut Option<Matrix>,
+        _scratch: &mut (),
         first: usize,
         n: usize,
     ) -> PctPartial {
@@ -595,24 +407,18 @@ impl ChunkedAlgo for PctChunks<'_> {
                 let c = self.params.num_classes;
                 let (set, _) =
                     kernels::unique_set(self.cube, range, self.params.sad_threshold, 4 * c);
-                PctPartial::Cands(
-                    set.iter()
-                        .map(|p| (self.cube.pixel(p.line, p.sample).to_vec(), p.score))
-                        .collect(),
-                )
+                PctPartial::Cands(scored_spectra(self.cube, &set))
             }
             1 => {
                 let (acc, _) = kernels::covariance_partial(self.cube, range);
                 PctPartial::Stats(acc.to_flat())
             }
             _ => {
-                let PctState::Model { mean, classes, .. } = state else {
+                let PctState::Model(m) = state else {
                     panic!("pct: labelling round without a model")
                 };
-                let t = scratch
-                    .as_ref()
-                    .expect("pct: labelling round has a transform");
-                let (labels, _) = kernels::pct_label(self.cube, range, t, mean, classes);
+                let (labels, _) =
+                    kernels::pct_label(self.cube, range, &m.transform, &m.mean, &m.class_reps);
                 PctPartial::Labels(labels)
             }
         }
@@ -650,37 +456,16 @@ impl ChunkedAlgo for PctChunks<'_> {
                     };
                     total.merge_flat(&flat).expect("pct: flat shape");
                 }
-                let mean = total.mean().expect("pct: empty image");
-                let cov = total.covariance().expect("pct: empty image");
-                let eig = SymmetricEigen::new(&cov).expect("pct: eigen failed");
-                let transform = eig.principal_transform(c.min(n)).expect("pct: transform");
-                let classes = transform_reps(&transform, &mean, &reps);
+                let model = PctModel::fit(&total, &reps, c);
                 let mflops = flops::mflop(
                     (shards * n * (n + 3) / 2) as f64
                         + flops::jacobi_eigen(n)
-                        + reps.len() as f64 * flops::pct_transform(n, transform.rows()),
+                        + reps.len() as f64 * flops::pct_transform(n, model.transform.rows()),
                 );
-                let rows = (0..transform.rows())
-                    .map(|r| transform.row(r).to_vec())
-                    .collect();
-                (
-                    PctState::Model {
-                        reps,
-                        transform: rows,
-                        mean,
-                        classes,
-                    },
-                    mflops,
-                )
+                (PctState::Model(model), mflops)
             }
             _ => {
-                let PctState::Model {
-                    transform,
-                    mean,
-                    classes,
-                    ..
-                } = state
-                else {
+                let PctState::Model(model) = state else {
                     panic!("pct: labelling round without a model")
                 };
                 let samples = self.cube.samples();
@@ -691,39 +476,17 @@ impl ChunkedAlgo for PctChunks<'_> {
                     };
                     labels[first * samples..first * samples + l.len()].copy_from_slice(&l);
                 }
-                (
-                    PctState::Done {
-                        labels,
-                        transform,
-                        mean,
-                        classes,
-                    },
-                    0.0,
-                )
+                (PctState::Done { labels, model }, 0.0)
             }
         }
     }
 
     fn finish(&self, state: Self::State) -> Self::Output {
-        let PctState::Done {
-            labels,
-            transform,
-            mean,
-            classes,
-        } = state
-        else {
+        let PctState::Done { labels, model } = state else {
             panic!("pct: finish before the labelling round")
         };
-        let rows: Vec<&[f64]> = transform.iter().map(|r| r.as_slice()).collect();
         let image = LabelImage::from_vec(self.cube.lines(), self.cube.samples(), labels);
-        (
-            image,
-            PctModel {
-                transform: Matrix::from_rows(&rows),
-                mean,
-                class_reps: classes,
-            },
-        )
+        (image, model)
     }
 }
 
@@ -791,9 +554,7 @@ impl<'a> MorphChunks<'a> {
             self.params.num_classes,
             self.params.sad_threshold,
         );
-        top.iter()
-            .map(|p| (block.pixel(p.line, p.sample).to_vec(), p.score))
-            .collect()
+        scored_spectra(&block, &top)
     }
 
     /// SAD-labels chunk `[first, first + n)` against `reps`.
@@ -1031,6 +792,48 @@ mod tests {
         }
         let acc = hsi_cube::labels::score(&labels, &s.truth).overall;
         assert!(acc > 25.0, "chunked PCT accuracy only {acc:.1}%");
+    }
+
+    /// `c > bands`: the transform has `c.min(bands)` rows, and the
+    /// labelling round stages the model that is broadcast, not a
+    /// `c`-row one (`par::pct` always did).
+    #[test]
+    fn pct_labelling_round_stages_the_model_it_is_sent() {
+        // Eight lines, one spectral direction each, 45° or more apart.
+        let directions: [[f32; 4]; 8] = [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [1.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0],
+            [1.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 1.0],
+        ];
+        let (samples, bands) = (4, 4);
+        let data: Vec<f32> = directions
+            .iter()
+            .flat_map(|d| (1..=samples).flat_map(move |gain| d.map(|v| v * gain as f32)))
+            .collect();
+        let cube = HyperCube::from_vec(directions.len(), samples, bands, data);
+        let p = AlgoParams {
+            num_classes: 7,
+            ..Default::default()
+        };
+        let algo = PctChunks::new(&cube, &p);
+        let lines = cube.lines();
+        let mut state = algo.initial_state();
+        for round in 0..2 {
+            let partial = algo.run_chunk(round, &state, &mut (), 0, lines);
+            state = algo.reduce(round, state, vec![(0, partial)]).0;
+        }
+        let PctState::Model(model) = &state else {
+            panic!("two rounds build the model")
+        };
+        assert_eq!((model.transform.rows(), model.class_reps.len()), (4, 7));
+        let chunk_bytes = (lines * samples * bands * 4) as u64;
+        let model_bytes = algo.state_bits(&state) / 8;
+        assert_eq!(algo.chunk_bytes(2, lines).0, chunk_bytes + model_bytes);
     }
 
     #[test]

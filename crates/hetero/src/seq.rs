@@ -6,13 +6,17 @@
 //! its analytic cost in megaflops; virtual sequential time is
 //! `mflops × w` for the processor of interest (Thunderhead-class
 //! `w = 0.0131` in the paper's tables).
+//!
+//! [`atdca`] and [`ufcls`] are one loop, `detect`, over the two detector
+//! descriptions of `crate::detect` (state, host operations, cost table):
+//! a new detector is an impl there and a one-line function here.
 
 use crate::config::AlgoParams;
-use crate::kernels::{self, FclsCarry, ProjectionCarry};
+use crate::detect::{Detector, Fcls, Osp};
+use crate::kernels::{self, ScoredPixel};
 use hsi_cube::{HyperCube, LabelImage};
+use hsi_linalg::covariance::CovarianceAccumulator;
 use hsi_linalg::eigen::SymmetricEigen;
-use hsi_linalg::lstsq::FclsProblem;
-use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
 use hsi_morpho::StructuringElement;
 
@@ -44,49 +48,26 @@ impl<T> SeqOutput<T> {
     }
 }
 
-pub(crate) fn spectrum_f64(px: &[f32]) -> Vec<f64> {
-    px.iter().map(|&v| v as f64).collect()
-}
-
-/// Grows a UFCLS endmember system to cover `targets`: the targets it
-/// does not hold yet are pushed, one Gram row each (all of them into a
-/// system that does not exist yet). Every driver's system is grown here.
-pub(crate) fn grow_endmembers(system: &mut Option<FclsProblem>, targets: &[DetectedTarget]) {
-    let held = system.as_ref().map_or(0, FclsProblem::num_endmembers);
-    for target in &targets[held..] {
-        let signature = spectrum_f64(&target.spectrum);
-        let grown = match system.take() {
-            Some(mut problem) => problem.push(&signature).map(|()| problem),
-            None => FclsProblem::new(Matrix::row_vector(&signature)),
-        };
-        *system = Some(grown.expect("ufcls: endmembers share the cube's band count"));
-    }
-}
-
-/// Sequential ATDCA: iterative orthogonal-subspace target extraction.
-pub fn atdca(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
+/// Algorithms 2–3 on one processor: the brightest pixel first, then
+/// rounds of nominate → admit, each round's follow-up charged after it.
+fn detect<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
     let full = (0, cube.lines());
+    let (n, t) = (cube.bands(), params.num_targets);
+    let mut detector = D::new(n);
+    let mut targets: Vec<DetectedTarget> = Vec::new();
     let mut mflops = 0.0;
-    let (first, mf) = kernels::brightest(cube, full);
-    mflops += mf;
-    let first = first.expect("atdca: empty image");
-    let mut targets = vec![DetectedTarget {
-        line: first.line,
-        sample: first.sample,
-        spectrum: cube.pixel(first.line, first.sample).to_vec(),
-    }];
-    let mut basis = OrthoBasis::new(cube.bands());
-    let mut carry = ProjectionCarry::default();
-    basis.push(&spectrum_f64(&targets[0].spectrum));
-    mflops += crate::flops::mflop(crate::flops::basis_push(cube.bands(), 0));
-
-    while targets.len() < params.num_targets {
-        let (best, mf) = kernels::max_projection_carried(cube, &basis, full, &mut carry);
+    // The first target is extracted whatever `t` says.
+    for k in 0..t.max(1) {
+        let (best, mf) = if k == 0 {
+            kernels::brightest(cube, full)
+        } else {
+            detector.nominate(cube, full)
+        };
         mflops += mf;
-        let best = best.expect("atdca: empty image");
+        let best = best.unwrap_or_else(|| panic!("{}: empty image", D::NAME));
         let spectrum = cube.pixel(best.line, best.sample).to_vec();
-        basis.push(&spectrum_f64(&spectrum));
-        mflops += crate::flops::mflop(crate::flops::basis_push(cube.bands(), basis.len() - 1));
+        detector.admit(&spectrum);
+        mflops += D::follow_up(n, k, t);
         targets.push(DetectedTarget {
             line: best.line,
             sample: best.sample,
@@ -99,45 +80,20 @@ pub fn atdca(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTar
     }
 }
 
+/// Sequential ATDCA: iterative orthogonal-subspace target extraction.
+pub fn atdca(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
+    detect::<Osp>(cube, params)
+}
+
 /// Sequential UFCLS: iterative fully-constrained least-squares target
 /// generation.
 pub fn ufcls(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
-    let full = (0, cube.lines());
-    let n = cube.bands();
-    let mut mflops = 0.0;
-    let (first, mf) = kernels::brightest(cube, full);
-    mflops += mf;
-    let first = first.expect("ufcls: empty image");
-    let mut targets = vec![DetectedTarget {
-        line: first.line,
-        sample: first.sample,
-        spectrum: cube.pixel(first.line, first.sample).to_vec(),
-    }];
-    let mut system = None;
-    let mut carry = FclsCarry::default();
-
-    while targets.len() < params.num_targets {
-        grow_endmembers(&mut system, &targets);
-        let problem = system.as_ref().expect("ufcls: one target at least");
-        mflops += crate::flops::mflop(crate::flops::gram(n, targets.len()));
-        let (best, mf) = kernels::max_fcls_error_carried(cube, problem, full, &mut carry);
-        mflops += mf;
-        let best = best.expect("ufcls: empty image");
-        targets.push(DetectedTarget {
-            line: best.line,
-            sample: best.sample,
-            spectrum: cube.pixel(best.line, best.sample).to_vec(),
-        });
-    }
-    SeqOutput {
-        result: targets,
-        mflops,
-    }
+    detect::<Fcls>(cube, params)
 }
 
 /// The PCT model built by the sequential algorithm (also broadcast by
 /// the parallel one).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PctModel {
     /// The `c × N` principal transform (rows = top eigenvectors).
     pub transform: Matrix,
@@ -145,6 +101,41 @@ pub struct PctModel {
     pub mean: Vec<f64>,
     /// Class representatives in transformed space.
     pub class_reps: Vec<Vec<f64>>,
+}
+
+/// `f64` count of the model of `c` classes over `n` bands: the
+/// `c.min(n) × n` transform, the mean, and `c` transformed
+/// representatives (what a labelling step stages or is broadcast).
+pub(crate) fn pct_model_len(n: usize, c: usize) -> usize {
+    c.min(n) * n + n + c * c.min(n)
+}
+
+impl PctModel {
+    /// The master step of Algorithm 4 (steps 6–8): mean and covariance
+    /// of the merged accumulator, the sequential eigendecomposition, the
+    /// top `c` eigenvectors as transform, and the class representatives
+    /// `reps` taken into its space. Host-side only: each driver places
+    /// its own charges around the call.
+    pub(crate) fn fit(acc: &CovarianceAccumulator, reps: &[Vec<f32>], c: usize) -> PctModel {
+        let mean = acc.mean().expect("pct: empty image");
+        let cov = acc.covariance().expect("pct: empty image");
+        let eig = SymmetricEigen::new(&cov).expect("pct: eigen failed");
+        let transform = eig
+            .principal_transform(c.min(acc.dim()))
+            .expect("pct: transform");
+        let class_reps = transform_reps(&transform, &mean, reps);
+        PctModel {
+            transform,
+            mean,
+            class_reps,
+        }
+    }
+
+    /// Wire size of a model broadcast: every `f64` it holds.
+    pub(crate) fn wire_bits(&self) -> u64 {
+        let classes: usize = self.class_reps.iter().map(Vec::len).sum();
+        ((self.transform.rows() * self.transform.cols() + self.mean.len() + classes) * 64) as u64
+    }
 }
 
 /// Transforms full-spectrum class representatives into PCT space.
@@ -168,40 +159,34 @@ pub fn pct(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<(LabelImage, PctM
     let cap = 4 * c;
     let (set, mf) = kernels::unique_set(cube, full, params.sad_threshold, cap);
     mflops += mf;
-    let scored: Vec<(Vec<f32>, f64)> = set
-        .iter()
-        .map(|p| (cube.pixel(p.line, p.sample).to_vec(), p.score))
-        .collect();
-    let (reps, mf) = reduce_candidates(&scored, params.sad_threshold, c);
+    let (reps, mf) = reduce_candidates(&scored_spectra(cube, &set), params.sad_threshold, c);
     mflops += mf;
 
-    // Steps 4-6: mean and covariance.
+    // Steps 4-7: mean, covariance and the eigendecomposition (sequential
+    // at the master in the paper).
     let (acc, mf) = kernels::covariance_partial(cube, full);
     mflops += mf;
-    let mean = acc.mean().expect("pct: empty image");
-    let cov = acc.covariance().expect("pct: empty image");
-
-    // Step 7: eigendecomposition (sequential at the master in the paper).
-    let eig = SymmetricEigen::new(&cov).expect("pct: eigen failed");
+    let model = PctModel::fit(&acc, &reps, c);
     mflops += crate::flops::mflop(crate::flops::jacobi_eigen(n));
-    let transform = eig.principal_transform(c.min(n)).expect("pct: transform");
 
     // Steps 8-9: transform + classify.
-    let class_reps = transform_reps(&transform, &mean, &reps);
-    let (labels, mf) = kernels::pct_label(cube, full, &transform, &mean, &class_reps);
+    let (labels, mf) =
+        kernels::pct_label(cube, full, &model.transform, &model.mean, &model.class_reps);
     mflops += mf;
     let image = LabelImage::from_vec(cube.lines(), cube.samples(), labels);
     SeqOutput {
-        result: (
-            image,
-            PctModel {
-                transform,
-                mean,
-                class_reps,
-            },
-        ),
+        result: (image, model),
         mflops,
     }
+}
+
+/// The spectra and scores of `pixels` of `cube`, as
+/// [`reduce_candidates`] takes them.
+pub(crate) fn scored_spectra(cube: &HyperCube, pixels: &[ScoredPixel]) -> Vec<(Vec<f32>, f64)> {
+    pixels
+        .iter()
+        .map(|p| (cube.pixel(p.line, p.sample).to_vec(), p.score))
+        .collect()
 }
 
 /// Reduces scored candidate spectra into at most `c` mutually distinct
@@ -280,13 +265,13 @@ pub fn morph(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<(LabelImage, Ve
         params.sad_threshold,
     );
     mflops += mf;
-    let scored: Vec<(Vec<f32>, f64)> = top
-        .iter()
-        .map(|p| (cube.pixel(p.line, p.sample).to_vec(), p.score))
-        .collect();
 
     // Step 3: unique set of p <= c representatives.
-    let (reps, mf) = reduce_candidates(&scored, params.sad_threshold, params.num_classes);
+    let (reps, mf) = reduce_candidates(
+        &scored_spectra(cube, &top),
+        params.sad_threshold,
+        params.num_classes,
+    );
     mflops += mf;
 
     // Steps 4-5: SAD labelling.

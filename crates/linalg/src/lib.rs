@@ -17,8 +17,6 @@
 //! * Modified Gram–Schmidt orthonormalisation and orthogonal-subspace
 //!   projection ([`ortho`]) — the `P_U^⊥ = I − U(UᵀU)⁻¹Uᵀ` operator of
 //!   ATDCA, applied either explicitly or through an orthonormal basis.
-//! * Householder QR ([`qr`]) — the gold-standard orthogonalisation the
-//!   fast incremental basis is validated against, plus least squares.
 //! * Least-squares unmixing solvers ([`lstsq`]): unconstrained (LS),
 //!   sum-to-one constrained (SCLS), non-negativity constrained (NNLS,
 //!   Lawson–Hanson) and fully constrained (FCLS) — the machinery behind
@@ -53,7 +51,6 @@ pub mod lstsq;
 pub mod lu;
 pub mod matrix;
 pub mod ortho;
-pub mod qr;
 
 pub use error::LinAlgError;
 pub use matrix::Matrix;

@@ -23,13 +23,6 @@ pub fn required_overlap(se: &StructuringElement, iterations: usize) -> usize {
     2 * se.radius() * iterations
 }
 
-/// Number of redundant (overlap) pixels a partition of `part_lines` own
-/// lines carries, given `samples` columns and the clamped halo actually
-/// granted (`halo_top`, `halo_bottom`).
-pub fn redundant_pixels(samples: usize, halo_top: usize, halo_bottom: usize) -> usize {
-    samples * (halo_top + halo_bottom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,12 +37,6 @@ mod tests {
         assert_eq!(required_overlap(&se, 5), 10);
         let big = StructuringElement::square(2);
         assert_eq!(required_overlap(&big, 3), 12);
-    }
-
-    #[test]
-    fn redundant_pixel_count() {
-        assert_eq!(redundant_pixels(100, 2, 2), 400);
-        assert_eq!(redundant_pixels(100, 0, 2), 200);
     }
 
     /// The core guarantee: computing MEI on an overlapped slice gives the

@@ -131,24 +131,6 @@ impl<T: Send + Sync + 'static> Wire for Arc<[T]> {
     }
 }
 
-/// Engine configuration knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommConfig {
-    /// Per-message sender-side software overhead in seconds (MPI call +
-    /// protocol latency). The transfer itself is DMA-style: it occupies
-    /// the link, not the sending CPU. [`Engine::new`] initialises this
-    /// from the platform's own latency.
-    pub latency_s: f64,
-}
-
-impl Default for CommConfig {
-    fn default() -> Self {
-        CommConfig {
-            latency_s: crate::platform::DEFAULT_MSG_LATENCY_S,
-        }
-    }
-}
-
 /// In-flight message.
 struct Envelope<M> {
     sent_at: f64,
@@ -212,7 +194,6 @@ fn install_quiet_panic_hook() {
 pub struct Ctx<M: Wire> {
     rank: usize,
     platform: Arc<Platform>,
-    config: CommConfig,
     /// The run's shared transport, exit board, link ledger and schedule
     /// memo.
     fabric: Arc<Fabric<Envelope<M>>>,
@@ -438,7 +419,7 @@ impl<M: Wire> Ctx<M> {
         assert_ne!(dst, self.rank, "send: self-send not supported");
         self.check_crashed();
         let trace_start = self.ledger.now;
-        self.ledger.send_overhead(self.config.latency_s);
+        self.ledger.send_overhead(self.msg_latency_s());
         self.record(trace_start, TraceKind::Send { dst });
         let transfer_secs = self.platform.transfer_secs(self.rank, dst, bits);
         let sent_at = self.ledger.now;
@@ -630,10 +611,12 @@ impl<M: Wire> Ctx<M> {
         });
     }
 
-    /// The per-message sender-side latency this run charges. The
+    /// The per-message sender-side software overhead this run charges
+    /// (MPI call + protocol latency; the transfer itself is DMA-style and
+    /// occupies the link, not the sending CPU): the platform's own. The
     /// collectives' cost model ([`crate::coll::predict`]) replays it.
     pub(crate) fn msg_latency_s(&self) -> f64 {
-        self.config.latency_s
+        self.platform.msg_latency_s()
     }
 
     /// The run's collective schedule memo (see [`crate::coll::tree_over`]).
@@ -733,11 +716,10 @@ impl<M: Wire> Ctx<M> {
     }
 }
 
-/// The simulator: a platform plus engine configuration.
+/// The simulator: a platform plus a fault plan and host-side knobs.
 #[derive(Debug, Clone)]
 pub struct Engine {
     platform: Arc<Platform>,
-    config: CommConfig,
     faults: Arc<FaultPlan>,
     /// Explicit data-parallel width per rank thread; `None` = automatic
     /// (`host cores / ranks`, clamped to at least 1).
@@ -748,26 +730,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine over a platform, adopting the platform's
-    /// message latency.
+    /// Creates an engine over a platform; messages pay the platform's
+    /// own latency ([`Platform::msg_latency_s`]).
     pub fn new(platform: Platform) -> Self {
-        let config = CommConfig {
-            latency_s: platform.msg_latency_s(),
-        };
         Engine {
             platform: Arc::new(platform),
-            config,
-            faults: Arc::new(FaultPlan::new()),
-            threads_per_rank: None,
-            profiling: false,
-        }
-    }
-
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(platform: Platform, config: CommConfig) -> Self {
-        Engine {
-            platform: Arc::new(platform),
-            config,
             faults: Arc::new(FaultPlan::new()),
             threads_per_rank: None,
             profiling: false,
@@ -902,7 +869,6 @@ impl Engine {
                 let platform = Arc::clone(&self.platform);
                 let fabric = Arc::clone(&fabric);
                 let faults = Arc::clone(&self.faults);
-                let config = self.config;
                 let program = &program;
                 let trace = trace.clone();
                 handles.push(scope.spawn(move || {
@@ -920,7 +886,6 @@ impl Engine {
                     let mut ctx = Ctx {
                         rank,
                         platform,
-                        config,
                         fabric,
                         faults,
                         crash_at,

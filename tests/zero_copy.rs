@@ -7,6 +7,8 @@
 //! from the report's `PartialEq` contract) may differ: owned payloads
 //! deep-copy at every fan-out clone, shared ones never do.
 
+use heterospec::hetero::config::RunOptions;
+use heterospec::hetero::par;
 use heterospec::simnet::engine::{Engine, WireVec};
 use heterospec::simnet::{coll, presets, CollAlgorithm, CollectiveConfig, Platform, Wire};
 use proptest::prelude::*;
@@ -81,6 +83,11 @@ fn shared_broadcast_is_bit_identical_on_the_paper_networks() {
                 network.name()
             );
             assert_eq!(owned.collectives, shared.collectives);
+            // Every schedule, chunked ones included: the fan-out sites
+            // are counted, owned bodies copy at them, shared ones don't.
+            assert!(shared.copies.bytes_owned_baseline > 0, "{backend}");
+            assert!(owned.copies.bytes_deep_copied > 0, "{backend}");
+            assert_eq!(shared.copies.bytes_deep_copied, 0, "{backend}");
         }
     }
 }
@@ -127,6 +134,35 @@ fn owned_fanouts_copy_the_baseline_and_shared_fanouts_copy_nothing() {
             );
             assert_eq!(shared.copies.bytes_deep_copied, 0, "{backend}");
             assert_eq!(shared.copies.allocs_on_hot_path, 0, "{backend}");
+        }
+    }
+}
+
+/// ATDCA and UFCLS end to end on the paper's networks: with the
+/// `Arc`-backed message bodies a run deep-copies at most half of what
+/// owned bodies would have copied at the same fan-out sites, and that
+/// baseline is not trivially zero. The counters are a function of the
+/// platform model and the payload types only, so this holds or fails
+/// identically on any host.
+#[test]
+fn detectors_deep_copy_at_most_half_their_owned_baseline() {
+    let scene = testutil::tiny_scene();
+    let (params, options) = (testutil::params(6, 2), RunOptions::hetero());
+    for network in presets::four_networks() {
+        let engine = Engine::new(network);
+        for report in [
+            par::atdca::run(&engine, &scene.cube, &params, &options).report,
+            par::ufcls::run(&engine, &scene.cube, &params, &options).report,
+        ] {
+            let (copied, baseline) = (
+                report.copies.bytes_deep_copied,
+                report.copies.bytes_owned_baseline,
+            );
+            assert!(
+                baseline > 0 && 2 * copied <= baseline,
+                "on {}: deep-copied {copied} B of a {baseline} B baseline",
+                report.platform_name
+            );
         }
     }
 }
