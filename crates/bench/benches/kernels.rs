@@ -90,8 +90,8 @@ fn bench_fcls(c: &mut Criterion) {
 
 /// The two round kernels of a `t = 18` run on its last round, from
 /// scratch and with a carry that saw the 16 rounds before (cloned per
-/// iteration: 8 bytes a pixel for ATDCA; 8·16 of dots plus the NNLS
-/// trails for UFCLS).
+/// iteration — a deep copy, the clone's lines are its own: 8 bytes a
+/// pixel for ATDCA; 8·16 of dots plus the NNLS trails for UFCLS).
 fn bench_carried_rounds(c: &mut Criterion) {
     let scene = wtc_scene(WtcConfig {
         lines: 32,
@@ -115,10 +115,10 @@ fn bench_carried_rounds(c: &mut Criterion) {
         basis.push(&wide(i));
         problem.push(&wide(i)).unwrap();
     }
-    let mut projected = ProjectionCarry::default();
-    let mut unmixed = FclsCarry::default();
-    kernels::max_projection_carried(cube, &basis, whole, &mut projected);
-    kernels::max_fcls_error_carried(cube, &problem, whole, &mut unmixed);
+    let projected = ProjectionCarry::default();
+    let unmixed = FclsCarry::default();
+    kernels::max_projection_carried(cube, &basis, whole, &projected);
+    kernels::max_fcls_error_carried(cube, &problem, whole, &unmixed);
     basis.push(&wide(16));
     problem.push(&wide(16)).unwrap();
     assert_eq!((basis.len(), problem.num_endmembers()), (17, 17));
@@ -129,7 +129,7 @@ fn bench_carried_rounds(c: &mut Criterion) {
     });
     g.bench_function("carried_k17", |b| {
         b.iter(|| {
-            kernels::max_projection_carried(cube, black_box(&basis), whole, &mut projected.clone())
+            kernels::max_projection_carried(cube, black_box(&basis), whole, &projected.clone())
         })
     });
     g.finish();
@@ -139,7 +139,7 @@ fn bench_carried_rounds(c: &mut Criterion) {
     });
     g.bench_function("carried_t17", |b| {
         b.iter(|| {
-            kernels::max_fcls_error_carried(cube, black_box(&problem), whole, &mut unmixed.clone())
+            kernels::max_fcls_error_carried(cube, black_box(&problem), whole, &unmixed.clone())
         })
     });
     g.finish();
@@ -147,8 +147,9 @@ fn bench_carried_rounds(c: &mut Criterion) {
 
 /// UFCLS's kernel on the benchmark's 256 × 16 × 224 scene against its own
 /// targets: every round of a run to `t = 18` through one carry (what the
-/// NNLS trails move), next to one stateless scan at `t = 18` (which must
-/// not pay for them).
+/// NNLS trails move) — whole-image scans, then chunk by chunk in an order
+/// that changes every round — next to one stateless scan at `t = 18`
+/// (which must not pay for them).
 fn bench_ufcls_rounds(c: &mut Criterion) {
     let scene = wtc_scene(WtcConfig {
         lines: 256,
@@ -172,11 +173,32 @@ fn bench_ufcls_rounds(c: &mut Criterion) {
     let mut g = c.benchmark_group("max_fcls_error-256x16");
     g.bench_function("carried_rounds_to_t18", |b| {
         b.iter(|| {
-            let mut carry = FclsCarry::default();
+            let carry = FclsCarry::default();
             for problem in black_box(&problems) {
                 black_box(kernels::max_fcls_error_carried(
-                    cube, problem, whole, &mut carry,
+                    cube, problem, whole, &carry,
                 ));
+            }
+        })
+    });
+    // The self-scheduled pattern: every round hands the image's 32
+    // eight-line chunks out in another order, as if to other workers.
+    // The lines' sums are the run's, so the order costs nothing.
+    let chunks: Vec<(usize, usize)> = (0..cube.lines())
+        .step_by(kernels::PAR_CHUNK_LINES)
+        .map(|lo| (lo, (lo + kernels::PAR_CHUNK_LINES).min(cube.lines())))
+        .collect();
+    assert_eq!(chunks.len(), 32);
+    g.bench_function("carried_rounds_to_t18_chunks_rotated", |b| {
+        b.iter(|| {
+            let carry = FclsCarry::default();
+            for (round, problem) in black_box(&problems).iter().enumerate() {
+                for i in 0..chunks.len() {
+                    let range = chunks[(i + 5 * round) % chunks.len()];
+                    black_box(kernels::max_fcls_error_carried(
+                        cube, problem, range, &carry,
+                    ));
+                }
             }
         })
     });
@@ -197,6 +219,13 @@ fn bench_mei(c: &mut Criterion) {
     c.bench_function("mei-32x32x64-2iter", |b| {
         b.iter(|| hsi_morpho::mei::mei(black_box(&scene.cube), &se, 2))
     });
+    // One scale against the paper's five: the later four ask mostly
+    // about pairs of input pixels the first has measured.
+    for scales in [1, 5] {
+        c.bench_function(format!("mei-32x32x64-{scales}scales"), |b| {
+            b.iter(|| hsi_morpho::mei::mei(black_box(&scene.cube), &se, scales))
+        });
+    }
     c.bench_function("cumdist_map-32x32x64-3x3", |b| {
         b.iter(|| hsi_morpho::cumdist::cumdist_map(black_box(&scene.cube), &se))
     });

@@ -6,8 +6,19 @@
 //! the master picks one, everybody takes it in" — and differ only in the
 //! per-pixel score: orthogonal-projection residual ([`Osp`]) or
 //! fully-constrained least-squares error ([`Fcls`]). A [`Detector`] is
-//! that difference: the state a rank keeps between rounds, the two host
+//! that difference: the system a rank keeps between rounds, the two host
 //! operations on it, and the table of charges the virtual clock reads.
+//!
+//! Two things outlive a round, and they have different owners. The
+//! **system** (ATDCA's basis, UFCLS's Gram problem) is what the modelled
+//! node holds: one per rank, this type. The **carry**
+//! ([`Detector::Carry`]: each image line's running sums) is a host-side
+//! memo about the *lines*, whoever scores them: `nominate` borrows it,
+//! and the driver that owns it decides who shares it — `seq::detect` has
+//! one, `par::run_detector` one per rank (a static partition never hands
+//! a line to another rank), `sched::DetectChunks` one per run, so a chunk
+//! that changes hands under self-scheduling or after a crash resumes
+//! where its last scorer stopped.
 //!
 //! The loop itself is written once per driver — `seq::detect`,
 //! `par::run_detector`, and the `ChunkedAlgo` impl of
@@ -22,14 +33,20 @@ use hsi_linalg::lstsq::FclsProblem;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
 
-/// A rank's detector state between rounds, and the detector's costs
+/// A rank's detector system between rounds, and the detector's costs
 /// (`n` bands, round `k`, `t` targets in all; round 0 is
 /// [`kernels::brightest`] for every detector and is the drivers').
-pub(crate) trait Detector {
+///
+/// `pub` in a private module: `sched::DetectChunks` names it in a bound,
+/// nobody outside the crate can.
+pub trait Detector {
     /// Algorithm name (reports and benches).
     const NAME: &'static str;
+    /// What the scoring kernel keeps of the image lines between rounds
+    /// (host-side only; `Default` is "nothing yet").
+    type Carry: Default + Send + Sync;
 
-    /// The state of a rank that has taken in no target yet.
+    /// The system of a rank that has taken in no target yet.
     fn new(bands: usize) -> Self;
     /// How many targets have been admitted.
     fn admitted(&self) -> usize;
@@ -37,8 +54,14 @@ pub(crate) trait Detector {
     /// pays for it is [`Detector::follow_up`] or [`Detector::rebuild`].
     fn admit(&mut self, spectrum: &[f32]);
     /// The best pixel of lines `range` against the admitted targets (one
-    /// at least), and the megaflops of scoring every pixel of the range.
-    fn nominate(&mut self, cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel>, f64);
+    /// at least), and the megaflops of scoring every pixel of the range
+    /// — the paper's full re-scoring, whatever `carry` saved the host.
+    fn nominate(
+        &self,
+        cube: &HyperCube,
+        range: (usize, usize),
+        carry: &Self::Carry,
+    ) -> (Option<ScoredPixel>, f64);
 
     /// Flops the master spends re-scoring one gathered candidate of
     /// round `k` (`par`'s linear winner selection, `sched`'s reduce).
@@ -71,26 +94,25 @@ fn spectrum_f64(px: &[f32]) -> Vec<f64> {
     px.iter().map(|&v| v as f64).collect()
 }
 
-/// ATDCA's state: the orthonormal basis of the targets so far (`O(tN)`
+/// ATDCA's system: the orthonormal basis of the targets so far (`O(tN)`
 /// apply instead of the `O(N²)` explicit projector — see
-/// `hsi_linalg::ortho`) and the running residuals of the pixels scored
-/// against it.
+/// `hsi_linalg::ortho`). Its carry holds the running residuals of the
+/// pixels scored against it.
 #[derive(Debug)]
 pub struct Osp {
     basis: OrthoBasis,
     // Not `basis.len()`: a dependent target is admitted but not kept.
     admitted: usize,
-    carry: ProjectionCarry,
 }
 
 impl Detector for Osp {
     const NAME: &'static str = "ATDCA";
+    type Carry = ProjectionCarry;
 
     fn new(bands: usize) -> Self {
         Osp {
             basis: OrthoBasis::new(bands),
             admitted: 0,
-            carry: ProjectionCarry::default(),
         }
     }
 
@@ -103,8 +125,13 @@ impl Detector for Osp {
         self.admitted += 1;
     }
 
-    fn nominate(&mut self, cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel>, f64) {
-        kernels::max_projection_carried(cube, &self.basis, range, &mut self.carry)
+    fn nominate(
+        &self,
+        cube: &HyperCube,
+        range: (usize, usize),
+        carry: &ProjectionCarry,
+    ) -> (Option<ScoredPixel>, f64) {
+        kernels::max_projection_carried(cube, &self.basis, range, carry)
     }
 
     fn rescore(n: usize, k: usize) -> f64 {
@@ -130,17 +157,17 @@ impl Detector for Osp {
     }
 }
 
-/// UFCLS's state: the least-squares problem over the targets so far
-/// (`None` before the first) and, of the pixels unmixed against it,
-/// their endmember dots and active-set trails.
+/// UFCLS's system: the least-squares problem over the targets so far
+/// (`None` before the first). Its carry holds, of the pixels unmixed
+/// against it, their endmember dots and active-set trails.
 #[derive(Debug, Default)]
 pub struct Fcls {
     system: Option<FclsProblem>,
-    carry: FclsCarry,
 }
 
 impl Detector for Fcls {
     const NAME: &'static str = "UFCLS";
+    type Carry = FclsCarry;
 
     fn new(_bands: usize) -> Self {
         Fcls::default()
@@ -160,9 +187,14 @@ impl Detector for Fcls {
         self.system = Some(grown.expect("ufcls: endmembers share the cube's band count"));
     }
 
-    fn nominate(&mut self, cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel>, f64) {
+    fn nominate(
+        &self,
+        cube: &HyperCube,
+        range: (usize, usize),
+        carry: &FclsCarry,
+    ) -> (Option<ScoredPixel>, f64) {
         let problem = self.system.as_ref().expect("ufcls: one target at least");
-        kernels::max_fcls_error_carried(cube, problem, range, &mut self.carry)
+        kernels::max_fcls_error_carried(cube, problem, range, carry)
     }
 
     fn rescore(n: usize, k: usize) -> f64 {

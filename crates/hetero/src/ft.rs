@@ -435,8 +435,10 @@ fn worker_loop<A: ChunkedAlgo>(
     let mut state: Option<Arc<A::State>> = None;
     // Round scratch: marked stale by every round opener, brought up to
     // date from its previous self on the round's first Assign and reused
-    // for its later chunks. It lives as long as the worker does, so what
-    // an algorithm carries in it from round to round dies with a crash.
+    // for its later chunks. It lives as long as the worker does and dies
+    // with a crash — which is why it holds only what the modelled node
+    // would (a detector's system); what an algorithm remembers about the
+    // image lines it keeps itself, for whichever worker scores them next.
     let mut scratch: Option<A::Scratch> = None;
     let mut prepared = false;
     loop {

@@ -44,6 +44,8 @@ use hsi_linalg::matrix::dots_abreast;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Fixed line-chunk granularity of the data-parallel kernels.
 ///
@@ -115,86 +117,200 @@ struct LineCarry<M> {
 /// cube: per image line, the running sums of its pixels and how many
 /// vectors of the growing system they cover; and the vectors themselves,
 /// to tell whether the system it is handed next still starts with them.
+/// Name it through [`ProjectionCarry`] or [`FclsCarry`].
 ///
-/// Lines are indexed as the cube indexes them and allocate their sums on
-/// first touch, so a carry costs memory only for the lines its owner has
-/// scanned.
-#[derive(Debug, Clone, Default)]
-struct Carry<M = ()> {
-    seen: Vec<Vec<f64>>,
-    lines: Vec<LineCarry<M>>,
+/// **A carry belongs to the image lines, not to whoever scores them.** It
+/// is a `Sync` store with one lock per line, taken by `&`: whoever scores
+/// a line next — the same rank, another worker of a self-scheduled run,
+/// the survivor a crashed worker's chunk was re-planned onto — continues
+/// it from the depth it was left at. Its *owner* decides who shares it:
+/// `seq` holds one, `par` one per rank (static partitions never trade
+/// lines, so no two ranks ever meet on a lock), `sched` one per run, in
+/// the chunked algorithm every worker already borrows. A carry only ever
+/// reproduces the bits of a scan from nothing, so sharing changes host
+/// time and nothing else.
+///
+/// Lines are indexed as the cube of the first scan indexes them and
+/// allocate their sums on first touch, so a carry costs memory only for
+/// the lines that were scanned. Locks: a scan reconciles the system under
+/// `seen`, releases it, then holds one line lock at a time; only a
+/// diverged system takes line locks while holding `seen` (`seen` → lines,
+/// never the reverse).
+#[derive(Debug, Default)]
+pub struct Carry<M = ()> {
+    /// The leading vectors every line's sums were formed from: a line at
+    /// depth `d` holds sums over `seen[..d]`.
+    seen: Mutex<Vec<Vec<f64>>>,
+    /// Counts the systems that diverged from `seen`; bumped under `seen`
+    /// before any line is reset. A scan that reconciled under an earlier
+    /// epoch no longer knows what the lines hold and leaves them alone.
+    epoch: AtomicU64,
+    lines: OnceLock<Box<[Mutex<LineCarry<M>>]>>,
+    /// Host-work tallies: vectors folded into a line, lines started from
+    /// nothing.
+    applied: AtomicUsize,
+    started: AtomicUsize,
+}
+
+/// Takes `lock` over from a holder that panicked: whatever it was writing
+/// is dropped for `T::default()`, and the poison is cleared so the next
+/// taker pays nothing. Returns the guard and whether that happened.
+fn take_over<T: Default>(lock: &Mutex<T>) -> (MutexGuard<'_, T>, bool) {
+    match lock.lock() {
+        Ok(guard) => (guard, false),
+        Err(poisoned) => {
+            lock.clear_poison();
+            let mut guard = poisoned.into_inner();
+            *guard = T::default();
+            (guard, true)
+        }
+    }
 }
 
 impl<M: Default> Carry<M> {
-    /// Reconciles the carry with the system `vector(0..k)` it is about to
-    /// be scanned against and returns the line states of `range`.
+    /// Reconciles the carry with the system `vector(0..k)` a scan of
+    /// `cube` is about to score against, and returns the epoch the scan
+    /// may use line states under ([`Carry::with_line`]).
     ///
     /// The sums of a line at depth `d` are only meaningful for a system
     /// whose first `d` vectors are, bit for bit, the ones they were
-    /// formed from. Every line that went deeper than the leading run this
-    /// system shares with the recorded one restarts from depth 0 —
-    /// correct against any system, merely slower.
-    fn lines_for<'v>(
-        &mut self,
+    /// formed from. A system that is a prefix of the recorded one, or
+    /// extends it, leaves every line alone (a line deeper than `k`
+    /// restarts when it is next scored). One that differs inside the
+    /// recorded run cuts the record there and restarts every line that
+    /// went deeper — correct against any system, merely slower.
+    fn reconcile<'v>(
+        &self,
+        cube: &HyperCube,
         k: usize,
         vector: impl Fn(usize) -> &'v [f64],
-        range: (usize, usize),
-    ) -> &mut [LineCarry<M>] {
+    ) -> u64 {
         let same_bits = |a: &[f64], b: &[f64]| {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
         };
-        let shared = (0..k.min(self.seen.len()))
-            .take_while(|&i| same_bits(&self.seen[i], vector(i)))
+        let lines = self.lines.get_or_init(|| {
+            (0..cube.lines())
+                .map(|_| Mutex::new(LineCarry::default()))
+                .collect()
+        });
+        let (mut seen, lost) = take_over(&self.seen);
+        let common = k.min(seen.len());
+        let shared = (0..common)
+            .take_while(|&i| same_bits(&seen[i], vector(i)))
             .count();
-        if shared < self.seen.len() {
-            self.seen.truncate(shared);
-            for line in self.lines.iter_mut().filter(|l| l.depth > shared) {
-                *line = LineCarry::default();
+        if lost || shared < common {
+            seen.truncate(shared);
+            self.epoch.fetch_add(1, Ordering::SeqCst);
+            for line in lines.iter() {
+                let (mut state, _) = take_over(line);
+                if state.depth > shared {
+                    *state = LineCarry::default();
+                }
             }
         }
-        self.seen.extend((shared..k).map(|i| vector(i).to_vec()));
-        let (lo, hi) = (range.0, range.1.max(range.0));
-        if self.lines.len() < hi {
-            self.lines.resize_with(hi, LineCarry::default);
+        let known = seen.len();
+        seen.extend((known..k).map(|i| vector(i).to_vec()));
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Runs `score` on `line`'s state for a scan against `k` vectors that
+    /// reconciled under `epoch`. The state is the line's own, continued
+    /// by whoever scores it next, unless it cannot be trusted or kept —
+    /// a holder panicked over it, it is deeper than `k` (it belongs to a
+    /// later round, or to an earlier run of a reused carry), another
+    /// system has diverged since `epoch`, or the carry was sized for a
+    /// shorter cube. Then `score` starts from the empty state, which is
+    /// a scan from nothing.
+    fn with_line<R>(
+        &self,
+        line: usize,
+        k: usize,
+        epoch: u64,
+        score: impl FnOnce(&mut LineCarry<M>) -> R,
+    ) -> R {
+        let Some(lock) = self.lines.get().and_then(|lines| lines.get(line)) else {
+            return score(&mut LineCarry::default());
+        };
+        let (mut state, _) = take_over(lock);
+        if self.epoch.load(Ordering::SeqCst) != epoch {
+            return score(&mut LineCarry::default());
         }
-        &mut self.lines[lo..hi]
+        if state.depth > k {
+            *state = LineCarry::default();
+        }
+        score(&mut state)
+    }
+
+    /// Tallies one line brought from `depth` to `k` vectors, from nothing
+    /// when `fresh`.
+    fn count(&self, fresh: bool, depth: usize, k: usize) {
+        self.applied.fetch_add(k - depth, Ordering::Relaxed);
+        self.started
+            .fetch_add(usize::from(fresh), Ordering::Relaxed);
+    }
+
+    /// Host work done through this carry so far: `(system vectors folded
+    /// into a line's sums, lines started from nothing)`, summed over
+    /// every scan. A scan that finds a line at the depth the last round
+    /// left it folds one vector in; one that finds it empty folds them
+    /// all. Not a cost the virtual clock reads.
+    #[doc(hidden)]
+    pub fn applied(&self) -> (usize, usize) {
+        (
+            self.applied.load(Ordering::Relaxed),
+            self.started.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// A deep copy: the clone's lines are its own, continued separately.
+impl<M: Clone + Default> Clone for Carry<M> {
+    fn clone(&self) -> Self {
+        let copy_of = |line: &Mutex<LineCarry<M>>| Mutex::new(take_over(line).0.clone());
+        let lines: Option<Box<[_]>> = self
+            .lines
+            .get()
+            .map(|held| held.iter().map(copy_of).collect());
+        let (applied, started) = self.applied();
+        Carry {
+            seen: Mutex::new(take_over(&self.seen).0.clone()),
+            epoch: AtomicU64::new(self.epoch.load(Ordering::SeqCst)),
+            lines: lines.map(OnceLock::from).unwrap_or_default(),
+            applied: AtomicUsize::new(applied),
+            started: AtomicUsize::new(started),
+        }
     }
 }
 
 /// Chunk-parallel argmax over the pixels of a line range.
 ///
-/// `lines` holds one caller-defined state per line of `range` (`()` for
-/// a stateless score); `make_scorer` builds one (possibly stateful)
-/// line-scoring closure per chunk, so scorers may own scratch buffers
-/// without synchronisation. A scorer is handed a line, that line's state
-/// and a buffer to fill with the line's scores, one per sample.
+/// `make_scorer` builds one (possibly stateful) line-scoring closure per
+/// chunk, so scorers may own scratch buffers without synchronisation. A
+/// scorer is handed a line and a buffer to fill with the line's scores,
+/// one per sample.
 /// Each chunk is scanned sequentially in row-major order keeping its
 /// first strict maximum; chunk winners are then folded **in chunk
 /// order**, replacing only on a strictly greater score. Both levels use
 /// the same strict `>`, so the overall winner is exactly the first
 /// row-major maximum — identical to a sequential scan for any worker
 /// count, including on duplicate scores.
-fn argmax_pixels<L, S>(
+fn argmax_pixels<S>(
     cube: &HyperCube,
     range: (usize, usize),
-    lines: &mut [L],
     make_scorer: impl Fn() -> S + Sync,
 ) -> Option<ScoredPixel>
 where
-    L: Send,
-    S: FnMut(usize, &mut L, &mut [f64]),
+    S: FnMut(usize, &mut [f64]),
 {
-    debug_assert_eq!(lines.len(), range.1.saturating_sub(range.0));
-    let bests: Vec<Option<ScoredPixel>> = lines
-        .par_chunks_mut(PAR_CHUNK_LINES)
-        .enumerate()
-        .map(|(c, states)| {
-            let (clo, _) = chunk_bounds(range, c);
+    let bests: Vec<Option<ScoredPixel>> = (0..chunk_count(range))
+        .into_par_iter()
+        .map(|c| {
+            let (clo, chi) = chunk_bounds(range, c);
             let mut score_line = make_scorer();
             let mut scores = vec![0.0f64; cube.samples()];
             let mut best: Option<ScoredPixel> = None;
-            for (line, state) in (clo..).zip(states) {
-                score_line(line, state, &mut scores);
+            for line in clo..chi {
+                score_line(line, &mut scores);
                 for (sample, &s) in scores.iter().enumerate() {
                     let better = match &best {
                         None => true,
@@ -230,9 +346,8 @@ where
 pub fn brightest(cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel>, f64) {
     let n = cube.bands();
     let pixels = range_pixels(cube, range);
-    let mut stateless = vec![(); range.1.saturating_sub(range.0)];
-    let result = argmax_pixels(cube, range, &mut stateless, || {
-        |line: usize, _: &mut (), scores: &mut [f64]| {
+    let result = argmax_pixels(cube, range, || {
+        |line: usize, scores: &mut [f64]| {
             for (sample, score) in scores.iter_mut().enumerate() {
                 *score = brightness(cube.pixel(line, sample));
             }
@@ -244,8 +359,7 @@ pub fn brightest(cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel
 /// Each pixel's running ATDCA residual `‖x‖² − Σᵢ (qᵢᵀx)²` (8 bytes a
 /// pixel), kept by [`max_projection_carried`] between the rounds of one
 /// run over one cube. `Default` is the empty carry.
-#[derive(Debug, Clone, Default)]
-pub struct ProjectionCarry(Carry);
+pub type ProjectionCarry = Carry;
 
 /// ATDCA step 4: the pixel maximising the orthogonal-projection score
 /// `(P_U^⊥ x)ᵀ(P_U^⊥ x)` against the current basis.
@@ -254,13 +368,14 @@ pub fn max_projection(
     basis: &OrthoBasis,
     range: (usize, usize),
 ) -> (Option<ScoredPixel>, f64) {
-    max_projection_carried(cube, basis, range, &mut ProjectionCarry::default())
+    max_projection_carried(cube, basis, range, &ProjectionCarry::default())
 }
 
 /// [`max_projection`] for a caller that scans the same cube round after
 /// round against a basis that only grows: each line continues its
-/// pixels' residuals from the depth `carry` recorded, so a round that
-/// pushed one vector costs one dot per pixel instead of `basis.len()`.
+/// pixels' residuals from the depth `carry` recorded — whoever left it
+/// there — so a round that pushed one vector costs one dot per pixel
+/// instead of `basis.len()`.
 /// Scores are [`OrthoBasis::complement_score`]'s to the bit — the
 /// subtraction is the same left-to-right sum, resumed; the clamp is
 /// applied to the score, never to the carried sum. A carry that last saw
@@ -270,36 +385,18 @@ pub fn max_projection_carried(
     cube: &HyperCube,
     basis: &OrthoBasis,
     range: (usize, usize),
-    carry: &mut ProjectionCarry,
+    carry: &ProjectionCarry,
 ) -> (Option<ScoredPixel>, f64) {
     let n = cube.bands();
     let k = basis.len();
     let pixels = range_pixels(cube, range);
-    let lines = carry.0.lines_for(k, |i| basis.vector(i), range);
-    let result = argmax_pixels(cube, range, lines, || {
-        |line: usize, state: &mut LineCarry<()>, scores: &mut [f64]| {
-            let fresh = state.sums.len() != scores.len();
-            if fresh {
-                state.sums.clear();
-                state.sums.resize(scores.len(), 0.0);
-                state.depth = 0;
-            }
-            if fresh || state.depth < k {
-                let depth = state.depth;
-                let mut groups = state.sums.chunks_exact_mut(ABREAST);
-                let mut first = 0;
-                for group in &mut groups {
-                    continue_residuals::<ABREAST>(cube, basis, line, first, fresh, depth, group);
-                    first += ABREAST;
-                }
-                for (i, sum) in groups.into_remainder().chunks_exact_mut(1).enumerate() {
-                    continue_residuals::<1>(cube, basis, line, first + i, fresh, depth, sum);
-                }
-                state.depth = k;
-            }
-            for (score, &sum) in scores.iter_mut().zip(&state.sums) {
-                *score = sum.max(0.0);
-            }
+    let epoch = carry.reconcile(cube, k, |i| basis.vector(i));
+    let result = argmax_pixels(cube, range, || {
+        |line: usize, scores: &mut [f64]| {
+            carry.with_line(line, k, epoch, |state| {
+                let (fresh, depth) = projection_line_scores(cube, basis, line, state, scores);
+                carry.count(fresh, depth, k);
+            })
         }
     });
     (
@@ -308,9 +405,52 @@ pub fn max_projection_carried(
     )
 }
 
+/// One line of the projection scan: brings `state` — the line's residuals
+/// against the first `state.depth` basis vectors — up to the whole basis
+/// and fills `scores`. Returns whether the line was started from nothing,
+/// and the depth it was continued from.
+fn projection_line_scores(
+    cube: &HyperCube,
+    basis: &OrthoBasis,
+    line: usize,
+    state: &mut LineCarry<()>,
+    scores: &mut [f64],
+) -> (bool, usize) {
+    let k = basis.len();
+    let fresh = state.sums.len() != scores.len();
+    if fresh {
+        state.sums.clear();
+        state.sums.resize(scores.len(), 0.0);
+        state.depth = 0;
+    }
+    let depth = state.depth;
+    if fresh || depth < k {
+        let mut groups = state.sums.chunks_exact_mut(ABREAST);
+        let mut first = 0;
+        for group in &mut groups {
+            continue_residuals::<ABREAST>(cube, basis, line, first, fresh, depth, group);
+            first += ABREAST;
+        }
+        for (i, sum) in groups.into_remainder().chunks_exact_mut(1).enumerate() {
+            continue_residuals::<1>(cube, basis, line, first + i, fresh, depth, sum);
+        }
+        state.depth = k;
+    }
+    for (score, &sum) in scores.iter_mut().zip(&state.sums) {
+        *score = sum.max(0.0);
+    }
+    (fresh, depth)
+}
+
 /// Brings the carried residuals of `L` neighbouring pixels of `line`, from
 /// `first` on, up to the whole basis: started from `‖x‖²` when `fresh`,
 /// else continued from `sums` at `depth`.
+///
+/// Kept a function of its own: inlined into the line scan, the four
+/// accumulator chains share that function's registers with everything
+/// else it holds and spill (measured: a one-vector round 400 → 540 µs on
+/// the 256 × 16 scene).
+#[inline(never)]
 fn continue_residuals<const L: usize>(
     cube: &HyperCube,
     basis: &OrthoBasis,
@@ -334,8 +474,7 @@ fn continue_residuals<const L: usize>(
 /// ([`NnlsTrails`]: ≈ 0.3 KiB a pixel at `t = 18`), kept by
 /// [`max_fcls_error_carried`] between the rounds of one run over one
 /// cube. `Default` is the empty carry.
-#[derive(Debug, Clone, Default)]
-pub struct FclsCarry(Carry<NnlsTrails>);
+pub type FclsCarry = Carry<NnlsTrails>;
 
 /// UFCLS steps 2–3: the pixel with the largest fully-constrained
 /// least-squares reconstruction error against the endmember set.
@@ -353,12 +492,11 @@ pub fn max_fcls_error(
 ) -> (Option<ScoredPixel>, f64) {
     // Nothing outlives the call, so nothing is kept per line: each chunk
     // restarts one line state, which is an empty carry's at every line.
-    let mut stateless = vec![(); range.1.saturating_sub(range.0)];
-    let result = argmax_pixels(cube, range, &mut stateless, || {
+    let result = argmax_pixels(cube, range, || {
         let (mut ws, mut state) = (FclsWorkspace::new(), LineCarry::default());
-        move |line: usize, _: &mut (), scores: &mut [f64]| {
+        move |line: usize, scores: &mut [f64]| {
             state.depth = 0;
-            fcls_line_scores(cube, problem, line, &mut state, &mut ws, scores)
+            fcls_line_scores(cube, problem, line, &mut state, &mut ws, scores);
         }
     });
     (result, fcls_mflops(cube, problem, range))
@@ -367,11 +505,11 @@ pub fn max_fcls_error(
 /// [`max_fcls_error`] for a caller that scans the same cube round after
 /// round against an endmember set that only grows: each line keeps its
 /// pixels' endmember dots (laid out endmember-major, so a round appends)
-/// and active-set trails, so a round that pushed one endmember forms one
-/// new dot per pixel instead of all of them, skips the solve and the
-/// residual of every pixel whose active-set path the newcomer does not
-/// change, and resumes the others' where it first does
-/// ([`FclsProblem::solve_f32_line`]). Scores are
+/// and active-set trails — for whoever scores it next — so a round that
+/// pushed one endmember forms one new dot per pixel instead of all of
+/// them, skips the solve and the residual of every pixel whose
+/// active-set path the newcomer does not change, and resumes the others'
+/// where it first does ([`FclsProblem::solve_f32_line`]). Scores are
 /// [`FclsProblem::solve_f32_in`]'s to the bit. A carry that last saw a
 /// different set restarts the lines it must, dots and trails.
 /// The megaflops returned are those of the full unmixing.
@@ -379,14 +517,17 @@ pub fn max_fcls_error_carried(
     cube: &HyperCube,
     problem: &FclsProblem,
     range: (usize, usize),
-    carry: &mut FclsCarry,
+    carry: &FclsCarry,
 ) -> (Option<ScoredPixel>, f64) {
     let t = problem.num_endmembers();
-    let lines = carry.0.lines_for(t, |i| problem.endmember(i), range);
-    let result = argmax_pixels(cube, range, lines, || {
+    let epoch = carry.reconcile(cube, t, |i| problem.endmember(i));
+    let result = argmax_pixels(cube, range, || {
         let mut ws = FclsWorkspace::new();
-        move |line: usize, state: &mut LineCarry<NnlsTrails>, scores: &mut [f64]| {
-            fcls_line_scores(cube, problem, line, state, &mut ws, scores)
+        move |line: usize, scores: &mut [f64]| {
+            carry.with_line(line, t, epoch, |state| {
+                let depth = fcls_line_scores(cube, problem, line, state, &mut ws, scores);
+                carry.count(depth == 0, depth, t);
+            })
         }
     });
     (result, fcls_mflops(cube, problem, range))
@@ -400,7 +541,8 @@ fn fcls_mflops(cube: &HyperCube, problem: &FclsProblem, range: (usize, usize)) -
 
 /// One line of the FCLS scan: brings `state` — the line's dots and trails
 /// against the first `state.depth` endmembers — up to the whole problem
-/// and fills `scores`, `−∞` for a pixel whose solve fails.
+/// and fills `scores`, `−∞` for a pixel whose solve fails. Returns the
+/// depth the line was continued from.
 fn fcls_line_scores(
     cube: &HyperCube,
     problem: &FclsProblem,
@@ -408,20 +550,21 @@ fn fcls_line_scores(
     state: &mut LineCarry<NnlsTrails>,
     ws: &mut FclsWorkspace,
     scores: &mut [f64],
-) {
+) -> usize {
     let t = problem.num_endmembers();
     let samples = scores.len();
     let stride = samples * cube.bands();
     if state.sums.len() != state.depth * samples {
         state.depth = 0;
     }
+    let depth = state.depth;
     state.sums.resize(t * samples, 0.0);
     scores.fill(f64::NEG_INFINITY);
     // A pixel's new dots are formed before its solve, so they are
     // kept even when that fails.
     let shaped = problem.solve_f32_line(
         &cube.as_slice()[line * stride..(line + 1) * stride],
-        state.depth,
+        depth,
         &mut state.sums,
         &mut state.more,
         ws,
@@ -436,6 +579,7 @@ fn fcls_line_scores(
     if shaped.is_ok() {
         state.depth = t;
     }
+    depth
 }
 
 /// PCT step 2: greedily builds a set of spectrally distinct pixels — a
@@ -497,6 +641,13 @@ pub fn unique_set(
 /// floating-point additions differently from a single unchunked stream,
 /// but virtual-time accounting is analytic in the pixel count, so
 /// experiment timings are unaffected — see `docs/PERF.md`.)
+///
+/// The later chunks are folded into the **first chunk's** partial, not
+/// into a zeroed total: every sum of a partial started from `+0.0`, so it
+/// is never `−0.0`, and `+0.0 + x` is `x` to the bit for every other `x`
+/// — the total has the bits the zeroed start gave it, and a one-chunk
+/// range allocates one accumulator, which
+/// [`CovarianceAccumulator::into_flat`] ships as it is.
 pub fn covariance_partial(cube: &HyperCube, range: (usize, usize)) -> (CovarianceAccumulator, f64) {
     let n = cube.bands();
     let stride = cube.samples() * n;
@@ -509,9 +660,12 @@ pub fn covariance_partial(cube: &HyperCube, range: (usize, usize)) -> (Covarianc
             acc
         })
         .collect();
-    let mut acc = CovarianceAccumulator::new(n);
-    for p in &partials {
-        acc.merge(p).expect("covariance_partial: same dim");
+    let mut partials = partials.into_iter();
+    let mut acc = partials
+        .next()
+        .unwrap_or_else(|| CovarianceAccumulator::new(n));
+    for p in partials {
+        acc.merge(&p).expect("covariance_partial: same dim");
     }
     let pixels = range_pixels(cube, range);
     (
@@ -845,6 +999,228 @@ mod tests {
             .covariance()
             .unwrap()
             .approx_eq(&whole.covariance().unwrap(), 1e-9));
+    }
+
+    fn f64_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The PCT-partial pin: folding into the first chunk's partial moves
+    /// no bit against the zeroed total it replaces, a one-chunk range is
+    /// the blocked push itself, and the moved buffer is the copied one.
+    #[test]
+    fn covariance_partial_keeps_the_bits_of_a_zeroed_total() {
+        let s = scene();
+        let cube = &s.cube;
+        let stride = cube.samples() * cube.bands();
+        let pushed = |lo: usize, hi: usize| {
+            let mut acc = CovarianceAccumulator::new(cube.bands());
+            acc.push_pixels_f32(&cube.as_slice()[lo * stride..hi * stride]);
+            acc
+        };
+        for range in [(3, 3 + PAR_CHUNK_LINES), (5, 7), (0, cube.lines()), (2, 29)] {
+            let mut total = CovarianceAccumulator::new(cube.bands());
+            for c in 0..chunk_count(range) {
+                let (clo, chi) = chunk_bounds(range, c);
+                total.merge(&pushed(clo, chi)).unwrap();
+            }
+            let (acc, _) = covariance_partial(cube, range);
+            assert_eq!(f64_bits(&acc.to_flat()), f64_bits(&total.to_flat()));
+            if chunk_count(range) == 1 {
+                let alone = pushed(range.0, range.1);
+                assert_eq!(f64_bits(&acc.to_flat()), f64_bits(&alone.to_flat()));
+            }
+            let copied = acc.to_flat();
+            assert_eq!(f64_bits(&acc.into_flat()), f64_bits(&copied));
+        }
+    }
+
+    fn wide(px: &[f32]) -> Vec<f64> {
+        px.iter().map(|&v| f64::from(v)).collect()
+    }
+
+    /// Bases over the first `1..=k` of some spread-out pixels of `cube`.
+    fn growing_bases(cube: &HyperCube, k: usize) -> Vec<OrthoBasis> {
+        let mut basis = OrthoBasis::new(cube.bands());
+        (0..k)
+            .map(|i| {
+                assert!(basis.push(&wide(cube.pixel_flat(i * 131 + 7))));
+                basis.clone()
+            })
+            .collect()
+    }
+
+    /// Endmember problems over the first `1..=t` of the same pixels.
+    fn growing_problems(cube: &HyperCube, t: usize) -> Vec<FclsProblem> {
+        let first = wide(cube.pixel_flat(7));
+        let mut problem = FclsProblem::new(Matrix::row_vector(&first)).unwrap();
+        let mut grown = vec![problem.clone()];
+        for i in 1..t {
+            problem.push(&wide(cube.pixel_flat(i * 131 + 7))).unwrap();
+            grown.push(problem.clone());
+        }
+        grown
+    }
+
+    fn scored(best: &(Option<ScoredPixel>, f64)) -> (Option<(usize, usize, u64)>, u64) {
+        let pixel = best
+            .0
+            .as_ref()
+            .map(|b| (b.line, b.sample, b.score.to_bits()));
+        (pixel, best.1.to_bits())
+    }
+
+    /// A line found deeper than the system it is asked about — a later
+    /// round's sums, or an earlier run's on a reused carry — restarts;
+    /// the record of the longer system stays, so going back up continues.
+    #[test]
+    fn a_line_deeper_than_the_system_restarts_alone() {
+        let s = scene();
+        let cube = &s.cube;
+        let (lines, whole) = (cube.lines(), (0, cube.lines()));
+        let bases = growing_bases(cube, 3);
+        let carry = ProjectionCarry::default();
+        max_projection_carried(cube, &bases[2], whole, &carry);
+        assert_eq!(carry.applied(), (3 * lines, lines));
+        // Half the image against the one-vector prefix.
+        let half = (0, lines / 2);
+        let got = max_projection_carried(cube, &bases[0], half, &carry);
+        assert_eq!(scored(&got), scored(&max_projection(cube, &bases[0], half)));
+        assert_eq!(carry.applied(), (3 * lines + lines / 2, lines + lines / 2));
+        // Back up: the restarted half folds two vectors in, the rest none.
+        let got = max_projection_carried(cube, &bases[2], whole, &carry);
+        assert_eq!(
+            scored(&got),
+            scored(&max_projection(cube, &bases[2], whole))
+        );
+        assert_eq!(carry.applied(), (4 * lines + lines / 2, lines + lines / 2));
+
+        let problems = growing_problems(cube, 3);
+        let carry = FclsCarry::default();
+        max_fcls_error_carried(cube, &problems[2], whole, &carry);
+        let got = max_fcls_error_carried(cube, &problems[0], half, &carry);
+        assert_eq!(
+            scored(&got),
+            scored(&max_fcls_error(cube, &problems[0], half))
+        );
+        assert_eq!(carry.applied(), (3 * lines + lines / 2, lines + lines / 2));
+        let got = max_fcls_error_carried(cube, &problems[2], whole, &carry);
+        assert_eq!(
+            scored(&got),
+            scored(&max_fcls_error(cube, &problems[2], whole))
+        );
+        assert_eq!(carry.applied(), (4 * lines + lines / 2, lines + lines / 2));
+    }
+
+    /// Panics on its own thread while holding `lock`.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = lock.lock().unwrap();
+                    panic!("injected: a kernel panics while it holds the lock");
+                })
+                .join()
+        });
+        assert!(died.is_err() && lock.is_poisoned());
+    }
+
+    /// A kernel panic on another rank leaves a line lock poisoned: the
+    /// next scorer takes the line over and restarts it — no second panic,
+    /// no hang, the stateless kernel's bits. Likewise the system record.
+    #[test]
+    fn a_poisoned_lock_is_taken_over_and_the_line_restarted() {
+        let s = scene();
+        let cube = &s.cube;
+        let (lines, whole) = (cube.lines(), (0, cube.lines()));
+        let bases = growing_bases(cube, 3);
+        let carry = ProjectionCarry::default();
+        max_projection_carried(cube, &bases[1], whole, &carry);
+        poison(&carry.lines.get().unwrap()[5]);
+        let got = max_projection_carried(cube, &bases[2], whole, &carry);
+        assert_eq!(
+            scored(&got),
+            scored(&max_projection(cube, &bases[2], whole))
+        );
+        // Line 5 alone started over: three vectors, the others one each.
+        assert_eq!(carry.applied(), (2 * lines + lines + 2, lines + 1));
+        assert!(!carry.lines.get().unwrap()[5].is_poisoned());
+        // The record itself: nothing it said can be trusted, every line
+        // restarts.
+        poison(&carry.seen);
+        let got = max_projection_carried(cube, &bases[2], whole, &carry);
+        assert_eq!(
+            scored(&got),
+            scored(&max_projection(cube, &bases[2], whole))
+        );
+        assert_eq!(carry.applied().1, 2 * lines + 1);
+        assert!(!carry.seen.is_poisoned());
+
+        let problems = growing_problems(cube, 3);
+        let carry = FclsCarry::default();
+        max_fcls_error_carried(cube, &problems[1], whole, &carry);
+        poison(&carry.lines.get().unwrap()[5]);
+        let got = max_fcls_error_carried(cube, &problems[2], whole, &carry);
+        assert_eq!(
+            scored(&got),
+            scored(&max_fcls_error(cube, &problems[2], whole))
+        );
+        assert_eq!(carry.applied(), (2 * lines + lines + 2, lines + 1));
+    }
+
+    /// A scan that reconciled before another system diverged no longer
+    /// knows what the lines hold: it scores from nothing and writes
+    /// nothing back.
+    #[test]
+    fn a_scan_overtaken_by_a_diverged_system_leaves_the_lines_alone() {
+        let s = scene();
+        let cube = &s.cube;
+        let bases = growing_bases(cube, 2);
+        let mut forked = bases[0].clone();
+        assert!(forked.push(&vec![1.0; cube.bands()]));
+        let carry = ProjectionCarry::default();
+        max_projection_carried(cube, &bases[0], (0, cube.lines()), &carry);
+        let early = carry.reconcile(cube, 2, |i| bases[1].vector(i));
+        let late = carry.reconcile(cube, 2, |i| forked.vector(i));
+        assert_ne!(early, late);
+        carry.with_line(3, 2, early, |state| {
+            assert!(
+                state.sums.is_empty(),
+                "an overtaken scan starts from nothing"
+            );
+            state.depth = 2;
+            state.sums = vec![f64::NAN; cube.samples()];
+        });
+        // The shared first vector's sums are still there for the fork.
+        carry.with_line(3, 2, late, |state| {
+            assert_eq!((state.depth, state.sums.len()), (1, cube.samples()));
+            assert!(state.sums.iter().all(|v| v.is_finite()));
+        });
+        // A cube taller than the one the carry was sized for: scored
+        // from nothing, kept nowhere.
+        carry.with_line(cube.lines(), 2, late, |state| {
+            assert!(state.sums.is_empty())
+        });
+    }
+
+    /// `Clone` copies the lines: the clone continues on its own.
+    #[test]
+    fn a_cloned_carry_does_not_alias_its_lines() {
+        let s = scene();
+        let cube = &s.cube;
+        let (lines, whole) = (cube.lines(), (0, cube.lines()));
+        let bases = growing_bases(cube, 2);
+        let carry = ProjectionCarry::default();
+        max_projection_carried(cube, &bases[0], whole, &carry);
+        let copy = carry.clone();
+        max_projection_carried(cube, &bases[1], whole, &copy);
+        assert_eq!((carry.applied().0, copy.applied().0), (lines, 2 * lines));
+        let got = max_projection_carried(cube, &bases[1], whole, &carry);
+        assert_eq!(
+            scored(&got),
+            scored(&max_projection(cube, &bases[1], whole))
+        );
+        assert_eq!(carry.applied().0, 2 * lines);
     }
 
     #[test]

@@ -31,10 +31,13 @@
 //!
 //! ATDCA and UFCLS differ by a per-pixel score, not by a program: the
 //! crate-private `detect` module describes each detector once (its
-//! state between rounds, `admit` and `nominate`, and the table of
+//! system between rounds, `admit` and `nominate`, and the table of
 //! charges), and [`seq`], [`par`] and [`sched`] each write the
 //! detection loop once over that description. A new detector is one
-//! impl there, not three drivers.
+//! impl there, not three drivers. What the host remembers of the image
+//! lines between rounds ([`kernels::Carry`]) is not part of that
+//! system: it is keyed by line, and each driver owns as many as it has
+//! parties that never trade lines.
 //!
 //! The paper's §5 "future perspectives" — fault tolerance and dynamic
 //! scheduling for nodes that do not deliver their nominal speed — live

@@ -61,9 +61,11 @@ fn run_detector<D: Detector>(
         let block = distribute(ctx, cube, &assignments, 0, options.scatter_mode);
         let n = block.cube.bands();
         let own_pixels = block.n_lines * block.cube.samples();
-        // Host-side only: what the state carries of this rank's pixels
-        // from round to round never shortens a charge below.
-        let mut detector = D::new(n);
+        // The carry is this rank's own: a static partition never hands a
+        // line to another rank, so nothing is gained by sharing it and no
+        // two ranks ever meet on a line lock. Host-side only: what it
+        // keeps of this rank's pixels never shortens a charge below.
+        let (mut detector, carry) = (D::new(n), D::Carry::default());
         let mut targets: Vec<DetectedTarget> = Vec::new();
 
         for k in 0..t {
@@ -71,7 +73,7 @@ fn run_detector<D: Detector>(
             let (cand, mflops) = if k == 0 {
                 kernels::brightest(&block.cube, block.own_range())
             } else {
-                detector.nominate(&block.cube, block.own_range())
+                detector.nominate(&block.cube, block.own_range(), &carry)
             };
             let cost = ChunkCost::new(mflops, round_bytes(own_pixels, n, k));
             charge_chunk(ctx, options.offload, &cost);

@@ -113,7 +113,7 @@ pub fn run(
             ctx,
             &options.collectives,
             0,
-            Msg::Stats(acc.to_flat()),
+            Msg::Stats(acc.into_flat()),
             stats_bits,
         );
 

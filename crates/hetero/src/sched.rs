@@ -11,8 +11,18 @@
 //!   [`crate::kernels`], so any chunk grid reproduces the partitioned
 //!   algorithms' analysis results. The two detectors are one
 //!   implementation, [`DetectChunks`], over the detector descriptions of
-//!   `crate::detect` (state, host operations, cost table): a new
+//!   `crate::detect` (system, host operations, cost table): a new
 //!   detector is an impl there and an alias here.
+//!
+//! **Who owns a detector's memos.** A worker's round scratch is the
+//! detector *system* alone (the basis or Gram problem the modelled node
+//! would hold), grown from round to round and lost with the worker. The
+//! *carry* — each image line's running sums — belongs to the lines, and
+//! which worker scores a line next is the scheduler's business: so
+//! [`DetectChunks`] holds **one carry per run**, every worker reaches it
+//! through the `&algo` it already borrows, and a chunk resumes at the
+//! depth its last scorer left whoever that was, re-plans after crashes
+//! included. Host wall-clock only: every charge is analytic.
 //!
 //! **Determinism.** The argmax algorithms (ATDCA, UFCLS) produce the
 //! *same* output for every chunk grid: chunk winners are folded with the
@@ -37,7 +47,6 @@ use crate::seq::{pct_model_len, reduce_candidates, scored_spectra, DetectedTarge
 use hsi_cube::{HyperCube, LabelImage};
 use hsi_linalg::covariance::CovarianceAccumulator;
 use hsi_morpho::StructuringElement;
-use std::marker::PhantomData;
 
 /// An algorithm decomposed into rounds of independent line chunks.
 ///
@@ -136,12 +145,13 @@ fn spectra_bits(spectra: &[Vec<f32>]) -> u64 {
 
 /// Either target detector as a chunked algorithm — name it through
 /// [`AtdcaChunks`] or [`UfclsChunks`]. `D` is the detector's description
-/// (`crate::detect`): its score, its cost table, and the state a worker
-/// keeps as round scratch and grows from round to round.
-pub struct DetectChunks<'a, D> {
+/// (`crate::detect`): its score, its cost table, the system a worker
+/// keeps as round scratch and grows from round to round, and the carry
+/// of the image lines, which the algorithm holds for all its workers.
+pub struct DetectChunks<'a, D: Detector> {
     cube: &'a HyperCube,
     params: &'a AlgoParams,
-    detector: PhantomData<fn() -> D>,
+    carry: D::Carry,
 }
 
 /// ATDCA (paper Algorithm 2) as a chunked algorithm: one round per
@@ -156,14 +166,21 @@ pub type AtdcaChunks<'a> = DetectChunks<'a, Osp>;
 /// least-squares error. Output is identical for any chunk grid.
 pub type UfclsChunks<'a> = DetectChunks<'a, Fcls>;
 
-impl<'a, D> DetectChunks<'a, D> {
-    /// Wraps a cube and parameters.
+impl<'a, D: Detector> DetectChunks<'a, D> {
+    /// Wraps a cube and parameters; the carry starts empty.
     pub fn new(cube: &'a HyperCube, params: &'a AlgoParams) -> Self {
         DetectChunks {
             cube,
             params,
-            detector: PhantomData,
+            carry: D::Carry::default(),
         }
+    }
+
+    /// The run's carry (its host-work tallies are what the counting
+    /// tests read).
+    #[doc(hidden)]
+    pub fn carry(&self) -> &D::Carry {
+        &self.carry
     }
 }
 
@@ -171,7 +188,8 @@ impl<D: Detector> ChunkedAlgo for DetectChunks<'_, D> {
     type State = Vec<DetectedTarget>;
     type Partial = Candidate;
     type Output = Vec<DetectedTarget>;
-    /// The detector over the first `admitted()` targets of the state.
+    /// The detector system over the first `admitted()` targets of the
+    /// state — the system alone: the lines' sums are the run's.
     type Scratch = D;
 
     fn name(&self) -> &'static str {
@@ -235,7 +253,7 @@ impl<D: Detector> ChunkedAlgo for DetectChunks<'_, D> {
         let (cand, _) = if round == 0 {
             kernels::brightest(self.cube, range)
         } else {
-            detector.nominate(self.cube, range)
+            detector.nominate(self.cube, range, &self.carry)
         };
         match cand {
             Some(p) => p.to_candidate(self.cube, 0, 0),
@@ -411,7 +429,7 @@ impl ChunkedAlgo for PctChunks<'_> {
             }
             1 => {
                 let (acc, _) = kernels::covariance_partial(self.cube, range);
-                PctPartial::Stats(acc.to_flat())
+                PctPartial::Stats(acc.into_flat())
             }
             _ => {
                 let PctState::Model(m) = state else {

@@ -53,7 +53,7 @@ impl<T> SeqOutput<T> {
 fn detect<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
     let full = (0, cube.lines());
     let (n, t) = (cube.bands(), params.num_targets);
-    let mut detector = D::new(n);
+    let (mut detector, carry) = (D::new(n), D::Carry::default());
     let mut targets: Vec<DetectedTarget> = Vec::new();
     let mut mflops = 0.0;
     // The first target is extracted whatever `t` says.
@@ -61,7 +61,7 @@ fn detect<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<D
         let (best, mf) = if k == 0 {
             kernels::brightest(cube, full)
         } else {
-            detector.nominate(cube, full)
+            detector.nominate(cube, full, &carry)
         };
         mflops += mf;
         let best = best.unwrap_or_else(|| panic!("{}: empty image", D::NAME));

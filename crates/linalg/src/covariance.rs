@@ -17,13 +17,16 @@ use crate::error::shape_mismatch;
 use crate::{LinAlgError, Matrix, Result};
 
 /// Partial sums for mean/covariance over a stream of `dim`-vectors.
+///
+/// The sums are held in wire order — `[count, Σx…, Σxxᵀ…]`, the upper
+/// triangle (diagonal included) packed row-major — so shipping an
+/// accumulator ([`Self::into_flat`]) moves the buffer it was summed in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CovarianceAccumulator {
     dim: usize,
-    count: u64,
-    sum: Vec<f64>,
-    /// Upper triangle (including diagonal) of `Σ x xᵀ`, packed row-major.
-    cross: Vec<f64>,
+    /// `[count, sum…, cross…]`, [`Self::flat_len`] long. The count is a
+    /// whole number far below 2⁵³, so `f64` holds and adds it exactly.
+    flat: Vec<f64>,
 }
 
 impl CovarianceAccumulator {
@@ -31,9 +34,7 @@ impl CovarianceAccumulator {
     pub fn new(dim: usize) -> Self {
         CovarianceAccumulator {
             dim,
-            count: 0,
-            sum: vec![0.0; dim],
-            cross: vec![0.0; dim * (dim + 1) / 2],
+            flat: vec![0.0; Self::flat_len(dim)],
         }
     }
 
@@ -44,7 +45,19 @@ impl CovarianceAccumulator {
 
     /// Number of samples accumulated so far.
     pub fn count(&self) -> u64 {
-        self.count
+        self.flat[0] as u64
+    }
+
+    /// `Σx` and the packed `Σxxᵀ`.
+    fn sums(&self) -> (&[f64], &[f64]) {
+        self.flat[1..].split_at(self.dim)
+    }
+
+    /// The count, `Σx` and the packed `Σxxᵀ`, to add to.
+    fn sums_mut(&mut self) -> (&mut f64, &mut [f64], &mut [f64]) {
+        let (count, sums) = self.flat.split_at_mut(1);
+        let (sum, cross) = sums.split_at_mut(self.dim);
+        (&mut count[0], sum, cross)
     }
 
     /// Accumulates one sample.
@@ -53,13 +66,13 @@ impl CovarianceAccumulator {
     /// Panics if `x.len() != self.dim()`.
     pub fn push(&mut self, x: &[f64]) {
         assert_eq!(x.len(), self.dim, "push: wrong sample length");
-        self.count += 1;
+        let (count, sum, cross) = self.sums_mut();
+        *count += 1.0;
         let mut k = 0;
-        for i in 0..self.dim {
-            self.sum[i] += x[i];
-            let xi = x[i];
+        for (i, &xi) in x.iter().enumerate() {
+            sum[i] += xi;
             for &xj in &x[i..] {
-                self.cross[k] += xi * xj;
+                cross[k] += xi * xj;
                 k += 1;
             }
         }
@@ -69,13 +82,14 @@ impl CovarianceAccumulator {
     /// widening to `f64` for the sums.
     pub fn push_f32(&mut self, x: &[f32]) {
         assert_eq!(x.len(), self.dim, "push_f32: wrong sample length");
-        self.count += 1;
+        let (count, sum, cross) = self.sums_mut();
+        *count += 1.0;
         let mut k = 0;
-        for i in 0..self.dim {
-            let xi = x[i] as f64;
-            self.sum[i] += xi;
+        for (i, &xi) in x.iter().enumerate() {
+            let xi = xi as f64;
+            sum[i] += xi;
             for &xj in &x[i..] {
-                self.cross[k] += xi * (xj as f64);
+                cross[k] += xi * (xj as f64);
                 k += 1;
             }
         }
@@ -101,18 +115,19 @@ impl CovarianceAccumulator {
             "push_pixels_f32: data length {} not a multiple of dim {d}",
             data.len()
         );
+        let (count, sum, cross) = self.sums_mut();
         let mut scratch = vec![0.0f64; Self::PANEL * d];
         for panel in data.chunks(Self::PANEL * d) {
             let pixels = panel.len() / d;
             for (dst, &src) in scratch.iter_mut().zip(panel) {
                 *dst = src as f64;
             }
-            self.count += pixels as u64;
+            *count += pixels as f64;
             let mut base = 0;
             for i in 0..d {
                 let width = d - i;
-                let crow = &mut self.cross[base..base + width];
-                let mut si = self.sum[i];
+                let crow = &mut cross[base..base + width];
+                let mut si = sum[i];
                 for p in 0..pixels {
                     let row = &scratch[p * d..p * d + d];
                     let xi = row[i];
@@ -121,7 +136,7 @@ impl CovarianceAccumulator {
                         *c += xi * xj;
                     }
                 }
-                self.sum[i] = si;
+                sum[i] = si;
                 base += width;
             }
         }
@@ -140,25 +155,22 @@ impl CovarianceAccumulator {
                 format!("dim {}", other.dim),
             ));
         }
-        self.absorb(other.count, &other.sum, &other.cross);
+        self.absorb(&other.flat);
         Ok(())
     }
 
     /// The one set of additions behind [`Self::merge`] and
-    /// [`Self::merge_flat`].
-    fn absorb(&mut self, count: u64, sum: &[f64], cross: &[f64]) {
-        self.count += count;
-        for (a, b) in self.sum.iter_mut().zip(sum) {
-            *a += b;
-        }
-        for (a, b) in self.cross.iter_mut().zip(cross) {
+    /// [`Self::merge_flat`]: count, sums and cross sums, element by
+    /// element in wire order.
+    fn absorb(&mut self, flat: &[f64]) {
+        for (a, b) in self.flat.iter_mut().zip(flat) {
             *a += b;
         }
     }
 
-    /// Splits a [`Self::to_flat`] buffer of a `dim`-dimensional
-    /// accumulator into `(count, sums, packed cross sums)`.
-    fn split_flat(dim: usize, flat: &[f64]) -> Result<(u64, &[f64], &[f64])> {
+    /// Checks that `flat` is a [`Self::to_flat`] buffer of a
+    /// `dim`-dimensional accumulator.
+    fn check_flat(dim: usize, flat: &[f64]) -> Result<()> {
         let expect = Self::flat_len(dim);
         if flat.len() != expect {
             return Err(shape_mismatch(
@@ -166,8 +178,7 @@ impl CovarianceAccumulator {
                 format!("length {}", flat.len()),
             ));
         }
-        let (sum, cross) = flat[1..].split_at(dim);
-        Ok((flat[0] as u64, sum, cross))
+        Ok(())
     }
 
     /// Length of the [`Self::to_flat`] buffer of a `dim`-dimensional
@@ -181,34 +192,32 @@ impl CovarianceAccumulator {
     /// [`Self::from_flat`] followed by [`Self::merge`], so the result is
     /// bit-identical, without materialising the intermediate.
     pub fn merge_flat(&mut self, flat: &[f64]) -> Result<()> {
-        let (count, sum, cross) = Self::split_flat(self.dim, flat)?;
-        self.absorb(count, sum, cross);
+        Self::check_flat(self.dim, flat)?;
+        self.absorb(flat);
         Ok(())
     }
 
     /// Finalised mean vector. Errors when no samples were accumulated.
     pub fn mean(&self) -> Result<Vec<f64>> {
-        if self.count == 0 {
+        if self.count() == 0 {
             return Err(LinAlgError::Empty);
         }
-        let inv = 1.0 / self.count as f64;
-        Ok(self.sum.iter().map(|s| s * inv).collect())
+        let inv = 1.0 / self.count() as f64;
+        Ok(self.sums().0.iter().map(|s| s * inv).collect())
     }
 
     /// Finalised covariance matrix `E[xxᵀ] − m mᵀ` (population covariance,
     /// divisor `n`, matching the paper's "average of covariance
     /// components"). Errors when no samples were accumulated.
     pub fn covariance(&self) -> Result<Matrix> {
-        if self.count == 0 {
-            return Err(LinAlgError::Empty);
-        }
-        let inv = 1.0 / self.count as f64;
         let mean = self.mean()?;
+        let inv = 1.0 / self.count() as f64;
+        let cross = self.sums().1;
         let mut cov = Matrix::zeros(self.dim, self.dim);
         let mut k = 0;
         for i in 0..self.dim {
             for j in i..self.dim {
-                let v = self.cross[k] * inv - mean[i] * mean[j];
+                let v = cross[k] * inv - mean[i] * mean[j];
                 cov[(i, j)] = v;
                 cov[(j, i)] = v;
                 k += 1;
@@ -221,21 +230,21 @@ impl CovarianceAccumulator {
     /// (`[count, sum…, cross…]`) for shipment through the message-passing
     /// engine; [`Self::from_flat`] is the inverse.
     pub fn to_flat(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(Self::flat_len(self.dim));
-        out.push(self.count as f64);
-        out.extend_from_slice(&self.sum);
-        out.extend_from_slice(&self.cross);
-        out
+        self.flat.clone()
+    }
+
+    /// [`Self::to_flat`] of an accumulator that is not needed afterwards:
+    /// the same buffer, moved instead of copied.
+    pub fn into_flat(self) -> Vec<f64> {
+        self.flat
     }
 
     /// Reconstructs an accumulator serialised by [`Self::to_flat`].
     pub fn from_flat(dim: usize, flat: &[f64]) -> Result<Self> {
-        let (count, sum, cross) = Self::split_flat(dim, flat)?;
+        Self::check_flat(dim, flat)?;
         Ok(CovarianceAccumulator {
             dim,
-            count,
-            sum: sum.to_vec(),
-            cross: cross.to_vec(),
+            flat: flat.to_vec(),
         })
     }
 }
@@ -334,6 +343,12 @@ mod tests {
         let back = CovarianceAccumulator::from_flat(3, &flat).unwrap();
         assert_eq!(back, acc);
         assert!(CovarianceAccumulator::from_flat(2, &flat).is_err());
+        // Wire order: the count, the sums, the packed upper triangle.
+        assert_eq!(flat[..4], [2.0, 1.5, 1.0, 5.0]);
+        assert_eq!(flat[4..], [1.25, 1.5, 4.0, 5.0, 4.0, 13.0]);
+        // The move is the copy.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&acc.into_flat()), bits(&flat));
     }
 
     #[test]

@@ -9,17 +9,44 @@
 //! this scalar.
 //!
 //! Out-of-image coordinates clamp to the border (edge replication).
+//!
+//! **Who owns the memo.** An angle is a pure function of two *input*
+//! pixels, so it is remembered by that pair (`PairMemo`) and not by the
+//! image position or the scale that happened to ask. The caller that
+//! knows how long the input lives owns the memo: [`cumdist_map`] one
+//! for its single map, [`crate::mei::mei`] one for all its scales — a
+//! dilation only moves input pixels around, so later scales mostly ask
+//! about pairs an earlier one measured.
 
 use crate::se::StructuringElement;
 use hsi_cube::metrics::{dots_into, dots_with, sad, sad_from_sums};
 use hsi_cube::HyperCube;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Fixed line-chunk granularity of the parallel morphology kernels.
 /// The grid depends only on the image height, never on the thread
 /// count, and chunk results are concatenated in index order — so every
 /// operation is bit-identical to its sequential scan.
 pub(crate) const PAR_CHUNK_LINES: usize = 8;
+
+/// Runs `per_block` over `0..n` in fixed blocks of `grain` (parallel
+/// across blocks), concatenating the blocks' outputs in index order.
+fn par_blocks_flat_map<T: Send>(
+    n: usize,
+    grain: usize,
+    per_block: impl Fn(Range<usize>, &mut Vec<T>) + Sync,
+) -> Vec<T> {
+    let blocks: Vec<Vec<T>> = (0..n.div_ceil(grain))
+        .into_par_iter()
+        .map(|b| {
+            let mut part = Vec::new();
+            per_block(b * grain..((b + 1) * grain).min(n), &mut part);
+            part
+        })
+        .collect();
+    blocks.into_iter().flatten().collect()
+}
 
 /// Runs `per_line` over every line in fixed chunks (parallel across
 /// chunks, sequential within), concatenating the per-line outputs in
@@ -28,19 +55,11 @@ pub(crate) fn par_lines_flat_map<T: Send>(
     lines: usize,
     per_line: impl Fn(usize, &mut Vec<T>) + Sync,
 ) -> Vec<T> {
-    let chunks: Vec<Vec<T>> = (0..lines.div_ceil(PAR_CHUNK_LINES))
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * PAR_CHUNK_LINES;
-            let hi = (lo + PAR_CHUNK_LINES).min(lines);
-            let mut part = Vec::new();
-            for line in lo..hi {
-                per_line(line, &mut part);
-            }
-            part
-        })
-        .collect();
-    chunks.into_iter().flatten().collect()
+    par_blocks_flat_map(lines, PAR_CHUNK_LINES, |block, part| {
+        for line in block {
+            per_line(line, part);
+        }
+    })
 }
 
 /// Clamps `(line, sample)` + offset to the image, returning valid
@@ -78,29 +97,23 @@ pub fn cumdist_at(cube: &HyperCube, se: &StructuringElement, line: usize, sample
 /// *virtual* clock is charged (`hetero_hsi::flops::mei_iteration`). The
 /// *host* forms each sum once (`cumdist_map_of` below): one squared norm
 /// per pixel and one dot and angle per unordered pixel pair within the
-/// element's reach, `O(lines × samples × (1 + |B|/2) × bands)`. Line
-/// chunks are computed in parallel (each value depends on the pixels
-/// alone) and concatenated in line order, so the map is bit-identical to
-/// a sequential scan for any thread count.
+/// element's reach, `O(lines × samples × (1 + |B|/2) × bands)`. Blocks
+/// are computed in parallel (each value depends on the pixels alone) and
+/// concatenated in order, so the map is bit-identical to a sequential
+/// scan for any thread count.
 pub fn cumdist_map(cube: &HyperCube, se: &StructuringElement) -> Vec<f64> {
-    let pixel = |l, s| cube.pixel(l, s);
-    let norms = squared_norms(cube, pixel);
-    cumdist_map_of(cube, pixel, &norms, se).0
+    // One scale of the image as it is: nothing to remember afterwards.
+    let mut memo = PairMemo::new(cube, se);
+    cumdist_map_of(&mut memo, &identity(cube), se)
 }
 
-/// `‖F(p)‖²` of every pixel of the image that has `shape`'s dimensions and
-/// the spectra `pixel` hands out, row-major.
-pub(crate) fn squared_norms<'a>(
-    shape: &HyperCube,
-    pixel: impl Fn(usize, usize) -> &'a [f32] + Sync,
-) -> Vec<f64> {
-    let samples = shape.samples();
-    par_lines_flat_map(shape.lines(), |line, part: &mut Vec<f64>| {
-        let at = part.len();
-        part.resize(at + samples, 0.0);
-        let own = |sample| (pixel(line, sample), pixel(line, sample));
-        dots_into(own, &mut part[at..]);
-    })
+/// The coordinate map of an image that is its input: every position
+/// shows the input pixel there, row-major.
+pub(crate) fn identity(cube: &HyperCube) -> Vec<(usize, usize)> {
+    let samples = cube.samples();
+    (0..cube.lines())
+        .flat_map(|line| (0..samples).map(move |sample| (line, sample)))
+        .collect()
 }
 
 /// The lexicographically positive deltas `q − p` between a pixel `p` and
@@ -123,102 +136,270 @@ fn pair_deltas(se: &StructuringElement) -> Vec<(isize, isize)> {
     deltas
 }
 
-/// `SAD(F(p), F(q))` of every unordered pair of distinct pixels an offset
-/// of the element joins, each formed once: kept at the lexicographically
-/// smaller end, one entry per [`pair_deltas`] delta.
-pub(crate) struct PairAngles<'n> {
-    samples: usize,
-    norms: &'n [f64],
+/// How many reserved pairs one parallel block of [`PairMemo::measure`]
+/// takes: a fixed grid over the list, so the angles come back in list
+/// order for any thread count.
+const MEASURE_BLOCK: usize = 256;
+
+/// `SAD(x, y)` of unordered pairs of **input** pixels, each formed at most
+/// once while the memo lives.
+///
+/// `SAD(x, y)` is `x·y`, `‖x‖²` and `‖y‖²` through one tail
+/// ([`sad_from_sums`]), and symmetric to the bit; the norms are summed
+/// once per input pixel, and `SAD(x, x)` reads its dot from the norm. An
+/// angle is a pure function of its pair, so what the memo hands out does
+/// not depend on who asked first, in which order, or on how many threads.
+///
+/// Every angle lives in one array, `angles`, and a pair is named by its
+/// slot there. Two input pixels within the element's reach of each other
+/// — every pair the first scale of any image over this input asks about —
+/// have the fixed slot `a·|deltas| + k`, measured when the memo is made
+/// in one sweep that shares each pixel's loads across its far ends
+/// ([`dots_with`]): no look-up table, no hashing. Pairs a dilation has
+/// brought together from further apart are appended behind, found
+/// through `far`.
+pub(crate) struct PairMemo<'c> {
+    cube: &'c HyperCube,
+    /// `‖x‖²` of every input pixel, row-major.
+    norms: Vec<f64>,
+    /// `(0, 0)`, then [`pair_deltas`]: sorted.
     deltas: Vec<(isize, isize)>,
-    /// `angles[p·|deltas| + k]` is `SAD(F(p), F(p + deltas[k]))`; entries
-    /// whose far end lies outside the image are never read.
+    /// `angles[a·|deltas| + k]` is `SAD` of the input pixels `a` and
+    /// `a + deltas[k]` (never read where that lies outside the image);
+    /// from `pixels·|deltas|` on, the pairs of `far` in the order met.
     angles: Vec<f64>,
+    far: FarPairs,
+    /// Pairs that were given the slots `angles.len()..` and wait for
+    /// [`PairMemo::measure`], smaller end first.
+    reserved: Vec<(usize, usize)>,
+    /// Dots formed between different pixels so far.
+    dots: usize,
 }
 
-impl PairAngles<'_> {
-    /// The angle between the pixels at `a` and `b`, [`sad`]'s to the bit
-    /// either way round — `SAD(x, x)` when they are one pixel; `None` for
-    /// two pixels the element does not join.
-    pub(crate) fn between(&self, a: (usize, usize), b: (usize, usize)) -> Option<f64> {
-        let (near, far) = if a < b { (a, b) } else { (b, a) };
-        let p = near.0 * self.samples + near.1;
-        if near == far {
-            let xx = self.norms[p];
-            return Some(sad_from_sums(xx, xx, xx));
-        }
-        let delta = (
-            far.0 as isize - near.0 as isize,
-            far.1 as isize - near.1 as isize,
+impl<'c> PairMemo<'c> {
+    /// A memo over `cube`'s pixels for maps under `se`, holding the
+    /// angles of the input's own neighbour pairs.
+    pub(crate) fn new(cube: &'c HyperCube, se: &StructuringElement) -> Self {
+        let (lines, samples) = (cube.lines(), cube.samples());
+        let norms = par_lines_flat_map(lines, |line, part: &mut Vec<f64>| {
+            let at = part.len();
+            part.resize(at + samples, 0.0);
+            let own = |sample| (cube.pixel(line, sample), cube.pixel(line, sample));
+            dots_into(own, &mut part[at..]);
+        });
+        let mut deltas = vec![(0, 0)];
+        deltas.extend(pair_deltas(se));
+        let width = deltas.len();
+        assert!(
+            u32::try_from(cube.num_pixels() * width).is_ok(),
+            "cumdist: the image's pixel pairs do not fit the memo's 32-bit slots"
         );
-        let slot = self.deltas.binary_search(&delta).ok()?;
-        Some(self.angles[p * self.deltas.len() + slot])
+        let angles = par_lines_flat_map(lines, |line, part: &mut Vec<f64>| {
+            let mut ends = Vec::with_capacity(width);
+            let mut far = Vec::with_capacity(width);
+            for sample in 0..samples {
+                ends.clear();
+                far.clear();
+                for (k, &(dl, ds)) in deltas.iter().enumerate().skip(1) {
+                    let l = line.checked_add_signed(dl).filter(|&l| l < lines);
+                    let s = sample.checked_add_signed(ds).filter(|&s| s < samples);
+                    if let (Some(l), Some(s)) = (l, s) {
+                        ends.push((k, l * samples + s));
+                        far.push(cube.pixel(l, s));
+                    }
+                }
+                let (p, at) = (line * samples + sample, part.len());
+                part.resize(at + width, 0.0);
+                part[at] = sad_from_sums(norms[p], norms[p], norms[p]);
+                dots_with(cube.pixel(line, sample), &far, |i, xy| {
+                    let (k, q) = ends[i];
+                    part[at + k] = sad_from_sums(xy, norms[p], norms[q]);
+                });
+            }
+        });
+        // A lexicographically positive delta goes down `dl` lines.
+        let dots = deltas[1..]
+            .iter()
+            .map(|&(dl, ds)| {
+                lines.saturating_sub(dl.unsigned_abs()) * samples.saturating_sub(ds.unsigned_abs())
+            })
+            .sum();
+        PairMemo {
+            cube,
+            norms,
+            deltas,
+            angles,
+            far: FarPairs::default(),
+            reserved: Vec::new(),
+            dots,
+        }
+    }
+
+    /// Where a table of `pixels × |deltas|` entries keeps the unordered
+    /// pair of the pixels at `a` and `b` — at its smaller end, under the
+    /// delta to the other — when they lie within the element's reach.
+    fn near_index(&self, a: (usize, usize), b: (usize, usize)) -> Option<usize> {
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        let delta = (b.0 as isize - a.0 as isize, b.1 as isize - a.1 as isize);
+        let k = self.deltas.binary_search(&delta).ok()?;
+        Some((a.0 * self.cube.samples() + a.1) * self.deltas.len() + k)
+    }
+
+    /// Where the angle between the input pixels at `a` and `b` is kept.
+    /// A far pair asked about for the first time is given the next slot,
+    /// which [`PairMemo::measure`] fills.
+    pub(crate) fn slot(&mut self, a: (usize, usize), b: (usize, usize)) -> u32 {
+        if let Some(near) = self.near_index(a, b) {
+            return near as u32;
+        }
+        let samples = self.cube.samples();
+        let (a, b) = (a.0 * samples + a.1, b.0 * samples + b.1);
+        let (from, to) = (a.min(b), a.max(b));
+        let next = (self.angles.len() + self.reserved.len()) as u32;
+        let slot = self
+            .far
+            .get_or_insert((from as u64) << 32 | to as u64, next);
+        if slot == next {
+            self.reserved.push((from, to));
+        }
+        slot
+    }
+
+    /// Forms the angle of every pair reserved since the last call: one
+    /// dot each, four pairs abreast ([`dots_into`]).
+    pub(crate) fn measure(&mut self) {
+        let reserved = std::mem::take(&mut self.reserved);
+        let (cube, norms) = (self.cube, &self.norms);
+        let fresh = par_blocks_flat_map(reserved.len(), MEASURE_BLOCK, |block, part| {
+            let pairs = &reserved[block];
+            part.resize(pairs.len(), 0.0);
+            dots_into(
+                |i| (cube.pixel_flat(pairs[i].0), cube.pixel_flat(pairs[i].1)),
+                part,
+            );
+            for (angle, &(a, b)) in part.iter_mut().zip(pairs) {
+                *angle = sad_from_sums(*angle, norms[a], norms[b]);
+            }
+        });
+        self.angles.extend(fresh);
+        self.dots += reserved.len();
+    }
+
+    /// The angle kept in `slot`, once measured.
+    #[inline]
+    pub(crate) fn angle(&self, slot: u32) -> f64 {
+        self.angles[slot as usize]
+    }
+
+    /// How many dots between different input pixels the memo has formed.
+    pub(crate) fn dots(&self) -> usize {
+        self.dots
     }
 }
 
-/// [`cumdist_map`] of an image given by `shape`'s dimensions, a pixel
-/// lookup and the pixels' [`squared_norms`], so a caller whose image is a
-/// rearrangement of a cube's pixels (MEI's propagated cube) need not
-/// materialise it or re-sum its norms. Also returns the pair angles the
-/// map was summed from.
+/// The memo's table for pairs out of each other's reach in the input:
+/// pair key → slot, open addressing with linear probing on a power-of-two
+/// capacity kept at most half full. Nothing is ever removed. (Keys are
+/// this program's own pixel indices, so a multiplicative hash will do.)
+#[derive(Default)]
+struct FarPairs {
+    keys: Vec<u64>,
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl FarPairs {
+    /// No key: a pair's smaller index is in the high half, so a key never
+    /// has every bit set.
+    const VACANT: u64 = u64::MAX;
+
+    /// The slot kept under `key`, which becomes `fresh` when there is none.
+    fn get_or_insert(&mut self, key: u64, fresh: u32) -> u32 {
+        if self.len * 2 >= self.keys.len() {
+            self.grow();
+        }
+        let mask = self.keys.len() - 1;
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            if self.keys[at] == key {
+                return self.slots[at];
+            }
+            if self.keys[at] == Self::VACANT {
+                self.keys[at] = key;
+                self.slots[at] = fresh;
+                self.len += 1;
+                return fresh;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let capacity = (self.keys.len() * 2).max(1024);
+        let grown = FarPairs {
+            keys: vec![Self::VACANT; capacity],
+            slots: vec![0; capacity],
+            len: 0,
+        };
+        let old = std::mem::replace(self, grown);
+        for (key, slot) in old.keys.into_iter().zip(old.slots) {
+            if key != Self::VACANT {
+                self.get_or_insert(key, slot);
+            }
+        }
+    }
+}
+
+/// [`cumdist_map`] of the image that shows, at every position, the input
+/// pixel `origin` names there — the input itself under [`identity`], MEI's
+/// propagated cube later. Nothing cube-sized is materialised, and a pair
+/// of input pixels `memo` has measured is not measured again.
 ///
-/// `SAD(x, y)` is `x·y`, `‖x‖²` and `‖y‖²` through one tail
-/// ([`sad_from_sums`]), and symmetric to the bit. So each pair's dot is
-/// formed once — at the lexicographically smaller end, that end's loads
-/// shared by several dots abreast ([`dots_with`]) — and turned into its
-/// angle once. `D_B` then sums its SADs in `se.offsets()` order from
-/// look-ups: `SAD(x, x)` when an offset clamps onto the pixel itself,
-/// else the pair's angle from whichever end holds it. Every sum has the
+/// Every unordered pair of positions an offset of the element joins
+/// (a position with itself included) is looked up by its two input
+/// pixels, new pairs are measured in one sweep, and `D_B` then sums its
+/// SADs in `se.offsets()` order from the slots: every sum has the
 /// operands and the order [`cumdist_at`] gives it.
-pub(crate) fn cumdist_map_of<'a, 'n>(
-    shape: &HyperCube,
-    pixel: impl Fn(usize, usize) -> &'a [f32] + Sync,
-    norms: &'n [f64],
+pub(crate) fn cumdist_map_of(
+    memo: &mut PairMemo<'_>,
+    origin: &[(usize, usize)],
     se: &StructuringElement,
-) -> (Vec<f64>, PairAngles<'n>) {
+) -> Vec<f64> {
+    let shape = memo.cube;
     let (lines, samples) = (shape.lines(), shape.samples());
-    assert_eq!(norms.len(), lines * samples, "cumdist: wrong norm count");
-    let deltas = pair_deltas(se);
-    let angles = par_lines_flat_map(lines, |line, part: &mut Vec<f64>| {
-        let mut slots = Vec::with_capacity(deltas.len());
-        let mut far = Vec::with_capacity(deltas.len());
+    assert_eq!(origin.len(), lines * samples, "cumdist: wrong map size");
+    // `slots[p·|deltas| + k]`: the slot of the pair of positions `p` and
+    // `p + deltas[k]`; entries whose far end lies outside the image are
+    // never read.
+    let width = memo.deltas.len();
+    let mut slots = vec![0u32; origin.len() * width];
+    for line in 0..lines {
         for sample in 0..samples {
-            slots.clear();
-            far.clear();
-            for (k, &(dl, ds)) in deltas.iter().enumerate() {
+            let p = line * samples + sample;
+            for k in 0..width {
+                let (dl, ds) = memo.deltas[k];
                 let l = line.checked_add_signed(dl).filter(|&l| l < lines);
                 let s = sample.checked_add_signed(ds).filter(|&s| s < samples);
                 if let (Some(l), Some(s)) = (l, s) {
-                    slots.push((k, l * samples + s));
-                    far.push(pixel(l, s));
+                    slots[p * width + k] = memo.slot(origin[p], origin[l * samples + s]);
                 }
             }
-            let (p, at) = (line * samples + sample, part.len());
-            part.resize(at + deltas.len(), 0.0);
-            dots_with(pixel(line, sample), &far, |i, xy| {
-                let (k, q) = slots[i];
-                part[at + k] = sad_from_sums(xy, norms[p], norms[q]);
-            });
         }
-    });
-    let pairs = PairAngles {
-        samples,
-        norms,
-        deltas,
-        angles,
-    };
-    let dist = par_lines_flat_map(lines, |line, part: &mut Vec<f64>| {
+    }
+    memo.measure();
+    let memo = &*memo;
+    par_lines_flat_map(lines, |line, part: &mut Vec<f64>| {
         for sample in 0..samples {
             let mut sum = 0.0;
             for &(dl, ds) in se.offsets() {
-                let q = clamped(shape, line, sample, dl, ds);
-                sum += pairs
-                    .between((line, sample), q)
+                let pair = memo
+                    .near_index((line, sample), clamped(shape, line, sample, dl, ds))
                     .expect("pair_deltas covers every clamped offset");
+                sum += memo.angle(slots[pair]);
             }
             part.push(sum);
         }
-    });
-    (dist, pairs)
+    })
 }
 
 #[cfg(test)]
@@ -369,6 +550,53 @@ pub(crate) mod tests {
         // Clamping can shrink (1,-1) to (0,-1) and (2,0) to (1,0).
         let se = StructuringElement::from_offsets(vec![(0, 1), (1, -1), (2, 0)]);
         assert_eq!(pair_deltas(&se), vec![(0, 1), (1, -1), (1, 0), (2, 0)]);
+    }
+
+    #[test]
+    fn far_pairs_keep_their_slots_through_growth() {
+        let mut table = FarPairs::default();
+        let key = |i: u64| i << 32 | (i * 7 + 1);
+        // Well past the first capacity, so the table rehashes twice.
+        for i in 0..3000 {
+            assert_eq!(table.get_or_insert(key(i), i as u32), i as u32);
+        }
+        for i in 0..3000 {
+            assert_eq!(table.get_or_insert(key(i), u32::MAX), i as u32);
+        }
+        assert_eq!(table.len, 3000);
+        assert!(table.keys.len() >= 2 * table.len);
+    }
+
+    #[test]
+    fn the_memo_measures_a_pair_once_whoever_asks() {
+        let cube = textured_cube(4, 5, 3, 5);
+        let mut memo = PairMemo::new(&cube, &StructuringElement::square(1));
+        // The input's own neighbour pairs are there from the start:
+        // 4·4 along lines, 3·5 down columns, 2·3·4 diagonal.
+        let near = 4 * 4 + 3 * 5 + 2 * 3 * 4;
+        assert_eq!(memo.dots(), near);
+        // A neighbour pair, a distant pair either way round, another, a
+        // pixel with itself — then all of them again.
+        let asks = [
+            ((1, 1), (2, 2)),
+            ((0, 0), (3, 4)),
+            ((3, 4), (0, 0)),
+            ((2, 0), (0, 3)),
+            ((2, 3), (2, 3)),
+        ];
+        let slots: Vec<u32> = asks.iter().map(|&(a, b)| memo.slot(a, b)).collect();
+        let behind = (cube.num_pixels() * 5) as u32;
+        assert_eq!(slots[1..4], [behind, behind, behind + 1]);
+        assert!(slots[0] < behind && slots[4] < behind);
+        memo.measure();
+        assert_eq!(memo.dots(), near + 2);
+        let again: Vec<u32> = asks.iter().map(|&(a, b)| memo.slot(a, b)).collect();
+        memo.measure();
+        assert_eq!((again, memo.dots()), (slots.clone(), near + 2));
+        for (&(a, b), slot) in asks.iter().zip(slots) {
+            let want = sad(cube.pixel(a.0, a.1), cube.pixel(b.0, b.1));
+            assert_eq!(memo.angle(slot).to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -11,6 +11,15 @@
 //! 3. propagate: `F ← F ⊕ B` (held as a coordinate map into the input,
 //!    since a dilation only moves pixels around).
 //!
+//! **Who owns the memo.** Because `F` is always the input rearranged,
+//! every SAD of every scale is an angle between two *input* pixels. One
+//! [`mei`] call owns one pair memo (`cumdist::PairMemo`) for all its
+//! scales — `D_B`'s neighbour pairs and the erosion–dilation pair of
+//! step 2 alike — so a pair is measured by the first question that meets
+//! it: ≈ a quarter of the dots of measuring per scale at `I_max = 5`
+//! (`docs/PERF.md`, "Memos keyed by the data"). The virtual clock is
+//! charged the definition's `|B|` SADs per pixel and scale regardless.
+//!
 //! Following Plaza et al.'s AMEE formulation (the algorithm this paper's
 //! MORPH classifier builds on), the score is credited to the
 //! **dilation-selected pixel** — the spectrally purest representative of
@@ -21,10 +30,9 @@
 //! neighbourhood by the SE radius). Pixels in uniform neighbourhoods
 //! keep `MEI ≈ 0`.
 
-use crate::cumdist::{cumdist_map_of, par_lines_flat_map, squared_norms};
+use crate::cumdist::{cumdist_map_of, identity, par_lines_flat_map, PairMemo};
 use crate::ops::extremes_at;
 use crate::se::StructuringElement;
-use hsi_cube::metrics::{dots_into, sad_from_sums};
 use hsi_cube::HyperCube;
 
 /// Result of an MEI computation.
@@ -34,6 +42,7 @@ pub struct MeiResult {
     pub scores: Vec<f64>,
     lines: usize,
     samples: usize,
+    dots: (usize, usize),
 }
 
 impl MeiResult {
@@ -46,6 +55,15 @@ impl MeiResult {
     /// Shape `(lines, samples)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.lines, self.samples)
+    }
+
+    /// How many band-length dot products the host formed between
+    /// different input pixels, all scales together: `(for D_B's
+    /// neighbour pairs, for erosion–dilation pairs no earlier question
+    /// had answered)`. A tally of host work, not of the charged cost:
+    /// each unordered pair of input pixels is measured once per call.
+    pub fn dots_formed(&self) -> (usize, usize) {
+        self.dots
     }
 
     /// The `k` pixels with the highest MEI scores, best first, with
@@ -86,62 +104,47 @@ pub fn mei(cube: &HyperCube, se: &StructuringElement, iterations: usize) -> MeiR
     let mut scores = vec![0.0f64; cube.num_pixels()];
     // Dilation only ever copies pixels, so the propagated cube `F` is the
     // input seen through a coordinate map, `F(x,y) = cube(origin[x,y])`:
-    // no iteration allocates anything cube-sized, and the squared norms
-    // of `F`'s pixels are the input's, summed once.
-    let mut origin: Vec<(usize, usize)> = (0..lines)
-        .flat_map(|line| (0..samples).map(move |sample| (line, sample)))
-        .collect();
+    // no iteration allocates anything cube-sized, and every angle any
+    // scale asks for is an angle between two input pixels — this call's
+    // memo keeps them, so a pair is measured by the first scale that
+    // meets it and by none after.
+    let mut origin = identity(cube);
+    let mut memo = PairMemo::new(cube, se);
     let flat = |(l, s): (usize, usize)| l * samples + s;
-    let input_norms = squared_norms(cube, |l, s| cube.pixel(l, s));
+    let mut extreme_dots = 0;
 
     for it in 0..iterations {
-        let current = |(l, s): (usize, usize)| {
-            let (l, s) = origin[flat((l, s))];
-            cube.pixel(l, s)
-        };
-        let norms: Vec<f64> = origin.iter().map(|&o| input_norms[flat(o)]).collect();
-        let (dist, pairs) = cumdist_map_of(cube, |l, s| current((l, s)), &norms, se);
-        // Per pixel, `d = (F ⊕ B)(x,y)` and SAD(F(e), F(d)): the map's own
-        // angle when the element joins `e` and `d`; else from a dot formed
-        // here — a line's worth several abreast — and the norms above.
-        let picks = par_lines_flat_map(lines, |line, part: &mut Vec<((usize, usize), f64)>| {
-            let at = part.len();
-            let mut unjoined = Vec::new();
-            for sample in 0..samples {
-                let (e, d) = extremes_at(cube, se, &dist, line, sample);
-                let joined = pairs.between(e, d);
-                if joined.is_none() {
-                    unjoined.push((sample, e));
-                }
-                part.push((d, joined.unwrap_or(0.0)));
-            }
-            let mut xy = vec![0.0f64; unjoined.len()];
-            let spectra = |i: usize| {
-                let (sample, e) = unjoined[i];
-                (current(e), current(part[at + sample].0))
-            };
-            dots_into(spectra, &mut xy);
-            for (&(sample, e), xy) in unjoined.iter().zip(xy) {
-                let (d, angle) = &mut part[at + sample];
-                *angle = sad_from_sums(xy, norms[flat(e)], norms[flat(*d)]);
-            }
+        let dist = cumdist_map_of(&mut memo, &origin, se);
+        let for_the_map = memo.dots();
+        // Per pixel, `e = (F ⊖ B)(x,y)` and `d = (F ⊕ B)(x,y)`…
+        let picks = par_lines_flat_map(lines, |line, part| {
+            part.extend((0..samples).map(|sample| extremes_at(cube, se, &dist, line, sample)));
         });
-        for &(d, v) in &picks {
+        // …and SAD(F(e), F(d)), asked of the same memo: the map has met
+        // the pair already when the element joins `e` and `d`.
+        let slots: Vec<u32> = picks
+            .iter()
+            .map(|&(e, d)| memo.slot(origin[flat(e)], origin[flat(d)]))
+            .collect();
+        memo.measure();
+        extreme_dots += memo.dots() - for_the_map;
+        for (&(_, d), slot) in picks.iter().zip(slots) {
             // Credit the score to the pure (dilation-selected) pixel.
-            let slot = &mut scores[flat(d)];
-            if v > *slot {
-                *slot = v;
+            let (v, held) = (memo.angle(slot), &mut scores[flat(d)]);
+            if v > *held {
+                *held = v;
             }
         }
         // Propagate for the next scale (skip the final, unused dilation).
         if it + 1 < iterations {
-            origin = picks.iter().map(|&(d, _)| origin[flat(d)]).collect();
+            origin = picks.iter().map(|&(_, d)| origin[flat(d)]).collect();
         }
     }
     MeiResult {
         scores,
         lines,
         samples,
+        dots: (memo.dots() - extreme_dots, extreme_dots),
     }
 }
 
@@ -223,42 +226,82 @@ mod tests {
         assert_eq!(r.top_k(10).len(), 4);
     }
 
-    #[test]
-    fn coordinate_map_equals_materialised_propagation() {
-        use crate::cumdist::cumdist_map;
+    /// MEI as the paper writes it: every scale's `D_B` from the definition
+    /// ([`cumdist_at`], one SAD per offset), erosion and dilation picked
+    /// from that map, one SAD per pixel, and `F ← F ⊕ B` built as a cube.
+    fn mei_by_the_definition(
+        cube: &HyperCube,
+        se: &StructuringElement,
+        iterations: usize,
+    ) -> Vec<f64> {
+        use crate::cumdist::cumdist_at;
         use crate::ops::{apply_selection, select_with_map, Extremum};
         use hsi_cube::metrics::sad;
-        // Textured cube (an LCG), so selections differ pixel to pixel.
-        let (lines, samples) = (9, 6);
-        let cube = crate::cumdist::tests::textured_cube(lines, samples, 5, 12345);
-        let iterations = 4;
-        for se in crate::cumdist::tests::elements() {
-            // The definition, with `F ← F ⊕ B` built as a cube each round.
-            let mut scores = vec![0.0f64; cube.num_pixels()];
-            let mut current = cube.clone();
-            for _ in 0..iterations {
-                let dist = cumdist_map(&current, &se);
-                let ero = select_with_map(&current, &se, &dist, Extremum::Min);
-                let dil = select_with_map(&current, &se, &dist, Extremum::Max);
-                for line in 0..lines {
-                    for sample in 0..samples {
-                        let (el, es) = ero.at(line, sample);
-                        let (dl, ds) = dil.at(line, sample);
-                        let v = sad(current.pixel(el, es), current.pixel(dl, ds));
-                        let slot = &mut scores[dl * samples + ds];
-                        if v > *slot {
-                            *slot = v;
-                        }
-                    }
+        let samples = cube.samples();
+        let mut scores = vec![0.0f64; cube.num_pixels()];
+        let mut current = cube.clone();
+        for _ in 0..iterations {
+            let dist: Vec<f64> = (0..cube.num_pixels())
+                .map(|i| cumdist_at(&current, se, i / samples, i % samples))
+                .collect();
+            let ero = select_with_map(&current, se, &dist, Extremum::Min);
+            let dil = select_with_map(&current, se, &dist, Extremum::Max);
+            for (&(el, es), &(dl, ds)) in ero.coords.iter().zip(&dil.coords) {
+                let v = sad(current.pixel(el, es), current.pixel(dl, ds));
+                let slot = &mut scores[dl * samples + ds];
+                if v > *slot {
+                    *slot = v;
                 }
-                current = apply_selection(&current, &dil);
             }
-
-            let got = mei(&cube, &se, iterations);
-            assert!(got.scores.iter().any(|&v| v > 0.0));
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got.scores), bits(&scores), "{:?}", se.offsets());
+            current = apply_selection(&current, &dil);
         }
+        scores
+    }
+
+    /// The memo hands every scale the angles the definition forms afresh:
+    /// same bits on every pinned element, the all-zero and the repeated
+    /// pixel of the textured cube included, for any pool width.
+    #[test]
+    fn memoised_scales_equal_the_per_scale_definition() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // 21 lines: three chunks of the fixed grid.
+        for (lines, samples, iterations) in [(9, 6, 4), (21, 5, 3), (2, 2, 5), (1, 7, 2)] {
+            let cube = crate::cumdist::tests::textured_cube(lines, samples, 5, 12345);
+            for se in crate::cumdist::tests::elements() {
+                let want = mei_by_the_definition(&cube, &se, iterations);
+                for width in [1, 2, 5] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(width)
+                        .build()
+                        .expect("pool");
+                    let got = pool.install(|| mei(&cube, &se, iterations));
+                    assert_eq!(
+                        bits(&got.scores),
+                        bits(&want),
+                        "{lines}x{samples} {:?} on {width} threads",
+                        se.offsets()
+                    );
+                }
+            }
+        }
+    }
+
+    /// One dot per unordered pair of different input pixels, whichever
+    /// scale meets it first: a second scale over an unchanged image asks
+    /// again and forms nothing.
+    #[test]
+    fn a_pair_of_input_pixels_is_measured_once() {
+        let cube = crate::cumdist::tests::textured_cube(6, 5, 4, 99);
+        let se = StructuringElement::square(1);
+        // 3×3 on 6×5: 6·4 + 5·5 + 2·5·4 neighbour pairs.
+        let scale_0 = 6 * 4 + 5 * 5 + 2 * 5 * 4;
+        assert_eq!(mei(&cube, &se, 1).dots_formed().0, scale_0);
+        let five = mei(&cube, &se, 5).dots_formed().0;
+        assert!((scale_0..2 * scale_0).contains(&five), "{five}");
+        // A constant image: every pick is a neighbour of its window, and
+        // the first scale measured every pair of neighbours.
+        let flat = HyperCube::from_vec(6, 5, 4, vec![0.5; 120]);
+        assert_eq!(mei(&flat, &se, 5).dots_formed(), (scale_0, 0));
     }
 
     #[test]

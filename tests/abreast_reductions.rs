@@ -88,14 +88,14 @@ fn projection_lanes_equal_the_per_pixel_score() {
         let whole = (0, LINES);
         let pushes = spectra(7);
         let mut basis = OrthoBasis::new(BANDS);
-        let mut carry = ProjectionCarry::default();
+        let carry = ProjectionCarry::default();
         // Fresh, deepened by one, deepened by several.
         for grow in [2, 1, 3] {
             for v in &pushes[basis.len()..basis.len() + grow] {
                 assert!(basis.push(v));
             }
             let want = projection_reference(&cube, &basis);
-            let carried = kernels::max_projection_carried(&cube, &basis, whole, &mut carry);
+            let carried = kernels::max_projection_carried(&cube, &basis, whole, &carry);
             assert_eq!(
                 bits(&carried.0),
                 want,
@@ -111,7 +111,7 @@ fn projection_lanes_equal_the_per_pixel_score() {
         forked.push(&pushes[6]);
         // …and the original one after it another.
         for handed in [&forked, &basis] {
-            let carried = kernels::max_projection_carried(&cube, handed, whole, &mut carry);
+            let carried = kernels::max_projection_carried(&cube, handed, whole, &carry);
             assert_eq!(bits(&carried.0), projection_reference(&cube, handed));
         }
     }
@@ -127,12 +127,12 @@ fn fcls_lanes_equal_the_per_pixel_solve() {
             let rows: Vec<&[f64]> = pushes[..t].iter().map(Vec::as_slice).collect();
             FclsProblem::new(Matrix::from_rows(&rows)).expect("problem")
         };
-        let mut carry = FclsCarry::default();
+        let carry = FclsCarry::default();
         // Fresh, deepened by one, deepened by several.
         for t in [2, 3, 6] {
             let problem = grown(t);
             let want = fcls_reference(&cube, &problem);
-            let carried = kernels::max_fcls_error_carried(&cube, &problem, whole, &mut carry);
+            let carried = kernels::max_fcls_error_carried(&cube, &problem, whole, &carry);
             assert_eq!(bits(&carried.0), want, "samples {samples}, t {t}");
             let stateless = kernels::max_fcls_error(&cube, &problem, whole);
             assert_eq!(bits(&stateless.0), want, "samples {samples}");
@@ -141,7 +141,7 @@ fn fcls_lanes_equal_the_per_pixel_solve() {
         let forked = FclsProblem::new(Matrix::from_rows(&[&pushes[0], &pushes[6]])).unwrap();
         // …and the original one after it another.
         for handed in [&forked, &grown(6)] {
-            let carried = kernels::max_fcls_error_carried(&cube, handed, whole, &mut carry);
+            let carried = kernels::max_fcls_error_carried(&cube, handed, whole, &carry);
             assert_eq!(bits(&carried.0), fcls_reference(&cube, handed));
         }
     }

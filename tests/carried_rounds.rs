@@ -94,7 +94,7 @@ proptest! {
         let mut pushes = pushes.iter();
 
         let mut basis = OrthoBasis::new(bands);
-        let mut carry = ProjectionCarry::default();
+        let carry = ProjectionCarry::default();
         let mut dropped = false;
         for round in draws.chunks(DRAWS_PER_ROUND) {
             for _ in 0..1 + round[3] % 2 {
@@ -105,7 +105,7 @@ proptest! {
             let range = line_range(lines, round[0], round[1]);
             let scratch = pool(1).install(|| kernels::max_projection(&cube, &basis, range));
             let carried = pool(WIDTHS[round[2] % WIDTHS.len()]).install(|| {
-                kernels::max_projection_carried(&cube, &basis, range, &mut carry)
+                kernels::max_projection_carried(&cube, &basis, range, &carry)
             });
             prop_assert_eq!(bits(&carried.0), bits(&scratch.0), "k = {}", basis.len());
             prop_assert_eq!(carried.1.to_bits(), scratch.1.to_bits());
@@ -123,7 +123,7 @@ proptest! {
         forked.push(&vec![1.0; bands]);
         for handed in [&other, &basis, &forked, &basis] {
             let scratch = kernels::max_projection(&cube, handed, whole);
-            let carried = kernels::max_projection_carried(&cube, handed, whole, &mut carry);
+            let carried = kernels::max_projection_carried(&cube, handed, whole, &carry);
             prop_assert_eq!(bits(&carried.0), bits(&scratch.0));
         }
     }
@@ -145,12 +145,12 @@ proptest! {
 
         let mut problem =
             FclsProblem::new(Matrix::row_vector(pushes.next().expect("one spectrum"))).unwrap();
-        let mut carry = FclsCarry::default();
+        let carry = FclsCarry::default();
         for round in draws.chunks(DRAWS_PER_ROUND) {
             let range = line_range(lines, round[0], round[1]);
             let scratch = pool(1).install(|| kernels::max_fcls_error(&cube, &problem, range));
             let carried = pool(WIDTHS[round[2] % WIDTHS.len()]).install(|| {
-                kernels::max_fcls_error_carried(&cube, &problem, range, &mut carry)
+                kernels::max_fcls_error_carried(&cube, &problem, range, &carry)
             });
             prop_assert_eq!(
                 bits(&carried.0), bits(&scratch.0), "t = {}", problem.num_endmembers());
@@ -169,7 +169,7 @@ proptest! {
         ])).unwrap();
         for handed in [&other, &problem, &other] {
             let scratch = kernels::max_fcls_error(&cube, handed, whole);
-            let carried = kernels::max_fcls_error_carried(&cube, handed, whole, &mut carry);
+            let carried = kernels::max_fcls_error_carried(&cube, handed, whole, &carry);
             prop_assert_eq!(bits(&carried.0), bits(&scratch.0));
         }
     }

@@ -1,0 +1,133 @@
+//! Memos keyed by the data, gated by **counts** (no stopwatch):
+//!
+//! * a detector's carry belongs to the image lines, so whichever ft
+//!   worker scores a line next continues it: `ft::run_self_sched` and
+//!   `ft::run_replan`, fault-free and under crashes, fold exactly the
+//!   vectors into the lines that one sequential pass folds, start each
+//!   line from nothing exactly once, and return `seq`'s targets;
+//! * an angle belongs to its pair of input pixels, so `mei` forms one dot
+//!   per unordered pair of different input pixels however many scales
+//!   ask for it.
+//!
+//! The tallies are read-only counters of host work (`Carry::applied`,
+//! `MeiResult::dots_formed`); the virtual clock never reads them.
+
+use heterospec::cube::synth::{wtc_scene, WtcConfig};
+use heterospec::hetero::ft::{run_replan, run_self_sched, FtOptions, FtRun};
+use heterospec::hetero::sched::{AtdcaChunks, ChunkedAlgo, UfclsChunks};
+use heterospec::hetero::seq::{self, DetectedTarget};
+use heterospec::morpho::mei::mei;
+use heterospec::morpho::StructuringElement;
+use heterospec::simnet::engine::Engine;
+use heterospec::simnet::FaultPlan;
+
+/// One pass of a chunked detector with the whole image as its only
+/// chunk: the line-rounds `seq` performs, through the same carry type.
+fn one_chunk_pass<A: ChunkedAlgo>(algo: &A) -> A::Output {
+    let mut state = algo.initial_state();
+    let mut scratch = None;
+    for round in 0..algo.rounds() {
+        let mut prepared = algo.prepare(round, &state, scratch.take());
+        let partial = algo.run_chunk(round, &state, &mut prepared, 0, algo.lines());
+        state = algo.reduce(round, state, vec![(0, partial)]).0;
+        scratch = Some(prepared);
+    }
+    algo.finish(state)
+}
+
+/// `carried_rounds.rs`'s plan: two workers die in early rounds (their
+/// chunks land on workers that never scored those lines), a third is
+/// slowed, a link is cut.
+fn two_crashes() -> FaultPlan {
+    FaultPlan::new()
+        .crash(2, 0.02)
+        .crash(4, 0.04)
+        .slowdown(5, 0.0, 0.5, 2.5)
+        .link_outage(0, 7, 0.01, 0.05)
+}
+
+/// Both ft drivers over a fresh `new_algo()` each, with and without
+/// faults: `want`'s targets, and the tally of the sequential pass.
+fn assert_lines_are_continued_whoever_scores_them<A>(
+    new_algo: impl Fn() -> A,
+    applied: impl Fn(&A) -> (usize, usize),
+    want: &[DetectedTarget],
+    lines: usize,
+) where
+    A: ChunkedAlgo<Output = Vec<DetectedTarget>> + Sync,
+{
+    let sequential = new_algo();
+    assert_eq!(one_chunk_pass(&sequential), want);
+    // Every line is started once and then takes each round's one vector.
+    let tally = applied(&sequential);
+    assert_eq!(tally, (lines * (want.len() - 1), lines));
+
+    let opts = FtOptions::default();
+    type Driver<A> = fn(&Engine, &A, &FtOptions) -> FtRun<<A as ChunkedAlgo>::Output>;
+    let drivers: [(&str, Driver<A>); 2] = [
+        ("self-sched", run_self_sched::<A>),
+        ("replan", run_replan::<A>),
+    ];
+    for (mode, driver) in drivers {
+        for (plan, crashes) in [(FaultPlan::new as fn() -> FaultPlan, 0), (two_crashes, 2)] {
+            let algo = new_algo();
+            let run = driver(&testutil::engine_with(plan()), &algo, &opts);
+            let what = format!("{mode} {}, {crashes} crashes", algo.name());
+            assert_eq!(run.recoveries.len(), crashes, "{what}");
+            assert_eq!(run.output, want, "{what}");
+            assert_eq!(applied(&algo), tally, "{what}");
+        }
+    }
+}
+
+#[test]
+fn ft_drivers_fold_exactly_the_vectors_a_sequential_pass_folds() {
+    let s = testutil::tiny_scene();
+    let p = testutil::params(7, 2);
+    let lines = s.cube.lines();
+    assert_lines_are_continued_whoever_scores_them(
+        || AtdcaChunks::new(&s.cube, &p),
+        |algo| algo.carry().applied(),
+        &seq::atdca(&s.cube, &p).result,
+        lines,
+    );
+    assert_lines_are_continued_whoever_scores_them(
+        || UfclsChunks::new(&s.cube, &p),
+        |algo| algo.carry().applied(),
+        &seq::ufcls(&s.cube, &p).result,
+        lines,
+    );
+}
+
+/// Unordered pairs of different pixels a 3 × 3 element joins in a
+/// `lines × samples` image: along a line, down a column, two diagonals.
+fn neighbour_pairs(lines: usize, samples: usize) -> usize {
+    lines * (samples - 1) + (lines - 1) * samples + 2 * (lines - 1) * (samples - 1)
+}
+
+#[test]
+fn mei_measures_a_pair_of_input_pixels_once_per_call_not_once_per_scale() {
+    let se = StructuringElement::square(1);
+    let cube = &testutil::tiny_scene().cube;
+    let first_scale = neighbour_pairs(cube.lines(), cube.samples());
+    assert_eq!(first_scale, 7_418);
+    assert_eq!(mei(cube, &se, 1).dots_formed().0, first_scale);
+    // Five scales ask about 5 × 7 418 neighbour pairs.
+    let (neighbours, extremes) = mei(cube, &se, 5).dots_formed();
+    assert_eq!((neighbours, extremes), (9_641, 2_303));
+    assert!(neighbours < 2 * first_scale);
+
+    // The benchmark's geometry at the paper's five scales: 15 570 +
+    // 2 396 + 1 176 + 673 + 444 dots for the 5 × 15 570 neighbour pairs
+    // asked about (21 915 of them a pixel with itself). The pairs are
+    // 20 477 distinct ones; 218 were first met as an earlier scale's
+    // erosion–dilation pair, and the one memo had them already.
+    let scene = wtc_scene(WtcConfig {
+        lines: 256,
+        samples: 16,
+        seed: 7,
+        ..Default::default()
+    });
+    assert_eq!(neighbour_pairs(256, 16), 15_570);
+    assert_eq!(mei(&scene.cube, &se, 5).dots_formed(), (20_259, 4_555));
+}

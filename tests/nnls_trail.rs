@@ -206,7 +206,7 @@ proptest! {
         };
 
         let mut problem = FclsProblem::new(Matrix::row_vector(&endmember(0))).unwrap();
-        let mut carry = FclsCarry::default();
+        let carry = FclsCarry::default();
         for (t, round) in (1..=count).zip(draws.chunks(3)) {
             if t > 1 {
                 problem.push(&endmember(t - 1)).unwrap();
@@ -218,7 +218,7 @@ proptest! {
                 .build()
                 .expect("test pool");
             let carried = pool.install(|| {
-                kernels::max_fcls_error_carried(&cube, &problem, range, &mut carry)
+                kernels::max_fcls_error_carried(&cube, &problem, range, &carry)
             });
             let stateless = kernels::max_fcls_error(&cube, &problem, range);
             prop_assert_eq!(coords(&carried.0), coords(&stateless.0), "t = {}", t);
@@ -233,7 +233,7 @@ proptest! {
         forked.push(&vec![0.25; bands]).unwrap();
         forked.push(&(0..bands).map(|b| 0.1 + 0.8 * (b % 7) as f64 / 7.0).collect::<Vec<_>>()).unwrap();
         for handed in [&forked, &problem, &forked] {
-            let carried = kernels::max_fcls_error_carried(&cube, handed, whole, &mut carry);
+            let carried = kernels::max_fcls_error_carried(&cube, handed, whole, &carry);
             let stateless = kernels::max_fcls_error(&cube, handed, whole);
             prop_assert_eq!(coords(&carried.0), coords(&stateless.0));
         }
