@@ -315,6 +315,7 @@ fn main() {
         all_passed,
     );
 
+    repro_bench::report_peak_rss(&scene.cube);
     if status == "failed" {
         eprintln!("# GATE FAILED");
         std::process::exit(1);

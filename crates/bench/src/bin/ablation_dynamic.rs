@@ -193,6 +193,7 @@ fn main() {
         "network,slowdown,static,self2,self8,self32",
         &csv,
     );
+    repro_bench::report_peak_rss(&scene.cube);
     if !passed {
         std::process::exit(1);
     }

@@ -107,4 +107,5 @@ fn main() {
         "crash_frac,crash_count,t0_replan,t_replan,ovh_replan_pct,t0_selfsched,t_selfsched,ovh_selfsched_pct",
         &csv,
     );
+    repro_bench::report_peak_rss(&scene.cube);
 }

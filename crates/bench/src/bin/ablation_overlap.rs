@@ -54,4 +54,5 @@ fn main() {
         "policy,cpus,total_s,debris_acc",
         &csv,
     );
+    repro_bench::report_peak_rss(&scene.cube);
 }

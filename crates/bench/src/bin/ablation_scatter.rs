@@ -62,4 +62,5 @@ fn main() {
         "algorithm,scatter,fully_het,fully_hom,part_het,part_hom",
         &csv,
     );
+    repro_bench::report_peak_rss(&scene.cube);
 }

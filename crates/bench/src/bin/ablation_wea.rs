@@ -69,4 +69,5 @@ fn main() {
         &rows,
     );
     write_csv("ablation_wea.csv", "model,part_hom,fully_het", &csv);
+    repro_bench::report_peak_rss(&scene.cube);
 }

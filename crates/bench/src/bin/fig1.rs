@@ -108,4 +108,5 @@ fn main() {
             t.name, t.temp_f, t.coord.0, t.coord.1
         );
     }
+    repro_bench::report_peak_rss(&scene.cube);
 }

@@ -75,4 +75,5 @@ fn main() {
     }
     println!("  +{}", "-".repeat(width + 1));
     println!("   legend: a=ATDCA u=UFCLS p=PCT m=MORPH .=linear");
+    repro_bench::report_peak_rss(&scene.cube);
 }

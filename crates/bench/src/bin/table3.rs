@@ -51,4 +51,5 @@ fn main() {
         &rows,
     );
     write_csv("table3.csv", "hot_spot,temp_f,atdca_sad,ufcls_sad", &csv);
+    repro_bench::report_peak_rss(&scene.cube);
 }

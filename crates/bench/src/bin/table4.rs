@@ -62,4 +62,5 @@ fn main() {
         &rows,
     );
     write_csv("table4.csv", "class,pct_acc,morph_acc", &csv);
+    repro_bench::report_peak_rss(&scene.cube);
 }

@@ -57,4 +57,5 @@ fn main() {
         "algorithm,fhet_com,fhet_seq,fhet_par,fhom_com,fhom_seq,fhom_par,phet_com,phet_seq,phet_par,phom_com,phom_seq,phom_par",
         &csv,
     );
+    repro_bench::report_peak_rss(&scene.cube);
 }

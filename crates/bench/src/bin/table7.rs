@@ -55,4 +55,5 @@ fn main() {
         "algorithm,fhet_dall,fhet_dminus,fhom_dall,fhom_dminus,phet_dall,phet_dminus,phom_dall,phom_dminus",
         &csv,
     );
+    repro_bench::report_peak_rss(&scene.cube);
 }

@@ -34,4 +34,5 @@ fn main() {
         &rows,
     );
     write_csv("table8.csv", "cpus,atdca,ufcls,pct,morph", &csv);
+    repro_bench::report_peak_rss(&scene.cube);
 }

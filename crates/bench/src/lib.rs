@@ -10,7 +10,9 @@
 //! (the default), `large`, `full`); virtual times scale linearly with pixel
 //! count, so every ratio is size-invariant (see DESIGN.md). The `full`
 //! size is the paper's 2133×512 scene and takes several minutes of real
-//! compute per algorithm.
+//! compute per algorithm. On Linux every binary with a scene ends its
+//! stderr with `# peak RSS: <MiB> MiB (<x.x> × cube)`
+//! ([`report_peak_rss`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,6 +20,7 @@
 use hetero_hsi::config::{AlgoParams, RunOptions};
 use hetero_hsi::framework::ParallelRun;
 use hsi_cube::synth::{wtc_scene, SyntheticScene, WtcConfig};
+use hsi_cube::HyperCube;
 use microjson::Json;
 use simnet::engine::Engine;
 use std::path::PathBuf;
@@ -366,6 +369,28 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     }
 }
 
+/// Peak resident set size of this process so far, in MiB: the `VmHWM`
+/// field of `/proc/self/status`. `None` on a host without that file or
+/// field (anything but Linux).
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// The last line of a binary's output: its memory high-water mark, in
+/// MiB and as a multiple of the scene `cube` it ran on (the budget is
+/// "memory proportional to one cube", ROADMAP item 3). Goes to stderr
+/// with the other `#` lines, so stdout stays a function of the code;
+/// omitted where [`peak_rss_mib`] has nothing to read.
+pub fn report_peak_rss(cube: &HyperCube) {
+    if let Some(mib) = peak_rss_mib() {
+        let cubes = mib * (1u64 << 20) as f64 / cube.size_bytes() as f64;
+        eprintln!("# peak RSS: {mib:.0} MiB ({cubes:.1} × cube)");
+    }
+}
+
 /// Renders a simple aligned text table.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n{title}");
@@ -407,6 +432,14 @@ mod tests {
         std::env::remove_var("HETEROSPEC_SCENE");
         let c = scene_config();
         assert_eq!((c.lines, c.samples), (1024, 256));
+    }
+
+    #[test]
+    fn peak_rss_is_read_where_procfs_exists() {
+        let peak = peak_rss_mib();
+        assert_eq!(peak.is_some(), cfg!(target_os = "linux"));
+        // No test process fits in a mebibyte.
+        assert!(peak.is_none_or(|mib| mib > 1.0), "{peak:?}");
     }
 
     #[test]

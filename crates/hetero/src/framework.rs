@@ -24,7 +24,10 @@ pub struct LocalBlock {
     pub n_lines: usize,
     /// Halo lines prepended before the owned region.
     pub pre: usize,
-    /// The block, halo included.
+    /// The block, halo included. On the host it is a window on the
+    /// root's image (shared storage, nothing copied; a write would copy
+    /// the window out first), while the virtual network was charged the
+    /// block's full size for shipping it.
     pub cube: HyperCube,
 }
 
@@ -99,7 +102,10 @@ pub fn plan_assignments(
 /// its [`LocalBlock`].
 ///
 /// The `cube` reference is only dereferenced on the root, mirroring the
-/// real system where only the master holds the full image.
+/// real system where only the master holds the full image. Each
+/// partition is a window on `cube`'s storage: the scatter charges the
+/// virtual network every bit of every block, and the host holds the
+/// image once however many ranks there are.
 pub fn distribute(
     ctx: &mut Ctx<Msg>,
     cube: &HyperCube,
@@ -115,7 +121,7 @@ pub fn distribute(
                 .map(|a| {
                     let (block, pre) =
                         cube.extract_lines_with_overlap(a.first_line, a.n_lines, overlap);
-                    Msg::partition(a.first_line, a.n_lines, pre, &block)
+                    Msg::partition(a.first_line, a.n_lines, pre, block)
                 })
                 .collect(),
         )
@@ -328,6 +334,16 @@ mod tests {
         }
     }
 
+    /// "Memory proportional to one cube", in the form any host can
+    /// check: the rank's block is a window inside the root's own buffer.
+    fn lies_inside(block: &HyperCube, root: &HyperCube) -> bool {
+        let (block, root) = (
+            block.as_slice().as_ptr_range(),
+            root.as_slice().as_ptr_range(),
+        );
+        root.start <= block.start && block.end <= root.end
+    }
+
     #[test]
     fn distribute_reconstructs_the_image() {
         let s = scene();
@@ -346,6 +362,7 @@ mod tests {
                     assert_eq!(local, global);
                 }
             }
+            assert!(lies_inside(&block.cube, &cube), "rank {}", ctx.rank());
             block.n_lines
         });
         let total: usize = report.results.iter().map(|r| r.unwrap()).sum();
@@ -362,6 +379,12 @@ mod tests {
         let engine = Engine::new(platform);
         let report = engine.run(|ctx: &mut Ctx<Msg>| {
             let block = distribute(ctx, &cube, &assignments, 2, ScatterMode::Free);
+            // The halo block starts at the root's own line `first - pre`.
+            assert!(lies_inside(&block.cube, &cube), "rank {}", ctx.rank());
+            assert!(std::ptr::eq(
+                block.cube.pixel(0, 0).as_ptr(),
+                cube.pixel(block.first_line - block.pre, 0).as_ptr()
+            ));
             (block.pre, block.cube.lines() - block.pre - block.n_lines)
         });
         // Interior ranks get halo on both sides; rank 0 has none above.

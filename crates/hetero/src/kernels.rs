@@ -425,14 +425,21 @@ fn projection_line_scores(
     }
     let depth = state.depth;
     if fresh || depth < k {
+        // The line's samples, sliced out of the cube's window once: the
+        // pixel groups below index a plain slice.
+        let n = cube.bands();
+        let stride = scores.len() * n;
+        let row = &cube.as_slice()[line * stride..(line + 1) * stride];
         let mut groups = state.sums.chunks_exact_mut(ABREAST);
         let mut first = 0;
         for group in &mut groups {
-            continue_residuals::<ABREAST>(cube, basis, line, first, fresh, depth, group);
+            let xs = &row[first * n..(first + ABREAST) * n];
+            continue_residuals::<ABREAST>(xs, basis, fresh, depth, group);
             first += ABREAST;
         }
         for (i, sum) in groups.into_remainder().chunks_exact_mut(1).enumerate() {
-            continue_residuals::<1>(cube, basis, line, first + i, fresh, depth, sum);
+            let x = &row[(first + i) * n..(first + i + 1) * n];
+            continue_residuals::<1>(x, basis, fresh, depth, sum);
         }
         state.depth = k;
     }
@@ -442,9 +449,9 @@ fn projection_line_scores(
     (fresh, depth)
 }
 
-/// Brings the carried residuals of `L` neighbouring pixels of `line`, from
-/// `first` on, up to the whole basis: started from `‖x‖²` when `fresh`,
-/// else continued from `sums` at `depth`.
+/// Brings the carried residuals of the `L` neighbouring pixels whose
+/// spectra are `pixels`, end to end, up to the whole basis: started from
+/// `‖x‖²` when `fresh`, else continued from `sums` at `depth`.
 ///
 /// Kept a function of its own: inlined into the line scan, the four
 /// accumulator chains share that function's registers with everything
@@ -452,15 +459,14 @@ fn projection_line_scores(
 /// the 256 × 16 scene).
 #[inline(never)]
 fn continue_residuals<const L: usize>(
-    cube: &HyperCube,
+    pixels: &[f32],
     basis: &OrthoBasis,
-    line: usize,
-    first: usize,
     fresh: bool,
     depth: usize,
     sums: &mut [f64],
 ) {
-    let xs: [&[f32]; L] = std::array::from_fn(|i| cube.pixel(line, first + i));
+    let n = pixels.len() / L;
+    let xs: [&[f32]; L] = std::array::from_fn(|i| &pixels[i * n..(i + 1) * n]);
     let from = if fresh {
         dots_abreast(xs, xs)
     } else {

@@ -8,9 +8,13 @@
 //!
 //! ## Zero-copy payload bodies
 //!
-//! The broadcast-heavy variants — [`Msg::Partition`], [`Msg::Spectra`],
-//! [`Msg::Candidate`], [`Msg::Candidates`], [`Msg::PctModel`] — carry
-//! their bodies behind [`Arc`], so cloning a `Msg` at a collective
+//! The broadcast-heavy variants — [`Msg::Spectra`], [`Msg::Candidate`],
+//! [`Msg::Candidates`], [`Msg::PctModel`] — carry their bodies behind
+//! [`Arc`], and [`Msg::Partition`] carries its block as a
+//! [`HyperCube`], which is itself a window on shared, immutable sample
+//! storage: the root's scatter hands each rank a window on the one
+//! image, the virtual network is charged the block's full size, and the
+//! host moves a pointer. So cloning a `Msg` at a collective
 //! fan-out point is a refcount bump, not a deep copy of the megabyte
 //! payload. Wire sizes are computed through the `Arc` and are
 //! bit-identical to the historic owned-body encoding, and the `into_*`
@@ -52,7 +56,9 @@ pub(crate) fn candidate_bits(bands: usize) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// A scattered image partition (first/pre are global-coordinate
-    /// bookkeeping; `data` is a BIP block of `n_lines + halo` lines).
+    /// bookkeeping; `block` is a BIP block of `n_lines + halo` lines).
+    /// On the wire it is five `u32` header words — first line, owned
+    /// lines, halo lines, samples, bands — and the block's samples.
     Partition {
         /// First global line **owned** by the receiver.
         first_line: u32,
@@ -60,13 +66,10 @@ pub enum Msg {
         n_lines: u32,
         /// Halo lines prepended before `first_line` (MORPH overlap).
         pre: u32,
-        /// Samples per line.
-        samples: u32,
-        /// Spectral bands.
-        bands: u32,
-        /// The block, including halo lines, in BIP order (shared — a
-        /// clone bumps a refcount, never copies the block).
-        data: Arc<Vec<f32>>,
+        /// The block, including halo lines: a window on the sender's
+        /// image (shared storage — sending, cloning and decoding bump a
+        /// refcount, never copy the block), charged at its full size.
+        block: HyperCube,
     },
     /// One candidate pixel (gathers and fused allreduces in
     /// ATDCA/UFCLS; shared so the winner's fan-down is copy-free).
@@ -95,7 +98,7 @@ pub enum Msg {
 impl Wire for Msg {
     fn size_bits(&self) -> u64 {
         match self {
-            Msg::Partition { data, .. } => 5 * 32 + (data.len() * 32) as u64,
+            Msg::Partition { block, .. } => 5 * 32 + (block.as_slice().len() * 32) as u64,
             Msg::Candidate(c) => candidate_bits(c.spectrum.len()),
             Msg::Candidates(cs) => cs.iter().map(|c| candidate_bits(c.spectrum.len())).sum(),
             Msg::Spectra(rows) => rows.iter().map(|r| (r.len() * 32) as u64).sum(),
@@ -152,15 +155,14 @@ fn unwrap_or_clone<T: Clone>(body: Arc<T>) -> T {
 }
 
 impl Msg {
-    /// Wraps an owned sub-cube block as a partition message.
-    pub fn partition(first_line: usize, n_lines: usize, pre: usize, block: &HyperCube) -> Msg {
+    /// Wraps a block (a window on the sender's image) as a partition
+    /// message; the block travels as itself, no sample is copied.
+    pub fn partition(first_line: usize, n_lines: usize, pre: usize, block: HyperCube) -> Msg {
         Msg::Partition {
             first_line: first_line as u32,
             n_lines: n_lines as u32,
             pre: pre as u32,
-            samples: block.samples() as u32,
-            bands: block.bands() as u32,
-            data: Arc::new(block.as_slice().to_vec()),
+            block,
         }
     }
 
@@ -206,26 +208,15 @@ impl Msg {
     }
 
     /// Decodes a partition message into `(first_line, n_lines, pre,
-    /// cube)`.
+    /// block)`; the block is the window the sender wrapped.
     pub fn into_partition(self) -> Result<(usize, usize, usize, HyperCube), WireMismatch> {
         match self {
             Msg::Partition {
                 first_line,
                 n_lines,
                 pre,
-                samples,
-                bands,
-                data,
-            } => {
-                let data = unwrap_or_clone(data);
-                let total_lines = data.len() / (samples as usize * bands as usize);
-                Ok((
-                    first_line as usize,
-                    n_lines as usize,
-                    pre as usize,
-                    HyperCube::from_vec(total_lines, samples as usize, bands as usize, data),
-                ))
-            }
+                block,
+            } => Ok((first_line as usize, n_lines as usize, pre as usize, block)),
             other => Err(other.mismatch("Partition")),
         }
     }
@@ -320,11 +311,35 @@ mod tests {
     #[test]
     fn partition_roundtrip() {
         let cube = HyperCube::from_vec(3, 2, 4, (0..24).map(|i| i as f32).collect());
-        let msg = Msg::partition(10, 2, 1, &cube);
+        let msg = Msg::partition(10, 2, 1, cube.clone());
         assert_eq!(msg.size_bits(), 5 * 32 + 24 * 32);
         let (first, n, pre, back) = msg.into_partition().unwrap();
         assert_eq!((first, n, pre), (10, 2, 1));
         assert_eq!(back, cube);
+
+        // A block that is a window at a non-zero offset is charged its
+        // own size, not its buffer's, and arrives as the same window.
+        let window = cube.extract_lines(1, 2);
+        let msg = Msg::partition(11, 1, 1, window.clone());
+        assert_eq!(msg.size_bits(), 5 * 32 + 16 * 32);
+        let (first, n, pre, back) = msg.into_partition().unwrap();
+        assert_eq!((first, n, pre), (11, 1, 1));
+        assert_eq!(back, window);
+        assert!(std::ptr::eq(
+            back.as_slice().as_ptr(),
+            cube.pixel(1, 0).as_ptr()
+        ));
+
+        // An empty block (zero samples, zero bands) is a header and
+        // nothing else; decoding it divides by nothing.
+        let empty = HyperCube::zeros(0, 0, 0);
+        let msg = Msg::partition(0, 0, 0, empty.clone());
+        assert_eq!(msg.size_bits(), 5 * 32);
+        assert_eq!(msg.into_partition().unwrap(), (0, 0, 0, empty));
+        let no_bands = HyperCube::zeros(2, 3, 0);
+        let msg = Msg::partition(4, 2, 0, no_bands.clone());
+        assert_eq!(msg.size_bits(), 5 * 32);
+        assert_eq!(msg.into_partition().unwrap(), (4, 2, 0, no_bands));
     }
 
     #[test]
@@ -377,7 +392,7 @@ mod tests {
         assert_eq!(Msg::spectra(vec![vec![0.0; 8]]).deep_copy_bits(), 0);
         assert_eq!(Msg::pct_model(model(1, 4, 1)).deep_copy_bits(), 0);
         let cube = HyperCube::zeros(2, 2, 2);
-        assert_eq!(Msg::partition(0, 2, 0, &cube).deep_copy_bits(), 0);
+        assert_eq!(Msg::partition(0, 2, 0, cube).deep_copy_bits(), 0);
         assert_eq!(Msg::Token.deep_copy_bits(), 0);
         // Owned bodies report their full wire size as deep-copied.
         let stats = Msg::Stats(vec![0.0; 5]);

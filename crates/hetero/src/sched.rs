@@ -539,8 +539,9 @@ pub enum MorphPartial {
 }
 
 /// MORPH (paper Algorithm 5) as a chunked algorithm, two rounds: MEI
-/// candidate nomination (each chunk is extracted with its halo, the
-/// paper's overlap border) and SAD labelling against the merged class
+/// candidate nomination (each chunk is a window on the image with its
+/// halo, the paper's overlap border — an image of its own with its own
+/// edges, no sample copied) and SAD labelling against the merged class
 /// representatives.
 pub struct MorphChunks<'a> {
     cube: &'a HyperCube,

@@ -5,9 +5,11 @@
 //!
 //! * [`cube`] — the [`HyperCube`] container: a `lines × samples × bands`
 //!   image cube stored band-interleaved-by-pixel (BIP), so each pixel's
-//!   full spectral signature is one contiguous slice. Row-block extraction
-//!   (with optional overlap borders) supports the paper's hybrid
-//!   spatial-domain partitioning.
+//!   full spectral signature is one contiguous slice. A cube is a window
+//!   on shared, immutable sample storage: row-block extraction (with
+//!   optional overlap borders), the paper's hybrid spatial-domain
+//!   partitioning, hands out windows on the one image instead of copies,
+//!   and writing is copy-on-write.
 //! * [`metrics`] — spectral similarity measures: the spectral angle
 //!   distance (SAD, eq. 1 of the paper), spectral information divergence
 //!   (SID), Euclidean distance and pixel brightness.

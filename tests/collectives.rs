@@ -7,6 +7,7 @@
 //! (the full grid is the `ablation_collectives` gate).
 
 use heterospec::simnet::engine::{Engine, WireVec};
+use heterospec::simnet::trace::{Trace, TraceKind};
 use heterospec::simnet::{
     coll, presets, CollAlgorithm, CollectiveConfig, FaultPlan, GatherEntry, Platform,
 };
@@ -239,4 +240,138 @@ fn auto_is_never_dominated_on_the_mini_grid() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// ROADMAP 1b, first cut: no two transfers overlap on one serial link
+// ---------------------------------------------------------------------
+
+/// One delivered cross-segment transfer and the interval it occupied
+/// its serial inter-segment link.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LinkUse {
+    /// The link, as the unordered segment pair `(low, high)`.
+    link: (usize, usize),
+    src: usize,
+    dst: usize,
+    start: f64,
+    end: f64,
+}
+
+/// Folds a trace into per-serial-link occupancy: every delivered
+/// receive whose endpoints sit in different segments held the link
+/// between them over `[sent_at + queued, sent_at + queued + transfer)`.
+/// Sorted by `(link, start)`.
+fn serial_link_uses(platform: &Platform, trace: &Trace) -> Vec<LinkUse> {
+    let mut uses: Vec<LinkUse> = trace
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::Recv {
+                src,
+                delivered: true,
+                sent_at,
+                transfer,
+                queued,
+            } => {
+                let (a, b) = (platform.segment_of(src), platform.segment_of(e.rank));
+                (a != b).then(|| LinkUse {
+                    link: (a.min(b), a.max(b)),
+                    src,
+                    dst: e.rank,
+                    start: sent_at + queued,
+                    end: sent_at + queued + transfer,
+                })
+            }
+            _ => None,
+        })
+        .collect();
+    uses.sort_by(|x, y| {
+        (x.link, x.start, x.end)
+            .partial_cmp(&(y.link, y.start, y.end))
+            .unwrap()
+    });
+    uses
+}
+
+/// Sweeps each link's transfers in start order and pairs every transfer
+/// that starts before the link is free with the earlier transfer still
+/// holding it (by more than rounding: a reservation starts exactly
+/// where its predecessor ends, give or take the last bit of
+/// `sent_at + queued`).
+fn serial_link_overlaps(uses: &[LinkUse]) -> Vec<(LinkUse, LinkUse)> {
+    let mut pairs = Vec::new();
+    let mut holder: Option<LinkUse> = None;
+    for &u in uses {
+        match holder {
+            Some(h) if h.link == u.link => {
+                if u.start < h.end - 1e-9 {
+                    pairs.push((h, u));
+                }
+                if u.end > h.end {
+                    holder = Some(u);
+                }
+            }
+            _ => holder = Some(u),
+        }
+    }
+    pairs
+}
+
+/// Broadcast of 30 000 words then a gather of 2 000 words a rank on the
+/// paper's four-segment network, traced: `(cross-segment transfers,
+/// overlapping pairs)`.
+fn serial_link_census(backend: CollAlgorithm) -> (usize, Vec<(LinkUse, LinkUse)>) {
+    let platform = presets::fully_heterogeneous();
+    let cfg = CollectiveConfig::uniform(backend);
+    let (report, trace) = Engine::new(platform.clone()).run_traced(|ctx| {
+        let msg = ctx.is_root().then(|| WireVec(vec![7u32; 30_000]));
+        let down = coll::broadcast(ctx, &cfg, 0, msg, 30_000 * 32).expect("valid broadcast");
+        assert_eq!(down.0.len(), 30_000);
+        let up = WireVec(vec![ctx.rank() as u32; 2_000]);
+        coll::gather(ctx, &cfg, 0, up, 2_000 * 32).map(|entries| entries.len())
+    });
+    assert!(report.ok());
+    let uses = serial_link_uses(&platform, &trace);
+    let overlaps = serial_link_overlaps(&uses);
+    (uses.len(), overlaps)
+}
+
+#[test]
+fn linear_collectives_never_overlap_on_a_serial_link() {
+    // Every transfer has the root at one end, and the root reserves.
+    let (transfers, overlaps) = serial_link_census(CollAlgorithm::Linear);
+    assert_eq!(transfers, 24, "12 remote ranks, down and up");
+    assert!(overlaps.is_empty(), "{overlaps:#?}");
+}
+
+#[test]
+fn segment_hierarchical_collectives_never_overlap_on_a_serial_link() {
+    // Only segment leaders cross, and only to or from the root.
+    let (transfers, overlaps) = serial_link_census(CollAlgorithm::SegmentHierarchical);
+    assert_eq!(transfers, 15);
+    assert!(overlaps.is_empty(), "{overlaps:#?}");
+}
+
+#[test]
+#[ignore = "ROADMAP 1c: worker↔worker transfers do not reserve serial links"]
+fn binomial_tree_collectives_never_overlap_on_a_serial_link() {
+    // Fails today: 5 of the 22 transfers start on a link another still
+    // holds, because the tree relays worker to worker across segments at
+    // the raw duration — rank 8 feeds ranks 12 and 10 over link s2–s3 at
+    // once, and both send their subtrees' entries back the same way.
+    let (transfers, overlaps) = serial_link_census(CollAlgorithm::BinomialTree);
+    assert_eq!(transfers, 22);
+    let first = overlaps.first().map(|(a, b)| {
+        format!(
+            "link s{}–s{} carries {}→{} over [{:.5}, {:.5}) s and {}→{} over [{:.5}, {:.5}) s",
+            a.link.0, a.link.1, a.src, a.dst, a.start, a.end, b.src, b.dst, b.start, b.end
+        )
+    });
+    assert!(
+        overlaps.is_empty(),
+        "{} transfers start on a serial link another still holds, first: {}",
+        overlaps.len(),
+        first.unwrap_or_default()
+    );
 }

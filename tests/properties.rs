@@ -175,6 +175,56 @@ proptest! {
             }
         }
     }
+
+    /// A block with its overlap border is a window on the cube's own
+    /// samples: it reads, under every accessor, as the copy it used to
+    /// be, shares the cube's storage, and a write on either side never
+    /// shows through on the other.
+    #[test]
+    fn cube_window_equals_the_copy(lines in 1usize..10, samples in 1usize..6, bands in 1usize..6,
+                                   first in 0usize..10, n in 0usize..10, overlap in 0usize..4,
+                                   seed in 0u32..1000) {
+        let first = first % lines;
+        let n = n % (lines - first + 1);
+        let data: Vec<f32> = (0..lines * samples * bands)
+            .map(|i| ((i as u32 ^ seed).wrapping_mul(2_654_435_761) >> 20) as f32)
+            .collect();
+        let mut cube = HyperCube::from_vec(lines, samples, bands, data.clone());
+        let (win, pre) = cube.extract_lines_with_overlap(first, n, overlap);
+        let lo = first.saturating_sub(overlap);
+        let hi = (first + n + overlap).min(lines);
+        let row = samples * bands;
+        let copy = HyperCube::from_vec(hi - lo, samples, bands, data[lo * row..hi * row].to_vec());
+
+        prop_assert_eq!(pre, first - lo);
+        prop_assert_eq!(win.as_slice(), copy.as_slice());
+        prop_assert_eq!(win.size_bytes(), copy.size_bytes());
+        prop_assert!(win == copy);
+        prop_assert!(win.iter_pixels().eq(copy.iter_pixels()));
+        for i in 0..win.num_pixels() {
+            let (l, s) = win.coord_of(i);
+            prop_assert_eq!(win.pixel_flat(i), copy.pixel_flat(i));
+            prop_assert_eq!(win.pixel(l, s), cube.pixel(lo + l, s));
+        }
+        prop_assert_eq!(win.brightest_pixel(), copy.brightest_pixel());
+        prop_assert_eq!(win.mean_spectrum(), copy.mean_spectrum());
+        prop_assert_eq!(win.select_bands(&[bands - 1, 0]), copy.select_bands(&[bands - 1, 0]));
+        if hi > lo {
+            prop_assert!(std::ptr::eq(win.as_slice().as_ptr(), cube.pixel(lo, 0).as_ptr()));
+        }
+        // An owned-lines window of the halo window composes the offsets.
+        let own = win.extract_lines(pre, n);
+        prop_assert_eq!(own.as_slice(), &data[first * row..(first + n) * row]);
+
+        // Copy-on-write, both ways round.
+        let mut written = win.clone();
+        written.as_mut_slice().iter_mut().for_each(|v| *v = -1.0);
+        prop_assert_eq!(cube.as_slice(), &data[..]);
+        prop_assert!(win == copy);
+        cube.pixel_mut(first, 0)[0] = -2.0;
+        prop_assert!(win == copy);
+        prop_assert_eq!(win.into_vec(), copy.into_vec());
+    }
 }
 
 proptest! {
