@@ -1,9 +1,10 @@
 //! Analytic cost model for collective schedules.
 //!
 //! [`predict`] replays a collective's communication schedule over the
-//! platform model *arithmetically* — the same per-message sender latency,
-//! `transfer_secs` link charges, and serial inter-segment FIFO
-//! reservations the engine applies, in the same program order — and
+//! platform model *arithmetically* — the same per-message sender latency
+//! and `transfer_secs` link charges the engine applies, each message
+//! charged by the call the engine makes ([`crate::contention::charge`],
+//! on a ledger of the replay's own), in the same program order — and
 //! returns the virtual time at which the last rank finishes. For a
 //! healthy (fault-free) run rooted at rank 0 that starts with aligned
 //! clocks, the prediction equals the engine's measured virtual time
@@ -25,47 +26,9 @@
 
 use super::schedule::{self, Tree};
 use super::{split_chunks, CollAlgorithm, CollOp};
+use crate::contention::{charge, LinkLedger};
+use crate::faults::FaultPlan;
 use crate::platform::Platform;
-use std::collections::HashMap;
-
-/// FIFO link reservation replay, mirroring
-/// [`crate::contention::InterSegmentLinks`] without the locking.
-#[derive(Default)]
-struct LinkSim {
-    busy_until: HashMap<(usize, usize), f64>,
-}
-
-impl LinkSim {
-    fn reserve(&mut self, seg_a: usize, seg_b: usize, earliest: f64, duration: f64) -> f64 {
-        if seg_a == seg_b {
-            return earliest;
-        }
-        let key = (seg_a.min(seg_b), seg_a.max(seg_b));
-        let free_at = self.busy_until.get(&key).copied().unwrap_or(0.0);
-        let start = earliest.max(free_at);
-        self.busy_until.insert(key, start + duration);
-        start
-    }
-}
-
-/// Arrival time of one message, replaying the engine's reservation rule:
-/// only messages with rank 0 as an endpoint queue on the serial
-/// inter-segment links; everything else pays the raw transfer.
-fn arrival(
-    platform: &Platform,
-    links: &mut LinkSim,
-    src: usize,
-    dst: usize,
-    sent_at: f64,
-    duration: f64,
-) -> f64 {
-    let (sa, sb) = (platform.segment_of(src), platform.segment_of(dst));
-    if src == 0 || dst == 0 {
-        links.reserve(sa, sb, sent_at, duration) + duration
-    } else {
-        sent_at + duration
-    }
-}
 
 /// Predicted virtual completion time (seconds) of one collective of
 /// `bits` payload bits under `algorithm` (which must be concrete, not
@@ -118,145 +81,113 @@ pub fn predict_over(
     if platform.num_procs() <= 1 || members.len() <= 1 {
         return 0.0;
     }
-    let tree = schedule::build(algorithm, root, platform, members);
+    let mut replay = Replay {
+        platform,
+        latency_s,
+        tree: &schedule::build(algorithm, root, platform, members),
+        faults: FaultPlan::new(),
+        links: LinkLedger::new(),
+    };
     let chunks = if algorithm == CollAlgorithm::PipelinedChunked && op == CollOp::Broadcast {
         split_chunks(bits, pipeline_chunks as usize)
     } else {
         vec![bits]
     };
-    match op {
+    let clocks = match op {
         // A scatter is broadcast-shaped (root fans out one message per
         // child); payload personalisation doesn't change the schedule.
         CollOp::Broadcast | CollOp::Scatter => {
-            predict_broadcast(platform, latency_s, &tree, root, &chunks)
+            replay.down(vec![0.0; platform.num_procs()], &chunks)
         }
-        CollOp::Gather => predict_gather(platform, latency_s, &tree, bits, false),
-        CollOp::Reduce => predict_gather(platform, latency_s, &tree, bits, true),
-        CollOp::Allreduce => predict_allreduce(platform, latency_s, &tree, root, bits),
-    }
+        CollOp::Gather => replay.up(bits, false),
+        CollOp::Reduce => replay.up(bits, true),
+        // Fused: the reduce's upward phase, then the broadcast's downward
+        // phase from the clocks it left, over the **same** tree and
+        // ledger — the root's downward sends reserve the serial links
+        // *after* its upward receives, exactly the engine's program order
+        // at rank 0. The fold itself is free (host-side), so a
+        // size-preserving fold makes this exact.
+        CollOp::Allreduce => {
+            let folded = replay.up(bits, true);
+            replay.down(folded, &chunks)
+        }
+    };
+    clocks.into_iter().fold(0.0, f64::max)
 }
 
-/// Broadcast replay: each node receives chunk `c` from its parent, then
-/// forwards it to every broadcast-order child before receiving chunk
-/// `c + 1` — which is exactly the pipelining the executor implements.
-fn predict_broadcast(
-    platform: &Platform,
+/// One schedule being replayed: the tree, the link ledger its messages
+/// share, and the plan they are charged under — empty until ROADMAP 1d
+/// hands in the run's.
+struct Replay<'a> {
+    platform: &'a Platform,
     latency_s: f64,
-    tree: &Tree,
-    root: usize,
-    chunks: &[u64],
-) -> f64 {
-    let p = platform.num_procs();
-    let k = chunks.len();
-    let mut arrivals = vec![vec![0.0f64; k]; p];
-    let mut links = LinkSim::default();
-    let mut finish = 0.0f64;
-    for r in tree.preorder_bcast() {
-        let mut clock = 0.0f64;
-        for (c, &chunk_bits) in chunks.iter().enumerate() {
-            if r != root {
-                clock = clock.max(arrivals[r][c]);
-            }
-            for &child in tree.children_bcast(r) {
-                clock += latency_s;
-                let dur = platform.transfer_secs(r, child, chunk_bits);
-                arrivals[child][c] = arrival(platform, &mut links, r, child, clock, dur);
-            }
-        }
-        finish = finish.max(clock);
-    }
-    finish
+    tree: &'a Tree,
+    faults: FaultPlan,
+    links: LinkLedger,
 }
 
-/// Gather/reduce replay, children-before-parents: a relay receives every
-/// message of each gather-order child's subtree, then relays them (one
-/// message per subtree rank — or a single folded partial when `reduce`)
-/// to its parent. Receiver-side FIFO reservations happen at the root in
-/// its receive order, matching the engine's lazy resolve.
-fn predict_gather(
-    platform: &Platform,
-    latency_s: f64,
-    tree: &Tree,
-    bits: u64,
-    reduce: bool,
-) -> f64 {
-    let p = platform.num_procs();
-    // Messages each rank has sent to its parent: (sent_at, duration).
-    let mut upward: Vec<Vec<(f64, f64)>> = vec![Vec::new(); p];
-    let mut links = LinkSim::default();
-    let mut finish = 0.0f64;
-    for r in tree.postorder_gather() {
-        let mut clock = 0.0f64;
-        for &child in tree.children_gather(r) {
-            for &(sent_at, dur) in &upward[child] {
-                let a = arrival(platform, &mut links, child, r, sent_at, dur);
-                clock = clock.max(a);
+impl Replay<'_> {
+    /// The upward phase (gather, reduce) from aligned clocks, children
+    /// before parents: a relay receives every message of each
+    /// gather-order child's subtree, then relays them (one message per
+    /// subtree rank — or a single folded partial when `reduce`) to its
+    /// parent. Messages to the root are charged in its receive order,
+    /// matching the engine's lazy resolve. Returns every rank's clock.
+    fn up(&mut self, bits: u64, reduce: bool) -> Vec<f64> {
+        let (platform, faults, links) = (self.platform, &self.faults, &mut self.links);
+        // When each message to a parent was sent, and each rank's run of them.
+        let mut sent: Vec<f64> = Vec::new();
+        let mut runs = vec![0..0; platform.num_procs()];
+        let mut clocks = vec![0.0f64; platform.num_procs()];
+        for r in self.tree.postorder_gather() {
+            let mut clock = 0.0f64;
+            for &child in self.tree.children_gather(r) {
+                let dur = platform.transfer_secs(child, r, bits);
+                for &sent_at in &sent[runs[child].clone()] {
+                    let landed = charge(platform, faults, || &mut *links, child, r, sent_at, dur);
+                    clock = clock.max(landed.arrival);
+                }
             }
-        }
-        if let Some(parent) = tree.parent(r) {
-            let n_msgs = if reduce { 1 } else { tree.subtree_size(r) };
-            let dur = platform.transfer_secs(r, parent, bits);
-            let mut sends = Vec::with_capacity(n_msgs);
-            for _ in 0..n_msgs {
-                clock += latency_s;
-                sends.push((clock, dur));
+            if self.tree.parent(r).is_some() {
+                let first = sent.len();
+                let n_msgs = if reduce { 1 } else { self.tree.subtree_size(r) };
+                for _ in 0..n_msgs {
+                    clock += self.latency_s;
+                    sent.push(clock);
+                }
+                runs[r] = first..sent.len();
             }
-            upward[r] = sends;
+            clocks[r] = clock;
         }
-        finish = finish.max(clock);
+        clocks
     }
-    finish
-}
 
-/// Fused allreduce replay: the reduce's upward phase (one folded partial
-/// per edge, children before parents) followed by the broadcast's
-/// downward phase over the **same** tree, sharing one [`LinkSim`] — the
-/// root's downward sends reserve the serial links *after* its upward
-/// receives, exactly the engine's program order at rank 0. The fold
-/// itself is free (host-side), so a size-preserving fold makes this
-/// exact.
-fn predict_allreduce(
-    platform: &Platform,
-    latency_s: f64,
-    tree: &Tree,
-    root: usize,
-    bits: u64,
-) -> f64 {
-    let p = platform.num_procs();
-    let mut links = LinkSim::default();
-    // Upward: (sent_at, duration) of each rank's single partial.
-    let mut up_send: Vec<Option<(f64, f64)>> = vec![None; p];
-    let mut up_clock = vec![0.0f64; p];
-    for r in tree.postorder_gather() {
-        let mut clock = 0.0f64;
-        for &child in tree.children_gather(r) {
-            let (sent_at, dur) = up_send[child].expect("allreduce replay: child sent a partial");
-            let a = arrival(platform, &mut links, child, r, sent_at, dur);
-            clock = clock.max(a);
+    /// The downward phase (broadcast) from the given clocks: each node
+    /// receives chunk `c` from its parent, then forwards it to every
+    /// broadcast-order child before receiving chunk `c + 1` — which is
+    /// exactly the pipelining the executor implements. Returns every
+    /// rank's clock.
+    fn down(&mut self, mut clocks: Vec<f64>, chunks: &[u64]) -> Vec<f64> {
+        let (platform, faults, links) = (self.platform, &self.faults, &mut self.links);
+        // Chunk `c` lands at rank `r` at `arrivals[r * chunks.len() + c]`.
+        let mut arrivals = vec![0.0f64; clocks.len() * chunks.len()];
+        for r in self.tree.preorder_bcast() {
+            let mut clock = clocks[r];
+            for (c, &chunk_bits) in chunks.iter().enumerate() {
+                if r != self.tree.root() {
+                    clock = clock.max(arrivals[r * chunks.len() + c]);
+                }
+                for &child in self.tree.children_bcast(r) {
+                    clock += self.latency_s;
+                    let dur = platform.transfer_secs(r, child, chunk_bits);
+                    let landed = charge(platform, faults, || &mut *links, r, child, clock, dur);
+                    arrivals[child * chunks.len() + c] = landed.arrival;
+                }
+            }
+            clocks[r] = clock;
         }
-        if let Some(parent) = tree.parent(r) {
-            clock += latency_s;
-            up_send[r] = Some((clock, platform.transfer_secs(r, parent, bits)));
-        }
-        up_clock[r] = clock;
+        clocks
     }
-    // Downward: each rank resumes from its upward clock, waits for the
-    // result from its parent, and forwards it in broadcast order.
-    let mut down_arrival = vec![0.0f64; p];
-    let mut finish = 0.0f64;
-    for r in tree.preorder_bcast() {
-        let mut clock = up_clock[r];
-        if r != root {
-            clock = clock.max(down_arrival[r]);
-        }
-        for &child in tree.children_bcast(r) {
-            clock += latency_s;
-            let dur = platform.transfer_secs(r, child, bits);
-            down_arrival[child] = arrival(platform, &mut links, r, child, clock, dur);
-        }
-        finish = finish.max(clock);
-    }
-    finish
 }
 
 #[cfg(test)]

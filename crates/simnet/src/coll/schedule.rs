@@ -32,8 +32,7 @@
 
 use super::{CollAlgorithm, Membership};
 use crate::platform::Platform;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A rooted spanning tree over a subset of ranks `0..p` (all of them for
 /// an all-alive view), with children kept in both broadcast (send)
@@ -225,7 +224,7 @@ impl ScheduleMemo {
         platform: &Platform,
         view: &Membership,
     ) -> Arc<Tree> {
-        let mut built = self.built.lock();
+        let mut built = crate::lock_unpoisoned(&self.built);
         if let Some(hit) = built
             .iter()
             .find(|m| m.algorithm == algorithm && m.root == root && m.alive == view.alive())
@@ -245,7 +244,7 @@ impl ScheduleMemo {
     /// Number of schedules built so far.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.built.lock().len()
+        crate::lock_unpoisoned(&self.built).len()
     }
 }
 

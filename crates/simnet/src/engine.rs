@@ -11,13 +11,14 @@
 //!
 //! **Virtual time.** Computation is charged explicitly via
 //! [`Ctx::compute_par`] / [`Ctx::compute_seq`] in megaflops; the engine
-//! converts using the processor's cycle-time. Message timing follows the
-//! platform's link matrix with serial inter-segment contention. The
-//! fabric only moves envelopes: every arrival time is resolved by a rank
-//! — the root when it sends, the receiver at its first look at a message
-//! otherwise — in that rank's own program order, which is why host
-//! thread scheduling never reaches a virtual number; see
-//! [`crate::contention`] for the determinism argument.
+//! converts using the processor's cycle-time. What a message pays on the
+//! wire — link matrix, fault windows, serial inter-segment contention —
+//! is [`crate::contention::charge`]'s to say; the engine only decides
+//! *when* it asks. The fabric only moves envelopes: every arrival time
+//! is resolved by a rank — the root when it sends, the receiver at its
+//! first look at a message otherwise — in that rank's own program order,
+//! which is why host thread scheduling never reaches a virtual number;
+//! see [`crate::contention`] for the determinism argument.
 //!
 //! **Failure.** Failures are structured, not process-aborting. A rank
 //! that panics — or crashes on schedule under a [`FaultPlan`] — is
@@ -34,14 +35,15 @@
 //! exactly as deterministic as healthy ones.
 
 use crate::clock::{Phase, TimeLedger};
+use crate::contention::{charge, Charge};
 use crate::fabric::{Exit, Fabric};
 use crate::faults::{FailureCause, FaultPlan, RankFailure, RecvError};
+use crate::lock_unpoisoned;
 use crate::platform::Platform;
 use crate::report::RunReport;
 use crate::trace::{Trace, TraceEvent, TraceKind};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 type TraceSink = Option<Arc<Mutex<Vec<TraceEvent>>>>;
 
@@ -134,26 +136,20 @@ impl<T: Send + Sync + 'static> Wire for Arc<[T]> {
 /// In-flight message.
 struct Envelope<M> {
     sent_at: f64,
-    /// Set when the sender (the root) already reserved the link.
-    arrives_at: Option<f64>,
+    /// Nominal transfer duration over the sender→receiver link.
     transfer_secs: f64,
-    /// Seconds the transfer queued behind earlier link reservations
-    /// (known at send time only on the root-resolved path; worker
-    /// senders leave `0.0` and the receiver fills it in on resolve).
-    queued: f64,
+    /// Set when the sender (the root) already charged the message.
+    charge: Option<Charge>,
     payload: M,
 }
 
-/// A message whose arrival time has been resolved (link reservation
-/// done exactly once, when the receiver first takes it off the fabric,
-/// in the receiver's program order).
+/// A message that has been charged — exactly once, by the root at its
+/// send or by the receiver when it first takes the message off the
+/// fabric, in that rank's program order.
 struct Resolved<M> {
-    arrival: f64,
-    transfer_secs: f64,
+    charge: Charge,
     /// Sender's virtual clock at injection (profiling provenance).
     sent_at: f64,
-    /// Link-queueing delay the transfer paid (profiling provenance).
-    queued: f64,
     payload: M,
 }
 
@@ -228,7 +224,7 @@ impl<M: Wire> Ctx<M> {
     #[inline]
     fn record(&self, start: f64, kind: TraceKind) {
         if let Some(sink) = &self.trace {
-            sink.lock().push(TraceEvent {
+            lock_unpoisoned(sink).push(TraceEvent {
                 rank: self.rank,
                 start,
                 end: self.ledger.now,
@@ -279,37 +275,26 @@ impl<M: Wire> Ctx<M> {
         end - start
     }
 
-    /// Resolves an envelope's arrival time. The root resolves link
-    /// reservations here, in its own program order — which is what keeps
-    /// contention timestamps deterministic (see [`crate::contention`]).
+    /// Charges an envelope its sender left uncharged. Messages to the
+    /// root are charged here, at the root's first look at them — root
+    /// program order, the other half of [`charge`]'s determinism
+    /// argument (see [`crate::contention`]). The ledger is locked only
+    /// if the transfer queues.
     fn resolve(&mut self, src: usize, env: Envelope<M>) -> Resolved<M> {
-        let (arrival, transfer_secs, queued) = match env.arrives_at {
-            Some(a) => (a, env.transfer_secs, env.queued),
-            None => {
-                let (seg_src, seg_dst) = (
-                    self.platform.segment_of(src),
-                    self.platform.segment_of(self.rank),
-                );
-                let (earliest, dur) =
-                    self.faults
-                        .adjust_transfer(seg_src, seg_dst, env.sent_at, env.transfer_secs);
-                if self.rank == 0 {
-                    let start = self.fabric.links.reserve(seg_src, seg_dst, earliest, dur);
-                    (start + dur, dur, start - earliest)
-                } else {
-                    // Worker↔worker: raw transfer, no queueing.
-                    // Tree schedules relay worker↔worker across
-                    // segments, so this under-charges the serial
-                    // links there — ROADMAP open item 1.
-                    (earliest + dur, dur, 0.0)
-                }
-            }
-        };
+        let charge = env.charge.unwrap_or_else(|| {
+            charge(
+                &self.platform,
+                &self.faults,
+                || lock_unpoisoned(&self.fabric.links),
+                src,
+                self.rank,
+                env.sent_at,
+                env.transfer_secs,
+            )
+        });
         Resolved {
-            arrival,
-            transfer_secs,
+            charge,
             sent_at: env.sent_at,
-            queued,
             payload: env.payload,
         }
     }
@@ -423,30 +408,25 @@ impl<M: Wire> Ctx<M> {
         self.record(trace_start, TraceKind::Send { dst });
         let transfer_secs = self.platform.transfer_secs(self.rank, dst, bits);
         let sent_at = self.ledger.now;
-        // Root-side link reservation keeps virtual timestamps
-        // deterministic (root program order); see crate::contention.
-        let (arrives_at, transfer_secs, queued) = if self.rank == 0 {
-            let (earliest, dur) = self.faults.adjust_transfer(
-                self.platform.segment_of(self.rank),
-                self.platform.segment_of(dst),
+        // The root charges its own sends here, in its program order;
+        // anyone else's wait for the receiver's first look (`resolve`).
+        // That order is why `charge`'s reservations are deterministic —
+        // see crate::contention.
+        let charge = self.is_root().then(|| {
+            charge(
+                &self.platform,
+                &self.faults,
+                || lock_unpoisoned(&self.fabric.links),
+                self.rank,
+                dst,
                 sent_at,
                 transfer_secs,
-            );
-            let start = self.fabric.links.reserve(
-                self.platform.segment_of(self.rank),
-                self.platform.segment_of(dst),
-                earliest,
-                dur,
-            );
-            (Some(start + dur), dur, start - earliest)
-        } else {
-            (None, transfer_secs, 0.0)
-        };
+            )
+        });
         let env = Envelope {
             sent_at,
-            arrives_at,
             transfer_secs,
-            queued,
+            charge,
             payload,
         };
         // The fabric drops mail for a peer that already left the run,
@@ -469,7 +449,7 @@ impl<M: Wire> Ctx<M> {
         self.check_crashed();
         match self.next_from(src) {
             Incoming::Msg(msg) => {
-                if msg.arrival >= self.crash_at {
+                if msg.charge.arrival >= self.crash_at {
                     self.die(); // died waiting for this message
                 }
                 self.deliver(src, msg)
@@ -488,15 +468,16 @@ impl<M: Wire> Ctx<M> {
     /// payload.
     fn deliver(&mut self, src: usize, msg: Resolved<M>) -> M {
         let trace_start = self.ledger.now;
-        self.ledger.receive(msg.arrival, msg.transfer_secs);
+        let paid = msg.charge;
+        self.ledger.receive(paid.arrival, paid.transfer_secs);
         self.record(
             trace_start,
             TraceKind::Recv {
                 src,
                 delivered: true,
                 sent_at: msg.sent_at,
-                transfer: msg.transfer_secs,
-                queued: msg.queued,
+                transfer: paid.transfer_secs,
+                queued: paid.queued,
             },
         );
         msg.payload
@@ -533,7 +514,7 @@ impl<M: Wire> Ctx<M> {
         };
         match self.next_from(src) {
             Incoming::Msg(msg) => {
-                if msg.arrival <= deadline && msg.arrival < self.crash_at {
+                if msg.charge.arrival <= deadline && msg.charge.arrival < self.crash_at {
                     return Ok(self.deliver(src, msg));
                 }
                 self.pending.insert(src, msg);
@@ -831,7 +812,7 @@ impl Engine {
         let sink = Arc::new(Mutex::new(Vec::new()));
         let mut report = self.run_inner(program, Some(Arc::clone(&sink)));
         let mut trace = Trace {
-            events: std::mem::take(&mut *sink.lock()),
+            events: std::mem::take(&mut *lock_unpoisoned(&sink)),
         };
         trace.finalize();
         report.profile = Some(crate::prof::RunProfile::from_run(
@@ -1387,6 +1368,54 @@ mod tests {
         assert_eq!(r.cause, FailureCause::PeerLost { peer: 1 });
         // The root learned of the death at the worker's failure time.
         assert!((r.at - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_worker_panic_mid_collective_keeps_the_trace_the_ledger_and_the_memo() {
+        // What the deleted `parking_lot` shim's
+        // `mutex_survives_a_panicked_holder` stood for, at the level it
+        // matters: rank 15 (a leaf of the binomial tree) dies between
+        // two 1 Mbit broadcasts; the run still hands back its trace, and
+        // the survivors go on to build a schedule nobody had asked for
+        // yet and to queue on the serial links.
+        use crate::coll::{broadcast, broadcast_over, CollAlgorithm, CollectiveConfig, Membership};
+        let platform = crate::presets::fully_heterogeneous();
+        let p = platform.num_procs();
+        let (report, trace) = Engine::new(platform).run_traced(move |ctx| {
+            let root = ctx.is_root();
+            let msg = |tag: u8| root.then(|| WireVec(vec![tag; 125_000]));
+            let tree = CollectiveConfig::uniform(CollAlgorithm::BinomialTree);
+            let first = broadcast(ctx, &tree, 0, msg(1), 1_000_000).expect("valid");
+            if ctx.rank() == p - 1 {
+                panic!("worker died");
+            }
+            let rest = Membership::from_survivors(1, p, &(0..p - 1).collect::<Vec<_>>());
+            let star = CollectiveConfig::linear();
+            let second = broadcast_over(ctx, &star, 0, &rest, msg(2), 1_000_000).expect("valid");
+            (first.0[0], second.0[0])
+        });
+        assert_eq!(report.failures.len(), 1);
+        let lost = report.failure_of(p - 1).expect("recorded");
+        assert_eq!(lost.cause, FailureCause::Panic("worker died".to_string()));
+        assert!(report.results[..p - 1].iter().all(|r| *r == Some((1, 2))));
+        // The dead rank's one receive is on the trace beside the
+        // survivors' two, and the star's remote receives waited in line.
+        let queued = |rank: usize| -> Vec<f64> {
+            let of_rank = trace.events.iter().filter(|e| e.rank == rank);
+            of_rank
+                .filter_map(|e| match e.kind {
+                    TraceKind::Recv {
+                        delivered: true,
+                        queued,
+                        ..
+                    } => Some(queued),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(queued(p - 1).len(), 1);
+        assert!((1..p - 1).all(|rank| queued(rank).len() == 2));
+        assert!((1..p - 1).any(|rank| queued(rank).iter().any(|&q| q > 0.0)));
     }
 
     #[test]

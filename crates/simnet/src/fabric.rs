@@ -19,16 +19,19 @@
 //! * **The schedule memo** ([`ScheduleMemo`]) — a collective schedule is
 //!   built once per `(algorithm, root, alive set)` per run and shared by
 //!   every rank that plans over it.
-//! * **The link ledger** ([`InterSegmentLinks`]).
+//! * **The link ledger** — the run's one [`LinkLedger`] behind a mutex
+//!   that [`crate::contention::charge`] takes only for a transfer that
+//!   queues on a serial link.
 //!
 //! The fabric is the single place that sees every send, receive and exit
 //! of a run. It carries no virtual-time logic: arrival times are
-//! resolved by the ranks themselves (see [`crate::contention`] for who
-//! reserves a link, and in whose program order), so nothing here can
-//! move a virtual number.
+//! resolved by the ranks themselves through
+//! [`crate::contention::charge`] (which says who reserves a link; the
+//! engine says in whose program order), so nothing here can move a
+//! virtual number.
 
 use crate::coll::ScheduleMemo;
-use crate::contention::InterSegmentLinks;
+use crate::contention::LinkLedger;
 use crate::faults::FailureCause;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
@@ -70,7 +73,7 @@ pub(crate) struct Fabric<T> {
     mailboxes: Vec<Mailbox<T>>,
     exits: Vec<OnceLock<Exit>>,
     /// The run's serial-link reservation ledger.
-    pub(crate) links: InterSegmentLinks,
+    pub(crate) links: Mutex<LinkLedger>,
     /// The run's collective schedules.
     pub(crate) schedules: ScheduleMemo,
 }
@@ -90,7 +93,7 @@ impl<T> Fabric<T> {
                 })
                 .collect(),
             exits: (0..ranks).map(|_| OnceLock::new()).collect(),
-            links: InterSegmentLinks::new(),
+            links: Mutex::new(LinkLedger::new()),
             schedules: ScheduleMemo::default(),
         }
     }

@@ -25,7 +25,9 @@
 //! * [`equivalent`] — Lastovetsky & Reddy's "equivalent homogeneous
 //!   network" construction and checker (the paper's evaluation framework).
 //! * [`clock`] — per-rank virtual clocks and time ledgers.
-//! * [`contention`] — serial inter-segment link reservation.
+//! * [`contention`] — the serial inter-segment link ledger and the one
+//!   rule that charges a message for crossing
+//!   ([`contention::charge`]).
 //! * [`engine`] — the message-passing runtime: one thread per rank over
 //!   a run-shared fabric (a mailbox per rank, an exit board, the link
 //!   ledger and the collective schedule memo, built in O(P) per run).
@@ -100,3 +102,36 @@ pub use prof::{
     RankProfile, RunProfile,
 };
 pub use report::{CopyStats, EpochTransition, RankSummary, RunReport};
+
+/// Locks a run-shared mutex, ignoring poison: rank threads unwind by
+/// design (a scheduled crash, `PeerLost`, a worker's own panic) and the
+/// survivors carry on. All three critical sections behind it end in
+/// their single write, so an unwind inside one leaves the data as it
+/// was: the link ledger (`LinkLedger::reserve` asserts, then updates
+/// one entry), the trace sink (one `push`; `die()` records before it
+/// unwinds) and the schedule memo (a tree is built, then pushed whole).
+pub(crate) fn lock_unpoisoned<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock_unpoisoned;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn a_lock_survives_a_panicked_holder() {
+        let shared = Arc::new(Mutex::new(0));
+        let held = Arc::clone(&shared);
+        let _ = std::thread::spawn(move || {
+            let _guard = lock_unpoisoned(&held);
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(shared.is_poisoned());
+        *lock_unpoisoned(&shared) = 9;
+        assert_eq!(*lock_unpoisoned(&shared), 9);
+    }
+}

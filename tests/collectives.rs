@@ -375,3 +375,53 @@ fn binomial_tree_collectives_never_overlap_on_a_serial_link() {
         first.unwrap_or_default()
     );
 }
+
+#[test]
+#[ignore = "ROADMAP 1c: outage tested at the requested start"]
+fn no_transfer_is_granted_a_start_inside_an_outage_of_its_link() {
+    // Fails today: `contention::charge` applies the fault plan before
+    // the reservation. Root on segment 0, worker on segment 1, a
+    // 1 000 ms/Mbit link that is out over [1.5, 3.0) s, three
+    // back-to-back 1 Mbit root sends. None is *requested* inside the
+    // outage, so none is moved; the queue then grants them
+    // [0.0002, 1.0002), [1.0002, 2.0002) and [2.0002, 3.0002) — the
+    // third starts on a link that is down.
+    let procs = [0, 1]
+        .iter()
+        .map(|&segment| heterospec::simnet::ProcessorSpec {
+            name: format!("s{segment}"),
+            arch: "x",
+            cycle_time: 0.01,
+            memory_mb: 64,
+            cache_kb: 0,
+            segment,
+            device: None,
+        })
+        .collect();
+    let platform = Platform::new("outage", procs, vec![vec![0.0, 1000.0], vec![1000.0, 0.0]]);
+    let (from, until) = (1.5, 3.0);
+    let plan = FaultPlan::new().link_outage(0, 1, from, until);
+    let (report, trace) = Engine::new(platform.clone())
+        .with_faults(plan)
+        .run_traced(|ctx| {
+            for _ in 0..3 {
+                if ctx.is_root() {
+                    ctx.send_bits(1, 0u64, 1_000_000);
+                } else {
+                    ctx.recv(0);
+                }
+            }
+        });
+    assert!(report.ok());
+    let uses = serial_link_uses(&platform, &trace);
+    assert_eq!(uses.len(), 3);
+    assert!(serial_link_overlaps(&uses).is_empty(), "{uses:#?}");
+    let down: Vec<&LinkUse> = uses
+        .iter()
+        .filter(|u| from <= u.start && u.start < until)
+        .collect();
+    assert!(
+        down.is_empty(),
+        "granted a start inside the [{from}, {until}) s outage of link s0–s1: {down:#?}"
+    );
+}

@@ -271,8 +271,8 @@ proptest! {
     #[test]
     fn contention_serializes(durations in proptest::collection::vec(0.01f64..2.0, 1..12),
                              earliest in proptest::collection::vec(0.0f64..5.0, 1..12)) {
-        use heterospec::simnet::contention::InterSegmentLinks;
-        let links = InterSegmentLinks::new();
+        use heterospec::simnet::contention::LinkLedger;
+        let mut links = LinkLedger::new();
         let n = durations.len().min(earliest.len());
         let mut intervals: Vec<(f64, f64)> = Vec::new();
         for i in 0..n {
