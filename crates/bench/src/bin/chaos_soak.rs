@@ -28,13 +28,21 @@
 //!   shrinker converges to ≤ 3 ranks and ≤ 1 fault event (the harness
 //!   can fail, and failures minimize).
 //!
+//! Observed, not gated (ROADMAP 1b → 1c): how many cross-segment
+//! transfers each scenario's allreduce probe made and how many pairs of
+//! them overlapped on one serial link, totalled per collective backend
+//! under `serial_links`, with the smallest overlapping scenario named.
+//!
 //! On violation the full Rust reproducer (a pasteable `#[test]`) is
 //! printed to stderr and a structured record lands in the report's
 //! `failures` array.
 
-use chaos::{reproducer, shrink, CheckCounts, Injection, Invariant, Oracle, Scenario, Shrunk};
+use chaos::{
+    reproducer, shrink, CheckCounts, Injection, Invariant, LinkCensus, Oracle, Scenario, Shrunk,
+};
 use repro_bench::microjson::{object, Json};
 use repro_bench::write_report;
+use simnet::CollAlgorithm;
 use std::time::Instant;
 use testutil::gen::FaultEvent;
 
@@ -122,7 +130,48 @@ fn failure_json(f: &Shrunk) -> Json {
     ])
 }
 
+/// The three concrete schedules a scenario can draw, by report key.
+const COLLECTIVES: [(&str, CollAlgorithm); 3] = [
+    ("linear", CollAlgorithm::Linear),
+    ("binomial_tree", CollAlgorithm::BinomialTree),
+    ("segment_hierarchical", CollAlgorithm::SegmentHierarchical),
+];
+
+/// Serial-link occupancy summed over the scenarios of one collective.
+#[derive(Default, Clone, Copy)]
+struct LinkTotals {
+    scenarios: usize,
+    transfers: usize,
+    overlaps: usize,
+    scenarios_with_overlap: usize,
+}
+
+impl LinkTotals {
+    fn add(&mut self, links: LinkCensus) {
+        self.scenarios += 1;
+        self.transfers += links.transfers;
+        self.overlaps += links.overlaps;
+        self.scenarios_with_overlap += usize::from(links.overlaps > 0);
+    }
+
+    fn to_json(self) -> Json {
+        object(vec![
+            ("scenarios", Json::Number(self.scenarios as f64)),
+            (
+                "cross_segment_transfers",
+                Json::Number(self.transfers as f64),
+            ),
+            ("overlapping_pairs", Json::Number(self.overlaps as f64)),
+            (
+                "scenarios_with_overlap",
+                Json::Number(self.scenarios_with_overlap as f64),
+            ),
+        ])
+    }
+}
+
 fn main() {
+    hsi_linalg::require_built_isa();
     let base_seed = env_u64("HETEROSPEC_CHAOS_SEED", 20_060_925);
     let requested = env_u64("HETEROSPEC_CHAOS_SCENARIOS", 500) as usize;
     let budget_s = env_u64("HETEROSPEC_CHAOS_BUDGET_S", 0);
@@ -135,6 +184,9 @@ fn main() {
     let mut completed = 0usize;
     let mut skipped = 0usize;
     let mut failures: Vec<Shrunk> = Vec::new();
+    let mut links = [LinkTotals::default(); COLLECTIVES.len()];
+    // Fewest ranks, then fewest segments, then lowest seed.
+    let mut smallest_overlap: Option<(Scenario, LinkCensus)> = None;
     for i in 0..requested {
         if budget_s > 0 && started.elapsed().as_secs() >= budget_s {
             eprintln!("# budget of {budget_s}s exhausted after {completed} scenarios");
@@ -147,6 +199,19 @@ fn main() {
         if verdict.skipped {
             skipped += 1;
             continue;
+        }
+        if let Some(at) = COLLECTIVES
+            .iter()
+            .position(|&(_, c)| c == scenario.collective)
+        {
+            links[at].add(verdict.links);
+        }
+        if verdict.links.overlaps > 0
+            && smallest_overlap
+                .as_ref()
+                .is_none_or(|(s, _)| (scenario.ranks, scenario.segments) < (s.ranks, s.segments))
+        {
+            smallest_overlap = Some((scenario.clone(), verdict.links));
         }
         if let Some(violation) = verdict.violation {
             eprintln!(
@@ -188,6 +253,18 @@ fn main() {
             totals.of(invariant)
         );
     }
+    for ((collective, _), totals) in COLLECTIVES.iter().zip(&links) {
+        eprintln!(
+            "#   serial links, {collective}: {} scenarios, {} cross-segment transfers, {} overlapping pairs in {} scenarios (observed, not enforced)",
+            totals.scenarios, totals.transfers, totals.overlaps, totals.scenarios_with_overlap
+        );
+    }
+    if let Some((s, census)) = &smallest_overlap {
+        eprintln!(
+            "#   smallest overlapping scenario: seed {} ({:?}, {} ranks, {} segments): {} overlapping pairs among {} transfers",
+            s.seed, s.collective, s.ranks, s.segments, census.overlaps, census.transfers
+        );
+    }
     eprintln!(
         "# gate 1 (zero shrunk failures): {}",
         if gate_zero_failures { "PASS" } else { "FAIL" }
@@ -218,6 +295,22 @@ fn main() {
             ("scenarios_completed", Json::Number(completed as f64)),
             ("scenarios_skipped", Json::Number(skipped as f64)),
             ("checks", checks),
+            (
+                "serial_links",
+                object(
+                    COLLECTIVES
+                        .iter()
+                        .zip(&links)
+                        .map(|(&(key, _), totals)| (key, totals.to_json()))
+                        .chain(std::iter::once((
+                            "smallest_overlapping_seed",
+                            smallest_overlap
+                                .as_ref()
+                                .map_or(Json::Null, |(s, _)| Json::Number(s.seed as f64)),
+                        )))
+                        .collect(),
+                ),
+            ),
             (
                 "failures",
                 Json::Array(failures.iter().map(failure_json).collect()),

@@ -49,8 +49,10 @@ pub fn scene_config() -> WtcConfig {
     }
 }
 
-/// Builds the WTC-like scene for the selected size (announcing it).
+/// Builds the WTC-like scene for the selected size (announcing it). The
+/// first call of every scene binary, so the ISA check sits here.
 pub fn build_scene() -> SyntheticScene {
+    hsi_linalg::require_built_isa();
     let cfg = scene_config();
     eprintln!(
         "# scene: {} x {} x {} bands (HETEROSPEC_SCENE to change)",

@@ -13,7 +13,9 @@
 //! * [`Oracle::check`] verifies the seven standing invariants of the
 //!   stack (bit-exact outputs, survivor completeness, analytic replay,
 //!   profile accounting, pure-observer profiling, copy/offload
-//!   determinism), counting every comparison it performs.
+//!   determinism), counting every comparison it performs, and reports
+//!   — without enforcing it yet — how many transfers of its allreduce
+//!   probe overlapped on a serial inter-segment link ([`LinkCensus`]).
 //! * [`shrink`] minimizes a violating scenario by greedy delta
 //!   debugging, and [`reproducer`] / [`json_record`] render the result
 //!   as a pasteable Rust regression test and a JSON report entry.
@@ -33,6 +35,6 @@ pub mod oracle;
 pub mod scenario;
 pub mod shrink;
 
-pub use oracle::{CheckCounts, Injection, Invariant, Oracle, Verdict, Violation};
+pub use oracle::{CheckCounts, Injection, Invariant, LinkCensus, Oracle, Verdict, Violation};
 pub use scenario::{Algo, Driver, Scenario};
 pub use shrink::{json_record, reproducer, shrink, Shrunk};

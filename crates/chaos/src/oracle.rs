@@ -8,6 +8,11 @@
 //! bumps a per-invariant counter so a soak can prove every invariant
 //! was actually exercised (a green run with zero checks is a bug in
 //! the harness, not a pass).
+//!
+//! Beside the seven, the oracle *observes* an eighth that does not hold
+//! yet (ROADMAP 1b → 1c): no two transfers overlap on one serial
+//! inter-segment link. Each verdict carries the count ([`LinkCensus`]);
+//! nothing is enforced until worker↔worker transfers reserve.
 
 use crate::scenario::{Algo, Driver, Scenario};
 use hetero_hsi::ft::{self, FtError, FtRun};
@@ -17,6 +22,7 @@ use simnet::accel::cost::predict_offload;
 use simnet::engine::{Engine, WireVec};
 use simnet::{coll, CollOp, CollectiveConfig, DeviceSim, DeviceSpec};
 use testutil::gen::FaultEvent;
+use testutil::links::{serial_link_overlaps, serial_link_uses};
 
 /// The seven standing invariants, in oracle order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,13 +119,28 @@ pub struct Violation {
     pub detail: String,
 }
 
+/// What the scenario's allreduce probe put on the platform's serial
+/// inter-segment links. Observed and reported, not enforced: a tree
+/// schedule over two or more segments overlaps today because only
+/// transfers with the root at one end reserve (ROADMAP 1c).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkCensus {
+    /// Delivered transfers whose endpoints sit in different segments.
+    pub transfers: usize,
+    /// Pairs of them that held one link at the same virtual time.
+    pub overlaps: usize,
+}
+
 /// The oracle's verdict on one scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Verdict {
     /// Comparisons performed, per invariant.
     pub counts: CheckCounts,
     /// The first violation hit, if any (the oracle stops at the first).
     pub violation: Option<Violation>,
+    /// Serial-link occupancy of the allreduce probe (zero when the
+    /// oracle stopped before it).
+    pub links: LinkCensus,
     /// `true` when the ft driver rejected the scenario structurally
     /// (no checks ran). Generation never produces such scenarios; the
     /// flag exists so shrinker candidates that drift out of the valid
@@ -148,18 +169,15 @@ pub struct Oracle {
 /// Early-return helper: bump the counter, then either pass or return
 /// the verdict carrying the violation.
 macro_rules! ensure {
-    ($counts:ident, $inv:expr, $cond:expr, $($msg:tt)*) => {
-        $counts.bump($inv);
+    ($verdict:ident, $inv:expr, $cond:expr, $($msg:tt)*) => {
+        $verdict.counts.bump($inv);
         let holds: bool = $cond;
         if !holds {
-            return Verdict {
-                counts: $counts,
-                violation: Some(Violation {
-                    invariant: $inv,
-                    detail: format!($($msg)*),
-                }),
-                skipped: false,
-            };
+            $verdict.violation = Some(Violation {
+                invariant: $inv,
+                detail: format!($($msg)*),
+            });
+            return $verdict;
         }
     };
 }
@@ -181,17 +199,13 @@ impl Oracle {
     /// first violation.
     pub fn check(&self, scenario: &Scenario) -> Verdict {
         if let Some(Injection::FailOnCrash) = self.injection {
-            let mut counts = CheckCounts::default();
-            counts.bump(Invariant::OutputIdentity);
-            let violation = scenario.has_crash().then(|| Violation {
+            let mut verdict = Verdict::default();
+            verdict.counts.bump(Invariant::OutputIdentity);
+            verdict.violation = scenario.has_crash().then(|| Violation {
                 invariant: Invariant::OutputIdentity,
                 detail: "injected break: scenario schedules a crash (self-test)".into(),
             });
-            return Verdict {
-                counts,
-                violation,
-                skipped: false,
-            };
+            return verdict;
         }
         let scene = scenario.scene();
         let params = scenario.params();
@@ -225,7 +239,7 @@ impl Oracle {
         A: ChunkedAlgo + Sync,
         A::Output: OutputDigest + Send,
     {
-        let mut counts = CheckCounts::default();
+        let mut verdict = Verdict::default();
         let platform = s.platform();
         let plan = s.fault_plan();
         let opts = s.ft_options();
@@ -235,10 +249,9 @@ impl Oracle {
                 Driver::SelfSched => ft::try_run_self_sched(engine, algo, &opts),
             }
         };
-        let skip = |counts: CheckCounts| Verdict {
-            counts,
-            violation: None,
+        let skip = |verdict: Verdict| Verdict {
             skipped: true,
+            ..verdict
         };
 
         // Two profiled runs off the same engine (rerun determinism)
@@ -247,20 +260,20 @@ impl Oracle {
             .with_faults(plan.clone())
             .with_profiling(true);
         let Ok(a) = drive(&profiled) else {
-            return skip(counts);
+            return skip(verdict);
         };
         let Ok(b) = drive(&profiled) else {
-            return skip(counts);
+            return skip(verdict);
         };
         let plain = Engine::new(platform.clone()).with_faults(plan);
         let Ok(c) = drive(&plain) else {
-            return skip(counts);
+            return skip(verdict);
         };
 
         // 1. Output identity: reruns, then the sequential reference.
         let digest_a = a.output.digest64();
         ensure!(
-            counts,
+            verdict,
             Invariant::OutputIdentity,
             digest_a == b.output.digest64(),
             "rerun digest diverged: {digest_a:#018x} vs {:#018x}",
@@ -268,7 +281,7 @@ impl Oracle {
         );
         if let Some(reference) = seq_digest {
             ensure!(
-                counts,
+                verdict,
                 Invariant::OutputIdentity,
                 digest_a == reference,
                 "parallel output {digest_a:#018x} != sequential reference {reference:#018x}"
@@ -281,10 +294,10 @@ impl Oracle {
         if !s.faults.is_empty() {
             let faultfree = Engine::new(platform.clone());
             let Ok(reference) = drive(&faultfree) else {
-                return skip(counts);
+                return skip(verdict);
             };
             ensure!(
-                counts,
+                verdict,
                 Invariant::SurvivorCompleteness,
                 digest_a == reference.output.digest64(),
                 "faulted output {digest_a:#018x} != fault-free output {:#018x}",
@@ -299,7 +312,7 @@ impl Oracle {
                 })
                 .collect();
             ensure!(
-                counts,
+                verdict,
                 Invariant::SurvivorCompleteness,
                 a.recoveries.iter().all(|r| crashed.contains(&r.rank)),
                 "recovery names a rank that never crashed: {:?} (crashed: {crashed:?})",
@@ -316,7 +329,7 @@ impl Oracle {
             ..CollectiveConfig::linear()
         };
         let bits = (64 * 32) as u64;
-        let probe = Engine::new(platform.clone()).run(|ctx| {
+        let (probe, trace) = Engine::new(platform.clone()).run_traced(|ctx| {
             let own = vec![ctx.rank() as u32; 64];
             coll::allreduce(
                 ctx,
@@ -336,6 +349,11 @@ impl Oracle {
             .0
             .len()
         });
+        let uses = serial_link_uses(&platform, &trace);
+        verdict.links = LinkCensus {
+            transfers: uses.len(),
+            overlaps: serial_link_overlaps(&uses).len(),
+        };
         let predicted = coll::predict(
             &platform,
             platform.msg_latency_s(),
@@ -346,7 +364,7 @@ impl Oracle {
             cfg.pipeline_chunks,
         );
         ensure!(
-            counts,
+            verdict,
             Invariant::PredictExact,
             (predicted - probe.total_time).abs() < 1e-9,
             "coll::predict({:?}) = {predicted} vs measured {} on {} ranks",
@@ -364,7 +382,7 @@ impl Oracle {
             let analytic = predict_offload(&spec, 12.5, 4096, 1024);
             let simulated = DeviceSim::new(spec).launch(12.5, 4096, 1024);
             ensure!(
-                counts,
+                verdict,
                 Invariant::PredictExact,
                 analytic.to_bits() == simulated.to_bits(),
                 "predict_offload {analytic:e} != DeviceSim::launch {simulated:e} on {}",
@@ -373,45 +391,35 @@ impl Oracle {
         }
 
         // 4. Profile accounting identity and critical-path bounds.
-        counts.bump(Invariant::ProfileFold);
-        match &a.report.profile {
-            None => {
-                return Verdict {
-                    counts,
-                    violation: Some(Violation {
-                        invariant: Invariant::ProfileFold,
-                        detail: "profiled run carries no profile".into(),
-                    }),
-                    skipped: false,
-                }
-            }
-            Some(profile) => {
-                if let Some(rank) = profile.ranks.iter().find(|r| !r.identity_holds()) {
-                    return Verdict {
-                        counts,
-                        violation: Some(Violation {
-                            invariant: Invariant::ProfileFold,
-                            detail: format!(
-                                "rank {}: accounted {:e} != wall {:e} (bitwise)",
-                                rank.rank,
-                                rank.phases.accounted(),
-                                rank.wall
-                            ),
-                        }),
-                        skipped: false,
-                    };
-                }
-                ensure!(
-                    counts,
-                    Invariant::ProfileFold,
-                    profile.path_bounded(),
-                    "critical path out of bounds: length {:e}, slack {:e}, makespan {:e}",
-                    profile.critical_path.length,
-                    profile.critical_path.slack,
-                    profile.makespan
-                );
-            }
+        verdict.counts.bump(Invariant::ProfileFold);
+        let Some(profile) = &a.report.profile else {
+            verdict.violation = Some(Violation {
+                invariant: Invariant::ProfileFold,
+                detail: "profiled run carries no profile".into(),
+            });
+            return verdict;
+        };
+        if let Some(rank) = profile.ranks.iter().find(|r| !r.identity_holds()) {
+            verdict.violation = Some(Violation {
+                invariant: Invariant::ProfileFold,
+                detail: format!(
+                    "rank {}: accounted {:e} != wall {:e} (bitwise)",
+                    rank.rank,
+                    rank.phases.accounted(),
+                    rank.wall
+                ),
+            });
+            return verdict;
         }
+        ensure!(
+            verdict,
+            Invariant::ProfileFold,
+            profile.path_bounded(),
+            "critical path out of bounds: length {:e}, slack {:e}, makespan {:e}",
+            profile.critical_path.length,
+            profile.critical_path.slack,
+            profile.makespan
+        );
 
         // 5. Pure observer: profile stripped, the profiled report must
         // equal the unprofiled one — timing, ledgers, epochs, offloads
@@ -419,7 +427,7 @@ impl Oracle {
         let mut stripped = a.report.clone();
         stripped.profile = None;
         ensure!(
-            counts,
+            verdict,
             Invariant::PureObserver,
             stripped == c.report,
             "profiling perturbed the run: profiled(total {:e}) vs plain(total {:e})",
@@ -427,7 +435,7 @@ impl Oracle {
             c.report.total_time
         );
         ensure!(
-            counts,
+            verdict,
             Invariant::PureObserver,
             digest_a == c.output.digest64(),
             "profiling changed the output digest: {digest_a:#018x} vs {:#018x}",
@@ -436,7 +444,7 @@ impl Oracle {
 
         // 6. Copy accounting is deterministic (and profiling-blind).
         ensure!(
-            counts,
+            verdict,
             Invariant::CopyDeterminism,
             a.report.copies == b.report.copies && a.report.copies == c.report.copies,
             "CopyStats diverged: {:?} / {:?} / {:?}",
@@ -448,7 +456,7 @@ impl Oracle {
         // 7. Offload accounting — and the whole rerun report — is
         // deterministic.
         ensure!(
-            counts,
+            verdict,
             Invariant::OffloadDeterminism,
             a.report.offloads == b.report.offloads,
             "OffloadStats diverged across reruns: {:?} vs {:?}",
@@ -456,7 +464,7 @@ impl Oracle {
             b.report.offloads
         );
         ensure!(
-            counts,
+            verdict,
             Invariant::OffloadDeterminism,
             a.report == b.report && a.recoveries == b.recoveries,
             "rerun report diverged (total {:e} vs {:e}, {} vs {} recoveries)",
@@ -466,11 +474,7 @@ impl Oracle {
             b.recoveries.len()
         );
 
-        Verdict {
-            counts,
-            violation: None,
-            skipped: false,
-        }
+        verdict
     }
 }
 
@@ -511,11 +515,15 @@ mod tests {
     }
 
     /// A deterministic mini-campaign: every scenario passes all seven
-    /// invariants, and each invariant is exercised at least once.
+    /// invariants, and each invariant is exercised at least once. The
+    /// link census is live too: probes cross segments, and the
+    /// root-mediated schedules — every transfer has the root at one end,
+    /// and the root reserves — never overlap on a serial link.
     #[test]
     fn mini_campaign_is_green_and_exercises_every_invariant() {
         let oracle = Oracle::new();
         let mut totals = CheckCounts::default();
+        let mut crossings = 0;
         for seed in 0..24u64 {
             let scenario = Scenario::generate(seed);
             let verdict = oracle.check(&scenario);
@@ -526,7 +534,12 @@ mod tests {
                 verdict.violation
             );
             totals.merge(&verdict.counts);
+            crossings += verdict.links.transfers;
+            if scenario.collective != simnet::CollAlgorithm::BinomialTree {
+                assert_eq!(verdict.links.overlaps, 0, "seed {seed}: {scenario:?}");
+            }
         }
+        assert!(crossings > 0, "no probe crossed a segment boundary");
         for invariant in Invariant::ALL {
             assert!(
                 totals.of(invariant) > 0,

@@ -43,7 +43,8 @@ pub enum Driver {
 /// Invariants maintained by [`Scenario::generate`] and preserved by
 /// the shrinker:
 ///
-/// * `ranks ≥ 2`, `1 ≤ segments ≤ min(ranks, 3)`;
+/// * `ranks ≥ 2`, `1 ≤ segments ≤ min(ranks, 4)` (the paper's network
+///   has four);
 /// * fault events only reference live coordinates (worker ranks
 ///   `1..ranks`, segments `0..segments`), rank 0 never crashes, and at
 ///   least two ranks survive every crash schedule;
@@ -93,7 +94,7 @@ impl Scenario {
     pub fn generate(seed: u64) -> Scenario {
         let mut rng = SplitMix64::new(seed ^ 0x5eed_5eed_5eed_5eed);
         let ranks = rng.range(2, 9);
-        let segments = rng.range(1, 1 + ranks.min(3));
+        let segments = rng.range(1, 1 + ranks.min(4));
         let algo = [Algo::Atdca, Algo::Ufcls, Algo::Pct, Algo::Morph][rng.range(0, 4)];
         // PCT/MORPH outputs are fixed-grid-deterministic but not
         // partition-invariant: re-planning changes the partition after
@@ -224,7 +225,7 @@ mod tests {
             let s = Scenario::generate(seed);
             assert!((2..=8).contains(&s.ranks), "seed {seed}: ranks {}", s.ranks);
             assert!(
-                (1..=s.ranks.min(3)).contains(&s.segments),
+                (1..=s.ranks.min(4)).contains(&s.segments),
                 "seed {seed}: segments {}",
                 s.segments
             );

@@ -148,7 +148,7 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
 fn reduce_ranks(s: &Scenario, ranks: usize) -> Scenario {
     let mut c = s.clone();
     c.ranks = ranks;
-    c.segments = s.segments.min(ranks).min(3);
+    c.segments = s.segments.min(ranks);
     c.gpu_ranks.retain(|&r| r < ranks);
     c.fpga_ranks.retain(|&r| r < ranks);
     let fold_rank = |rank: usize| (rank - 1) % (ranks - 1) + 1;

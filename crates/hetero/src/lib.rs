@@ -99,4 +99,20 @@ mod tests {
         assert!(std::panic::catch_unwind(|| debug_assert!(black_box(false))).is_err());
         assert!(std::panic::catch_unwind(|| black_box(u8::MAX) + black_box(1)).is_err());
     }
+
+    /// `.cargo/config.toml` sets the ISA floor the kernels are compiled
+    /// for (x86-64-v3; docs/PERF.md "The ISA floor"). Moving or losing
+    /// that file costs ≈ 20 % of a sequential pass and changes no result,
+    /// so nothing else would notice. A build handed `RUSTFLAGS` on
+    /// purpose (CI's `sse2-floor` job) replaces the config's flags and is
+    /// exempt.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn kernels_are_built_at_the_configured_isa_floor() {
+        let avx2 = std::hint::black_box(cfg!(target_feature = "avx2"));
+        assert!(
+            avx2 || option_env!("RUSTFLAGS").is_some(),
+            "no AVX2 and no RUSTFLAGS: .cargo/config.toml was not picked up"
+        );
+    }
 }

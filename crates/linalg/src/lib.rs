@@ -27,7 +27,8 @@
 //!   ([`covariance`]) — the parallel covariance step of Hetero-PCT.
 //!
 //! The crate is dependency-free and deterministic: no randomised pivoting,
-//! no platform-specific intrinsics, identical results on every host.
+//! no platform-specific intrinsics, identical results on every host and at
+//! every ISA floor the workspace is built for ([`require_built_isa`]).
 //!
 //! ## Quick example
 //!
@@ -57,3 +58,21 @@ pub use matrix::Matrix;
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, LinAlgError>;
+
+/// Exits with a sentence, instead of dying on an illegal instruction, when
+/// this build's ISA floor is above what the running CPU offers.
+///
+/// `.cargo/config.toml` builds the workspace for `x86-64-v3` (docs/PERF.md,
+/// "The ISA floor"). No float sum is re-associated or contracted at either
+/// floor, so the rebuild the message names changes host time only. Every
+/// binary calls this before its first kernel.
+pub fn require_built_isa() {
+    #[cfg(target_arch = "x86_64")]
+    if cfg!(target_feature = "avx2") && !std::arch::is_x86_feature_detected!("avx2") {
+        eprintln!(
+            "error: built for x86-64-v3 but this CPU has no AVX2; rebuild with \
+             `RUSTFLAGS='-C target-cpu=x86-64'` — results are bit-identical, only host time differs"
+        );
+        std::process::exit(2);
+    }
+}

@@ -15,6 +15,7 @@ use heterospec::linalg::lstsq::{FclsProblem, FclsWorkspace};
 use heterospec::linalg::Matrix;
 
 fn main() {
+    heterospec::linalg::require_built_isa();
     let scene = wtc_scene(WtcConfig {
         lines: 48,
         samples: 72,

@@ -15,6 +15,7 @@ use heterospec::simnet::equivalent::{check_equivalence, equivalent_homogeneous};
 use heterospec::simnet::{Platform, ProcessorSpec};
 
 fn main() {
+    heterospec::linalg::require_built_isa();
     // A made-up departmental cluster: two fast nodes, four mid nodes,
     // two legacy machines, on two switched segments.
     let procs: Vec<ProcessorSpec> = [

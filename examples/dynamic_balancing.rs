@@ -26,6 +26,7 @@ use heterospec::simnet::{presets, FaultPlan};
 const LOADED: usize = 2;
 
 fn main() {
+    heterospec::linalg::require_built_isa();
     let scene = wtc_scene(WtcConfig {
         lines: 240,
         samples: 64,

@@ -19,6 +19,7 @@ use heterospec::simnet::engine::Engine;
 use heterospec::simnet::presets;
 
 fn main() {
+    heterospec::linalg::require_built_isa();
     let scene = wtc_scene(WtcConfig {
         lines: 256,
         samples: 128,

@@ -12,6 +12,7 @@ use heterospec::simnet::engine::Engine;
 use heterospec::simnet::presets;
 
 fn main() {
+    heterospec::linalg::require_built_isa();
     // 1. A synthetic AVIRIS-like scene standing in for the WTC data:
     //    224 bands, 7 debris classes, 7 thermal hot spots 'A'-'G'.
     let scene = wtc_scene(WtcConfig {

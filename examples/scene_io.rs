@@ -13,6 +13,7 @@ use heterospec::cube::metrics::{brightness, sad};
 use heterospec::cube::synth::{wtc_scene, WtcConfig};
 
 fn main() {
+    heterospec::linalg::require_built_isa();
     let scene = wtc_scene(WtcConfig {
         lines: 64,
         samples: 64,

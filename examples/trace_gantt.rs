@@ -21,6 +21,7 @@ use heterospec::simnet::engine::{Ctx, Engine};
 use heterospec::simnet::presets;
 
 fn main() {
+    heterospec::linalg::require_built_isa();
     let scene = wtc_scene(WtcConfig {
         lines: 128,
         samples: 64,

@@ -7,10 +7,10 @@
 //! (the full grid is the `ablation_collectives` gate).
 
 use heterospec::simnet::engine::{Engine, WireVec};
-use heterospec::simnet::trace::{Trace, TraceKind};
 use heterospec::simnet::{
     coll, presets, CollAlgorithm, CollectiveConfig, FaultPlan, GatherEntry, Platform,
 };
+use testutil::links::{serial_link_overlaps, serial_link_uses, LinkUse};
 use testutil::{random_platform as platform, BACKENDS, RANK_COUNTS};
 
 /// Broadcast + gather + reduce under `backend`, returning every rank's
@@ -245,78 +245,6 @@ fn auto_is_never_dominated_on_the_mini_grid() {
 // ---------------------------------------------------------------------
 // ROADMAP 1b, first cut: no two transfers overlap on one serial link
 // ---------------------------------------------------------------------
-
-/// One delivered cross-segment transfer and the interval it occupied
-/// its serial inter-segment link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct LinkUse {
-    /// The link, as the unordered segment pair `(low, high)`.
-    link: (usize, usize),
-    src: usize,
-    dst: usize,
-    start: f64,
-    end: f64,
-}
-
-/// Folds a trace into per-serial-link occupancy: every delivered
-/// receive whose endpoints sit in different segments held the link
-/// between them over `[sent_at + queued, sent_at + queued + transfer)`.
-/// Sorted by `(link, start)`.
-fn serial_link_uses(platform: &Platform, trace: &Trace) -> Vec<LinkUse> {
-    let mut uses: Vec<LinkUse> = trace
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::Recv {
-                src,
-                delivered: true,
-                sent_at,
-                transfer,
-                queued,
-            } => {
-                let (a, b) = (platform.segment_of(src), platform.segment_of(e.rank));
-                (a != b).then(|| LinkUse {
-                    link: (a.min(b), a.max(b)),
-                    src,
-                    dst: e.rank,
-                    start: sent_at + queued,
-                    end: sent_at + queued + transfer,
-                })
-            }
-            _ => None,
-        })
-        .collect();
-    uses.sort_by(|x, y| {
-        (x.link, x.start, x.end)
-            .partial_cmp(&(y.link, y.start, y.end))
-            .unwrap()
-    });
-    uses
-}
-
-/// Sweeps each link's transfers in start order and pairs every transfer
-/// that starts before the link is free with the earlier transfer still
-/// holding it (by more than rounding: a reservation starts exactly
-/// where its predecessor ends, give or take the last bit of
-/// `sent_at + queued`).
-fn serial_link_overlaps(uses: &[LinkUse]) -> Vec<(LinkUse, LinkUse)> {
-    let mut pairs = Vec::new();
-    let mut holder: Option<LinkUse> = None;
-    for &u in uses {
-        match holder {
-            Some(h) if h.link == u.link => {
-                if u.start < h.end - 1e-9 {
-                    pairs.push((h, u));
-                }
-                if u.end > h.end {
-                    holder = Some(u);
-                }
-            }
-            _ => holder = Some(u),
-        }
-    }
-    pairs
-}
 
 /// Broadcast of 30 000 words then a gather of 2 000 words a rank on the
 /// paper's four-segment network, traced: `(cross-segment transfers,
