@@ -1,14 +1,18 @@
 //! # repro-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation section
-//! (`cargo run -p repro-bench --release --bin table5` etc.), plus three
-//! ablations and the criterion microbenches under `benches/`.
+//! One binary per experiment run of the paper's evaluation section
+//! (`cargo run -p repro-bench --release --bin table5` etc.): tables that
+//! share a run share a binary — `table5` prints Tables 5, 6 and 7 from
+//! one matrix run, `table8` Table 8 and Figure 2 from one Thunderhead
+//! sweep — plus the ablations and the criterion microbenches under
+//! `benches/`.
 //!
-//! All binaries print a paper-style text table and write a CSV to
-//! `target/experiments/`. The scene size is selected with the
-//! `HETEROSPEC_SCENE` environment variable (`tiny`, `small`, `medium`,
-//! (the default), `large`, `full`); virtual times scale linearly with pixel
-//! count, so every ratio is size-invariant (see DESIGN.md). The `full`
+//! All binaries print paper-style text tables and write one CSV per
+//! table to `target/experiments/`; nothing is cached between runs. The
+//! scene size is selected with the `HETEROSPEC_SCENE` environment
+//! variable (`tiny`, `small`, `medium` (the default), `large`, `full`);
+//! virtual times scale linearly with pixel count, so every ratio is
+//! size-invariant (see DESIGN.md). The `full`
 //! size is the paper's 2133×512 scene and takes several minutes of real
 //! compute per algorithm. On Linux every binary with a scene ends its
 //! stderr with `# peak RSS: <MiB> MiB (<x.x> × cube)`
@@ -21,7 +25,6 @@ use hetero_hsi::config::{AlgoParams, RunOptions};
 use hetero_hsi::framework::ParallelRun;
 use hsi_cube::synth::{wtc_scene, SyntheticScene, WtcConfig};
 use hsi_cube::HyperCube;
-use microjson::Json;
 use simnet::engine::Engine;
 use std::path::PathBuf;
 
@@ -132,56 +135,9 @@ pub struct MatrixEntry {
     pub d_minus: f64,
 }
 
-impl MatrixEntry {
-    fn to_json(&self) -> Json {
-        microjson::object(vec![
-            ("algorithm", Json::String(self.algorithm.clone())),
-            ("variant", Json::String(self.variant.clone())),
-            ("network", Json::String(self.network.clone())),
-            ("total", Json::Number(self.total)),
-            ("com", Json::Number(self.com)),
-            ("seq", Json::Number(self.seq)),
-            ("par", Json::Number(self.par)),
-            ("d_all", Json::Number(self.d_all)),
-            ("d_minus", Json::Number(self.d_minus)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Option<MatrixEntry> {
-        Some(MatrixEntry {
-            algorithm: value.get("algorithm")?.as_str()?.to_string(),
-            variant: value.get("variant")?.as_str()?.to_string(),
-            network: value.get("network")?.as_str()?.to_string(),
-            total: value.get("total")?.as_f64()?,
-            com: value.get("com")?.as_f64()?,
-            seq: value.get("seq")?.as_f64()?,
-            par: value.get("par")?.as_f64()?,
-            d_all: value.get("d_all")?.as_f64()?,
-            d_minus: value.get("d_minus")?.as_f64()?,
-        })
-    }
-}
-
-/// Runs (or loads from cache) the full 8-algorithm × 4-network matrix
-/// shared by Tables 5, 6 and 7.
+/// Runs the full 8-algorithm × 4-network matrix shared by Tables 5, 6
+/// and 7.
 pub fn run_matrix(scene: &SyntheticScene, params: &AlgoParams) -> Vec<MatrixEntry> {
-    let cache = experiments_dir().join(format!(
-        "matrix-{}x{}x{}.json",
-        scene.cube.lines(),
-        scene.cube.samples(),
-        scene.cube.bands()
-    ));
-    if let Ok(text) = std::fs::read_to_string(&cache) {
-        if let Some(entries) = Json::parse(&text)
-            .ok()
-            .as_ref()
-            .and_then(Json::as_array)
-            .and_then(|items| items.iter().map(MatrixEntry::from_json).collect())
-        {
-            eprintln!("# loaded cached matrix from {}", cache.display());
-            return entries;
-        }
-    }
     let networks = simnet::presets::four_networks();
     let mut entries = Vec::new();
     for algorithm in ALGORITHMS {
@@ -209,8 +165,6 @@ pub fn run_matrix(scene: &SyntheticScene, params: &AlgoParams) -> Vec<MatrixEntr
             }
         }
     }
-    let json = Json::Array(entries.iter().map(MatrixEntry::to_json).collect());
-    let _ = std::fs::write(&cache, json.pretty());
     entries
 }
 
@@ -223,50 +177,11 @@ pub struct SweepEntry {
     pub cpus: usize,
     /// Total execution time in virtual seconds.
     pub total: f64,
-    /// Sequential component.
-    pub seq: f64,
 }
 
-impl SweepEntry {
-    fn to_json(&self) -> Json {
-        microjson::object(vec![
-            ("algorithm", Json::String(self.algorithm.clone())),
-            ("cpus", Json::Number(self.cpus as f64)),
-            ("total", Json::Number(self.total)),
-            ("seq", Json::Number(self.seq)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Option<SweepEntry> {
-        Some(SweepEntry {
-            algorithm: value.get("algorithm")?.as_str()?.to_string(),
-            cpus: value.get("cpus")?.as_usize()?,
-            total: value.get("total")?.as_f64()?,
-            seq: value.get("seq")?.as_f64()?,
-        })
-    }
-}
-
-/// Runs (or loads) the Thunderhead sweep over the paper's processor
-/// counts for all four heterogeneous algorithms.
+/// Runs the Thunderhead sweep over the paper's processor counts for all
+/// four heterogeneous algorithms (Table 8 and Figure 2).
 pub fn run_thunderhead_sweep(scene: &SyntheticScene, params: &AlgoParams) -> Vec<SweepEntry> {
-    let cache = experiments_dir().join(format!(
-        "thunderhead-{}x{}x{}.json",
-        scene.cube.lines(),
-        scene.cube.samples(),
-        scene.cube.bands()
-    ));
-    if let Ok(text) = std::fs::read_to_string(&cache) {
-        if let Some(entries) = Json::parse(&text)
-            .ok()
-            .as_ref()
-            .and_then(Json::as_array)
-            .and_then(|items| items.iter().map(SweepEntry::from_json).collect())
-        {
-            eprintln!("# loaded cached sweep from {}", cache.display());
-            return entries;
-        }
-    }
     let mut entries = Vec::new();
     for algorithm in ALGORITHMS {
         for &cpus in simnet::presets::THUNDERHEAD_SWEEP.iter() {
@@ -274,17 +189,13 @@ pub fn run_thunderhead_sweep(scene: &SyntheticScene, params: &AlgoParams) -> Vec
             let platform = simnet::presets::thunderhead(cpus);
             let engine = Engine::new(platform);
             let run = run_algorithm(algorithm, &engine, scene, params, &RunOptions::hetero());
-            let d = run.report.decomposition();
             entries.push(SweepEntry {
                 algorithm: algorithm.to_string(),
                 cpus,
-                total: d.total,
-                seq: d.seq,
+                total: run.report.decomposition().total,
             });
         }
     }
-    let json = Json::Array(entries.iter().map(SweepEntry::to_json).collect());
-    let _ = std::fs::write(&cache, json.pretty());
     entries
 }
 
@@ -349,7 +260,7 @@ pub fn write_report(
     status
 }
 
-/// Directory where experiment outputs (CSV/JSON) are written.
+/// Directory where experiment outputs (CSV) are written.
 pub fn experiments_dir() -> PathBuf {
     let dir = PathBuf::from("target/experiments");
     let _ = std::fs::create_dir_all(&dir);

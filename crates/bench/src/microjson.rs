@@ -1,16 +1,13 @@
-//! Minimal JSON reader/writer used by the experiment caches and the
-//! kernel benchmark emitter.
+//! Minimal JSON writer for the `BENCH_*.json` records.
 //!
 //! The workspace is built fully offline, so instead of `serde` this is
-//! a small hand-rolled recursive-descent parser plus a pretty printer
-//! producing `serde_json::to_string_pretty`-style output (two-space
-//! indent). It reads any valid JSON document, which keeps caches
-//! written by earlier revisions loadable.
+//! a small pretty printer producing `serde_json::to_string_pretty`-style
+//! output (two-space indent). Nothing in the harness reads JSON back.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -28,61 +25,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// The value as f64, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as usize, if it is a non-negative integral number.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
-            _ => None,
-        }
-    }
-
-    /// The value as &str, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Looks up a key, if the value is an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// Parses a JSON document (must consume all non-whitespace input).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing input at byte {}", parser.pos));
-        }
-        Ok(value)
-    }
-
     /// Pretty-prints with two-space indentation.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
@@ -177,194 +119,12 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object_value(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object_value(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| "bad \\u escape".to_string())?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by our own
-                            // files; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unknown escape '\\{}'", other as char)),
-                    }
-                }
-                _ => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| format!("bad number '{text}'"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_nested_document() {
+    fn pretty_prints_nested_documents_with_sorted_keys() {
         let doc = object(vec![
             ("name", Json::String("covariance".into())),
             ("threads", Json::Number(8.0)),
@@ -373,40 +133,26 @@ mod tests {
                 "runs",
                 Json::Array(vec![Json::Number(1.5), Json::Null, Json::Bool(true)]),
             ),
+            ("empty", Json::Array(vec![])),
         ]);
-        let text = doc.pretty();
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(back, doc);
+        let want = r#"{
+  "empty": [],
+  "name": "covariance",
+  "runs": [
+    1.5,
+    null,
+    true
+  ],
+  "speedup": 4.25,
+  "threads": 8.0
+}"#;
+        assert_eq!(doc.pretty(), want);
     }
 
     #[test]
-    fn parses_serde_style_pretty_output() {
-        let text = r#"[
-  {
-    "algorithm": "ATDCA",
-    "total": 41.25,
-    "cpus": 16
-  }
-]"#;
-        let doc = Json::parse(text).unwrap();
-        let entry = &doc.as_array().unwrap()[0];
-        assert_eq!(entry.get("algorithm").unwrap().as_str(), Some("ATDCA"));
-        assert_eq!(entry.get("total").unwrap().as_f64(), Some(41.25));
-        assert_eq!(entry.get("cpus").unwrap().as_usize(), Some(16));
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
+    fn strings_are_escaped() {
         let doc = Json::String("line\nbreak \"quote\" \\slash\u{1}".into());
-        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(Json::parse("{broken").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("12 34").is_err());
-        assert!(Json::parse("nul").is_err());
+        assert_eq!(doc.pretty(), r#""line\nbreak \"quote\" \\slash\u0001""#);
     }
 
     #[test]
@@ -414,6 +160,6 @@ mod tests {
         assert_eq!(Json::Number(16.0).pretty(), "16.0");
         assert_eq!(Json::Number(-3.0).pretty(), "-3.0");
         assert_eq!(Json::Number(0.5).pretty(), "0.5");
-        assert_eq!(Json::parse("16.0").unwrap().as_usize(), Some(16));
+        assert_eq!(Json::Number(f64::NAN).pretty(), "null");
     }
 }

@@ -16,7 +16,7 @@
 //!   determinism), counting every comparison it performs, and reports
 //!   — without enforcing it yet — how many transfers of its allreduce
 //!   probe overlapped on a serial inter-segment link ([`LinkCensus`]).
-//! * [`shrink`] minimizes a violating scenario by greedy delta
+//! * [`shrink()`] minimizes a violating scenario by greedy delta
 //!   debugging, and [`reproducer`] / [`json_record`] render the result
 //!   as a pasteable Rust regression test and a JSON report entry.
 //!

@@ -361,7 +361,6 @@ impl Oracle {
             s.collective,
             0,
             bits,
-            cfg.pipeline_chunks,
         );
         ensure!(
             verdict,

@@ -4,7 +4,7 @@
 //! shape, attached accelerators, workload, chunking, fault schedule,
 //! collective backend, offload policy and fault-tolerant driver — as
 //! *plain data*. Every field is an editable scalar or list so the
-//! shrinker ([`crate::shrink`]) can mutate one dimension at a time and
+//! shrinker ([`crate::shrink()`]) can mutate one dimension at a time and
 //! the reproducer emitter can print the scenario back as a Rust
 //! literal. Generation is a pure function of the seed: the same `u64`
 //! yields the same scenario on any host.
@@ -197,7 +197,6 @@ impl Scenario {
             chunk_lines: self.chunk_lines,
             collectives: CollectiveConfig::uniform(self.collective),
             offload: self.offload,
-            ..FtOptions::default()
         }
     }
 

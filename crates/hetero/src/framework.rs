@@ -36,11 +36,6 @@ impl LocalBlock {
     pub fn own_range(&self) -> (usize, usize) {
         (self.pre, self.pre + self.n_lines)
     }
-
-    /// Converts a local line to the global image line.
-    pub fn to_global_line(&self, local: usize) -> usize {
-        local + self.first_line - self.pre
-    }
 }
 
 /// Computes workload fractions for a strategy.
@@ -428,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn local_block_coordinate_mapping() {
+    fn local_block_own_range() {
         let block = LocalBlock {
             first_line: 100,
             n_lines: 10,
@@ -436,8 +431,6 @@ mod tests {
             cube: HyperCube::zeros(16, 4, 2),
         };
         assert_eq!(block.own_range(), (3, 13));
-        assert_eq!(block.to_global_line(3), 100);
-        assert_eq!(block.to_global_line(12), 109);
     }
 
     #[test]

@@ -61,28 +61,32 @@
 use crate::offload::{self, ChunkCost, OffloadPolicy};
 use crate::sched::ChunkedAlgo;
 use crate::wea::apportion_rows;
-use simnet::coll::{self, CollAlgorithm, CollOp, CollectiveConfig, Membership, Stamped};
+use simnet::coll::{self, CollAlgorithm, CollOp, CollectiveConfig, Membership};
 use simnet::engine::{Engine, Wire};
 use simnet::report::RunReport;
 use simnet::{Ctx, RankFailure, RecvError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Deadline factor κ of the re-planning mode: a batch estimated at `e`
+/// seconds is declared late after `κ·e` (late batches merely extend the
+/// deadline — only a failure marker is authoritative).
+pub const FAILURE_THRESHOLD: f64 = 4.0;
+
+/// Deadline extension (seconds) after a late batch of the re-planning
+/// mode.
+pub const MARGIN_S: f64 = 0.05;
+
+/// Idle poll interval (seconds) of the self-scheduling master.
+pub const POLL_INTERVAL_S: f64 = 0.02;
+
 /// Knobs of the fault-tolerant drivers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FtOptions {
     /// Chunk size (lines) of the self-scheduling mode.
     pub chunk_lines: usize,
-    /// Deadline factor κ of the re-planning mode: a batch estimated at
-    /// `e` seconds is declared late after `κ·e` (late batches merely
-    /// extend the deadline — only a failure marker is authoritative).
-    pub failure_threshold: f64,
-    /// Deadline extension (seconds) after a late batch.
-    pub margin_s: f64,
-    /// Idle poll interval (seconds) of the self-scheduling master.
-    pub poll_interval_s: f64,
     /// Collective configuration of the round-state distribution. Only
-    /// the `broadcast` slot (and `pipeline_chunks`) matters here:
+    /// the `broadcast` slot matters here:
     /// [`CollAlgorithm::Linear`] (the default) runs the historic
     /// direct fan-out, bit- and timing-identical to earlier releases;
     /// anything else enables the epoch-stamped survivor-tree mode (see
@@ -98,9 +102,6 @@ impl Default for FtOptions {
     fn default() -> Self {
         FtOptions {
             chunk_lines: 8,
-            failure_threshold: 4.0,
-            margin_s: 0.05,
-            poll_interval_s: 0.02,
             collectives: CollectiveConfig::linear(),
             offload: OffloadPolicy::Never,
         }
@@ -278,15 +279,6 @@ impl<S: Send + Sync + 'static, P: Send + 'static> Wire for FtMsg<S, P> {
             | FtMsg::Finish => 0,
             FtMsg::RoundStart { survivors, .. } => 16 * survivors.len() as u64,
             FtMsg::Partial { .. } => self.size_bits(),
-        }
-    }
-}
-
-impl<S: Send + Sync + 'static, P: Send + 'static> Stamped for FtMsg<S, P> {
-    fn stamp(&self) -> Option<u64> {
-        match self {
-            FtMsg::RoundStart { epoch, .. } | FtMsg::RoundState { epoch, .. } => Some(*epoch),
-            _ => None,
         }
     }
 }
@@ -740,15 +732,7 @@ fn start_round_tree<S, P>(
     P: Send + 'static,
 {
     let requested = normalize_tree_algo(cfg.broadcast);
-    let resolved = coll::resolve_over(
-        ctx,
-        CollOp::Broadcast,
-        requested,
-        0,
-        &roster.view,
-        bits,
-        cfg.pipeline_chunks,
-    );
+    let resolved = coll::resolve_over(ctx, CollOp::Broadcast, requested, 0, &roster.view, bits);
     let algorithm = normalize_tree_algo(resolved);
     let epoch = roster.view.epoch();
     let survivors = roster.view.survivors();
@@ -913,17 +897,14 @@ fn collect_replan<A: ChunkedAlgo>(
         let cost = ChunkCost::new(algo.chunk_mflops(round, n), algo.chunk_bytes(round, n));
         let est = offload::chunk_secs(ctx.platform().proc(w), opts.offload, &cost);
         let start = ready_at[w].max(ctx.elapsed());
-        ready_at[w] = start + est * opts.failure_threshold;
-        let cap = ctx
-            .fault_plan()
-            .dilate(w, start, est * opts.failure_threshold)
-            + opts.margin_s;
+        ready_at[w] = start + est * FAILURE_THRESHOLD;
+        let cap = ctx.fault_plan().dilate(w, start, est * FAILURE_THRESHOLD) + MARGIN_S;
         batches.push(Batch {
             id,
             worker: w,
             first,
             n,
-            deadline: ready_at[w] + opts.margin_s,
+            deadline: ready_at[w] + MARGIN_S,
             cap,
             done: false,
         });
@@ -962,7 +943,7 @@ fn collect_replan<A: ChunkedAlgo>(
                 // would have delivered, so stop stepping the clock margin
                 // by margin and block for the authoritative outcome (the
                 // Partial or the failure marker).
-                let extended = ctx.elapsed() + opts.margin_s;
+                let extended = ctx.elapsed() + MARGIN_S;
                 batches[i].deadline = if extended < batches[i].cap {
                     extended
                 } else {
@@ -1067,7 +1048,7 @@ fn collect_self_sched<A: ChunkedAlgo>(
             }
         }
         if !productive && done < total_chunks {
-            ctx.wait_until(ctx.elapsed() + opts.poll_interval_s);
+            ctx.wait_until(ctx.elapsed() + POLL_INTERVAL_S);
         }
     }
     Ok(partials)

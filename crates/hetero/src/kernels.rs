@@ -829,44 +829,6 @@ pub fn mei_top(
     (kept, mflops)
 }
 
-/// Greedy maximum-minimum-distance selection of `c` mutually distinct
-/// spectra (the master's unique-set reduction in PCT step 3 and MORPH
-/// step 3). Deterministic: seeds with the first spectrum, then
-/// repeatedly adds the spectrum whose minimum SAD to the selected set is
-/// largest (ties to the lowest index). Returns selected indices and the
-/// megaflop cost.
-pub fn select_distinct(spectra: &[Vec<f32>], c: usize) -> (Vec<usize>, f64) {
-    if spectra.is_empty() || c == 0 {
-        return (Vec::new(), 0.0);
-    }
-    let n = spectra[0].len();
-    let mut selected = vec![0usize];
-    let mut min_dist: Vec<f64> = spectra.iter().map(|s| sad(s, &spectra[0])).collect();
-    let mut sad_evals = spectra.len();
-    while selected.len() < c.min(spectra.len()) {
-        let mut best = None;
-        for (i, &d) in min_dist.iter().enumerate() {
-            if selected.contains(&i) {
-                continue;
-            }
-            match best {
-                Some((_, bd)) if d <= bd => {}
-                _ => best = Some((i, d)),
-            }
-        }
-        let Some((idx, _)) = best else { break };
-        selected.push(idx);
-        for (i, s) in spectra.iter().enumerate() {
-            let d = sad(s, &spectra[idx]);
-            sad_evals += 1;
-            if d < min_dist[i] {
-                min_dist[i] = d;
-            }
-        }
-    }
-    (selected, flops::mflop(flops::sad(n) * sad_evals as f64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1249,28 +1211,6 @@ mod tests {
             "{hits}/{}",
             labels.len()
         );
-    }
-
-    #[test]
-    fn select_distinct_prefers_spread() {
-        let a = vec![1.0f32, 0.0, 0.0];
-        let b = vec![0.0f32, 1.0, 0.0];
-        let a2 = vec![0.99f32, 0.01, 0.0];
-        let c = vec![0.0f32, 0.0, 1.0];
-        let (sel, _) = select_distinct(&[a, a2, b, c], 3);
-        assert_eq!(sel.len(), 3);
-        assert!(sel.contains(&0));
-        assert!(sel.contains(&2));
-        assert!(sel.contains(&3));
-        assert!(!sel.contains(&1), "near-duplicate must lose");
-    }
-
-    #[test]
-    fn select_distinct_edge_cases() {
-        assert_eq!(select_distinct(&[], 3).0, Vec::<usize>::new());
-        let one = vec![vec![1.0f32, 2.0]];
-        assert_eq!(select_distinct(&one, 5).0, vec![0]);
-        assert_eq!(select_distinct(&one, 0).0, Vec::<usize>::new());
     }
 
     #[test]

@@ -17,6 +17,15 @@
 //!   classification with a parallel covariance step.
 //! * [`par::morph`] — Hetero-MORPH (Algorithm 5): spatial/spectral
 //!   morphological classification with overlap borders.
+//! * [`vd`] — virtual dimensionality (HFC and noise-floor estimators):
+//!   where Table 3's `t = 18` comes from.
+//! * [`eval`] — accuracy against ground truth (Tables 3 and 4);
+//!   [`digest`] — bit-exact output digests for differential checks.
+//!
+//! The paper's §3.1 criterion — Hetero-X on a heterogeneous network
+//! ≈ Homo-X on its equivalent homogeneous network
+//! (`simnet::equivalent`) — is not a function here but a gate:
+//! `tests/experiment_shapes.rs::table5_shape_adaptation`.
 //!
 //! Every parallel algorithm runs in two flavours selected by
 //! [`config::PartitionStrategy`]: **Heterogeneous** (WEA fractions) or
@@ -72,7 +81,6 @@ pub mod ft;
 pub mod kernels;
 pub mod msg;
 pub mod offload;
-pub mod optimality;
 pub mod par;
 pub mod sched;
 pub mod seq;

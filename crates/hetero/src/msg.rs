@@ -187,7 +187,7 @@ impl Msg {
     }
 
     /// This message's variant name (for [`WireMismatch`] diagnostics).
-    pub fn variant_name(&self) -> &'static str {
+    fn variant_name(&self) -> &'static str {
         match self {
             Msg::Partition { .. } => "Partition",
             Msg::Candidate(_) => "Candidate",
@@ -229,14 +229,6 @@ impl Msg {
         }
     }
 
-    /// Borrows a candidate without consuming the message.
-    pub fn as_candidate(&self) -> Result<&Candidate, WireMismatch> {
-        match self {
-            Msg::Candidate(c) => Ok(c),
-            other => Err(other.mismatch("Candidate")),
-        }
-    }
-
     /// Decodes a candidate list.
     pub fn into_candidates(self) -> Result<Vec<Candidate>, WireMismatch> {
         match self {
@@ -253,15 +245,6 @@ impl Msg {
         }
     }
 
-    /// Borrows the spectra list without consuming the message (the
-    /// copy-free path for read-only scoring kernels).
-    pub fn as_spectra(&self) -> Result<&[Vec<f32>], WireMismatch> {
-        match self {
-            Msg::Spectra(s) => Ok(s),
-            other => Err(other.mismatch("Spectra")),
-        }
-    }
-
     /// Decodes flat statistics.
     pub fn into_stats(self) -> Result<Vec<f64>, WireMismatch> {
         match self {
@@ -274,14 +257,6 @@ impl Msg {
     pub fn into_pct_model(self) -> Result<PctModel, WireMismatch> {
         match self {
             Msg::PctModel(m) => Ok(unwrap_or_clone(m)),
-            other => Err(other.mismatch("PctModel")),
-        }
-    }
-
-    /// Borrows the PCT model without consuming the message.
-    pub fn as_pct_model(&self) -> Result<&PctModel, WireMismatch> {
-        match self {
-            Msg::PctModel(m) => Ok(m),
             other => Err(other.mismatch("PctModel")),
         }
     }
@@ -432,9 +407,6 @@ mod tests {
         assert!(Msg::Token.into_candidates().is_err());
         assert!(Msg::Token.into_labels().is_err());
         assert!(Msg::Token.into_stats().is_err());
-        assert!(Msg::Token.as_spectra().is_err());
-        assert!(Msg::Token.as_candidate().is_err());
-        assert!(Msg::Token.as_pct_model().is_err());
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub fn charge_chunk<M: Wire>(ctx: &mut Ctx<M>, policy: OffloadPolicy, cost: &Chu
 /// (bit-identical to [`ProcessorSpec::speed`], so `Never` reproduces
 /// historic partitions exactly), or `rep.mflops / device_secs` when it
 /// offloads — launch latency and transfers amortized over the chunk.
-pub fn effective_speed(proc: &ProcessorSpec, policy: OffloadPolicy, rep: &ChunkCost) -> f64 {
+fn effective_speed(proc: &ProcessorSpec, policy: OffloadPolicy, rep: &ChunkCost) -> f64 {
     match decide(proc, policy, rep) {
         ChunkTarget::Host => proc.speed(),
         ChunkTarget::Device => {
@@ -173,9 +173,9 @@ pub fn effective_speed(proc: &ProcessorSpec, policy: OffloadPolicy, rep: &ChunkC
     }
 }
 
-/// Per-rank effective speeds (see [`effective_speed`]) — what the
-/// re-planning master feeds [`crate::ft`]'s speed-proportional batch
-/// split so accelerator-rich nodes receive larger batches.
+/// Per-rank effective speeds in Mflop/s for work shaped like `rep` —
+/// what the re-planning master feeds [`crate::ft`]'s speed-proportional
+/// batch split so accelerator-rich nodes receive larger batches.
 pub fn effective_speeds(platform: &Platform, policy: OffloadPolicy, rep: &ChunkCost) -> Vec<f64> {
     platform
         .procs()
@@ -186,7 +186,7 @@ pub fn effective_speeds(platform: &Platform, policy: OffloadPolicy, rep: &ChunkC
 
 /// A clone of `platform` whose cycle-times are replaced by the
 /// *effective* seconds-per-megaflop for work shaped like `rep` (see
-/// [`effective_speed`]). Fed to the WEA partitioners **only** — the
+/// [`effective_speeds`]). Fed to the WEA partitioners **only** — the
 /// engine always runs on the real platform — so fraction computation
 /// sees host + device pairs while time accounting stays exact.
 /// `Never` returns an identical copy (partitions are unchanged).

@@ -139,7 +139,7 @@ impl PctModel {
 }
 
 /// Transforms full-spectrum class representatives into PCT space.
-pub fn transform_reps(transform: &Matrix, mean: &[f64], reps: &[Vec<f32>]) -> Vec<Vec<f64>> {
+fn transform_reps(transform: &Matrix, mean: &[f64], reps: &[Vec<f32>]) -> Vec<Vec<f64>> {
     reps.iter()
         .map(|r| {
             let centred: Vec<f64> = r.iter().zip(mean).map(|(&v, &m)| v as f64 - m).collect();

@@ -53,8 +53,6 @@ pub struct WeaConfig {
     pub link_model: WeaLinkModel,
     /// Honour per-node memory upper bounds (Algorithm 1 step 3b).
     pub respect_memory: bool,
-    /// Fraction of a node's memory usable for pixel data.
-    pub memory_fill: f64,
 }
 
 impl Default for WeaConfig {
@@ -62,10 +60,13 @@ impl Default for WeaConfig {
         WeaConfig {
             link_model: WeaLinkModel::Makespan,
             respect_memory: true,
-            memory_fill: 0.8,
         }
     }
 }
+
+/// Fraction of a node's memory usable for pixel data (Algorithm 1's
+/// upper bound).
+pub const MEMORY_FILL: f64 = 0.8;
 
 /// Per-row resource demand of an algorithm on a given scene.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,17 +81,6 @@ pub struct RowCost {
     /// which stops it from starving fast nodes with tiny partitions
     /// whose fixed cost dominates.
     pub fixed_mflops: f64,
-}
-
-impl RowCost {
-    /// A purely row-proportional cost (no staging, no fixed part).
-    pub fn compute_only(mflops_per_row: f64) -> Self {
-        RowCost {
-            mflops_per_row,
-            mbits_per_row: 0.0,
-            fixed_mflops: 0.0,
-        }
-    }
 }
 
 /// A processor's assigned block of image rows.
@@ -145,11 +135,12 @@ fn serial_factor(platform: &Platform, i: usize) -> f64 {
 /// ```
 /// use hetero_hsi::wea::{hetero_fractions, RowCost, WeaConfig};
 /// let platform = simnet::presets::fully_heterogeneous();
-/// let f = hetero_fractions(
-///     &platform,
-///     RowCost::compute_only(1.0),
-///     WeaConfig::default(),
-/// );
+/// let compute_only = RowCost {
+///     mflops_per_row: 1.0,
+///     mbits_per_row: 0.0,
+///     fixed_mflops: 0.0,
+/// };
+/// let f = hetero_fractions(&platform, compute_only, WeaConfig::default());
 /// // Fractions form a distribution, and the fastest processor (p3)
 /// // receives the largest share.
 /// assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -319,12 +310,13 @@ pub fn apportion_rows(fractions: &[f64], total_rows: usize) -> Vec<usize> {
     counts
 }
 
-/// Rows that fit in each processor's memory (Algorithm 1's upper bound).
-pub fn memory_row_capacity(platform: &Platform, row_bytes: usize, fill: f64) -> Vec<usize> {
+/// Rows that fit in [`MEMORY_FILL`] of each processor's memory
+/// (Algorithm 1's upper bound).
+pub fn memory_row_capacity(platform: &Platform, row_bytes: usize) -> Vec<usize> {
     platform
         .procs()
         .iter()
-        .map(|p| ((p.memory_mb as f64 * 1.0e6 * fill) / row_bytes.max(1) as f64) as usize)
+        .map(|p| ((p.memory_mb as f64 * 1.0e6 * MEMORY_FILL) / row_bytes.max(1) as f64) as usize)
         .collect()
 }
 
@@ -390,7 +382,7 @@ pub fn assignments(
 ) -> Result<Vec<RowAssignment>, WeaError> {
     let counts = apportion_rows(fractions, total_rows);
     let counts = if cfg.respect_memory {
-        let caps = memory_row_capacity(platform, row_bytes, cfg.memory_fill);
+        let caps = memory_row_capacity(platform, row_bytes);
         apply_memory_bounds(&counts, fractions, &caps)?
     } else {
         counts
@@ -600,7 +592,7 @@ mod tests {
         let row_bytes = 50 * 1024 * 1024; // 50 MB per row
         let cfg = WeaConfig::default();
         let asg = assignments(&p, 160, row_bytes, &f, cfg).unwrap();
-        let caps = memory_row_capacity(&p, row_bytes, cfg.memory_fill);
+        let caps = memory_row_capacity(&p, row_bytes);
         for (a, cap) in asg.iter().zip(&caps) {
             assert!(a.n_lines <= *cap, "{} > {}", a.n_lines, cap);
         }
@@ -616,14 +608,6 @@ mod tests {
         assert!(e.to_string().contains('5'));
         assert!(e.to_string().contains('9'));
         let _: &dyn std::error::Error = &e;
-    }
-
-    #[test]
-    fn compute_only_constructor() {
-        let c = RowCost::compute_only(3.5);
-        assert_eq!(c.mflops_per_row, 3.5);
-        assert_eq!(c.mbits_per_row, 0.0);
-        assert_eq!(c.fixed_mflops, 0.0);
     }
 
     #[test]

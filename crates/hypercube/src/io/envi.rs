@@ -184,25 +184,6 @@ pub fn write_cube_interleaved(
     Ok(())
 }
 
-/// Reads the wavelength list (µm) from a header written by
-/// [`write_cube`], or any conforming ENVI header with a single-line
-/// `wavelength = { ... }` field. Returns `None` when the field is
-/// absent or malformed.
-pub fn read_wavelengths(path: &Path) -> Option<Vec<f64>> {
-    let hdr = std::fs::read_to_string(header_path(path)).ok()?;
-    for line in hdr.lines() {
-        if let Some((k, v)) = line.split_once('=') {
-            if k.trim().eq_ignore_ascii_case("wavelength") {
-                let inner = v.trim().trim_start_matches('{').trim_end_matches('}');
-                let vals: Result<Vec<f64>, _> =
-                    inner.split(',').map(|s| s.trim().parse::<f64>()).collect();
-                return vals.ok();
-            }
-        }
-    }
-    None
-}
-
 /// Reads a cube written by [`write_cube`] (or any conforming ENVI BIP
 /// float32 little-endian product).
 pub fn read_cube(path: &Path) -> Result<HyperCube, EnviError> {
@@ -377,17 +358,14 @@ mod tests {
     }
 
     #[test]
-    fn wavelengths_roundtrip() {
+    fn header_carries_the_wavelength_grid() {
         let cube = HyperCube::zeros(2, 2, 16);
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("w.raw");
         write_cube(&cube, &path).unwrap();
-        let w = read_wavelengths(&path).unwrap();
-        assert_eq!(w.len(), 16);
-        assert!((w[0] - 0.4).abs() < 1e-6);
-        assert!((w[15] - 2.5).abs() < 1e-6);
-        // Missing header -> None.
-        assert!(read_wavelengths(std::path::Path::new("/nonexistent")).is_none());
+        let hdr = std::fs::read_to_string(header_path(&path)).unwrap();
+        assert!(hdr.contains("wavelength = { 0.400000, "), "{hdr}");
+        assert!(hdr.contains(", 2.500000 }"), "{hdr}");
     }
 
     #[test]

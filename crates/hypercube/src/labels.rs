@@ -189,42 +189,6 @@ pub fn score(predicted: &LabelImage, truth: &LabelImage) -> AccuracyReport {
     }
 }
 
-/// A confusion matrix over ground-truth classes (rows) and predicted
-/// clusters mapped to classes (columns), in sorted class order.
-#[derive(Debug, Clone)]
-pub struct ConfusionMatrix {
-    /// Sorted ground-truth class labels indexing rows and columns.
-    pub classes: Vec<u16>,
-    /// `counts[i][j]` = pixels of true class `classes[i]` predicted as
-    /// `classes[j]` (after mapping).
-    pub counts: Vec<Vec<usize>>,
-}
-
-/// Builds a confusion matrix after applying the majority mapping computed
-/// by [`score`].
-pub fn confusion_matrix(predicted: &LabelImage, truth: &LabelImage) -> ConfusionMatrix {
-    let report = score(predicted, truth);
-    let classes = truth.distinct_labels();
-    let idx: HashMap<u16, usize> = classes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut counts = vec![vec![0usize; classes.len()]; classes.len()];
-    for (&p, &t) in predicted.labels.iter().zip(&truth.labels) {
-        if t == UNLABELED {
-            continue;
-        }
-        let mapped = if p == UNLABELED {
-            None
-        } else {
-            report.mapping.get(&p).copied()
-        };
-        if let Some(m) = mapped {
-            if let (Some(&ti), Some(&mi)) = (idx.get(&t), idx.get(&m)) {
-                counts[ti][mi] += 1;
-            }
-        }
-    }
-    ConfusionMatrix { classes, counts }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,17 +238,6 @@ mod tests {
         let counts = img.class_counts();
         assert_eq!(counts[&2], 2);
         assert_eq!(counts.get(&UNLABELED), None);
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal_for_perfect() {
-        let truth = LabelImage::from_vec(1, 4, vec![0, 0, 1, 1]);
-        let pred = LabelImage::from_vec(1, 4, vec![4, 4, 8, 8]);
-        let cm = confusion_matrix(&pred, &truth);
-        assert_eq!(cm.classes, vec![0, 1]);
-        assert_eq!(cm.counts[0][0], 2);
-        assert_eq!(cm.counts[1][1], 2);
-        assert_eq!(cm.counts[0][1], 0);
     }
 
     #[test]

@@ -13,12 +13,15 @@
 //! * [`metrics`] — spectral similarity measures: the spectral angle
 //!   distance (SAD, eq. 1 of the paper), spectral information divergence
 //!   (SID), Euclidean distance and pixel brightness.
-//! * [`labels`] — label images, confusion matrices and classification
-//!   accuracy scoring against ground truth (the paper's Table 4 metric).
+//! * [`labels`] — label images and classification accuracy scoring
+//!   against ground truth (the paper's Table 4 metric).
 //! * [`synth`] — a parametric synthetic-scene generator standing in for
 //!   the AVIRIS World Trade Center scene: 224-band material signatures,
 //!   blackbody thermal hot spots (700–1300 °F), spatially coherent class
 //!   regions with linear mixing and sensor noise, plus exact ground truth.
+//! * [`library`] — named reference spectra and a supervised
+//!   spectral-angle-mapper (SAM) classifier: the accuracy ceiling
+//!   `tests/end_to_end.rs` holds the unsupervised algorithms against.
 //! * [`io`] — minimal ENVI-style raw+header I/O so cubes can be persisted
 //!   and exchanged with real tooling.
 //!
@@ -33,7 +36,6 @@ pub mod io;
 pub mod labels;
 pub mod library;
 pub mod metrics;
-pub mod stats;
 pub mod synth;
 
 pub use cube::HyperCube;

@@ -42,16 +42,6 @@ impl Default for WtcConfig {
 }
 
 impl WtcConfig {
-    /// The paper's full-size scene (2133 × 512 × 224, ~1 GB). Heavy: only
-    /// use when absolute-scale timings are wanted.
-    pub fn full_size() -> Self {
-        WtcConfig {
-            lines: 2133,
-            samples: 512,
-            ..Default::default()
-        }
-    }
-
     /// A small configuration for unit tests.
     pub fn tiny() -> Self {
         WtcConfig {
@@ -192,12 +182,6 @@ mod tests {
         // Debris classes must actually appear in the truth map.
         let labels = s.truth.distinct_labels();
         assert!(labels.len() >= 8, "only {} classes present", labels.len());
-    }
-
-    #[test]
-    fn full_size_config_matches_paper() {
-        let c = WtcConfig::full_size();
-        assert_eq!((c.lines, c.samples, c.bands), (2133, 512, 224));
     }
 
     #[test]

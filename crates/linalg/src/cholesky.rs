@@ -126,11 +126,6 @@ pub(crate) fn solve_in_place(l: &[f64], stride: usize, y: &mut [f64]) {
     }
 }
 
-/// Convenience wrapper: solve an SPD system in one call.
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    CholeskyDecomposition::new(a)?.solve(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,7 +144,7 @@ mod tests {
     fn solve_matches_lu() {
         let a = Matrix::from_rows(&[&[6.0, 2.0, 1.0], &[2.0, 5.0, 2.0], &[1.0, 2.0, 4.0]]);
         let b = [1.0, -2.0, 3.0];
-        let x_ch = solve_spd(&a, &b).unwrap();
+        let x_ch = CholeskyDecomposition::new(&a).unwrap().solve(&b).unwrap();
         let x_lu = crate::lu::solve(&a, &b).unwrap();
         for (p, q) in x_ch.iter().zip(&x_lu) {
             assert!((p - q).abs() < 1e-10);

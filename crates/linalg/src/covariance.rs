@@ -189,8 +189,8 @@ impl CovarianceAccumulator {
 
     /// Merges an accumulator serialised by [`Self::to_flat`] straight
     /// from the wire buffer — the same additions in the same order as
-    /// [`Self::from_flat`] followed by [`Self::merge`], so the result is
-    /// bit-identical, without materialising the intermediate.
+    /// rebuilding the accumulator and calling [`Self::merge`], so the
+    /// result is bit-identical, without materialising the intermediate.
     pub fn merge_flat(&mut self, flat: &[f64]) -> Result<()> {
         Self::check_flat(self.dim, flat)?;
         self.absorb(flat);
@@ -228,7 +228,7 @@ impl CovarianceAccumulator {
 
     /// Serialises the accumulator into a flat `f64` buffer
     /// (`[count, sum…, cross…]`) for shipment through the message-passing
-    /// engine; [`Self::from_flat`] is the inverse.
+    /// engine; [`Self::merge_flat`] consumes it.
     pub fn to_flat(&self) -> Vec<f64> {
         self.flat.clone()
     }
@@ -238,20 +238,23 @@ impl CovarianceAccumulator {
     pub fn into_flat(self) -> Vec<f64> {
         self.flat
     }
-
-    /// Reconstructs an accumulator serialised by [`Self::to_flat`].
-    pub fn from_flat(dim: usize, flat: &[f64]) -> Result<Self> {
-        Self::check_flat(dim, flat)?;
-        Ok(CovarianceAccumulator {
-            dim,
-            flat: flat.to_vec(),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CovarianceAccumulator {
+        /// Reconstructs an accumulator serialised by [`Self::to_flat`]:
+        /// the intermediate [`Self::merge_flat`] skips.
+        fn from_flat(dim: usize, flat: &[f64]) -> Result<Self> {
+            Self::check_flat(dim, flat)?;
+            Ok(CovarianceAccumulator {
+                dim,
+                flat: flat.to_vec(),
+            })
+        }
+    }
 
     fn samples() -> Vec<Vec<f64>> {
         vec![

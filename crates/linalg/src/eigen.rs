@@ -128,18 +128,6 @@ impl SymmetricEigen {
         }
         Ok(t)
     }
-
-    /// Fraction of total variance captured by the top-`k` eigenvalues.
-    /// Negative eigenvalues (numerical noise in covariance sums) are
-    /// clamped to zero for the purpose of this ratio.
-    pub fn explained_variance(&self, k: usize) -> f64 {
-        let total: f64 = self.eigenvalues.iter().map(|l| l.max(0.0)).sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let top: f64 = self.eigenvalues.iter().take(k).map(|l| l.max(0.0)).sum();
-        top / total
-    }
 }
 
 /// Householder reduction of the symmetric `m` to tridiagonal form
@@ -365,14 +353,12 @@ mod tests {
     }
 
     #[test]
-    fn descending_order_and_variance_ratio() {
+    fn descending_order() {
         let a = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 5.0, 0.0], &[0.0, 0.0, 3.0]]);
         let e = SymmetricEigen::new(&a).unwrap();
         assert_eq!(e.eigenvalues.len(), 3);
         assert!(e.eigenvalues[0] >= e.eigenvalues[1]);
         assert!(e.eigenvalues[1] >= e.eigenvalues[2]);
-        assert!((e.explained_variance(1) - 5.0 / 9.0).abs() < 1e-12);
-        assert!((e.explained_variance(3) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! Given an endmember matrix `U` (`t × N`, one spectral signature per row)
 //! and a pixel `x` (length `N`), linear unmixing estimates abundances `a`
-//! (length `t`) with `x ≈ Uᵀ a`. Four estimators are provided, exactly the
-//! ladder used in the hyperspectral literature (Heinz & Chang 2001) and by
-//! the paper's UFCLS algorithm:
+//! (length `t`) with `x ≈ Uᵀ a`. Two estimators are provided, the
+//! constrained end of the ladder used in the hyperspectral literature
+//! (Heinz & Chang 2001) and by the paper's UFCLS algorithm:
 //!
-//! * [`ls`] — unconstrained least squares,
-//! * [`scls`] — sum-to-one constrained (`Σ aᵢ = 1`),
 //! * [`nnls`] — non-negativity constrained (Lawson–Hanson active set),
 //! * [`fcls`] — fully constrained (both), via the Heinz–Chang augmented
 //!   system solved with NNLS.
@@ -16,8 +14,7 @@
 //! (`t`-vector) are formed once, so per-pixel cost after the `O(tN)`
 //! products is independent of `N` — crucial when unmixing a million pixels.
 //!
-//! The two inequality-constrained estimators share **one** active-set
-//! body, which works entirely inside a caller-owned [`FclsWorkspace`]:
+//! Both estimators share **one** active-set body, which works entirely inside a caller-owned [`FclsWorkspace`]:
 //! a per-pixel loop that keeps one workspace ([`FclsProblem::solve_in`])
 //! allocates nothing. The one-shot functions build a workspace per call.
 //!
@@ -40,7 +37,7 @@
 //! ([`crate::matrix::dots_abreast`]): same sums, same bits, not waited
 //! for one at a time.
 
-use crate::cholesky::{self, CholeskyDecomposition};
+use crate::cholesky;
 use crate::error::shape_mismatch;
 use crate::lu::LuDecomposition;
 use crate::matrix::{axpy, dot, dots_abreast};
@@ -86,11 +83,6 @@ fn check_dims(u: &Matrix, x: &[f64]) -> Result<()> {
 
 /// How many pixels of a line the reductions around NNLS run abreast.
 const ABREAST: usize = 4;
-
-fn residual_sq(u: &Matrix, x: &[f64], a: &[f64]) -> f64 {
-    let [r] = residuals_sq(u, [x], [a], &mut Vec::new());
-    r
-}
 
 /// `‖xₖ − Uᵀaₖ‖²` for `L` pixels (`f32` or `f64`), with `resid` as the
 /// buffer for the residual vectors: each is accumulated endmember by
@@ -146,53 +138,6 @@ fn subtract_mixture(u: &Matrix, a: &[f64], r: &mut [f64]) {
             [None, ..] => return,
         }
     }
-}
-
-/// Unconstrained least squares: `a = (UUᵀ)⁻¹ U x`.
-pub fn ls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
-    check_dims(u, x)?;
-    let gram = u.matmul(&u.transpose())?;
-    let rhs = u.matvec(x)?;
-    let a = match CholeskyDecomposition::new(&gram) {
-        Ok(ch) => ch.solve(&rhs)?,
-        // Rank-deficient Gram: fall back to LU (caller may have duplicated
-        // endmembers); if that is singular too, propagate the error.
-        Err(_) => LuDecomposition::new(&gram)?.solve(&rhs)?,
-    };
-    let r = residual_sq(u, x, &a);
-    Ok(Unmixing {
-        abundances: a,
-        residual_sq: r,
-    })
-}
-
-/// Sum-to-one constrained least squares (SCLS) via the closed-form Lagrange
-/// correction:
-/// `a = a_ls − (UUᵀ)⁻¹ 1 · (1ᵀ a_ls − 1) / (1ᵀ (UUᵀ)⁻¹ 1)`.
-pub fn scls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
-    check_dims(u, x)?;
-    let t = u.rows();
-    let gram = u.matmul(&u.transpose())?;
-    let rhs = u.matvec(x)?;
-    let ch = CholeskyDecomposition::new(&gram).map_err(|_| LinAlgError::Singular)?;
-    let a_ls = ch.solve(&rhs)?;
-    let ones = vec![1.0; t];
-    let g_inv_ones = ch.solve(&ones)?;
-    let denom = dot(&ones, &g_inv_ones);
-    if denom.abs() < 1e-300 {
-        return Err(LinAlgError::Singular);
-    }
-    let excess = (a_ls.iter().sum::<f64>() - 1.0) / denom;
-    let a: Vec<f64> = a_ls
-        .iter()
-        .zip(&g_inv_ones)
-        .map(|(ai, gi)| ai - excess * gi)
-        .collect();
-    let r = residual_sq(u, x, &a);
-    Ok(Unmixing {
-        abundances: a,
-        residual_sq: r,
-    })
 }
 
 /// `w = c_j − Σₚ g_jp·a_p` over `held`, the passive set ascending with its
@@ -553,7 +498,7 @@ pub fn nnls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 /// assert!((r.abundances.iter().sum::<f64>() - 1.0).abs() < 1e-3);
 /// ```
 pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
-    fcls_with_delta(u, x, FCLS_DELTA)
+    FclsProblem::with_delta(u.clone(), FCLS_DELTA)?.solve(x)
 }
 
 /// What [`FclsProblem::solve_f32_line`] keeps of one image line between
@@ -879,14 +824,29 @@ fn widened<R>(
     result
 }
 
-/// [`fcls`] with an explicit constraint weight `δ` (exposed for ablation).
-pub fn fcls_with_delta(u: &Matrix, x: &[f64], delta: f64) -> Result<Unmixing> {
-    FclsProblem::with_delta(u.clone(), delta)?.solve(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cholesky::CholeskyDecomposition;
+
+    /// Unconstrained least squares, `a = (UUᵀ)⁻¹ U x`: the reference the
+    /// constrained solvers are checked against.
+    fn ls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
+        check_dims(u, x)?;
+        let gram = u.matmul(&u.transpose())?;
+        let rhs = u.matvec(x)?;
+        let a = match CholeskyDecomposition::new(&gram) {
+            Ok(ch) => ch.solve(&rhs)?,
+            // Rank-deficient Gram: fall back to LU (caller may have duplicated
+            // endmembers); if that is singular too, propagate the error.
+            Err(_) => LuDecomposition::new(&gram)?.solve(&rhs)?,
+        };
+        let [r] = residuals_sq(u, [x], [&a[..]], &mut Vec::new());
+        Ok(Unmixing {
+            abundances: a,
+            residual_sq: r,
+        })
+    }
 
     /// Two well-separated endmembers over 5 bands.
     fn endmembers() -> Matrix {
@@ -909,16 +869,6 @@ mod tests {
         assert!((r.abundances[0] - 0.3).abs() < 1e-10);
         assert!((r.abundances[1] - 0.7).abs() < 1e-10);
         assert!(r.residual_sq < 1e-18);
-    }
-
-    #[test]
-    fn scls_enforces_sum_to_one() {
-        let u = endmembers();
-        // A pixel that is NOT a unit-sum mixture.
-        let x = mix(&u, &[0.5, 0.9]);
-        let r = scls(&u, &x).unwrap();
-        let sum: f64 = r.abundances.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-10, "sum = {sum}");
     }
 
     #[test]

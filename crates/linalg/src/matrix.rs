@@ -77,11 +77,6 @@ impl Matrix {
         Matrix::from_vec(1, v.len(), v.to_vec())
     }
 
-    /// Creates a single-column matrix from a vector (a column vector).
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix::from_vec(v.len(), 1, v.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -230,26 +225,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Transposed matrix–vector product `selfᵀ * v`.
-    pub fn tr_matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.rows {
-            return Err(shape_mismatch(
-                format!("vector of length {}", self.rows),
-                format!("length {}", v.len()),
-            ));
-        }
-        let mut out = vec![0.0; self.cols];
-        for (r, &vr) in v.iter().enumerate() {
-            if vr == 0.0 {
-                continue;
-            }
-            for (o, &a) in out.iter_mut().zip(self.row(r)) {
-                *o += vr * a;
-            }
-        }
-        Ok(out)
-    }
-
     /// Gram matrix `selfᵀ * self` (always square `cols × cols`, symmetric).
     pub fn gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);
@@ -322,11 +297,6 @@ impl Matrix {
         m
     }
 
-    /// Frobenius norm `sqrt(Σ aᵢⱼ²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -356,36 +326,6 @@ impl Matrix {
             }
         }
         true
-    }
-
-    /// Extracts the square submatrix of the first `k` rows and columns.
-    pub fn leading_principal_submatrix(&self, k: usize) -> Result<Matrix> {
-        if k > self.rows || k > self.cols {
-            return Err(shape_mismatch(
-                format!("k <= min({}, {})", self.rows, self.cols),
-                format!("k = {k}"),
-            ));
-        }
-        let mut m = Matrix::zeros(k, k);
-        for i in 0..k {
-            m.row_mut(i).copy_from_slice(&self.row(i)[..k]);
-        }
-        Ok(m)
-    }
-
-    /// Returns the `rows × k` matrix formed by the first `k` columns.
-    pub fn first_cols(&self, k: usize) -> Result<Matrix> {
-        if k > self.cols {
-            return Err(shape_mismatch(
-                format!("k <= {}", self.cols),
-                format!("k = {k}"),
-            ));
-        }
-        let mut m = Matrix::zeros(self.rows, k);
-        for r in 0..self.rows {
-            m.row_mut(r).copy_from_slice(&self.row(r)[..k]);
-        }
-        Ok(m)
     }
 
     /// Sum of diagonal elements. Errors on non-square matrices.
@@ -574,17 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_tr_matvec_agree_with_matmul() {
+    fn matvec_known_product() {
         let a = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[0.0, 3.0, 1.0]]);
         let v = [2.0, 1.0, -1.0];
         let got = a.matvec(&v).unwrap();
         assert_eq!(got, vec![1.0 * 2.0 - 2.0 - 0.5, 3.0 - 1.0]);
-        let w = [1.0, 2.0];
-        let got_t = a.tr_matvec(&w).unwrap();
-        let expect = a.transpose().matvec(&w).unwrap();
-        for (g, e) in got_t.iter().zip(&expect) {
-            assert!((g - e).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -617,19 +551,8 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn submatrix_extraction() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
-        let s = m.leading_principal_submatrix(2).unwrap();
-        assert!(s.approx_eq(&Matrix::from_rows(&[&[1.0, 2.0], &[4.0, 5.0]]), 0.0));
-        let c = m.first_cols(1).unwrap();
-        assert_eq!(c.shape(), (3, 1));
-        assert_eq!(c[(2, 0)], 7.0);
     }
 
     #[test]

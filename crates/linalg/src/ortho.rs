@@ -5,11 +5,11 @@
 //! vector. Building the explicit `N × N` projector costs `O(N²)` per pixel
 //! to apply; instead we maintain an orthonormal basis `Q` of `span(U)` with
 //! modified Gram–Schmidt and apply `P_U^⊥ x = x − Q(Qᵀx)` in `O(tN)` where
-//! `t = |U| ≪ N`. Both forms are provided; tests assert they agree.
+//! `t = |U| ≪ N`. The explicit form lives in the tests, which assert the
+//! two agree.
 
-use crate::lu::LuDecomposition;
 use crate::matrix::{axpy, dot, dots_abreast, norm2};
-use crate::{Matrix, Result};
+use crate::Matrix;
 
 /// Relative tolerance under which a vector is considered linearly dependent
 /// on the existing basis and is dropped.
@@ -153,33 +153,35 @@ impl OrthoBasis {
     }
 }
 
-/// Builds the explicit orthogonal-subspace projector
-/// `P_U^⊥ = I − Uᵀ(UUᵀ)⁻¹U` for an endmember matrix whose **rows** are the
-/// signatures (the paper's `U` is `t × N`, one target per row).
-///
-/// This is the literal textbook operator — `O(N²)` storage and apply — kept
-/// for verification; production code paths use [`OrthoBasis`].
-pub fn explicit_projector(u: &Matrix) -> Result<Matrix> {
-    u.require_non_empty()?;
-    let n = u.cols();
-    // UUᵀ is t × t (small); invert with LU.
-    let uut = u.matmul(&u.transpose())?;
-    let inv = LuDecomposition::new(&uut)?.inverse()?;
-    // P = I − Uᵀ (UUᵀ)⁻¹ U
-    let ut = u.transpose();
-    let m = ut.matmul(&inv)?.matmul(u)?;
-    let mut p = Matrix::identity(n);
-    for i in 0..n {
-        for j in 0..n {
-            p[(i, j)] -= m[(i, j)];
-        }
-    }
-    Ok(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lu::LuDecomposition;
+    use crate::Result;
+
+    /// Builds the explicit orthogonal-subspace projector
+    /// `P_U^⊥ = I − Uᵀ(UUᵀ)⁻¹U` for an endmember matrix whose **rows** are the
+    /// signatures (the paper's `U` is `t × N`, one target per row).
+    ///
+    /// This is the literal textbook operator — `O(N²)` storage and apply —
+    /// that [`OrthoBasis`] is checked against.
+    fn explicit_projector(u: &Matrix) -> Result<Matrix> {
+        u.require_non_empty()?;
+        let n = u.cols();
+        // UUᵀ is t × t (small); invert with LU.
+        let uut = u.matmul(&u.transpose())?;
+        let inv = LuDecomposition::new(&uut)?.inverse()?;
+        // P = I − Uᵀ (UUᵀ)⁻¹ U
+        let ut = u.transpose();
+        let m = ut.matmul(&inv)?.matmul(u)?;
+        let mut p = Matrix::identity(n);
+        for i in 0..n {
+            for j in 0..n {
+                p[(i, j)] -= m[(i, j)];
+            }
+        }
+        Ok(p)
+    }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());

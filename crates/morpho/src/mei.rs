@@ -65,23 +65,6 @@ impl MeiResult {
     pub fn dots_formed(&self) -> (usize, usize) {
         self.dots
     }
-
-    /// The `k` pixels with the highest MEI scores, best first, with
-    /// deterministic (row-major) tie-breaking. Returns fewer when the
-    /// image has fewer pixels.
-    pub fn top_k(&self, k: usize) -> Vec<(usize, usize, f64)> {
-        let mut idx: Vec<usize> = (0..self.scores.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.scores[b]
-                .partial_cmp(&self.scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        idx.into_iter()
-            .take(k)
-            .map(|i| (i / self.samples, i % self.samples, self.scores[i]))
-            .collect()
-    }
 }
 
 /// Computes the MEI map with `iterations` erosion/dilation rounds of the
@@ -204,26 +187,6 @@ mod tests {
         for (a, b) in one.scores.iter().zip(&three.scores) {
             assert!(b + 1e-12 >= *a);
         }
-    }
-
-    #[test]
-    fn top_k_orders_descending() {
-        let c = two_region_cube();
-        let r = mei(&c, &StructuringElement::square(1), 2);
-        let top = r.top_k(5);
-        assert_eq!(top.len(), 5);
-        for w in top.windows(2) {
-            assert!(w[0].2 >= w[1].2);
-        }
-        // Best pixels hug the boundary columns 3-4.
-        assert!(top[0].1 == 3 || top[0].1 == 4);
-    }
-
-    #[test]
-    fn top_k_truncates_at_pixel_count() {
-        let c = HyperCube::from_vec(2, 2, 2, vec![0.1; 8]);
-        let r = mei(&c, &StructuringElement::square(1), 1);
-        assert_eq!(r.top_k(10).len(), 4);
     }
 
     /// MEI as the paper writes it: every scale's `D_B` from the definition

@@ -25,7 +25,7 @@
 //! algorithm in this repository roots a collective away from rank 0).
 
 use super::schedule::{self, Tree};
-use super::{split_chunks, CollAlgorithm, CollOp};
+use super::{split_chunks, CollAlgorithm, CollOp, PIPELINE_CHUNKS};
 use crate::contention::{charge, LinkLedger};
 use crate::faults::FaultPlan;
 use crate::platform::Platform;
@@ -33,8 +33,9 @@ use crate::platform::Platform;
 /// Predicted virtual completion time (seconds) of one collective of
 /// `bits` payload bits under `algorithm` (which must be concrete, not
 /// [`CollAlgorithm::Auto`]), rooted at `root`, with all rank clocks at
-/// zero. `latency_s` is the per-message sender overhead;
-/// `pipeline_chunks` only affects [`CollAlgorithm::PipelinedChunked`].
+/// zero. `latency_s` is the per-message sender overhead; a
+/// [`CollAlgorithm::PipelinedChunked`] broadcast streams in
+/// [`PIPELINE_CHUNKS`] chunks.
 pub fn predict(
     platform: &Platform,
     latency_s: f64,
@@ -42,19 +43,9 @@ pub fn predict(
     algorithm: CollAlgorithm,
     root: usize,
     bits: u64,
-    pipeline_chunks: u32,
 ) -> f64 {
     let members: Vec<usize> = (0..platform.num_procs()).collect();
-    predict_over(
-        platform,
-        latency_s,
-        op,
-        algorithm,
-        root,
-        bits,
-        pipeline_chunks,
-        &members,
-    )
+    predict_over(platform, latency_s, op, algorithm, root, bits, &members)
 }
 
 /// [`predict`] over an explicit **survivor set**: the schedule is
@@ -63,15 +54,13 @@ pub fn predict(
 /// ranks are replayed. With every rank a member this is exactly
 /// [`predict`]; on a degraded topology it is exact in the same sense —
 /// the collectives execute precisely this schedule over the same view.
-#[allow(clippy::too_many_arguments)] // mirrors `predict` plus the member set
-pub fn predict_over(
+pub(crate) fn predict_over(
     platform: &Platform,
     latency_s: f64,
     op: CollOp,
     algorithm: CollAlgorithm,
     root: usize,
     bits: u64,
-    pipeline_chunks: u32,
     members: &[usize],
 ) -> f64 {
     debug_assert!(
@@ -89,7 +78,7 @@ pub fn predict_over(
         links: LinkLedger::new(),
     };
     let chunks = if algorithm == CollAlgorithm::PipelinedChunked && op == CollOp::Broadcast {
-        split_chunks(bits, pipeline_chunks as usize)
+        split_chunks(bits, PIPELINE_CHUNKS as usize)
     } else {
         vec![bits]
     };
@@ -207,7 +196,7 @@ mod tests {
             CollAlgorithm::SegmentHierarchical,
         ] {
             assert_eq!(
-                predict(&platform, L, CollOp::Broadcast, alg, 0, 1_000_000, 4),
+                predict(&platform, L, CollOp::Broadcast, alg, 0, 1_000_000),
                 0.0
             );
         }
@@ -226,7 +215,6 @@ mod tests {
             CollAlgorithm::Linear,
             0,
             1_000_000,
-            4,
         );
         assert!((t - (3.0 * L + 0.01)).abs() < 1e-12, "got {t}");
     }
@@ -243,7 +231,6 @@ mod tests {
             CollAlgorithm::Linear,
             0,
             1_000_000,
-            4,
         );
         assert!((t - (L + 0.01)).abs() < 1e-12, "got {t}");
     }
@@ -262,7 +249,6 @@ mod tests {
             CollAlgorithm::Linear,
             0,
             bits,
-            4,
         );
         let hier = predict(
             &platform,
@@ -271,7 +257,6 @@ mod tests {
             CollAlgorithm::SegmentHierarchical,
             0,
             bits,
-            4,
         );
         assert!(
             hier < lin,
@@ -283,7 +268,7 @@ mod tests {
     fn hierarchical_equals_linear_on_single_segment() {
         let platform = presets::partially_heterogeneous();
         for op in [CollOp::Broadcast, CollOp::Gather, CollOp::Reduce] {
-            let lin = predict(&platform, L, op, CollAlgorithm::Linear, 0, 129_024, 4);
+            let lin = predict(&platform, L, op, CollAlgorithm::Linear, 0, 129_024);
             let hier = predict(
                 &platform,
                 L,
@@ -291,7 +276,6 @@ mod tests {
                 CollAlgorithm::SegmentHierarchical,
                 0,
                 129_024,
-                4,
             );
             assert!(
                 (lin - hier).abs() < 1e-12,
@@ -312,7 +296,6 @@ mod tests {
             CollAlgorithm::Linear,
             0,
             64,
-            4,
         );
         let bin = predict(
             &platform,
@@ -321,7 +304,6 @@ mod tests {
             CollAlgorithm::BinomialTree,
             0,
             64,
-            4,
         );
         assert!(bin < lin, "binomial {bin} < linear {lin} for tiny payloads");
     }
@@ -333,28 +315,20 @@ mod tests {
         // linear gather followed by a full linear broadcast.
         let platform = presets::fully_heterogeneous();
         let bits = (32 + 32 + 64 + 224 * 32) as u64; // one scored candidate
-        let split = predict(
-            &platform,
-            L,
-            CollOp::Gather,
-            CollAlgorithm::Linear,
-            0,
-            bits,
-            4,
-        ) + predict(
-            &platform,
-            L,
-            CollOp::Broadcast,
-            CollAlgorithm::Linear,
-            0,
-            bits,
-            4,
-        );
+        let split = predict(&platform, L, CollOp::Gather, CollAlgorithm::Linear, 0, bits)
+            + predict(
+                &platform,
+                L,
+                CollOp::Broadcast,
+                CollAlgorithm::Linear,
+                0,
+                bits,
+            );
         for alg in [
             CollAlgorithm::BinomialTree,
             CollAlgorithm::SegmentHierarchical,
         ] {
-            let fused = predict(&platform, L, CollOp::Allreduce, alg, 0, bits, 4);
+            let fused = predict(&platform, L, CollOp::Allreduce, alg, 0, bits);
             assert!(
                 fused < split,
                 "{alg}: fused {fused} must beat split gather+bcast {split}"
@@ -372,7 +346,6 @@ mod tests {
             CollAlgorithm::Linear,
             0,
             7_296,
-            4,
         );
         let hier = predict(
             &platform,
@@ -381,7 +354,6 @@ mod tests {
             CollAlgorithm::SegmentHierarchical,
             0,
             7_296,
-            4,
         );
         assert!((lin - hier).abs() < 1e-12, "lin {lin} vs hier {hier}");
     }
@@ -394,8 +366,8 @@ mod tests {
                 CollAlgorithm::BinomialTree,
                 CollAlgorithm::SegmentHierarchical,
             ] {
-                let red = predict(&platform, L, CollOp::Reduce, alg, 0, 7_296, 4);
-                let all = predict(&platform, L, CollOp::Allreduce, alg, 0, 7_296, 4);
+                let red = predict(&platform, L, CollOp::Reduce, alg, 0, 7_296);
+                let all = predict(&platform, L, CollOp::Allreduce, alg, 0, 7_296);
                 assert!(
                     all >= red - 1e-15,
                     "{}/{alg}: allreduce {all} < reduce {red}",
@@ -406,17 +378,34 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_tracks_hierarchical_tree_with_chunked_charges() {
-        // One chunk ⇒ identical to the plain hierarchical broadcast.
-        let platform = presets::fully_heterogeneous();
-        let one = predict(
+    fn pipelined_chunks_queue_on_one_serial_hop() {
+        // Root and one worker on two segments: every chunk crosses the
+        // same serial link, each chunk outlasts a send latency, so the
+        // chunks queue FIFO back to back and the pipelined broadcast
+        // lands exactly when the unchunked one does.
+        let node = |segment| crate::platform::ProcessorSpec {
+            name: format!("n{segment}"),
+            arch: "test",
+            cycle_time: 0.01,
+            memory_mb: 64,
+            cache_kb: 64,
+            segment,
+            device: None,
+        };
+        let platform = crate::platform::Platform::new(
+            "hop",
+            vec![node(0), node(1)],
+            vec![vec![0.0, 10.0], vec![10.0, 0.0]],
+        );
+        let bits = 129_024;
+        assert!(platform.transfer_secs(0, 1, bits / u64::from(PIPELINE_CHUNKS)) > L);
+        let piped = predict(
             &platform,
             L,
             CollOp::Broadcast,
             CollAlgorithm::PipelinedChunked,
             0,
-            129_024,
-            1,
+            bits,
         );
         let hier = predict(
             &platform,
@@ -424,9 +413,11 @@ mod tests {
             CollOp::Broadcast,
             CollAlgorithm::SegmentHierarchical,
             0,
-            129_024,
-            4,
+            bits,
         );
-        assert!((one - hier).abs() < 1e-12, "k=1 pipelined == hierarchical");
+        assert!(
+            (piped - hier).abs() < 1e-12,
+            "pipelined {piped} vs hierarchical {hier}"
+        );
     }
 }

@@ -13,18 +13,12 @@
 //!   epoch on every observed [`RankFailure`]; workers rebuild their copy
 //!   from the `(epoch, survivors)` header the master piggybacks on the
 //!   first send of each round ([`Membership::from_survivors`]).
-//! * [`Stamped`] + [`recv_epoch`] — epoch validation for composed
-//!   protocols: messages carrying a stamp from a superseded view are
-//!   rejected with a structured [`CollError::EpochMismatch`] instead of
-//!   corrupting the current round.
 //!
 //! Everything here is deterministic: views only change when their owner
 //! observes a failure (a virtual-time event), schedules are pure
-//! functions of `(view, algorithm, platform)`, and
-//! [`crate::coll::predict_over`] replays the survivor schedule exactly.
+//! functions of `(view, algorithm, platform)`, and the collectives' cost
+//! model replays the survivor schedule exactly.
 
-use super::CollError;
-use crate::engine::{Ctx, Wire};
 use crate::faults::{FailureCause, RankFailure};
 
 /// An epoch-stamped view of which ranks are alive.
@@ -104,11 +98,12 @@ impl Membership {
 
     /// Observes a failure: marks the rank dead, records the cause and
     /// bumps the epoch. Returns `false` (and changes nothing) when the
-    /// rank was already dead in this view — re-observing the same
-    /// permanent failure must not advance the epoch.
+    /// rank is not alive in this view — already dead, since re-observing
+    /// the same permanent failure must not advance the epoch, or outside
+    /// the view altogether (like [`Membership::is_alive`]).
     pub fn observe_failure(&mut self, failure: &RankFailure) -> bool {
         let r = failure.rank;
-        if !self.alive[r] {
+        if !self.is_alive(r) {
             return false;
         }
         self.alive[r] = false;
@@ -136,52 +131,14 @@ impl Membership {
             cause: FailureCause::PeerLost { peer: rank },
         })
     }
-
-    /// Wire size in bits of this view's `(epoch, survivors)` header: a
-    /// 64-bit epoch plus 16 bits per survivor — the charge a master pays
-    /// to piggyback the view on the first send of a round.
-    pub fn header_bits(&self) -> u64 {
-        64 + 16 * self.num_survivors() as u64
-    }
-}
-
-/// Messages that may carry an epoch stamp, for validation with
-/// [`recv_epoch`]. Return `None` from unstamped variants (control
-/// traffic that is epoch-agnostic).
-pub trait Stamped {
-    /// The epoch this message was sent under, if stamped.
-    fn stamp(&self) -> Option<u64>;
-}
-
-/// Receives one message from `src` and validates its stamp against the
-/// receiver's view epoch. Unstamped messages and matching stamps pass;
-/// a mismatch consumes (drops) the message and returns the structured
-/// [`CollError::EpochMismatch`] — `got < expected` is *stale* traffic
-/// from a superseded view (callers typically loop and keep receiving),
-/// `got > expected` means this rank's view is behind, a protocol
-/// violation.
-///
-/// Uses plain [`Ctx::recv`], so a dead `src` unwinds as `PeerLost`;
-/// protocols that must observe peer death as a value keep using
-/// [`Ctx::recv_deadline`] and validate stamps themselves.
-pub fn recv_epoch<M: Wire + Stamped>(
-    ctx: &mut Ctx<M>,
-    src: usize,
-    expected: u64,
-) -> Result<M, CollError> {
-    let msg = ctx.recv(src);
-    match msg.stamp() {
-        None => Ok(msg),
-        Some(e) if e == expected => Ok(msg),
-        Some(got) => Err(CollError::EpochMismatch { expected, got }),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coll::{
-        allreduce_over, broadcast_over, gather_over, reduce_over, CollAlgorithm, CollectiveConfig,
+        allreduce_over, broadcast_over, gather_over, reduce_over, CollAlgorithm, CollError,
+        CollectiveConfig,
     };
 
     fn failure(rank: usize, at: f64) -> RankFailure {
@@ -227,11 +184,13 @@ mod tests {
     }
 
     #[test]
-    fn header_bits_charge_epoch_plus_survivors() {
-        let mut view = Membership::new(8);
-        assert_eq!(view.header_bits(), 64 + 16 * 8);
-        view.observe_failure(&failure(7, 1.0));
-        assert_eq!(view.header_bits(), 64 + 16 * 7);
+    fn a_failure_outside_the_view_changes_nothing() {
+        // A marker for a rank the view does not cover: not alive, so —
+        // like `is_alive` — no panic, no epoch bump, no record.
+        let mut view = Membership::new(4);
+        assert!(!view.observe_failure(&failure(4, 1.0)));
+        assert!(!view.observe_failure(&failure(usize::MAX, 1.0)));
+        assert_eq!(view, Membership::new(4));
     }
 
     #[test]
@@ -244,8 +203,6 @@ mod tests {
         for r in 0..16 {
             assert_eq!(view.is_alive(r), r == 3, "rank {r}");
         }
-        // Header: 64-bit epoch plus one 16-bit survivor entry.
-        assert_eq!(view.header_bits(), 64 + 16);
         // Dead ranks synthesize deterministic PeerLost entries.
         assert_eq!(view.lost_entry(0).cause, FailureCause::PeerLost { peer: 0 });
     }
@@ -342,13 +299,12 @@ mod tests {
         let once = Membership::from_survivors(owner.epoch(), owner.num_ranks(), &owner.survivors());
         let twice = Membership::from_survivors(once.epoch(), once.num_ranks(), &once.survivors());
         // The wire round-trip is idempotent and loses nothing but the
-        // failure causes: epoch, rank count, survivor set and header
-        // charge all survive both hops.
+        // failure causes: epoch, rank count and survivor set all survive
+        // both hops.
         assert_eq!(once, twice);
         assert_eq!(twice.epoch(), owner.epoch());
         assert_eq!(twice.num_ranks(), owner.num_ranks());
         assert_eq!(twice.survivors(), owner.survivors());
-        assert_eq!(twice.header_bits(), owner.header_bits());
         // Survivor order is normalized: a shuffled survivor list
         // rebuilds the identical view.
         let shuffled = Membership::from_survivors(owner.epoch(), 9, &[8, 0, 5, 3, 6, 2, 1]);

@@ -18,9 +18,9 @@
 //!   the switched intra-segment network; wins for large payloads on
 //!   multi-segment platforms,
 //! * [`CollAlgorithm::PipelinedChunked`] — broadcast only: the payload
-//!   streams down the hierarchical tree in [`CollectiveConfig::
-//!   pipeline_chunks`] chunks so a leader forwards chunk `c` while
-//!   chunk `c + 1` is still crossing the serial link,
+//!   streams down the hierarchical tree in [`PIPELINE_CHUNKS`] chunks so
+//!   a leader forwards chunk `c` while chunk `c + 1` is still crossing
+//!   the serial link,
 //! * [`CollAlgorithm::Auto`] — evaluates the exact analytic cost of
 //!   each candidate via [`predict`] and picks the cheapest; the choice
 //!   is recorded in [`crate::RunReport::collectives`]. A `bits_hint` of
@@ -64,25 +64,22 @@
 //! call shapes ([`broadcast`], [`gather`], [`reduce`], [`allreduce`],
 //! [`predict`]) are one-line delegations that pass the initial
 //! view, [`Membership::new`] — "every rank alive" is just the
-//! parameter's first value. Messages stamped via the [`Stamped`] trait
-//! are validated with [`recv_epoch`]: traffic from a superseded view is
-//! rejected with a structured [`CollError::EpochMismatch`] instead of
-//! corrupting the round. A rank that dies *mid*-collective — after the
-//! view was agreed — still degrades with the subtree-loss semantics
+//! parameter's first value. A rank that dies *mid*-collective — after
+//! the view was agreed — still degrades with the subtree-loss semantics
 //! above until a new view observes it. See `docs/COMMS.md`.
 
 mod cost;
 mod epoch;
 mod schedule;
 
-pub use cost::{predict, predict_over};
-pub use epoch::{recv_epoch, Membership, Stamped};
+pub use cost::predict;
+use cost::predict_over;
+pub use epoch::Membership;
 pub(crate) use schedule::ScheduleMemo;
 pub use schedule::Tree;
 
 use crate::engine::{Ctx, Wire};
 use crate::faults::{FailureCause, RankFailure, RecvError};
-use crate::platform::Platform;
 use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
@@ -184,10 +181,10 @@ pub struct CollectiveConfig {
     /// callers that branch on it keep bit- and timing-identity with the
     /// historic path.
     pub allreduce: CollAlgorithm,
-    /// Chunk count for [`CollAlgorithm::PipelinedChunked`] broadcasts
-    /// (clamped to at least 1).
-    pub pipeline_chunks: u32,
 }
+
+/// Chunk count of every [`CollAlgorithm::PipelinedChunked`] broadcast.
+pub const PIPELINE_CHUNKS: u32 = 4;
 
 impl Default for CollectiveConfig {
     fn default() -> Self {
@@ -204,7 +201,6 @@ impl CollectiveConfig {
             gather: CollAlgorithm::Linear,
             reduce: CollAlgorithm::Linear,
             allreduce: CollAlgorithm::Linear,
-            pipeline_chunks: 4,
         }
     }
 
@@ -220,7 +216,6 @@ impl CollectiveConfig {
             gather: algorithm,
             reduce: algorithm,
             allreduce: algorithm,
-            pipeline_chunks: 4,
         }
     }
 }
@@ -260,19 +255,6 @@ pub enum CollError {
         /// The number of items actually supplied.
         got: usize,
     },
-    /// An epoch-stamped message carried a different epoch than the
-    /// receiver's [`Membership`] view expects. `got < expected` is a
-    /// *stale* message — late traffic from a superseded view, rejected
-    /// so it cannot corrupt the current round; `got > expected` means
-    /// the receiving rank's view is behind the sender's, which is a
-    /// protocol violation (views must advance through the master's
-    /// headers before new-epoch traffic is read).
-    EpochMismatch {
-        /// The epoch of the receiver's current membership view.
-        expected: u64,
-        /// The epoch stamped on the rejected message.
-        got: u64,
-    },
     /// A rank outside the [`Membership`] view's survivor set called (or
     /// was named root of) a survivor-set collective.
     NotAMember {
@@ -292,13 +274,6 @@ impl fmt::Display for CollError {
             }
             CollError::WrongItemCount { expected, got } => {
                 write!(f, "scatter: need one item per rank ({expected}), got {got}")
-            }
-            CollError::EpochMismatch { expected, got } => {
-                let kind = if got < expected { "stale" } else { "future" };
-                write!(
-                    f,
-                    "epoch mismatch: received {kind}-epoch message (epoch {got}, view at {expected})"
-                )
             }
             CollError::NotAMember { rank } => {
                 write!(
@@ -348,12 +323,12 @@ impl<M> GatherEntry<M> {
     }
 }
 
-/// The selection rule, shared by [`select_over`] and [`resolve_over`]:
-/// normalizes broadcast-only algorithms, falls back to the linear
-/// baseline on a zero hint, and scans the candidates through `predict`
-/// for [`CollAlgorithm::Auto`]. The cost is returned only when the rule
-/// had to evaluate it (the `Auto` scan), so a caller that needs just the
-/// algorithm never pays for a prediction nobody reads.
+/// The selection rule of [`resolve_over`]: normalizes broadcast-only
+/// algorithms, falls back to the linear baseline on a zero hint, and
+/// scans the candidates through `predict` for [`CollAlgorithm::Auto`].
+/// The cost is returned only when the rule had to evaluate it (the
+/// `Auto` scan), so a caller that needs just the algorithm never pays
+/// for a prediction nobody reads.
 fn choose(
     op: CollOp,
     requested: CollAlgorithm,
@@ -404,40 +379,6 @@ fn choose(
     (best, Some(best_cost))
 }
 
-/// Resolves a requested algorithm to the concrete one that will run for
-/// `op` over `members` (ascending, containing `root` — a
-/// [`Membership`] view's survivors, or every rank), plus its predicted
-/// cost on that — possibly degraded — topology: normalizes
-/// broadcast-only algorithms, and evaluates the [`predict_over`] cost
-/// model for [`CollAlgorithm::Auto`]. Deterministic in its arguments, so
-/// every member resolves identically.
-#[allow(clippy::too_many_arguments)] // the `predict_over` argument list, verbatim
-pub fn select_over(
-    platform: &Platform,
-    latency_s: f64,
-    op: CollOp,
-    requested: CollAlgorithm,
-    root: usize,
-    bits: u64,
-    pipeline_chunks: u32,
-    members: &[usize],
-) -> (CollAlgorithm, f64) {
-    let predict = |alg| {
-        predict_over(
-            platform,
-            latency_s,
-            op,
-            alg,
-            root,
-            bits,
-            pipeline_chunks,
-            members,
-        )
-    };
-    let (algorithm, scanned) = choose(op, requested, bits, predict);
-    (algorithm, scanned.unwrap_or_else(|| predict(algorithm)))
-}
-
 /// Splits `bits` into `chunks` near-equal parts (earlier chunks take the
 /// remainder). Always returns at least one chunk; the sizes sum to
 /// `bits` so the total link charge of a pipelined broadcast equals the
@@ -467,7 +408,6 @@ pub fn resolve_over<M: Wire>(
     root: usize,
     view: &Membership,
     bits_hint: u64,
-    pipeline_chunks: u32,
 ) -> CollAlgorithm {
     let members = OnceCell::new();
     let predict = |alg| {
@@ -478,7 +418,6 @@ pub fn resolve_over<M: Wire>(
             alg,
             root,
             bits_hint,
-            pipeline_chunks,
             members.get_or_init(|| view.survivors()),
         )
     };
@@ -536,15 +475,7 @@ fn plan<M: Wire>(
         CollOp::Allreduce => cfg.allreduce,
         CollOp::Scatter => CollAlgorithm::Linear,
     };
-    let algorithm = resolve_over(
-        ctx,
-        op,
-        requested,
-        root,
-        view,
-        bits_hint,
-        cfg.pipeline_chunks,
-    );
+    let algorithm = resolve_over(ctx, op, requested, root, view, bits_hint);
     Ok((algorithm, tree_over(ctx, algorithm, root, view)))
 }
 
@@ -644,7 +575,7 @@ pub fn broadcast_over<M: Wire + Clone>(
 ) -> Result<M, CollError> {
     let (algorithm, tree) = plan(ctx, cfg, CollOp::Broadcast, root, view, bits_hint)?;
     if algorithm == CollAlgorithm::PipelinedChunked {
-        return broadcast_pipelined(ctx, &tree, msg, cfg.pipeline_chunks);
+        return broadcast_pipelined(ctx, &tree, msg);
     }
     run_broadcast_tree(ctx, &tree, msg)
 }
@@ -707,7 +638,7 @@ pub fn broadcast_overlap<M: Wire + Clone>(
         return Ok(payload);
     }
     let rank = ctx.rank();
-    let k = cfg.pipeline_chunks.max(1) as usize;
+    let k = PIPELINE_CHUNKS as usize;
     match tree.parent(rank) {
         Some(parent) if tree.is_leaf(rank) => {
             if msg.is_some() {
@@ -722,7 +653,7 @@ pub fn broadcast_overlap<M: Wire + Clone>(
             Ok(payload)
         }
         _ => {
-            let payload = broadcast_pipelined(ctx, &tree, msg, cfg.pipeline_chunks)?;
+            let payload = broadcast_pipelined(ctx, &tree, msg)?;
             for c in 0..k {
                 on_chunk(ctx, c, k);
             }
@@ -732,18 +663,17 @@ pub fn broadcast_overlap<M: Wire + Clone>(
 }
 
 /// Chunk-streamed broadcast down the segment-hierarchical tree: every
-/// edge carries `pipeline_chunks` messages whose charged sizes sum to
+/// edge carries [`PIPELINE_CHUNKS`] messages whose charged sizes sum to
 /// the payload size; a relay forwards chunk `c` before receiving chunk
 /// `c + 1`, so its outbound transfers overlap the inbound ones.
 fn broadcast_pipelined<M: Wire + Clone>(
     ctx: &mut Ctx<M>,
     tree: &Tree,
     msg: Option<M>,
-    pipeline_chunks: u32,
 ) -> Result<M, CollError> {
     let op = CollOp::Broadcast;
     let rank = ctx.rank();
-    let k = pipeline_chunks.max(1) as usize;
+    let k = PIPELINE_CHUNKS as usize;
     match tree.parent(rank) {
         None => {
             let payload = msg.ok_or(CollError::RootMissingPayload { op })?;
@@ -929,7 +859,7 @@ pub fn scatter<M: Wire>(
         (None, _) => 0,
     };
     let view = Membership::new(ctx.num_ranks());
-    let algorithm = resolve_over(ctx, op, CollAlgorithm::Linear, root, &view, bits_hint, 1);
+    let algorithm = resolve_over(ctx, op, CollAlgorithm::Linear, root, &view, bits_hint);
     debug_assert_eq!(algorithm, CollAlgorithm::Linear);
     if ctx.rank() == root {
         let items = items.ok_or(CollError::RootMissingPayload { op })?;
@@ -1139,6 +1069,23 @@ mod tests {
         (0..platform.num_procs()).collect()
     }
 
+    /// [`resolve_over`]'s decision without a `Ctx`: the concrete
+    /// algorithm for `op` over `members` (ascending, containing `root`)
+    /// and its predicted cost — what rank 0 logs.
+    fn select_over(
+        platform: &Platform,
+        latency_s: f64,
+        op: CollOp,
+        requested: CollAlgorithm,
+        root: usize,
+        bits: u64,
+        members: &[usize],
+    ) -> (CollAlgorithm, f64) {
+        let predict = |alg| predict_over(platform, latency_s, op, alg, root, bits, members);
+        let (algorithm, scanned) = choose(op, requested, bits, predict);
+        (algorithm, scanned.unwrap_or_else(|| predict(algorithm)))
+    }
+
     const ALGOS: [CollAlgorithm; 5] = [
         CollAlgorithm::Linear,
         CollAlgorithm::BinomialTree,
@@ -1300,7 +1247,6 @@ mod tests {
                 CollAlgorithm::Auto,
                 0,
                 0,
-                4,
                 &all_ranks(&platform),
             );
             assert_eq!(alg, CollAlgorithm::Linear, "{op}: zero-bit hint");
@@ -1464,7 +1410,6 @@ mod tests {
             CollAlgorithm::Auto,
             0,
             bits,
-            4,
             &all_ranks(&platform),
         );
         assert!(
@@ -1485,7 +1430,6 @@ mod tests {
             CollAlgorithm::Auto,
             0,
             1_000_000,
-            4,
             &all_ranks(&platform),
         );
         assert_eq!(alg, CollAlgorithm::Linear);
@@ -1519,7 +1463,7 @@ mod tests {
             ] {
                 let bits: u64 = 18 * 224 * 32;
                 let latency = platform.msg_latency_s();
-                let predicted = predict(&platform, latency, CollOp::Broadcast, alg, 0, bits, 4);
+                let predicted = predict(&platform, latency, CollOp::Broadcast, alg, 0, bits);
                 let cfg = CollectiveConfig::uniform(alg);
                 let name = platform.name().to_string();
                 let report = Engine::new(platform.clone()).run(move |ctx| {
@@ -1550,7 +1494,7 @@ mod tests {
                 let bits: u64 = 224 * 32;
                 let latency = platform.msg_latency_s();
                 for op in [CollOp::Gather, CollOp::Reduce] {
-                    let predicted = predict(&platform, latency, op, alg, 0, bits, 4);
+                    let predicted = predict(&platform, latency, op, alg, 0, bits);
                     let cfg = CollectiveConfig::uniform(alg);
                     let name = platform.name().to_string();
                     let report = Engine::new(platform.clone()).run(move |ctx| {
@@ -1621,7 +1565,6 @@ mod tests {
                 requested,
                 0,
                 129_024,
-                4,
                 &all_ranks(&platform),
             );
             assert_eq!(got.0, algorithm, "{op}/{requested}");
@@ -1649,7 +1592,6 @@ mod tests {
             CollAlgorithm::SegmentHierarchical,
             0,
             bits,
-            4,
             &all_ranks(&platform),
         );
         let cfg = CollectiveConfig::uniform(CollAlgorithm::PipelinedChunked);

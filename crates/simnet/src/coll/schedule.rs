@@ -175,7 +175,7 @@ impl Tree {
 ///
 /// # Panics
 /// On [`CollAlgorithm::Auto`], which names no tree: selection
-/// (`coll::select_over`) resolves it to a concrete algorithm first.
+/// (`coll::resolve_over`) resolves it to a concrete algorithm first.
 pub(super) fn build(
     algorithm: CollAlgorithm,
     root: usize,

@@ -610,12 +610,6 @@ impl<M: Wire> Ctx<M> {
         self.coll_log.push(choice);
     }
 
-    /// This rank's copy telemetry so far (see
-    /// [`crate::report::CopyStats`]).
-    pub fn copy_stats(&self) -> crate::report::CopyStats {
-        self.copies
-    }
-
     /// The accelerator attached to this rank's processor, if any
     /// (mirrors `platform.proc(rank).device`).
     pub fn device(&self) -> Option<&crate::accel::DeviceSpec> {

@@ -380,18 +380,6 @@ impl FaultPlan {
         Ok(self)
     }
 
-    /// Largest slowdown factor that any window for `rank` applies at or
-    /// after `start` (1.0 when no window is active). This is the
-    /// analytic worst case a scheduler may use to bound how late a
-    /// merely-slowed (not crashed) rank can finish nominal work.
-    pub fn max_slowdown_factor(&self, rank: usize, start: f64) -> f64 {
-        self.slowdowns
-            .iter()
-            .filter(|s| s.rank == rank && s.until > start)
-            .map(|s| s.factor)
-            .fold(1.0f64, f64::max)
-    }
-
     /// Earliest scheduled crash time of `rank`, if any.
     pub fn crash_time(&self, rank: usize) -> Option<f64> {
         self.crashes
@@ -633,19 +621,6 @@ mod tests {
         );
         assert!(FaultPlan::new().try_crash(1, f64::NAN).is_err());
         assert!(FaultPlan::new().try_crash(1, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn max_slowdown_factor_reports_worst_active_window() {
-        let plan = FaultPlan::new()
-            .slowdown(1, 0.0, 2.0, 3.0)
-            .slowdown(1, 1.0, 5.0, 6.0)
-            .slowdown(2, 0.0, 9.0, 2.0);
-        assert_eq!(plan.max_slowdown_factor(1, 0.0), 6.0);
-        // Windows entirely before `start` no longer apply.
-        assert_eq!(plan.max_slowdown_factor(1, 2.5), 6.0);
-        assert_eq!(plan.max_slowdown_factor(1, 5.5), 1.0);
-        assert_eq!(plan.max_slowdown_factor(0, 0.0), 1.0);
     }
 
     #[test]

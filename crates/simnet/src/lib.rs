@@ -23,7 +23,8 @@
 //! * [`platform`] — processors, segments and the link-capacity matrix.
 //! * [`presets`] — the paper's four networks and the Thunderhead cluster.
 //! * [`equivalent`] — Lastovetsky & Reddy's "equivalent homogeneous
-//!   network" construction and checker (the paper's evaluation framework).
+//!   network" construction and checker: the Homo-X side of the paper's
+//!   §3.1 optimality criterion, which `tests/experiment_shapes.rs` gates.
 //! * [`clock`] — per-rank virtual clocks and time ledgers.
 //! * [`contention`] — the serial inter-segment link ledger and the one
 //!   rule that charges a message for crossing
@@ -32,16 +33,18 @@
 //!   a run-shared fabric (a mailbox per rank, an exit board, the link
 //!   ledger and the collective schedule memo, built in O(P) per run).
 //! * [`coll`] — the collectives (broadcast, scatter, gather, reduce,
-//!   allreduce), each one body over a membership view: linear (the
-//!   paper's root-mediated baseline), binomial tree, segment-hierarchical
-//!   and pipelined-chunked schedules with cost-model driven `Auto`
-//!   selection.
+//!   allreduce), each one body over an epoch-numbered membership view:
+//!   linear (the paper's root-mediated baseline), binomial tree,
+//!   segment-hierarchical and pipelined-chunked schedules with
+//!   cost-model driven `Auto` selection ([`coll::predict`]).
 //! * [`faults`] — deterministic virtual-time fault plans: rank crashes,
 //!   slowdown windows, link outage/degradation; structured failures.
 //! * [`accel`] — the accelerator device model (GPU/FPGA specs, offload
 //!   cost prediction, per-rank offload telemetry).
 //! * [`report`] — COM/SEQ/PAR decomposition, imbalance, speedup,
 //!   per-rank failure records.
+//! * [`trace`] — per-rank virtual-time event timelines
+//!   ([`Engine::run_traced`]) and their text Gantt chart.
 //! * [`prof`] — post-run profiler: exact per-rank phase accounting,
 //!   critical-path extraction with bottleneck attribution, Chrome-trace
 //!   export.
@@ -92,7 +95,7 @@ pub mod trace;
 pub use accel::{DeviceKind, DeviceSim, DeviceSpec, OffloadStats};
 pub use coll::{
     CollAlgorithm, CollError, CollOp, CollectiveChoice, CollectiveConfig, GatherEntry, Membership,
-    ScatterMode, Stamped, Tree,
+    ScatterMode, Tree,
 };
 pub use engine::{Ctx, Engine, Wire};
 pub use faults::{FailureCause, FaultPlan, FaultPlanError, RankFailure, RecvError};

@@ -49,12 +49,6 @@ impl ProcessorSpec {
         self.device = Some(device);
         self
     }
-
-    /// Replaces the architecture label (builder style).
-    pub fn with_arch(mut self, arch: &'static str) -> Self {
-        self.arch = arch;
-        self
-    }
 }
 
 /// Default per-message software latency in seconds (MPI call overhead on
@@ -409,11 +403,11 @@ mod tests {
             .procs()
             .iter()
             .cloned()
-            .map(|p| p.with_device(spec).with_arch("gpu host"))
+            .map(|p| p.with_device(spec))
             .collect();
         let plat = Platform::new("gpu", procs, vec![vec![0.0, 1.0], vec![1.0, 0.0]]);
         assert_eq!(plat.proc(0).device, Some(spec));
-        assert_eq!(plat.proc(1).arch, "gpu host");
+        assert_eq!(plat.proc(1).device, Some(spec));
     }
 
     #[test]

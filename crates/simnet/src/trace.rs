@@ -167,17 +167,6 @@ impl Trace {
         }
         out
     }
-
-    /// Total traced busy seconds per rank (compute + send + recv).
-    pub fn busy_per_rank(&self, num_ranks: usize) -> Vec<f64> {
-        let mut busy = vec![0.0; num_ranks];
-        for e in &self.events {
-            if e.rank < num_ranks {
-                busy[e.rank] += e.end - e.start;
-            }
-        }
-        busy
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +230,10 @@ mod tests {
     #[test]
     fn trace_busy_matches_ledger() {
         let (report, trace) = traced_run();
-        let busy = trace.busy_per_rank(3);
+        let mut busy = [0.0; 3];
+        for e in &trace.events {
+            busy[e.rank] += e.end - e.start;
+        }
         for (rank, ledger) in report.ledgers.iter().enumerate() {
             // Trace busy covers compute + send overhead + recv wait
             // (comm + idle), i.e. everything except untraced gaps.

@@ -8,7 +8,7 @@
 //! SplitMix64 stream `simnet::presets::random_heterogeneous` uses, so
 //! no vendored `rand` is pulled into library builds.
 
-use simnet::{FaultPlan, Platform};
+use simnet::FaultPlan;
 
 /// A SplitMix64 stream: tiny, fast, and statistically fine for test
 /// generation (it is the seeding PRG of the `rand` ecosystem).
@@ -147,15 +147,6 @@ pub fn plan_of(events: &[FaultEvent]) -> FaultPlan {
         .fold(FaultPlan::new(), |plan, e| e.apply(plan))
 }
 
-/// Draws a random multi-segment heterogeneous platform of `ranks`
-/// nodes: cycle-times log-uniform over a 25× band, 1–3 segments,
-/// random intra/inter link capacities (delegates to
-/// [`simnet::presets::random_heterogeneous`] with an RNG-derived seed).
-pub fn random_platform_from(rng: &mut SplitMix64, ranks: usize) -> Platform {
-    let segments = rng.range(1, 1 + ranks.min(3));
-    simnet::presets::random_heterogeneous(rng.next_u64(), ranks, segments, 0.002, 0.05)
-}
-
 /// Draws up to `max_events` random fault events against a platform of
 /// `ranks` ranks and `segments` segments. Crashes and slowdowns target
 /// workers only (never rank 0 — the ft drivers reject coordinator
@@ -246,14 +237,6 @@ mod tests {
             let f = r.in_range(-2.0, 2.0);
             assert!((-2.0..2.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn random_platform_is_reproducible() {
-        let a = random_platform_from(&mut SplitMix64::new(99), 7);
-        let b = random_platform_from(&mut SplitMix64::new(99), 7);
-        assert_eq!(a, b);
-        assert_eq!(a.num_procs(), 7);
     }
 
     #[test]

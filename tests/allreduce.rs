@@ -199,7 +199,6 @@ fn predicted_allreduce_cost_equals_measured_virtual_time() {
                     alg,
                     0,
                     bits,
-                    cfg.pipeline_chunks,
                 );
                 assert!(
                     (predicted - report.total_time).abs() < 1e-9,

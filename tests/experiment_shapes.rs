@@ -4,6 +4,7 @@
 
 use heterospec::hetero::config::{AlgoParams, RunOptions};
 use heterospec::simnet::engine::Engine;
+use heterospec::simnet::equivalent::equivalent_homogeneous;
 use heterospec::simnet::presets;
 use heterospec::simnet::report::speedup;
 
@@ -45,17 +46,25 @@ fn total(
 
 /// Table 5 shape: the hetero algorithms adapt — their fully-heterogeneous
 /// time is within 2x of their fully-homogeneous time, while the homo
-/// versions degrade by much more.
+/// versions degrade by much more — and they meet the paper's §3.1
+/// optimality criterion: Hetero-X on the heterogeneous network is close
+/// to Homo-X on its equivalent homogeneous network (same mean speed and
+/// link capacity, Lastovetsky & Reddy).
 #[test]
 fn table5_shape_adaptation() {
     let s = scene();
     let p = AlgoParams::default();
     let het = Engine::new(presets::fully_heterogeneous());
     let hom = Engine::new(presets::fully_homogeneous());
-    for algo in ["ATDCA", "MORPH"] {
+    let equivalent = Engine::new(equivalent_homogeneous(het.platform()));
+    // Measured at this scene: ATDCA 1.17, MORPH 1.45. MORPH pays a fixed
+    // halo per node, a completion-time floor on the slowest processor
+    // that only amortises with image height.
+    for (algo, optimal_within) in [("ATDCA", 1.25), ("MORPH", 1.5)] {
         let het_on_het = total(algo, &het, &s, &p, &RunOptions::hetero());
         let het_on_hom = total(algo, &hom, &s, &p, &RunOptions::hetero());
         let hom_on_het = total(algo, &het, &s, &p, &RunOptions::homo());
+        let hom_on_equivalent = total(algo, &equivalent, &s, &p, &RunOptions::homo());
         let ratio_hetero = het_on_het.max(het_on_hom) / het_on_het.min(het_on_hom);
         let ratio_homo = hom_on_het / het_on_het;
         assert!(
@@ -65,6 +74,13 @@ fn table5_shape_adaptation() {
         assert!(
             ratio_homo > 2.0,
             "{algo}: homo on het net should blow up (got {ratio_homo:.1}x)"
+        );
+        let ratio_optimal = het_on_het / hom_on_equivalent;
+        assert!(
+            ratio_optimal < optimal_within,
+            "{algo}: Hetero on the heterogeneous network over Homo on its equivalent \
+             homogeneous network is {ratio_optimal:.3} ({het_on_het:.3} s vs \
+             {hom_on_equivalent:.3} s); §3.1 tolerance at this scene is {optimal_within}"
         );
     }
 }

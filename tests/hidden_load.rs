@@ -18,7 +18,7 @@
 use heterospec::cube::synth::SyntheticScene;
 use heterospec::hetero::config::{AlgoParams, RunOptions};
 use heterospec::hetero::ft::{
-    run_self_sched, try_run_replan, try_run_self_sched, FtError, FtOptions,
+    run_self_sched, try_run_replan, try_run_self_sched, FtError, FtOptions, POLL_INTERVAL_S,
 };
 use heterospec::hetero::par;
 use heterospec::hetero::sched::{ChunkedAlgo, MorphChunks};
@@ -135,7 +135,7 @@ fn single_segment_self_scheduling_respects_the_list_scheduling_bound() {
             .iter()
             .map(|r| r.phases.send_wait + r.phases.recv_wait)
             .sum();
-        let per_dispatch = opts.poll_interval_s + message_secs / dispatches;
+        let per_dispatch = POLL_INTERVAL_S + message_secs / dispatches;
         let overhead = algo.rounds() as f64 * per_round.div_ceil(workers) as f64 * per_dispatch;
         let master_seq = profile.ranks[0].phases.compute_seq;
         assert!(
