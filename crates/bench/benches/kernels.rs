@@ -244,20 +244,32 @@ fn bench_sad_label(c: &mut Criterion) {
     });
 }
 
-fn bench_covariance(c: &mut Criterion) {
+/// PCT's two worker kernels on a 256-pixel block: the covariance partial
+/// (two 8-line chunks) and the transform-and-classify scan against the
+/// block's own `c = 7` model.
+fn bench_pct(c: &mut Criterion) {
     let scene = wtc_scene(WtcConfig {
         lines: 16,
         samples: 16,
         bands: 224,
         ..Default::default()
     });
+    let cube = &scene.cube;
+    let whole = (0, cube.lines());
     c.bench_function("covariance-256px-224bands", |b| {
+        b.iter(|| kernels::covariance_partial(black_box(cube), whole))
+    });
+    let (_, model) = hetero_hsi::seq::pct(cube, &Default::default()).result;
+    assert_eq!(model.transform.rows(), 7);
+    c.bench_function("pct_label-256px-224bands-c7", |b| {
         b.iter(|| {
-            let mut acc = hsi_linalg::covariance::CovarianceAccumulator::new(224);
-            for i in 0..scene.cube.num_pixels() {
-                acc.push_f32(scene.cube.pixel_flat(i));
-            }
-            acc
+            kernels::pct_label(
+                black_box(cube),
+                whole,
+                &model.transform,
+                &model.mean,
+                &model.class_reps,
+            )
         })
     });
 }
@@ -271,6 +283,6 @@ criterion_group!(
     bench_ufcls_rounds,
     bench_mei,
     bench_sad_label,
-    bench_covariance
+    bench_pct
 );
 criterion_main!(benches);

@@ -30,9 +30,10 @@
 //!
 //! Within a line the per-pixel 224-band sums — norms, projection and
 //! endmember dots, FCLS residuals, SAD dots — run four pixels (or
-//! candidates) at a time, one accumulator each: every sum keeps its own
-//! operands and order, hence its bits, and stops waiting out the add
-//! latency alone. Host wall-clock only, again.
+//! candidates) at a time, and PCT's projections eight transform rows at a
+//! time, one accumulator each: every sum keeps its own operands and
+//! order, hence its bits, and stops waiting out the add latency alone.
+//! Host wall-clock only, again.
 
 use crate::flops;
 use crate::msg::Candidate;
@@ -640,13 +641,15 @@ pub fn unique_set(
 
 /// PCT steps 4–5: accumulates the block's mean/covariance partial sums.
 ///
-/// Each fixed line chunk feeds the cache-blocked
+/// Each fixed line chunk feeds the register-tiled
 /// [`CovarianceAccumulator::push_pixels_f32`] over its contiguous BIP
 /// region; chunk partials are merged **in chunk order**, so the result
 /// is identical for any thread count. (The chunked summation groups
 /// floating-point additions differently from a single unchunked stream,
 /// but virtual-time accounting is analytic in the pixel count, so
-/// experiment timings are unaffected — see `docs/PERF.md`.)
+/// experiment timings are unaffected — see `docs/PERF.md`.) On one
+/// thread the merge folds each partial as soon as it is summed, so one
+/// partial at a time is alive beside the total, not one per chunk.
 ///
 /// The later chunks are folded into the **first chunk's** partial, not
 /// into a zeroed total: every sum of a partial started from `+0.0`, so it
@@ -657,27 +660,74 @@ pub fn unique_set(
 pub fn covariance_partial(cube: &HyperCube, range: (usize, usize)) -> (CovarianceAccumulator, f64) {
     let n = cube.bands();
     let stride = cube.samples() * n;
-    let partials: Vec<CovarianceAccumulator> = (0..chunk_count(range))
+    let acc = (0..chunk_count(range))
         .into_par_iter()
         .map(|c| {
             let (clo, chi) = chunk_bounds(range, c);
             let mut acc = CovarianceAccumulator::new(n);
             acc.push_pixels_f32(&cube.as_slice()[clo * stride..chi * stride]);
-            acc
+            Some(acc)
         })
-        .collect();
-    let mut partials = partials.into_iter();
-    let mut acc = partials
-        .next()
+        .reduce(
+            || None,
+            |total, part| match (total, part) {
+                (Some(mut total), Some(part)) => {
+                    total.merge(&part).expect("covariance_partial: same dim");
+                    Some(total)
+                }
+                (total, part) => total.or(part),
+            },
+        )
         .unwrap_or_else(|| CovarianceAccumulator::new(n));
-    for p in partials {
-        acc.merge(&p).expect("covariance_partial: same dim");
-    }
     let pixels = range_pixels(cube, range);
     (
         acc,
         flops::mflop(flops::covariance_accumulate(n) * pixels as f64),
     )
+}
+
+/// Rows of the PCT transform one pass over a pixel's bands projects onto.
+const PROJECT_ROWS: usize = 8;
+
+/// The `c × n` PCT transform copied band-major in groups of
+/// [`PROJECT_ROWS`] rows: entry `b` of group `g` holds band `b` of rows
+/// `8g … 8g + 7` (zero past `c`), so one pass over a pixel's bands feeds
+/// eight projections at once instead of one 224-term chain after another.
+struct BandMajor {
+    groups: Vec<Vec<[f64; PROJECT_ROWS]>>,
+}
+
+impl BandMajor {
+    fn new(transform: &Matrix) -> Self {
+        let (rows, bands) = transform.shape();
+        let mut groups = vec![vec![[0.0; PROJECT_ROWS]; bands]; rows.div_ceil(PROJECT_ROWS)];
+        for r in 0..rows {
+            for (b, &t) in transform.row(r).iter().enumerate() {
+                groups[r / PROJECT_ROWS][b][r % PROJECT_ROWS] = t;
+            }
+        }
+        BandMajor { groups }
+    }
+
+    /// `T·(x − m)` into `out` (one entry per transform row). Each
+    /// projection starts from `−0.0`, as `dot`'s `Sum` does, and adds
+    /// `t[r][b] · (x[b] − m[b])` in band order, so it has the bits of
+    /// [`Matrix::matvec`] applied to the centred pixel.
+    fn project(&self, px: &[f32], mean: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(out.len().div_ceil(PROJECT_ROWS), self.groups.len());
+        for (group, out) in self.groups.iter().zip(out.chunks_mut(PROJECT_ROWS)) {
+            let mut sums = [-0.0f64; PROJECT_ROWS];
+            for ((t, &x), &m) in group.iter().zip(px).zip(mean) {
+                let centred = f64::from(x) - m;
+                for (sum, &tr) in sums.iter_mut().zip(t) {
+                    *sum += tr * centred;
+                }
+            }
+            for (o, sum) in out.iter_mut().zip(sums) {
+                *o = sum;
+            }
+        }
+    }
 }
 
 /// PCT steps 8–9: transforms each pixel with `T·(x − m)` and labels it
@@ -702,11 +752,16 @@ pub fn pct_label(
     }
     let reps32 = SadCandidates::new(&reps32);
     let reps32 = &reps32;
+    assert!(
+        transform.cols() == n && mean.len() == n,
+        "pct_label: transform or mean not over the cube's {n} bands"
+    );
+    let band_major = &BandMajor::new(transform);
     // One preassembled label buffer, written in place by the chunk
     // workers; `par_chunks_mut` at `PAR_CHUNK_LINES × samples` pixels
     // yields exactly the fixed chunk grid (the last chunk is the
     // remainder), so no per-chunk Vec or final concat is needed. Each
-    // chunk reuses its three scratch buffers across every pixel.
+    // chunk reuses its two scratch buffers across every pixel.
     let samples = cube.samples();
     let pixels = range_pixels(cube, range);
     let mut labels = vec![0u16; pixels];
@@ -716,18 +771,11 @@ pub fn pct_label(
         .for_each(|(ci, part)| {
             let (clo, chi) = chunk_bounds(range, ci);
             debug_assert_eq!(part.len(), (chi - clo) * samples);
-            let mut centred = vec![0.0f64; n];
             let mut projected = vec![0.0f64; c];
             let mut proj32 = vec![0.0f32; c];
             for line in clo..chi {
                 for sample in 0..samples {
-                    let px = cube.pixel(line, sample);
-                    for (i, &v) in px.iter().enumerate() {
-                        centred[i] = v as f64 - mean[i];
-                    }
-                    transform
-                        .matvec_into(&centred, &mut projected)
-                        .expect("pct_label: transform shape");
+                    band_major.project(cube.pixel(line, sample), mean, &mut projected);
                     for (o, &v) in proj32.iter_mut().zip(projected.iter()) {
                         *o = v as f32;
                     }
@@ -1000,6 +1048,44 @@ mod tests {
             }
             let copied = acc.to_flat();
             assert_eq!(f64_bits(&acc.into_flat()), f64_bits(&copied));
+        }
+    }
+
+    /// `pct_label`'s band-major projections have the bits of
+    /// `Matrix::matvec` on the centred pixel at every row count around
+    /// the group of eight. Row 0 is zero, so its products are all `±0`:
+    /// under a mean above every sample they are all `−0.0`, and only the
+    /// `−0.0` start `dot`'s `Sum` uses keeps that sign.
+    #[test]
+    fn band_major_projections_keep_the_bits_of_matvec() {
+        let s = scene();
+        let cube = &s.cube;
+        let n = cube.bands();
+        for mean in [
+            (0..n).map(|b| 0.05 * (b % 7) as f64).collect::<Vec<_>>(),
+            vec![1e3; n],
+        ] {
+            for c in [1, 7, 8, 9, 17] {
+                let mut transform = Matrix::zeros(c, n);
+                for r in 1..c {
+                    for b in 0..n {
+                        transform[(r, b)] = ((r * 31 + b * 17) % 23) as f64 / 23.0 - 0.5;
+                    }
+                }
+                let band_major = BandMajor::new(&transform);
+                let mut projected = vec![0.0; c];
+                for i in (0..cube.num_pixels()).step_by(37) {
+                    let px = cube.pixel_flat(i);
+                    let centred: Vec<f64> = px
+                        .iter()
+                        .zip(&mean)
+                        .map(|(&v, m)| f64::from(v) - m)
+                        .collect();
+                    band_major.project(px, &mean, &mut projected);
+                    let want = transform.matvec(&centred).unwrap();
+                    assert_eq!(f64_bits(&projected), f64_bits(&want), "c {c}, pixel {i}");
+                }
+            }
         }
     }
 

@@ -81,6 +81,26 @@ fn normal_quantile(p: f64) -> f64 {
     }
 }
 
+/// The eigendecompositions of the sample correlation `R` and covariance
+/// `K` of a non-empty `cube`, from one pass of the mean and covariance
+/// sums (`R = K + m mᵀ`).
+fn spectra(cube: &HyperCube) -> (SymmetricEigen, SymmetricEigen) {
+    let n = cube.bands();
+    let mut acc = CovarianceAccumulator::new(n);
+    acc.push_pixels_f32(cube.as_slice());
+    let mean = acc.mean().expect("non-empty");
+    let cov = acc.covariance().expect("non-empty");
+    let mut corr = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            corr[(i, j)] = cov[(i, j)] + mean[i] * mean[j];
+        }
+    }
+    let e_corr = SymmetricEigen::new(&corr).expect("corr eigen");
+    let e_cov = SymmetricEigen::new(&cov).expect("cov eigen");
+    (e_corr, e_cov)
+}
+
 /// Estimates the virtual dimensionality of a cube with the HFC method
 /// at false-alarm probability `p_fa` (the customary values are 1e-3 to
 /// 1e-5; the paper's `t = 18` corresponds to ~1e-3 on its scene).
@@ -91,24 +111,7 @@ pub fn hfc(cube: &HyperCube, p_fa: f64) -> VdEstimate {
     assert!(cube.num_pixels() > 0, "hfc: empty cube");
     let n = cube.bands();
     let samples = cube.num_pixels() as f64;
-
-    // Accumulate covariance and mean in one pass; correlation follows
-    // as K + m mᵀ.
-    let mut acc = CovarianceAccumulator::new(n);
-    for i in 0..cube.num_pixels() {
-        acc.push_f32(cube.pixel_flat(i));
-    }
-    let mean = acc.mean().expect("non-empty");
-    let cov = acc.covariance().expect("non-empty");
-    let mut corr = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            corr[(i, j)] = cov[(i, j)] + mean[i] * mean[j];
-        }
-    }
-
-    let e_corr = SymmetricEigen::new(&corr).expect("corr eigen");
-    let e_cov = SymmetricEigen::new(&cov).expect("cov eigen");
+    let (e_corr, e_cov) = spectra(cube);
     let z = -normal_quantile(p_fa); // threshold multiplier > 0
 
     let mut dimension = 0;
@@ -137,20 +140,7 @@ pub fn hfc(cube: &HyperCube, p_fa: f64) -> VdEstimate {
 pub fn noise_floor(cube: &HyperCube, factor: f64) -> VdEstimate {
     assert!(cube.num_pixels() > 0, "noise_floor: empty cube");
     let n = cube.bands();
-    let mut acc = CovarianceAccumulator::new(n);
-    for i in 0..cube.num_pixels() {
-        acc.push_f32(cube.pixel_flat(i));
-    }
-    let mean = acc.mean().expect("non-empty");
-    let cov = acc.covariance().expect("non-empty");
-    let mut corr = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            corr[(i, j)] = cov[(i, j)] + mean[i] * mean[j];
-        }
-    }
-    let e_cov = SymmetricEigen::new(&cov).expect("cov eigen");
-    let e_corr = SymmetricEigen::new(&corr).expect("corr eigen");
+    let (e_corr, e_cov) = spectra(cube);
     // Median of the lower half as the noise level.
     let tail = &e_cov.eigenvalues[n / 2..];
     let mut sorted: Vec<f64> = tail.iter().map(|l| l.max(0.0)).collect();

@@ -203,28 +203,6 @@ impl Matrix {
         Ok((0..self.rows).map(|r| dot(self.row(r), v)).collect())
     }
 
-    /// Matrix–vector product `self * v` written into `out`
-    /// (`out.len()` must equal `self.rows`) — the allocation-free form
-    /// of [`Matrix::matvec`] for per-pixel hot loops.
-    pub fn matvec_into(&self, v: &[f64], out: &mut [f64]) -> Result<()> {
-        if v.len() != self.cols {
-            return Err(shape_mismatch(
-                format!("vector of length {}", self.cols),
-                format!("length {}", v.len()),
-            ));
-        }
-        if out.len() != self.rows {
-            return Err(shape_mismatch(
-                format!("output of length {}", self.rows),
-                format!("length {}", out.len()),
-            ));
-        }
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = dot(self.row(r), v);
-        }
-        Ok(())
-    }
-
     /// Gram matrix `selfᵀ * self` (always square `cols × cols`, symmetric).
     pub fn gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);

@@ -1,8 +1,9 @@
 //! Abreast reductions: the scan kernels run the per-pixel band sums of a
 //! line four pixels (or four candidates) at a time, one accumulator each,
-//! with a scalar tail. The contract is **bit identity** with the
-//! one-pixel-at-a-time definitions — `OrthoBasis::complement_score`,
-//! `FclsProblem::solve_f32`, `metrics::sad` — for every line width around
+//! with a scalar tail, and `pct_label` a pixel's projections eight rows at
+//! a time. The contract is **bit identity** with the one-at-a-time
+//! definitions — `OrthoBasis::complement_score`, `FclsProblem::solve_f32`,
+//! `metrics::sad`, `Matrix::matvec` — for every line width around
 //! the lane count, through every state a carry can be in, and for a pixel
 //! whose solve fails next to three that do not.
 //!
@@ -174,6 +175,75 @@ fn sad_label_equals_the_naive_loop() {
                 .collect();
             let (labels, _) = kernels::sad_label(&cube, (0, LINES), &classes);
             assert_eq!(labels, want, "samples {samples}, {count} classes");
+        }
+    }
+}
+
+/// `pct_label` forms a pixel's `c` projections in one pass over its bands,
+/// eight rows at a time; its labels must be those of the per-pixel
+/// `Matrix::matvec` of the centred pixel, narrowed to `f32` and matched
+/// by SAD, at row counts on both sides of a group of eight and at widths
+/// 1 and 3. (Each projection's bits against `matvec` are pinned in
+/// `hetero::kernels`' unit tests, where the projection is visible.)
+#[test]
+fn pct_label_equals_the_per_pixel_matvec() {
+    let mean: Vec<f64> = texture(BANDS, 71).iter().map(|&v| f64::from(v)).collect();
+    // Three line chunks, so width 3 gives each worker one.
+    let lines = 2 * kernels::PAR_CHUNK_LINES + 1;
+    for samples in SAMPLES {
+        let cube = HyperCube::from_vec(lines, samples, BANDS, texture(lines * samples * BANDS, 53));
+        for c in [1, 7, 8, 9, 17] {
+            let rows: Vec<Vec<f64>> = texture(c * BANDS, 7 + c as u32)
+                .chunks(BANDS)
+                .map(|r| r.iter().map(|&v| f64::from(v) - 0.55).collect())
+                .collect();
+            let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+            let transform = Matrix::from_rows(&rows);
+            let project = |px: &[f32]| {
+                let centred: Vec<f64> = px
+                    .iter()
+                    .zip(&mean)
+                    .map(|(&v, m)| f64::from(v) - m)
+                    .collect();
+                transform.matvec(&centred).expect("transform shape")
+            };
+            // Representatives in transformed space, as `seq::pct` takes
+            // them: the projections of a few of the cube's pixels.
+            let reps: Vec<Vec<f64>> = (0..4)
+                .map(|i| project(cube.pixel_flat((i * 7 + 2) % cube.num_pixels())))
+                .collect();
+            let reps32: Vec<Vec<f32>> = reps
+                .iter()
+                .map(|r| r.iter().map(|&v| v as f32).collect())
+                .collect();
+            let want: Vec<u16> = (0..cube.num_pixels())
+                .map(|i| {
+                    let projected: Vec<f32> = project(cube.pixel_flat(i))
+                        .iter()
+                        .map(|&v| v as f32)
+                        .collect();
+                    let mut best = (0, f64::INFINITY);
+                    for (k, rep) in reps32.iter().enumerate() {
+                        let d = sad(&projected, rep);
+                        if d < best.1 {
+                            best = (k, d);
+                        }
+                    }
+                    best.0 as u16
+                })
+                .collect();
+            if c > 1 && cube.num_pixels() > 16 {
+                assert!(want.iter().any(|&l| l != want[0]), "fixture: one class");
+            }
+            for width in [1, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap();
+                let (labels, _) = pool
+                    .install(|| kernels::pct_label(&cube, (0, lines), &transform, &mean, &reps));
+                assert_eq!(labels, want, "samples {samples}, c {c}, width {width}");
+            }
         }
     }
 }

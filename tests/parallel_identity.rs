@@ -26,6 +26,10 @@ const MAX_LINES: usize = 21;
 const MAX_SAMPLES: usize = 6;
 const MAX_BANDS: usize = 5;
 const MAX_VALS: usize = MAX_LINES * MAX_SAMPLES * MAX_BANDS;
+/// The covariance property's band ceiling: two full 4 × 8 register
+/// tiles of `Σxxᵀ` and a ragged third.
+const MAX_COV_BANDS: usize = 19;
+const MAX_COV_VALS: usize = MAX_LINES * MAX_SAMPLES * MAX_COV_BANDS;
 
 /// Thread widths exercised against the width-1 reference: even, odd,
 /// and oversubscribed relative to the chunk count.
@@ -46,6 +50,52 @@ fn cube_from(vals: &[f32], lines: usize, samples: usize, bands: usize) -> HyperC
         bands,
         vals[..lines * samples * bands].to_vec(),
     )
+}
+
+/// The accumulator's wire buffer as bits (`PartialEq` takes −0.0 for +0.0).
+fn bits(acc: &CovarianceAccumulator) -> Vec<u64> {
+    acc.to_flat().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `covariance_partial` against per-sample pushes, one fresh
+/// accumulator per chunk merged in chunk order, at widths 1 and 3:
+/// dims below, at and past one 4 × 8 tile and the benchmark's 224;
+/// chunks of 8 lines and 1 line of `samples` pixels each, across the
+/// 64-pixel panel.
+#[test]
+fn covariance_partial_equals_per_sample_pushes_sweep() {
+    let lines = kernels::PAR_CHUNK_LINES + 1;
+    for dim in [1, 4, 5, 8, 9, 12, 13, 31, 224] {
+        for samples in [0, 1, 63, 64, 65, 130] {
+            let mut state = (dim * 1000 + samples) as u64;
+            let data: Vec<f32> = (0..lines * samples * dim)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    ((state >> 40) as f32) / (1 << 24) as f32 - 0.5
+                })
+                .collect();
+            let cube = HyperCube::from_vec(lines, samples, dim, data);
+            let mut want = CovarianceAccumulator::new(dim);
+            for (lo, hi) in [
+                (0, kernels::PAR_CHUNK_LINES),
+                (kernels::PAR_CHUNK_LINES, lines),
+            ] {
+                let mut chunk = CovarianceAccumulator::new(dim);
+                for i in lo * samples..hi * samples {
+                    chunk.push_f32(cube.pixel_flat(i));
+                }
+                want.merge(&chunk).unwrap();
+            }
+            for w in [1, 3] {
+                let got = pool(w).install(|| kernels::covariance_partial(&cube, (0, lines)).0);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "dim {dim}, {samples} samples, width {w}"
+                );
+            }
+        }
+    }
 }
 
 /// Folds raw `(lo, span)` draws into a valid line sub-range of `lines`.
@@ -109,17 +159,18 @@ proptest! {
         }
     }
 
-    /// The covariance path is bit-identical three ways: blocked panel
+    /// The covariance path is bit-identical three ways: tiled panel
     /// update vs per-pixel scalar pushes, arbitrary pixel-boundary
-    /// splits of the blocked update, and the chunk-parallel kernel
-    /// across widths.
+    /// splits of the tiled update, and the chunk-parallel kernel across
+    /// widths. Bands reach past two 4 × 8 tiles of `Σxxᵀ`, ragged in
+    /// rows and columns.
     #[test]
     fn covariance_blocked_split_and_parallel_identical(
-        vals in proptest::collection::vec(-1.0f32..1.0, MAX_VALS),
+        vals in proptest::collection::vec(-1.0f32..1.0, MAX_COV_VALS),
         lines in 1usize..=MAX_LINES,
         samples in 1usize..=MAX_SAMPLES,
-        bands in 2usize..=MAX_BANDS,
-        split in 0usize..MAX_VALS,
+        bands in 2usize..=MAX_COV_BANDS,
+        split in 0usize..MAX_COV_VALS,
     ) {
         let cube = cube_from(&vals, lines, samples, bands);
         let mut scalar = CovarianceAccumulator::new(bands);
@@ -128,20 +179,20 @@ proptest! {
         }
         let mut blocked = CovarianceAccumulator::new(bands);
         blocked.push_pixels_f32(cube.as_slice());
-        prop_assert_eq!(&scalar, &blocked);
+        prop_assert_eq!(bits(&scalar), bits(&blocked));
         // Any pixel-boundary split feeds the same per-element
         // accumulation order, so halves == whole exactly.
         let cut = (split % (cube.num_pixels() + 1)) * bands;
         let mut halves = CovarianceAccumulator::new(bands);
         halves.push_pixels_f32(&cube.as_slice()[..cut]);
         halves.push_pixels_f32(&cube.as_slice()[cut..]);
-        prop_assert_eq!(&scalar, &halves);
+        prop_assert_eq!(bits(&scalar), bits(&halves));
         // The chunk-parallel kernel regroups sums at chunk seams, but
         // the grid is width-independent: identical at every width.
         let reference = pool(1).install(|| kernels::covariance_partial(&cube, (0, lines)).0);
         for w in WIDTHS {
             let got = pool(w).install(|| kernels::covariance_partial(&cube, (0, lines)).0);
-            prop_assert_eq!(&got, &reference, "width {}", w);
+            prop_assert_eq!(bits(&got), bits(&reference), "width {}", w);
         }
     }
 
