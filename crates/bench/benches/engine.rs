@@ -74,7 +74,6 @@ fn bench_wea(c: &mut Criterion) {
     let mut g = c.benchmark_group("wea-fractions-16-procs");
     for (name, model) in [
         ("ignore", WeaLinkModel::Ignore),
-        ("heuristic", WeaLinkModel::Heuristic { beta: 1.0 }),
         ("makespan", WeaLinkModel::Makespan),
     ] {
         g.bench_function(name, |b| {

@@ -1,10 +1,9 @@
-//! **Ablation A7** — fused allreduce + broadcast/compute overlap →
-//! `BENCH_allreduce.json`.
+//! **Ablation A7** — fused allreduce → `BENCH_allreduce.json`.
 //!
 //! Sweeps the fused `simnet::coll::allreduce` schedules (linear,
 //! binomial tree, segment-hierarchical, auto) over the paper's four
 //! networks and two payload sizes, checking the analytic cost replay
-//! against the measured virtual time at every point. Four gates, all
+//! against the measured virtual time at every point. Three gates, all
 //! deterministic and always enforced:
 //!
 //! 1. **Fusion win (collective)** — the auto-selected allreduce is
@@ -13,11 +12,7 @@
 //! 2. **Fusion win (end-to-end)** — UFCLS under the fused winner
 //!    selection is strictly faster than the legacy run on
 //!    `fully_heterogeneous()`, with bit-identical targets.
-//! 3. **Overlap win** — chunk-overlapped ATDCA and UFCLS are strictly
-//!    faster than the full-payload pipelined broadcast on *both*
-//!    serial-link networks, never slower on any network, with
-//!    bit-identical targets.
-//! 4. **Model exactness** — predicted equals measured (< 1e-6) at every
+//! 3. **Model exactness** — predicted equals measured (< 1e-6) at every
 //!    swept allreduce point.
 //!
 //! ```text
@@ -164,7 +159,7 @@ fn main() {
     ];
     let sizes: [u64; 2] = [CAND_BITS, BULK_BITS];
 
-    // --- Sweep + gate 4 (model exactness).
+    // --- Sweep + gate 3 (model exactness).
     let mut records: Vec<SweepRecord> = Vec::new();
     let mut model_exact = true;
     for network in &networks {
@@ -216,51 +211,6 @@ fn main() {
         );
     }
 
-    // --- Gate 3: overlap never slower anywhere, strictly faster on the
-    // serial-link networks, outputs identical everywhere.
-    let chunked_opts = RunOptions::hetero().with_collectives(CollectiveConfig {
-        broadcast: CollAlgorithm::PipelinedChunked,
-        ..CollectiveConfig::linear()
-    });
-    let overlap_opts = chunked_opts.with_bcast_overlap(true);
-    let mut gate_overlap = true;
-    let mut overlap_rows = Vec::new();
-    for (i, network) in networks.iter().enumerate() {
-        let plain = detection_outputs(&scene, network, &chunked_opts);
-        let over = detection_outputs(&scene, network, &overlap_opts);
-        let identical = plain.0 == over.0 && plain.2 == over.2;
-        let serial_link = i == 0 || i == 3; // fully_heterogeneous, partially_homogeneous
-        let atdca_ok = if serial_link {
-            over.1 < plain.1
-        } else {
-            over.1 <= plain.1 + 1e-9
-        };
-        let ufcls_ok = if serial_link {
-            over.3 < plain.3
-        } else {
-            over.3 <= plain.3 + 1e-9
-        };
-        if !(identical && atdca_ok && ufcls_ok) {
-            eprintln!(
-                "# OVERLAP GATE on {}: identical={identical} atdca {} vs {} ufcls {} vs {}",
-                network.name(),
-                over.1,
-                plain.1,
-                over.3,
-                plain.3
-            );
-            gate_overlap = false;
-        }
-        overlap_rows.push((
-            network.name().to_string(),
-            plain.1,
-            over.1,
-            plain.3,
-            over.3,
-            identical,
-        ));
-    }
-
     // --- Report.
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -290,31 +240,6 @@ fn main() {
         ],
         &rows,
     );
-    let overlap_table: Vec<Vec<String>> = overlap_rows
-        .iter()
-        .map(|(net, ap, ao, up, uo, same)| {
-            vec![
-                net.clone(),
-                format!("{ap:.6}"),
-                format!("{ao:.6}"),
-                format!("{up:.6}"),
-                format!("{uo:.6}"),
-                format!("{same}"),
-            ]
-        })
-        .collect();
-    print_table(
-        "Ablation A7: broadcast/compute overlap — total virtual seconds",
-        &[
-            "Network",
-            "ATDCA plain",
-            "ATDCA overlap",
-            "UFCLS plain",
-            "UFCLS overlap",
-            "Identical",
-        ],
-        &overlap_table,
-    );
     write_csv(
         "ablation_allreduce.csv",
         "network,bits,requested,resolved,predicted_secs,measured_secs",
@@ -332,16 +257,12 @@ fn main() {
         legacy.3
     );
     eprintln!(
-        "# gate 3 (overlap never slower, strict win on serial links): {}",
-        if gate_overlap { "PASS" } else { "FAIL" }
-    );
-    eprintln!(
-        "# gate 4 (model exact across {} points): {}",
+        "# gate 3 (model exact across {} points): {}",
         records.len(),
         if model_exact { "PASS" } else { "FAIL" }
     );
 
-    let all_passed = gate_collective && gate_fused_e2e && gate_overlap && model_exact;
+    let all_passed = gate_collective && gate_fused_e2e && model_exact;
     let payload = vec![
         (
             "sweep",
@@ -356,24 +277,6 @@ fn main() {
                 ("ufcls_legacy_secs", Json::Number(legacy.3)),
             ]),
         ),
-        (
-            "overlap",
-            Json::Array(
-                overlap_rows
-                    .iter()
-                    .map(|(net, ap, ao, up, uo, same)| {
-                        object(vec![
-                            ("network", Json::String(net.clone())),
-                            ("atdca_plain_secs", Json::Number(*ap)),
-                            ("atdca_overlap_secs", Json::Number(*ao)),
-                            ("ufcls_plain_secs", Json::Number(*up)),
-                            ("ufcls_overlap_secs", Json::Number(*uo)),
-                            ("outputs_identical", Json::Bool(*same)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
     ];
     let status = write_report(
         "BENCH_allreduce.json",
@@ -381,7 +284,6 @@ fn main() {
         vec![
             ("fused_beats_split_collective", Json::Bool(gate_collective)),
             ("fused_ufcls_end_to_end", Json::Bool(gate_fused_e2e)),
-            ("overlap_never_slower", Json::Bool(gate_overlap)),
             ("model_exact", Json::Bool(model_exact)),
         ],
         true,

@@ -2,9 +2,9 @@
 //!
 //! On the partially homogeneous network (identical CPUs, heterogeneous
 //! links) the only thing a workload estimator can adapt to is the
-//! network. This ablation compares the literal Algorithm 1 (`Ignore`),
-//! the additive heuristic at several β, and the makespan-equalising
-//! allocator, with the initial scatter charged at Table-2 rates.
+//! network. This ablation compares the literal Algorithm 1 (`Ignore`)
+//! with the makespan-equalising allocator, with the initial scatter
+//! charged at Table-2 rates.
 //!
 //! ```text
 //! cargo run -p repro-bench --release --bin ablation_wea
@@ -25,18 +25,6 @@ fn main() {
     ];
     let models: Vec<(String, WeaLinkModel)> = vec![
         ("Ignore (Algorithm 1)".into(), WeaLinkModel::Ignore),
-        (
-            "Heuristic beta=0.5".into(),
-            WeaLinkModel::Heuristic { beta: 0.5 },
-        ),
-        (
-            "Heuristic beta=1.0".into(),
-            WeaLinkModel::Heuristic { beta: 1.0 },
-        ),
-        (
-            "Heuristic beta=2.0".into(),
-            WeaLinkModel::Heuristic { beta: 2.0 },
-        ),
         ("Makespan".into(), WeaLinkModel::Makespan),
     ];
 

@@ -59,7 +59,10 @@ impl PartitionStrategy {
 pub enum OverlapPolicy {
     /// `2 · radius(B) · I_max` lines: interior MEI scores are
     /// bit-identical to the sequential computation (proved in
-    /// `hsi-morpho`'s tests). Costly at high processor counts.
+    /// `hsi-morpho`'s tests). Costly at high processor counts, and
+    /// kept because `ablation_overlap` (EXPERIMENTS.md A3) shows it
+    /// winning on accuracy: at 256 CPUs it recovers 99.0 % debris
+    /// accuracy against [`Self::SingleKernel`]'s 84.5 %.
     Exact,
     /// `radius(B)` lines: enough for any single kernel application, as
     /// the paper's wording ("avoid accesses outside the local image
@@ -101,7 +104,7 @@ pub struct RunOptions {
     /// MORPH halo sizing (see [`OverlapPolicy`]).
     pub morph_overlap: OverlapPolicy,
     /// Collective-communication backend for the algorithms' broadcast /
-    /// gather / reduce steps (see `simnet::coll` and docs/COMMS.md).
+    /// gather / allreduce steps (see `simnet::coll` and docs/COMMS.md).
     /// Default [`CollectiveConfig::linear`], the paper's star schedule —
     /// existing timings are unchanged unless this is set explicitly.
     /// `collectives.allreduce` also selects ATDCA/UFCLS winner
@@ -109,13 +112,6 @@ pub struct RunOptions {
     /// broadcast split; any tree algorithm fuses it onto one
     /// `simnet::coll::allreduce` schedule.
     pub collectives: CollectiveConfig,
-    /// Overlap the per-round endmember broadcast with the round's
-    /// follow-up compute: when the broadcast resolves to
-    /// `PipelinedChunked`, leaf workers charge a slice of their
-    /// post-broadcast compute per received chunk (ATDCA basis update,
-    /// UFCLS Gram rebuild) instead of all of it afterwards. Outputs are
-    /// bit-identical; virtual time never increases. Default `false`.
-    pub bcast_overlap: bool,
     /// When ranks offload their pixel-parallel kernels to an attached
     /// accelerator (see [`crate::offload`] and `simnet::accel`).
     /// Default [`crate::offload::OffloadPolicy::Never`] — existing runs
@@ -133,7 +129,6 @@ impl Default for RunOptions {
             scatter_mode: ScatterMode::Free,
             morph_overlap: OverlapPolicy::default(),
             collectives: CollectiveConfig::linear(),
-            bcast_overlap: false,
             offload: crate::offload::OffloadPolicy::Never,
         }
     }
@@ -156,13 +151,6 @@ impl RunOptions {
     /// Replaces the collective backend, builder-style.
     pub fn with_collectives(mut self, collectives: CollectiveConfig) -> Self {
         self.collectives = collectives;
-        self
-    }
-
-    /// Enables or disables broadcast/compute chunk overlap,
-    /// builder-style (see [`RunOptions::bcast_overlap`]).
-    pub fn with_bcast_overlap(mut self, overlap: bool) -> Self {
-        self.bcast_overlap = overlap;
         self
     }
 
@@ -195,8 +183,6 @@ mod tests {
             PartitionStrategy::Heterogeneous(_)
         ));
         assert_eq!(RunOptions::default().scatter_mode, ScatterMode::Free);
-        assert!(!RunOptions::default().bcast_overlap);
-        assert!(RunOptions::hetero().with_bcast_overlap(true).bcast_overlap);
         assert_eq!(
             RunOptions::default().offload,
             crate::offload::OffloadPolicy::Never

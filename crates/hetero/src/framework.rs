@@ -209,20 +209,16 @@ pub fn row_mbits(cube: &HyperCube) -> f64 {
 ///   the root, re-score there (`rescore_flops` per surviving candidate,
 ///   charged sequential), broadcast the winning spectrum. Workers get a
 ///   zero-coordinate stand-in carrying the winning spectrum, exactly as
-///   the historic per-algorithm code built it. When
-///   `options.bcast_overlap` is set, the broadcast goes through
-///   [`coll::broadcast_overlap`] and `post_mflops` is charged in
-///   per-chunk slices as endmember bytes arrive.
+///   the historic per-algorithm code built it.
 /// * any tree algorithm — one fused [`coll::allreduce`] over the
 ///   candidates with the [`better_candidate`] fold. Scores travel with
 ///   the candidates, so the master re-scoring pass disappears and every
 ///   rank (workers included) learns the winner's real coordinates in a
-///   single tree traversal. `post_mflops` is charged whole after the
-///   collective: chunk overlap does not compose with the fused schedule
-///   (see docs/COMMS.md).
+///   single tree traversal.
 ///
 /// `post_mflops` is the round's follow-up parallel compute (ATDCA's
-/// basis growth, UFCLS's next-round Gram rebuild); pass `0.0` for none.
+/// basis growth, UFCLS's next-round Gram rebuild), charged after the
+/// collective; pass `0.0` for none.
 pub(crate) fn select_winner(
     ctx: &mut Ctx<Msg>,
     options: &RunOptions,
@@ -277,31 +273,14 @@ pub(crate) fn select_winner(
     let selected = best
         .as_ref()
         .map(|b| Msg::spectra(vec![b.spectrum.clone()]));
-    let delivered = if options.bcast_overlap {
-        coll::broadcast_overlap(
-            ctx,
-            &options.collectives,
-            0,
-            selected,
-            u_row_bits,
-            |ctx, _chunk, k| {
-                if post_mflops > 0.0 {
-                    ctx.compute_par(post_mflops / k as f64);
-                }
-            },
-        )
-    } else {
-        let d = coll::broadcast(ctx, &options.collectives, 0, selected, u_row_bits);
-        if post_mflops > 0.0 {
-            ctx.compute_par(post_mflops);
-        }
-        d
-    };
-    let spectrum = delivered
+    let spectrum = coll::broadcast(ctx, &options.collectives, 0, selected, u_row_bits)
         .expect("select_winner: broadcast misuse")
         .into_spectra()
         .expect("select_winner: protocol violation")
         .remove(0);
+    if post_mflops > 0.0 {
+        ctx.compute_par(post_mflops);
+    }
     best.unwrap_or(Candidate {
         line: 0,
         sample: 0,

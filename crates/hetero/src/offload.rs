@@ -46,6 +46,8 @@ pub enum OffloadPolicy {
     Never,
     /// Every chunk that fits in device memory runs on the device, even
     /// when transfers + launch latency make it slower than the host.
+    /// Kept as the strawman `ablation_accel`'s gate holds `Auto` to in
+    /// `BENCH_accel.json` (`Auto` never slower than `Always` or `Never`).
     Always,
     /// Per-chunk cost-model decision: offload exactly when the analytic
     /// device time beats the host time (ties go to the host).

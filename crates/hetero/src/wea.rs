@@ -12,31 +12,25 @@
 //!    complete graph `G = (P, E)` with link weights `c_ij`, and its
 //!    partially-homogeneous results (identical CPUs, heterogeneous
 //!    links, yet Hetero ≫ Homo) show the heterogeneous algorithms adapt
-//!    to link capacity too. We model a row's cost to processor `i` as
-//!    `wᵢ·f + β·kᵢ·(c₀ᵢ/1000)·b` — compute plus staging over the path
-//!    from the root, where `f`/`b` are the algorithm's megaflops and
-//!    megabits per row and `kᵢ` counts the processors sharing `i`'s
-//!    serial inter-segment link (the serialisation factor). `β = 0`
-//!    recovers the literal Algorithm 1; the `ablation_wea` bench sweeps
-//!    `β`.
+//!    to link capacity too. [`WeaLinkModel::Makespan`] charges a row to
+//!    processor `i` as compute `wᵢ·f` plus staging `(c₀ᵢ/1000)·b` from
+//!    the root, where `f`/`b` are the algorithm's megaflops and megabits
+//!    per row, and equalises completion times over the engine's switched
+//!    and serial links — the one-port master–worker optimum, with no
+//!    tuned constant. [`WeaLinkModel::Ignore`] is the literal
+//!    Algorithm 1; the `ablation_wea` bench compares the two.
 //! 3. **Memory upper bounds** (Algorithm 1 step 3b): processors whose
 //!    assignment exceeds their local-memory capacity are capped and the
 //!    excess is redistributed recursively among the rest.
 
 use simnet::Platform;
+use std::collections::BTreeMap;
 
 /// How WEA accounts for the network when choosing fractions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeaLinkModel {
     /// Ignore links entirely: `αᵢ ∝ 1/wᵢ` (the literal Algorithm 1).
     Ignore,
-    /// Additive heuristic: `αᵢ ∝ 1/(wᵢ·f + β·kᵢ·c₀ᵢ·b)` with `kᵢ` the
-    /// serialisation factor of `i`'s inter-segment link. Kept for the
-    /// `ablation_wea` bench.
-    Heuristic {
-        /// Staging-cost weight (0 recovers `Ignore`).
-        beta: f64,
-    },
     /// Makespan equalisation: fractions are chosen so every processor
     /// finishes (staging + compute) at the same virtual time under the
     /// engine's exact communication model — switched intra-segment
@@ -117,18 +111,6 @@ impl std::fmt::Display for WeaError {
 
 impl std::error::Error for WeaError {}
 
-/// Serialisation factor `kᵢ`: processors sharing `i`'s inter-segment
-/// link toward the root (1 when `i` shares the root's segment).
-fn serial_factor(platform: &Platform, i: usize) -> f64 {
-    let root_seg = platform.segment_of(0);
-    let seg = platform.segment_of(i);
-    if seg == root_seg {
-        1.0
-    } else {
-        platform.procs().iter().filter(|p| p.segment == seg).count() as f64
-    }
-}
-
 /// Heterogeneous workload fractions (Algorithm 1 step 2, generalised to
 /// the platform graph per [`WeaLinkModel`]).
 ///
@@ -149,7 +131,6 @@ fn serial_factor(platform: &Platform, i: usize) -> f64 {
 pub fn hetero_fractions(platform: &Platform, cost: RowCost, cfg: WeaConfig) -> Vec<f64> {
     match cfg.link_model {
         WeaLinkModel::Ignore => speed_fractions(platform),
-        WeaLinkModel::Heuristic { beta } => heuristic_fractions(platform, cost, beta),
         WeaLinkModel::Makespan => makespan_fractions(platform, cost),
     }
 }
@@ -161,57 +142,44 @@ pub fn speed_fractions(platform: &Platform) -> Vec<f64> {
     rates.into_iter().map(|r| r / total).collect()
 }
 
-fn heuristic_fractions(platform: &Platform, cost: RowCost, beta: f64) -> Vec<f64> {
-    let rates: Vec<f64> = (0..platform.num_procs())
-        .map(|i| {
-            let w = platform.proc(i).cycle_time;
-            let compute = w * cost.mflops_per_row.max(1e-12);
-            let staging = beta
-                * serial_factor(platform, i)
-                * (platform.link_ms_per_mbit(0, i) / 1.0e3)
-                * cost.mbits_per_row;
-            1.0 / (compute + staging)
-        })
-        .collect();
-    let total: f64 = rates.iter().sum();
-    rates.into_iter().map(|r| r / total).collect()
+/// Every segment's ranks in ascending order, the root's segment first
+/// and the rest by segment id — the order [`rows_at`] walks them in.
+fn segment_groups(platform: &Platform) -> Vec<Vec<usize>> {
+    let root_seg = platform.segment_of(0);
+    let mut groups: BTreeMap<(bool, usize), Vec<usize>> = BTreeMap::new();
+    for i in 0..platform.num_procs() {
+        let seg = platform.segment_of(i);
+        groups.entry((seg != root_seg, seg)).or_default().push(i);
+    }
+    groups.into_values().collect()
 }
 
-/// Rows (possibly fractional) the platform can complete within virtual
-/// time `t` under the engine's communication model: a node on the root's
-/// segment receives over its own switched link (staging and compute both
-/// bound by `t`); nodes on a remote segment share a serial FIFO link, so
-/// node `j`'s compute can only start after all preceding transfers on
-/// that link.
-fn capacity_rows(platform: &Platform, cp: &[f64], tr: &[f64], fixed: &[f64], t: f64) -> f64 {
-    let root_seg = platform.segment_of(0);
-    let p = platform.num_procs();
+/// Rows (possibly fractional) each node completes within virtual time
+/// `t` under the engine's communication model, written to `rows`; returns
+/// their sum. A node on the root's segment (`groups[0]`) receives over
+/// its own switched link (staging and compute both bound by `t`); nodes
+/// on a remote segment share a serial FIFO link, so node `j`'s compute
+/// can only start after all preceding transfers on that link — a greedy
+/// front-tight fill in rank order, the order the root scatters in.
+fn rows_at(
+    groups: &[Vec<usize>],
+    cp: &[f64],
+    tr: &[f64],
+    fixed: &[f64],
+    t: f64,
+    rows: &mut [f64],
+) -> f64 {
     let mut total = 0.0;
-    // Root-segment nodes (switched): rows_i = (t - fixed_i) / (tr_i + cp_i).
-    for i in 0..p {
-        if platform.segment_of(i) == root_seg {
-            total += (t - fixed[i]).max(0.0) / (tr[i] + cp[i]).max(1e-300);
-        }
-    }
-    // Remote segments: greedy front-tight fill in rank order (the order
-    // the root scatters in).
-    let mut segments: Vec<usize> = (0..p).map(|i| platform.segment_of(i)).collect();
-    segments.sort_unstable();
-    segments.dedup();
-    for seg in segments {
-        if seg == root_seg {
-            continue;
-        }
+    for (g, group) in groups.iter().enumerate() {
         let mut prefix = 0.0;
-        for i in 0..p {
-            if platform.segment_of(i) != seg {
-                continue;
-            }
+        for &i in group {
             // Constraint: prefix + fixed_i + rows_i·(tr_i + cp_i) ≤ t.
             let room = (t - prefix - fixed[i]).max(0.0);
-            let rows = room / (tr[i] + cp[i]).max(1e-300);
-            prefix += rows * tr[i];
-            total += rows;
+            rows[i] = room / (tr[i] + cp[i]).max(1e-300);
+            if g > 0 {
+                prefix += rows[i] * tr[i];
+            }
+            total += rows[i];
         }
     }
     total
@@ -241,44 +209,21 @@ fn makespan_fractions(platform: &Platform, cost: RowCost) -> Vec<f64> {
         .map(|i| fixed[i] + (tr[i] + cp[i]) * target)
         .fold(0.0f64, f64::max);
     let mut lo = 0.0;
+    let groups = segment_groups(platform);
+    let mut rows = vec![0.0; p];
     // Grow hi until feasible (paranoia; the bound above suffices).
-    while capacity_rows(platform, &cp, &tr, &fixed, hi) < target {
+    while rows_at(&groups, &cp, &tr, &fixed, hi, &mut rows) < target {
         hi *= 2.0;
     }
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if capacity_rows(platform, &cp, &tr, &fixed, mid) >= target {
+        if rows_at(&groups, &cp, &tr, &fixed, mid, &mut rows) >= target {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    let t = hi;
-    // Reconstruct per-node rows at time t (same walk as capacity_rows).
-    let root_seg = platform.segment_of(0);
-    let mut rows = vec![0.0; p];
-    for i in 0..p {
-        if platform.segment_of(i) == root_seg {
-            rows[i] = (t - fixed[i]).max(0.0) / (tr[i] + cp[i]).max(1e-300);
-        }
-    }
-    let mut segments: Vec<usize> = (0..p).map(|i| platform.segment_of(i)).collect();
-    segments.sort_unstable();
-    segments.dedup();
-    for seg in segments {
-        if seg == root_seg {
-            continue;
-        }
-        let mut prefix = 0.0;
-        for i in 0..p {
-            if platform.segment_of(i) != seg {
-                continue;
-            }
-            let room = (t - prefix - fixed[i]).max(0.0);
-            rows[i] = room / (tr[i] + cp[i]).max(1e-300);
-            prefix += rows[i] * tr[i];
-        }
-    }
+    rows_at(&groups, &cp, &tr, &fixed, hi, &mut rows);
     let total: f64 = rows.iter().sum();
     rows.into_iter().map(|r| r / total).collect()
 }
@@ -362,8 +307,14 @@ pub fn apply_memory_bounds(
                 required: total,
             });
         }
+        // Free processors whose fractions sum to nothing (all zero) share
+        // the excess evenly rather than by NaN fractions that lose rows.
         let free_frac: f64 = free.iter().map(|&i| fractions[i]).sum();
-        let sub_fracs: Vec<f64> = free.iter().map(|&i| fractions[i] / free_frac).collect();
+        let sub_fracs: Vec<f64> = if free_frac > 0.0 {
+            free.iter().map(|&i| fractions[i] / free_frac).collect()
+        } else {
+            vec![1.0 / free.len() as f64; free.len()]
+        };
         let extra = apportion_rows(&sub_fracs, overflow);
         for (slot, &i) in free.iter().enumerate() {
             counts[i] += extra[slot];
@@ -442,68 +393,62 @@ mod tests {
         );
         // Ignoring links on equal CPUs: uniform.
         assert!((compute_only[0] - compute_only[15]).abs() < 1e-12);
-        for model in [
-            WeaLinkModel::Heuristic { beta: 1.0 },
-            WeaLinkModel::Makespan,
-        ] {
-            let link_aware = hetero_fractions(
-                &p,
-                cost,
-                WeaConfig {
-                    link_model: model,
-                    ..Default::default()
-                },
-            );
-            // The root (segment s1, no staging) gets more than a
-            // segment-4 node behind the slowest serial link.
-            assert!(
-                link_aware[0] > link_aware[15] * 1.5,
-                "{model:?}: {} vs {}",
-                link_aware[0],
-                link_aware[15]
-            );
-        }
+        let link_aware = hetero_fractions(&p, cost, WeaConfig::default());
+        // The root (segment s1, no staging) gets more than a segment-4
+        // node behind the slowest serial link.
+        assert!(
+            link_aware[0] > link_aware[15] * 1.5,
+            "{} vs {}",
+            link_aware[0],
+            link_aware[15]
+        );
     }
 
     #[test]
     fn makespan_fractions_equalize_completion() {
         // Verify the defining property: staging + compute finishes at the
-        // same virtual time on every node (within numerical tolerance).
-        let p = presets::partially_homogeneous();
+        // same virtual time on every node (within numerical tolerance) —
+        // on heterogeneous links alone, and where CPUs and links both
+        // vary across four segments.
         let cost = RowCost {
             mflops_per_row: 2.0,
             mbits_per_row: 0.5,
             fixed_mflops: 0.0,
         };
-        let fr = hetero_fractions(&p, cost, WeaConfig::default());
-        assert!((fr.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // Recompute completion per node under the engine model.
-        let cp: Vec<f64> = (0..16).map(|i| p.proc(i).cycle_time * 2.0).collect();
-        let tr: Vec<f64> = (0..16)
-            .map(|i| 0.5 * p.link_ms_per_mbit(0, i) / 1.0e3)
-            .collect();
-        let root_seg = p.segment_of(0);
-        let mut completions = Vec::new();
-        for seg in 0..4 {
-            let mut prefix = 0.0;
-            for i in 0..16 {
-                if p.segment_of(i) != seg {
-                    continue;
-                }
-                if seg == root_seg {
-                    completions.push(fr[i] * (tr[i] + cp[i]));
-                } else {
-                    prefix += fr[i] * tr[i];
-                    completions.push(prefix + fr[i] * cp[i]);
+        for p in [
+            presets::partially_homogeneous(),
+            presets::fully_heterogeneous(),
+        ] {
+            let fr = hetero_fractions(&p, cost, WeaConfig::default());
+            assert!((fr.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            // Recompute completion per node under the engine model.
+            let n = p.num_procs();
+            let cp: Vec<f64> = (0..n).map(|i| p.proc(i).cycle_time * 2.0).collect();
+            let tr: Vec<f64> = (0..n)
+                .map(|i| 0.5 * p.link_ms_per_mbit(0, i) / 1.0e3)
+                .collect();
+            let root_seg = p.segment_of(0);
+            let mut completions = Vec::new();
+            for seg in 0..4 {
+                let mut prefix = 0.0;
+                for i in (0..n).filter(|&i| p.segment_of(i) == seg) {
+                    if seg == root_seg {
+                        completions.push(fr[i] * (tr[i] + cp[i]));
+                    } else {
+                        prefix += fr[i] * tr[i];
+                        completions.push(prefix + fr[i] * cp[i]);
+                    }
                 }
             }
+            assert_eq!(completions.len(), n, "{}: four segments", p.name());
+            let max = completions.iter().cloned().fold(0.0f64, f64::max);
+            let min = completions.iter().cloned().fold(f64::INFINITY, f64::min);
+            assert!(
+                (max - min) / max < 1e-6,
+                "{}: completions not equal: min {min}, max {max}",
+                p.name()
+            );
         }
-        let max = completions.iter().cloned().fold(0.0f64, f64::max);
-        let min = completions.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(
-            (max - min) / max < 1e-6,
-            "completions not equal: min {min}, max {max}"
-        );
     }
 
     #[test]
@@ -550,6 +495,19 @@ mod tests {
         assert_eq!(out[0], 10);
         assert_eq!(out[1], 20);
         assert_eq!(out[2], 70);
+    }
+
+    #[test]
+    fn zero_fraction_free_ranks_share_the_overflow_evenly() {
+        // The only uncapped rank has fraction 0: its share of the excess
+        // must not be a NaN apportionment that drops rows.
+        let caps = [5, 100];
+        let out = apply_memory_bounds(&[10, 0], &[1.0, 0.0], &caps).unwrap();
+        assert_eq!(out.iter().sum::<usize>(), 10, "{out:?}");
+        assert!(out.iter().zip(&caps).all(|(n, cap)| n <= cap), "{out:?}");
+        let caps = [4, 100, 100];
+        let out = apply_memory_bounds(&[10, 0, 0], &[1.0, 0.0, 0.0], &caps).unwrap();
+        assert_eq!(out, vec![4, 3, 3]);
     }
 
     #[test]
@@ -608,14 +566,5 @@ mod tests {
         assert!(e.to_string().contains('5'));
         assert!(e.to_string().contains('9'));
         let _: &dyn std::error::Error = &e;
-    }
-
-    #[test]
-    fn serial_factor_counts_segment_population() {
-        let p = presets::fully_heterogeneous();
-        assert_eq!(serial_factor(&p, 0), 1.0); // root
-        assert_eq!(serial_factor(&p, 1), 1.0); // same segment as root
-        assert_eq!(serial_factor(&p, 4), 4.0); // s2 has 4 nodes
-        assert_eq!(serial_factor(&p, 10), 6.0); // s4 has 6 nodes
     }
 }

@@ -89,8 +89,7 @@ pub(crate) fn predict_over(
             replay.down(vec![0.0; platform.num_procs()], &chunks)
         }
         CollOp::Gather => replay.up(bits, false),
-        CollOp::Reduce => replay.up(bits, true),
-        // Fused: the reduce's upward phase, then the broadcast's downward
+        // Fused: a folding upward phase, then the broadcast's downward
         // phase from the clocks it left, over the **same** tree and
         // ledger — the root's downward sends reserve the serial links
         // *after* its upward receives, exactly the engine's program order
@@ -116,7 +115,7 @@ struct Replay<'a> {
 }
 
 impl Replay<'_> {
-    /// The upward phase (gather, reduce) from aligned clocks, children
+    /// The upward phase (gather, allreduce) from aligned clocks, children
     /// before parents: a relay receives every message of each
     /// gather-order child's subtree, then relays them (one message per
     /// subtree rank — or a single folded partial when `reduce`) to its
@@ -267,7 +266,7 @@ mod tests {
     #[test]
     fn hierarchical_equals_linear_on_single_segment() {
         let platform = presets::partially_heterogeneous();
-        for op in [CollOp::Broadcast, CollOp::Gather, CollOp::Reduce] {
+        for op in [CollOp::Broadcast, CollOp::Gather] {
             let lin = predict(&platform, L, op, CollAlgorithm::Linear, 0, 129_024);
             let hier = predict(
                 &platform,
@@ -359,18 +358,18 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_is_at_least_the_reduce_cost() {
+    fn allreduce_is_at_least_the_broadcast_cost() {
         for platform in presets::four_networks() {
             for alg in [
                 CollAlgorithm::Linear,
                 CollAlgorithm::BinomialTree,
                 CollAlgorithm::SegmentHierarchical,
             ] {
-                let red = predict(&platform, L, CollOp::Reduce, alg, 0, 7_296);
+                let bcast = predict(&platform, L, CollOp::Broadcast, alg, 0, 7_296);
                 let all = predict(&platform, L, CollOp::Allreduce, alg, 0, 7_296);
                 assert!(
-                    all >= red - 1e-15,
-                    "{}/{alg}: allreduce {all} < reduce {red}",
+                    all >= bcast - 1e-15,
+                    "{}/{alg}: allreduce {all} < broadcast {bcast}",
                     platform.name()
                 );
             }

@@ -137,8 +137,7 @@ impl Membership {
 mod tests {
     use super::*;
     use crate::coll::{
-        allreduce_over, broadcast_over, gather_over, reduce_over, CollAlgorithm, CollError,
-        CollectiveConfig,
+        allreduce_over, broadcast_over, gather_over, CollAlgorithm, CollError, CollectiveConfig,
     };
 
     fn failure(rank: usize, at: f64) -> RankFailure {
@@ -256,7 +255,6 @@ mod tests {
             [
                 broadcast_over(ctx, &cfg, root, &view, None::<u64>, 64).err(),
                 gather_over(ctx, &cfg, root, &view, 1u64, 64).err(),
-                reduce_over(ctx, &cfg, root, &view, 1u64, |a, b| a + b, 64).err(),
                 allreduce_over(ctx, &cfg, root, &view, 1u64, |a, b| a + b, 64).err(),
             ]
         });

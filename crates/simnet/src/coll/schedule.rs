@@ -120,13 +120,6 @@ impl Tree {
         self.subtree[rank]
     }
 
-    /// `true` when `rank` forwards to nobody — the ranks whose chunk
-    /// receives can interleave with compute without delaying anyone
-    /// (see `coll::broadcast_overlap`).
-    pub(crate) fn is_leaf(&self, rank: usize) -> bool {
-        self.bcast[rank].is_empty()
-    }
-
     /// The ranks of `node`'s subtree in the exact order a gather relays
     /// them upward: `node` first, then each gather-order child's subtree
     /// recursively. Every rank knows this order from the shared tree, so

@@ -32,7 +32,7 @@
 //! * [`engine`] — the message-passing runtime: one thread per rank over
 //!   a run-shared fabric (a mailbox per rank, an exit board, the link
 //!   ledger and the collective schedule memo, built in O(P) per run).
-//! * [`coll`] — the collectives (broadcast, scatter, gather, reduce,
+//! * [`coll`] — the collectives (broadcast, scatter, gather,
 //!   allreduce), each one body over an epoch-numbered membership view:
 //!   linear (the paper's root-mediated baseline), binomial tree,
 //!   segment-hierarchical and pipelined-chunked schedules with

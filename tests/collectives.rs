@@ -13,11 +13,10 @@ use heterospec::simnet::{
 use testutil::links::{serial_link_overlaps, serial_link_uses, LinkUse};
 use testutil::{random_platform as platform, BACKENDS, RANK_COUNTS};
 
-/// Broadcast + gather + reduce under `backend`, returning every rank's
-/// received broadcast payload, the root's gathered entries, and the
-/// root's reduce result. One wire type (`WireVec<u32>`) for all three,
-/// since a `Ctx` is monomorphic per run.
-type Exchange = (Vec<Vec<u32>>, Vec<u32>, u32);
+/// Broadcast + gather under `backend`, returning every rank's received
+/// broadcast payload and the root's gathered entries. One wire type
+/// (`WireVec<u32>`) for both, since a `Ctx` is monomorphic per run.
+type Exchange = (Vec<Vec<u32>>, Vec<u32>);
 
 fn exchange(platform: &Platform, backend: CollAlgorithm) -> Exchange {
     let cfg = CollectiveConfig::uniform(backend);
@@ -39,28 +38,12 @@ fn exchange(platform: &Platform, backend: CollAlgorithm) -> Exchange {
                 .map(|e| e.into_msg().expect("healthy run").0[0])
                 .collect::<Vec<u32>>()
         });
-        // Commutative + associative fold: hierarchical trees regroup
-        // and (with interleaved segments) reorder the combination.
-        let own = WireVec(vec![ctx.rank() as u32 + 1]);
-        let reduced = coll::reduce(
-            ctx,
-            &cfg,
-            0,
-            own,
-            |a, b| WireVec(vec![a.0[0].wrapping_add(b.0[0])]),
-            32,
-        )
-        .map(|v| v.0[0]);
-        (bcast, gathered, reduced)
+        (bcast, gathered)
     });
     let p = platform.num_procs();
     let bcasts: Vec<Vec<u32>> = (0..p).map(|r| report.result(r).0.clone()).collect();
-    let (_, gathered, reduced) = report.result(0);
-    (
-        bcasts,
-        gathered.clone().expect("root gathers"),
-        reduced.expect("root reduces"),
-    )
+    let gathered = report.result(0).1.clone().expect("root gathers");
+    (bcasts, gathered)
 }
 
 #[test]

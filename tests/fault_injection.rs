@@ -202,19 +202,17 @@ fn worker_crash_mid_allreduce_degrades_structurally() {
     assert_eq!(coords(&out.result), coords(&again.result));
 }
 
-/// The same contract for a crash under the chunk-overlapped pipelined
-/// broadcast: structured failures, a surviving root with a full target
-/// list, and bit-identical replays.
+/// The same contract for a crash under the pipelined chunked broadcast,
+/// whose chunks overlap on the links: structured failures, a surviving
+/// root with a full target list, and bit-identical replays.
 #[test]
 fn worker_crash_mid_overlapped_broadcast_degrades_structurally() {
     let s = scene();
     let p = params();
-    let options = RunOptions::hetero()
-        .with_collectives(CollectiveConfig {
-            broadcast: CollAlgorithm::PipelinedChunked,
-            ..CollectiveConfig::linear()
-        })
-        .with_bcast_overlap(true);
+    let options = RunOptions::hetero().with_collectives(CollectiveConfig {
+        broadcast: CollAlgorithm::PipelinedChunked,
+        ..CollectiveConfig::linear()
+    });
     let run = || {
         atdca::run(
             &engine_with(FaultPlan::new().crash(5, 0.01)),
