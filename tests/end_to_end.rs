@@ -313,3 +313,35 @@ fn memory_bounded_partitioning() {
     let run = heterospec::hetero::par::atdca::run(&engine, &s.cube, &p, &RunOptions::hetero());
     assert_eq!(run.result.len(), p.num_targets);
 }
+
+/// One rank is the sequential algorithm: on a one-processor platform the
+/// partitioned runs return, bit for bit, what `seq` returns — for all
+/// four algorithms, under both partitioning strategies.
+#[test]
+fn one_rank_is_seq() {
+    use heterospec::hetero::{par, seq, OutputDigest};
+    let s = testutil::tiny_scene();
+    let (cube, p) = (&s.cube, testutil::params(6, 5));
+    let engine = Engine::new(presets::thunderhead(1));
+    let want = [
+        seq::atdca(cube, &p).result.digest64(),
+        seq::ufcls(cube, &p).result.digest64(),
+        seq::pct(cube, &p).result.digest64(),
+        seq::morph(cube, &p).result.digest64(),
+    ];
+    for options in [RunOptions::hetero(), RunOptions::homo()] {
+        let got = [
+            par::atdca::run(&engine, cube, &p, &options)
+                .result
+                .digest64(),
+            par::ufcls::run(&engine, cube, &p, &options)
+                .result
+                .digest64(),
+            par::pct::run(&engine, cube, &p, &options).result.digest64(),
+            par::morph::run(&engine, cube, &p, &options)
+                .result
+                .digest64(),
+        ];
+        assert_eq!(got, want, "{:?}", options.strategy);
+    }
+}
