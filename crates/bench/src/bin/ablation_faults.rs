@@ -7,8 +7,9 @@
 //! `(T − T₀)/T₀`. Static WEA with re-planning restarts the lost
 //! worker's whole outstanding batch on the survivors, so its overhead
 //! grows with how much of the partition the crash orphans; chunked
-//! self-scheduling re-queues at most one in-flight chunk, so mid-run
-//! crashes cost it only detection latency plus one chunk.
+//! self-scheduling re-queues at most one in-flight chunk, so a crash
+//! costs it detection latency, one chunk, and the lost worker's share
+//! of the remaining work.
 //!
 //! ```text
 //! cargo run -p repro-bench --release --bin ablation_faults

@@ -7,7 +7,8 @@
 //! per-pixel score: orthogonal-projection residual ([`Osp`]) or
 //! fully-constrained least-squares error ([`Fcls`]). A [`Detector`] is
 //! that difference: the system a rank keeps between rounds, the two host
-//! operations on it, and the table of charges the virtual clock reads.
+//! operations on it, and the one table of charges the virtual clock
+//! reads, whichever driver runs the loop.
 //!
 //! Two things outlive a round, and they have different owners. The
 //! **system** (ATDCA's basis, UFCLS's Gram problem) is what the modelled
@@ -15,16 +16,15 @@
 //! ([`Detector::Carry`]: each image line's running sums) is a host-side
 //! memo about the *lines*, whoever scores them: `nominate` borrows it,
 //! and the driver that owns it decides who shares it — `seq::detect` has
-//! one, `par::run_detector` one per rank (a static partition never hands
-//! a line to another rank), `sched::DetectChunks` one per run, so a chunk
-//! that changes hands under self-scheduling or after a crash resumes
-//! where its last scorer stopped.
+//! one, `sched::DetectChunks` one per run, so whichever rank or worker
+//! scores a line next (a static partition's owner, a self-scheduled
+//! worker, a survivor after a crash) resumes where its last scorer
+//! stopped.
 //!
-//! The loop itself is written once per driver — `seq::detect`,
-//! `par::run_detector`, and the `ChunkedAlgo` impl of
-//! `sched::DetectChunks` — each generic over this trait. What still
-//! differs between the three is the driver and *which* rows of the cost
-//! table it charges; a new detector is one impl here, not three loops.
+//! The loop is written twice, each generic over this trait: `seq::detect`
+//! (the reference) and the `ChunkedAlgo` impl of `sched::DetectChunks`,
+//! which both the static driver of `crate::par` and the fault-tolerant
+//! drivers of `crate::ft` run. A new detector is one impl here.
 
 use crate::flops;
 use crate::kernels::{self, FclsCarry, ProjectionCarry, ScoredPixel};
@@ -51,7 +51,7 @@ pub trait Detector {
     /// How many targets have been admitted.
     fn admitted(&self) -> usize;
     /// Takes a round's winner in. Host-side only: what the modelled rank
-    /// pays for it is [`Detector::follow_up`] or [`Detector::rebuild`].
+    /// pays for it is [`Detector::follow_up`].
     fn admit(&mut self, spectrum: &[f32]);
     /// The best pixel of lines `range` against the admitted targets (one
     /// at least), and the megaflops of scoring every pixel of the range
@@ -64,16 +64,14 @@ pub trait Detector {
     ) -> (Option<ScoredPixel>, f64);
 
     /// Flops the master spends re-scoring one gathered candidate of
-    /// round `k` (`par`'s linear winner selection, `sched`'s reduce).
+    /// round `k` (the merge of a gathered round; a fused allreduce
+    /// merges without it).
     fn rescore(n: usize, k: usize) -> f64;
-    /// Megaflops every rank spends once round `k`'s winner is known
-    /// (`seq`, and `par` as the broadcast's overlappable follow-up).
+    /// Megaflops every rank spends taking round `k`'s winner in, once per
+    /// round (after the broadcast, which it may overlap).
     fn follow_up(n: usize, k: usize, t: usize) -> f64;
-    /// Flops a chunk of round `r` spends bringing a fresh state up to
-    /// the `r` targets broadcast so far (`sched`).
-    fn rebuild(n: usize, r: usize) -> f64;
-    /// Flops to score one pixel in round `k ≥ 1` (`sched`; the figure
-    /// [`Detector::nominate`] returns per pixel to `seq` and `par`).
+    /// Flops to score one pixel in round `k ≥ 1`: the figure
+    /// [`Detector::nominate`] returns per pixel, as a master predicts it.
     fn score(n: usize, k: usize) -> f64;
     /// Flops one pixel costs over a whole run (the WEA row estimate).
     fn run_per_pixel(n: usize, t: usize) -> f64;
@@ -81,7 +79,7 @@ pub trait Detector {
 
 /// Bytes a device stages `(in, out)` to score `pixels` pixels in round
 /// `round`: the f32 pixel block plus the `round` target spectra the
-/// state is built from in, one candidate out.
+/// system is built from in, one candidate out.
 pub(crate) fn round_bytes(pixels: usize, bands: usize, round: usize) -> (u64, u64) {
     let bands = bands as u64;
     (
@@ -142,10 +140,6 @@ impl Detector for Osp {
     /// round's included.
     fn follow_up(n: usize, k: usize, _t: usize) -> f64 {
         flops::mflop(flops::basis_push(n, k))
-    }
-
-    fn rebuild(n: usize, r: usize) -> f64 {
-        (0..r).map(|k| flops::basis_push(n, k)).sum()
     }
 
     fn score(n: usize, k: usize) -> f64 {
@@ -209,11 +203,6 @@ impl Detector for Fcls {
         } else {
             0.0
         }
-    }
-
-    /// One Gram build per chunk (zero flops at `r = 0`).
-    fn rebuild(n: usize, r: usize) -> f64 {
-        flops::gram(n, r)
     }
 
     fn score(n: usize, k: usize) -> f64 {

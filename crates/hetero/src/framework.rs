@@ -1,4 +1,5 @@
-//! Master/worker plumbing shared by the four parallel algorithms.
+//! Master/worker plumbing of the partitioned runs: WEA assignments, the
+//! partition scatter, and the run wrapper.
 //!
 //! The root (rank 0) also acts as a worker on its own partition, as in
 //! the paper's setup (16 processors, 16 partitions); its extra duties —
@@ -6,14 +7,13 @@
 //! SEQ component of Table 6.
 
 use crate::config::{PartitionStrategy, RunOptions};
-use crate::msg::{Candidate, Msg};
-use crate::par::{best_candidate, better_candidate};
+use crate::msg::Msg;
 use crate::wea::{self, RowAssignment, RowCost};
-use hsi_cube::{HyperCube, LabelImage};
-use simnet::coll::{self, CollAlgorithm, CollectiveConfig, GatherEntry, ScatterMode};
+use hsi_cube::HyperCube;
+use simnet::coll::{self, ScatterMode};
 use simnet::engine::Engine;
 use simnet::report::RunReport;
-use simnet::Ctx;
+use simnet::{Ctx, Wire};
 
 /// A rank's local share of the image.
 #[derive(Debug, Clone)]
@@ -101,8 +101,8 @@ pub fn plan_assignments(
 /// partition is a window on `cube`'s storage: the scatter charges the
 /// virtual network every bit of every block, and the host holds the
 /// image once however many ranks there are.
-pub fn distribute(
-    ctx: &mut Ctx<Msg>,
+pub fn distribute<P: Wire + Sync + Clone, D: Wire + Sync>(
+    ctx: &mut Ctx<Msg<P, D>>,
     cube: &HyperCube,
     assignments: &[RowAssignment],
     overlap: usize,
@@ -135,40 +135,6 @@ pub fn distribute(
     }
 }
 
-/// Final step of the classification algorithms: every rank sends the
-/// labels of its owned lines; the root assembles the full label image.
-/// Contributions of failed ranks are skipped, leaving their lines
-/// unlabeled (an explicit hole rather than an abort).
-pub fn gather_labels(
-    ctx: &mut Ctx<Msg>,
-    cfg: &CollectiveConfig,
-    block: &LocalBlock,
-    labels: Vec<u16>,
-    image_lines: usize,
-    image_samples: usize,
-) -> Option<LabelImage> {
-    assert_eq!(labels.len(), block.n_lines * image_samples);
-    // Rank-uniform size hint (drives `Auto` selection only): every rank
-    // carries ~lines/P owned lines of u16 labels.
-    let bits = 32 + (image_lines.div_ceil(ctx.num_ranks()) * image_samples * 16) as u64;
-    let msg = Msg::Labels {
-        first_line: block.first_line as u32,
-        labels,
-    };
-    coll::gather(ctx, cfg, 0, msg, bits).map(|entries| {
-        let mut out = LabelImage::unlabeled(image_lines, image_samples);
-        for msg in entries.into_iter().filter_map(GatherEntry::into_msg) {
-            let (first, labs) = msg
-                .into_labels()
-                .expect("gather_labels: protocol violation");
-            for (i, &l) in labs.iter().enumerate() {
-                out.set(first + i / image_samples, i % image_samples, l);
-            }
-        }
-        out
-    })
-}
-
 /// Outcome of a parallel run: the root's result plus the timing report.
 #[derive(Debug, Clone)]
 pub struct ParallelRun<T> {
@@ -182,9 +148,9 @@ pub struct ParallelRun<T> {
 ///
 /// # Panics
 /// Panics if the root's closure returns `None`.
-pub fn run_rooted<T: Send>(
+pub fn run_rooted<M: Wire, T: Send>(
     engine: &Engine,
-    program: impl Fn(&mut Ctx<Msg>) -> Option<T> + Sync,
+    program: impl Fn(&mut Ctx<M>) -> Option<T> + Sync,
 ) -> ParallelRun<T> {
     let (result, report) = engine.run(program).into_root();
     ParallelRun {
@@ -197,96 +163,6 @@ pub fn run_rooted<T: Send>(
 /// Megabits needed to stage one image row (the WEA staging term).
 pub fn row_mbits(cube: &HyperCube) -> f64 {
     (cube.samples() * cube.bands() * 32) as f64 / 1.0e6
-}
-
-/// One ATDCA/UFCLS winner-selection round: every rank contributes its
-/// local `candidate`; every rank returns the round's global winner.
-///
-/// Two schedules, selected by `options.collectives.allreduce`:
-///
-/// * `Linear` (the default) — the legacy split path, bit- and
-///   timing-identical to the historic code: gather `Msg::Candidate`s to
-///   the root, re-score there (`rescore_flops` per surviving candidate,
-///   charged sequential), broadcast the winning spectrum. Workers get a
-///   zero-coordinate stand-in carrying the winning spectrum, exactly as
-///   the historic per-algorithm code built it.
-/// * any tree algorithm — one fused [`coll::allreduce`] over the
-///   candidates with the [`better_candidate`] fold. Scores travel with
-///   the candidates, so the master re-scoring pass disappears and every
-///   rank (workers included) learns the winner's real coordinates in a
-///   single tree traversal.
-///
-/// `post_mflops` is the round's follow-up parallel compute (ATDCA's
-/// basis growth, UFCLS's next-round Gram rebuild), charged after the
-/// collective; pass `0.0` for none.
-pub(crate) fn select_winner(
-    ctx: &mut Ctx<Msg>,
-    options: &RunOptions,
-    candidate: Candidate,
-    cand_bits: u64,
-    u_row_bits: u64,
-    rescore_flops: f64,
-    post_mflops: f64,
-) -> Candidate {
-    if options.collectives.allreduce != CollAlgorithm::Linear {
-        let winner = coll::allreduce(
-            ctx,
-            &options.collectives,
-            0,
-            Msg::candidate(candidate),
-            |a, b| {
-                Msg::candidate(better_candidate(
-                    a.into_candidate()
-                        .expect("select_winner: protocol violation"),
-                    b.into_candidate()
-                        .expect("select_winner: protocol violation"),
-                ))
-            },
-            cand_bits,
-        )
-        .into_candidate()
-        .expect("select_winner: protocol violation");
-        if post_mflops > 0.0 {
-            ctx.compute_par(post_mflops);
-        }
-        return winner;
-    }
-    let best = coll::gather(
-        ctx,
-        &options.collectives,
-        0,
-        Msg::candidate(candidate),
-        cand_bits,
-    )
-    .map(|entries| {
-        let cands: Vec<Candidate> = entries
-            .into_iter()
-            .filter_map(GatherEntry::into_msg)
-            .map(|m| {
-                m.into_candidate()
-                    .expect("select_winner: protocol violation")
-            })
-            .collect();
-        ctx.compute_seq(crate::flops::mflop(rescore_flops * cands.len() as f64));
-        best_candidate(cands)
-    });
-    let selected = best
-        .as_ref()
-        .map(|b| Msg::spectra(vec![b.spectrum.clone()]));
-    let spectrum = coll::broadcast(ctx, &options.collectives, 0, selected, u_row_bits)
-        .expect("select_winner: broadcast misuse")
-        .into_spectra()
-        .expect("select_winner: protocol violation")
-        .remove(0);
-    if post_mflops > 0.0 {
-        ctx.compute_par(post_mflops);
-    }
-    best.unwrap_or(Candidate {
-        line: 0,
-        sample: 0,
-        score: 0.0,
-        spectrum,
-    })
 }
 
 #[cfg(test)]
@@ -366,39 +242,6 @@ mod tests {
         assert_eq!(report.result(0).1, 2);
         assert_eq!(report.result(1).0, 2);
         assert_eq!(report.result(3).1, 0);
-    }
-
-    #[test]
-    fn gather_labels_assembles_full_image() {
-        let s = scene();
-        let cube = s.cube.clone();
-        let platform = presets::thunderhead(3);
-        let options = RunOptions::homo();
-        let assignments = plan_assignments(&platform, &cube, &options, cost(&cube));
-        let engine = Engine::new(platform);
-        let lines = cube.lines();
-        let samples = cube.samples();
-        let run = run_rooted(&engine, |ctx| {
-            let block = distribute(ctx, &cube, &assignments, 0, ScatterMode::Free);
-            // Label every pixel with its global line number.
-            let labels: Vec<u16> = (0..block.n_lines * samples)
-                .map(|i| (block.first_line + i / samples) as u16)
-                .collect();
-            gather_labels(
-                ctx,
-                &CollectiveConfig::linear(),
-                &block,
-                labels,
-                lines,
-                samples,
-            )
-        });
-        for l in 0..lines {
-            for smp in 0..samples {
-                assert_eq!(run.result.get(l, smp), l as u16);
-            }
-        }
-        assert!(run.report.total_time > 0.0);
     }
 
     #[test]

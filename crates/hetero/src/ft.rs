@@ -3,35 +3,39 @@
 //! The paper's §5 names fault tolerance as the open problem of
 //! heterogeneous remote-sensing clusters: a static WEA partition is only
 //! optimal while every processor survives. This module runs any
-//! [`ChunkedAlgo`] under `simnet`'s deterministic fault plans in two
-//! recovery modes:
+//! [`ChunkedAlgo`] — the same description `crate::par` runs on a static
+//! grid — under `simnet`'s deterministic fault plans in two recovery
+//! modes:
 //!
 //! * [`run_replan`] — **static WEA with re-planning**: each round is cut
 //!   into one batch per worker, sized by relative speed (the WEA
 //!   apportionment of [`crate::wea::apportion_rows`]). The master awaits
-//!   each batch under an analytic completion deadline; when a worker's
-//!   failure marker surfaces, every unfinished batch of that worker is
-//!   re-apportioned over the survivors and re-dispatched. Recovery cost
-//!   scales with the *lost partition*.
+//!   each batch under a completion deadline predicted from the
+//!   algorithm's charges; when a worker's failure marker surfaces, every
+//!   unfinished batch of that worker is re-apportioned over the survivors
+//!   and re-dispatched. Recovery cost scales with the *lost partition*.
 //! * [`run_self_sched`] — **chunked self-scheduling**: rounds are cut
 //!   into fixed-size chunks handed to whichever worker is free; a dead
-//!   worker's only in-flight chunk goes back on the queue. Recovery cost
-//!   scales with a *single chunk*, which is why self-scheduling wins for
-//!   mid-run crashes (experiment A5).
+//!   worker's only in-flight chunk goes back on the queue. What is lost
+//!   is a *single chunk* and the dead worker's throughput for the rest
+//!   of the run (experiment A5 measures both modes).
 //!
 //! Rank 0 is a **coordinator only** — unlike [`crate::par`], where the
 //! root also works a partition. A dedicated master keeps the dispatch
 //! loop deterministic (it never has to interleave its own compute with
 //! polling) and survives every plan that crashes workers only.
 //!
-//! **State distribution.** With the default
-//! [`FtOptions::collectives`] (linear) the master fans the round state
-//! to every worker directly — bit- and timing-identical to the historic
-//! path. Any other broadcast algorithm enables **tree mode**: the
+//! **State distribution.** Each round opens with the previous round's
+//! delta ([`ChunkedAlgo::Delta`] — a new row of `U`, the class set, the
+//! model — or nothing), which every worker installs into its replica,
+//! paying the install's charge once per round. With the default
+//! [`FtOptions::collectives`] (linear) the master fans the opener to
+//! every worker directly. Any other broadcast algorithm enables **tree
+//! mode**: the
 //! master keeps an epoch-stamped [`Membership`] view (the epoch bumps
 //! on every observed failure), opens each round by sending a tiny
 //! `(epoch, survivors, algorithm)` header to every survivor, and ships
-//! the large state down the survivor-set schedule tree, where workers
+//! the delta down the survivor-set schedule tree, where workers
 //! relay it to their tree children and then send one `StateAck` back.
 //! The master collects an ack (or the failure marker) from every
 //! survivor **before dispatching any work** — a state-distribution
@@ -41,7 +45,7 @@
 //! channel whose peer is bound to send again; with the barrier, every
 //! wait in the protocol is of that kind. Crashed interior relays are
 //! routed around at the next view; a worker orphaned *mid-round* (its
-//! relay parent died before forwarding) requests the state directly
+//! relay parent died before forwarding) requests the delta directly
 //! from the master, which answers from the round's shared `Arc` during
 //! the ack sweep — under the epoch frozen at round start. Epoch-stamped
 //! messages from a superseded view are dropped as stale, never folded
@@ -51,12 +55,12 @@
 //! full payload with partial charge).
 //!
 //! **Determinism.** All scheduling decisions are functions of virtual
-//! time: the master polls workers in rank order at deadlines computed
-//! from the analytic cost model ([`ChunkedAlgo::chunk_mflops`]) or at
-//! fixed poll intervals, and `simnet` delivers messages and failure
-//! markers at cost-model times. Two runs with the same fault plan
-//! produce bit-identical [`RunReport`]s and outputs (asserted by the
-//! `fault_injection` integration suite).
+//! time: the master polls workers in rank order at deadlines predicted
+//! from the algorithm's charges ([`ChunkedAlgo::chunk_mflops`],
+//! [`ChunkedAlgo::chunk_bytes`]) or at fixed poll intervals, and `simnet`
+//! delivers messages and failure markers at cost-model times. Two runs
+//! with the same fault plan produce bit-identical [`RunReport`]s and
+//! outputs (asserted by the `fault_injection` integration suite).
 
 use crate::offload::{self, ChunkCost, OffloadPolicy};
 use crate::sched::ChunkedAlgo;
@@ -86,11 +90,9 @@ pub struct FtOptions {
     /// Chunk size (lines) of the self-scheduling mode.
     pub chunk_lines: usize,
     /// Collective configuration of the round-state distribution. Only
-    /// the `broadcast` slot matters here:
-    /// [`CollAlgorithm::Linear`] (the default) runs the historic
-    /// direct fan-out, bit- and timing-identical to earlier releases;
-    /// anything else enables the epoch-stamped survivor-tree mode (see
-    /// the module docs).
+    /// the `broadcast` slot matters here: [`CollAlgorithm::Linear`] (the
+    /// default) is the master's direct fan-out; anything else enables
+    /// the epoch-stamped survivor-tree mode (see the module docs).
     pub collectives: CollectiveConfig,
     /// When workers offload chunks to their node's accelerator (see
     /// [`crate::offload`]). Affects time accounting and batch sizing
@@ -196,40 +198,39 @@ pub struct FtRun<O> {
     pub report: RunReport<()>,
 }
 
-/// Master/worker wire protocol. Headers are a few machine words; state
-/// and partial payloads carry the algorithm-reported wire sizes.
-enum FtMsg<S, P> {
-    /// Linear-mode round start: the state every worker needs (the round
-    /// number rides on each `Assign`). Shared — the master fans one
-    /// `Arc` to every worker, so each send is a refcount bump, not a
-    /// state copy.
-    Round { state: Arc<S>, bits: u64 },
+/// Master/worker wire protocol. Headers are a few machine words; deltas
+/// and partials carry their payloads' wire sizes.
+enum FtMsg<D, P> {
+    /// Linear-mode round start: the previous round's delta, if it has
+    /// one (the round number rides along for the install; each `Assign`
+    /// carries its own). Shared — the master fans one `Arc` to every
+    /// worker, so each send is a refcount bump, not a copy.
+    Round { round: usize, delta: Option<Arc<D>> },
     /// Tree-mode round header, master → every survivor directly: the
     /// epoch-stamped membership view and the concrete (master-resolved)
-    /// schedule algorithm of this round's state tree. A worker cannot
+    /// schedule algorithm of this round's delta tree. A worker cannot
     /// know its tree parent before it holds this header, which is why
     /// the header fan-out stays linear — P−1 tiny sends paid before the
-    /// large state goes down the tree.
+    /// delta goes down the tree.
     RoundStart {
         round: usize,
         epoch: u64,
         survivors: Vec<usize>,
         algo: CollAlgorithm,
     },
-    /// Tree-mode round state, relayed edge-by-edge down the survivor
+    /// Tree-mode round delta, relayed edge-by-edge down the survivor
     /// tree (and master → orphan directly on rescue). Epoch-stamped:
     /// receivers drop copies from a superseded view as stale.
     RoundState {
         epoch: u64,
         round: usize,
-        state: Arc<S>,
-        bits: u64,
+        delta: Option<Arc<D>>,
     },
     /// Tree-mode rescue request, orphan → master: the worker's relay
-    /// parent died before forwarding the round state.
+    /// parent died before forwarding the round's delta.
     StateRequest { round: usize },
     /// Tree-mode barrier token, worker → master: the worker holds the
-    /// round state and has relayed it to its tree children. The master
+    /// round's delta and has relayed it to its tree children. The master
     /// collects one per survivor before dispatching any work.
     StateAck { round: usize },
     /// Work order for lines `[first, first + n)`.
@@ -240,35 +241,35 @@ enum FtMsg<S, P> {
         n: usize,
     },
     /// A chunk's result.
-    Partial {
-        id: u64,
-        first: usize,
-        data: P,
-        bits: u64,
-    },
+    Partial { id: u64, first: usize, data: P },
     /// No more rounds; the worker exits.
     Finish,
 }
 
-impl<S: Send + Sync + 'static, P: Send + 'static> Wire for FtMsg<S, P> {
+/// Wire bits of a round's delta (none: zero).
+fn delta_bits<D: Wire + Sync>(delta: &Option<Arc<D>>) -> u64 {
+    delta.as_ref().map_or(0, |d| d.size_bits())
+}
+
+impl<D: Wire + Sync, P: Wire> Wire for FtMsg<D, P> {
     fn size_bits(&self) -> u64 {
         match self {
-            FtMsg::Round { bits, .. } => 96 + bits,
+            FtMsg::Round { delta, .. } => 96 + delta_bits(delta),
             // Round + epoch + algorithm words, plus 16 bits per
             // survivor — the piggybacked membership view.
             FtMsg::RoundStart { survivors, .. } => 136 + 16 * survivors.len() as u64,
-            FtMsg::RoundState { bits, .. } => 160 + bits,
+            FtMsg::RoundState { delta, .. } => 160 + delta_bits(delta),
             FtMsg::StateRequest { .. } => 64,
             FtMsg::StateAck { .. } => 64,
             FtMsg::Assign { .. } => 192,
-            FtMsg::Partial { bits, .. } => 128 + bits,
+            FtMsg::Partial { data, .. } => 128 + data.size_bits(),
             FtMsg::Finish => 8,
         }
     }
 
     fn deep_copy_bits(&self) -> u64 {
         match self {
-            // Round/RoundState carry their state behind an Arc; the
+            // Round/RoundState carry their delta behind an Arc; the
             // other small variants are fixed-size headers (the survivor
             // list is the only heap part of a RoundStart).
             FtMsg::Round { .. }
@@ -386,7 +387,7 @@ where
         return Err(FtError::MasterCrashScheduled { at });
     }
     let (root, report) = engine
-        .run(|ctx: &mut Ctx<FtMsg<A::State, A::Partial>>| {
+        .run(|ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>| {
             if ctx.is_root() {
                 Some(master(ctx, algo, opts, mode))
             } else {
@@ -413,94 +414,80 @@ where
 
 /// Worker side of both recovery modes and both state-distribution
 /// protocols: obey whichever round opener the master sends — `Round`
-/// carries the state itself (linear fan-out), `RoundStart` announces it
-/// down the survivor tree ([`receive_tree_state`]) — then `Assign`
-/// orders until the next opener or `Finish`. Chunk time is charged
-/// through the offload `policy` — host or device per
-/// [`offload::decide`] — while the chunk itself always runs the host
-/// kernel (bit-identical outputs).
+/// carries the previous round's delta itself (linear fan-out),
+/// `RoundStart` announces it down the survivor tree
+/// ([`receive_tree_state`]) — installing the delta into the worker's
+/// replica, then `Assign` orders until the next opener or `Finish`. A
+/// chunk is charged what [`ChunkedAlgo::run_chunk`] reports, through the
+/// offload `policy` — host or device per [`offload::decide`] — while the
+/// chunk itself always runs the host kernel (bit-identical outputs).
 fn worker_loop<A: ChunkedAlgo>(
-    ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
+    ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>,
     algo: &A,
     policy: OffloadPolicy,
 ) {
-    let mut state: Option<Arc<A::State>> = None;
-    // Round scratch: marked stale by every round opener, brought up to
-    // date from its previous self on the round's first Assign and reused
-    // for its later chunks. It lives as long as the worker does and dies
-    // with a crash — which is why it holds only what the modelled node
-    // would (a detector's system); what an algorithm remembers about the
-    // image lines it keeps itself, for whichever worker scores them next.
-    let mut scratch: Option<A::Scratch> = None;
-    let mut prepared = false;
+    // The replica lives as long as the worker does and dies with a
+    // crash — which is why it holds only what the modelled node would (a
+    // detector's system); what an algorithm remembers about the image
+    // lines it keeps itself, for whichever worker scores them next.
+    let mut replica = algo.replica();
     loop {
-        match ctx.recv(0) {
-            FtMsg::Round { state: s, .. } => {
-                state = Some(s);
-                prepared = false;
-            }
+        let (round, delta) = match ctx.recv(0) {
+            FtMsg::Round { round, delta } => (round, delta),
             FtMsg::RoundStart {
                 round,
                 epoch,
                 survivors,
                 algo: algorithm,
-            } => {
-                state = Some(receive_tree_state(ctx, round, epoch, &survivors, algorithm));
-                prepared = false;
-            }
+            } => (
+                round,
+                receive_tree_state(ctx, round, epoch, &survivors, algorithm),
+            ),
             FtMsg::Assign {
                 id,
                 round,
                 first,
                 n,
             } => {
-                let st = state.as_deref().expect("ft: Assign before any round");
-                let cost = ChunkCost::new(algo.chunk_mflops(round, n), algo.chunk_bytes(round, n));
-                offload::charge_chunk(ctx, policy, &cost);
-                if !prepared {
-                    scratch = Some(algo.prepare(round, st, scratch.take()));
-                    prepared = true;
-                }
-                let sc = scratch.as_mut().expect("ft: prepared above");
-                let data = algo.run_chunk(round, st, sc, first, n);
-                let bits = algo.partial_bits(&data);
-                ctx.send(
-                    0,
-                    FtMsg::Partial {
-                        id,
-                        first,
-                        data,
-                        bits,
-                    },
-                );
+                let (data, charge) = algo.run_chunk(round, &replica, first, n);
+                offload::charge_chunk(ctx, policy, &charge);
+                ctx.send(0, FtMsg::Partial { id, first, data });
+                continue;
             }
             FtMsg::Finish => break,
             _ => unreachable!("ft: masters send Round, RoundStart, Assign and Finish only"),
+        };
+        // A round opens with the delta of the round before it.
+        if let Some(delta) = delta {
+            let mflops = algo.install(round - 1, &mut replica, delta);
+            if mflops > 0.0 {
+                ctx.compute_par(mflops);
+            }
         }
     }
 }
 
 /// A worker's half of a tree-mode round opening, entered on the
-/// `RoundStart` header: the round state arrives over the survivor tree
+/// `RoundStart` header: the round's delta arrives over the survivor tree
 /// (from the tree parent), is relayed onward to the tree children, and
 /// is recovered directly from the master when the parent dies before
 /// forwarding. The exchange closes with a `StateAck`, which the master
 /// collects from every survivor before dispatching work (the barrier in
 /// the module docs) — so each receive below blocks on a channel whose
-/// peer is bound to produce: the relay parent sends the state or its
+/// peer is bound to produce: the relay parent sends the delta or its
 /// failure marker, and the master (which cannot crash — such plans are
 /// rejected at startup) answers rescues during its ack sweep before
 /// sending anything else.
-fn receive_tree_state<S, P>(
-    ctx: &mut Ctx<FtMsg<S, P>>,
+fn receive_tree_state<D, P>(
+    ctx: &mut Ctx<FtMsg<D, P>>,
     round: usize,
     epoch: u64,
     survivors: &[usize],
     algorithm: CollAlgorithm,
-) -> Arc<S>
+) -> Option<Arc<D>>
 where
-    S: Send + Sync + 'static,
-    P: Send + 'static,
+    D: Wire + Sync,
+    P: Wire,
 {
     let me = ctx.rank();
     let view = Membership::from_survivors(epoch, ctx.num_ranks(), survivors);
@@ -508,17 +495,16 @@ where
     let parent = tree
         .parent(me)
         .expect("ft: a surviving worker has a tree parent");
-    // The round's state, and nothing else, is acceptable below.
-    let expect_state = |msg: FtMsg<S, P>, why: &str| match msg {
+    // The round's delta, and nothing else, is acceptable below.
+    let expect_state = |msg: FtMsg<D, P>, why: &str| match msg {
         FtMsg::RoundState {
             epoch: e,
             round: r,
-            state,
-            bits,
-        } if e == epoch && r == round => (state, bits),
+            delta,
+        } if e == epoch && r == round => delta,
         _ => unreachable!("ft: {why}"),
     };
-    let (state, bits) = if parent == 0 {
+    let delta = if parent == 0 {
         // FIFO on the master channel: our RoundState was queued right
         // behind the header, before anything else.
         expect_state(
@@ -526,7 +512,7 @@ where
             "master-children receive their state right after the header",
         )
     } else {
-        // The relay parent is bound to produce: the round's state, or
+        // The relay parent is bound to produce: the round's delta, or
         // its failure marker. (An infinite deadline is safe — a worker
         // cannot clean-exit mid-round.)
         match ctx.recv_deadline(parent, f64::INFINITY) {
@@ -548,18 +534,18 @@ where
     };
     // Relay down the survivor tree, then ack.
     for &c in tree.children_bcast(me) {
+        let delta = delta.clone();
         ctx.send(
             c,
             FtMsg::RoundState {
                 epoch,
                 round,
-                state: Arc::clone(&state),
-                bits,
+                delta,
             },
         );
     }
     ctx.send(0, FtMsg::StateAck { round });
-    state
+    delta
 }
 
 /// Master-side bookkeeping shared by both recovery modes and both
@@ -614,18 +600,14 @@ impl Roster {
 
     /// Sends worker `w` the order for lines `[first, first + n)` and
     /// returns the order's id.
-    fn assign<S, P>(
+    fn assign<D: Wire + Sync, P: Wire>(
         &mut self,
-        ctx: &mut Ctx<FtMsg<S, P>>,
+        ctx: &mut Ctx<FtMsg<D, P>>,
         w: usize,
         round: usize,
         first: usize,
         n: usize,
-    ) -> u64
-    where
-        S: Send + Sync + 'static,
-        P: Send + 'static,
-    {
+    ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         ctx.send(
@@ -671,23 +653,21 @@ fn split_lines(
     out
 }
 
-/// Broadcasts the round-start state to every surviving worker — the
-/// linear (default) mode's master-rooted [`simnet::coll::fanout_with`].
-/// Workers just `recv(0)`, so no membership agreement is needed; the
-/// price is P−1 full-payload sends from the master every round. Tree
-/// mode ([`start_round_tree`]) shares that cost across the survivor
-/// tree via the membership/epoch protocol.
-fn broadcast_state<S, P>(ctx: &mut Ctx<FtMsg<S, P>>, workers: &[usize], state: &S, bits: u64)
-where
-    S: Clone + Send + Sync + 'static,
-    P: Send + 'static,
-{
-    // One deep copy total (the `Arc` construction); every per-worker
-    // send then shares it with a refcount bump.
-    let shared = Arc::new(state.clone());
+/// Opens `round` at every surviving worker with `delta` — the linear
+/// (default) mode's master-rooted [`simnet::coll::fanout_with`]. Workers
+/// just `recv(0)`, so no membership agreement is needed; the price is
+/// P−1 full-payload sends from the master every round. Tree mode
+/// ([`start_round_tree`]) shares that cost across the survivor tree via
+/// the membership/epoch protocol.
+fn broadcast_state<D: Wire + Sync, P: Wire>(
+    ctx: &mut Ctx<FtMsg<D, P>>,
+    workers: &[usize],
+    round: usize,
+    delta: &Option<Arc<D>>,
+) {
     coll::fanout_with(ctx, workers, || FtMsg::Round {
-        state: Arc::clone(&shared),
-        bits,
+        round,
+        delta: delta.clone(),
     });
 }
 
@@ -706,12 +686,12 @@ fn normalize_tree_algo(algorithm: CollAlgorithm) -> CollAlgorithm {
 /// barrier: resolves the schedule over the current survivor view
 /// (logging the [`simnet::CollectiveChoice`] on rank 0), sends the
 /// epoch-stamped header to every surviving worker directly, ships the
-/// state to the master's tree children, then sweeps the survivors in
+/// delta to the master's tree children, then sweeps the survivors in
 /// rank order for one `StateAck` each — answering `StateRequest`s from
 /// orphaned subtrees from the round's shared `Arc` (under the epoch
 /// frozen at round start) and absorbing failure markers (epoch bump +
 /// zero-line recovery record, since no work is out yet) along the way.
-/// When it returns, every remaining live worker holds the round state,
+/// When it returns, every remaining live worker holds the round's delta,
 /// so the dispatch/collection phase can block exactly like the linear
 /// mode: only on workers that owe it a `Partial`.
 ///
@@ -720,18 +700,15 @@ fn normalize_tree_algo(algorithm: CollAlgorithm) -> CollAlgorithm {
 /// on `w`, everything `w`'s relay chain needs is either already settled
 /// (an ancestor's ack or failure) or arrives on the very channel being
 /// watched (`w`'s own rescue request).
-fn start_round_tree<S, P>(
-    ctx: &mut Ctx<FtMsg<S, P>>,
+fn start_round_tree<D: Wire + Sync, P: Wire>(
+    ctx: &mut Ctx<FtMsg<D, P>>,
     roster: &mut Roster,
     cfg: &CollectiveConfig,
     round: usize,
-    state: &S,
-    bits: u64,
-) where
-    S: Clone + Send + Sync + 'static,
-    P: Send + 'static,
-{
+    delta: &Option<Arc<D>>,
+) {
     let requested = normalize_tree_algo(cfg.broadcast);
+    let bits = delta_bits(delta);
     let resolved = coll::resolve_over(ctx, CollOp::Broadcast, requested, 0, &roster.view, bits);
     let algorithm = normalize_tree_algo(resolved);
     let epoch = roster.view.epoch();
@@ -749,12 +726,10 @@ fn start_round_tree<S, P>(
         );
     }
     let tree = coll::tree_over(ctx, algorithm, 0, &roster.view);
-    let shared = Arc::new(state.clone());
     let round_state = || FtMsg::RoundState {
         epoch,
         round,
-        state: Arc::clone(&shared),
-        bits,
+        delta: delta.clone(),
     };
     coll::fanout_with(ctx, tree.children_bcast(0), round_state);
     // ---- the ack sweep (state-distribution barrier) -----------------
@@ -784,14 +759,14 @@ fn start_round_tree<S, P>(
 }
 
 /// The coordinator of both recovery modes: per round, distribute the
-/// state (linear fan-out or survivor tree, per
+/// previous round's delta (linear fan-out or survivor tree, per
 /// [`FtOptions::collectives`]), run the mode's dispatch/collect policy
-/// to a full set of partials, fold them in line order; finally release
-/// the workers. Gives up — with every worker already dead, so nobody is
+/// to a full set of partials, merge them in line order, charging each
+/// step; finally release the workers. Gives up — with every worker already dead, so nobody is
 /// left waiting on rank 0 — as soon as a round has lines outstanding and
 /// no survivor to take them.
 fn master<A: ChunkedAlgo>(
-    ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
+    ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>,
     algo: &A,
     opts: &FtOptions,
     mode: Mode,
@@ -802,34 +777,28 @@ fn master<A: ChunkedAlgo>(
         recoveries: Vec::new(),
         next_id: 0,
     };
-    let mut state = algo.initial_state();
+    let (mut state, mut delta) = (algo.initial_state(), None);
 
     for round in 0..algo.rounds() {
-        let state_bits = algo.state_bits(&state);
         // Tree mode (any non-linear broadcast algorithm) distributes the
-        // state down the survivor tree and runs to the ack barrier,
+        // delta down the survivor tree and runs to the ack barrier,
         // possibly shrinking the roster; after either branch, every live
-        // worker holds the state.
+        // worker holds the state the round reads.
         if opts.collectives.broadcast == CollAlgorithm::Linear {
-            broadcast_state(ctx, &roster.workers(), &state, state_bits);
+            broadcast_state(ctx, &roster.workers(), round, &delta);
         } else {
-            start_round_tree(
-                ctx,
-                &mut roster,
-                &opts.collectives,
-                round,
-                &state,
-                state_bits,
-            );
+            start_round_tree(ctx, &mut roster, &opts.collectives, round, &delta);
         }
         let mut partials = match mode {
-            Mode::Replan => collect_replan(ctx, algo, opts, &mut roster, round),
+            Mode::Replan => collect_replan(ctx, algo, &state, opts, &mut roster, round),
             Mode::SelfSched => collect_self_sched(ctx, algo, opts, &mut roster, round),
         }?;
         partials.sort_by_key(|&(first, _)| first);
-        let (next, mflops) = algo.reduce(round, state, partials);
-        ctx.compute_seq(mflops);
-        state = next;
+        let (next, next_delta, steps) = algo.reduce(round, state, partials);
+        for mflops in steps {
+            ctx.compute_seq(mflops);
+        }
+        (state, delta) = (next, next_delta.map(Arc::new));
     }
 
     for w in 1..p {
@@ -859,30 +828,35 @@ struct Batch {
 /// surviving worker, awaited under analytic deadlines; a lost worker's
 /// unfinished batches are re-apportioned over the survivors.
 fn collect_replan<A: ChunkedAlgo>(
-    ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
+    ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>,
     algo: &A,
+    state: &A::State,
     opts: &FtOptions,
     roster: &mut Roster,
     round: usize,
 ) -> Result<Vec<(usize, A::Partial)>, AllWorkersLost> {
     let p = ctx.num_ranks();
+    // What the worker will be charged for lines `[first, first + n)`,
+    // predicted from the state the round reads.
+    let predict = |first: usize, n: usize| {
+        ChunkCost::new(
+            algo.chunk_mflops(round, state, first, n),
+            algo.chunk_bytes(round, state, first, n),
+        )
+    };
     // Per-round *effective* speeds: with offloading enabled a
     // device-bearing node is proportionally faster for this round's
     // kernel (launch + transfers amortized over an even-split batch), so
     // the WEA apportionment hands it more lines. With `Never` these are
-    // exactly `proc.speed()` — historic batches.
+    // exactly `proc.speed()`.
     let rep_lines = algo.lines().div_ceil((p - 1).max(1)).max(1);
-    let rep = ChunkCost::new(
-        algo.chunk_mflops(round, rep_lines),
-        algo.chunk_bytes(round, rep_lines),
-    );
-    let speeds = offload::effective_speeds(ctx.platform(), opts.offload, &rep);
+    let speeds = offload::effective_speeds(ctx.platform(), opts.offload, &predict(0, rep_lines));
 
     // One speed-proportional batch per surviving worker (the WEA
     // apportionment), each with an analytic completion deadline.
     let mut ready_at = vec![0.0f64; p];
     let mut batches: Vec<Batch> = Vec::new();
-    let dispatch = |ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
+    let dispatch = |ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>,
                     roster: &mut Roster,
                     batches: &mut Vec<Batch>,
                     ready_at: &mut Vec<f64>,
@@ -890,12 +864,11 @@ fn collect_replan<A: ChunkedAlgo>(
                     n: usize,
                     w: usize| {
         let id = roster.assign(ctx, w, round, first, n);
-        // The batch's analytic completion time — the exact seconds the
+        // The batch's predicted completion time — the seconds the
         // worker's `charge_chunk` will charge (host or device per the
         // shared `decide`), so κ-padded deadlines stay meaningful under
         // every offload policy.
-        let cost = ChunkCost::new(algo.chunk_mflops(round, n), algo.chunk_bytes(round, n));
-        let est = offload::chunk_secs(ctx.platform().proc(w), opts.offload, &cost);
+        let est = offload::chunk_secs(ctx.platform().proc(w), opts.offload, &predict(first, n));
         let start = ready_at[w].max(ctx.elapsed());
         ready_at[w] = start + est * FAILURE_THRESHOLD;
         let cap = ctx.fault_plan().dilate(w, start, est * FAILURE_THRESHOLD) + MARGIN_S;
@@ -977,7 +950,7 @@ fn collect_replan<A: ChunkedAlgo>(
 /// handed out chunk by chunk to whichever surviving worker is free; a
 /// lost worker's in-flight chunk goes back on the queue.
 fn collect_self_sched<A: ChunkedAlgo>(
-    ctx: &mut Ctx<FtMsg<A::State, A::Partial>>,
+    ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>,
     algo: &A,
     opts: &FtOptions,
     roster: &mut Roster,
@@ -1125,7 +1098,7 @@ mod tests {
         let p = params();
         let seq = crate::seq::atdca(&s.cube, &p);
         let engine = Engine::new(presets::fully_heterogeneous())
-            .with_faults(FaultPlan::new().crash(5, 0.05));
+            .with_faults(FaultPlan::new().crash(5, 0.03));
         let algo = AtdcaChunks::new(&s.cube, &p);
         let run = run_replan(&engine, &algo, &FtOptions::default());
         assert_eq!(coords(&run.output), coords(&seq.result));

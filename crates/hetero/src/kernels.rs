@@ -125,9 +125,9 @@ struct LineCarry<M> {
 /// a line next — the same rank, another worker of a self-scheduled run,
 /// the survivor a crashed worker's chunk was re-planned onto — continues
 /// it from the depth it was left at. Its *owner* decides who shares it:
-/// `seq` holds one, `par` one per rank (static partitions never trade
-/// lines, so no two ranks ever meet on a lock), `sched` one per run, in
-/// the chunked algorithm every worker already borrows. A carry only ever
+/// `seq` holds one, `sched` one per run, in the chunked algorithm every
+/// rank already borrows — a static partition's ranks never meet on a
+/// line lock, self-scheduled workers take turns. A carry only ever
 /// reproduces the bits of a scan from nothing, so sharing changes host
 /// time and nothing else.
 ///

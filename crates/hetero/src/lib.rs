@@ -38,26 +38,28 @@
 //! Virtual-time costs are charged from the analytic per-kernel megaflop
 //! formulas in [`flops`]; see DESIGN.md for the fidelity argument.
 //!
-//! ATDCA and UFCLS differ by a per-pixel score, not by a program: the
-//! crate-private `detect` module describes each detector once (its
-//! system between rounds, `admit` and `nominate`, and the table of
-//! charges), and [`seq`], [`par`] and [`sched`] each write the
-//! detection loop once over that description. A new detector is one
-//! impl there, not three drivers. What the host remembers of the image
-//! lines between rounds ([`kernels::Carry`]) is not part of that
-//! system: it is keyed by line, and each driver owns as many as it has
-//! parties that never trade lines.
+//! Each algorithm is described once, in [`sched`]: a
+//! [`sched::ChunkedAlgo`] cuts it into rounds of line chunks (the
+//! chunk's kernel and charge, the master's merge, the delta every rank
+//! installs). Every parallel driver runs that description: [`par`] on a
+//! static grid of one WEA cell per rank, and [`ft`] under a
+//! fault-tolerant master. ATDCA and UFCLS differ by a per-pixel score,
+//! not by a program: the crate-private `detect` module describes each
+//! detector (its system between rounds, `admit` and `nominate`, and the
+//! table of charges), and [`seq`] and [`sched`] each write the detection
+//! loop once over that description. What the host remembers of the
+//! image lines between rounds ([`kernels::Carry`]) is not part of that
+//! system: it is keyed by line, and the description holds one per run.
 //!
 //! The paper's §5 "future perspectives" — fault tolerance and dynamic
 //! scheduling for nodes that do not deliver their nominal speed — live
-//! in two modules: [`sched`] cuts all four algorithms into rounds of
-//! line chunks behind the [`sched::ChunkedAlgo`] trait, and [`ft`]
-//! drives them master/worker — static WEA batches with re-planning on
-//! worker loss, or demand-driven chunk self-scheduling with chunk
-//! re-queueing — over `simnet`'s deterministic fault plans. Hidden load
-//! is one such plan (`FaultPlan::slowdown`): the static algorithms of
-//! [`par`] plan from nominal speeds and pay the true ones, the
-//! self-scheduler reroutes from completion feedback (ablation A4).
+//! in [`ft`], which drives the same descriptions master/worker — static
+//! WEA batches with re-planning on worker loss, or demand-driven chunk
+//! self-scheduling with chunk re-queueing — over `simnet`'s
+//! deterministic fault plans. Hidden load is one such plan
+//! (`FaultPlan::slowdown`): the static grid of [`par`] plans from
+//! nominal speeds and pays the true ones, the self-scheduler reroutes
+//! from completion feedback (ablation A4).
 //!
 //! Accelerator offload (the paper's "specialized hardware" outlook)
 //! lives in [`offload`]: per-chunk host-vs-device decisions

@@ -17,11 +17,13 @@
 //!   the decision — device chunks via `Ctx::offload` (recorded in
 //!   `RunReport::offloads` and as `D` trace spans), host chunks via
 //!   `Ctx::compute_par_tracked`.
-//! * [`chunk_secs`] is the *exact* analytic cost a fault-free
-//!   [`charge_chunk`] charges — the same closed forms, the same `f64`
-//!   arithmetic — so masters can derive deadlines that match worker
-//!   behaviour to the bit (the `coll::cost` replay-equals-measured
-//!   contract, extended to offloading).
+//! * [`chunk_secs`] is the cost a fault-free [`charge_chunk`] charges
+//!   for a given [`ChunkCost`] — the same closed forms, the same `f64`
+//!   arithmetic. A master feeds it the chunk's *predicted* cost
+//!   ([`crate::sched::ChunkedAlgo::chunk_mflops`]), so its deadlines
+//!   match the worker's charge to the bit exactly where the kernel's
+//!   charge is analytic — not for the unique-set and MEI nominations,
+//!   whose charge counts data-dependent SAD evaluations.
 //! * [`effective_platform`] / [`effective_speeds`] fold the device into
 //!   a node's speed for the WEA partitioners: accelerator-rich nodes
 //!   read as proportionally faster (device time amortized over a
@@ -78,8 +80,7 @@ pub struct ChunkCost {
 }
 
 impl ChunkCost {
-    /// Bundles a megaflop count with the `(h2d, d2h)` byte pair of
-    /// [`crate::sched::ChunkedAlgo::chunk_bytes`].
+    /// Bundles a megaflop count with an `(h2d, d2h)` byte pair.
     pub fn new(mflops: f64, bytes: (u64, u64)) -> Self {
         ChunkCost {
             mflops,
@@ -132,10 +133,11 @@ fn device_secs(device: &DeviceSpec, cost: &ChunkCost) -> f64 {
 }
 
 /// The exact virtual-time cost a fault-free [`charge_chunk`] charges for
-/// this chunk under `policy` — host `mflops · wᵢ` or the device closed
-/// form, per [`decide`]. Masters use it for completion deadlines and
-/// [`effective_speeds`]; `tests/accel.rs` asserts the prediction equals
-/// the measured time exactly.
+/// `cost` under `policy` — host `mflops · wᵢ` or the device closed form,
+/// per [`decide`]. Masters use it for completion deadlines and
+/// [`effective_speeds`] (exact as far as the cost they predict is);
+/// `tests/accel.rs` asserts the prediction equals the measured time
+/// exactly.
 pub fn chunk_secs(proc: &ProcessorSpec, policy: OffloadPolicy, cost: &ChunkCost) -> f64 {
     match decide(proc, policy, cost) {
         ChunkTarget::Host => host_secs(proc, cost),

@@ -14,10 +14,11 @@
 //! basis (`O(tN)` apply instead of the `O(N²)` explicit matrix — see
 //! `hsi_linalg::ortho`).
 
-use super::{detector_row_cost, run_detector};
+use super::{detector_row_cost, run_static};
 use crate::config::{AlgoParams, RunOptions};
 use crate::detect::Osp;
 use crate::framework::ParallelRun;
+use crate::sched::AtdcaChunks;
 use crate::seq::DetectedTarget;
 use crate::wea::RowCost;
 use hsi_cube::HyperCube;
@@ -35,7 +36,8 @@ pub fn run(
     params: &AlgoParams,
     options: &RunOptions,
 ) -> ParallelRun<Vec<DetectedTarget>> {
-    run_detector::<Osp>(engine, cube, params, options)
+    let algo = AtdcaChunks::new(cube, params);
+    run_static(engine, cube, &algo, row_cost(cube, params), options, 0)
 }
 
 #[cfg(test)]

@@ -17,17 +17,13 @@
 //! (Table 7) and the best Thunderhead scaling (Figure 2) despite its
 //! redundant overlap computation.
 
+use super::run_static;
 use crate::config::{AlgoParams, RunOptions};
 use crate::flops;
-use crate::framework::{
-    distribute, gather_labels, plan_assignments, row_mbits, run_rooted, ParallelRun,
-};
-use crate::kernels;
-use crate::msg::Msg;
+use crate::framework::{row_mbits, ParallelRun};
+use crate::sched::MorphChunks;
 use crate::wea::RowCost;
 use hsi_cube::{HyperCube, LabelImage};
-use hsi_morpho::StructuringElement;
-use simnet::coll::{self, GatherEntry};
 use simnet::engine::Engine;
 
 /// Estimated per-row resource demand (drives the WEA fractions).
@@ -48,106 +44,17 @@ pub fn row_cost(cube: &HyperCube, params: &AlgoParams) -> RowCost {
     }
 }
 
-/// Runs parallel MORPH classification on the engine's platform.
+/// Runs parallel MORPH classification on the engine's platform, halos
+/// sized by [`RunOptions::morph_overlap`].
 pub fn run(
     engine: &Engine,
     cube: &HyperCube,
     params: &AlgoParams,
     options: &RunOptions,
 ) -> ParallelRun<(LabelImage, Vec<Vec<f32>>)> {
-    let assignments = plan_assignments(engine.platform(), cube, options, row_cost(cube, params));
-    let lines = cube.lines();
-    let samples = cube.samples();
-    let se = StructuringElement::square(params.se_radius);
-    let overlap = options
-        .morph_overlap
-        .halo_lines(params.se_radius, params.morph_iterations);
-    run_rooted(engine, |ctx| {
-        if ctx.is_root() {
-            ctx.compute_seq(flops::mflop(20.0 * ctx.num_ranks() as f64));
-        }
-        // Step 1: scatter with overlap borders.
-        let block = distribute(ctx, cube, &assignments, overlap, options.scatter_mode);
-
-        // Step 2: local MEI + top-c candidates (halo pixels included in
-        // the compute charge — that's the redundant work).
-        let (top, mflops) = kernels::mei_top(
-            &block.cube,
-            &se,
-            params.morph_iterations,
-            block.own_range(),
-            params.num_classes,
-            params.sad_threshold,
-        );
-        // A device stages the full halo-padded block for the MEI step
-        // and at most `c` scored candidates back.
-        let nb = block.cube.bands();
-        let padded_bytes = (block.cube.lines() * block.cube.samples() * nb * 4) as u64;
-        crate::offload::charge_chunk(
-            ctx,
-            options.offload,
-            &crate::offload::ChunkCost::new(
-                mflops,
-                (
-                    padded_bytes,
-                    params.num_classes as u64 * (nb as u64 * 4 + 8),
-                ),
-            ),
-        );
-        let cands: Vec<crate::msg::Candidate> = top
-            .iter()
-            .map(|p| p.to_candidate(&block.cube, block.first_line, block.pre))
-            .collect();
-
-        // Step 3: master merges nominations into p <= c representatives.
-        // Rank-uniform size hints for `Auto` selection: each rank
-        // nominates at most `c` candidates; at most `c` reps come back.
-        let n = block.cube.bands();
-        let cands_bits = params.num_classes as u64 * crate::msg::candidate_bits(n);
-        let reps_bits = (params.num_classes * n * 32) as u64;
-        let entries = coll::gather(
-            ctx,
-            &options.collectives,
-            0,
-            Msg::candidates(cands),
-            cands_bits,
-        );
-        let merged = entries.map(|entries| {
-            let mut scored: Vec<(Vec<f32>, f64)> = Vec::new();
-            for msg in entries.into_iter().filter_map(GatherEntry::into_msg) {
-                for cand in msg.into_candidates().expect("morph: protocol violation") {
-                    scored.push((cand.spectrum, cand.score));
-                }
-            }
-            let (reps, mflops) =
-                crate::seq::reduce_candidates(&scored, params.sad_threshold, params.num_classes);
-            ctx.compute_seq(mflops);
-            Msg::spectra(reps)
-        });
-        let reps: Vec<Vec<f32>> = coll::broadcast(ctx, &options.collectives, 0, merged, reps_bits)
-            .expect("morph: broadcast misuse")
-            .into_spectra()
-            .expect("morph: protocol violation");
-
-        // Step 4: SAD labelling of the owned lines.
-        let (labels, mflops) = kernels::sad_label(&block.cube, block.own_range(), &reps);
-        crate::offload::charge_chunk(
-            ctx,
-            options.offload,
-            &crate::offload::ChunkCost::new(
-                mflops,
-                (
-                    (block.n_lines * block.cube.samples() * n * 4) as u64
-                        + (reps.len() * n * 4) as u64,
-                    (block.n_lines * block.cube.samples() * 2) as u64,
-                ),
-            ),
-        );
-
-        // Step 5: assemble at the master.
-        let image = gather_labels(ctx, &options.collectives, &block, labels, lines, samples);
-        image.map(|img| (img, reps))
-    })
+    let algo = MorphChunks::new(cube, params).with_overlap(options.morph_overlap);
+    let halo = algo.halo();
+    run_static(engine, cube, &algo, row_cost(cube, params), options, halo)
 }
 
 #[cfg(test)]

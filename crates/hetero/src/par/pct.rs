@@ -17,18 +17,14 @@
 //! The heavy sequential eigen step is why PCT exhibits the largest SEQ
 //! component in Table 6 and the worst Thunderhead scaling in Figure 2.
 
+use super::run_static;
 use crate::config::{AlgoParams, RunOptions};
 use crate::flops;
-use crate::framework::{
-    distribute, gather_labels, plan_assignments, row_mbits, run_rooted, ParallelRun,
-};
-use crate::kernels;
-use crate::msg::{candidate_bits, Msg};
-use crate::seq::{pct_model_len, PctModel};
+use crate::framework::{row_mbits, ParallelRun};
+use crate::sched::PctChunks;
+use crate::seq::PctModel;
 use crate::wea::RowCost;
 use hsi_cube::{HyperCube, LabelImage};
-use hsi_linalg::covariance::CovarianceAccumulator;
-use simnet::coll::{self, GatherEntry};
 use simnet::engine::Engine;
 
 /// Estimated per-row resource demand (drives the WEA fractions).
@@ -53,124 +49,8 @@ pub fn run(
     params: &AlgoParams,
     options: &RunOptions,
 ) -> ParallelRun<(LabelImage, PctModel)> {
-    let assignments = plan_assignments(engine.platform(), cube, options, row_cost(cube, params));
-    let lines = cube.lines();
-    let samples = cube.samples();
-    run_rooted(engine, |ctx| {
-        if ctx.is_root() {
-            ctx.compute_seq(flops::mflop(20.0 * ctx.num_ranks() as f64));
-        }
-        let block = distribute(ctx, cube, &assignments, 0, options.scatter_mode);
-        let n = block.cube.bands();
-        let c = params.num_classes;
-        let cap = 4 * c;
-        // Bytes a device stages for this rank's pixel-parallel steps:
-        // the owned pixel block in each time, the step's partial out.
-        let block_bytes = (block.n_lines * block.cube.samples() * n * 4) as u64;
-        let own_pixels = (block.n_lines * block.cube.samples()) as u64;
-
-        // Steps 2-3: local unique sets -> master merge.
-        let (set, mflops) =
-            kernels::unique_set(&block.cube, block.own_range(), params.sad_threshold, cap);
-        crate::offload::charge_chunk(
-            ctx,
-            options.offload,
-            &crate::offload::ChunkCost::new(mflops, (block_bytes, cap as u64 * (n as u64 * 4 + 8))),
-        );
-        let local_cands: Vec<crate::msg::Candidate> = set
-            .iter()
-            .map(|p| p.to_candidate(&block.cube, block.first_line, block.pre))
-            .collect();
-
-        // Steps 4-5: local covariance partials (computed before the
-        // gather so worker compute overlaps the master's merge).
-        let (acc, mflops) = kernels::covariance_partial(&block.cube, block.own_range());
-        crate::offload::charge_chunk(
-            ctx,
-            options.offload,
-            &crate::offload::ChunkCost::new(
-                mflops,
-                (block_bytes, (n as u64 * (n as u64 + 3) / 2 + 1) * 8),
-            ),
-        );
-
-        // Rank-uniform size hints for `Auto` selection: at most `cap`
-        // candidates; a flat accumulator is a fixed f64 count for a
-        // given n; the model is bounded by `pct_model_len`.
-        let cands_bits = cap as u64 * candidate_bits(n);
-        let stats_bits = (CovarianceAccumulator::flat_len(n) * 64) as u64;
-        let model_len = pct_model_len(n, c) as u64;
-
-        // Steps 3 & 6 gathers: unique sets, then covariance partials.
-        let cand_entries = coll::gather(
-            ctx,
-            &options.collectives,
-            0,
-            Msg::candidates(local_cands),
-            cands_bits,
-        );
-        let stat_entries = coll::gather(
-            ctx,
-            &options.collectives,
-            0,
-            Msg::Stats(acc.into_flat()),
-            stats_bits,
-        );
-
-        let selected = cand_entries.map(|cand_entries| {
-            // Merge unique sets (step 3) in rank order.
-            let mut scored: Vec<(Vec<f32>, f64)> = Vec::new();
-            for msg in cand_entries.into_iter().filter_map(GatherEntry::into_msg) {
-                for cand in msg.into_candidates().expect("pct: protocol violation") {
-                    scored.push((cand.spectrum, cand.score));
-                }
-            }
-            let (reps, mflops) = crate::seq::reduce_candidates(&scored, params.sad_threshold, c);
-            ctx.compute_seq(mflops);
-
-            // Merge covariance partials (step 6).
-            let mut total = CovarianceAccumulator::new(n);
-            for msg in stat_entries
-                .expect("pct: root sees both gathers")
-                .into_iter()
-                .filter_map(GatherEntry::into_msg)
-            {
-                let flat = msg.into_stats().expect("pct: protocol violation");
-                total.merge_flat(&flat).expect("flat shape");
-            }
-            ctx.compute_seq(flops::mflop((ctx.num_ranks() * n * (n + 3) / 2) as f64));
-
-            // Step 7: sequential eigendecomposition at the master.
-            let model = PctModel::fit(&total, &reps, c);
-            ctx.compute_seq(flops::mflop(flops::jacobi_eigen(n)));
-            ctx.compute_seq(flops::mflop(
-                reps.len() as f64 * flops::pct_transform(n, model.transform.rows()),
-            ));
-            Msg::pct_model(model)
-        });
-
-        // Broadcast the model; every rank (root included) decodes it.
-        let model = coll::broadcast(ctx, &options.collectives, 0, selected, model_len * 64)
-            .expect("pct: broadcast misuse")
-            .into_pct_model()
-            .expect("pct: protocol violation");
-
-        // Steps 8-9: transform + classify own lines, gather labels.
-        let (labels, mflops) = kernels::pct_label(
-            &block.cube,
-            block.own_range(),
-            &model.transform,
-            &model.mean,
-            &model.class_reps,
-        );
-        crate::offload::charge_chunk(
-            ctx,
-            options.offload,
-            &crate::offload::ChunkCost::new(mflops, (block_bytes + model_len * 8, own_pixels * 2)),
-        );
-        let image = gather_labels(ctx, &options.collectives, &block, labels, lines, samples);
-        image.map(|img| (img, model))
-    })
+    let algo = PctChunks::new(cube, params);
+    run_static(engine, cube, &algo, row_cost(cube, params), options, 0)
 }
 
 #[cfg(test)]

@@ -7,10 +7,11 @@
 //! and nominates the pixel with the largest reconstruction error; the
 //! master picks the global winner and broadcasts it.
 
-use super::{detector_row_cost, run_detector};
+use super::{detector_row_cost, run_static};
 use crate::config::{AlgoParams, RunOptions};
 use crate::detect::Fcls;
 use crate::framework::ParallelRun;
+use crate::sched::UfclsChunks;
 use crate::seq::DetectedTarget;
 use crate::wea::RowCost;
 use hsi_cube::HyperCube;
@@ -28,7 +29,8 @@ pub fn run(
     params: &AlgoParams,
     options: &RunOptions,
 ) -> ParallelRun<Vec<DetectedTarget>> {
-    run_detector::<Fcls>(engine, cube, params, options)
+    let algo = UfclsChunks::new(cube, params);
+    run_static(engine, cube, &algo, row_cost(cube, params), options, 0)
 }
 
 #[cfg(test)]

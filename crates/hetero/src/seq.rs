@@ -92,7 +92,7 @@ pub fn ufcls(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTar
 }
 
 /// The PCT model built by the sequential algorithm (also broadcast by
-/// the parallel one).
+/// the parallel one; its wire size is in `crate::msg`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PctModel {
     /// The `c × N` principal transform (rows = top eigenvectors).
@@ -129,12 +129,6 @@ impl PctModel {
             mean,
             class_reps,
         }
-    }
-
-    /// Wire size of a model broadcast: every `f64` it holds.
-    pub(crate) fn wire_bits(&self) -> u64 {
-        let classes: usize = self.class_reps.iter().map(Vec::len).sum();
-        ((self.transform.rows() * self.transform.cols() + self.mean.len() + classes) * 64) as u64
     }
 }
 

@@ -16,7 +16,7 @@ use heterospec::cube::synth::{wtc_scene, WtcConfig};
 use heterospec::hetero::config::{AlgoParams, RunOptions};
 use heterospec::hetero::framework::{distribute, plan_assignments};
 use heterospec::hetero::kernels;
-use heterospec::hetero::msg::Msg;
+use heterospec::hetero::msg::{Candidate, Msg};
 use heterospec::simnet::engine::{Ctx, Engine};
 use heterospec::simnet::presets;
 
@@ -44,13 +44,13 @@ fn main() {
         let engine = Engine::new(platform.clone());
         // One representative round: brightest-pixel search + gather.
         let cube = &scene.cube;
-        let (report, trace) = engine.run_traced(|ctx: &mut Ctx<Msg>| {
+        let (report, trace) = engine.run_traced(|ctx: &mut Ctx<Msg<Candidate>>| {
             let block = distribute(ctx, cube, &assignments, 0, options.scatter_mode);
             let (cand, mflops) = kernels::brightest(&block.cube, block.own_range());
             ctx.compute_par(mflops);
-            let msg = Msg::candidate(match cand {
+            let msg = Msg::partial(match cand {
                 Some(p) => p.to_candidate(&block.cube, block.first_line, block.pre),
-                None => heterospec::hetero::msg::Candidate {
+                None => Candidate {
                     line: 0,
                     sample: 0,
                     score: f64::NEG_INFINITY,

@@ -18,7 +18,6 @@
 
 use heterospec::hetero::config::{AlgoParams, RunOptions};
 use heterospec::hetero::ft::{run_replan, run_self_sched};
-use heterospec::hetero::msg::Msg;
 use heterospec::hetero::par::{atdca, morph, pct, ufcls};
 use heterospec::hetero::sched::{AtdcaChunks, MorphChunks, PctChunks, UfclsChunks};
 use heterospec::hetero::{seq, OffloadPolicy};
@@ -40,7 +39,7 @@ fn predict_offload_matches_measured_virtual_time_exactly() {
     let engine = Engine::new(presets::accel_heterogeneous());
     let mflops = 12.5;
     let (h2d, d2h) = (3_000_000u64, 40_000u64);
-    let report = engine.run(|ctx: &mut Ctx<Msg>| {
+    let report = engine.run(|ctx: &mut Ctx<()>| {
         let spec = ctx.device().copied();
         spec.map(|spec| {
             let predicted = accel::cost::predict_offload(&spec, mflops, h2d, d2h);

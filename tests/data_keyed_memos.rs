@@ -20,17 +20,19 @@ use heterospec::morpho::mei::mei;
 use heterospec::morpho::StructuringElement;
 use heterospec::simnet::engine::Engine;
 use heterospec::simnet::FaultPlan;
+use std::sync::Arc;
 
 /// One pass of a chunked detector with the whole image as its only
 /// chunk: the line-rounds `seq` performs, through the same carry type.
 fn one_chunk_pass<A: ChunkedAlgo>(algo: &A) -> A::Output {
-    let mut state = algo.initial_state();
-    let mut scratch = None;
+    let (mut state, mut replica) = (algo.initial_state(), algo.replica());
     for round in 0..algo.rounds() {
-        let mut prepared = algo.prepare(round, &state, scratch.take());
-        let partial = algo.run_chunk(round, &state, &mut prepared, 0, algo.lines());
-        state = algo.reduce(round, state, vec![(0, partial)]).0;
-        scratch = Some(prepared);
+        let (partial, _) = algo.run_chunk(round, &replica, 0, algo.lines());
+        let (next, delta, _) = algo.reduce(round, state, vec![(0, partial)]);
+        if let Some(delta) = delta {
+            algo.install(round, &mut replica, Arc::new(delta));
+        }
+        state = next;
     }
     algo.finish(state)
 }

@@ -67,7 +67,7 @@ where
 {
     let plan = FaultPlan::new()
         .crash(2, 0.02)
-        .crash(4, 0.04)
+        .crash(4, 0.03)
         .slowdown(5, 0.0, 0.5, 2.5)
         .link_outage(0, 7, 0.01, 0.05);
     let engine = Engine::new(presets::fully_heterogeneous()).with_faults(plan);

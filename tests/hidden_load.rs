@@ -25,6 +25,7 @@ use heterospec::hetero::sched::{ChunkedAlgo, MorphChunks};
 use heterospec::hetero::OutputDigest;
 use heterospec::simnet::engine::Engine;
 use heterospec::simnet::{presets, FailureCause, FaultPlan, Platform};
+use std::sync::Arc;
 
 /// p3 — the smallest cycle-time of Table 1, WEA's favourite node.
 const LOADED: usize = 2;
@@ -102,12 +103,36 @@ fn chunk_size_is_a_tradeoff() {
     );
 }
 
+/// What every worker is charged, round by round, on the fixed grid of
+/// `chunk`-line chunks, in megaflops: each chunk's kernel charge, and the
+/// install of the delta the round opens with (paid once by every worker).
+fn charges<A: ChunkedAlgo>(algo: &A, chunk: usize) -> Vec<(Vec<f64>, f64)> {
+    let (mut state, mut replica) = (algo.initial_state(), algo.replica());
+    let (mut rounds, mut install) = (Vec::new(), 0.0);
+    for round in 0..algo.rounds() {
+        let (mut partials, mut chunks) = (Vec::new(), Vec::new());
+        for first in (0..algo.lines()).step_by(chunk) {
+            let n = chunk.min(algo.lines() - first);
+            let (partial, charge) = algo.run_chunk(round, &replica, first, n);
+            partials.push((first, partial));
+            chunks.push(charge.mflops);
+        }
+        rounds.push((chunks, install));
+        let (next, delta, _) = algo.reduce(round, state, partials);
+        install = delta.map_or(0.0, |d| algo.install(round, &mut replica, Arc::new(d)));
+        state = next;
+    }
+    rounds
+}
+
 /// Graham's bound for any list schedule of a round's chunks on `m`
-/// identical workers — `W/m + c_max` — summed over MORPH's two rounds,
-/// plus the engine's per-dispatch overhead the bound does not know:
-/// every chunk a worker takes costs it at most one poll interval (the
-/// master notices a completion that late) and the chunk's *measured*
-/// message time (`send_wait + recv_wait` over all ranks, per dispatch).
+/// identical workers — `W/m + c_max` — over what the workers are
+/// charged (each chunk's kernel charge, and each round's install on
+/// every worker), summed over MORPH's two rounds, plus the engine's
+/// per-dispatch overhead the bound does not know: every chunk a worker
+/// takes costs it at most one poll interval (the master notices a
+/// completion that late) and the chunk's *measured* message time
+/// (`send_wait + recv_wait` over all ranks, per dispatch).
 #[test]
 fn single_segment_self_scheduling_respects_the_list_scheduling_bound() {
     let (s, p) = (scene(), params());
@@ -121,14 +146,13 @@ fn single_segment_self_scheduling_respects_the_list_scheduling_bound() {
         let run = run_self_sched(&engine, &algo, &opts);
         let profile = testutil::assert_profile_exact(&run.report);
 
-        let per_round = s.cube.lines().div_ceil(chunk);
-        let last = s.cube.lines() - (per_round - 1) * chunk;
         let mut graham = 0.0;
-        for round in 0..algo.rounds() {
-            let full = algo.chunk_mflops(round, chunk) * cycle;
-            let work = (per_round - 1) as f64 * full + algo.chunk_mflops(round, last) * cycle;
-            graham += work / workers as f64 + full;
+        for (chunks, install) in charges(&algo, chunk) {
+            let work: f64 = chunks.iter().sum();
+            let longest = chunks.iter().copied().fold(0.0, f64::max);
+            graham += (install + work / workers as f64 + longest) * cycle;
         }
+        let per_round = s.cube.lines().div_ceil(chunk);
         let dispatches = (per_round * algo.rounds()) as f64;
         let message_secs: f64 = profile
             .ranks
