@@ -92,5 +92,37 @@ fn bench_wea(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_engine_spawn, bench_collectives, bench_wea);
+/// The two detectors at the top of the Table 8 sweep: 256 ranks, one
+/// line of a 256 × 16 × 224 scene each, the paper's t = 18. The kernels
+/// are a sliver of this; what it times is the engine and the work every
+/// rank repeats per round (installs, the carry check, collectives).
+fn bench_thunderhead_detectors(c: &mut Criterion) {
+    use hetero_hsi::config::{AlgoParams, RunOptions};
+    use hsi_cube::synth::{wtc_scene, WtcConfig};
+    let scene = wtc_scene(WtcConfig {
+        lines: 256,
+        samples: 16,
+        ..Default::default()
+    });
+    let (cube, params) = (&scene.cube, &AlgoParams::default());
+    let engine = Engine::new(simnet::presets::thunderhead(256));
+    let options = RunOptions::hetero();
+    let mut g = c.benchmark_group("thunderhead-256-ranks-256x16x224");
+    g.sample_size(10);
+    g.bench_function("par_atdca", |b| {
+        b.iter(|| hetero_hsi::par::atdca::run(&engine, cube, params, &options))
+    });
+    g.bench_function("par_ufcls", |b| {
+        b.iter(|| hetero_hsi::par::ufcls::run(&engine, cube, params, &options))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_engine_spawn,
+    bench_collectives,
+    bench_wea,
+    bench_thunderhead_detectors
+);
 criterion_main!(benches);

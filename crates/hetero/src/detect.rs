@@ -10,16 +10,19 @@
 //! operations on it, and the one table of charges the virtual clock
 //! reads, whichever driver runs the loop.
 //!
-//! Two things outlive a round, and they have different owners. The
-//! **system** (ATDCA's basis, UFCLS's Gram problem) is what the modelled
-//! node holds: one per rank, this type. The **carry**
-//! ([`Detector::Carry`]: each image line's running sums) is a host-side
-//! memo about the *lines*, whoever scores them: `nominate` borrows it,
-//! and the driver that owns it decides who shares it — `seq::detect` has
-//! one, `sched::DetectChunks` one per run, so whichever rank or worker
-//! scores a line next (a static partition's owner, a self-scheduled
-//! worker, a survivor after a crash) resumes where its last scorer
-//! stopped.
+//! Two things outlive a round, and both are host-side memos keyed by the
+//! data. The **system** (ATDCA's basis, UFCLS's Gram problem; this type)
+//! is what every modelled node holds and pays for, once per round, on the
+//! virtual clock — but on the host it is a pure function of the winners
+//! taken in so far, so `sched::DetectChunks` builds it **once per round
+//! per run** and every rank holds a handle (`Arc`) on it; a rank whose
+//! install history differs builds its own. The **carry**
+//! ([`Detector::Carry`]: each image line's running sums) is a memo about
+//! the *lines*, whoever scores them: `nominate` borrows it, and the
+//! driver that owns it decides who shares it — `seq::detect` has one,
+//! `sched::DetectChunks` one per run, so whichever rank or worker scores
+//! a line next (a static partition's owner, a self-scheduled worker, a
+//! survivor after a crash) resumes where its last scorer stopped.
 //!
 //! The loop is written twice, each generic over this trait: `seq::detect`
 //! (the reference) and the `ChunkedAlgo` impl of `sched::DetectChunks`,
@@ -38,8 +41,9 @@ use hsi_linalg::Matrix;
 /// [`kernels::brightest`] for every detector and is the drivers').
 ///
 /// `pub` in a private module: `sched::DetectChunks` names it in a bound,
-/// nobody outside the crate can.
-pub trait Detector {
+/// nobody outside the crate can. `Clone + Send + Sync`: a run's ranks
+/// share one system per round, and the next is grown from a copy.
+pub trait Detector: Clone + Send + Sync {
     /// Algorithm name (reports and benches).
     const NAME: &'static str;
     /// What the scoring kernel keeps of the image lines between rounds
@@ -96,7 +100,7 @@ fn spectrum_f64(px: &[f32]) -> Vec<f64> {
 /// apply instead of the `O(N²)` explicit projector — see
 /// `hsi_linalg::ortho`). Its carry holds the running residuals of the
 /// pixels scored against it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Osp {
     basis: OrthoBasis,
     // Not `basis.len()`: a dependent target is admitted but not kept.
@@ -154,7 +158,7 @@ impl Detector for Osp {
 /// UFCLS's system: the least-squares problem over the targets so far
 /// (`None` before the first). Its carry holds, of the pixels unmixed
 /// against it, their endmember dots and active-set trails.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Fcls {
     system: Option<FclsProblem>,
 }

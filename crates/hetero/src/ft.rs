@@ -47,9 +47,12 @@
 //! routed around at the next view; a worker orphaned *mid-round* (its
 //! relay parent died before forwarding) requests the delta directly
 //! from the master, which answers from the round's shared `Arc` during
-//! the ack sweep — under the epoch frozen at round start. Epoch-stamped
-//! messages from a superseded view are dropped as stale, never folded
-//! into the current round. [`CollAlgorithm::PipelinedChunked`]
+//! the ack sweep — under the epoch frozen at round start. The barrier
+//! also makes a copy from a superseded view impossible: a worker takes in
+//! its one copy of the round's delta before it acks, and the master opens
+//! no later round, under no later epoch, before every survivor has acked
+//! or failed — so a worker accepts the current epoch and round only, and
+//! treats any other as unreachable. [`CollAlgorithm::PipelinedChunked`]
 //! normalizes to the segment-hierarchical tree it shares: chunk
 //! streaming composes poorly with mid-round rescue (every chunk is a
 //! full payload with partial charge).
@@ -219,8 +222,9 @@ enum FtMsg<D, P> {
         algo: CollAlgorithm,
     },
     /// Tree-mode round delta, relayed edge-by-edge down the survivor
-    /// tree (and master → orphan directly on rescue). Epoch-stamped:
-    /// receivers drop copies from a superseded view as stale.
+    /// tree (and master → orphan directly on rescue). Epoch-stamped; the
+    /// ack barrier makes a copy from a superseded view impossible, so a
+    /// receiver takes the current epoch and round only.
     RoundState {
         epoch: u64,
         round: usize,
@@ -428,8 +432,9 @@ fn worker_loop<A: ChunkedAlgo>(
 ) {
     // The replica lives as long as the worker does and dies with a
     // crash — which is why it holds only what the modelled node would (a
-    // detector's system); what an algorithm remembers about the image
-    // lines it keeps itself, for whichever worker scores them next.
+    // handle on a detector's system, which the algorithm builds once per
+    // round for every worker); what an algorithm remembers about the
+    // image lines it keeps itself, for whichever worker scores them next.
     let mut replica = algo.replica();
     loop {
         let (round, delta) = match ctx.recv(0) {

@@ -45,6 +45,7 @@ use hsi_linalg::matrix::dots_abreast;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -180,6 +181,10 @@ impl<M: Default> Carry<M> {
     /// restarts when it is next scored). One that differs inside the
     /// recorded run cuts the record there and restarts every line that
     /// went deeper — correct against any system, merely slower.
+    ///
+    /// Every scan checks the whole recorded prefix, so a vector is
+    /// compared without an early exit: an OR of the XORs of its bits,
+    /// which vectorises, is zero exactly when every bit agrees.
     fn reconcile<'v>(
         &self,
         cube: &HyperCube,
@@ -187,7 +192,11 @@ impl<M: Default> Carry<M> {
         vector: impl Fn(usize) -> &'v [f64],
     ) -> u64 {
         let same_bits = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .fold(0, |diff, (x, y)| diff | (x.to_bits() ^ y.to_bits()))
+                    == 0
         };
         let lines = self.lines.get_or_init(|| {
             (0..cube.lines())
@@ -483,15 +492,22 @@ fn continue_residuals<const L: usize>(
 /// cube. `Default` is the empty carry.
 pub type FclsCarry = Carry<NnlsTrails>;
 
+thread_local! {
+    /// One [`FclsWorkspace`] per thread, kept from chunk to chunk and
+    /// round to round, so a scan allocates nothing once its buffers have
+    /// grown. A workspace carries nothing from solve to solve, so which
+    /// one a line is solved in changes no bit.
+    static FCLS_WORKSPACE: RefCell<FclsWorkspace> = RefCell::new(FclsWorkspace::new());
+}
+
 /// UFCLS steps 2–3: the pixel with the largest fully-constrained
 /// least-squares reconstruction error against the endmember set.
 ///
-/// Each chunk's scorer owns one [`FclsWorkspace`], so the pixel loop
-/// allocates nothing; a workspace carries nothing from pixel to pixel,
-/// and what a carry keeps of a pixel only ever reproduces the from-empty
-/// solve's bits, so a score is a pure function of `(problem, pixel)`. A
-/// pixel whose solve fails can only come from a singular endmember set;
-/// it ranks below every solved one.
+/// The pixel loop solves in its thread's one workspace; a workspace
+/// carries nothing from pixel to pixel, and what a carry keeps of a pixel
+/// only ever reproduces the from-empty solve's bits, so a score is a pure
+/// function of `(problem, pixel)`. A pixel whose solve fails can only
+/// come from a singular endmember set; it ranks below every solved one.
 pub fn max_fcls_error(
     cube: &HyperCube,
     problem: &FclsProblem,
@@ -500,10 +516,10 @@ pub fn max_fcls_error(
     // Nothing outlives the call, so nothing is kept per line: each chunk
     // restarts one line state, which is an empty carry's at every line.
     let result = argmax_pixels(cube, range, || {
-        let (mut ws, mut state) = (FclsWorkspace::new(), LineCarry::default());
+        let mut state = LineCarry::default();
         move |line: usize, scores: &mut [f64]| {
             state.depth = 0;
-            fcls_line_scores(cube, problem, line, &mut state, &mut ws, scores);
+            fcls_line_scores(cube, problem, line, &mut state, scores);
         }
     });
     (result, fcls_mflops(cube, problem, range))
@@ -529,10 +545,9 @@ pub fn max_fcls_error_carried(
     let t = problem.num_endmembers();
     let epoch = carry.reconcile(cube, t, |i| problem.endmember(i));
     let result = argmax_pixels(cube, range, || {
-        let mut ws = FclsWorkspace::new();
-        move |line: usize, scores: &mut [f64]| {
+        |line: usize, scores: &mut [f64]| {
             carry.with_line(line, t, epoch, |state| {
-                let depth = fcls_line_scores(cube, problem, line, state, &mut ws, scores);
+                let depth = fcls_line_scores(cube, problem, line, state, scores);
                 carry.count(depth == 0, depth, t);
             })
         }
@@ -546,16 +561,15 @@ fn fcls_mflops(cube: &HyperCube, problem: &FclsProblem, range: (usize, usize)) -
     flops::mflop(per_pixel * range_pixels(cube, range) as f64)
 }
 
-/// One line of the FCLS scan: brings `state` — the line's dots and trails
-/// against the first `state.depth` endmembers — up to the whole problem
-/// and fills `scores`, `−∞` for a pixel whose solve fails. Returns the
-/// depth the line was continued from.
+/// One line of the FCLS scan, in the thread's workspace: brings `state` —
+/// the line's dots and trails against the first `state.depth` endmembers
+/// — up to the whole problem and fills `scores`, `−∞` for a pixel whose
+/// solve fails. Returns the depth the line was continued from.
 fn fcls_line_scores(
     cube: &HyperCube,
     problem: &FclsProblem,
     line: usize,
     state: &mut LineCarry<NnlsTrails>,
-    ws: &mut FclsWorkspace,
     scores: &mut [f64],
 ) -> usize {
     let t = problem.num_endmembers();
@@ -569,19 +583,21 @@ fn fcls_line_scores(
     scores.fill(f64::NEG_INFINITY);
     // A pixel's new dots are formed before its solve, so they are
     // kept even when that fails.
-    let shaped = problem.solve_f32_line(
-        &cube.as_slice()[line * stride..(line + 1) * stride],
-        depth,
-        &mut state.sums,
-        &mut state.more,
-        ws,
-        |sample, solved| {
-            debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
-            if let Ok(residual_sq) = solved {
-                scores[sample] = residual_sq;
-            }
-        },
-    );
+    let shaped = FCLS_WORKSPACE.with_borrow_mut(|ws| {
+        problem.solve_f32_line(
+            &cube.as_slice()[line * stride..(line + 1) * stride],
+            depth,
+            &mut state.sums,
+            &mut state.more,
+            ws,
+            |sample, solved| {
+                debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
+                if let Ok(residual_sq) = solved {
+                    scores[sample] = residual_sq;
+                }
+            },
+        )
+    });
     debug_assert!(shaped.is_ok(), "max_fcls_error: {shaped:?}");
     if shaped.is_ok() {
         state.depth = t;
@@ -1255,6 +1271,61 @@ mod tests {
         carry.with_line(cube.lines(), 2, late, |state| {
             assert!(state.sums.is_empty())
         });
+    }
+
+    /// The system record is compared bit for bit: a one-bit difference in
+    /// the first vector's last band restarts every line that took the
+    /// vector in, one in the newest vector only the lines that took that
+    /// in; `-0.0` is not `0.0`, and a NaN matches its own payload only.
+    #[test]
+    fn reconcile_restarts_exactly_the_lines_past_a_one_bit_difference() {
+        let s = scene();
+        let cube = &s.cube;
+        let n = cube.bands();
+        // Three vectors; `last` is the first vector's last band.
+        let system = |last: f64| -> Vec<Vec<f64>> {
+            (0..3)
+                .map(|v| {
+                    (0..n)
+                        .map(|b| match (v, b) {
+                            (0, b) if b == n - 1 => last,
+                            _ => 0.25 + (v * n + b) as f64 / 64.0,
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let flip = |x: f64| f64::from_bits(x.to_bits() ^ 1);
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        let mut newest_flipped = system(0.5);
+        newest_flipped[2][n - 1] = flip(newest_flipped[2][n - 1]);
+        // (recorded, handed, depths lines 0 and 1 keep): line 0 took all
+        // three vectors in, line 1 the first two.
+        let cases = [
+            (system(0.5), system(0.5), [3, 2]),
+            (system(0.5), system(flip(0.5)), [0, 0]),
+            (system(0.5), newest_flipped, [0, 2]),
+            (system(0.0), system(-0.0), [0, 0]),
+            (system(nan(1)), system(nan(1)), [3, 2]),
+            (system(nan(1)), system(nan(2)), [0, 0]),
+        ];
+        for (case, (recorded, handed, kept)) in cases.iter().enumerate() {
+            let carry = ProjectionCarry::default();
+            let epoch = carry.reconcile(cube, 3, |v| recorded[v].as_slice());
+            for (line, depth) in [(0, 3), (1, 2)] {
+                carry.with_line(line, 3, epoch, |state| {
+                    state.depth = depth;
+                    state.sums = vec![1.0; cube.samples()];
+                });
+            }
+            let epoch = carry.reconcile(cube, 3, |v| handed[v].as_slice());
+            for (line, &depth) in kept.iter().enumerate() {
+                carry.with_line(line, 3, epoch, |state| {
+                    assert_eq!(state.depth, depth, "case {case}, line {line}");
+                    assert_eq!(state.sums.is_empty(), depth == 0, "case {case}");
+                });
+            }
+        }
     }
 
     /// `Clone` copies the lines: the clone continues on its own.

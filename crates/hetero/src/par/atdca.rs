@@ -14,7 +14,7 @@
 //! basis (`O(tN)` apply instead of the `O(N²)` explicit matrix — see
 //! `hsi_linalg::ortho`).
 
-use super::{detector_row_cost, run_static};
+use super::{detector_row_cost, run_detector};
 use crate::config::{AlgoParams, RunOptions};
 use crate::detect::Osp;
 use crate::framework::ParallelRun;
@@ -36,8 +36,7 @@ pub fn run(
     params: &AlgoParams,
     options: &RunOptions,
 ) -> ParallelRun<Vec<DetectedTarget>> {
-    let algo = AtdcaChunks::new(cube, params);
-    run_static(engine, cube, &algo, row_cost(cube, params), options, 0)
+    run_detector(engine, &AtdcaChunks::new(cube, params), options)
 }
 
 #[cfg(test)]

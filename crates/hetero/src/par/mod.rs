@@ -42,7 +42,8 @@ use crate::flops;
 use crate::framework::{distribute, plan_assignments, row_mbits, run_rooted, ParallelRun};
 use crate::msg::Msg;
 use crate::offload::charge_chunk;
-use crate::sched::ChunkedAlgo;
+use crate::sched::{ChunkedAlgo, DetectChunks};
+use crate::seq::DetectedTarget;
 use crate::wea::RowCost;
 use hsi_cube::HyperCube;
 use simnet::coll::{self, CollAlgorithm};
@@ -59,6 +60,20 @@ fn detector_row_cost<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> RowC
         mbits_per_row: row_mbits(cube),
         fixed_mflops: 0.0,
     }
+}
+
+/// Runs the detector `algo` describes, as [`atdca::run`] and
+/// [`ufcls::run`] do, over a description the caller keeps: its host-work
+/// tallies stay readable after the run.
+#[doc(hidden)]
+pub fn run_detector<D: Detector>(
+    engine: &Engine,
+    algo: &DetectChunks<'_, D>,
+    options: &RunOptions,
+) -> ParallelRun<Vec<DetectedTarget>> {
+    let (cube, params) = algo.inputs();
+    let cost = detector_row_cost::<D>(cube, params);
+    run_static(engine, cube, algo, cost, options, 0)
 }
 
 /// Runs `algo` over `cube` on the engine's platform, one WEA cell of

@@ -7,7 +7,7 @@
 //! and nominates the pixel with the largest reconstruction error; the
 //! master picks the global winner and broadcasts it.
 
-use super::{detector_row_cost, run_static};
+use super::{detector_row_cost, run_detector};
 use crate::config::{AlgoParams, RunOptions};
 use crate::detect::Fcls;
 use crate::framework::ParallelRun;
@@ -29,8 +29,7 @@ pub fn run(
     params: &AlgoParams,
     options: &RunOptions,
 ) -> ParallelRun<Vec<DetectedTarget>> {
-    let algo = UfclsChunks::new(cube, params);
-    run_static(engine, cube, &algo, row_cost(cube, params), options, 0)
+    run_detector(engine, &UfclsChunks::new(cube, params), options)
 }
 
 #[cfg(test)]

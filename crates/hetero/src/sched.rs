@@ -31,15 +31,20 @@
 //! Partials, deltas and their sizes are the payloads' [`simnet::Wire`]
 //! sizes.
 //!
-//! **Who owns a detector's memos.** A rank's replica is the detector
-//! *system* alone (the basis or Gram problem the modelled node would
-//! hold), grown delta by delta and lost with the rank. The *carry* — each
-//! image line's running sums — belongs to the lines, and which rank scores
-//! a line next is the driver's business: so [`DetectChunks`] holds **one
-//! carry per run**, every rank reaches it through the `&algo` it already
-//! borrows, and a chunk resumes at the depth its last scorer left whoever
-//! that was, re-plans after crashes included. Host wall-clock only: the
-//! carry never shortens a charge.
+//! **Who owns a detector's memos.** [`DetectChunks`] owns both, one per
+//! run, and every rank reaches them through the `&algo` it already
+//! borrows. The detector *system* (the basis or Gram problem every
+//! modelled node holds) is built **once per round per run**: a rank's
+//! replica is a handle (`Arc`) on it, which an install moves to the next
+//! round's system, and which is lost with the rank. The memo is keyed by
+//! the data — a rank is handed the shared next system only when it holds
+//! the shared current one and installs the recorded spectrum to the bit;
+//! any other install history builds a system of its own. The *carry* —
+//! each image line's running sums — belongs to the lines, and which rank
+//! scores a line next is the driver's business, so a chunk resumes at the
+//! depth its last scorer left whoever that was, re-plans after crashes
+//! included. Host wall-clock only: every rank still pays its install's
+//! `follow_up` row, and the carry never shortens a charge.
 //!
 //! **Determinism.** The argmax algorithms (ATDCA, UFCLS) produce the
 //! *same* output for every chunk grid: chunk winners are folded with the
@@ -66,7 +71,8 @@ use hsi_cube::{HyperCube, LabelImage};
 use hsi_linalg::covariance::CovarianceAccumulator;
 use hsi_morpho::StructuringElement;
 use simnet::Wire;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A pairwise merge of two partials (see [`ChunkedAlgo::fold`]).
 pub type Fold<P> = fn(P, P) -> P;
@@ -94,9 +100,9 @@ pub trait ChunkedAlgo {
     type Partial: Wire + Sync + Clone;
     /// The final analysis result.
     type Output;
-    /// What a rank holds of the state: the system a detector keeps, the
-    /// model or the class set a labelling round reads. Lives as long as
-    /// the rank and dies with a crash.
+    /// What a rank holds of the state: a handle on the system a detector
+    /// keeps, the model or the class set a labelling round reads. Lives
+    /// as long as the rank and dies with a crash.
     type Replica;
 
     /// Short algorithm name (reports and benches).
@@ -208,13 +214,88 @@ fn empty_candidate(bands: usize) -> Candidate {
 
 /// Either target detector as a chunked algorithm — name it through
 /// [`AtdcaChunks`] or [`UfclsChunks`]. `D` is the detector's description
-/// (`crate::detect`): its score, its cost table, the system a rank keeps
-/// as its replica and grows delta by delta, and the carry of the image
-/// lines, which the algorithm holds for all its ranks.
+/// (`crate::detect`): its score, its cost table, the system a rank's
+/// replica is a handle on, and the carry of the image lines. The
+/// algorithm holds the systems and the carry for all its ranks.
 pub struct DetectChunks<'a, D: Detector> {
     cube: &'a HyperCube,
     params: &'a AlgoParams,
     carry: D::Carry,
+    systems: Systems<D>,
+}
+
+/// The detector systems a run's ranks share: entry `k` of the chain is
+/// the system over the first `k` winners (entry 0 the empty one) with
+/// the spectrum it took in last. Keyed by the data, as a carry is: an
+/// install moves a rank from entry `k` to entry `k + 1` only when the
+/// rank holds entry `k` itself and installs entry `k + 1`'s spectrum to
+/// the bit; the first such install builds the entry. Any other history —
+/// a rank that skipped a round, a spectrum the chain did not record —
+/// builds a system of the rank's own and leaves the chain alone.
+struct Systems<D> {
+    chain: Mutex<Vec<(Vec<f32>, Arc<D>)>>,
+    /// Host-work tally: systems built, shared or private.
+    built: AtomicUsize,
+}
+
+impl<D: Detector> Systems<D> {
+    fn new(bands: usize) -> Self {
+        Systems {
+            chain: Mutex::new(vec![(Vec::new(), Arc::new(D::new(bands)))]),
+            built: AtomicUsize::new(0),
+        }
+    }
+
+    /// The chain, whoever panicked holding it: an entry is pushed only
+    /// once built, so the chain is whole whatever a panic interrupted.
+    fn chain(&self) -> std::sync::MutexGuard<'_, Vec<(Vec<f32>, Arc<D>)>> {
+        self.chain.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The system of a rank that has taken in no target yet.
+    fn empty(&self) -> Arc<D> {
+        Arc::clone(&self.chain()[0].1)
+    }
+
+    /// `current` with `spectrum` taken in: the chain's next entry when
+    /// `current` is on the chain and the spectrum is the one it recorded
+    /// (built by the first install that asks), else a system of its own.
+    fn next(&self, current: &Arc<D>, spectrum: &[f32]) -> Arc<D> {
+        let mut chain = self.chain();
+        let k = current.admitted();
+        if chain
+            .get(k)
+            .is_some_and(|(_, held)| Arc::ptr_eq(held, current))
+        {
+            match chain.get(k + 1) {
+                None => {
+                    let next = self.build(current, spectrum);
+                    chain.push((spectrum.to_vec(), Arc::clone(&next)));
+                    return next;
+                }
+                // Bit for bit: `-0.0` is not `0.0`, a NaN matches only its
+                // own payload.
+                Some((recorded, next))
+                    if recorded
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .eq(spectrum.iter().map(|x| x.to_bits())) =>
+                {
+                    return Arc::clone(next);
+                }
+                Some(_) => {}
+            }
+        }
+        drop(chain);
+        self.build(current, spectrum)
+    }
+
+    fn build(&self, current: &D, spectrum: &[f32]) -> Arc<D> {
+        let mut next = current.clone();
+        next.admit(spectrum);
+        self.built.fetch_add(1, Ordering::Relaxed);
+        Arc::new(next)
+    }
 }
 
 /// ATDCA (paper Algorithm 2) as a chunked algorithm: one round per
@@ -230,13 +311,20 @@ pub type AtdcaChunks<'a> = DetectChunks<'a, Osp>;
 pub type UfclsChunks<'a> = DetectChunks<'a, Fcls>;
 
 impl<'a, D: Detector> DetectChunks<'a, D> {
-    /// Wraps a cube and parameters; the carry starts empty.
+    /// Wraps a cube and parameters; the carry and the systems start
+    /// empty.
     pub fn new(cube: &'a HyperCube, params: &'a AlgoParams) -> Self {
         DetectChunks {
             cube,
             params,
             carry: D::Carry::default(),
+            systems: Systems::new(cube.bands()),
         }
+    }
+
+    /// The cube and parameters the algorithm was made over.
+    pub(crate) fn inputs(&self) -> (&'a HyperCube, &'a AlgoParams) {
+        (self.cube, self.params)
     }
 
     /// The run's carry (its host-work tallies are what the counting
@@ -244,6 +332,15 @@ impl<'a, D: Detector> DetectChunks<'a, D> {
     #[doc(hidden)]
     pub fn carry(&self) -> &D::Carry {
         &self.carry
+    }
+
+    /// How many detector systems the ranks' installs have built so far,
+    /// shared or private: one per round when every rank installs the
+    /// run's winners. A host-work tally, like the carry's; the virtual
+    /// clock never reads it.
+    #[doc(hidden)]
+    pub fn systems_built(&self) -> usize {
+        self.systems.built.load(Ordering::Relaxed)
     }
 }
 
@@ -253,9 +350,10 @@ impl<D: Detector> ChunkedAlgo for DetectChunks<'_, D> {
     type Delta = Spectra;
     type Partial = Candidate;
     type Output = Vec<DetectedTarget>;
-    /// The detector system over the targets installed so far — the
-    /// system alone: the lines' sums are the run's.
-    type Replica = D;
+    /// A handle on the detector system over the targets installed so far
+    /// — the system alone, which the run's ranks share: the lines' sums
+    /// are the run's too.
+    type Replica = Arc<D>;
 
     fn name(&self) -> &'static str {
         D::NAME
@@ -273,19 +371,21 @@ impl<D: Detector> ChunkedAlgo for DetectChunks<'_, D> {
         Vec::new()
     }
 
-    fn replica(&self) -> D {
-        D::new(self.cube.bands())
+    fn replica(&self) -> Arc<D> {
+        self.systems.empty()
     }
 
-    fn install(&self, round: usize, detector: &mut D, delta: Arc<Spectra>) -> f64 {
-        detector.admit(&delta.0[0]);
+    /// Every rank pays the `follow_up` row; the host builds the system
+    /// once per round, and a rank's install moves its handle on.
+    fn install(&self, round: usize, detector: &mut Arc<D>, delta: Arc<Spectra>) -> f64 {
+        *detector = self.systems.next(detector, &delta.0[0]);
         D::follow_up(self.cube.bands(), round, self.params.num_targets)
     }
 
     fn run_chunk(
         &self,
         round: usize,
-        detector: &D,
+        detector: &Arc<D>,
         first: usize,
         n: usize,
     ) -> (Candidate, ChunkCost) {
@@ -1145,6 +1245,93 @@ mod tests {
             assert_eq!(installed, Fcls::follow_up(s.cube.bands(), round, 4));
             state = next;
         }
+    }
+
+    /// A winner as a round's delta.
+    fn delta_of(spectrum: &[f32]) -> Arc<Spectra> {
+        Arc::new(Spectra(vec![spectrum.to_vec()]))
+    }
+
+    /// A candidate's coordinates and score bits, and its charge's bits.
+    fn chunk_bits(got: (Candidate, ChunkCost)) -> (u32, u32, u64, u64) {
+        let (c, cost) = got;
+        (c.line, c.sample, c.score.to_bits(), cost.mflops.to_bits())
+    }
+
+    /// The run's ranks share one system per round. A replica whose
+    /// install history leaves the run's — another spectrum at round `k`,
+    /// or a skipped round — gets a system of its own, which scores as a
+    /// freshly built one, and the run's systems are left as they were.
+    fn a_diverging_replica_builds_its_own_system<D: Detector>() {
+        let s = scene();
+        let p = AlgoParams {
+            num_targets: 4,
+            ..Default::default()
+        };
+        let (lines, k) = (s.cube.lines(), 2);
+        let algo = DetectChunks::<D>::new(&s.cube, &p);
+        let out = run_local(&algo, 16);
+        assert_eq!(algo.systems_built(), algo.rounds());
+        let chain = |algo: &DetectChunks<D>| -> Vec<(Vec<f32>, *const D)> {
+            let chain = algo.systems.chain();
+            chain
+                .iter()
+                .map(|(s, d)| (s.clone(), Arc::as_ptr(d)))
+                .collect()
+        };
+        let before = chain(&algo);
+        assert_eq!(before.len(), algo.rounds() + 1);
+
+        // Following the run's history is free, and lands on its systems.
+        let mut follower = algo.replica();
+        for (round, target) in out[..k].iter().enumerate() {
+            algo.install(round, &mut follower, delta_of(&target.spectrum));
+        }
+        assert_eq!(algo.systems_built(), algo.rounds());
+        assert_eq!(Arc::as_ptr(&follower), before[k].1);
+
+        let other = s.cube.pixel(lines / 2, 3).to_vec();
+        assert_ne!(
+            other, out[k].spectrum,
+            "fixture: a spectrum the run did not take in"
+        );
+        let mut diverged = Arc::clone(&follower);
+        algo.install(k, &mut diverged, delta_of(&other));
+        assert_eq!(algo.systems_built(), algo.rounds() + 1);
+        assert!(before.iter().all(|&(_, d)| d != Arc::as_ptr(&diverged)));
+        // Its next install builds again: it is off the run's chain.
+        let mut deeper = Arc::clone(&diverged);
+        algo.install(k + 1, &mut deeper, delta_of(&out[k + 1].spectrum));
+        assert_eq!(algo.systems_built(), algo.rounds() + 2);
+        // A rank that skips round 0 builds its own as well.
+        let mut skipped = algo.replica();
+        algo.install(1, &mut skipped, delta_of(&out[1].spectrum));
+        assert_eq!(algo.systems_built(), algo.rounds() + 3);
+        assert_eq!(chain(&algo), before, "the run's systems are untouched");
+
+        // Scores as a system built from nothing, scanned from nothing.
+        let mut fresh = D::new(s.cube.bands());
+        for target in &out[..k] {
+            fresh.admit(&target.spectrum);
+        }
+        fresh.admit(&other);
+        let alone = DetectChunks::<D>::new(&s.cube, &p);
+        let want = chunk_bits(alone.run_chunk(k + 1, &Arc::new(fresh), 0, lines));
+        assert_eq!(chunk_bits(algo.run_chunk(k + 1, &diverged, 0, lines)), want);
+        // The follower still scores the run's round.
+        let (winner, _) = algo.run_chunk(k, &follower, 0, lines);
+        let coords = (winner.line as usize, winner.sample as usize);
+        assert_eq!(coords, (out[k].line, out[k].sample));
+    }
+
+    #[test]
+    fn a_diverging_replica_builds_its_own_atdca_system() {
+        a_diverging_replica_builds_its_own_system::<Osp>();
+    }
+
+    #[test]
+    fn a_diverging_replica_builds_its_own_ufcls_system() {
+        a_diverging_replica_builds_its_own_system::<Fcls>();
     }
 
     #[test]

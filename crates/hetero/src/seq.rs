@@ -14,6 +14,7 @@
 use crate::config::AlgoParams;
 use crate::detect::{Detector, Fcls, Osp};
 use crate::kernels::{self, ScoredPixel};
+use hsi_cube::metrics::{dots_into, dots_with, sad_from_sums};
 use hsi_cube::{HyperCube, LabelImage};
 use hsi_linalg::covariance::CovarianceAccumulator;
 use hsi_linalg::eigen::SymmetricEigen;
@@ -196,6 +197,12 @@ pub(crate) fn scored_spectra(cube: &HyperCube, pixels: &[ScoredPixel]) -> Vec<(V
 /// processor count: a class present across the scene is nominated by
 /// many partitions, while a single anomalous neighbourhood is nominated
 /// by one.
+///
+/// Each SAD is [`sad`](hsi_cube::metrics::sad)'s to the bit, and the
+/// merge is charged one SAD evaluation per representative a candidate is
+/// compared with, up to the one it joins. The host forms every norm once
+/// — a candidate's before the scan, a representative's is its founder's —
+/// so a comparison is one dot product, four representatives abreast.
 pub fn reduce_candidates(
     scored: &[(Vec<f32>, f64)],
     threshold: f64,
@@ -209,38 +216,82 @@ pub fn reduce_candidates(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    // (spectrum, support, founding score). The cluster count is capped at
-    // 4c: beyond that, unmatched (necessarily low-score) candidates are
-    // dropped, which bounds the master's merge cost at O(candidates × 4c)
-    // SAD evaluations — without the cap the sequential component grows
-    // with the processor count and dominates at 256 CPUs, which the
-    // paper's own reported SEQ values (≈ 1–2 s at 256) rule out.
+    let mut norms = vec![0.0; scored.len()];
+    dots_into(
+        |i| (scored[i].0.as_slice(), scored[i].0.as_slice()),
+        &mut norms,
+    );
+    // Representatives by founding candidate, with their spectra, norms
+    // and support. The cluster count is capped at 4c: beyond that,
+    // unmatched (necessarily low-score) candidates are dropped, which
+    // bounds the master's merge cost at O(candidates × 4c) SAD
+    // evaluations — without the cap the sequential component grows with
+    // the processor count and dominates at 256 CPUs, which the paper's
+    // own reported SEQ values (≈ 1–2 s at 256) rule out.
     let cap = 4 * c.max(1);
-    let mut reps: Vec<(Vec<f32>, usize, f64)> = Vec::new();
+    let (mut founders, mut spectra, mut rep_norms) = (Vec::new(), Vec::new(), Vec::new());
+    let mut support: Vec<usize> = Vec::new();
     let mut sad_evals = 0usize;
     for i in order {
-        let (s, score) = (&scored[i].0, scored[i].1);
-        let mut joined = false;
-        for (rep, support, _) in reps.iter_mut() {
-            sad_evals += 1;
-            if hsi_cube::metrics::sad(s, rep) <= threshold {
-                *support += 1;
-                joined = true;
-                break;
+        let (s, ss) = (scored[i].0.as_slice(), norms[i]);
+        match first_within(s, ss, &spectra, &rep_norms, threshold) {
+            Some(r) => {
+                sad_evals += r + 1;
+                support[r] += 1;
+            }
+            None => {
+                sad_evals += spectra.len();
+                if spectra.len() < cap {
+                    founders.push(i);
+                    spectra.push(s);
+                    rep_norms.push(ss);
+                    support.push(1);
+                }
             }
         }
-        if !joined && reps.len() < cap {
-            reps.push((s.clone(), 1, score));
-        }
     }
-    reps.sort_by(|a, b| {
-        b.1.cmp(&a.1)
-            .then(b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
+    let mut ranked: Vec<usize> = (0..founders.len()).collect();
+    ranked.sort_by(|&a, &b| {
+        let score = |r: usize| scored[founders[r]].1;
+        support[b].cmp(&support[a]).then(
+            score(b)
+                .partial_cmp(&score(a))
+                .unwrap_or(std::cmp::Ordering::Equal),
+        )
     });
-    reps.truncate(c);
     let n = scored.first().map(|s| s.0.len()).unwrap_or(1);
     let mflops = crate::flops::mflop(crate::flops::sad(n) * sad_evals as f64);
-    (reps.into_iter().map(|(s, _, _)| s).collect(), mflops)
+    let reps = ranked
+        .iter()
+        .take(c)
+        .map(|&r| spectra[r].to_vec())
+        .collect();
+    (reps, mflops)
+}
+
+/// The first of `reps` (squared norms `rep_norms`) within `threshold` SAD
+/// of `x` (squared norm `xx`), by [`sad_from_sums`] over one dot product
+/// each, the dots formed four representatives at a time.
+fn first_within(
+    x: &[f32],
+    xx: f64,
+    reps: &[&[f32]],
+    rep_norms: &[f64],
+    threshold: f64,
+) -> Option<usize> {
+    for (g, group) in reps.chunks(4).enumerate() {
+        let mut within = None;
+        dots_with(x, group, |k, xy| {
+            let r = g * 4 + k;
+            if within.is_none() && sad_from_sums(xy, xx, rep_norms[r]) <= threshold {
+                within = Some(r);
+            }
+        });
+        if within.is_some() {
+            return within;
+        }
+    }
+    None
 }
 
 /// Sequential MORPH classification (Algorithm 5 on one processor).

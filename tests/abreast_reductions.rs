@@ -1,21 +1,26 @@
 //! Abreast reductions: the scan kernels run the per-pixel band sums of a
 //! line four pixels (or four candidates) at a time, one accumulator each,
-//! with a scalar tail, and `pct_label` a pixel's projections eight rows at
-//! a time. The contract is **bit identity** with the one-at-a-time
-//! definitions — `OrthoBasis::complement_score`, `FclsProblem::solve_f32`,
-//! `metrics::sad`, `Matrix::matvec` — for every line width around
-//! the lane count, through every state a carry can be in, and for a pixel
-//! whose solve fails next to three that do not.
+//! with a scalar tail, `pct_label` a pixel's projections eight rows at a
+//! time, and the master's unique-set merge four representatives at a
+//! time from norms formed once. The contract is **bit identity** with the
+//! one-at-a-time definitions — `OrthoBasis::complement_score`,
+//! `FclsProblem::solve_f32`, `metrics::sad`, `Matrix::matvec` — for every
+//! line width around the lane count, through every state a carry can be
+//! in, and for a pixel whose solve fails next to three that do not.
 //!
 //! Run in release too (CI's solver smoke step): optimised codegen is
 //! where an interleave could be mis-vectorised.
 
 use heterospec::cube::metrics::sad;
 use heterospec::cube::HyperCube;
+use heterospec::hetero::flops;
 use heterospec::hetero::kernels::{self, FclsCarry, ProjectionCarry, ScoredPixel};
+use heterospec::hetero::seq::reduce_candidates;
 use heterospec::linalg::lstsq::{FclsProblem, FclsWorkspace, NnlsTrails};
 use heterospec::linalg::ortho::OrthoBasis;
 use heterospec::linalg::Matrix;
+use proptest::prelude::*;
+use std::cmp::Ordering;
 
 /// Line widths below, at, just above and well above the lane count.
 const SAMPLES: [usize; 7] = [1, 2, 3, 4, 5, 16, 17];
@@ -177,6 +182,144 @@ fn sad_label_equals_the_naive_loop() {
             assert_eq!(labels, want, "samples {samples}, {count} classes");
         }
     }
+}
+
+/// The unique-set merge one `sad` per (candidate, representative) pair:
+/// candidates by descending score (ties to the lower index), each
+/// compared with the representatives in founding order up to the one it
+/// joins, founding a new one below the `4c` cap; the top `c` by support,
+/// then founding score. Returns them and the SAD evaluations made.
+fn reduce_by_pairs(scored: &[(Vec<f32>, f64)], threshold: f64, c: usize) -> (Vec<Vec<f32>>, usize) {
+    let mut order: Vec<usize> = (0..scored.len()).collect();
+    order.sort_by(|&a, &b| {
+        let by_score = scored[b].1.partial_cmp(&scored[a].1);
+        by_score.unwrap_or(Ordering::Equal).then(a.cmp(&b))
+    });
+    let cap = 4 * c.max(1);
+    let mut reps: Vec<(Vec<f32>, usize, f64)> = Vec::new();
+    let mut evals = 0;
+    for i in order {
+        let (s, score) = (&scored[i].0, scored[i].1);
+        let mut joined = false;
+        for (rep, support, _) in reps.iter_mut() {
+            evals += 1;
+            if sad(s, rep) <= threshold {
+                *support += 1;
+                joined = true;
+                break;
+            }
+        }
+        if !joined && reps.len() < cap {
+            reps.push((s.clone(), 1, score));
+        }
+    }
+    reps.sort_by(|a, b| {
+        let by_score = b.2.partial_cmp(&a.2).unwrap_or(Ordering::Equal);
+        b.1.cmp(&a.1).then(by_score)
+    });
+    reps.truncate(c);
+    (reps.into_iter().map(|(s, _, _)| s).collect(), evals)
+}
+
+/// Spectra by their bits.
+fn spectra_bits(spectra: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    spectra
+        .iter()
+        .map(|s| s.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// `reduce_candidates` against the per-pair loop: the same
+/// representatives in the same order, bit for bit, and the megaflops of
+/// the same SAD evaluation count.
+fn assert_merge_equals_the_pairs(scored: &[(Vec<f32>, f64)], threshold: f64, c: usize) {
+    let (want, evals) = reduce_by_pairs(scored, threshold, c);
+    let (got, mflops) = reduce_candidates(scored, threshold, c);
+    assert_eq!(
+        spectra_bits(&got),
+        spectra_bits(&want),
+        "threshold {threshold}, c {c}"
+    );
+    let n = scored.first().map_or(1, |s| s.0.len());
+    let charged = flops::mflop(flops::sad(n) * evals as f64);
+    assert_eq!(
+        mflops.to_bits(),
+        charged.to_bits(),
+        "{evals} SAD evaluations"
+    );
+}
+
+/// A candidate pool with `kinds[i]` choosing candidate `i`: a zero
+/// spectrum, a copy of an earlier candidate, or spectrum `i` of `vals`;
+/// scores from a set of four, so they tie.
+fn pool_of(vals: &[f32], kinds: &[usize], count: usize) -> Vec<(Vec<f32>, f64)> {
+    let mut pool: Vec<(Vec<f32>, f64)> = Vec::new();
+    for (i, &kind) in kinds[..count].iter().enumerate() {
+        let spectrum = match kind % 5 {
+            0 => vec![0.0; BANDS],
+            1 if i > 0 => pool[kind / 5 % i].0.clone(),
+            _ => vals[i * BANDS..(i + 1) * BANDS].to_vec(),
+        };
+        pool.push((spectrum, (kind / 7 % 4) as f64));
+    }
+    pool
+}
+
+const MAX_CANDIDATES: usize = 48;
+/// Thresholds that join nothing but equal directions, some, most, and
+/// everything but a zero spectrum against a nonzero one.
+const THRESHOLDS: [f64; 4] = [0.0, 0.05, 0.4, 1.5];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_unique_set_merge_equals_the_per_pair_loop(
+        vals in proptest::collection::vec(-0.2f32..1.0, MAX_CANDIDATES * BANDS),
+        kinds in proptest::collection::vec(0usize..1000, MAX_CANDIDATES),
+        count in 0usize..=MAX_CANDIDATES,
+        threshold in 0usize..THRESHOLDS.len(),
+        c in 1usize..5,
+    ) {
+        let pool = pool_of(&vals, &kinds, count);
+        assert_merge_equals_the_pairs(&pool, THRESHOLDS[threshold], c);
+    }
+}
+
+/// The corners the draws may miss, by name: zero spectra on both sides
+/// of a comparison, all-tied scores, duplicates, and a cap that fills
+/// before the pool runs out (every candidate its own direction).
+#[test]
+fn the_unique_set_merge_equals_the_per_pair_loop_at_its_corners() {
+    let zero = vec![0.0f32; BANDS];
+    let spread: Vec<Vec<f32>> = (0..40)
+        .map(|i| {
+            (0..BANDS)
+                .map(|b| if b == i % BANDS { 1.0 } else { 0.01 * i as f32 })
+                .collect()
+        })
+        .collect();
+    let tied: Vec<(Vec<f32>, f64)> = spread.iter().map(|s| (s.clone(), 1.0)).collect();
+    let mut zeros = vec![
+        (zero.clone(), 2.0),
+        (spread[3].clone(), 3.0),
+        (zero.clone(), 1.0),
+    ];
+    zeros.extend(tied[..6].iter().cloned());
+    let duplicates: Vec<(Vec<f32>, f64)> = (0..24)
+        .map(|i| (spread[i % 5].clone(), (i % 3) as f64))
+        .collect();
+    let ranked: Vec<(Vec<f32>, f64)> = spread.iter().cloned().zip((0..40).map(f64::from)).collect();
+    for pool in [&tied, &zeros, &duplicates, &ranked, &Vec::new()] {
+        for threshold in THRESHOLDS {
+            for c in 1..4 {
+                assert_merge_equals_the_pairs(pool, threshold, c);
+            }
+        }
+    }
+    // The cap is reached: 40 directions, 4c = 8 representatives.
+    let (reps, evals) = reduce_by_pairs(&ranked, 0.0, 2);
+    assert_eq!((reps.len(), evals), (2, 28 + 32 * 8));
 }
 
 /// `pct_label` forms a pixel's `c` projections in one pass over its bands,

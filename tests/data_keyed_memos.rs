@@ -5,21 +5,30 @@
 //!   `ft::run_replan`, fault-free and under crashes, fold exactly the
 //!   vectors into the lines that one sequential pass folds, start each
 //!   line from nothing exactly once, and return `seq`'s targets;
+//! * a detector's system is a function of the winners taken in, so a
+//!   run builds one per installed round however many ranks install it:
+//!   the static driver of `par` under a linear gather and a fused tree
+//!   allreduce, on 16 and 64 ranks, and both ft drivers, by fan-out and
+//!   down the survivor tree, with and without crashes;
 //! * an angle belongs to its pair of input pixels, so `mei` forms one dot
 //!   per unordered pair of different input pixels however many scales
 //!   ask for it.
 //!
 //! The tallies are read-only counters of host work (`Carry::applied`,
-//! `MeiResult::dots_formed`); the virtual clock never reads them.
+//! `DetectChunks::systems_built`, `MeiResult::dots_formed`); the virtual
+//! clock never reads them.
 
 use heterospec::cube::synth::{wtc_scene, WtcConfig};
 use heterospec::hetero::ft::{run_replan, run_self_sched, FtOptions, FtRun};
+use heterospec::hetero::par::run_detector;
 use heterospec::hetero::sched::{AtdcaChunks, ChunkedAlgo, UfclsChunks};
 use heterospec::hetero::seq::{self, DetectedTarget};
+use heterospec::hetero::RunOptions;
 use heterospec::morpho::mei::mei;
 use heterospec::morpho::StructuringElement;
+use heterospec::simnet::coll::{CollAlgorithm, CollectiveConfig};
 use heterospec::simnet::engine::Engine;
-use heterospec::simnet::FaultPlan;
+use heterospec::simnet::{presets, FaultPlan};
 use std::sync::Arc;
 
 /// One pass of a chunked detector with the whole image as its only
@@ -48,11 +57,17 @@ fn two_crashes() -> FaultPlan {
         .link_outage(0, 7, 0.01, 0.05)
 }
 
+/// A detector run's host-work tallies: the carry's `(vectors folded into
+/// lines, lines started)` and the systems built.
+type Tally = ((usize, usize), usize);
+
 /// Both ft drivers over a fresh `new_algo()` each, with and without
-/// faults: `want`'s targets, and the tally of the sequential pass.
+/// faults: `want`'s targets, the carry tally of the sequential pass, and
+/// one system built per round whose winner the workers install — every
+/// round's but the last, which no round opens with.
 fn assert_lines_are_continued_whoever_scores_them<A>(
     new_algo: impl Fn() -> A,
-    applied: impl Fn(&A) -> (usize, usize),
+    tally: impl Fn(&A) -> Tally,
     want: &[DetectedTarget],
     lines: usize,
 ) where
@@ -61,23 +76,30 @@ fn assert_lines_are_continued_whoever_scores_them<A>(
     let sequential = new_algo();
     assert_eq!(one_chunk_pass(&sequential), want);
     // Every line is started once and then takes each round's one vector.
-    let tally = applied(&sequential);
-    assert_eq!(tally, (lines * (want.len() - 1), lines));
+    let once = tally(&sequential);
+    assert_eq!(once, ((lines * (want.len() - 1), lines), want.len()));
 
-    let opts = FtOptions::default();
+    // The round state goes out by the master's fan-out or down the
+    // survivor tree.
+    let tree = FtOptions {
+        collectives: CollectiveConfig::uniform(CollAlgorithm::SegmentHierarchical),
+        ..FtOptions::default()
+    };
     type Driver<A> = fn(&Engine, &A, &FtOptions) -> FtRun<<A as ChunkedAlgo>::Output>;
     let drivers: [(&str, Driver<A>); 2] = [
         ("self-sched", run_self_sched::<A>),
         ("replan", run_replan::<A>),
     ];
     for (mode, driver) in drivers {
-        for (plan, crashes) in [(FaultPlan::new as fn() -> FaultPlan, 0), (two_crashes, 2)] {
-            let algo = new_algo();
-            let run = driver(&testutil::engine_with(plan()), &algo, &opts);
-            let what = format!("{mode} {}, {crashes} crashes", algo.name());
-            assert_eq!(run.recoveries.len(), crashes, "{what}");
-            assert_eq!(run.output, want, "{what}");
-            assert_eq!(applied(&algo), tally, "{what}");
+        for (state, opts) in [("fan-out", FtOptions::default()), ("tree", tree)] {
+            for (plan, crashes) in [(FaultPlan::new as fn() -> FaultPlan, 0), (two_crashes, 2)] {
+                let algo = new_algo();
+                let run = driver(&testutil::engine_with(plan()), &algo, &opts);
+                let what = format!("{mode} {state} {}, {crashes} crashes", algo.name());
+                assert_eq!(run.recoveries.len(), crashes, "{what}");
+                assert_eq!(run.output, want, "{what}");
+                assert_eq!(tally(&algo), (once.0, want.len() - 1), "{what}");
+            }
         }
     }
 }
@@ -89,16 +111,44 @@ fn ft_drivers_fold_exactly_the_vectors_a_sequential_pass_folds() {
     let lines = s.cube.lines();
     assert_lines_are_continued_whoever_scores_them(
         || AtdcaChunks::new(&s.cube, &p),
-        |algo| algo.carry().applied(),
+        |algo| (algo.carry().applied(), algo.systems_built()),
         &seq::atdca(&s.cube, &p).result,
         lines,
     );
     assert_lines_are_continued_whoever_scores_them(
         || UfclsChunks::new(&s.cube, &p),
-        |algo| algo.carry().applied(),
+        |algo| (algo.carry().applied(), algo.systems_built()),
         &seq::ufcls(&s.cube, &p).result,
         lines,
     );
+}
+
+/// Every rank of a static run installs every round's winner, and the
+/// run builds each round's system once: under the linear gather, where
+/// the root's broadcast hands every rank one delta, and under a fused
+/// tree allreduce, where every rank merges a winner of its own.
+#[test]
+fn a_par_run_builds_one_detector_system_per_round() {
+    let s = testutil::tiny_scene();
+    let p = testutil::params(7, 2);
+    let fused = RunOptions::hetero().with_collectives(CollectiveConfig {
+        allreduce: CollAlgorithm::BinomialTree,
+        ..CollectiveConfig::linear()
+    });
+    let atdca = seq::atdca(&s.cube, &p).result;
+    let ufcls = seq::ufcls(&s.cube, &p).result;
+    for platform in [presets::thunderhead(64), presets::fully_heterogeneous()] {
+        let engine = Engine::new(platform);
+        for (schedule, options) in [("linear", RunOptions::hetero()), ("fused", fused)] {
+            let what = |name| format!("{name}, {schedule}, {}", engine.platform().num_procs());
+            let algo = AtdcaChunks::new(&s.cube, &p);
+            assert_eq!(run_detector(&engine, &algo, &options).result, atdca);
+            assert_eq!(algo.systems_built(), algo.rounds(), "{}", what("ATDCA"));
+            let algo = UfclsChunks::new(&s.cube, &p);
+            assert_eq!(run_detector(&engine, &algo, &options).result, ufcls);
+            assert_eq!(algo.systems_built(), algo.rounds(), "{}", what("UFCLS"));
+        }
+    }
 }
 
 /// Unordered pairs of different pixels a 3 × 3 element joins in a
