@@ -5,10 +5,13 @@ use simnet::coll::{broadcast, gather, scatter, CollectiveConfig, ScatterMode};
 use simnet::engine::{Ctx, Engine, WireVec};
 use simnet::Platform;
 
+/// An empty program: what spawning and joining the rank threads costs.
+/// At 256 ranks the rank stacks only just fit the C library's stack
+/// cache, so that is the size a stack-size change shows at.
 fn bench_engine_spawn(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine-spawn");
     g.sample_size(20);
-    for p in [4usize, 16, 64] {
+    for p in [4usize, 16, 64, 256] {
         let engine = Engine::new(Platform::uniform("bench", p, 0.01, 1024, 1.0));
         g.bench_function(format!("noop_{p}_ranks"), |b| {
             b.iter(|| engine.run(|ctx: &mut Ctx<()>| ctx.rank()))
@@ -92,11 +95,13 @@ fn bench_wea(c: &mut Criterion) {
     g.finish();
 }
 
-/// The two detectors at the top of the Table 8 sweep: 256 ranks, one
-/// line of a 256 × 16 × 224 scene each, the paper's t = 18. The kernels
-/// are a sliver of this; what it times is the engine and the work every
-/// rank repeats per round (installs, the carry check, collectives).
-fn bench_thunderhead_detectors(c: &mut Criterion) {
+/// The four algorithms at the top of the Table 8 sweep: 256 ranks, one
+/// line of a 256 × 16 × 224 scene each, the paper's t = 18. For the two
+/// detectors the kernels are a sliver of this; what it times is the
+/// engine and the work every rank repeats per round (installs, the carry
+/// check, collectives). PCT adds 256 covariance partials for the root to
+/// merge, MORPH each rank's halo.
+fn bench_thunderhead_algorithms(c: &mut Criterion) {
     use hetero_hsi::config::{AlgoParams, RunOptions};
     use hsi_cube::synth::{wtc_scene, WtcConfig};
     let scene = wtc_scene(WtcConfig {
@@ -115,6 +120,12 @@ fn bench_thunderhead_detectors(c: &mut Criterion) {
     g.bench_function("par_ufcls", |b| {
         b.iter(|| hetero_hsi::par::ufcls::run(&engine, cube, params, &options))
     });
+    g.bench_function("par_pct", |b| {
+        b.iter(|| hetero_hsi::par::pct::run(&engine, cube, params, &options))
+    });
+    g.bench_function("par_morph", |b| {
+        b.iter(|| hetero_hsi::par::morph::run(&engine, cube, params, &options))
+    });
     g.finish();
 }
 
@@ -123,6 +134,6 @@ criterion_group!(
     bench_engine_spawn,
     bench_collectives,
     bench_wea,
-    bench_thunderhead_detectors
+    bench_thunderhead_algorithms
 );
 criterion_main!(benches);

@@ -21,7 +21,8 @@
 //!
 //! Gates (all enforced):
 //!
-//! * `zero_shrunk_failures` — no scenario violated any invariant;
+//! * `zero_shrunk_failures` — no scenario violated any invariant, and
+//!   none hung;
 //! * `all_invariants_exercised` — every one of the seven invariants
 //!   performed at least one comparison across the campaign;
 //! * `shrinker_selftest` — with an injected invariant break, the
@@ -36,15 +37,47 @@
 //! On violation the full Rust reproducer (a pasteable `#[test]`) is
 //! printed to stderr and a structured record lands in the report's
 //! `failures` array.
+//!
+//! No hang: each check runs on a helper thread, and one that has not
+//! returned after [`SCENARIO_TIMEOUT`] ends the campaign. Its unshrunk
+//! scenario's reproducer goes to stderr, a `no_hang` record to
+//! `failures`, and the process exits 1 with the check still stuck.
 
 use chaos::{
-    reproducer, shrink, CheckCounts, Injection, Invariant, LinkCensus, Oracle, Scenario, Shrunk,
+    hang_reproducer, reproducer, shrink, CheckCounts, Injection, Invariant, LinkCensus, Oracle,
+    Scenario, Shrunk,
 };
 use repro_bench::microjson::{object, Json};
 use repro_bench::write_report;
 use simnet::CollAlgorithm;
-use std::time::Instant;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, Instant};
 use testutil::gen::FaultEvent;
+
+/// How long one scenario's check may take before the soak calls it
+/// hung. Every scenario of the pinned campaign checks in well under a
+/// second in release.
+const SCENARIO_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// `check()` on a helper thread: its value, or `None` if it has not
+/// returned within `timeout`. A stuck thread cannot be stopped; it is
+/// left running for the process's exit to end. A panic in `check`
+/// propagates.
+fn within<T: Send + 'static>(
+    timeout: Duration,
+    check: impl FnOnce() -> T + Send + 'static,
+) -> Option<T> {
+    let (done, verdict) = mpsc::channel();
+    let helper = std::thread::spawn(move || done.send(check()));
+    match verdict.recv_timeout(timeout) {
+        Ok(value) => Some(value),
+        Err(RecvTimeoutError::Timeout) => None,
+        Err(RecvTimeoutError::Disconnected) => match helper.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(_) => unreachable!("the helper sends before it returns"),
+        },
+    }
+}
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -93,14 +126,12 @@ fn shrinker_selftest() -> bool {
     ok
 }
 
-fn failure_json(f: &Shrunk) -> Json {
-    let s = &f.scenario;
+/// One entry of the report's `failures`: what broke, on which scenario,
+/// after how many shrink steps.
+fn failure_json(invariant: &str, detail: &str, s: &Scenario, shrink_steps: usize) -> Json {
     object(vec![
-        (
-            "invariant",
-            Json::String(f.violation.invariant.name().into()),
-        ),
-        ("detail", Json::String(f.violation.detail.clone())),
+        ("invariant", Json::String(invariant.into())),
+        ("detail", Json::String(detail.into())),
         ("seed", Json::Number(s.seed as f64)),
         ("ranks", Json::Number(s.ranks as f64)),
         ("segments", Json::Number(s.segments as f64)),
@@ -126,7 +157,7 @@ fn failure_json(f: &Shrunk) -> Json {
                     .collect(),
             ),
         ),
-        ("shrink_steps", Json::Number(f.steps as f64)),
+        ("shrink_steps", Json::Number(shrink_steps as f64)),
     ])
 }
 
@@ -184,6 +215,7 @@ fn main() {
     let mut completed = 0usize;
     let mut skipped = 0usize;
     let mut failures: Vec<Shrunk> = Vec::new();
+    let mut hung: Option<(Scenario, String)> = None;
     let mut links = [LinkTotals::default(); COLLECTIVES.len()];
     // Fewest ranks, then fewest segments, then lowest seed.
     let mut smallest_overlap: Option<(Scenario, LinkCensus)> = None;
@@ -193,7 +225,17 @@ fn main() {
             break;
         }
         let scenario = Scenario::generate(base_seed + i as u64);
-        let verdict = oracle.check(&scenario);
+        let (checker, checked) = (oracle.clone(), scenario.clone());
+        let Some(verdict) = within(SCENARIO_TIMEOUT, move || checker.check(&checked)) else {
+            let detail = format!("no verdict after {} s", SCENARIO_TIMEOUT.as_secs());
+            eprintln!(
+                "# HANG at seed {}: {detail}; unshrunk reproducer:",
+                scenario.seed
+            );
+            eprintln!("{}", hang_reproducer(&scenario, &detail));
+            hung = Some((scenario, detail));
+            break;
+        };
         totals.merge(&verdict.counts);
         completed += 1;
         if verdict.skipped {
@@ -239,12 +281,13 @@ fn main() {
         }
     }
 
-    let gate_zero_failures = failures.is_empty();
+    let gate_zero_failures = failures.is_empty() && hung.is_none();
     let gate_all_exercised = Invariant::ALL.iter().all(|&i| totals.of(i) > 0);
     eprintln!(
-        "# {completed}/{requested} scenarios, {} checks total, {skipped} skipped, {} unique shrunk failure(s)",
+        "# {completed}/{requested} scenarios, {} checks total, {skipped} skipped, {} unique shrunk failure(s), {} hang(s)",
         totals.total(),
-        failures.len()
+        failures.len(),
+        usize::from(hung.is_some())
     );
     for invariant in Invariant::ALL {
         eprintln!(
@@ -266,7 +309,7 @@ fn main() {
         );
     }
     eprintln!(
-        "# gate 1 (zero shrunk failures): {}",
+        "# gate 1 (zero shrunk failures, no hang): {}",
         if gate_zero_failures { "PASS" } else { "FAIL" }
     );
     eprintln!(
@@ -313,7 +356,19 @@ fn main() {
             ),
             (
                 "failures",
-                Json::Array(failures.iter().map(failure_json).collect()),
+                Json::Array(
+                    failures
+                        .iter()
+                        .map(|f| {
+                            let v = &f.violation;
+                            failure_json(v.invariant.name(), &v.detail, &f.scenario, f.steps)
+                        })
+                        .chain(
+                            hung.iter()
+                                .map(|(s, detail)| failure_json("no_hang", detail, s, 0)),
+                        )
+                        .collect(),
+                ),
             ),
             (
                 "elapsed_secs",
@@ -332,5 +387,25 @@ fn main() {
     if status == "failed" {
         eprintln!("# GATE FAILED");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_check_that_never_returns_is_given_up_on() {
+        let stuck = within(Duration::from_millis(50), || loop {
+            std::thread::park();
+        });
+        assert_eq!(stuck, None::<()>);
+        assert_eq!(within(SCENARIO_TIMEOUT, || 7), Some(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "oracle bug")]
+    fn a_check_that_panics_is_not_taken_for_a_hang() {
+        within(SCENARIO_TIMEOUT, || panic!("oracle bug"));
     }
 }

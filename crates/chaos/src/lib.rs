@@ -37,4 +37,4 @@ pub mod shrink;
 
 pub use oracle::{CheckCounts, Injection, Invariant, LinkCensus, Oracle, Verdict, Violation};
 pub use scenario::{Algo, Driver, Scenario};
-pub use shrink::{json_record, reproducer, shrink, Shrunk};
+pub use shrink::{hang_reproducer, json_record, reproducer, shrink, Shrunk};

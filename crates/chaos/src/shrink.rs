@@ -222,14 +222,32 @@ fn reduce_ranks(s: &Scenario, ranks: usize) -> Scenario {
 /// `docs/TESTING.md` for the workflow). Float literals use `{:?}`,
 /// which round-trips `f64` bit-exactly.
 pub fn reproducer(s: &Scenario, v: &Violation) -> String {
+    let what = format!(
+        "minimal scenario violating\n/// the `{}` invariant.",
+        v.invariant.name()
+    );
+    test_source(s, &what, &v.detail)
+}
+
+/// Renders a scenario whose check never returned as the same kind of
+/// regression test. The scenario is unshrunk: shrinking it would run the
+/// check that hung again.
+pub fn hang_reproducer(s: &Scenario, detail: &str) -> String {
+    test_source(
+        s,
+        "scenario whose check never\n/// returned (`no_hang`).",
+        detail,
+    )
+}
+
+fn test_source(s: &Scenario, what: &str, detail: &str) -> String {
     let faults = s
         .faults
         .iter()
         .map(|e| format!("            FaultEvent::{e:?},\n"))
         .collect::<String>();
     format!(
-        "/// Auto-generated by the chaos harness: minimal scenario violating\n\
-         /// the `{name}` invariant.\n\
+        "/// Auto-generated by the chaos harness: {what}\n\
          ///\n\
          /// Evidence at generation time: {detail}\n\
          #[test]\n\
@@ -259,8 +277,7 @@ pub fn reproducer(s: &Scenario, v: &Violation) -> String {
          {i}let verdict = Oracle::new().check(&scenario);\n\
          {i}assert!(verdict.violation.is_none(), \"{{:?}}\", verdict.violation);\n\
          }}\n",
-        name = v.invariant.name(),
-        detail = v.detail.replace('\n', " "),
+        detail = detail.replace('\n', " "),
         i = "    ",
         seed = s.seed,
         ranks = s.ranks,
@@ -464,5 +481,11 @@ mod tests {
         let json = json_record(&s, &v);
         assert!(json.contains("\"invariant\": \"predict-exact\""));
         assert!(json.contains("\"seed\": 42"));
+        let hung = hang_reproducer(&s, "no verdict after 60 s");
+        assert!(hung.contains("fn chaos_repro_seed_42()"));
+        assert!(hung.contains("`no_hang`") && hung.contains("no verdict after 60 s"));
+        // Only the header differs from a violation's reproducer.
+        let body = |code: &str| code[code.find("#[test]").expect("test attribute")..].to_string();
+        assert_eq!(body(&hung), body(&code));
     }
 }

@@ -47,6 +47,26 @@ use std::sync::{Arc, Mutex};
 
 type TraceSink = Option<Arc<Mutex<Vec<TraceEvent>>>>;
 
+/// The stack each rank thread gets. glibc keeps up to 40 MiB of exited
+/// threads' stacks for reuse: 256 ranks × (128 KiB + a 4 KiB guard page)
+/// ≈ 33 MiB fits, so each run's rank threads take over stacks an earlier
+/// run already mapped and faulted in. At the default 2 MiB, 256 ranks
+/// need 512 MiB; all but ≈ 20 stacks were mapped, guarded, faulted and
+/// unmapped again on every run. Every rank program in the workspace's
+/// tests runs in 32 KiB, a quarter of this; `tests/engine_scale.rs`
+/// pins room for a 64 KiB frame.
+const RANK_STACK: usize = 128 * 1024;
+
+/// How a rank's thread is started: the builder to spawn it with, or the
+/// error to fail the spawn with. The engine's is [`rank_thread`]; a test
+/// passes one that refuses a rank, to drive the path a failed thread
+/// spawn takes.
+type Spawner = fn(usize) -> std::io::Result<std::thread::Builder>;
+
+fn rank_thread(_rank: usize) -> std::io::Result<std::thread::Builder> {
+    Ok(std::thread::Builder::new().stack_size(RANK_STACK))
+}
+
 /// Types that can travel through the engine: anything sendable that can
 /// report its wire size in bits (the paper's message-cost unit).
 pub trait Wire: Send + 'static {
@@ -780,6 +800,17 @@ impl Engine {
     /// that fail — by panic or by scheduled crash — contribute `None`
     /// and a [`RankFailure`] entry in [`RunReport::failures`] instead of
     /// aborting the run.
+    ///
+    /// Each rank runs on its own OS thread with a 128 KiB stack, whatever
+    /// `RUST_MIN_STACK` says: 256 ranks' stacks then fit the C library's
+    /// cache of exited threads' stacks, and a run reuses the previous
+    /// run's. A program that needs deeper frames keeps its buffers on the
+    /// heap; the kernel threads a rank starts (width > 1) get the default
+    /// stack. If a rank's thread cannot be spawned, the engine spawns no
+    /// further ranks: that rank fails with
+    /// `FailureCause::Panic("engine: could not spawn rank thread: …")`,
+    /// every later rank fails unspawned, and the ranks already running
+    /// see them as failed peers.
     pub fn run<M, R, F>(&self, program: F) -> RunReport<R>
     where
         M: Wire,
@@ -789,7 +820,7 @@ impl Engine {
         if self.profiling {
             self.run_traced(program).0
         } else {
-            self.run_inner(program, None)
+            self.run_inner(program, None, rank_thread)
         }
     }
 
@@ -804,7 +835,7 @@ impl Engine {
         F: Fn(&mut Ctx<M>) -> R + Sync,
     {
         let sink = Arc::new(Mutex::new(Vec::new()));
-        let mut report = self.run_inner(program, Some(Arc::clone(&sink)));
+        let mut report = self.run_inner(program, Some(Arc::clone(&sink)), rank_thread);
         let mut trace = Trace {
             events: std::mem::take(&mut *lock_unpoisoned(&sink)),
         };
@@ -817,7 +848,7 @@ impl Engine {
         (report, trace)
     }
 
-    fn run_inner<M, R, F>(&self, program: F, trace: TraceSink) -> RunReport<R>
+    fn run_inner<M, R, F>(&self, program: F, trace: TraceSink, spawner: Spawner) -> RunReport<R>
     where
         M: Wire,
         R: Send,
@@ -839,6 +870,7 @@ impl Engine {
         );
         let mut outcomes: Vec<Option<Outcome<R>>> = (0..p).map(|_| None).collect();
         std::thread::scope(|scope| {
+            let board = &*fabric;
             let mut handles = Vec::with_capacity(p);
             for rank in 0..p {
                 let platform = Arc::clone(&self.platform);
@@ -846,7 +878,7 @@ impl Engine {
                 let faults = Arc::clone(&self.faults);
                 let program = &program;
                 let trace = trace.clone();
-                handles.push(scope.spawn(move || {
+                let body = move || {
                     // Each rank installs a size-bounded kernel pool, so
                     // rank-level and data-level parallelism compose
                     // without oversubscription (ranks × width ≤ cores by
@@ -916,7 +948,47 @@ impl Engine {
                         result,
                         failure,
                     )
-                }));
+                };
+                match spawner(rank).and_then(|builder| builder.spawn_scoped(scope, body)) {
+                    Ok(handle) => handles.push(handle),
+                    Err(e) => {
+                        // The OS is out of threads or memory: spawn no
+                        // more. Ranks `rank..p` never run; their exits
+                        // go on the board so the running ranks that wait
+                        // on them unwind instead of waiting forever.
+                        for (never, outcome) in outcomes.iter_mut().enumerate().skip(rank) {
+                            let cause = FailureCause::Panic(if never == rank {
+                                format!("engine: could not spawn rank thread: {e}")
+                            } else {
+                                format!(
+                                    "engine: rank thread not spawned: rank {rank}'s spawn failed"
+                                )
+                            });
+                            board.leave(
+                                never,
+                                Exit {
+                                    at: 0.0,
+                                    failure: Some(cause.clone()),
+                                },
+                            );
+                            let failure = RankFailure {
+                                rank: never,
+                                at: 0.0,
+                                cause,
+                            };
+                            *outcome = Some((
+                                TimeLedger::new(),
+                                Vec::new(),
+                                Vec::new(),
+                                crate::report::CopyStats::default(),
+                                crate::accel::OffloadStats::default(),
+                                None,
+                                Some(failure),
+                            ));
+                        }
+                        break;
+                    }
+                }
             }
             for (rank, h) in handles.into_iter().enumerate() {
                 match h.join() {
@@ -1689,6 +1761,95 @@ mod tests {
         let report = engine.run(|ctx: &mut Ctx<()>| ctx.rank());
         assert_eq!(report.results.len(), 128);
         assert_eq!(*report.result(127), 127);
+    }
+
+    #[test]
+    fn a_rank_that_cannot_be_spawned_fails_the_run_instead_of_hanging() {
+        // Refuse the k-th spawn for every k. The root waits on every
+        // worker, blocking or with a deadline; each worker sends it its
+        // rank. Run under a watchdog: a run that hangs fails the test.
+        const P: usize = 4;
+        static REFUSE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        fn refuse_one(rank: usize) -> std::io::Result<std::thread::Builder> {
+            if rank == REFUSE.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(std::io::Error::other("refused"));
+            }
+            rank_thread(rank)
+        }
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let engine = Engine::new(Platform::uniform("t4", P, 0.01, 1024, 10.0));
+            for k in 0..P {
+                REFUSE.store(k, std::sync::atomic::Ordering::Relaxed);
+                let blocking = engine.run_inner(
+                    |ctx: &mut Ctx<u64>| match ctx.rank() {
+                        0 => (1..P).map(|src| ctx.recv(src)).sum(),
+                        me => {
+                            ctx.send(0, me as u64);
+                            0
+                        }
+                    },
+                    None,
+                    refuse_one,
+                );
+                let deadline = engine.run_inner(
+                    |ctx: &mut Ctx<u64>| match ctx.rank() {
+                        0 => (1..P)
+                            .map(|src| ctx.recv_deadline(src, 1.0).map_err(|e| e.to_string()))
+                            .collect(),
+                        me => {
+                            ctx.send(0, me as u64);
+                            Vec::new()
+                        }
+                    },
+                    None,
+                    refuse_one,
+                );
+                done.send((k, blocking, deadline)).expect("test alive");
+            }
+        });
+        let refused = FailureCause::Panic("engine: could not spawn rank thread: refused".into());
+        for _ in 0..P {
+            let (k, blocking, deadline) = watchdog
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a refused spawn must end the run, not hang it");
+            let ranks =
+                |failures: &[RankFailure]| failures.iter().map(|f| f.rank).collect::<Vec<_>>();
+            // The root fails too when it is blocked on a rank that never
+            // ran; with a deadline it sees the failure and completes.
+            let lost: Vec<usize> = if k == 0 { vec![] } else { vec![0] };
+            assert_eq!(ranks(&blocking.failures), [lost, (k..P).collect()].concat());
+            assert_eq!(ranks(&deadline.failures), (k..P).collect::<Vec<_>>());
+            for report in [&blocking.failures, &deadline.failures] {
+                assert_eq!(
+                    report.iter().find(|f| f.rank == k).map(|f| &f.cause),
+                    Some(&refused)
+                );
+                for f in report.iter().filter(|f| f.rank > k) {
+                    assert!(
+                        matches!(&f.cause, FailureCause::Panic(s) if s.contains("not spawned")),
+                        "k = {k}: {f:?}"
+                    );
+                }
+            }
+            if k > 0 {
+                assert_eq!(
+                    blocking.failure_of(0).map(|f| &f.cause),
+                    Some(&FailureCause::PeerLost { peer: k }),
+                );
+                for (src, got) in (1..P).zip(deadline.result(0)) {
+                    if src < k {
+                        assert_eq!(got, &Ok(src as u64), "k = {k}");
+                    } else {
+                        assert!(
+                            got.as_ref().is_err_and(|e| e.contains("spawn")),
+                            "k = {k}: {got:?}"
+                        );
+                    }
+                }
+            }
+        }
+        runner.join().expect("every run returned");
     }
 
     #[test]

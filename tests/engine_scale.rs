@@ -13,11 +13,19 @@ use heterospec::hetero::config::RunOptions;
 use heterospec::hetero::ft::{run_replan, run_self_sched, FtOptions, FtRun};
 use heterospec::hetero::sched::{AtdcaChunks, ChunkedAlgo, MorphChunks, PctChunks, UfclsChunks};
 use heterospec::hetero::{par, OutputDigest};
-use heterospec::simnet::engine::Engine;
+use heterospec::simnet::engine::{Ctx, Engine};
 use heterospec::simnet::report::RunReport;
 use heterospec::simnet::{presets, FaultPlan};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const RERUNS: usize = 5;
+
+/// The page-fault gate below needs the C library's stack cache to
+/// itself, and every test here spawns rank threads: they take turns.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// `run` on five reruns of a 1-thread-per-rank engine and once at 2:
 /// every `(output digest, report)` equals the first.
@@ -33,6 +41,7 @@ fn assert_repeats(what: &str, engine: &Engine, run: impl Fn(&Engine) -> (u64, Ru
 
 #[test]
 fn the_four_algorithms_repeat_exactly_on_256_ranks() {
+    let _turn = one_at_a_time();
     // One image line per rank, as in the benchmark's thunderhead-scale.
     let scene = testutil::scene(256, 8, 32);
     let cube = &scene.cube;
@@ -89,8 +98,75 @@ where
     }
 }
 
+/// Minor page faults the calling thread has taken since it started:
+/// field 10 of `/proc/thread-self/stat`, counted after the `(comm)`
+/// field, which may itself hold spaces.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn thread_minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("procfs");
+    let after_comm = &stat[stat.rfind(')').expect("(comm) field") + 1..];
+    // Field 3 (state) comes first after `(comm)`: field 10 is the 8th.
+    after_comm
+        .split_whitespace()
+        .nth(7)
+        .and_then(|f| f.parse().ok())
+        .expect("minflt field")
+}
+
+/// The minor faults a second 256-rank run's rank threads take, summed
+/// over ranks. Each rank writes its rank over a `FRAME`-byte array on
+/// its stack, and every worker sends the root what it reads back.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn warm_run_faults<const FRAME: usize>() -> u64 {
+    let _turn = one_at_a_time();
+    let engine = Engine::new(presets::thunderhead(256)).with_threads_per_rank(1);
+    let run = || {
+        engine.run(|ctx: &mut Ctx<u64>| {
+            let mut frame = [0u8; FRAME];
+            frame.fill(ctx.rank() as u8);
+            std::hint::black_box(&mut frame);
+            if ctx.is_root() {
+                let sum: u64 = (1..ctx.num_ranks()).map(|src| ctx.recv(src)).sum();
+                assert_eq!(sum, 255 * 256 / 2);
+            } else {
+                ctx.send(0, u64::from(frame[0]));
+            }
+            thread_minor_faults()
+        })
+    };
+    let _warm = run();
+    let report = run();
+    assert!(report.ok(), "{:?}", report.failures);
+    report.results.iter().flatten().sum()
+}
+
+/// Rank threads take over the previous run's stacks: 256 ranks' stacks
+/// fit glibc's 40 MiB cache of exited threads' stacks, so a warm run
+/// faults in next to nothing (3 faults measured). With 2 MiB stacks, 256
+/// of them overflow the cache and the same run takes ≈ 700.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[test]
+fn a_warm_256_rank_run_faults_in_no_fresh_stacks() {
+    let faults = warm_run_faults::<16>();
+    assert!(
+        faults <= 64,
+        "{faults} minor faults on 256 warm rank threads"
+    );
+}
+
+/// The rank stack has room for a 64 KiB frame: a smaller budget
+/// overflows here instead of in some deeper rank program. (No fault
+/// budget: glibc hands the kernel back the pages below a cached stack's
+/// top 16 KiB, so a deep frame faults in again on every run.)
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[test]
+fn a_rank_program_has_room_for_a_64_kib_frame() {
+    warm_run_faults::<{ 64 * 1024 }>();
+}
+
 #[test]
 fn both_ft_drivers_repeat_exactly_under_crashes_a_slowdown_and_a_link_outage() {
+    let _turn = one_at_a_time();
     let scene = testutil::tiny_scene();
     let params = testutil::params(5, 2);
     assert_ft_repeats(&AtdcaChunks::new(&scene.cube, &params));
