@@ -18,7 +18,9 @@ use heterospec::hetero::ft::{run_replan, run_self_sched, FtOptions, FtRun};
 use heterospec::hetero::sched::{AtdcaChunks, ChunkedAlgo, MorphChunks, PctChunks, UfclsChunks};
 use heterospec::hetero::{par, seq, OffloadPolicy};
 use heterospec::simnet::engine::Engine;
-use heterospec::simnet::{presets, CollAlgorithm, CollectiveConfig, FaultPlan, RunReport};
+use heterospec::simnet::{
+    presets, CollAlgorithm, CollectiveConfig, FaultPlan, RunReport, ScatterMode,
+};
 
 /// `(cell, bits)`: one `f64::to_bits` per row.
 type Table = Vec<(String, u64)>;
@@ -136,6 +138,20 @@ fn observed() -> Table {
             par_cells(&mut table, (cube, &p), &engine, cell, &options);
         }
     }
+    // The scatter charged at its wire size: every partition's header and
+    // samples reach the clock, MORPH's halo clipped at the image border.
+    let engine = Engine::new(presets::fully_heterogeneous());
+    for (name, options) in [
+        ("hetero", RunOptions::hetero()),
+        ("homo", RunOptions::homo()),
+    ] {
+        let options = RunOptions {
+            scatter_mode: ScatterMode::Charged,
+            ..options
+        };
+        let cell = |algo: &str| format!("par {algo} het16 {name} charged");
+        par_cells(&mut table, (cube, &p), &engine, cell, &options);
+    }
     // Every rank stages its kernels on its device where it has one: the
     // staging-byte counts of all four algorithms reach the clock.
     let engine = Engine::new(presets::accel_heterogeneous());
@@ -174,7 +190,9 @@ fn virtual_numbers_keep_their_bits() {
 /// `ft` rows were re-pinned when the ft drivers took the partitioned
 /// runs' cost conventions (kernel-reported chunk charges, one install
 /// per worker and round, per-step merge charges, delta broadcasts,
-/// partials at their wire sizes); no `seq` or `par` row moved.
+/// partials at their wire sizes); no `seq` or `par` row moved. The
+/// `charged` rows, the only ones that read a partition's wire size, were
+/// added at `a822b95`.
 const PINS: &[(&str, u64)] = &[
     ("seq ATDCA", 0x4014e8d972cd7cf6),
     ("seq UFCLS", 0x40109a027525460b),
@@ -308,6 +326,38 @@ const PINS: &[(&str, u64)] = &[
     ("par MORPH th5 pipelined com", 0x3f3b366fdc3984e5),
     ("par MORPH th5 pipelined seq", 0x3f6013f566852b76),
     ("par MORPH th5 pipelined par", 0x3fd00ef3f58ff772),
+    ("par ATDCA het16 hetero charged total", 0x3fab573687a36554),
+    ("par ATDCA het16 hetero charged com", 0x3f9954f8f34bdd8f),
+    ("par ATDCA het16 hetero charged seq", 0x3f30a6dcc7427ee5),
+    ("par ATDCA het16 hetero charged par", 0x3f9d16d8a8dde31d),
+    ("par UFCLS het16 hetero charged total", 0x3faaa61f639b796f),
+    ("par UFCLS het16 hetero charged com", 0x3f9c2d873c94c4b2),
+    ("par UFCLS het16 hetero charged seq", 0x3f2a843220b0f1ca),
+    ("par UFCLS het16 hetero charged par", 0x3f98e9af2660cc48),
+    ("par PCT het16 hetero charged total", 0x3fd3f38aca5d8198),
+    ("par PCT het16 hetero charged com", 0x3fc257af2c3b91e2),
+    ("par PCT het16 hetero charged seq", 0x3fba1a785671df6c),
+    ("par PCT het16 hetero charged par", 0x3fb104547a8d0330),
+    ("par MORPH het16 hetero charged total", 0x3fcc2217814cd8e4),
+    ("par MORPH het16 hetero charged com", 0x3f827c2a2e3807e6),
+    ("par MORPH het16 hetero charged seq", 0x3f6c18828b68b20d),
+    ("par MORPH het16 hetero charged par", 0x3fca89f2d43bb59e),
+    ("par ATDCA het16 homo charged total", 0x3fd1173caf76364a),
+    ("par ATDCA het16 homo charged com", 0x3f9dcbb507a4b306),
+    ("par ATDCA het16 homo charged seq", 0x3f30a6dcc7428065),
+    ("par ATDCA het16 homo charged par", 0x3fce6caf4f9434f3),
+    ("par UFCLS het16 homo charged total", 0x3fd10d8b62dafab4),
+    ("par UFCLS het16 homo charged com", 0x3f9f65430050ccb0),
+    ("par UFCLS het16 homo charged seq", 0x3f2a843220b0f0ca),
+    ("par UFCLS het16 homo charged par", 0x3fce27cd5923af96),
+    ("par PCT het16 homo charged total", 0x3fe14a30e47a16b4),
+    ("par PCT het16 homo charged com", 0x3fc8500d2423f862),
+    ("par PCT het16 homo charged seq", 0x3fbb5a10641dae32),
+    ("par PCT het16 homo charged par", 0x3fcf2bae3bb58b56),
+    ("par MORPH het16 homo charged total", 0x3fde770c9b07c789),
+    ("par MORPH het16 homo charged com", 0x3f8c894806b7a6ab),
+    ("par MORPH het16 homo charged seq", 0x3f727c0e7a5e6e66),
+    ("par MORPH het16 homo charged par", 0x3fdd48d220e8909a),
     ("par ATDCA accel offload total", 0x3fa3e0ae94452165),
     ("par ATDCA accel offload com", 0x3fa0e90fc8ffc981),
     ("par ATDCA accel offload seq", 0x3f30a6dcc7427e65),
