@@ -15,29 +15,6 @@ use simnet::engine::Engine;
 use simnet::report::RunReport;
 use simnet::{Ctx, Wire};
 
-/// A rank's local share of the image.
-#[derive(Debug, Clone)]
-pub struct LocalBlock {
-    /// First global line owned by this rank.
-    pub first_line: usize,
-    /// Number of owned lines (may be zero on tiny images).
-    pub n_lines: usize,
-    /// Halo lines prepended before the owned region.
-    pub pre: usize,
-    /// The block, halo included. On the host it is a window on the
-    /// root's image (shared storage, nothing copied; a write would copy
-    /// the window out first), while the virtual network was charged the
-    /// block's full size for shipping it.
-    pub cube: HyperCube,
-}
-
-impl LocalBlock {
-    /// Local line range of the **owned** region, `(lo, hi)`.
-    pub fn own_range(&self) -> (usize, usize) {
-        (self.pre, self.pre + self.n_lines)
-    }
-}
-
 /// Computes workload fractions for a strategy.
 pub fn plan_fractions(
     platform: &simnet::Platform,
@@ -92,47 +69,44 @@ pub fn plan_assignments(
         .expect("platform memory cannot hold the image")
 }
 
-/// Algorithm 2/3/4/5 step 1: the root carves the image into partitions
-/// (optionally with overlap halos) and ships them; every rank returns
-/// its [`LocalBlock`].
+/// Algorithm 2/3/4/5 step 1: the root ships every rank its partition —
+/// its lines plus `overlap` halo lines a side, clipped at the image
+/// border — and every rank returns its `(first_line, n_lines)`.
 ///
-/// The `cube` reference is only dereferenced on the root, mirroring the
-/// real system where only the master holds the full image. Each
-/// partition is a window on `cube`'s storage: the scatter charges the
-/// virtual network every bit of every block, and the host holds the
-/// image once however many ranks there are.
+/// The scatter charges each partition's header and window at their wire
+/// size, but no image data moves on the host: every rank reads the one
+/// `cube`, which only the root dereferences here, to size the windows.
 pub fn distribute<P: Wire + Sync + Clone, D: Wire + Sync>(
     ctx: &mut Ctx<Msg<P, D>>,
     cube: &HyperCube,
     assignments: &[RowAssignment],
     overlap: usize,
     mode: ScatterMode,
-) -> LocalBlock {
+) -> (usize, usize) {
     assert_eq!(assignments.len(), ctx.num_ranks());
-    let items = if ctx.is_root() {
-        Some(
-            assignments
-                .iter()
-                .map(|a| {
-                    let (block, pre) =
-                        cube.extract_lines_with_overlap(a.first_line, a.n_lines, overlap);
-                    Msg::partition(a.first_line, a.n_lines, pre, block)
-                })
-                .collect(),
-        )
-    } else {
-        None
-    };
-    let (first_line, n_lines, pre, cube) = coll::scatter(ctx, 0, items, mode)
+    let items = ctx
+        .is_root()
+        .then(|| partitions(cube, assignments, overlap));
+    coll::scatter(ctx, 0, items, mode)
         .expect("distribute: scatter misuse")
         .into_partition()
-        .expect("distribute: protocol violation");
-    LocalBlock {
-        first_line,
-        n_lines,
-        pre,
-        cube,
-    }
+        .expect("distribute: protocol violation")
+}
+
+/// The root's partition messages, one per assignment: each is sized by
+/// the window of its lines with `overlap` halo lines a side.
+fn partitions<P: Clone, D>(
+    cube: &HyperCube,
+    assignments: &[RowAssignment],
+    overlap: usize,
+) -> Vec<Msg<P, D>> {
+    assignments
+        .iter()
+        .map(|a| {
+            let (window, _) = cube.extract_lines_with_overlap(a.first_line, a.n_lines, overlap);
+            Msg::partition(a.first_line, a.n_lines, window.as_slice().len())
+        })
+        .collect()
 }
 
 /// Outcome of a parallel run: the root's result plus the timing report.
@@ -184,75 +158,33 @@ mod tests {
         }
     }
 
-    /// "Memory proportional to one cube", in the form any host can
-    /// check: the rank's block is a window inside the root's own buffer.
-    fn lies_inside(block: &HyperCube, root: &HyperCube) -> bool {
-        let (block, root) = (
-            block.as_slice().as_ptr_range(),
-            root.as_slice().as_ptr_range(),
-        );
-        root.start <= block.start && block.end <= root.end
-    }
-
     #[test]
-    fn distribute_reconstructs_the_image() {
-        let s = scene();
-        let cube = s.cube.clone();
-        let platform = presets::fully_heterogeneous();
-        let options = RunOptions::hetero();
-        let assignments = plan_assignments(&platform, &cube, &options, cost(&cube));
-        let engine = Engine::new(platform);
-        let report = engine.run(|ctx: &mut Ctx<Msg>| {
-            let block = distribute(ctx, &cube, &assignments, 0, ScatterMode::Free);
-            // Every owned pixel must equal the original image pixel.
-            for l in 0..block.n_lines {
-                for smp in 0..cube.samples() {
-                    let local = block.cube.pixel(block.pre + l, smp);
-                    let global = cube.pixel(block.first_line + l, smp);
-                    assert_eq!(local, global);
-                }
-            }
-            assert!(lies_inside(&block.cube, &cube), "rank {}", ctx.rank());
-            block.n_lines
-        });
-        let total: usize = report.results.iter().map(|r| r.unwrap()).sum();
-        assert_eq!(total, cube.lines());
-    }
-
-    #[test]
-    fn distribute_with_overlap_has_halo() {
-        let s = scene();
-        let cube = s.cube.clone();
+    fn distribute_ships_each_rank_its_lines_and_charges_its_clipped_window() {
+        let cube = scene().cube;
         let platform = presets::thunderhead(4);
-        let options = RunOptions::homo();
-        let assignments = plan_assignments(&platform, &cube, &options, cost(&cube));
+        let assignments = plan_assignments(&platform, &cube, &RunOptions::homo(), cost(&cube));
         let engine = Engine::new(platform);
-        let report = engine.run(|ctx: &mut Ctx<Msg>| {
-            let block = distribute(ctx, &cube, &assignments, 2, ScatterMode::Free);
-            // The halo block starts at the root's own line `first - pre`.
-            assert!(lies_inside(&block.cube, &cube), "rank {}", ctx.rank());
-            assert!(std::ptr::eq(
-                block.cube.pixel(0, 0).as_ptr(),
-                cube.pixel(block.first_line - block.pre, 0).as_ptr()
-            ));
-            (block.pre, block.cube.lines() - block.pre - block.n_lines)
-        });
-        // Interior ranks get halo on both sides; rank 0 has none above.
-        assert_eq!(report.result(0).0, 0);
-        assert_eq!(report.result(0).1, 2);
-        assert_eq!(report.result(1).0, 2);
-        assert_eq!(report.result(3).1, 0);
-    }
-
-    #[test]
-    fn local_block_own_range() {
-        let block = LocalBlock {
-            first_line: 100,
-            n_lines: 10,
-            pre: 3,
-            cube: HyperCube::zeros(16, 4, 2),
-        };
-        assert_eq!(block.own_range(), (3, 13));
+        // 12 of the 48 lines each; a line is 40 samples of 64 bands.
+        let line_bits = 40 * 64 * 32;
+        for (overlap, lines) in [(0, [12, 12, 12]), (2, [14, 16, 14])] {
+            let report = engine.run(|ctx: &mut Ctx<Msg>| {
+                distribute(ctx, &cube, &assignments, overlap, ScatterMode::Charged)
+            });
+            for rank in 0..4 {
+                assert_eq!(*report.result(rank), (12 * rank, 12), "overlap {overlap}");
+            }
+            // The first, a middle and the last partition: the halo is
+            // clipped at the image border.
+            let items: Vec<Msg> = partitions(&cube, &assignments, overlap);
+            for (rank, lines) in [0, 1, 3].into_iter().zip(lines) {
+                let bits = items[rank].size_bits();
+                assert_eq!(
+                    bits,
+                    5 * 32 + lines * line_bits,
+                    "rank {rank}, overlap {overlap}"
+                );
+            }
+        }
     }
 
     #[test]

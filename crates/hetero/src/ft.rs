@@ -10,10 +10,11 @@
 //! * [`run_replan`] — **static WEA with re-planning**: each round is cut
 //!   into one batch per worker, sized by relative speed (the WEA
 //!   apportionment of [`crate::wea::apportion_rows`]). The master awaits
-//!   each batch under a completion deadline predicted from the
-//!   algorithm's charges; when a worker's failure marker surfaces, every
-//!   unfinished batch of that worker is re-apportioned over the survivors
-//!   and re-dispatched. Recovery cost scales with the *lost partition*.
+//!   the batches in dispatch order, each until its partial or its
+//!   worker's failure marker arrives: a slowed worker is late, never
+//!   presumed dead. When a failure marker surfaces, every unfinished
+//!   batch of that worker is re-apportioned over the survivors and
+//!   re-dispatched. Recovery cost scales with the *lost partition*.
 //! * [`run_self_sched`] — **chunked self-scheduling**: rounds are cut
 //!   into fixed-size chunks handed to whichever worker is free; a dead
 //!   worker's only in-flight chunk goes back on the queue. What is lost
@@ -52,18 +53,18 @@
 //! its one copy of the round's delta before it acks, and the master opens
 //! no later round, under no later epoch, before every survivor has acked
 //! or failed — so a worker accepts the current epoch and round only, and
-//! treats any other as unreachable. [`CollAlgorithm::PipelinedChunked`]
-//! normalizes to the segment-hierarchical tree it shares: chunk
-//! streaming composes poorly with mid-round rescue (every chunk is a
-//! full payload with partial charge).
+//! treats any other as unreachable. The protocol forwards whole deltas,
+//! so [`coll::resolve_over`] runs [`CollAlgorithm::PipelinedChunked`] as
+//! the segment-hierarchical tree it shares, and `Auto` chooses among the
+//! schedules the protocol runs.
 //!
 //! **Determinism.** All scheduling decisions are functions of virtual
-//! time: the master polls workers in rank order at deadlines predicted
-//! from the algorithm's charges ([`ChunkedAlgo::chunk_mflops`],
-//! [`ChunkedAlgo::chunk_bytes`]) or at fixed poll intervals, and `simnet`
-//! delivers messages and failure markers at cost-model times. Two runs
-//! with the same fault plan produce bit-identical [`RunReport`]s and
-//! outputs (asserted by the `fault_injection` integration suite).
+//! time: the re-planning master waits for each batch's outcome, the
+//! self-scheduling master polls its workers in rank order at fixed
+//! intervals ([`POLL_INTERVAL_S`]), and `simnet` delivers messages and
+//! failure markers at cost-model times. Two runs with the same fault
+//! plan produce bit-identical [`RunReport`]s and outputs (asserted by the
+//! `fault_injection` integration suite).
 
 use crate::offload::{self, ChunkCost, OffloadPolicy};
 use crate::sched::ChunkedAlgo;
@@ -74,15 +75,6 @@ use simnet::report::RunReport;
 use simnet::{Ctx, RankFailure, RecvError};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Deadline factor κ of the re-planning mode: a batch estimated at `e`
-/// seconds is declared late after `κ·e` (late batches merely extend the
-/// deadline — only a failure marker is authoritative).
-pub const FAILURE_THRESHOLD: f64 = 4.0;
-
-/// Deadline extension (seconds) after a late batch of the re-planning
-/// mode.
-pub const MARGIN_S: f64 = 0.05;
 
 /// Idle poll interval (seconds) of the self-scheduling master.
 pub const POLL_INTERVAL_S: f64 = 0.02;
@@ -676,17 +668,6 @@ fn broadcast_state<D: Wire + Sync, P: Wire>(
     });
 }
 
-/// Normalizes a broadcast algorithm for the ft tree mode: pipelined
-/// chunk streaming composes poorly with mid-round rescue (every chunk is
-/// a full payload with partial charge), so it falls back to the
-/// segment-hierarchical tree it shares.
-fn normalize_tree_algo(algorithm: CollAlgorithm) -> CollAlgorithm {
-    match algorithm {
-        CollAlgorithm::PipelinedChunked => CollAlgorithm::SegmentHierarchical,
-        a => a,
-    }
-}
-
 /// Opens a tree-mode round and runs it to the state-distribution
 /// barrier: resolves the schedule over the current survivor view
 /// (logging the [`simnet::CollectiveChoice`] on rank 0), sends the
@@ -712,10 +693,9 @@ fn start_round_tree<D: Wire + Sync, P: Wire>(
     round: usize,
     delta: &Option<Arc<D>>,
 ) {
-    let requested = normalize_tree_algo(cfg.broadcast);
     let bits = delta_bits(delta);
-    let resolved = coll::resolve_over(ctx, CollOp::Broadcast, requested, 0, &roster.view, bits);
-    let algorithm = normalize_tree_algo(resolved);
+    let algorithm =
+        coll::resolve_over(ctx, CollOp::Broadcast, cfg.broadcast, 0, &roster.view, bits);
     let epoch = roster.view.epoch();
     let survivors = roster.view.survivors();
     let workers = roster.workers();
@@ -813,25 +793,10 @@ fn master<A: ChunkedAlgo>(
     Ok((algo.finish(state), roster.recoveries))
 }
 
-/// A dispatched batch of the re-planning master.
-struct Batch {
-    id: u64,
-    worker: usize,
-    first: usize,
-    n: usize,
-    deadline: f64,
-    /// Analytic worst-case completion: the κ-padded estimate stretched
-    /// through every active slowdown window of the worker
-    /// ([`simnet::FaultPlan::dilate`]), plus one margin. A live worker —
-    /// however slowed — finishes by this instant, so deadline
-    /// extensions never pass it.
-    cap: f64,
-    done: bool,
-}
-
 /// One round of the re-planning policy: one speed-proportional batch per
-/// surviving worker, awaited under analytic deadlines; a lost worker's
-/// unfinished batches are re-apportioned over the survivors.
+/// surviving worker, each awaited until its partial or its worker's
+/// failure marker arrives; a lost worker's unfinished batches are
+/// re-apportioned over the survivors.
 fn collect_replan<A: ChunkedAlgo>(
     ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>,
     algo: &A,
@@ -841,109 +806,52 @@ fn collect_replan<A: ChunkedAlgo>(
     round: usize,
 ) -> Result<Vec<(usize, A::Partial)>, AllWorkersLost> {
     let p = ctx.num_ranks();
-    // What the worker will be charged for lines `[first, first + n)`,
-    // predicted from the state the round reads.
-    let predict = |first: usize, n: usize| {
-        ChunkCost::new(
-            algo.chunk_mflops(round, state, first, n),
-            algo.chunk_bytes(round, state, first, n),
-        )
-    };
     // Per-round *effective* speeds: with offloading enabled a
     // device-bearing node is proportionally faster for this round's
     // kernel (launch + transfers amortized over an even-split batch), so
     // the WEA apportionment hands it more lines. With `Never` these are
     // exactly `proc.speed()`.
     let rep_lines = algo.lines().div_ceil((p - 1).max(1)).max(1);
-    let speeds = offload::effective_speeds(ctx.platform(), opts.offload, &predict(0, rep_lines));
+    let rep = ChunkCost::new(
+        algo.chunk_mflops(round, state, 0, rep_lines),
+        algo.chunk_bytes(round, state, 0, rep_lines),
+    );
+    let speeds = offload::effective_speeds(ctx.platform(), opts.offload, &rep);
 
-    // One speed-proportional batch per surviving worker (the WEA
-    // apportionment), each with an analytic completion deadline.
-    let mut ready_at = vec![0.0f64; p];
-    let mut batches: Vec<Batch> = Vec::new();
+    // Batches `(first, n, worker)` in dispatch order, the order the
+    // master awaits them in.
+    let mut batches = VecDeque::new();
     let dispatch = |ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>,
                     roster: &mut Roster,
-                    batches: &mut Vec<Batch>,
-                    ready_at: &mut Vec<f64>,
+                    batches: &mut VecDeque<(usize, usize, usize)>,
                     first: usize,
-                    n: usize,
-                    w: usize| {
-        let id = roster.assign(ctx, w, round, first, n);
-        // The batch's predicted completion time — the seconds the
-        // worker's `charge_chunk` will charge (host or device per the
-        // shared `decide`), so κ-padded deadlines stay meaningful under
-        // every offload policy.
-        let est = offload::chunk_secs(ctx.platform().proc(w), opts.offload, &predict(first, n));
-        let start = ready_at[w].max(ctx.elapsed());
-        ready_at[w] = start + est * FAILURE_THRESHOLD;
-        let cap = ctx.fault_plan().dilate(w, start, est * FAILURE_THRESHOLD) + MARGIN_S;
-        batches.push(Batch {
-            id,
-            worker: w,
-            first,
-            n,
-            deadline: ready_at[w] + MARGIN_S,
-            cap,
-            done: false,
-        });
+                    n: usize| {
+        for (first, n, w) in split_lines(first, n, &roster.workers(), &speeds) {
+            roster.assign(ctx, w, round, first, n);
+            batches.push_back((first, n, w));
+        }
     };
     roster.ensure_workers(round)?;
-    for (first, n, w) in split_lines(0, algo.lines(), &roster.workers(), &speeds) {
-        dispatch(ctx, roster, &mut batches, &mut ready_at, first, n, w);
-    }
+    dispatch(ctx, roster, &mut batches, 0, algo.lines());
 
     let mut partials: Vec<(usize, A::Partial)> = Vec::new();
-    let mut i = 0;
-    while i < batches.len() {
-        if batches[i].done {
-            i += 1;
-            continue;
-        }
-        let w = batches[i].worker;
-        let now = ctx.elapsed();
-        let deadline = batches[i].deadline.max(now);
-        match ctx.recv_deadline(w, deadline) {
-            Ok(FtMsg::Partial {
-                id, first, data, ..
-            }) => {
-                // Per-pair FIFO: this is w's earliest outstanding batch —
-                // usually batch i itself, but match by id.
-                if let Some(b) = batches.iter_mut().find(|b| b.id == id && !b.done) {
-                    b.done = true;
-                    partials.push((first, data));
-                }
-            }
+    while let Some((first, n, w)) = batches.pop_front() {
+        // Per-pair FIFO: every earlier batch of `w` is done, so its next
+        // partial is this batch's.
+        match ctx.recv_deadline(w, f64::INFINITY) {
+            Ok(FtMsg::Partial { data, .. }) => partials.push((first, data)),
             Ok(_) => unreachable!("ft: workers send Partial only after the barrier"),
-            Err(RecvError::Timeout { .. }) => {
-                // Late ≠ dead: only a failure marker is authoritative.
-                // Extend — but no further than the analytic worst case:
-                // past `cap` even a worker slowed by every active window
-                // would have delivered, so stop stepping the clock margin
-                // by margin and block for the authoritative outcome (the
-                // Partial or the failure marker).
-                let extended = ctx.elapsed() + MARGIN_S;
-                batches[i].deadline = if extended < batches[i].cap {
-                    extended
-                } else {
-                    f64::INFINITY
-                };
-            }
+            // A worker leaves cleanly only on `Finish`, and `Finish`
+            // follows the last round.
+            Err(RecvError::Timeout { .. }) => unreachable!("ft: a worker left mid-round"),
             Err(RecvError::Failed(f)) => {
-                let orphans: Vec<(usize, usize)> = batches
-                    .iter_mut()
-                    .filter(|b| b.worker == w && !b.done)
-                    .map(|b| {
-                        b.done = true;
-                        (b.first, b.n)
-                    })
-                    .collect();
-                roster.lose(ctx, &f, round, orphans.iter().map(|&(_, n)| n).sum());
+                let mut orphans = vec![(first, n, w)];
+                orphans.extend(batches.iter().filter(|b| b.2 == w));
+                batches.retain(|b| b.2 != w);
+                roster.lose(ctx, &f, round, orphans.iter().map(|b| b.1).sum());
                 roster.ensure_workers(round)?;
-                let survivors = roster.workers();
-                for (of, on) in orphans {
-                    for (nf, nn, nw) in split_lines(of, on, &survivors, &speeds) {
-                        dispatch(ctx, roster, &mut batches, &mut ready_at, nf, nn, nw);
-                    }
+                for (of, on, _) in orphans {
+                    dispatch(ctx, roster, &mut batches, of, on);
                 }
             }
         }
@@ -1038,6 +946,7 @@ mod tests {
     use crate::config::AlgoParams;
     use crate::sched::AtdcaChunks;
     use hsi_cube::synth::{wtc_scene, WtcConfig};
+    use simnet::trace::TraceKind;
     use simnet::{presets, FailureCause, FaultPlan};
 
     fn scene() -> hsi_cube::synth::SyntheticScene {
@@ -1115,10 +1024,7 @@ mod tests {
     #[test]
     fn replan_survives_heavy_slowdown_without_unbounded_extension() {
         // A worker slowed 60× for the whole run is late, not dead: the
-        // master must neither declare it failed nor stretch the round
-        // margin-by-margin forever. The analytic cap (dilate of the
-        // κ-padded estimate) bounds the stepping; past it the master
-        // blocks for the authoritative outcome.
+        // master must not declare it failed, and waits for its partial.
         let s = scene();
         let p = params();
         let seq = crate::seq::atdca(&s.cube, &p);
@@ -1135,10 +1041,72 @@ mod tests {
         assert_eq!(coords(&run.output), coords(&seq.result));
         assert!(run.recoveries.is_empty(), "slowdown must not be a failure");
         assert!(run.report.ok());
-        // The round ends when the slowed stragglers deliver — within
-        // the dilated analytic envelope, not margin-quantised past it.
+        // The round ends when the slowed stragglers deliver, at the
+        // same instant on a rerun.
         let rerun = run_once();
         assert_eq!(run.report, rerun.report);
+    }
+
+    /// Rank 0's undelivered receives (deadline timeouts and failure
+    /// observations) in a traced re-planning run, and its recoveries.
+    fn replan_undelivered_receives(engine: &Engine, algo: &AtdcaChunks) -> (usize, Vec<Recovery>) {
+        let opts = FtOptions::default();
+        let (report, trace) = engine.run_traced(|ctx: &mut Ctx<FtMsg<_, _>>| {
+            if ctx.is_root() {
+                Some(master(ctx, algo, &opts, Mode::Replan))
+            } else {
+                worker_loop(ctx, algo, opts.offload);
+                None
+            }
+        });
+        let Some(Ok((_, recoveries))) = report.into_root().0 else {
+            panic!("the master produced no output");
+        };
+        let undelivered = trace
+            .for_rank(0)
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    TraceKind::Recv {
+                        delivered: false,
+                        ..
+                    }
+                )
+            })
+            .count();
+        (undelivered, recoveries)
+    }
+
+    #[test]
+    fn replan_master_waits_only_on_failure_observations() {
+        let s = scene();
+        let p = params();
+        let algo = AtdcaChunks::new(&s.cube, &p);
+        let slowed = Engine::new(presets::fully_heterogeneous()).with_faults(
+            FaultPlan::new()
+                .slowdown(2, 0.0, 1e6, 60.0)
+                .slowdown(5, 0.0, 1e6, 25.0),
+        );
+        let (undelivered, recoveries) = replan_undelivered_receives(&slowed, &algo);
+        assert!(recoveries.is_empty());
+        assert_eq!(
+            undelivered, 0,
+            "a slowed worker's batch is awaited, not timed out"
+        );
+        let crashed = Engine::new(presets::fully_heterogeneous()).with_faults(
+            FaultPlan::new()
+                .crash(2, 0.02)
+                .crash(4, 0.04)
+                .slowdown(5, 0.0, 0.5, 2.5)
+                .link_outage(0, 7, 0.01, 0.05),
+        );
+        let (undelivered, recoveries) = replan_undelivered_receives(&crashed, &algo);
+        assert_eq!(recoveries.len(), 2);
+        assert_eq!(
+            undelivered,
+            recoveries.len(),
+            "one failure observation per loss"
+        );
     }
 
     #[test]
@@ -1219,6 +1187,45 @@ mod tests {
             assert_eq!(c.requested, CollAlgorithm::Auto);
             assert_ne!(c.algorithm, CollAlgorithm::Auto, "must resolve concretely");
         }
+    }
+
+    #[test]
+    fn tree_mode_auto_picks_the_cheapest_schedule_the_protocol_runs() {
+        // The tree protocol forwards whole deltas along tree edges: it
+        // cannot stream chunks, so `Auto` must choose among the schedules
+        // it runs and log the one that runs.
+        let s = scene();
+        let p = params();
+        let engine = Engine::new(presets::fully_heterogeneous());
+        let algo = crate::sched::PctChunks::new(&s.cube, &p);
+        let opts = FtOptions {
+            collectives: CollectiveConfig::uniform(CollAlgorithm::Auto),
+            ..FtOptions::default()
+        };
+        let run = run_replan(&engine, &algo, &opts);
+        let platform = engine.platform();
+        let mut chose = 0;
+        for c in run.report.choices_of(simnet::CollOp::Broadcast) {
+            assert_ne!(c.algorithm, CollAlgorithm::PipelinedChunked);
+            if c.bits == 0 {
+                assert_eq!(c.algorithm, CollAlgorithm::Linear, "no size, no scan");
+                continue;
+            }
+            let cheapest = [
+                CollAlgorithm::Linear,
+                CollAlgorithm::BinomialTree,
+                CollAlgorithm::SegmentHierarchical,
+            ]
+            .map(|a| {
+                let latency = platform.msg_latency_s();
+                coll::predict(platform, latency, CollOp::Broadcast, a, 0, c.bits)
+            })
+            .into_iter()
+            .fold(f64::INFINITY, f64::min);
+            assert_eq!(c.predicted_secs, cheapest, "{} bits", c.bits);
+            chose += 1;
+        }
+        assert!(chose > 0, "some round ships a delta");
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! ## Zero-copy payload bodies
 //!
 //! [`Msg::Partial`] and [`Msg::Delta`] carry their bodies behind [`Arc`],
-//! and [`Msg::Partition`] carries its block as a [`HyperCube`], which is
-//! itself a window on shared, immutable sample storage: the root's
-//! scatter hands each rank a window on the one image, the virtual network
-//! is charged the block's full size, and the host moves a pointer. So
-//! cloning a `Msg` at a collective fan-out point is a refcount bump, not a
-//! deep copy of the payload. Wire sizes are computed through the `Arc`,
+//! and [`Msg::Partition`] carries no image data at all: a header and
+//! the value count of the window it stands for. The virtual network is
+//! charged the window's full size while every rank reads the one image.
+//! So cloning a `Msg` at a collective fan-out point is a refcount bump,
+//! not a deep copy of the payload. Wire sizes are computed through the `Arc`,
 //! and the `into_partial` decoder keeps an owned-value signature: it
 //! unwraps the `Arc` when this rank holds the last reference and clones
 //! the body otherwise (both paths produce the same value, so outputs
@@ -26,7 +25,6 @@
 //! telemetry ([`simnet::CopyStats`]) observes.
 
 use crate::seq::PctModel;
-use hsi_cube::HyperCube;
 use simnet::Wire;
 use std::sync::Arc;
 
@@ -83,21 +81,18 @@ impl Wire for PctModel {
 /// `D` (the defaults suit a run that ships partitions only).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg<P = (), D = ()> {
-    /// A scattered image partition (first/pre are global-coordinate
-    /// bookkeeping; `block` is a BIP block of `n_lines + halo` lines).
-    /// On the wire it is five `u32` header words — first line, owned
-    /// lines, halo lines, samples, bands — and the block's samples.
+    /// A scattered image partition: the receiver's lines and the size of
+    /// the window shipped for them (halo lines included). On the wire it
+    /// is five `u32` header words — first line, owned lines, halo lines,
+    /// samples, bands — and the window's `f32` values.
     Partition {
         /// First global line **owned** by the receiver.
         first_line: u32,
         /// Number of owned lines.
         n_lines: u32,
-        /// Halo lines prepended before `first_line` (MORPH overlap).
-        pre: u32,
-        /// The block, including halo lines: a window on the sender's
-        /// image (shared storage — sending, cloning and decoding bump a
-        /// refcount, never copy the block), charged at its full size.
-        block: HyperCube,
+        /// `f32` values of the window (lines × samples × bands), halo
+        /// lines included.
+        values: u64,
     },
     /// A rank's partial of a round: gathered to the master, or folded
     /// pairwise inside an allreduce.
@@ -110,7 +105,7 @@ pub enum Msg<P = (), D = ()> {
 impl<P: Wire + Sync, D: Wire + Sync> Wire for Msg<P, D> {
     fn size_bits(&self) -> u64 {
         match self {
-            Msg::Partition { block, .. } => 5 * 32 + (block.as_slice().len() * 32) as u64,
+            Msg::Partition { values, .. } => 5 * 32 + 32 * values,
             Msg::Partial(p) => p.size_bits(),
             Msg::Delta(d) => d.size_bits(),
         }
@@ -145,14 +140,13 @@ impl std::fmt::Display for WireMismatch {
 impl std::error::Error for WireMismatch {}
 
 impl<P: Clone, D> Msg<P, D> {
-    /// Wraps a block (a window on the sender's image) as a partition
-    /// message; the block travels as itself, no sample is copied.
-    pub fn partition(first_line: usize, n_lines: usize, pre: usize, block: HyperCube) -> Self {
+    /// A partition message for lines `[first_line, first_line + n_lines)`
+    /// shipped as a window of `values` `f32` values.
+    pub fn partition(first_line: usize, n_lines: usize, values: usize) -> Self {
         Msg::Partition {
             first_line: first_line as u32,
             n_lines: n_lines as u32,
-            pre: pre as u32,
-            block,
+            values: values as u64,
         }
     }
 
@@ -170,16 +164,14 @@ impl<P: Clone, D> Msg<P, D> {
         WireMismatch { expected, got }
     }
 
-    /// Decodes a partition message into `(first_line, n_lines, pre,
-    /// block)`; the block is the window the sender wrapped.
-    pub fn into_partition(self) -> Result<(usize, usize, usize, HyperCube), WireMismatch> {
+    /// Decodes a partition message into `(first_line, n_lines)`.
+    pub fn into_partition(self) -> Result<(usize, usize), WireMismatch> {
         match self {
             Msg::Partition {
                 first_line,
                 n_lines,
-                pre,
-                block,
-            } => Ok((first_line as usize, n_lines as usize, pre as usize, block)),
+                ..
+            } => Ok((first_line as usize, n_lines as usize)),
             other => Err(other.mismatch("Partition")),
         }
     }
@@ -221,36 +213,13 @@ mod tests {
 
     #[test]
     fn partition_roundtrip() {
-        let cube = HyperCube::from_vec(3, 2, 4, (0..24).map(|i| i as f32).collect());
-        let msg = Wired::partition(10, 2, 1, cube.clone());
+        let msg = Wired::partition(10, 2, 24);
         assert_eq!(msg.size_bits(), 5 * 32 + 24 * 32);
-        let (first, n, pre, back) = msg.into_partition().unwrap();
-        assert_eq!((first, n, pre), (10, 2, 1));
-        assert_eq!(back, cube);
-
-        // A block that is a window at a non-zero offset is charged its
-        // own size, not its buffer's, and arrives as the same window.
-        let window = cube.extract_lines(1, 2);
-        let msg = Wired::partition(11, 1, 1, window.clone());
-        assert_eq!(msg.size_bits(), 5 * 32 + 16 * 32);
-        let (first, n, pre, back) = msg.into_partition().unwrap();
-        assert_eq!((first, n, pre), (11, 1, 1));
-        assert_eq!(back, window);
-        assert!(std::ptr::eq(
-            back.as_slice().as_ptr(),
-            cube.pixel(1, 0).as_ptr()
-        ));
-
-        // An empty block (zero samples, zero bands) is a header and
-        // nothing else; decoding it divides by nothing.
-        let empty = HyperCube::zeros(0, 0, 0);
-        let msg = Wired::partition(0, 0, 0, empty.clone());
+        assert_eq!(msg.into_partition().unwrap(), (10, 2));
+        // An empty window is a header and nothing else.
+        let msg = Wired::partition(4, 0, 0);
         assert_eq!(msg.size_bits(), 5 * 32);
-        assert_eq!(msg.into_partition().unwrap(), (0, 0, 0, empty));
-        let no_bands = HyperCube::zeros(2, 3, 0);
-        let msg = Wired::partition(4, 2, 0, no_bands.clone());
-        assert_eq!(msg.size_bits(), 5 * 32);
-        assert_eq!(msg.into_partition().unwrap(), (4, 2, 0, no_bands));
+        assert_eq!(msg.into_partition().unwrap(), (4, 0));
     }
 
     #[test]
@@ -269,11 +238,10 @@ mod tests {
 
     #[test]
     fn shared_bodies_report_zero_deep_copy_bits() {
-        let cube = HyperCube::zeros(2, 2, 2);
         for msg in [
             Wired::partial(candidate(32)),
             Wired::Delta(Arc::new(Spectra(vec![vec![0.0; 8]]))),
-            Wired::partition(0, 2, 0, cube),
+            Wired::partition(0, 2, 8),
         ] {
             assert!(msg.size_bits() > 0);
             assert_eq!(msg.deep_copy_bits(), 0);

@@ -17,13 +17,6 @@
 //!   the decision — device chunks via `Ctx::offload` (recorded in
 //!   `RunReport::offloads` and as `D` trace spans), host chunks via
 //!   `Ctx::compute_par_tracked`.
-//! * [`chunk_secs`] is the cost a fault-free [`charge_chunk`] charges
-//!   for a given [`ChunkCost`] — the same closed forms, the same `f64`
-//!   arithmetic. A master feeds it the chunk's *predicted* cost
-//!   ([`crate::sched::ChunkedAlgo::chunk_mflops`]), so its deadlines
-//!   match the worker's charge to the bit exactly where the kernel's
-//!   charge is analytic — not for the unique-set and MEI nominations,
-//!   whose charge counts data-dependent SAD evaluations.
 //! * [`effective_platform`] / [`effective_speeds`] fold the device into
 //!   a node's speed for the WEA partitioners: accelerator-rich nodes
 //!   read as proportionally faster (device time amortized over a
@@ -130,22 +123,6 @@ fn host_secs(proc: &ProcessorSpec, cost: &ChunkCost) -> f64 {
 #[inline]
 fn device_secs(device: &DeviceSpec, cost: &ChunkCost) -> f64 {
     device.offload_secs(cost.mflops, cost.bytes_h2d, cost.bytes_d2h)
-}
-
-/// The exact virtual-time cost a fault-free [`charge_chunk`] charges for
-/// `cost` under `policy` — host `mflops · wᵢ` or the device closed form,
-/// per [`decide`]. Masters use it for completion deadlines and
-/// [`effective_speeds`] (exact as far as the cost they predict is);
-/// `tests/accel.rs` asserts the prediction equals the measured time
-/// exactly.
-pub fn chunk_secs(proc: &ProcessorSpec, policy: OffloadPolicy, cost: &ChunkCost) -> f64 {
-    match decide(proc, policy, cost) {
-        ChunkTarget::Host => host_secs(proc, cost),
-        ChunkTarget::Device => {
-            let device = proc.device.as_ref().expect("decide returned Device");
-            device_secs(device, cost)
-        }
-    }
 }
 
 /// Charges one offload-eligible chunk through the engine under `policy`:
@@ -289,23 +266,27 @@ mod tests {
     }
 
     #[test]
-    fn chunk_secs_matches_the_closed_forms() {
+    fn charge_chunk_charges_the_closed_forms() {
         let p = gpu_proc();
         let c = big_chunk();
-        assert_eq!(
-            chunk_secs(&p, OffloadPolicy::Never, &c),
-            c.mflops * p.cycle_time
-        );
         let d = p.device.expect("gpu proc has a device");
-        assert_eq!(
-            chunk_secs(&p, OffloadPolicy::Always, &c),
-            d.offload_secs(c.mflops, c.bytes_h2d, c.bytes_d2h)
-        );
-        assert_eq!(
-            chunk_secs(&p, OffloadPolicy::Auto, &c),
-            chunk_secs(&p, OffloadPolicy::Always, &c),
-            "auto picked the device here"
-        );
+        let device = d.offload_secs(c.mflops, c.bytes_h2d, c.bytes_d2h);
+        for (policy, want) in [
+            (OffloadPolicy::Never, c.mflops * p.cycle_time),
+            (OffloadPolicy::Always, device),
+            // Auto picks the device for this chunk.
+            (OffloadPolicy::Auto, device),
+        ] {
+            let engine = simnet::Engine::new(presets::accel_heterogeneous());
+            let report = engine.run(|ctx: &mut Ctx<()>| {
+                let start = ctx.elapsed();
+                if ctx.rank() == 2 {
+                    charge_chunk(ctx, policy, &c);
+                }
+                ctx.elapsed() - start
+            });
+            assert_eq!(*report.result(2), want, "{policy:?}");
+        }
     }
 
     #[test]

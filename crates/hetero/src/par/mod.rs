@@ -102,11 +102,9 @@ where
         if ctx.is_root() {
             ctx.compute_seq(flops::mflop(20.0 * ctx.num_ranks() as f64));
         }
-        // The scatter is what shipping the partitions costs; a rank's
-        // block is a window on `cube`, which the description reads
-        // through the same lines.
-        let block = distribute(ctx, cube, &assignments, overlap, options.scatter_mode);
-        let (first, n) = (block.first_line, block.n_lines);
+        // The scatter is what shipping the partitions costs; the
+        // description reads the rank's lines from `cube` itself.
+        let (first, n) = distribute(ctx, cube, &assignments, overlap, options.scatter_mode);
         let hint_lines = algo.lines().div_ceil(ctx.num_ranks());
         // The root's state is the master's; a worker's moves only in
         // fused rounds, where every rank merges the folded partial.

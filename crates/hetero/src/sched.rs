@@ -12,7 +12,7 @@
 //!   chunk, never in what a chunk, a merge or an install costs:
 //!   `crate::par` runs a static grid of one WEA cell per rank (the root
 //!   works its own), `crate::ft`'s re-planning and self-scheduling
-//!   masters hand chunks to workers under deadlines;
+//!   masters hand chunks to workers and re-issue a lost worker's;
 //! * the four algorithms — [`AtdcaChunks`], [`UfclsChunks`],
 //!   [`PctChunks`], [`MorphChunks`] — reuse the exact worker kernels of
 //!   [`crate::kernels`]. The two detectors are one implementation,
@@ -21,10 +21,11 @@
 //!   there and an alias here.
 //!
 //! **Costs.** A chunk is charged the megaflops its kernel reports and the
-//! bytes a device would stage for it ([`ChunkedAlgo::run_chunk`]); a
-//! master predicts both from its own state
-//! ([`ChunkedAlgo::chunk_mflops`], [`ChunkedAlgo::chunk_bytes`]) for
-//! deadlines and batch sizes — exactly, except for the unique-set and MEI
+//! bytes a device would stage for it ([`ChunkedAlgo::run_chunk`]); the
+//! re-planning master predicts both from its own state
+//! ([`ChunkedAlgo::chunk_mflops`], [`ChunkedAlgo::chunk_bytes`]) for one
+//! representative chunk, which weighs device-bearing nodes when it sizes
+//! batches under offload — exactly, except for the unique-set and MEI
 //! nominations, whose charge counts SAD evaluations that depend on the
 //! data. A merge is charged step by named step, and installing a delta
 //! costs the detectors' `follow_up` row, once per rank per round.
@@ -151,8 +152,9 @@ pub trait ChunkedAlgo {
 
     /// The megaflops [`ChunkedAlgo::run_chunk`] will charge for lines
     /// `[first, first + n)` of `round`, predicted from the state the
-    /// round reads — what a master sizes batches and deadlines by. Exact
-    /// except where the kernel's charge depends on the data.
+    /// round reads — what the re-planning master weighs nodes by when it
+    /// sizes batches under offload. Exact except where the kernel's
+    /// charge depends on the data.
     fn chunk_mflops(&self, round: usize, state: &Self::State, first: usize, n: usize) -> f64;
     /// The bytes [`ChunkedAlgo::run_chunk`] will charge as staged for
     /// the same chunk, predicted the same way.

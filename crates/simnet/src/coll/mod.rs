@@ -311,25 +311,25 @@ impl<M> GatherEntry<M> {
     }
 }
 
-/// The selection rule of [`resolve_over`]: normalizes broadcast-only
-/// algorithms, falls back to the linear baseline on a zero hint, and
-/// scans the candidates through `predict` for [`CollAlgorithm::Auto`].
-/// The cost is returned only when the rule had to evaluate it (the
-/// `Auto` scan), so a caller that needs just the algorithm never pays
-/// for a prediction nobody reads.
+/// The selection rule of [`resolve`]: normalizes chunked streaming
+/// where the collective cannot stream (`streams` is `false`), falls back
+/// to the linear baseline on a zero hint, and scans the candidates
+/// through `predict` for [`CollAlgorithm::Auto`]. The cost is returned
+/// only when the rule had to evaluate it (the `Auto` scan), so a caller
+/// that needs just the algorithm never pays for a prediction nobody
+/// reads.
 fn choose(
-    op: CollOp,
+    streams: bool,
     requested: CollAlgorithm,
     bits: u64,
     predict: impl Fn(CollAlgorithm) -> f64,
 ) -> (CollAlgorithm, Option<f64>) {
     if requested != CollAlgorithm::Auto {
-        let algorithm = match (op, requested) {
-            // Chunked streaming only exists for broadcast; elsewhere it
-            // means "the same tree, unchunked".
-            (CollOp::Broadcast, a) => a,
-            (_, CollAlgorithm::PipelinedChunked) => CollAlgorithm::SegmentHierarchical,
-            (_, a) => a,
+        // Chunked streaming means "the same tree, unchunked" where
+        // chunks cannot stream.
+        let algorithm = match requested {
+            CollAlgorithm::PipelinedChunked if !streams => CollAlgorithm::SegmentHierarchical,
+            a => a,
         };
         return (algorithm, None);
     }
@@ -340,18 +340,19 @@ fn choose(
         // fall back to the baseline.
         return (CollAlgorithm::Linear, None);
     }
-    let candidates: &[CollAlgorithm] = match op {
-        CollOp::Broadcast => &[
+    let candidates: &[CollAlgorithm] = if streams {
+        &[
             CollAlgorithm::Linear,
             CollAlgorithm::BinomialTree,
             CollAlgorithm::SegmentHierarchical,
             CollAlgorithm::PipelinedChunked,
-        ],
-        _ => &[
+        ]
+    } else {
+        &[
             CollAlgorithm::Linear,
             CollAlgorithm::BinomialTree,
             CollAlgorithm::SegmentHierarchical,
-        ],
+        ]
     };
     let mut best = CollAlgorithm::Linear;
     let mut best_cost = f64::INFINITY;
@@ -379,19 +380,38 @@ pub(crate) fn split_chunks(bits: u64, chunks: usize) -> Vec<u64> {
 }
 
 /// Resolves (and, on rank 0, logs) one collective decision over the
-/// view's survivor set — the resolution every collective here does
-/// internally, public for protocols (like `hetero::ft`) that run their
-/// own wire protocol over the survivor [`Tree`] but want the same
-/// cost-model-driven choice and [`CollectiveChoice`] observability.
-/// Deterministic in its arguments, so every participant that calls it
-/// with the same view resolves identically.
+/// view's survivor set for a protocol that runs its own wire protocol
+/// over the survivor [`Tree`] (like `hetero::ft`'s tree mode) but wants
+/// the cost-model-driven choice and [`CollectiveChoice`] observability
+/// the collectives here have. Such a protocol forwards whole messages
+/// along tree edges and cannot stream chunks:
+/// [`CollAlgorithm::PipelinedChunked`] resolves to the
+/// segment-hierarchical tree it shares, and [`CollAlgorithm::Auto`]
+/// chooses among the schedules the protocol runs — so the logged choice
+/// is the schedule that runs. Deterministic in its arguments, so every
+/// participant that calls it with the same view resolves identically.
+pub fn resolve_over<M: Wire>(
+    ctx: &mut Ctx<M>,
+    op: CollOp,
+    requested: CollAlgorithm,
+    root: usize,
+    view: &Membership,
+    bits_hint: u64,
+) -> CollAlgorithm {
+    resolve(ctx, op, false, requested, root, view, bits_hint)
+}
+
+/// [`resolve_over`]'s resolution, and the one the collectives here make
+/// in `plan`: `streams` says whether the collective can stream chunks
+/// (only this module's broadcast can).
 ///
 /// The cost model runs only where its value is read: on every rank for
 /// the [`CollAlgorithm::Auto`] scan, otherwise on the logging rank alone
 /// — and the survivor list it replays over is materialised only there.
-pub fn resolve_over<M: Wire>(
+fn resolve<M: Wire>(
     ctx: &mut Ctx<M>,
     op: CollOp,
+    streams: bool,
     requested: CollAlgorithm,
     root: usize,
     view: &Membership,
@@ -409,7 +429,7 @@ pub fn resolve_over<M: Wire>(
             members.get_or_init(|| view.survivors()),
         )
     };
-    let (algorithm, scanned) = choose(op, requested, bits_hint, predict);
+    let (algorithm, scanned) = choose(streams, requested, bits_hint, predict);
     // Rank 0's log is the one the engine collects into the report, so
     // log there regardless of which rank roots the collective.
     if ctx.rank() == 0 {
@@ -462,7 +482,8 @@ fn plan<M: Wire>(
         CollOp::Allreduce => cfg.allreduce,
         CollOp::Scatter => CollAlgorithm::Linear,
     };
-    let algorithm = resolve_over(ctx, op, requested, root, view, bits_hint);
+    let streams = op == CollOp::Broadcast;
+    let algorithm = resolve(ctx, op, streams, requested, root, view, bits_hint);
     Ok((algorithm, tree_over(ctx, algorithm, root, view)))
 }
 
@@ -904,9 +925,9 @@ mod tests {
         (0..platform.num_procs()).collect()
     }
 
-    /// [`resolve_over`]'s decision without a `Ctx`: the concrete
-    /// algorithm for `op` over `members` (ascending, containing `root`)
-    /// and its predicted cost — what rank 0 logs.
+    /// The decision of this module's collectives without a `Ctx`: the
+    /// concrete algorithm for `op` over `members` (ascending, containing
+    /// `root`) and its predicted cost — what rank 0 logs.
     fn select_over(
         platform: &Platform,
         latency_s: f64,
@@ -917,7 +938,7 @@ mod tests {
         members: &[usize],
     ) -> (CollAlgorithm, f64) {
         let predict = |alg| predict_over(platform, latency_s, op, alg, root, bits, members);
-        let (algorithm, scanned) = choose(op, requested, bits, predict);
+        let (algorithm, scanned) = choose(op == CollOp::Broadcast, requested, bits, predict);
         (algorithm, scanned.unwrap_or_else(|| predict(algorithm)))
     }
 

@@ -365,15 +365,6 @@ impl<M: Wire> Ctx<M> {
         &self.platform
     }
 
-    /// The fault plan this run executes under (empty when none was
-    /// attached). Schedulers use it to derive *analytic* bounds — e.g.
-    /// the worst-case completion of a batch on a merely-slowed worker
-    /// via [`FaultPlan::dilate`] — from the same plan the engine
-    /// charges, keeping predictions and measurements consistent.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Current virtual time in seconds.
     #[inline]
     pub fn elapsed(&self) -> f64 {

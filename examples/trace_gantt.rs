@@ -45,16 +45,16 @@ fn main() {
         // One representative round: brightest-pixel search + gather.
         let cube = &scene.cube;
         let (report, trace) = engine.run_traced(|ctx: &mut Ctx<Msg<Candidate>>| {
-            let block = distribute(ctx, cube, &assignments, 0, options.scatter_mode);
-            let (cand, mflops) = kernels::brightest(&block.cube, block.own_range());
+            let (first, n) = distribute(ctx, cube, &assignments, 0, options.scatter_mode);
+            let (cand, mflops) = kernels::brightest(cube, (first, first + n));
             ctx.compute_par(mflops);
             let msg = Msg::partial(match cand {
-                Some(p) => p.to_candidate(&block.cube, block.first_line, block.pre),
+                Some(p) => p.to_candidate(cube, 0, 0),
                 None => Candidate {
                     line: 0,
                     sample: 0,
                     score: f64::NEG_INFINITY,
-                    spectrum: vec![0.0; block.cube.bands()],
+                    spectrum: vec![0.0; cube.bands()],
                 },
             });
             if ctx.is_root() {

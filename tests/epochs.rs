@@ -38,9 +38,10 @@ fn cfg() -> CollectiveConfig {
 /// until the scheduled crash kills it; in the healthy baseline it just
 /// exits without participating.
 fn broadcast_survivors(engine: &Engine) -> RunReport<Option<Vec<f32>>> {
+    let crashes = engine.faults().crash_time(4).is_some();
     engine.run(|ctx: &mut Ctx<WireVec<f32>>| {
         if ctx.rank() == 4 {
-            if ctx.fault_plan().crash_time(4).is_some() {
+            if crashes {
                 ctx.compute_par(1e9); // run into the scheduled crash
             }
             return None;
@@ -58,9 +59,10 @@ fn broadcast_survivors(engine: &Engine) -> RunReport<Option<Vec<f32>>> {
 /// Elementwise-sum allreduce of per-rank contributions over the
 /// survivor view; same rank-4 arrangement as [`broadcast_survivors`].
 fn allreduce_survivors(engine: &Engine) -> RunReport<Option<Vec<f32>>> {
+    let crashes = engine.faults().crash_time(4).is_some();
     engine.run(|ctx: &mut Ctx<WireVec<f32>>| {
         if ctx.rank() == 4 {
-            if ctx.fault_plan().crash_time(4).is_some() {
+            if crashes {
                 ctx.compute_par(1e9);
             }
             return None;
