@@ -32,9 +32,9 @@
 //! paying the install's charge once per round. With the default
 //! [`FtOptions::collectives`] (linear) the master fans the opener to
 //! every worker directly. Any other broadcast algorithm enables **tree
-//! mode**: the
-//! master keeps an epoch-stamped [`Membership`] view (the epoch bumps
-//! on every observed failure), opens each round by sending a tiny
+//! mode**: the master — the only party that tracks which ranks are
+//! alive — keeps the alive set under an epoch (the epoch bumps on every
+//! observed failure), opens each round by sending a tiny
 //! `(epoch, survivors, algorithm)` header to every survivor, and ships
 //! the delta down the survivor-set schedule tree, where workers
 //! relay it to their tree children and then send one `StateAck` back.
@@ -45,11 +45,11 @@
 //! for the peer's next packet), so a rank may only ever block on a
 //! channel whose peer is bound to send again; with the barrier, every
 //! wait in the protocol is of that kind. Crashed interior relays are
-//! routed around at the next view; a worker orphaned *mid-round* (its
+//! routed around at the next epoch; a worker orphaned *mid-round* (its
 //! relay parent died before forwarding) requests the delta directly
 //! from the master, which answers from the round's shared `Arc` during
 //! the ack sweep — under the epoch frozen at round start. The barrier
-//! also makes a copy from a superseded view impossible: a worker takes in
+//! also makes a copy from a superseded epoch impossible: a worker takes in
 //! its one copy of the round's delta before it acks, and the master opens
 //! no later round, under no later epoch, before every survivor has acked
 //! or failed — so a worker accepts the current epoch and round only, and
@@ -69,7 +69,7 @@
 use crate::offload::{self, ChunkCost, OffloadPolicy};
 use crate::sched::ChunkedAlgo;
 use crate::wea::apportion_rows;
-use simnet::coll::{self, CollAlgorithm, CollOp, CollectiveConfig, Membership};
+use simnet::coll::{self, CollAlgorithm, CollOp, CollectiveConfig};
 use simnet::engine::{Engine, Wire};
 use simnet::report::RunReport;
 use simnet::{Ctx, RankFailure, RecvError};
@@ -202,7 +202,7 @@ enum FtMsg<D, P> {
     /// worker, so each send is a refcount bump, not a copy.
     Round { round: usize, delta: Option<Arc<D>> },
     /// Tree-mode round header, master → every survivor directly: the
-    /// epoch-stamped membership view and the concrete (master-resolved)
+    /// epoch-stamped survivor list and the concrete (master-resolved)
     /// schedule algorithm of this round's delta tree. A worker cannot
     /// know its tree parent before it holds this header, which is why
     /// the header fan-out stays linear — P−1 tiny sends paid before the
@@ -215,7 +215,7 @@ enum FtMsg<D, P> {
     },
     /// Tree-mode round delta, relayed edge-by-edge down the survivor
     /// tree (and master → orphan directly on rescue). Epoch-stamped; the
-    /// ack barrier makes a copy from a superseded view impossible, so a
+    /// ack barrier makes a copy from a superseded epoch impossible, so a
     /// receiver takes the current epoch and round only.
     RoundState {
         epoch: u64,
@@ -252,7 +252,7 @@ impl<D: Wire + Sync, P: Wire> Wire for FtMsg<D, P> {
         match self {
             FtMsg::Round { delta, .. } => 96 + delta_bits(delta),
             // Round + epoch + algorithm words, plus 16 bits per
-            // survivor — the piggybacked membership view.
+            // survivor — the piggybacked survivor list.
             FtMsg::RoundStart { survivors, .. } => 136 + 16 * survivors.len() as u64,
             FtMsg::RoundState { delta, .. } => 160 + delta_bits(delta),
             FtMsg::StateRequest { .. } => 64,
@@ -487,8 +487,7 @@ where
     P: Wire,
 {
     let me = ctx.rank();
-    let view = Membership::from_survivors(epoch, ctx.num_ranks(), survivors);
-    let tree = coll::tree_over(ctx, algorithm, 0, &view);
+    let tree = coll::tree_over(ctx, algorithm, 0, survivors);
     let parent = tree
         .parent(me)
         .expect("ft: a surviving worker has a tree parent");
@@ -548,9 +547,11 @@ where
 /// Master-side bookkeeping shared by both recovery modes and both
 /// state-distribution protocols.
 struct Roster {
-    /// The authoritative alive set; the epoch bumps on every observed
-    /// loss. Rank 0 — the master itself — never leaves it.
-    view: Membership,
+    /// Bumps once per observed loss.
+    epoch: u64,
+    /// The alive set, by rank. Rank 0 — the master itself — never
+    /// leaves it.
+    alive: Vec<bool>,
     /// Every detected loss, in detection order.
     recoveries: Vec<Recovery>,
     /// Next work-order id (unique across the whole run).
@@ -558,22 +559,38 @@ struct Roster {
 }
 
 impl Roster {
+    /// Epoch 0, every rank of a `p`-rank run alive.
+    fn new(p: usize) -> Self {
+        Roster {
+            epoch: 0,
+            alive: vec![true; p],
+            recoveries: Vec::new(),
+            next_id: 0,
+        }
+    }
+
+    /// The surviving ranks, the master included, ascending.
+    fn survivors(&self) -> Vec<usize> {
+        (0..self.alive.len()).filter(|&r| self.alive[r]).collect()
+    }
+
     /// The surviving workers, ascending.
     fn workers(&self) -> Vec<usize> {
-        let mut workers = self.view.survivors();
-        workers.retain(|&w| w != 0);
-        workers
+        (1..self.alive.len()).filter(|&r| self.alive[r]).collect()
     }
 
     /// Records the loss of worker `f.rank`, observed now in `round` with
-    /// `lines` image lines orphaned: the view drops the rank under a
-    /// bumped epoch and the recovery span covers crash → detection — the
-    /// window the master spent waiting on a dead rank, which is the
-    /// recovery cost the profiler attributes.
+    /// `lines` image lines orphaned: the alive set drops the rank under
+    /// a bumped epoch (once — a loss observed again changes neither) and
+    /// the recovery span covers crash → detection — the window the
+    /// master spent waiting on a dead rank, which is the recovery cost
+    /// the profiler attributes.
     fn lose<M: Wire>(&mut self, ctx: &mut Ctx<M>, f: &RankFailure, round: usize, lines: usize) {
         let detected_at = ctx.elapsed();
-        if self.view.observe_failure(f) {
-            ctx.mark_epoch(self.view.epoch(), f.rank, self.view.num_survivors());
+        if std::mem::replace(&mut self.alive[f.rank], false) {
+            self.epoch += 1;
+            let survivors = self.alive.iter().filter(|&&a| a).count();
+            ctx.mark_epoch(self.epoch, f.rank, survivors);
         }
         self.recoveries.push(Recovery {
             rank: f.rank,
@@ -585,10 +602,10 @@ impl Roster {
         ctx.mark_recovery(f.at, f.rank);
     }
 
-    /// `Err` once the view holds the master alone, i.e. nobody is left
-    /// to take the lines `round` still owes.
+    /// `Err` once the alive set holds the master alone, i.e. nobody is
+    /// left to take the lines `round` still owes.
     fn ensure_workers(&self, round: usize) -> Result<(), AllWorkersLost> {
-        if self.view.num_survivors() > 1 {
+        if self.alive[1..].contains(&true) {
             Ok(())
         } else {
             Err(AllWorkersLost { round })
@@ -651,27 +668,27 @@ fn split_lines(
 }
 
 /// Opens `round` at every surviving worker with `delta` — the linear
-/// (default) mode's master-rooted [`simnet::coll::fanout_with`]. Workers
-/// just `recv(0)`, so no membership agreement is needed; the price is
-/// P−1 full-payload sends from the master every round. Tree mode
-/// ([`start_round_tree`]) shares that cost across the survivor tree via
-/// the membership/epoch protocol.
+/// (default) mode's master-rooted fan-out, in ascending rank order.
+/// Workers just `recv(0)`, so they need not know who is alive; the
+/// price is P−1 full-payload sends from the master every round. Tree
+/// mode ([`start_round_tree`]) shares that cost across the survivor tree
+/// via the epoch protocol.
 fn broadcast_state<D: Wire + Sync, P: Wire>(
     ctx: &mut Ctx<FtMsg<D, P>>,
     workers: &[usize],
     round: usize,
     delta: &Option<Arc<D>>,
 ) {
-    coll::fanout_with(ctx, workers, || FtMsg::Round {
-        round,
-        delta: delta.clone(),
-    });
+    for &w in workers {
+        let delta = delta.clone();
+        ctx.send(w, FtMsg::Round { round, delta });
+    }
 }
 
 /// Opens a tree-mode round and runs it to the state-distribution
-/// barrier: resolves the schedule over the current survivor view
-/// (logging the [`simnet::CollectiveChoice`] on rank 0), sends the
-/// epoch-stamped header to every surviving worker directly, ships the
+/// barrier: resolves the schedule over the current survivors (logging
+/// the [`simnet::CollectiveChoice`] on rank 0), sends the epoch-stamped
+/// header to every surviving worker directly, ships the
 /// delta to the master's tree children, then sweeps the survivors in
 /// rank order for one `StateAck` each — answering `StateRequest`s from
 /// orphaned subtrees from the round's shared `Arc` (under the epoch
@@ -694,12 +711,11 @@ fn start_round_tree<D: Wire + Sync, P: Wire>(
     delta: &Option<Arc<D>>,
 ) {
     let bits = delta_bits(delta);
-    let algorithm =
-        coll::resolve_over(ctx, CollOp::Broadcast, cfg.broadcast, 0, &roster.view, bits);
-    let epoch = roster.view.epoch();
-    let survivors = roster.view.survivors();
-    let workers = roster.workers();
-    for &w in &workers {
+    let survivors = roster.survivors();
+    let algorithm = coll::resolve_over(ctx, CollOp::Broadcast, cfg.broadcast, 0, &survivors, bits);
+    let epoch = roster.epoch;
+    let workers = &survivors[1..];
+    for &w in workers {
         ctx.send(
             w,
             FtMsg::RoundStart {
@@ -710,15 +726,17 @@ fn start_round_tree<D: Wire + Sync, P: Wire>(
             },
         );
     }
-    let tree = coll::tree_over(ctx, algorithm, 0, &roster.view);
+    let tree = coll::tree_over(ctx, algorithm, 0, &survivors);
     let round_state = || FtMsg::RoundState {
         epoch,
         round,
         delta: delta.clone(),
     };
-    coll::fanout_with(ctx, tree.children_bcast(0), round_state);
+    for &c in tree.children_bcast(0) {
+        ctx.send(c, round_state());
+    }
     // ---- the ack sweep (state-distribution barrier) -----------------
-    for &w in &workers {
+    for &w in workers {
         loop {
             match ctx.recv_deadline(w, f64::INFINITY) {
                 Ok(FtMsg::StateAck { round: r }) => {
@@ -757,11 +775,7 @@ fn master<A: ChunkedAlgo>(
     mode: Mode,
 ) -> Result<(A::Output, Vec<Recovery>), AllWorkersLost> {
     let p = ctx.num_ranks();
-    let mut roster = Roster {
-        view: Membership::new(p),
-        recoveries: Vec::new(),
-        next_id: 0,
-    };
+    let mut roster = Roster::new(p);
     let (mut state, mut delta) = (algo.initial_state(), None);
 
     for round in 0..algo.rounds() {
@@ -889,7 +903,7 @@ fn collect_self_sched<A: ChunkedAlgo>(
         roster.ensure_workers(round)?;
         // Hand every free surviving worker the next queued chunk.
         for (w, slot) in outstanding.iter_mut().enumerate().skip(1) {
-            if roster.view.is_alive(w) && slot.is_none() {
+            if roster.alive[w] && slot.is_none() {
                 if let Some((cf, cn)) = queue.pop_front() {
                     *slot = Some((roster.assign(ctx, w, round, cf, cn), cf, cn));
                 }
@@ -1254,6 +1268,44 @@ mod tests {
             assert_eq!(run.report.epochs[0].failed, 4);
             assert_eq!(run.report.epochs[0].survivors, 15);
         }
+    }
+
+    #[test]
+    fn the_roster_bumps_its_epoch_once_per_newly_observed_loss() {
+        // Down to the master alone: every new loss — the last one
+        // included — bumps the epoch and shrinks the survivor list; a
+        // loss observed again changes neither.
+        let report = Engine::new(simnet::Platform::uniform("u4", 4, 0.01, 64, 1.0)).run(|ctx| {
+            if !ctx.is_root() {
+                return None;
+            }
+            let mut roster = Roster::new(4);
+            let mut seen = Vec::new();
+            for rank in [3, 1, 3, 2] {
+                let f = RankFailure {
+                    rank,
+                    at: 0.0,
+                    cause: FailureCause::Crash,
+                };
+                roster.lose::<()>(ctx, &f, 0, 0);
+                seen.push((roster.epoch, roster.survivors(), roster.workers()));
+            }
+            Some((seen, roster.ensure_workers(0).is_err()))
+        });
+        let (seen, all_lost) = report.result(0).clone().expect("master ran");
+        assert_eq!(
+            seen,
+            [
+                (1, vec![0, 1, 2], vec![1, 2]),
+                (2, vec![0, 2], vec![2]),
+                (2, vec![0, 2], vec![2]),
+                (3, vec![0], vec![]),
+            ]
+        );
+        assert!(all_lost, "the master alone owes lines to nobody");
+        let epochs: Vec<_> = report.epochs.iter().map(|e| (e.epoch, e.failed)).collect();
+        assert_eq!(epochs, [(1, 3), (2, 1), (3, 2)]);
+        assert_eq!(report.epochs[2].survivors, 1);
     }
 
     #[test]

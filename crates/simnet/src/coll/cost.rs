@@ -12,16 +12,12 @@
 //! picks a strictly-dominated algorithm (asserted by the
 //! `ablation_collectives` gate).
 //!
-//! [`predict_over`] extends the replay to **survivor sets**: it rebuilds
-//! the schedule over an explicit member list (a
-//! [`crate::coll::Membership`] view's survivors) and replays only those
-//! ranks, so on a degraded topology — a crash plan whose failures the
-//! view has already observed — predicted equals measured exactly, the
-//! same guarantee [`predict`] gives healthy runs. This closes the old
-//! "fault plans are ignored" approximation for *crash* plans; slowdown
-//! and link-fault windows remain unreplayed (predictions assume nominal
-//! link and processor speeds), and for roots other than rank 0 the
-//! receiver-side FIFO interleaving at rank 0 is not replayed (no
+//! [`predict_over`] is the same replay over an explicit member list:
+//! every rank for [`predict`] and the collectives' own selection, the
+//! survivors for `hetero::ft`'s tree rounds, where it is `Auto`'s
+//! selection model. Fault plans are not replayed (predictions assume
+//! nominal link and processor speeds), and for roots other than rank 0
+//! the receiver-side FIFO interleaving at rank 0 is not replayed (no
 //! algorithm in this repository roots a collective away from rank 0).
 
 use super::schedule::{self, Tree};
@@ -48,12 +44,10 @@ pub fn predict(
     predict_over(platform, latency_s, op, algorithm, root, bits, &members)
 }
 
-/// [`predict`] over an explicit **survivor set**: the schedule is
-/// rebuilt over `members` (ascending rank order, containing `root` —
-/// the survivors of a [`crate::coll::Membership`] view) and only those
+/// [`predict`] over an explicit member list: the schedule is built over
+/// `members` (ascending rank order, containing `root`) and only those
 /// ranks are replayed. With every rank a member this is exactly
-/// [`predict`]; on a degraded topology it is exact in the same sense —
-/// the collectives execute precisely this schedule over the same view.
+/// [`predict`].
 pub(crate) fn predict_over(
     platform: &Platform,
     latency_s: f64,

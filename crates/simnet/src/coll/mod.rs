@@ -47,34 +47,22 @@
 //! lost. Link outages kill no ranks: every algorithm completes under
 //! link-fault plans, just later.
 //!
-//! **Membership is a parameter.** Subtree loss is the price of routing
-//! through a rank that is *already* dead. Every collective therefore has
-//! exactly one body, and that body takes the member set as an argument:
-//! a [`Membership`] view tracks the alive set (epoch bumps on every
-//! observed [`RankFailure`]), and [`broadcast_over`], [`gather_over`]
-//! and [`allreduce_over`] build every schedule over the view's survivor
-//! set, so known-dead interior relays are routed around instead of
-//! cascading `PeerLost` down their subtrees. The all-ranks call shapes
-//! ([`broadcast`], [`gather`], [`allreduce`], [`predict`]) are one-line
-//! delegations that pass the initial view, [`Membership::new`] — "every
-//! rank alive" is just the parameter's first value. A rank that dies
-//! *mid*-collective — after the view was agreed — still degrades with
-//! the subtree-loss semantics above until a new view observes it. See
-//! `docs/COMMS.md`.
+//! **Survivor trees belong to the ft protocol.** Every collective here
+//! runs over all ranks of the run. Which ranks are alive is known to one
+//! party only, `hetero::ft`'s master: its tree mode resolves and builds
+//! its schedule over the survivor list it keeps, through
+//! [`resolve_over`] and [`tree_over`]. See `docs/COMMS.md`.
 
 mod cost;
-mod epoch;
 mod schedule;
 
 pub use cost::predict;
 use cost::predict_over;
-pub use epoch::Membership;
 pub(crate) use schedule::ScheduleMemo;
 pub use schedule::Tree;
 
 use crate::engine::{Ctx, Wire};
 use crate::faults::{FailureCause, RankFailure, RecvError};
-use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -243,8 +231,7 @@ pub enum CollError {
         /// The number of items actually supplied.
         got: usize,
     },
-    /// A rank outside the [`Membership`] view's survivor set called (or
-    /// was named root of) a survivor-set collective.
+    /// The named root is not a rank of this run.
     NotAMember {
         /// The offending rank.
         rank: usize,
@@ -264,10 +251,7 @@ impl fmt::Display for CollError {
                 write!(f, "scatter: need one item per rank ({expected}), got {got}")
             }
             CollError::NotAMember { rank } => {
-                write!(
-                    f,
-                    "rank {rank} is not in the membership view's survivor set"
-                )
+                write!(f, "rank {rank} is not a rank of this run")
             }
         }
     }
@@ -379,26 +363,26 @@ pub(crate) fn split_chunks(bits: u64, chunks: usize) -> Vec<u64> {
     (0..k).map(|i| base + u64::from(i < rem)).collect()
 }
 
-/// Resolves (and, on rank 0, logs) one collective decision over the
-/// view's survivor set for a protocol that runs its own wire protocol
-/// over the survivor [`Tree`] (like `hetero::ft`'s tree mode) but wants
-/// the cost-model-driven choice and [`CollectiveChoice`] observability
-/// the collectives here have. Such a protocol forwards whole messages
-/// along tree edges and cannot stream chunks:
-/// [`CollAlgorithm::PipelinedChunked`] resolves to the
+/// Resolves (and, on rank 0, logs) one collective decision over
+/// `members` (ascending, containing `root`) for a protocol that runs its
+/// own wire protocol over the member [`Tree`] (like `hetero::ft`'s tree
+/// mode, over its survivors) but wants the cost-model-driven choice and
+/// [`CollectiveChoice`] observability the collectives here have. Such a
+/// protocol forwards whole messages along tree edges and cannot stream
+/// chunks: [`CollAlgorithm::PipelinedChunked`] resolves to the
 /// segment-hierarchical tree it shares, and [`CollAlgorithm::Auto`]
 /// chooses among the schedules the protocol runs — so the logged choice
 /// is the schedule that runs. Deterministic in its arguments, so every
-/// participant that calls it with the same view resolves identically.
+/// participant that calls it with the same members resolves identically.
 pub fn resolve_over<M: Wire>(
     ctx: &mut Ctx<M>,
     op: CollOp,
     requested: CollAlgorithm,
     root: usize,
-    view: &Membership,
+    members: &[usize],
     bits_hint: u64,
 ) -> CollAlgorithm {
-    resolve(ctx, op, false, requested, root, view, bits_hint)
+    resolve(ctx, op, false, requested, root, members, bits_hint)
 }
 
 /// [`resolve_over`]'s resolution, and the one the collectives here make
@@ -406,18 +390,16 @@ pub fn resolve_over<M: Wire>(
 /// (only this module's broadcast can).
 ///
 /// The cost model runs only where its value is read: on every rank for
-/// the [`CollAlgorithm::Auto`] scan, otherwise on the logging rank alone
-/// — and the survivor list it replays over is materialised only there.
+/// the [`CollAlgorithm::Auto`] scan, otherwise on the logging rank alone.
 fn resolve<M: Wire>(
     ctx: &mut Ctx<M>,
     op: CollOp,
     streams: bool,
     requested: CollAlgorithm,
     root: usize,
-    view: &Membership,
+    members: &[usize],
     bits_hint: u64,
 ) -> CollAlgorithm {
-    let members = OnceCell::new();
     let predict = |alg| {
         predict_over(
             ctx.platform(),
@@ -426,7 +408,7 @@ fn resolve<M: Wire>(
             alg,
             root,
             bits_hint,
-            members.get_or_init(|| view.survivors()),
+            members,
         )
     };
     let (algorithm, scanned) = choose(streams, requested, bits_hint, predict);
@@ -445,37 +427,43 @@ fn resolve<M: Wire>(
     algorithm
 }
 
-/// The concrete schedule [`Tree`] for `algorithm` over the view's
-/// survivor set, from the run's schedule memo: the tree is built by the
-/// first rank to ask for `(algorithm, root, alive set)` and shared by
-/// every later caller, on any rank. [`CollAlgorithm::PipelinedChunked`]
-/// has the segment-hierarchical shape; [`CollAlgorithm::Auto`] must be
-/// resolved to a concrete algorithm first (e.g. via [`resolve_over`]).
+/// The concrete schedule [`Tree`] for `algorithm` over `members`
+/// (ascending, containing `root`), from the run's schedule memo: the
+/// tree is built by the first rank to ask for `(algorithm, root,
+/// members)` and shared by every later caller, on any rank.
+/// [`CollAlgorithm::PipelinedChunked`] has the segment-hierarchical
+/// shape; [`CollAlgorithm::Auto`] must be resolved to a concrete
+/// algorithm first (e.g. via [`resolve_over`]).
 pub fn tree_over<M: Wire>(
     ctx: &Ctx<M>,
     algorithm: CollAlgorithm,
     root: usize,
-    view: &Membership,
+    members: &[usize],
 ) -> Arc<Tree> {
-    ctx.schedules().get(algorithm, root, ctx.platform(), view)
+    ctx.schedules()
+        .get(algorithm, root, ctx.platform(), members)
 }
 
-/// The prologue every view-taking collective shares: reject non-members
-/// before any traffic, resolve (and log) `cfg`'s algorithm for `op`,
-/// look its tree up in the run's schedule memo.
+/// Every rank of the run, ascending — the member list of the
+/// collectives here. Rejects a root outside the run before any traffic.
+fn every_rank<M: Wire>(ctx: &Ctx<M>, root: usize) -> Result<Vec<usize>, CollError> {
+    if root >= ctx.num_ranks() {
+        return Err(CollError::NotAMember { rank: root });
+    }
+    Ok((0..ctx.num_ranks()).collect())
+}
+
+/// The prologue every tree collective shares: check the root, resolve
+/// (and log) `cfg`'s algorithm for `op`, look its tree up in the run's
+/// schedule memo.
 fn plan<M: Wire>(
     ctx: &mut Ctx<M>,
     cfg: &CollectiveConfig,
     op: CollOp,
     root: usize,
-    view: &Membership,
     bits_hint: u64,
 ) -> Result<(CollAlgorithm, Arc<Tree>), CollError> {
-    for rank in [root, ctx.rank()] {
-        if !view.is_alive(rank) {
-            return Err(CollError::NotAMember { rank });
-        }
-    }
+    let members = every_rank(ctx, root)?;
     let requested = match op {
         CollOp::Broadcast => cfg.broadcast,
         CollOp::Gather => cfg.gather,
@@ -483,8 +471,8 @@ fn plan<M: Wire>(
         CollOp::Scatter => CollAlgorithm::Linear,
     };
     let streams = op == CollOp::Broadcast;
-    let algorithm = resolve(ctx, op, streams, requested, root, view, bits_hint);
-    Ok((algorithm, tree_over(ctx, algorithm, root, view)))
+    let algorithm = resolve(ctx, op, streams, requested, root, &members, bits_hint);
+    Ok((algorithm, tree_over(ctx, algorithm, root, &members)))
 }
 
 /// Fan-out of one payload to `children` when the local rank must also
@@ -552,7 +540,6 @@ fn fanout_consume<M: Wire + Clone>(
 
 /// Broadcast from `root` under `cfg`: the root passes `Some(msg)`, every
 /// other rank passes `None`; all ranks return the payload.
-/// [`broadcast_over`] with every rank alive.
 ///
 /// `bits_hint` feeds `Auto` selection only (transfers charge the actual
 /// payload size) and **must be identical on every rank** — see the
@@ -564,25 +551,8 @@ pub fn broadcast<M: Wire + Clone>(
     msg: Option<M>,
     bits_hint: u64,
 ) -> Result<M, CollError> {
-    let view = Membership::new(ctx.num_ranks());
-    broadcast_over(ctx, cfg, root, &view, msg, bits_hint)
-}
-
-/// Broadcast over a [`Membership`] view: only the view's survivors
-/// participate (every survivor must call; known-dead ranks are routed
-/// around). The root passes `Some(msg)`, every other survivor `None`;
-/// all participants return the payload. Every participant must pass the
-/// *same* view and `bits_hint` or schedules would disagree.
-pub fn broadcast_over<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: Option<M>,
-    bits_hint: u64,
-) -> Result<M, CollError> {
     let op = CollOp::Broadcast;
-    let (algorithm, tree) = plan(ctx, cfg, op, root, view, bits_hint)?;
+    let (algorithm, tree) = plan(ctx, cfg, op, root, bits_hint)?;
     if algorithm == CollAlgorithm::PipelinedChunked {
         return broadcast_pipelined(ctx, &tree, msg);
     }
@@ -670,8 +640,7 @@ fn broadcast_pipelined<M: Wire + Clone>(
 /// Gather to `root` under `cfg`: every rank contributes `msg`; the root
 /// returns `Some(entries)` indexed by rank — contributions of failed
 /// ranks appear as explicit [`GatherEntry::Lost`] records, never an
-/// abort — and every other rank returns `None`. [`gather_over`] with
-/// every rank alive.
+/// abort — and every other rank returns `None`.
 ///
 /// `bits_hint` feeds `Auto` selection only and **must be identical on
 /// every rank** (see the module docs); transfers charge actual sizes.
@@ -685,24 +654,8 @@ pub fn gather<M: Wire>(
     msg: M,
     bits_hint: u64,
 ) -> Option<Vec<GatherEntry<M>>> {
-    let view = Membership::new(ctx.num_ranks());
-    gather_over(ctx, cfg, root, &view, msg, bits_hint).expect("gather: root out of range")
-}
-
-/// Gather over a [`Membership`] view: survivors contribute over the
-/// survivor tree; the root's rank-indexed result reports every
-/// known-dead rank as [`GatherEntry::Lost`] with the view's recorded
-/// failure ([`Membership::lost_entry`]) — zero subtree loss for known
-/// failures, because no schedule edge touches a dead rank.
-pub fn gather_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: M,
-    bits_hint: u64,
-) -> Result<Option<Vec<GatherEntry<M>>>, CollError> {
-    let (_, tree) = plan(ctx, cfg, CollOp::Gather, root, view, bits_hint)?;
+    let (_, tree) =
+        plan(ctx, cfg, CollOp::Gather, root, bits_hint).expect("gather: root out of range");
     let rank = ctx.rank();
     if rank == root {
         let p = ctx.num_ranks();
@@ -737,14 +690,11 @@ pub fn gather_over<M: Wire>(
                 }
             }
         }
-        Ok(Some(
+        Some(
             out.into_iter()
-                .enumerate()
-                // Not in the survivor tree: the view already knows this
-                // rank is dead — report its recorded failure.
-                .map(|(r, e)| e.unwrap_or_else(|| GatherEntry::Lost(view.lost_entry(r))))
+                .map(|e| e.expect("gather: the tree spans every rank"))
                 .collect(),
-        ))
+        )
     } else {
         let parent = tree.parent(rank).expect("gather: non-root has a parent");
         // Collect this subtree's contributions in `subtree_order`, then
@@ -759,7 +709,7 @@ pub fn gather_over<M: Wire>(
         for m in collected {
             ctx.send(parent, m);
         }
-        Ok(None)
+        None
     }
 }
 
@@ -784,8 +734,8 @@ pub fn scatter<M: Wire>(
         (Some(v), _) => v.first().map_or(0, |m| m.size_bits()),
         (None, _) => 0,
     };
-    let view = Membership::new(ctx.num_ranks());
-    let algorithm = resolve_over(ctx, op, CollAlgorithm::Linear, root, &view, bits_hint);
+    let members = every_rank(ctx, root)?;
+    let algorithm = resolve_over(ctx, op, CollAlgorithm::Linear, root, &members, bits_hint);
     debug_assert_eq!(algorithm, CollAlgorithm::Linear);
     if ctx.rank() == root {
         let items = items.ok_or(CollError::RootMissingPayload { op })?;
@@ -819,8 +769,7 @@ pub fn scatter<M: Wire>(
 /// fold upward through the tree's gather edges, and the root's result
 /// fans back down the broadcast edges of the **same** schedule. Every
 /// rank returns the folded value — one tree instead of a full gather
-/// followed by a full broadcast. [`allreduce_over`] with every rank
-/// alive.
+/// followed by a full broadcast.
 ///
 /// The fold must be **associative** and **size-preserving** (every
 /// contribution and every partial must share one wire size, which is
@@ -852,25 +801,8 @@ pub fn allreduce<M: Wire + Clone>(
     fold: impl Fn(M, M) -> M,
     bits_hint: u64,
 ) -> M {
-    let view = Membership::new(ctx.num_ranks());
-    allreduce_over(ctx, cfg, root, &view, msg, fold, bits_hint)
-        .expect("allreduce: root out of range")
-}
-
-/// Fused allreduce over a [`Membership`] view: survivors fold up and fan
-/// back down the survivor tree; every survivor returns the folded value.
-/// The fold contract (associative, size-preserving; see [`allreduce`])
-/// applies to the survivor list.
-pub fn allreduce_over<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
-    root: usize,
-    view: &Membership,
-    msg: M,
-    fold: impl Fn(M, M) -> M,
-    bits_hint: u64,
-) -> Result<M, CollError> {
-    let (_, tree) = plan(ctx, cfg, CollOp::Allreduce, root, view, bits_hint)?;
+    let (_, tree) =
+        plan(ctx, cfg, CollOp::Allreduce, root, bits_hint).expect("allreduce: root out of range");
     let rank = ctx.rank();
     let mut acc = msg;
     if rank == root {
@@ -890,23 +822,7 @@ pub fn allreduce_over<M: Wire + Clone>(
         ctx.send(parent, acc);
         acc = ctx.recv(parent);
     }
-    Ok(fanout_retain(ctx, tree.children_bcast(rank), acc, None))
-}
-
-/// Root-side fan-out of per-destination messages built by `make` —
-/// the collective entry point for masters whose workers only ever
-/// `recv(0)`: a tree schedule cannot relay through workers that never
-/// forward, so the fan-out stays linear by construction. The
-/// fault-tolerant drivers in `hetero::ft` use this as their default
-/// state-distribution path; with [`crate::Membership`], [`resolve_over`]
-/// and [`tree_over`] they can instead ship state down an epoch-stamped
-/// survivor tree (`FtOptions::collectives`).
-/// Destinations are sent in slice order.
-pub fn fanout_with<M: Wire>(ctx: &mut Ctx<M>, dsts: &[usize], mut make: impl FnMut() -> M) {
-    for &dst in dsts {
-        let m = make();
-        ctx.send(dst, m);
-    }
+    fanout_retain(ctx, tree.children_bcast(rank), acc, None)
 }
 
 #[cfg(test)]
@@ -920,7 +836,7 @@ mod tests {
         Engine::new(Platform::uniform("t", p, 0.01, 1024, 10.0))
     }
 
-    /// The full member list — what an all-alive view resolves over.
+    /// The full member list — what the collectives here resolve over.
     fn all_ranks(platform: &Platform) -> Vec<usize> {
         (0..platform.num_procs()).collect()
     }
@@ -1354,7 +1270,7 @@ mod tests {
         // The gate against a return to per-rank, per-call planning — a
         // count, so it holds on any host. 256 ranks, 18 linear gather +
         // broadcast rounds: one schedule. A binomial allreduce: one
-        // more. A new alive set: one more per survivor tree asked for.
+        // more. A new member list: one more per survivor tree asked for.
         const P: usize = 256;
         let linear = CollectiveConfig::linear();
         let binomial = CollectiveConfig::uniform(CollAlgorithm::BinomialTree);
@@ -1371,7 +1287,7 @@ mod tests {
                 broadcast(ctx, &linear, 0, winner, 64).expect("broadcast");
             }
             let after_rounds = ctx.schedules().len();
-            let all = Membership::new(P);
+            let all: Vec<usize> = (0..P).collect();
             let star = tree_over(ctx, CollAlgorithm::Linear, 0, &all);
             barrier(ctx);
 
@@ -1380,14 +1296,9 @@ mod tests {
             let after_allreduce = ctx.schedules().len();
             barrier(ctx);
 
-            let mut view = Membership::new(P);
-            assert!(view.observe_failure(&RankFailure {
-                rank: P - 1,
-                at: 0.0,
-                cause: FailureCause::Crash,
-            }));
-            let survivor_star = tree_over(ctx, CollAlgorithm::Linear, 0, &view);
-            let survivor_tree = tree_over(ctx, CollAlgorithm::BinomialTree, 0, &view);
+            let survivors = &all[..P - 1];
+            let survivor_star = tree_over(ctx, CollAlgorithm::Linear, 0, survivors);
+            let survivor_tree = tree_over(ctx, CollAlgorithm::BinomialTree, 0, survivors);
             assert_eq!(survivor_star.parent(P - 1), None, "routed around");
             assert_eq!(survivor_tree.parent(P - 1), None, "routed around");
             let after_epoch = ctx.schedules().len();
@@ -1403,6 +1314,32 @@ mod tests {
             assert_eq!(*counts, [1, 2, 4], "rank {rank}");
             for (mine, firsts) in handles.iter().zip(first_handles) {
                 assert!(Arc::ptr_eq(mine, firsts), "rank {rank} got its own tree");
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_root_is_not_a_member() {
+        // A root outside the run is a structured NotAMember on every
+        // rank — before any traffic or logged choice, never an index
+        // panic.
+        let cfg = CollectiveConfig::uniform(CollAlgorithm::BinomialTree);
+        let report = Engine::new(presets::fully_heterogeneous()).run(move |ctx| {
+            let root = ctx.num_ranks() + 3;
+            [
+                broadcast(ctx, &cfg, root, None::<u64>, 64).err(),
+                scatter(ctx, root, None::<Vec<u64>>, ScatterMode::Charged).err(),
+            ]
+        });
+        assert!(report.ok());
+        assert!(report.collectives.is_empty(), "rejected before selection");
+        for r in 0..16 {
+            for (i, e) in report.result(r).iter().enumerate() {
+                assert_eq!(
+                    *e,
+                    Some(CollError::NotAMember { rank: 19 }),
+                    "rank {r}, collective {i}"
+                );
             }
         }
     }

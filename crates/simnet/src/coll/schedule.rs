@@ -20,22 +20,22 @@
 //! and makes tree reduces regroup — not reorder — the linear fold; see
 //! `docs/COMMS.md`).
 //!
-//! Every builder spans an explicit **member set** (the survivors of a
-//! [`crate::coll::Membership`] view; every rank for an all-alive view).
-//! Survivor trees are what lets the epoch protocol route *around*
-//! known-dead interior relays instead of cascading `PeerLost` down their
-//! subtrees. [`build`] is the one builder; it has two callers. The
-//! executors reach it through the run's [`ScheduleMemo`], which builds a
-//! tree once per `(algorithm, root, alive set)` per run and hands every
-//! rank the same `Arc<Tree>`; the cost model calls it directly, because
-//! a prediction has no run to share with.
+//! Every builder spans an explicit **member list**: every rank for the
+//! collectives in [`crate::coll`], the survivors `hetero::ft`'s tree mode
+//! tracks, so its trees route *around* known-dead interior relays
+//! instead of cascading `PeerLost` down their subtrees. [`build`] is the
+//! one builder; it has two callers. The executors reach it through the
+//! run's [`ScheduleMemo`], which builds a tree once per `(algorithm,
+//! root, members)` per run and hands every rank the same `Arc<Tree>`;
+//! the cost model calls it directly, because a prediction has no run to
+//! share with.
 
-use super::{CollAlgorithm, Membership};
+use super::CollAlgorithm;
 use crate::platform::Platform;
 use std::sync::{Arc, Mutex};
 
 /// A rooted spanning tree over a subset of ranks `0..p` (all of them for
-/// an all-alive view), with children kept in both broadcast (send)
+/// the all-ranks collectives), with children kept in both broadcast (send)
 /// order and gather (receive/fold) order. Vectors are always indexed by
 /// *real* rank; non-member ranks simply have no parent, no children and
 /// a subtree of themselves only.
@@ -186,14 +186,14 @@ pub(super) fn build(
     }
 }
 
-/// One run's schedules, keyed by `(algorithm, root, alive set)`. A
+/// One run's schedules, keyed by `(algorithm, root, members)`. A
 /// schedule is a pure function of its key and the run's platform, so a
 /// tree built by whichever rank asks first is the tree every other rank
 /// would have built: P ranks planning the same collective share one.
 #[derive(Debug, Default)]
 pub(crate) struct ScheduleMemo {
-    /// Few keys per run (one per algorithm in use per membership epoch),
-    /// so a scan beats hashing the alive set on every call.
+    /// Few keys per run (one per algorithm in use per member list), so a
+    /// scan beats hashing the member list on every call.
     built: Mutex<Vec<Memoized>>,
 }
 
@@ -201,34 +201,34 @@ pub(crate) struct ScheduleMemo {
 struct Memoized {
     algorithm: CollAlgorithm,
     root: usize,
-    alive: Vec<bool>,
+    members: Vec<usize>,
     tree: Arc<Tree>,
 }
 
 impl ScheduleMemo {
-    /// The schedule of `algorithm` rooted at `root` over `view`'s
-    /// survivors, built on the first request for that key. Building
-    /// happens under the lock, so concurrent first requests still build
-    /// exactly one tree.
+    /// The schedule of `algorithm` rooted at `root` over `members`
+    /// (ascending, containing `root`), built on the first request for
+    /// that key. Building happens under the lock, so concurrent first
+    /// requests still build exactly one tree.
     pub(crate) fn get(
         &self,
         algorithm: CollAlgorithm,
         root: usize,
         platform: &Platform,
-        view: &Membership,
+        members: &[usize],
     ) -> Arc<Tree> {
         let mut built = crate::lock_unpoisoned(&self.built);
         if let Some(hit) = built
             .iter()
-            .find(|m| m.algorithm == algorithm && m.root == root && m.alive == view.alive())
+            .find(|m| m.algorithm == algorithm && m.root == root && m.members == members)
         {
             return Arc::clone(&hit.tree);
         }
-        let tree = Arc::new(build(algorithm, root, platform, &view.survivors()));
+        let tree = Arc::new(build(algorithm, root, platform, members));
         built.push(Memoized {
             algorithm,
             root,
-            alive: view.alive().to_vec(),
+            members: members.to_vec(),
             tree: Arc::clone(&tree),
         });
         tree
@@ -369,7 +369,8 @@ mod tests {
         Platform::new("segs", segs.iter().map(|&s| spec(s)).collect(), links)
     }
 
-    /// The full member list — what an all-alive view hands the builders.
+    /// The full member list — what the all-ranks collectives hand the
+    /// builders.
     fn all(p: usize) -> Vec<usize> {
         (0..p).collect()
     }

@@ -225,7 +225,7 @@ pub struct Ctx<M: Wire> {
     /// [`crate::coll`]); the root's log lands in
     /// [`RunReport::collectives`].
     coll_log: Vec<crate::coll::CollectiveChoice>,
-    /// Membership epoch transitions recorded on this rank (see
+    /// Alive-set epoch transitions recorded on this rank (see
     /// [`Ctx::mark_epoch`]); the root's log lands in
     /// [`RunReport::epochs`].
     epoch_log: Vec<crate::report::EpochTransition>,
@@ -587,10 +587,10 @@ impl<M: Wire> Ctx<M> {
         self.record(start, TraceKind::Recovery { lost });
     }
 
-    /// Records a membership epoch transition at the current virtual
-    /// time: this rank's [`crate::coll::Membership`] view observed the
-    /// failure of `failed` and advanced to `epoch`, leaving `survivors`
-    /// ranks alive. Emits a zero-length trace marker and appends to the
+    /// Records an alive-set epoch transition at the current virtual
+    /// time: this rank (a coordinator that tracks which ranks are alive,
+    /// like `hetero::ft`'s master) observed the failure of `failed` and
+    /// advanced to `epoch`, leaving `survivors` ranks alive. Emits a zero-length trace marker and appends to the
     /// rank's epoch log (the root's log lands in
     /// [`RunReport::epochs`]).
     pub fn mark_epoch(&mut self, epoch: u64, failed: usize, survivors: usize) {
@@ -1385,12 +1385,11 @@ mod tests {
         );
         assert_eq!(report.failures.len(), p);
         assert!(report.results.iter().all(Option::is_none));
-        let view = crate::coll::Membership::new(p);
         let tree = crate::coll::ScheduleMemo::default().get(
             crate::coll::CollAlgorithm::BinomialTree,
             0,
             &Platform::uniform("t64", p, 0.01, 64, 1.0),
-            &view,
+            &(0..p).collect::<Vec<_>>(),
         );
         for rank in 1..p {
             let parent = tree.parent(rank).expect("non-root");
@@ -1434,8 +1433,10 @@ mod tests {
         // matters: rank 15 (a leaf of the binomial tree) dies between
         // two 1 Mbit broadcasts; the run still hands back its trace, and
         // the survivors go on to build a schedule nobody had asked for
-        // yet and to queue on the serial links.
-        use crate::coll::{broadcast, broadcast_over, CollAlgorithm, CollectiveConfig, Membership};
+        // yet and to queue on the serial links. The second broadcast is a
+        // linear star over every rank: the dead rank is a leaf, so the
+        // root's send to it is dropped.
+        use crate::coll::{broadcast, CollAlgorithm, CollectiveConfig};
         let platform = crate::presets::fully_heterogeneous();
         let p = platform.num_procs();
         let (report, trace) = Engine::new(platform).run_traced(move |ctx| {
@@ -1446,9 +1447,8 @@ mod tests {
             if ctx.rank() == p - 1 {
                 panic!("worker died");
             }
-            let rest = Membership::from_survivors(1, p, &(0..p - 1).collect::<Vec<_>>());
             let star = CollectiveConfig::linear();
-            let second = broadcast_over(ctx, &star, 0, &rest, msg(2), 1_000_000).expect("valid");
+            let second = broadcast(ctx, &star, 0, msg(2), 1_000_000).expect("valid");
             (first.0[0], second.0[0])
         });
         assert_eq!(report.failures.len(), 1);

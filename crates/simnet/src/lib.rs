@@ -33,10 +33,10 @@
 //!   a run-shared fabric (a mailbox per rank, an exit board, the link
 //!   ledger and the collective schedule memo, built in O(P) per run).
 //! * [`coll`] — the collectives (broadcast, scatter, gather,
-//!   allreduce), each one body over an epoch-numbered membership view:
-//!   linear (the paper's root-mediated baseline), binomial tree,
-//!   segment-hierarchical and pipelined-chunked schedules with
-//!   cost-model driven `Auto` selection ([`coll::predict`]).
+//!   allreduce), each over every rank of the run: linear (the paper's
+//!   root-mediated baseline), binomial tree, segment-hierarchical and
+//!   pipelined-chunked schedules with cost-model driven `Auto`
+//!   selection ([`coll::predict`]).
 //! * [`faults`] — deterministic virtual-time fault plans: rank crashes,
 //!   slowdown windows, link outage/degradation; structured failures.
 //! * [`accel`] — the accelerator device model (GPU/FPGA specs, offload
@@ -94,8 +94,8 @@ pub mod trace;
 
 pub use accel::{DeviceKind, DeviceSim, DeviceSpec, OffloadStats};
 pub use coll::{
-    CollAlgorithm, CollError, CollOp, CollectiveChoice, CollectiveConfig, GatherEntry, Membership,
-    ScatterMode, Tree,
+    CollAlgorithm, CollError, CollOp, CollectiveChoice, CollectiveConfig, GatherEntry, ScatterMode,
+    Tree,
 };
 pub use engine::{Ctx, Engine, Wire};
 pub use faults::{FailureCause, FaultPlan, FaultPlanError, RankFailure, RecvError};

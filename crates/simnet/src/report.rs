@@ -60,9 +60,9 @@ impl CopyStats {
     }
 }
 
-/// One membership-view epoch bump recorded by a run's coordinator (see
-/// [`crate::coll::Membership`]): the coordinator observed a new rank
-/// failure and moved its view to `epoch`.
+/// One alive-set epoch bump recorded by a run's coordinator (see
+/// [`crate::Ctx::mark_epoch`]): the coordinator observed a new rank
+/// failure and moved its alive set to `epoch`.
 ///
 /// Deterministic — failures are virtual-time events and the observer's
 /// protocol is fixed — so the transition log participates in the
@@ -105,10 +105,9 @@ pub struct RunReport<R> {
     /// in call order; see [`crate::coll`]). Deterministic, so it
     /// participates in the report's bit-identity comparisons.
     pub collectives: Vec<CollectiveChoice>,
-    /// Membership epoch transitions observed by the run's coordinator
+    /// Alive-set epoch transitions observed by the run's coordinator
     /// (rank 0's log, in observation order; empty unless the program
-    /// drives a [`crate::coll::Membership`] view through
-    /// [`crate::Ctx::mark_epoch`]). Deterministic, so it participates in
+    /// records them through [`crate::Ctx::mark_epoch`]). Deterministic, so it participates in
     /// bit-identity comparisons.
     pub epochs: Vec<EpochTransition>,
     /// Copy telemetry summed over all ranks (host observability only;

@@ -69,10 +69,10 @@ pub enum TraceKind {
         /// The rank whose loss triggered the recovery.
         lost: usize,
     },
-    /// Membership epoch bump (zero-length marker): the coordinator's
-    /// view observed a new failure and advanced to `epoch`.
+    /// Alive-set epoch bump (zero-length marker): the coordinator
+    /// observed a new failure and advanced to `epoch`.
     EpochBump {
-        /// The epoch the view moved to.
+        /// The epoch the coordinator moved to.
         epoch: u64,
     },
 }
