@@ -18,9 +18,8 @@ use crate::scenario::{Algo, Driver, Scenario};
 use hetero_hsi::ft::{self, FtError, FtRun};
 use hetero_hsi::sched::{AtdcaChunks, MorphChunks, PctChunks, UfclsChunks};
 use hetero_hsi::{seq, ChunkedAlgo, OutputDigest};
-use simnet::accel::cost::predict_offload;
 use simnet::engine::{Engine, WireVec};
-use simnet::{coll, CollOp, CollectiveConfig, DeviceSim, DeviceSpec};
+use simnet::{coll, CollOp, CollectiveConfig, Ctx};
 use testutil::gen::FaultEvent;
 use testutil::links::{serial_link_overlaps, serial_link_uses};
 
@@ -35,8 +34,8 @@ pub enum Invariant {
     /// only ranks that actually crashed.
     SurvivorCompleteness,
     /// Analytic replay: `coll::predict` matches the measured virtual
-    /// time of an isolated collective, and `accel::cost::predict_offload`
-    /// matches `DeviceSim::launch` bit-exactly.
+    /// time of an isolated collective, and every device rank's charged
+    /// offload equals `DeviceSpec::offload_secs` bit-exactly.
     PredictExact,
     /// Profiler accounting: every rank's phase fold equals its
     /// wall-clock bitwise, and the critical path is bounded.
@@ -322,8 +321,9 @@ impl Oracle {
 
         // 3. Analytic replay: an isolated allreduce on this platform
         // must measure exactly what `coll::predict` replays (the
-        // scenario's collective is concrete by construction), and the
-        // device cost model must match the device simulator bitwise.
+        // scenario's collective is concrete by construction), and an
+        // offload must charge a device rank's clock exactly the closed
+        // form `offload_secs`, bitwise.
         let cfg = CollectiveConfig {
             allreduce: s.collective,
             ..CollectiveConfig::linear()
@@ -371,20 +371,23 @@ impl Oracle {
             probe.total_time,
             s.ranks
         );
-        let specs: Vec<DeviceSpec> = s
-            .gpu_ranks
-            .iter()
-            .map(|_| DeviceSpec::commodity_gpu())
-            .chain(s.fpga_ranks.iter().map(|_| DeviceSpec::edge_fpga()))
-            .collect();
-        for spec in specs {
-            let analytic = predict_offload(&spec, 12.5, 4096, 1024);
-            let simulated = DeviceSim::new(spec).launch(12.5, 4096, 1024);
+        let (mflops, h2d, d2h) = (12.5, 4096, 1024);
+        let charged = Engine::new(platform).run(|ctx: &mut Ctx<()>| {
+            ctx.device().copied().map(|spec| {
+                ctx.offload(mflops, h2d, d2h);
+                (spec, ctx.elapsed())
+            })
+        });
+        for (rank, result) in charged.results.iter().enumerate() {
+            let Some(Some((spec, measured))) = result else {
+                continue;
+            };
+            let closed_form = spec.offload_secs(mflops, h2d, d2h);
             ensure!(
                 verdict,
                 Invariant::PredictExact,
-                analytic.to_bits() == simulated.to_bits(),
-                "predict_offload {analytic:e} != DeviceSim::launch {simulated:e} on {}",
+                measured.to_bits() == closed_form.to_bits(),
+                "rank {rank}: offload charged {measured:e} != offload_secs {closed_form:e} on {}",
                 spec.kind.label()
             );
         }

@@ -72,7 +72,7 @@ use crate::wea::apportion_rows;
 use simnet::coll::{self, CollAlgorithm, CollOp, CollectiveConfig};
 use simnet::engine::{Engine, Wire};
 use simnet::report::RunReport;
-use simnet::{Ctx, RankFailure, RecvError};
+use simnet::{Ctx, Platform, RankFailure, RecvError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -231,13 +231,15 @@ enum FtMsg<D, P> {
     StateAck { round: usize },
     /// Work order for lines `[first, first + n)`.
     Assign {
-        id: u64,
         round: usize,
         first: usize,
         n: usize,
     },
-    /// A chunk's result.
-    Partial { id: u64, first: usize, data: P },
+    /// A chunk's result. A worker answers its orders in arrival order,
+    /// one `Partial` each, so the master pairs a `Partial` with the
+    /// oldest order it has outstanding at that worker (the
+    /// self-scheduler keeps at most one).
+    Partial { data: P },
     /// No more rounds; the worker exits.
     Finish,
 }
@@ -257,25 +259,11 @@ impl<D: Wire + Sync, P: Wire> Wire for FtMsg<D, P> {
             FtMsg::RoundState { delta, .. } => 160 + delta_bits(delta),
             FtMsg::StateRequest { .. } => 64,
             FtMsg::StateAck { .. } => 64,
+            // Round, first line and count.
             FtMsg::Assign { .. } => 192,
-            FtMsg::Partial { data, .. } => 128 + data.size_bits(),
+            // The first line and count a worker returns with its data.
+            FtMsg::Partial { data } => 128 + data.size_bits(),
             FtMsg::Finish => 8,
-        }
-    }
-
-    fn deep_copy_bits(&self) -> u64 {
-        match self {
-            // Round/RoundState carry their delta behind an Arc; the
-            // other small variants are fixed-size headers (the survivor
-            // list is the only heap part of a RoundStart).
-            FtMsg::Round { .. }
-            | FtMsg::RoundState { .. }
-            | FtMsg::StateRequest { .. }
-            | FtMsg::StateAck { .. }
-            | FtMsg::Assign { .. }
-            | FtMsg::Finish => 0,
-            FtMsg::RoundStart { survivors, .. } => 16 * survivors.len() as u64,
-            FtMsg::Partial { .. } => self.size_bits(),
         }
     }
 }
@@ -440,15 +428,10 @@ fn worker_loop<A: ChunkedAlgo>(
                 round,
                 receive_tree_state(ctx, round, epoch, &survivors, algorithm),
             ),
-            FtMsg::Assign {
-                id,
-                round,
-                first,
-                n,
-            } => {
+            FtMsg::Assign { round, first, n } => {
                 let (data, charge) = algo.run_chunk(round, &replica, first, n);
                 offload::charge_chunk(ctx, policy, &charge);
-                ctx.send(0, FtMsg::Partial { id, first, data });
+                ctx.send(0, FtMsg::Partial { data });
                 continue;
             }
             FtMsg::Finish => break,
@@ -554,8 +537,6 @@ struct Roster {
     alive: Vec<bool>,
     /// Every detected loss, in detection order.
     recoveries: Vec<Recovery>,
-    /// Next work-order id (unique across the whole run).
-    next_id: u64,
 }
 
 impl Roster {
@@ -565,7 +546,6 @@ impl Roster {
             epoch: 0,
             alive: vec![true; p],
             recoveries: Vec::new(),
-            next_id: 0,
         }
     }
 
@@ -611,30 +591,6 @@ impl Roster {
             Err(AllWorkersLost { round })
         }
     }
-
-    /// Sends worker `w` the order for lines `[first, first + n)` and
-    /// returns the order's id.
-    fn assign<D: Wire + Sync, P: Wire>(
-        &mut self,
-        ctx: &mut Ctx<FtMsg<D, P>>,
-        w: usize,
-        round: usize,
-        first: usize,
-        n: usize,
-    ) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        ctx.send(
-            w,
-            FtMsg::Assign {
-                id,
-                round,
-                first,
-                n,
-            },
-        );
-        id
-    }
 }
 
 /// The master's verdict that no worker survives to take the lines still
@@ -646,15 +602,17 @@ struct AllWorkersLost {
 
 /// Splits lines `[first, first + n)` over the surviving `workers`
 /// (non-empty — callers go through [`Roster::ensure_workers`]) in
-/// proportion to speed; returns `(first, n, worker)` slices.
+/// proportion to their speed on `platform`; returns `(first, n, worker)`
+/// slices.
 fn split_lines(
     first: usize,
     n: usize,
     workers: &[usize],
-    speeds: &[f64],
+    platform: &Platform,
 ) -> Vec<(usize, usize, usize)> {
-    let total: f64 = workers.iter().map(|&w| speeds[w]).sum();
-    let fractions: Vec<f64> = workers.iter().map(|&w| speeds[w] / total).collect();
+    let speed = |w: usize| platform.proc(w).speed();
+    let total: f64 = workers.iter().map(|&w| speed(w)).sum();
+    let fractions: Vec<f64> = workers.iter().map(|&w| speed(w) / total).collect();
     let rows = apportion_rows(&fractions, n);
     let mut out = Vec::new();
     let mut f = first;
@@ -823,25 +781,25 @@ fn collect_replan<A: ChunkedAlgo>(
     // Per-round *effective* speeds: with offloading enabled a
     // device-bearing node is proportionally faster for this round's
     // kernel (launch + transfers amortized over an even-split batch), so
-    // the WEA apportionment hands it more lines. With `Never` these are
-    // exactly `proc.speed()`.
+    // the WEA apportionment hands it more lines. With `Never` the folded
+    // platform carries the real cycle-times.
     let rep_lines = algo.lines().div_ceil((p - 1).max(1)).max(1);
     let rep = ChunkCost::new(
         algo.chunk_mflops(round, state, 0, rep_lines),
         algo.chunk_bytes(round, state, 0, rep_lines),
     );
-    let speeds = offload::effective_speeds(ctx.platform(), opts.offload, &rep);
+    let effective = offload::effective_platform(ctx.platform(), opts.offload, &rep);
 
     // Batches `(first, n, worker)` in dispatch order, the order the
     // master awaits them in.
     let mut batches = VecDeque::new();
     let dispatch = |ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>,
-                    roster: &mut Roster,
+                    roster: &Roster,
                     batches: &mut VecDeque<(usize, usize, usize)>,
                     first: usize,
                     n: usize| {
-        for (first, n, w) in split_lines(first, n, &roster.workers(), &speeds) {
-            roster.assign(ctx, w, round, first, n);
+        for (first, n, w) in split_lines(first, n, &roster.workers(), &effective) {
+            ctx.send(w, FtMsg::Assign { round, first, n });
             batches.push_back((first, n, w));
         }
     };
@@ -853,7 +811,7 @@ fn collect_replan<A: ChunkedAlgo>(
         // Per-pair FIFO: every earlier batch of `w` is done, so its next
         // partial is this batch's.
         match ctx.recv_deadline(w, f64::INFINITY) {
-            Ok(FtMsg::Partial { data, .. }) => partials.push((first, data)),
+            Ok(FtMsg::Partial { data }) => partials.push((first, data)),
             Ok(_) => unreachable!("ft: workers send Partial only after the barrier"),
             // A worker leaves cleanly only on `Finish`, and `Finish`
             // follows the last round.
@@ -896,7 +854,7 @@ fn collect_self_sched<A: ChunkedAlgo>(
     }
     let total_chunks = queue.len();
     let mut done = 0usize;
-    let mut outstanding: Vec<Option<(u64, usize, usize)>> = vec![None; p];
+    let mut outstanding: Vec<Option<(usize, usize)>> = vec![None; p];
     let mut partials: Vec<(usize, A::Partial)> = Vec::new();
 
     while done < total_chunks {
@@ -904,8 +862,9 @@ fn collect_self_sched<A: ChunkedAlgo>(
         // Hand every free surviving worker the next queued chunk.
         for (w, slot) in outstanding.iter_mut().enumerate().skip(1) {
             if roster.alive[w] && slot.is_none() {
-                if let Some((cf, cn)) = queue.pop_front() {
-                    *slot = Some((roster.assign(ctx, w, round, cf, cn), cf, cn));
+                if let Some((first, n)) = queue.pop_front() {
+                    ctx.send(w, FtMsg::Assign { round, first, n });
+                    *slot = Some((first, n));
                 }
             }
         }
@@ -917,22 +876,15 @@ fn collect_self_sched<A: ChunkedAlgo>(
         let now = ctx.elapsed();
         let mut productive = false;
         for (w, slot) in outstanding.iter_mut().enumerate().skip(1) {
-            let Some((id, cf, cn)) = *slot else {
+            let Some((cf, cn)) = *slot else {
                 continue;
             };
             match ctx.recv_deadline(w, now) {
-                Ok(FtMsg::Partial {
-                    id: pid,
-                    first: pf,
-                    data,
-                    ..
-                }) => {
-                    if pid == id {
-                        *slot = None;
-                        partials.push((pf, data));
-                        done += 1;
-                        productive = true;
-                    }
+                Ok(FtMsg::Partial { data }) => {
+                    *slot = None;
+                    partials.push((cf, data));
+                    done += 1;
+                    productive = true;
                 }
                 Ok(_) => unreachable!("ft: workers send Partial only after the barrier"),
                 Err(RecvError::Timeout { .. }) => {}

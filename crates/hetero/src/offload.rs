@@ -17,10 +17,11 @@
 //!   the decision — device chunks via `Ctx::offload` (recorded in
 //!   `RunReport::offloads` and as `D` trace spans), host chunks via
 //!   `Ctx::compute_par_tracked`.
-//! * [`effective_platform`] / [`effective_speeds`] fold the device into
-//!   a node's speed for the WEA partitioners: accelerator-rich nodes
-//!   read as proportionally faster (device time amortized over a
-//!   representative chunk) and receive larger partitions.
+//! * [`effective_platform`] folds the device into a node's speed, for
+//!   the WEA partitioners and the re-planning master's batch split
+//!   alike: accelerator-rich nodes read as proportionally faster (device
+//!   time amortized over a representative chunk) and receive larger
+//!   partitions.
 //!
 //! **Bit-identity.** The policy changes *where time is charged*, never
 //! *what is computed*: the same kernels run on the host threads in the
@@ -93,8 +94,8 @@ pub enum ChunkTarget {
 }
 
 /// Applies `policy` to one chunk on one processor. Pure and analytic —
-/// a function of the spec and the cost only — so masters, workers and
-/// the `predict_offload` replay all agree on every decision.
+/// a function of the spec and the cost only — so masters and workers
+/// agree on every decision.
 pub fn decide(proc: &ProcessorSpec, policy: OffloadPolicy, cost: &ChunkCost) -> ChunkTarget {
     let Some(device) = proc.device.as_ref() else {
         return ChunkTarget::Host;
@@ -139,35 +140,12 @@ pub fn charge_chunk<M: Wire>(ctx: &mut Ctx<M>, policy: OffloadPolicy, cost: &Chu
     }
 }
 
-/// A node's effective speed in Mflop/s for work shaped like `rep`:
-/// the host speed `1/wᵢ` when [`decide`] keeps the chunk on the host
-/// (bit-identical to [`ProcessorSpec::speed`], so `Never` reproduces
-/// historic partitions exactly), or `rep.mflops / device_secs` when it
-/// offloads — launch latency and transfers amortized over the chunk.
-fn effective_speed(proc: &ProcessorSpec, policy: OffloadPolicy, rep: &ChunkCost) -> f64 {
-    match decide(proc, policy, rep) {
-        ChunkTarget::Host => proc.speed(),
-        ChunkTarget::Device => {
-            let device = proc.device.as_ref().expect("decide returned Device");
-            rep.mflops / device_secs(device, rep)
-        }
-    }
-}
-
-/// Per-rank effective speeds in Mflop/s for work shaped like `rep` —
-/// what the re-planning master feeds [`crate::ft`]'s speed-proportional
-/// batch split so accelerator-rich nodes receive larger batches.
-pub fn effective_speeds(platform: &Platform, policy: OffloadPolicy, rep: &ChunkCost) -> Vec<f64> {
-    platform
-        .procs()
-        .iter()
-        .map(|p| effective_speed(p, policy, rep))
-        .collect()
-}
-
 /// A clone of `platform` whose cycle-times are replaced by the
-/// *effective* seconds-per-megaflop for work shaped like `rep` (see
-/// [`effective_speeds`]). Fed to the WEA partitioners **only** — the
+/// *effective* seconds-per-megaflop for work shaped like `rep`: the host
+/// cycle-time when [`decide`] keeps the chunk on the host, or
+/// `device_secs / rep.mflops` when it offloads — launch latency and
+/// transfers amortized over the chunk. Fed to the WEA partitioners and
+/// to [`crate::ft`]'s speed-proportional batch split **only** — the
 /// engine always runs on the real platform — so fraction computation
 /// sees host + device pairs while time accounting stays exact.
 /// `Never` returns an identical copy (partitions are unchanged).
@@ -296,10 +274,6 @@ mod tests {
         for i in 0..base.num_procs() {
             assert_eq!(eff.proc(i).cycle_time, base.proc(i).cycle_time);
         }
-        assert_eq!(
-            effective_speeds(&base, OffloadPolicy::Never, &big_chunk()),
-            base.procs().iter().map(|p| p.speed()).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -311,9 +285,6 @@ mod tests {
         assert!(eff.proc(2).cycle_time < base.proc(2).cycle_time);
         assert_eq!(eff.proc(1).cycle_time, base.proc(1).cycle_time);
         assert_eq!(eff.msg_latency_s(), base.msg_latency_s());
-        let speeds = effective_speeds(&base, OffloadPolicy::Auto, &rep);
-        assert!(speeds[2] > base.proc(2).speed());
-        assert_eq!(speeds[1], base.proc(1).speed());
     }
 
     #[test]

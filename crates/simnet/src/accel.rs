@@ -23,10 +23,10 @@
 //!
 //! through the engine's ordinary compute path, so fault-plan slowdowns
 //! and crash truncation compose unchanged (see `Ctx::offload`).
-//! [`cost::predict_offload`] evaluates the *same* closed form, which is
-//! why prediction matches measured virtual time exactly on fault-free
-//! runs — the same replay-equals-measured contract as
-//! [`crate::coll::predict`].
+//! [`DeviceSpec::offload_secs`] is that closed form and its one owner:
+//! the engine charges it, `hetero::offload` decides and plans with it,
+//! and on a fault-free run the charged span equals it to the bit
+//! (`tests/accel.rs`, chaos invariant 3).
 
 /// The kind of accelerator attached to a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,7 +128,7 @@ impl DeviceSpec {
 
     /// Virtual-time cost of one offloaded kernel: launch + H2D +
     /// compute + D2H. This closed form is the single source of truth —
-    /// the engine charges it and [`cost::predict_offload`] predicts it.
+    /// the engine charges it and the offload scheduler plans with it.
     #[inline]
     pub fn offload_secs(&self, mflops: f64, bytes_h2d: u64, bytes_d2h: u64) -> f64 {
         self.launch_latency_s
@@ -167,69 +167,6 @@ impl OffloadStats {
     }
 }
 
-/// A standalone device simulator: charges launches against a
-/// [`DeviceSpec`] and accumulates [`OffloadStats`], without an engine.
-/// The engine's `Ctx::offload` performs the same arithmetic inline (plus
-/// fault dilation); `DeviceSim` exists for analytic studies and tests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceSim {
-    spec: DeviceSpec,
-    stats: OffloadStats,
-}
-
-impl DeviceSim {
-    /// Wraps a validated spec with zeroed stats.
-    pub fn new(spec: DeviceSpec) -> Self {
-        spec.validate();
-        DeviceSim {
-            spec,
-            stats: OffloadStats::default(),
-        }
-    }
-
-    /// The wrapped device spec.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    /// Accumulated stats.
-    pub fn stats(&self) -> &OffloadStats {
-        &self.stats
-    }
-
-    /// Simulates one kernel launch: returns its virtual-time cost and
-    /// records it in the stats.
-    pub fn launch(&mut self, mflops: f64, bytes_h2d: u64, bytes_d2h: u64) -> f64 {
-        let secs = self.spec.offload_secs(mflops, bytes_h2d, bytes_d2h);
-        self.stats.launches += 1;
-        self.stats.bytes_h2d += bytes_h2d;
-        self.stats.bytes_d2h += bytes_d2h;
-        self.stats.device_ms += secs * 1.0e3;
-        secs
-    }
-}
-
-/// Exact analytic offload costs, mirroring the [`crate::coll::predict`]
-/// replay-equals-measured contract.
-pub mod cost {
-    use super::DeviceSpec;
-
-    /// Predicts the virtual-time cost of offloading one kernel of
-    /// `mflops` megaflops staging `bytes_h2d` in and `bytes_d2h` out.
-    ///
-    /// **Exactness.** This evaluates the same closed form
-    /// ([`DeviceSpec::offload_secs`]) that `Ctx::offload` charges, in
-    /// the same f64 arithmetic, so for fault-free runs the prediction
-    /// equals the measured virtual time *exactly* — asserted by
-    /// `tests/accel.rs`. Fault-plan slowdown windows dilate the charge
-    /// at execution time and are deliberately not replayed here, same
-    /// as the collective cost model.
-    #[inline]
-    pub fn predict_offload(spec: &DeviceSpec, mflops: f64, bytes_h2d: u64, bytes_d2h: u64) -> f64 {
-        spec.offload_secs(mflops, bytes_h2d, bytes_d2h)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,36 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn predict_is_the_same_closed_form() {
-        let fpga = DeviceSpec::edge_fpga();
-        for (m, i, o) in [(1.0, 10u64, 10u64), (512.7, 1 << 20, 1 << 14)] {
-            assert_eq!(
-                cost::predict_offload(&fpga, m, i, o),
-                fpga.offload_secs(m, i, o)
-            );
-        }
-    }
-
-    #[test]
     fn memory_bound() {
         let fpga = DeviceSpec::edge_fpga(); // 256 MB
         assert!(fpga.fits(200_000_000, 50_000_000));
         assert!(!fpga.fits(200_000_000, 60_000_001));
         assert!(!fpga.fits(u64::MAX, 1)); // saturating, no overflow
-    }
-
-    #[test]
-    fn device_sim_accumulates() {
-        let mut sim = DeviceSim::new(DeviceSpec::commodity_gpu());
-        let t1 = sim.launch(100.0, 1_000_000, 2_000);
-        let t2 = sim.launch(50.0, 500_000, 2_000);
-        assert_eq!(sim.stats().launches, 2);
-        assert_eq!(sim.stats().bytes_h2d, 1_500_000);
-        assert_eq!(sim.stats().bytes_d2h, 4_000);
-        assert!((sim.stats().device_ms - (t1 + t2) * 1.0e3).abs() < 1e-12);
-        assert!(sim.stats().host_ms == 0.0);
-        assert!(!sim.stats().is_empty());
-        assert!(OffloadStats::default().is_empty());
     }
 
     #[test]
@@ -286,9 +198,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "throughput")]
     fn invalid_spec_rejected() {
-        DeviceSim::new(DeviceSpec {
+        DeviceSpec {
             throughput_mflops: 0.0,
             ..DeviceSpec::commodity_gpu()
-        });
+        }
+        .validate();
     }
 }

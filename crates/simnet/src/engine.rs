@@ -232,8 +232,6 @@ pub struct Ctx<M: Wire> {
     /// Host-side copy telemetry for this rank's collective fan-outs;
     /// summed over ranks into [`RunReport::copies`].
     copies: crate::report::CopyStats,
-    /// Accelerator attached to this rank's processor, if any.
-    device: Option<crate::accel::DeviceSpec>,
     /// Deterministic offload telemetry for this rank; lands per rank in
     /// [`RunReport::offloads`].
     offload_stats: crate::accel::OffloadStats,
@@ -621,16 +619,9 @@ impl<M: Wire> Ctx<M> {
         self.coll_log.push(choice);
     }
 
-    /// The accelerator attached to this rank's processor, if any
-    /// (mirrors `platform.proc(rank).device`).
+    /// The accelerator attached to this rank's processor, if any.
     pub fn device(&self) -> Option<&crate::accel::DeviceSpec> {
-        self.device.as_ref()
-    }
-
-    /// This rank's offload telemetry so far (see
-    /// [`crate::accel::OffloadStats`]).
-    pub fn offload_stats(&self) -> &crate::accel::OffloadStats {
-        &self.offload_stats
+        self.platform.proc(self.rank).device.as_ref()
     }
 
     /// Executes one offload-eligible kernel chunk on this rank's
@@ -646,7 +637,7 @@ impl<M: Wire> Ctx<M> {
     /// Falls back to [`Ctx::compute_par_tracked`] (host charging) when
     /// no device is attached, so callers need not branch.
     pub fn offload(&mut self, mflops: f64, bytes_h2d: u64, bytes_d2h: u64) {
-        match self.device {
+        match self.device().copied() {
             Some(spec) => {
                 let secs = spec.offload_secs(mflops, bytes_h2d, bytes_d2h);
                 // Nominal sub-phase split for the profiler; the charged
@@ -880,7 +871,6 @@ impl Engine {
                         .build()
                         .expect("engine: kernel pool");
                     let crash_at = faults.crash_time(rank).unwrap_or(f64::INFINITY);
-                    let device = platform.proc(rank).device;
                     let mut ctx = Ctx {
                         rank,
                         platform,
@@ -892,7 +882,6 @@ impl Engine {
                         coll_log: Vec::new(),
                         epoch_log: Vec::new(),
                         copies: crate::report::CopyStats::default(),
-                        device,
                         offload_stats: crate::accel::OffloadStats::default(),
                         trace,
                     };

@@ -39,8 +39,8 @@
 //!   selection ([`coll::predict`]).
 //! * [`faults`] — deterministic virtual-time fault plans: rank crashes,
 //!   slowdown windows, link outage/degradation; structured failures.
-//! * [`accel`] — the accelerator device model (GPU/FPGA specs, offload
-//!   cost prediction, per-rank offload telemetry).
+//! * [`accel`] — the accelerator device model (GPU/FPGA specs, the
+//!   offload charge, per-rank offload telemetry).
 //! * [`report`] — COM/SEQ/PAR decomposition, imbalance, speedup,
 //!   per-rank failure records.
 //! * [`trace`] — per-rank virtual-time event timelines
@@ -92,7 +92,7 @@ pub mod prof;
 pub mod report;
 pub mod trace;
 
-pub use accel::{DeviceKind, DeviceSim, DeviceSpec, OffloadStats};
+pub use accel::{DeviceKind, DeviceSpec, OffloadStats};
 pub use coll::{
     CollAlgorithm, CollError, CollOp, CollectiveChoice, CollectiveConfig, GatherEntry, ScatterMode,
     Tree,

@@ -26,7 +26,8 @@
 //!
 //! For every rank the canonical left-fold of the eight phases equals the
 //! rank's wall-clock **bitwise** (`f64::to_bits` equality, no epsilon) —
-//! the same exactness discipline as [`crate::accel::cost::predict_offload`].
+//! the same exactness discipline as an offload's charged span, which
+//! equals [`crate::accel::DeviceSpec::offload_secs`] to the bit.
 //! Floating-point addition is not associative, so the identity is *made*
 //! exact rather than assumed: the seven non-idle phases are measured
 //! from trace spans, and `idle` is solved as the residual with a bounded

@@ -6,9 +6,9 @@
 //!    same kernels run in the same order under every [`OffloadPolicy`];
 //!    only time accounting differs, so fixed-grid runs produce equal
 //!    outputs across `Never`/`Always`/`Auto`;
-//! 2. `accel::cost::predict_offload` equals the engine-measured virtual
-//!    time of the offload **exactly** (same closed form, same `f64`
-//!    arithmetic);
+//! 2. the engine charges an offload exactly `DeviceSpec::offload_secs`
+//!    (launch + transfers + device compute), bit for bit, and
+//!    accumulates it in the rank's `RunReport::offloads` entry;
 //! 3. `Auto` is never slower than `Never` on the tested configurations
 //!    and strictly faster on a GPU-bearing preset;
 //! 4. reruns are deterministic, including the per-rank
@@ -21,7 +21,6 @@ use heterospec::hetero::ft::{run_replan, run_self_sched};
 use heterospec::hetero::par::{atdca, morph, pct, ufcls};
 use heterospec::hetero::sched::{AtdcaChunks, MorphChunks, PctChunks, UfclsChunks};
 use heterospec::hetero::{seq, OffloadPolicy};
-use heterospec::simnet::accel;
 use heterospec::simnet::engine::Engine;
 use heterospec::simnet::{presets, Ctx, FailureCause, FaultPlan};
 
@@ -31,30 +30,28 @@ fn params() -> AlgoParams {
     testutil::params(5, 2)
 }
 
-/// The replay-equals-measured contract, extended to devices: the
-/// analytic `predict_offload` equals the engine's charged virtual time
+/// The engine charges an offload the closed form `offload_secs` itself,
 /// bit for bit, on every device of the heterogeneous accel preset.
 #[test]
-fn predict_offload_matches_measured_virtual_time_exactly() {
+fn the_engine_charges_offload_secs_exactly() {
     let engine = Engine::new(presets::accel_heterogeneous());
     let mflops = 12.5;
     let (h2d, d2h) = (3_000_000u64, 40_000u64);
     let report = engine.run(|ctx: &mut Ctx<()>| {
         let spec = ctx.device().copied();
         spec.map(|spec| {
-            let predicted = accel::cost::predict_offload(&spec, mflops, h2d, d2h);
             let before = ctx.elapsed();
             ctx.offload(mflops, h2d, d2h);
-            (before, ctx.elapsed(), predicted)
+            (before, ctx.elapsed(), spec.offload_secs(mflops, h2d, d2h))
         })
     });
     let mut devices = 0;
     for (rank, r) in report.results.iter().enumerate() {
-        if let Some((before, after, predicted)) = r.as_ref().expect("rank completed") {
+        if let Some((before, after, closed_form)) = r.as_ref().expect("rank completed") {
             assert_eq!(
                 *after,
-                before + predicted,
-                "rank {rank}: measured time diverges from predict_offload"
+                before + closed_form,
+                "rank {rank}: the charged span is not offload_secs"
             );
             devices += 1;
             let stats = &report.offloads[rank];

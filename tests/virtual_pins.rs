@@ -94,6 +94,24 @@ where
     }
 }
 
+/// `ft replan` under `Auto` offload on `accel_heterogeneous`, clean and
+/// under [`two_crashes`].
+fn accel_replan_rows<A>(table: &mut Table, algo: &A)
+where
+    A: ChunkedAlgo + Sync,
+    A::Output: Send,
+{
+    let opts = testutil::ft_opts(OffloadPolicy::Auto);
+    for (plan_name, plan) in [("clean", FaultPlan::new()), ("crashes", two_crashes())] {
+        let engine = Engine::new(presets::accel_heterogeneous()).with_faults(plan);
+        let run = run_replan(&engine, algo, &opts);
+        table.push((
+            format!("ft {} replan accel auto {plan_name}", algo.name()),
+            run.report.total_time.to_bits(),
+        ));
+    }
+}
+
 /// The four algorithms' partitioned runs of `cube` on `engine` under
 /// `options`, each cell named by `cell(algorithm)`.
 fn par_cells(
@@ -162,6 +180,11 @@ fn observed() -> Table {
     ft_rows(&mut table, &UfclsChunks::new(cube, &p));
     ft_rows(&mut table, &PctChunks::new(cube, &p));
     ft_rows(&mut table, &MorphChunks::new(cube, &p));
+    // The re-planning master splits batches by each node's device-folded
+    // speed, and re-splits a lost worker's lines by it too.
+    accel_replan_rows(&mut table, &AtdcaChunks::new(cube, &p));
+    accel_replan_rows(&mut table, &PctChunks::new(cube, &p));
+    accel_replan_rows(&mut table, &MorphChunks::new(cube, &p));
     table
 }
 
@@ -192,7 +215,9 @@ fn virtual_numbers_keep_their_bits() {
 /// per worker and round, per-step merge charges, delta broadcasts,
 /// partials at their wire sizes); no `seq` or `par` row moved. The
 /// `charged` rows, the only ones that read a partition's wire size, were
-/// added at `a822b95`.
+/// added at `a822b95`. The `accel auto` rows were captured at `d8d0605`,
+/// before the re-planning master took its speeds from
+/// `offload::effective_platform`.
 const PINS: &[(&str, u64)] = &[
     ("seq ATDCA", 0x4014e8d972cd7cf6),
     ("seq UFCLS", 0x40109a027525460b),
@@ -390,4 +415,10 @@ const PINS: &[(&str, u64)] = &[
     ("ft MORPH replan crashes", 0x3fd74043f799869a),
     ("ft MORPH selfsched clean", 0x3fc8a5937584bbbf),
     ("ft MORPH selfsched crashes", 0x3fde3e4ed97aafbd),
+    ("ft ATDCA replan accel auto clean", 0x3fa9d15a5c8c2cb9),
+    ("ft ATDCA replan accel auto crashes", 0x3fab680862872c12),
+    ("ft PCT replan accel auto clean", 0x3fd544641947a892),
+    ("ft PCT replan accel auto crashes", 0x3fdd8a6578f9daf5),
+    ("ft MORPH replan accel auto clean", 0x3fa63b20cbc482ca),
+    ("ft MORPH replan accel auto crashes", 0x3fa6a97a1598d476),
 ];
