@@ -28,7 +28,6 @@ use hetero_hsi::config::{AlgoParams, RunOptions};
 use hetero_hsi::ft::{run_self_sched, FtOptions};
 use hetero_hsi::par;
 use hetero_hsi::sched::MorphChunks;
-use hsi_cube::synth::wtc_scene;
 use hsi_cube::HyperCube;
 use repro_bench::{gate_status, print_table, scene_config, write_csv};
 use simnet::engine::Engine;
@@ -138,6 +137,7 @@ fn sweep(
         csv.push(line);
     }
     print_table(
+        &mut std::io::stdout(),
         &format!(
             "Ablation A4 on {name}: MORPH completion time (s), static WEA vs \
              self-scheduling, p3 secretly slowed (engine-measured)"
@@ -150,7 +150,8 @@ fn sweep(
             "Self chunk=32",
         ],
         &rows,
-    );
+    )
+    .expect("write to stdout");
 
     let (s1, s8) = (statics[0], statics[SLOWDOWNS.len() - 1]);
     let (d1, d8) = (mids[0], mids[SLOWDOWNS.len() - 1]);
@@ -176,11 +177,7 @@ fn sweep(
 
 fn main() {
     // A quarter-size scene keeps this sweep quick.
-    let mut cfg = scene_config();
-    cfg.lines = (cfg.lines / 2).max(64);
-    cfg.samples = (cfg.samples / 2).max(32);
-    eprintln!("# scene: {} x {} x {}", cfg.lines, cfg.samples, cfg.bands);
-    let scene = wtc_scene(cfg);
+    let scene = repro_bench::build(repro_bench::quarter(scene_config()));
     let params = AlgoParams::default();
 
     let mut passed = true;

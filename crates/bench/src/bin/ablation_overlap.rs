@@ -45,10 +45,12 @@ fn main() {
         }
     }
     print_table(
+        &mut std::io::stdout(),
         "Ablation A3: MORPH overlap policy vs processor count",
         &["Overlap", "CPUs", "Time (s)", "Debris acc (%)"],
         &rows,
-    );
+    )
+    .expect("write to stdout");
     write_csv(
         "ablation_overlap.csv",
         "policy,cpus,total_s,debris_acc",

@@ -44,12 +44,14 @@ fn main() {
         ));
     }
     print_table(
+        &mut std::io::stdout(),
         &format!(
             "Table 3: SAD to known targets  |  sequential times: ATDCA {t_atdca:.0} s, UFCLS {t_ufcls:.0} s (paper: 1263 s / 916 s on the full 2133x512 scene)"
         ),
         &["Hot spot", "Hetero-ATDCA", "Hetero-UFCLS"],
         &rows,
-    );
+    )
+    .expect("write to stdout");
     write_csv("table3.csv", "hot_spot,temp_f,atdca_sad,ufcls_sad", &csv);
     repro_bench::report_peak_rss(&scene.cube);
 }

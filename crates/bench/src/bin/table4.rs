@@ -55,12 +55,14 @@ fn main() {
     ));
 
     print_table(
+        &mut std::io::stdout(),
         &format!(
             "Table 4: dust/debris classification accuracy (%)  |  sequential times: PCT {t_pct:.0} s, MORPH {t_morph:.0} s (paper: 1884 s / 2334 s on the full scene)"
         ),
         &["Dust/debris class", "Hetero-PCT", "Hetero-MORPH"],
         &rows,
-    );
+    )
+    .expect("write to stdout");
     write_csv("table4.csv", "class,pct_acc,morph_acc", &csv);
     repro_bench::report_peak_rss(&scene.cube);
 }

@@ -7,6 +7,13 @@
 //! sweep — plus the ablations and the criterion microbenches under
 //! `benches/`.
 //!
+//! The experiments whose output is pinned live in this library, so the
+//! root suite `tests/goldens.rs` runs the same code the binaries do:
+//! [`experiments`] write their tables to any [`Write`], [`records`]
+//! return a `BENCH_*.json` record and its verdict. Each of their
+//! binaries is a two-line `main` over [`print_experiment`] or
+//! [`emit_record`].
+//!
 //! All binaries print paper-style text tables and write one CSV per
 //! table to `target/experiments/`; nothing is cached between runs. The
 //! scene size is selected with the `HETEROSPEC_SCENE` environment
@@ -26,18 +33,24 @@ use hetero_hsi::framework::ParallelRun;
 use hsi_cube::synth::{wtc_scene, SyntheticScene, WtcConfig};
 use hsi_cube::HyperCube;
 use simnet::engine::Engine;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
+pub mod experiments;
 pub mod microjson;
+pub mod records;
 
 /// Thunderhead-class cycle time used for sequential baselines
 /// (secs/Mflop), matching the paper's single-processor columns.
 pub const BASELINE_CYCLE_TIME: f64 = simnet::presets::HOMOGENEOUS_CYCLE_TIME;
 
-/// Scene size selection via `HETEROSPEC_SCENE`.
-pub fn scene_config() -> WtcConfig {
-    let choice = std::env::var("HETEROSPEC_SCENE").unwrap_or_else(|_| "medium".into());
-    let (lines, samples) = match choice.as_str() {
+/// The scene of a named `HETEROSPEC_SCENE` size.
+///
+/// # Panics
+/// Panics on a name other than `tiny`, `small`, `medium`, `large` and
+/// `full`.
+pub fn scene_size(name: &str) -> WtcConfig {
+    let (lines, samples) = match name {
         "tiny" => (96, 64),
         "small" => (512, 128),
         "medium" => (1024, 256),
@@ -52,16 +65,65 @@ pub fn scene_config() -> WtcConfig {
     }
 }
 
-/// Builds the WTC-like scene for the selected size (announcing it). The
-/// first call of every scene binary, so the ISA check sits here.
-pub fn build_scene() -> SyntheticScene {
+/// Scene size selection via `HETEROSPEC_SCENE` (default `medium`).
+pub fn scene_config() -> WtcConfig {
+    scene_size(&std::env::var("HETEROSPEC_SCENE").unwrap_or_else(|_| "medium".into()))
+}
+
+/// A quarter of `cfg`'s pixels (half its lines and samples, at least
+/// 64 × 32): the scene of the sweeps that run many drivers, whose
+/// ratios and bitwise relations are scale-free.
+pub fn quarter(mut cfg: WtcConfig) -> WtcConfig {
+    cfg.lines = (cfg.lines / 2).max(64);
+    cfg.samples = (cfg.samples / 2).max(32);
+    cfg
+}
+
+/// Builds the WTC-like scene `cfg` (announcing it). The first call of
+/// every scene binary, so the ISA check sits here.
+pub fn build(cfg: WtcConfig) -> SyntheticScene {
     hsi_linalg::require_built_isa();
-    let cfg = scene_config();
     eprintln!(
-        "# scene: {} x {} x {} bands (HETEROSPEC_SCENE to change)",
+        "# scene: {} x {} x {} bands",
         cfg.lines, cfg.samples, cfg.bands
     );
     wtc_scene(cfg)
+}
+
+/// Builds the WTC-like scene for the selected size (announcing it).
+pub fn build_scene() -> SyntheticScene {
+    build(scene_config())
+}
+
+/// The `main` of an experiment binary: runs `experiment` on the scene
+/// `cfg` with stdout as its output, then reports the peak RSS.
+pub fn print_experiment(
+    cfg: WtcConfig,
+    experiment: impl FnOnce(&SyntheticScene, &mut io::StdoutLock<'static>) -> io::Result<()>,
+) -> io::Result<()> {
+    let scene = build(cfg);
+    experiment(&scene, &mut io::stdout().lock())?;
+    report_peak_rss(&scene.cube);
+    Ok(())
+}
+
+/// The `main` of a record binary: runs `experiment` on the scene `cfg`
+/// with stdout as its table output, reports the peak RSS and
+/// [emits](records::Record::emit) the record.
+///
+/// # Panics
+/// Panics when stdout is closed.
+pub fn emit_record(
+    cfg: WtcConfig,
+    experiment: impl FnOnce(
+        &SyntheticScene,
+        &mut io::StdoutLock<'static>,
+    ) -> io::Result<records::Record>,
+) {
+    let scene = build(cfg);
+    let record = experiment(&scene, &mut io::stdout().lock()).expect("write to stdout");
+    report_peak_rss(&scene.cube);
+    record.emit();
 }
 
 /// The algorithms of the study, in the paper's table order.
@@ -199,12 +261,13 @@ pub fn run_thunderhead_sweep(scene: &SyntheticScene, params: &AlgoParams) -> Vec
     entries
 }
 
-/// Tristate gate status for the `BENCH_*.json` emitters.
+/// Tristate gate status: the `status` of every `BENCH_*.json` record
+/// and of `ablation_dynamic`'s gate lines.
 ///
-/// `"skipped"` means the host or configuration cannot make the
-/// measurement meaningful (e.g. too few cores, empty sweep) — distinct
-/// from a genuine `"failed"` so trend tooling never mistakes a small CI
-/// runner for a regression. Every emitter writes this same schema.
+/// `"skipped"` means the configuration cannot make the measurement
+/// meaningful (`ablation_dynamic` on a scene too small to show its
+/// effect) — distinct from a genuine `"failed"`. A record is always
+/// meaningful: a campaign that checked nothing has failed.
 pub fn gate_status(meaningful: bool, passed: bool) -> &'static str {
     if !meaningful {
         "skipped"
@@ -213,51 +276,6 @@ pub fn gate_status(meaningful: bool, passed: bool) -> &'static str {
     } else {
         "failed"
     }
-}
-
-/// Writes the canonical `BENCH_*.json` report envelope shared by every
-/// emitter (`bench_profile`, `ablation_*`, `chaos_soak`), so the schema
-/// — named gate booleans, the tristate `status` of [`gate_status`] and
-/// the aggregate `passed` — cannot drift between binaries:
-///
-/// ```json
-/// { <payload…>,
-///   "gates": { <gates…>, "status": "skipped|passed|failed", "passed": bool } }
-/// ```
-///
-/// No provenance stamp: a record is a function of the code that wrote
-/// it, so regenerating one reproduces the committed file byte for byte
-/// and `git log` says which commit that was.
-///
-/// `payload` is the emitter's measurement body; `gates` are its named
-/// gate fields (booleans plus any context values). The caller computes
-/// `all_passed` (write_report does not guess which gate entries are
-/// enforced) and `meaningful` (`false` ⇒ `"skipped"`, see
-/// [`gate_status`]). Writes to `HETEROSPEC_BENCH_OUT` or `default_out`,
-/// logs `# wrote <path>`, and returns the status so the caller decides
-/// the exit code.
-///
-/// # Panics
-/// Panics when the output path is unwritable.
-pub fn write_report(
-    default_out: &str,
-    payload: Vec<(&str, microjson::Json)>,
-    gates: Vec<(&str, microjson::Json)>,
-    meaningful: bool,
-    all_passed: bool,
-) -> &'static str {
-    use microjson::{object, Json};
-    let status = gate_status(meaningful, all_passed);
-    let mut gate_fields = gates;
-    gate_fields.push(("status", Json::String(status.into())));
-    gate_fields.push(("passed", Json::Bool(all_passed)));
-    let mut fields = payload;
-    fields.push(("gates", object(gate_fields)));
-    let doc = object(fields);
-    let out = std::env::var("HETEROSPEC_BENCH_OUT").unwrap_or_else(|_| default_out.to_string());
-    std::fs::write(&out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("# wrote {out}");
-    status
 }
 
 /// Directory where experiment outputs (CSV) are written.
@@ -304,9 +322,14 @@ pub fn report_peak_rss(cube: &HyperCube) {
     }
 }
 
-/// Renders a simple aligned text table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n{title}");
+/// Renders a simple aligned text table to `out`.
+pub fn print_table(
+    out: &mut impl Write,
+    title: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    writeln!(out, "\n{title}")?;
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -316,7 +339,7 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
         }
     }
     let line: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-    println!("{}", "-".repeat(line));
+    writeln!(out, "{}", "-".repeat(line))?;
     let fmt_row = |cells: &[String]| {
         cells
             .iter()
@@ -324,15 +347,16 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             .map(|(i, c)| format!("{:>width$}", c, width = widths[i] + 2))
             .collect::<String>()
     };
-    println!(
+    writeln!(
+        out,
         "{}",
         fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    println!("{}", "-".repeat(line));
+    )?;
+    writeln!(out, "{}", "-".repeat(line))?;
     for row in rows {
-        println!("{}", fmt_row(row));
+        writeln!(out, "{}", fmt_row(row))?;
     }
-    println!("{}", "-".repeat(line));
+    writeln!(out, "{}", "-".repeat(line))
 }
 
 #[cfg(test)]
@@ -345,6 +369,8 @@ mod tests {
         std::env::remove_var("HETEROSPEC_SCENE");
         let c = scene_config();
         assert_eq!((c.lines, c.samples), (1024, 256));
+        let q = quarter(scene_size("tiny"));
+        assert_eq!((q.lines, q.samples), (64, 32));
     }
 
     #[test]
@@ -364,10 +390,11 @@ mod tests {
     }
 
     #[test]
-    fn strip_discards_result() {
-        // Covered implicitly by run_algorithm; here check table printing
-        // does not panic on ragged input.
-        print_table("t", &["a", "b"], &[vec!["1".into(), "22".into()]]);
+    fn a_table_pads_every_column_to_its_widest_cell() {
+        let mut out = Vec::new();
+        print_table(&mut out, "t", &["a", "b"], &[vec!["1".into(), "22".into()]]).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text, "\nt\n-------\n  a   b\n-------\n  1  22\n-------\n");
     }
 
     #[test]

@@ -19,6 +19,7 @@ use simnet::prof::RunProfile;
 use simnet::{presets, CollAlgorithm, FaultPlan, Platform, RunReport};
 
 pub mod gen;
+pub mod golden;
 pub mod links;
 
 /// The smallest WTC scene (`WtcConfig::tiny()`): the standard fixture
