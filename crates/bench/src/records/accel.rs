@@ -1,7 +1,6 @@
 use hetero_hsi::config::AlgoParams;
 use hetero_hsi::ft::{run_self_sched, FtOptions};
 use hetero_hsi::sched::{AtdcaChunks, ChunkedAlgo, MorphChunks, PctChunks, UfclsChunks};
-use hetero_hsi::seq::DetectedTarget;
 use hetero_hsi::OffloadPolicy;
 use hsi_cube::synth::SyntheticScene;
 use simnet::engine::Engine;
@@ -17,14 +16,6 @@ const POLICIES: [OffloadPolicy; 3] = [
     OffloadPolicy::Always,
     OffloadPolicy::Auto,
 ];
-
-/// Full-fidelity digest of a target list (coordinates and spectra).
-fn digest(targets: &[DetectedTarget]) -> Vec<(usize, usize, Vec<f32>)> {
-    targets
-        .iter()
-        .map(|t| (t.line, t.sample, t.spectrum.clone()))
-        .collect()
-}
 
 /// One (platform, algorithm, policy) measurement.
 struct Cell {
@@ -113,11 +104,11 @@ fn sweep_platform(
     let runs: [AlgoSweep; 4] = [
         ("ATDCA", {
             let a = AtdcaChunks::new(cube, params);
-            Box::new(move || sweep_cell(platform, "ATDCA", &a, |o| digest(o)))
+            Box::new(move || sweep_cell(platform, "ATDCA", &a, Vec::clone))
         }),
         ("UFCLS", {
             let a = UfclsChunks::new(cube, params);
-            Box::new(move || sweep_cell(platform, "UFCLS", &a, |o| digest(o)))
+            Box::new(move || sweep_cell(platform, "UFCLS", &a, Vec::clone))
         }),
         ("PCT", {
             let a = PctChunks::new(cube, params);

@@ -2,6 +2,7 @@ use super::Record;
 use crate::microjson::{object, Json};
 use crate::{print_table, write_csv};
 use hetero_hsi::config::{AlgoParams, RunOptions};
+use hetero_hsi::seq::DetectedTarget;
 use hsi_cube::synth::SyntheticScene;
 use simnet::engine::{Engine, WireVec};
 use simnet::{coll, CollAlgorithm, CollectiveConfig, Platform};
@@ -98,33 +99,22 @@ fn run_split_baseline(platform: &Platform, bits: u64) -> f64 {
 }
 
 /// ATDCA + UFCLS targets and total times under one option set.
-#[allow(clippy::type_complexity)]
 fn detection_outputs(
     scene: &SyntheticScene,
     platform: &Platform,
     options: &RunOptions,
-) -> (
-    Vec<(usize, usize, Vec<f32>)>,
-    f64,
-    Vec<(usize, usize, Vec<f32>)>,
-    f64,
-) {
+) -> (Vec<DetectedTarget>, f64, Vec<DetectedTarget>, f64) {
     let params = AlgoParams {
         num_targets: 6,
         ..Default::default()
     };
     let engine = Engine::new(platform.clone());
-    let digest = |ts: &[hetero_hsi::seq::DetectedTarget]| {
-        ts.iter()
-            .map(|t| (t.line, t.sample, t.spectrum.clone()))
-            .collect::<Vec<_>>()
-    };
     let atdca = hetero_hsi::par::atdca::run(&engine, &scene.cube, &params, options);
     let ufcls = hetero_hsi::par::ufcls::run(&engine, &scene.cube, &params, options);
     (
-        digest(&atdca.result),
+        atdca.result,
         atdca.report.total_time,
-        digest(&ufcls.result),
+        ufcls.result,
         ufcls.report.total_time,
     )
 }

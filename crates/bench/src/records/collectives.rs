@@ -2,6 +2,7 @@ use super::Record;
 use crate::microjson::{object, Json};
 use crate::{print_table, write_csv};
 use hetero_hsi::config::{AlgoParams, RunOptions};
+use hetero_hsi::seq::DetectedTarget;
 use hsi_cube::synth::SyntheticScene;
 use simnet::engine::{Engine, WireVec};
 use simnet::{coll, CollAlgorithm, CollOp, CollectiveConfig, Platform};
@@ -74,14 +75,14 @@ fn run_collective(
 }
 
 /// Runs all four analysis algorithms under `cfg` on a tiny scene,
-/// returning a comparable digest of every output.
+/// returning every output.
 #[allow(clippy::type_complexity)]
 fn algorithm_outputs(
     scene: &SyntheticScene,
     backend: CollAlgorithm,
 ) -> (
-    Vec<(usize, usize, Vec<f32>)>,
-    Vec<(usize, usize, Vec<f32>)>,
+    Vec<DetectedTarget>,
+    Vec<DetectedTarget>,
     hsi_cube::LabelImage,
     (hsi_cube::LabelImage, Vec<Vec<f32>>),
 ) {
@@ -92,21 +93,11 @@ fn algorithm_outputs(
     };
     let options = RunOptions::hetero().with_collectives(CollectiveConfig::uniform(backend));
     let engine = Engine::new(simnet::presets::fully_heterogeneous());
-    let digest = |ts: &[hetero_hsi::seq::DetectedTarget]| {
-        ts.iter()
-            .map(|t| (t.line, t.sample, t.spectrum.clone()))
-            .collect::<Vec<_>>()
-    };
     let atdca = hetero_hsi::par::atdca::run(&engine, &scene.cube, &params, &options);
     let ufcls = hetero_hsi::par::ufcls::run(&engine, &scene.cube, &params, &options);
     let pct = hetero_hsi::par::pct::run(&engine, &scene.cube, &params, &options);
     let morph = hetero_hsi::par::morph::run(&engine, &scene.cube, &params, &options);
-    (
-        digest(&atdca.result),
-        digest(&ufcls.result),
-        pct.result.0,
-        morph.result,
-    )
+    (atdca.result, ufcls.result, pct.result.0, morph.result)
 }
 
 /// **Ablation A6** — collective algorithm selection → `BENCH_collectives.json`.

@@ -1,7 +1,6 @@
 use hetero_hsi::config::AlgoParams;
 use hetero_hsi::ft::{run_replan, run_self_sched, FtOptions, FtRun};
 use hetero_hsi::sched::{AtdcaChunks, ChunkedAlgo, MorphChunks};
-use hetero_hsi::seq::DetectedTarget;
 use hetero_hsi::OutputDigest;
 use hsi_cube::synth::SyntheticScene;
 use simnet::engine::Engine;
@@ -11,15 +10,6 @@ use std::io::{self, Write};
 use super::Record;
 use crate::microjson::{object, Json};
 use crate::{print_table, write_csv};
-
-/// Full-fidelity output digest: coordinates *and* spectra, so a lost or
-/// substituted contribution cannot hide behind a matching pixel count.
-fn digest(targets: &[DetectedTarget]) -> Vec<(usize, usize, Vec<f32>)> {
-    targets
-        .iter()
-        .map(|t| (t.line, t.sample, t.spectrum.clone()))
-        .collect()
-}
 
 /// `algo` under one fault-tolerant driver on `fully_heterogeneous()`.
 fn drive<A>(algo: &A, plan: FaultPlan, opts: &FtOptions, self_sched: bool) -> FtRun<A::Output>
@@ -54,8 +44,9 @@ fn tree_opts() -> FtOptions {
 ///    late-round times, single and double losses), the fixed-grid
 ///    self-scheduling driver on the survivor tree produces a target
 ///    list bit-identical to its fault-free run (spectra included), the
-///    re-planning driver matches its own fault-free output, and every
-///    observed loss bumps the membership epoch exactly once.
+///    re-planning driver matches its own fault-free output. Targets
+///    compare with spectra, so a lost or substituted contribution
+///    cannot hide behind a matching pixel count.
 /// 2. **Tree beats linear** — where the round state is worth spreading
 ///    (MORPH's class set, the largest delta of the four algorithms), the
 ///    tree-mode drivers complete strictly faster than the linear fan-out
@@ -80,8 +71,6 @@ pub fn epochs(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Record
     eprintln!("# fault-free baselines (tree, both drivers)");
     let base_tree_ss = run(FaultPlan::new(), &tree_opts(), true);
     let base_tree_rp = run(FaultPlan::new(), &tree_opts(), false);
-    let d_tree_ss = digest(&base_tree_ss.output);
-    let d_tree_rp = digest(&base_tree_rp.output);
     let t0 = base_tree_ss.report.total_time;
     eprintln!(
         "# T0 tree: ss {:.3}s rp {:.3}s",
@@ -133,34 +122,29 @@ pub fn epochs(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Record
     for (label, plan) in &plans {
         let ss = run(plan.clone(), &tree_opts(), true);
         let rp = run(plan.clone(), &tree_opts(), false);
-        let ss_ok = digest(&ss.output) == d_tree_ss;
-        let rp_ok = digest(&rp.output) == d_tree_rp;
-        let epochs_ok = ss.report.epochs.len() == ss.recoveries.len()
-            && rp.report.epochs.len() == rp.recoveries.len();
+        let ss_ok = ss.output == base_tree_ss.output;
+        let rp_ok = rp.output == base_tree_rp.output;
         // Replays are bit-identical, reports included.
         let ss2 = run(plan.clone(), &tree_opts(), true);
-        let replay_ok = ss.report == ss2.report && digest(&ss2.output) == digest(&ss.output);
-        let ok = ss_ok && rp_ok && epochs_ok && replay_ok;
+        let replay_ok = ss.report == ss2.report && ss2.output == ss.output;
+        let ok = ss_ok && rp_ok && replay_ok;
         gate_no_loss &= ok;
         rows.push(vec![
             label.clone(),
             format!("{}", ss.recoveries.len()),
-            format!("{}", ss.report.epochs.len()),
             format!("{:.3}", ss.report.total_time),
             format!("{:.3}", rp.report.total_time),
             format!("{ok}"),
         ]);
         csv.push(format!(
-            "{label},{},{},{:.6},{:.6},{ok}",
+            "{label},{},{:.6},{:.6},{ok}",
             ss.recoveries.len(),
-            ss.report.epochs.len(),
             ss.report.total_time,
             rp.report.total_time,
         ));
         sweep_json.push(object(vec![
             ("plan", Json::String(label.clone())),
             ("recoveries", Json::Number(ss.recoveries.len() as f64)),
-            ("epoch_bumps", Json::Number(ss.report.epochs.len() as f64)),
             ("selfsched_secs", Json::Number(ss.report.total_time)),
             ("replan_secs", Json::Number(rp.report.total_time)),
             ("selfsched_output_identical", Json::Bool(ss_ok)),
@@ -168,25 +152,18 @@ pub fn epochs(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Record
             ("replay_identical", Json::Bool(replay_ok)),
         ]));
         if !ok {
-            eprintln!("# LOSS under plan '{label}': ss {ss_ok} rp {rp_ok} epochs {epochs_ok} replay {replay_ok}");
+            eprintln!("# LOSS under plan '{label}': ss {ss_ok} rp {rp_ok} replay {replay_ok}");
         }
     }
     print_table(
         out,
         "Ablation A8: epoch-stamped tree ft under crash plans (ATDCA)",
-        &[
-            "Plan",
-            "Losses",
-            "Epochs",
-            "SelfSched s",
-            "Replan s",
-            "Intact",
-        ],
+        &["Plan", "Losses", "SelfSched s", "Replan s", "Intact"],
         &rows,
     )?;
     write_csv(
         "ablation_epochs.csv",
-        "plan,recoveries,epoch_bumps,t_selfsched,t_replan,intact",
+        "plan,recoveries,t_selfsched,t_replan,intact",
         &csv,
     );
 

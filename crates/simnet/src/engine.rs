@@ -225,10 +225,6 @@ pub struct Ctx<M: Wire> {
     /// [`crate::coll`]); the root's log lands in
     /// [`RunReport::collectives`].
     coll_log: Vec<crate::coll::CollectiveChoice>,
-    /// Alive-set epoch transitions recorded on this rank (see
-    /// [`Ctx::mark_epoch`]); the root's log lands in
-    /// [`RunReport::epochs`].
-    epoch_log: Vec<crate::report::EpochTransition>,
     /// Host-side copy telemetry for this rank's collective fan-outs;
     /// summed over ranks into [`RunReport::copies`].
     copies: crate::report::CopyStats,
@@ -444,7 +440,8 @@ impl<M: Wire> Ctx<M> {
     }
 
     /// Receives the next message from `src` (blocking), advancing this
-    /// rank's virtual clock to the message's arrival time.
+    /// rank's virtual clock to the message's arrival time: the rules of
+    /// [`Ctx::recv_deadline`] with no deadline.
     ///
     /// # Panics
     /// Panics on self-receives and out-of-range sources. If `src` left
@@ -453,43 +450,11 @@ impl<M: Wire> Ctx<M> {
     /// [`Ctx::recv_deadline`] to observe peer failure as a value
     /// instead.
     pub fn recv(&mut self, src: usize) -> M {
-        assert!(src < self.num_ranks(), "recv: rank {src} out of range");
-        assert_ne!(src, self.rank, "recv: self-receive not supported");
-        self.check_crashed();
-        match self.next_from(src) {
-            Incoming::Msg(msg) => {
-                if msg.charge.arrival >= self.crash_at {
-                    self.die(); // died waiting for this message
-                }
-                self.deliver(src, msg)
-            }
-            Incoming::Gone(exit) => {
-                if exit.at >= self.crash_at {
-                    self.die();
-                }
-                self.ledger.receive(exit.at, 0.0); // idle until the news lands
-                std::panic::panic_any(PeerFailedSignal { peer: src });
-            }
+        match self.recv_deadline(src, f64::INFINITY) {
+            Ok(msg) => msg,
+            // `src` left without sending: the clock stands at its exit.
+            Err(_) => std::panic::panic_any(PeerFailedSignal { peer: src }),
         }
-    }
-
-    /// Advances this rank's clock to `msg`'s arrival and hands over the
-    /// payload.
-    fn deliver(&mut self, src: usize, msg: Resolved<M>) -> M {
-        let trace_start = self.ledger.now;
-        let paid = msg.charge;
-        self.ledger.receive(paid.arrival, paid.transfer_secs);
-        self.record(
-            trace_start,
-            TraceKind::Recv {
-                src,
-                delivered: true,
-                sent_at: msg.sent_at,
-                transfer: paid.transfer_secs,
-                queued: paid.queued,
-            },
-        );
-        msg.payload
     }
 
     /// Receives the next message from `src` **if it arrives by virtual
@@ -523,8 +488,21 @@ impl<M: Wire> Ctx<M> {
         };
         match self.next_from(src) {
             Incoming::Msg(msg) => {
-                if msg.charge.arrival <= deadline && msg.charge.arrival < self.crash_at {
-                    return Ok(self.deliver(src, msg));
+                let paid = msg.charge;
+                if paid.arrival <= deadline && paid.arrival < self.crash_at {
+                    let trace_start = self.ledger.now;
+                    self.ledger.receive(paid.arrival, paid.transfer_secs);
+                    self.record(
+                        trace_start,
+                        TraceKind::Recv {
+                            src,
+                            delivered: true,
+                            sent_at: msg.sent_at,
+                            transfer: paid.transfer_secs,
+                            queued: paid.queued,
+                        },
+                    );
+                    return Ok(msg.payload);
                 }
                 self.pending.insert(src, msg);
                 if self.crashes_by(deadline) {
@@ -583,22 +561,6 @@ impl<M: Wire> Ctx<M> {
     /// Used by fault-tolerant schedulers for observability.
     pub fn mark_recovery(&mut self, start: f64, lost: usize) {
         self.record(start, TraceKind::Recovery { lost });
-    }
-
-    /// Records an alive-set epoch transition at the current virtual
-    /// time: this rank (a coordinator that tracks which ranks are alive,
-    /// like `hetero::ft`'s master) observed the failure of `failed` and
-    /// advanced to `epoch`, leaving `survivors` ranks alive. Emits a zero-length trace marker and appends to the
-    /// rank's epoch log (the root's log lands in
-    /// [`RunReport::epochs`]).
-    pub fn mark_epoch(&mut self, epoch: u64, failed: usize, survivors: usize) {
-        self.record(self.ledger.now, TraceKind::EpochBump { epoch });
-        self.epoch_log.push(crate::report::EpochTransition {
-            epoch,
-            at: self.ledger.now,
-            failed,
-            survivors,
-        });
     }
 
     /// The per-message sender-side software overhead this run charges
@@ -844,7 +806,6 @@ impl Engine {
         type Outcome<R> = (
             TimeLedger,
             Vec<crate::coll::CollectiveChoice>,
-            Vec<crate::report::EpochTransition>,
             crate::report::CopyStats,
             crate::accel::OffloadStats,
             Option<R>,
@@ -880,7 +841,6 @@ impl Engine {
                         ledger: TimeLedger::new(),
                         pending: BTreeMap::new(),
                         coll_log: Vec::new(),
-                        epoch_log: Vec::new(),
                         copies: crate::report::CopyStats::default(),
                         offload_stats: crate::accel::OffloadStats::default(),
                         trace,
@@ -922,7 +882,6 @@ impl Engine {
                     (
                         ctx.ledger,
                         std::mem::take(&mut ctx.coll_log),
-                        std::mem::take(&mut ctx.epoch_log),
                         ctx.copies,
                         std::mem::take(&mut ctx.offload_stats),
                         result,
@@ -959,7 +918,6 @@ impl Engine {
                             *outcome = Some((
                                 TimeLedger::new(),
                                 Vec::new(),
-                                Vec::new(),
                                 crate::report::CopyStats::default(),
                                 crate::accel::OffloadStats::default(),
                                 None,
@@ -984,11 +942,10 @@ impl Engine {
         let mut results = Vec::with_capacity(p);
         let mut failures = Vec::new();
         let mut collectives = Vec::new();
-        let mut epochs = Vec::new();
         let mut copies = crate::report::CopyStats::default();
         let mut offloads = Vec::with_capacity(p);
         for (rank, o) in outcomes.into_iter().enumerate() {
-            let (ledger, coll_log, epoch_log, rank_copies, rank_offloads, result, failure) =
+            let (ledger, coll_log, rank_copies, rank_offloads, result, failure) =
                 o.expect("engine: missing rank outcome");
             ledgers.push(ledger);
             results.push(result);
@@ -996,11 +953,8 @@ impl Engine {
             offloads.push(rank_offloads);
             if rank == 0 {
                 // Collective choices are resolved identically on every
-                // rank; the root's log is the canonical record. Same for
-                // epoch transitions: the coordinator's view is
-                // authoritative.
+                // rank; the root's log is the canonical record.
                 collectives = coll_log;
-                epochs = epoch_log;
             }
             if let Some(f) = failure {
                 failures.push(f);
@@ -1009,10 +963,8 @@ impl Engine {
         let mut report =
             RunReport::with_failures(self.platform.name().to_string(), ledgers, results, failures);
         report.collectives = collectives;
-        report.epochs = epochs;
         report.copies = copies;
         report.offloads = offloads;
-        report.ranks = self.platform.rank_summaries();
         report
     }
 }

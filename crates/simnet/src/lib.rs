@@ -104,7 +104,7 @@ pub use prof::{
     chrome_trace, Bottleneck, CriticalPath, PathElement, PathOwner, PhaseBreakdown, PhaseKind,
     RankProfile, RunProfile,
 };
-pub use report::{CopyStats, EpochTransition, RankSummary, RunReport};
+pub use report::{CopyStats, RunReport};
 
 /// Locks a run-shared mutex, ignoring poison: rank threads unwind by
 /// design (a scheduled crash, `PeerLost`, a worker's own panic) and the

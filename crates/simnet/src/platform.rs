@@ -196,19 +196,6 @@ impl Platform {
         &self.procs
     }
 
-    /// Per-rank hardware summaries (name, arch, attached-device label)
-    /// for [`crate::report::RunReport::ranks`].
-    pub fn rank_summaries(&self) -> Vec<crate::report::RankSummary> {
-        self.procs
-            .iter()
-            .map(|p| crate::report::RankSummary {
-                name: p.name.clone(),
-                arch: p.arch,
-                device: p.device.map(|d| d.kind.label()),
-            })
-            .collect()
-    }
-
     /// Link capacity `c_ij` in ms per megabit.
     #[inline]
     pub fn link_ms_per_mbit(&self, i: usize, j: usize) -> f64 {

@@ -229,7 +229,7 @@ impl PhaseBreakdown {
     }
 }
 
-/// One rank's profile: wall-clock, phase breakdown, epoch-bump count.
+/// One rank's profile: wall-clock and phase breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankProfile {
     /// The rank this profile describes.
@@ -238,8 +238,6 @@ pub struct RankProfile {
     pub wall: f64,
     /// The phase decomposition of `wall`.
     pub phases: PhaseBreakdown,
-    /// Number of membership epoch transitions this rank observed.
-    pub epoch_bumps: u64,
 }
 
 impl RankProfile {
@@ -548,13 +546,14 @@ fn add_span(ph: &mut PhaseBreakdown, phase: PhaseKind, a: f64, b: f64, windows: 
 /// Computes one rank's phase breakdown with the exact identity.
 fn profile_rank(rank: usize, wall: f64, trace: &Trace) -> RankProfile {
     let windows = recovery_windows(rank, wall, trace);
-    let mut ph = PhaseBreakdown::default();
-    let mut epoch_bumps = 0u64;
     // Recovery is an overlay: its total is the merged window length, and
     // primitive spans subtract their covered part (see `add_span`).
     // Fold from +0.0: `Iterator::sum` starts at -0.0, which would leak
     // a negative zero into the breakdown of every recovery-free rank.
-    ph.recovery = windows.iter().fold(0.0, |s, (a, b)| s + (b - a));
+    let mut ph = PhaseBreakdown {
+        recovery: windows.iter().fold(0.0, |s, (a, b)| s + (b - a)),
+        ..PhaseBreakdown::default()
+    };
     for e in trace.for_rank(rank) {
         match e.kind {
             TraceKind::ComputePar => {
@@ -604,7 +603,6 @@ fn profile_rank(rank: usize, wall: f64, trace: &Trace) -> RankProfile {
                 // Non-delivered waits (timeouts, failure observations)
                 // are pure idle: covered by the residual.
             }
-            TraceKind::EpochBump { .. } => epoch_bumps += 1,
             TraceKind::Crash | TraceKind::Recovery { .. } => {}
         }
     }
@@ -613,7 +611,6 @@ fn profile_rank(rank: usize, wall: f64, trace: &Trace) -> RankProfile {
         rank,
         wall,
         phases: ph,
-        epoch_bumps,
     }
 }
 
@@ -885,7 +882,6 @@ pub fn chrome_trace(trace: &Trace) -> String {
             ),
             TraceKind::Crash => ("crash", String::new()),
             TraceKind::Recovery { lost } => ("recovery", format!(r#","args":{{"lost":{lost}}}"#)),
-            TraceKind::EpochBump { epoch } => ("epoch", format!(r#","args":{{"epoch":{epoch}}}"#)),
         };
         let ts = e.start * 1.0e6;
         let dur = (e.end - e.start) * 1.0e6;

@@ -13,21 +13,6 @@ use crate::clock::TimeLedger;
 use crate::coll::CollectiveChoice;
 use crate::faults::RankFailure;
 
-/// Per-rank hardware summary recorded in [`RunReport::ranks`]: the
-/// processor architecture string (promoted from "documentation only")
-/// and the attached accelerator, if any. Derived from the platform
-/// alone, so it is deterministic across reruns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankSummary {
-    /// Processor name (e.g. `"p3"`).
-    pub name: String,
-    /// Architecture label from [`crate::platform::ProcessorSpec::arch`].
-    pub arch: &'static str,
-    /// Attached accelerator label (`"GPU"` / `"FPGA"`), `None` for a
-    /// plain CPU host.
-    pub device: Option<&'static str>,
-}
-
 /// Host-side copy telemetry for one run, summed over all ranks.
 ///
 /// The counters are **deterministic**: they count the clone sites the
@@ -60,25 +45,6 @@ impl CopyStats {
     }
 }
 
-/// One alive-set epoch bump recorded by a run's coordinator (see
-/// [`crate::Ctx::mark_epoch`]): the coordinator observed a new rank
-/// failure and moved its alive set to `epoch`.
-///
-/// Deterministic — failures are virtual-time events and the observer's
-/// protocol is fixed — so the transition log participates in the
-/// report's bit-identity comparisons like [`CollectiveChoice`]s do.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochTransition {
-    /// The epoch the view moved *to* (first bump is epoch 1).
-    pub epoch: u64,
-    /// Virtual time at which the coordinator observed the failure.
-    pub at: f64,
-    /// The rank whose failure triggered this bump.
-    pub failed: usize,
-    /// Survivor count after the bump.
-    pub survivors: usize,
-}
-
 /// The outcome of one [`crate::Engine::run`].
 ///
 /// `PartialEq` compares every *simulation* field — including each rank's
@@ -105,11 +71,6 @@ pub struct RunReport<R> {
     /// in call order; see [`crate::coll`]). Deterministic, so it
     /// participates in the report's bit-identity comparisons.
     pub collectives: Vec<CollectiveChoice>,
-    /// Alive-set epoch transitions observed by the run's coordinator
-    /// (rank 0's log, in observation order; empty unless the program
-    /// records them through [`crate::Ctx::mark_epoch`]). Deterministic, so it participates in
-    /// bit-identity comparisons.
-    pub epochs: Vec<EpochTransition>,
     /// Copy telemetry summed over all ranks (host observability only;
     /// not part of the `PartialEq` identity contract).
     pub copies: CopyStats,
@@ -119,10 +80,6 @@ pub struct RunReport<R> {
     /// platform model and the offload policy only — so they participate
     /// in the bit-identity `PartialEq` contract.
     pub offloads: Vec<OffloadStats>,
-    /// Per-rank hardware summaries (arch + attached device), derived
-    /// from the platform. Empty for reports assembled outside the
-    /// engine (e.g. directly via [`RunReport::new`]).
-    pub ranks: Vec<RankSummary>,
     /// Post-run profile: per-rank phase breakdowns and the critical
     /// path (see [`crate::prof`]). `Some` for profiled runs
     /// ([`crate::Engine::with_profiling`] / `run_traced`), `None`
@@ -142,7 +99,6 @@ impl<R: PartialEq> PartialEq for RunReport<R> {
             && self.failures == other.failures
             && self.total_time == other.total_time
             && self.collectives == other.collectives
-            && self.epochs == other.epochs
             && self.offloads == other.offloads
             && self.profile == other.profile
     }
@@ -175,10 +131,8 @@ impl<R> RunReport<R> {
             failures,
             total_time,
             collectives: Vec::new(),
-            epochs: Vec::new(),
             copies: CopyStats::default(),
             offloads: Vec::new(),
-            ranks: Vec::new(),
             profile: None,
         }
     }
@@ -256,10 +210,8 @@ impl<T> RunReport<Option<T>> {
             failures: self.failures,
             total_time: self.total_time,
             collectives: self.collectives,
-            epochs: self.epochs,
             copies: self.copies,
             offloads: self.offloads,
-            ranks: self.ranks,
             profile: self.profile,
         };
         (root, report)
@@ -454,23 +406,19 @@ mod tests {
 
     #[test]
     fn into_root_takes_the_value_and_carries_every_other_field() {
-        // A real profiled run with a crash, a collective and an epoch
-        // bump, so every report field is non-trivial.
+        // A real profiled run with a crash and a collective, so every
+        // report field is non-trivial.
         let cfg = crate::CollectiveConfig::linear();
         let mut full = crate::Engine::new(crate::Platform::uniform("t", 3, 0.01, 64, 10.0))
             .with_faults(crate::FaultPlan::new().crash(2, 0.0))
             .with_profiling(true)
             .run(move |ctx| {
                 let _ = crate::coll::gather(ctx, &cfg, 0, ctx.rank() as u64, 64);
-                if ctx.is_root() {
-                    ctx.mark_epoch(1, 2, 2);
-                }
                 ctx.is_root().then_some(7u32)
             });
         full.copies.bytes_deep_copied = 9;
         assert_eq!(full.failures.len(), 1);
         assert_eq!(full.collectives.len(), 1);
-        assert_eq!(full.epochs.len(), 1);
         assert!(full.profile.is_some());
 
         let (root, rest) = full.clone().into_root();
@@ -481,10 +429,8 @@ mod tests {
         assert_eq!(rest.failures, full.failures);
         assert_eq!(rest.total_time.to_bits(), full.total_time.to_bits());
         assert_eq!(rest.collectives, full.collectives);
-        assert_eq!(rest.epochs, full.epochs);
         assert_eq!(rest.copies, full.copies);
         assert_eq!(rest.offloads, full.offloads);
-        assert_eq!(rest.ranks, full.ranks);
         assert_eq!(rest.profile, full.profile);
 
         // A root that failed, or itself returned `None`, yields `None`.

@@ -69,12 +69,6 @@ pub enum TraceKind {
         /// The rank whose loss triggered the recovery.
         lost: usize,
     },
-    /// Alive-set epoch bump (zero-length marker): the coordinator
-    /// observed a new failure and advanced to `epoch`.
-    EpochBump {
-        /// The epoch the coordinator moved to.
-        epoch: u64,
-    },
 }
 
 /// One traced interval on a rank's virtual timeline.
@@ -120,13 +114,13 @@ impl Trace {
     /// Renders a text Gantt chart, one row per rank, `width` columns
     /// wide. Legend: `#` parallel compute, `D` device offload,
     /// `S` sequential compute, `s` send overhead, `r` receive wait,
-    /// `X` crash, `R` recovery, `E` epoch bump, `.` idle.
+    /// `X` crash, `R` recovery, `.` idle.
     pub fn gantt(&self, num_ranks: usize, width: usize) -> String {
         let horizon = self.horizon().max(f64::MIN_POSITIVE);
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "virtual time 0 .. {horizon:.3} s  (# par, D offload, S seq, s send, r recv, X crash, R recovery, E epoch, . idle)"
+            "virtual time 0 .. {horizon:.3} s  (# par, D offload, S seq, s send, r recv, X crash, R recovery, . idle)"
         );
         for rank in 0..num_ranks {
             let mut row = vec!['.'; width];
@@ -146,18 +140,13 @@ impl Trace {
                     TraceKind::Recv { .. } => 'r',
                     TraceKind::Crash => 'X',
                     TraceKind::Recovery { .. } => 'R',
-                    TraceKind::EpochBump { .. } => 'E',
                 };
                 for c in row.iter_mut().take(b).skip(a.min(width)) {
                     // Compute (host or device) paints over comm; fault
                     // markers paint over everything (they're the rarest
                     // and most important).
                     let is_compute = ch == '#' || ch == 'D';
-                    if *c == '.'
-                        || (*c != '#' && *c != 'D' && is_compute)
-                        || ch == 'X'
-                        || ch == 'R'
-                        || ch == 'E'
+                    if *c == '.' || (*c != '#' && *c != 'D' && is_compute) || ch == 'X' || ch == 'R'
                     {
                         *c = ch;
                     }
