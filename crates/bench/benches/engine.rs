@@ -44,7 +44,9 @@ fn bench_collectives(c: &mut Criterion) {
     g.bench_function("gather_1k_f32", |b| {
         b.iter(|| {
             engine.run(|ctx: &mut Ctx<WireVec<f32>>| {
-                gather(ctx, &cfg, 0, WireVec(vec![1.0f32; 1024]), bits).map(|v| v.len())
+                gather(ctx, &cfg, 0, WireVec(vec![1.0f32; 1024]), bits)
+                    .expect("valid gather")
+                    .map(|v| v.len())
             })
         })
     });

@@ -65,6 +65,7 @@ fn run_allreduce(
             },
             bits,
         )
+        .expect("valid allreduce")
         .0
         .len()
     });
@@ -83,6 +84,7 @@ fn run_split_baseline(platform: &Platform, bits: u64) -> f64 {
     Engine::new(platform.clone())
         .run(|ctx| {
             let winner = coll::gather(ctx, &cfg, 0, WireVec(vec![ctx.rank() as u8; bytes]), bits)
+                .expect("valid gather")
                 .map(|entries| {
                     entries
                         .into_iter()

@@ -92,14 +92,19 @@ fn shrinker_selftest() -> bool {
 }
 
 /// One entry of the report's `failures`: what broke, on which scenario,
-/// after how many shrink steps.
+/// after how many shrink steps. It holds every field the shrinker edits,
+/// so the shrunk scenario can be rebuilt from the entry alone.
 fn failure_json(invariant: &str, detail: &str, s: &Scenario, shrink_steps: usize) -> Json {
+    let ranks =
+        |list: &[usize]| Json::Array(list.iter().map(|&r| Json::Number(r as f64)).collect());
     object(vec![
         ("invariant", Json::String(invariant.into())),
         ("detail", Json::String(detail.into())),
         ("seed", Json::Number(s.seed as f64)),
         ("ranks", Json::Number(s.ranks as f64)),
         ("segments", Json::Number(s.segments as f64)),
+        ("gpu_ranks", ranks(&s.gpu_ranks)),
+        ("fpga_ranks", ranks(&s.fpga_ranks)),
         ("algo", Json::String(format!("{:?}", s.algo))),
         ("driver", Json::String(format!("{:?}", s.driver))),
         ("collective", Json::String(format!("{:?}", s.collective))),
@@ -112,6 +117,7 @@ fn failure_json(invariant: &str, detail: &str, s: &Scenario, shrink_steps: usize
                 Json::Number(s.bands as f64),
             ]),
         ),
+        ("num_targets", Json::Number(s.num_targets as f64)),
         ("chunk_lines", Json::Number(s.chunk_lines as f64)),
         (
             "faults",
@@ -426,6 +432,29 @@ mod tests {
     #[should_panic(expected = "oracle bug")]
     fn a_check_that_panics_is_not_taken_for_a_hang() {
         within(SCENARIO_TIMEOUT, || panic!("oracle bug"));
+    }
+
+    #[test]
+    fn a_failure_entry_is_escaped_and_rebuilds_the_shrunk_scenario() {
+        let mut s = Scenario::generate(42);
+        (s.gpu_ranks, s.fpga_ranks, s.num_targets) = (vec![1, 3], vec![2], 5);
+        let detail = "predicted \"0.5\"\nmeasured 0.25";
+        let json = failure_json(Invariant::PredictExact.name(), detail, &s, 3);
+        let text = json.pretty();
+        assert!(text.contains(r#""invariant": "predict-exact""#), "{text}");
+        assert!(
+            text.contains(r#""detail": "predicted \"0.5\"\nmeasured 0.25""#),
+            "{text}"
+        );
+        assert!(text.contains(r#""seed": 42.0"#), "{text}");
+        let Json::Object(entry) = json else {
+            panic!("an entry is an object: {text}")
+        };
+        let number = |n: usize| Json::Number(n as f64);
+        assert_eq!(entry["num_targets"], number(5));
+        assert_eq!(entry["gpu_ranks"], Json::Array(vec![number(1), number(3)]));
+        assert_eq!(entry["fpga_ranks"], Json::Array(vec![number(2)]));
+        assert_eq!(entry["shrink_steps"], number(3));
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn run_collective(
         }
         CollOp::Gather => {
             let entries = coll::gather(ctx, &cfg, 0, WireVec(vec![0u8; bytes]), bits);
-            entries.map_or(0, |e| e.len())
+            entries.expect("valid gather").map_or(0, |e| e.len())
         }
         other => unreachable!("sweep only covers broadcast/gather, got {other}"),
     });

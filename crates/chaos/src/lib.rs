@@ -17,8 +17,9 @@
 //!   — without enforcing it yet — how many transfers of its allreduce
 //!   probe overlapped on a serial inter-segment link ([`LinkCensus`]).
 //! * [`shrink()`] minimizes a violating scenario by greedy delta
-//!   debugging, and [`reproducer`] / [`json_record`] render the result
-//!   as a pasteable Rust regression test and a JSON report entry.
+//!   debugging, and [`reproducer`] renders the result as a pasteable
+//!   Rust regression test (the soak's JSON report entry is rendered by
+//!   the campaign driver).
 //!
 //! Everything is deterministic: same seed, same scenario, same
 //! verdict, same shrink — on any host. The time-budgeted campaign
@@ -37,4 +38,4 @@ pub mod shrink;
 
 pub use oracle::{CheckCounts, Injection, Invariant, LinkCensus, Oracle, Verdict, Violation};
 pub use scenario::{Algo, Driver, Scenario};
-pub use shrink::{hang_reproducer, json_record, reproducer, shrink, Shrunk};
+pub use shrink::{hang_reproducer, reproducer, shrink, Shrunk};

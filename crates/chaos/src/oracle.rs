@@ -346,6 +346,7 @@ impl Oracle {
                 },
                 bits,
             )
+            .expect("the scenario's root is rank 0")
             .0
             .len()
         });

@@ -8,9 +8,9 @@
 //! strictly decreases a bounded quantity, so the loop terminates; the
 //! oracle is deterministic, so the result is reproducible.
 //!
-//! The minimized scenario is then rendered two ways: a self-contained
-//! Rust `#[test]` (paste into a suite as a permanent regression) and a
-//! JSON record for the soak report.
+//! The minimized scenario is then rendered as a self-contained Rust
+//! `#[test]` (paste into a suite as a permanent regression); the soak
+//! report's JSON record of it is the campaign driver's.
 
 use crate::oracle::{Oracle, Violation};
 use crate::scenario::Scenario;
@@ -297,54 +297,6 @@ fn test_source(s: &Scenario, what: &str, detail: &str) -> String {
     )
 }
 
-/// Renders a minimized failure as a JSON object (one entry of the soak
-/// report's `failures` array).
-pub fn json_record(s: &Scenario, v: &Violation) -> String {
-    let faults = s
-        .faults
-        .iter()
-        .map(|e| format!("\"{}\"", escape(&format!("{e:?}"))))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"invariant\": \"{}\", \"detail\": \"{}\", \"seed\": {}, \
-         \"ranks\": {}, \"segments\": {}, \"algo\": \"{:?}\", \
-         \"driver\": \"{:?}\", \"collective\": \"{:?}\", \
-         \"offload\": \"{:?}\", \"scene\": [{}, {}, {}], \
-         \"num_targets\": {}, \"chunk_lines\": {}, \
-         \"gpu_ranks\": {:?}, \"fpga_ranks\": {:?}, \"faults\": [{}]}}",
-        v.invariant.name(),
-        escape(&v.detail),
-        s.seed,
-        s.ranks,
-        s.segments,
-        s.algo,
-        s.driver,
-        s.collective,
-        s.offload,
-        s.lines,
-        s.samples,
-        s.bands,
-        s.num_targets,
-        s.chunk_lines,
-        s.gpu_ranks,
-        s.fpga_ranks,
-        faults
-    )
-}
-
-fn escape(raw: &str) -> String {
-    raw.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,9 +430,6 @@ mod tests {
         assert!(code.contains("fn chaos_repro_seed_42()"));
         assert!(code.contains("Oracle::new().check(&scenario)"));
         assert!(code.contains("predict-exact"));
-        let json = json_record(&s, &v);
-        assert!(json.contains("\"invariant\": \"predict-exact\""));
-        assert!(json.contains("\"seed\": 42"));
         let hung = hang_reproducer(&s, "no verdict after 60 s");
         assert!(hung.contains("fn chaos_repro_seed_42()"));
         assert!(hung.contains("`no_hang`") && hung.contains("no verdict after 60 s"));

@@ -121,7 +121,8 @@ where
                     Msg::partial(partial),
                     |a, b| Msg::partial(fold(decode(a), decode(b))),
                     algo.partial_hint(round, hint_lines),
-                );
+                )
+                .expect("par: allreduce misuse");
                 // The fold was the merge: nothing is left to charge.
                 let (next, delta, _) = algo.reduce(round, state, vec![(first, decode(merged))]);
                 state = next;
@@ -136,7 +137,9 @@ where
                     .drain(..)
                     .map(|(r, p)| {
                         let hint = algo.partial_hint(r, hint_lines);
-                        (r, coll::gather(ctx, cfg, 0, Msg::partial(p), hint))
+                        let entries = coll::gather(ctx, cfg, 0, Msg::partial(p), hint)
+                            .expect("par: gather misuse");
+                        (r, entries)
                     })
                     .collect();
                 let mut delta = None;

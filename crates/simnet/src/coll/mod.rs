@@ -20,13 +20,20 @@
 //! * [`CollAlgorithm::PipelinedChunked`] — broadcast only: the payload
 //!   streams down the hierarchical tree in [`PIPELINE_CHUNKS`] chunks so
 //!   a leader forwards chunk `c` while chunk `c + 1` is still crossing
-//!   the serial link,
+//!   the serial link (every other broadcast is the one-chunk case of the
+//!   same stream),
 //! * [`CollAlgorithm::Auto`] — evaluates the exact analytic cost of
 //!   each candidate via [`predict`] and picks the cheapest; the choice
 //!   is recorded in [`crate::RunReport::collectives`]. A `bits_hint` of
 //!   zero carries no size information, so `Auto` falls back to the
 //!   linear baseline instead of ranking schedules on a meaningless
 //!   payload.
+//!
+//! A broadcast is the sender's sequence of one-port sends, as in the
+//! one-port model: each rank on the schedule takes the payload (from the
+//! caller on the root, from its parent elsewhere) and, chunk by chunk,
+//! sends one counted clone to each broadcast child in schedule order.
+//! `coll::cost`'s replay walks the same chunks in the same order.
 //!
 //! [`allreduce`] fuses a reduce and a broadcast onto **one** tree:
 //! partials fold upward through the gather edges and the result fans
@@ -475,71 +482,26 @@ fn plan<M: Wire>(
     Ok((algorithm, tree_over(ctx, algorithm, root, &members)))
 }
 
-/// Fan-out of one payload to `children` when the local rank must also
-/// **retain** the payload (tree broadcast, allreduce down-phase): the
-/// retained copy is cloned first, every non-final child receives a
-/// clone, and the final child takes the payload **by move** — so a rank
-/// with `c` children performs exactly `c` clones, never `c + 1`.
-///
-/// Every clone goes through [`Ctx::clone_counted`], so the run's
-/// [`crate::CopyStats`] record the deep bytes deterministically: for an
-/// `Arc`-backed payload each clone is a refcount bump contributing 0
-/// deep bytes, while the owned-payload baseline counter accrues one full
-/// payload per send either way.
-fn fanout_retain<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    children: &[usize],
-    payload: M,
-    chunk_bits: Option<u64>,
-) -> M {
-    let send = |ctx: &mut Ctx<M>, dst: usize, m: M| match chunk_bits {
-        Some(bits) => ctx.send_bits(dst, m, bits),
-        None => ctx.send(dst, m),
-    };
-    match children.split_last() {
-        None => payload,
-        Some((&last, rest)) => {
-            let keep = ctx.clone_counted(&payload);
-            for &child in rest {
-                ctx.note_fanout_send(&payload);
-                let copy = ctx.clone_counted(&payload);
-                send(ctx, child, copy);
-            }
-            ctx.note_fanout_send(&payload);
-            send(ctx, last, payload);
-            keep
-        }
+/// The sender's side of one message to several destinations, in order:
+/// one [`Ctx::clone_counted`] clone and one send charged `bits` per
+/// destination. The caller keeps `payload`.
+fn fanout<M: Wire + Clone>(ctx: &mut Ctx<M>, dsts: &[usize], payload: &M, bits: u64) {
+    for &dst in dsts {
+        let copy = ctx.clone_counted(payload);
+        ctx.send_bits(dst, copy, bits);
     }
-}
-
-/// Fan-out of one payload the local rank does **not** need afterwards
-/// (a relay's pipelined non-final chunks): non-final destinations
-/// receive telemetry-counted clones, the final destination takes the
-/// payload by move — one fewer deep copy than [`fanout_retain`].
-fn fanout_consume<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    dsts: &[usize],
-    payload: M,
-    chunk_bits: Option<u64>,
-) {
-    let send = |ctx: &mut Ctx<M>, dst: usize, m: M| match chunk_bits {
-        Some(bits) => ctx.send_bits(dst, m, bits),
-        None => ctx.send(dst, m),
-    };
-    let Some((&last, rest)) = dsts.split_last() else {
-        return;
-    };
-    for &child in rest {
-        ctx.note_fanout_send(&payload);
-        let copy = ctx.clone_counted(&payload);
-        send(ctx, child, copy);
-    }
-    ctx.note_fanout_send(&payload);
-    send(ctx, last, payload);
 }
 
 /// Broadcast from `root` under `cfg`: the root passes `Some(msg)`, every
 /// other rank passes `None`; all ranks return the payload.
+///
+/// The payload streams down the schedule's broadcast edges as
+/// `split_chunks(size, n)` chunks — [`PIPELINE_CHUNKS`] under
+/// [`CollAlgorithm::PipelinedChunked`], one otherwise — whose charged
+/// sizes sum to the payload size. Every chunk carries the full payload;
+/// only its charged wire size is a share. A relay forwards chunk `c`
+/// before it receives chunk `c + 1`, so its outbound transfers overlap
+/// the inbound ones.
 ///
 /// `bits_hint` feeds `Auto` selection only (transfers charge the actual
 /// payload size) and **must be identical on every rank** — see the
@@ -553,88 +515,29 @@ pub fn broadcast<M: Wire + Clone>(
 ) -> Result<M, CollError> {
     let op = CollOp::Broadcast;
     let (algorithm, tree) = plan(ctx, cfg, op, root, bits_hint)?;
-    if algorithm == CollAlgorithm::PipelinedChunked {
-        return broadcast_pipelined(ctx, &tree, msg);
-    }
-    // Receive from the parent, forward to the broadcast children in
-    // schedule order — clones for all but the last child, which takes
-    // the payload by move (see [`fanout_retain`]).
     let rank = ctx.rank();
-    let payload = match tree.parent(rank) {
-        None => msg.ok_or(CollError::RootMissingPayload { op })?,
-        Some(parent) => {
-            if msg.is_some() {
-                return Err(CollError::NonRootPayload { op });
-            }
-            ctx.recv(parent)
-        }
+    let parent = tree.parent(rank);
+    let mut payload = match (parent, msg) {
+        (None, msg) => msg.ok_or(CollError::RootMissingPayload { op })?,
+        (Some(_), Some(_)) => return Err(CollError::NonRootPayload { op }),
+        (Some(parent), None) => ctx.recv(parent),
     };
-    Ok(fanout_retain(ctx, tree.children_bcast(rank), payload, None))
-}
-
-/// Chunk-streamed broadcast down the segment-hierarchical tree: every
-/// edge carries [`PIPELINE_CHUNKS`] messages whose charged sizes sum to
-/// the payload size; a relay forwards chunk `c` before receiving chunk
-/// `c + 1`, so its outbound transfers overlap the inbound ones.
-fn broadcast_pipelined<M: Wire + Clone>(
-    ctx: &mut Ctx<M>,
-    tree: &Tree,
-    msg: Option<M>,
-) -> Result<M, CollError> {
-    let op = CollOp::Broadcast;
-    let rank = ctx.rank();
-    let k = PIPELINE_CHUNKS as usize;
-    match tree.parent(rank) {
-        None => {
-            let payload = msg.ok_or(CollError::RootMissingPayload { op })?;
-            let sizes = split_chunks(payload.size_bits(), k);
-            let (&last_bits, head) = sizes
-                .split_last()
-                .expect("split_chunks yields at least one chunk");
-            // The root needs the payload for every chunk, so non-final
-            // chunks clone per child; the final chunk moves to the last
-            // child and the root keeps the retained copy.
-            for &chunk_bits in head {
-                for &child in tree.children_bcast(rank) {
-                    ctx.note_fanout_send(&payload);
-                    let copy = ctx.clone_counted(&payload);
-                    ctx.send_bits(child, copy, chunk_bits);
-                }
-            }
-            Ok(fanout_retain(
-                ctx,
-                tree.children_bcast(rank),
-                payload,
-                Some(last_bits),
-            ))
+    let chunks = match algorithm {
+        CollAlgorithm::PipelinedChunked => PIPELINE_CHUNKS as usize,
+        _ => 1,
+    };
+    // The payload is identical on every rank, so the chunk sizes a relay
+    // computes agree with the root's.
+    for (c, chunk_bits) in split_chunks(payload.size_bits(), chunks)
+        .into_iter()
+        .enumerate()
+    {
+        if let Some(parent) = parent.filter(|_| c > 0) {
+            payload = ctx.recv(parent);
         }
-        Some(parent) => {
-            if msg.is_some() {
-                return Err(CollError::NonRootPayload { op });
-            }
-            // Every chunk carries a full payload; only the charged wire
-            // size is chunked. A relay drops each non-final chunk after
-            // forwarding, so the last child takes it by move; the final
-            // chunk is retained as this rank's result.
-            let mut payload = ctx.recv(parent);
-            // The payload is identical on every rank, so the locally
-            // computed chunk sizes agree with the root's.
-            let sizes = split_chunks(payload.size_bits(), k);
-            let (&last_bits, head) = sizes
-                .split_last()
-                .expect("split_chunks yields at least one chunk");
-            for &chunk_bits in head {
-                fanout_consume(ctx, tree.children_bcast(rank), payload, Some(chunk_bits));
-                payload = ctx.recv(parent);
-            }
-            Ok(fanout_retain(
-                ctx,
-                tree.children_bcast(rank),
-                payload,
-                Some(last_bits),
-            ))
-        }
+        fanout(ctx, tree.children_bcast(rank), &payload, chunk_bits);
     }
+    Ok(payload)
 }
 
 /// Gather to `root` under `cfg`: every rank contributes `msg`; the root
@@ -643,19 +546,17 @@ fn broadcast_pipelined<M: Wire + Clone>(
 /// abort — and every other rank returns `None`.
 ///
 /// `bits_hint` feeds `Auto` selection only and **must be identical on
-/// every rank** (see the module docs); transfers charge actual sizes.
-///
-/// # Panics
-/// Panics if `root` is not a rank of this run.
+/// every rank** (see the module docs); transfers charge actual sizes. A
+/// `root` outside the run is [`CollError::NotAMember`] on every rank,
+/// before any traffic.
 pub fn gather<M: Wire>(
     ctx: &mut Ctx<M>,
     cfg: &CollectiveConfig,
     root: usize,
     msg: M,
     bits_hint: u64,
-) -> Option<Vec<GatherEntry<M>>> {
-    let (_, tree) =
-        plan(ctx, cfg, CollOp::Gather, root, bits_hint).expect("gather: root out of range");
+) -> Result<Option<Vec<GatherEntry<M>>>, CollError> {
+    let (_, tree) = plan(ctx, cfg, CollOp::Gather, root, bits_hint)?;
     let rank = ctx.rank();
     if rank == root {
         let p = ctx.num_ranks();
@@ -690,11 +591,11 @@ pub fn gather<M: Wire>(
                 }
             }
         }
-        Some(
+        Ok(Some(
             out.into_iter()
                 .map(|e| e.expect("gather: the tree spans every rank"))
                 .collect(),
-        )
+        ))
     } else {
         let parent = tree.parent(rank).expect("gather: non-root has a parent");
         // Collect this subtree's contributions in `subtree_order`, then
@@ -709,7 +610,7 @@ pub fn gather<M: Wire>(
         for m in collected {
             ctx.send(parent, m);
         }
-        None
+        Ok(None)
     }
 }
 
@@ -789,10 +690,9 @@ pub fn scatter<M: Wire>(
 /// dropped — the collective never hangs and never aborts the run.
 ///
 /// `bits_hint` feeds `Auto` selection only and **must be identical on
-/// every rank** (see the module docs); transfers charge actual sizes.
-///
-/// # Panics
-/// Panics if `root` is not a rank of this run.
+/// every rank** (see the module docs); transfers charge actual sizes. A
+/// `root` outside the run is [`CollError::NotAMember`] on every rank,
+/// before any traffic.
 pub fn allreduce<M: Wire + Clone>(
     ctx: &mut Ctx<M>,
     cfg: &CollectiveConfig,
@@ -800,9 +700,8 @@ pub fn allreduce<M: Wire + Clone>(
     msg: M,
     fold: impl Fn(M, M) -> M,
     bits_hint: u64,
-) -> M {
-    let (_, tree) =
-        plan(ctx, cfg, CollOp::Allreduce, root, bits_hint).expect("allreduce: root out of range");
+) -> Result<M, CollError> {
+    let (_, tree) = plan(ctx, cfg, CollOp::Allreduce, root, bits_hint)?;
     let rank = ctx.rank();
     let mut acc = msg;
     if rank == root {
@@ -822,7 +721,9 @@ pub fn allreduce<M: Wire + Clone>(
         ctx.send(parent, acc);
         acc = ctx.recv(parent);
     }
-    fanout_retain(ctx, tree.children_bcast(rank), acc, None)
+    // The down-phase is a one-chunk broadcast of the folded value.
+    fanout(ctx, tree.children_bcast(rank), &acc, acc.size_bits());
+    Ok(acc)
 }
 
 #[cfg(test)]
@@ -890,12 +791,14 @@ mod tests {
             let cfg = CollectiveConfig::uniform(alg);
             for p in [2usize, 5, 6, 9] {
                 let report = engine(p).run(move |ctx| {
-                    gather(ctx, &cfg, 0, ctx.rank() as u64, 64).map(|entries| {
-                        entries
-                            .into_iter()
-                            .map(|e| e.into_msg().expect("healthy"))
-                            .collect::<Vec<_>>()
-                    })
+                    gather(ctx, &cfg, 0, ctx.rank() as u64, 64)
+                        .expect("gather")
+                        .map(|entries| {
+                            entries
+                                .into_iter()
+                                .map(|e| e.into_msg().expect("healthy"))
+                                .collect::<Vec<_>>()
+                        })
                 });
                 let expect: Vec<u64> = (0..p as u64).collect();
                 assert_eq!(
@@ -927,6 +830,7 @@ mod tests {
                         },
                         8,
                     )
+                    .expect("allreduce")
                     .0
                 });
                 let expect: Vec<u8> = (0..p as u8).collect();
@@ -950,6 +854,7 @@ mod tests {
                     |a, b| a.wrapping_add(b),
                     64,
                 )
+                .expect("allreduce")
             });
             let expect: u64 = (1..=9u64).map(|r| r * 1_000_003).sum();
             for r in 0..9 {
@@ -961,7 +866,8 @@ mod tests {
     #[test]
     fn allreduce_single_rank_returns_own_contribution() {
         let cfg = CollectiveConfig::uniform(CollAlgorithm::BinomialTree);
-        let report = engine(1).run(move |ctx| allreduce(ctx, &cfg, 0, 7u64, |a, b| a + b, 64));
+        let report = engine(1)
+            .run(move |ctx| allreduce(ctx, &cfg, 0, 7u64, |a, b| a + b, 64).expect("allreduce"));
         assert_eq!(*report.result(0), 7);
     }
 
@@ -969,9 +875,9 @@ mod tests {
     fn allreduce_skips_crashed_contributor_and_completes() {
         let plan = crate::faults::FaultPlan::new().crash(2, 0.0);
         let cfg = CollectiveConfig::default();
-        let report = engine(4)
-            .with_faults(plan)
-            .run(move |ctx| allreduce(ctx, &cfg, 0, 1u64 << (ctx.rank() * 8), |a, b| a | b, 64));
+        let report = engine(4).with_faults(plan).run(move |ctx| {
+            allreduce(ctx, &cfg, 0, 1u64 << (ctx.rank() * 8), |a, b| a | b, 64).expect("allreduce")
+        });
         // Rank 2's bit is an explicit hole in the fold; the survivors
         // still learn the reduced value.
         let expect = 1 | (1 << 8) | (1 << 24);
@@ -1053,15 +959,17 @@ mod tests {
         let plan = crate::faults::FaultPlan::new().crash(2, 0.0);
         let cfg = CollectiveConfig::default();
         let report = engine(4).with_faults(plan).run(move |ctx| {
-            gather(ctx, &cfg, 0, ctx.rank() as u64, 64).map(|entries| {
-                entries
-                    .into_iter()
-                    .map(|e| match e {
-                        GatherEntry::Ok(v) => (Some(v), None),
-                        GatherEntry::Lost(f) => (None, Some(f.rank)),
-                    })
-                    .collect::<Vec<_>>()
-            })
+            gather(ctx, &cfg, 0, ctx.rank() as u64, 64)
+                .expect("gather")
+                .map(|entries| {
+                    entries
+                        .into_iter()
+                        .map(|e| match e {
+                            GatherEntry::Ok(v) => (Some(v), None),
+                            GatherEntry::Lost(f) => (None, Some(f.rank)),
+                        })
+                        .collect::<Vec<_>>()
+                })
         });
         let root = report.results[0].clone().flatten().expect("root completes");
         assert_eq!(root[0], (Some(0), None));
@@ -1112,7 +1020,7 @@ mod tests {
         let report = engine(4).run(move |ctx| {
             let msg = if ctx.is_root() { Some(5u64) } else { None };
             let v = broadcast(ctx, &cfg, 0, msg, 64).expect("broadcast");
-            let _ = gather(ctx, &cfg, 0, v, 64);
+            gather(ctx, &cfg, 0, v, 64).expect("gather");
         });
         assert_eq!(report.collectives.len(), 2);
         assert_eq!(report.collectives[0].op, CollOp::Broadcast);
@@ -1168,7 +1076,8 @@ mod tests {
                 let cfg = CollectiveConfig::uniform(alg);
                 let name = platform.name().to_string();
                 let report = Engine::new(platform.clone()).run(move |ctx| {
-                    let _ = gather(ctx, &cfg, 0, WireVec(vec![0u8; (bits / 8) as usize]), bits);
+                    gather(ctx, &cfg, 0, WireVec(vec![0u8; (bits / 8) as usize]), bits)
+                        .expect("gather");
                 });
                 assert!(
                     (report.total_time - predicted).abs() < 1e-9,
@@ -1256,7 +1165,7 @@ mod tests {
         );
         let cfg = CollectiveConfig::uniform(CollAlgorithm::PipelinedChunked);
         let report = Engine::new(platform).run(move |ctx| {
-            let _ = gather(ctx, &cfg, 0, WireVec(vec![0u8; (bits / 8) as usize]), bits);
+            gather(ctx, &cfg, 0, WireVec(vec![0u8; (bits / 8) as usize]), bits).expect("gather");
         });
         assert_eq!(report.collectives.len(), 1);
         let logged = &report.collectives[0];
@@ -1278,12 +1187,14 @@ mod tests {
         // entered: keeps a fast rank from adding the next phase's key
         // while a slow one still counts this phase's.
         let barrier = move |ctx: &mut Ctx<u64>| {
-            let token = gather(ctx, &linear, 0, 0, 64).map(|_| 0);
+            let token = gather(ctx, &linear, 0, 0, 64).expect("barrier").map(|_| 0);
             broadcast(ctx, &linear, 0, token, 64).expect("barrier");
         };
         let report = engine(P).run(move |ctx: &mut Ctx<u64>| {
             for round in 0..18u64 {
-                let winner = gather(ctx, &linear, 0, ctx.rank() as u64, 64).map(|_| round);
+                let winner = gather(ctx, &linear, 0, ctx.rank() as u64, 64)
+                    .expect("gather")
+                    .map(|_| round);
                 broadcast(ctx, &linear, 0, winner, 64).expect("broadcast");
             }
             let after_rounds = ctx.schedules().len();
@@ -1291,7 +1202,7 @@ mod tests {
             let star = tree_over(ctx, CollAlgorithm::Linear, 0, &all);
             barrier(ctx);
 
-            let sum = allreduce(ctx, &binomial, 0, 1u64, |a, b| a + b, 64);
+            let sum = allreduce(ctx, &binomial, 0, 1u64, |a, b| a + b, 64).expect("allreduce");
             assert_eq!(sum, P as u64);
             let after_allreduce = ctx.schedules().len();
             barrier(ctx);
@@ -1329,6 +1240,8 @@ mod tests {
             [
                 broadcast(ctx, &cfg, root, None::<u64>, 64).err(),
                 scatter(ctx, root, None::<Vec<u64>>, ScatterMode::Charged).err(),
+                gather(ctx, &cfg, root, 1u64, 64).err(),
+                allreduce(ctx, &cfg, root, 1u64, |a, b| a + b, 64).err(),
             ]
         });
         assert!(report.ok());
@@ -1417,8 +1330,9 @@ mod tests {
         // phantom `Crash` at t = inf. It must surface as the gather's
         // explicit PeerLost hole instead.
         let cfg = CollectiveConfig::linear();
-        let report =
-            with_rank_2_exiting_early(move |ctx| gather(ctx, &cfg, 0, ctx.rank() as u64, 64));
+        let report = with_rank_2_exiting_early(move |ctx| {
+            gather(ctx, &cfg, 0, ctx.rank() as u64, 64).expect("gather")
+        });
         let entries = report.result(0).clone().flatten().expect("root completes");
         for (r, e) in entries.iter().enumerate() {
             match e {
@@ -1438,7 +1352,7 @@ mod tests {
         let bit = |rank: usize| 1u64 << (rank * 8);
         let cfg = CollectiveConfig::linear();
         let report = with_rank_2_exiting_early(move |ctx| {
-            allreduce(ctx, &cfg, 0, bit(ctx.rank()), |a, b| a | b, 64)
+            allreduce(ctx, &cfg, 0, bit(ctx.rank()), |a, b| a | b, 64).expect("allreduce")
         });
         for r in [0usize, 1, 3] {
             assert_eq!(

@@ -645,14 +645,6 @@ impl<M: Wire> Ctx<M> {
         }
         payload.clone()
     }
-
-    /// Records one fan-out send against the owned-payload baseline: the
-    /// bytes the pre-zero-copy implementation would have deep-copied
-    /// here (one full payload clone per child), whether the actual send
-    /// clones or moves.
-    pub(crate) fn note_fanout_send(&mut self, payload: &M) {
-        self.copies.bytes_owned_baseline += payload.size_bits() / 8;
-    }
 }
 
 /// The simulator: a platform plus a fault plan and host-side knobs.

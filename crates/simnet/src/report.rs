@@ -18,7 +18,10 @@ use crate::faults::RankFailure;
 /// The counters are **deterministic**: they count the clone sites the
 /// collective schedules execute (a function of the platform, rank count
 /// and payload types only), charging each site the payload's
-/// [`crate::Wire::deep_copy_bits`]. They never observe `Arc` refcounts
+/// [`crate::Wire::deep_copy_bits`]. They report what each payload type
+/// declares there, not what its `clone` does: whether a broadcast really
+/// shares one body is checked by pointer identity (`tests/zero_copy.rs`).
+/// They never observe `Arc` refcounts
 /// or decoder unwrap outcomes, which can differ between hosts. The
 /// counters describe host behaviour, not the simulation, so they are
 /// excluded from [`RunReport`]'s `PartialEq` bit-identity contract.
@@ -29,11 +32,6 @@ pub struct CopyStats {
     pub bytes_deep_copied: u64,
     /// Number of fan-out clones that allocated (deep-copied > 0 bytes).
     pub allocs_on_hot_path: u64,
-    /// Bytes the pre-zero-copy implementation would have deep-copied at
-    /// the same sites: one full payload clone per fan-out send. The
-    /// `bytes_deep_copied / bytes_owned_baseline` ratio is the measured
-    /// zero-copy saving.
-    pub bytes_owned_baseline: u64,
 }
 
 impl CopyStats {
@@ -41,7 +39,6 @@ impl CopyStats {
     pub fn merge(&mut self, other: CopyStats) {
         self.bytes_deep_copied += other.bytes_deep_copied;
         self.allocs_on_hot_path += other.allocs_on_hot_path;
-        self.bytes_owned_baseline += other.bytes_owned_baseline;
     }
 }
 
@@ -413,7 +410,7 @@ mod tests {
             .with_faults(crate::FaultPlan::new().crash(2, 0.0))
             .with_profiling(true)
             .run(move |ctx| {
-                let _ = crate::coll::gather(ctx, &cfg, 0, ctx.rank() as u64, 64);
+                crate::coll::gather(ctx, &cfg, 0, ctx.rank() as u64, 64).expect("gather");
                 ctx.is_root().then_some(7u32)
             });
         full.copies.bytes_deep_copied = 9;

@@ -44,6 +44,7 @@ fn fold_everywhere(platform: &Platform, backend: CollAlgorithm, len: usize) -> V
             },
             (len * 32) as u64,
         )
+        .expect("valid allreduce")
         .0
     });
     (0..platform.num_procs())
@@ -118,18 +119,21 @@ fn linear_allreduce_is_bit_and_timing_identical_to_gather_plus_broadcast() {
         let bits = (64 * 32) as u64;
         let fused = Engine::new(network.clone()).run(|ctx| {
             let own: Vec<u32> = (0..64).map(|i| ctx.rank() as u32 + i).collect();
-            let out = coll::allreduce(ctx, &cfg, 0, WireVec(own), fold, bits);
+            let out =
+                coll::allreduce(ctx, &cfg, 0, WireVec(own), fold, bits).expect("valid allreduce");
             (out.0, ctx.elapsed())
         });
         let split = Engine::new(network.clone()).run(|ctx| {
             let own: Vec<u32> = (0..64).map(|i| ctx.rank() as u32 + i).collect();
-            let folded = coll::gather(ctx, &cfg, 0, WireVec(own), bits).map(|entries| {
-                entries
-                    .into_iter()
-                    .filter_map(coll::GatherEntry::into_msg)
-                    .reduce(fold)
-                    .expect("root folds its own contribution at least")
-            });
+            let folded = coll::gather(ctx, &cfg, 0, WireVec(own), bits)
+                .expect("valid gather")
+                .map(|entries| {
+                    entries
+                        .into_iter()
+                        .filter_map(coll::GatherEntry::into_msg)
+                        .reduce(fold)
+                        .expect("root folds its own contribution at least")
+                });
             let out = coll::broadcast(ctx, &cfg, 0, folded, bits).expect("valid broadcast");
             (out.0, ctx.elapsed())
         });
@@ -189,6 +193,7 @@ fn predicted_allreduce_cost_equals_measured_virtual_time() {
                         },
                         bits,
                     )
+                    .expect("valid allreduce")
                     .0
                     .len()
                 });
@@ -247,6 +252,7 @@ fn auto_allreduce_is_never_dominated_on_the_mini_grid() {
                     },
                     (len * 32) as u64,
                 )
+                .expect("valid allreduce")
                 .0
                 .len()
             })
@@ -292,6 +298,7 @@ fn crashed_contributor_degrades_to_a_skipped_subtree() {
             |a, b| WireVec(vec![a.0[0] | b.0[0]]),
             32,
         )
+        .expect("valid allreduce")
         .0[0]
     });
     // Rank 3 crashed; its binomial parent (rank 2) dies forwarding the

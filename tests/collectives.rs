@@ -32,12 +32,14 @@ fn exchange(platform: &Platform, backend: CollAlgorithm) -> Exchange {
             .expect("valid broadcast")
             .0;
         let tag = WireVec(vec![ctx.rank() as u32 + 10]);
-        let gathered = coll::gather(ctx, &cfg, 0, tag, 32).map(|entries| {
-            entries
-                .into_iter()
-                .map(|e| e.into_msg().expect("healthy run").0[0])
-                .collect::<Vec<u32>>()
-        });
+        let gathered = coll::gather(ctx, &cfg, 0, tag, 32)
+            .expect("valid gather")
+            .map(|entries| {
+                entries
+                    .into_iter()
+                    .map(|e| e.into_msg().expect("healthy run").0[0])
+                    .collect::<Vec<u32>>()
+            });
         (bcast, gathered)
     });
     let p = platform.num_procs();
@@ -90,7 +92,8 @@ fn reruns_are_bit_identical_including_choice_log() {
                 None
             };
             let b = coll::broadcast(ctx, &cfg, 0, msg, 129_024).expect("valid broadcast");
-            let g = coll::gather(ctx, &cfg, 0, WireVec(vec![ctx.rank() as u8]), 8);
+            let g = coll::gather(ctx, &cfg, 0, WireVec(vec![ctx.rank() as u8]), 8)
+                .expect("valid gather");
             (b.0.len(), g.map(|e| e.len()), ctx.elapsed())
         })
     };
@@ -168,12 +171,14 @@ fn gather_marks_crashed_rank_as_lost_hole() {
     let report = engine.run(|ctx| {
         // Rank 3's plan crashes it at t=0: the engine converts its send
         // into a failure marker and the root sees an explicit hole.
-        coll::gather(ctx, &cfg, 0, ctx.rank() as u64, 64).map(|entries| {
-            entries
-                .iter()
-                .map(GatherEntry::is_lost)
-                .collect::<Vec<bool>>()
-        })
+        coll::gather(ctx, &cfg, 0, ctx.rank() as u64, 64)
+            .expect("valid gather")
+            .map(|entries| {
+                entries
+                    .iter()
+                    .map(GatherEntry::is_lost)
+                    .collect::<Vec<bool>>()
+            })
     });
     let holes = report.result(0).as_ref().expect("root gathers");
     for (r, lost) in holes.iter().enumerate() {
@@ -240,7 +245,9 @@ fn serial_link_census(backend: CollAlgorithm) -> (usize, Vec<(LinkUse, LinkUse)>
         let down = coll::broadcast(ctx, &cfg, 0, msg, 30_000 * 32).expect("valid broadcast");
         assert_eq!(down.0.len(), 30_000);
         let up = WireVec(vec![ctx.rank() as u32; 2_000]);
-        coll::gather(ctx, &cfg, 0, up, 2_000 * 32).map(|entries| entries.len())
+        coll::gather(ctx, &cfg, 0, up, 2_000 * 32)
+            .expect("valid gather")
+            .map(|entries| entries.len())
     });
     assert!(report.ok());
     let uses = serial_link_uses(&platform, &trace);

@@ -317,6 +317,7 @@ proptest! {
                 |a, b| WireVec(a.0.iter().zip(&b.0).map(|(x, y)| x.wrapping_add(*y)).collect()),
                 (len * 32) as u64,
             )
+            .expect("valid allreduce")
             .0
         });
         let expect: Vec<u32> = (0..len as u32)

@@ -4,12 +4,13 @@
 //! times, payload contents, and the recorded collective-choice log — to
 //! the same run shipping owned `M` values, on every network shape and
 //! rank count. Only the host-side copy telemetry (`CopyStats`, excluded
-//! from the report's `PartialEq` contract) may differ: owned payloads
-//! deep-copy at every fan-out clone, shared ones never do.
+//! from the report's `PartialEq` contract) may differ. That telemetry
+//! reports what each payload type's `Wire::deep_copy_bits` declares, so
+//! the sharing itself is checked by pointer identity: after a broadcast
+//! of a `Msg::Delta`, every rank holds the root's body, not a copy.
 
-use heterospec::hetero::config::RunOptions;
-use heterospec::hetero::par;
-use heterospec::simnet::engine::{Engine, WireVec};
+use heterospec::hetero::msg::Msg;
+use heterospec::simnet::engine::{Ctx, Engine, WireVec};
 use heterospec::simnet::{coll, presets, CollAlgorithm, CollectiveConfig, Platform, Wire};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -85,7 +86,6 @@ fn shared_broadcast_is_bit_identical_on_the_paper_networks() {
             assert_eq!(owned.collectives, shared.collectives);
             // Every schedule, chunked ones included: the fan-out sites
             // are counted, owned bodies copy at them, shared ones don't.
-            assert!(shared.copies.bytes_owned_baseline > 0, "{backend}");
             assert!(owned.copies.bytes_deep_copied > 0, "{backend}");
             assert_eq!(shared.copies.bytes_deep_copied, 0, "{backend}");
         }
@@ -111,58 +111,42 @@ fn shared_broadcast_is_bit_identical_across_rank_counts() {
     }
 }
 
-#[test]
-fn owned_fanouts_copy_the_baseline_and_shared_fanouts_copy_nothing() {
-    for network in presets::four_networks() {
-        for backend in [CollAlgorithm::Linear, CollAlgorithm::BinomialTree] {
-            let owned = broadcast_owned(&network, backend, 300);
-            let shared = broadcast_shared(&network, backend, 300);
-            // Owned payloads: every tracked fan-out clone deep-copies
-            // the full message, so measured == baseline, and a 16-rank
-            // tree definitely fans out.
-            assert!(owned.copies.bytes_owned_baseline > 0);
-            assert_eq!(
-                owned.copies.bytes_deep_copied, owned.copies.bytes_owned_baseline,
-                "owned run must copy exactly the baseline ({backend})"
-            );
-            assert!(owned.copies.allocs_on_hot_path > 0);
-            // Shared payloads: same schedule (same baseline), zero
-            // deep copies.
-            assert_eq!(
-                shared.copies.bytes_owned_baseline,
-                owned.copies.bytes_owned_baseline
-            );
-            assert_eq!(shared.copies.bytes_deep_copied, 0, "{backend}");
-            assert_eq!(shared.copies.allocs_on_hot_path, 0, "{backend}");
-        }
-    }
+/// Broadcasts a `Msg::Delta` of `words` u32s from rank 0 under
+/// `backend` and returns the address of the root's body with the address
+/// of the body each rank holds afterwards. The root's body outlives the
+/// run, so no copy can be allocated at its address.
+fn delta_body_addresses(
+    platform: &Platform,
+    backend: CollAlgorithm,
+    words: usize,
+) -> (usize, Vec<Option<usize>>) {
+    let cfg = CollectiveConfig::uniform(backend);
+    let bits = (words * 32) as u64;
+    let body = Arc::new(WireVec((0..words as u32).collect::<Vec<u32>>()));
+    let report = Engine::new(platform.clone()).run(|ctx: &mut Ctx<Msg<(), WireVec<u32>>>| {
+        let msg = ctx.is_root().then(|| Msg::Delta(Arc::clone(&body)));
+        let delta = coll::broadcast(ctx, &cfg, 0, msg, bits)
+            .expect("valid broadcast")
+            .into_delta()
+            .expect("a delta arrives");
+        Arc::as_ptr(&delta) as usize
+    });
+    (Arc::as_ptr(&body) as usize, report.results)
 }
 
-/// ATDCA and UFCLS end to end on the paper's networks: with the
-/// `Arc`-backed message bodies a run deep-copies at most half of what
-/// owned bodies would have copied at the same fan-out sites, and that
-/// baseline is not trivially zero. The counters are a function of the
-/// platform model and the payload types only, so this holds or fails
-/// identically on any host.
 #[test]
-fn detectors_deep_copy_at_most_half_their_owned_baseline() {
-    let scene = testutil::tiny_scene();
-    let (params, options) = (testutil::params(6, 2), RunOptions::hetero());
+fn every_rank_of_a_delta_broadcast_holds_the_roots_body() {
     for network in presets::four_networks() {
-        let engine = Engine::new(network);
-        for report in [
-            par::atdca::run(&engine, &scene.cube, &params, &options).report,
-            par::ufcls::run(&engine, &scene.cube, &params, &options).report,
-        ] {
-            let (copied, baseline) = (
-                report.copies.bytes_deep_copied,
-                report.copies.bytes_owned_baseline,
-            );
-            assert!(
-                baseline > 0 && 2 * copied <= baseline,
-                "on {}: deep-copied {copied} B of a {baseline} B baseline",
-                report.platform_name
-            );
+        for backend in BACKENDS {
+            let (root, held) = delta_body_addresses(&network, backend, 300);
+            for (r, address) in held.iter().enumerate() {
+                assert_eq!(
+                    *address,
+                    Some(root),
+                    "{backend} on {}: rank {r} holds a copy",
+                    network.name()
+                );
+            }
         }
     }
 }
@@ -171,7 +155,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any payload size × backend × rank count: the shared-payload run
-    /// replays the owned-payload run exactly, and never deep-copies.
+    /// replays the owned-payload run exactly, never deep-copies, and a
+    /// delta broadcast leaves every rank holding the root's body.
     #[test]
     fn shared_equals_owned_for_any_payload(
         words in 1usize..600,
@@ -185,5 +170,7 @@ proptest! {
         prop_assert_eq!(&owned, &shared);
         prop_assert_eq!(shared.copies.bytes_deep_copied, 0);
         prop_assert!((owned.total_time - shared.total_time).abs() == 0.0);
+        let (root, held) = delta_body_addresses(&platform, backend, words);
+        prop_assert!(held.iter().all(|&address| address == Some(root)));
     }
 }
