@@ -4,6 +4,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetero_hsi::kernels::{self, FclsCarry, ProjectionCarry};
 use hsi_cube::metrics::{brightness, euclidean, nearest_by_sad, sad, sid};
 use hsi_cube::synth::{wtc_scene, WtcConfig};
+use hsi_linalg::covariance::CovarianceAccumulator;
+use hsi_linalg::eigen::SymmetricEigen;
 use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace};
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
@@ -274,6 +276,29 @@ fn bench_pct(c: &mut Criterion) {
     });
 }
 
+/// PCT's master step alone: the symmetric eigensolve of a 224-band scene
+/// covariance, through the borrowing entry and the consuming one. The
+/// consuming row clones its argument each iteration, the copy `new`
+/// makes inside, so the two rows time the same in-place body.
+fn bench_eigen(c: &mut Criterion) {
+    let scene = wtc_scene(WtcConfig {
+        lines: 32,
+        samples: 16,
+        bands: 224,
+        ..Default::default()
+    });
+    let mut acc = CovarianceAccumulator::new(scene.cube.bands());
+    acc.push_pixels_f32(scene.cube.as_slice());
+    let cov = acc.covariance().expect("non-empty scene");
+    let mut g = c.benchmark_group("eigen");
+    g.bench_function("sym224_new", |b| {
+        b.iter(|| SymmetricEigen::new(black_box(&cov)).map(|e| e.dim()))
+    });
+    g.bench_function("sym224_consuming", |b| {
+        b.iter(|| SymmetricEigen::consume(black_box(cov.clone())).map(|e| e.dim()))
+    });
+}
+
 criterion_group!(
     benches,
     bench_metrics,
@@ -283,6 +308,7 @@ criterion_group!(
     bench_ufcls_rounds,
     bench_mei,
     bench_sad_label,
-    bench_pct
+    bench_pct,
+    bench_eigen
 );
 criterion_main!(benches);

@@ -661,7 +661,7 @@ impl ChunkedAlgo for PctChunks<'_> {
                     };
                     total.merge_flat(&flat).expect("pct: flat shape");
                 }
-                let model = PctModel::fit(&total, &reps, c);
+                let model = PctModel::fit(total, &reps, c);
                 let steps = vec![
                     flops::mflop((shards * n * (n + 3) / 2) as f64),
                     flops::mflop(flops::jacobi_eigen(n)),

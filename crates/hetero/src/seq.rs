@@ -117,13 +117,17 @@ impl PctModel {
     /// top `c` eigenvectors as transform, and the class representatives
     /// `reps` taken into its space. Host-side only: each driver places
     /// its own charges around the call.
-    pub(crate) fn fit(acc: &CovarianceAccumulator, reps: &[Vec<f32>], c: usize) -> PctModel {
+    ///
+    /// The accumulator is dropped once the mean and covariance are formed,
+    /// and the covariance is decomposed in place, so the master holds one
+    /// `N × N` working copy at a time.
+    pub(crate) fn fit(acc: CovarianceAccumulator, reps: &[Vec<f32>], c: usize) -> PctModel {
+        let k = c.min(acc.dim());
         let mean = acc.mean().expect("pct: empty image");
         let cov = acc.covariance().expect("pct: empty image");
-        let eig = SymmetricEigen::new(&cov).expect("pct: eigen failed");
-        let transform = eig
-            .principal_transform(c.min(acc.dim()))
-            .expect("pct: transform");
+        drop(acc);
+        let eig = SymmetricEigen::consume(cov).expect("pct: eigen failed");
+        let transform = eig.principal_transform(k).expect("pct: transform");
         let class_reps = transform_reps(&transform, &mean, reps);
         PctModel {
             transform,
@@ -161,7 +165,7 @@ pub fn pct(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<(LabelImage, PctM
     // at the master in the paper).
     let (acc, mf) = kernels::covariance_partial(cube, full);
     mflops += mf;
-    let model = PctModel::fit(&acc, &reps, c);
+    let model = PctModel::fit(acc, &reps, c);
     mflops += crate::flops::mflop(crate::flops::jacobi_eigen(n));
 
     // Steps 8-9: transform + classify.

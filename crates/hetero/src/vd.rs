@@ -96,8 +96,8 @@ fn spectra(cube: &HyperCube) -> (SymmetricEigen, SymmetricEigen) {
             corr[(i, j)] = cov[(i, j)] + mean[i] * mean[j];
         }
     }
-    let e_corr = SymmetricEigen::new(&corr).expect("corr eigen");
-    let e_cov = SymmetricEigen::new(&cov).expect("cov eigen");
+    let e_corr = SymmetricEigen::consume(corr).expect("corr eigen");
+    let e_cov = SymmetricEigen::consume(cov).expect("cov eigen");
     (e_corr, e_cov)
 }
 

@@ -230,18 +230,20 @@ impl SceneBuilder {
             }
         }
 
-        // Per-line generation, parallelised with rayon. Each line owns a
-        // ChaCha stream seeded from (scene seed, line), so the result is
-        // bit-identical regardless of thread count or schedule.
+        // Per-line generation, parallelised with rayon, straight into the
+        // cube's and the labels' buffers. Each line owns a ChaCha stream
+        // seeded from (scene seed, line), so the result is bit-identical
+        // regardless of thread count or schedule.
         use rayon::prelude::*;
-        let row_results: Vec<(Vec<f32>, Vec<u16>)> = (0..self.lines)
-            .into_par_iter()
-            .map(|line| {
-                let mut row = vec![0.0f32; self.samples * self.bands];
-                let mut labels = vec![0u16; self.samples];
+        let mut data = vec![0.0f32; self.lines * self.samples * self.bands];
+        let mut label_data = vec![0u16; self.lines * self.samples];
+        data.par_chunks_mut(self.samples * self.bands)
+            .zip(label_data.par_chunks_mut(self.samples))
+            .enumerate()
+            .for_each(|(line, (row, labels))| {
                 let mut line_rng =
                     ChaCha8Rng::seed_from_u64(splitmix(self.seed ^ (line as u64 + 1)));
-                let mut gauss = GaussianStream::new(&mut line_rng);
+                let mut gauss = GaussianStream::default();
                 for sample in 0..self.samples {
                     // Nearest and second-nearest seed of a different class.
                     let (pl, ps) = (line as f64 + 0.5, sample as f64 + 0.5);
@@ -293,18 +295,9 @@ impl SceneBuilder {
                             .max(0.0) as f32;
                     }
                 }
-                (row, labels)
-            })
-            .collect();
-        let mut data = Vec::with_capacity(self.lines * self.samples * self.bands);
-        let mut label_data = Vec::with_capacity(self.lines * self.samples);
-        for (row, labels) in row_results {
-            data.extend_from_slice(&row);
-            label_data.extend_from_slice(&labels);
-        }
+            });
         let mut cube = HyperCube::from_vec(self.lines, self.samples, self.bands, data);
         let truth = LabelImage::from_vec(self.lines, self.samples, label_data);
-        let _ = &mut rng;
 
         // Stage 3: thermal targets on top of whatever background is there.
         let mut placed = Vec::with_capacity(self.targets.len());
@@ -347,15 +340,12 @@ fn splitmix(mut z: u64) -> u64 {
 }
 
 /// Box–Muller Gaussian sampler producing pairs from a uniform stream.
+#[derive(Default)]
 struct GaussianStream {
     spare: Option<f64>,
 }
 
 impl GaussianStream {
-    fn new(_rng: &mut ChaCha8Rng) -> Self {
-        GaussianStream { spare: None }
-    }
-
     fn next(&mut self, rng: &mut ChaCha8Rng) -> f64 {
         if let Some(v) = self.spare.take() {
             return v;

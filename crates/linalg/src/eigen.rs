@@ -8,6 +8,9 @@
 //! run along contiguous rows (the matrix is kept fully symmetric so that
 //! `A·u` and the rank-2 update are row operations; eigenvectors are
 //! accumulated as rows, so each plane rotation touches two rows).
+//! Like EISPACK's pair, every stage works in the one `n × n` matrix it is
+//! handed: [`SymmetricEigen::consume`] returns the eigenvectors in its
+//! argument's buffer, and [`SymmetricEigen::new`] is that on a copy.
 //!
 //! This is the *host's* solver. The virtual clock keeps charging the
 //! modelled 2006 master's cost (`hetero_hsi::flops::jacobi_eigen`).
@@ -42,7 +45,8 @@ pub struct SymmetricEigen {
 }
 
 impl SymmetricEigen {
-    /// Decomposes a symmetric matrix.
+    /// Decomposes a symmetric matrix, leaving `a` untouched: the
+    /// decomposition of a copy by [`SymmetricEigen::consume`].
     ///
     /// `a` must be square; symmetry is enforced by averaging `a` with its
     /// transpose first (cheap insurance against accumulation asymmetries in
@@ -53,6 +57,15 @@ impl SymmetricEigen {
     /// after `MAX_QL_ITERATIONS` (30) QL iterations — which for finite
     /// symmetric input effectively cannot happen.
     pub fn new(a: &Matrix) -> Result<Self> {
+        Self::consume(a.clone())
+    }
+
+    /// Decomposes `a` inside its own storage: the same values as
+    /// [`SymmetricEigen::new`], bit for bit, with the eigenvectors returned
+    /// in `a`'s buffer. Symmetrisation, the reduction, the accumulation
+    /// of `Q`, the QL sweeps and the sort all work in that one `n × n`
+    /// matrix; no second one is allocated.
+    pub fn consume(mut a: Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(shape_mismatch(
                 "square matrix",
@@ -61,18 +74,17 @@ impl SymmetricEigen {
         }
         a.require_non_empty()?;
         let n = a.rows();
-
-        // Work on the symmetrised copy.
-        let mut m = Matrix::zeros(n, n);
         for i in 0..n {
-            for j in 0..n {
-                m[(i, j)] = 0.5 * (a[(i, j)] + a[(j, i)]);
+            for j in 0..=i {
+                let mean = 0.5 * (a[(i, j)] + a[(j, i)]);
+                a[(i, j)] = mean;
+                a[(j, i)] = mean;
             }
         }
         let mut lambda = vec![0.0; n];
         let mut off = vec![0.0; n];
-        let mut v = tridiagonalise(&mut m, &mut lambda, &mut off);
-        ql_implicit(&mut lambda, &mut off, &mut v)?;
+        tridiagonalise(&mut a, &mut lambda, &mut off);
+        ql_implicit(&mut lambda, &mut off, &mut a)?;
 
         // Sort eigenpairs by descending eigenvalue. Sorting is stable with
         // an index tiebreak so results are fully deterministic.
@@ -83,27 +95,22 @@ impl SymmetricEigen {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(i.cmp(&j))
         });
-        let mut eigenvalues = Vec::with_capacity(n);
-        // The reduction's scratch is dead by now: it becomes the output, so
-        // a decomposition never holds more than two `n × n` work matrices.
-        let mut eigenvectors = m;
-        for (row, &idx) in order.iter().enumerate() {
-            eigenvalues.push(lambda[idx]);
-            // Canonical sign: first nonzero component positive, so that the
-            // decomposition is unique and reproducible across platforms.
-            let src = v.row(idx);
-            let sign = src
+        // Canonical sign: first nonzero component positive, so that the
+        // decomposition is unique and reproducible across platforms.
+        for row in a.as_mut_slice().chunks_exact_mut(n) {
+            let sign = row
                 .iter()
                 .find(|x| x.abs() > 1e-12)
                 .map(|x| x.signum())
                 .unwrap_or(1.0);
-            for (dst, &val) in eigenvectors.row_mut(row).iter_mut().zip(src) {
-                *dst = sign * val;
+            for x in row {
+                *x *= sign;
             }
         }
+        permute_rows(&mut a, &order);
         Ok(SymmetricEigen {
-            eigenvalues,
-            eigenvectors,
+            eigenvalues: order.iter().map(|&i| lambda[i]).collect(),
+            eigenvectors: a,
         })
     }
 
@@ -134,8 +141,8 @@ impl SymmetricEigen {
 /// `T = Qᵀ·m·Q` (EISPACK `tred2`).
 ///
 /// On return `diag` holds `T`'s diagonal, `off[i]` (`i ≥ 1`) the entry
-/// coupling `i − 1` and `i` (`off[0] = 0`), and the result is `Qᵀ`, one
-/// transformed basis vector per row. `m` is consumed as scratch.
+/// coupling `i − 1` and `i` (`off[0] = 0`), and `m` holds `Qᵀ`, one
+/// transformed basis vector per row.
 ///
 /// Step `i` (from the last row up) reflects coordinates `0..i` so that row
 /// `i` keeps only its sub-diagonal entry. Both triangles of the leading
@@ -143,7 +150,7 @@ impl SymmetricEigen {
 /// every inner loop is then an element-wise pass along a row, and the two
 /// triangles stay bit-for-bit mirror images (the update term is the same
 /// expression with its commutative operands swapped).
-fn tridiagonalise(m: &mut Matrix, diag: &mut [f64], off: &mut [f64]) -> Matrix {
+fn tridiagonalise(m: &mut Matrix, diag: &mut [f64], off: &mut [f64]) {
     let n = m.rows();
     // `h[i] = uᵀu / 2` of step `i`'s reflector `I − u·uᵀ/h`, whose vector
     // `u` is left in `m[i][..i]`; zero where the row needed no reflection.
@@ -200,32 +207,66 @@ fn tridiagonalise(m: &mut Matrix, diag: &mut [f64], off: &mut [f64]) -> Matrix {
         *d = m[(i, i)];
     }
 
-    // Q = P_{n−1}···P_1, built from the inside out so that step `i` only
-    // touches the leading `i × i` block; its transpose (taken in place) is
-    // returned.
-    let mut q = Matrix::identity(n);
+    // Q = P_{n−1}···P_1, built from the inside out in `m` itself. Step
+    // `i` reads its vector from row `i` and touches only rows and columns
+    // `< i`, whose own vectors earlier steps have spent, so row and column
+    // `i − 1` become the identity's just before it. Its transpose (taken
+    // in place) is left in `m`.
+    let cells = m.as_mut_slice();
     let mut w = vec![0.0; n];
-    for i in 2..n {
-        if h[i] == 0.0 {
+    for i in 1..=n {
+        let k = i - 1;
+        for c in 0..k {
+            cells[k * n + c] = 0.0;
+            cells[c * n + k] = 0.0;
+        }
+        cells[k * n + k] = 1.0;
+        if i == n || h[i] == 0.0 {
             continue;
         }
-        let u = &m.row(i)[..i];
+        let (block, rest) = cells.split_at_mut(i * n);
+        let u = &rest[..i];
         let w = &mut w[..i];
         w.fill(0.0);
         for (r, &ur) in u.iter().enumerate() {
-            axpy(ur, &q.row(r)[..i], w);
+            axpy(ur, &block[r * n..r * n + i], w);
         }
         for (r, &ur) in u.iter().enumerate() {
-            axpy(-ur / h[i], w, &mut q.row_mut(r)[..i]);
+            axpy(-ur / h[i], w, &mut block[r * n..r * n + i]);
         }
     }
-    let cells = q.as_mut_slice();
     for r in 0..n {
         for c in r + 1..n {
             cells.swap(r * n + c, c * n + r);
         }
     }
-    q
+}
+
+/// Reorders the rows of `m` so that row `r` becomes what row `order[r]`
+/// was (`order` a permutation of the row indices), one cycle at a time
+/// through one spare row.
+fn permute_rows(m: &mut Matrix, order: &[usize]) {
+    let n = m.cols();
+    let cells = m.as_mut_slice();
+    let mut placed = vec![false; order.len()];
+    let mut spare = vec![0.0; n];
+    for start in 0..order.len() {
+        if placed[start] {
+            continue;
+        }
+        spare.copy_from_slice(&cells[start * n..(start + 1) * n]);
+        let mut dst = start;
+        loop {
+            placed[dst] = true;
+            let src = order[dst];
+            if src == start {
+                cells[dst * n..(dst + 1) * n].copy_from_slice(&spare);
+                break;
+            }
+            cells.copy_within(src * n..(src + 1) * n, dst * n);
+            dst = src;
+        }
+    }
 }
 
 /// Implicit-shift QL on the tridiagonal matrix (`diag`, `off` as left by
@@ -395,6 +436,20 @@ mod tests {
             for (p, q) in av.iter().zip(v.iter()) {
                 assert!((p - e.eigenvalues[idx] * q).abs() < 1e-8);
             }
+        }
+    }
+
+    #[test]
+    fn permute_rows_follows_every_cycle() {
+        // Row 0 takes row 2, 2 takes 3, 3 takes 1, 1 takes 0; 4 and 5 stay.
+        let order = [2, 0, 3, 1, 4, 5];
+        let mut m = Matrix::zeros(6, 2);
+        for r in 0..6 {
+            m.row_mut(r).copy_from_slice(&[r as f64, -(r as f64)]);
+        }
+        permute_rows(&mut m, &order);
+        for (r, &src) in order.iter().enumerate() {
+            assert_eq!(m.row(r), &[src as f64, -(src as f64)]);
         }
     }
 

@@ -5,16 +5,16 @@
 //! There is no second implementation to compare against; each solver is
 //! checked against the definition of what it computes (reconstruction and
 //! orthonormality; the allocating wrapper as the from-scratch form of the
-//! workspace path).
+//! workspace path; `SymmetricEigen::new` as the copying form of the
+//! in-place `SymmetricEigen::consume`).
 //!
 //! CI also runs this suite in the release profile with `--include-ignored`:
 //! that is where the eigensolver's host-normalised time bound is asserted
 //! and where the eight-seed FCLS sweep runs.
 
-use heterospec::cube::synth::{wtc_scene, SyntheticScene, WtcConfig};
+use heterospec::cube::synth::{wtc_scene, WtcConfig};
 use heterospec::hetero::config::AlgoParams;
 use heterospec::hetero::seq;
-use heterospec::linalg::covariance::CovarianceAccumulator;
 use heterospec::linalg::eigen::SymmetricEigen;
 use heterospec::linalg::lstsq::{FclsProblem, FclsWorkspace};
 use heterospec::linalg::matrix::dot;
@@ -27,10 +27,8 @@ use std::time::Instant;
 /// needed ~2.6 M.
 const EIGEN_224_BOUND_DOTS: f64 = 500_000.0;
 
-fn covariance_of(scene: &SyntheticScene) -> Matrix {
-    let mut acc = CovarianceAccumulator::new(scene.cube.bands());
-    acc.push_pixels_f32(scene.cube.as_slice());
-    acc.covariance().expect("non-empty scene")
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Checks everything `SymmetricEigen` promises about `a`.
@@ -71,7 +69,6 @@ fn assert_eigen_contract(a: &Matrix) -> SymmetricEigen {
     }
 
     let again = SymmetricEigen::new(a).expect("eigen");
-    let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&e.eigenvalues), bits(&again.eigenvalues));
     assert_eq!(
         bits(e.eigenvectors.as_slice()),
@@ -92,7 +89,7 @@ fn best_of_3(mut f: impl FnMut()) -> f64 {
 
 #[test]
 fn eigen_224_band_scene_covariance() {
-    let cov = covariance_of(&testutil::scene(32, 16, 224));
+    let cov = testutil::scene_covariance(&testutil::scene(32, 16, 224));
     let e = assert_eigen_contract(&cov);
     assert!((e.eigenvalues.iter().sum::<f64>() - cov.trace().unwrap()).abs() < 1e-9);
 
@@ -126,7 +123,7 @@ fn eigen_224_band_scene_covariance() {
 fn eigen_rank_deficient_covariance() {
     // 32 pixels in 224 bands: rank ≤ 31, so ~193 eigenvalues are noise
     // around zero.
-    let cov = covariance_of(&testutil::scene(4, 8, 224));
+    let cov = testutil::scene_covariance(&testutil::scene(4, 8, 224));
     let e = assert_eigen_contract(&cov);
     let top = e.eigenvalues[0];
     assert!(e.eigenvalues[31..].iter().all(|l| l.abs() <= 1e-10 * top));
@@ -165,6 +162,30 @@ fn eigen_repeated_eigenvalues_and_tiny_sizes() {
     assert_eq!(e.eigenvalues, vec![-4.5]);
     let e = assert_eigen_contract(&Matrix::from_rows(&[&[2.0, -1.0], &[-1.0, 2.0]]));
     assert!((e.eigenvalues[0] - 3.0).abs() < 1e-12 && (e.eigenvalues[1] - 1.0).abs() < 1e-12);
+}
+
+/// The footprint gate, with no stopwatch: the consuming entry is `new`
+/// without the copy. It returns the same bits, and its eigenvectors in
+/// the very buffer it was handed, so a second `n × n` work matrix
+/// brought back as the output fails here on any host.
+#[test]
+fn consuming_eigen_is_new_bit_for_bit_in_the_buffer_it_was_handed() {
+    for (name, a) in testutil::eigen_matrices() {
+        let want = SymmetricEigen::new(&a).expect("eigen");
+        let buffer = a.as_slice().as_ptr();
+        let got = SymmetricEigen::consume(a).expect("eigen");
+        assert_eq!(bits(&got.eigenvalues), bits(&want.eigenvalues), "{name}");
+        assert_eq!(
+            bits(got.eigenvectors.as_slice()),
+            bits(want.eigenvectors.as_slice()),
+            "{name}"
+        );
+        assert_eq!(
+            got.eigenvectors.as_slice().as_ptr(),
+            buffer,
+            "{name}: eigenvectors returned in a second buffer"
+        );
+    }
 }
 
 /// The first `t` UFCLS targets of `scene` as an FCLS problem.
