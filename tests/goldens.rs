@@ -14,8 +14,11 @@
 //!
 //! `tests/golden/bits.txt` pins what every digest above rests on: the
 //! bits of the synthetic scenes, of the symmetric eigensolver's output
-//! and of the sequential PCT. A storage change that is meant to move no
-//! value (in-place work, fewer copies) must leave it unedited.
+//! and of PCT: sequential, partitioned over 16 and 256 ranks, and under
+//! both ft drivers, clean and after crashes, where a master merges many
+//! covariance shards. A storage change that is meant to move no value
+//! (in-place work, fewer copies, work moved between host threads) must
+//! leave it unedited.
 //!
 //! Three records take 9–15 s each in the dev profile; they are
 //! `#[ignore]`d here and run with `--include-ignored` in release.
@@ -252,8 +255,31 @@ fn bits() -> String {
         line(format!("eigen {name} vectors"), vectors.finish());
     }
     let scene = wtc_scene(geometry(256, 16, 20010916));
-    let pct = seq::pct(&scene.cube, &AlgoParams::default()).result;
+    let (cube, p) = (&scene.cube, &AlgoParams::default());
+    let pct = seq::pct(cube, p).result;
     line("pct seq_wtc_256x16_seed20010916".into(), pct.digest64());
+    // Many covariance shards merged by a master: 16 uneven WEA cells,
+    // 256 one-line cells, and the ft drivers' 8-line chunks, re-issued
+    // after crashes.
+    for (net, platform) in [
+        ("het16", presets::fully_heterogeneous()),
+        ("th256", presets::thunderhead(256)),
+    ] {
+        let run = par::pct::run(&Engine::new(platform), cube, p, &RunOptions::hetero());
+        let name = format!("pct par_{net}_wtc_256x16_seed20010916");
+        line(name, run.result.digest64());
+    }
+    let (algo, opts) = (PctChunks::new(cube, p), FtOptions::default());
+    for (plan_name, plan) in [("clean", FaultPlan::new()), ("crashes", two_crashes())] {
+        let engine = testutil::engine_with(plan);
+        for (mode, output) in [
+            ("replan", run_replan(&engine, &algo, &opts).output),
+            ("selfsched", run_self_sched(&engine, &algo, &opts).output),
+        ] {
+            let name = format!("pct ft_{mode}_{plan_name}_wtc_256x16_seed20010916");
+            line(name, output.digest64());
+        }
+    }
     out
 }
 
