@@ -276,6 +276,45 @@ fn bench_pct(c: &mut Criterion) {
     });
 }
 
+/// PCT's master merge, the covariance shards summed where they are
+/// merged, on the benchmark's 256 × 16 × 224 scene: the 256 one-line
+/// shards of `thunderhead(256)` and the 16 uneven WEA shards of the
+/// fully heterogeneous network, on one host core and on two.
+fn bench_covariance_shards(c: &mut Criterion) {
+    let scene = wtc_scene(WtcConfig {
+        lines: 256,
+        samples: 16,
+        bands: 224,
+        ..Default::default()
+    });
+    let cube = &scene.cube;
+    let one_line: Vec<_> = (0..cube.lines()).map(|l| (l, l + 1)).collect();
+    let params = Default::default();
+    let wea16: Vec<_> = hetero_hsi::framework::plan_assignments(
+        &simnet::presets::fully_heterogeneous(),
+        cube,
+        &hetero_hsi::config::RunOptions::hetero(),
+        hetero_hsi::par::pct::row_cost(cube, &params),
+    )
+    .iter()
+    .map(|a| (a.first_line, a.first_line + a.n_lines))
+    .collect();
+    assert_eq!(wea16.len(), 16);
+    let mut g = c.benchmark_group("covariance");
+    for (name, ranges) in [("shards_256x1line", &one_line), ("shards_wea16", &wea16)] {
+        for width in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .expect("pool");
+            g.bench_function(format!("{name}/w{width}"), |b| {
+                b.iter(|| pool.install(|| kernels::covariance_of_shards(black_box(cube), ranges)))
+            });
+        }
+    }
+    g.finish();
+}
+
 /// PCT's master step alone: the symmetric eigensolve of a 224-band scene
 /// covariance, through the borrowing entry and the consuming one. The
 /// consuming row clones its argument each iteration, the copy `new`
@@ -309,6 +348,7 @@ criterion_group!(
     bench_mei,
     bench_sad_label,
     bench_pct,
+    bench_covariance_shards,
     bench_eigen
 );
 criterion_main!(benches);

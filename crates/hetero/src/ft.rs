@@ -24,7 +24,11 @@
 //! Rank 0 is a **coordinator only** — unlike [`crate::par`], where the
 //! root also works a partition. A dedicated master keeps the dispatch
 //! loop deterministic (it never has to interleave its own compute with
-//! polling) and survives every plan that crashes workers only.
+//! polling) and survives every plan that crashes workers only. It merges
+//! a round on a kernel pool as wide as the host, not its share of it:
+//! every worker is idle until the next round opens, and every kernel
+//! gives the same bits at any width (PCT's covariance shards are summed
+//! there, see [`crate::sched::PctChunks`]).
 //!
 //! **State distribution.** Each round opens with the previous round's
 //! delta ([`ChunkedAlgo::Delta`] — a new row of `U`, the class set, the
@@ -67,7 +71,7 @@
 //! `fault_injection` integration suite).
 
 use crate::offload::{self, ChunkCost, OffloadPolicy};
-use crate::sched::ChunkedAlgo;
+use crate::sched::{reduce_on_every_core, ChunkedAlgo};
 use crate::wea::apportion_rows;
 use simnet::coll::{self, CollAlgorithm, CollOp, CollectiveConfig};
 use simnet::engine::{Engine, Wire};
@@ -750,7 +754,7 @@ fn master<A: ChunkedAlgo>(
             Mode::SelfSched => collect_self_sched(ctx, algo, opts, &mut roster, round),
         }?;
         partials.sort_by_key(|&(first, _)| first);
-        let (next, next_delta, steps) = algo.reduce(round, state, partials);
+        let (next, next_delta, steps) = reduce_on_every_core(algo, round, state, partials);
         for mflops in steps {
             ctx.compute_seq(mflops);
         }

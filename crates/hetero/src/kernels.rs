@@ -11,11 +11,14 @@
 //! All argmax scans break ties toward the lowest `(line, sample)` in
 //! row-major order, keeping results independent of partitioning.
 //!
-//! The scan kernels (argmax family, covariance, labelling) are
-//! **data-parallel over a fixed line-chunk grid** ([`PAR_CHUNK_LINES`])
-//! with order-preserving reduction, so their outputs are bit-identical
-//! for any thread count; the thread budget is whatever `rayon` pool the
-//! caller installed (one per simulated rank under `simnet::engine`).
+//! The scan kernels (argmax family, covariance, labelling) work on a
+//! **fixed line-chunk grid** ([`PAR_CHUNK_LINES`]) with order-preserving
+//! reduction. The argmax and labelling scans are data-parallel over the
+//! chunks; the covariance sums are split across threads by rows of
+//! `Σxxᵀ`, each cell summed by one thread in chunk order. So their
+//! outputs are bit-identical for any thread count; the thread budget is
+//! whatever `rayon` pool the caller installed (one per simulated rank
+//! under `simnet::engine`, as wide as the host for a master's merge).
 //! Wall-clock speed changes, **virtual time does not**: the returned
 //! megaflop counts are analytic in the scan size either way.
 //!
@@ -39,7 +42,7 @@ use crate::flops;
 use crate::msg::Candidate;
 use hsi_cube::metrics::{brightness, sad, SadCandidates};
 use hsi_cube::HyperCube;
-use hsi_linalg::covariance::CovarianceAccumulator;
+use hsi_linalg::covariance::{CovarianceAccumulator, ShardBand};
 use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace, NnlsTrails};
 use hsi_linalg::matrix::dots_abreast;
 use hsi_linalg::ortho::OrthoBasis;
@@ -655,50 +658,52 @@ pub fn unique_set(
     (members.into_iter().map(|(p, _)| p).collect(), mflops)
 }
 
-/// PCT steps 4–5: accumulates the block's mean/covariance partial sums.
+/// PCT steps 4–6: the mean/covariance sums of the line ranges
+/// `ranges`, each a shard of the merge, merged in order.
 ///
-/// Each fixed line chunk feeds the register-tiled
-/// [`CovarianceAccumulator::push_pixels_f32`] over its contiguous BIP
-/// region; chunk partials are merged **in chunk order**, so the result
-/// is identical for any thread count. (The chunked summation groups
-/// floating-point additions differently from a single unchunked stream,
-/// but virtual-time accounting is analytic in the pixel count, so
-/// experiment timings are unaffected — see `docs/PERF.md`.) On one
-/// thread the merge folds each partial as soon as it is summed, so one
-/// partial at a time is alive beside the total, not one per chunk.
-///
-/// The later chunks are folded into the **first chunk's** partial, not
-/// into a zeroed total: every sum of a partial started from `+0.0`, so it
-/// is never `−0.0`, and `+0.0 + x` is `x` to the bit for every other `x`
-/// — the total has the bits the zeroed start gave it, and a one-chunk
-/// range allocates one accumulator, which
-/// [`CovarianceAccumulator::into_flat`] ships as it is.
-pub fn covariance_partial(cube: &HyperCube, range: (usize, usize)) -> (CovarianceAccumulator, f64) {
-    let n = cube.bands();
-    let stride = cube.samples() * n;
-    let acc = (0..chunk_count(range))
-        .into_par_iter()
-        .map(|c| {
-            let (clo, chi) = chunk_bounds(range, c);
-            let mut acc = CovarianceAccumulator::new(n);
-            acc.push_pixels_f32(&cube.as_slice()[clo * stride..chi * stride]);
-            Some(acc)
+/// A shard is cut into the fixed line chunks of its range, each summed
+/// from zero by the register-tiled push and merged **in chunk order**
+/// into the first; the shards are merged in order into a zeroed total.
+/// (The chunked summation groups floating-point additions differently
+/// from a single unchunked stream, but virtual-time accounting is
+/// analytic in the pixel count, so experiment timings are unaffected —
+/// see `docs/PERF.md`.) The work is split by rows of `Σxxᵀ` into one
+/// band per thread of the installed pool
+/// ([`CovarianceAccumulator::from_shards`]): every cell is summed by one
+/// thread in the order above, so the result is the same for any width.
+pub fn covariance_of_shards(cube: &HyperCube, ranges: &[(usize, usize)]) -> CovarianceAccumulator {
+    let stride = cube.samples() * cube.bands();
+    let shards: Vec<Vec<&[f32]>> = ranges
+        .iter()
+        .map(|&range| {
+            (0..chunk_count(range))
+                .map(|c| {
+                    let (clo, chi) = chunk_bounds(range, c);
+                    &cube.as_slice()[clo * stride..chi * stride]
+                })
+                .collect()
         })
-        .reduce(
-            || None,
-            |total, part| match (total, part) {
-                (Some(mut total), Some(part)) => {
-                    total.merge(&part).expect("covariance_partial: same dim");
-                    Some(total)
-                }
-                (total, part) => total.or(part),
-            },
-        )
-        .unwrap_or_else(|| CovarianceAccumulator::new(n));
+        .collect();
+    let parts = rayon::current_num_threads();
+    CovarianceAccumulator::from_shards(cube.bands(), &shards, parts, |bands| {
+        bands.into_par_iter().for_each(ShardBand::fold)
+    })
+}
+
+/// The megaflops of accumulating the covariance sums of lines `range`:
+/// what [`covariance_partial`] reports, and what a PCT chunk is charged
+/// whoever sums it.
+pub fn covariance_mflops(cube: &HyperCube, range: (usize, usize)) -> f64 {
     let pixels = range_pixels(cube, range);
+    flops::mflop(flops::covariance_accumulate(cube.bands()) * pixels as f64)
+}
+
+/// PCT steps 4–5: the block's mean/covariance partial sums — the
+/// one-shard [`covariance_of_shards`] — and their megaflops.
+pub fn covariance_partial(cube: &HyperCube, range: (usize, usize)) -> (CovarianceAccumulator, f64) {
     (
-        acc,
-        flops::mflop(flops::covariance_accumulate(n) * pixels as f64),
+        covariance_of_shards(cube, &[range]),
+        covariance_mflops(cube, range),
     )
 }
 
@@ -1037,9 +1042,9 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The PCT-partial pin: folding into the first chunk's partial moves
-    /// no bit against the zeroed total it replaces, a one-chunk range is
-    /// the blocked push itself, and the moved buffer is the copied one.
+    /// The PCT-partial pin: summing the first chunk inside the total
+    /// moves no bit against the zeroed total merged into, and a one-chunk
+    /// range is the blocked push itself.
     #[test]
     fn covariance_partial_keeps_the_bits_of_a_zeroed_total() {
         let s = scene();
@@ -1062,8 +1067,6 @@ mod tests {
                 let alone = pushed(range.0, range.1);
                 assert_eq!(f64_bits(&acc.to_flat()), f64_bits(&alone.to_flat()));
             }
-            let copied = acc.to_flat();
-            assert_eq!(f64_bits(&acc.into_flat()), f64_bits(&copied));
         }
     }
 

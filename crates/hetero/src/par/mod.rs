@@ -21,12 +21,17 @@
 //!    every rank installs it. A round whose new state no rank reads
 //!    broadcasts nothing, and its ranks go straight on to the next round
 //!    before the gather (PCT's unique set and covariance both run before
-//!    either is gathered);
+//!    either is gathered). The root merges on a kernel pool as wide as
+//!    the host, not its share of it: every worker is blocked on the
+//!    merge's result, and every kernel gives the same bits at any width.
+//!    That is where PCT's covariance shards are summed (see
+//!    [`crate::sched::PctChunks`]);
 //! 4. where the merge is an associative fold (the detectors' winner) and
 //!    the run's allreduce schedule is not `Linear`, gather → merge →
 //!    broadcast is one fused allreduce instead: scores travel with the
 //!    partials, so the master's re-score disappears and every rank
-//!    learns the winner's real coordinates in one tree traversal.
+//!    learns the winner's real coordinates in one tree traversal. Every
+//!    rank merges there, so each keeps its share of the host.
 //!
 //! Every collective carries a rank-uniform size hint for `Auto`
 //! selection: a partial of ⌈lines/P⌉ lines, and the delta's bound.
@@ -42,7 +47,7 @@ use crate::flops;
 use crate::framework::{distribute, plan_assignments, row_mbits, run_rooted, ParallelRun};
 use crate::msg::Msg;
 use crate::offload::charge_chunk;
-use crate::sched::{ChunkedAlgo, DetectChunks};
+use crate::sched::{reduce_on_every_core, ChunkedAlgo, DetectChunks};
 use crate::seq::DetectedTarget;
 use crate::wea::RowCost;
 use hsi_cube::HyperCube;
@@ -152,7 +157,7 @@ where
                         .zip(&assignments)
                         .filter_map(|(e, a)| Some((a.first_line, decode(e.into_msg()?))))
                         .collect();
-                    let (next, d, steps) = algo.reduce(r, state, partials);
+                    let (next, d, steps) = reduce_on_every_core(algo, r, state, partials);
                     for mflops in steps {
                         ctx.compute_seq(mflops);
                     }

@@ -169,6 +169,22 @@ pub trait ChunkedAlgo {
     fn delta_hint(&self, round: usize) -> Option<u64>;
 }
 
+/// [`ChunkedAlgo::reduce`] on a kernel pool as wide as the host rather
+/// than the rank's share of it — for a master every worker is blocked
+/// on, whose cores would otherwise idle through the merge. Every kernel
+/// gives the same bits at any width.
+pub(crate) fn reduce_on_every_core<A: ChunkedAlgo>(
+    algo: &A,
+    round: usize,
+    state: A::State,
+    partials: Vec<(usize, A::Partial)>,
+) -> (A::State, Option<A::Delta>, Vec<f64>) {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .build()
+        .expect("sched: master pool");
+    pool.install(|| algo.reduce(round, state, partials))
+}
+
 /// Wire bits of a block of `pixels` labels: a 32-bit header (the
 /// block's first line) and one `u16` per pixel.
 fn label_bits(pixels: usize) -> u64 {
@@ -476,8 +492,18 @@ pub enum ClassPartial {
     /// Candidate class representatives: a unique set (PCT) or the
     /// distinct top-MEI pixels (MORPH).
     Cands(Vec<Candidate>),
-    /// A flattened covariance accumulator shard (PCT).
-    Stats(Vec<f64>),
+    /// A covariance shard (PCT): the line range whose mean and covariance
+    /// sums the master adds to its total, sized as the flat accumulator
+    /// the wire carries. The master sums the lines where it merges them
+    /// (see [`PctChunks`]), so the shard holds nothing on the heap.
+    Shard {
+        /// First line of the range.
+        first: usize,
+        /// Lines in the range.
+        lines: usize,
+        /// Wire bits: `flat_len(bands)` `f64`s.
+        bits: u64,
+    },
     /// The labels of the chunk's lines.
     Labels(Vec<u16>),
 }
@@ -486,7 +512,7 @@ impl Wire for ClassPartial {
     fn size_bits(&self) -> u64 {
         match self {
             ClassPartial::Cands(cs) => cs.iter().map(Wire::size_bits).sum(),
-            ClassPartial::Stats(v) => (v.len() * 64) as u64,
+            ClassPartial::Shard { bits, .. } => *bits,
             ClassPartial::Labels(l) => label_bits(l.len()),
         }
     }
@@ -540,6 +566,17 @@ pub enum PctState {
 /// candidate pool — hence the exact labelling — depends on the chunk
 /// grid; a fixed grid gives identical output regardless of which rank
 /// computes which chunk.
+///
+/// **Where a covariance shard is summed.** A round-1 chunk is charged
+/// the accumulation's megaflops and ships a flat accumulator's wire
+/// size, as the paper's worker does, but its partial is only its line
+/// range ([`ClassPartial::Shard`]). The master sums every shard from the
+/// shared cube at the moment it merges it
+/// ([`kernels::covariance_of_shards`]), with the additions, in the
+/// order, that summing on the worker and merging the sums would make.
+/// The modelled cluster pays for the same work at the same virtual
+/// instants; only the host thread that does it, and when, differs — so
+/// no 200 KB shard of a 256-rank run waits in memory for the merge.
 pub struct PctChunks<'a> {
     cube: &'a HyperCube,
     params: &'a AlgoParams,
@@ -549,6 +586,11 @@ impl<'a> PctChunks<'a> {
     /// Wraps a cube and parameters.
     pub fn new(cube: &'a HyperCube, params: &'a AlgoParams) -> Self {
         PctChunks { cube, params }
+    }
+
+    /// Wire bits of a covariance shard: one flat accumulator of `f64`s.
+    fn shard_bits(&self) -> u64 {
+        (CovarianceAccumulator::flat_len(self.cube.bands()) * 64) as u64
     }
 
     /// Bytes staged for an `n`-line chunk of `round`: the chunk in, and
@@ -619,10 +661,14 @@ impl ChunkedAlgo for PctChunks<'_> {
                 let cands = set.iter().map(|p| p.to_candidate(cube, 0, 0)).collect();
                 (ClassPartial::Cands(cands), mflops)
             }
-            1 => {
-                let (acc, mflops) = kernels::covariance_partial(cube, range);
-                (ClassPartial::Stats(acc.into_flat()), mflops)
-            }
+            1 => (
+                ClassPartial::Shard {
+                    first,
+                    lines: n,
+                    bits: self.shard_bits(),
+                },
+                kernels::covariance_mflops(cube, range),
+            ),
             _ => {
                 let m = replica
                     .as_ref()
@@ -654,13 +700,16 @@ impl ChunkedAlgo for PctChunks<'_> {
             }
             (1, PctState::Reps(reps)) => {
                 let shards = partials.len();
-                let mut total = CovarianceAccumulator::new(n);
-                for (_, p) in partials {
-                    let ClassPartial::Stats(flat) = p else {
-                        panic!("pct: covariance round merged a non-stats partial")
-                    };
-                    total.merge_flat(&flat).expect("pct: flat shape");
-                }
+                let ranges: Vec<_> = partials
+                    .into_iter()
+                    .map(|(_, p)| {
+                        let ClassPartial::Shard { first, lines, .. } = p else {
+                            panic!("pct: covariance round merged a non-shard partial")
+                        };
+                        (first, first + lines)
+                    })
+                    .collect();
+                let total = kernels::covariance_of_shards(self.cube, &ranges);
                 let model = PctModel::fit(total, &reps, c);
                 let steps = vec![
                     flops::mflop((shards * n * (n + 3) / 2) as f64),
@@ -687,7 +736,7 @@ impl ChunkedAlgo for PctChunks<'_> {
         (labels, model)
     }
 
-    fn chunk_mflops(&self, round: usize, state: &Self::State, _first: usize, n: usize) -> f64 {
+    fn chunk_mflops(&self, round: usize, state: &Self::State, first: usize, n: usize) -> f64 {
         let bands = self.cube.bands();
         let pixels = n * self.cube.samples();
         match (round, state) {
@@ -697,7 +746,7 @@ impl ChunkedAlgo for PctChunks<'_> {
                 pixels,
                 4 * self.params.num_classes,
             )),
-            (1, _) => flops::mflop(flops::covariance_accumulate(bands) * pixels as f64),
+            (1, _) => kernels::covariance_mflops(self.cube, (first, first + n)),
             (_, PctState::Model(m)) => {
                 let c = m.transform.rows();
                 flops::mflop(
@@ -724,7 +773,7 @@ impl ChunkedAlgo for PctChunks<'_> {
         let bands = self.cube.bands();
         match round {
             0 => (4 * self.params.num_classes) as u64 * candidate_bits(bands),
-            1 => (CovarianceAccumulator::flat_len(bands) * 64) as u64,
+            1 => self.shard_bits(),
             _ => label_bits(n * self.cube.samples()),
         }
     }
@@ -1375,7 +1424,39 @@ mod tests {
         };
         let cands = ClassPartial::Cands(vec![c.clone(), c]);
         assert_eq!(cands.size_bits(), 2 * candidate_bits(bands));
-        assert_eq!(ClassPartial::Stats(vec![0.0; 5]).size_bits(), 5 * 64);
         assert_eq!(ClassPartial::Labels(vec![0; 100]).size_bits(), 32 + 1600);
+    }
+
+    /// The covariance round's wire contract: a shard is as big on the
+    /// wire as the flat accumulator a device would stage out, and as the
+    /// hint the collectives size by; its chunk is charged what the
+    /// master predicts, to the bit, though no kernel ran.
+    #[test]
+    fn a_covariance_shard_is_sized_and_charged_as_the_sums_it_stands_for() {
+        let p = AlgoParams::default();
+        for bands in [1, 5, 224] {
+            let (lines, samples) = (11, 3);
+            let cube =
+                HyperCube::from_vec(lines, samples, bands, vec![0.5; lines * samples * bands]);
+            let algo = PctChunks::new(&cube, &p);
+            for (first, n) in [(0, lines), (3, 5), (7, 0)] {
+                let (shard, cost) = algo.run_chunk(1, &None, first, n);
+                let ClassPartial::Shard {
+                    first: f, lines: l, ..
+                } = shard
+                else {
+                    panic!("round 1 returns a shard")
+                };
+                assert_eq!((f, l), (first, n));
+                let (staged_in, staged_out) = algo.bytes(1, n);
+                assert_eq!(shard.size_bits(), staged_out * 8, "{bands} bands");
+                assert_eq!(shard.size_bits(), algo.partial_hint(1, n));
+                assert_eq!((cost.bytes_h2d, cost.bytes_d2h), (staged_in, staged_out));
+                let predicted = algo.chunk_mflops(1, &PctState::Fresh, first, n);
+                assert_eq!(cost.mflops.to_bits(), predicted.to_bits());
+                let (_, kernel) = kernels::covariance_partial(&cube, (first, first + n));
+                assert_eq!(cost.mflops.to_bits(), kernel.to_bits());
+            }
+        }
     }
 }

@@ -12,15 +12,23 @@
 //! Internally the accumulator keeps raw sums `Σx` and `Σxxᵀ`; covariance is
 //! finalised as `Σxxᵀ/n − m mᵀ`. For reflectance-scaled data (`O(1)`
 //! magnitudes) this is numerically adequate and makes merging trivial.
+//!
+//! [`CovarianceAccumulator::from_shards`] is the master's merge with the
+//! shards summed where they are merged: it takes the pixels of every
+//! shard, not their sums, and splits the work by rows of the packed
+//! triangle ([`ShardBand`]), each band on a thread of the caller's
+//! choosing, for the bits of the shard-by-shard merge.
 
 use crate::error::shape_mismatch;
 use crate::{LinAlgError, Matrix, Result};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Partial sums for mean/covariance over a stream of `dim`-vectors.
 ///
 /// The sums are held in wire order — `[count, Σx…, Σxxᵀ…]`, the upper
-/// triangle (diagonal included) packed row-major — so shipping an
-/// accumulator ([`Self::into_flat`]) moves the buffer it was summed in.
+/// triangle (diagonal included) packed row-major — so a band of
+/// triangle rows ([`ShardBand`]) is one contiguous run of the buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CovarianceAccumulator {
     dim: usize,
@@ -116,29 +124,7 @@ impl CovarianceAccumulator {
             "push_pixels_f32: data length {} not a multiple of dim {d}",
             data.len()
         );
-        let (count, sum, cross) = self.sums_mut();
-        let stride = d.next_multiple_of(TILE_COLS);
-        let mut scratch = vec![0.0f64; Self::PANEL.min(data.len() / d) * stride];
-        for panel in data.chunks(Self::PANEL * d) {
-            let pixels = panel.len() / d;
-            let widened = &mut scratch[..pixels * stride];
-            for (dst, src) in widened.chunks_exact_mut(stride).zip(panel.chunks_exact(d)) {
-                for (w, &x) in dst.iter_mut().zip(src) {
-                    *w = f64::from(x);
-                }
-            }
-            *count += pixels as f64;
-            for row in widened.chunks_exact(stride) {
-                for (s, &x) in sum.iter_mut().zip(row) {
-                    *s += x;
-                }
-            }
-            for i0 in (0..d).step_by(TILE_ROWS) {
-                for j0 in (i0 - i0 % TILE_COLS..d).step_by(TILE_COLS) {
-                    add_tile(cross, d, widened, stride, (i0, j0));
-                }
-            }
-        }
+        push_band(d, 0..d, &mut self.flat, data);
     }
 
     /// Panel width (pixels) of the tiled [`Self::push_pixels_f32`]
@@ -148,6 +134,67 @@ impl CovarianceAccumulator {
     /// only what it fills.
     pub const PANEL: usize = 64;
 
+    /// The statistics of `shards` merged in order into a fresh
+    /// accumulator, where shard `s` is given by its chunks of pixels
+    /// (`dim` values each, back to back) and is the fold of its chunks,
+    /// each summed from zero: bit for bit, summing every chunk into an
+    /// accumulator of its own with [`Self::push_pixels_f32`], merging
+    /// each shard's later chunks into its first and each shard into a
+    /// zeroed total.
+    ///
+    /// The work is cut into at most `parts` bands of whole register-tile
+    /// rows of `Σxxᵀ` with near-equal cell counts (the first band also
+    /// sums the count and `Σx`), and `run` is handed the bands to fold,
+    /// each with [`ShardBand::fold`], on whatever threads it chooses.
+    /// Every cell is summed by one band, in the order the merge would, so
+    /// the result is the same for every `parts`.
+    ///
+    /// # Panics
+    /// Panics if `dim` is zero or a chunk's length is not a multiple of
+    /// `dim`, as [`Self::push_pixels_f32`] does, or if `run` leaves a
+    /// band unfolded.
+    pub fn from_shards(
+        dim: usize,
+        shards: &[Vec<&[f32]>],
+        parts: usize,
+        run: impl FnOnce(Vec<ShardBand<'_>>),
+    ) -> Self {
+        assert!(dim > 0, "from_shards: dim 0");
+        for chunk in shards.iter().flatten() {
+            assert!(
+                chunk.len().is_multiple_of(dim),
+                "from_shards: chunk length {} not a multiple of dim {dim}",
+                chunk.len()
+            );
+        }
+        let mut acc = Self::new(dim);
+        let folded = AtomicUsize::new(0);
+        let (mut rest, mut taken) = (&mut acc.flat[..], 0);
+        let mut bands = Vec::new();
+        for rows in row_bands(dim, parts) {
+            // The band's run ends where row `rows.end` of the triangle
+            // would start; the first run also holds the count and `Σx`.
+            let end = 1 + dim + packed_row(dim, rows.end);
+            let (cells, tail) = std::mem::take(&mut rest).split_at_mut(end - taken);
+            (rest, taken) = (tail, end);
+            bands.push(ShardBand {
+                dim,
+                rows,
+                cells,
+                shards,
+                folded: &folded,
+            });
+        }
+        let count = bands.len();
+        run(bands);
+        assert_eq!(
+            folded.into_inner(),
+            count,
+            "from_shards: a band was left unfolded"
+        );
+        acc
+    }
+
     /// Merges another accumulator into this one (the master's combine step).
     pub fn merge(&mut self, other: &CovarianceAccumulator) -> Result<()> {
         if other.dim != self.dim {
@@ -156,46 +203,14 @@ impl CovarianceAccumulator {
                 format!("dim {}", other.dim),
             ));
         }
-        self.absorb(&other.flat);
-        Ok(())
-    }
-
-    /// The one set of additions behind [`Self::merge`] and
-    /// [`Self::merge_flat`]: count, sums and cross sums, element by
-    /// element in wire order.
-    fn absorb(&mut self, flat: &[f64]) {
-        for (a, b) in self.flat.iter_mut().zip(flat) {
-            *a += b;
-        }
-    }
-
-    /// Checks that `flat` is a [`Self::to_flat`] buffer of a
-    /// `dim`-dimensional accumulator.
-    fn check_flat(dim: usize, flat: &[f64]) -> Result<()> {
-        let expect = Self::flat_len(dim);
-        if flat.len() != expect {
-            return Err(shape_mismatch(
-                format!("flat buffer of length {expect}"),
-                format!("length {}", flat.len()),
-            ));
-        }
+        add_into(&mut self.flat, &other.flat);
         Ok(())
     }
 
     /// Length of the [`Self::to_flat`] buffer of a `dim`-dimensional
     /// accumulator: the count, `dim` sums and the packed upper triangle.
     pub const fn flat_len(dim: usize) -> usize {
-        1 + dim + dim * (dim + 1) / 2
-    }
-
-    /// Merges an accumulator serialised by [`Self::to_flat`] straight
-    /// from the wire buffer — the same additions in the same order as
-    /// rebuilding the accumulator and calling [`Self::merge`], so the
-    /// result is bit-identical, without materialising the intermediate.
-    pub fn merge_flat(&mut self, flat: &[f64]) -> Result<()> {
-        Self::check_flat(self.dim, flat)?;
-        self.absorb(flat);
-        Ok(())
+        1 + dim + packed_row(dim, dim)
     }
 
     /// Finalised mean vector. Errors when no samples were accumulated.
@@ -227,17 +242,153 @@ impl CovarianceAccumulator {
         Ok(cov)
     }
 
-    /// Serialises the accumulator into a flat `f64` buffer
-    /// (`[count, sum…, cross…]`) for shipment through the message-passing
-    /// engine; [`Self::merge_flat`] consumes it.
+    /// The sums as one flat `f64` buffer in wire order
+    /// (`[count, sum…, cross…]`), [`Self::flat_len`] long.
     pub fn to_flat(&self) -> Vec<f64> {
         self.flat.clone()
     }
+}
 
-    /// [`Self::to_flat`] of an accumulator that is not needed afterwards:
-    /// the same buffer, moved instead of copied.
-    pub fn into_flat(self) -> Vec<f64> {
-        self.flat
+/// One band of rows of a fresh accumulator that
+/// [`CovarianceAccumulator::from_shards`] hands out: rows `rows` of the
+/// packed `Σxxᵀ`, and the count and `Σx` when the band starts at row 0.
+#[derive(Debug)]
+pub struct ShardBand<'a> {
+    dim: usize,
+    rows: Range<usize>,
+    /// The band's run of the accumulator's buffer, zero until folded.
+    cells: &'a mut [f64],
+    shards: &'a [Vec<&'a [f32]>],
+    /// Bands folded so far, of all the accumulator's bands.
+    folded: &'a AtomicUsize,
+}
+
+impl ShardBand<'_> {
+    /// Sums the shards into this band, in shard order.
+    ///
+    /// The first shard with pixels is summed inside the band itself: it
+    /// is still zero, every sum of a chunk starts at `+0.0` and so is
+    /// never `−0.0`, and `+0.0 + x` is `x` to the bit. A later shard of
+    /// one chunk is summed in a chunk buffer, and one of several chunks
+    /// in a shard buffer that its later chunks are summed into through
+    /// the chunk buffer; either is then added to the band. An empty
+    /// shard is skipped, which adds `+0.0` to sums that are never `−0.0`.
+    /// So at most two buffers of the band's length are held beside it,
+    /// and only when a shard needs them.
+    pub fn fold(self) {
+        let (dim, rows) = (self.dim, self.rows);
+        let total = self.cells;
+        let len = total.len();
+        let push = |cells: &mut [f64], chunk: &[f32]| push_band(dim, rows.clone(), cells, chunk);
+        let zeroed = |buf: &mut Vec<f64>| {
+            buf.clear();
+            buf.resize(len, 0.0);
+        };
+        // Sums `chunks` into `dst`, which is zero: the first chunk in
+        // place, each later one in `chunk_buf`, then added.
+        let fold_chunks = |dst: &mut [f64], chunks: &[&[f32]], chunk_buf: &mut Vec<f64>| {
+            push(dst, chunks[0]);
+            for chunk in &chunks[1..] {
+                zeroed(chunk_buf);
+                push(chunk_buf, chunk);
+                add_into(dst, chunk_buf);
+            }
+        };
+        let (mut chunk_buf, mut shard_buf) = (Vec::new(), Vec::new());
+        let mut shards = self.shards.iter().filter(|chunks| !chunks.is_empty());
+        if let Some(first) = shards.next() {
+            fold_chunks(total, first, &mut chunk_buf);
+        }
+        for chunks in shards {
+            if let [chunk] = chunks.as_slice() {
+                zeroed(&mut chunk_buf);
+                push(&mut chunk_buf, chunk);
+                add_into(total, &chunk_buf);
+            } else {
+                zeroed(&mut shard_buf);
+                fold_chunks(&mut shard_buf, chunks, &mut chunk_buf);
+                add_into(total, &shard_buf);
+            }
+        }
+        self.folded.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Offset of row `i` in the packed upper triangle of a `dim × dim`
+/// matrix, which holds `(i, i..dim)` from there on; row `dim` is the
+/// triangle's length.
+const fn packed_row(dim: usize, i: usize) -> usize {
+    i * (2 * dim - i + 1) / 2
+}
+
+/// `a += b`, element by element.
+fn add_into(a: &mut [f64], b: &[f64]) {
+    for (a, b) in a.iter_mut().zip(b) {
+        *a += b;
+    }
+}
+
+/// Cuts rows `0..dim` of the packed triangle into at most `parts`
+/// bands of whole tile rows (the last may be ragged), each ending at
+/// the first tile row that takes it past its share of the cells.
+fn row_bands(dim: usize, parts: usize) -> Vec<Range<usize>> {
+    let cells = packed_row(dim, dim);
+    let parts = parts.max(1);
+    let mut bands = Vec::new();
+    let mut start = 0;
+    for k in 1..=parts {
+        let share = cells * k / parts;
+        let mut end = start;
+        while end < dim && packed_row(dim, end) < share {
+            end += TILE_ROWS;
+        }
+        let end = end.min(dim);
+        if end > start {
+            bands.push(start..end);
+            start = end;
+        }
+    }
+    bands
+}
+
+/// Adds the pixels of `data` (`dim` values each, back to back) to
+/// `cells`, the run of an accumulator's buffer that holds rows `rows` of
+/// the packed `Σxxᵀ` — preceded by the count and `Σx` when `rows` starts
+/// at 0. `rows` starts on a tile row.
+///
+/// The tiled update of [`CovarianceAccumulator::push_pixels_f32`], on
+/// the tiles of `rows` only: every cell still adds its terms in sample
+/// order, whichever rows a call covers.
+fn push_band(dim: usize, rows: Range<usize>, cells: &mut [f64], data: &[f32]) {
+    let (head, cross) = cells.split_at_mut(if rows.start == 0 { 1 + dim } else { 0 });
+    let base = packed_row(dim, rows.start);
+    let stride = dim.next_multiple_of(TILE_COLS);
+    let panel_px = CovarianceAccumulator::PANEL;
+    let mut scratch = vec![0.0f64; panel_px.min(data.len() / dim) * stride];
+    for panel in data.chunks(panel_px * dim) {
+        let pixels = panel.len() / dim;
+        let widened = &mut scratch[..pixels * stride];
+        for (dst, src) in widened
+            .chunks_exact_mut(stride)
+            .zip(panel.chunks_exact(dim))
+        {
+            for (w, &x) in dst.iter_mut().zip(src) {
+                *w = f64::from(x);
+            }
+        }
+        if let Some((count, sum)) = head.split_first_mut() {
+            *count += pixels as f64;
+            for row in widened.chunks_exact(stride) {
+                for (s, &x) in sum.iter_mut().zip(row) {
+                    *s += x;
+                }
+            }
+        }
+        for i0 in rows.clone().step_by(TILE_ROWS) {
+            for j0 in (i0 - i0 % TILE_COLS..dim).step_by(TILE_COLS) {
+                add_tile(cross, base, dim, widened, stride, (i0, j0));
+            }
+        }
     }
 }
 
@@ -248,17 +399,24 @@ const TILE_COLS: usize = 8;
 
 /// Adds `xᵢ·xⱼ` of every pixel of `panel` (rows of `stride` widened
 /// bands, zero past `dim`) to the cells `i0 ≤ i < i0 + TILE_ROWS`,
-/// `j0 ≤ j < j0 + TILE_COLS` of the packed upper triangle `cross`, in
-/// pixel order. Only cells with `i ≤ j < dim` are loaded and stored; the
-/// others of the tile add products nobody reads.
-fn add_tile(cross: &mut [f64], dim: usize, panel: &[f64], stride: usize, (i0, j0): (usize, usize)) {
+/// `j0 ≤ j < j0 + TILE_COLS` of the packed upper triangle, in pixel
+/// order; `cross` holds the triangle from offset `base` on. Only cells
+/// with `i ≤ j < dim` are loaded and stored; the others of the tile add
+/// products nobody reads.
+fn add_tile(
+    cross: &mut [f64],
+    base: usize,
+    dim: usize,
+    panel: &[f64],
+    stride: usize,
+    (i0, j0): (usize, usize),
+) {
     // Per tile row `i`: the columns it keeps, as offsets into the tile
-    // and into `cross` (row `i` of the packed triangle holds `(i, i..dim)`
-    // from `i·dim − i·(i−1)/2` on).
+    // and into `cross`.
     let kept = |r: usize| {
         let i = i0 + r;
         let cols = j0.max(i)..(j0 + TILE_COLS).min(dim);
-        let at = (i * (2 * dim - i + 1) / 2 + cols.start - i)..;
+        let at = (packed_row(dim, i) - base + cols.start - i)..;
         (cols.start - j0..cols.end - j0, at)
     };
     let rows = TILE_ROWS.min(dim - i0);
@@ -305,18 +463,6 @@ fn accumulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl CovarianceAccumulator {
-        /// Reconstructs an accumulator serialised by [`Self::to_flat`]:
-        /// the intermediate [`Self::merge_flat`] skips.
-        fn from_flat(dim: usize, flat: &[f64]) -> Result<Self> {
-            Self::check_flat(dim, flat)?;
-            Ok(CovarianceAccumulator {
-                dim,
-                flat: flat.to_vec(),
-            })
-        }
-    }
 
     fn samples() -> Vec<Vec<f64>> {
         vec![
@@ -400,47 +546,109 @@ mod tests {
     }
 
     #[test]
-    fn flat_roundtrip() {
+    fn flat_is_in_wire_order() {
         let mut acc = CovarianceAccumulator::new(3);
         acc.push(&[1.0, 2.0, 3.0]);
         acc.push(&[0.5, -1.0, 2.0]);
         let flat = acc.to_flat();
-        let back = CovarianceAccumulator::from_flat(3, &flat).unwrap();
-        assert_eq!(back, acc);
-        assert!(CovarianceAccumulator::from_flat(2, &flat).is_err());
-        // Wire order: the count, the sums, the packed upper triangle.
+        assert_eq!(flat.len(), CovarianceAccumulator::flat_len(3));
+        // The count, the sums, the packed upper triangle.
         assert_eq!(flat[..4], [2.0, 1.5, 1.0, 5.0]);
         assert_eq!(flat[4..], [1.25, 1.5, 4.0, 5.0, 4.0, 13.0]);
-        // The move is the copy.
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&acc.into_flat()), bits(&flat));
+    }
+
+    fn flat_bits(acc: &CovarianceAccumulator) -> Vec<u64> {
+        acc.to_flat().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Bands of whole tile rows, in order, covering every row, none
+    /// empty, at most as many as asked for.
+    #[test]
+    fn row_bands_tile_the_triangle() {
+        for dim in [1, 3, 4, 5, 8, 9, 31, 224] {
+            for parts in [1, 2, 3, 8, 100] {
+                let bands = row_bands(dim, parts);
+                assert!(!bands.is_empty() && bands.len() <= parts, "{dim} {parts}");
+                assert_eq!(bands[0].start, 0);
+                assert_eq!(bands.last().unwrap().end, dim);
+                for pair in bands.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start);
+                    assert_eq!(pair[0].end % TILE_ROWS, 0);
+                }
+                assert!(bands.iter().all(|b| b.start < b.end));
+            }
+        }
+        // Near-equal cells: 224 bands in two halves of 12 600 ± 4 rows.
+        let [a, b] = row_bands(224, 2).try_into().unwrap();
+        assert_eq!((a, b), (0..68, 68..224));
+    }
+
+    /// `from_shards` against the merge it replaces: each chunk pushed
+    /// into a fresh accumulator, a shard's later chunks merged into its
+    /// first, each shard merged into a zeroed total; one-chunk, several-
+    /// chunk and empty shards in every position, at every band count.
+    #[test]
+    fn from_shards_is_the_shard_by_shard_merge() {
+        let mut state: u64 = 11;
+        let mut draw = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            // Thirds fill every mantissa bit, so regrouped sums differ.
+            match state >> 61 {
+                0 => -0.0,
+                _ => (((state >> 40) as f32) / (1 << 24) as f32 - 0.5) / 3.0,
+            }
+        };
+        for dim in [1, 5, 13] {
+            let data: Vec<f32> = (0..40 * dim).map(|_| draw()).collect();
+            let px = |lo: usize, hi: usize| &data[lo * dim..hi * dim];
+            let layouts: [Vec<Vec<&[f32]>>; 3] = [
+                vec![
+                    vec![px(0, 3), px(3, 4)],
+                    vec![px(4, 9)],
+                    vec![],
+                    vec![px(9, 11), px(11, 40)],
+                ],
+                vec![vec![], vec![px(0, 1)], vec![px(1, 2), px(2, 2), px(2, 30)]],
+                vec![vec![px(0, 40)]],
+            ];
+            for shards in &layouts {
+                let mut want = CovarianceAccumulator::new(dim);
+                for chunks in shards {
+                    let mut shard: Option<CovarianceAccumulator> = None;
+                    for chunk in chunks {
+                        let mut acc = CovarianceAccumulator::new(dim);
+                        acc.push_pixels_f32(chunk);
+                        match &mut shard {
+                            Some(s) => s.merge(&acc).unwrap(),
+                            None => shard = Some(acc),
+                        }
+                    }
+                    want.merge(&shard.unwrap_or_else(|| CovarianceAccumulator::new(dim)))
+                        .unwrap();
+                }
+                for parts in [1, 2, 3, 8] {
+                    let got = CovarianceAccumulator::from_shards(dim, shards, parts, |bands| {
+                        bands.into_iter().for_each(ShardBand::fold)
+                    });
+                    assert_eq!(
+                        flat_bits(&got),
+                        flat_bits(&want),
+                        "dim {dim}, {parts} parts"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
-    fn merge_flat_is_bit_identical_to_from_flat_then_merge() {
-        let dim = 5;
-        let mut state: u64 = 11;
-        let mut draw = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 40) as f32) / (1 << 24) as f32
-        };
-        let mut via_struct = CovarianceAccumulator::new(dim);
-        let mut via_slice = CovarianceAccumulator::new(dim);
-        for shard in 0..4 {
-            let mut part = CovarianceAccumulator::new(dim);
-            let data: Vec<f32> = (0..(shard + 3) * dim).map(|_| draw()).collect();
-            part.push_pixels_f32(&data);
-            let flat = part.to_flat();
-            assert_eq!(flat.len(), CovarianceAccumulator::flat_len(dim));
-            let back = CovarianceAccumulator::from_flat(dim, &flat).unwrap();
-            via_struct.merge(&back).unwrap();
-            via_slice.merge_flat(&flat).unwrap();
-        }
-        assert_eq!(via_slice, via_struct);
-        for (a, b) in via_slice.to_flat().iter().zip(&via_struct.to_flat()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(via_slice.merge_flat(&[0.0; 3]).is_err());
+    #[should_panic(expected = "a band was left unfolded")]
+    fn from_shards_rejects_an_unfolded_band() {
+        let data = [1.0f32; 16];
+        let shards = vec![vec![&data[..]]];
+        CovarianceAccumulator::from_shards(8, &shards, 2, |mut bands| {
+            bands.pop();
+            bands.into_iter().for_each(ShardBand::fold);
+        });
     }
 
     #[test]

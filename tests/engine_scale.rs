@@ -21,7 +21,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 const RERUNS: usize = 5;
 
 /// The page-fault gate below needs the C library's stack cache to
-/// itself, and every test here spawns rank threads: they take turns.
+/// itself, the memory gate the process's peak resident size, and every
+/// test here spawns rank threads: they take turns.
 fn one_at_a_time() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
     TURN.lock().unwrap_or_else(PoisonError::into_inner)
@@ -162,6 +163,46 @@ fn a_warm_256_rank_run_faults_in_no_fresh_stacks() {
 #[test]
 fn a_rank_program_has_room_for_a_64_kib_frame() {
     warm_run_faults::<{ 64 * 1024 }>();
+}
+
+/// A field of `/proc/self/status`, in KiB.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn status_kib(field: &str) -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
+        .and_then(|v| v.trim().strip_suffix("kB")?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{field} in /proc/self/status"))
+}
+
+/// PCT's master sums each covariance shard where it merges it, from the
+/// shared cube, so no rank holds a 197 KiB shard of sums while it waits
+/// for the gather: a warm 256-rank run on the benchmark's scene (256 ×
+/// 16 pixels, 224 bands, one line per rank) raises the process's peak
+/// resident size by a few MiB. Measured: 39.6–55.7 MiB when every
+/// worker summed its own shard, 0.5–5.9 MiB with the master summing.
+/// A size, no stopwatch.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[test]
+fn a_256_rank_pct_run_holds_no_covariance_shard_per_rank() {
+    let _turn = one_at_a_time();
+    let scene = testutil::scene(256, 16, 224);
+    let params = heterospec::hetero::config::AlgoParams::default();
+    let engine = Engine::new(presets::thunderhead(256));
+    let run = || par::pct::run(&engine, &scene.cube, &params, &RunOptions::hetero());
+    // Warm: rank stacks cached, the allocator's arenas made.
+    let _warm = run();
+    let before = status_kib("VmRSS");
+    // Resets VmHWM to the current resident size.
+    std::fs::write("/proc/self/clear_refs", "5").expect("clear_refs");
+    let pct = run();
+    let grew_mib = status_kib("VmHWM").saturating_sub(before) as f64 / 1024.0;
+    assert!(pct.report.ok(), "{:?}", pct.report.failures);
+    assert!(
+        grew_mib < 16.0,
+        "a 256-rank PCT run raised the peak resident size by {grew_mib:.1} MiB"
+    );
 }
 
 #[test]

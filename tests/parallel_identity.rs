@@ -98,6 +98,78 @@ fn covariance_partial_equals_per_sample_pushes_sweep() {
     }
 }
 
+/// The old way to the master's total: every chunk of a shard's fixed
+/// grid summed by per-sample pushes into an accumulator of its own, the
+/// later chunks merged into the first, and the shards merged in order
+/// into a zeroed total (an empty shard as a zeroed accumulator).
+fn merged_shard_by_shard(cube: &HyperCube, ranges: &[(usize, usize)]) -> CovarianceAccumulator {
+    let (dim, samples) = (cube.bands(), cube.samples());
+    let mut total = CovarianceAccumulator::new(dim);
+    for &(lo, hi) in ranges {
+        let mut shard: Option<CovarianceAccumulator> = None;
+        for clo in (lo..hi).step_by(kernels::PAR_CHUNK_LINES) {
+            let chi = (clo + kernels::PAR_CHUNK_LINES).min(hi);
+            let mut chunk = CovarianceAccumulator::new(dim);
+            for i in clo * samples..chi * samples {
+                chunk.push_f32(cube.pixel_flat(i));
+            }
+            match &mut shard {
+                Some(shard) => shard.merge(&chunk).unwrap(),
+                None => shard = Some(chunk),
+            }
+        }
+        let shard = shard.unwrap_or_else(|| CovarianceAccumulator::new(dim));
+        total.merge(&shard).unwrap();
+    }
+    total
+}
+
+/// `covariance_of_shards` — each shard summed where the master merges
+/// it, split by rows of `Σxxᵀ` over the pool — against the shard-by-shard
+/// merge, bit for bit: one-line shards, uneven ranges of 3, 13 and 52
+/// lines (ragged chunk tails of 5 and 4 lines), out of line order, an
+/// empty range first and in between; at widths 1, 2, 3 and 8; dims
+/// below, at and past one 4 × 8 tile and the benchmark's 224. Pixels
+/// include `−0.0`, whose products a zeroed start turns into `+0.0`.
+#[test]
+fn covariance_of_shards_equals_the_shard_by_shard_merge_sweep() {
+    let (lines, samples) = (68, 2);
+    let one_line: Vec<_> = (0..lines).map(|l| (l, l + 1)).collect();
+    let layouts: [&[(usize, usize)]; 4] = [
+        &one_line,
+        &[(0, 3), (3, 3), (3, 16), (16, 68)],
+        &[(16, 68), (0, 3), (3, 16)],
+        &[(5, 5), (0, 13), (13, 13), (13, 16)],
+    ];
+    for dim in [1, 4, 5, 8, 9, 12, 13, 31, 224] {
+        let mut state = dim as u64;
+        let data: Vec<f32> = (0..lines * samples * dim)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                // Thirds fill every mantissa bit at every exponent, so
+                // sums round, and regrouping them moves bits.
+                match state >> 60 {
+                    0 => -0.0,
+                    _ => (((state >> 40) as f32) / (1 << 24) as f32 - 0.5) / 3.0,
+                }
+            })
+            .collect();
+        let cube = HyperCube::from_vec(lines, samples, dim, data);
+        for ranges in layouts {
+            let want = bits(&merged_shard_by_shard(&cube, ranges));
+            for w in [1, 2, 3, 8] {
+                let got = pool(w).install(|| kernels::covariance_of_shards(&cube, ranges));
+                assert_eq!(
+                    bits(&got),
+                    want,
+                    "dim {dim}, {} shards, width {w}",
+                    ranges.len()
+                );
+            }
+        }
+    }
+}
+
 /// Folds raw `(lo, span)` draws into a valid line sub-range of `lines`.
 fn line_range(lines: usize, lo: usize, span: usize) -> (usize, usize) {
     let lo = lo % lines;
