@@ -93,7 +93,8 @@ fn bench_fcls(c: &mut Criterion) {
 /// The two round kernels of a `t = 18` run on its last round, from
 /// scratch and with a carry that saw the 16 rounds before (cloned per
 /// iteration — a deep copy, the clone's lines are its own: 8 bytes a
-/// pixel for ATDCA; 8·16 of dots plus the NNLS trails for UFCLS).
+/// pixel for ATDCA; 8·16 of dots plus the NNLS trails for UFCLS). The
+/// carried FCLS scan runs on one thread and on two.
 fn bench_carried_rounds(c: &mut Criterion) {
     let scene = wtc_scene(WtcConfig {
         lines: 32,
@@ -139,11 +140,22 @@ fn bench_carried_rounds(c: &mut Criterion) {
     g.bench_function("scratch_t17", |b| {
         b.iter(|| kernels::max_fcls_error(cube, black_box(&problem), whole))
     });
-    g.bench_function("carried_t17", |b| {
-        b.iter(|| {
-            kernels::max_fcls_error_carried(cube, black_box(&problem), whole, &unmixed.clone())
-        })
-    });
+    // At width 2 the rayon shim spawns two helper threads for every
+    // scan; they take their FCLS workspaces off the shared idle stack.
+    for width in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .expect("pool");
+        g.bench_function(format!("carried_t17/w{width}"), |b| {
+            b.iter(|| {
+                let carry = unmixed.clone();
+                pool.install(|| {
+                    kernels::max_fcls_error_carried(cube, black_box(&problem), whole, &carry)
+                })
+            })
+        });
+    }
     g.finish();
 }
 
