@@ -1,57 +1,6 @@
-//! **Table 3** — spectral similarity (SAD) between the target pixels
-//! detected by Hetero-ATDCA / Hetero-UFCLS and the known ground-truth
-//! hot spots, plus single-processor times for the sequential versions.
-//!
-//! ```text
-//! cargo run -p repro-bench --release --bin table3
-//! ```
+//! Table 3 at the `HETEROSPEC_SCENE` size: [`repro_bench::experiments::table3`].
 
-use hetero_hsi::config::AlgoParams;
-use hetero_hsi::eval::target_table;
-use repro_bench::{build_scene, print_table, write_csv, BASELINE_CYCLE_TIME};
-
-fn main() {
-    let scene = build_scene();
-    let params = AlgoParams::default();
-
-    // The paper sets t = 18 "after calculating the intrinsic
-    // dimensionality of the data"; report both estimators for context.
-    let hfc = hetero_hsi::vd::hfc(&scene.cube, 1e-3).dimension;
-    let nf = hetero_hsi::vd::noise_floor(&scene.cube, 20.0).dimension;
-    eprintln!("# virtual dimensionality: HFC = {hfc}, noise-floor = {nf} (paper used t = 18)");
-
-    eprintln!("# running sequential ATDCA (t = {})", params.num_targets);
-    let atdca = hetero_hsi::seq::atdca(&scene.cube, &params);
-    eprintln!("# running sequential UFCLS (t = {})", params.num_targets);
-    let ufcls = hetero_hsi::seq::ufcls(&scene.cube, &params);
-
-    let t_atdca = atdca.virtual_secs(BASELINE_CYCLE_TIME);
-    let t_ufcls = ufcls.virtual_secs(BASELINE_CYCLE_TIME);
-    let rows_a = target_table(&scene, &atdca.result);
-    let rows_u = target_table(&scene, &ufcls.result);
-
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for (a, u) in rows_a.iter().zip(&rows_u) {
-        rows.push(vec![
-            format!("'{}' ({:.0} F)", a.name, a.temp_f),
-            format!("{:.3}", a.sad),
-            format!("{:.3}", u.sad),
-        ]);
-        csv.push(format!(
-            "{},{:.0},{:.4},{:.4}",
-            a.name, a.temp_f, a.sad, u.sad
-        ));
-    }
-    print_table(
-        &mut std::io::stdout(),
-        &format!(
-            "Table 3: SAD to known targets  |  sequential times: ATDCA {t_atdca:.0} s, UFCLS {t_ufcls:.0} s (paper: 1263 s / 916 s on the full 2133x512 scene)"
-        ),
-        &["Hot spot", "Hetero-ATDCA", "Hetero-UFCLS"],
-        &rows,
-    )
-    .expect("write to stdout");
-    write_csv("table3.csv", "hot_spot,temp_f,atdca_sad,ufcls_sad", &csv);
-    repro_bench::report_peak_rss(&scene.cube);
+fn main() -> std::io::Result<()> {
+    let scene = repro_bench::scene_config();
+    repro_bench::print_experiment(scene, repro_bench::experiments::table3)
 }

@@ -6,7 +6,7 @@ use simnet::engine::Engine;
 use simnet::FaultPlan;
 use std::io::{self, Write};
 
-use crate::{print_table, write_csv};
+use crate::print_table;
 
 /// **Ablation A5** — recovery overhead of the two fault-tolerance
 /// modes under deterministic crash plans.
@@ -52,7 +52,6 @@ pub fn ablation_faults(scene: &SyntheticScene, out: &mut impl Write) -> io::Resu
     let crash_ranks = [2usize, 9];
 
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     for &frac in &[0.25f64, 0.5, 0.75] {
         for count in [1usize, 2] {
             let plan_for = |t0: f64| {
@@ -77,10 +76,6 @@ pub fn ablation_faults(scene: &SyntheticScene, out: &mut impl Write) -> io::Resu
                 format!("{}", rp.recoveries.len()),
                 format!("{}", ss.recoveries.len()),
             ]);
-            csv.push(format!(
-                "{frac},{count},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}",
-                t0_replan, rp.report.total_time, ovh_rp, t0_ss, ss.report.total_time, ovh_ss,
-            ));
         }
     }
     print_table(
@@ -100,11 +95,5 @@ pub fn ablation_faults(scene: &SyntheticScene, out: &mut impl Write) -> io::Resu
             "rec(ss)",
         ],
         &rows,
-    )?;
-    write_csv(
-        "ablation_faults.csv",
-        "crash_frac,crash_count,t0_replan,t_replan,ovh_replan_pct,t0_selfsched,t_selfsched,ovh_selfsched_pct",
-        &csv,
-    );
-    Ok(())
+    )
 }

@@ -4,7 +4,7 @@ use simnet::coll::ScatterMode;
 use simnet::engine::Engine;
 use std::io::{self, Write};
 
-use crate::{print_table, run_algorithm, write_csv};
+use crate::{print_table, run_algorithm};
 
 /// **Ablation A1** — effect of charging the initial data scatter.
 ///
@@ -21,7 +21,6 @@ pub fn ablation_scatter(scene: &SyntheticScene, out: &mut impl Write) -> io::Res
     let networks = simnet::presets::four_networks();
 
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     for algorithm in ["ATDCA", "MORPH"] {
         for (variant, base) in [
             ("Hetero", RunOptions::hetero()),
@@ -33,16 +32,13 @@ pub fn ablation_scatter(scene: &SyntheticScene, out: &mut impl Write) -> io::Res
                     ..base
                 };
                 let mut row = vec![format!("{variant}-{algorithm}"), format!("{mode:?}")];
-                let mut line = format!("{variant}-{algorithm},{mode:?}");
                 for network in &networks {
                     eprintln!("# {variant}-{algorithm} ({mode:?}) on {}", network.name());
                     let engine = Engine::new(network.clone());
                     let run = run_algorithm(algorithm, &engine, scene, &params, &options);
                     row.push(format!("{:.1}", run.report.total_time));
-                    line += &format!(",{:.2}", run.report.total_time);
                 }
                 rows.push(row);
-                csv.push(line);
             }
         }
     }
@@ -58,11 +54,5 @@ pub fn ablation_scatter(scene: &SyntheticScene, out: &mut impl Write) -> io::Res
             "Part hom",
         ],
         &rows,
-    )?;
-    write_csv(
-        "ablation_scatter.csv",
-        "algorithm,scatter,fully_het,fully_hom,part_het,part_hom",
-        &csv,
-    );
-    Ok(())
+    )
 }

@@ -5,7 +5,7 @@ use simnet::coll::ScatterMode;
 use simnet::engine::Engine;
 use std::io::{self, Write};
 
-use crate::{print_table, run_algorithm, write_csv};
+use crate::{print_table, run_algorithm};
 
 /// **Ablation A2** — WEA link-model sweep under charged staging.
 ///
@@ -30,7 +30,6 @@ pub fn ablation_wea(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<
     ];
 
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     for (label, model) in &models {
         let options = RunOptions {
             strategy: PartitionStrategy::Heterogeneous(WeaConfig {
@@ -41,23 +40,18 @@ pub fn ablation_wea(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<
             ..Default::default()
         };
         let mut row = vec![label.clone()];
-        let mut line = label.replace(',', ";");
         for network in &networks {
             eprintln!("# ATDCA with {label} on {}", network.name());
             let engine = Engine::new(network.clone());
             let run = run_algorithm("ATDCA", &engine, scene, &params, &options);
             row.push(format!("{:.1}", run.report.total_time));
-            line += &format!(",{:.2}", run.report.total_time);
         }
         rows.push(row);
-        csv.push(line);
     }
     print_table(
         out,
         "Ablation A2: Hetero-ATDCA total time (s) by WEA link model, scatter charged",
         &["WEA link model", "Part hom", "Fully het"],
         &rows,
-    )?;
-    write_csv("ablation_wea.csv", "model,part_hom,fully_het", &csv);
-    Ok(())
+    )
 }

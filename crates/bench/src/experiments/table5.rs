@@ -2,7 +2,7 @@ use hetero_hsi::config::AlgoParams;
 use hsi_cube::synth::SyntheticScene;
 use std::io::{self, Write};
 
-use crate::{print_table, run_matrix, write_csv, MatrixEntry, ALGORITHMS};
+use crate::{print_table, run_matrix, MatrixEntry, ALGORITHMS};
 
 const NETWORKS: [(&str, &str); 4] = [
     ("fully-heterogeneous", "F-het"),
@@ -12,39 +12,29 @@ const NETWORKS: [(&str, &str); 4] = [
 ];
 
 /// One table: a row per algorithm variant, `cells` of each network's
-/// matrix entry as `(printed, csv)` pairs.
+/// matrix entry.
 fn table(
     out: &mut impl Write,
     entries: &[MatrixEntry],
     title: &str,
     header: &[&str],
-    csv_name: &str,
-    csv_header: &str,
-    cells: impl Fn(&MatrixEntry) -> Vec<(String, String)>,
+    cells: impl Fn(&MatrixEntry) -> Vec<String>,
 ) -> io::Result<()> {
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     for algorithm in ALGORITHMS {
         for variant in ["Hetero", "Homo"] {
             let mut row = vec![format!("{variant}-{algorithm}")];
-            let mut line = format!("{variant}-{algorithm}");
             for (net, _) in NETWORKS {
                 let e = entries
                     .iter()
                     .find(|e| e.algorithm == algorithm && e.variant == variant && e.network == net)
                     .expect("matrix entry");
-                for (printed, field) in cells(e) {
-                    row.push(printed);
-                    line += &format!(",{field}");
-                }
+                row.extend(cells(e));
             }
             rows.push(row);
-            csv.push(line);
         }
     }
-    print_table(out, title, header, &rows)?;
-    write_csv(csv_name, csv_header, &csv);
-    Ok(())
+    print_table(out, title, header, &rows)
 }
 
 /// **Tables 5, 6 and 7** from one run of the 8-algorithm × 4-network
@@ -81,9 +71,7 @@ pub fn table5(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<()> {
             "Part het",
             "Part hom",
         ],
-        "table5.csv",
-        "algorithm,fully_het,fully_hom,part_het,part_hom",
-        |e| vec![(format!("{:.1}", e.total), format!("{:.2}", e.total))],
+        |e| vec![format!("{:.1}", e.total)],
     )?;
 
     let header = per_network(&["COM", "SEQ", "PAR"]);
@@ -92,13 +80,7 @@ pub fn table5(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<()> {
         &entries,
         "Table 6: COM / SEQ / PAR decomposition (s) per network",
         &header.iter().map(String::as_str).collect::<Vec<_>>(),
-        "table6.csv",
-        "algorithm,fhet_com,fhet_seq,fhet_par,fhom_com,fhom_seq,fhom_par,phet_com,phet_seq,phet_par,phom_com,phom_seq,phom_par",
-        |e| {
-            [e.com, e.seq, e.par]
-                .map(|v| (format!("{v:.1}"), format!("{v:.2}")))
-                .to_vec()
-        },
+        |e| [e.com, e.seq, e.par].map(|v| format!("{v:.1}")).to_vec(),
     )?;
 
     let header = per_network(&["D_all", "D_minus"]);
@@ -107,12 +89,6 @@ pub fn table5(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<()> {
         &entries,
         "Table 7: load balancing rates (perfect balance = 1.00)",
         &header.iter().map(String::as_str).collect::<Vec<_>>(),
-        "table7.csv",
-        "algorithm,fhet_dall,fhet_dminus,fhom_dall,fhom_dminus,phet_dall,phet_dminus,phom_dall,phom_dminus",
-        |e| {
-            [e.d_all, e.d_minus]
-                .map(|v| (format!("{v:.2}"), format!("{v:.3}")))
-                .to_vec()
-        },
+        |e| [e.d_all, e.d_minus].map(|v| format!("{v:.2}")).to_vec(),
     )
 }

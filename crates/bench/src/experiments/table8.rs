@@ -2,7 +2,7 @@ use hetero_hsi::config::AlgoParams;
 use hsi_cube::synth::SyntheticScene;
 use std::io::{self, Write};
 
-use crate::{print_table, run_thunderhead_sweep, write_csv, SweepEntry, ALGORITHMS};
+use crate::{print_table, run_thunderhead_sweep, SweepEntry, ALGORITHMS};
 
 fn total(entries: &[SweepEntry], algorithm: &str, cpus: usize) -> f64 {
     entries
@@ -17,8 +17,7 @@ fn total(entries: &[SweepEntry], algorithm: &str, cpus: usize) -> f64 {
 ///
 /// * Table 8 — execution times of the heterogeneous algorithms;
 /// * Figure 2 — scalability (speedup vs the single-processor run),
-///   printed as a series and an ASCII plot and written to
-///   `target/experiments/fig2.csv` for external plotting.
+///   printed as a series and an ASCII plot.
 ///
 /// ```text
 /// cargo run -p repro-bench --release --bin table8
@@ -27,17 +26,12 @@ pub fn table8(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<()> {
     let entries = run_thunderhead_sweep(scene, &AlgoParams::default());
 
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     for &cpus in simnet::presets::THUNDERHEAD_SWEEP.iter() {
         let mut row = vec![format!("{cpus}")];
-        let mut line = format!("{cpus}");
         for algorithm in ALGORITHMS {
-            let t = total(&entries, algorithm, cpus);
-            row.push(format!("{t:.1}"));
-            line += &format!(",{t:.2}");
+            row.push(format!("{:.1}", total(&entries, algorithm, cpus)));
         }
         rows.push(row);
-        csv.push(line);
     }
     print_table(
         out,
@@ -45,14 +39,11 @@ pub fn table8(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<()> {
         &["CPUs", "ATDCA", "UFCLS", "PCT", "MORPH"],
         &rows,
     )?;
-    write_csv("table8.csv", "cpus,atdca,ufcls,pct,morph", &csv);
 
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     let mut series: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ALGORITHMS.len()];
     for &cpus in simnet::presets::THUNDERHEAD_SWEEP.iter() {
         let mut row = vec![format!("{cpus}")];
-        let mut line = format!("{cpus}");
         for (i, algorithm) in ALGORITHMS.iter().enumerate() {
             let speedup = simnet::report::speedup(
                 total(&entries, algorithm, 1),
@@ -60,10 +51,8 @@ pub fn table8(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<()> {
             );
             series[i].push((cpus, speedup));
             row.push(format!("{speedup:.1}"));
-            line += &format!(",{speedup:.3}");
         }
         rows.push(row);
-        csv.push(line);
     }
     print_table(
         out,
@@ -71,7 +60,6 @@ pub fn table8(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<()> {
         &["CPUs", "ATDCA", "UFCLS", "PCT", "MORPH"],
         &rows,
     )?;
-    write_csv("fig2.csv", "cpus,atdca,ufcls,pct,morph", &csv);
 
     // ASCII rendition of the figure: speedup vs CPUs, linear reference.
     writeln!(

@@ -7,16 +7,18 @@
 //! sweep — plus the ablations and the criterion microbenches under
 //! `benches/`.
 //!
-//! The experiments whose output is pinned live in this library, so the
-//! root suite `tests/goldens.rs` runs the same code the binaries do:
+//! Every experiment lives in this library, so the root suite
+//! `tests/goldens.rs` runs the same code the binaries do and pins every
+//! binary's output (it fails when a binary is missing from its list):
 //! [`experiments`] write their tables to any [`Write`], [`records`]
-//! return a `BENCH_*.json` record and its verdict. Each of their
-//! binaries is a two-line `main` over [`print_experiment`] or
-//! [`emit_record`].
+//! return a `BENCH_*.json` record and its verdict. Each binary is a
+//! two-line `main` over [`print_experiment`] or [`emit_record`]
+//! (`chaos_soak` has no scene, and `fig1` also writes its image,
+//! [`experiments::fig1_composite`]). A record binary writes its record
+//! to the working directory; no binary writes any other file but
+//! `fig1`'s image, and nothing is cached between runs.
 //!
-//! All binaries print paper-style text tables and write one CSV per
-//! table to `target/experiments/`; nothing is cached between runs. The
-//! scene size is selected with the `HETEROSPEC_SCENE` environment
+//! The scene size is selected with the `HETEROSPEC_SCENE` environment
 //! variable (`tiny`, `small`, `medium` (the default), `large`, `full`);
 //! virtual times scale linearly with pixel count, so every ratio is
 //! size-invariant (see DESIGN.md). The `full`
@@ -34,7 +36,6 @@ use hsi_cube::synth::{wtc_scene, SyntheticScene, WtcConfig};
 use hsi_cube::HyperCube;
 use simnet::engine::Engine;
 use std::io::{self, Write};
-use std::path::PathBuf;
 
 pub mod experiments;
 pub mod microjson;
@@ -90,11 +91,6 @@ pub fn build(cfg: WtcConfig) -> SyntheticScene {
     wtc_scene(cfg)
 }
 
-/// Builds the WTC-like scene for the selected size (announcing it).
-pub fn build_scene() -> SyntheticScene {
-    build(scene_config())
-}
-
 /// The `main` of an experiment binary: runs `experiment` on the scene
 /// `cfg` with stdout as its output, then reports the peak RSS.
 pub fn print_experiment(
@@ -109,10 +105,8 @@ pub fn print_experiment(
 
 /// The `main` of a record binary: runs `experiment` on the scene `cfg`
 /// with stdout as its table output, reports the peak RSS and
-/// [emits](records::Record::emit) the record.
-///
-/// # Panics
-/// Panics when stdout is closed.
+/// [emits](records::Record::emit) the record. Exits 2 with the error on
+/// stderr when `experiment` fails (a closed stdout, a scene it refuses).
 pub fn emit_record(
     cfg: WtcConfig,
     experiment: impl FnOnce(
@@ -121,7 +115,10 @@ pub fn emit_record(
     ) -> io::Result<records::Record>,
 ) {
     let scene = build(cfg);
-    let record = experiment(&scene, &mut io::stdout().lock()).expect("write to stdout");
+    let record = experiment(&scene, &mut io::stdout().lock()).unwrap_or_else(|e| {
+        eprintln!("# {e}");
+        std::process::exit(2)
+    });
     report_peak_rss(&scene.cube);
     record.emit();
 }
@@ -261,45 +258,6 @@ pub fn run_thunderhead_sweep(scene: &SyntheticScene, params: &AlgoParams) -> Vec
     entries
 }
 
-/// Tristate gate status: the `status` of every `BENCH_*.json` record
-/// and of `ablation_dynamic`'s gate lines.
-///
-/// `"skipped"` means the configuration cannot make the measurement
-/// meaningful (`ablation_dynamic` on a scene too small to show its
-/// effect) — distinct from a genuine `"failed"`. A record is always
-/// meaningful: a campaign that checked nothing has failed.
-pub fn gate_status(meaningful: bool, passed: bool) -> &'static str {
-    if !meaningful {
-        "skipped"
-    } else if passed {
-        "passed"
-    } else {
-        "failed"
-    }
-}
-
-/// Directory where experiment outputs (CSV) are written.
-pub fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from("target/experiments");
-    let _ = std::fs::create_dir_all(&dir);
-    dir
-}
-
-/// Writes rows as a CSV file into [`experiments_dir`].
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let path = experiments_dir().join(name);
-    let mut text = String::from(header);
-    text.push('\n');
-    for r in rows {
-        text.push_str(r);
-        text.push('\n');
-    }
-    match std::fs::write(&path, text) {
-        Ok(()) => eprintln!("# wrote {}", path.display()),
-        Err(e) => eprintln!("# failed to write {}: {e}", path.display()),
-    }
-}
-
 /// Peak resident set size of this process so far, in MiB: the `VmHWM`
 /// field of `/proc/self/status`. `None` on a host without that file or
 /// field (anything but Linux).
@@ -323,19 +281,35 @@ pub fn report_peak_rss(cube: &HyperCube) {
 }
 
 /// Renders a simple aligned text table to `out`.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`], before anything is written, when a
+/// row has more cells than `header`: that cell would have no column.
 pub fn print_table(
     out: &mut impl Write,
     title: &str,
     header: &[&str],
     rows: &[Vec<String>],
 ) -> io::Result<()> {
+    if let Some((i, row)) = rows
+        .iter()
+        .enumerate()
+        .find(|(_, r)| r.len() > header.len())
+    {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "table '{title}': row {i} {row:?} has {} cells, its header {}",
+                row.len(),
+                header.len()
+            ),
+        ));
+    }
     writeln!(out, "\n{title}")?;
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
     let line: usize = widths.iter().sum::<usize>() + 2 * widths.len();
@@ -382,14 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_status_tristate() {
-        assert_eq!(gate_status(false, true), "skipped");
-        assert_eq!(gate_status(false, false), "skipped");
-        assert_eq!(gate_status(true, true), "passed");
-        assert_eq!(gate_status(true, false), "failed");
-    }
-
-    #[test]
     fn a_table_pads_every_column_to_its_widest_cell() {
         let mut out = Vec::new();
         print_table(&mut out, "t", &["a", "b"], &[vec!["1".into(), "22".into()]]).unwrap();
@@ -398,15 +364,17 @@ mod tests {
     }
 
     #[test]
-    fn csv_written_to_experiments_dir() {
-        write_csv(
-            "unit-test.csv",
-            "a,b",
-            &["1,2".to_string(), "3,4".to_string()],
+    fn a_row_longer_than_its_header_is_invalid_input() {
+        let mut out = Vec::new();
+        let rows = [vec!["1".into()], vec!["2".into(), "3".into()]];
+        let err = print_table(&mut out, "t", &["a"], &rows).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let message = err.to_string();
+        assert!(
+            message.contains("row 1") && message.contains("header 1"),
+            "{message}"
         );
-        let text = std::fs::read_to_string(experiments_dir().join("unit-test.csv")).unwrap();
-        assert_eq!(text, "a,b\n1,2\n3,4\n");
-        let _ = std::fs::remove_file(experiments_dir().join("unit-test.csv"));
+        assert!(out.is_empty());
     }
 
     #[test]

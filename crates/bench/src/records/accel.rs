@@ -9,7 +9,7 @@ use std::io::{self, Write};
 
 use super::Record;
 use crate::microjson::{object, Json};
-use crate::{print_table, write_csv, ALGORITHMS};
+use crate::{print_table, ALGORITHMS};
 
 const POLICIES: [OffloadPolicy; 3] = [
     OffloadPolicy::Never,
@@ -199,7 +199,6 @@ pub fn accel(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Record>
     };
     let mut gate_undominated = true;
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     for platform in &platforms {
         for algorithm in ALGORITHMS {
             let never = find(platform.name(), algorithm, "never");
@@ -217,14 +216,6 @@ pub fn accel(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Record>
                 format!("{}", auto.launches),
                 format!("{undominated}"),
             ]);
-            csv.push(format!(
-                "{},{algorithm},{:.6},{:.6},{:.6},{},{undominated}",
-                platform.name(),
-                never.total_secs,
-                always.total_secs,
-                auto.total_secs,
-                auto.launches,
-            ));
         }
     }
     print_table(
@@ -241,11 +232,6 @@ pub fn accel(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Record>
         ],
         &rows,
     )?;
-    write_csv(
-        "ablation_accel.csv",
-        "platform,algorithm,t_never,t_always,t_auto,auto_launches,undominated",
-        &csv,
-    );
 
     // --- Gate 2: >= 2x aggregate kernel-time win on the GPU cluster. -
     let gpu = platforms[1].name();

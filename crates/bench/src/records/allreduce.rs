@@ -1,6 +1,6 @@
 use super::Record;
 use crate::microjson::{object, Json};
-use crate::{print_table, write_csv};
+use crate::print_table;
 use hetero_hsi::config::{AlgoParams, RunOptions};
 use hetero_hsi::seq::DetectedTarget;
 use hsi_cube::synth::SyntheticScene;
@@ -206,7 +206,6 @@ pub fn allreduce(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Rec
 
     // --- Report.
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     for r in &records {
         rows.push(vec![
             r.network.clone(),
@@ -216,10 +215,6 @@ pub fn allreduce(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Rec
             format!("{:.6}", r.predicted),
             format!("{:.6}", r.measured),
         ]);
-        csv.push(format!(
-            "{},{},{},{},{:.9},{:.9}",
-            r.network, r.bits, r.requested, r.resolved, r.predicted, r.measured
-        ));
     }
     print_table(
         out,
@@ -234,11 +229,6 @@ pub fn allreduce(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Rec
         ],
         &rows,
     )?;
-    write_csv(
-        "ablation_allreduce.csv",
-        "network,bits,requested,resolved,predicted_secs,measured_secs",
-        &csv,
-    );
     eprintln!(
         "# gate 1 (fused allreduce < gather+bcast at candidate bits on {}): {} ({fused_cand:.6} vs {split_cand:.6})",
         fully_het.name(),

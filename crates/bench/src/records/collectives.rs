@@ -1,6 +1,6 @@
 use super::Record;
 use crate::microjson::{object, Json};
-use crate::{print_table, write_csv};
+use crate::print_table;
 use hetero_hsi::config::{AlgoParams, RunOptions};
 use hetero_hsi::seq::DetectedTarget;
 use hsi_cube::synth::SyntheticScene;
@@ -239,7 +239,6 @@ pub fn collectives(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<R
 
     // --- Report.
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     for r in &records {
         rows.push(vec![
             r.op.to_string(),
@@ -250,10 +249,6 @@ pub fn collectives(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<R
             format!("{:.6}", r.predicted),
             format!("{:.6}", r.measured),
         ]);
-        csv.push(format!(
-            "{},{},{},{},{},{:.9},{:.9}",
-            r.op, r.network, r.bits, r.requested, r.resolved, r.predicted, r.measured
-        ));
     }
     print_table(
         out,
@@ -269,11 +264,6 @@ pub fn collectives(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<R
         ],
         &rows,
     )?;
-    write_csv(
-        "ablation_collectives.csv",
-        "op,network,bits,requested,resolved,predicted_secs,measured_secs",
-        &csv,
-    );
     eprintln!(
         "# gate 1 (seg-hierarchical < linear bcast at U on {fully_het}): {} ({hier_u:.6} vs {lin_u:.6})",
         if gate_topology { "PASS" } else { "FAIL" }

@@ -9,7 +9,7 @@ use std::io::{self, Write};
 
 use super::Record;
 use crate::microjson::{object, Json};
-use crate::{print_table, write_csv};
+use crate::print_table;
 
 /// `algo` under one fault-tolerant driver on `fully_heterogeneous()`.
 fn drive<A>(algo: &A, plan: FaultPlan, opts: &FtOptions, self_sched: bool) -> FtRun<A::Output>
@@ -117,7 +117,6 @@ pub fn epochs(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Record
     ];
     let mut gate_no_loss = true;
     let mut rows = Vec::new();
-    let mut csv = Vec::new();
     let mut sweep_json = Vec::new();
     for (label, plan) in &plans {
         let ss = run(plan.clone(), &tree_opts(), true);
@@ -136,12 +135,6 @@ pub fn epochs(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Record
             format!("{:.3}", rp.report.total_time),
             format!("{ok}"),
         ]);
-        csv.push(format!(
-            "{label},{},{:.6},{:.6},{ok}",
-            ss.recoveries.len(),
-            ss.report.total_time,
-            rp.report.total_time,
-        ));
         sweep_json.push(object(vec![
             ("plan", Json::String(label.clone())),
             ("recoveries", Json::Number(ss.recoveries.len() as f64)),
@@ -161,11 +154,6 @@ pub fn epochs(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Record
         &["Plan", "Losses", "SelfSched s", "Replan s", "Intact"],
         &rows,
     )?;
-    write_csv(
-        "ablation_epochs.csv",
-        "plan,recoveries,t_selfsched,t_replan,intact",
-        &csv,
-    );
 
     // --- Gate 2: tree mode strictly beats the linear fan-out. --------
     let morph = MorphChunks::new(&scene.cube, &params);

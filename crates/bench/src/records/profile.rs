@@ -9,7 +9,7 @@ use std::io::{self, Write};
 
 use super::Record;
 use crate::microjson::{object, Json};
-use crate::{print_table, run_algorithm, write_csv, ALGORITHMS};
+use crate::{print_table, run_algorithm, ALGORITHMS};
 
 /// One profiled (platform, workload) measurement.
 struct Cell {
@@ -180,28 +180,6 @@ pub fn profile(scene: &SyntheticScene, out: &mut impl Write) -> io::Result<Recor
         ],
         &rows,
     )?;
-    write_csv(
-        "bench_profile.csv",
-        "platform,workload,makespan,path,slack,bottleneck,share,identity,bounded,observer",
-        &cells
-            .iter()
-            .map(|c| {
-                format!(
-                    "{},{},{:.9},{:.9},{:.9},{},{:.6},{},{},{}",
-                    c.platform,
-                    c.workload,
-                    c.makespan,
-                    c.path_secs,
-                    c.slack_secs,
-                    c.bottleneck,
-                    c.share,
-                    c.identity,
-                    c.bounded,
-                    c.observer
-                )
-            })
-            .collect::<Vec<_>>(),
-    );
 
     eprintln!(
         "# gate 1 (accounting identity bitwise in all {} cells): {}",

@@ -20,8 +20,10 @@
 //! storage change that is meant to move no value (in-place work, fewer
 //! copies, work moved between host threads) must leave it unedited.
 //!
-//! Three records take 9–15 s each in the dev profile; they are
+//! Four records take 4–8 s each in the dev profile; they are
 //! `#[ignore]`d here and run with `--include-ignored` in release.
+//! Every `repro-bench` binary's output is on the list
+//! ([`every_binary_has_a_golden`]).
 
 use heterospec::cube::synth::{wtc_scene, SyntheticScene, WtcConfig};
 use heterospec::cube::HyperCube;
@@ -38,6 +40,7 @@ use heterospec::simnet::{
 use repro_bench::records::{self, Record};
 use repro_bench::{experiments, quarter, scene_size};
 use std::io;
+use std::path::Path;
 use testutil::golden::Harness;
 
 /// `(cell, bits)`: one `f64::to_bits` per row.
@@ -328,6 +331,9 @@ fn record(
 struct Golden {
     /// Repo-relative path of the committed file.
     path: &'static str,
+    /// The `repro-bench` binary whose output it is: the stdout of an
+    /// experiment, or the record it writes.
+    bin: Option<&'static str>,
     /// Too slow for the dev profile: run by [`slow_goldens_match`] only.
     slow: bool,
     /// The fresh text, and whether the gates of a record passed (always
@@ -336,7 +342,7 @@ struct Golden {
 }
 
 /// Every golden of the repository, in the order they are checked.
-fn goldens() -> [Golden; 14] {
+fn goldens() -> [Golden; 19] {
     fn tiny() -> WtcConfig {
         scene_size("tiny")
     }
@@ -349,41 +355,73 @@ fn goldens() -> [Golden; 14] {
     [
         Golden {
             path: "tests/golden/virtual_pins.txt",
+            bin: None,
             slow: false,
             fresh: || table(virtual_pins()),
         },
         Golden {
             path: "tests/golden/bits.txt",
+            bin: None,
             slow: false,
             fresh: || table(bits()),
         },
         Golden {
+            path: "tests/golden/table3.txt",
+            bin: Some("table3"),
+            slow: false,
+            fresh: || table(stdout(tiny(), experiments::table3)),
+        },
+        Golden {
+            path: "tests/golden/table4.txt",
+            bin: Some("table4"),
+            slow: false,
+            fresh: || table(stdout(tiny(), experiments::table4)),
+        },
+        Golden {
             path: "tests/golden/table5.txt",
+            bin: Some("table5"),
             slow: false,
             fresh: || table(stdout(tiny(), experiments::table5)),
         },
         Golden {
             path: "tests/golden/table8.txt",
+            bin: Some("table8"),
             slow: false,
             fresh: || table(stdout(tiny(), experiments::table8)),
         },
         Golden {
+            path: "tests/golden/fig1.txt",
+            bin: Some("fig1"),
+            slow: false,
+            fresh: || table(stdout(tiny(), experiments::fig1)),
+        },
+        Golden {
+            path: "tests/golden/ablation_overlap.txt",
+            bin: Some("ablation_overlap"),
+            slow: false,
+            fresh: || table(stdout(tiny(), experiments::ablation_overlap)),
+        },
+        Golden {
             path: "tests/golden/ablation_faults.txt",
+            bin: Some("ablation_faults"),
             slow: false,
             fresh: || table(stdout(quarter(tiny()), experiments::ablation_faults)),
         },
         Golden {
             path: "tests/golden/ablation_scatter.txt",
+            bin: Some("ablation_scatter"),
             slow: false,
             fresh: || table(stdout(tiny(), experiments::ablation_scatter)),
         },
         Golden {
             path: "tests/golden/ablation_wea.txt",
+            bin: Some("ablation_wea"),
             slow: false,
             fresh: || table(stdout(tiny(), experiments::ablation_wea)),
         },
         Golden {
             path: "tests/golden/trace_gantt.txt",
+            bin: Some("trace_gantt"),
             slow: false,
             fresh: || {
                 let scene = experiments::trace_gantt_scene();
@@ -392,33 +430,45 @@ fn goldens() -> [Golden; 14] {
         },
         Golden {
             path: "BENCH_collectives.json",
+            bin: Some("ablation_collectives"),
             slow: false,
             fresh: || gated(record(WtcConfig::tiny(), records::collectives)),
         },
         Golden {
             path: "BENCH_allreduce.json",
+            bin: Some("ablation_allreduce"),
             slow: false,
             fresh: || gated(record(WtcConfig::tiny(), records::allreduce)),
         },
         Golden {
             path: "BENCH_chaos.json",
+            bin: Some("chaos_soak"),
             slow: false,
             fresh: || gated(records::chaos_soak(500)),
         },
         Golden {
             path: "BENCH_epochs.json",
+            bin: Some("ablation_epochs"),
             slow: true,
             fresh: || gated(record(quarter(scene_size("medium")), records::epochs)),
         },
         Golden {
             path: "BENCH_accel.json",
+            bin: Some("ablation_accel"),
             slow: true,
             fresh: || gated(record(quarter(scene_size("medium")), records::accel)),
         },
         Golden {
             path: "BENCH_profile.json",
+            bin: Some("bench_profile"),
             slow: true,
             fresh: || gated(record(quarter(scene_size("medium")), records::profile)),
+        },
+        Golden {
+            path: "BENCH_dynamic.json",
+            bin: Some("ablation_dynamic"),
+            slow: true,
+            fresh: || gated(record(quarter(scene_size("medium")), records::dynamic)),
         },
     ]
 }
@@ -444,13 +494,46 @@ fn check(slow: bool) {
     assert!(failed_gates.is_empty(), "gates failed: {failed_gates:?}");
 }
 
+/// No binary's output goes unpinned: each `repro-bench` binary has an
+/// entry in [`goldens`], and each entry names a binary that exists.
+#[test]
+fn every_binary_has_a_golden() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
+    let bins: Vec<String> = std::fs::read_dir(&dir)
+        .expect("the repro-bench binaries")
+        .map(|entry| entry.expect("a directory entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "rs"))
+        .map(|path| {
+            path.file_stem()
+                .expect("a file name")
+                .to_string_lossy()
+                .into()
+        })
+        .collect();
+    let pinned: Vec<&str> = goldens().iter().filter_map(|g| g.bin).collect();
+    let mut unpinned: Vec<&str> = bins
+        .iter()
+        .map(String::as_str)
+        .filter(|bin| !pinned.contains(bin))
+        .collect();
+    unpinned.sort();
+    let stale: Vec<&str> = pinned
+        .into_iter()
+        .filter(|bin| !bins.iter().any(|b| b == bin))
+        .collect();
+    assert!(
+        unpinned.is_empty() && stale.is_empty(),
+        "binaries whose output no golden pins: {unpinned:?}; goldens of no binary: {stale:?}"
+    );
+}
+
 #[test]
 fn cheap_goldens_match_their_files() {
     check(false);
 }
 
 #[test]
-#[ignore = "9-15 s per record in the dev profile; CI runs it in release"]
+#[ignore = "4-8 s per record in the dev profile; CI runs it in release"]
 fn slow_goldens_match_their_files() {
     check(true);
 }
