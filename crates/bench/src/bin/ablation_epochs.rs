@@ -1,5 +1,5 @@
 //! Ablation A8 → `BENCH_epochs.json`, on a quarter of the `HETEROSPEC_SCENE`
-//! size: [`repro_bench::records::epochs`].
+//! size (`medium` or larger): [`repro_bench::records::epochs`].
 
 fn main() {
     let scene = repro_bench::quarter(repro_bench::scene_config());

@@ -19,7 +19,7 @@ use hetero_hsi::ft::{self, FtError, FtRun};
 use hetero_hsi::sched::{AtdcaChunks, MorphChunks, PctChunks, UfclsChunks};
 use hetero_hsi::{seq, ChunkedAlgo, OutputDigest};
 use simnet::engine::{Engine, WireVec};
-use simnet::{coll, CollOp, CollectiveConfig, Ctx};
+use simnet::{coll, CollAlgorithm, CollOp, CollectiveConfig, Ctx};
 use testutil::gen::FaultEvent;
 use testutil::links::{serial_link_overlaps, serial_link_uses};
 
@@ -43,7 +43,9 @@ pub enum Invariant {
     /// Profiling is a pure observer: stripping the profile from a
     /// profiled report yields the unprofiled report, bit for bit.
     PureObserver,
-    /// `CopyStats` is identical across reruns and under profiling.
+    /// The allreduce probe's `CopyStats` — live counters, since its
+    /// `WireVec` payload deep-copies on every fan-out clone — are
+    /// identical traced and untraced.
     CopyDeterminism,
     /// `OffloadStats` (and the whole report) is identical across
     /// reruns.
@@ -163,6 +165,41 @@ pub enum Injection {
 #[derive(Debug, Clone, Default)]
 pub struct Oracle {
     injection: Option<Injection>,
+}
+
+/// Payload bits the allreduce probe declares to the cost model.
+const PROBE_BITS: u64 = 64 * 32;
+
+/// The oracle's isolated allreduce: every rank contributes 64 words of
+/// its rank number, summed with wrapping adds under `collective` from
+/// rank 0; each rank returns the length of the result. `WireVec`
+/// declares every byte a fan-out clone deep-copies.
+fn allreduce_probe(collective: CollAlgorithm) -> impl Fn(&mut Ctx<WireVec<u32>>) -> usize + Sync {
+    let cfg = CollectiveConfig {
+        allreduce: collective,
+        ..CollectiveConfig::linear()
+    };
+    move |ctx| {
+        let own = vec![ctx.rank() as u32; 64];
+        coll::allreduce(
+            ctx,
+            &cfg,
+            0,
+            WireVec(own),
+            |x, y| {
+                WireVec(
+                    x.0.iter()
+                        .zip(&y.0)
+                        .map(|(p, q)| p.wrapping_add(*q))
+                        .collect(),
+                )
+            },
+            PROBE_BITS,
+        )
+        .expect("the probe's root is rank 0")
+        .0
+        .len()
+    }
 }
 
 /// Early-return helper: bump the counter, then either pass or return
@@ -324,32 +361,9 @@ impl Oracle {
         // scenario's collective is concrete by construction), and an
         // offload must charge a device rank's clock exactly the closed
         // form `offload_secs`, bitwise.
-        let cfg = CollectiveConfig {
-            allreduce: s.collective,
-            ..CollectiveConfig::linear()
-        };
-        let bits = (64 * 32) as u64;
-        let (probe, trace) = Engine::new(platform.clone()).run_traced(|ctx| {
-            let own = vec![ctx.rank() as u32; 64];
-            coll::allreduce(
-                ctx,
-                &cfg,
-                0,
-                WireVec(own),
-                |x, y| {
-                    WireVec(
-                        x.0.iter()
-                            .zip(&y.0)
-                            .map(|(p, q)| p.wrapping_add(*q))
-                            .collect(),
-                    )
-                },
-                bits,
-            )
-            .expect("the scenario's root is rank 0")
-            .0
-            .len()
-        });
+        let (probe, trace) =
+            Engine::new(platform.clone()).run_traced(allreduce_probe(s.collective));
+        let untraced = Engine::new(platform.clone()).run(allreduce_probe(s.collective));
         let uses = serial_link_uses(&platform, &trace);
         verdict.links = LinkCensus {
             transfers: uses.len(),
@@ -361,7 +375,7 @@ impl Oracle {
             CollOp::Allreduce,
             s.collective,
             0,
-            bits,
+            PROBE_BITS,
         );
         ensure!(
             verdict,
@@ -445,15 +459,16 @@ impl Oracle {
             c.output.digest64()
         );
 
-        // 6. Copy accounting is deterministic (and profiling-blind).
+        // 6. Copy accounting is tracing-blind. The ft drivers send point
+        // to point and copy nothing a counter sees, so the check runs on
+        // the allreduce probe, whose fan-outs deep-copy `WireVec`s.
         ensure!(
             verdict,
             Invariant::CopyDeterminism,
-            a.report.copies == b.report.copies && a.report.copies == c.report.copies,
-            "CopyStats diverged: {:?} / {:?} / {:?}",
-            a.report.copies,
-            b.report.copies,
-            c.report.copies
+            probe.copies == untraced.copies,
+            "allreduce probe CopyStats diverged: traced {:?} vs untraced {:?}",
+            probe.copies,
+            untraced.copies
         );
 
         // 7. Offload accounting — and the whole rerun report — is
@@ -515,6 +530,29 @@ mod tests {
         let mut clean = with_crash.clone();
         clean.faults.clear();
         assert!(oracle.check(&clean).violation.is_none());
+    }
+
+    /// The copy check compares live counters: on a scenario's platform,
+    /// the allreduce probe deep-copies under each of the three concrete
+    /// collectives, and tracing leaves the counts alone.
+    #[test]
+    fn the_copy_check_compares_non_zero_counts_for_every_collective() {
+        let platform = Scenario::generate(0).platform();
+        for collective in [
+            CollAlgorithm::Linear,
+            CollAlgorithm::BinomialTree,
+            CollAlgorithm::SegmentHierarchical,
+        ] {
+            let engine = Engine::new(platform.clone());
+            let (traced, _) = engine.run_traced(allreduce_probe(collective));
+            let untraced = engine.run(allreduce_probe(collective));
+            assert!(
+                traced.copies.bytes_deep_copied > 0 && traced.copies.allocs_on_hot_path > 0,
+                "{collective:?}: {:?}",
+                traced.copies
+            );
+            assert_eq!(traced.copies, untraced.copies, "{collective:?}");
+        }
     }
 
     /// A deterministic mini-campaign: every scenario passes all seven

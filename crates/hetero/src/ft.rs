@@ -33,34 +33,41 @@
 //! **State distribution.** Each round opens with the previous round's
 //! delta ([`ChunkedAlgo::Delta`] — a new row of `U`, the class set, the
 //! model — or nothing), which every worker installs into its replica,
-//! paying the install's charge once per round. With the default
-//! [`FtOptions::collectives`] (linear) the master fans the opener to
-//! every worker directly. Any other broadcast algorithm enables **tree
-//! mode**: the master — the only party that tracks which ranks are
-//! alive — keeps the alive set under an epoch (the epoch bumps on every
-//! observed failure), opens each round by sending a tiny
-//! `(epoch, survivors, algorithm)` header to every survivor, and ships
-//! the delta down the survivor-set schedule tree, where workers
-//! relay it to their tree children and then send one `StateAck` back.
-//! The master collects an ack (or the failure marker) from every
-//! survivor **before dispatching any work** — a state-distribution
-//! barrier. The barrier is what keeps the protocol deadlock-free: the
-//! engine has no non-blocking poll (`recv_deadline` physically waits
-//! for the peer's next packet), so a rank may only ever block on a
-//! channel whose peer is bound to send again; with the barrier, every
-//! wait in the protocol is of that kind. Crashed interior relays are
-//! routed around at the next epoch; a worker orphaned *mid-round* (its
-//! relay parent died before forwarding) requests the delta directly
-//! from the master, which answers from the round's shared `Arc` during
-//! the ack sweep — under the epoch frozen at round start. The barrier
-//! also makes a copy from a superseded epoch impossible: a worker takes in
-//! its one copy of the round's delta before it acks, and the master opens
-//! no later round, under no later epoch, before every survivor has acked
-//! or failed — so a worker accepts the current epoch and round only, and
-//! treats any other as unreachable. The protocol forwards whole deltas,
-//! so [`coll::resolve_over`] runs [`CollAlgorithm::PipelinedChunked`] as
-//! the segment-hierarchical tree it shares, and `Auto` chooses among the
-//! schedules the protocol runs.
+//! paying the install's charge once per round. The master — the only
+//! party that tracks which ranks are alive — keeps the alive set under an
+//! epoch (the epoch bumps on every observed failure), resolves the
+//! round's broadcast schedule over the survivors
+//! ([`FtOptions::collectives`], logged as a [`simnet::CollectiveChoice`]
+//! every round) and sends every surviving worker one opener, in
+//! ascending rank order. A worker whose tree parent is the master finds
+//! the delta in its opener. Only when the schedule has a relay does an
+//! opener also carry a header — the epoch-stamped survivor list and the
+//! schedule — and only to a worker that relays or hangs below a relay.
+//! A round with no relay (the linear fan-out, or the
+//! segment-hierarchical tree on one segment, which is the master's star)
+//! is therefore P−1 openers and nothing else. In a round with a relay, each header holder takes
+//! the delta from its tree parent, relays it to its tree children and
+//! sends one `StateAck` back, and the master collects an ack (or the
+//! failure marker) from every header holder **before dispatching any
+//! work** — a state-distribution barrier. The barrier is what keeps the
+//! protocol deadlock-free: the engine has no non-blocking poll
+//! (`recv_deadline` physically waits for the peer's next packet), so a
+//! rank may only ever block on a channel whose peer is bound to send
+//! again; with the barrier, every wait in the protocol is of that kind.
+//! Crashed interior relays are routed around at the next epoch; a worker
+//! orphaned *mid-round* (its relay parent died before forwarding)
+//! requests the delta directly from the master, which answers from the
+//! round's shared `Arc` during the ack sweep — under the epoch frozen at
+//! round start. The barrier also makes a copy from a superseded epoch
+//! impossible: a header holder takes in its one copy of the round's
+//! delta before it acks, and the master opens no later round, under no
+//! later epoch, before every header holder has acked or failed — so a
+//! worker accepts the current epoch and round only, and treats any other
+//! as unreachable. The protocol forwards whole deltas, so
+//! [`coll::resolve_over`] runs [`CollAlgorithm::PipelinedChunked`] as the
+//! segment-hierarchical tree it shares, and `Auto` chooses among the
+//! schedules the protocol runs (pricing each as a bare broadcast: the
+//! headers and the barrier a relay costs are not in its model).
 //!
 //! **Determinism.** All scheduling decisions are functions of virtual
 //! time: the re-planning master waits for each batch's outcome, the
@@ -89,9 +96,11 @@ pub struct FtOptions {
     /// Chunk size (lines) of the self-scheduling mode.
     pub chunk_lines: usize,
     /// Collective configuration of the round-state distribution. Only
-    /// the `broadcast` slot matters here: [`CollAlgorithm::Linear`] (the
-    /// default) is the master's direct fan-out; anything else enables
-    /// the epoch-stamped survivor-tree mode (see the module docs).
+    /// the `broadcast` slot matters here: the schedule each round's delta
+    /// travels over the survivors. [`CollAlgorithm::Linear`] (the
+    /// default) is the master's direct fan-out; a schedule with a relay
+    /// adds a survivor header and an ack barrier for the workers that
+    /// relay or hang below a relay (see the module docs).
     pub collectives: CollectiveConfig,
     /// When workers offload chunks to their node's accelerator (see
     /// [`crate::offload`]). Affects time accounting and batch sizing
@@ -197,41 +206,46 @@ pub struct FtRun<O> {
     pub report: RunReport<()>,
 }
 
+/// The survivor tree of a round with a relay, as its header carries it:
+/// the epoch-stamped survivor list and the concrete (master-resolved)
+/// schedule. One `Arc` per round, shared by every header's opener.
+struct RoundTree {
+    epoch: u64,
+    survivors: Vec<usize>,
+    algo: CollAlgorithm,
+}
+
 /// Master/worker wire protocol. Headers are a few machine words; deltas
 /// and partials carry their payloads' wire sizes.
 enum FtMsg<D, P> {
-    /// Linear-mode round start: the previous round's delta, if it has
-    /// one (the round number rides along for the install; each `Assign`
-    /// carries its own). Shared — the master fans one `Arc` to every
-    /// worker, so each send is a refcount bump, not a copy.
-    Round { round: usize, delta: Option<Arc<D>> },
-    /// Tree-mode round header, master → every survivor directly: the
-    /// epoch-stamped survivor list and the concrete (master-resolved)
-    /// schedule algorithm of this round's delta tree. A worker cannot
-    /// know its tree parent before it holds this header, which is why
-    /// the header fan-out stays linear — P−1 tiny sends paid before the
-    /// delta goes down the tree.
-    RoundStart {
+    /// Round opener, master → every surviving worker directly. `delta`,
+    /// the previous round's delta, is set when the master is the
+    /// worker's tree parent (the round number rides along for the
+    /// install; each `Assign` carries its own). `tree` is set only when
+    /// the round's schedule has a relay and the worker relays or hangs
+    /// below one: a worker cannot know its tree parent before it holds
+    /// the header, which is why the openers go out linearly. Shared —
+    /// every send of `delta` or `tree` is a refcount bump, not a copy.
+    Open {
         round: usize,
-        epoch: u64,
-        survivors: Vec<usize>,
-        algo: CollAlgorithm,
+        delta: Option<Arc<D>>,
+        tree: Option<Arc<RoundTree>>,
     },
-    /// Tree-mode round delta, relayed edge-by-edge down the survivor
-    /// tree (and master → orphan directly on rescue). Epoch-stamped; the
-    /// ack barrier makes a copy from a superseded epoch impossible, so a
+    /// A round's delta, relayed edge-by-edge down the survivor tree (and
+    /// master → orphan directly on rescue). Epoch-stamped; the ack
+    /// barrier makes a copy from a superseded epoch impossible, so a
     /// receiver takes the current epoch and round only.
     RoundState {
         epoch: u64,
         round: usize,
         delta: Option<Arc<D>>,
     },
-    /// Tree-mode rescue request, orphan → master: the worker's relay
-    /// parent died before forwarding the round's delta.
+    /// Rescue request, orphan → master: the worker's relay parent died
+    /// before forwarding the round's delta.
     StateRequest { round: usize },
-    /// Tree-mode barrier token, worker → master: the worker holds the
+    /// Barrier token, header holder → master: the worker holds the
     /// round's delta and has relayed it to its tree children. The master
-    /// collects one per survivor before dispatching any work.
+    /// collects one per header holder before dispatching any work.
     StateAck { round: usize },
     /// Work order for lines `[first, first + n)`.
     Assign {
@@ -256,10 +270,14 @@ fn delta_bits<D: Wire + Sync>(delta: &Option<Arc<D>>) -> u64 {
 impl<D: Wire + Sync, P: Wire> Wire for FtMsg<D, P> {
     fn size_bits(&self) -> u64 {
         match self {
-            FtMsg::Round { delta, .. } => 96 + delta_bits(delta),
-            // Round + epoch + algorithm words, plus 16 bits per
-            // survivor — the piggybacked survivor list.
-            FtMsg::RoundStart { survivors, .. } => 136 + 16 * survivors.len() as u64,
+            // A header adds the epoch and schedule words, plus 16 bits
+            // per survivor — the piggybacked survivor list.
+            FtMsg::Open { delta, tree, .. } => {
+                let header = tree
+                    .as_ref()
+                    .map_or(0, |t| 40 + 16 * t.survivors.len() as u64);
+                96 + delta_bits(delta) + header
+            }
             FtMsg::RoundState { delta, .. } => 160 + delta_bits(delta),
             FtMsg::StateRequest { .. } => 64,
             FtMsg::StateAck { .. } => 64,
@@ -400,15 +418,13 @@ where
     }
 }
 
-/// Worker side of both recovery modes and both state-distribution
-/// protocols: obey whichever round opener the master sends — `Round`
-/// carries the previous round's delta itself (linear fan-out),
-/// `RoundStart` announces it down the survivor tree
-/// ([`receive_tree_state`]) — installing the delta into the worker's
-/// replica, then `Assign` orders until the next opener or `Finish`. A
-/// chunk is charged what [`ChunkedAlgo::run_chunk`] reports, through the
-/// offload `policy` — host or device per [`offload::decide`] — while the
-/// chunk itself always runs the host kernel (bit-identical outputs).
+/// Worker side of both recovery modes: take each round's `Open`er —
+/// with a header, the round's delta through [`relay_state`] — and
+/// install the delta into the worker's replica, then obey `Assign`
+/// orders until the next opener or `Finish`. A chunk is charged what
+/// [`ChunkedAlgo::run_chunk`] reports, through the offload `policy` —
+/// host or device per [`offload::decide`] — while the chunk itself
+/// always runs the host kernel (bit-identical outputs).
 fn worker_loop<A: ChunkedAlgo>(
     ctx: &mut Ctx<FtMsg<A::Delta, A::Partial>>,
     algo: &A,
@@ -422,16 +438,10 @@ fn worker_loop<A: ChunkedAlgo>(
     let mut replica = algo.replica();
     loop {
         let (round, delta) = match ctx.recv(0) {
-            FtMsg::Round { round, delta } => (round, delta),
-            FtMsg::RoundStart {
-                round,
-                epoch,
-                survivors,
-                algo: algorithm,
-            } => (
-                round,
-                receive_tree_state(ctx, round, epoch, &survivors, algorithm),
-            ),
+            FtMsg::Open { round, delta, tree } => match tree {
+                Some(tree) => (round, relay_state(ctx, round, delta, &tree)),
+                None => (round, delta),
+            },
             FtMsg::Assign { round, first, n } => {
                 let (data, charge) = algo.run_chunk(round, &replica, first, n);
                 offload::charge_chunk(ctx, policy, &charge);
@@ -439,7 +449,7 @@ fn worker_loop<A: ChunkedAlgo>(
                 continue;
             }
             FtMsg::Finish => break,
-            _ => unreachable!("ft: masters send Round, RoundStart, Assign and Finish only"),
+            _ => unreachable!("ft: masters send Open, Assign and Finish only"),
         };
         // A round opens with the delta of the round before it.
         if let Some(delta) = delta {
@@ -451,30 +461,29 @@ fn worker_loop<A: ChunkedAlgo>(
     }
 }
 
-/// A worker's half of a tree-mode round opening, entered on the
-/// `RoundStart` header: the round's delta arrives over the survivor tree
-/// (from the tree parent), is relayed onward to the tree children, and
-/// is recovered directly from the master when the parent dies before
-/// forwarding. The exchange closes with a `StateAck`, which the master
-/// collects from every survivor before dispatching work (the barrier in
-/// the module docs) — so each receive below blocks on a channel whose
-/// peer is bound to produce: the relay parent sends the delta or its
-/// failure marker, and the master (which cannot crash — such plans are
-/// rejected at startup) answers rescues during its ack sweep before
-/// sending anything else.
-fn receive_tree_state<D, P>(
+/// A header holder's half of a round opening with a relay: the round's
+/// `delta` came in the opener when the master is this worker's tree
+/// parent; otherwise it arrives from the relay parent over the survivor
+/// tree, or directly from the master when that parent dies before
+/// forwarding. The worker relays it to its tree children and closes
+/// with a `StateAck`, which the master collects from every header holder
+/// before dispatching work (the barrier in the module docs) — so each
+/// receive below blocks on a channel whose peer is bound to produce: the
+/// relay parent sends the delta or its failure marker, and the master
+/// (which cannot crash — such plans are rejected at startup) answers
+/// rescues during its ack sweep before sending anything else.
+fn relay_state<D, P>(
     ctx: &mut Ctx<FtMsg<D, P>>,
     round: usize,
-    epoch: u64,
-    survivors: &[usize],
-    algorithm: CollAlgorithm,
+    delta: Option<Arc<D>>,
+    header: &RoundTree,
 ) -> Option<Arc<D>>
 where
     D: Wire + Sync,
     P: Wire,
 {
-    let me = ctx.rank();
-    let tree = coll::tree_over(ctx, algorithm, 0, survivors);
+    let (me, epoch) = (ctx.rank(), header.epoch);
+    let tree = coll::tree_over(ctx, header.algo, 0, &header.survivors);
     let parent = tree
         .parent(me)
         .expect("ft: a surviving worker has a tree parent");
@@ -488,12 +497,7 @@ where
         _ => unreachable!("ft: {why}"),
     };
     let delta = if parent == 0 {
-        // FIFO on the master channel: our RoundState was queued right
-        // behind the header, before anything else.
-        expect_state(
-            ctx.recv(0),
-            "master-children receive their state right after the header",
-        )
+        delta
     } else {
         // The relay parent is bound to produce: the round's delta, or
         // its failure marker. (An infinite deadline is safe — a worker
@@ -531,11 +535,11 @@ where
     delta
 }
 
-/// Master-side bookkeeping shared by both recovery modes and both
-/// state-distribution protocols.
+/// Master-side bookkeeping shared by both recovery modes.
 struct Roster {
-    /// Bumps once per observed loss; kept because tree mode stamps it
-    /// on the wire. [`Roster::recoveries`] is the record of the losses.
+    /// Bumps once per observed loss; kept because the header of a round
+    /// with a relay stamps it on the wire. [`Roster::recoveries`] is the
+    /// record of the losses.
     epoch: u64,
     /// The alive set, by rank. Rank 0 — the master itself — never
     /// leaves it.
@@ -628,43 +632,29 @@ fn split_lines(
     out
 }
 
-/// Opens `round` at every surviving worker with `delta` — the linear
-/// (default) mode's master-rooted fan-out, in ascending rank order.
-/// Workers just `recv(0)`, so they need not know who is alive; the
-/// price is P−1 full-payload sends from the master every round. Tree
-/// mode ([`start_round_tree`]) shares that cost across the survivor tree
-/// via the epoch protocol.
-fn broadcast_state<D: Wire + Sync, P: Wire>(
-    ctx: &mut Ctx<FtMsg<D, P>>,
-    workers: &[usize],
-    round: usize,
-    delta: &Option<Arc<D>>,
-) {
-    for &w in workers {
-        let delta = delta.clone();
-        ctx.send(w, FtMsg::Round { round, delta });
-    }
-}
-
-/// Opens a tree-mode round and runs it to the state-distribution
-/// barrier: resolves the schedule over the current survivors (logging
-/// the [`simnet::CollectiveChoice`] on rank 0), sends the epoch-stamped
-/// header to every surviving worker directly, ships the
-/// delta to the master's tree children, then sweeps the survivors in
-/// rank order for one `StateAck` each — answering `StateRequest`s from
+/// Opens `round` at every surviving worker with `delta`: resolves the
+/// broadcast schedule over the current survivors (logging the
+/// [`simnet::CollectiveChoice`] on rank 0) and sends each surviving
+/// worker its opener in ascending rank order — the delta to each worker
+/// the master parents, and, when the schedule has a relay, the
+/// epoch-stamped header to each worker that relays or hangs below a
+/// relay. With no relay that is all. With one, it then runs to the
+/// state-distribution barrier: it sweeps the header holders in rank
+/// order for one `StateAck` each, answering `StateRequest`s from
 /// orphaned subtrees from the round's shared `Arc` (under the epoch
 /// frozen at round start) and absorbing failure markers (epoch bump +
 /// zero-line recovery record, since no work is out yet) along the way.
-/// When it returns, every remaining live worker holds the round's delta,
-/// so the dispatch/collection phase can block exactly like the linear
-/// mode: only on workers that owe it a `Partial`.
+/// Either way every live worker receives the round's delta before any
+/// order, so the dispatch/collection phase blocks only on workers that
+/// owe the master a `Partial`.
 ///
 /// The sweep cannot deadlock: every tree shape parents a member with a
-/// lower-ranked member, and the sweep ascends — while the master waits
-/// on `w`, everything `w`'s relay chain needs is either already settled
-/// (an ancestor's ack or failure) or arrives on the very channel being
-/// watched (`w`'s own rescue request).
-fn start_round_tree<D: Wire + Sync, P: Wire>(
+/// lower-ranked member, a relay holds a header, and the sweep ascends —
+/// while the master waits on `w`, everything `w`'s relay chain needs is
+/// either already settled (an ancestor's ack or failure, or the delta in
+/// the opener of a worker the master parents) or arrives on the very
+/// channel being watched (`w`'s own rescue request).
+fn open_round<D: Wire + Sync, P: Wire>(
     ctx: &mut Ctx<FtMsg<D, P>>,
     roster: &mut Roster,
     cfg: &CollectiveConfig,
@@ -673,31 +663,29 @@ fn start_round_tree<D: Wire + Sync, P: Wire>(
 ) {
     let bits = delta_bits(delta);
     let survivors = roster.survivors();
-    let algorithm = coll::resolve_over(ctx, CollOp::Broadcast, cfg.broadcast, 0, &survivors, bits);
-    let epoch = roster.epoch;
-    let workers = &survivors[1..];
+    let algo = coll::resolve_over(ctx, CollOp::Broadcast, cfg.broadcast, 0, &survivors, bits);
+    let tree = coll::tree_over(ctx, algo, 0, &survivors);
+    let (epoch, workers) = (roster.epoch, &survivors[1..]);
+    let relays = |w: usize| !tree.children_bcast(w).is_empty();
+    let header = workers.iter().any(|&w| relays(w)).then(|| {
+        Arc::new(RoundTree {
+            epoch,
+            survivors: survivors.clone(),
+            algo,
+        })
+    });
+    let mut holders = Vec::new();
     for &w in workers {
-        ctx.send(
-            w,
-            FtMsg::RoundStart {
-                round,
-                epoch,
-                survivors: survivors.clone(),
-                algo: algorithm,
-            },
-        );
-    }
-    let tree = coll::tree_over(ctx, algorithm, 0, &survivors);
-    let round_state = || FtMsg::RoundState {
-        epoch,
-        round,
-        delta: delta.clone(),
-    };
-    for &c in tree.children_bcast(0) {
-        ctx.send(c, round_state());
+        let parented = tree.parent(w) == Some(0);
+        let tree = header.clone().filter(|_| relays(w) || !parented);
+        if tree.is_some() {
+            holders.push(w);
+        }
+        let delta = if parented { delta.clone() } else { None };
+        ctx.send(w, FtMsg::Open { round, delta, tree });
     }
     // ---- the ack sweep (state-distribution barrier) -----------------
-    for &w in workers {
+    for w in holders {
         loop {
             match ctx.recv_deadline(w, f64::INFINITY) {
                 Ok(FtMsg::StateAck { round: r }) => {
@@ -706,7 +694,15 @@ fn start_round_tree<D: Wire + Sync, P: Wire>(
                 }
                 Ok(FtMsg::StateRequest { round: r }) => {
                     debug_assert_eq!(r, round);
-                    ctx.send(w, round_state());
+                    let delta = delta.clone();
+                    ctx.send(
+                        w,
+                        FtMsg::RoundState {
+                            epoch,
+                            round,
+                            delta,
+                        },
+                    );
                 }
                 Ok(_) => unreachable!("ft: pre-barrier workers send StateAck or StateRequest only"),
                 Err(RecvError::Failed(f)) => {
@@ -723,8 +719,8 @@ fn start_round_tree<D: Wire + Sync, P: Wire>(
 }
 
 /// The coordinator of both recovery modes: per round, distribute the
-/// previous round's delta (linear fan-out or survivor tree, per
-/// [`FtOptions::collectives`]), run the mode's dispatch/collect policy
+/// previous round's delta over the survivors ([`open_round`]), run the
+/// mode's dispatch/collect policy
 /// to a full set of partials, merge them in line order, charging each
 /// step; finally release the workers. Gives up — with every worker already dead, so nobody is
 /// left waiting on rank 0 — as soon as a round has lines outstanding and
@@ -740,15 +736,10 @@ fn master<A: ChunkedAlgo>(
     let (mut state, mut delta) = (algo.initial_state(), None);
 
     for round in 0..algo.rounds() {
-        // Tree mode (any non-linear broadcast algorithm) distributes the
-        // delta down the survivor tree and runs to the ack barrier,
-        // possibly shrinking the roster; after either branch, every live
-        // worker holds the state the round reads.
-        if opts.collectives.broadcast == CollAlgorithm::Linear {
-            broadcast_state(ctx, &roster.workers(), round, &delta);
-        } else {
-            start_round_tree(ctx, &mut roster, &opts.collectives, round, &delta);
-        }
+        // A round with a relay runs to its ack barrier and may shrink
+        // the roster; either way every live worker receives the state
+        // the round reads before its first order.
+        open_round(ctx, &mut roster, &opts.collectives, round, &delta);
         let mut partials = match mode {
             Mode::Replan => collect_replan(ctx, algo, &state, opts, &mut roster, round),
             Mode::SelfSched => collect_self_sched(ctx, algo, opts, &mut roster, round),

@@ -56,7 +56,7 @@
 //!
 //! **Survivor trees belong to the ft protocol.** Every collective here
 //! runs over all ranks of the run. Which ranks are alive is known to one
-//! party only, `hetero::ft`'s master: its tree mode resolves and builds
+//! party only, `hetero::ft`'s master: every round it resolves and builds
 //! its schedule over the survivor list it keeps, through
 //! [`resolve_over`] and [`tree_over`]. See `docs/COMMS.md`.
 
@@ -372,8 +372,8 @@ pub(crate) fn split_chunks(bits: u64, chunks: usize) -> Vec<u64> {
 
 /// Resolves (and, on rank 0, logs) one collective decision over
 /// `members` (ascending, containing `root`) for a protocol that runs its
-/// own wire protocol over the member [`Tree`] (like `hetero::ft`'s tree
-/// mode, over its survivors) but wants the cost-model-driven choice and
+/// own wire protocol over the member [`Tree`] (like `hetero::ft`'s round
+/// openers, over its survivors) but wants the cost-model-driven choice and
 /// [`CollectiveChoice`] observability the collectives here have. Such a
 /// protocol forwards whole messages along tree edges and cannot stream
 /// chunks: [`CollAlgorithm::PipelinedChunked`] resolves to the

@@ -21,7 +21,7 @@
 //! `docs/COMMS.md`).
 //!
 //! Every builder spans an explicit **member list**: every rank for the
-//! collectives in [`crate::coll`], the survivors `hetero::ft`'s tree mode
+//! collectives in [`crate::coll`], the survivors `hetero::ft`'s master
 //! tracks, so its trees route *around* known-dead interior relays
 //! instead of cascading `PeerLost` down their subtrees. [`build`] is the
 //! one builder; it has two callers. The executors reach it through the
