@@ -41,22 +41,27 @@ use hsi_linalg::Matrix;
 /// [`kernels::brightest`] for every detector and is the drivers').
 ///
 /// `pub` in a private module: `sched::DetectChunks` names it in a bound,
-/// nobody outside the crate can. `Clone + Send + Sync`: a run's ranks
-/// share one system per round, and the next is grown from a copy.
-pub trait Detector: Clone + Send + Sync {
+/// nobody outside the crate can. `Send + Sync`: a run's ranks share one
+/// system per round, and the next is grown from it.
+pub trait Detector: Send + Sync {
     /// Algorithm name (reports and benches).
     const NAME: &'static str;
     /// What the scoring kernel keeps of the image lines between rounds
-    /// (host-side only; `Default` is "nothing yet").
-    type Carry: Default + Send + Sync;
+    /// (host-side only).
+    type Carry: Send + Sync;
 
+    /// The carry of a run of `t` targets over `lines` image lines of
+    /// `samples` pixels, reserved at its final size by the caller — the
+    /// run's owner — so no scan allocates it.
+    fn carry(lines: usize, samples: usize, t: usize) -> Self::Carry;
     /// The system of a rank that has taken in no target yet.
     fn new(bands: usize) -> Self;
     /// How many targets have been admitted.
     fn admitted(&self) -> usize;
-    /// Takes a round's winner in. Host-side only: what the modelled rank
-    /// pays for it is [`Detector::follow_up`].
-    fn admit(&mut self, spectrum: &[f32]);
+    /// This system with a round's winner taken in, built at its final
+    /// size: one allocation of exactly its length per buffer. Host-side
+    /// only: what the modelled rank pays for it is [`Detector::follow_up`].
+    fn with_target(&self, spectrum: &[f32]) -> Self;
     /// The best pixel of lines `range` against the admitted targets (one
     /// at least), and the megaflops of scoring every pixel of the range
     /// — the paper's full re-scoring, whatever `carry` saved the host.
@@ -100,7 +105,7 @@ fn spectrum_f64(px: &[f32]) -> Vec<f64> {
 /// apply instead of the `O(N²)` explicit projector — see
 /// `hsi_linalg::ortho`). Its carry holds the running residuals of the
 /// pixels scored against it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Osp {
     basis: OrthoBasis,
     // Not `basis.len()`: a dependent target is admitted but not kept.
@@ -110,6 +115,10 @@ pub struct Osp {
 impl Detector for Osp {
     const NAME: &'static str = "ATDCA";
     type Carry = ProjectionCarry;
+
+    fn carry(lines: usize, samples: usize, _t: usize) -> ProjectionCarry {
+        ProjectionCarry::for_run(lines, samples)
+    }
 
     fn new(bands: usize) -> Self {
         Osp {
@@ -122,9 +131,11 @@ impl Detector for Osp {
         self.admitted
     }
 
-    fn admit(&mut self, spectrum: &[f32]) {
-        self.basis.push(&spectrum_f64(spectrum));
-        self.admitted += 1;
+    fn with_target(&self, spectrum: &[f32]) -> Self {
+        Osp {
+            basis: self.basis.with_pushed(&spectrum_f64(spectrum)),
+            admitted: self.admitted + 1,
+        }
     }
 
     fn nominate(
@@ -158,7 +169,7 @@ impl Detector for Osp {
 /// UFCLS's system: the least-squares problem over the targets so far
 /// (`None` before the first). Its carry holds, of the pixels unmixed
 /// against it, their endmember dots and active-set trails.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Fcls {
     system: Option<FclsProblem>,
 }
@@ -166,6 +177,10 @@ pub struct Fcls {
 impl Detector for Fcls {
     const NAME: &'static str = "UFCLS";
     type Carry = FclsCarry;
+
+    fn carry(lines: usize, samples: usize, t: usize) -> FclsCarry {
+        FclsCarry::for_run(lines, samples, t)
+    }
 
     fn new(_bands: usize) -> Self {
         Fcls::default()
@@ -176,13 +191,15 @@ impl Detector for Fcls {
     }
 
     /// One Gram row per target (the whole system for the first).
-    fn admit(&mut self, spectrum: &[f32]) {
+    fn with_target(&self, spectrum: &[f32]) -> Self {
         let signature = spectrum_f64(spectrum);
-        let grown = match self.system.take() {
-            Some(mut problem) => problem.push(&signature).map(|()| problem),
+        let grown = match &self.system {
+            Some(problem) => problem.with_endmember(&signature),
             None => FclsProblem::new(Matrix::row_vector(&signature)),
         };
-        self.system = Some(grown.expect("ufcls: endmembers share the cube's band count"));
+        Fcls {
+            system: Some(grown.expect("ufcls: endmembers share the cube's band count")),
+        }
     }
 
     fn nominate(

@@ -117,6 +117,44 @@ struct LineCarry<M> {
     more: M,
 }
 
+/// What a kernel keeps of a line beside its sums: a buffer of its own,
+/// emptied in place when the line restarts.
+trait LineMemo {
+    fn clear(&mut self);
+    /// What it holds without reallocating.
+    fn capacity(&self) -> usize;
+}
+
+impl LineMemo for () {
+    fn clear(&mut self) {}
+    fn capacity(&self) -> usize {
+        0
+    }
+}
+
+impl LineMemo for NnlsTrails {
+    fn clear(&mut self) {
+        NnlsTrails::clear(self);
+    }
+    fn capacity(&self) -> usize {
+        NnlsTrails::capacity(self)
+    }
+}
+
+impl<M: LineMemo> LineCarry<M> {
+    /// Forgets what the line holds, keeping its buffers.
+    fn restart(&mut self) {
+        self.depth = 0;
+        self.sums.clear();
+        self.more.clear();
+    }
+
+    /// What its buffers hold without reallocating.
+    fn room(&self) -> (usize, usize) {
+        (self.sums.capacity(), self.more.capacity())
+    }
+}
+
 /// What an argmax kernel keeps between the rounds of one run over one
 /// cube: per image line, the running sums of its pixels and how many
 /// vectors of the growing system they cover; and the vectors themselves,
@@ -134,9 +172,16 @@ struct LineCarry<M> {
 /// reproduces the bits of a scan from nothing, so sharing changes host
 /// time and nothing else.
 ///
-/// Lines are indexed as the cube of the first scan indexes them and
-/// allocate their sums on first touch, so a carry costs memory only for
-/// the lines that were scanned. Locks: a scan reconciles the system under
+/// **A carry is allocated once, by its owner, at its final size.** The
+/// owner knows the run's shape — `lines × samples` pixels, `t` targets —
+/// and reserves every line's buffers up front, on its own thread
+/// ([`ProjectionCarry::for_run`], [`FclsCarry::for_run`]): whoever scores
+/// a line fills what is already there, and a line that restarts is
+/// emptied in place, so no scan allocates carry storage in its own
+/// thread's heap — a tally counts each buffer that had to grow
+/// ([`Carry::outgrown`]). `Default` is the empty carry, whose lines are
+/// made by the first scan, indexed as its cube indexes them, and grow
+/// where they are scored. Locks: a scan reconciles the system under
 /// `seen`, releases it, then holds one line lock at a time; only a
 /// diverged system takes line locks while holding `seen` (`seen` → lines,
 /// never the reverse).
@@ -151,9 +196,10 @@ pub struct Carry<M = ()> {
     epoch: AtomicU64,
     lines: OnceLock<Box<[Mutex<LineCarry<M>>]>>,
     /// Host-work tallies: vectors folded into a line, lines started from
-    /// nothing.
+    /// nothing, line buffers that grew during a scan.
     applied: AtomicUsize,
     started: AtomicUsize,
+    outgrown: AtomicUsize,
 }
 
 /// Takes `lock` over from a holder that panicked: whatever it was writing
@@ -172,6 +218,23 @@ fn take_over<T: Default>(lock: &Mutex<T>) -> (MutexGuard<'_, T>, bool) {
 }
 
 impl<M: Default> Carry<M> {
+    /// The carry of a run over `lines` image lines, each line's sums and
+    /// memo reserved here, on the caller's thread: room for `sums` values,
+    /// and `more()`.
+    fn reserved(lines: usize, sums: usize, more: impl Fn() -> M) -> Self {
+        let line = |_| {
+            Mutex::new(LineCarry {
+                depth: 0,
+                sums: Vec::with_capacity(sums),
+                more: more(),
+            })
+        };
+        Carry {
+            lines: OnceLock::from((0..lines).map(line).collect::<Box<[_]>>()),
+            ..Carry::default()
+        }
+    }
+
     /// Reconciles the carry with the system `vector(0..k)` a scan of
     /// `cube` is about to score against, and returns the epoch the scan
     /// may use line states under ([`Carry::with_line`]).
@@ -187,12 +250,10 @@ impl<M: Default> Carry<M> {
     /// Every scan checks the whole recorded prefix, so a vector is
     /// compared without an early exit: an OR of the XORs of its bits,
     /// which vectorises, is zero exactly when every bit agrees.
-    fn reconcile<'v>(
-        &self,
-        cube: &HyperCube,
-        k: usize,
-        vector: impl Fn(usize) -> &'v [f64],
-    ) -> u64 {
+    fn reconcile<'v>(&self, cube: &HyperCube, k: usize, vector: impl Fn(usize) -> &'v [f64]) -> u64
+    where
+        M: LineMemo,
+    {
         let same_bits = |a: &[f64], b: &[f64]| {
             a.len() == b.len()
                 && a.iter()
@@ -216,7 +277,7 @@ impl<M: Default> Carry<M> {
             for line in lines.iter() {
                 let (mut state, _) = take_over(line);
                 if state.depth > shared {
-                    *state = LineCarry::default();
+                    state.restart();
                 }
             }
         }
@@ -232,25 +293,41 @@ impl<M: Default> Carry<M> {
     /// later round, or to an earlier run of a reused carry), another
     /// system has diverged since `epoch`, or the carry was sized for a
     /// shorter cube. Then `score` starts from the empty state, which is
-    /// a scan from nothing.
+    /// a scan from nothing. A line deeper than `k` restarts in place.
     fn with_line<R>(
         &self,
         line: usize,
         k: usize,
         epoch: u64,
         score: impl FnOnce(&mut LineCarry<M>) -> R,
-    ) -> R {
+    ) -> R
+    where
+        M: LineMemo,
+    {
         let Some(lock) = self.lines.get().and_then(|lines| lines.get(line)) else {
-            return score(&mut LineCarry::default());
+            return self.tallied(&mut LineCarry::default(), score);
         };
         let (mut state, _) = take_over(lock);
         if self.epoch.load(Ordering::SeqCst) != epoch {
-            return score(&mut LineCarry::default());
+            return self.tallied(&mut LineCarry::default(), score);
         }
         if state.depth > k {
-            *state = LineCarry::default();
+            state.restart();
         }
-        score(&mut state)
+        self.tallied(&mut state, score)
+    }
+
+    /// Runs `score` on `state`, counting each of its buffers that grew.
+    fn tallied<R>(&self, state: &mut LineCarry<M>, score: impl FnOnce(&mut LineCarry<M>) -> R) -> R
+    where
+        M: LineMemo,
+    {
+        let (sums, more) = state.room();
+        let result = score(state);
+        let (grown_sums, grown_more) = state.room();
+        let grew = usize::from(grown_sums > sums) + usize::from(grown_more > more);
+        self.outgrown.fetch_add(grew, Ordering::Relaxed);
+        result
     }
 
     /// Tallies one line brought from `depth` to `k` vectors, from nothing
@@ -260,7 +337,9 @@ impl<M: Default> Carry<M> {
         self.started
             .fetch_add(usize::from(fresh), Ordering::Relaxed);
     }
+}
 
+impl<M> Carry<M> {
     /// Host work done through this carry so far: `(system vectors folded
     /// into a line's sums, lines started from nothing)`, summed over
     /// every scan. A scan that finds a line at the depth the last round
@@ -272,6 +351,17 @@ impl<M: Default> Carry<M> {
             self.applied.load(Ordering::Relaxed),
             self.started.load(Ordering::Relaxed),
         )
+    }
+
+    /// Line buffers — a line's sums, or what its kernel keeps beside them
+    /// — that had to grow during a scan, summed over every scan: none in
+    /// a run whose owner reserved its carry, one or two for each line a
+    /// `Default` carry first scans (it reserved nothing). Every growth is
+    /// an allocation in the scanning thread's heap. Not a cost the
+    /// virtual clock reads.
+    #[doc(hidden)]
+    pub fn outgrown(&self) -> usize {
+        self.outgrown.load(Ordering::Relaxed)
     }
 }
 
@@ -290,6 +380,7 @@ impl<M: Clone + Default> Clone for Carry<M> {
             lines: lines.map(OnceLock::from).unwrap_or_default(),
             applied: AtomicUsize::new(applied),
             started: AtomicUsize::new(started),
+            outgrown: AtomicUsize::new(self.outgrown()),
         }
     }
 }
@@ -372,6 +463,14 @@ pub fn brightest(cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel
 /// pixel), kept by [`max_projection_carried`] between the rounds of one
 /// run over one cube. `Default` is the empty carry.
 pub type ProjectionCarry = Carry;
+
+impl ProjectionCarry {
+    /// The carry of an ATDCA run over `lines` image lines of `samples`
+    /// pixels: every line's residuals, one a pixel, reserved here.
+    pub fn for_run(lines: usize, samples: usize) -> Self {
+        Carry::reserved(lines, samples, || ())
+    }
+}
 
 /// ATDCA step 4: the pixel maximising the orthogonal-projection score
 /// `(P_U^⊥ x)ᵀ(P_U^⊥ x)` against the current basis.
@@ -489,10 +588,36 @@ fn continue_residuals<const L: usize>(
 
 /// Each pixel's dots with the endmembers, `uᵢᵀx` (8 bytes a pixel and
 /// endmember), and the trail and score of its latest NNLS iteration
-/// ([`NnlsTrails`]: ≈ 0.3 KiB a pixel at `t = 18`), kept by
-/// [`max_fcls_error_carried`] between the rounds of one run over one
-/// cube. `Default` is the empty carry.
+/// ([`NnlsTrails`]: ≈ 0.3 KiB a pixel at `t = 18`, of the 0.56 KiB
+/// [`FclsCarry::for_run`] reserves), kept by [`max_fcls_error_carried`]
+/// between the rounds of one run over one cube. `Default` is the empty
+/// carry.
 pub type FclsCarry = Carry<NnlsTrails>;
+
+/// Trail words a UFCLS run of `t` targets reserves per pixel: `4 · t`.
+/// A pixel whose passive set grows one endmember at a time through all
+/// `t − 1` endmembers keeps `2 + t(t + 1) / 2` words, which `4 · t`
+/// covers up to `t = 6`; past that the passive sets stop growing with
+/// `t`. At `t = 18` on the 256 × 16 × 224 scene, over four seeds, the
+/// fullest line held 71 words a pixel in its fullest round, against 72
+/// reserved (the histogram is in docs/PERF.md). Reserved pages are
+/// resident once written, so the rule is tight rather than generous: a
+/// line that needs more grows where it is scored, and
+/// [`Carry::outgrown`] counts it.
+const TRAIL_WORDS_PER_TARGET: usize = 4;
+
+impl FclsCarry {
+    /// The carry of a UFCLS run of `targets` targets over `lines` image
+    /// lines of `samples` pixels, reserved here: every line's endmember
+    /// dots for the deepest system the run scores against (`targets − 1`
+    /// endmembers: the last winner is never scored against), and its
+    /// trail arena, `4 · targets` words a pixel.
+    pub fn for_run(lines: usize, samples: usize, targets: usize) -> Self {
+        let dots = targets.saturating_sub(1) * samples;
+        let trails = TRAIL_WORDS_PER_TARGET * targets * samples;
+        Carry::reserved(lines, dots, || NnlsTrails::with_capacity(trails))
+    }
+}
 
 /// Idle [`FclsWorkspace`]s, kept for the next scan that needs one.
 ///
@@ -1420,6 +1545,61 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// Where every line's buffers start, and what they hold.
+    fn line_buffers<M: LineMemo>(carry: &Carry<M>) -> Vec<(*const f64, (usize, usize))> {
+        let lines = carry.lines.get().unwrap();
+        let buffers = lines.iter().map(|line| line.lock().unwrap());
+        buffers
+            .map(|state| (state.sums.as_ptr(), state.room()))
+            .collect()
+    }
+
+    /// A carry made for its run is reserved up front — `samples` residuals
+    /// a line for ATDCA, `(t − 1) · samples` dots and `4 · t` trail words a
+    /// pixel for UFCLS — and the run's scans, restarts included, fill it
+    /// without a line buffer growing or moving. A scan deeper than the
+    /// run's grows exactly the sums it overfills; an empty carry grows
+    /// every line it scans.
+    #[test]
+    fn a_carry_made_for_its_run_never_grows() {
+        let s = scene();
+        let cube = &s.cube;
+        let (lines, samples, whole) = (cube.lines(), cube.samples(), (0, cube.lines()));
+        let bases = growing_bases(cube, 3);
+        let carry = ProjectionCarry::for_run(lines, samples);
+        let reserved = line_buffers(&carry);
+        assert!(reserved.iter().all(|&(_, room)| room == (samples, 0)));
+        for basis in [&bases[2], &bases[0], &bases[1]] {
+            max_projection_carried(cube, basis, whole, &carry);
+        }
+        assert_eq!(line_buffers(&carry), reserved);
+        assert_eq!(carry.outgrown(), 0);
+
+        let t = 4;
+        let problems = growing_problems(cube, t);
+        let carry = FclsCarry::for_run(lines, samples, t);
+        let reserved = line_buffers(&carry);
+        let room = ((t - 1) * samples, TRAIL_WORDS_PER_TARGET * t * samples);
+        assert!(reserved.iter().all(|&(_, held)| held == room));
+        // The run's rounds, then a line deeper than the system, then a
+        // system that diverges in its first endmember.
+        for round in [0, 1, 2, 0] {
+            max_fcls_error_carried(cube, &problems[round], whole, &carry);
+        }
+        let diverged = FclsProblem::new(Matrix::row_vector(&wide(cube.pixel_flat(3)))).unwrap();
+        max_fcls_error_carried(cube, &diverged, whole, &carry);
+        assert_eq!(line_buffers(&carry), reserved);
+        assert_eq!(carry.outgrown(), 0);
+        // Past the run's depth the sums of every line grow, once.
+        let beyond = growing_problems(cube, t + 1);
+        max_fcls_error_carried(cube, &beyond[t], whole, &carry);
+        assert_eq!(carry.outgrown(), lines);
+
+        let empty = FclsCarry::default();
+        max_fcls_error_carried(cube, &problems[0], whole, &empty);
+        assert_eq!(empty.outgrown(), 2 * lines);
     }
 
     /// `Clone` copies the lines: the clone continues on its own.

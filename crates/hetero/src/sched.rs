@@ -309,10 +309,8 @@ impl<D: Detector> Systems<D> {
     }
 
     fn build(&self, current: &D, spectrum: &[f32]) -> Arc<D> {
-        let mut next = current.clone();
-        next.admit(spectrum);
         self.built.fetch_add(1, Ordering::Relaxed);
-        Arc::new(next)
+        Arc::new(current.with_target(spectrum))
     }
 }
 
@@ -329,13 +327,14 @@ pub type AtdcaChunks<'a> = DetectChunks<'a, Osp>;
 pub type UfclsChunks<'a> = DetectChunks<'a, Fcls>;
 
 impl<'a, D: Detector> DetectChunks<'a, D> {
-    /// Wraps a cube and parameters; the carry and the systems start
-    /// empty.
+    /// Wraps a cube and parameters; the systems start empty, and the
+    /// carry is reserved here, on the caller's thread, at the size the
+    /// run fills.
     pub fn new(cube: &'a HyperCube, params: &'a AlgoParams) -> Self {
         DetectChunks {
             cube,
             params,
-            carry: D::Carry::default(),
+            carry: D::carry(cube.lines(), cube.samples(), params.num_targets),
             systems: Systems::new(cube.bands()),
         }
     }
@@ -1363,9 +1362,9 @@ mod tests {
         // Scores as a system built from nothing, scanned from nothing.
         let mut fresh = D::new(s.cube.bands());
         for target in &out[..k] {
-            fresh.admit(&target.spectrum);
+            fresh = fresh.with_target(&target.spectrum);
         }
-        fresh.admit(&other);
+        fresh = fresh.with_target(&other);
         let alone = DetectChunks::<D>::new(&s.cube, &p);
         let want = chunk_bits(alone.run_chunk(k + 1, &Arc::new(fresh), 0, lines));
         assert_eq!(chunk_bits(algo.run_chunk(k + 1, &diverged, 0, lines)), want);

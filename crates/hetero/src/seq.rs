@@ -54,7 +54,7 @@ impl<T> SeqOutput<T> {
 fn detect<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
     let full = (0, cube.lines());
     let (n, t) = (cube.bands(), params.num_targets);
-    let (mut detector, carry) = (D::new(n), D::Carry::default());
+    let (mut detector, carry) = (D::new(n), D::carry(cube.lines(), cube.samples(), t));
     let mut targets: Vec<DetectedTarget> = Vec::new();
     let mut mflops = 0.0;
     // The first target is extracted whatever `t` says.
@@ -67,7 +67,7 @@ fn detect<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<D
         mflops += mf;
         let best = best.unwrap_or_else(|| panic!("{}: empty image", D::NAME));
         let spectrum = cube.pixel(best.line, best.sample).to_vec();
-        detector.admit(&spectrum);
+        detector = detector.with_target(&spectrum);
         mflops += D::follow_up(n, k, t);
         targets.push(DetectedTarget {
             line: best.line,

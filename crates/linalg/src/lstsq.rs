@@ -508,13 +508,39 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 /// after its neighbour's; a pixel whose solve failed, or whose problem is
 /// wider than the 24 endmembers the set masks hold, keeps an empty trail
 /// and solves from the empty passive set next time. `Default` is "nothing
-/// kept".
+/// kept"; its arena grows on first use.
+///
+/// The arena is one buffer for a line's whole run: every call empties it
+/// and refills it, so it reallocates only when a line's records outgrow
+/// what it already holds — never, when its owner reserved enough
+/// ([`NnlsTrails::with_capacity`]).
 #[derive(Debug, Clone, Default)]
 pub struct NnlsTrails {
     /// Leading endmembers the trails were recorded against.
     depth: usize,
     /// Per pixel `[n, score, n words of steps]`.
     records: Vec<u64>,
+}
+
+impl NnlsTrails {
+    /// Nothing kept, in an arena with room for `words` words of records.
+    pub fn with_capacity(words: usize) -> Self {
+        NnlsTrails {
+            depth: 0,
+            records: Vec::with_capacity(words),
+        }
+    }
+
+    /// Forgets every trail, keeping the arena.
+    pub fn clear(&mut self) {
+        self.depth = 0;
+        self.records.clear();
+    }
+
+    /// Words the arena holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.records.capacity()
+    }
 }
 
 /// A prepared FCLS problem for unmixing **many** pixels against the same
@@ -557,10 +583,19 @@ impl FclsProblem {
         Ok(problem)
     }
 
-    /// Appends one endmember: the Gram matrix gains the one new row and
-    /// column, every entry formed exactly as [`FclsProblem::with_delta`]
-    /// forms it, so a pushed problem is the built one to the bit.
+    /// Appends one endmember ([`FclsProblem::with_endmember`] in place).
     pub fn push(&mut self, signature: &[f64]) -> Result<()> {
+        *self = self.with_endmember(signature)?;
+        Ok(())
+    }
+
+    /// This problem with one endmember appended: the Gram matrix gains the
+    /// one new row and column, every entry formed exactly as
+    /// [`FclsProblem::with_delta`] forms it, so a grown problem is the
+    /// built one to the bit. Each buffer is one allocation of exactly its
+    /// size; nothing of `self` is cloned that the new problem does not
+    /// keep.
+    pub fn with_endmember(&self, signature: &[f64]) -> Result<Self> {
         if signature.len() != self.u.cols() {
             return Err(shape_mismatch(
                 format!("signature of length {}", self.u.cols()),
@@ -568,14 +603,16 @@ impl FclsProblem {
             ));
         }
         let t = self.u.rows();
-        self.u.push_row(signature);
-        let mut grown = Matrix::zeros(t + 1, t + 1);
+        let mut grown = FclsProblem {
+            u: self.u.with_row(signature),
+            gram_aug: Matrix::zeros(t + 1, t + 1),
+            delta: self.delta,
+        };
         for i in 0..t {
-            grown.row_mut(i)[..t].copy_from_slice(self.gram_aug.row(i));
+            grown.gram_aug.row_mut(i)[..t].copy_from_slice(self.gram_aug.row(i));
         }
-        self.gram_aug = grown;
-        self.fill_gram_row(t);
-        Ok(())
+        grown.fill_gram_row(t);
+        Ok(grown)
     }
 
     /// Row `i` of the augmented Gram matrix up to the diagonal, mirrored
@@ -753,10 +790,10 @@ impl FclsProblem {
         for k in 0..waiting {
             self.score::<1>(line, &pending, k, ws, &mut records, &mut emit);
         }
-        // The line keeps exactly what its records need; the workspace
-        // keeps the buffer they were built in for the next line.
+        // The line's records go into its own arena, which keeps its
+        // capacity from call to call; the workspace keeps the buffer they
+        // were built in for the next line.
         trails.records.clear();
-        trails.records.reserve_exact(records.len());
         trails.records.extend_from_slice(&records);
         trails.depth = t;
         ws.line_trails = records;
@@ -987,6 +1024,56 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// A grown problem holds exactly its endmembers and its Gram matrix:
+    /// no spare rows of `U`, no second Gram matrix beside it.
+    #[test]
+    fn a_grown_problem_is_allocated_at_its_final_size() {
+        let rows = grown_endmembers();
+        let mut problem = FclsProblem::new(Matrix::row_vector(&rows[0])).unwrap();
+        for (t, row) in rows.iter().enumerate().skip(1) {
+            problem = problem.with_endmember(row).unwrap();
+            assert_eq!(problem.u.capacity(), (t + 1) * row.len());
+            assert_eq!(problem.gram_aug.capacity(), (t + 1) * (t + 1));
+        }
+    }
+
+    /// A line's trail arena is refilled in place: reserved once, it keeps
+    /// its buffer while the problem grows, and a cleared one as well.
+    #[test]
+    fn a_reserved_trail_arena_keeps_its_buffer() {
+        let rows = grown_endmembers();
+        let line: Vec<f32> = (0..4 * 9)
+            .map(|k| (0.1 + 0.07 * ((k * 5) % 11) as f64) as f32)
+            .collect();
+        let mut trails = NnlsTrails::with_capacity(4 * 64);
+        let arena = trails.records.as_ptr();
+        let mut problem = FclsProblem::new(Matrix::row_vector(&rows[0])).unwrap();
+        let mut dots = Vec::new();
+        let mut ws = FclsWorkspace::new();
+        for t in 1..=rows.len() {
+            if t > 1 {
+                problem.push(&rows[t - 1]).unwrap();
+            }
+            dots.resize(t * 4, 0.0);
+            problem
+                .solve_f32_line(&line, t - 1, &mut dots, &mut trails, &mut ws, |_, r| {
+                    assert!(r.is_ok())
+                })
+                .unwrap();
+            assert!(!trails.records.is_empty());
+            assert_eq!(
+                (trails.records.as_ptr(), trails.capacity()),
+                (arena, 4 * 64)
+            );
+        }
+        trails.clear();
+        assert!(trails.records.is_empty() && trails.depth == 0);
+        assert_eq!(
+            (trails.records.as_ptr(), trails.capacity()),
+            (arena, 4 * 64)
+        );
     }
 
     #[test]

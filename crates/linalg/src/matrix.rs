@@ -138,18 +138,24 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Appends a row to the bottom of the matrix.
+    /// This matrix with `row` appended below its last, in one allocation
+    /// of exactly its size (a row pushed onto a clone would keep up to
+    /// twice that).
     ///
     /// # Panics
-    /// Panics if `row.len() != self.cols()` (unless the matrix is empty, in
-    /// which case the row defines the column count).
-    pub fn push_row(&mut self, row: &[f64]) {
-        if self.rows == 0 && self.cols == 0 {
-            self.cols = row.len();
-        }
-        assert_eq!(row.len(), self.cols, "push_row: wrong row length");
-        self.data.extend_from_slice(row);
-        self.rows += 1;
+    /// Panics if `row.len() != self.cols()`.
+    pub fn with_row(&self, row: &[f64]) -> Matrix {
+        assert_eq!(row.len(), self.cols, "with_row: wrong row length");
+        let mut data = Vec::with_capacity(self.data.len() + row.len());
+        data.extend_from_slice(&self.data);
+        data.extend_from_slice(row);
+        Matrix::from_vec(self.rows + 1, self.cols, data)
+    }
+
+    /// The capacity of the storage, in values.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Returns the transpose as a new matrix.
@@ -518,12 +524,12 @@ mod tests {
     }
 
     #[test]
-    fn push_row_grows_matrix() {
-        let mut m = Matrix::zeros(0, 0);
-        m.push_row(&[1.0, 2.0]);
-        m.push_row(&[3.0, 4.0]);
-        assert_eq!(m.shape(), (2, 2));
-        assert_eq!(m[(1, 1)], 4.0);
+    fn with_row_grows_the_matrix_in_an_exact_allocation() {
+        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let grown = m.with_row(&[7.0, 8.0, 9.0]);
+        let want = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
+        assert_eq!(grown, want);
+        assert_eq!(grown.capacity(), 9);
     }
 
     #[test]

@@ -94,6 +94,17 @@ impl OrthoBasis {
         true
     }
 
+    /// This basis with `v` pushed ([`OrthoBasis::push`]), built at its
+    /// final size: the vectors are copied into a list with room for
+    /// exactly one more, so a pushed copy keeps no spare capacity.
+    pub fn with_pushed(&self, v: &[f64]) -> OrthoBasis {
+        let mut q = Vec::with_capacity(self.q.len() + 1);
+        q.extend(self.q.iter().cloned());
+        let mut grown = OrthoBasis { q, dim: self.dim };
+        grown.push(v);
+        grown
+    }
+
     /// Applies the **orthogonal-complement** projector:
     /// `out = (I − QQᵀ) x = P_U^⊥ x`.
     ///
@@ -209,6 +220,21 @@ mod tests {
         assert!(!basis.push(&[2.0, 4.0, 6.0]));
         assert!(!basis.push(&[0.0, 0.0, 0.0]));
         assert_eq!(basis.len(), 1);
+    }
+
+    /// A pushed copy is the pushed original to the bit, and holds no
+    /// spare room: its list has exactly its vectors, each exactly `dim`.
+    #[test]
+    fn with_pushed_is_push_at_the_final_size() {
+        let mut basis = OrthoBasis::new(3);
+        basis.push(&[1.0, 1.0, 0.0]);
+        let grown = basis.with_pushed(&[1.0, 0.0, 1.0]);
+        basis.push(&[1.0, 0.0, 1.0]);
+        assert_eq!(grown.q, basis.q);
+        assert_eq!(grown.q.capacity(), 2);
+        assert!(grown.q.iter().all(|v| v.capacity() == 3));
+        // A dependent vector is dropped from the copy as well.
+        assert_eq!(grown.with_pushed(&[2.0, 2.0, 0.0]).len(), 2);
     }
 
     #[test]

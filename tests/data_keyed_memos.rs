@@ -5,6 +5,10 @@
 //!   `ft::run_replan`, fault-free and under crashes, fold exactly the
 //!   vectors into the lines that one sequential pass folds, start each
 //!   line from nothing exactly once, and return `seq`'s targets;
+//! * a detector's carry is reserved by its owner at the size its run
+//!   fills, so no line buffer grows on whichever thread scores the line:
+//!   the static driver of `par` and both ft drivers under crashes, on the
+//!   benchmark's scene;
 //! * a detector's system is a function of the winners taken in, so a
 //!   run builds one per installed round however many ranks install it:
 //!   the static driver of `par` under a linear gather and a fused tree
@@ -15,10 +19,11 @@
 //!   ask for it.
 //!
 //! The tallies are read-only counters of host work (`Carry::applied`,
-//! `DetectChunks::systems_built`, `MeiResult::dots_formed`); the virtual
-//! clock never reads them.
+//! `Carry::outgrown`, `DetectChunks::systems_built`,
+//! `MeiResult::dots_formed`); the virtual clock never reads them.
 
 use heterospec::cube::synth::{wtc_scene, WtcConfig};
+use heterospec::hetero::config::AlgoParams;
 use heterospec::hetero::ft::{run_replan, run_self_sched, FtOptions, FtRun};
 use heterospec::hetero::par::run_detector;
 use heterospec::hetero::sched::{AtdcaChunks, ChunkedAlgo, UfclsChunks};
@@ -121,6 +126,57 @@ fn ft_drivers_fold_exactly_the_vectors_a_sequential_pass_folds() {
         &seq::ufcls(&s.cube, &p).result,
         lines,
     );
+}
+
+/// Runs `new_algo()` under the static driver of `par` on the 16-node
+/// network and under both ft drivers with two crashes, and requires
+/// `outgrown` to read 0 after each.
+fn assert_no_line_buffer_grows<A>(new_algo: impl Fn() -> A, outgrown: impl Fn(&A) -> usize)
+where
+    A: ChunkedAlgo<Output = Vec<DetectedTarget>> + Sync,
+{
+    type Driver<A> = fn(&Engine, &A, &FtOptions) -> FtRun<<A as ChunkedAlgo>::Output>;
+    let drivers: [(&str, Driver<A>); 2] = [
+        ("self-sched", run_self_sched::<A>),
+        ("replan", run_replan::<A>),
+    ];
+    let mut seen = Vec::new();
+    for (mode, driver) in drivers {
+        let algo = new_algo();
+        let run = driver(
+            &testutil::engine_with(two_crashes()),
+            &algo,
+            &FtOptions::default(),
+        );
+        assert_eq!(run.recoveries.len(), 2, "{mode} {}", algo.name());
+        assert_eq!(outgrown(&algo), 0, "{mode} {}", algo.name());
+        seen.push(run.output);
+    }
+    assert_eq!(seen[0], seen[1]);
+}
+
+/// A detector's carry is reserved where the run is made, at the size
+/// the run fills: every line's sums and UFCLS's trail arena. So on the
+/// benchmark's scene (256 × 16 pixels, 224 bands, 18 targets) no line
+/// buffer grows during a scan, on whichever rank thread scores it —
+/// statically over 16 ranks, and under both ft drivers after two crashes.
+/// Each grew on first touch, and UFCLS's dots every round, while the
+/// lines were made empty (a count, no stopwatch).
+#[test]
+fn a_run_fills_the_carry_its_owner_reserved() {
+    let s = testutil::scene(256, 16, 224);
+    let p = AlgoParams::default();
+    let engine = Engine::new(presets::fully_heterogeneous());
+    let options = RunOptions::hetero();
+    let atdca = AtdcaChunks::new(&s.cube, &p);
+    assert!(run_detector(&engine, &atdca, &options).report.ok());
+    assert_eq!(atdca.carry().outgrown(), 0, "par ATDCA");
+    let ufcls = UfclsChunks::new(&s.cube, &p);
+    assert!(run_detector(&engine, &ufcls, &options).report.ok());
+    assert_eq!(ufcls.carry().outgrown(), 0, "par UFCLS");
+
+    assert_no_line_buffer_grows(|| AtdcaChunks::new(&s.cube, &p), |a| a.carry().outgrown());
+    assert_no_line_buffer_grows(|| UfclsChunks::new(&s.cube, &p), |a| a.carry().outgrown());
 }
 
 /// Every rank of a static run installs every round's winner, and the

@@ -339,6 +339,55 @@ fn warm_runs_reuse_the_masters_buffers() {
     );
 }
 
+/// How much the peak resident size grows from the first to the last of
+/// 17 warm `par::ufcls` passes on the 16-node network over the
+/// benchmark's scene (256 × 16 pixels, 224 bands, 18 targets), printed
+/// as `VmHWM growth: N KiB`. A 4 MiB block is freed first, as in
+/// [`warm_256_rank_passes_vmhwm_growth`]. Meaningful in a process of its
+/// own.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[test]
+#[ignore = "a probe: a_ufcls_carry_is_not_regrown_in_every_arena runs it in a process of its own"]
+fn warm_ufcls_passes_vmhwm_growth() {
+    let _turn = one_at_a_time();
+    drop(std::hint::black_box(vec![1u8; 4 << 20]));
+    let scene = testutil::scene(256, 16, 224);
+    let params = heterospec::hetero::config::AlgoParams::default();
+    let engine = Engine::new(presets::fully_heterogeneous());
+    let pass = || {
+        let run = par::ufcls::run(&engine, &scene.cube, &params, &RunOptions::hetero());
+        assert!(run.report.ok(), "{:?}", run.report.failures);
+        status_kib("VmHWM")
+    };
+    let first = pass();
+    let mut last = first;
+    for _ in 1..17 {
+        last = pass();
+    }
+    println!("VmHWM growth: {} KiB", last - first);
+}
+
+/// UFCLS's carry — every line's endmember dots and NNLS trails — is
+/// reserved once, where the run is made, at its final size, so the rank
+/// thread that scores a line fills it instead of regrowing it round by
+/// round in its own glibc arena, a copy per arena it lands in. So warm
+/// passes barely raise the peak resident size
+/// ([`warm_ufcls_passes_vmhwm_growth`], run in a fresh process of this
+/// binary). Measured on a 2-core x86-64 VM, three runs a side: 4 924–5 820
+/// KiB in dev and 4 824–5 388 in release while scans grew the lines,
+/// 1 412–2 008 and 1 220–1 376 with the carry reserved. A size, no
+/// stopwatch.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[test]
+fn a_ufcls_carry_is_not_regrown_in_every_arena() {
+    let _turn = one_at_a_time();
+    let kib = probe_in_a_fresh_process("warm_ufcls_passes_vmhwm_growth", "VmHWM growth: ");
+    assert!(
+        kib <= 3_584,
+        "the peak resident size grew {kib} KiB over 16 warm 16-rank UFCLS passes"
+    );
+}
+
 #[test]
 fn both_ft_drivers_repeat_exactly_under_crashes_a_slowdown_and_a_link_outage() {
     let _turn = one_at_a_time();

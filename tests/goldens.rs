@@ -40,7 +40,10 @@ use heterospec::simnet::{
 use repro_bench::records::{self, Record};
 use repro_bench::{experiments, quarter, scene_size};
 use std::io;
+use std::num::NonZeroUsize;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use testutil::golden::Harness;
 
 /// `(cell, bits)`: one `f64::to_bits` per row.
@@ -353,6 +356,14 @@ fn goldens() -> [Golden; 19] {
         (record.text(), record.passed)
     }
     [
+        // First: the slowest cheap golden (a third of their time), so no
+        // core waits for it alone at the end of `fresh_on_every_core`.
+        Golden {
+            path: "BENCH_chaos.json",
+            bin: Some("chaos_soak"),
+            slow: false,
+            fresh: || gated(records::chaos_soak(500)),
+        },
         Golden {
             path: "tests/golden/virtual_pins.txt",
             bin: None,
@@ -441,12 +452,6 @@ fn goldens() -> [Golden; 19] {
             fresh: || gated(record(WtcConfig::tiny(), records::allreduce)),
         },
         Golden {
-            path: "BENCH_chaos.json",
-            bin: Some("chaos_soak"),
-            slow: false,
-            fresh: || gated(records::chaos_soak(500)),
-        },
-        Golden {
             path: "BENCH_epochs.json",
             bin: Some("ablation_epochs"),
             slow: true,
@@ -473,6 +478,30 @@ fn goldens() -> [Golden; 19] {
     ]
 }
 
+/// Every golden's fresh text, computed on a scoped pool as wide as the
+/// host: each worker takes the next golden off the list until none is
+/// left. The texts come back in list order.
+fn fresh_on_every_core(due: &[&Golden]) -> Vec<(String, bool)> {
+    let width = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let next = AtomicUsize::new(0);
+    let fresh = Mutex::new(vec![None; due.len()]);
+    std::thread::scope(|scope| {
+        for _ in 0..width.min(due.len()) {
+            scope.spawn(|| loop {
+                let at = next.fetch_add(1, Ordering::Relaxed);
+                let Some(golden) = due.get(at) else { break };
+                let text = (golden.fresh)();
+                fresh.lock().expect("no worker panicked")[at] = Some(text);
+            });
+        }
+    });
+    let fresh = fresh.into_inner().expect("no worker panicked");
+    fresh
+        .into_iter()
+        .map(|text| text.expect("every golden computed"))
+        .collect()
+}
+
 /// Checks the goldens whose `slow` is `slow`, and that every committed
 /// golden is on the list.
 fn check(slow: bool) {
@@ -480,8 +509,8 @@ fn check(slow: bool) {
     let claimed: Vec<&str> = list.iter().map(|g| g.path).collect();
     let mut harness = Harness::new(env!("CARGO_MANIFEST_DIR"), &claimed);
     let mut failed_gates = Vec::new();
-    for golden in list.iter().filter(|g| g.slow == slow) {
-        let (text, passed) = (golden.fresh)();
+    let due: Vec<&Golden> = list.iter().filter(|g| g.slow == slow).collect();
+    for (golden, (text, passed)) in due.iter().zip(fresh_on_every_core(&due)) {
         harness.check(golden.path, &text);
         if !passed {
             failed_gates.push(golden.path);
