@@ -3,9 +3,10 @@
 
 use chaos::{
     hang_reproducer, reproducer, shrink, CheckCounts, Injection, Invariant, LinkCensus, Oracle,
-    Scenario, Shrunk,
+    Scenario, Shrunk, Verdict,
 };
 use simnet::CollAlgorithm;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 use testutil::gen::FaultEvent;
@@ -172,6 +173,51 @@ impl LinkTotals {
     }
 }
 
+/// Checks scenarios `BASE_SEED..BASE_SEED + requested` on a scoped pool
+/// as wide as the host, each with [`within`] the scenario timeout, and
+/// returns them in seed order with their verdicts — `None` for one that
+/// hung. Workers claim seeds in increasing order and stop claiming once
+/// any check hangs, so every seed before the first hang was checked and
+/// the list ends at the last seed claimed. A verdict is a function of its
+/// scenario alone, so the list is the same at any width.
+fn check_all(oracle: &Oracle, requested: usize) -> Vec<(Scenario, Option<Verdict>)> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (next, hung) = (AtomicUsize::new(0), AtomicBool::new(false));
+    let mut checked: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..cores.min(requested))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    while !hung.load(Ordering::SeqCst) {
+                        let i = next.fetch_add(1, Ordering::SeqCst);
+                        if i >= requested {
+                            break;
+                        }
+                        let scenario = Scenario::generate(BASE_SEED + i as u64);
+                        let (checker, checked) = (oracle.clone(), scenario.clone());
+                        let verdict = within(SCENARIO_TIMEOUT, move || checker.check(&checked));
+                        hung.fetch_or(verdict.is_none(), Ordering::SeqCst);
+                        mine.push((i, scenario, verdict));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| match worker.join() {
+                Ok(mine) => mine,
+                Err(panic) => std::panic::resume_unwind(panic),
+            })
+            .collect()
+    });
+    checked.sort_by_key(|&(i, ..)| i);
+    checked
+        .into_iter()
+        .map(|(_, scenario, verdict)| (scenario, verdict))
+        .collect()
+}
+
 /// Where a campaign ended up.
 struct Campaign {
     requested: usize,
@@ -202,15 +248,14 @@ impl Campaign {
         }
     }
 
-    /// Checks scenarios `BASE_SEED..BASE_SEED + requested` in turn,
-    /// stopping at the first hang.
+    /// Checks scenarios `BASE_SEED..BASE_SEED + requested` (see
+    /// [`check_all`]) and folds their verdicts in seed order, stopping
+    /// at the first hang.
     fn run(requested: usize) -> Campaign {
         let mut c = Campaign::new(requested, shrinker_selftest());
         let oracle = Oracle::new();
-        for i in 0..requested {
-            let scenario = Scenario::generate(BASE_SEED + i as u64);
-            let (checker, checked) = (oracle.clone(), scenario.clone());
-            let Some(verdict) = within(SCENARIO_TIMEOUT, move || checker.check(&checked)) else {
+        for (scenario, verdict) in check_all(&oracle, requested) {
+            let Some(verdict) = verdict else {
                 let detail = format!("no verdict after {} s", SCENARIO_TIMEOUT.as_secs());
                 eprintln!(
                     "# HANG at seed {}: {detail}; unshrunk reproducer:",
@@ -397,8 +442,13 @@ impl Campaign {
 /// printed to stderr and a structured record lands in the report's
 /// `failures` array.
 ///
+/// The scenarios are checked on a pool as wide as the host and their
+/// verdicts folded in seed order, so the record is the same at any
+/// width.
+///
 /// No hang: each check runs on a helper thread, and one that has not
-/// returned after 60 s ends the campaign. Its unshrunk
+/// returned after 60 s ends the campaign at the first hang in seed
+/// order. Its unshrunk
 /// scenario's reproducer goes to stderr, a `no_hang` record to
 /// `failures`, and the record fails, with the check still stuck.
 ///

@@ -792,7 +792,10 @@ fn collect_replan<A: ChunkedAlgo>(
                     batches: &mut VecDeque<(usize, usize, usize)>,
                     first: usize,
                     n: usize| {
-        for (first, n, w) in split_lines(first, n, &roster.workers(), &effective) {
+        let split = split_lines(first, n, &roster.workers(), &effective);
+        let largest = split.iter().map(|&(_, n, _)| n).max().unwrap_or(0);
+        algo.reserve(round, largest);
+        for (first, n, w) in split {
             ctx.send(w, FtMsg::Assign { round, first, n });
             batches.push_back((first, n, w));
         }
@@ -846,6 +849,7 @@ fn collect_self_sched<A: ChunkedAlgo>(
         queue.push_back((first, n));
         first += n;
     }
+    algo.reserve(round, chunk.min(algo.lines()));
     let total_chunks = queue.len();
     let mut done = 0usize;
     let mut outstanding: Vec<Option<(usize, usize)>> = vec![None; p];

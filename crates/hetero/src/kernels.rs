@@ -47,9 +47,10 @@ use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace, NnlsTrails};
 use hsi_linalg::matrix::dots_abreast;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
+use hsi_morpho::mei::MeiWorkspace;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Fixed line-chunk granularity of the data-parallel kernels.
 ///
@@ -1032,6 +1033,9 @@ pub fn sad_label(cube: &HyperCube, range: (usize, usize), classes: &[Vec<f32>]) 
 /// already-nominated pixel exceeds `threshold` — so the nomination is a
 /// *unique spectral set* (step 3's requirement) rather than `c` near
 /// copies of the single most eccentric neighbourhood.
+///
+/// The MEI is computed in a workspace of its own; a chunked MORPH run
+/// lends each window one of its run's [`MeiWorkspaces`] instead.
 pub fn mei_top(
     cube: &HyperCube,
     se: &hsi_morpho::StructuringElement,
@@ -1040,7 +1044,23 @@ pub fn mei_top(
     c: usize,
     threshold: f64,
 ) -> (Vec<ScoredPixel>, f64) {
-    let result = hsi_morpho::mei::mei(cube, se, iterations);
+    let workspace = &mut MeiWorkspace::default();
+    mei_top_in(workspace, cube, se, iterations, range, c, threshold)
+}
+
+/// [`mei_top`] with the MEI computed in the caller's `workspace` (see
+/// [`hsi_morpho::mei::mei_in`]): the same nomination and charge, bit for
+/// bit.
+pub(crate) fn mei_top_in(
+    workspace: &mut MeiWorkspace,
+    cube: &HyperCube,
+    se: &hsi_morpho::StructuringElement,
+    iterations: usize,
+    range: (usize, usize),
+    c: usize,
+    threshold: f64,
+) -> (Vec<ScoredPixel>, f64) {
+    let result = hsi_morpho::mei::mei_in(workspace, cube, se, iterations);
     let (lo, hi) = range;
     // Rank owned pixels by MEI score with row-major tie-break.
     let mut owned: Vec<ScoredPixel> = (lo..hi)
@@ -1082,10 +1102,170 @@ pub fn mei_top(
     (kept, mflops)
 }
 
+/// The MEI workspaces of one run: at most as many as the host has cores,
+/// lent to whichever rank computes a window next (`take`).
+///
+/// **Made by the run's owner.** The driver's master knows the largest
+/// window it is about to hand out and reserves the workspaces for it on
+/// its own thread (`reserve`, through `ChunkedAlgo::reserve`), so a rank
+/// fills buffers that are already there instead of growing its own in
+/// its thread's glibc arena, where they would stay for the process. A
+/// rank that finds every workspace out waits for one to come back — the
+/// host runs no more windows at once than it has cores anyway; only a
+/// run whose master reserved nothing has its first takers make
+/// workspaces, empty, up to the bound. A workspace carries nothing from
+/// window to window, so which one a window is computed in changes no
+/// bit.
+///
+/// **A holder that panics gives its workspace back**: the loan is a drop
+/// guard, and the stack's lock, should a panic ever poison it, is taken
+/// over — a push or a pop leaves the stack whole — so no rank waits for
+/// a workspace forever.
+pub struct MeiWorkspaces {
+    idle: Mutex<IdleMei>,
+    returned: Condvar,
+    /// Most workspaces the run makes.
+    bound: usize,
+    /// Windows that grew their workspace.
+    outgrown: AtomicUsize,
+}
+
+/// The workspaces not lent out, and how many were made.
+#[derive(Default)]
+struct IdleMei {
+    stack: Vec<MeiWorkspace>,
+    made: usize,
+}
+
+impl MeiWorkspaces {
+    /// None made yet; at most as many as the host has cores.
+    pub(crate) fn new() -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        MeiWorkspaces::bounded(cores)
+    }
+
+    fn bounded(bound: usize) -> Self {
+        MeiWorkspaces {
+            idle: Mutex::new(IdleMei::default()),
+            returned: Condvar::new(),
+            bound: bound.max(1),
+            outgrown: AtomicUsize::new(0),
+        }
+    }
+
+    /// The stack, whoever panicked holding its lock: a push or a pop
+    /// leaves it whole, so it is taken over as it is.
+    fn idle(&self) -> MutexGuard<'_, IdleMei> {
+        self.idle.lock().unwrap_or_else(|poisoned| {
+            self.idle.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    /// Makes every workspace the run may use, here on the caller's
+    /// thread, each with room for a window of `pixels` pixels under `se`
+    /// ([`MeiWorkspace::reserve`]). A workspace lent out at the time
+    /// keeps its size: should it meet a larger window, it grows where it
+    /// is taken, and [`MeiWorkspaces::outgrown`] counts it.
+    pub(crate) fn reserve(&self, pixels: usize, se: &hsi_morpho::StructuringElement) {
+        let mut idle = self.idle();
+        for workspace in &mut idle.stack {
+            workspace.reserve(pixels, se);
+        }
+        while idle.made < self.bound {
+            let mut workspace = MeiWorkspace::default();
+            workspace.reserve(pixels, se);
+            idle.stack.push(workspace);
+            idle.made += 1;
+        }
+    }
+
+    /// A workspace to compute one window in: an idle one, a new one
+    /// while fewer than the bound were made, or else the first one a
+    /// holder gives back.
+    pub(crate) fn take(&self) -> LentWorkspace<'_> {
+        let mut idle = self.idle();
+        loop {
+            if let Some(workspace) = idle.stack.pop() {
+                return LentWorkspace::new(workspace, self);
+            }
+            if idle.made < self.bound {
+                idle.made += 1;
+                return LentWorkspace::new(MeiWorkspace::default(), self);
+            }
+            idle = self
+                .returned
+                .wait(idle)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+
+    /// How many workspaces the run has made: at most the host's cores.
+    /// A host-work tally; the virtual clock never reads it.
+    #[doc(hidden)]
+    pub fn made(&self) -> usize {
+        self.idle().made
+    }
+
+    /// Windows that had to grow the workspace they were computed in,
+    /// counted as the workspace is given back: none while every window
+    /// fits the reservation. A host-work tally; the virtual clock never
+    /// reads it.
+    #[doc(hidden)]
+    pub fn outgrown(&self) -> usize {
+        self.outgrown.load(Ordering::Relaxed)
+    }
+}
+
+/// An [`MeiWorkspace`] lent out of an [`MeiWorkspaces`] stack; dropping
+/// it gives it back and wakes one waiting rank, also when a panicking
+/// holder unwinds past it.
+pub(crate) struct LentWorkspace<'a> {
+    workspace: MeiWorkspace,
+    /// Its [`MeiWorkspace::outgrown`] when lent.
+    grown: usize,
+    home: &'a MeiWorkspaces,
+}
+
+impl<'a> LentWorkspace<'a> {
+    fn new(workspace: MeiWorkspace, home: &'a MeiWorkspaces) -> Self {
+        let grown = workspace.outgrown();
+        LentWorkspace {
+            workspace,
+            grown,
+            home,
+        }
+    }
+}
+
+impl std::ops::Deref for LentWorkspace<'_> {
+    type Target = MeiWorkspace;
+    fn deref(&self) -> &MeiWorkspace {
+        &self.workspace
+    }
+}
+
+impl std::ops::DerefMut for LentWorkspace<'_> {
+    fn deref_mut(&mut self) -> &mut MeiWorkspace {
+        &mut self.workspace
+    }
+}
+
+impl Drop for LentWorkspace<'_> {
+    fn drop(&mut self) {
+        let workspace = std::mem::take(&mut self.workspace);
+        let grown = workspace.outgrown() - self.grown;
+        self.home.outgrown.fetch_add(grown, Ordering::Relaxed);
+        self.home.idle().stack.push(workspace);
+        self.home.returned.notify_one();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hsi_cube::synth::{wtc_scene, WtcConfig};
+    use std::sync::Arc;
 
     fn scene() -> hsi_cube::synth::SyntheticScene {
         wtc_scene(WtcConfig::tiny())
@@ -1681,5 +1861,64 @@ mod tests {
         assert_eq!(c.line, 103);
         assert_eq!(c.sample, 3);
         assert_eq!(c.spectrum, s.cube.pixel(5, 3).to_vec());
+    }
+
+    /// `take()` on a detached thread: whether it returned within ten
+    /// seconds. A stack that never gives a workspace back fails the test
+    /// instead of hanging it; the stuck thread is left to the process's
+    /// exit.
+    fn takes_within_seconds(stack: &Arc<MeiWorkspaces>) -> bool {
+        let (done, taken) = std::sync::mpsc::channel();
+        let stack = Arc::clone(stack);
+        std::thread::spawn(move || {
+            let _workspace = stack.take();
+            let _ = done.send(());
+        });
+        taken
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .is_ok()
+    }
+
+    /// A rank that panics while it holds the run's only MEI workspace
+    /// gives it back as it unwinds: a rank already waiting for it gets
+    /// it, and so does a later `take`. Nothing new is made.
+    #[test]
+    fn a_panicking_holder_gives_its_mei_workspace_back() {
+        let stack = Arc::new(MeiWorkspaces::bounded(1));
+        let (holding, held) = std::sync::mpsc::channel();
+        let holder = {
+            let stack = Arc::clone(&stack);
+            std::thread::spawn(move || {
+                let _workspace = stack.take();
+                holding.send(()).expect("the test listens");
+                // Give the waiting take time to block.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                panic!("a rank dies holding its workspace");
+            })
+        };
+        held.recv().expect("the holder takes the workspace");
+        assert!(takes_within_seconds(&stack), "the waiting take returns");
+        assert!(holder.join().is_err(), "the holder panicked");
+        assert!(takes_within_seconds(&stack), "a second take returns");
+        assert_eq!(stack.made(), 1);
+    }
+
+    /// A stack whose lock a panicking thread poisoned is taken over as it
+    /// is: a `take` still returns the workspace it holds.
+    #[test]
+    fn a_poisoned_mei_workspace_stack_is_taken_over() {
+        let stack = Arc::new(MeiWorkspaces::bounded(1));
+        stack.reserve(16, &hsi_morpho::StructuringElement::square(1));
+        let poisoner = {
+            let stack = Arc::clone(&stack);
+            std::thread::spawn(move || {
+                let _idle = stack.idle.lock();
+                panic!("a panic under the stack's lock");
+            })
+        };
+        assert!(poisoner.join().is_err() && stack.idle.is_poisoned());
+        assert!(takes_within_seconds(&stack), "a take returns");
+        assert_eq!(stack.made(), 1);
+        assert!(!stack.idle.is_poisoned());
     }
 }

@@ -12,7 +12,10 @@
 //! It is that description on a static grid of one cell per rank:
 //!
 //! 1. the root charges WEA's planning (Algorithm 1) and scatters the
-//!    partitions ([`distribute`]; MORPH's carry their overlap borders);
+//!    partitions ([`distribute`]; MORPH's carry their overlap borders).
+//!    The host plans before any rank starts, so the working memory the
+//!    ranks will share for their cells is made there, on the caller's
+//!    thread ([`ChunkedAlgo::reserve`]: MORPH's MEI workspaces);
 //! 2. every round, every rank — the root included — computes its own
 //!    cell and charges what the kernel reports, on the host or its
 //!    device ([`charge_chunk`]);
@@ -47,10 +50,10 @@ use crate::flops;
 use crate::framework::{distribute, plan_assignments, row_mbits, run_rooted, ParallelRun};
 use crate::msg::Msg;
 use crate::offload::charge_chunk;
-use crate::sched::{reduce_on_every_core, ChunkedAlgo, DetectChunks};
+use crate::sched::{reduce_on_every_core, ChunkedAlgo, DetectChunks, MorphChunks};
 use crate::seq::DetectedTarget;
-use crate::wea::RowCost;
-use hsi_cube::HyperCube;
+use crate::wea::{RowAssignment, RowCost};
+use hsi_cube::{HyperCube, LabelImage};
 use simnet::coll::{self, CollAlgorithm};
 use simnet::engine::Engine;
 use simnet::Ctx;
@@ -78,17 +81,32 @@ pub fn run_detector<D: Detector>(
 ) -> ParallelRun<Vec<DetectedTarget>> {
     let (cube, params) = algo.inputs();
     let cost = detector_row_cost::<D>(cube, params);
-    run_static(engine, cube, algo, cost, options, 0)
+    let assignments = plan_assignments(engine.platform(), cube, options, cost);
+    run_static(engine, cube, algo, &assignments, options, 0)
+}
+
+/// Runs MORPH as [`morph::run`] does, over a description the caller
+/// keeps: its host-work tallies stay readable after the run.
+#[doc(hidden)]
+pub fn run_morph(
+    engine: &Engine,
+    algo: &MorphChunks<'_>,
+    options: &RunOptions,
+) -> ParallelRun<(LabelImage, Vec<Vec<f32>>)> {
+    let (cube, params) = algo.inputs();
+    let cost = morph::row_cost(cube, params);
+    let assignments = plan_assignments(engine.platform(), cube, options, cost);
+    run_static(engine, cube, algo, &assignments, options, algo.halo())
 }
 
 /// Runs `algo` over `cube` on the engine's platform, one WEA cell of
-/// `cost`-weighted rows per rank, each partition shipped with `overlap`
-/// halo lines a side (see the module docs).
+/// `assignments` per rank, each partition shipped with `overlap` halo
+/// lines a side (see the module docs).
 fn run_static<A>(
     engine: &Engine,
     cube: &HyperCube,
     algo: &A,
-    cost: RowCost,
+    assignments: &[RowAssignment],
     options: &RunOptions,
     overlap: usize,
 ) -> ParallelRun<A::Output>
@@ -96,7 +114,12 @@ where
     A: ChunkedAlgo + Sync,
     A::Output: Send,
 {
-    let assignments = plan_assignments(engine.platform(), cube, options, cost);
+    // Every cell is known before any rank starts: what they are computed
+    // in is made here, on the caller's thread.
+    let largest = assignments.iter().map(|a| a.n_lines).max().unwrap_or(0);
+    for round in 0..algo.rounds() {
+        algo.reserve(round, largest);
+    }
     let cfg = &options.collectives;
     let fold = algo
         .fold()
@@ -109,7 +132,7 @@ where
         }
         // The scatter is what shipping the partitions costs; the
         // description reads the rank's lines from `cube` itself.
-        let (first, n) = distribute(ctx, cube, &assignments, overlap, options.scatter_mode);
+        let (first, n) = distribute(ctx, cube, assignments, overlap, options.scatter_mode);
         let hint_lines = algo.lines().div_ceil(ctx.num_ranks());
         // The root's state is the master's; a worker's moves only in
         // fused rounds, where every rank merges the folded partial.
@@ -154,7 +177,7 @@ where
                     // holes rather than abort the run.
                     let partials = entries
                         .into_iter()
-                        .zip(&assignments)
+                        .zip(assignments)
                         .filter_map(|(e, a)| Some((a.first_line, decode(e.into_msg()?))))
                         .collect();
                     let (next, d, steps) = reduce_on_every_core(algo, r, state, partials);

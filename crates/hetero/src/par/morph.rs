@@ -17,7 +17,7 @@
 //! (Table 7) and the best Thunderhead scaling (Figure 2) despite its
 //! redundant overlap computation.
 
-use super::run_static;
+use super::run_morph;
 use crate::config::{AlgoParams, RunOptions};
 use crate::flops;
 use crate::framework::{row_mbits, ParallelRun};
@@ -53,8 +53,7 @@ pub fn run(
     options: &RunOptions,
 ) -> ParallelRun<(LabelImage, Vec<Vec<f32>>)> {
     let algo = MorphChunks::new(cube, params).with_overlap(options.morph_overlap);
-    let halo = algo.halo();
-    run_static(engine, cube, &algo, row_cost(cube, params), options, halo)
+    run_morph(engine, &algo, options)
 }
 
 #[cfg(test)]

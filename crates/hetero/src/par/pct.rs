@@ -20,7 +20,7 @@
 use super::run_static;
 use crate::config::{AlgoParams, RunOptions};
 use crate::flops;
-use crate::framework::{row_mbits, ParallelRun};
+use crate::framework::{plan_assignments, row_mbits, ParallelRun};
 use crate::sched::PctChunks;
 use crate::seq::PctModel;
 use crate::wea::RowCost;
@@ -50,7 +50,8 @@ pub fn run(
     options: &RunOptions,
 ) -> ParallelRun<(LabelImage, PctModel)> {
     let algo = PctChunks::new(cube, params);
-    run_static(engine, cube, &algo, row_cost(cube, params), options, 0)
+    let assignments = plan_assignments(engine.platform(), cube, options, row_cost(cube, params));
+    run_static(engine, cube, &algo, &assignments, options, 0)
 }
 
 #[cfg(test)]

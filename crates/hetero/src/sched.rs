@@ -35,12 +35,15 @@
 //! **Who owns a detector's memos.** [`DetectChunks`] owns both, one per
 //! run, and every rank reaches them through the `&algo` it already
 //! borrows. The detector *system* (the basis or Gram problem every
-//! modelled node holds) is built **once per round per run**: a rank's
-//! replica is a handle (`Arc`) on it, which an install moves to the next
-//! round's system, and which is lost with the rank. The memo is keyed by
-//! the data — a rank is handed the shared next system only when it holds
-//! the shared current one and installs the recorded spectrum to the bit;
-//! any other install history builds a system of its own. The *carry* —
+//! modelled node holds) is built **once per round per run**, by the merge
+//! that picks the round's winner — on the master's thread, before the
+//! broadcast — so it lives in the owner's heap, not in the glibc arena of
+//! whichever rank installed first. A rank's replica is a handle (`Arc`)
+//! on it, which an install moves to the next round's system, and which
+//! is lost with the rank. The memo is keyed by the data — a rank is
+//! handed the shared next system only when it holds the shared current
+//! one and installs the recorded spectrum to the bit; any other install
+//! history builds a system of its own. The *carry* —
 //! each image line's running sums — belongs to the lines, and which rank
 //! scores a line next is the driver's business, so a chunk resumes at the
 //! depth its last scorer left whoever that was, re-plans after crashes
@@ -149,6 +152,13 @@ pub trait ChunkedAlgo {
     ) -> (Self::State, Option<Self::Delta>, Vec<f64>);
     /// Extracts the output from the final state.
     fn finish(&self, state: Self::State) -> Self::Output;
+    /// Makes the host working memory that chunks of up to `lines` lines
+    /// of `round` will be computed in, here on the calling thread: a
+    /// driver's master calls it on its own thread before it hands such
+    /// chunks out, so the rank that computes one fills memory its owner
+    /// made instead of growing its own in its thread's heap. Host work
+    /// only, never charged; by default there is nothing to make.
+    fn reserve(&self, _round: usize, _lines: usize) {}
 
     /// The megaflops [`ChunkedAlgo::run_chunk`] will charge for lines
     /// `[first, first + n)` of `round`, predicted from the state the
@@ -244,16 +254,23 @@ pub struct DetectChunks<'a, D: Detector> {
 
 /// The detector systems a run's ranks share: entry `k` of the chain is
 /// the system over the first `k` winners (entry 0 the empty one) with
-/// the spectrum it took in last. Keyed by the data, as a carry is: an
-/// install moves a rank from entry `k` to entry `k + 1` only when the
-/// rank holds entry `k` itself and installs entry `k + 1`'s spectrum to
-/// the bit; the first such install builds the entry. Any other history —
-/// a rank that skipped a round, a spectrum the chain did not record —
-/// builds a system of the rank's own and leaves the chain alone.
+/// the spectrum it took in last. The chain is extended by the merge that
+/// picks a round's winner ([`Systems::extend`]), on the master's thread
+/// before the winner is broadcast, so every system of the chain is made
+/// by the run's owner rather than by whichever rank installs it first
+/// (in a fused round, where every rank merges, by the first to merge).
+/// Keyed by the data, as a carry is: an install moves a rank from entry
+/// `k` to entry `k + 1` only when the rank holds entry `k` itself and
+/// installs entry `k + 1`'s spectrum to the bit, and it only ever finds
+/// that entry. Any other history — a rank that skipped a round, a
+/// spectrum the chain did not record — builds a system of the rank's
+/// own and leaves the chain alone.
 struct Systems<D> {
     chain: Mutex<Vec<(Vec<f32>, Arc<D>)>>,
-    /// Host-work tally: systems built, shared or private.
+    /// Host-work tallies: systems built, shared or private, and of those
+    /// the ones an install built (private, off the chain).
     built: AtomicUsize,
+    by_installs: AtomicUsize,
 }
 
 impl<D: Detector> Systems<D> {
@@ -261,6 +278,7 @@ impl<D: Detector> Systems<D> {
         Systems {
             chain: Mutex::new(vec![(Vec::new(), Arc::new(D::new(bands)))]),
             built: AtomicUsize::new(0),
+            by_installs: AtomicUsize::new(0),
         }
     }
 
@@ -275,36 +293,41 @@ impl<D: Detector> Systems<D> {
         Arc::clone(&self.chain()[0].1)
     }
 
-    /// `current` with `spectrum` taken in: the chain's next entry when
-    /// `current` is on the chain and the spectrum is the one it recorded
-    /// (built by the first install that asks), else a system of its own.
-    fn next(&self, current: &Arc<D>, spectrum: &[f32]) -> Arc<D> {
+    /// Makes entry `depth + 1` of the chain — entry `depth` with
+    /// `spectrum` taken in — when the chain ends at `depth`. A chain that
+    /// already holds the entry (a merge of the same round asked first,
+    /// or an earlier run over the same algorithm), or one that ends
+    /// short of `depth`, is left alone.
+    fn extend(&self, depth: usize, spectrum: &[f32]) {
         let mut chain = self.chain();
+        if chain.len() == depth + 1 {
+            let next = self.build(&chain[depth].1, spectrum);
+            chain.push((spectrum.to_vec(), next));
+        }
+    }
+
+    /// `current` with `spectrum` taken in: the chain's next entry when
+    /// `current` is on the chain and the spectrum is the one it recorded,
+    /// else a system of its own.
+    fn next(&self, current: &Arc<D>, spectrum: &[f32]) -> Arc<D> {
+        let chain = self.chain();
         let k = current.admitted();
-        if chain
+        let on_chain = chain
             .get(k)
-            .is_some_and(|(_, held)| Arc::ptr_eq(held, current))
-        {
-            match chain.get(k + 1) {
-                None => {
-                    let next = self.build(current, spectrum);
-                    chain.push((spectrum.to_vec(), Arc::clone(&next)));
-                    return next;
-                }
-                // Bit for bit: `-0.0` is not `0.0`, a NaN matches only its
-                // own payload.
-                Some((recorded, next))
-                    if recorded
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .eq(spectrum.iter().map(|x| x.to_bits())) =>
-                {
-                    return Arc::clone(next);
-                }
-                Some(_) => {}
+            .is_some_and(|(_, held)| Arc::ptr_eq(held, current));
+        if let Some((recorded, next)) = chain.get(k + 1).filter(|_| on_chain) {
+            // Bit for bit: `-0.0` is not `0.0`, a NaN matches only its own
+            // payload.
+            if recorded
+                .iter()
+                .map(|x| x.to_bits())
+                .eq(spectrum.iter().map(|x| x.to_bits()))
+            {
+                return Arc::clone(next);
             }
         }
         drop(chain);
+        self.by_installs.fetch_add(1, Ordering::Relaxed);
         self.build(current, spectrum)
     }
 
@@ -351,13 +374,22 @@ impl<'a, D: Detector> DetectChunks<'a, D> {
         &self.carry
     }
 
-    /// How many detector systems the ranks' installs have built so far,
-    /// shared or private: one per round when every rank installs the
-    /// run's winners. A host-work tally, like the carry's; the virtual
-    /// clock never reads it.
+    /// How many detector systems the run has built so far, shared or
+    /// private: one per round when every rank installs the run's
+    /// winners. A host-work tally, like the carry's; the virtual clock
+    /// never reads it.
     #[doc(hidden)]
     pub fn systems_built(&self) -> usize {
         self.systems.built.load(Ordering::Relaxed)
+    }
+
+    /// How many of [`Self::systems_built`] an install built: a private
+    /// system, for a rank whose history left the run's. None when every
+    /// rank installs the winners the merges picked — each shared system
+    /// is made by the merge, on the master's thread.
+    #[doc(hidden)]
+    pub fn systems_built_by_installs(&self) -> usize {
+        self.systems.by_installs.load(Ordering::Relaxed)
     }
 }
 
@@ -392,8 +424,8 @@ impl<D: Detector> ChunkedAlgo for DetectChunks<'_, D> {
         self.systems.empty()
     }
 
-    /// Every rank pays the `follow_up` row; the host builds the system
-    /// once per round, and a rank's install moves its handle on.
+    /// Every rank pays the `follow_up` row; the merge built the system
+    /// the install finds, and a rank's install moves its handle on.
     fn install(&self, round: usize, detector: &mut Arc<D>, delta: Arc<Spectra>) -> f64 {
         *detector = self.systems.next(detector, &delta.0[0]);
         D::follow_up(self.cube.bands(), round, self.params.num_targets)
@@ -424,7 +456,10 @@ impl<D: Detector> ChunkedAlgo for DetectChunks<'_, D> {
         Some(better_candidate)
     }
 
-    /// One step: the master re-scores every gathered candidate.
+    /// One step: the master re-scores every gathered candidate. The
+    /// host also builds the system over the new winner here, on the
+    /// merging thread, before any rank installs it (host work only: the
+    /// ranks still pay their `follow_up` row).
     fn reduce(
         &self,
         round: usize,
@@ -437,6 +472,7 @@ impl<D: Detector> ChunkedAlgo for DetectChunks<'_, D> {
             .map(|(_, c)| c)
             .reduce(better_candidate)
             .expect("detect: a round merges one partial at least");
+        self.systems.extend(round, &best.spectrum);
         let delta = Spectra(vec![best.spectrum.clone()]);
         state.push(DetectedTarget {
             line: best.line as usize,
@@ -801,11 +837,21 @@ pub enum MorphState {
 /// halo, the paper's overlap border — an image of its own with its own
 /// edges, no sample copied) and SAD labelling against the merged class
 /// representatives.
+///
+/// **Who makes a window's working memory.** The MEI of a window works in
+/// one of the run's [`kernels::MeiWorkspaces`], which the algorithm holds
+/// for all its ranks: at most as many as the host has cores, lent to
+/// whichever rank computes a window next. They are made by the driver's
+/// master, on its own thread, for the largest window it is about to hand
+/// out ([`ChunkedAlgo::reserve`]): the static driver of `crate::par` for
+/// its largest WEA cell before any rank starts, the ft masters for each
+/// round's chunks or batches before they send them.
 pub struct MorphChunks<'a> {
     cube: &'a HyperCube,
     params: &'a AlgoParams,
     se: StructuringElement,
     halo: usize,
+    workspaces: kernels::MeiWorkspaces,
 }
 
 impl<'a> MorphChunks<'a> {
@@ -817,8 +863,21 @@ impl<'a> MorphChunks<'a> {
             params,
             se: StructuringElement::square(params.se_radius),
             halo: 0,
+            workspaces: kernels::MeiWorkspaces::new(),
         }
         .with_overlap(OverlapPolicy::default())
+    }
+
+    /// The cube and parameters the algorithm was made over.
+    pub(crate) fn inputs(&self) -> (&'a HyperCube, &'a AlgoParams) {
+        (self.cube, self.params)
+    }
+
+    /// The run's MEI workspaces (their host-work tallies are what the
+    /// counting tests read).
+    #[doc(hidden)]
+    pub fn workspaces(&self) -> &kernels::MeiWorkspaces {
+        &self.workspaces
     }
 
     /// The same algorithm with halos sized by `policy`.
@@ -904,7 +963,8 @@ impl ChunkedAlgo for MorphChunks<'_> {
             // MEI over the window, halo included (the redundant work),
             // nominations from the owned lines only.
             let (block, pre) = self.cube.extract_lines_with_overlap(first, n, self.halo);
-            let (top, mflops) = kernels::mei_top(
+            let (top, mflops) = kernels::mei_top_in(
+                &mut self.workspaces.take(),
                 &block,
                 &self.se,
                 self.params.morph_iterations,
@@ -960,6 +1020,16 @@ impl ChunkedAlgo for MorphChunks<'_> {
             panic!("morph: finish before the labelling round")
         };
         (labels, reps)
+    }
+
+    /// The MEI round's workspaces, with room for the halo-padded window
+    /// of a chunk of `lines` lines.
+    fn reserve(&self, round: usize, lines: usize) {
+        if round == 0 {
+            let window = (lines + 2 * self.halo).min(self.cube.lines());
+            self.workspaces
+                .reserve(window * self.cube.samples(), &self.se);
+        }
     }
 
     /// Round 0 prices the MEI of the clipped window, not the nomination's

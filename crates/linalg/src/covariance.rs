@@ -124,7 +124,8 @@ impl CovarianceAccumulator {
             "push_pixels_f32: data length {} not a multiple of dim {d}",
             data.len()
         );
-        push_band(d, 0..d, &mut self.flat, data);
+        let panel = Self::PANEL.min(data.len() / d) * d.next_multiple_of(TILE_COLS);
+        push_band(d, 0..d, &mut self.flat, data, &mut vec![0.0; panel]);
     }
 
     /// Panel width (pixels) of the tiled [`Self::push_pixels_f32`]
@@ -147,7 +148,10 @@ impl CovarianceAccumulator {
     /// sums the count and `Σx`), and `run` is handed the bands to fold,
     /// each with [`ShardBand::fold`], on whatever threads it chooses.
     /// Every cell is summed by one band, in the order the merge would, so
-    /// the result is the same for every `parts`.
+    /// the result is the same for every `parts`. Every buffer a band
+    /// works in is made here, on the caller's thread, at the size the
+    /// band fills ([`ShardBand`]): the threads `run` picks allocate
+    /// nothing.
     ///
     /// # Panics
     /// Panics if `dim` is zero or a chunk's length is not a multiple of
@@ -167,14 +171,48 @@ impl CovarianceAccumulator {
                 chunk.len()
             );
         }
+        // What the bands sum outside themselves: past the first shard with
+        // pixels, a chunk buffer for any shard, a shard buffer for one of
+        // several chunks; before it, a chunk buffer if it has several.
+        let mut nonempty = shards.iter().filter(|chunks| !chunks.is_empty());
+        let first_chunks = nonempty.next().map_or(0, Vec::len);
+        let later: Vec<usize> = nonempty.map(Vec::len).collect();
+        let needs_chunk = first_chunks > 1 || !later.is_empty();
+        let needs_shard = later.iter().any(|&chunks| chunks > 1);
+        let panel = shards
+            .iter()
+            .flatten()
+            .map(|chunk| chunk.len() / dim)
+            .max()
+            .unwrap_or(0)
+            .min(Self::PANEL)
+            * dim.next_multiple_of(TILE_COLS);
         let mut acc = Self::new(dim);
         let folded = AtomicUsize::new(0);
+        let ranges = row_bands(dim, parts);
+        let mut scratch: Vec<BandScratch> = ranges
+            .iter()
+            .map(|rows| {
+                let start = if rows.start == 0 {
+                    0
+                } else {
+                    rows_end(dim, rows.start)
+                };
+                let len = rows_end(dim, rows.end) - start;
+                let zeros = |needed: bool| vec![0.0; if needed { len } else { 0 }];
+                BandScratch {
+                    chunk: zeros(needs_chunk),
+                    shard: zeros(needs_shard),
+                    panel: vec![0.0; panel],
+                }
+            })
+            .collect();
         let (mut rest, mut taken) = (&mut acc.flat[..], 0);
-        let mut bands = Vec::new();
-        for rows in row_bands(dim, parts) {
+        let mut bands = Vec::with_capacity(ranges.len());
+        for (rows, scratch) in ranges.into_iter().zip(&mut scratch) {
             // The band's run ends where row `rows.end` of the triangle
             // would start; the first run also holds the count and `Σx`.
-            let end = 1 + dim + packed_row(dim, rows.end);
+            let end = rows_end(dim, rows.end);
             let (cells, tail) = std::mem::take(&mut rest).split_at_mut(end - taken);
             (rest, taken) = (tail, end);
             bands.push(ShardBand {
@@ -182,6 +220,7 @@ impl CovarianceAccumulator {
                 rows,
                 cells,
                 shards,
+                scratch,
                 folded: &folded,
             });
         }
@@ -210,7 +249,7 @@ impl CovarianceAccumulator {
     /// Length of the [`Self::to_flat`] buffer of a `dim`-dimensional
     /// accumulator: the count, `dim` sums and the packed upper triangle.
     pub const fn flat_len(dim: usize) -> usize {
-        1 + dim + packed_row(dim, dim)
+        rows_end(dim, dim)
     }
 
     /// Finalised mean vector. Errors when no samples were accumulated.
@@ -252,6 +291,13 @@ impl CovarianceAccumulator {
 /// One band of rows of a fresh accumulator that
 /// [`CovarianceAccumulator::from_shards`] hands out: rows `rows` of the
 /// packed `Σxxᵀ`, and the count and `Σx` when the band starts at row 0.
+///
+/// **Who makes a band's buffers.** The chunk and shard buffers a fold
+/// sums into beside the band, and the panel its tiled push widens pixels
+/// into, are made by `from_shards` on its caller's thread, each at the
+/// size the fold fills, and lent to the band. The thread that folds the
+/// band — a pool helper started for this one merge, whose glibc arena
+/// would otherwise keep what it allocated — only fills them.
 #[derive(Debug)]
 pub struct ShardBand<'a> {
     dim: usize,
@@ -259,8 +305,22 @@ pub struct ShardBand<'a> {
     /// The band's run of the accumulator's buffer, zero until folded.
     cells: &'a mut [f64],
     shards: &'a [Vec<&'a [f32]>],
+    scratch: &'a mut BandScratch,
     /// Bands folded so far, of all the accumulator's bands.
     folded: &'a AtomicUsize,
+}
+
+/// The buffers one [`ShardBand`] folds in: each empty when the shards
+/// never need it, else at its final size.
+#[derive(Debug)]
+struct BandScratch {
+    /// A chunk summed from zero, the band's length.
+    chunk: Vec<f64>,
+    /// A shard of several chunks summed from zero, the band's length.
+    shard: Vec<f64>,
+    /// The widened panel of [`push_band`]: at most
+    /// [`CovarianceAccumulator::PANEL`] pixels of the longest chunk.
+    panel: Vec<f64>,
 }
 
 impl ShardBand<'_> {
@@ -269,8 +329,8 @@ impl ShardBand<'_> {
     /// The first shard with pixels is summed inside the band itself: it
     /// is still zero, every sum of a chunk starts at `+0.0` and so is
     /// never `−0.0`, and `+0.0 + x` is `x` to the bit. A later shard of
-    /// one chunk is summed in a chunk buffer, and one of several chunks
-    /// in a shard buffer that its later chunks are summed into through
+    /// one chunk is summed in the chunk buffer, and one of several chunks
+    /// in the shard buffer that its later chunks are summed into through
     /// the chunk buffer; either is then added to the band. An empty
     /// shard is skipped, which adds `+0.0` to sums that are never `−0.0`.
     /// So at most two buffers of the band's length are held beside it,
@@ -278,40 +338,52 @@ impl ShardBand<'_> {
     pub fn fold(self) {
         let (dim, rows) = (self.dim, self.rows);
         let total = self.cells;
-        let len = total.len();
-        let push = |cells: &mut [f64], chunk: &[f32]| push_band(dim, rows.clone(), cells, chunk);
-        let zeroed = |buf: &mut Vec<f64>| {
-            buf.clear();
-            buf.resize(len, 0.0);
-        };
-        // Sums `chunks` into `dst`, which is zero: the first chunk in
-        // place, each later one in `chunk_buf`, then added.
-        let fold_chunks = |dst: &mut [f64], chunks: &[&[f32]], chunk_buf: &mut Vec<f64>| {
-            push(dst, chunks[0]);
-            for chunk in &chunks[1..] {
-                zeroed(chunk_buf);
-                push(chunk_buf, chunk);
-                add_into(dst, chunk_buf);
-            }
-        };
-        let (mut chunk_buf, mut shard_buf) = (Vec::new(), Vec::new());
+        let BandScratch {
+            chunk: chunk_buf,
+            shard: shard_buf,
+            panel,
+        } = self.scratch;
+        let mut push =
+            |cells: &mut [f64], chunk: &[f32]| push_band(dim, rows.clone(), cells, chunk, panel);
         let mut shards = self.shards.iter().filter(|chunks| !chunks.is_empty());
         if let Some(first) = shards.next() {
-            fold_chunks(total, first, &mut chunk_buf);
+            fold_chunks(&mut push, total, first, chunk_buf);
         }
         for chunks in shards {
             if let [chunk] = chunks.as_slice() {
-                zeroed(&mut chunk_buf);
-                push(&mut chunk_buf, chunk);
-                add_into(total, &chunk_buf);
+                chunk_buf.fill(0.0);
+                push(chunk_buf, chunk);
+                add_into(total, chunk_buf);
             } else {
-                zeroed(&mut shard_buf);
-                fold_chunks(&mut shard_buf, chunks, &mut chunk_buf);
-                add_into(total, &shard_buf);
+                shard_buf.fill(0.0);
+                fold_chunks(&mut push, shard_buf, chunks, chunk_buf);
+                add_into(total, shard_buf);
             }
         }
         self.folded.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Sums `chunks` into `dst`, which is zero, with `push`: the first chunk
+/// in place, each later one in `chunk_buf`, then added.
+fn fold_chunks(
+    push: &mut impl FnMut(&mut [f64], &[f32]),
+    dst: &mut [f64],
+    chunks: &[&[f32]],
+    chunk_buf: &mut [f64],
+) {
+    push(dst, chunks[0]);
+    for chunk in &chunks[1..] {
+        chunk_buf.fill(0.0);
+        push(chunk_buf, chunk);
+        add_into(dst, chunk_buf);
+    }
+}
+
+/// Where the run of an accumulator's buffer that holds rows `..row` of
+/// the packed `Σxxᵀ` ends: past the count, `Σx` and those rows.
+const fn rows_end(dim: usize, row: usize) -> usize {
+    1 + dim + packed_row(dim, row)
 }
 
 /// Offset of row `i` in the packed upper triangle of a `dim × dim`
@@ -358,13 +430,15 @@ fn row_bands(dim: usize, parts: usize) -> Vec<Range<usize>> {
 ///
 /// The tiled update of [`CovarianceAccumulator::push_pixels_f32`], on
 /// the tiles of `rows` only: every cell still adds its terms in sample
-/// order, whichever rows a call covers.
-fn push_band(dim: usize, rows: Range<usize>, cells: &mut [f64], data: &[f32]) {
+/// order, whichever rows a call covers. `scratch` is the caller's,
+/// zero, and holds `min(PANEL, pixels)` rows of `dim` rounded up to
+/// whole tile columns; only the first `dim` of a row are ever written,
+/// so it stays zero past them from call to call.
+fn push_band(dim: usize, rows: Range<usize>, cells: &mut [f64], data: &[f32], scratch: &mut [f64]) {
     let (head, cross) = cells.split_at_mut(if rows.start == 0 { 1 + dim } else { 0 });
     let base = packed_row(dim, rows.start);
     let stride = dim.next_multiple_of(TILE_COLS);
     let panel_px = CovarianceAccumulator::PANEL;
-    let mut scratch = vec![0.0f64; panel_px.min(data.len() / dim) * stride];
     for panel in data.chunks(panel_px * dim) {
         let pixels = panel.len() / dim;
         let widened = &mut scratch[..pixels * stride];

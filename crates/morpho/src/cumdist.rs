@@ -16,37 +16,21 @@
 //! knows how long the input lives owns the memo: [`cumdist_map`] one
 //! for its single map, [`crate::mei::mei`] one for all its scales — a
 //! dilation only moves input pixels around, so later scales mostly ask
-//! about pairs an earlier one measured.
+//! about pairs an earlier one measured. The memo's buffers are lent to
+//! it (`MemoBuffers`) by whoever holds them across calls — an
+//! [`crate::mei::MeiWorkspace`] — and every parallel step writes into
+//! them in place, so a pool helper allocates nothing.
 
 use crate::se::StructuringElement;
 use hsi_cube::metrics::{dots_into, dots_with, sad, sad_from_sums};
 use hsi_cube::HyperCube;
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// Fixed line-chunk granularity of the parallel morphology kernels.
 /// The grid depends only on the image height, never on the thread
 /// count, and chunk results are concatenated in index order — so every
 /// operation is bit-identical to its sequential scan.
 pub(crate) const PAR_CHUNK_LINES: usize = 8;
-
-/// Runs `per_block` over `0..n` in fixed blocks of `grain` (parallel
-/// across blocks), concatenating the blocks' outputs in index order.
-fn par_blocks_flat_map<T: Send>(
-    n: usize,
-    grain: usize,
-    per_block: impl Fn(Range<usize>, &mut Vec<T>) + Sync,
-) -> Vec<T> {
-    let blocks: Vec<Vec<T>> = (0..n.div_ceil(grain))
-        .into_par_iter()
-        .map(|b| {
-            let mut part = Vec::new();
-            per_block(b * grain..((b + 1) * grain).min(n), &mut part);
-            part
-        })
-        .collect();
-    blocks.into_iter().flatten().collect()
-}
 
 /// Runs `per_line` over every line in fixed chunks (parallel across
 /// chunks, sequential within), concatenating the per-line outputs in
@@ -55,11 +39,42 @@ pub(crate) fn par_lines_flat_map<T: Send>(
     lines: usize,
     per_line: impl Fn(usize, &mut Vec<T>) + Sync,
 ) -> Vec<T> {
-    par_blocks_flat_map(lines, PAR_CHUNK_LINES, |block, part| {
-        for line in block {
-            per_line(line, part);
-        }
-    })
+    let blocks: Vec<Vec<T>> = (0..lines.div_ceil(PAR_CHUNK_LINES))
+        .into_par_iter()
+        .map(|b| {
+            let mut part = Vec::new();
+            for line in b * PAR_CHUNK_LINES..((b + 1) * PAR_CHUNK_LINES).min(lines) {
+                per_line(line, &mut part);
+            }
+            part
+        })
+        .collect();
+    blocks.into_iter().flatten().collect()
+}
+
+/// Fills `out`, `per_line` values for each image line, in the fixed line
+/// chunks of [`par_lines_flat_map`] (parallel across chunks, sequential
+/// within): `fill_line(line, values)` writes one line's. Nothing is
+/// allocated; every value depends on its line alone, so `out` is the
+/// same for any thread count.
+pub(crate) fn par_lines_fill<T: Send>(
+    out: &mut [T],
+    per_line: usize,
+    fill_line: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let per_line = per_line.max(1);
+    out.par_chunks_mut(PAR_CHUNK_LINES * per_line)
+        .enumerate()
+        .for_each(|(chunk, part)| {
+            for (i, values) in part.chunks_mut(per_line).enumerate() {
+                fill_line(chunk * PAR_CHUNK_LINES + i, values);
+            }
+        });
+}
+
+/// Makes `v` hold `n` values without reallocating.
+pub(crate) fn at_least<T>(v: &mut Vec<T>, n: usize) {
+    v.reserve_exact(n.saturating_sub(v.len()));
 }
 
 /// Clamps `(line, sample)` + offset to the image, returning valid
@@ -103,17 +118,26 @@ pub fn cumdist_at(cube: &HyperCube, se: &StructuringElement, line: usize, sample
 /// scan for any thread count.
 pub fn cumdist_map(cube: &HyperCube, se: &StructuringElement) -> Vec<f64> {
     // One scale of the image as it is: nothing to remember afterwards.
-    let mut memo = PairMemo::new(cube, se);
-    cumdist_map_of(&mut memo, &identity(cube), se)
+    let mut memo = PairMemo::new(cube, se, MemoBuffers::default());
+    let (mut origin, mut map) = (Vec::new(), Vec::new());
+    identity_into(cube, &mut origin);
+    cumdist_map_of(&mut memo, &origin, se, &mut map);
+    map
 }
 
-/// The coordinate map of an image that is its input: every position
-/// shows the input pixel there, row-major.
-pub(crate) fn identity(cube: &HyperCube) -> Vec<(usize, usize)> {
+/// Makes `origin` the coordinate map of an image that is its input:
+/// every position shows the input pixel there, row-major.
+pub(crate) fn identity_into(cube: &HyperCube, origin: &mut Vec<(usize, usize)>) {
     let samples = cube.samples();
-    (0..cube.lines())
-        .flat_map(|line| (0..samples).map(move |sample| (line, sample)))
-        .collect()
+    origin.clear();
+    origin
+        .extend((0..cube.lines()).flat_map(|line| (0..samples).map(move |sample| (line, sample))));
+}
+
+/// `1 +` the number of pair deltas of `se`: how many angle slots the memo
+/// keeps a pixel (its angle with itself first).
+pub(crate) fn pair_width(se: &StructuringElement) -> usize {
+    1 + pair_deltas(se).len()
 }
 
 /// The lexicographically positive deltas `q − p` between a pixel `p` and
@@ -160,6 +184,18 @@ const MEASURE_BLOCK: usize = 256;
 /// through `far`.
 pub(crate) struct PairMemo<'c> {
     cube: &'c HyperCube,
+    buf: MemoBuffers,
+    /// Dots formed between different pixels so far.
+    dots: usize,
+}
+
+/// What a [`PairMemo`] and the `D_B` maps asked of it work in, lent by
+/// the caller ([`PairMemo::new`]) and handed back
+/// ([`PairMemo::into_buffers`]) with whatever capacity they reached.
+/// Nothing in them outlives a memo's use: a memo made over them starts
+/// from scratch.
+#[derive(Default)]
+pub(crate) struct MemoBuffers {
     /// `‖x‖²` of every input pixel, row-major.
     norms: Vec<f64>,
     /// `(0, 0)`, then [`pair_deltas`]: sorted.
@@ -172,32 +208,63 @@ pub(crate) struct PairMemo<'c> {
     /// Pairs that were given the slots `angles.len()..` and wait for
     /// [`PairMemo::measure`], smaller end first.
     reserved: Vec<(usize, usize)>,
-    /// Dots formed between different pixels so far.
-    dots: usize,
+    /// [`cumdist_map_of`]'s slot of every position pair it sums.
+    slots: Vec<u32>,
+}
+
+impl MemoBuffers {
+    /// Room for a memo over `pixels` input pixels under an element of
+    /// pair width `width` ([`pair_width`]) that meets `far` pairs out of
+    /// each other's reach.
+    pub(crate) fn reserve(&mut self, pixels: usize, width: usize, far: usize) {
+        at_least(&mut self.norms, pixels);
+        at_least(&mut self.deltas, width);
+        at_least(&mut self.angles, pixels * width + far);
+        at_least(&mut self.reserved, far);
+        at_least(&mut self.slots, pixels * width);
+        self.far.reserve(far);
+    }
+
+    /// What the buffers hold without reallocating, summed: it rises
+    /// exactly when one of them grows.
+    pub(crate) fn room(&self) -> usize {
+        self.norms.capacity()
+            + self.deltas.capacity()
+            + self.angles.capacity()
+            + self.reserved.capacity()
+            + self.slots.capacity()
+            + self.far.keys.capacity()
+            + self.far.slots.capacity()
+    }
 }
 
 impl<'c> PairMemo<'c> {
     /// A memo over `cube`'s pixels for maps under `se`, holding the
-    /// angles of the input's own neighbour pairs.
-    pub(crate) fn new(cube: &'c HyperCube, se: &StructuringElement) -> Self {
+    /// angles of the input's own neighbour pairs, in `buf`.
+    pub(crate) fn new(cube: &'c HyperCube, se: &StructuringElement, mut buf: MemoBuffers) -> Self {
         let (lines, samples) = (cube.lines(), cube.samples());
-        let norms = par_lines_flat_map(lines, |line, part: &mut Vec<f64>| {
-            let at = part.len();
-            part.resize(at + samples, 0.0);
+        let pixels = cube.num_pixels();
+        buf.norms.clear();
+        buf.norms.resize(pixels, 0.0);
+        par_lines_fill(&mut buf.norms, samples, |line, norms| {
             let own = |sample| (cube.pixel(line, sample), cube.pixel(line, sample));
-            dots_into(own, &mut part[at..]);
+            dots_into(own, norms);
         });
-        let mut deltas = vec![(0, 0)];
-        deltas.extend(pair_deltas(se));
-        let width = deltas.len();
+        buf.deltas.clear();
+        buf.deltas.push((0, 0));
+        buf.deltas.extend(pair_deltas(se));
+        let width = buf.deltas.len();
         assert!(
-            u32::try_from(cube.num_pixels() * width).is_ok(),
+            u32::try_from(pixels * width).is_ok(),
             "cumdist: the image's pixel pairs do not fit the memo's 32-bit slots"
         );
-        let angles = par_lines_flat_map(lines, |line, part: &mut Vec<f64>| {
+        buf.angles.clear();
+        buf.angles.resize(pixels * width, 0.0);
+        let (norms, deltas) = (&buf.norms, &buf.deltas);
+        par_lines_fill(&mut buf.angles, samples * width, |line, angles| {
             let mut ends = Vec::with_capacity(width);
             let mut far = Vec::with_capacity(width);
-            for sample in 0..samples {
+            for (sample, part) in angles.chunks_mut(width).enumerate() {
                 ends.clear();
                 far.clear();
                 for (k, &(dl, ds)) in deltas.iter().enumerate().skip(1) {
@@ -208,31 +275,29 @@ impl<'c> PairMemo<'c> {
                         far.push(cube.pixel(l, s));
                     }
                 }
-                let (p, at) = (line * samples + sample, part.len());
-                part.resize(at + width, 0.0);
-                part[at] = sad_from_sums(norms[p], norms[p], norms[p]);
+                let p = line * samples + sample;
+                part[0] = sad_from_sums(norms[p], norms[p], norms[p]);
                 dots_with(cube.pixel(line, sample), &far, |i, xy| {
                     let (k, q) = ends[i];
-                    part[at + k] = sad_from_sums(xy, norms[p], norms[q]);
+                    part[k] = sad_from_sums(xy, norms[p], norms[q]);
                 });
             }
         });
         // A lexicographically positive delta goes down `dl` lines.
-        let dots = deltas[1..]
+        let dots = buf.deltas[1..]
             .iter()
             .map(|&(dl, ds)| {
                 lines.saturating_sub(dl.unsigned_abs()) * samples.saturating_sub(ds.unsigned_abs())
             })
             .sum();
-        PairMemo {
-            cube,
-            norms,
-            deltas,
-            angles,
-            far: FarPairs::default(),
-            reserved: Vec::new(),
-            dots,
-        }
+        buf.far.clear();
+        buf.reserved.clear();
+        PairMemo { cube, buf, dots }
+    }
+
+    /// The buffers back, for the next memo.
+    pub(crate) fn into_buffers(self) -> MemoBuffers {
+        self.buf
     }
 
     /// Where a table of `pixels × |deltas|` entries keeps the unordered
@@ -241,8 +306,8 @@ impl<'c> PairMemo<'c> {
     fn near_index(&self, a: (usize, usize), b: (usize, usize)) -> Option<usize> {
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
         let delta = (b.0 as isize - a.0 as isize, b.1 as isize - a.1 as isize);
-        let k = self.deltas.binary_search(&delta).ok()?;
-        Some((a.0 * self.cube.samples() + a.1) * self.deltas.len() + k)
+        let k = self.buf.deltas.binary_search(&delta).ok()?;
+        Some((a.0 * self.cube.samples() + a.1) * self.buf.deltas.len() + k)
     }
 
     /// Where the angle between the input pixels at `a` and `b` is kept.
@@ -255,40 +320,46 @@ impl<'c> PairMemo<'c> {
         let samples = self.cube.samples();
         let (a, b) = (a.0 * samples + a.1, b.0 * samples + b.1);
         let (from, to) = (a.min(b), a.max(b));
-        let next = (self.angles.len() + self.reserved.len()) as u32;
+        let next = (self.buf.angles.len() + self.buf.reserved.len()) as u32;
         let slot = self
+            .buf
             .far
             .get_or_insert((from as u64) << 32 | to as u64, next);
         if slot == next {
-            self.reserved.push((from, to));
+            self.buf.reserved.push((from, to));
         }
         slot
     }
 
     /// Forms the angle of every pair reserved since the last call: one
-    /// dot each, four pairs abreast ([`dots_into`]).
+    /// dot each, four pairs abreast ([`dots_into`]), in fixed blocks of
+    /// the list written in place behind the angles already kept.
     pub(crate) fn measure(&mut self) {
-        let reserved = std::mem::take(&mut self.reserved);
-        let (cube, norms) = (self.cube, &self.norms);
-        let fresh = par_blocks_flat_map(reserved.len(), MEASURE_BLOCK, |block, part| {
-            let pairs = &reserved[block];
-            part.resize(pairs.len(), 0.0);
-            dots_into(
-                |i| (cube.pixel_flat(pairs[i].0), cube.pixel_flat(pairs[i].1)),
-                part,
-            );
-            for (angle, &(a, b)) in part.iter_mut().zip(pairs) {
-                *angle = sad_from_sums(*angle, norms[a], norms[b]);
-            }
-        });
-        self.angles.extend(fresh);
+        let buf = &mut self.buf;
+        let (cube, norms, reserved) = (self.cube, &buf.norms, &buf.reserved);
+        let at = buf.angles.len();
+        buf.angles.resize(at + reserved.len(), 0.0);
+        buf.angles[at..]
+            .par_chunks_mut(MEASURE_BLOCK)
+            .enumerate()
+            .for_each(|(block, part)| {
+                let pairs = &reserved[block * MEASURE_BLOCK..][..part.len()];
+                dots_into(
+                    |i| (cube.pixel_flat(pairs[i].0), cube.pixel_flat(pairs[i].1)),
+                    part,
+                );
+                for (angle, &(a, b)) in part.iter_mut().zip(pairs) {
+                    *angle = sad_from_sums(*angle, norms[a], norms[b]);
+                }
+            });
         self.dots += reserved.len();
+        buf.reserved.clear();
     }
 
     /// The angle kept in `slot`, once measured.
     #[inline]
     pub(crate) fn angle(&self, slot: u32) -> f64 {
-        self.angles[slot as usize]
+        self.buf.angles[slot as usize]
     }
 
     /// How many dots between different input pixels the memo has formed.
@@ -334,6 +405,28 @@ impl FarPairs {
         }
     }
 
+    /// Room for `pairs` keys without growing: a capacity above twice
+    /// that.
+    fn reserve(&mut self, pairs: usize) {
+        let capacity = (2 * pairs + 1).next_power_of_two().max(1024);
+        if capacity > self.keys.len() {
+            let old = std::mem::take(self);
+            self.keys = vec![Self::VACANT; capacity];
+            self.slots = vec![0; capacity];
+            for (key, slot) in old.keys.into_iter().zip(old.slots) {
+                if key != Self::VACANT {
+                    self.get_or_insert(key, slot);
+                }
+            }
+        }
+    }
+
+    /// Forgets every key, keeping the capacity.
+    fn clear(&mut self) {
+        self.keys.fill(Self::VACANT);
+        self.len = 0;
+    }
+
     fn grow(&mut self) {
         let capacity = (self.keys.len() * 2).max(1024);
         let grown = FarPairs {
@@ -364,20 +457,23 @@ pub(crate) fn cumdist_map_of(
     memo: &mut PairMemo<'_>,
     origin: &[(usize, usize)],
     se: &StructuringElement,
-) -> Vec<f64> {
+    map: &mut Vec<f64>,
+) {
     let shape = memo.cube;
     let (lines, samples) = (shape.lines(), shape.samples());
     assert_eq!(origin.len(), lines * samples, "cumdist: wrong map size");
     // `slots[p·|deltas| + k]`: the slot of the pair of positions `p` and
     // `p + deltas[k]`; entries whose far end lies outside the image are
     // never read.
-    let width = memo.deltas.len();
-    let mut slots = vec![0u32; origin.len() * width];
+    let width = memo.buf.deltas.len();
+    let mut slots = std::mem::take(&mut memo.buf.slots);
+    slots.clear();
+    slots.resize(origin.len() * width, 0);
     for line in 0..lines {
         for sample in 0..samples {
             let p = line * samples + sample;
             for k in 0..width {
-                let (dl, ds) = memo.deltas[k];
+                let (dl, ds) = memo.buf.deltas[k];
                 let l = line.checked_add_signed(dl).filter(|&l| l < lines);
                 let s = sample.checked_add_signed(ds).filter(|&s| s < samples);
                 if let (Some(l), Some(s)) = (l, s) {
@@ -387,19 +483,22 @@ pub(crate) fn cumdist_map_of(
         }
     }
     memo.measure();
-    let memo = &*memo;
-    par_lines_flat_map(lines, |line, part: &mut Vec<f64>| {
-        for sample in 0..samples {
-            let mut sum = 0.0;
+    map.clear();
+    map.resize(origin.len(), 0.0);
+    let (memo_ref, slots_ref) = (&*memo, &slots);
+    par_lines_fill(map, samples, |line, sums| {
+        for (sample, sum) in sums.iter_mut().enumerate() {
+            let mut acc = 0.0;
             for &(dl, ds) in se.offsets() {
-                let pair = memo
+                let pair = memo_ref
                     .near_index((line, sample), clamped(shape, line, sample, dl, ds))
                     .expect("pair_deltas covers every clamped offset");
-                sum += memo.angle(slots[pair]);
+                acc += memo_ref.angle(slots_ref[pair]);
             }
-            part.push(sum);
+            *sum = acc;
         }
-    })
+    });
+    memo.buf.slots = slots;
 }
 
 #[cfg(test)]
@@ -570,7 +669,11 @@ pub(crate) mod tests {
     #[test]
     fn the_memo_measures_a_pair_once_whoever_asks() {
         let cube = textured_cube(4, 5, 3, 5);
-        let mut memo = PairMemo::new(&cube, &StructuringElement::square(1));
+        let mut memo = PairMemo::new(
+            &cube,
+            &StructuringElement::square(1),
+            MemoBuffers::default(),
+        );
         // The input's own neighbour pairs are there from the start:
         // 4·4 along lines, 3·5 down columns, 2·3·4 diagonal.
         let near = 4 * 4 + 3 * 5 + 2 * 3 * 4;

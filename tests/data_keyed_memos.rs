@@ -23,10 +23,11 @@
 //! `MeiResult::dots_formed`); the virtual clock never reads them.
 
 use heterospec::cube::synth::{wtc_scene, WtcConfig};
+use heterospec::cube::LabelImage;
 use heterospec::hetero::config::AlgoParams;
 use heterospec::hetero::ft::{run_replan, run_self_sched, FtOptions, FtRun};
-use heterospec::hetero::par::run_detector;
-use heterospec::hetero::sched::{AtdcaChunks, ChunkedAlgo, UfclsChunks};
+use heterospec::hetero::par::{self, run_detector, run_morph};
+use heterospec::hetero::sched::{AtdcaChunks, ChunkedAlgo, MorphChunks, UfclsChunks};
 use heterospec::hetero::seq::{self, DetectedTarget};
 use heterospec::hetero::RunOptions;
 use heterospec::morpho::mei::mei;
@@ -68,8 +69,8 @@ type Tally = ((usize, usize), usize);
 
 /// Both ft drivers over a fresh `new_algo()` each, with and without
 /// faults: `want`'s targets, the carry tally of the sequential pass, and
-/// one system built per round whose winner the workers install — every
-/// round's but the last, which no round opens with.
+/// one system built per round, by the master's merge — the last round's
+/// too, which no round opens with.
 fn assert_lines_are_continued_whoever_scores_them<A>(
     new_algo: impl Fn() -> A,
     tally: impl Fn(&A) -> Tally,
@@ -103,7 +104,7 @@ fn assert_lines_are_continued_whoever_scores_them<A>(
                 let what = format!("{mode} {state} {}, {crashes} crashes", algo.name());
                 assert_eq!(run.recoveries.len(), crashes, "{what}");
                 assert_eq!(run.output, want, "{what}");
-                assert_eq!(tally(&algo), (once.0, want.len() - 1), "{what}");
+                assert_eq!(tally(&algo), (once.0, want.len()), "{what}");
             }
         }
     }
@@ -180,9 +181,10 @@ fn a_run_fills_the_carry_its_owner_reserved() {
 }
 
 /// Every rank of a static run installs every round's winner, and the
-/// run builds each round's system once: under the linear gather, where
-/// the root's broadcast hands every rank one delta, and under a fused
-/// tree allreduce, where every rank merges a winner of its own.
+/// run builds each round's system once, in the merge that picks the
+/// winner, so no install builds one: under the linear gather, where the
+/// root's broadcast hands every rank one delta, and under a fused tree
+/// allreduce, where every rank merges a winner of its own.
 #[test]
 fn a_par_run_builds_one_detector_system_per_round() {
     let s = testutil::tiny_scene();
@@ -200,9 +202,11 @@ fn a_par_run_builds_one_detector_system_per_round() {
             let algo = AtdcaChunks::new(&s.cube, &p);
             assert_eq!(run_detector(&engine, &algo, &options).result, atdca);
             assert_eq!(algo.systems_built(), algo.rounds(), "{}", what("ATDCA"));
+            assert_eq!(algo.systems_built_by_installs(), 0, "{}", what("ATDCA"));
             let algo = UfclsChunks::new(&s.cube, &p);
             assert_eq!(run_detector(&engine, &algo, &options).result, ufcls);
             assert_eq!(algo.systems_built(), algo.rounds(), "{}", what("UFCLS"));
+            assert_eq!(algo.systems_built_by_installs(), 0, "{}", what("UFCLS"));
         }
     }
 }
@@ -238,4 +242,50 @@ fn mei_measures_a_pair_of_input_pixels_once_per_call_not_once_per_scale() {
     });
     assert_eq!(neighbour_pairs(256, 16), 15_570);
     assert_eq!(mei(&scene.cube, &se, 5).dots_formed(), (20_259, 4_555));
+}
+
+/// A MORPH run's MEI workspaces are made by its owner: the driver's
+/// master reserves them on its own thread, no more than the host has
+/// cores, for the largest window it hands out, and every window is
+/// computed in one of them — a rank that finds them all lent out waits
+/// — so no workspace grows on a rank thread. On the benchmark's scene
+/// (256 × 16 pixels, 224 bands, `I_max = 5`): the static driver of `par`
+/// over the 16-node network and 256 Thunderhead ranks, with the output
+/// of `par::morph::run`, and both ft drivers with and without two
+/// crashes (a count, no stopwatch).
+#[test]
+fn a_morph_run_computes_every_window_in_a_workspace_its_master_reserved() {
+    let s = testutil::scene(256, 16, 224);
+    let p = AlgoParams::default();
+    let options = RunOptions::hetero();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for platform in [presets::fully_heterogeneous(), presets::thunderhead(256)] {
+        let engine = Engine::new(platform);
+        let ranks = engine.platform().num_procs();
+        let algo = MorphChunks::new(&s.cube, &p);
+        let run = run_morph(&engine, &algo, &options);
+        assert!(run.report.ok(), "{ranks} ranks: {:?}", run.report.failures);
+        let workspaces = algo.workspaces();
+        assert!(
+            workspaces.made() <= cores,
+            "{ranks} ranks: {} made",
+            workspaces.made()
+        );
+        assert_eq!(workspaces.outgrown(), 0, "{ranks} ranks");
+        let whole = par::morph::run(&engine, &s.cube, &p, &options);
+        assert_eq!(run.result, whole.result, "{ranks} ranks");
+    }
+    type Driver<'a> =
+        fn(&Engine, &MorphChunks<'a>, &FtOptions) -> FtRun<(LabelImage, Vec<Vec<f32>>)>;
+    let drivers: [(&str, Driver); 2] = [("self-sched", run_self_sched), ("replan", run_replan)];
+    for (mode, driver) in drivers {
+        for (plan, crashes) in [(FaultPlan::new as fn() -> FaultPlan, 0), (two_crashes, 2)] {
+            let algo = MorphChunks::new(&s.cube, &p);
+            let run = driver(&testutil::engine_with(plan()), &algo, &FtOptions::default());
+            assert_eq!(run.recoveries.len(), crashes, "{mode}");
+            let workspaces = algo.workspaces();
+            assert!(workspaces.made() <= cores, "{mode}, {crashes} crashes");
+            assert_eq!(workspaces.outgrown(), 0, "{mode}, {crashes} crashes");
+        }
+    }
 }

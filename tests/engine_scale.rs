@@ -388,6 +388,71 @@ fn a_ufcls_carry_is_not_regrown_in_every_arena() {
     );
 }
 
+/// How much the peak resident size grows from the first to the last of
+/// six warm passes of the four `par` algorithms on the 16-node network
+/// over the benchmark's scene (256 × 16 pixels, 224 bands, the paper's
+/// parameters), printed as `VmHWM growth: N KiB`. A 4 MiB block is freed
+/// first, as in [`warm_256_rank_passes_vmhwm_growth`]. Meaningful in a
+/// process of its own.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[test]
+#[ignore = "a probe: a_run_keeps_its_working_memory_out_of_the_rank_arenas runs it in a process of its own"]
+fn warm_16_rank_passes_vmhwm_growth() {
+    let _turn = one_at_a_time();
+    drop(std::hint::black_box(vec![1u8; 4 << 20]));
+    let scene = testutil::scene(256, 16, 224);
+    let cube = &scene.cube;
+    let params = heterospec::hetero::config::AlgoParams::default();
+    let options = RunOptions::hetero();
+    let engine = Engine::new(presets::fully_heterogeneous());
+    let pass = || {
+        let failures = [
+            par::atdca::run(&engine, cube, &params, &options)
+                .report
+                .failures,
+            par::ufcls::run(&engine, cube, &params, &options)
+                .report
+                .failures,
+            par::pct::run(&engine, cube, &params, &options)
+                .report
+                .failures,
+            par::morph::run(&engine, cube, &params, &options)
+                .report
+                .failures,
+        ];
+        assert!(failures.iter().all(Vec::is_empty), "{failures:?}");
+        status_kib("VmHWM")
+    };
+    let first = pass();
+    let mut last = first;
+    for _ in 1..6 {
+        last = pass();
+    }
+    println!("VmHWM growth: {} KiB", last - first);
+}
+
+/// A run's working memory is made by its owner, on the caller's thread:
+/// each round's detector system by the master's merge, PCT's shard-band
+/// buffers by the merge that lends them to its pool helpers, MORPH's MEI
+/// workspaces by the run, for its largest window. So a rank thread's
+/// glibc arena keeps none of it, and warm passes of the four algorithms
+/// on the 16-node network barely raise the peak resident size
+/// ([`warm_16_rank_passes_vmhwm_growth`], run in a fresh process of this
+/// binary). Measured on a 2-core x86-64 VM, 14 runs a side over dev and
+/// release: 1 396–2 440 KiB while the three grew in the ranks' and the
+/// pool helpers' arenas, 316–496 KiB made by their owners. A size, no
+/// stopwatch.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[test]
+fn a_run_keeps_its_working_memory_out_of_the_rank_arenas() {
+    let _turn = one_at_a_time();
+    let kib = probe_in_a_fresh_process("warm_16_rank_passes_vmhwm_growth", "VmHWM growth: ");
+    assert!(
+        kib <= 1_024,
+        "the peak resident size grew {kib} KiB over five warm 16-rank passes"
+    );
+}
+
 #[test]
 fn both_ft_drivers_repeat_exactly_under_crashes_a_slowdown_and_a_link_outage() {
     let _turn = one_at_a_time();
