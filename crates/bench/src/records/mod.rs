@@ -13,7 +13,6 @@ mod allreduce;
 mod chaos;
 mod collectives;
 mod dynamic;
-mod epochs;
 mod profile;
 
 pub use accel::accel;
@@ -21,7 +20,6 @@ pub use allreduce::allreduce;
 pub use chaos::{chaos_soak, requested_scenarios};
 pub use collectives::collectives;
 pub use dynamic::dynamic;
-pub use epochs::epochs;
 pub use profile::profile;
 
 /// A `BENCH_*.json` record and its verdict.

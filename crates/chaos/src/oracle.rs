@@ -439,7 +439,7 @@ impl Oracle {
         );
 
         // 5. Pure observer: profile stripped, the profiled report must
-        // equal the unprofiled one — timing, ledgers, epochs, offloads
+        // equal the unprofiled one — timing, ledgers, offloads
         // and output alike.
         let mut stripped = a.report.clone();
         stripped.profile = None;

@@ -13,7 +13,7 @@ use hetero_hsi::config::AlgoParams;
 use hetero_hsi::ft::FtOptions;
 use hetero_hsi::OffloadPolicy;
 use hsi_cube::synth::{wtc_scene, SyntheticScene, WtcConfig};
-use simnet::{presets, CollAlgorithm, CollectiveConfig, DeviceSpec, FaultPlan, Platform};
+use simnet::{presets, CollAlgorithm, DeviceSpec, FaultPlan, Platform};
 use testutil::gen::{plan_of, random_events, FaultEvent, SplitMix64};
 
 /// The four chunked algorithms of the paper, by name.
@@ -70,8 +70,9 @@ pub struct Scenario {
     pub algo: Algo,
     /// Fault-tolerant driver.
     pub driver: Driver,
-    /// Collective backend for the driver's state distribution and the
-    /// analytic-replay probe.
+    /// Collective backend of the oracle's allreduce probe: the
+    /// serial-link census and the analytic replay (`predict-exact`). The
+    /// ft drivers open their rounds by direct sends whatever it names.
     pub collective: CollAlgorithm,
     /// Per-chunk offload policy.
     pub offload: OffloadPolicy,
@@ -195,8 +196,8 @@ impl Scenario {
     pub fn ft_options(&self) -> FtOptions {
         FtOptions {
             chunk_lines: self.chunk_lines,
-            collectives: CollectiveConfig::uniform(self.collective),
             offload: self.offload,
+            ..FtOptions::default()
         }
     }
 

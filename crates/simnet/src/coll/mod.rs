@@ -54,11 +54,10 @@
 //! lost. Link outages kill no ranks: every algorithm completes under
 //! link-fault plans, just later.
 //!
-//! **Survivor trees belong to the ft protocol.** Every collective here
-//! runs over all ranks of the run. Which ranks are alive is known to one
-//! party only, `hetero::ft`'s master: every round it resolves and builds
-//! its schedule over the survivor list it keeps, through
-//! [`resolve_over`] and [`tree_over`]. See `docs/COMMS.md`.
+//! **Every collective runs over all ranks of the run.** Which ranks
+//! are alive is known to one party only, `hetero::ft`'s master, and it
+//! opens its rounds with direct sends, not with a collective. See
+//! `docs/COMMS.md`.
 
 mod cost;
 mod schedule;
@@ -371,30 +370,8 @@ pub(crate) fn split_chunks(bits: u64, chunks: usize) -> Vec<u64> {
 }
 
 /// Resolves (and, on rank 0, logs) one collective decision over
-/// `members` (ascending, containing `root`) for a protocol that runs its
-/// own wire protocol over the member [`Tree`] (like `hetero::ft`'s round
-/// openers, over its survivors) but wants the cost-model-driven choice and
-/// [`CollectiveChoice`] observability the collectives here have. Such a
-/// protocol forwards whole messages along tree edges and cannot stream
-/// chunks: [`CollAlgorithm::PipelinedChunked`] resolves to the
-/// segment-hierarchical tree it shares, and [`CollAlgorithm::Auto`]
-/// chooses among the schedules the protocol runs — so the logged choice
-/// is the schedule that runs. Deterministic in its arguments, so every
-/// participant that calls it with the same members resolves identically.
-pub fn resolve_over<M: Wire>(
-    ctx: &mut Ctx<M>,
-    op: CollOp,
-    requested: CollAlgorithm,
-    root: usize,
-    members: &[usize],
-    bits_hint: u64,
-) -> CollAlgorithm {
-    resolve(ctx, op, false, requested, root, members, bits_hint)
-}
-
-/// [`resolve_over`]'s resolution, and the one the collectives here make
-/// in `plan`: `streams` says whether the collective can stream chunks
-/// (only this module's broadcast can).
+/// `members` (ascending, containing `root`): `streams` says whether the
+/// collective can stream chunks (only this module's broadcast can).
 ///
 /// The cost model runs only where its value is read: on every rank for
 /// the [`CollAlgorithm::Auto`] scan, otherwise on the logging rank alone.
@@ -440,8 +417,8 @@ fn resolve<M: Wire>(
 /// members)` and shared by every later caller, on any rank.
 /// [`CollAlgorithm::PipelinedChunked`] has the segment-hierarchical
 /// shape; [`CollAlgorithm::Auto`] must be resolved to a concrete
-/// algorithm first (e.g. via [`resolve_over`]).
-pub fn tree_over<M: Wire>(
+/// algorithm first.
+fn tree_over<M: Wire>(
     ctx: &Ctx<M>,
     algorithm: CollAlgorithm,
     root: usize,
@@ -636,7 +613,15 @@ pub fn scatter<M: Wire>(
         (None, _) => 0,
     };
     let members = every_rank(ctx, root)?;
-    let algorithm = resolve_over(ctx, op, CollAlgorithm::Linear, root, &members, bits_hint);
+    let algorithm = resolve(
+        ctx,
+        op,
+        false,
+        CollAlgorithm::Linear,
+        root,
+        &members,
+        bits_hint,
+    );
     debug_assert_eq!(algorithm, CollAlgorithm::Linear);
     if ctx.rank() == root {
         let items = items.ok_or(CollError::RootMissingPayload { op })?;

@@ -24,9 +24,9 @@
 //! looks at a clock.
 //!
 //! **What that leaves out.** Worker↔worker transfers skip the queue.
-//! They are not rare: binomial trees, the up and down phases of a fused
-//! allreduce and the ft drivers' survivor trees all relay worker↔worker,
-//! across segments on the multi-segment networks, so those schedules
+//! They are not rare: binomial trees and the up and down phases of a
+//! fused allreduce relay worker↔worker, across segments on the
+//! multi-segment networks, so those schedules
 //! under-charge the serial links — and the root's own reservations are
 //! made in program order, not in virtual-time order. An outage is also
 //! tested at the *requested* start, before the queue: a transfer that

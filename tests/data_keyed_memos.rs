@@ -12,8 +12,8 @@
 //! * a detector's system is a function of the winners taken in, so a
 //!   run builds one per installed round however many ranks install it:
 //!   the static driver of `par` under a linear gather and a fused tree
-//!   allreduce, on 16 and 64 ranks, and both ft drivers, by fan-out and
-//!   down the survivor tree, with and without crashes;
+//!   allreduce, on 16 and 64 ranks, and both ft drivers, with and
+//!   without crashes;
 //! * an angle belongs to its pair of input pixels, so `mei` forms one dot
 //!   per unordered pair of different input pixels however many scales
 //!   ask for it.
@@ -85,27 +85,19 @@ fn assert_lines_are_continued_whoever_scores_them<A>(
     let once = tally(&sequential);
     assert_eq!(once, ((lines * (want.len() - 1), lines), want.len()));
 
-    // The round state goes out by the master's fan-out or down the
-    // survivor tree.
-    let tree = FtOptions {
-        collectives: CollectiveConfig::uniform(CollAlgorithm::SegmentHierarchical),
-        ..FtOptions::default()
-    };
     type Driver<A> = fn(&Engine, &A, &FtOptions) -> FtRun<<A as ChunkedAlgo>::Output>;
     let drivers: [(&str, Driver<A>); 2] = [
         ("self-sched", run_self_sched::<A>),
         ("replan", run_replan::<A>),
     ];
     for (mode, driver) in drivers {
-        for (state, opts) in [("fan-out", FtOptions::default()), ("tree", tree)] {
-            for (plan, crashes) in [(FaultPlan::new as fn() -> FaultPlan, 0), (two_crashes, 2)] {
-                let algo = new_algo();
-                let run = driver(&testutil::engine_with(plan()), &algo, &opts);
-                let what = format!("{mode} {state} {}, {crashes} crashes", algo.name());
-                assert_eq!(run.recoveries.len(), crashes, "{what}");
-                assert_eq!(run.output, want, "{what}");
-                assert_eq!(tally(&algo), (once.0, want.len()), "{what}");
-            }
+        for (plan, crashes) in [(FaultPlan::new as fn() -> FaultPlan, 0), (two_crashes, 2)] {
+            let algo = new_algo();
+            let run = driver(&testutil::engine_with(plan()), &algo, &FtOptions::default());
+            let what = format!("{mode} {}, {crashes} crashes", algo.name());
+            assert_eq!(run.recoveries.len(), crashes, "{what}");
+            assert_eq!(run.output, want, "{what}");
+            assert_eq!(tally(&algo), (once.0, want.len()), "{what}");
         }
     }
 }

@@ -272,68 +272,57 @@ fn crashes_are_recorded_as_structured_failures() {
     assert!(run.report.failure_of(1).is_none());
 }
 
-/// The segment-hierarchical schedule: the round state travels down the
-/// epoch-stamped survivor tree instead of the linear master fan-out. An interior relay (a
-/// segment leader) crashing at any point — before the round, mid state
-/// distribution, mid compute — must leave the fixed-grid self-sched
-/// output untouched and the replan output correct, bump the membership
-/// epoch exactly once per observed loss, and replay bit-identically.
+/// Crashes of the ranks that lead segments 1–3 of `fully_heterogeneous`
+/// (4, 8 and 10) and of a rank inside segment 3 (13), from before the
+/// first round to late in the run, singly and two together, at fractions
+/// of the fault-free self-scheduled makespan T₀. Every surviving
+/// contribution must reach the output: each driver returns its
+/// fault-free target list, spectra included, and a rerun repeats the
+/// report and the output to the bit.
 #[test]
-fn tree_mode_interior_relay_crashes_keep_every_contribution() {
+fn six_crash_plans_keep_every_contribution() {
     let s = scene();
     let p = params();
-    let want = coords(&seq::atdca(&s.cube, &p).result);
     let algo = AtdcaChunks::new(&s.cube, &p);
-    let opts = FtOptions {
-        collectives: CollectiveConfig::uniform(CollAlgorithm::SegmentHierarchical),
-        ..FtOptions::default()
-    };
-    // Ranks 4 and 10 lead segments 1 and 3 of `fully_heterogeneous` —
-    // both relay the round state onward in the segment-hierarchical
-    // tree. The times span barrier-phase and compute-phase crashes.
-    for &(rank, at) in &[(4usize, 0.0001), (4, 0.05), (10, 0.01), (10, 0.2)] {
-        let plan = || FaultPlan::new().crash(rank, at);
-        let ss = run_self_sched(&engine_with(plan()), &algo, &opts);
-        assert_eq!(
-            coords(&ss.output),
-            want,
-            "tree self-sched crash({rank},{at})"
-        );
-        let rp = run_replan(&engine_with(plan()), &algo, &opts);
-        assert_eq!(coords(&rp.output), want, "tree replan crash({rank},{at})");
-        assert_losses_recorded_once(&ss, &[rank], "tree self-sched");
-        assert_losses_recorded_once(&rp, &[rank], "tree replan");
-        if at <= 0.05 {
-            assert!(!ss.recoveries.is_empty(), "crash({rank},{at}) must be seen");
+    let opts = FtOptions::default();
+    let drive = |plan: FaultPlan, self_sched: bool| {
+        if self_sched {
+            run_self_sched(&engine_with(plan), &algo, &opts)
+        } else {
+            run_replan(&engine_with(plan), &algo, &opts)
         }
-        let ss2 = run_self_sched(&engine_with(plan()), &algo, &opts);
-        assert_eq!(ss.report, ss2.report, "tree self-sched rerun drift");
-        assert_eq!(coords(&ss2.output), want);
-        let rp2 = run_replan(&engine_with(plan()), &algo, &opts);
-        assert_eq!(rp.report, rp2.report, "tree replan rerun drift");
+    };
+    let clean_ss = drive(FaultPlan::new(), true);
+    let clean_rp = drive(FaultPlan::new(), false);
+    let t0 = clean_ss.report.total_time;
+    let plans = [
+        (vec![4], FaultPlan::new().crash(4, 1e-4)),
+        (vec![4], FaultPlan::new().crash(4, 0.25 * t0)),
+        (vec![8], FaultPlan::new().crash(8, 0.50 * t0)),
+        (vec![10], FaultPlan::new().crash(10, 0.75 * t0)),
+        (vec![13], FaultPlan::new().crash(13, 0.40 * t0)),
+        (
+            vec![4, 10],
+            FaultPlan::new().crash(4, 0.20 * t0).crash(10, 0.55 * t0),
+        ),
+    ];
+    for (crashed, plan) in plans {
+        for (self_sched, clean) in [(true, &clean_ss), (false, &clean_rp)] {
+            let what = format!("{plan:?} self-sched={self_sched}");
+            let run = drive(plan.clone(), self_sched);
+            assert_eq!(run.output, clean.output, "{what}: a contribution was lost");
+            assert_losses_recorded_once(&run, &crashed, &what);
+            let rerun = drive(plan.clone(), self_sched);
+            assert_eq!(run.report, rerun.report, "{what}: rerun drift");
+            assert_eq!(run.output, rerun.output, "{what}: rerun drift");
+            assert_eq!(run.recoveries, rerun.recoveries, "{what}: rerun drift");
+        }
     }
 }
 
-/// The round schedule under the cost-model selector: `Auto` must resolve to a
-/// concrete schedule per round and still survive a relay crash.
-#[test]
-fn tree_mode_auto_survives_a_relay_crash() {
-    let s = scene();
-    let p = params();
-    let want = coords(&seq::atdca(&s.cube, &p).result);
-    let algo = AtdcaChunks::new(&s.cube, &p);
-    let opts = FtOptions {
-        collectives: CollectiveConfig::uniform(CollAlgorithm::Auto),
-        ..FtOptions::default()
-    };
-    let run = run_self_sched(&engine_with(FaultPlan::new().crash(8, 0.02)), &algo, &opts);
-    assert_eq!(coords(&run.output), want);
-    assert_losses_recorded_once(&run, &[8], "tree auto");
-}
-
 /// Five ranks in two segments, `{0, 1, 2}` and `{3, 4}`: under
-/// `SegmentHierarchical` the master's children are rank 3 (the leader
-/// of segment 1), 1 and 2, and rank 3 relays the round state to rank 4.
+/// `SegmentHierarchical` a collective's root sends to rank 3 (the leader
+/// of segment 1), 1 and 2, and rank 3 relays to rank 4.
 fn two_segment_platform() -> Platform {
     let cycle = [0.0058, 0.0102, 0.0026, 0.0072, 0.0131];
     let segment = |r: usize| usize::from(r >= 3);
@@ -362,15 +351,14 @@ fn two_segment_platform() -> Platform {
     Platform::new("two-segments", procs, links)
 }
 
-/// One cell of the crash grid: `algo` under one driver and broadcast
-/// schedule on [`two_segment_platform`], fault-free and then with each
+/// One cell of the crash grid: `algo` under one driver on
+/// [`two_segment_platform`], fault-free and then with each
 /// worker crashed at `k/32` of the fault-free makespan for every `k` in
 /// `ks`. Whatever the driver promises must hold: the fault-free output
 /// when the output is grid-independent (`same_output`), `labelled`
 /// otherwise; every recovery names the crashed rank, once.
 fn crash_grid_cell<A>(
     algo: &A,
-    broadcast: CollAlgorithm,
     self_sched: bool,
     ks: &[usize],
     same_output: bool,
@@ -379,10 +367,7 @@ fn crash_grid_cell<A>(
     A: ChunkedAlgo + Sync,
     A::Output: OutputDigest + Send,
 {
-    let opts = FtOptions {
-        collectives: CollectiveConfig::uniform(broadcast),
-        ..FtOptions::default()
-    };
+    let opts = FtOptions::default();
     let drive = |plan: FaultPlan| {
         let engine = Engine::new(two_segment_platform()).with_faults(plan);
         if self_sched {
@@ -398,7 +383,7 @@ fn crash_grid_cell<A>(
         for &k in ks {
             let at = makespan * k as f64 / 32.0;
             let what = format!(
-                "{} {broadcast:?} {}, crash({rank}) at {k}/32",
+                "{} {}, crash({rank}) at {k}/32",
                 algo.name(),
                 if self_sched { "self-sched" } else { "replan" }
             );
@@ -416,26 +401,25 @@ fn crash_grid_cell<A>(
     }
 }
 
-/// The crash grid over a relay: both drivers × {`Linear`,
-/// `SegmentHierarchical`} × {ATDCA, MORPH} on [`two_segment_platform`],
-/// each worker crashed at `k/32` of the fault-free makespan for every
-/// `k` in `ks`. Self-scheduling promises the fault-free output for both
-/// algorithms and re-planning for ATDCA; re-planned MORPH regrids by
-/// timing, so there it must label every pixel with a class.
+/// The crash grid on a platform with a serial link between the master's
+/// segment and the next: both drivers × {ATDCA, MORPH} on
+/// [`two_segment_platform`], each worker crashed at `k/32` of the
+/// fault-free makespan for every `k` in `ks`. Self-scheduling promises
+/// the fault-free output for both algorithms and re-planning for ATDCA;
+/// re-planned MORPH regrids by timing, so there it must label every
+/// pixel with a class.
 fn crash_grid(ks: &[usize]) {
     let s = testutil::scene(32, 16, 32);
     let p = params();
     let atdca = AtdcaChunks::new(&s.cube, &p);
     let morph = MorphChunks::new(&s.cube, &p);
     let pixels = s.cube.lines() * s.cube.samples();
-    for broadcast in [CollAlgorithm::Linear, CollAlgorithm::SegmentHierarchical] {
-        for self_sched in [false, true] {
-            crash_grid_cell(&atdca, broadcast, self_sched, ks, true, |_| true);
-            crash_grid_cell(&morph, broadcast, self_sched, ks, self_sched, |out| {
-                let labels = out.0.as_slice();
-                labels.len() == pixels && labels.iter().all(|&l| usize::from(l) < p.num_classes)
-            });
-        }
+    for self_sched in [false, true] {
+        crash_grid_cell(&atdca, self_sched, ks, true, |_| true);
+        crash_grid_cell(&morph, self_sched, ks, self_sched, |out| {
+            let labels = out.0.as_slice();
+            labels.len() == pixels && labels.iter().all(|&l| usize::from(l) < p.num_classes)
+        });
     }
 }
 
@@ -450,23 +434,23 @@ fn every_worker_crash_on_a_relay_platform_keeps_the_promised_output_dense() {
     crash_grid(&(0..32).collect::<Vec<_>>());
 }
 
-/// On one segment the segment-hierarchical schedule is the master's
-/// star: no worker relays, so a round opens exactly as the linear
-/// fan-out does — no survivor header, no ack barrier. Both drivers, ATDCA
-/// and MORPH, clean and with a worker crashed mid-run, must keep every
-/// rank's ledger, the makespan, the failures and the recoveries of the
-/// `Linear` run to the bit.
+/// The master opens every round by sending each surviving worker its
+/// delta directly, whatever schedule `FtOptions::collectives` names:
+/// under every `CollAlgorithm`, on one segment and on two and four,
+/// both drivers, ATDCA and MORPH, clean and with a worker crashed
+/// mid-run, must keep every rank's ledger, the makespan, the failures
+/// and the recoveries of the `Linear` run to the bit.
 #[test]
-fn a_round_with_no_relay_runs_as_the_linear_fan_out_does() {
+fn ft_fans_out_linearly_whatever_collectives_names() {
     let s = testutil::scene(32, 16, 32);
     let p = params();
-    fn same_as_linear<A>(algo: &A, self_sched: bool)
+    fn same_as_linear<A>(algo: &A, platform: &Platform, crashed: usize, self_sched: bool)
     where
         A: ChunkedAlgo + Sync,
         A::Output: Send,
     {
         let drive = |broadcast: CollAlgorithm, plan: FaultPlan| {
-            let engine = Engine::new(presets::thunderhead(8)).with_faults(plan);
+            let engine = Engine::new(platform.clone()).with_faults(plan);
             let opts = FtOptions {
                 collectives: CollectiveConfig::uniform(broadcast),
                 ..FtOptions::default()
@@ -480,22 +464,54 @@ fn a_round_with_no_relay_runs_as_the_linear_fan_out_does() {
         let makespan = drive(CollAlgorithm::Linear, FaultPlan::new())
             .report
             .total_time;
-        for plan in [FaultPlan::new(), FaultPlan::new().crash(5, 0.5 * makespan)] {
+        for plan in [
+            FaultPlan::new(),
+            FaultPlan::new().crash(crashed, 0.5 * makespan),
+        ] {
             let linear = drive(CollAlgorithm::Linear, plan.clone());
-            let star = drive(CollAlgorithm::SegmentHierarchical, plan);
-            let what = format!("{} self-sched={self_sched}", algo.name());
-            assert_eq!(star.report.ledgers, linear.report.ledgers, "{what}");
-            assert_eq!(
-                star.report.total_time.to_bits(),
-                linear.report.total_time.to_bits(),
-                "{what}"
-            );
-            assert_eq!(star.report.failures, linear.report.failures, "{what}");
-            assert_eq!(star.recoveries, linear.recoveries, "{what}");
+            for broadcast in [
+                CollAlgorithm::BinomialTree,
+                CollAlgorithm::SegmentHierarchical,
+                CollAlgorithm::PipelinedChunked,
+                CollAlgorithm::Auto,
+            ] {
+                let run = drive(broadcast, plan.clone());
+                let what = format!(
+                    "{} {broadcast:?} on {} self-sched={self_sched}",
+                    algo.name(),
+                    platform.name()
+                );
+                assert_eq!(run.report.ledgers, linear.report.ledgers, "{what}");
+                assert_eq!(
+                    run.report.total_time.to_bits(),
+                    linear.report.total_time.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(run.report.failures, linear.report.failures, "{what}");
+                assert_eq!(run.recoveries, linear.recoveries, "{what}");
+            }
         }
     }
-    for self_sched in [false, true] {
-        same_as_linear(&AtdcaChunks::new(&s.cube, &p), self_sched);
-        same_as_linear(&MorphChunks::new(&s.cube, &p), self_sched);
+    // Each crash takes a rank that leads a segment under
+    // `SegmentHierarchical` where there is more than one.
+    for (platform, crashed) in [
+        (presets::thunderhead(8), 5),
+        (two_segment_platform(), 3),
+        (presets::fully_heterogeneous(), 4),
+    ] {
+        for self_sched in [false, true] {
+            same_as_linear(
+                &AtdcaChunks::new(&s.cube, &p),
+                &platform,
+                crashed,
+                self_sched,
+            );
+            same_as_linear(
+                &MorphChunks::new(&s.cube, &p),
+                &platform,
+                crashed,
+                self_sched,
+            );
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! storage change that is meant to move no value (in-place work, fewer
 //! copies, work moved between host threads) must leave it unedited.
 //!
-//! Four records take 4–8 s each in the dev profile; they are
+//! Three records take 4–8 s each in the dev profile; they are
 //! `#[ignore]`d here and run with `--include-ignored` in release.
 //! Every `repro-bench` binary's output is on the list
 //! ([`every_binary_has_a_golden`]).
@@ -345,7 +345,7 @@ struct Golden {
 }
 
 /// Every golden of the repository, in the order they are checked.
-fn goldens() -> [Golden; 19] {
+fn goldens() -> [Golden; 18] {
     fn tiny() -> WtcConfig {
         scene_size("tiny")
     }
@@ -450,12 +450,6 @@ fn goldens() -> [Golden; 19] {
             bin: Some("ablation_allreduce"),
             slow: false,
             fresh: || gated(record(WtcConfig::tiny(), records::allreduce)),
-        },
-        Golden {
-            path: "BENCH_epochs.json",
-            bin: Some("ablation_epochs"),
-            slow: true,
-            fresh: || gated(record(quarter(scene_size("medium")), records::epochs)),
         },
         Golden {
             path: "BENCH_accel.json",
