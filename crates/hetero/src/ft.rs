@@ -371,6 +371,8 @@ fn worker_loop<A: ChunkedAlgo>(
                 continue;
             }
             FtMsg::Finish => break,
+            // Unreachable: `master`'s sends are `Open`, `Assign` and
+            // `Finish`, and a worker hears from the master alone.
             FtMsg::Partial { .. } => unreachable!("ft: the master sends no Partial"),
         };
         // A round opens with the delta of the round before it.
@@ -563,9 +565,10 @@ fn collect_replan<A: ChunkedAlgo>(
         // partial is this batch's.
         match ctx.recv_deadline(w, f64::INFINITY) {
             Ok(FtMsg::Partial { data }) => partials.push((first, data)),
+            // Unreachable: `worker_loop`'s one send is a `Partial`.
             Ok(_) => unreachable!("ft: workers send Partial only"),
-            // A worker leaves cleanly only on `Finish`, and `Finish`
-            // follows the last round.
+            // Unreachable: a worker leaves cleanly only on `Finish`, and
+            // `Finish` follows the last round.
             Err(RecvError::Timeout { .. }) => unreachable!("ft: a worker left mid-round"),
             Err(RecvError::Failed(f)) => {
                 let mut orphans = vec![(first, n, w)];
@@ -638,6 +641,7 @@ fn collect_self_sched<A: ChunkedAlgo>(
                     done += 1;
                     productive = true;
                 }
+                // Unreachable: `worker_loop`'s one send is a `Partial`.
                 Ok(_) => unreachable!("ft: workers send Partial only"),
                 Err(RecvError::Timeout { .. }) => {}
                 Err(RecvError::Failed(f)) => {

@@ -12,13 +12,10 @@
 //! picks a strictly-dominated algorithm (asserted by the
 //! `ablation_collectives` gate).
 //!
-//! [`predict_over`] is the same replay over an explicit member list:
-//! every rank for [`predict`] and the collectives' own selection, the
-//! survivors for `hetero::ft`'s tree rounds, where it is `Auto`'s
-//! selection model. Fault plans are not replayed (predictions assume
-//! nominal link and processor speeds), and for roots other than rank 0
-//! the receiver-side FIFO interleaving at rank 0 is not replayed (no
-//! algorithm in this repository roots a collective away from rank 0).
+//! Fault plans are not replayed (predictions assume nominal link and
+//! processor speeds), and for roots other than rank 0 the receiver-side
+//! FIFO interleaving at rank 0 is not replayed (no algorithm in this
+//! repository roots a collective away from rank 0).
 
 use super::schedule::{self, Tree};
 use super::{split_chunks, CollAlgorithm, CollOp, PIPELINE_CHUNKS};
@@ -31,7 +28,13 @@ use crate::platform::Platform;
 /// [`CollAlgorithm::Auto`]), rooted at `root`, with all rank clocks at
 /// zero. `latency_s` is the per-message sender overhead; a
 /// [`CollAlgorithm::PipelinedChunked`] broadcast streams in
-/// [`PIPELINE_CHUNKS`] chunks.
+/// [`PIPELINE_CHUNKS`] chunks. A [`CollOp::Scatter`] is priced as the
+/// broadcast of `bits` down the same tree: under
+/// [`CollAlgorithm::Linear`], the one schedule a scatter runs, that is a
+/// scatter of `bits`-sized items.
+///
+/// # Panics
+/// On [`CollAlgorithm::Auto`] with more than one rank: resolve it first.
 pub fn predict(
     platform: &Platform,
     latency_s: f64,
@@ -40,34 +43,20 @@ pub fn predict(
     root: usize,
     bits: u64,
 ) -> f64 {
-    let members: Vec<usize> = (0..platform.num_procs()).collect();
-    predict_over(platform, latency_s, op, algorithm, root, bits, &members)
-}
-
-/// [`predict`] over an explicit member list: the schedule is built over
-/// `members` (ascending rank order, containing `root`) and only those
-/// ranks are replayed. With every rank a member this is exactly
-/// [`predict`].
-pub(crate) fn predict_over(
-    platform: &Platform,
-    latency_s: f64,
-    op: CollOp,
-    algorithm: CollAlgorithm,
-    root: usize,
-    bits: u64,
-    members: &[usize],
-) -> f64 {
+    // Unreachable from this workspace: `coll::resolve` prices only
+    // `choose`'s candidates and its result, all concrete, and every other
+    // caller (the chaos oracle, the tests) names a concrete algorithm.
     debug_assert!(
         algorithm != CollAlgorithm::Auto,
         "predict: resolve Auto first"
     );
-    if platform.num_procs() <= 1 || members.len() <= 1 {
+    if platform.num_procs() <= 1 {
         return 0.0;
     }
     let mut replay = Replay {
         platform,
         latency_s,
-        tree: &schedule::build(algorithm, root, platform, members),
+        tree: &schedule::build(algorithm, root, platform),
         faults: FaultPlan::new(),
         links: LinkLedger::new(),
     };
@@ -77,8 +66,6 @@ pub(crate) fn predict_over(
         vec![bits]
     };
     let clocks = match op {
-        // A scatter is broadcast-shaped (root fans out one message per
-        // child); payload personalisation doesn't change the schedule.
         CollOp::Broadcast | CollOp::Scatter => {
             replay.down(vec![0.0; platform.num_procs()], &chunks)
         }

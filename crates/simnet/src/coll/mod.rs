@@ -54,18 +54,18 @@
 //! lost. Link outages kill no ranks: every algorithm completes under
 //! link-fault plans, just later.
 //!
-//! **Every collective runs over all ranks of the run.** Which ranks
-//! are alive is known to one party only, `hetero::ft`'s master, and it
-//! opens its rounds with direct sends, not with a collective. See
-//! `docs/COMMS.md`.
+//! **Every collective runs over all ranks of the run**, so a schedule
+//! is a function of its algorithm, its root and the platform alone
+//! (`schedule`). `hetero::ft`'s master, the one party that tracks which
+//! workers are alive, opens its rounds with direct sends, not with a
+//! collective. See `docs/COMMS.md`.
 
 mod cost;
 mod schedule;
 
 pub use cost::predict;
-use cost::predict_over;
 pub(crate) use schedule::ScheduleMemo;
-pub use schedule::Tree;
+use schedule::Tree;
 
 use crate::engine::{Ctx, Wire};
 use crate::faults::{FailureCause, RankFailure, RecvError};
@@ -116,7 +116,8 @@ pub enum CollOp {
     Broadcast,
     /// All-to-root gather.
     Gather,
-    /// Root-to-all personalized scatter (always linear; see module docs).
+    /// Root-to-all personalized scatter. A scatter is always linear and
+    /// logs no choice, so only the [`CollError`]s it returns name it.
     Scatter,
     /// Fused reduce + broadcast on one tree schedule.
     Allreduce,
@@ -369,37 +370,33 @@ pub(crate) fn split_chunks(bits: u64, chunks: usize) -> Vec<u64> {
     (0..k).map(|i| base + u64::from(i < rem)).collect()
 }
 
-/// Resolves (and, on rank 0, logs) one collective decision over
-/// `members` (ascending, containing `root`): `streams` says whether the
-/// collective can stream chunks (only this module's broadcast can).
+/// Resolves (and, on rank 0, logs) one collective decision rooted at
+/// `root`. Only a broadcast can stream chunks.
 ///
 /// The cost model runs only where its value is read: on every rank for
 /// the [`CollAlgorithm::Auto`] scan, otherwise on the logging rank alone.
 fn resolve<M: Wire>(
     ctx: &mut Ctx<M>,
     op: CollOp,
-    streams: bool,
     requested: CollAlgorithm,
     root: usize,
-    members: &[usize],
     bits_hint: u64,
 ) -> CollAlgorithm {
-    let predict = |alg| {
-        predict_over(
+    let cost = |alg| {
+        predict(
             ctx.platform(),
             ctx.msg_latency_s(),
             op,
             alg,
             root,
             bits_hint,
-            members,
         )
     };
-    let (algorithm, scanned) = choose(streams, requested, bits_hint, predict);
+    let (algorithm, scanned) = choose(op == CollOp::Broadcast, requested, bits_hint, cost);
     // Rank 0's log is the one the engine collects into the report, so
     // log there regardless of which rank roots the collective.
     if ctx.rank() == 0 {
-        let predicted_secs = scanned.unwrap_or_else(|| predict(algorithm));
+        let predicted_secs = scanned.unwrap_or_else(|| cost(algorithm));
         ctx.log_collective(CollectiveChoice {
             op,
             requested,
@@ -411,52 +408,30 @@ fn resolve<M: Wire>(
     algorithm
 }
 
-/// The concrete schedule [`Tree`] for `algorithm` over `members`
-/// (ascending, containing `root`), from the run's schedule memo: the
-/// tree is built by the first rank to ask for `(algorithm, root,
-/// members)` and shared by every later caller, on any rank.
-/// [`CollAlgorithm::PipelinedChunked`] has the segment-hierarchical
-/// shape; [`CollAlgorithm::Auto`] must be resolved to a concrete
-/// algorithm first.
-fn tree_over<M: Wire>(
-    ctx: &Ctx<M>,
-    algorithm: CollAlgorithm,
-    root: usize,
-    members: &[usize],
-) -> Arc<Tree> {
-    ctx.schedules()
-        .get(algorithm, root, ctx.platform(), members)
-}
-
-/// Every rank of the run, ascending — the member list of the
-/// collectives here. Rejects a root outside the run before any traffic.
-fn every_rank<M: Wire>(ctx: &Ctx<M>, root: usize) -> Result<Vec<usize>, CollError> {
+/// Rejects a root outside the run, on every rank and before any
+/// traffic.
+fn check_root<M: Wire>(ctx: &Ctx<M>, root: usize) -> Result<(), CollError> {
     if root >= ctx.num_ranks() {
         return Err(CollError::NotAMember { rank: root });
     }
-    Ok((0..ctx.num_ranks()).collect())
+    Ok(())
 }
 
 /// The prologue every tree collective shares: check the root, resolve
-/// (and log) `cfg`'s algorithm for `op`, look its tree up in the run's
-/// schedule memo.
+/// (and log) the `requested` algorithm for `op`, look its tree up in the
+/// run's schedule memo. The tree is built by the first rank to ask for
+/// `(algorithm, root)` and shared by every later caller, on any rank.
 fn plan<M: Wire>(
     ctx: &mut Ctx<M>,
-    cfg: &CollectiveConfig,
     op: CollOp,
+    requested: CollAlgorithm,
     root: usize,
     bits_hint: u64,
 ) -> Result<(CollAlgorithm, Arc<Tree>), CollError> {
-    let members = every_rank(ctx, root)?;
-    let requested = match op {
-        CollOp::Broadcast => cfg.broadcast,
-        CollOp::Gather => cfg.gather,
-        CollOp::Allreduce => cfg.allreduce,
-        CollOp::Scatter => CollAlgorithm::Linear,
-    };
-    let streams = op == CollOp::Broadcast;
-    let algorithm = resolve(ctx, op, streams, requested, root, &members, bits_hint);
-    Ok((algorithm, tree_over(ctx, algorithm, root, &members)))
+    check_root(ctx, root)?;
+    let algorithm = resolve(ctx, op, requested, root, bits_hint);
+    let tree = ctx.schedules().get(algorithm, root, ctx.platform());
+    Ok((algorithm, tree))
 }
 
 /// The sender's side of one message to several destinations, in order:
@@ -491,7 +466,7 @@ pub fn broadcast<M: Wire + Clone>(
     bits_hint: u64,
 ) -> Result<M, CollError> {
     let op = CollOp::Broadcast;
-    let (algorithm, tree) = plan(ctx, cfg, op, root, bits_hint)?;
+    let (algorithm, tree) = plan(ctx, op, cfg.broadcast, root, bits_hint)?;
     let rank = ctx.rank();
     let parent = tree.parent(rank);
     let mut payload = match (parent, msg) {
@@ -533,7 +508,7 @@ pub fn gather<M: Wire>(
     msg: M,
     bits_hint: u64,
 ) -> Result<Option<Vec<GatherEntry<M>>>, CollError> {
-    let (_, tree) = plan(ctx, cfg, CollOp::Gather, root, bits_hint)?;
+    let (_, tree) = plan(ctx, CollOp::Gather, cfg.gather, root, bits_hint)?;
     let rank = ctx.rank();
     if rank == root {
         let p = ctx.num_ranks();
@@ -568,12 +543,16 @@ pub fn gather<M: Wire>(
                 }
             }
         }
+        // Every slot is filled: the root's above, and every other rank's
+        // in the loop, since the tree spans every rank (`schedule::build`)
+        // and each non-root rank is in exactly one root child's subtree.
         Ok(Some(
             out.into_iter()
                 .map(|e| e.expect("gather: the tree spans every rank"))
                 .collect(),
         ))
     } else {
+        // Only the root lacks a parent in a tree over every rank.
         let parent = tree.parent(rank).expect("gather: non-root has a parent");
         // Collect this subtree's contributions in `subtree_order`, then
         // relay them upward; the parent knows the order from the shared
@@ -595,11 +574,12 @@ pub fn gather<M: Wire>(
 /// element is returned to it directly); every rank returns its element.
 /// `mode` selects whether transfers are charged (see [`ScatterMode`]).
 ///
-/// Scatters are always linear: payloads are personalized and
-/// non-splittable, so relaying a full item over a tree costs at least as
-/// much as the direct send on every platform in this repository (the
-/// triangle inequality holds for all preset link matrices) — see
-/// `docs/COMMS.md`.
+/// Scatters are always linear, so there is nothing to select and nothing
+/// is logged: payloads are personalized and non-splittable, so relaying
+/// a full item over a tree costs at least as much as the direct send on
+/// every platform in this repository (the triangle inequality holds for
+/// all preset link matrices) — see `docs/COMMS.md`. A `root` outside the
+/// run is [`CollError::NotAMember`] on every rank, before any traffic.
 pub fn scatter<M: Wire>(
     ctx: &mut Ctx<M>,
     root: usize,
@@ -607,22 +587,7 @@ pub fn scatter<M: Wire>(
     mode: ScatterMode,
 ) -> Result<M, CollError> {
     let op = CollOp::Scatter;
-    let bits_hint = match (&items, mode) {
-        (_, ScatterMode::Free) => 0,
-        (Some(v), _) => v.first().map_or(0, |m| m.size_bits()),
-        (None, _) => 0,
-    };
-    let members = every_rank(ctx, root)?;
-    let algorithm = resolve(
-        ctx,
-        op,
-        false,
-        CollAlgorithm::Linear,
-        root,
-        &members,
-        bits_hint,
-    );
-    debug_assert_eq!(algorithm, CollAlgorithm::Linear);
+    check_root(ctx, root)?;
     if ctx.rank() == root {
         let items = items.ok_or(CollError::RootMissingPayload { op })?;
         if items.len() != ctx.num_ranks() {
@@ -642,6 +607,8 @@ pub fn scatter<M: Wire>(
                 }
             }
         }
+        // `items` has one element per rank and `root` is a rank, so the
+        // loop met `dst == root`.
         Ok(own.expect("scatter: the root's own element exists"))
     } else {
         if items.is_some() {
@@ -686,13 +653,13 @@ pub fn allreduce<M: Wire + Clone>(
     fold: impl Fn(M, M) -> M,
     bits_hint: u64,
 ) -> Result<M, CollError> {
-    let (_, tree) = plan(ctx, cfg, CollOp::Allreduce, root, bits_hint)?;
+    let (_, tree) = plan(ctx, CollOp::Allreduce, cfg.allreduce, root, bits_hint)?;
     let rank = ctx.rank();
     let mut acc = msg;
     if rank == root {
         for &child in tree.children_gather(rank) {
             // A lost relay loses its subtree's partial; fold the
-            // survivors.
+            // partials that arrive.
             if let Ok(partial) = ctx.recv_deadline(child, f64::INFINITY) {
                 acc = fold(acc, partial);
             }
@@ -702,6 +669,7 @@ pub fn allreduce<M: Wire + Clone>(
             let partial = ctx.recv(child);
             acc = fold(acc, partial);
         }
+        // Only the root lacks a parent in a tree over every rank.
         let parent = tree.parent(rank).expect("allreduce: non-root has a parent");
         ctx.send(parent, acc);
         acc = ctx.recv(parent);
@@ -722,26 +690,20 @@ mod tests {
         Engine::new(Platform::uniform("t", p, 0.01, 1024, 10.0))
     }
 
-    /// The full member list — what the collectives here resolve over.
-    fn all_ranks(platform: &Platform) -> Vec<usize> {
-        (0..platform.num_procs()).collect()
-    }
-
     /// The decision of this module's collectives without a `Ctx`: the
-    /// concrete algorithm for `op` over `members` (ascending, containing
-    /// `root`) and its predicted cost — what rank 0 logs.
-    fn select_over(
+    /// concrete algorithm for `op` rooted at `root` and its predicted
+    /// cost — what rank 0 logs.
+    fn select(
         platform: &Platform,
         latency_s: f64,
         op: CollOp,
         requested: CollAlgorithm,
         root: usize,
         bits: u64,
-        members: &[usize],
     ) -> (CollAlgorithm, f64) {
-        let predict = |alg| predict_over(platform, latency_s, op, alg, root, bits, members);
-        let (algorithm, scanned) = choose(op == CollOp::Broadcast, requested, bits, predict);
-        (algorithm, scanned.unwrap_or_else(|| predict(algorithm)))
+        let cost = |alg| predict(platform, latency_s, op, alg, root, bits);
+        let (algorithm, scanned) = choose(op == CollOp::Broadcast, requested, bits, cost);
+        (algorithm, scanned.unwrap_or_else(|| cost(algorithm)))
     }
 
     const ALGOS: [CollAlgorithm; 5] = [
@@ -876,14 +838,13 @@ mod tests {
     fn auto_with_zero_bits_hint_resolves_to_linear() {
         let platform = presets::fully_heterogeneous();
         for op in [CollOp::Broadcast, CollOp::Gather, CollOp::Allreduce] {
-            let (alg, _) = select_over(
+            let (alg, _) = select(
                 &platform,
                 platform.msg_latency_s(),
                 op,
                 CollAlgorithm::Auto,
                 0,
                 0,
-                &all_ranks(&platform),
             );
             assert_eq!(alg, CollAlgorithm::Linear, "{op}: zero-bit hint");
         }
@@ -967,14 +928,13 @@ mod tests {
     fn auto_picks_hierarchical_for_large_broadcast_on_heterogeneous() {
         let platform = presets::fully_heterogeneous();
         let bits = 18 * 224 * 32; // endmember matrix U
-        let (alg, _) = select_over(
+        let (alg, _) = select(
             &platform,
             platform.msg_latency_s(),
             CollOp::Broadcast,
             CollAlgorithm::Auto,
             0,
             bits,
-            &all_ranks(&platform),
         );
         assert!(
             alg == CollAlgorithm::SegmentHierarchical || alg == CollAlgorithm::PipelinedChunked,
@@ -987,14 +947,13 @@ mod tests {
         // Single segment: hierarchical == linear exactly; Linear must
         // win the tie so single-segment platforms keep the baseline.
         let platform = Platform::uniform("u4", 4, 0.01, 64, 10.0);
-        let (alg, _) = select_over(
+        let (alg, _) = select(
             &platform,
             platform.msg_latency_s(),
             CollOp::Gather,
             CollAlgorithm::Auto,
             0,
             1_000_000,
-            &all_ranks(&platform),
         );
         assert_eq!(alg, CollAlgorithm::Linear);
     }
@@ -1112,15 +1071,7 @@ mod tests {
             ),
         ];
         for (op, requested, algorithm, secs) in pins {
-            let got = select_over(
-                &platform,
-                0.001,
-                op,
-                requested,
-                0,
-                129_024,
-                &all_ranks(&platform),
-            );
+            let got = select(&platform, 0.001, op, requested, 0, 129_024);
             assert_eq!(got.0, algorithm, "{op}/{requested}");
             assert_eq!(
                 got.1.to_bits(),
@@ -1135,25 +1086,32 @@ mod tests {
     fn only_the_logging_rank_predicts_for_a_pinned_algorithm() {
         // The logged choice is the contract; who computes it is not. A
         // pinned (non-Auto) request logs the same predicted cost the
-        // Ctx-free selector reports.
+        // Ctx-free selector reports. A charged scatter of unequal items
+        // before it selects nothing, so it logs nothing.
         let platform = presets::fully_heterogeneous();
         let latency = platform.msg_latency_s();
         let bits: u64 = 129_024;
-        let want = select_over(
+        let want = select(
             &platform,
             latency,
             CollOp::Gather,
             CollAlgorithm::SegmentHierarchical,
             0,
             bits,
-            &all_ranks(&platform),
         );
         let cfg = CollectiveConfig::uniform(CollAlgorithm::PipelinedChunked);
         let report = Engine::new(platform).run(move |ctx| {
+            let items = ctx.is_root().then(|| {
+                (0..ctx.num_ranks())
+                    .map(|r| WireVec(vec![0u8; if r % 2 == 0 { 50_000 } else { 500 }]))
+                    .collect()
+            });
+            scatter(ctx, 0, items, ScatterMode::Charged).expect("scatter");
             gather(ctx, &cfg, 0, WireVec(vec![0u8; (bits / 8) as usize]), bits).expect("gather");
         });
-        assert_eq!(report.collectives.len(), 1);
+        assert_eq!(report.collectives.len(), 1, "{:?}", report.collectives);
         let logged = &report.collectives[0];
+        assert_eq!(logged.op, CollOp::Gather);
         assert_eq!(logged.requested, CollAlgorithm::PipelinedChunked);
         assert_eq!(logged.algorithm, want.0);
         assert_eq!(logged.predicted_secs.to_bits(), want.1.to_bits());
@@ -1164,7 +1122,7 @@ mod tests {
         // The gate against a return to per-rank, per-call planning — a
         // count, so it holds on any host. 256 ranks, 18 linear gather +
         // broadcast rounds: one schedule. A binomial allreduce: one
-        // more. A new member list: one more per survivor tree asked for.
+        // more.
         const P: usize = 256;
         let linear = CollectiveConfig::linear();
         let binomial = CollectiveConfig::uniform(CollAlgorithm::BinomialTree);
@@ -1183,34 +1141,24 @@ mod tests {
                 broadcast(ctx, &linear, 0, winner, 64).expect("broadcast");
             }
             let after_rounds = ctx.schedules().len();
-            let all: Vec<usize> = (0..P).collect();
-            let star = tree_over(ctx, CollAlgorithm::Linear, 0, &all);
+            let star = ctx
+                .schedules()
+                .get(CollAlgorithm::Linear, 0, ctx.platform());
             barrier(ctx);
 
             let sum = allreduce(ctx, &binomial, 0, 1u64, |a, b| a + b, 64).expect("allreduce");
             assert_eq!(sum, P as u64);
-            let after_allreduce = ctx.schedules().len();
-            barrier(ctx);
-
-            let survivors = &all[..P - 1];
-            let survivor_star = tree_over(ctx, CollAlgorithm::Linear, 0, survivors);
-            let survivor_tree = tree_over(ctx, CollAlgorithm::BinomialTree, 0, survivors);
-            assert_eq!(survivor_star.parent(P - 1), None, "routed around");
-            assert_eq!(survivor_tree.parent(P - 1), None, "routed around");
-            let after_epoch = ctx.schedules().len();
-            (
-                [after_rounds, after_allreduce, after_epoch],
-                [star, survivor_star, survivor_tree],
-            )
+            ([after_rounds, ctx.schedules().len()], star)
         });
         assert!(report.ok());
-        let (_, first_handles) = report.result(0);
+        let (_, first_star) = report.result(0);
         for rank in 0..P {
-            let (counts, handles) = report.result(rank);
-            assert_eq!(*counts, [1, 2, 4], "rank {rank}");
-            for (mine, firsts) in handles.iter().zip(first_handles) {
-                assert!(Arc::ptr_eq(mine, firsts), "rank {rank} got its own tree");
-            }
+            let (counts, star) = report.result(rank);
+            assert_eq!(*counts, [1, 2], "rank {rank}");
+            assert!(
+                Arc::ptr_eq(star, first_star),
+                "rank {rank} got its own tree"
+            );
         }
     }
 

@@ -1,10 +1,10 @@
 //! Collective schedule trees.
 //!
 //! Every collective algorithm in [`crate::coll`] is a communication
-//! schedule over a rooted spanning tree of the ranks. This module builds
-//! the three tree shapes:
+//! schedule over a rooted spanning tree of the ranks `0..P`. This module
+//! builds the three tree shapes:
 //!
-//! * **linear** — a star: every member is a direct child of the root
+//! * **linear** — a star: every rank is a direct child of the root
 //!   (the paper's root-mediated baseline),
 //! * **binomial** — recursive halving over contiguous virtual-rank
 //!   ranges: the root hands off the far half of its range, then the far
@@ -20,30 +20,23 @@
 //! and makes tree reduces regroup — not reorder — the linear fold; see
 //! `docs/COMMS.md`).
 //!
-//! Every builder spans an explicit **member list**: every rank for the
-//! collectives in [`crate::coll`], the survivors `hetero::ft`'s master
-//! tracks, so its trees route *around* known-dead interior relays
-//! instead of cascading `PeerLost` down their subtrees. [`build`] is the
-//! one builder; it has two callers. The executors reach it through the
-//! run's [`ScheduleMemo`], which builds a tree once per `(algorithm,
-//! root, members)` per run and hands every rank the same `Arc<Tree>`;
-//! the cost model calls it directly, because a prediction has no run to
-//! share with.
+//! A schedule is a function of its algorithm, its root and the platform
+//! alone. [`build`] is the one builder; it has two callers. The
+//! executors reach it through the run's [`ScheduleMemo`], which builds a
+//! tree once per `(algorithm, root)` per run and hands every rank the
+//! same `Arc<Tree>`; the cost model calls it directly, because a
+//! prediction has no run to share with.
 
 use super::CollAlgorithm;
 use crate::platform::Platform;
 use std::sync::{Arc, Mutex};
 
-/// A rooted spanning tree over a subset of ranks `0..p` (all of them for
-/// the all-ranks collectives), with children kept in both broadcast (send)
-/// order and gather (receive/fold) order. Vectors are always indexed by
-/// *real* rank; non-member ranks simply have no parent, no children and
-/// a subtree of themselves only.
-#[derive(Debug, Clone)]
-pub struct Tree {
-    /// The root rank, stored explicitly: in a survivor tree, non-member
-    /// ranks also have `parent == None`, so the root is not derivable
-    /// from the parent vector alone.
+/// A rooted spanning tree over the ranks `0..P`, with children kept in
+/// both broadcast (send) order and gather (receive/fold) order. Vectors
+/// are indexed by rank; the root is the one rank without a parent.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Tree {
+    /// The root rank, kept so traversals start from it without a scan.
     root: usize,
     parent: Vec<Option<usize>>,
     /// Children in broadcast send order: deepest/remote subtree first.
@@ -96,17 +89,17 @@ impl Tree {
     }
 
     /// The root rank of this schedule.
-    pub fn root(&self) -> usize {
+    pub(crate) fn root(&self) -> usize {
         self.root
     }
 
-    /// The parent of `rank` (`None` for the root and for non-members).
-    pub fn parent(&self, rank: usize) -> Option<usize> {
+    /// The parent of `rank` (`None` for the root).
+    pub(crate) fn parent(&self, rank: usize) -> Option<usize> {
         self.parent[rank]
     }
 
     /// Children of `rank` in broadcast send order.
-    pub fn children_bcast(&self, rank: usize) -> &[usize] {
+    pub(crate) fn children_bcast(&self, rank: usize) -> &[usize] {
         &self.bcast[rank]
     }
 
@@ -136,7 +129,7 @@ impl Tree {
         out
     }
 
-    /// All member ranks, parents before children, following broadcast
+    /// All ranks, parents before children, following broadcast
     /// order.
     pub(crate) fn preorder_bcast(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.parent.len());
@@ -148,7 +141,7 @@ impl Tree {
         out
     }
 
-    /// All member ranks, children before parents, following gather
+    /// All ranks, children before parents, following gather
     /// order.
     pub(crate) fn postorder_gather(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.parent.len());
@@ -162,38 +155,36 @@ impl Tree {
     }
 }
 
-/// The concrete schedule [`Tree`] of `algorithm` over `members`
-/// (ascending, containing `root`). [`CollAlgorithm::PipelinedChunked`]
-/// shares the segment-hierarchical tree.
+/// The concrete schedule [`Tree`] of `algorithm` rooted at `root`, over
+/// every rank of `platform`. [`CollAlgorithm::PipelinedChunked`] shares
+/// the segment-hierarchical tree.
 ///
 /// # Panics
 /// On [`CollAlgorithm::Auto`], which names no tree: selection
 /// (`coll::resolve`) resolves it to a concrete algorithm first.
-pub(super) fn build(
-    algorithm: CollAlgorithm,
-    root: usize,
-    platform: &Platform,
-    members: &[usize],
-) -> Tree {
+pub(super) fn build(algorithm: CollAlgorithm, root: usize, platform: &Platform) -> Tree {
     let p = platform.num_procs();
     match algorithm {
-        CollAlgorithm::Linear => linear_over(root, members, p),
-        CollAlgorithm::BinomialTree => binomial_over(root, members, p),
+        CollAlgorithm::Linear => linear(root, p),
+        CollAlgorithm::BinomialTree => binomial(root, p),
         CollAlgorithm::SegmentHierarchical | CollAlgorithm::PipelinedChunked => {
-            segment_hierarchical_over(root, platform, members)
+            segment_hierarchical(root, platform)
         }
+        // Unreachable: the memo is asked only with `choose`'s output,
+        // which is concrete on every branch, and every caller of
+        // `predict` passes a concrete algorithm (its `# Panics`).
         CollAlgorithm::Auto => unreachable!("selection resolved before building"),
     }
 }
 
-/// One run's schedules, keyed by `(algorithm, root, members)`. A
-/// schedule is a pure function of its key and the run's platform, so a
-/// tree built by whichever rank asks first is the tree every other rank
-/// would have built: P ranks planning the same collective share one.
+/// One run's schedules, keyed by `(algorithm, root)`. A schedule is a
+/// pure function of its key and the run's platform, so a tree built by
+/// whichever rank asks first is the tree every other rank would have
+/// built: P ranks planning the same collective share one.
 #[derive(Debug, Default)]
 pub(crate) struct ScheduleMemo {
-    /// Few keys per run (one per algorithm in use per member list), so a
-    /// scan beats hashing the member list on every call.
+    /// Few keys per run (one per algorithm in use), so a scan beats a
+    /// map.
     built: Mutex<Vec<Memoized>>,
 }
 
@@ -201,34 +192,30 @@ pub(crate) struct ScheduleMemo {
 struct Memoized {
     algorithm: CollAlgorithm,
     root: usize,
-    members: Vec<usize>,
     tree: Arc<Tree>,
 }
 
 impl ScheduleMemo {
-    /// The schedule of `algorithm` rooted at `root` over `members`
-    /// (ascending, containing `root`), built on the first request for
-    /// that key. Building happens under the lock, so concurrent first
-    /// requests still build exactly one tree.
+    /// The schedule of `algorithm` rooted at `root`, built on the first
+    /// request for that key. Building happens under the lock, so
+    /// concurrent first requests still build exactly one tree.
     pub(crate) fn get(
         &self,
         algorithm: CollAlgorithm,
         root: usize,
         platform: &Platform,
-        members: &[usize],
     ) -> Arc<Tree> {
         let mut built = crate::lock_unpoisoned(&self.built);
         if let Some(hit) = built
             .iter()
-            .find(|m| m.algorithm == algorithm && m.root == root && m.members == members)
+            .find(|m| m.algorithm == algorithm && m.root == root)
         {
             return Arc::clone(&hit.tree);
         }
-        let tree = Arc::new(build(algorithm, root, platform, members));
+        let tree = Arc::new(build(algorithm, root, platform));
         built.push(Memoized {
             algorithm,
             root,
-            members: members.to_vec(),
             tree: Arc::clone(&tree),
         });
         tree
@@ -241,42 +228,28 @@ impl ScheduleMemo {
     }
 }
 
-/// The star schedule over `members` (ascending, containing `root`):
-/// every member is a direct child of `root`, in ascending rank order.
-fn linear_over(root: usize, members: &[usize], p: usize) -> Tree {
-    debug_assert!(members.contains(&root), "linear_over: root is a member");
-    let mut parent = vec![None; p];
+/// The star schedule over the ranks `0..p`: every other rank is a direct
+/// child of `root`, in ascending rank order.
+fn linear(root: usize, p: usize) -> Tree {
+    let mut parent = vec![Some(root); p];
+    parent[root] = None;
     let mut bcast = vec![Vec::new(); p];
-    for &r in members {
-        if r != root {
-            parent[r] = Some(root);
-            bcast[root].push(r);
-        }
-    }
+    bcast[root] = (0..p).filter(|&r| r != root).collect();
     Tree::from_parts(p, root, parent, bcast)
 }
 
-/// The binomial schedule over `members` (ascending, containing `root`)
-/// by recursive halving over *virtual indices* into the member list,
-/// rotated so index 0 is the root: the owner of a contiguous index range
-/// `[lo, hi)` hands the range starting at `lo + h` — `h` the largest
-/// power of two below the range size — to a child, keeps `[lo, lo + h)`,
-/// and repeats. With the full member set the virtual index of rank `r`
-/// is `(r − root) mod p`; with survivors removed the halving runs over
-/// the compacted survivor list, so the tree never routes through a dead
-/// rank. Subtrees are contiguous index blocks, which is what lets a
-/// binomial reduce *regroup* (not reorder) the linear left-fold when the
-/// root is rank 0.
-fn binomial_over(root: usize, members: &[usize], p: usize) -> Tree {
-    let m = members.len();
-    let k = members
-        .iter()
-        .position(|&r| r == root)
-        .expect("binomial_over: root is a member");
-    let to_rank = |v: usize| members[(v + k) % m];
+/// The binomial schedule over the ranks `0..p` by recursive halving over
+/// *virtual ranks* `v = (r − root) mod p`: the owner of a contiguous
+/// virtual range `[lo, hi)` hands the range starting at `lo + h` — `h`
+/// the largest power of two below the range size — to a child, keeps
+/// `[lo, lo + h)`, and repeats. Subtrees are contiguous virtual-rank
+/// blocks, which is what lets a binomial reduce *regroup* (not reorder)
+/// the linear left-fold when the root is rank 0.
+fn binomial(root: usize, p: usize) -> Tree {
+    let to_rank = |v: usize| (v + root) % p;
     let mut parent = vec![None; p];
     let mut bcast = vec![Vec::new(); p];
-    let mut stack = vec![(0usize, m)];
+    let mut stack = vec![(0usize, p)];
     while let Some((lo, mut hi)) = stack.pop() {
         while hi - lo > 1 {
             let span = hi - lo;
@@ -292,40 +265,34 @@ fn binomial_over(root: usize, members: &[usize], p: usize) -> Tree {
     Tree::from_parts(p, root, parent, bcast)
 }
 
-/// The two-level schedule matched to the platform's segment map, over
-/// `members` (ascending, containing `root`): the root reaches one
-/// *leader* per remote segment — one serial-link crossing per segment —
-/// plus its own segment mates; each leader fans out to the rest of its
-/// segment over the switched intra-segment network. The leader of a
-/// segment is its **lowest surviving member**, so a segment whose
-/// original leader died simply promotes the next rank instead of
-/// stranding the whole segment. Broadcast order puts leaders first so the
-/// slow serial-link transfers start as early as possible. On a
-/// single-segment platform this degenerates to [`linear_over`].
-fn segment_hierarchical_over(root: usize, platform: &Platform, members: &[usize]) -> Tree {
-    debug_assert!(
-        members.contains(&root),
-        "segment_hierarchical_over: root is a member"
-    );
+/// The two-level schedule matched to the platform's segment map: the
+/// root reaches one *leader* per remote segment — one serial-link
+/// crossing per segment — plus its own segment mates; each leader fans
+/// out to the rest of its segment over the switched intra-segment
+/// network. The leader of a segment is its lowest rank. Broadcast order
+/// puts leaders first so the slow serial-link transfers start as early
+/// as possible. On a single-segment platform this degenerates to
+/// [`linear`].
+fn segment_hierarchical(root: usize, platform: &Platform) -> Tree {
     let p = platform.num_procs();
     let root_seg = platform.segment_of(root);
     let mut parent = vec![None; p];
     let mut bcast = vec![Vec::new(); p];
-    // Segment id → ascending member ranks.
+    // Segment id → its ranks, ascending.
     let mut segments: std::collections::BTreeMap<usize, Vec<usize>> =
         std::collections::BTreeMap::new();
-    for &r in members {
+    for r in 0..p {
         segments.entry(platform.segment_of(r)).or_default().push(r);
     }
     let mut own_segment_mates = Vec::new();
-    for (seg, seg_members) in &segments {
+    for (seg, ranks) in &segments {
         if *seg == root_seg {
-            own_segment_mates.extend(seg_members.iter().copied().filter(|&r| r != root));
+            own_segment_mates.extend(ranks.iter().copied().filter(|&r| r != root));
         } else {
-            let leader = seg_members[0];
+            let leader = ranks[0];
             parent[leader] = Some(root);
             bcast[root].push(leader);
-            for &r in &seg_members[1..] {
+            for &r in &ranks[1..] {
                 parent[r] = Some(leader);
                 bcast[leader].push(r);
             }
@@ -369,12 +336,6 @@ mod tests {
         Platform::new("segs", segs.iter().map(|&s| spec(s)).collect(), links)
     }
 
-    /// The full member list — what the all-ranks collectives hand the
-    /// builders.
-    fn all(p: usize) -> Vec<usize> {
-        (0..p).collect()
-    }
-
     fn assert_spanning(tree: &Tree, root: usize, p: usize) {
         assert_eq!(tree.parent(root), None);
         let order = tree.subtree_order(root);
@@ -397,7 +358,7 @@ mod tests {
 
     #[test]
     fn linear_is_a_star_in_rank_order() {
-        let t = linear_over(0, &all(5), 5);
+        let t = linear(0, 5);
         assert_eq!(t.children_bcast(0), &[1, 2, 3, 4]);
         assert_eq!(t.children_gather(0), &[1, 2, 3, 4]);
         for r in 1..5 {
@@ -410,7 +371,7 @@ mod tests {
     #[test]
     fn binomial_recursive_halving_shape() {
         // p = 8, root 0: children of 0 are 4, 2, 1 (broadcast order).
-        let t = binomial_over(0, &all(8), 8);
+        let t = binomial(0, 8);
         assert_eq!(t.children_bcast(0), &[4, 2, 1]);
         assert_eq!(t.children_gather(0), &[1, 2, 4]);
         assert_eq!(t.children_bcast(4), &[6, 5]);
@@ -423,7 +384,7 @@ mod tests {
     #[test]
     fn binomial_subtrees_are_contiguous_rank_blocks() {
         for p in [2usize, 3, 5, 8, 13, 16, 17] {
-            let t = binomial_over(0, &all(p), p);
+            let t = binomial(0, p);
             for r in 0..p {
                 let mut sub = t.subtree_order(r);
                 sub.sort_unstable();
@@ -436,7 +397,7 @@ mod tests {
     #[test]
     fn binomial_depth_is_logarithmic() {
         for p in [2usize, 5, 16, 17, 64] {
-            let t = binomial_over(0, &all(p), p);
+            let t = binomial(0, p);
             let mut max_depth = 0;
             for mut r in 0..p {
                 let mut d = 0;
@@ -456,7 +417,7 @@ mod tests {
 
     #[test]
     fn binomial_nonzero_root_spans_via_vranks() {
-        let t = binomial_over(3, &all(8), 8);
+        let t = binomial(3, 8);
         assert_spanning(&t, 3, 8);
         // Child offsets in vrank space map back mod p: 3+4=7, 3+2=5, 3+1=4.
         assert_eq!(t.children_bcast(3), &[7, 5, 4]);
@@ -466,7 +427,7 @@ mod tests {
     fn hierarchical_one_leader_per_remote_segment() {
         // Segments: 0 0 1 1 1 2 2 — root 0 in segment 0.
         let p = platform_with_segments(&[0, 0, 1, 1, 1, 2, 2]);
-        let t = segment_hierarchical_over(0, &p, &all(p.num_procs()));
+        let t = segment_hierarchical(0, &p);
         // Leaders 2 and 5 first (broadcast order), then segment mate 1.
         assert_eq!(t.children_bcast(0), &[2, 5, 1]);
         assert_eq!(t.children_gather(0), &[1, 2, 5]);
@@ -479,8 +440,8 @@ mod tests {
     #[test]
     fn hierarchical_single_segment_degenerates_to_linear() {
         let p = platform_with_segments(&[0, 0, 0, 0]);
-        let t = segment_hierarchical_over(0, &p, &all(p.num_procs()));
-        let l = linear_over(0, &all(4), 4);
+        let t = segment_hierarchical(0, &p);
+        let l = linear(0, 4);
         for r in 0..4 {
             assert_eq!(t.children_bcast(r), l.children_bcast(r));
             assert_eq!(t.parent(r), l.parent(r));
@@ -489,76 +450,118 @@ mod tests {
 
     #[test]
     fn subtree_order_matches_relay_protocol() {
-        let t = binomial_over(0, &all(8), 8);
+        let t = binomial(0, 8);
         // Rank 4's subtree: itself, then gather-order children's subtrees.
         assert_eq!(t.subtree_order(4), vec![4, 5, 6, 7]);
         assert_eq!(t.subtree_order(2), vec![2, 3]);
     }
 
-    fn assert_spanning_over(tree: &Tree, root: usize, members: &[usize]) {
-        assert_eq!(tree.root(), root);
-        assert_eq!(tree.parent(root), None);
-        let mut order = tree.subtree_order(root);
-        order.sort_unstable();
-        assert_eq!(order, members, "tree must span exactly the members");
-        assert_eq!(tree.subtree_size(root), members.len());
-        for &r in members {
-            if r != root {
-                let q = tree.parent(r).expect("non-root member has a parent");
-                assert!(members.contains(&q), "parents are members");
-                assert!(tree.children_bcast(q).contains(&r));
+    /// Segment maps for `p` ranks: one segment, the interleaved
+    /// `[0, 1, 0, 2, 1, …]`, three contiguous blocks, and the round-robin
+    /// maps of `presets::random_heterogeneous` over one to four segments.
+    fn segment_maps(p: usize) -> Vec<Platform> {
+        let interleaved: Vec<usize> = (0..p).map(|r| [0, 1, 0, 2, 1][r % 5]).collect();
+        let blocks: Vec<usize> = (0..p).map(|r| 3 * r / p).collect();
+        let mut maps = vec![
+            platform_with_segments(&vec![0; p]),
+            platform_with_segments(&interleaved),
+            platform_with_segments(&blocks),
+        ];
+        maps.extend(
+            (1..=4).map(|segs| {
+                crate::presets::random_heterogeneous(segs as u64, p, segs, 0.002, 0.05)
+            }),
+        );
+        maps
+    }
+
+    #[test]
+    fn every_builder_spans_every_rank_from_every_root() {
+        use CollAlgorithm::{BinomialTree, Linear, PipelinedChunked, SegmentHierarchical};
+        const ALGOS: [CollAlgorithm; 4] =
+            [Linear, BinomialTree, SegmentHierarchical, PipelinedChunked];
+        for p in 1..=33usize {
+            let ceil_log2 = (usize::BITS - (p - 1).leading_zeros()) as usize;
+            for plat in segment_maps(p) {
+                let memo = ScheduleMemo::default();
+                let single_segment = (0..p).all(|r| plat.segment_of(r) == plat.segment_of(0));
+                for root in 0..p {
+                    for alg in ALGOS {
+                        let at = format!("{} p={p} root={root} {alg}", plat.name());
+                        let t = build(alg, root, &plat);
+                        assert_eq!(t.root(), root, "{at}");
+                        // Spans 0..p; only the root has no parent.
+                        let mut order = t.subtree_order(root);
+                        order.sort_unstable();
+                        assert_eq!(order, (0..p).collect::<Vec<_>>(), "{at}");
+                        for r in 0..p {
+                            assert_eq!(t.parent(r).is_none(), r == root, "{at} rank {r}");
+                            if let Some(q) = t.parent(r) {
+                                assert!(t.children_bcast(q).contains(&r), "{at} rank {r}");
+                            }
+                            let mut sorted = t.children_bcast(r).to_vec();
+                            sorted.sort_unstable();
+                            assert_eq!(t.children_gather(r), sorted, "{at} rank {r}");
+                            assert_eq!(
+                                t.subtree_size(r),
+                                t.subtree_order(r).len(),
+                                "{at} rank {r}"
+                            );
+                        }
+                        match alg {
+                            Linear => {}
+                            BinomialTree => {
+                                let vrank = |r: usize| (r + p - root) % p;
+                                for r in 0..p {
+                                    let mut depth = 0;
+                                    let mut up = r;
+                                    while let Some(q) = t.parent(up) {
+                                        (up, depth) = (q, depth + 1);
+                                    }
+                                    assert!(depth <= ceil_log2, "{at} rank {r}: depth {depth}");
+                                    let mut sub: Vec<usize> =
+                                        t.subtree_order(r).into_iter().map(vrank).collect();
+                                    sub.sort_unstable();
+                                    let block: Vec<usize> =
+                                        (vrank(r)..vrank(r) + sub.len()).collect();
+                                    assert_eq!(sub, block, "{at} rank {r}: contiguous");
+                                }
+                            }
+                            SegmentHierarchical | PipelinedChunked => {
+                                let root_seg = plat.segment_of(root);
+                                for r in 0..p {
+                                    let seg = plat.segment_of(r);
+                                    let leader = (0..p).find(|&x| plat.segment_of(x) == seg);
+                                    let leader = leader.expect("r is in its own segment");
+                                    let want = if r == root {
+                                        None
+                                    } else if seg == root_seg || r == leader {
+                                        Some(root)
+                                    } else {
+                                        Some(leader)
+                                    };
+                                    assert_eq!(t.parent(r), want, "{at} rank {r}");
+                                }
+                                if single_segment {
+                                    assert_eq!(t, linear(root, p), "{at}: the star");
+                                }
+                            }
+                            CollAlgorithm::Auto => unreachable!(),
+                        }
+                        let shared = memo.get(alg, root, &plat);
+                        assert!(Arc::ptr_eq(&shared, &memo.get(alg, root, &plat)), "{at}");
+                        assert_eq!(*shared, t, "{at}");
+                    }
+                }
+                assert_eq!(memo.len(), ALGOS.len() * p, "{} p={p}", plat.name());
             }
         }
     }
 
     #[test]
-    fn linear_over_spans_only_members() {
-        let t = linear_over(0, &[0, 1, 3, 4], 5);
-        assert_eq!(t.children_bcast(0), &[1, 3, 4]);
-        assert_eq!(t.parent(2), None);
-        assert!(t.children_bcast(2).is_empty());
-        assert_spanning_over(&t, 0, &[0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn binomial_over_routes_around_dead_relay() {
-        // In binomial_over(0, &all(8), 8), rank 4 relays to subtree {4,5,6,7}. Remove
-        // it: the survivor tree must span the other 7 without touching 4.
-        let members = vec![0, 1, 2, 3, 5, 6, 7];
-        let t = binomial_over(0, &members, 8);
-        assert_spanning_over(&t, 0, &members);
-        for &r in &members {
-            assert!(!t.children_bcast(r).contains(&4), "dead rank never a child");
-            assert_ne!(t.parent(r), Some(4), "dead rank never a parent");
-        }
-        // Halving over the 7 survivors: children of virtual 0 at virtual
-        // offsets 4, 2, 1 → ranks 5, 2, 1.
-        assert_eq!(t.children_bcast(0), &[5, 2, 1]);
-    }
-
-    #[test]
-    fn binomial_over_nonzero_root_rotates_member_list() {
-        let members = vec![1, 2, 3, 5, 7];
-        let t = binomial_over(3, &members, 8);
-        assert_spanning_over(&t, 3, &members);
-    }
-
-    #[test]
-    fn hierarchical_over_promotes_next_surviving_leader() {
-        // Segments: 0 0 1 1 1 2 2. Killing rank 2 (segment 1's leader)
-        // must promote rank 3, not strand ranks 3 and 4.
-        let plat = platform_with_segments(&[0, 0, 1, 1, 1, 2, 2]);
-        let members = vec![0, 1, 3, 4, 5, 6];
-        let t = segment_hierarchical_over(0, &plat, &members);
-        assert_eq!(t.children_bcast(0), &[3, 5, 1]);
-        assert_eq!(t.children_bcast(3), &[4]);
-        assert_spanning_over(&t, 0, &members);
-    }
-
-    #[test]
     fn orders_cover_all_ranks() {
         for p in [1usize, 2, 7, 16] {
-            let t = binomial_over(0, &all(p), p);
+            let t = binomial(0, p);
             let pre = t.preorder_bcast();
             let post = t.postorder_gather();
             assert_eq!(pre.len(), p);

@@ -585,7 +585,7 @@ impl<M: Wire> Ctx<M> {
         self.platform.msg_latency_s()
     }
 
-    /// The run's collective schedule memo (see [`crate::coll::tree_over`]).
+    /// The run's collective schedule memo, one tree per `(algorithm, root)`.
     pub(crate) fn schedules(&self) -> &crate::coll::ScheduleMemo {
         &self.fabric.schedules
     }
@@ -1357,7 +1357,6 @@ mod tests {
             crate::coll::CollAlgorithm::BinomialTree,
             0,
             &Platform::uniform("t64", p, 0.01, 64, 1.0),
-            &(0..p).collect::<Vec<_>>(),
         );
         for rank in 1..p {
             let parent = tree.parent(rank).expect("non-root");

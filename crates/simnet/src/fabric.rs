@@ -17,8 +17,8 @@
 //!   its own mailbox lock*: every `post` the leaver made completed before
 //!   it published, so the exit trails every real message by construction.
 //! * **The schedule memo** ([`ScheduleMemo`]) — a collective schedule is
-//!   built once per `(algorithm, root, alive set)` per run and shared by
-//!   every rank that plans over it.
+//!   built once per `(algorithm, root)` per run and shared by every rank
+//!   that plans over it.
 //! * **The link ledger** — the run's one [`LinkLedger`] behind a mutex
 //!   that [`crate::contention::charge`] takes only for a transfer that
 //!   queues on a serial link.

@@ -95,7 +95,6 @@ pub mod trace;
 pub use accel::{DeviceKind, DeviceSpec, OffloadStats};
 pub use coll::{
     CollAlgorithm, CollError, CollOp, CollectiveChoice, CollectiveConfig, GatherEntry, ScatterMode,
-    Tree,
 };
 pub use engine::{Ctx, Engine, Wire};
 pub use faults::{FailureCause, FaultPlan, FaultPlanError, RankFailure, RecvError};
