@@ -197,10 +197,13 @@ pub struct Carry<M = ()> {
     epoch: AtomicU64,
     lines: OnceLock<Box<[Mutex<LineCarry<M>>]>>,
     /// Host-work tallies: vectors folded into a line, lines started from
-    /// nothing, line buffers that grew during a scan.
+    /// nothing, line buffers that grew during a scan, pixels a scan
+    /// evaluated and pixels it scored.
     applied: AtomicUsize,
     started: AtomicUsize,
     outgrown: AtomicUsize,
+    evaluated: AtomicUsize,
+    scored: AtomicUsize,
 }
 
 /// Takes `lock` over from a holder that panicked: whatever it was writing
@@ -338,6 +341,12 @@ impl<M: Default> Carry<M> {
         self.started
             .fetch_add(usize::from(fresh), Ordering::Relaxed);
     }
+
+    /// Tallies one line of `scored` pixels, `evaluated` of them not pruned.
+    fn count_pixels(&self, evaluated: usize, scored: usize) {
+        self.evaluated.fetch_add(evaluated, Ordering::Relaxed);
+        self.scored.fetch_add(scored, Ordering::Relaxed);
+    }
 }
 
 impl<M> Carry<M> {
@@ -364,6 +373,19 @@ impl<M> Carry<M> {
     pub fn outgrown(&self) -> usize {
         self.outgrown.load(Ordering::Relaxed)
     }
+
+    /// Pixel-rounds scanned through this carry so far: `(evaluated,
+    /// scored)` — of the pixels its scans scored, those that were
+    /// unmixed or replayed rather than pruned by their objective bound
+    /// ([`max_fcls_error_carried`]). Only the FCLS scan prunes; the other
+    /// leaves both at 0. Not a cost the virtual clock reads.
+    #[doc(hidden)]
+    pub fn pixel_rounds(&self) -> (usize, usize) {
+        (
+            self.evaluated.load(Ordering::Relaxed),
+            self.scored.load(Ordering::Relaxed),
+        )
+    }
 }
 
 /// A deep copy: the clone's lines are its own, continued separately.
@@ -375,6 +397,7 @@ impl<M: Clone + Default> Clone for Carry<M> {
             .get()
             .map(|held| held.iter().map(copy_of).collect());
         let (applied, started) = self.applied();
+        let (evaluated, scored) = self.pixel_rounds();
         Carry {
             seen: Mutex::new(take_over(&self.seen).0.clone()),
             epoch: AtomicU64::new(self.epoch.load(Ordering::SeqCst)),
@@ -382,30 +405,43 @@ impl<M: Clone + Default> Clone for Carry<M> {
             applied: AtomicUsize::new(applied),
             started: AtomicUsize::new(started),
             outgrown: AtomicUsize::new(self.outgrown()),
+            evaluated: AtomicUsize::new(evaluated),
+            scored: AtomicUsize::new(scored),
         }
     }
+}
+
+/// Whether `score` takes the lead from `best` in a scan: strictly
+/// greater, and a NaN ranks below every number, so it never takes the
+/// lead from one and any number takes it from a NaN.
+fn outranks(score: f64, best: f64) -> bool {
+    score > best || (best.is_nan() && !score.is_nan())
 }
 
 /// Chunk-parallel argmax over the pixels of a line range.
 ///
 /// `make_scorer` builds one (possibly stateful) line-scoring closure per
 /// chunk, so scorers may own scratch buffers without synchronisation. A
-/// scorer is handed a line and a buffer to fill with the line's scores,
-/// one per sample.
+/// scorer is handed a line, the chunk's best score so far (`−∞` before
+/// any: a scorer may leave a pixel that cannot beat it at `−∞`) and a
+/// buffer to fill with the line's scores, one per sample.
 /// Each chunk is scanned sequentially in row-major order keeping its
 /// first strict maximum; chunk winners are then folded **in chunk
 /// order**, replacing only on a strictly greater score. Both levels use
-/// the same strict `>`, so the overall winner is exactly the first
-/// row-major maximum — identical to a sequential scan for any worker
-/// count, including on duplicate scores.
+/// the same strict order ([`outranks`]: a NaN below every number), so
+/// the overall winner is exactly the first row-major maximum — identical
+/// to a sequential scan for any worker count, including on duplicate
+/// scores.
 fn argmax_pixels<S>(
     cube: &HyperCube,
     range: (usize, usize),
     make_scorer: impl Fn() -> S + Sync,
 ) -> Option<ScoredPixel>
 where
-    S: FnMut(usize, &mut [f64]),
+    S: FnMut(usize, f64, &mut [f64]),
 {
+    let lead =
+        |best: &Option<ScoredPixel>, score| best.as_ref().is_none_or(|b| outranks(score, b.score));
     let bests: Vec<Option<ScoredPixel>> = (0..chunk_count(range))
         .into_par_iter()
         .map(|c| {
@@ -414,13 +450,10 @@ where
             let mut scores = vec![0.0f64; cube.samples()];
             let mut best: Option<ScoredPixel> = None;
             for line in clo..chi {
-                score_line(line, &mut scores);
+                let floor = best.as_ref().map_or(f64::NEG_INFINITY, |b| b.score);
+                score_line(line, floor, &mut scores);
                 for (sample, &s) in scores.iter().enumerate() {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => s > b.score,
-                    };
-                    if better {
+                    if lead(&best, s) {
                         best = Some(ScoredPixel {
                             line,
                             sample,
@@ -434,11 +467,7 @@ where
         .collect();
     let mut overall: Option<ScoredPixel> = None;
     for b in bests.into_iter().flatten() {
-        let better = match &overall {
-            None => true,
-            Some(o) => b.score > o.score,
-        };
-        if better {
+        if lead(&overall, b.score) {
             overall = Some(b);
         }
     }
@@ -451,7 +480,7 @@ pub fn brightest(cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel
     let n = cube.bands();
     let pixels = range_pixels(cube, range);
     let result = argmax_pixels(cube, range, || {
-        |line: usize, scores: &mut [f64]| {
+        |line: usize, _floor: f64, scores: &mut [f64]| {
             for (sample, score) in scores.iter_mut().enumerate() {
                 *score = brightness(cube.pixel(line, sample));
             }
@@ -504,7 +533,7 @@ pub fn max_projection_carried(
     let pixels = range_pixels(cube, range);
     let epoch = carry.reconcile(cube, k, |i| basis.vector(i));
     let result = argmax_pixels(cube, range, || {
-        |line: usize, scores: &mut [f64]| {
+        |line: usize, _floor: f64, scores: &mut [f64]| {
             carry.with_line(line, k, epoch, |state| {
                 let (fresh, depth) = projection_line_scores(cube, basis, line, state, scores);
                 carry.count(fresh, depth, k);
@@ -685,6 +714,18 @@ pub fn fcls_workspaces_built() -> usize {
     FCLS_WORKSPACES.built.load(Ordering::Relaxed)
 }
 
+/// FCLS solves that failed — every one from a singular endmember set —
+/// summed over the process's scans ([`fcls_solves_failed`]).
+static FCLS_FAILED: AtomicUsize = AtomicUsize::new(0);
+
+/// How many pixels the FCLS scans of the process could not unmix (the
+/// active-set iteration failed on a singular endmember set) and ranked
+/// at `−∞`. A host-work tally; the virtual clock never reads it.
+#[doc(hidden)]
+pub fn fcls_solves_failed() -> usize {
+    FCLS_FAILED.load(Ordering::Relaxed)
+}
+
 /// UFCLS steps 2–3: the pixel with the largest fully-constrained
 /// least-squares reconstruction error against the endmember set.
 ///
@@ -693,7 +734,8 @@ pub fn fcls_workspaces_built() -> usize {
 /// and what a carry keeps of a pixel only ever reproduces the from-empty
 /// solve's bits, so a score is a pure function of `(problem, pixel)`. A
 /// pixel whose solve fails can only come from a singular endmember set;
-/// it ranks below every solved one.
+/// it scores `−∞`, below every solved one, in every build profile, and
+/// [`fcls_solves_failed`] counts it.
 pub fn max_fcls_error(
     cube: &HyperCube,
     problem: &FclsProblem,
@@ -701,12 +743,21 @@ pub fn max_fcls_error(
 ) -> (Option<ScoredPixel>, f64) {
     // Nothing outlives the call, so nothing is kept per line: each chunk
     // restarts one line state, which is an empty carry's at every line.
+    // With no record kept, no pixel has a bound to prune by.
     let result = argmax_pixels(cube, range, || {
         let mut state = LineCarry::default();
         let mut scratch = FCLS_WORKSPACES.check_out();
-        move |line: usize, scores: &mut [f64]| {
+        move |line: usize, floor: f64, scores: &mut [f64]| {
             state.depth = 0;
-            fcls_line_scores(cube, problem, line, &mut state, &mut scratch.ws, scores);
+            fcls_line_scores(
+                cube,
+                problem,
+                line,
+                floor,
+                &mut state,
+                &mut scratch.ws,
+                scores,
+            );
         }
     });
     (result, fcls_mflops(cube, problem, range))
@@ -715,13 +766,24 @@ pub fn max_fcls_error(
 /// [`max_fcls_error`] for a caller that scans the same cube round after
 /// round against an endmember set that only grows: each line keeps its
 /// pixels' endmember dots (laid out endmember-major, so a round appends)
-/// and active-set trails — for whoever scores it next — so a round that
+/// and active-set records — for whoever scores it next — so a round that
 /// pushed one endmember forms one new dot per pixel instead of all of
 /// them, skips the solve and the residual of every pixel whose
 /// active-set path the newcomer does not change, and resumes the others'
-/// where it first does ([`FclsProblem::solve_f32_line`]). Scores are
-/// [`FclsProblem::solve_f32_in`]'s to the bit. A carry that last saw a
-/// different set restarts the lines it must, dots and trails.
+/// where it first does ([`FclsProblem::solve_f32_line`]).
+///
+/// **A pixel that cannot win is not unmixed at all.** The endmember sets
+/// are nested, so a pixel's recorded solve bounds every score it can
+/// reach later ([`FclsProblem::solve_f32_line`]; the proof and its
+/// rounding margin are in docs/PERF.md). Each 8-line chunk hands every
+/// line its running best — the row-major scan's strict `>` — as the
+/// floor: a pixel whose bound is below it, or below a score of its own
+/// line, keeps its record for a later round and scores `−∞`, and cannot
+/// have been the chunk's winner. A pixel with no record (first round,
+/// failed solve, restarted or diverged line) is always unmixed. The
+/// winner, its score and the megaflops are [`max_fcls_error`]'s to the
+/// bit; [`Carry::pixel_rounds`] counts what was evaluated. A carry that
+/// last saw a different set restarts the lines it must, dots and trails.
 /// The megaflops returned are those of the full unmixing.
 pub fn max_fcls_error_carried(
     cube: &HyperCube,
@@ -733,10 +795,12 @@ pub fn max_fcls_error_carried(
     let epoch = carry.reconcile(cube, t, |i| problem.endmember(i));
     let result = argmax_pixels(cube, range, || {
         let mut scratch = FCLS_WORKSPACES.check_out();
-        move |line: usize, scores: &mut [f64]| {
+        move |line: usize, floor: f64, scores: &mut [f64]| {
             carry.with_line(line, t, epoch, |state| {
-                let depth = fcls_line_scores(cube, problem, line, state, &mut scratch.ws, scores);
+                let (depth, evaluated) =
+                    fcls_line_scores(cube, problem, line, floor, state, &mut scratch.ws, scores);
                 carry.count(depth == 0, depth, t);
+                carry.count_pixels(evaluated, scores.len());
             })
         }
     });
@@ -752,16 +816,18 @@ fn fcls_mflops(cube: &HyperCube, problem: &FclsProblem, range: (usize, usize)) -
 /// One line of the FCLS scan, solved in `ws`, the workspace its chunk
 /// checked out: brings `state` — the line's dots and trails against the
 /// first `state.depth` endmembers — up to the whole problem and fills
-/// `scores`, `−∞` for a pixel whose solve fails. Returns the depth the
-/// line was continued from.
+/// `scores`, `−∞` for a pixel whose solve fails or whose bound is below
+/// `floor`. Returns the depth the line was continued from and how many
+/// of its pixels were evaluated.
 fn fcls_line_scores(
     cube: &HyperCube,
     problem: &FclsProblem,
     line: usize,
+    floor: f64,
     state: &mut LineCarry<NnlsTrails>,
     ws: &mut FclsWorkspace,
     scores: &mut [f64],
-) -> usize {
+) -> (usize, usize) {
     let t = problem.num_endmembers();
     let samples = scores.len();
     let stride = samples * cube.bands();
@@ -771,26 +837,33 @@ fn fcls_line_scores(
     let depth = state.depth;
     state.sums.resize(t * samples, 0.0);
     scores.fill(f64::NEG_INFINITY);
-    // A pixel's new dots are formed before its solve, so they are
-    // kept even when that fails.
+    // Every pixel's new dots are formed before any solve, so they are
+    // kept whether it is solved, pruned or fails.
     let shaped = problem.solve_f32_line(
         &cube.as_slice()[line * stride..(line + 1) * stride],
         depth,
         &mut state.sums,
         &mut state.more,
+        floor,
         ws,
-        |sample, solved| {
-            debug_assert!(solved.is_ok(), "max_fcls_error: {solved:?}");
-            if let Ok(residual_sq) = solved {
-                scores[sample] = residual_sq;
+        |sample, solved| match solved {
+            Ok(residual_sq) => scores[sample] = residual_sq,
+            Err(_) => {
+                FCLS_FAILED.fetch_add(1, Ordering::Relaxed);
             }
         },
     );
+    // Proof: the line is `samples` whole pixels of the problem's bands,
+    // `sums` was just sized to `t · samples`, and `with_line` restarts a
+    // line deeper than `t`, so `depth ≤ t`.
     debug_assert!(shaped.is_ok(), "max_fcls_error: {shaped:?}");
-    if shaped.is_ok() {
-        state.depth = t;
+    match shaped {
+        Ok(evaluated) => {
+            state.depth = t;
+            (depth, evaluated)
+        }
+        Err(_) => (depth, 0),
     }
-    depth
 }
 
 /// PCT step 2: greedily builds a set of spectrally distinct pixels — a
@@ -920,6 +993,8 @@ impl BandMajor {
     /// `t[r][b] · (x[b] − m[b])` in band order, so it has the bits of
     /// [`Matrix::matvec`] applied to the centred pixel.
     fn project(&self, px: &[f32], mean: &[f64], out: &mut [f64]) {
+        // Proof: its one caller sizes `out` to the transform's rows, which
+        // `new` grouped `PROJECT_ROWS` to a group.
         debug_assert_eq!(out.len().div_ceil(PROJECT_ROWS), self.groups.len());
         for (group, out) in self.groups.iter().zip(out.chunks_mut(PROJECT_ROWS)) {
             let mut sums = [-0.0f64; PROJECT_ROWS];
@@ -958,6 +1033,8 @@ pub fn pct_label(
     }
     let reps32 = SadCandidates::new(&reps32);
     let reps32 = &reps32;
+    // Proof: both callers (`seq::pct`, `sched`'s labelling round) pass
+    // the model fitted to this cube's covariance, over its `n` bands.
     assert!(
         transform.cols() == n && mean.len() == n,
         "pct_label: transform or mean not over the cube's {n} bands"
@@ -976,6 +1053,8 @@ pub fn pct_label(
         .enumerate()
         .for_each(|(ci, part)| {
             let (clo, chi) = chunk_bounds(range, ci);
+            // Proof: chunks of `PAR_CHUNK_LINES · samples` labels are the
+            // chunk grid's lines, the last one the remainder.
             debug_assert_eq!(part.len(), (chi - clo) * samples);
             let mut projected = vec![0.0f64; c];
             let mut proj32 = vec![0.0f32; c];
@@ -1012,6 +1091,7 @@ pub fn sad_label(cube: &HyperCube, range: (usize, usize), classes: &[Vec<f32>]) 
         .enumerate()
         .for_each(|(ci, part)| {
             let (clo, chi) = chunk_bounds(range, ci);
+            // Proof: as in `pct_label`, the label chunks are the grid's.
             debug_assert_eq!(part.len(), (chi - clo) * samples);
             for line in clo..chi {
                 for sample in 0..samples {
@@ -1488,6 +1568,38 @@ mod tests {
     }
 
     /// Endmember problems over the first `1..=t` of the same pixels.
+    /// A duplicated endmember — `1e-8` off the first, so the two are
+    /// equal to the sums' rounding — makes the passive sub-Gram
+    /// numerically singular, so some pixels cannot be unmixed: in every build profile (this one
+    /// runs with debug assertions in the dev profile) they score `−∞`, are
+    /// counted, and the scan still returns a solved pixel — the stateless
+    /// and the carried kernel alike.
+    #[test]
+    fn a_failed_solve_ranks_last_in_every_profile() {
+        let s = scene();
+        let cube = &s.cube;
+        let mut problem = growing_problems(cube, 3).pop().unwrap();
+        let twin = wide(cube.pixel_flat(7))
+            .iter()
+            .enumerate()
+            .map(|(b, v)| v + 1e-8 * (b * 7 % 5) as f64)
+            .collect::<Vec<_>>();
+        problem.push(&twin).unwrap();
+        let whole = (0, cube.lines());
+        let failed_alone = (0..cube.num_pixels())
+            .filter(|&i| problem.solve_f32(cube.pixel_flat(i)).is_err())
+            .count();
+        assert!(failed_alone > 0, "fixture: no solve fails");
+        let before = fcls_solves_failed();
+        let stateless = max_fcls_error(cube, &problem, whole);
+        let carried = max_fcls_error_carried(cube, &problem, whole, &FclsCarry::default());
+        // Other tests may scan beside this one: the tally only grows.
+        assert!(fcls_solves_failed() >= before + 2 * failed_alone);
+        let best = stateless.0.as_ref().expect("a solved pixel");
+        assert!(best.score.is_finite());
+        assert_eq!(scored(&stateless), scored(&carried));
+    }
+
     fn growing_problems(cube: &HyperCube, t: usize) -> Vec<FclsProblem> {
         let first = wide(cube.pixel_flat(7));
         let mut problem = FclsProblem::new(Matrix::row_vector(&first)).unwrap();

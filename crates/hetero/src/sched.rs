@@ -205,15 +205,16 @@ fn label_bits(pixels: usize) -> u64 {
 // ATDCA, UFCLS
 // ---------------------------------------------------------------------
 
-/// The winner order: highest score, ties to the lowest `(line, sample)`
-/// — a total order on candidates with distinct coordinates, which is
-/// what makes the pairwise fold of [`better_candidate`] associative and
-/// commutative (so tree allreduces agree bit-for-bit with a sequential
-/// scan).
+/// The winner order: highest score, a NaN below every number (all NaNs
+/// alike), ties to the lowest `(line, sample)` — a total order on
+/// candidates with distinct coordinates, which is what makes the
+/// pairwise fold of [`better_candidate`] associative and commutative (so
+/// tree allreduces agree bit-for-bit with a sequential scan, whose
+/// kernels rank a NaN the same way).
 fn candidate_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
     a.score
         .partial_cmp(&b.score)
-        .unwrap_or(std::cmp::Ordering::Equal)
+        .unwrap_or_else(|| b.score.is_nan().cmp(&a.score.is_nan()))
         .then_with(|| (b.line, b.sample).cmp(&(a.line, a.sample)))
 }
 
@@ -230,12 +231,13 @@ pub(crate) fn better_candidate(a: Candidate, b: Candidate) -> Candidate {
 }
 
 /// A sentinel candidate that never wins (the partial of an empty chunk,
-/// so every gather and fold stays uniform).
+/// so every gather and fold stays uniform): a NaN score at the last
+/// coordinates ranks below every pixel, a NaN-scored one included.
 fn empty_candidate(bands: usize) -> Candidate {
     Candidate {
         line: u32::MAX,
         sample: u32::MAX,
-        score: f64::NEG_INFINITY,
+        score: f64::NAN,
         spectrum: vec![0.0; bands],
     }
 }

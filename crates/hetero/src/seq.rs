@@ -51,10 +51,15 @@ impl<T> SeqOutput<T> {
 
 /// Algorithms 2–3 on one processor: the brightest pixel first, then
 /// rounds of nominate → admit, each round's follow-up charged after it.
-fn detect<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
+/// `carry` is the run's, reserved by its caller.
+fn detect<D: Detector>(
+    cube: &HyperCube,
+    params: &AlgoParams,
+    carry: &D::Carry,
+) -> SeqOutput<Vec<DetectedTarget>> {
     let full = (0, cube.lines());
     let (n, t) = (cube.bands(), params.num_targets);
-    let (mut detector, carry) = (D::new(n), D::carry(cube.lines(), cube.samples(), t));
+    let mut detector = D::new(n);
     let mut targets: Vec<DetectedTarget> = Vec::new();
     let mut mflops = 0.0;
     // The first target is extracted whatever `t` says.
@@ -62,7 +67,7 @@ fn detect<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<D
         let (best, mf) = if k == 0 {
             kernels::brightest(cube, full)
         } else {
-            detector.nominate(cube, full, &carry)
+            detector.nominate(cube, full, carry)
         };
         mflops += mf;
         let best = best.unwrap_or_else(|| panic!("{}: empty image", D::NAME));
@@ -83,13 +88,26 @@ fn detect<D: Detector>(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<D
 
 /// Sequential ATDCA: iterative orthogonal-subspace target extraction.
 pub fn atdca(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
-    detect::<Osp>(cube, params)
+    let carry = Osp::carry(cube.lines(), cube.samples(), params.num_targets);
+    detect::<Osp>(cube, params, &carry)
 }
 
 /// Sequential UFCLS: iterative fully-constrained least-squares target
 /// generation.
 pub fn ufcls(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
-    detect::<Fcls>(cube, params)
+    let carry = Fcls::carry(cube.lines(), cube.samples(), params.num_targets);
+    ufcls_carried(cube, params, &carry)
+}
+
+/// [`ufcls`] scanning through a carry its caller made, to read the
+/// carry's host-work tallies afterwards ([`kernels::FclsCarry`]).
+#[doc(hidden)]
+pub fn ufcls_carried(
+    cube: &HyperCube,
+    params: &AlgoParams,
+    carry: &kernels::FclsCarry,
+) -> SeqOutput<Vec<DetectedTarget>> {
+    detect::<Fcls>(cube, params, carry)
 }
 
 /// The PCT model built by the sequential algorithm (also broadcast by

@@ -30,6 +30,16 @@
 //! correlation vector, whose leading entries do not change as the set
 //! grows, so either way the result is the from-empty solve's to the bit.
 //!
+//! A line's records also say **which pixels cannot win**. The endmember
+//! sets of a run are nested, so the optimum of the augmented objective
+//! `F(a) = ‖x − Uᵀa‖² + δ²(1 − Σa)²` over `a ≥ 0` cannot rise as the set
+//! grows, and a pixel's recorded solve — score `r̂`, abundances `â` —
+//! bounds every later score by `r̂ + δ²(1 − Σâ)²` plus a rounding margin
+//! derived from the KKT tolerances and the residual's rounding
+//! ([`FclsProblem::solve_f32_line`]; the proof is in docs/PERF.md). A
+//! caller after the line's maximum hands a floor, and a pixel bounded
+//! below it is not replayed, solved or given a residual.
+//!
 //! The two 224-band reductions around the iteration — the endmember dots
 //! before it and `‖x − Uᵀa‖²` after it — are single accumulator chains,
 //! so a caller with a whole image line ([`FclsProblem::solve_f32_line`])
@@ -257,8 +267,12 @@ pub struct FclsWorkspace {
     resid: Vec<f64>,
     /// The steps of the solve in flight.
     trail: Vec<u64>,
-    /// The records of the line in flight ([`NnlsTrails`]).
+    /// The records of the line in flight ([`NnlsTrails`]), in the order
+    /// its pixels are visited, and where each pixel's record lies there.
     line_trails: Vec<u64>,
+    spans: Vec<(usize, usize)>,
+    /// The line's pixels in the order they are visited.
+    visits: Vec<Visit>,
     passive_solves: u64,
 }
 
@@ -503,12 +517,21 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 
 /// What [`FclsProblem::solve_f32_line`] keeps of one image line between
 /// the rounds of a run: each pixel's trail — the steps of its latest
-/// active-set iteration ([`FclsWorkspace`]) — and the score that
-/// iteration ended in. One growable arena per line, a pixel's record
-/// after its neighbour's; a pixel whose solve failed, or whose problem is
-/// wider than the 24 endmembers the set masks hold, keeps an empty trail
-/// and solves from the empty passive set next time. `Default` is "nothing
-/// kept"; its arena grows on first use.
+/// active-set iteration ([`FclsWorkspace`]) — the score that iteration
+/// ended in, and how many leading endmembers it was solved against. One
+/// growable arena per line, a pixel's record after its neighbour's; a
+/// pixel whose solve failed, or whose problem is wider than the 24
+/// endmembers the set masks hold, keeps an empty trail and solves from the
+/// empty passive set next time. `Default` is "nothing kept"; its arena
+/// grows on first use.
+///
+/// A record is `[words | exit << 16 | depth << 32, score, words of
+/// steps]`, `exit` where the trail's last step starts. The depth rides
+/// in the length word, so a pixel the line's floor pruned — its
+/// record carried forward unchanged, against fewer endmembers than its
+/// line's dots — costs no word more than one solved this round, and
+/// resumes later by replaying its trail against every endmember added
+/// since ([`FclsProblem::solve_f32_line`]).
 ///
 /// The arena is one buffer for a line's whole run: every call empties it
 /// and refills it, so it reallocates only when a line's records outgrow
@@ -516,10 +539,47 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 /// ([`NnlsTrails::with_capacity`]).
 #[derive(Debug, Clone, Default)]
 pub struct NnlsTrails {
-    /// Leading endmembers the trails were recorded against.
+    /// Leading endmembers the line's dots were formed against.
     depth: usize,
-    /// Per pixel `[n, score, n words of steps]`.
+    /// Per pixel `[n | exit << 16 | depth << 32, score, n words of steps]`.
     records: Vec<u64>,
+}
+
+/// A record's first word: `steps` words of trail whose last step — the
+/// KKT exit — starts at `exit`, solved against `depth` endmembers.
+fn record_word(steps: usize, exit: usize, depth: usize) -> u64 {
+    steps as u64 | (exit as u64) << 16 | (depth as u64) << 32
+}
+
+/// `(steps, exit, depth)` of a record's first word ([`record_word`]).
+fn record_fields(word: u64) -> (usize, usize, usize) {
+    let field = |at: u32| (word >> at) as u16 as usize;
+    (field(0), field(16), (word >> 32) as usize)
+}
+
+// A trail has at most one step per passive-set solve and the exit, each
+// at most `1 + SET_BITS` words: 16 bits hold its length.
+const _: () = assert!((NNLS_MAX_ITER + 1) * (1 + SET_BITS) < 1 << 16);
+
+/// Where each record laid end to end in `records` starts and ends.
+fn record_spans(records: &[u64]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let &word = records.get(at)?;
+        let span = (at, at + 2 + record_fields(word).0);
+        at = span.1;
+        Some(span)
+    })
+}
+
+/// One pixel of a line, in the order [`FclsProblem::solve_f32_line`]
+/// visits them: the bound on its score, and where its record lies in the
+/// line's arena (an empty range: it has none).
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    bound: f64,
+    pixel: usize,
+    record: (usize, usize),
 }
 
 impl NnlsTrails {
@@ -692,6 +752,68 @@ impl FclsProblem {
         Ok(residual_sq)
     }
 
+    /// The largest `‖uᵢ‖²` of the endmembers, rounded up: read off the
+    /// Gram diagonal, where each is summed beside `δ²`.
+    fn endmember_energy(&self) -> f64 {
+        let offset = self.delta * self.delta;
+        let diagonal = (0..self.u.rows()).map(|i| self.gram_aug[(i, i)]);
+        diagonal.fold(0.0, |most: f64, g| {
+            most.max(g - offset + 2.0 * f64::EPSILON * g)
+        })
+    }
+
+    /// What bounds the score of a pixel whose `record` — a solve against
+    /// this problem's leading endmembers, its score and its trail — holds,
+    /// against this problem or any larger one over the same
+    /// leading endmembers: `(objective, margin)`, the augmented objective
+    /// `F(â) = r̂ + δ²(1 − Σâ)²` of that solve and the rounding allowance
+    /// of docs/PERF.md ("UFCLS solves only the pixels that can still
+    /// win"). `energy` is [`FclsProblem::endmember_energy`]. `None` — no
+    /// bound — for no record or an empty trail, or without the sum-to-one
+    /// row (`δ = 0`), which alone bounds the abundances' sum.
+    fn objective_bound(&self, record: &[u64], energy: f64) -> Option<(f64, f64)> {
+        let delta2 = self.delta * self.delta;
+        let [word, score, steps @ ..] = record else {
+            return None;
+        };
+        if delta2 == 0.0 || steps.is_empty() {
+            return None;
+        }
+        let score = f64::from_bits(*score);
+        // The last step is the KKT exit: its held abundances are `â`.
+        let exit = Step::read(&steps[record_fields(*word).1..]);
+        let sum: f64 = exit.held().map(|(_, a)| a).sum();
+        let eps = f64::EPSILON;
+        let (t, n) = (self.u.rows() as f64, self.u.cols() as f64);
+        let objective = score + delta2 * (1.0 - sum) * (1.0 - sum);
+        // ‖x‖ ≤ ‖x − Uᵀâ‖ + ‖Uᵀâ‖ ≤ √r̂ + Σâ·max‖uᵢ‖.
+        let signal = score.sqrt() + sum * energy.sqrt();
+        // Any iterate of the descent has F(a) ≤ F(0) = ‖x‖² + δ², so
+        // δ²(1 − Σa)² ≤ ‖x‖² + δ²: a bound on Σa, the optimum's included.
+        let abundance = 2.0 + signal / self.delta;
+        // Every gradient sum `c_j − Σ g_jp a_p` is made of terms no larger
+        // than this in magnitude.
+        let magnitude = (energy.sqrt() * signal + delta2) + (energy + delta2) * abundance;
+        // The exit's gradient: KKT-tolerated off the passive set, the
+        // factor's backward error on it.
+        let gradient = KKT_FLOOR + (KKT_ROUNDING + 2.0 * (t + 1.0) * eps) * magnitude;
+        // The two residuals' rounding, and this sum's own.
+        let reach = signal + abundance * energy.sqrt();
+        let rounding = 2.0 * (n + t + 2.0) * eps * reach * reach + 4.0 * eps * objective;
+        Some((objective, 6.0 * abundance * gradient + rounding))
+    }
+
+    /// [`FclsProblem::objective_bound`] of each pixel record of `trails`,
+    /// against this problem: `None` for a pixel with none. For tests that
+    /// check the bound.
+    #[doc(hidden)]
+    pub fn objective_bounds(&self, trails: &NnlsTrails) -> Vec<Option<(f64, f64)>> {
+        let energy = self.endmember_energy();
+        let records = &trails.records;
+        let bound = |(from, to)| self.objective_bound(&records[from..to], energy);
+        record_spans(records).map(bound).collect()
+    }
+
     /// The correlation vector of the augmented system from a pixel's
     /// endmember dots, into `ws.corr`.
     fn correlate(&self, dot_of: impl Fn(usize) -> f64, ws: &mut FclsWorkspace) {
@@ -705,28 +827,60 @@ impl FclsProblem {
     /// pixels (`line` holds them back to back), the dots and residuals
     /// formed several pixels abreast. `dots` is endmember-major — entry
     /// `i · pixels + p` is `uᵢᵀx_p` — with the first `known` endmembers'
-    /// rows given and the rest filled here, each pixel's before its solve
-    /// and whether or not that succeeds. `trails` is what the previous
-    /// call on this line left, against those `known` endmembers (or
-    /// `Default`): a pixel whose active-set path the endmembers added
-    /// since do not change gets the score recorded there, with no solve
-    /// and no residual; any other resumes its iteration where they first
-    /// change it; on return `trails` holds the line's trails against this
-    /// problem. `emit(p, r)` receives pixel `p`'s squared residual, once
-    /// per pixel in no particular order, with [`FclsProblem::solve_f32`]'s
-    /// bits either way; a pixel whose active-set iteration fails gets its
-    /// own error, leaves the others alone and keeps no trail.
+    /// rows given and the rest filled here, for every pixel and before any
+    /// solve. `trails` is what the previous call on this line left, against
+    /// those `known` endmembers (or `Default`): a pixel whose active-set
+    /// path the endmembers added since its record was made do not change
+    /// gets the score recorded there, with no solve and no residual; any
+    /// other resumes its iteration where they first change it; on return
+    /// `trails` holds the line's records against this problem.
+    ///
+    /// **Only a pixel that can still win is unmixed.** A pixel's recorded
+    /// solve bounds every score it can reach against a larger set
+    /// ([`FclsProblem::objective_bounds`]): one whose bound is below
+    /// `floor` — raised, as the call goes, by every score the line emits —
+    /// is neither replayed nor solved, keeps its record as it was and is
+    /// emitted as `−∞`. So a caller after the line's maximum passes the
+    /// best score it has seen elsewhere (or `−∞`), and a pixel it is given
+    /// `−∞` for is one with a strictly higher score beside it. The pixels
+    /// are visited highest bound first, which raises the floor soonest; a
+    /// pixel with no record (first call, failed solve, restarted line) has
+    /// no bound and is always unmixed.
+    ///
+    /// `emit(p, r)` receives pixel `p`'s squared residual — `−∞` if
+    /// pruned — once per pixel in no particular order, with
+    /// [`FclsProblem::solve_f32`]'s bits otherwise; a pixel whose
+    /// active-set iteration fails gets its own error, leaves the others
+    /// alone and keeps no trail. Returns how many pixels were not pruned.
     /// `Err` — before anything is emitted — when the buffers do not fit
     /// the problem.
+    #[allow(clippy::too_many_arguments)]
     pub fn solve_f32_line(
         &self,
         line: &[f32],
         known: usize,
         dots: &mut [f64],
         trails: &mut NnlsTrails,
+        floor: f64,
         ws: &mut FclsWorkspace,
         mut emit: impl FnMut(usize, Result<f64>),
-    ) -> Result<()> {
+    ) -> Result<usize> {
+        self.solve_line(line, known, dots, trails, floor, ws, &mut emit)
+    }
+
+    /// [`FclsProblem::solve_f32_line`]'s body, not generic: it is compiled
+    /// once, here, with this crate's optimisation, whoever calls it.
+    #[allow(clippy::too_many_arguments)]
+    fn solve_line(
+        &self,
+        line: &[f32],
+        known: usize,
+        dots: &mut [f64],
+        trails: &mut NnlsTrails,
+        floor: f64,
+        ws: &mut FclsWorkspace,
+        emit: &mut dyn FnMut(usize, Result<f64>),
+    ) -> Result<usize> {
         let (t, n) = (self.u.rows(), self.u.cols());
         let pixels = line.len() / n;
         if line.len() != pixels * n || dots.len() != t * pixels || known > t {
@@ -738,66 +892,133 @@ impl FclsProblem {
         if trails.depth != known {
             trails.records.clear();
         }
-        let mut priors = trails.records.as_slice();
-        let mut records = std::mem::take(&mut ws.line_trails);
-        records.clear();
-        ws.lanes.resize(ABREAST * t, 0.0);
-        // Solved pixels whose residuals wait for a full group: the pixel
-        // and where its record keeps the score.
-        let mut pending = [(0, 0); ABREAST];
-        let mut waiting = 0;
-
         for first in (0..pixels).step_by(ABREAST) {
             if first + ABREAST <= pixels {
                 self.form_dots::<ABREAST>(line, first, known, dots);
             } else {
                 (first..pixels).for_each(|p| self.form_dots::<1>(line, p, known, dots));
             }
-            for p in first..pixels.min(first + ABREAST) {
-                let (score, prior) = match priors.split_first() {
-                    Some((&steps, rest)) => {
-                        let (record, rest) = rest.split_at(1 + steps as usize);
-                        priors = rest;
-                        (record[0], &record[1..])
-                    }
-                    None => (0, priors),
-                };
-                self.correlate(|i| dots[i * pixels + p], ws);
-                match ws.nnls(&self.gram_aug, prior, known) {
-                    Ok(true) => {
-                        records.extend([prior.len() as u64, score]);
-                        records.extend_from_slice(prior);
-                        emit(p, Ok(f64::from_bits(score)));
-                    }
-                    Ok(false) => {
-                        pending[waiting] = (p, records.len() + 1);
-                        records.extend([ws.trail.len() as u64, 0]);
-                        records.extend_from_slice(&ws.trail);
-                        ws.lanes[waiting * t..][..t].copy_from_slice(&ws.abundances);
-                        waiting += 1;
-                        if waiting == ABREAST {
-                            self.score::<ABREAST>(line, &pending, 0, ws, &mut records, &mut emit);
-                            waiting = 0;
-                        }
-                    }
-                    Err(failed) => {
-                        records.extend([0, 0]);
-                        emit(p, Err(failed));
+        }
+        self.plan_visits(pixels, &trails.records, ws);
+
+        let priors = trails.records.as_slice();
+        let mut records = std::mem::take(&mut ws.line_trails);
+        records.clear();
+        ws.spans.clear();
+        ws.spans.resize(pixels, (0, 0));
+        ws.lanes.resize(ABREAST * t, 0.0);
+        // A NaN ranks below every score, so it prunes nothing.
+        let mut floor = if floor.is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            floor
+        };
+        // Solved pixels whose residuals wait for a full group: the pixel
+        // and where its record keeps the score.
+        let mut pending = [(0, 0); ABREAST];
+        let mut waiting = 0;
+        let mut evaluated = 0;
+
+        for v in 0..pixels {
+            let Visit {
+                bound,
+                pixel: p,
+                record,
+            } = ws.visits[v];
+            let record = &priors[record.0..record.1];
+            let at = records.len();
+            if bound < floor {
+                records.extend_from_slice(record);
+                ws.spans[p] = (at, records.len());
+                emit(p, Ok(f64::NEG_INFINITY));
+                continue;
+            }
+            evaluated += 1;
+            let (exit, depth, score, prior) = match record {
+                [word, score, prior @ ..] => {
+                    let (_, exit, depth) = record_fields(*word);
+                    (exit, depth, *score, prior)
+                }
+                _ => (0, known, 0, record),
+            };
+            self.correlate(|i| dots[i * pixels + p], ws);
+            match ws.nnls(&self.gram_aug, prior, depth) {
+                Ok(true) => {
+                    records.extend([record_word(prior.len(), exit, t), score]);
+                    records.extend_from_slice(prior);
+                    let score = f64::from_bits(score);
+                    floor = raised(floor, score);
+                    emit(p, Ok(score));
+                }
+                Ok(false) => {
+                    pending[waiting] = (p, at + 1);
+                    // The exit step holds the final passive set.
+                    let exit = ws.trail.len().saturating_sub(1 + ws.passive.len());
+                    records.extend([record_word(ws.trail.len(), exit, t), 0]);
+                    records.extend_from_slice(&ws.trail);
+                    ws.lanes[waiting * t..][..t].copy_from_slice(&ws.abundances);
+                    waiting += 1;
+                    // With nothing to prune against yet, the first solve
+                    // is scored at once: its residual is the floor.
+                    if waiting == ABREAST || floor == f64::NEG_INFINITY {
+                        floor = self.score_pending(
+                            line,
+                            &pending[..waiting],
+                            ws,
+                            &mut records,
+                            floor,
+                            emit,
+                        );
+                        waiting = 0;
                     }
                 }
+                Err(failed) => {
+                    records.extend([0, 0]);
+                    emit(p, Err(failed));
+                }
             }
+            ws.spans[p] = (at, records.len());
         }
-        for k in 0..waiting {
-            self.score::<1>(line, &pending, k, ws, &mut records, &mut emit);
-        }
-        // The line's records go into its own arena, which keeps its
-        // capacity from call to call; the workspace keeps the buffer they
-        // were built in for the next line.
+        self.score_pending(line, &pending[..waiting], ws, &mut records, floor, emit);
+        // The line's records go into its own arena in pixel order, which
+        // keeps its capacity from call to call; the workspace keeps the
+        // buffer they were built in for the next line.
         trails.records.clear();
-        trails.records.extend_from_slice(&records);
+        for &(from, to) in &ws.spans {
+            trails.records.extend_from_slice(&records[from..to]);
+        }
         trails.depth = t;
         ws.line_trails = records;
-        Ok(())
+        Ok(evaluated)
+    }
+
+    /// Fills `ws.visits` with the `pixels` of a line whose records are
+    /// `records` (empty: none), highest bound first; equal bounds, and the
+    /// pixels with none, keep their order.
+    fn plan_visits(&self, pixels: usize, records: &[u64], ws: &mut FclsWorkspace) {
+        let energy = self.endmember_energy();
+        let mut spans = record_spans(records);
+        ws.visits.clear();
+        for pixel in 0..pixels {
+            let record = spans.next().unwrap_or((records.len(), records.len()));
+            let bound = self
+                .objective_bound(&records[record.0..record.1], energy)
+                .map_or(f64::INFINITY, |(objective, margin)| objective + margin);
+            ws.visits.push(Visit {
+                bound,
+                pixel,
+                record,
+            });
+        }
+        // A NaN bound (a NaN score) is never below a floor: it goes first.
+        let key = |v: &Visit| {
+            if v.bound.is_nan() {
+                f64::INFINITY
+            } else {
+                v.bound
+            }
+        };
+        ws.visits.sort_by(|a, b| key(b).total_cmp(&key(a)));
     }
 
     /// The dots of the `L` pixels of `line` from `first` on with the
@@ -818,9 +1039,35 @@ impl FclsProblem {
         }
     }
 
+    /// Scores the `pending` pixels, whose abundances are the leading rows
+    /// of `ws.lanes`: all abreast when they fill a group, else one by one.
+    /// Returns `floor` raised by their scores.
+    fn score_pending(
+        &self,
+        line: &[f32],
+        pending: &[(usize, usize)],
+        ws: &mut FclsWorkspace,
+        records: &mut [u64],
+        mut floor: f64,
+        emit: &mut dyn FnMut(usize, Result<f64>),
+    ) -> f64 {
+        let mut raise = |p, score| {
+            floor = raised(floor, score);
+            emit(p, Ok(score));
+        };
+        if pending.len() == ABREAST {
+            self.score::<ABREAST>(line, pending, 0, ws, records, &mut raise);
+        } else {
+            for k in 0..pending.len() {
+                self.score::<1>(line, pending, k, ws, records, &mut raise);
+            }
+        }
+        floor
+    }
+
     /// The residuals of the `L` `pending` pixels of `line` from `from` on,
     /// whose abundances are the rows of `ws.lanes` from there on, abreast:
-    /// each is emitted and written into its record.
+    /// each is written into its record and handed to `scored`.
     fn score<const L: usize>(
         &self,
         line: &[f32],
@@ -828,7 +1075,7 @@ impl FclsProblem {
         from: usize,
         ws: &mut FclsWorkspace,
         records: &mut [u64],
-        emit: &mut impl FnMut(usize, Result<f64>),
+        scored: &mut dyn FnMut(usize, f64),
     ) {
         let (t, n) = (self.u.rows(), self.u.cols());
         let pending = &pending[from..][..L];
@@ -837,13 +1084,22 @@ impl FclsProblem {
         let residuals = residuals_sq(&self.u, xs, a, &mut ws.resid);
         for (&(p, score_at), residual_sq) in pending.iter().zip(residuals) {
             records[score_at] = residual_sq.to_bits();
-            emit(p, Ok(residual_sq));
+            scored(p, residual_sq);
         }
     }
 
     /// [`FclsProblem::solve_f32`] inside a caller-owned workspace.
     pub fn solve_f32_in(&self, x: &[f32], ws: &mut FclsWorkspace) -> Result<f64> {
         widened(x, ws, |wide, ws| self.solve_in(wide, ws))
+    }
+}
+
+/// `floor` raised to `score`, if higher; a NaN score raises nothing.
+fn raised(floor: f64, score: f64) -> f64 {
+    if score > floor {
+        score
+    } else {
+        floor
     }
 }
 
@@ -1058,9 +1314,15 @@ mod tests {
             }
             dots.resize(t * 4, 0.0);
             problem
-                .solve_f32_line(&line, t - 1, &mut dots, &mut trails, &mut ws, |_, r| {
-                    assert!(r.is_ok())
-                })
+                .solve_f32_line(
+                    &line,
+                    t - 1,
+                    &mut dots,
+                    &mut trails,
+                    f64::NEG_INFINITY,
+                    &mut ws,
+                    |_, r| assert!(r.is_ok()),
+                )
                 .unwrap();
             assert!(!trails.records.is_empty());
             assert_eq!(

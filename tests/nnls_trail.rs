@@ -79,6 +79,7 @@ fn unmix_and_compare(
             kept.depth,
             &mut kept.dots,
             &mut kept.trails,
+            f64::NEG_INFINITY,
             ws,
             |p, r| {
                 assert_eq!(p, 0);

@@ -332,3 +332,57 @@ proptest! {
         }
     }
 }
+
+/// A NaN score ranks below every number wherever its pixel falls — the
+/// first pixel of the scan, of a kernel chunk, of a rank's partition:
+/// the stateless kernel, `seq` and `par` on 16 ranks pick the same
+/// targets, and none is a NaN pixel. (A NaN first in a scan range used
+/// to win it, and the candidate fold took NaN for a tie.)
+#[test]
+fn a_nan_pixel_never_wins_wherever_it_falls() {
+    use heterospec::hetero::wea::{apportion_rows, homo_fractions};
+    use heterospec::hetero::{par, seq, AlgoParams, RunOptions};
+    use heterospec::simnet::engine::Engine;
+    use heterospec::simnet::presets;
+
+    let mut cube = testutil::scene(256, 16, 32).cube;
+    let platform = presets::thunderhead(16);
+    // Homogeneous partitions: rank 5's first line is a rank boundary.
+    let rows = apportion_rows(&homo_fractions(&platform), cube.lines());
+    let boundary: usize = rows[..5].iter().sum();
+    assert_eq!(boundary % kernels::PAR_CHUNK_LINES, 0);
+    let nan_at = [(0, 0), (kernels::PAR_CHUNK_LINES, 0), (boundary, 0)];
+    for &(line, sample) in &nan_at {
+        cube.pixel_mut(line, sample)[3] = f32::NAN;
+    }
+
+    let (best, _) = kernels::brightest(&cube, (0, cube.lines()));
+    let best = best.expect("a pixel");
+    assert!(best.score.is_finite(), "{best:?}");
+    let params = AlgoParams {
+        num_targets: 6,
+        ..AlgoParams::default()
+    };
+    let engine = Engine::new(platform);
+    let coords = |targets: &[seq::DetectedTarget]| -> Vec<(usize, usize)> {
+        targets.iter().map(|t| (t.line, t.sample)).collect()
+    };
+    for (name, sequential, parallel) in [
+        (
+            "ATDCA",
+            seq::atdca(&cube, &params).result,
+            par::atdca::run(&engine, &cube, &params, &RunOptions::homo()).result,
+        ),
+        (
+            "UFCLS",
+            seq::ufcls(&cube, &params).result,
+            par::ufcls::run(&engine, &cube, &params, &RunOptions::homo()).result,
+        ),
+    ] {
+        assert_eq!(coords(&parallel), coords(&sequential), "{name}");
+        assert_eq!(coords(&sequential)[0], (best.line, best.sample), "{name}");
+        for at in coords(&sequential) {
+            assert!(!nan_at.contains(&at), "{name}: NaN pixel {at:?} won");
+        }
+    }
+}
