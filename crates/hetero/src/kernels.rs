@@ -11,12 +11,13 @@
 //! All argmax scans break ties toward the lowest `(line, sample)` in
 //! row-major order, keeping results independent of partitioning.
 //!
-//! The scan kernels (argmax family, covariance, labelling) work on a
-//! **fixed line-chunk grid** ([`PAR_CHUNK_LINES`]) with order-preserving
-//! reduction. The argmax and labelling scans are data-parallel over the
-//! chunks; the covariance sums are split across threads by rows of
-//! `Σxxᵀ`, each cell summed by one thread in chunk order. So their
-//! outputs are bit-identical for any thread count; the thread budget is
+//! The covariance and labelling kernels work on a **fixed line-chunk
+//! grid** ([`PAR_CHUNK_LINES`]) with order-preserving reduction: the
+//! labelling scans are data-parallel over the chunks, the covariance sums
+//! are split across threads by rows of `Σxxᵀ`, each cell summed by one
+//! thread in chunk order. The argmax scans run one block of lines per
+//! worker and fold the block winners in order under a strict `>`. So
+//! their outputs are bit-identical for any thread count; the thread budget is
 //! whatever `rayon` pool the caller installed (one per simulated rank
 //! under `simnet::engine`, as wide as the host for a master's merge).
 //! Wall-clock speed changes, **virtual time does not**: the returned
@@ -25,11 +26,13 @@
 //! ATDCA and UFCLS call their argmax kernel once per round against a
 //! system that grew by one vector, so the two kernels can **carry** each
 //! pixel's running sums from round to round ([`ProjectionCarry`],
-//! [`FclsCarry`]) and apply only the vectors a line has not seen; UFCLS
+//! [`FclsCarry`]) and apply only the vectors a pixel has not seen; UFCLS
 //! carries each pixel's NNLS active-set trail as well, and solves only
-//! from the step the new endmembers first change. That too is host
-//! wall-clock only: the megaflops returned are the paper's full
-//! per-round re-projection and unmixing whatever the carry saved.
+//! from the step the new endmembers first change. Both prune by proof: a
+//! pixel whose carried bound is below its block's running best forms no
+//! dot that round. That too is host wall-clock only: the megaflops
+//! returned are the paper's full per-round re-projection and unmixing
+//! whatever the carry saved.
 //!
 //! Within a line the per-pixel 224-band sums — norms, projection and
 //! endmember dots, FCLS residuals, SAD dots — run four pixels (or
@@ -43,7 +46,7 @@ use crate::msg::Candidate;
 use hsi_cube::metrics::{brightness, sad, SadCandidates};
 use hsi_cube::HyperCube;
 use hsi_linalg::covariance::{CovarianceAccumulator, ShardBand};
-use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace, NnlsTrails};
+use hsi_linalg::lstsq::{FclsProblem, FclsWorkspace, NnlsTrails, RECORD_HEAD};
 use hsi_linalg::matrix::dots_abreast;
 use hsi_linalg::ortho::OrthoBasis;
 use hsi_linalg::Matrix;
@@ -108,9 +111,11 @@ impl ScoredPixel {
     }
 }
 
-/// One image line of a carry: `depth` vectors of the system are already
-/// folded into `sums` (empty until the line is first scanned) and into
-/// whatever else the kernel keeps of the line, `more`.
+/// One image line of a carry: the line was last scanned against the first
+/// `depth` vectors of the system, and its pixels' running `sums` (empty
+/// until the line is first scanned) and whatever else the kernel keeps of
+/// them, `more`, are formed from at most that many: a pixel a scan pruned
+/// keeps the depth it had, which `more` records.
 #[derive(Debug, Clone, Default)]
 struct LineCarry<M> {
     depth: usize,
@@ -119,26 +124,39 @@ struct LineCarry<M> {
 }
 
 /// What a kernel keeps of a line beside its sums: a buffer of its own,
-/// emptied in place when the line restarts.
+/// emptied in place when the line restarts, which says how deep each
+/// pixel is.
 trait LineMemo {
     fn clear(&mut self);
     /// What it holds without reallocating.
     fn capacity(&self) -> usize;
+    /// The pixels' depths, summed, on a line last scanned at `depth`.
+    fn dots_held(&self, depth: usize) -> usize;
 }
 
-impl LineMemo for () {
-    fn clear(&mut self) {}
+/// ATDCA's: how many vectors each pixel lags its line by.
+impl LineMemo for Vec<u8> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
     fn capacity(&self) -> usize {
-        0
+        Vec::capacity(self)
+    }
+    fn dots_held(&self, depth: usize) -> usize {
+        self.iter().map(|&lag| depth - usize::from(lag)).sum()
     }
 }
 
+/// UFCLS's: each pixel's record holds its depth.
 impl LineMemo for NnlsTrails {
     fn clear(&mut self) {
         NnlsTrails::clear(self);
     }
     fn capacity(&self) -> usize {
         NnlsTrails::capacity(self)
+    }
+    fn dots_held(&self, _depth: usize) -> usize {
+        NnlsTrails::dots_held(self)
     }
 }
 
@@ -187,7 +205,7 @@ impl<M: LineMemo> LineCarry<M> {
 /// diverged system takes line locks while holding `seen` (`seen` → lines,
 /// never the reverse).
 #[derive(Debug, Default)]
-pub struct Carry<M = ()> {
+pub struct Carry<M> {
     /// The leading vectors every line's sums were formed from: a line at
     /// depth `d` holds sums over `seen[..d]`.
     seen: Mutex<Vec<Vec<f64>>>,
@@ -196,9 +214,9 @@ pub struct Carry<M = ()> {
     /// epoch no longer knows what the lines hold and leaves them alone.
     epoch: AtomicU64,
     lines: OnceLock<Box<[Mutex<LineCarry<M>>]>>,
-    /// Host-work tallies: vectors folded into a line, lines started from
-    /// nothing, line buffers that grew during a scan, pixels a scan
-    /// evaluated and pixels it scored.
+    /// Host-work tallies: dots of a pixel with a system vector formed,
+    /// lines started from nothing, line buffers that grew during a scan,
+    /// pixels a scan evaluated and pixels it scored.
     applied: AtomicUsize,
     started: AtomicUsize,
     outgrown: AtomicUsize,
@@ -334,27 +352,39 @@ impl<M: Default> Carry<M> {
         result
     }
 
-    /// Tallies one line brought from `depth` to `k` vectors, from nothing
-    /// when `fresh`.
-    fn count(&self, fresh: bool, depth: usize, k: usize) {
-        self.applied.fetch_add(k - depth, Ordering::Relaxed);
+    /// Tallies one line scan: `dots` formed, the line started from nothing
+    /// when `fresh`, and `evaluated` of its `scored` pixels not pruned.
+    fn count(&self, fresh: bool, dots: usize, evaluated: usize, scored: usize) {
+        self.applied.fetch_add(dots, Ordering::Relaxed);
         self.started
             .fetch_add(usize::from(fresh), Ordering::Relaxed);
-    }
-
-    /// Tallies one line of `scored` pixels, `evaluated` of them not pruned.
-    fn count_pixels(&self, evaluated: usize, scored: usize) {
         self.evaluated.fetch_add(evaluated, Ordering::Relaxed);
         self.scored.fetch_add(scored, Ordering::Relaxed);
+    }
+
+    /// The dots the carry's pixels hold now, summed over its lines: each
+    /// pixel's depth.
+    fn dots_held(&self) -> usize
+    where
+        M: LineMemo,
+    {
+        let held = |line: &Mutex<LineCarry<M>>| {
+            let (state, _) = take_over(line);
+            state.more.dots_held(state.depth)
+        };
+        self.lines
+            .get()
+            .map_or(0, |lines| lines.iter().map(held).sum())
     }
 }
 
 impl<M> Carry<M> {
-    /// Host work done through this carry so far: `(system vectors folded
-    /// into a line's sums, lines started from nothing)`, summed over
-    /// every scan. A scan that finds a line at the depth the last round
-    /// left it folds one vector in; one that finds it empty folds them
-    /// all. Not a cost the virtual clock reads.
+    /// Host work done through this carry so far: `(dots of a pixel with a
+    /// system vector formed, lines started from nothing)`, summed over
+    /// every scan. A pixel a scan evaluates forms the dots it missed since
+    /// it was last evaluated; one it prunes forms none; one on a line
+    /// found empty forms them all ([`Carry::held`] is what they leave).
+    /// Not a cost the virtual clock reads.
     #[doc(hidden)]
     pub fn applied(&self) -> (usize, usize) {
         (
@@ -375,10 +405,10 @@ impl<M> Carry<M> {
     }
 
     /// Pixel-rounds scanned through this carry so far: `(evaluated,
-    /// scored)` — of the pixels its scans scored, those that were
-    /// unmixed or replayed rather than pruned by their objective bound
-    /// ([`max_fcls_error_carried`]). Only the FCLS scan prunes; the other
-    /// leaves both at 0. Not a cost the virtual clock reads.
+    /// scored)` — of the pixels its scans scored, those that were brought
+    /// up to the system rather than pruned by their bound
+    /// ([`max_projection_carried`], [`max_fcls_error_carried`]). Not a
+    /// cost the virtual clock reads.
     #[doc(hidden)]
     pub fn pixel_rounds(&self) -> (usize, usize) {
         (
@@ -418,20 +448,23 @@ fn outranks(score: f64, best: f64) -> bool {
     score > best || (best.is_nan() && !score.is_nan())
 }
 
-/// Chunk-parallel argmax over the pixels of a line range.
+/// Block-parallel argmax over the pixels of a line range.
 ///
-/// `make_scorer` builds one (possibly stateful) line-scoring closure per
-/// chunk, so scorers may own scratch buffers without synchronisation. A
-/// scorer is handed a line, the chunk's best score so far (`−∞` before
-/// any: a scorer may leave a pixel that cannot beat it at `−∞`) and a
-/// buffer to fill with the line's scores, one per sample.
-/// Each chunk is scanned sequentially in row-major order keeping its
-/// first strict maximum; chunk winners are then folded **in chunk
-/// order**, replacing only on a strictly greater score. Both levels use
-/// the same strict order ([`outranks`]: a NaN below every number), so
+/// The range is split into one contiguous block of lines per worker of
+/// the installed pool (the whole range at width 1), and `make_scorer`
+/// builds one (possibly stateful) line-scoring closure per block, so
+/// scorers may own scratch buffers without synchronisation. A scorer is
+/// handed a line, the **floor** — its block's best score so far, carried
+/// from line to line (`−∞` before any: a scorer may leave a pixel that
+/// cannot beat it at `−∞`) — and a buffer to fill with the line's scores,
+/// one per sample. Each block is scanned sequentially in row-major order
+/// keeping its first strict maximum; block winners are then folded **in
+/// block order**, replacing only on a strictly greater score. Both levels
+/// use the same strict order ([`outranks`]: a NaN below every number), so
 /// the overall winner is exactly the first row-major maximum — identical
 /// to a sequential scan for any worker count, including on duplicate
-/// scores.
+/// scores. What the floor saves a scorer depends on where the blocks
+/// start, so host work does, and the winner does not.
 fn argmax_pixels<S>(
     cube: &HyperCube,
     range: (usize, usize),
@@ -442,14 +475,16 @@ where
 {
     let lead =
         |best: &Option<ScoredPixel>, score| best.as_ref().is_none_or(|b| outranks(score, b.score));
-    let bests: Vec<Option<ScoredPixel>> = (0..chunk_count(range))
+    let lines = range.1.saturating_sub(range.0);
+    let block = lines.div_ceil(rayon::current_num_threads()).max(1);
+    let bests: Vec<Option<ScoredPixel>> = (0..lines.div_ceil(block))
         .into_par_iter()
-        .map(|c| {
-            let (clo, chi) = chunk_bounds(range, c);
+        .map(|b| {
+            let first = range.0 + b * block;
             let mut score_line = make_scorer();
             let mut scores = vec![0.0f64; cube.samples()];
             let mut best: Option<ScoredPixel> = None;
-            for line in clo..chi {
+            for line in first..(first + block).min(range.1) {
                 let floor = best.as_ref().map_or(f64::NEG_INFINITY, |b| b.score);
                 score_line(line, floor, &mut scores);
                 for (sample, &s) in scores.iter().enumerate() {
@@ -490,15 +525,26 @@ pub fn brightest(cube: &HyperCube, range: (usize, usize)) -> (Option<ScoredPixel
 }
 
 /// Each pixel's running ATDCA residual `‖x‖² − Σᵢ (qᵢᵀx)²` (8 bytes a
-/// pixel), kept by [`max_projection_carried`] between the rounds of one
-/// run over one cube. `Default` is the empty carry.
-pub type ProjectionCarry = Carry;
+/// pixel) and how many basis vectors it lags its line by (one byte), kept
+/// by [`max_projection_carried`] between the rounds of one run over one
+/// cube. `Default` is the empty carry.
+pub type ProjectionCarry = Carry<Vec<u8>>;
 
 impl ProjectionCarry {
     /// The carry of an ATDCA run over `lines` image lines of `samples`
-    /// pixels: every line's residuals, one a pixel, reserved here.
+    /// pixels: every line's residuals and lags, one a pixel, reserved
+    /// here.
     pub fn for_run(lines: usize, samples: usize) -> Self {
-        Carry::reserved(lines, samples, || ())
+        Carry::reserved(lines, samples, || Vec::with_capacity(samples))
+    }
+
+    /// The basis dots the carry's pixels hold now, summed over its lines:
+    /// each pixel's depth. No dot was formed twice — no line restarted,
+    /// no scan overtaken — exactly while it equals [`Carry::applied`]'s
+    /// first count. Not a cost the virtual clock reads.
+    #[doc(hidden)]
+    pub fn held(&self) -> usize {
+        self.dots_held()
     }
 }
 
@@ -514,14 +560,27 @@ pub fn max_projection(
 
 /// [`max_projection`] for a caller that scans the same cube round after
 /// round against a basis that only grows: each line continues its
-/// pixels' residuals from the depth `carry` recorded — whoever left it
-/// there — so a round that pushed one vector costs one dot per pixel
+/// pixels' residuals from the depths `carry` recorded — whoever left them
+/// there — so a pixel evaluated every round costs one dot per round
 /// instead of `basis.len()`.
+///
+/// **A pixel that cannot win is not projected at all.** Its carried
+/// residual is updated by `s −= c·c` with `c·c ≥ 0`, and rounding is
+/// monotone, so it never rises, bit for bit: clamped at 0, the stale
+/// value bounds every score the pixel can reach, with no margin. Each
+/// line is visited highest stale residual first, four pixels at a time
+/// — their missing dots formed four chains abreast
+/// ([`OrthoBasis::continue_residuals`]) — and a pixel whose bound is
+/// strictly below the floor (the block's running best, raised by every
+/// score of the line) keeps its residual and depth for a later round and
+/// scores `−∞`: a strictly higher score is beside it. A line met for the
+/// first time starts from the norms `‖x‖²`, which bound it as well.
 /// Scores are [`OrthoBasis::complement_score`]'s to the bit — the
 /// subtraction is the same left-to-right sum, resumed; the clamp is
 /// applied to the score, never to the carried sum. A carry that last saw
 /// a different basis restarts the lines it must.
-/// The megaflops returned are those of the full re-projection.
+/// [`Carry::pixel_rounds`] counts what was evaluated. The megaflops
+/// returned are those of the full re-projection.
 pub fn max_projection_carried(
     cube: &HyperCube,
     basis: &OrthoBasis,
@@ -533,10 +592,12 @@ pub fn max_projection_carried(
     let pixels = range_pixels(cube, range);
     let epoch = carry.reconcile(cube, k, |i| basis.vector(i));
     let result = argmax_pixels(cube, range, || {
-        |line: usize, _floor: f64, scores: &mut [f64]| {
+        let mut visits = Vec::with_capacity(cube.samples());
+        move |line: usize, floor: f64, scores: &mut [f64]| {
             carry.with_line(line, k, epoch, |state| {
-                let (fresh, depth) = projection_line_scores(cube, basis, line, state, scores);
-                carry.count(fresh, depth, k);
+                let (fresh, dots, evaluated) =
+                    projection_line_scores(cube, basis, line, floor, state, &mut visits, scores);
+                carry.count(fresh, dots, evaluated, scores.len());
             })
         }
     });
@@ -546,74 +607,97 @@ pub fn max_projection_carried(
     )
 }
 
-/// One line of the projection scan: brings `state` — the line's residuals
-/// against the first `state.depth` basis vectors — up to the whole basis
-/// and fills `scores`. Returns whether the line was started from nothing,
-/// and the depth it was continued from.
+/// One line of the projection scan: brings the pixels of `state` — each
+/// one's residual against the first `state.depth − lag` basis vectors —
+/// that can still beat `floor` up to the whole basis, and fills `scores`
+/// (`−∞` for the others), visiting the pixels in `visits`' order of
+/// falling stale residual. Returns whether the line was started from
+/// nothing, the dots formed and the pixels evaluated.
 fn projection_line_scores(
     cube: &HyperCube,
     basis: &OrthoBasis,
     line: usize,
-    state: &mut LineCarry<()>,
+    floor: f64,
+    state: &mut LineCarry<Vec<u8>>,
+    visits: &mut Vec<(f64, usize)>,
     scores: &mut [f64],
-) -> (bool, usize) {
-    let k = basis.len();
-    let fresh = state.sums.len() != scores.len();
+) -> (bool, usize, usize) {
+    let (k, n, samples) = (basis.len(), cube.bands(), scores.len());
+    // The line's samples, sliced out of the cube's window once.
+    let row = &cube.as_slice()[line * samples * n..(line + 1) * samples * n];
+    let pixel = |p: usize| &row[p * n..(p + 1) * n];
+    let fresh = state.sums.len() != samples || state.more.len() != samples;
     if fresh {
         state.sums.clear();
-        state.sums.resize(scores.len(), 0.0);
+        let mut groups = row.chunks_exact(ABREAST * n);
+        for group in &mut groups {
+            let xs: [&[f32]; ABREAST] = std::array::from_fn(|i| &group[i * n..(i + 1) * n]);
+            state.sums.extend(dots_abreast(xs, xs));
+        }
+        let tail = groups.remainder().chunks_exact(n);
+        state.sums.extend(tail.map(|x| dots_abreast([x], [x])[0]));
+        state.more.clear();
+        state.more.resize(samples, 0);
         state.depth = 0;
     }
-    let depth = state.depth;
-    if fresh || depth < k {
-        // The line's samples, sliced out of the cube's window once: the
-        // pixel groups below index a plain slice.
-        let n = cube.bands();
-        let stride = scores.len() * n;
-        let row = &cube.as_slice()[line * stride..(line + 1) * stride];
-        let mut groups = state.sums.chunks_exact_mut(ABREAST);
-        let mut first = 0;
-        for group in &mut groups {
-            let xs = &row[first * n..(first + ABREAST) * n];
-            continue_residuals::<ABREAST>(xs, basis, fresh, depth, group);
-            first += ABREAST;
-        }
-        for (i, sum) in groups.into_remainder().chunks_exact_mut(1).enumerate() {
-            let x = &row[(first + i) * n..(first + i + 1) * n];
-            continue_residuals::<1>(x, basis, fresh, depth, sum);
-        }
-        state.depth = k;
-    }
-    for (score, &sum) in scores.iter_mut().zip(&state.sums) {
-        *score = sum.max(0.0);
-    }
-    (fresh, depth)
-}
-
-/// Brings the carried residuals of the `L` neighbouring pixels whose
-/// spectra are `pixels`, end to end, up to the whole basis: started from
-/// `‖x‖²` when `fresh`, else continued from `sums` at `depth`.
-///
-/// Kept a function of its own: inlined into the line scan, the four
-/// accumulator chains share that function's registers with everything
-/// else it holds and spill (measured: a one-vector round 400 → 540 µs on
-/// the 256 × 16 scene).
-#[inline(never)]
-fn continue_residuals<const L: usize>(
-    pixels: &[f32],
-    basis: &OrthoBasis,
-    fresh: bool,
-    depth: usize,
-    sums: &mut [f64],
-) {
-    let n = pixels.len() / L;
-    let xs: [&[f32]; L] = std::array::from_fn(|i| &pixels[i * n..(i + 1) * n]);
-    let from = if fresh {
-        dots_abreast(xs, xs)
+    let advance = k - state.depth;
+    scores.fill(f64::NEG_INFINITY);
+    // A NaN ranks below every score, so it prunes nothing.
+    let mut floor = if floor.is_nan() {
+        f64::NEG_INFINITY
     } else {
-        std::array::from_fn(|i| sums[i])
+        floor
     };
-    sums.copy_from_slice(&basis.residual_from(xs, depth, from));
+    // A pixel's stale residual bounds its score (never a NaN). One
+    // already below the floor is pruned whatever the order; the others are
+    // visited highest bound first, so the first found below the floor
+    // prunes the rest.
+    visits.clear();
+    for (p, (&sum, lag)) in state.sums.iter().zip(&mut state.more).enumerate() {
+        // A pixel that would lag its line by more than a byte holds has no
+        // bound: it is evaluated.
+        let bound = if usize::from(*lag) + advance > usize::from(u8::MAX) {
+            f64::INFINITY
+        } else {
+            sum.max(0.0)
+        };
+        if bound < floor {
+            *lag += advance as u8;
+        } else {
+            visits.push((bound, p));
+        }
+    }
+    visits.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    let (mut visited, mut dots) = (0, 0);
+    while visited < visits.len() {
+        let ahead = visits[visited..].iter().take(ABREAST);
+        let batch = ahead.take_while(|v| v.0 >= floor).count();
+        if batch == 0 {
+            break;
+        }
+        let group: [usize; ABREAST] = std::array::from_fn(|i| visits[visited + i.min(batch - 1)].1);
+        let group = &group[..batch];
+        visited += batch;
+        let xs: [&[f32]; ABREAST] = std::array::from_fn(|i| pixel(group[i.min(batch - 1)]));
+        let seen: [usize; ABREAST] =
+            std::array::from_fn(|i| state.depth - usize::from(state.more[group[i.min(batch - 1)]]));
+        let mut sums: [f64; ABREAST] = std::array::from_fn(|i| state.sums[group[i.min(batch - 1)]]);
+        basis.continue_residuals(&xs[..batch], &seen[..batch], &mut sums[..batch]);
+        for ((&p, &sum), &from) in group.iter().zip(&sums).zip(&seen) {
+            dots += k - from;
+            state.sums[p] = sum;
+            state.more[p] = 0;
+            scores[p] = sum.max(0.0);
+            if scores[p] > floor {
+                floor = scores[p];
+            }
+        }
+    }
+    for &(_, p) in &visits[visited..] {
+        state.more[p] += advance as u8;
+    }
+    state.depth = k;
+    (fresh, dots, visited)
 }
 
 /// Each pixel's dots with the endmembers, `uᵢᵀx` (8 bytes a pixel and
@@ -624,39 +708,52 @@ fn continue_residuals<const L: usize>(
 /// carry.
 pub type FclsCarry = Carry<NnlsTrails>;
 
-/// Trail words a UFCLS run of `t` targets reserves per pixel: `4 · t`.
-/// A pixel whose passive set grows one endmember at a time through all
-/// `t − 1` endmembers keeps `2 + t(t + 1) / 2` words, which `4 · t`
-/// covers up to `t = 6`; past that the passive sets stop growing with
-/// `t`. At `t = 18` on the 256 × 16 × 224 scene, over four seeds, the
-/// fullest line held 71 words a pixel in its fullest round, against 72
-/// reserved (the histogram is in docs/PERF.md). Reserved pages are
-/// resident once written, so the rule is tight rather than generous: a
-/// line that needs more grows where it is scored, and
+/// Record words a UFCLS run of `t` targets reserves per pixel: `4 · t +
+/// 2`, the record's head ([`RECORD_HEAD`]) and `4 · t − 2` words of
+/// trail. A pixel whose passive set grows one endmember at a time through
+/// all `t − 1` endmembers keeps `t(t + 1) / 2` words of trail, which
+/// `4 · t − 2` covers up to `t = 6`; past that the passive sets stop
+/// growing with `t`. At `t = 18` on the 256 × 16 × 224 scene, over four
+/// seeds, the fullest line held 69 words of trail a pixel in its fullest
+/// round (71 with the two-word head records had then), against 70
+/// reserved (the histogram is in docs/PERF.md).
+/// Reserved pages are resident once written, so the rule is tight rather
+/// than generous: a line that needs more grows where it is scored, and
 /// [`Carry::outgrown`] counts it.
 const TRAIL_WORDS_PER_TARGET: usize = 4;
+
+/// Record words a UFCLS run of `targets` targets reserves per pixel.
+fn record_words(targets: usize) -> usize {
+    RECORD_HEAD + (TRAIL_WORDS_PER_TARGET * targets).saturating_sub(2)
+}
 
 impl FclsCarry {
     /// The carry of a UFCLS run of `targets` targets over `lines` image
     /// lines of `samples` pixels, reserved here: every line's endmember
     /// dots for the deepest system the run scores against (`targets − 1`
     /// endmembers: the last winner is never scored against), and its
-    /// trail arena, `4 · targets` words a pixel.
+    /// trail arena, `4 · targets + 2` words a pixel.
     pub fn for_run(lines: usize, samples: usize, targets: usize) -> Self {
         let dots = targets.saturating_sub(1) * samples;
-        let trails = TRAIL_WORDS_PER_TARGET * targets * samples;
+        let trails = record_words(targets) * samples;
         Carry::reserved(lines, dots, || NnlsTrails::with_capacity(trails))
+    }
+
+    /// [`ProjectionCarry::held`] for the endmember dots.
+    #[doc(hidden)]
+    pub fn held(&self) -> usize {
+        self.dots_held()
     }
 }
 
 /// Idle [`FclsWorkspace`]s, kept for the next scan that needs one.
 ///
-/// An FCLS scan checks a workspace out for each kernel chunk it scores
-/// ([`IdleWorkspaces::check_out`]) and the chunk's scorer puts it back
-/// when it drops, so the process holds as many workspaces as chunks were
+/// An FCLS scan checks a workspace out for each block of lines it scores
+/// ([`IdleWorkspaces::check_out`]) and the block's scorer puts it back
+/// when it drops, so the process holds as many workspaces as blocks were
 /// ever in flight at once — not one per rank thread, nor a fresh one per
 /// short-lived pool helper — and each keeps its buffers' capacity from
-/// chunk to chunk and round to round. The lock is held for one push or
+/// block to block and round to round. The lock is held for one push or
 /// pop. A workspace carries nothing from solve to solve, so which one a
 /// line is solved in changes no bit.
 struct IdleWorkspaces {
@@ -706,7 +803,7 @@ impl Drop for CheckedOut<'_> {
     }
 }
 
-/// How many FCLS workspaces the process has made: the most scan chunks
+/// How many FCLS workspaces the process has made: the most scan blocks
 /// that were ever in flight at once. A host-work tally; the virtual clock
 /// never reads it.
 #[doc(hidden)]
@@ -729,7 +826,7 @@ pub fn fcls_solves_failed() -> usize {
 /// UFCLS steps 2–3: the pixel with the largest fully-constrained
 /// least-squares reconstruction error against the endmember set.
 ///
-/// Each chunk of the scan solves its pixels in one workspace checked out
+/// Each block of the scan solves its pixels in one workspace checked out
 /// of the idle stack; a workspace carries nothing from pixel to pixel,
 /// and what a carry keeps of a pixel only ever reproduces the from-empty
 /// solve's bits, so a score is a pure function of `(problem, pixel)`. A
@@ -741,14 +838,14 @@ pub fn max_fcls_error(
     problem: &FclsProblem,
     range: (usize, usize),
 ) -> (Option<ScoredPixel>, f64) {
-    // Nothing outlives the call, so nothing is kept per line: each chunk
+    // Nothing outlives the call, so nothing is kept per line: each block
     // restarts one line state, which is an empty carry's at every line.
     // With no record kept, no pixel has a bound to prune by.
     let result = argmax_pixels(cube, range, || {
         let mut state = LineCarry::default();
         let mut scratch = FCLS_WORKSPACES.check_out();
         move |line: usize, floor: f64, scores: &mut [f64]| {
-            state.depth = 0;
+            state.restart();
             fcls_line_scores(
                 cube,
                 problem,
@@ -766,20 +863,20 @@ pub fn max_fcls_error(
 /// [`max_fcls_error`] for a caller that scans the same cube round after
 /// round against an endmember set that only grows: each line keeps its
 /// pixels' endmember dots (laid out endmember-major, so a round appends)
-/// and active-set records — for whoever scores it next — so a round that
-/// pushed one endmember forms one new dot per pixel instead of all of
-/// them, skips the solve and the residual of every pixel whose
-/// active-set path the newcomer does not change, and resumes the others'
-/// where it first does ([`FclsProblem::solve_f32_line`]).
+/// and active-set records — for whoever scores it next — so a pixel
+/// evaluated every round forms one new dot a round instead of all of
+/// them, skips the solve and the residual whenever the newcomers do not
+/// change its active-set path, and resumes where they first do
+/// ([`FclsProblem::solve_f32_line`]).
 ///
-/// **A pixel that cannot win is not unmixed at all.** The endmember sets
-/// are nested, so a pixel's recorded solve bounds every score it can
-/// reach later ([`FclsProblem::solve_f32_line`]; the proof and its
-/// rounding margin are in docs/PERF.md). Each 8-line chunk hands every
-/// line its running best — the row-major scan's strict `>` — as the
-/// floor: a pixel whose bound is below it, or below a score of its own
-/// line, keeps its record for a later round and scores `−∞`, and cannot
-/// have been the chunk's winner. A pixel with no record (first round,
+/// **A pixel that cannot win is not unmixed at all, and forms no dot.**
+/// The endmember sets are nested, so a pixel's recorded solve bounds
+/// every score it can reach later ([`FclsProblem::solve_f32_line`]; the
+/// proof and its rounding margin are in docs/PERF.md). Each block of the
+/// scan hands every line its running best — the row-major scan's strict
+/// `>` — as the floor: a pixel whose bound is below it, or below a score
+/// of its own line, keeps its record and its depth for a later round and
+/// scores `−∞`, and cannot have been the block's winner. A pixel with no record (first round,
 /// failed solve, restarted or diverged line) is always unmixed. The
 /// winner, its score and the megaflops are [`max_fcls_error`]'s to the
 /// bit; [`Carry::pixel_rounds`] counts what was evaluated. A carry that
@@ -797,10 +894,9 @@ pub fn max_fcls_error_carried(
         let mut scratch = FCLS_WORKSPACES.check_out();
         move |line: usize, floor: f64, scores: &mut [f64]| {
             carry.with_line(line, t, epoch, |state| {
-                let (depth, evaluated) =
+                let (depth, evaluated, dots) =
                     fcls_line_scores(cube, problem, line, floor, state, &mut scratch.ws, scores);
-                carry.count(depth == 0, depth, t);
-                carry.count_pixels(evaluated, scores.len());
+                carry.count(depth == 0, dots, evaluated, scores.len());
             })
         }
     });
@@ -813,12 +909,13 @@ fn fcls_mflops(cube: &HyperCube, problem: &FclsProblem, range: (usize, usize)) -
     flops::mflop(per_pixel * range_pixels(cube, range) as f64)
 }
 
-/// One line of the FCLS scan, solved in `ws`, the workspace its chunk
-/// checked out: brings `state` — the line's dots and trails against the
-/// first `state.depth` endmembers — up to the whole problem and fills
+/// One line of the FCLS scan, solved in `ws`, the workspace its block
+/// checked out: brings the pixels of `state` — the line's dots and
+/// trails, each pixel's against the endmembers its record was solved
+/// against — that can still beat `floor` up to the whole problem and fills
 /// `scores`, `−∞` for a pixel whose solve fails or whose bound is below
-/// `floor`. Returns the depth the line was continued from and how many
-/// of its pixels were evaluated.
+/// `floor`. Returns the depth the line was continued from, how many of
+/// its pixels were evaluated and the dots they formed.
 fn fcls_line_scores(
     cube: &HyperCube,
     problem: &FclsProblem,
@@ -827,18 +924,17 @@ fn fcls_line_scores(
     state: &mut LineCarry<NnlsTrails>,
     ws: &mut FclsWorkspace,
     scores: &mut [f64],
-) -> (usize, usize) {
+) -> (usize, usize, usize) {
     let t = problem.num_endmembers();
     let samples = scores.len();
     let stride = samples * cube.bands();
     if state.sums.len() != state.depth * samples {
-        state.depth = 0;
+        state.restart();
     }
     let depth = state.depth;
     state.sums.resize(t * samples, 0.0);
     scores.fill(f64::NEG_INFINITY);
-    // Every pixel's new dots are formed before any solve, so they are
-    // kept whether it is solved, pruned or fails.
+    let before = ws.dots_formed();
     let shaped = problem.solve_f32_line(
         &cube.as_slice()[line * stride..(line + 1) * stride],
         depth,
@@ -853,6 +949,7 @@ fn fcls_line_scores(
             }
         },
     );
+    let dots = (ws.dots_formed() - before) as usize;
     // Proof: the line is `samples` whole pixels of the problem's bands,
     // `sums` was just sized to `t · samples`, and `with_line` restarts a
     // line deeper than `t`, so `depth ≤ t`.
@@ -860,9 +957,9 @@ fn fcls_line_scores(
     match shaped {
         Ok(evaluated) => {
             state.depth = t;
-            (depth, evaluated)
+            (depth, evaluated, dots)
         }
-        Err(_) => (depth, 0),
+        Err(_) => (depth, 0, dots),
     }
 }
 
@@ -1620,45 +1717,54 @@ mod tests {
     }
 
     /// A line found deeper than the system it is asked about — a later
-    /// round's sums, or an earlier run's on a reused carry — restarts;
-    /// the record of the longer system stays, so going back up continues.
+    /// round's sums, or an earlier run's on a reused carry — restarts,
+    /// and the dots it held are formed again; the record of the longer
+    /// system stays, so going back up continues, forming no dot twice.
     #[test]
     fn a_line_deeper_than_the_system_restarts_alone() {
         let s = scene();
         let cube = &s.cube;
         let (lines, whole) = (cube.lines(), (0, cube.lines()));
+        let half = (0, lines / 2);
         let bases = growing_bases(cube, 3);
         let carry = ProjectionCarry::default();
         max_projection_carried(cube, &bases[2], whole, &carry);
-        assert_eq!(carry.applied(), (3 * lines, lines));
+        assert_eq!(carry.applied(), (carry.held(), lines));
         // Half the image against the one-vector prefix.
-        let half = (0, lines / 2);
         let got = max_projection_carried(cube, &bases[0], half, &carry);
         assert_eq!(scored(&got), scored(&max_projection(cube, &bases[0], half)));
-        assert_eq!(carry.applied(), (3 * lines + lines / 2, lines + lines / 2));
-        // Back up: the restarted half folds two vectors in, the rest none.
+        let (formed, started) = carry.applied();
+        assert_eq!(started, lines + lines / 2);
+        let lost = formed - carry.held();
+        assert!(lost > 0, "the restarted half held no dot");
+        // Back up: the restarted half continues, the rest forms no dot
+        // twice.
         let got = max_projection_carried(cube, &bases[2], whole, &carry);
         assert_eq!(
             scored(&got),
             scored(&max_projection(cube, &bases[2], whole))
         );
-        assert_eq!(carry.applied(), (4 * lines + lines / 2, lines + lines / 2));
+        assert_eq!(carry.applied(), (carry.held() + lost, lines + lines / 2));
 
         let problems = growing_problems(cube, 3);
         let carry = FclsCarry::default();
         max_fcls_error_carried(cube, &problems[2], whole, &carry);
+        assert_eq!(carry.applied(), (carry.held(), lines));
         let got = max_fcls_error_carried(cube, &problems[0], half, &carry);
         assert_eq!(
             scored(&got),
             scored(&max_fcls_error(cube, &problems[0], half))
         );
-        assert_eq!(carry.applied(), (3 * lines + lines / 2, lines + lines / 2));
+        let (formed, started) = carry.applied();
+        assert_eq!(started, lines + lines / 2);
+        let lost = formed - carry.held();
+        assert!(lost > 0, "the restarted half held no dot");
         let got = max_fcls_error_carried(cube, &problems[2], whole, &carry);
         assert_eq!(
             scored(&got),
             scored(&max_fcls_error(cube, &problems[2], whole))
         );
-        assert_eq!(carry.applied(), (4 * lines + lines / 2, lines + lines / 2));
+        assert_eq!(carry.applied(), (carry.held() + lost, lines + lines / 2));
     }
 
     /// Panics on its own thread while holding `lock`.
@@ -1685,14 +1791,17 @@ mod tests {
         let bases = growing_bases(cube, 3);
         let carry = ProjectionCarry::default();
         max_projection_carried(cube, &bases[1], whole, &carry);
+        let lost = held_by_line(&carry, 5);
+        assert!(lost > 0, "fixture: line 5 holds no dot");
         poison(&carry.lines.get().unwrap()[5]);
         let got = max_projection_carried(cube, &bases[2], whole, &carry);
         assert_eq!(
             scored(&got),
             scored(&max_projection(cube, &bases[2], whole))
         );
-        // Line 5 alone started over: three vectors, the others one each.
-        assert_eq!(carry.applied(), (2 * lines + lines + 2, lines + 1));
+        // Line 5 alone started over: its dots were formed again, no
+        // other line's.
+        assert_eq!(carry.applied(), (carry.held() + lost, lines + 1));
         assert!(!carry.lines.get().unwrap()[5].is_poisoned());
         // The record itself: nothing it said can be trusted, every line
         // restarts.
@@ -1708,13 +1817,21 @@ mod tests {
         let problems = growing_problems(cube, 3);
         let carry = FclsCarry::default();
         max_fcls_error_carried(cube, &problems[1], whole, &carry);
+        let lost = held_by_line(&carry, 5);
+        assert!(lost > 0, "fixture: line 5 holds no dot");
         poison(&carry.lines.get().unwrap()[5]);
         let got = max_fcls_error_carried(cube, &problems[2], whole, &carry);
         assert_eq!(
             scored(&got),
             scored(&max_fcls_error(cube, &problems[2], whole))
         );
-        assert_eq!(carry.applied(), (2 * lines + lines + 2, lines + 1));
+        assert_eq!(carry.applied(), (carry.held() + lost, lines + 1));
+    }
+
+    /// The dots the pixels of `line` hold.
+    fn held_by_line<M: LineMemo>(carry: &Carry<M>, line: usize) -> usize {
+        let state = carry.lines.get().unwrap()[line].lock().unwrap();
+        state.more.dots_held(state.depth)
     }
 
     /// A chunk's workspace goes back to the stack when its scorer drops,
@@ -1862,7 +1979,7 @@ mod tests {
         let bases = growing_bases(cube, 3);
         let carry = ProjectionCarry::for_run(lines, samples);
         let reserved = line_buffers(&carry);
-        assert!(reserved.iter().all(|&(_, room)| room == (samples, 0)));
+        assert!(reserved.iter().all(|&(_, room)| room == (samples, samples)));
         for basis in [&bases[2], &bases[0], &bases[1]] {
             max_projection_carried(cube, basis, whole, &carry);
         }
@@ -1873,7 +1990,7 @@ mod tests {
         let problems = growing_problems(cube, t);
         let carry = FclsCarry::for_run(lines, samples, t);
         let reserved = line_buffers(&carry);
-        let room = ((t - 1) * samples, TRAIL_WORDS_PER_TARGET * t * samples);
+        let room = ((t - 1) * samples, record_words(t) * samples);
         assert!(reserved.iter().all(|&(_, held)| held == room));
         // The run's rounds, then a line deeper than the system, then a
         // system that diverges in its first endmember.
@@ -1904,14 +2021,20 @@ mod tests {
         let carry = ProjectionCarry::default();
         max_projection_carried(cube, &bases[0], whole, &carry);
         let copy = carry.clone();
+        let once = (carry.applied(), carry.held());
         max_projection_carried(cube, &bases[1], whole, &copy);
-        assert_eq!((carry.applied().0, copy.applied().0), (lines, 2 * lines));
+        assert_eq!((carry.applied(), carry.held()), once);
+        assert!(copy.held() > once.1);
         let got = max_projection_carried(cube, &bases[1], whole, &carry);
         assert_eq!(
             scored(&got),
             scored(&max_projection(cube, &bases[1], whole))
         );
-        assert_eq!(carry.applied().0, 2 * lines);
+        assert_eq!(
+            (carry.applied(), carry.held()),
+            (copy.applied(), copy.held())
+        );
+        assert_eq!(carry.applied(), (carry.held(), lines));
     }
 
     #[test]

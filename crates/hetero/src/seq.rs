@@ -89,7 +89,18 @@ fn detect<D: Detector>(
 /// Sequential ATDCA: iterative orthogonal-subspace target extraction.
 pub fn atdca(cube: &HyperCube, params: &AlgoParams) -> SeqOutput<Vec<DetectedTarget>> {
     let carry = Osp::carry(cube.lines(), cube.samples(), params.num_targets);
-    detect::<Osp>(cube, params, &carry)
+    atdca_carried(cube, params, &carry)
+}
+
+/// [`atdca`] scanning through a carry its caller made, to read the
+/// carry's host-work tallies afterwards ([`kernels::ProjectionCarry`]).
+#[doc(hidden)]
+pub fn atdca_carried(
+    cube: &HyperCube,
+    params: &AlgoParams,
+    carry: &kernels::ProjectionCarry,
+) -> SeqOutput<Vec<DetectedTarget>> {
+    detect::<Osp>(cube, params, carry)
 }
 
 /// Sequential UFCLS: iterative fully-constrained least-squares target

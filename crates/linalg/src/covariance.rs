@@ -523,7 +523,9 @@ fn accumulate(
 ) {
     let mut acc = *tile;
     for px in panel.chunks_exact(stride) {
+        #[expect(clippy::expect_used, reason = "a slice `TILE_ROWS` long converts")]
         let xi: &[f64; TILE_ROWS] = px[i0..i0 + TILE_ROWS].try_into().expect("tile rows");
+        #[expect(clippy::expect_used, reason = "a slice `TILE_COLS` long converts")]
         let xj: &[f64; TILE_COLS] = px[j0..j0 + TILE_COLS].try_into().expect("tile columns");
         for (row, &a) in acc.iter_mut().zip(xi) {
             for (c, &b) in row.iter_mut().zip(xj) {

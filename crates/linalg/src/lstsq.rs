@@ -38,7 +38,9 @@
 //! derived from the KKT tolerances and the residual's rounding
 //! ([`FclsProblem::solve_f32_line`]; the proof is in docs/PERF.md). A
 //! caller after the line's maximum hands a floor, and a pixel bounded
-//! below it is not replayed, solved or given a residual.
+//! below it is not replayed, solved or given a residual, and forms none
+//! of its missing endmember dots: each pixel's record says how far its
+//! dots are formed.
 //!
 //! The two 224-band reductions around the iteration — the endmember dots
 //! before it and `‖x − Uᵀa‖²` after it — are single accumulator chains,
@@ -50,7 +52,7 @@
 use crate::cholesky;
 use crate::error::shape_mismatch;
 use crate::lu::LuDecomposition;
-use crate::matrix::{axpy, dot, dots_abreast};
+use crate::matrix::{axpy, dot, dots_abreast, missing_dots};
 use crate::{LinAlgError, Matrix, Result};
 
 /// Weight of the sum-to-one row in the Heinz–Chang FCLS augmentation.
@@ -274,6 +276,7 @@ pub struct FclsWorkspace {
     /// The line's pixels in the order they are visited.
     visits: Vec<Visit>,
     passive_solves: u64,
+    dots_formed: u64,
 }
 
 impl FclsWorkspace {
@@ -292,6 +295,12 @@ impl FclsWorkspace {
     /// trail spends none of.
     pub fn passive_solves(&self) -> u64 {
         self.passive_solves
+    }
+
+    /// Endmember dots `uᵢᵀx` formed in this workspace since it was made:
+    /// a pixel the line form prunes forms none.
+    pub fn dots_formed(&self) -> u64 {
+        self.dots_formed
     }
 
     /// Non-negative least squares by the Lawson–Hanson active-set method,
@@ -518,20 +527,23 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 /// What [`FclsProblem::solve_f32_line`] keeps of one image line between
 /// the rounds of a run: each pixel's trail — the steps of its latest
 /// active-set iteration ([`FclsWorkspace`]) — the score that iteration
-/// ended in, and how many leading endmembers it was solved against. One
-/// growable arena per line, a pixel's record after its neighbour's; a
-/// pixel whose solve failed, or whose problem is wider than the 24
-/// endmembers the set masks hold, keeps an empty trail and solves from the
-/// empty passive set next time. `Default` is "nothing kept"; its arena
-/// grows on first use.
+/// ended in, the terms its objective bound is made of, and how many
+/// leading endmembers it was solved against. One growable arena per
+/// line, a pixel's record after its neighbour's; a pixel whose solve
+/// failed, or whose problem is wider than the 24 endmembers the set masks
+/// hold, keeps an empty trail and solves from the empty passive set next
+/// time. `Default` is "nothing kept"; its arena grows on first use.
 ///
-/// A record is `[words | exit << 16 | depth << 32, score, words of
-/// steps]`, `exit` where the trail's last step starts. The depth rides
-/// in the length word, so a pixel the line's floor pruned — its
-/// record carried forward unchanged, against fewer endmembers than its
-/// line's dots — costs no word more than one solved this round, and
-/// resumes later by replaying its trail against every endmember added
-/// since ([`FclsProblem::solve_f32_line`]).
+/// A record is `[words | exit << 16 | depth << 32, score, objective, sum,
+/// words of steps]`, `exit` where the trail's last step starts, `sum` the
+/// abundances' sum `Σâ` at that step and `objective` the augmented
+/// objective `F(â) = r̂ + δ²(1 − Σâ)²` ([`FclsProblem::objective_bounds`]).
+/// The depth is also how far the pixel's endmember dots are formed: a
+/// pixel the line's floor pruned keeps its record unchanged and forms no
+/// dot, against fewer endmembers than its line's other pixels, and
+/// catches up on its dots and replays its trail against every endmember
+/// added since when it is next evaluated
+/// ([`FclsProblem::solve_f32_line`]).
 ///
 /// The arena is one buffer for a line's whole run: every call empties it
 /// and refills it, so it reallocates only when a line's records outgrow
@@ -539,11 +551,15 @@ pub fn fcls(u: &Matrix, x: &[f64]) -> Result<Unmixing> {
 /// ([`NnlsTrails::with_capacity`]).
 #[derive(Debug, Clone, Default)]
 pub struct NnlsTrails {
-    /// Leading endmembers the line's dots were formed against.
+    /// Leading endmembers the line was last solved against.
     depth: usize,
-    /// Per pixel `[n | exit << 16 | depth << 32, score, n words of steps]`.
+    /// Per pixel `[n | exit << 16 | depth << 32, score, objective, sum, n
+    /// words of steps]`.
     records: Vec<u64>,
 }
+
+/// Words of a record ahead of its steps.
+pub const RECORD_HEAD: usize = 4;
 
 /// A record's first word: `steps` words of trail whose last step — the
 /// KKT exit — starts at `exit`, solved against `depth` endmembers.
@@ -566,20 +582,77 @@ fn record_spans(records: &[u64]) -> impl Iterator<Item = (usize, usize)> + '_ {
     let mut at = 0;
     std::iter::from_fn(move || {
         let &word = records.get(at)?;
-        let span = (at, at + 2 + record_fields(word).0);
+        let span = (at, at + RECORD_HEAD + record_fields(word).0);
         at = span.1;
         Some(span)
     })
 }
 
+/// `Σâ` of a trail whose exit step starts at `exit`: its held abundances
+/// summed in passive-set order (`0` for an empty trail).
+fn exit_sum(steps: &[u64], exit: usize) -> f64 {
+    if steps.is_empty() {
+        return 0.0;
+    }
+    Step::read(&steps[exit..]).held().map(|(_, a)| a).sum()
+}
+
 /// One pixel of a line, in the order [`FclsProblem::solve_f32_line`]
-/// visits them: the bound on its score, and where its record lies in the
-/// line's arena (an empty range: it has none).
+/// visits them: the bound on its score, where its record lies in the
+/// line's arena (an empty range: it has none), and how many endmembers
+/// its dots are formed against.
 #[derive(Debug, Clone, Copy)]
 struct Visit {
     bound: f64,
     pixel: usize,
     record: (usize, usize),
+    depth: usize,
+}
+
+/// What the rounding margin of a round's objective bounds takes from its
+/// endmember set rather than from a pixel (docs/PERF.md, "UFCLS solves
+/// only the pixels that can still win"): `δ`, the largest `‖uᵢ‖²` rounded
+/// up and its root, and the rates `t` and `n` set.
+#[derive(Clone, Copy)]
+struct Margin {
+    delta: f64,
+    energy: f64,
+    root_energy: f64,
+    /// `KKT_ROUNDING + 2(t + 1)ε`: the exit gradient's rate.
+    gradient_rate: f64,
+    /// `2(n + t + 2)ε`: the two residuals' rate.
+    rounding_rate: f64,
+}
+
+impl Margin {
+    /// `(objective, margin)` for the record `[word, score, objective,
+    /// sum, steps]`: `None` — no bound — for no record or an empty trail.
+    fn bound(&self, record: &[u64]) -> Option<(f64, f64)> {
+        let [_, score, objective, sum, steps @ ..] = record else {
+            return None;
+        };
+        if steps.is_empty() {
+            return None;
+        }
+        let [score, objective, sum] = [*score, *objective, *sum].map(f64::from_bits);
+        let eps = f64::EPSILON;
+        let (delta, delta2) = (self.delta, self.delta * self.delta);
+        // ‖x‖ ≤ ‖x − Uᵀâ‖ + ‖Uᵀâ‖ ≤ √r̂ + Σâ·max‖uᵢ‖.
+        let signal = score.sqrt() + sum * self.root_energy;
+        // Any iterate of the descent has F(a) ≤ F(0) = ‖x‖² + δ², so
+        // δ²(1 − Σa)² ≤ ‖x‖² + δ²: a bound on Σa, the optimum's included.
+        let abundance = 2.0 + signal / delta;
+        // Every gradient sum `c_j − Σ g_jp a_p` is made of terms no larger
+        // than this in magnitude.
+        let magnitude = (self.root_energy * signal + delta2) + (self.energy + delta2) * abundance;
+        // The exit's gradient: KKT-tolerated off the passive set, the
+        // factor's backward error on it.
+        let gradient = KKT_FLOOR + self.gradient_rate * magnitude;
+        // The two residuals' rounding, and this sum's own.
+        let reach = signal + abundance * self.root_energy;
+        let rounding = self.rounding_rate * reach * reach + 4.0 * eps * objective;
+        Some((objective, 6.0 * abundance * gradient + rounding))
+    }
 }
 
 impl NnlsTrails {
@@ -600,6 +673,14 @@ impl NnlsTrails {
     /// Words the arena holds without reallocating.
     pub fn capacity(&self) -> usize {
         self.records.capacity()
+    }
+
+    /// Endmember dots the line's pixels hold, summed over its records:
+    /// each pixel's depth. A host-work tally for tests.
+    #[doc(hidden)]
+    pub fn dots_held(&self) -> usize {
+        let depth = |(at, _)| record_fields(self.records[at]).2;
+        record_spans(&self.records).map(depth).sum()
     }
 }
 
@@ -746,71 +827,50 @@ impl FclsProblem {
         dots.truncate(t);
         let known = dots.len();
         dots.extend((known..t).map(|i| dot(self.u.row(i), x)));
+        ws.dots_formed += (t - known) as u64;
         self.correlate(|i| dots[i], ws);
         ws.nnls(&self.gram_aug, &[], 0)?;
         let [residual_sq] = residuals_sq(&self.u, [x], [ws.abundances.as_slice()], &mut ws.resid);
         Ok(residual_sq)
     }
 
-    /// The largest `‖uᵢ‖²` of the endmembers, rounded up: read off the
-    /// Gram diagonal, where each is summed beside `δ²`.
-    fn endmember_energy(&self) -> f64 {
-        let offset = self.delta * self.delta;
+    /// The round's margin constants of the objective bound, `None` — no
+    /// bound — without the sum-to-one row (`δ = 0`), which alone bounds
+    /// the abundances' sum. The largest `‖uᵢ‖²` is read off the Gram
+    /// diagonal, where each is summed beside `δ²`, and rounded up.
+    fn margin(&self) -> Option<Margin> {
+        let delta2 = self.delta * self.delta;
+        if delta2 == 0.0 {
+            return None;
+        }
         let diagonal = (0..self.u.rows()).map(|i| self.gram_aug[(i, i)]);
-        diagonal.fold(0.0, |most: f64, g| {
-            most.max(g - offset + 2.0 * f64::EPSILON * g)
+        let energy = diagonal.fold(0.0, |most: f64, g| {
+            most.max(g - delta2 + 2.0 * f64::EPSILON * g)
+        });
+        let eps = f64::EPSILON;
+        let (t, n) = (self.u.rows() as f64, self.u.cols() as f64);
+        Some(Margin {
+            delta: self.delta,
+            energy,
+            root_energy: energy.sqrt(),
+            gradient_rate: KKT_ROUNDING + 2.0 * (t + 1.0) * eps,
+            rounding_rate: 2.0 * (n + t + 2.0) * eps,
         })
     }
 
-    /// What bounds the score of a pixel whose `record` — a solve against
-    /// this problem's leading endmembers, its score and its trail — holds,
-    /// against this problem or any larger one over the same
-    /// leading endmembers: `(objective, margin)`, the augmented objective
-    /// `F(â) = r̂ + δ²(1 − Σâ)²` of that solve and the rounding allowance
-    /// of docs/PERF.md ("UFCLS solves only the pixels that can still
-    /// win"). `energy` is [`FclsProblem::endmember_energy`]. `None` — no
-    /// bound — for no record or an empty trail, or without the sum-to-one
-    /// row (`δ = 0`), which alone bounds the abundances' sum.
-    fn objective_bound(&self, record: &[u64], energy: f64) -> Option<(f64, f64)> {
-        let delta2 = self.delta * self.delta;
-        let [word, score, steps @ ..] = record else {
-            return None;
-        };
-        if delta2 == 0.0 || steps.is_empty() {
-            return None;
-        }
-        let score = f64::from_bits(*score);
-        // The last step is the KKT exit: its held abundances are `â`.
-        let exit = Step::read(&steps[record_fields(*word).1..]);
-        let sum: f64 = exit.held().map(|(_, a)| a).sum();
-        let eps = f64::EPSILON;
-        let (t, n) = (self.u.rows() as f64, self.u.cols() as f64);
-        let objective = score + delta2 * (1.0 - sum) * (1.0 - sum);
-        // ‖x‖ ≤ ‖x − Uᵀâ‖ + ‖Uᵀâ‖ ≤ √r̂ + Σâ·max‖uᵢ‖.
-        let signal = score.sqrt() + sum * energy.sqrt();
-        // Any iterate of the descent has F(a) ≤ F(0) = ‖x‖² + δ², so
-        // δ²(1 − Σa)² ≤ ‖x‖² + δ²: a bound on Σa, the optimum's included.
-        let abundance = 2.0 + signal / self.delta;
-        // Every gradient sum `c_j − Σ g_jp a_p` is made of terms no larger
-        // than this in magnitude.
-        let magnitude = (energy.sqrt() * signal + delta2) + (energy + delta2) * abundance;
-        // The exit's gradient: KKT-tolerated off the passive set, the
-        // factor's backward error on it.
-        let gradient = KKT_FLOOR + (KKT_ROUNDING + 2.0 * (t + 1.0) * eps) * magnitude;
-        // The two residuals' rounding, and this sum's own.
-        let reach = signal + abundance * energy.sqrt();
-        let rounding = 2.0 * (n + t + 2.0) * eps * reach * reach + 4.0 * eps * objective;
-        Some((objective, 6.0 * abundance * gradient + rounding))
-    }
-
-    /// [`FclsProblem::objective_bound`] of each pixel record of `trails`,
-    /// against this problem: `None` for a pixel with none. For tests that
-    /// check the bound.
+    /// What bounds the score of each pixel whose record `trails` holds — a
+    /// solve against this problem's leading endmembers — against this
+    /// problem or any larger one over the same leading endmembers:
+    /// `(objective, margin)`, the augmented objective `F(â) = r̂ + δ²(1 −
+    /// Σâ)²` of that solve and the rounding allowance of docs/PERF.md
+    /// ("UFCLS solves only the pixels that can still win"). `None` for a
+    /// pixel with no record or an empty trail, and for every pixel
+    /// without the sum-to-one row. For tests that check the bound.
     #[doc(hidden)]
     pub fn objective_bounds(&self, trails: &NnlsTrails) -> Vec<Option<(f64, f64)>> {
-        let energy = self.endmember_energy();
+        let margin = self.margin();
         let records = &trails.records;
-        let bound = |(from, to)| self.objective_bound(&records[from..to], energy);
+        let bound = |(from, to)| margin.and_then(|m| m.bound(&records[from..to]));
         record_spans(records).map(bound).collect()
     }
 
@@ -826,9 +886,11 @@ impl FclsProblem {
     /// [`FclsProblem::solve_carried`] for a whole image line of `f32`
     /// pixels (`line` holds them back to back), the dots and residuals
     /// formed several pixels abreast. `dots` is endmember-major — entry
-    /// `i · pixels + p` is `uᵢᵀx_p` — with the first `known` endmembers'
-    /// rows given and the rest filled here, for every pixel and before any
-    /// solve. `trails` is what the previous call on this line left, against
+    /// `i · pixels + p` is `uᵢᵀx_p` — and holds each pixel's dots with the
+    /// endmembers its record in `trails` was solved against (the first
+    /// `known`, for a pixel with no record); a pixel's missing dots are
+    /// formed here when it is evaluated, and never when it is pruned.
+    /// `trails` is what the previous call on this line left, against
     /// those `known` endmembers (or `Default`): a pixel whose active-set
     /// path the endmembers added since its record was made do not change
     /// gets the score recorded there, with no solve and no residual; any
@@ -839,12 +901,15 @@ impl FclsProblem {
     /// solve bounds every score it can reach against a larger set
     /// ([`FclsProblem::objective_bounds`]): one whose bound is below
     /// `floor` — raised, as the call goes, by every score the line emits —
-    /// is neither replayed nor solved, keeps its record as it was and is
-    /// emitted as `−∞`. So a caller after the line's maximum passes the
-    /// best score it has seen elsewhere (or `−∞`), and a pixel it is given
-    /// `−∞` for is one with a strictly higher score beside it. The pixels
-    /// are visited highest bound first, which raises the floor soonest; a
-    /// pixel with no record (first call, failed solve, restarted line) has
+    /// is neither replayed nor solved, forms no dot, keeps its record as it
+    /// was and is emitted as `−∞`. So a caller after the line's maximum
+    /// passes the best score it has seen elsewhere (or `−∞`), and a pixel
+    /// it is given `−∞` for is one with a strictly higher score beside it.
+    /// The pixels are visited highest bound first, which raises the floor
+    /// soonest, four at a time — their missing dots formed four chains
+    /// abreast ([`crate::matrix::missing_dots`]) — so the first visit whose
+    /// bound is below the floor prunes it and every pixel after it. A
+    /// pixel with no trail (first call, failed solve, restarted line) has
     /// no bound and is always unmixed.
     ///
     /// `emit(p, r)` receives pixel `p`'s squared residual — `−∞` if
@@ -892,14 +957,7 @@ impl FclsProblem {
         if trails.depth != known {
             trails.records.clear();
         }
-        for first in (0..pixels).step_by(ABREAST) {
-            if first + ABREAST <= pixels {
-                self.form_dots::<ABREAST>(line, first, known, dots);
-            } else {
-                (first..pixels).for_each(|p| self.form_dots::<1>(line, p, known, dots));
-            }
-        }
-        self.plan_visits(pixels, &trails.records, ws);
+        self.plan_visits(pixels, known, &trails.records, ws);
 
         let priors = trails.records.as_slice();
         let mut records = std::mem::take(&mut ws.line_trails);
@@ -917,69 +975,108 @@ impl FclsProblem {
         // and where its record keeps the score.
         let mut pending = [(0, 0); ABREAST];
         let mut waiting = 0;
-        let mut evaluated = 0;
+        let mut visited = 0;
 
-        for v in 0..pixels {
-            let Visit {
-                bound,
-                pixel: p,
-                record,
-            } = ws.visits[v];
-            let record = &priors[record.0..record.1];
-            let at = records.len();
-            if bound < floor {
-                records.extend_from_slice(record);
-                ws.spans[p] = (at, records.len());
-                emit(p, Ok(f64::NEG_INFINITY));
-                continue;
-            }
-            evaluated += 1;
-            let (exit, depth, score, prior) = match record {
-                [word, score, prior @ ..] => {
-                    let (_, exit, depth) = record_fields(*word);
-                    (exit, depth, *score, prior)
-                }
-                _ => (0, known, 0, record),
+        while visited < pixels {
+            // The pixels with no bound are unmixed whatever the floor, so
+            // they are taken together; the others four at a time.
+            let rest = &ws.visits[visited..];
+            let unbounded = rest.iter().take_while(|v| v.bound == f64::INFINITY);
+            let batch = match unbounded.count() {
+                0 => rest
+                    .iter()
+                    .take(ABREAST)
+                    .take_while(|v| !prunes(floor, v.bound))
+                    .count(),
+                all => all,
             };
-            self.correlate(|i| dots[i * pixels + p], ws);
-            match ws.nnls(&self.gram_aug, prior, depth) {
-                Ok(true) => {
-                    records.extend([record_word(prior.len(), exit, t), score]);
-                    records.extend_from_slice(prior);
-                    let score = f64::from_bits(score);
-                    floor = raised(floor, score);
-                    emit(p, Ok(score));
-                }
-                Ok(false) => {
-                    pending[waiting] = (p, at + 1);
-                    // The exit step holds the final passive set.
-                    let exit = ws.trail.len().saturating_sub(1 + ws.passive.len());
-                    records.extend([record_word(ws.trail.len(), exit, t), 0]);
-                    records.extend_from_slice(&ws.trail);
-                    ws.lanes[waiting * t..][..t].copy_from_slice(&ws.abundances);
-                    waiting += 1;
-                    // With nothing to prune against yet, the first solve
-                    // is scored at once: its residual is the floor.
-                    if waiting == ABREAST || floor == f64::NEG_INFINITY {
-                        floor = self.score_pending(
-                            line,
-                            &pending[..waiting],
-                            ws,
-                            &mut records,
-                            floor,
-                            emit,
-                        );
-                        waiting = 0;
+            if batch == 0 {
+                break;
+            }
+            let batch = visited..visited + batch;
+            visited = batch.end;
+            for first in batch.clone().step_by(ABREAST) {
+                let group = first..(first + ABREAST).min(batch.end);
+                let lanes = group.len();
+                let visit = |k: usize| ws.visits[first + k.min(lanes - 1)];
+                let xs: [&[f32]; ABREAST] =
+                    std::array::from_fn(|k| &line[visit(k).pixel * n..][..n]);
+                let from: [usize; ABREAST] = std::array::from_fn(|k| visit(k).depth);
+                let mut formed = 0;
+                let vector = |i| self.u.row(i);
+                missing_dots(&xs[..lanes], &from[..lanes], t, vector, |k, i, c| {
+                    dots[i * pixels + visit(k).pixel] = c;
+                    formed += 1;
+                });
+                ws.dots_formed += formed;
+            }
+
+            for v in batch {
+                let Visit {
+                    pixel: p, record, ..
+                } = ws.visits[v];
+                let record = &priors[record.0..record.1];
+                let at = records.len();
+                let (exit, depth, terms, prior) = match record {
+                    [word, score, objective, sum, prior @ ..] => {
+                        let (_, exit, depth) = record_fields(*word);
+                        (exit, depth, [*score, *objective, *sum], prior)
+                    }
+                    _ => (0, known, [0; 3], record),
+                };
+                self.correlate(|i| dots[i * pixels + p], ws);
+                match ws.nnls(&self.gram_aug, prior, depth) {
+                    Ok(true) => {
+                        records.push(record_word(prior.len(), exit, t));
+                        records.extend(terms);
+                        records.extend_from_slice(prior);
+                        let score = f64::from_bits(terms[0]);
+                        floor = raised(floor, score);
+                        emit(p, Ok(score));
+                    }
+                    Ok(false) => {
+                        pending[waiting] = (p, at + 1);
+                        // The exit step holds the final passive set.
+                        let exit = ws.trail.len().saturating_sub(1 + ws.passive.len());
+                        let sum = exit_sum(&ws.trail, exit);
+                        let word = record_word(ws.trail.len(), exit, t);
+                        records.extend([word, 0, 0, sum.to_bits()]);
+                        records.extend_from_slice(&ws.trail);
+                        ws.lanes[waiting * t..][..t].copy_from_slice(&ws.abundances);
+                        waiting += 1;
+                        // With nothing to prune against yet, the first solve
+                        // is scored at once: its residual is the floor.
+                        if waiting == ABREAST || floor == f64::NEG_INFINITY {
+                            floor = self.score_pending(
+                                line,
+                                &pending[..waiting],
+                                ws,
+                                &mut records,
+                                floor,
+                                emit,
+                            );
+                            waiting = 0;
+                        }
+                    }
+                    Err(failed) => {
+                        // No trail, but its dots are formed to `t`.
+                        records.extend([record_word(0, 0, t), 0, 0, 0]);
+                        emit(p, Err(failed));
                     }
                 }
-                Err(failed) => {
-                    records.extend([0, 0]);
-                    emit(p, Err(failed));
-                }
+                ws.spans[p] = (at, records.len());
             }
-            ws.spans[p] = (at, records.len());
         }
         self.score_pending(line, &pending[..waiting], ws, &mut records, floor, emit);
+        for v in visited..pixels {
+            let Visit {
+                pixel: p, record, ..
+            } = ws.visits[v];
+            let at = records.len();
+            records.extend_from_slice(&priors[record.0..record.1]);
+            ws.spans[p] = (at, records.len());
+            emit(p, Ok(f64::NEG_INFINITY));
+        }
         // The line's records go into its own arena in pixel order, which
         // keeps its capacity from call to call; the workspace keeps the
         // buffer they were built in for the next line.
@@ -989,25 +1086,30 @@ impl FclsProblem {
         }
         trails.depth = t;
         ws.line_trails = records;
-        Ok(evaluated)
+        Ok(visited)
     }
 
     /// Fills `ws.visits` with the `pixels` of a line whose records are
     /// `records` (empty: none), highest bound first; equal bounds, and the
-    /// pixels with none, keep their order.
-    fn plan_visits(&self, pixels: usize, records: &[u64], ws: &mut FclsWorkspace) {
-        let energy = self.endmember_energy();
+    /// pixels with none, keep their order. Each bound is its record's own
+    /// terms and the round's margin constants, formed once for the line; a
+    /// pixel's depth is its record's, `known` without one.
+    fn plan_visits(&self, pixels: usize, known: usize, records: &[u64], ws: &mut FclsWorkspace) {
+        let margin = self.margin();
         let mut spans = record_spans(records);
         ws.visits.clear();
         for pixel in 0..pixels {
             let record = spans.next().unwrap_or((records.len(), records.len()));
-            let bound = self
-                .objective_bound(&records[record.0..record.1], energy)
+            let held = &records[record.0..record.1];
+            let bound = margin
+                .and_then(|m| m.bound(held))
                 .map_or(f64::INFINITY, |(objective, margin)| objective + margin);
+            let depth = held.first().map_or(known, |&word| record_fields(word).2);
             ws.visits.push(Visit {
                 bound,
                 pixel,
                 record,
+                depth,
             });
         }
         // A NaN bound (a NaN score) is never below a floor: it goes first.
@@ -1019,24 +1121,6 @@ impl FclsProblem {
             }
         };
         ws.visits.sort_by(|a, b| key(b).total_cmp(&key(a)));
-    }
-
-    /// The dots of the `L` pixels of `line` from `first` on with the
-    /// endmembers `known..`, abreast and sharing each endmember's loads.
-    fn form_dots<const L: usize>(
-        &self,
-        line: &[f32],
-        first: usize,
-        known: usize,
-        dots: &mut [f64],
-    ) {
-        let n = self.u.cols();
-        let pixels = line.len() / n;
-        let xs: [&[f32]; L] = std::array::from_fn(|k| &line[(first + k) * n..][..n]);
-        for i in known..self.u.rows() {
-            let formed = dots_abreast([self.u.row(i); L], xs);
-            dots[i * pixels + first..][..L].copy_from_slice(&formed);
-        }
     }
 
     /// Scores the `pending` pixels, whose abundances are the leading rows
@@ -1067,7 +1151,8 @@ impl FclsProblem {
 
     /// The residuals of the `L` `pending` pixels of `line` from `from` on,
     /// whose abundances are the rows of `ws.lanes` from there on, abreast:
-    /// each is written into its record and handed to `scored`.
+    /// each is written into its record with the objective `F(â) = r̂ +
+    /// δ²(1 − Σâ)²` of the `Σâ` the record holds, and handed to `scored`.
     fn score<const L: usize>(
         &self,
         line: &[f32],
@@ -1078,12 +1163,16 @@ impl FclsProblem {
         scored: &mut dyn FnMut(usize, f64),
     ) {
         let (t, n) = (self.u.rows(), self.u.cols());
+        let delta2 = self.delta * self.delta;
         let pending = &pending[from..][..L];
         let xs: [&[f32]; L] = std::array::from_fn(|k| &line[pending[k].0 * n..][..n]);
         let a: [&[f64]; L] = std::array::from_fn(|k| &ws.lanes[(from + k) * t..][..t]);
         let residuals = residuals_sq(&self.u, xs, a, &mut ws.resid);
         for (&(p, score_at), residual_sq) in pending.iter().zip(residuals) {
+            let sum = f64::from_bits(records[score_at + 2]);
+            let objective = residual_sq + delta2 * (1.0 - sum) * (1.0 - sum);
             records[score_at] = residual_sq.to_bits();
+            records[score_at + 1] = objective.to_bits();
             scored(p, residual_sq);
         }
     }
@@ -1092,6 +1181,12 @@ impl FclsProblem {
     pub fn solve_f32_in(&self, x: &[f32], ws: &mut FclsWorkspace) -> Result<f64> {
         widened(x, ws, |wide, ws| self.solve_in(wide, ws))
     }
+}
+
+/// Whether `floor` prunes a pixel whose score is at most `bound`: the
+/// bound is strictly below it (a NaN bound never is).
+fn prunes(floor: f64, bound: f64) -> bool {
+    bound < floor
 }
 
 /// `floor` raised to `score`, if higher; a NaN score raises nothing.

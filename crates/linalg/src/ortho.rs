@@ -8,7 +8,7 @@
 //! `t = |U| ≪ N`. The explicit form lives in the tests, which assert the
 //! two agree.
 
-use crate::matrix::{axpy, dot, dots_abreast, norm2};
+use crate::matrix::{axpy, dot, dots_abreast, missing_dots, norm2};
 use crate::Matrix;
 
 /// Relative tolerance under which a vector is considered linearly dependent
@@ -162,6 +162,28 @@ impl OrthoBasis {
         }
         s
     }
+
+    /// [`Self::residual_from`] for up to four pixels each continued from
+    /// its own depth: `residuals[k]` covers the first `seen[k]` vectors on
+    /// entry and the whole basis on exit. The missing dots are formed four
+    /// chains abreast ([`missing_dots`]) and subtracted in vector order,
+    /// so each sum has the bits `residual_from` gives that pixel alone.
+    pub fn continue_residuals<T: Copy + Into<f64>>(
+        &self,
+        xs: &[&[T]],
+        seen: &[usize],
+        residuals: &mut [f64],
+    ) {
+        missing_dots(
+            xs,
+            seen,
+            self.len(),
+            |i| &self.q[i],
+            |k, _, c| {
+                residuals[k] -= c * c;
+            },
+        );
+    }
 }
 
 #[cfg(test)]
@@ -313,6 +335,98 @@ mod tests {
             );
         }
         assert_eq!(seen, 3);
+    }
+
+    /// Four pixels at four depths, continued together or one at a time,
+    /// in either of `missing_dots`' layouts: each sum has the bits
+    /// `residual_from` gives that pixel alone.
+    #[test]
+    fn residuals_continued_from_their_own_depths_keep_the_bits() {
+        let n = 7;
+        let rows: Vec<Vec<f64>> = (0..9)
+            .map(|i| {
+                (0..n)
+                    .map(|b| 0.1 + ((3 * i + 5 * b) % 11) as f64 / 7.0)
+                    .collect()
+            })
+            .collect();
+        let mut basis = OrthoBasis::new(n);
+        for row in &rows {
+            basis.push(row);
+        }
+        let k = basis.len();
+        let pixels: Vec<Vec<f32>> = (0..4)
+            .map(|p| (0..n).map(|b| ((p * 7 + b * 3) % 5) as f32 / 3.0).collect())
+            .collect();
+        let xs: Vec<&[f32]> = pixels.iter().map(|x| x.as_slice()).collect();
+        let norm = |x: &[f32]| dots_abreast([x], [x])[0];
+        let alone = |x: &[f32], seen: usize| {
+            let [start] = basis.residual_from([x], 0, [norm(x)]);
+            let [seen_sum] = OrthoBasis {
+                q: basis.q[..seen].to_vec(),
+                dim: n,
+            }
+            .residual_from([x], 0, [norm(x)]);
+            let [resumed] = basis.residual_from([x], seen, [seen_sum]);
+            assert_eq!(start.to_bits(), resumed.to_bits());
+            (seen_sum, start)
+        };
+        for seen in [[k - 1; 4], [0, 1, k - 1, k], [2, 0, 5, 3], [k; 4]] {
+            let want: Vec<(f64, f64)> = xs.iter().zip(seen).map(|(x, d)| alone(x, d)).collect();
+            let mut sums: Vec<f64> = want.iter().map(|w| w.0).collect();
+            basis.continue_residuals(&xs, &seen, &mut sums);
+            for one in 0..4 {
+                let mut sum = [want[one].0];
+                basis.continue_residuals(&xs[one..=one], &seen[one..=one], &mut sum);
+                assert_eq!(sum[0].to_bits(), want[one].1.to_bits(), "{seen:?}, alone");
+                assert_eq!(sums[one].to_bits(), want[one].1.to_bits(), "{seen:?}");
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// ATDCA prunes a pixel by its stale residual with no margin: the
+        /// carried sum is updated by `s −= c·c` with `c·c ≥ 0` and
+        /// rounding is monotone, so every vector a basis takes in —
+        /// near-dependent ones included — leaves it at most where it was,
+        /// bit for bit (a NaN pixel's stays NaN), on zero and NaN pixels
+        /// too.
+        #[test]
+        fn a_carried_residual_never_rises(
+            n in 1usize..12,
+            vals in proptest::collection::vec(-1.0f64..1.0, 12 * 12),
+            pixel_vals in proptest::collection::vec(-2.0f32..2.0, 6 * 12),
+            near in 1e-12f64..1e-6,
+        ) {
+            let rows: Vec<Vec<f64>> = vals.chunks(12).map(|c| c[..n].to_vec()).collect();
+            let mut pixels: Vec<Vec<f32>> =
+                pixel_vals.chunks(12).map(|c| c[..n].to_vec()).collect();
+            pixels[0].fill(0.0);
+            pixels[1][n / 2] = f32::NAN;
+            let mut basis = OrthoBasis::new(n);
+            let mut carried: Vec<f64> = pixels.iter().map(|x| dots_abreast([x], [x])[0]).collect();
+            for (i, row) in rows.iter().enumerate() {
+                // Every other vector is a near-twin of the one before it.
+                let v: Vec<f64> = match i % 2 {
+                    1 => rows[i - 1].iter().zip(row).map(|(a, b)| a + near * b).collect(),
+                    _ => row.clone(),
+                };
+                let seen = basis.len();
+                basis.push(&v);
+                for (x, sum) in pixels.iter().zip(carried.iter_mut()) {
+                    let [next] = basis.residual_from([x.as_slice()], seen, [*sum]);
+                    prop_assert!(
+                        next <= *sum || (next.is_nan() && sum.is_nan()),
+                        "{next:e} > {sum:e} after vector {i}"
+                    );
+                    *sum = next;
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! * a detector's carry belongs to the image lines, so whichever ft
 //!   worker scores a line next continues it: `ft::run_self_sched` and
-//!   `ft::run_replan`, fault-free and under crashes, fold exactly the
-//!   vectors into the lines that one sequential pass folds, start each
-//!   line from nothing exactly once, and return `seq`'s targets;
+//!   `ft::run_replan`, fault-free and under crashes, like one sequential
+//!   pass, start each line from nothing exactly once, form no pixel's
+//!   dot with a system vector twice — every dot formed is one the carry
+//!   still holds — and return `seq`'s targets;
 //! * a detector's carry is reserved by its owner at the size its run
 //!   fills, so no line buffer grows on whichever thread scores the line:
 //!   the static driver of `par` and both ft drivers under crashes, on the
@@ -19,7 +20,7 @@
 //!   ask for it.
 //!
 //! The tallies are read-only counters of host work (`Carry::applied`,
-//! `Carry::outgrown`, `DetectChunks::systems_built`,
+//! `Carry::held`, `Carry::outgrown`, `DetectChunks::systems_built`,
 //! `MeiResult::dots_formed`); the virtual clock never reads them.
 
 use heterospec::cube::synth::{wtc_scene, WtcConfig};
@@ -63,27 +64,37 @@ fn two_crashes() -> FaultPlan {
         .link_outage(0, 7, 0.01, 0.05)
 }
 
-/// A detector run's host-work tallies: the carry's `(vectors folded into
-/// lines, lines started)` and the systems built.
-type Tally = ((usize, usize), usize);
+/// A detector run's host-work tallies: the carry's `(dots formed, lines
+/// started)`, the dots its pixels hold at the end, and the systems built.
+type Tally = ((usize, usize), usize, usize);
+
+/// Requires of a run's `tally` that every line of `lines` started once,
+/// every dot formed is still held — none was formed twice — and at most
+/// one per pixel of `pixels` and scored system vector (`t − 1`), and one
+/// system was built per target.
+fn assert_no_dot_formed_twice(what: &str, tally: Tally, lines: usize, pixels: usize, t: usize) {
+    let ((formed, started), held, systems) = tally;
+    assert_eq!((formed, started, systems), (held, lines, t), "{what}");
+    assert!(0 < formed && formed <= pixels * (t - 1), "{what}: {formed}");
+}
 
 /// Both ft drivers over a fresh `new_algo()` each, with and without
-/// faults: `want`'s targets, the carry tally of the sequential pass, and
-/// one system built per round, by the master's merge — the last round's
-/// too, which no round opens with.
+/// faults: `want`'s targets, the carry tallies of the sequential pass —
+/// each line started once, no dot formed twice — and one system built per
+/// round, by the master's merge — the last round's too, which no round
+/// opens with.
 fn assert_lines_are_continued_whoever_scores_them<A>(
     new_algo: impl Fn() -> A,
     tally: impl Fn(&A) -> Tally,
     want: &[DetectedTarget],
-    lines: usize,
+    (lines, pixels): (usize, usize),
 ) where
     A: ChunkedAlgo<Output = Vec<DetectedTarget>> + Sync,
 {
+    let t = want.len();
     let sequential = new_algo();
     assert_eq!(one_chunk_pass(&sequential), want);
-    // Every line is started once and then takes each round's one vector.
-    let once = tally(&sequential);
-    assert_eq!(once, ((lines * (want.len() - 1), lines), want.len()));
+    assert_no_dot_formed_twice("one pass", tally(&sequential), lines, pixels, t);
 
     type Driver<A> = fn(&Engine, &A, &FtOptions) -> FtRun<<A as ChunkedAlgo>::Output>;
     let drivers: [(&str, Driver<A>); 2] = [
@@ -97,27 +108,39 @@ fn assert_lines_are_continued_whoever_scores_them<A>(
             let what = format!("{mode} {}, {crashes} crashes", algo.name());
             assert_eq!(run.recoveries.len(), crashes, "{what}");
             assert_eq!(run.output, want, "{what}");
-            assert_eq!(tally(&algo), (once.0, want.len()), "{what}");
+            assert_no_dot_formed_twice(&what, tally(&algo), lines, pixels, t);
         }
     }
 }
 
 #[test]
-fn ft_drivers_fold_exactly_the_vectors_a_sequential_pass_folds() {
+fn ft_drivers_start_each_line_once_and_form_no_dot_twice() {
     let s = testutil::tiny_scene();
     let p = testutil::params(7, 2);
-    let lines = s.cube.lines();
+    let shape = (s.cube.lines(), s.cube.num_pixels());
     assert_lines_are_continued_whoever_scores_them(
         || AtdcaChunks::new(&s.cube, &p),
-        |algo| (algo.carry().applied(), algo.systems_built()),
+        |algo| {
+            (
+                algo.carry().applied(),
+                algo.carry().held(),
+                algo.systems_built(),
+            )
+        },
         &seq::atdca(&s.cube, &p).result,
-        lines,
+        shape,
     );
     assert_lines_are_continued_whoever_scores_them(
         || UfclsChunks::new(&s.cube, &p),
-        |algo| (algo.carry().applied(), algo.systems_built()),
+        |algo| {
+            (
+                algo.carry().applied(),
+                algo.carry().held(),
+                algo.systems_built(),
+            )
+        },
         &seq::ufcls(&s.cube, &p).result,
-        lines,
+        shape,
     );
 }
 

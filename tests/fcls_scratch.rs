@@ -1,6 +1,6 @@
-//! FCLS scans share one stack of idle workspaces: a kernel chunk checks
+//! FCLS scans share one stack of idle workspaces: a kernel block checks
 //! one out and its scorer puts it back, so the process makes as many as
-//! chunks were ever in flight at once, whatever threads ran them.
+//! blocks were ever in flight at once, whatever threads ran them.
 //!
 //! A binary of its own with one test: the tally
 //! (`kernels::fcls_workspaces_built`) is the process's, so no other test
@@ -30,13 +30,13 @@ fn bits(best: &(Option<ScoredPixel>, f64)) -> (Option<(usize, usize, u64)>, u64)
 /// Both FCLS kernels, round after round at pool widths 1, 2 and 3 (the
 /// shim spawns fresh helper threads for every call wider than 1), score
 /// the same bits at every width and make no more workspaces than the
-/// widest scan runs chunks abreast. One workspace per thread made 61
+/// widest scan runs blocks abreast. One workspace per thread made 61
 /// over this schedule.
 #[test]
 fn fcls_scans_make_no_more_workspaces_than_the_widest_scan_needs() {
     let scene = testutil::tiny_scene();
     let cube = &scene.cube;
-    // 48 lines: six 8-line chunks, so a width-3 scan runs three abreast.
+    // 48 lines: a width-3 scan runs three 16-line blocks abreast.
     let whole = (0, cube.lines());
     let wide = |i: usize| -> Vec<f64> {
         let px = cube.pixel_flat(i * 131 + 7);
@@ -65,6 +65,6 @@ fn fcls_scans_make_no_more_workspaces_than_the_widest_scan_needs() {
     let built = kernels::fcls_workspaces_built();
     assert!(
         (1..=widest).contains(&built),
-        "{built} FCLS workspaces made for scans at most {widest} chunks abreast"
+        "{built} FCLS workspaces made for scans at most {widest} blocks abreast"
     );
 }

@@ -15,7 +15,7 @@
 //!   test prints its worst slack ratio `(r − F(â)) / margin`, which must
 //!   stay at most 1;
 //! * the counting gate — on the benchmark scene at `t = 18`, `seq::ufcls`
-//!   evaluates at most 30 % of its pixel-rounds, and `par` (16 WEA cells,
+//!   evaluates at most 27 % of its pixel-rounds, and `par` (16 WEA cells,
 //!   256 one-line ranks) and both ft drivers, with and without crashes,
 //!   fewer than they score (`Carry::pixel_rounds`). No stopwatch: a scan
 //!   that stops pruning fails it on any host.
@@ -274,20 +274,25 @@ fn benchmark_cube() -> HyperCube {
     scene.cube
 }
 
-/// `seq::ufcls` at the paper's `t = 18` scores 17 rounds of 4 096 pixels
-/// and evaluates at most 30 % of them (measured: see docs/PERF.md).
+/// `seq::ufcls` at the paper's `t = 18`, on one thread as the benchmark
+/// runs it (a wider pool scans one block a worker, each with a floor of
+/// its own), scores 17 rounds of 4 096 pixels and evaluates at most 27 %
+/// of them (measured: see docs/PERF.md).
 #[test]
 fn seq_ufcls_evaluates_under_a_third_of_its_pixel_rounds() {
     let cube = benchmark_cube();
     let params = AlgoParams::default();
     assert_eq!(params.num_targets, 18);
     let carry = FclsCarry::for_run(cube.lines(), cube.samples(), params.num_targets);
-    seq::ufcls_carried(&cube, &params, &carry);
+    let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+    one_thread
+        .expect("one-thread pool")
+        .install(|| seq::ufcls_carried(&cube, &params, &carry));
     let (evaluated, scored) = carry.pixel_rounds();
     println!("seq: {evaluated} of {scored} pixel-rounds evaluated");
     assert_eq!(scored, 17 * cube.num_pixels());
     assert!(
-        10 * evaluated <= 3 * scored,
+        100 * evaluated <= 27 * scored,
         "{evaluated} of {scored} pixel-rounds evaluated"
     );
 }
